@@ -3,19 +3,39 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mpcquery/internal/chaos"
 	"mpcquery/internal/core"
+	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/plan"
+	"mpcquery/internal/query"
+	"mpcquery/internal/relation"
 	"mpcquery/internal/stats"
 	"mpcquery/internal/trace"
 )
 
-func TestParseQuery(t *testing.T) {
+// namedJob resolves a -query name exactly as run() does and returns the
+// job with its relations bound to the compiled query's atoms.
+func namedJob(t *testing.T, name string, alg core.Algorithm, n int, skew string, seed int64) (*job, map[string]*relation.Relation) {
+	t.Helper()
+	j, err := queryJob("", name, alg, "", n, skew, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := j.compiled.BindRelations(j.rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, bound
+}
+
+func TestNamedQuery(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		atoms int
@@ -32,7 +52,7 @@ func TestParseQuery(t *testing.T) {
 		{"path0", 0, false},
 		{"nonsense", 0, false},
 	} {
-		q, err := parseQuery(tc.name)
+		q, err := namedQuery(tc.name)
 		if tc.ok && err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
@@ -49,44 +69,140 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
-func TestGenerateShapes(t *testing.T) {
-	q, err := parseQuery("triangle")
+// TestNamedQueryCompilesToItself pins the single input path: a named
+// query written out as its full-head rule and sent through
+// internal/query compiles back to exactly the hypergraph constructor's
+// query, head in Vars() order.
+func TestNamedQueryCompilesToItself(t *testing.T) {
+	for _, name := range []string{"triangle", "join2", "rst", "product", "path4", "star3", "cycle5"} {
+		want, _ := namedQuery(name)
+		j, _ := namedJob(t, name, core.AlgAuto, 10, "none", 1)
+		if !reflect.DeepEqual(j.compiled.Query, want) || !reflect.DeepEqual(j.compiled.Head, want.Vars()) {
+			t.Errorf("%s compiled to %s with head %v, want %s with head %v", name, j.compiled.Query, j.compiled.Head, want, want.Vars())
+		}
+	}
+}
+
+// TestBareBody covers the -q shorthand: a bare body is the full-head
+// rule adhoc(<every body variable>) :- body, parsed by internal/query.
+// The accepted and rejected inputs are the ones hypergraph.Parse (the
+// retired second parser) was tested on.
+func TestBareBody(t *testing.T) {
+	compile := func(body string) (*query.Compiled, error) {
+		j, err := queryJob(body, "triangle", core.AlgAuto, "", 10, "none", 1)
+		if err != nil {
+			return nil, err
+		}
+		return j.compiled, nil
+	}
+	sameAtoms := func(got, want hypergraph.Query) bool { return reflect.DeepEqual(got.Atoms, want.Atoms) }
+
+	c, err := compile("R(x,y), S(y,z), T(z,x)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, skew := range []string{"none", "zipf", "heavy"} {
-		rels := generate(q, 500, skew, 1)
-		if len(rels) != 3 {
-			t.Fatalf("%s: %d relations", skew, len(rels))
+	if !sameAtoms(c.Query, hypergraph.Triangle()) || c.Query.Name != "adhoc" || !reflect.DeepEqual(c.Head, []string{"x", "y", "z"}) {
+		t.Errorf("triangle body compiled to %s with head %v", c.Query, c.Head)
+	}
+	c, err = compile("  R( x ) ,S(x , y),  T(y)  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameAtoms(c.Query, hypergraph.RST()) {
+		t.Errorf("whitespace + unary body compiled to %s", c.Query)
+	}
+	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.TwoWayJoin(), hypergraph.RST(), hypergraph.Path(4), hypergraph.Star(3), hypergraph.Cycle(5)} {
+		atoms := make([]string, len(q.Atoms))
+		for i, a := range q.Atoms {
+			atoms[i] = a.String()
 		}
-		for _, a := range q.Atoms {
-			r := rels[a.Name]
-			if r == nil || r.Len() != 500 || r.Arity() != len(a.Vars) {
-				t.Fatalf("%s: relation %s malformed", skew, a.Name)
+		body := strings.Join(atoms, ", ")
+		c, err := compile(body)
+		if err != nil {
+			t.Fatalf("%s: %v (body %q)", q.Name, err, body)
+		}
+		if !sameAtoms(c.Query, q) {
+			t.Errorf("round trip of %q gave %s", body, c.Query)
+		}
+	}
+	// A repeated relation name is a self-join, as everywhere in the
+	// frontend (hypergraph.Parse rejected it).
+	c, err = compile("R(x,y), R(y,z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Query.Atoms[1].Name != "R#2" || c.RelFor["R#2"] != "R" {
+		t.Errorf("self-join body compiled to %s", c.Query)
+	}
+
+	for _, body := range []string{
+		"R",
+		"R(",
+		"R()",
+		"R(x,)",
+		"R)x(",
+		"R(x,y)),",
+		"R(x) S(y)",       // missing comma
+		"R(x),",           // trailing comma
+		"R(x,y), , S(y)",  // empty atom slot
+		"R(x), R(y,z)",    // one relation, two arities
+		"R(x,x)",          // repeated variable
+		"1R(x)",           // bad atom name
+		"R(9x)",           // bad variable
+		"R(x-y)",          // bad character
+		"R((x)",           // stray paren inside vars
+		"R(xR(xR(x",       // unclosed, nested
+		"adhoc(x,y)",      // the synthesised head's own name
+		"R(x,y). S(y,z).", // more than one conjunction
+	} {
+		if _, err := compile(body); err == nil {
+			t.Errorf("body %q should be rejected", body)
+		}
+	}
+
+	// Errors point into the text the user typed, not the synthesised rule.
+	_, err = compile("R(x,y) S(y,z)")
+	if err == nil || !strings.Contains(err.Error(), "1:8:") {
+		t.Errorf("missing-comma error = %v, want position 1:8", err)
+	}
+	_, err = compile("R(x,y), S(z,z)")
+	if err == nil || !strings.Contains(err.Error(), "1:13:") {
+		t.Errorf("repeated-variable error = %v, want position 1:13", err)
+	}
+}
+
+// TestGenerate checks the one generator under all three skew profiles
+// and — the path that used to fall through to uniform data — that a
+// Datalog query under -skew heavy really gets its heavy hitter.
+func TestGenerate(t *testing.T) {
+	for _, skew := range []string{"none", "zipf", "heavy"} {
+		for arity := 1; arity <= 3; arity++ {
+			r := generate("R", arity, 500, skew, 1)
+			if r.Name() != "R" || r.Len() != 500 || r.Arity() != arity {
+				t.Fatalf("%s/arity %d: relation malformed: %d x %d", skew, arity, r.Len(), r.Arity())
 			}
 		}
 	}
-	// Heavy skew must actually plant a heavy hitter.
-	rels := generate(q, 500, "heavy", 1)
-	d := stats.DegreesOf(rels["R"], rels["R"].Attrs()[0])
-	if d.Max() < 90 {
-		t.Fatalf("heavy skew max degree = %d, want ≈ n/5", d.Max())
+	for _, src := range []string{"triangle", "q(x,y,z) :- R(x,y), S(y,z)."} {
+		j, err := queryJob("", src, core.AlgAuto, "", 500, "heavy", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := j.rels["R"]
+		if d := stats.DegreesOf(r, r.Attrs()[0]); d.Max() < 90 {
+			t.Errorf("%s: heavy skew max degree = %d, want ≈ n/5", src, d.Max())
+		}
 	}
 }
 
 // TestEndToEndViaEngine exercises the same path main() drives.
 func TestEndToEndViaEngine(t *testing.T) {
-	q, err := parseQuery("triangle")
+	j, rels := namedJob(t, "triangle", core.AlgAuto, 300, "none", 2)
+	exec, err := j.execute(core.NewEngine(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels := generate(q, 300, "none", 2)
-	engine := core.NewEngine(8, 1)
-	exec, err := engine.Execute(core.Request{Query: q, Relations: rels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.Reference(q, rels)
+	want := core.Reference(j.compiled.Query, rels)
 	got := exec.Output.Clone()
 	got.Dedup()
 	want.Dedup()
@@ -100,13 +216,8 @@ func TestEndToEndViaEngine(t *testing.T) {
 // and (L, r, C) as the fault-free engine, and a schedule with a
 // permanent fault must surface a RecoveryFailure through chaos.Capture.
 func TestChaosViaEngine(t *testing.T) {
-	q, err := parseQuery("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := generate(q, 300, "none", 2)
-	clean := core.NewEngine(8, 1)
-	cleanExec, err := clean.Execute(core.Request{Query: q, Relations: rels})
+	j, _ := namedJob(t, "triangle", core.AlgAuto, 300, "none", 2)
+	cleanExec, err := j.execute(core.NewEngine(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +227,7 @@ func TestChaosViaEngine(t *testing.T) {
 	var exec *core.Execution
 	failure, err := chaos.Capture(func() error {
 		var execErr error
-		exec, execErr = engine.Execute(core.Request{Query: q, Relations: rels})
+		exec, execErr = j.execute(engine)
 		return execErr
 	})
 	if failure != nil || err != nil {
@@ -136,7 +247,7 @@ func TestChaosViaEngine(t *testing.T) {
 	// Permanent faults (persist ≥ attempts) must fail loudly.
 	engine.Chaos = chaos.MustParseSchedule("7:drop=0.5,persist=4,attempts=3")
 	failure, err = chaos.Capture(func() error {
-		_, execErr := engine.Execute(core.Request{Query: q, Relations: rels})
+		_, execErr := j.execute(engine)
 		return execErr
 	})
 	if failure == nil || err == nil {
@@ -145,17 +256,13 @@ func TestChaosViaEngine(t *testing.T) {
 }
 
 func TestHLTriangleViaEngine(t *testing.T) {
-	q, err := parseQuery("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := generate(q, 400, "heavy", 3)
+	j, rels := namedJob(t, "triangle", core.AlgHLTriangle, 400, "heavy", 3)
 	engine := core.NewEngine(27, 1)
-	exec, err := engine.Execute(core.Request{Query: q, Relations: rels, Algorithm: core.AlgHLTriangle})
+	exec, err := j.execute(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Reference(q, rels)
+	want := core.Reference(j.compiled.Query, rels)
 	got := exec.Output.Clone()
 	got.Dedup()
 	want.Dedup()
@@ -163,9 +270,8 @@ func TestHLTriangleViaEngine(t *testing.T) {
 		t.Fatal("HL triangle via engine differs from reference")
 	}
 	// HL on a non-triangle query must be rejected.
-	q2, _ := parseQuery("path3")
-	rels2 := generate(q2, 100, "none", 1)
-	if _, err := engine.Execute(core.Request{Query: q2, Relations: rels2, Algorithm: core.AlgHLTriangle}); err == nil {
+	j2, _ := namedJob(t, "path3", core.AlgHLTriangle, 100, "none", 1)
+	if _, err := j2.execute(engine); err == nil {
 		t.Fatal("expected error for HL on path query")
 	}
 }
@@ -175,15 +281,11 @@ func TestHLTriangleViaEngine(t *testing.T) {
 // emits both formats — the Chrome file parseable as trace_event JSON,
 // the JSONL file round-tripping through the strict parser.
 func TestTraceViaEngine(t *testing.T) {
-	q, err := parseQuery("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := generate(q, 300, "none", 2)
+	j, _ := namedJob(t, "triangle", core.AlgAuto, 300, "none", 2)
 	engine := core.NewEngine(8, 1)
 	rec := trace.NewRecorder()
 	engine.Trace = rec
-	exec, err := engine.Execute(core.Request{Query: q, Relations: rels})
+	exec, err := j.execute(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +315,9 @@ func TestTraceViaEngine(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"out.jsonl", "out.json"} {
 		path := filepath.Join(dir, name)
-		writeTrace(path, rec)
+		if err := writeTrace(io.Discard, path, rec); err != nil {
+			t.Fatal(err)
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s not written: %v", name, err)
@@ -239,20 +343,20 @@ func TestTraceViaEngine(t *testing.T) {
 		}
 	}
 	// writeTrace without a path or recorder is a no-op, not a crash.
-	writeTrace("", rec)
-	writeTrace(filepath.Join(dir, "x.jsonl"), nil)
+	if err := writeTrace(io.Discard, "", rec); err != nil {
+		t.Error(err)
+	}
+	if err := writeTrace(io.Discard, filepath.Join(dir, "x.jsonl"), nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestExplainViaPlanner exercises the -explain path: plan the triangle
 // query over generated inputs and check the listing shows at least
 // three applicable candidates, each with a predicted (L, r, C).
 func TestExplainViaPlanner(t *testing.T) {
-	q, err := parseQuery("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := generate(q, 500, "none", 1)
-	pl, err := plan.For(q, rels, 8, plan.Options{})
+	j, rels := namedJob(t, "triangle", core.AlgAuto, 500, "none", 1)
+	pl, err := plan.For(j.compiled.Query, rels, 8, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +373,68 @@ func TestExplainViaPlanner(t *testing.T) {
 	for _, want := range []string{"candidates:", "L≈", "r=", "C≈", "chosen: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("EXPLAIN output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestReportSameLinesEveryKind drives run() — flags in, report out —
+// for every kind of run and checks they all print the same report
+// lines under the same flags. Datalog and -recursive runs used to
+// ignore -verbose and never print the capacity or theory lines.
+func TestReportSameLinesEveryKind(t *testing.T) {
+	common := []string{"-n", "120", "-p", "4", "-verbose", "-capacities", "2,1,1,1", "-chaos", "7:drop=0.1"}
+	for _, tc := range []struct {
+		name        string
+		args        []string
+		conjunctive bool
+	}{
+		{"named", []string{"-query", "triangle"}, true},
+		{"bare body", []string{"-q", "R(x,y), S(y,z)"}, true},
+		{"datalog join", []string{"-q", "q(x,y,z) :- R(x,y), S(y,z)."}, true},
+		{"datalog aggregate", []string{"-q", "spend(x, sum(z)) :- R(x,y), S(y,z)."}, true},
+		{"datalog recursive", []string{"-q", "tc(x,y) :- E(x,y). tc(x,z) :- tc(x,y), E(y,z)."}, false},
+		{"-recursive", []string{"-recursive", "cc"}, false},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(tc.args, common...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", tc.name, code, stderr.String())
+		}
+		var labels []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 0 && !strings.HasPrefix(line, " ") {
+				labels = append(labels, f[0])
+			}
+		}
+		got := strings.Join(labels, " ")
+		want := "servers transport algorithm output cost capacity chaos"
+		if tc.conjunctive {
+			want += " theory"
+		} else {
+			want = strings.Replace(want, "cost", "cost fixpoint", 1)
+		}
+		// The title lines differ by kind; the per-round table follows.
+		if !strings.Contains(got, want+" rounds=") {
+			t.Errorf("%s: report lines %q, want ... %s rounds=...", tc.name, got, want)
+		}
+	}
+}
+
+// TestRunRejectsBadInput pins the exit-1-with-a-named-error paths.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-query", "nonsense"},
+		{"-q", "R(x,y) S(y,z)"},
+		{"-alg", "nope"},
+		{"-p", "4", "-capacities", "1,2"},
+		{"-p", "2", "-capacities", "1,0"},
+		{"-recursive", "tc", "-explain"},
+		{"-recursive", "nope"},
+		{"-transport", "carrier-pigeon"},
+		{"-data", t.TempDir()},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-n", "50"), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 and a named error", args, code, stderr.String())
 		}
 	}
 }

@@ -38,12 +38,6 @@ func runNetWorker(addr string) int {
 // returned cleanup closes the transport (BYE makes workers exit
 // cleanly) and reaps the processes.
 func spawnTCPTransport(p, workers int) (*mpcnet.Transport, func(), error) {
-	if workers <= 0 {
-		workers = p
-		if workers > 4 {
-			workers = 4
-		}
-	}
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, err

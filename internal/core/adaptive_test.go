@@ -1,50 +1,87 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
+	"mpcquery/internal/workload"
 )
 
-// TestExecuteAdaptiveSwitches drives the skew-reactive path through
-// the public engine API: a mispredicted-skew triangle must switch,
-// report the decision, and still produce the reference answer.
-func TestExecuteAdaptiveSwitches(t *testing.T) {
+// TestAdaptiveSwitches drives the skew-reactive path through the
+// public engine API: a mispredicted-skew triangle must switch, report
+// the decision on Execution.Adaptive, and still produce the reference
+// answer. Execution.Algorithm stays the planned hypercube — forcing it
+// again (as the service's plan cache does) probes again. After its one
+// probe round the switched run is bit-identical to a run that chose
+// SkewHC up front: same output rows in the same order, same per-round
+// receive vectors.
+func TestAdaptiveSwitches(t *testing.T) {
 	q := hypergraph.Triangle()
 	rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: 0.5}, 1)
 	e := NewEngine(16, 1)
-	exec, err := e.ExecuteAdaptive(Request{Query: q, Relations: rels})
+	e.Adaptive = true
+	exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exec.Switched {
-		t.Fatalf("did not switch: %s", exec.SwitchReason)
+	if exec.Adaptive == nil || !exec.Adaptive.Switched {
+		t.Fatalf("did not switch: %s", exec.Reason)
 	}
-	if exec.Algorithm != AlgSkewHC {
-		t.Errorf("algorithm = %s, want %s", exec.Algorithm, AlgSkewHC)
+	if exec.Algorithm != AlgHyperCube {
+		t.Errorf("algorithm = %s, want the planned %s", exec.Algorithm, AlgHyperCube)
 	}
-	if exec.Signal.MaxRecv == 0 {
+	if exec.Adaptive.Signal.MaxRecv == 0 {
 		t.Error("switched run reports a zero probe signal")
 	}
 	want := Reference(q, rels)
 	if !testkit.BagEqual(exec.Output, want) {
 		t.Errorf("adaptive output differs from reference: %s", testkit.DiffSample(exec.Output, want))
 	}
-}
 
-// TestExecuteAdaptiveNoSwitch pins the balanced case end to end.
-func TestExecuteAdaptiveNoSwitch(t *testing.T) {
-	q := hypergraph.Triangle()
-	rels := testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{Tuples: 120}, 1)
-	e := NewEngine(4, 1)
-	exec, err := e.ExecuteAdaptive(Request{Query: q, Relations: rels})
+	static, err := NewEngine(16, 1).Execute(Request{Query: q, Relations: rels, Algorithm: AlgSkewHC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec.Switched {
-		t.Fatalf("switched on a skew-free instance: %s", exec.SwitchReason)
+	if exec.Output.Len() != static.Output.Len() {
+		t.Fatalf("switched run has %d output rows, SkewHC up front %d", exec.Output.Len(), static.Output.Len())
+	}
+	for i := 0; i < static.Output.Len(); i++ {
+		if !slices.Equal(exec.Output.Row(i), static.Output.Row(i)) {
+			t.Fatalf("output row %d: switched %v, SkewHC up front %v", i, exec.Output.Row(i), static.Output.Row(i))
+		}
+	}
+	tail, up := exec.Metrics.RoundStats()[1:], static.Metrics.RoundStats()
+	if len(tail) != len(up) {
+		t.Fatalf("switched run has %d rounds after the probe, SkewHC up front %d", len(tail), len(up))
+	}
+	for i := range up {
+		if tail[i].Name != up[i].Name {
+			t.Errorf("round %d: switched %q, SkewHC up front %q", i, tail[i].Name, up[i].Name)
+		}
+		for s := range up[i].Recv {
+			if tail[i].Recv[s] != up[i].Recv[s] {
+				t.Errorf("round %q server %d: switched received %d, SkewHC up front %d", up[i].Name, s, tail[i].Recv[s], up[i].Recv[s])
+			}
+		}
+	}
+}
+
+// TestAdaptiveNoSwitch pins the balanced case end to end.
+func TestAdaptiveNoSwitch(t *testing.T) {
+	q := hypergraph.Triangle()
+	rels := testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{Tuples: 120}, 1)
+	e := NewEngine(4, 1)
+	e.Adaptive = true
+	exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec.Adaptive == nil || exec.Adaptive.Switched {
+		t.Fatalf("switched on a skew-free instance: %s", exec.Reason)
 	}
 	if exec.Algorithm != AlgHyperCube {
 		t.Errorf("algorithm = %s, want %s", exec.Algorithm, AlgHyperCube)
@@ -57,7 +94,7 @@ func TestExecuteAdaptiveNoSwitch(t *testing.T) {
 
 // TestEngineAdaptiveFlagReroutesHyperCube checks that Engine.Adaptive
 // reroutes the ordinary Execute path when the request forces (or the
-// planner picks) HyperCube.
+// planner picks) HyperCube, and leaves every other plan alone.
 func TestEngineAdaptiveFlagReroutesHyperCube(t *testing.T) {
 	q := hypergraph.Triangle()
 	rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: 0.5}, 2)
@@ -74,6 +111,13 @@ func TestEngineAdaptiveFlagReroutesHyperCube(t *testing.T) {
 	// The switch decision must surface in the plan explanation.
 	if got := exec.Reason; !strings.Contains(got, "adaptive:") {
 		t.Errorf("reason %q does not mention the adaptive decision", got)
+	}
+	other, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgBigJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Adaptive != nil {
+		t.Errorf("non-HyperCube plan %s carries an adaptive record", other.Algorithm)
 	}
 }
 
@@ -98,17 +142,29 @@ func TestEngineCapacitiesRunHet(t *testing.T) {
 	}
 }
 
-// TestEngineCapacitiesValidation pins the error paths.
+// TestEngineCapacitiesValidation pins the error paths: a bad profile is
+// an error — never the SetCapacities panic — from every entry point.
+// (ExecuteRecursive used to skip the check, so one recursive query
+// crashed a service configured with a short profile.)
 func TestEngineCapacitiesValidation(t *testing.T) {
 	q := hypergraph.Triangle()
-	rels := testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{Tuples: 40}, 1)
-	e := NewEngine(4, 1)
-	e.Capacities = []float64{1, 2} // wrong length
-	if _, err := e.Execute(Request{Query: q, Relations: rels}); err == nil {
-		t.Error("short capacity profile accepted")
-	}
-	e.Capacities = []float64{1, 1, 0, 1} // non-positive entry
-	if _, err := e.ExecuteAdaptive(Request{Query: q, Relations: rels}); err == nil {
-		t.Error("non-positive capacity accepted")
+	req := Request{Query: q, Relations: testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{Tuples: 40}, 1)}
+	spec := AggregateSpec{GroupBy: []string{"x"}, Fn: relation.Count, OutAttr: "n"}
+	rec := RecursiveRequest{Kind: RecTransitiveClosure, Edges: workload.RandomGraph("E", "src", "dst", 10, 20, 1)}
+	for name, caps := range map[string][]float64{
+		"wrong length":       {1, 2},
+		"non-positive entry": {1, 1, 0, 1},
+	} {
+		e := NewEngine(4, 1)
+		e.Capacities = caps
+		if _, err := e.Execute(req); err == nil {
+			t.Errorf("%s: Execute accepted it", name)
+		}
+		if _, err := e.ExecuteAggregate(req, spec); err == nil {
+			t.Errorf("%s: ExecuteAggregate accepted it", name)
+		}
+		if _, err := e.ExecuteRecursive(rec); err == nil {
+			t.Errorf("%s: ExecuteRecursive accepted it", name)
+		}
 	}
 }

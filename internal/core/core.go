@@ -12,8 +12,14 @@
 //   - multiway cyclic queries: SkewHC when any variable has heavy
 //     hitters, plain HyperCube otherwise (slides 34–51).
 //
-// Every execution reports the MPC cost actually metered — max per-round
-// load L, rounds r, total communication C — next to the result.
+// There are three entry points — Execute (conjunctive query),
+// ExecuteAggregate (conjunctive query plus a distributed group-by) and
+// ExecuteRecursive (semi-naive fixpoint) — and one result, Execution.
+// All three go through one private spine, Engine.run, which alone
+// validates the engine, builds the cluster, gathers and assembles the
+// Execution, so every execution reports the MPC cost actually metered —
+// max per-round load L, rounds r, total communication C — from a single
+// ledger, next to the result.
 //
 // Semantics: queries are evaluated under set semantics, as everywhere
 // in the MPC join theory — duplicate input tuples do not multiply
@@ -122,15 +128,27 @@ type Request struct {
 	Algorithm Algorithm
 }
 
-// Execution is the result of running a request.
+// Execution is the result of running a request of any kind.
 type Execution struct {
-	// Output is the gathered query answer with schema Query.Vars().
+	// Output is the gathered answer: schema Query.Vars() for Execute,
+	// GroupBy + OutAttr for ExecuteAggregate, the fixpoint relation for
+	// ExecuteRecursive.
 	Output *relation.Relation
-	// Algorithm actually used.
+	// Algorithm is the planned (or forced) strategy; "fixpoint-<kind>"
+	// for recursive runs. An adaptive run that switched to SkewHC
+	// mid-query still reports the planned AlgHyperCube, so forcing
+	// Algorithm again reproduces the run; Adaptive records the switch.
 	Algorithm Algorithm
-	// Reason explains the planner's choice.
+	// Reason explains the planner's choice (empty for recursion).
 	Reason string
-	// Cost metrics metered on the simulator.
+	// Iterations is the semi-naive iteration count (recursive only).
+	Iterations int
+	// Adaptive is the skew-reactive driver's decision record — switched
+	// or not, the probe signal, the stated reason — when Engine.Adaptive
+	// rerouted a HyperCube plan; nil otherwise.
+	Adaptive *hypercube.AdaptiveResult
+	// Rounds, MaxLoad and TotalComm are (r, L, C) read off Metrics, the
+	// one ledger of the one cluster the execution ran on.
 	Rounds    int
 	MaxLoad   int64
 	TotalComm int64
@@ -246,6 +264,26 @@ func (e *Engine) checkCapacities() error {
 	return nil
 }
 
+// run is the execution spine every entry point goes through: validate
+// the engine, build the one cluster, let body compute on it and hand
+// back the gathered output, then read (L, r, C) off that cluster's
+// ledger. body may extend ex.Reason and set ex.Iterations/ex.Adaptive.
+func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error)) (*Execution, error) {
+	if err := e.checkCapacities(); err != nil {
+		return nil, err
+	}
+	c := e.newCluster()
+	ex := &Execution{Algorithm: alg, Reason: reason}
+	out, err := body(c, ex)
+	if err != nil {
+		return nil, err
+	}
+	m := c.Metrics()
+	ex.Output, ex.Metrics = out, m
+	ex.Rounds, ex.MaxLoad, ex.TotalComm = m.Rounds(), m.MaxLoad(), m.TotalComm()
+	return ex, nil
+}
+
 // Execute plans (unless forced) and runs the request, returning the
 // gathered output and metered costs.
 func (e *Engine) Execute(req Request) (*Execution, error) {
@@ -256,12 +294,16 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 	if err := validate(req); err != nil {
 		return nil, err
 	}
-	if err := e.checkCapacities(); err != nil {
-		return nil, err
-	}
-	q := req.Query
-	c := e.newCluster()
-	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, reason)
+	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
+		return e.join(c, ex, req)
+	})
+}
+
+// join runs ex.Algorithm for the request's query on c and gathers the
+// answer, projected to Query.Vars().
+func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Relation, error) {
+	q, alg := req.Query, ex.Algorithm
+	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, ex.Reason)
 	seed := uint64(e.Seed)*2654435761 + 12345
 	const outName = "out"
 	switch alg {
@@ -291,12 +333,13 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 			if err != nil {
 				return nil, err
 			}
-			reason += "; adaptive: " + res.Reason
+			ex.Adaptive = res
+			ex.Reason += "; adaptive: " + res.Reason
 		case e.Capacities != nil:
 			if _, err := hypercube.RunHet(c, q, req.Relations, outName, seed, hypercube.LocalGeneric); err != nil {
 				return nil, err
 			}
-			reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
+			ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
 		default:
 			if _, err := hypercube.Run(c, q, req.Relations, outName, seed, hypercube.LocalGeneric); err != nil {
 				return nil, err
@@ -334,17 +377,7 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
-	out := c.Gather(outName).Project(q.Name, q.Vars()...)
-	m := c.Metrics()
-	return &Execution{
-		Output:    out,
-		Algorithm: alg,
-		Reason:    reason,
-		Rounds:    m.Rounds(),
-		MaxLoad:   m.MaxLoad(),
-		TotalComm: m.TotalComm(),
-		Metrics:   m,
-	}, nil
+	return c.Gather(outName).Project(q.Name, q.Vars()...), nil
 }
 
 // AggregateSpec describes a grouped aggregation over a query's output
@@ -358,9 +391,10 @@ type AggregateSpec struct {
 }
 
 // ExecuteAggregate runs the request's join and then a distributed
-// group-by round over its output, with local pre-aggregation. The
-// returned Execution's Output has schema GroupBy + OutAttr, and the
-// metrics include the aggregation round.
+// group-by round over its output, with local pre-aggregation, on the
+// same cluster. The returned Execution's Output has schema GroupBy +
+// OutAttr, and its metrics cover the join rounds and the aggregation
+// round.
 func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, error) {
 	if len(spec.GroupBy) == 0 {
 		return nil, fmt.Errorf("core: aggregate needs group-by variables")
@@ -381,48 +415,33 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 	if err != nil {
 		return nil, err
 	}
-	forced := req
-	forced.Algorithm = alg
-	exec, err := e.Execute(forced)
-	if err != nil {
+	if err := validate(req); err != nil {
 		return nil, err
 	}
-	// Re-run on a fresh cluster so join output stays distributed, then
-	// aggregate in place. (Execute gathers; for the aggregation we want
-	// the distributed fragments, so we re-scatter the gathered output —
-	// placement is free in the model.)
-	c := e.newCluster()
-	trace.Annotatef(c, "aggregate group-by %v", spec.GroupBy)
-	c.ScatterRoundRobin(exec.Output.Rename("joined"))
-	res, err := aggregate.Run(c, aggregate.Spec{
-		Rel:     "joined",
-		GroupBy: spec.GroupBy,
-		Fn:      spec.Fn,
-		AggAttr: spec.AggVar,
-		OutAttr: spec.OutAttr,
-		OutRel:  "agg",
-		Seed:    uint64(e.Seed) ^ 0xa66,
+	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
+		joined, err := e.join(c, ex, req)
+		if err != nil {
+			return nil, err
+		}
+		// The join output is gathered and projected; re-scatter it for
+		// the group-by round — placement is free in the model.
+		trace.Annotatef(c, "aggregate group-by %v", spec.GroupBy)
+		c.ScatterRoundRobin(joined.Rename("joined"))
+		res, err := aggregate.Run(c, aggregate.Spec{
+			Rel:     "joined",
+			GroupBy: spec.GroupBy,
+			Fn:      spec.Fn,
+			AggAttr: spec.AggVar,
+			OutAttr: spec.OutAttr,
+			OutRel:  "agg",
+			Seed:    uint64(e.Seed) ^ 0xa66,
+		})
+		if err != nil {
+			return nil, err
+		}
+		ex.Reason += "; + distributed group-by with combiners"
+		return c.Gather(res.OutRel), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := c.Gather(res.OutRel)
-	return &Execution{
-		Output:    out,
-		Algorithm: alg,
-		Reason:    reason + "; + distributed group-by with combiners",
-		Rounds:    exec.Rounds + res.Rounds,
-		MaxLoad:   maxI64(exec.MaxLoad, c.Metrics().MaxLoad()),
-		TotalComm: exec.TotalComm + c.Metrics().TotalComm(),
-		Metrics:   c.Metrics(),
-	}, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sizesOf returns atom cardinalities (≥ 1, for the LPs).

@@ -27,59 +27,40 @@ type RecursiveRequest struct {
 	Sources []relation.Value
 }
 
-// RecursiveExecution reports a recursive run: the gathered output plus
-// the semi-naive iteration count next to the usual (L, r, C) metering.
-type RecursiveExecution struct {
-	Output     *relation.Relation
-	Kind       RecursiveKind
-	Iterations int
-	Rounds     int
-	MaxLoad    int64
-	TotalComm  int64
-	Metrics    *mpc.Metrics
-}
-
 // ExecuteRecursive runs a semi-naive fixpoint workload on the engine's
 // cluster, composing with the Chaos, Trace, and Transport hooks exactly
 // like Execute. Every iteration costs two metered rounds (probe +
 // extend); the loop terminates when the delta relation is globally
-// empty.
-func (e *Engine) ExecuteRecursive(req RecursiveRequest) (*RecursiveExecution, error) {
+// empty. The Execution reports Algorithm "fixpoint-<kind>" and the
+// iteration count.
+func (e *Engine) ExecuteRecursive(req RecursiveRequest) (*Execution, error) {
 	if req.Edges == nil {
 		return nil, fmt.Errorf("core: recursive request needs an edge relation")
 	}
-	c := e.newCluster()
-	seed := uint64(e.Seed)*2654435761 + 54321
-	const outName = "out"
-	var (
-		res *recursive.Result
-		err error
-	)
-	switch req.Kind {
-	case RecTransitiveClosure:
-		res, err = recursive.TransitiveClosure(c, req.Edges, outName, seed)
-	case RecReachable:
-		if len(req.Sources) == 0 {
-			return nil, fmt.Errorf("core: reachability needs at least one source vertex")
+	return e.run(Algorithm("fixpoint-"+string(req.Kind)), "", func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
+		seed := uint64(e.Seed)*2654435761 + 54321
+		const outName = "out"
+		var (
+			res *recursive.Result
+			err error
+		)
+		switch req.Kind {
+		case RecTransitiveClosure:
+			res, err = recursive.TransitiveClosure(c, req.Edges, outName, seed)
+		case RecReachable:
+			if len(req.Sources) == 0 {
+				return nil, fmt.Errorf("core: reachability needs at least one source vertex")
+			}
+			res, err = recursive.Reachable(c, req.Edges, req.Sources, outName, seed)
+		case RecConnectedComponents:
+			res, err = recursive.ConnectedComponents(c, req.Edges, outName, seed)
+		default:
+			return nil, fmt.Errorf("core: unknown recursive kind %q", req.Kind)
 		}
-		res, err = recursive.Reachable(c, req.Edges, req.Sources, outName, seed)
-	case RecConnectedComponents:
-		res, err = recursive.ConnectedComponents(c, req.Edges, outName, seed)
-	default:
-		return nil, fmt.Errorf("core: unknown recursive kind %q", req.Kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := c.Gather(outName)
-	m := c.Metrics()
-	return &RecursiveExecution{
-		Output:     out,
-		Kind:       req.Kind,
-		Iterations: res.Iterations,
-		Rounds:     m.Rounds(),
-		MaxLoad:    m.MaxLoad(),
-		TotalComm:  m.TotalComm(),
-		Metrics:    m,
-	}, nil
+		if err != nil {
+			return nil, err
+		}
+		ex.Iterations = res.Iterations
+		return c.Gather(outName), nil
+	})
 }

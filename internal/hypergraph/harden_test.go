@@ -7,9 +7,9 @@ import (
 
 // Regression tests for the untrusted-input hardening: every
 // construction defect that used to panic inside NewQuery must surface
-// as an error from TryNewQuery (and from Parse, which untrusted input
-// reaches through the query frontend), while NewQuery keeps its
-// panicking contract for handwritten queries.
+// as an error from TryNewQuery (which untrusted input reaches through
+// the internal/query frontend), while NewQuery keeps its panicking
+// contract for handwritten queries.
 
 func TestTryNewQueryErrors(t *testing.T) {
 	for _, tc := range []struct {
@@ -71,39 +71,4 @@ func TestNewQueryStillPanics(t *testing.T) {
 		}
 	}()
 	NewQuery("q", Atom{Name: "R", Vars: []string{"x"}}, Atom{Name: "R", Vars: []string{"y"}})
-}
-
-// Parse is a construction entry point for untrusted bodies: malformed
-// input of every shape that used to reach a NewQuery panic (via the
-// old recover trampoline) or could confuse the scanner must return an
-// error, never panic.
-func TestParseMalformedReturnsErrors(t *testing.T) {
-	for _, body := range []string{
-		"",
-		"R",
-		"R(",
-		"R()",
-		"R)x(",
-		"R(x,y)),",
-		"R(x,y), R(x,y)", // duplicate atom name
-		"R(x,x)",         // repeated variable
-		"R(x,y), , S(y)", // empty atom slot
-		"R(x,y) S(y,z)",  // missing comma
-		"R(x,y),",        // trailing comma
-		"1R(x)",          // bad atom name
-		"R(1x)",          // bad variable
-		"R((x)",          // stray paren inside vars
-		strings.Repeat("R(x", 3),
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Parse(%q) panicked: %v", body, r)
-				}
-			}()
-			if _, err := Parse("q", body); err == nil {
-				t.Errorf("Parse(%q): expected error", body)
-			}
-		}()
-	}
 }

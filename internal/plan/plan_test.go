@@ -102,10 +102,7 @@ func TestExplainDeterministic(t *testing.T) {
 }
 
 func TestSingleAtomQuery(t *testing.T) {
-	q, err := hypergraph.Parse("single", "R(x,y)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := hypergraph.NewQuery("single", hypergraph.Atom{Name: "R", Vars: []string{"x", "y"}})
 	rels := map[string]*relation.Relation{"R": genRel("R", []string{"x", "y"}, 40, 100, 3)}
 	pl, err := For(q, rels, 4, Options{})
 	if err != nil {
@@ -127,10 +124,9 @@ func TestSingleAtomQuery(t *testing.T) {
 }
 
 func TestCartesianProduct(t *testing.T) {
-	q, err := hypergraph.Parse("cross", "R(x,y), S(z,w)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := hypergraph.NewQuery("cross",
+		hypergraph.Atom{Name: "R", Vars: []string{"x", "y"}},
+		hypergraph.Atom{Name: "S", Vars: []string{"z", "w"}})
 	rels := map[string]*relation.Relation{
 		"R": relation.FromRows("R", []string{"x", "y"}, [][]relation.Value{{1, 2}, {3, 4}}),
 		"S": relation.FromRows("S", []string{"z", "w"}, [][]relation.Value{{5, 6}, {7, 8}, {9, 10}}),

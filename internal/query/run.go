@@ -4,27 +4,8 @@ import (
 	"fmt"
 
 	"mpcquery/internal/core"
-	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 )
-
-// RunResult is the unified outcome of executing a compiled query of
-// any kind: the output relation (columns in head order), the strategy
-// used, and the metered MPC cost.
-type RunResult struct {
-	Output *relation.Relation
-	// Algorithm is the strategy core chose or was forced to use; for
-	// recursive queries it is the fixpoint workload name.
-	Algorithm core.Algorithm
-	// Reason explains the planner's choice (empty for recursion).
-	Reason string
-	// Iterations is the semi-naive iteration count (recursive only).
-	Iterations int
-	Rounds     int
-	MaxLoad    int64
-	TotalComm  int64
-	Metrics    *mpc.Metrics
-}
 
 // BindRelations resolves each query atom to its backing relation from
 // rels (keyed by catalog name), validating existence and arity — the
@@ -48,11 +29,12 @@ func (c *Compiled) BindRelations(rels map[string]*relation.Relation) (map[string
 
 // Run executes the compiled query on the engine against rels (keyed by
 // catalog relation name). alg forces a strategy for join/aggregate
-// queries; core.AlgAuto (or empty) lets the planner decide. The output
-// columns follow the rule head: for joins a projection to head order,
-// for aggregation the group-by columns plus the aggregate, for
-// recursion the fixpoint output renamed to the head variables.
-func (c *Compiled) Run(e *core.Engine, rels map[string]*relation.Relation, alg core.Algorithm) (*RunResult, error) {
+// queries; core.AlgAuto (or empty) lets the planner decide. It returns
+// the engine's Execution with Output in rule-head form: for joins a
+// projection to head order, for aggregation the group-by columns plus
+// the aggregate, for recursion the fixpoint output renamed to the head
+// variables.
+func (c *Compiled) Run(e *core.Engine, rels map[string]*relation.Relation, alg core.Algorithm) (*core.Execution, error) {
 	switch c.Kind {
 	case KindJoin, KindAggregate:
 		bound, err := c.BindRelations(rels)
@@ -60,35 +42,22 @@ func (c *Compiled) Run(e *core.Engine, rels map[string]*relation.Relation, alg c
 			return nil, err
 		}
 		req := core.Request{Query: c.Query, Relations: bound, Algorithm: alg}
-		var exec *core.Execution
 		if c.Kind == KindAggregate {
-			exec, err = e.ExecuteAggregate(req, *c.Aggregate)
-		} else {
-			exec, err = e.Execute(req)
+			return e.ExecuteAggregate(req, *c.Aggregate)
 		}
+		exec, err := e.Execute(req)
 		if err != nil {
 			return nil, err
 		}
-		out := exec.Output
-		if c.Kind == KindJoin {
-			out = out.Project(c.Query.Name, c.Head...)
-		}
-		return &RunResult{
-			Output:    out,
-			Algorithm: exec.Algorithm,
-			Reason:    exec.Reason,
-			Rounds:    exec.Rounds,
-			MaxLoad:   exec.MaxLoad,
-			TotalComm: exec.TotalComm,
-			Metrics:   exec.Metrics,
-		}, nil
+		exec.Output = exec.Output.Project(c.Query.Name, c.Head...)
+		return exec, nil
 	case KindRecursive:
 		return c.runRecursive(e, rels)
 	}
 	return nil, fmt.Errorf("query: cannot run compiled kind %v", c.Kind)
 }
 
-func (c *Compiled) runRecursive(e *core.Engine, rels map[string]*relation.Relation) (*RunResult, error) {
+func (c *Compiled) runRecursive(e *core.Engine, rels map[string]*relation.Relation) (*core.Execution, error) {
 	edges := rels[c.Recursive.EdgeRel]
 	if edges == nil {
 		return nil, fmt.Errorf("query: relation %q is no longer registered", c.Recursive.EdgeRel)
@@ -123,13 +92,6 @@ func (c *Compiled) runRecursive(e *core.Engine, rels map[string]*relation.Relati
 	for i := 0; i < exec.Output.Len(); i++ {
 		out.AppendRow(exec.Output.Row(i))
 	}
-	return &RunResult{
-		Output:     out,
-		Algorithm:  core.Algorithm("fixpoint-" + string(c.Recursive.Kind)),
-		Iterations: exec.Iterations,
-		Rounds:     exec.Rounds,
-		MaxLoad:    exec.MaxLoad,
-		TotalComm:  exec.TotalComm,
-		Metrics:    exec.Metrics,
-	}, nil
+	exec.Output = out
+	return exec, nil
 }

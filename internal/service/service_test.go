@@ -124,6 +124,14 @@ func TestDoRecursive(t *testing.T) {
 	if resp.CacheHit {
 		t.Fatal("recursive plans are not cacheable")
 	}
+
+	// A capacity profile of the wrong length fails every query with an
+	// error; it used to panic the process on the first recursive one.
+	bad := New(Config{P: 4, Capacities: []float64{1, 2}})
+	bad.Register(relation.FromRows("E", []string{"s", "d"}, [][]relation.Value{{1, 2}, {2, 3}}))
+	if _, err := bad.Do(Request{Query: "tc(x, y) :- E(x, y).\ntc(x, z) :- tc(x, y), E(y, z)."}); err == nil {
+		t.Fatal("recursive query under a short capacity profile should fail")
+	}
 }
 
 func TestDoTrace(t *testing.T) {

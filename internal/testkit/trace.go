@@ -28,10 +28,17 @@ import (
 // communication C derived from the trace equal the Metrics values.
 func AssertTraceConsistent(t *testing.T, c *mpc.Cluster, rec *trace.Recorder) {
 	t.Helper()
+	AssertTraceMatchesMetrics(t, c.Metrics(), rec)
+}
+
+// AssertTraceMatchesMetrics is AssertTraceConsistent for callers that
+// hold the ledger but not the cluster (a core.Execution's Metrics): rec
+// must have recorded every round of m, and nothing else.
+func AssertTraceMatchesMetrics(t *testing.T, m *mpc.Metrics, rec *trace.Recorder) {
+	t.Helper()
 	if rec == nil {
-		t.Fatalf("trace: AssertTraceConsistent needs a recorder")
+		t.Fatalf("trace: AssertTraceMatchesMetrics needs a recorder")
 	}
-	m := c.Metrics()
 	rounds := m.RoundStats()
 	events := rec.Events()
 
