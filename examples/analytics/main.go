@@ -76,10 +76,7 @@ func main() {
 		}
 		partial := relation.GroupBy("pagg", frag, []string{"cKey", "month"}, relation.Sum, "price", "total")
 		st := out.Open("grouped", "cKey", "month", "total")
-		for i := 0; i < partial.Len(); i++ {
-			row := partial.Row(i)
-			st.SendRow(relation.Bucket(relation.HashRow(row, []int{0, 1}, 77), c.P()), row)
-		}
+		st.SendByHash(partial, []int{0, 1}, 77)
 	})
 	c.LocalStep(func(srv *mpc.Server) {
 		frag := srv.RelOrEmpty("grouped", "cKey", "month", "total")

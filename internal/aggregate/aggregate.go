@@ -80,10 +80,7 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 			// Ship raw tuples re-shaped to (group..., value): for Count
 			// the value column is a constant 1.
 			partial = relation.New("p", outAttrs...)
-			gcols := make([]int, len(gb))
-			for i, a := range gb {
-				gcols[i] = frag.MustCol(a)
-			}
+			gcols := frag.MustCols(gb)
 			acol := -1
 			if spec.Fn != relation.Count {
 				acol = frag.MustCol(spec.AggAttr)
@@ -109,10 +106,7 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 		for i := range gb {
 			gcols[i] = i // partial's group columns are leading
 		}
-		for i := 0; i < partial.Len(); i++ {
-			row := partial.Row(i)
-			st.SendRow(relation.Bucket(relation.HashRow(row, gcols, spec.Seed), c.P()), row)
-		}
+		st.SendByHash(partial, gcols, spec.Seed)
 	})
 	merge := mergeFn(spec.Fn)
 	if spec.NoCombiner {

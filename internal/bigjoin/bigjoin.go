@@ -205,25 +205,15 @@ type Result struct {
 func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := pl.Query
 	// Rename inputs to variable schemas and scatter (placement is free).
-	prepped := map[string]*relation.Relation{}
 	for _, a := range q.Atoms {
 		r, ok := rels[a.Name]
 		if !ok {
 			panic(fmt.Sprintf("bigjoin: no relation for atom %s", a.Name))
 		}
-		if r.Arity() != len(a.Vars) {
-			panic(fmt.Sprintf("bigjoin: relation %s arity mismatch", a.Name))
-		}
-		renamed := relation.New(a.Name, a.Vars...)
-		for i := 0; i < r.Len(); i++ {
-			renamed.AppendRow(r.Row(i))
-		}
-		prepped[a.Name] = renamed
-		c.ScatterRoundRobin(renamed)
+		c.ScatterRoundRobin(r.CopyAs(a.Name, a.Vars...))
 	}
 	trace.Annotatef(c, "bigjoin.Run %s var order %v", q.Name, pl.VarOrder)
 	start := c.Metrics().Rounds()
-	p := c.P()
 
 	// Setup round: partition each proposer by its sharedBound key and
 	// each verifier by its full variable set, under step-local names.
@@ -233,12 +223,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		for _, vi := range seedVerifiers {
 			va := q.Atoms[vi]
 			if frag := srv.Rel(va.Name); frag != nil {
-				stream := out.Open(fmt.Sprintf("%s:sver%d", outName, vi), va.Vars...)
-				cols := colsOf(frag, va.Vars)
-				for i := 0; i < frag.Len(); i++ {
-					row := frag.Row(i)
-					stream.SendRow(relation.Bucket(relation.HashRow(row, cols, seed^uint64(9000+vi)), p), row)
-				}
+				out.Open(fmt.Sprintf("%s:sver%d", outName, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), seed^uint64(9000+vi))
 			}
 		}
 		for si, st := range steps {
@@ -247,31 +232,17 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 				stream := out.Open(fmt.Sprintf("%s:prop%d", outName, si), pa.Vars...)
 				if len(st.sharedBound) == 0 {
 					// Cartesian extension: broadcast the proposer.
-					for i := 0; i < frag.Len(); i++ {
-						row := frag.Row(i)
-						for dst := 0; dst < p; dst++ {
-							stream.SendRow(dst, row)
-						}
-					}
+					stream.BroadcastAll(frag)
 				} else {
-					cols := colsOf(frag, st.sharedBound)
-					for i := 0; i < frag.Len(); i++ {
-						row := frag.Row(i)
-						stream.SendRow(relation.Bucket(relation.HashRow(row, cols, seed+uint64(si)), p), row)
-					}
+					stream.SendByHash(frag, frag.MustCols(st.sharedBound), seed+uint64(si))
 				}
 			}
 			for _, vi := range st.verifiers {
 				va := q.Atoms[vi]
 				if frag := srv.Rel(va.Name); frag != nil {
-					stream := out.Open(fmt.Sprintf("%s:ver%d_%d", outName, si, vi), va.Vars...)
-					cols := colsOf(frag, va.Vars)
 					// The seed must match the binding routing of this
 					// verifier's round below.
-					for i := 0; i < frag.Len(); i++ {
-						row := frag.Row(i)
-						stream.SendRow(relation.Bucket(relation.HashRow(row, cols, seed^uint64(7000+1000*si+vi)), p), row)
-					}
+					out.Open(fmt.Sprintf("%s:ver%d_%d", outName, si, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), seed^uint64(7000+1000*si+vi))
 				}
 			}
 		}
@@ -301,12 +272,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 			if frag == nil {
 				return
 			}
-			stream := out.Open(bindName+":v", bvNow...)
-			cols := colsOf(frag, va.Vars)
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				stream.SendRow(relation.Bucket(relation.HashRow(row, cols, vseed), c.P()), row)
-			}
+			out.Open(bindName+":v", bvNow...).SendByHash(frag, frag.MustCols(va.Vars), vseed)
 			srv.Delete(bindName)
 		})
 		c.LocalStep(func(srv *mpc.Server) {
@@ -337,11 +303,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 					stream.SendRow(srv.ID(), frag.Row(i))
 				}
 			} else {
-				cols := colsOf(frag, shared)
-				for i := 0; i < frag.Len(); i++ {
-					row := frag.Row(i)
-					stream.SendRow(relation.Bucket(relation.HashRow(row, cols, seed+uint64(si)), c.P()), row)
-				}
+				stream.SendByHash(frag, frag.MustCols(shared), seed+uint64(si))
 			}
 			srv.Delete(bindName)
 		})
@@ -370,12 +332,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 				if frag == nil {
 					return
 				}
-				stream := out.Open(bindName+":v", nb...)
-				cols := colsOf(frag, va.Vars)
-				for i := 0; i < frag.Len(); i++ {
-					row := frag.Row(i)
-					stream.SendRow(relation.Bucket(relation.HashRow(row, cols, vseed), c.P()), row)
-				}
+				out.Open(bindName+":v", nb...).SendByHash(frag, frag.MustCols(va.Vars), vseed)
 				srv.Delete(bindName)
 			})
 			c.LocalStep(func(srv *mpc.Server) {
@@ -398,14 +355,6 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		Rounds:      c.Metrics().Rounds() - start,
 		MaxBindings: maxBind,
 	}
-}
-
-func colsOf(r *relation.Relation, attrs []string) []int {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.MustCol(a)
-	}
-	return cols
 }
 
 // orderedSubset returns the members of set ordered as in order.

@@ -89,7 +89,7 @@ type Engine struct {
 	Trace *trace.Recorder
 	// Transport, when non-nil, routes every cluster's round delivery
 	// through this backend (typically an *mpcnet.Transport dialed for P
-	// servers) instead of the built-in in-process engine. Conforming
+	// servers) instead of the default in-process one. Conforming
 	// transports are observably identical — same output, (L, r, C), and
 	// trace events — so this selects *where bytes move*, never *what the
 	// simulation computes*. The engine does not close the transport.
@@ -193,8 +193,7 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 	if acyclic {
 		// GYM wins when OUT is small (slide 78); use the AGM bound as
 		// the (worst-case) output estimate.
-		sizes := sizesOf(req)
-		agm, err := fractional.AGMBound(q, sizes)
+		agm, err := fractional.AGMBound(q, hypercube.Sizes(q, req.Relations))
 		if err != nil {
 			return "", "", err
 		}
@@ -238,9 +237,7 @@ func (e *Engine) newCluster() *mpc.Cluster {
 	if e.Trace != nil {
 		c.SetTracer(e.Trace)
 	}
-	if e.Transport != nil {
-		c.SetTransport(e.Transport)
-	}
+	c.SetTransport(e.Transport) // nil keeps the local default
 	if e.Capacities != nil {
 		c.SetCapacities(e.Capacities)
 	}
@@ -444,19 +441,6 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 	})
 }
 
-// sizesOf returns atom cardinalities (≥ 1, for the LPs).
-func sizesOf(req Request) map[string]int64 {
-	sizes := map[string]int64{}
-	for _, a := range req.Query.Atoms {
-		n := int64(req.Relations[a.Name].Len())
-		if n < 1 {
-			n = 1
-		}
-		sizes[a.Name] = n
-	}
-	return sizes
-}
-
 // validate checks that the request supplies a relation of the right
 // arity for every atom.
 func validate(req Request) error {
@@ -478,11 +462,7 @@ func validate(req Request) error {
 
 // rename returns rel with its columns renamed to the atom's variables.
 func rename(a hypergraph.Atom, rel *relation.Relation) *relation.Relation {
-	out := relation.New(a.Name, a.Vars...)
-	for i := 0; i < rel.Len(); i++ {
-		out.AppendRow(rel.Row(i))
-	}
-	return out
+	return rel.CopyAs(a.Name, a.Vars...)
 }
 
 // Reference evaluates the query on a single machine with the

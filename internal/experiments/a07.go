@@ -33,11 +33,7 @@ func A07BigJoinOrder() *Table {
 	rels := map[string]*relation.Relation{}
 	for i, a := range q.Atoms {
 		g := workload.RandomGraph("E", "a", "b", 250, sizes[a.Name], int64(7+i))
-		e := relation.New(a.Name, a.Vars...)
-		for j := 0; j < g.Len(); j++ {
-			e.AppendRow(g.Row(j))
-		}
-		rels[a.Name] = e
+		rels[a.Name] = g.CopyAs(a.Name, a.Vars...)
 	}
 	t := &Table{
 		ID: "A07", Title: "BiGJoin variable orders on an asymmetric 4-cycle",

@@ -32,12 +32,7 @@ func E22BigJoin() *Table {
 		// Reference output size.
 		inputs := make([]*relation.Relation, len(q.Atoms))
 		for i, a := range q.Atoms {
-			rr := relation.New(a.Name, a.Vars...)
-			src := rels[a.Name]
-			for j := 0; j < src.Len(); j++ {
-				rr.AppendRow(src.Row(j))
-			}
-			inputs[i] = rr
+			inputs[i] = rels[a.Name].CopyAs(a.Name, a.Vars...)
 		}
 		outSize := relation.GenericJoin("w", q.Vars(), inputs...).Len()
 
@@ -74,11 +69,7 @@ func E22BigJoin() *Table {
 	q4 := hypergraph.Cycle(4)
 	rels4 := map[string]*relation.Relation{}
 	for _, a := range q4.Atoms {
-		e := relation.New(a.Name, a.Vars...)
-		for i := 0; i < g.Len(); i++ {
-			e.AppendRow(g.Row(i))
-		}
-		rels4[a.Name] = e
+		rels4[a.Name] = g.CopyAs(a.Name, a.Vars...)
 	}
 	run(q4, rels4)
 	t.Note("p = %d; HyperCube load for the 4-cycle is ≈ 4·N/√p = %.0f — BiGJoin instead pays for the open-wedge bindings", p, 4*4000/math.Sqrt(p))

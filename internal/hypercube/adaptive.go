@@ -148,17 +148,9 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	cfg = cfg.withDefaults()
 	p := c.P()
 
-	sizes := map[string]int64{}
 	maxN := 0
 	for _, a := range q.Atoms {
-		n := rels[a.Name].Len()
-		if n > maxN {
-			maxN = n
-		}
-		sizes[a.Name] = int64(n)
-		if sizes[a.Name] == 0 {
-			sizes[a.Name] = 1 // LP needs positive sizes
-		}
+		maxN = max(maxN, rels[a.Name].Len())
 	}
 	threshold := cfg.Threshold
 	if threshold <= 0 {
@@ -168,7 +160,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 		}
 	}
 
-	pl, err := NewPlan(q, sizes, p, seed)
+	pl, err := NewPlan(q, Sizes(q, rels), p, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -183,19 +175,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	atoms := q.Atoms
 	frac := cfg.ProbeFraction
 	c.Round("adaptive:probe", func(srv *mpc.Server, out *mpc.Out) {
-		for _, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
-			st := out.Open(outName+":"+a.Name, a.Vars...)
-			for i := 0; i < probeCount(frag.Len(), frac); i++ {
-				row := frag.Row(i)
-				pl.RouteTuple(a, row, 0, func(server int) {
-					st.SendRow(server, row)
-				})
-			}
-		}
+		routeFragments(srv, atoms, func(n int) (int, int) { return 0, probeCount(n, frac) }, pl.streams(out, outName))
 	})
 
 	// Decision: probe receive skew, confirmed by emerging heavy hitters.
@@ -243,19 +223,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	// Round 2: route the remaining tuples under the same plan; the
 	// streams accumulate onto the probe's deliveries.
 	c.Round("adaptive:remainder", func(srv *mpc.Server, out *mpc.Out) {
-		for _, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
-			st := out.Open(outName+":"+a.Name, a.Vars...)
-			for i := probeCount(frag.Len(), frac); i < frag.Len(); i++ {
-				row := frag.Row(i)
-				pl.RouteTuple(a, row, 0, func(server int) {
-					st.SendRow(server, row)
-				})
-			}
-		}
+		routeFragments(srv, atoms, func(n int) (int, int) { return probeCount(n, frac), n }, pl.streams(out, outName))
 	})
 	localJoin(c, q, outName, "", cfg.Alg)
 	res.Rounds = c.Metrics().Rounds() - start

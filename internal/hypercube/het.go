@@ -91,14 +91,7 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 			caps[i] = 1
 		}
 	}
-	sizes := map[string]int64{}
-	for _, a := range q.Atoms {
-		sizes[a.Name] = int64(rels[a.Name].Len())
-		if sizes[a.Name] == 0 {
-			sizes[a.Name] = 1 // LP needs positive sizes
-		}
-	}
-	hp, err := NewHetPlan(q, sizes, caps, seed)
+	hp, err := NewHetPlan(q, Sizes(q, rels), caps, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -113,24 +106,17 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 	atoms := q.Atoms
 	owner := hp.Owner
 	c.Round("het:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		for _, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
+		routeFragments(srv, atoms, allRows, func(a hypergraph.Atom) rowSink {
 			streams := map[int]*mpc.Stream{}
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				hp.RouteTuple(a, row, 0, func(cell int) {
-					st := streams[cell]
-					if st == nil {
-						st = out.Open(fmt.Sprintf("%s:%s#%d", outName, a.Name, cell), a.Vars...)
-						streams[cell] = st
-					}
-					st.SendRow(owner[cell], row)
-				})
-			}
-		}
+			return hp.router(a, func(cell int, row []relation.Value) {
+				st := streams[cell]
+				if st == nil {
+					st = out.Open(fmt.Sprintf("%s:%s#%d", outName, a.Name, cell), a.Vars...)
+					streams[cell] = st
+				}
+				st.SendRow(owner[cell], row)
+			})
+		})
 	})
 
 	// Per-cell local joins: each server joins each of its cells'
@@ -141,28 +127,7 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 			if own != srv.ID() {
 				continue
 			}
-			inputs := make([]*relation.Relation, len(atoms))
-			for i, a := range atoms {
-				name := fmt.Sprintf("%s:%s#%d", outName, a.Name, cell)
-				inputs[i] = srv.RelOrEmpty(name, a.Vars...)
-				srv.Delete(name)
-			}
-			var joined *relation.Relation
-			switch alg {
-			case LocalGeneric:
-				joined = relation.GenericJoin(outName, vars, inputs...)
-			case LocalBinary:
-				joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
-			case LocalLeapfrog:
-				joined = relation.LeapfrogJoin(outName, vars, inputs...)
-			default:
-				panic("hypercube: unknown local algorithm")
-			}
-			if prev := srv.Rel(outName); prev != nil {
-				prev.AppendAll(joined)
-			} else {
-				srv.Put(joined)
-			}
+			joinFragments(srv, atoms, vars, outName, fmt.Sprintf("#%d", cell), alg)
 		}
 	})
 	return &HetResult{OutName: outName, Rounds: c.Metrics().Rounds() - start, Plan: hp}, nil

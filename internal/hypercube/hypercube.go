@@ -179,35 +179,71 @@ func prepare(q hypergraph.Query, rels map[string]*relation.Relation) map[string]
 		if !ok {
 			panic(fmt.Sprintf("hypercube: no relation for atom %s", a.Name))
 		}
-		if r.Arity() != len(a.Vars) {
-			panic(fmt.Sprintf("hypercube: relation %s arity %d, atom wants %d", a.Name, r.Arity(), len(a.Vars)))
-		}
-		renamed := relation.New(a.Name, a.Vars...)
-		for i := 0; i < r.Len(); i++ {
-			renamed.AppendRow(r.Row(i))
-		}
-		out[a.Name] = renamed
+		out[a.Name] = r.CopyAs(a.Name, a.Vars...)
 	}
 	return out
 }
+
+// Sizes returns the cardinality of each atom's relation, clamped to at
+// least 1: the share and bound LPs need positive sizes.
+func Sizes(q hypergraph.Query, rels map[string]*relation.Relation) map[string]int64 {
+	sizes := make(map[string]int64, len(q.Atoms))
+	for _, a := range q.Atoms {
+		sizes[a.Name] = max(int64(rels[a.Name].Len()), 1)
+	}
+	return sizes
+}
+
+// rowSink consumes one row of an atom's fragment (in atom-variable
+// order, as prepare leaves it).
+type rowSink = func(row []relation.Value)
+
+// router returns the sink that sends a row of atom a to every grid cell
+// the plan assigns it.
+func (pl *Plan) router(a hypergraph.Atom, send func(cell int, row []relation.Value)) rowSink {
+	return func(row []relation.Value) {
+		pl.RouteTuple(a, row, 0, func(cell int) { send(cell, row) })
+	}
+}
+
+// streams returns the routeFragments opener of a plain shuffle: each
+// atom's rows are routed under pl onto the stream outName:atom.
+func (pl *Plan) streams(out *mpc.Out, outName string) func(a hypergraph.Atom) rowSink {
+	return func(a hypergraph.Atom) rowSink {
+		return pl.router(a, out.Open(outName+":"+a.Name, a.Vars...).SendRow)
+	}
+}
+
+// routeFragments is one server's side of a HyperCube shuffle: for every
+// atom with a local fragment it asks open for the atom's sink (a
+// Plan.router over a freshly opened stream, typically) and feeds it rows
+// [lo, hi) of the fragment, lo and hi being span of its length.
+func routeFragments(srv *mpc.Server, atoms []hypergraph.Atom, span func(n int) (lo, hi int), open func(a hypergraph.Atom) rowSink) {
+	for _, a := range atoms {
+		frag := srv.Rel(a.Name)
+		if frag == nil {
+			continue
+		}
+		route := open(a)
+		lo, hi := span(frag.Len())
+		for i := lo; i < hi; i++ {
+			route(frag.Row(i))
+		}
+	}
+}
+
+// allRows is the routeFragments span of a whole fragment.
+func allRows(n int) (lo, hi int) { return 0, n }
 
 // Run executes the one-round HyperCube algorithm with LP-optimal shares
 // and leaves the join result (schema = q.Vars()) distributed under
 // outName.
 func Run(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, alg LocalAlg) (*Result, error) {
-	sizes := map[string]int64{}
-	for _, a := range q.Atoms {
-		sizes[a.Name] = int64(rels[a.Name].Len())
-		if sizes[a.Name] == 0 {
-			sizes[a.Name] = 1 // LP needs positive sizes
-		}
-	}
-	pl, err := NewPlan(q, sizes, c.P(), seed)
+	pl, err := NewPlan(q, Sizes(q, rels), c.P(), seed)
 	if err != nil {
 		return nil, err
 	}
-	res := RunWithPlan(c, pl, rels, outName, alg)
-	return res, nil
+	return RunWithPlan(c, pl, rels, outName, alg), nil
 }
 
 // RunWithPlan executes HyperCube with an explicit plan.
@@ -221,19 +257,7 @@ func RunWithPlan(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, o
 	start := c.Metrics().Rounds()
 	atoms := q.Atoms
 	c.Round("hypercube:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		for _, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
-			st := out.Open(outName+":"+a.Name, a.Vars...)
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				pl.RouteTuple(a, row, 0, func(server int) {
-					st.SendRow(server, row)
-				})
-			}
-		}
+		routeFragments(srv, atoms, allRows, pl.streams(out, outName))
 	})
 	localJoin(c, q, outName, "", alg)
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Plan: pl}
@@ -242,31 +266,34 @@ func RunWithPlan(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, o
 // localJoin joins each server's atom fragments (stored under
 // outName+":"+atom+suffix) into outName (appending).
 func localJoin(c *mpc.Cluster, q hypergraph.Query, outName, suffix string, alg LocalAlg) {
-	atoms := q.Atoms
 	vars := q.Vars()
-	c.LocalStep(func(srv *mpc.Server) {
-		inputs := make([]*relation.Relation, len(atoms))
-		for i, a := range atoms {
-			inputs[i] = srv.RelOrEmpty(outName+":"+a.Name+suffix, a.Vars...)
-			srv.Delete(outName + ":" + a.Name + suffix)
-		}
-		var joined *relation.Relation
-		switch alg {
-		case LocalGeneric:
-			joined = relation.GenericJoin(outName, vars, inputs...)
-		case LocalBinary:
-			joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
-		case LocalLeapfrog:
-			joined = relation.LeapfrogJoin(outName, vars, inputs...)
-		default:
-			panic("hypercube: unknown local algorithm")
-		}
-		if prev := srv.Rel(outName); prev != nil {
-			prev.AppendAll(joined)
-		} else {
-			srv.Put(joined)
-		}
-	})
+	c.LocalStep(func(srv *mpc.Server) { joinFragments(srv, q.Atoms, vars, outName, suffix, alg) })
+}
+
+// joinFragments is localJoin on one server: it consumes the fragments
+// outName+":"+atom+suffix and appends their join to outName.
+func joinFragments(srv *mpc.Server, atoms []hypergraph.Atom, vars []string, outName, suffix string, alg LocalAlg) {
+	inputs := make([]*relation.Relation, len(atoms))
+	for i, a := range atoms {
+		inputs[i] = srv.RelOrEmpty(outName+":"+a.Name+suffix, a.Vars...)
+		srv.Delete(outName + ":" + a.Name + suffix)
+	}
+	var joined *relation.Relation
+	switch alg {
+	case LocalGeneric:
+		joined = relation.GenericJoin(outName, vars, inputs...)
+	case LocalBinary:
+		joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
+	case LocalLeapfrog:
+		joined = relation.LeapfrogJoin(outName, vars, inputs...)
+	default:
+		panic("hypercube: unknown local algorithm")
+	}
+	if prev := srv.Rel(outName); prev != nil {
+		prev.AppendAll(joined)
+	} else {
+		srv.Put(joined)
+	}
 }
 
 // PatternPlan describes one heavy/light pattern of a SkewHC execution.
@@ -418,14 +445,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 				return nil, fmt.Errorf("skewhc pattern: %w", err)
 			}
 			tauRes = ep.Tau
-			sizes := map[string]int64{}
-			for _, a := range res.Atoms {
-				sizes[a.Name] = int64(prepped[a.Name].Len())
-				if sizes[a.Name] == 0 {
-					sizes[a.Name] = 1
-				}
-			}
-			sh, err := fractional.OptimalShares(res, sizes, p)
+			sh, err := fractional.OptimalShares(res, Sizes(res, prepped), p)
 			if err != nil {
 				return nil, fmt.Errorf("skewhc shares: %w", err)
 			}
@@ -442,41 +462,30 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	hbv := heavyByVar
 	pats := patterns
 	c.Round("skewhc:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		for _, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
+		routeFragments(srv, atoms, allRows, func(a hypergraph.Atom) rowSink {
+			heavy := make([]map[relation.Value]bool, len(a.Vars))
+			for j, v := range a.Vars {
+				heavy[j] = hbv[varIdx[v]]
 			}
-			cols := make([]int, len(a.Vars))
-			dims := make([]int, len(a.Vars))
-			for i, v := range a.Vars {
-				cols[i] = frag.MustCol(v)
-				dims[i] = varIdx[v]
+			routes := make([]rowSink, len(pats))
+			for pi, pat := range pats {
+				routes[pi] = pat.Plan.router(a, out.Open(fmt.Sprintf("%s:%s@%d", outName, a.Name, pi), a.Vars...).SendRow)
 			}
-			streams := make([]*mpc.Stream, len(pats))
-			for pi := range pats {
-				streams[pi] = out.Open(fmt.Sprintf("%s:%s@%d", outName, a.Name, pi), a.Vars...)
-			}
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
+			return func(row []relation.Value) {
 				for pi, pat := range pats {
 					match := true
 					for j, v := range a.Vars {
-						isHeavy := hbv[dims[j]][row[cols[j]]]
-						if isHeavy != pat.Heavy[v] {
+						if heavy[j][row[j]] != pat.Heavy[v] {
 							match = false
 							break
 						}
 					}
-					if !match {
-						continue
+					if match {
+						routes[pi](row)
 					}
-					pat.Plan.RouteTuple(a, row, 0, func(server int) {
-						streams[pi].SendRow(server, row)
-					})
 				}
 			}
-		}
+		})
 	})
 	// Local join per pattern; union the results.
 	for pi := range patterns {

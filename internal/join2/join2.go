@@ -81,15 +81,7 @@ func HashJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 			if frag == nil {
 				continue
 			}
-			st := out.Open(outName+":"+spec.name, spec.attrs...)
-			cols := make([]int, len(shared))
-			for i, a := range shared {
-				cols[i] = frag.MustCol(a)
-			}
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed), c.P()), row)
-			}
+			out.Open(outName+":"+spec.name, spec.attrs...).SendByHash(frag, frag.MustCols(shared), seed)
 		}
 	})
 	c.LocalStep(func(srv *mpc.Server) {
@@ -118,13 +110,7 @@ func BroadcastJoin(c *mpc.Cluster, r, s *relation.Relation, outName string) *Res
 		if frag == nil {
 			return
 		}
-		st := out.Open(outName+":"+rName, rAttrs...)
-		for i := 0; i < frag.Len(); i++ {
-			row := frag.Row(i)
-			for dst := 0; dst < c.P(); dst++ {
-				st.SendRow(dst, row)
-			}
-		}
+		out.Open(outName+":"+rName, rAttrs...).BroadcastAll(frag)
 	})
 	c.LocalStep(func(srv *mpc.Server) {
 		rf := srv.RelOrEmpty(outName+":"+rName, rAttrs...)

@@ -321,10 +321,7 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 		st := out.Open("Cagg", "i", "k", "v")
 		// Pre-aggregate locally (combiner) before shuffling.
 		partial := relation.GroupBy("pagg", frag, []string{"i", "k"}, relation.Sum, "v", "v")
-		for t := 0; t < partial.Len(); t++ {
-			row := partial.Row(t)
-			st.SendRow(relation.Bucket(relation.HashRow(row, []int{0, 1}, seed^0x77), p), row)
-		}
+		st.SendByHash(partial, []int{0, 1}, seed^0x77)
 		srv.Delete("prod")
 	})
 	c.LocalStep(func(srv *mpc.Server) {

@@ -177,11 +177,7 @@ func SparseSQLMultiply(c *mpc.Cluster, a, b *Rect, seed uint64) (*Rect, int, err
 		if frag == nil {
 			return
 		}
-		st := out.Open("Cagg", "i", "k", "v")
-		for t := 0; t < frag.Len(); t++ {
-			row := frag.Row(t)
-			st.SendRow(relation.Bucket(relation.HashRow(row, []int{0, 1}, seed^0x99), p), row)
-		}
+		out.Open("Cagg", "i", "k", "v").SendByHash(frag, []int{0, 1}, seed^0x99)
 		srv.Delete("prod")
 	})
 	out := NewRect(a.Rows, b.Cols)

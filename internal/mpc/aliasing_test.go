@@ -14,15 +14,15 @@ import (
 // logical fragment, (b) the source's own relations, or (c) what a later
 // round delivers — the round buffers are pooled, so aliasing would make
 // a mutation in round k reappear as corrupt data in round k+1. The test
-// pins the guarantee on both the built-in engine and a RoundView-based
-// transport, whose Land path is what real wire backends use.
+// pins the guarantee on both the local transport and a RoundView-based
+// one, whose Land path is what real wire backends use.
 func TestFragmentIsolation(t *testing.T) {
 	backends := []struct {
 		name string
 		tr   mpc.Transport
 	}{
 		{"local-default", nil},
-		{"portable", portableTransport{}},
+		{"portable", mpc.PortableTransport{}},
 	}
 	for _, be := range backends {
 		be := be

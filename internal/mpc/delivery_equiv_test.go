@@ -12,8 +12,8 @@ import (
 // TestMeteringEquivalenceOnGeneratedWorkloads runs the same multi-round
 // communication program — hash partition, RNG re-route, sampled
 // broadcast, and an arity-0 decision stream — over the testkit workload
-// generator's full skew matrix, once on the concurrent fast-path engine
-// and once on the row-by-row reference engine, and asserts that the
+// generator's full skew matrix, once on the concurrent local transport
+// and once on the row-by-row reference transport, and asserts that the
 // metered RoundStats are identical and the gathered relations are
 // bit-for-bit equal. This is the contract of the delivery overhaul:
 // (L, r, C) and every delivered fragment are unchanged observables.
@@ -57,10 +57,10 @@ func TestMeteringEquivalenceOnGeneratedWorkloads(t *testing.T) {
 					}
 
 					fast := mpc.NewCluster(p, seed)
-					fast.SetDeliveryWorkers(4)
+					fast.SetTransport(mpc.LocalTransportWorkers(4))
 					run(fast)
 					ref := mpc.NewCluster(p, seed)
-					ref.SetReferenceDelivery(true)
+					ref.SetTransport(mpc.ReferenceTransport())
 					run(ref)
 
 					fs, rs := fast.Metrics().RoundStats(), ref.Metrics().RoundStats()

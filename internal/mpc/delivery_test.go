@@ -176,9 +176,9 @@ func TestBufferPoolReuseAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestConcurrentDeliveryMatchesReference drives the concurrent fast
-// path (workers forced > 1 so it exercises real concurrency even on
-// one CPU) against the row-by-row reference loop on a randomized
+// TestConcurrentDeliveryMatchesReference drives the concurrent local
+// transport (workers forced > 1 so it exercises real concurrency even
+// on one CPU) against the row-by-row reference transport on a randomized
 // multi-round program, asserting identical metering and bit-for-bit
 // identical fragments. Under -race this is also the delivery race test.
 func TestConcurrentDeliveryMatchesReference(t *testing.T) {
@@ -197,10 +197,10 @@ func TestConcurrentDeliveryMatchesReference(t *testing.T) {
 		}
 	}
 	fast := NewCluster(24, 99)
-	fast.SetDeliveryWorkers(8)
+	fast.SetTransport(LocalTransportWorkers(8))
 	program(fast)
 	ref := NewCluster(24, 99)
-	ref.SetReferenceDelivery(true)
+	ref.SetTransport(ReferenceTransport())
 	program(ref)
 	assertClustersEqual(t, fast, ref)
 }

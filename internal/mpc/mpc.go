@@ -13,10 +13,19 @@
 // runs on its own goroutine, so the simulation is also genuinely
 // parallel.
 //
+// Tuples move one way. On the send side a compute function opens a
+// Stream and either sends tuple by tuple (Send, Broadcast — for emits it
+// computes as it goes) or hands over a whole fragment: SendByHash is the
+// way to hash-partition one, BroadcastAll the way to replicate one, and
+// ScatterByHash places initial data with the same partition routine, so
+// scatter and routing agree on every tuple's owner. On the delivery side
+// every round commits through the cluster's Transport (transport.go);
+// the in-process LocalTransport is the default and a Transport like any
+// other.
+//
 // The delivery path is the simulator's hot loop: every tuple an
 // algorithm communicates passes through it exactly once. It is built
-// around three invariants that hold regardless of how delivery is
-// scheduled internally:
+// around three invariants that hold whatever the transport:
 //
 //  1. metering is exact — (L, r, C) are identical whatever the delivery
 //     concurrency, because tuple counts are tracked per send;
@@ -30,7 +39,7 @@ package mpc
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,14 +58,6 @@ type Cluster struct {
 	// outs holds the pooled per-server round buffers; they are created
 	// on the first Round and reset (capacity retained) after each one.
 	outs []*Out
-	// refDeliver switches deliver to the row-by-row reference
-	// implementation (test-only; see export_test.go). It exists so the
-	// metering-equivalence suite can prove the fast path changes
-	// nothing observable.
-	refDeliver bool
-	// deliverWorkers overrides the delivery worker count (test-only;
-	// 0 means min(p, GOMAXPROCS)).
-	deliverWorkers int
 	// caps, when non-nil, is the per-server capacity profile
 	// (capacity.go). It never affects delivery — only planners and
 	// metrics consult it — so attaching capacities cannot change what
@@ -67,10 +68,10 @@ type Cluster struct {
 	// whose recovery exhausted its replay budget.
 	faults FaultInjector
 	failed *RecoveryFailure
-	// transport, when non-nil, commits rounds through an attached
-	// delivery backend (see transport.go) instead of the built-in
-	// in-process engine. Everything observable — fragments, metering,
-	// traces — is identical across conforming transports.
+	// transport commits every round (see transport.go). It is never
+	// nil: LocalTransport is the default. Everything observable —
+	// fragments, metering, traces — is identical across conforming
+	// transports.
 	transport Transport
 	// tracer, when non-nil, records structured round events (see
 	// internal/trace). The entire cost on an untraced cluster is the
@@ -84,7 +85,7 @@ func NewCluster(p int, seed int64) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("mpc: cluster needs p ≥ 1, got %d", p))
 	}
-	c := &Cluster{p: p, seed: seed, metrics: NewMetrics(p), tracer: defaultTracer.Load()}
+	c := &Cluster{p: p, seed: seed, metrics: NewMetrics(p), transport: LocalTransport(), tracer: defaultTracer.Load()}
 	c.servers = make([]*Server, p)
 	for i := range c.servers {
 		c.servers[i] = &Server{
@@ -256,7 +257,9 @@ type Stream struct {
 // name on each destination server when the round ends. Reopening a
 // stream within a round requires the exact same schema — same arity and
 // same attribute names — otherwise two different schemas would silently
-// merge into one delivered relation.
+// merge into one delivered relation. Duplicate attribute names are
+// rejected here, at the call site, so a malformed schema fails the same
+// way on every transport, before anything is delivered.
 func (o *Out) Open(name string, attrs ...string) *Stream {
 	if st, ok := o.streams[name]; ok {
 		if len(st.attrs) != len(attrs) {
@@ -269,6 +272,13 @@ func (o *Out) Open(name string, attrs ...string) *Stream {
 			}
 		}
 		return &Stream{out: o, st: st}
+	}
+	for i, a := range attrs {
+		for _, b := range attrs[:i] {
+			if a == b {
+				panic(fmt.Sprintf("mpc: stream %s opened with duplicate attribute %q", name, a))
+			}
+		}
 	}
 	if st, ok := o.spare[name]; ok {
 		// Reuse the parked stream's slabs; the schema is whatever this
@@ -312,6 +322,67 @@ func (s *Stream) Broadcast(vals ...relation.Value) {
 	for dst := 0; dst < s.out.p; dst++ {
 		s.Send(dst, vals...)
 	}
+}
+
+// SendByHash hash-partitions frag onto the stream: row i goes to server
+// Bucket(HashRow(row, cols, seed), p). It is the bulk form of one Send
+// per row — per destination the tuples land in exactly that order, after
+// whatever the stream already holds — and it is how algorithms partition
+// a fragment: ScatterByHash places tuples with the same routine, so data
+// scattered and data routed under equal (cols, seed) meet on one server.
+func (s *Stream) SendByHash(frag *relation.Relation, cols []int, seed uint64) {
+	st, k := s.st, s.bulkArity(frag)
+	if frag.Len() == 0 {
+		return
+	}
+	dsts, counts := hashPartition(frag, cols, seed, s.out.p)
+	for d, n := range counts {
+		st.perDst[d] = slices.Grow(st.perDst[d], n*k)
+		st.counts[d] += int64(n)
+	}
+	for i, d := range dsts {
+		st.perDst[d] = append(st.perDst[d], frag.Row(i)...)
+	}
+}
+
+// BroadcastAll replicates every tuple of frag to every server: the bulk
+// form of one Broadcast per row, with the same per-destination order and
+// the same metering (p copies, each charged to its receiver).
+func (s *Stream) BroadcastAll(frag *relation.Relation) {
+	st, k := s.st, s.bulkArity(frag)
+	n := frag.Len()
+	for d := range st.perDst {
+		slab := slices.Grow(st.perDst[d], n*k)
+		for i := 0; i < n; i++ {
+			slab = append(slab, frag.Row(i)...)
+		}
+		st.perDst[d] = slab
+		st.counts[d] += int64(n)
+	}
+}
+
+// bulkArity checks once, for a whole fragment, what Send checks per
+// tuple, and returns the stream's arity.
+func (s *Stream) bulkArity(frag *relation.Relation) int {
+	if frag.Arity() != len(s.st.attrs) {
+		panic(fmt.Sprintf("mpc: stream %s send arity %d, want %d", s.st.name, frag.Arity(), len(s.st.attrs)))
+	}
+	return len(s.st.attrs)
+}
+
+// hashPartition is the partition function of the whole system: it
+// assigns each row of rel its owner among p servers under (cols, seed)
+// and counts the rows per owner. Scatter and in-round routing both go
+// through it; that they agree is what makes co-location hold.
+func hashPartition(rel *relation.Relation, cols []int, seed uint64, p int) (dsts []int32, counts []int) {
+	dsts = make([]int32, rel.Len())
+	counts = make([]int, p)
+	for i := range dsts {
+		d := relation.Bucket(relation.HashRow(rel.Row(i), cols, seed), p)
+		dsts[i] = int32(d)
+		counts[d]++
+	}
+	return dsts, counts
 }
 
 // roundOuts returns the cluster's pooled per-server round buffers,
@@ -375,8 +446,8 @@ func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 // with fan-in, the recovery summary when the round ran under fault
 // injection, and the skew/round_end closing events. It runs on the
 // driver after delivery, before the round buffers are recycled, and is
-// engine-agnostic: it reads the outs (identical whichever delivery
-// implementation ran) and the just-recorded RoundStat.
+// transport-agnostic: it reads the outs (identical whichever transport
+// delivered them) and the just-recorded RoundStat.
 func (c *Cluster) traceRound(name string, outs []*Out) {
 	tr := c.tracer
 	round := c.metrics.Rounds() - 1
@@ -436,235 +507,15 @@ func (c *Cluster) traceRound(name string, outs []*Out) {
 }
 
 // deliver dispatches a round's delivery: through the recovery driver
-// when a fault injector is attached, straight to the fault-free engine
-// otherwise. The injector check is the entire cost of the chaos hooks
-// on the fault-free path.
+// when a fault injector is attached, straight to the commit otherwise.
+// The injector check is the entire cost of the chaos hooks on the
+// fault-free path.
 func (c *Cluster) deliver(name string, outs []*Out) {
 	if c.faults != nil {
 		c.deliverChaos(name, outs)
 		return
 	}
 	c.deliverCommit(name, outs)
-}
-
-// deliverCommit commits a round: it routes the outs through the
-// delivery backend — the test-only reference loop, an attached
-// Transport, or the built-in local engine — and records the metered
-// load. Whatever the backend, the committed state is a pure function of
-// the outs, so backends are interchangeable without observable effect.
-func (c *Cluster) deliverCommit(name string, outs []*Out) {
-	recv := make([]int64, c.p)
-	recvWords := make([]int64, c.p)
-	switch {
-	case c.refDeliver:
-		c.deliverReference(name, outs, recv, recvWords)
-	case c.transport != nil:
-		v := &RoundView{c: c, name: name, outs: outs, recv: recv, recvWords: recvWords}
-		if err := c.transport.Deliver(v); err != nil {
-			panic(fmt.Sprintf("mpc: round %q: transport delivery failed: %v", name, err))
-		}
-	default:
-		c.deliverLocal(name, outs, recv, recvWords)
-	}
-	c.metrics.record(name, recv, recvWords)
-}
-
-// deliverLocal is the built-in in-process delivery engine: it moves
-// round outputs into destination servers with exact metering.
-// Destinations are independent — server dst's inbox is the
-// concatenation of fragments addressed to dst, in canonical order — so
-// delivery fans out across worker goroutines, each owning a disjoint
-// set of destinations.
-func (c *Cluster) deliverLocal(name string, outs []*Out, recv, recvWords []int64) {
-	workers := c.deliverWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.p {
-		workers = c.p
-	}
-	// Plan the round before moving a single tuple. The prepass resolves
-	// stream handles once per (source, stream) and, once per distinct
-	// stream name, sums per-destination tuple/word totals, validates
-	// schemas, creates every receiving relation, and presizes it with
-	// one exact reservation. That leaves the per-fragment hot loop as
-	// pure metering plus one bulk copy — no map lookups, no schema
-	// checks, no append growth. At p=256 a shuffle round has 65536
-	// fragments but typically a handful of names.
-	plans := map[string]*deliverPlan{}
-	resolved := make([][]deliverStream, c.p)
-	for src := 0; src < c.p; src++ {
-		out := outs[src]
-		sts := make([]deliverStream, len(out.order))
-		for i, stName := range out.order {
-			st := out.streams[stName]
-			plan, ok := plans[stName]
-			if !ok {
-				plan = &deliverPlan{
-					attrs:  st.attrs,
-					rels:   make([]*relation.Relation, c.p),
-					tuples: make([]int64, c.p),
-					words:  make([]int, c.p),
-				}
-				for dst := range plan.rels {
-					plan.rels[dst] = c.servers[dst].rels[stName]
-				}
-				plans[stName] = plan
-			} else if !attrsEqual(plan.attrs, st.attrs) {
-				panic(fmt.Sprintf("mpc: round %q stream %s declared with attrs %v by one server and %v by another",
-					name, stName, plan.attrs, st.attrs))
-			}
-			for dst := 0; dst < c.p; dst++ {
-				plan.tuples[dst] += st.counts[dst]
-				plan.words[dst] += len(st.perDst[dst])
-			}
-			sts[i] = deliverStream{st: st, dstRels: plan.rels}
-		}
-		resolved[src] = sts
-	}
-	for stName, plan := range plans {
-		for dst := 0; dst < c.p; dst++ {
-			if plan.tuples[dst] == 0 {
-				continue
-			}
-			dstRel := plan.rels[dst]
-			if dstRel == nil {
-				dstRel = relation.New(stName, plan.attrs...)
-				c.servers[dst].rels[stName] = dstRel
-				plan.rels[dst] = dstRel
-			} else if !attrsEqual(dstRel.Attrs(), plan.attrs) {
-				panic(fmt.Sprintf("mpc: round %q delivers %s with attrs %v into existing attrs %v",
-					name, stName, plan.attrs, dstRel.Attrs()))
-			}
-			dstRel.Grow(plan.words[dst])
-		}
-	}
-	if workers <= 1 {
-		for src := 0; src < c.p; src++ {
-			// Source-major like the historical loop: cache-friendly slab
-			// walks, and per destination the same canonical order as the
-			// concurrent path.
-			for i := range resolved[src] {
-				ds := &resolved[src][i]
-				for dst := 0; dst < c.p; dst++ {
-					ds.deliverTo(dst, recv, recvWords)
-				}
-			}
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	panics := make([]any, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = r
-				}
-			}()
-			for {
-				dst := int(next.Add(1))
-				if dst >= c.p {
-					return
-				}
-				c.deliverDst(resolved, dst, recv, recvWords)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-}
-
-// deliverPlan is the driver-side prepass result for one stream name:
-// the shared schema, per-destination totals, and the destination
-// relations (created and presized before delivery starts).
-type deliverPlan struct {
-	attrs  []string
-	rels   []*relation.Relation
-	tuples []int64
-	words  []int
-}
-
-// deliverStream pairs a source's stream with the shared per-destination
-// relation array for its name. dstRels is shared across sources and
-// workers; after the prepass it is read-only, and entry dst is only
-// appended to by dst's deliverer.
-type deliverStream struct {
-	st      *stream
-	dstRels []*relation.Relation
-}
-
-// deliverTo lands this stream's dst fragment: meter it and append the
-// slab in one copy. The prepass guarantees dstRels[dst] exists and is
-// schema-checked whenever the fragment is non-empty.
-func (ds *deliverStream) deliverTo(dst int, recv, recvWords []int64) {
-	st := ds.st
-	n := st.counts[dst]
-	if n == 0 {
-		return
-	}
-	flat := st.perDst[dst]
-	recv[dst] += n
-	recvWords[dst] += int64(len(flat))
-	ds.dstRels[dst].AppendFlat(flat, int(n))
-}
-
-// deliverDst delivers everything addressed to one destination: for each
-// source in order, for each stream in creation order, append the flat
-// fragment in one bulk copy. Only dst's inbox, relations, and metric
-// slots are touched, so concurrent calls for distinct dst never race.
-func (c *Cluster) deliverDst(resolved [][]deliverStream, dst int, recv, recvWords []int64) {
-	for src := 0; src < c.p; src++ {
-		for i := range resolved[src] {
-			resolved[src][i].deliverTo(dst, recv, recvWords)
-		}
-	}
-}
-
-// deliverReference is the historical single-threaded, row-by-row
-// delivery loop, kept as the referee for the fast path: the
-// metering-equivalence tests assert that both implementations produce
-// identical RoundStats and bit-for-bit identical fragments.
-func (c *Cluster) deliverReference(name string, outs []*Out, recv, recvWords []int64) {
-	for src := 0; src < c.p; src++ {
-		out := outs[src]
-		for _, stName := range out.order {
-			st := out.streams[stName]
-			arity := len(st.attrs)
-			for dst := 0; dst < c.p; dst++ {
-				n := st.counts[dst]
-				if n == 0 {
-					continue
-				}
-				flat := st.perDst[dst]
-				recv[dst] += n
-				recvWords[dst] += int64(len(flat))
-				dstRel := c.servers[dst].rels[st.name]
-				if dstRel == nil {
-					dstRel = relation.New(st.name, st.attrs...)
-					c.servers[dst].rels[st.name] = dstRel
-				} else if !attrsEqual(dstRel.Attrs(), st.attrs) {
-					panic(fmt.Sprintf("mpc: round %q delivers %s with attrs %v into existing attrs %v",
-						name, st.name, st.attrs, dstRel.Attrs()))
-				}
-				if arity == 0 {
-					dstRel.AppendFlat(nil, int(n))
-					continue
-				}
-				for off := 0; off < len(flat); off += arity {
-					dstRel.AppendRow(flat[off : off+arity])
-				}
-			}
-		}
-	}
 }
 
 func attrsEqual(a, b []string) bool {
@@ -709,39 +560,38 @@ func (c *Cluster) LocalStep(compute func(s *Server)) {
 // modelling the model's arbitrary initial placement (O(IN/p) per
 // server). Initial placement is free: it is not metered.
 func (c *Cluster) ScatterRoundRobin(rel *relation.Relation) {
-	frags := make([]*relation.Relation, c.p)
-	for i := range frags {
-		frags[i] = relation.New(rel.Name(), rel.Attrs()...)
-	}
 	n := rel.Len()
+	counts := make([]int, c.p)
+	for i := range counts {
+		counts[i] = (n + c.p - 1 - i) / c.p
+	}
+	frags := c.putFragments(rel, counts)
 	for i := 0; i < n; i++ {
 		frags[i%c.p].AppendRow(rel.Row(i))
-	}
-	for i, f := range frags {
-		c.servers[i].Put(f)
 	}
 }
 
 // ScatterByHash distributes rel's tuples by hashing the named attributes
 // with the given seed. Like all scatters, it is free (initial placement).
 func (c *Cluster) ScatterByHash(rel *relation.Relation, attrs []string, seed uint64) {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = rel.MustCol(a)
+	dsts, counts := hashPartition(rel, rel.MustCols(attrs), seed, c.p)
+	frags := c.putFragments(rel, counts)
+	for i, d := range dsts {
+		frags[d].AppendRow(rel.Row(i))
 	}
+}
+
+// putFragments stores an empty fragment of rel on every server, sized
+// for exactly counts[i] tuples on server i, and returns them for the
+// scatter to fill.
+func (c *Cluster) putFragments(rel *relation.Relation, counts []int) []*relation.Relation {
 	frags := make([]*relation.Relation, c.p)
 	for i := range frags {
-		frags[i] = relation.New(rel.Name(), rel.Attrs()...)
+		frags[i] = rel.Empty()
+		frags[i].Grow(counts[i] * rel.Arity())
+		c.servers[i].Put(frags[i])
 	}
-	n := rel.Len()
-	for i := 0; i < n; i++ {
-		row := rel.Row(i)
-		dst := relation.Bucket(relation.HashRow(row, cols, seed), c.p)
-		frags[dst].AppendRow(row)
-	}
-	for i, f := range frags {
-		c.servers[i].Put(f)
-	}
+	return frags
 }
 
 // Gather collects the union of the named relation's fragments from all

@@ -116,10 +116,10 @@ func TestChaosCommitMatchesFaultFree(t *testing.T) {
 }
 
 // TestChaosEngineEquivalence pins that the recovery driver composes
-// with every delivery engine: under the same fault schedule, the
-// concurrent fast path, the single-worker fast path, and the row-by-row
-// reference engine commit identical fragments, metering, and recovery
-// ledgers.
+// with every transport: under the same fault schedule, the concurrent
+// local transport, the single-worker local transport, and the
+// row-by-row reference transport commit identical fragments, metering,
+// and recovery ledgers.
 func TestChaosEngineEquivalence(t *testing.T) {
 	sched := chaos.MustParseSchedule("606:drop=0.2,dup=0.1,crash=0.2,straggle=0.3")
 	build := func(configure func(*mpc.Cluster)) *mpc.Cluster {
@@ -129,9 +129,9 @@ func TestChaosEngineEquivalence(t *testing.T) {
 		recoveryProgram(c, 300)
 		return c
 	}
-	fast := build(func(c *mpc.Cluster) { c.SetDeliveryWorkers(4) })
-	single := build(func(c *mpc.Cluster) { c.SetDeliveryWorkers(1) })
-	ref := build(func(c *mpc.Cluster) { c.SetReferenceDelivery(true) })
+	fast := build(func(c *mpc.Cluster) { c.SetTransport(mpc.LocalTransportWorkers(4)) })
+	single := build(func(c *mpc.Cluster) { c.SetTransport(mpc.LocalTransportWorkers(1)) })
+	ref := build(func(c *mpc.Cluster) { c.SetTransport(mpc.ReferenceTransport()) })
 	assertSameRun(t, fast, single, true)
 	assertSameRun(t, fast, ref, true)
 }

@@ -4,13 +4,16 @@
 // recovery driver, the trace layer — speaks in rounds of fragments: one
 // fragment is everything one source server sent one destination on one
 // stream. The Transport interface is the seam between that model and
-// the machinery that moves the bytes. The built-in engine (the default,
-// LocalTransport) moves fragments between goroutines in one process;
-// internal/mpcnet ships the same fragments over real TCP sockets. The
-// cluster guarantees that everything observable — delivered fragment
-// contents and order, the (L, r, C) metering, trace events — is a pure
-// function of the round's outs, so any conforming transport produces
-// bit-identical simulations.
+// the machinery that moves the bytes, and it is the only delivery path:
+// every round of every cluster commits through deliverCommit, which
+// validates the round's streams once and hands a RoundView to the
+// cluster's transport. The default, LocalTransport (local.go), moves
+// fragments between goroutines in one process and is a Transport like
+// any other; internal/mpcnet ships the same fragments over real TCP
+// sockets. Everything observable — delivered fragment contents and
+// order, the (L, r, C) metering, trace events — is a pure function of
+// the round's outs, so any conforming transport produces bit-identical
+// simulations.
 //
 // A conforming Transport must:
 //
@@ -20,17 +23,20 @@
 //     server ascending, then stream creation order, then send order —
 //     and never call Land concurrently for the same destination;
 //  3. not retain fragment slices after Deliver returns: the round
-//     buffers they view are pooled and reused by the next round;
-//  4. reject rounds whose sources disagree on a stream's schema
-//     (ValidateStreams implements the exact check the local engine
-//     runs).
+//     buffers they view are pooled and reused by the next round.
+//
+// Schema validation is not a transport's job. Out.Open rejects a
+// malformed schema where it is declared; the cluster rejects a round
+// whose sources disagree on a stream's schema, or whose stream would
+// land into an existing relation of another schema, before Deliver is
+// called, so a malformed round fails identically on every backend and
+// before any tuple moves.
 //
 // Delivered fragments are isolated: Land copies tuples into the
 // destination relation, so no two servers ever share tuple storage and
 // mutating a received fragment cannot affect another server, the source
-// buffers, or a later round. The local engine provides the same
-// guarantee (its bulk appends copy too); transport_test.go and
-// aliasing_test.go pin both.
+// buffers, or a later round. transport_test.go and aliasing_test.go pin
+// that for every transport.
 
 package mpc
 
@@ -55,31 +61,30 @@ type Transport interface {
 }
 
 // SetTransport routes round delivery through t; nil restores the
-// built-in in-process engine. Attach before running rounds. The cluster
+// default, LocalTransport. Attach before running rounds. The cluster
 // does not close the transport — its creator does, after the last
 // cluster using it is done.
-func (c *Cluster) SetTransport(t Transport) { c.transport = t }
-
-// Transport returns the attached transport, or nil when the built-in
-// engine delivers.
-func (c *Cluster) Transport() Transport { return c.transport }
-
-// localTransport adapts the built-in in-process delivery engine to the
-// Transport interface. SetTransport(LocalTransport()) is observably
-// identical to the default nil transport: both run the same fast path.
-type localTransport struct{}
-
-// LocalTransport returns the built-in in-process delivery engine as a
-// Transport value — the explicit spelling of the default backend, used
-// where a backend axis wants both ends named (testkit, mpcrun).
-func LocalTransport() Transport { return localTransport{} }
-
-func (localTransport) Deliver(v *RoundView) error {
-	v.c.deliverLocal(v.name, v.outs, v.recv, v.recvWords)
-	return nil
+func (c *Cluster) SetTransport(t Transport) {
+	if t == nil {
+		t = LocalTransport()
+	}
+	c.transport = t
 }
 
-func (localTransport) Close() error { return nil }
+// deliverCommit commits a round: it validates the round's streams,
+// delivers through the cluster's transport and records the metered
+// load. The committed state is a pure function of the outs, so
+// transports are interchangeable without observable effect.
+func (c *Cluster) deliverCommit(name string, outs []*Out) {
+	v := &RoundView{c: c, name: name, outs: outs, recv: make([]int64, c.p), recvWords: make([]int64, c.p)}
+	if err := v.validateStreams(); err != nil {
+		panic(fmt.Sprintf("mpc: %v", err))
+	}
+	if err := c.transport.Deliver(v); err != nil {
+		panic(fmt.Sprintf("mpc: round %q: transport delivery failed: %v", name, err))
+	}
+	c.metrics.record(name, v.recv, v.recvWords)
+}
 
 // RoundView is the transport-facing view of one round: an enumeration
 // of the round's fragments in canonical order, plus the Land sink that
@@ -124,13 +129,11 @@ func (sv StreamView) Fragment(dst int) ([]relation.Value, int64) {
 	return sv.st.perDst[dst], sv.st.counts[dst]
 }
 
-// ValidateStreams performs the cross-source schema check of the local
-// engine's prepass: every source that opens a stream of a given name
-// must declare the identical schema, and a stream must not land into an
-// existing destination relation of a different schema. Transports call
-// it before shipping so a malformed round fails identically on every
-// backend, before any tuple moves.
-func (v *RoundView) ValidateStreams() error {
+// validateStreams is the round's one schema check: every source that
+// opens a stream of a given name must declare the identical schema, and
+// a stream must not land into an existing destination relation of a
+// different schema.
+func (v *RoundView) validateStreams() error {
 	attrsByName := map[string][]string{}
 	for src := 0; src < v.c.p; src++ {
 		out := v.outs[src]

@@ -11,52 +11,6 @@ import (
 	"mpcquery/internal/trace"
 )
 
-// portableTransport is a delivery backend written purely against the
-// exported Transport contract — RoundView enumeration in canonical
-// per-destination order, chunked Land calls — with no access to mpc
-// internals. It exists to prove the interface is sufficient: any
-// conforming transport must reproduce the local engine bit for bit,
-// and this is the minimal conforming transport.
-type portableTransport struct {
-	// chunk is the maximum tuples per Land call (0 = whole fragments).
-	chunk int64
-}
-
-func (pt portableTransport) Deliver(v *mpc.RoundView) error {
-	if err := v.ValidateStreams(); err != nil {
-		return err
-	}
-	for dst := 0; dst < v.P(); dst++ {
-		for src := 0; src < v.P(); src++ {
-			for i := 0; i < v.Streams(src); i++ {
-				sv := v.Stream(src, i)
-				flat, n := sv.Fragment(dst)
-				if n == 0 {
-					continue
-				}
-				arity := int64(len(sv.Attrs()))
-				for off := int64(0); off < n; {
-					k := pt.chunk
-					if k <= 0 || k > n-off {
-						k = n - off
-					}
-					var part []relation.Value
-					if arity > 0 {
-						part = flat[off*arity : (off+k)*arity]
-					}
-					if err := v.Land(dst, sv.Name(), sv.Attrs(), part, k); err != nil {
-						return err
-					}
-					off += k
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func (portableTransport) Close() error { return nil }
-
 // transportWorkload is the scripted multi-round program of the
 // equivalence suites: hash partition, RNG re-route with an arity-0
 // decision stream, and a sampled broadcast — covering bulk fragments,
@@ -147,8 +101,8 @@ func assertSameClusters(t *testing.T, a, b *mpc.Cluster, ra, rb *trace.Recorder,
 }
 
 // TestTransportEquivalence proves the transport seam changes nothing
-// observable: the default engine, the explicit LocalTransport, and the
-// portable RoundView-only transport (whole-fragment and chunked) all
+// observable: a fresh cluster's default, an explicitly attached
+// LocalTransport, and the portable RoundView-only transport (whole-fragment and chunked) all
 // produce identical fragments, metering, and traces on the full skew
 // matrix.
 func TestTransportEquivalence(t *testing.T) {
@@ -157,8 +111,8 @@ func TestTransportEquivalence(t *testing.T) {
 		tr   mpc.Transport
 	}{
 		{"local-explicit", mpc.LocalTransport()},
-		{"portable", portableTransport{}},
-		{"portable-chunk3", portableTransport{chunk: 3}},
+		{"portable", mpc.PortableTransport{}},
+		{"portable-chunk3", mpc.PortableTransport{Chunk: 3}},
 	}
 	for _, skew := range testkit.AllSkews {
 		for _, p := range []int{2, 7} {
@@ -211,24 +165,54 @@ func TestTransportFailurePanics(t *testing.T) {
 	})
 }
 
-// TestValidateStreamsConflict: ValidateStreams must reject rounds whose
-// sources disagree on a stream schema — the same malformed round the
-// local prepass panics on — before any tuple ships.
+// deliverCounter counts Deliver calls and delivers nothing.
+type deliverCounter struct{ calls *int }
+
+func (d deliverCounter) Deliver(*mpc.RoundView) error { *d.calls++; return nil }
+func (deliverCounter) Close() error                   { return nil }
+
+// TestValidateStreamsConflict: the cluster, not the transport, rejects a
+// round whose sources disagree on a stream schema or whose stream would
+// land into an existing relation of another schema — with the same panic
+// whatever transport is attached, and before Deliver is called.
 func TestValidateStreamsConflict(t *testing.T) {
-	c := mpc.NewCluster(2, 1)
-	c.SetTransport(portableTransport{})
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("schema-conflicting round did not panic through the transport")
-		}
-	}()
-	c.Round("conflict", func(s *mpc.Server, out *mpc.Out) {
-		if s.ID() == 0 {
-			out.Open("X", "a").Send(1, 1)
-		} else {
-			out.Open("X", "b").Send(0, 2)
-		}
-	})
+	rounds := map[string]func(s *mpc.Server, out *mpc.Out){
+		"sources-disagree": func(s *mpc.Server, out *mpc.Out) {
+			if s.ID() == 0 {
+				out.Open("X", "a").Send(1, 1)
+			} else {
+				out.Open("X", "b").Send(0, 2)
+			}
+		},
+		"existing-relation": func(s *mpc.Server, out *mpc.Out) {
+			out.Open("E", "b").Send(0, 2)
+		},
+	}
+	for name, round := range rounds {
+		round := round
+		t.Run(name, func(t *testing.T) {
+			delivers := 0
+			var texts []string
+			for _, tr := range []mpc.Transport{nil, mpc.PortableTransport{}, deliverCounter{&delivers}} {
+				c := mpc.NewCluster(2, 1)
+				c.SetTransport(tr)
+				c.Server(0).Put(relation.New("E", "a"))
+				func() {
+					defer func() { texts = append(texts, fmt.Sprint(recover())) }()
+					c.Round("conflict", round)
+				}()
+				if c.Metrics().Rounds() != 0 {
+					t.Fatalf("malformed round was metered: %v", c.Metrics())
+				}
+			}
+			if delivers != 0 {
+				t.Fatalf("Deliver was called %d times on a malformed round", delivers)
+			}
+			if !strings.HasPrefix(texts[0], `mpc: round "conflict"`) || texts[1] != texts[0] || texts[2] != texts[0] {
+				t.Fatalf("panic differs across transports: %q", texts)
+			}
+		})
+	}
 }
 
 // TestLandValidation: Land must reject out-of-range destinations,

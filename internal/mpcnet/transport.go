@@ -1,9 +1,9 @@
 // Package mpcnet is the TCP backend of the mpc transport seam: the
 // same rounds, fragments, and (L, r, C) metering as the in-process
-// engine, with delivery physically crossing real sockets. See codec.go
+// transport, with delivery physically crossing real sockets. See codec.go
 // for the wire format and worker.go for the data-plane protocol. The
 // backend is deterministic by construction — per-connection FIFO order
-// plus dst-major canonical write order reproduce the local engine's
+// plus dst-major canonical write order reproduce the local transport's
 // delivery order bit for bit, which the cross-backend differential
 // matrix in internal/testkit pins.
 package mpcnet
@@ -149,13 +149,10 @@ func handshake(cn *workerConn, p, nworkers int) error {
 // its shard's fragments in canonical dst-major order, posts the FLUSH
 // barrier, then lands the echoed fragments. TCP's per-connection FIFO
 // plus the worker's arrival-order echo make the landing order per
-// destination exactly the local engine's.
+// destination exactly the local transport's.
 func (t *Transport) Deliver(v *mpc.RoundView) error {
 	if v.P() != t.p {
 		return fmt.Errorf("mpcnet: cluster of %d servers on transport dialed for %d", v.P(), t.p)
-	}
-	if err := v.ValidateStreams(); err != nil {
-		return err
 	}
 	seq := t.seq
 	t.seq++

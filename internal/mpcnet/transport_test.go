@@ -77,7 +77,7 @@ func workload(c *mpc.Cluster, input *relation.Relation) {
 }
 
 // runWorkload runs the scripted program on a fresh cluster with the
-// given transport (nil = built-in engine) and returns it plus its trace.
+// given transport (nil = the default local one) and returns it plus its trace.
 func runWorkload(p int, tr mpc.Transport, input *relation.Relation) (*mpc.Cluster, *trace.Recorder) {
 	c := mpc.NewCluster(p, 11)
 	rec := trace.NewRecorder()
@@ -142,7 +142,7 @@ func assertSameRun(t *testing.T, want, got *mpc.Cluster, wantRec, gotRec *trace.
 }
 
 // TestLoopbackEquivalence: the TCP backend over loopback workers must
-// reproduce the built-in engine bit for bit — fragments, metering,
+// reproduce the local transport bit for bit — fragments, metering,
 // traces — across skews, cluster sizes, and worker counts that divide
 // the destinations unevenly.
 func TestLoopbackEquivalence(t *testing.T) {
@@ -214,6 +214,51 @@ func TestClusterSizeMismatch(t *testing.T) {
 	c.Round("r", func(s *mpc.Server, out *mpc.Out) {
 		out.Open("X", "a").Send(0, 1)
 	})
+}
+
+// countingTransport counts the rounds that reach the wrapped transport's
+// Deliver — the only place a round's frames are written.
+type countingTransport struct {
+	mpc.Transport
+	delivers int
+}
+
+func (ct *countingTransport) Deliver(v *mpc.RoundView) error {
+	ct.delivers++
+	return ct.Transport.Deliver(v)
+}
+
+// TestDuplicateAttributeSameOnEveryBackend: a stream schema that names
+// an attribute twice is rejected by Out.Open at the call site, so the
+// local transport and loopback TCP fail with the identical panic text
+// and the TCP backend never writes a frame for the round.
+func TestDuplicateAttributeSameOnEveryBackend(t *testing.T) {
+	tcp, err := mpcnet.NewLoopback(2, mpcnet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	wire := &countingTransport{Transport: tcp}
+	var texts []string
+	for _, tr := range []mpc.Transport{nil, wire} {
+		c := mpc.NewCluster(2, 1)
+		c.SetTransport(tr)
+		func() {
+			defer func() { texts = append(texts, fmt.Sprint(recover())) }()
+			c.Round("dup", func(s *mpc.Server, out *mpc.Out) {
+				if s.ID() == 0 {
+					out.Open("x", "a", "a").Send(1, 1, 2)
+				}
+			})
+		}()
+	}
+	want := `mpc: round "dup": server 0 panicked: mpc: stream x opened with duplicate attribute "a"`
+	if texts[0] != want || texts[1] != want {
+		t.Fatalf("panics %q, want both %q", texts, want)
+	}
+	if wire.delivers != 0 {
+		t.Fatalf("%d rounds reached the TCP transport", wire.delivers)
+	}
 }
 
 // TestSubprocessWorkers runs the same equivalence check with workers in

@@ -86,12 +86,6 @@ func (c *Compiled) runRecursive(e *core.Engine, rels map[string]*relation.Relati
 		return nil, err
 	}
 	// Rename the fixpoint output columns to the rule's head variables.
-	name := c.Program.Rules[0].Head.Name
-	out := relation.New(name, c.Head...)
-	out.Grow(exec.Output.Len() * len(c.Head))
-	for i := 0; i < exec.Output.Len(); i++ {
-		out.AppendRow(exec.Output.Row(i))
-	}
-	exec.Output = out
+	exec.Output = exec.Output.CopyAs(c.Program.Rules[0].Head.Name, c.Head...)
 	return exec, nil
 }

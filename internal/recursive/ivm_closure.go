@@ -241,11 +241,7 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	// deleted closure tuple).
 	bcast, dseed := v.name+":dbcast", v.name+":dseed"
 	c.Round(v.name+":delbcast", func(s *mpc.Server, out *mpc.Out) {
-		st := out.Open(bcast, attrs...)
-		d := s.RelOrEmpty(delName, attrs...)
-		for i := 0; i < d.Len(); i++ {
-			st.Broadcast(d.Row(i)...)
-		}
+		out.Open(bcast, attrs...).BroadcastAll(s.RelOrEmpty(delName, attrs...))
 	})
 	c.Round(v.name+":delseed", func(s *mpc.Server, out *mpc.Out) {
 		st := out.Open(dseed, attrs...)
@@ -370,8 +366,8 @@ func (v *ClosureView) rederive(dName string, dIdx []map[string]struct{}, stats *
 				seen[row[0]] = struct{}{}
 				stx.Broadcast(row[0])
 			}
-			stp.SendRow(relation.Bucket(relation.HashRow(row, []int{0}, v.edgeSeed), p), row)
 		}
+		stp.SendByHash(d, []int{0}, v.edgeSeed)
 	})
 	rseed, rprobe := v.name+":rseed", v.name+":rprobe"
 	c.Round(v.name+":redprobe", func(s *mpc.Server, out *mpc.Out) {
@@ -482,11 +478,7 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 
 	ibcast, iseed := v.name+":ibcast", v.name+":iseed"
 	c.Round(v.name+":insbcast", func(s *mpc.Server, out *mpc.Out) {
-		st := out.Open(ibcast, attrs...)
-		ins := s.RelOrEmpty(insName, attrs...)
-		for i := 0; i < ins.Len(); i++ {
-			st.Broadcast(ins.Row(i)...)
-		}
+		out.Open(ibcast, attrs...).BroadcastAll(s.RelOrEmpty(insName, attrs...))
 	})
 	c.Round(v.name+":insseed", func(s *mpc.Server, out *mpc.Out) {
 		st := out.Open(iseed, attrs...)

@@ -132,10 +132,7 @@ func (f *fixpoint) run() (int, error) {
 		c.Round(probeName, func(s *mpc.Server, out *mpc.Out) {
 			st := out.Open(probeName, f.deltaAttrs...)
 			d := s.RelOrEmpty(f.delta, f.deltaAttrs...)
-			for i := 0; i < d.Len(); i++ {
-				row := d.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, []int{f.probeCol}, f.edgeSeed), s.P()), row)
-			}
+			st.SendByHash(d, []int{f.probeCol}, f.edgeSeed)
 		})
 		c.Round(f.label+":extend", func(s *mpc.Server, out *mpc.Out) {
 			st := out.Open(candName, f.candAttrs...)
@@ -155,10 +152,7 @@ func (f *fixpoint) run() (int, error) {
 				}
 				cands = f.combine(cands)
 			}
-			for i := 0; i < cands.Len(); i++ {
-				row := cands.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, f.ownerCols, f.ownerSeed), s.P()), row)
-			}
+			st.SendByHash(cands, f.ownerCols, f.ownerSeed)
 			s.Delete(probeName)
 		})
 		c.LocalStep(func(s *mpc.Server) {

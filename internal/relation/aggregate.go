@@ -33,10 +33,7 @@ const (
 // every hash hit. Accumulators live in flat arena arrays recycled
 // across calls.
 func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr, outAttr string) *Relation {
-	gcols := make([]int, len(groupAttrs))
-	for i, a := range groupAttrs {
-		gcols[i] = r.MustCol(a)
-	}
+	gcols := r.MustCols(groupAttrs)
 	acol := -1
 	if fn != Count {
 		acol = r.MustCol(aggAttr)

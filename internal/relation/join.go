@@ -27,12 +27,8 @@ func HashJoin(name string, r, s *Relation) *Relation {
 	if s.Len() < r.Len() {
 		build, probe = s, r
 	}
-	buildCols := make([]int, len(shared))
-	probeCols := make([]int, len(shared))
-	for i, a := range shared {
-		buildCols[i] = build.MustCol(a)
-		probeCols[i] = probe.MustCol(a)
-	}
+	buildCols := build.MustCols(shared)
+	probeCols := probe.MustCols(shared)
 	a := getArena()
 	defer putArena(a)
 	var ri rowIndex
@@ -165,12 +161,8 @@ func SortMergeJoin(name string, r, s *Relation) *Relation {
 	rs, ss := r.Clone(), s.Clone()
 	rs.SortBy(shared...)
 	ss.SortBy(shared...)
-	rc := make([]int, len(shared))
-	sc := make([]int, len(shared))
-	for i, a := range shared {
-		rc[i] = rs.MustCol(a)
-		sc[i] = ss.MustCol(a)
-	}
+	rc := rs.MustCols(shared)
+	sc := ss.MustCols(shared)
 	cmp := func(a, b []Value) int {
 		for i := range shared {
 			if a[rc[i]] != b[sc[i]] {
@@ -218,12 +210,8 @@ func SortMergeJoin(name string, r, s *Relation) *Relation {
 func NestedLoopJoin(name string, r, s *Relation) *Relation {
 	shared := SharedAttrs(r, s)
 	out := New(name, joinSchema(r, s)...)
-	rc := make([]int, len(shared))
-	sc := make([]int, len(shared))
-	for i, a := range shared {
-		rc[i] = r.MustCol(a)
-		sc[i] = s.MustCol(a)
-	}
+	rc := r.MustCols(shared)
+	sc := s.MustCols(shared)
 	emit := makeEmitter(out, r, s)
 	nr, ns := r.Len(), s.Len()
 	for i := 0; i < nr; i++ {
@@ -255,12 +243,8 @@ func Semijoin(name string, r, s *Relation) *Relation {
 		}
 		return New(name, r.attrs...)
 	}
-	scols := make([]int, len(shared))
-	cols := make([]int, len(shared))
-	for i, a := range shared {
-		scols[i] = s.MustCol(a)
-		cols[i] = r.MustCol(a)
-	}
+	scols := s.MustCols(shared)
+	cols := r.MustCols(shared)
 	a := getArena()
 	defer putArena(a)
 	var ri rowIndex
@@ -281,12 +265,8 @@ func Antijoin(name string, r, s *Relation) *Relation {
 		out.name = name
 		return out
 	}
-	scols := make([]int, len(shared))
-	cols := make([]int, len(shared))
-	for i, a := range shared {
-		scols[i] = s.MustCol(a)
-		cols[i] = r.MustCol(a)
-	}
+	scols := s.MustCols(shared)
+	cols := r.MustCols(shared)
 	a := getArena()
 	defer putArena(a)
 	var ri rowIndex

@@ -81,10 +81,7 @@ type Index struct {
 // arenas instead, so prefer those operators over manual indexing when
 // the index is join-transient.
 func BuildIndex(rel *Relation, attrs []string) *Index {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = rel.MustCol(a)
-	}
+	cols := rel.MustCols(attrs)
 	ix := &Index{arena: new(kernelArena)}
 	buildRowIndex(&ix.ri, rel, cols, ix.arena)
 	return ix

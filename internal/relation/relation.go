@@ -167,9 +167,26 @@ func (r *Relation) MustCol(attr string) int {
 	return c
 }
 
+// MustCols returns the column index of every named attribute, in order;
+// like MustCol it panics on a missing one.
+func (r *Relation) MustCols(attrs []string) []int {
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		cols[i] = r.MustCol(a)
+	}
+	return cols
+}
+
 // Clone returns a deep copy of r.
-func (r *Relation) Clone() *Relation {
-	out := New(r.name, r.attrs...)
+func (r *Relation) Clone() *Relation { return r.CopyAs(r.name, r.attrs...) }
+
+// CopyAs returns a deep copy of r under a new name and attribute list,
+// columns matched positionally. It panics if the arity differs.
+func (r *Relation) CopyAs(name string, attrs ...string) *Relation {
+	if len(attrs) != len(r.attrs) {
+		panic(fmt.Sprintf("relation %s: copy as %s with arity %d, want %d", r.name, name, len(attrs), len(r.attrs)))
+	}
+	out := New(name, attrs...)
 	out.data = append([]Value(nil), r.data...)
 	out.nrows = r.nrows
 	return out
@@ -182,10 +199,7 @@ func (r *Relation) Empty() *Relation { return New(r.name, r.attrs...) }
 // the given order. Duplicate rows are retained (bag semantics); call
 // Dedup for set semantics.
 func (r *Relation) Project(name string, attrs ...string) *Relation {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.MustCol(a)
-	}
+	cols := r.MustCols(attrs)
 	out := New(name, attrs...)
 	if len(attrs) == 0 {
 		// Projection to zero attributes keeps each row as one copy of
@@ -236,10 +250,7 @@ func (r *Relation) SortBy(attrs ...string) {
 	if len(r.attrs) == 0 {
 		return // nullary: all tuples are the empty tuple
 	}
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.MustCol(a)
-	}
+	cols := r.MustCols(attrs)
 	k := len(r.attrs)
 	n := r.Len()
 	idx := make([]int, n)

@@ -82,10 +82,7 @@ func PSRSRandomSample(c *mpc.Cluster, name string, keyAttrs []string, outName st
 }
 
 func keyCols(frag *relation.Relation, keyAttrs []string) []int {
-	cols := make([]int, len(keyAttrs))
-	for i, a := range keyAttrs {
-		cols[i] = frag.MustCol(a)
-	}
+	cols := frag.MustCols(keyAttrs)
 	return cols
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the cross-backend differential harness: every algorithm
-// runs identically-seeded on the built-in in-process engine and on the
+// runs identically-seeded on the default in-process transport and on the
 // TCP transport (loopback mpcnet workers), and the two runs must be
 // indistinguishable — bit-identical fragments on every server,
 // identical (L, r, C) ledgers, and float-exact trace events (hence

@@ -194,12 +194,5 @@ func RandomQuery(seed int64) hypergraph.Query {
 // atom variables already) or caller-supplied ones and algorithms that
 // want variable-named inputs (e.g. the join2 family).
 func Renamed(a hypergraph.Atom, rel *relation.Relation) *relation.Relation {
-	if rel.Arity() != len(a.Vars) {
-		panic(fmt.Sprintf("testkit: relation %s arity %d, atom %s wants %d", rel.Name(), rel.Arity(), a.Name, len(a.Vars)))
-	}
-	out := relation.New(a.Name, a.Vars...)
-	for i := 0; i < rel.Len(); i++ {
-		out.AppendRow(rel.Row(i))
-	}
-	return out
+	return rel.CopyAs(a.Name, a.Vars...)
 }

@@ -46,14 +46,7 @@ func prepare(q hypergraph.Query, rels map[string]*relation.Relation) map[string]
 		if !ok {
 			panic(fmt.Sprintf("yannakakis: no relation for atom %s", a.Name))
 		}
-		if r.Arity() != len(a.Vars) {
-			panic(fmt.Sprintf("yannakakis: relation %s arity %d, atom wants %d", a.Name, r.Arity(), len(a.Vars)))
-		}
-		renamed := relation.New(a.Name, a.Vars...)
-		for i := 0; i < r.Len(); i++ {
-			renamed.AppendRow(r.Row(i))
-		}
-		out[a.Name] = renamed
+		out[a.Name] = r.CopyAs(a.Name, a.Vars...)
 	}
 	return out
 }
@@ -121,22 +114,12 @@ func semijoinRound(c *mpc.Cluster, roundName, target, reducer string, targetAttr
 	tmpK := roundName + ":k"
 	c.Round(roundName, func(srv *mpc.Server, out *mpc.Out) {
 		if frag := srv.Rel(target); frag != nil {
-			st := out.Open(tmpT, frag.Attrs()...)
-			cols := colsOf(frag, shared)
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed), c.P()), row)
-			}
+			out.Open(tmpT, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), seed)
 		}
 		if frag := srv.Rel(reducer); frag != nil {
 			keys := frag.Project(tmpK, shared...)
 			keys.Dedup()
-			st := out.Open(tmpK, shared...)
-			cols := colsOf(keys, shared)
-			for i := 0; i < keys.Len(); i++ {
-				row := keys.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed), c.P()), row)
-			}
+			out.Open(tmpK, shared...).SendByHash(keys, keys.MustCols(shared), seed)
 		}
 	})
 	c.LocalStep(func(srv *mpc.Server) {
@@ -161,14 +144,6 @@ func sharedOf(a, b []string) []string {
 	return out
 }
 
-func colsOf(r *relation.Relation, attrs []string) []int {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.MustCol(a)
-	}
-	return cols
-}
-
 // joinRound co-partitions two distributed relations on their shared
 // attributes and joins them locally into outRel. One MPC round. Returns
 // the total output size.
@@ -186,12 +161,7 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 			if frag == nil {
 				continue
 			}
-			st := out.Open(spec.tmp, frag.Attrs()...)
-			cols := colsOf(frag, shared)
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed), c.P()), row)
-			}
+			out.Open(spec.tmp, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), seed)
 		}
 	})
 	c.LocalStep(func(srv *mpc.Server) {
@@ -372,23 +342,13 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 		for ei, e := range edges {
 			pa := q.Atoms[e.parent]
 			if frag := srv.Rel(pa.Name); frag != nil {
-				st := out.Open(fmt.Sprintf("%s:p%d", name, ei), pa.Vars...)
-				cols := colsOf(frag, e.shared)
-				for i := 0; i < frag.Len(); i++ {
-					row := frag.Row(i)
-					st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed+uint64(ei)), c.P()), row)
-				}
+				out.Open(fmt.Sprintf("%s:p%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(e.shared), seed+uint64(ei))
 			}
 			ca := q.Atoms[e.child]
 			if frag := srv.Rel(ca.Name); frag != nil {
 				keys := frag.Project("k", e.shared...)
 				keys.Dedup()
-				st := out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...)
-				cols := colsOf(keys, e.shared)
-				for i := 0; i < keys.Len(); i++ {
-					row := keys.Row(i)
-					st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed+uint64(ei)), c.P()), row)
-				}
+				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), seed+uint64(ei))
 			}
 		}
 	})
@@ -411,12 +371,7 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 			if frag == nil {
 				continue
 			}
-			st := out.Open(fmt.Sprintf("%s:x%d", name, ei), pa.Vars...)
-			allCols := colsOf(frag, pa.Vars)
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				st.SendRow(relation.Bucket(relation.HashRow(row, allCols, seed^0xabcd), c.P()), row)
-			}
+			out.Open(fmt.Sprintf("%s:x%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(pa.Vars), seed^0xabcd)
 			srv.Delete(fmt.Sprintf("%s:r%d", name, ei))
 		}
 	})
@@ -455,23 +410,13 @@ func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]i
 		for ei, e := range specs {
 			ca := q.Atoms[e.child]
 			if frag := srv.Rel(ca.Name); frag != nil {
-				st := out.Open(fmt.Sprintf("%s:c%d", name, ei), ca.Vars...)
-				cols := colsOf(frag, e.shared)
-				for i := 0; i < frag.Len(); i++ {
-					row := frag.Row(i)
-					st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed+uint64(ei)), c.P()), row)
-				}
+				out.Open(fmt.Sprintf("%s:c%d", name, ei), ca.Vars...).SendByHash(frag, frag.MustCols(e.shared), seed+uint64(ei))
 			}
 			pa := q.Atoms[e.parent]
 			if frag := srv.Rel(pa.Name); frag != nil {
 				keys := frag.Project("k", e.shared...)
 				keys.Dedup()
-				st := out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...)
-				cols := colsOf(keys, e.shared)
-				for i := 0; i < keys.Len(); i++ {
-					row := keys.Row(i)
-					st.SendRow(relation.Bucket(relation.HashRow(row, cols, seed+uint64(ei)), c.P()), row)
-				}
+				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), seed+uint64(ei))
 			}
 		}
 	})
