@@ -24,8 +24,9 @@
 // generated (-n tuples, columns c0, c1, ...; a repeated predicate is a
 // self-join over one relation) or, with -data, loaded from
 // <dir>/<predicate>.csv (header row + int64 rows).
-// Algorithms: auto (default), hashjoin, broadcast, skewjoin, sortjoin,
-// hypercube, skewhc, gym, gym-opt, binaryplan, bigjoin, hl-triangle.
+// Algorithms: auto (default) or any name in core.Registry — `mpcrun -h`
+// lists them; one forced onto a query it does not apply to is refused
+// with the reason -explain gives for rejecting it.
 // Skew: none (default), zipf, heavy — honoured for every generated
 // relation, whichever way the query was written.
 //
@@ -65,8 +66,10 @@
 // With -explain the cost-based planner (internal/plan) evaluates every
 // candidate strategy against statistics collected from the actual
 // input, prints the full candidate listing — predicted (L, r, C) per
-// candidate and the rejection reason for each loser — and exits
-// without executing. -rounds caps the planner's round budget.
+// candidate and the rejection reason for each loser — then, as `auto
+// runs:`, what -alg auto would execute (core.Engine.Plan's rules, which
+// need not agree with the listing's min-L choice), and exits without
+// executing. -rounds caps the planner's round budget.
 //
 // With -transport=tcp (e.g. mpcrun -query triangle -n 5000 -p 27
 // -transport=tcp -net-workers 4) round delivery runs over the mpcnet
@@ -118,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dataDir := fs.String("data", "", "directory of <relation>.csv files to load instead of generating data")
 	n := fs.Int("n", 10000, "tuples per generated relation")
 	p := fs.Int("p", 16, "number of servers")
-	alg := fs.String("alg", "auto", "algorithm (auto, hashjoin, broadcast, skewjoin, sortjoin, hypercube, skewhc, gym, gym-opt, binaryplan, bigjoin, hl-triangle)")
+	alg := fs.String("alg", "auto", "algorithm (auto, "+strings.Join(cost.Names(core.Registry()), ", ")+")")
 	skew := fs.String("skew", "none", "generated data skew: none, zipf, heavy")
 	seed := fs.Int64("seed", 1, "random seed")
 	chaosSpec := fs.String("chaos", "", "fault schedule seed[:drop=r,dup=r,crash=r,straggle=r,delay=n,persist=n,attempts=n]")
@@ -174,6 +177,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(perr)
 		}
 		fmt.Fprint(stdout, pl.Explain())
+		if auto, reason, err := core.NewEngine(*p, *seed).Plan(core.Request{Query: j.compiled.Query, Relations: bound}); err == nil {
+			fmt.Fprintf(stdout, "auto runs: %s — %s\n", auto, reason)
+		}
 		if perr != nil {
 			// The listing itself is still useful when every candidate was
 			// rejected (e.g. an impossible round budget).

@@ -375,6 +375,15 @@ func TestExplainViaPlanner(t *testing.T) {
 			t.Errorf("EXPLAIN output missing %q:\n%s", want, out)
 		}
 	}
+	// The CLI prints that listing and then what -alg auto would run: the
+	// engine's own choice, which is not the listing's min-L one here.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-query", "triangle", "-n", "500", "-p", "8", "-explain"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-explain: exit %d: %s", code, stderr.String())
+	}
+	if want := out + "auto runs: hypercube — cyclic, no skew: one-round HyperCube\n"; stdout.String() != want {
+		t.Errorf("-explain printed\n%s\nwant\n%s", stdout.String(), want)
+	}
 }
 
 // TestReportSameLinesEveryKind drives run() — flags in, report out —
@@ -425,6 +434,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-query", "nonsense"},
 		{"-q", "R(x,y) S(y,z)"},
 		{"-alg", "nope"},
+		{"-alg", "gym", "-q", "R(x,y), S(z,w)"}, // panicked with a goroutine dump before the registry dispatch
 		{"-p", "4", "-capacities", "1,2"},
 		{"-p", "2", "-capacities", "1,0"},
 		{"-recursive", "tc", "-explain"},
@@ -433,8 +443,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-data", t.TempDir()},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(append(args, "-n", "50"), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") {
-			t.Errorf("%v: exit %d, stderr %q; want exit 1 and a named error", args, code, stderr.String())
+		if code := run(append(args, "-n", "50"), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 and a one-line named error", args, code, stderr.String())
 		}
 	}
 }

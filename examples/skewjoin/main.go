@@ -29,7 +29,7 @@ func main() {
 	users := workload.Matching("users", []string{"user", "profile"}, nUsers)
 
 	in := clicks.Len() + users.Len()
-	heavy := stats.JoinHeavyHitters(clicks, users, "user", in/servers)
+	heavy := stats.JoinHeavyHitters(stats.DegreesOf(clicks, "user"), stats.DegreesOf(users, "user"), in/servers)
 	outSize := relation.HashJoin("ref", clicks, users).Len()
 	fmt.Println("=== skew-aware two-way join (slides 27–30) ===")
 	fmt.Printf("input        %d clicks ⋈ %d users on `user`, p = %d\n", nClicks, nUsers, servers)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpcquery/internal/cost"
+	"mpcquery/internal/hypergraph"
 )
 
 // EstimateGroups predicts the number of output groups of a group-by
@@ -45,10 +46,9 @@ func EstimateGroups(st *cost.QueryStats, groupBy []string) float64 {
 func Plannables() []cost.Plannable {
 	return []cost.Plannable{
 		{
-			Alg:        "aggregate",
-			Doc:        "combiner-style group-by pushdown, one extra round (slides 87-90)",
-			Executable: false,
-			Applies: func(st *cost.QueryStats) error {
+			Alg: "aggregate",
+			Doc: "combiner-style group-by pushdown, one extra round (slides 87-90)",
+			Applies: func(hypergraph.Query) error {
 				return fmt.Errorf("post-processing operator: attaches to a join plan via plan.Options.Aggregate, not a standalone strategy")
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {

@@ -17,6 +17,6 @@ func TestBiGJoinChaosDiff(t *testing.T) {
 		hypergraph.Triangle(),
 		hypergraph.Path(3),
 	} {
-		testkit.RunChaosDiff(t, q, testkit.Config{}, bigjoinAlgo())
+		testkit.RunChaosDiff(t, q, testkit.Config{}, algo("bigjoin"))
 	}
 }

@@ -3,9 +3,8 @@ package bigjoin
 import (
 	"testing"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 )
 
@@ -13,16 +12,9 @@ import (
 // elimination) vs the sequential oracle, with the plan-derived exact
 // round count (1 setup + one extend per step + one per verifier).
 
-func bigjoinAlgo() testkit.Algo {
-	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-		pl, err := NewPlan(q, nil)
-		if err != nil {
-			return err
-		}
-		Run(c, pl, rels, outName, seed)
-		return nil
-	}
-}
+// algo returns the Run of this package's descriptor for name — the
+// entry point core.Engine dispatches to.
+func algo(name string) testkit.Algo { return cost.Lookup(Plannables(), name).Run }
 
 func planRounds(q hypergraph.Query, p int) int {
 	pl, err := NewPlan(q, nil)
@@ -43,6 +35,6 @@ func TestBiGJoinDiff(t *testing.T) {
 		hypergraph.Path(3),
 		hypergraph.Star(3),
 	} {
-		testkit.RunDiff(t, q, cfg, bigjoinAlgo())
+		testkit.RunDiff(t, q, cfg, algo("bigjoin"))
 	}
 }

@@ -14,6 +14,6 @@ import (
 
 func TestBiGJoinBackendDiff(t *testing.T) {
 	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Star(3)} {
-		testkit.RunBackendDiff(t, q, testkit.Config{}, bigjoinAlgo())
+		testkit.RunBackendDiff(t, q, testkit.Config{}, algo("bigjoin"))
 	}
 }

@@ -4,23 +4,34 @@ import (
 	"fmt"
 
 	"mpcquery/internal/cost"
+	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
+	"mpcquery/internal/relation"
 )
 
-// Plannables describes BiGJoin to the query planner (internal/plan).
-// The prediction replays the compiled plan symbolically: the binding
-// set after the seed and after each extension step is the heavy-aware
-// chain estimate of the sub-query over the atoms applied so far, and the
-// load charges the largest such binding set (the dataflow ships the
-// whole frontier each extend round).
+// Plannables declares BiGJoin: what the planner (internal/plan) costs
+// and what the engine (internal/core) runs, under the default variable
+// order. The prediction replays the compiled plan symbolically: the
+// binding set after the seed and after each extension step is the
+// heavy-aware chain estimate of the sub-query over the atoms applied so
+// far, and the load charges the largest such binding set (the dataflow
+// ships the whole frontier each extend round).
 func Plannables() []cost.Plannable {
 	return []cost.Plannable{
 		{
-			Alg:        "bigjoin",
-			Doc:        "BiGJoin: one variable per round, worst-case optimal per step (slides 78-84)",
-			Executable: true,
-			Applies: func(st *cost.QueryStats) error {
-				_, err := NewPlan(st.Query, nil)
+			Alg: "bigjoin",
+			Doc: "BiGJoin: one variable per round, worst-case optimal per step (slides 78-84)",
+			Applies: func(q hypergraph.Query) error {
+				_, err := NewPlan(q, nil)
 				return err
+			},
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+				pl, err := NewPlan(q, nil)
+				if err != nil {
+					return err
+				}
+				Run(c, pl, rels, outName, seed)
+				return nil
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				pl, err := NewPlan(st.Query, nil)

@@ -84,9 +84,10 @@ func TestExecuteAggregateValidation(t *testing.T) {
 	}
 }
 
-// TestAllAlgorithmsOnEdgeInputs sweeps every forcible algorithm over
-// degenerate inputs: empty relations, single tuples, and all-same-value
-// relations. Nothing may panic, and results must match the reference.
+// TestAllAlgorithmsOnEdgeInputs sweeps every registered algorithm that
+// applies to a two-way join over degenerate inputs: empty relations,
+// single tuples, and all-same-value relations. Nothing may panic, and
+// results must match the reference.
 func TestAllAlgorithmsOnEdgeInputs(t *testing.T) {
 	mk2 := func(rRows, sRows [][]relation.Value) Request {
 		return Request{
@@ -106,8 +107,7 @@ func TestAllAlgorithmsOnEdgeInputs(t *testing.T) {
 			[][]relation.Value{{1, 7}, {2, 7}, {3, 7}},
 			[][]relation.Value{{7, 4}, {7, 5}}),
 	}
-	algs := []Algorithm{AlgHashJoin, AlgBroadcast, AlgSkewJoin, AlgSortJoin,
-		AlgHyperCube, AlgSkewHC, AlgGYM, AlgGYMOptimized, AlgBinaryPlan, AlgBigJoin}
+	algs := applicable(hypergraph.TwoWayJoin())
 	for name, req := range inputs {
 		want := Reference(req.Query, req.Relations)
 		want.Dedup()

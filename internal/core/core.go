@@ -12,6 +12,13 @@
 //   - multiway cyclic queries: SkewHC when any variable has heavy
 //     hitters, plain HyperCube otherwise (slides 34–51).
 //
+// Planning picks a name; running it is a lookup. Every algorithm is
+// declared once, as a cost.Plannable descriptor in its own package;
+// Registry lists them, and the engine runs the planned or forced name
+// by asking its descriptor's Applies and calling its Run — so what
+// EXPLAIN calls inapplicable the engine refuses in the same words, and
+// a new algorithm is a descriptor plus a name constant here.
+//
 // There are three entry points — Execute (conjunctive query),
 // ExecuteAggregate (conjunctive query plus a distributed group-by) and
 // ExecuteRecursive (semi-naive fixpoint) — and one result, Execution.
@@ -30,6 +37,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"mpcquery/internal/aggregate"
 	"mpcquery/internal/bigjoin"
@@ -48,7 +57,9 @@ import (
 // Algorithm identifies a parallel query-processing strategy.
 type Algorithm string
 
-// Available algorithms. AlgAuto lets the planner decide.
+// Available algorithms. AlgAuto lets the planner decide; every other
+// constant names exactly one descriptor in Registry
+// (TestRegistryMatchesAlgorithms).
 const (
 	AlgAuto         Algorithm = "auto"
 	AlgHashJoin     Algorithm = "hashjoin"
@@ -67,6 +78,19 @@ const (
 	// BiGJoin-style): one extend round per variable plus verify rounds.
 	AlgBigJoin Algorithm = "bigjoin"
 )
+
+// registry is the one list of packages declaring runnable algorithms,
+// in EXPLAIN's registration order.
+var registry = slices.Concat(
+	join2.Plannables(),
+	hypercube.Plannables(),
+	yannakakis.Plannables(),
+	bigjoin.Plannables(),
+)
+
+// Registry returns the descriptor of every algorithm the engine can
+// run, its only dispatch table. Callers must not modify it.
+func Registry() []cost.Plannable { return registry }
 
 // Engine executes conjunctive queries on a fresh simulated cluster per
 // request.
@@ -157,13 +181,13 @@ type Execution struct {
 
 // Plan decides which algorithm to use for the request and explains why.
 func (e *Engine) Plan(req Request) (Algorithm, string, error) {
+	if err := validate(req); err != nil {
+		return "", "", err
+	}
 	if req.Algorithm != "" && req.Algorithm != AlgAuto {
 		return req.Algorithm, "forced by request", nil
 	}
 	q := req.Query
-	if err := validate(req); err != nil {
-		return "", "", err
-	}
 	in := 0
 	for _, a := range q.Atoms {
 		in += req.Relations[a.Name].Len()
@@ -172,18 +196,13 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 	if y, ok := q.TwoWayJoinVar(); ok {
 		r := req.Relations[q.Atoms[0].Name]
 		s := req.Relations[q.Atoms[1].Name]
-		small := r.Len()
-		if s.Len() < small {
-			small = s.Len()
-		}
+		small := min(r.Len(), s.Len())
 		if small*e.P <= in {
 			return AlgBroadcast, fmt.Sprintf("small side (%d tuples) ≤ IN/p = %d: broadcast it", small, in/e.P), nil
 		}
-		threshold := in / e.P
-		if threshold < 1 {
-			threshold = 1
-		}
-		hh := stats.JoinHeavyHitters(rename(q.Atoms[0], r), rename(q.Atoms[1], s), y, threshold)
+		threshold := max(in/e.P, 1)
+		hh := stats.JoinHeavyHitters(stats.DegreesOfCol(r, slices.Index(q.Atoms[0].Vars, y)),
+			stats.DegreesOfCol(s, slices.Index(q.Atoms[1].Vars, y)), threshold)
 		if len(hh) > 0 {
 			return AlgSkewJoin, fmt.Sprintf("%d heavy hitters on %s (threshold %d): skew-aware join", len(hh), y, threshold), nil
 		}
@@ -288,91 +307,42 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validate(req); err != nil {
-		return nil, err
-	}
 	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
 		return e.join(c, ex, req)
 	})
 }
 
 // join runs ex.Algorithm for the request's query on c and gathers the
-// answer, projected to Query.Vars().
+// answer, projected to Query.Vars(): look the name up in the registry,
+// ask its Applies, call its Run. The one special case is Adaptive,
+// which swaps HyperCube's Run for the probe driver because the
+// decision record it returns is a hypercube type.
 func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Relation, error) {
 	q, alg := req.Query, ex.Algorithm
 	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, ex.Reason)
+	d := cost.Lookup(registry, string(alg))
+	if d == nil {
+		return nil, fmt.Errorf("core: unknown algorithm %q (have %s)", alg, strings.Join(cost.Names(registry), ", "))
+	}
+	if err := d.Applies(q); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", alg, err)
+	}
 	seed := uint64(e.Seed)*2654435761 + 12345
 	const outName = "out"
-	switch alg {
-	case AlgHashJoin, AlgBroadcast, AlgSkewJoin, AlgSortJoin:
-		if _, ok := q.TwoWayJoinVar(); !ok {
-			return nil, fmt.Errorf("core: %s requires a two-way binary join, got %s", alg, q)
-		}
-		r := rename(q.Atoms[0], req.Relations[q.Atoms[0].Name])
-		s := rename(q.Atoms[1], req.Relations[q.Atoms[1].Name])
-		switch alg {
-		case AlgHashJoin:
-			join2.HashJoin(c, r, s, outName, seed)
-		case AlgBroadcast:
-			if s.Len() < r.Len() {
-				r, s = s, r
-			}
-			join2.BroadcastJoin(c, r, s, outName)
-		case AlgSkewJoin:
-			join2.SkewJoin(c, r, s, outName, seed)
-		case AlgSortJoin:
-			join2.SortJoin(c, r, s, outName, seed)
-		}
-	case AlgHyperCube:
-		switch {
-		case e.Adaptive:
-			res, err := hypercube.RunAdaptive(c, q, req.Relations, outName, seed, hypercube.AdaptiveConfig{})
-			if err != nil {
-				return nil, err
-			}
-			ex.Adaptive = res
-			ex.Reason += "; adaptive: " + res.Reason
-		case e.Capacities != nil:
-			if _, err := hypercube.RunHet(c, q, req.Relations, outName, seed, hypercube.LocalGeneric); err != nil {
-				return nil, err
-			}
-			ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
-		default:
-			if _, err := hypercube.Run(c, q, req.Relations, outName, seed, hypercube.LocalGeneric); err != nil {
-				return nil, err
-			}
-		}
-	case AlgSkewHC:
-		if _, err := hypercube.RunSkewHC(c, q, req.Relations, outName, seed, 0, hypercube.LocalGeneric); err != nil {
-			return nil, err
-		}
-	case AlgGYM, AlgGYMOptimized:
-		ok, jt := hypergraph.IsAcyclic(q)
-		if !ok {
-			return nil, fmt.Errorf("core: %s requires an acyclic query, %s is cyclic", alg, q.Name)
-		}
-		if alg == AlgGYM {
-			yannakakis.GYM(c, jt, req.Relations, outName, seed)
-		} else {
-			yannakakis.GYMOptimized(c, jt, req.Relations, outName, seed)
-		}
-	case AlgBinaryPlan:
-		yannakakis.IterativeBinaryJoin(c, q, req.Relations, outName, seed)
-	case AlgHLTriangle:
-		if q.Name != "triangle" || len(q.Atoms) != 3 {
-			return nil, fmt.Errorf("core: %s applies only to the triangle query", alg)
-		}
-		if _, err := hypercube.HeavyLightTriangle(c, req.Relations, outName, seed); err != nil {
-			return nil, err
-		}
-	case AlgBigJoin:
-		pl, err := bigjoin.NewPlan(q, nil)
+	if alg == AlgHyperCube && e.Adaptive {
+		res, err := hypercube.RunAdaptive(c, q, req.Relations, outName, seed, hypercube.AdaptiveConfig{})
 		if err != nil {
 			return nil, err
 		}
-		bigjoin.Run(c, pl, req.Relations, outName, seed)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
+		ex.Adaptive = res
+		ex.Reason += "; adaptive: " + res.Reason
+	} else {
+		if err := d.Run(c, q, req.Relations, outName, seed); err != nil {
+			return nil, err
+		}
+		if alg == AlgHyperCube && e.Capacities != nil {
+			ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
+		}
 	}
 	return c.Gather(outName).Project(q.Name, q.Vars()...), nil
 }
@@ -410,9 +380,6 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 	}
 	alg, reason, err := e.Plan(req)
 	if err != nil {
-		return nil, err
-	}
-	if err := validate(req); err != nil {
 		return nil, err
 	}
 	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
@@ -460,18 +427,13 @@ func validate(req Request) error {
 	return nil
 }
 
-// rename returns rel with its columns renamed to the atom's variables.
-func rename(a hypergraph.Atom, rel *relation.Relation) *relation.Relation {
-	return rel.CopyAs(a.Name, a.Vars...)
-}
-
 // Reference evaluates the query on a single machine with the
 // worst-case-optimal generic join — the ground truth for tests and
 // examples.
 func Reference(q hypergraph.Query, rels map[string]*relation.Relation) *relation.Relation {
 	inputs := make([]*relation.Relation, len(q.Atoms))
 	for i, a := range q.Atoms {
-		inputs[i] = rename(a, rels[a.Name])
+		inputs[i] = rels[a.Name].CopyAs(a.Name, a.Vars...)
 	}
 	return relation.GenericJoin(q.Name, q.Vars(), inputs...)
 }

@@ -190,7 +190,7 @@ func TestPlannerPicksHyperCubeWhenAGMHuge(t *testing.T) {
 
 func TestExecuteAllAlgorithmsOnTwoWay(t *testing.T) {
 	req := twoWayRequest(600, 5)
-	for _, alg := range []Algorithm{AlgHashJoin, AlgBroadcast, AlgSkewJoin, AlgSortJoin, AlgHyperCube, AlgGYMOptimized, AlgGYM, AlgBinaryPlan} {
+	for _, alg := range applicable(req.Query) {
 		e := NewEngine(8, 2)
 		r := req
 		r.Algorithm = alg

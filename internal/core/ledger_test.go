@@ -11,7 +11,8 @@ import (
 )
 
 // TestOneLedger is the wall behind "one (L, r, C) per execution": for
-// every entry point and every algorithm, the Execution's Rounds,
+// every entry point and every registered algorithm that applies, the
+// Execution's Rounds,
 // MaxLoad and TotalComm are exactly its Metrics' — one ledger, one
 // cluster — and a recorder on Engine.Trace saw exactly that ledger's
 // rounds, once each, under consecutive round indices. Before the run
@@ -36,17 +37,7 @@ func TestOneLedger(t *testing.T) {
 
 	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Path(3), hypergraph.Star(3), hypergraph.TwoWayJoin()} {
 		rels := testkit.GenInstance(q, testkit.SkewUniform, testkit.GenConfig{Tuples: 200}, 1)
-		algs := []Algorithm{AlgAuto, AlgHyperCube, AlgSkewHC, AlgBinaryPlan, AlgBigJoin}
-		if acyclic, _ := hypergraph.IsAcyclic(q); acyclic {
-			algs = append(algs, AlgGYM, AlgGYMOptimized)
-		}
-		if _, twoWay := q.TwoWayJoinVar(); twoWay {
-			algs = append(algs, AlgHashJoin, AlgBroadcast, AlgSkewJoin, AlgSortJoin)
-		}
-		if q.Name == "triangle" {
-			algs = append(algs, AlgHLTriangle)
-		}
-		for _, alg := range algs {
+		for _, alg := range append([]Algorithm{AlgAuto}, applicable(q)...) {
 			req := Request{Query: q, Relations: rels, Algorithm: alg}
 			t.Run(q.Name+"/"+string(alg), func(t *testing.T) {
 				check(t, func(e *Engine) (*Execution, error) { return e.Execute(req) })

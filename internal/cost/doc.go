@@ -9,10 +9,11 @@
 // the GYM-vs-HyperCube crossover (slide 78). Benchmarks compare these
 // predictions against loads measured on the simulator.
 //
-// The planner half (plannable.go): QueryStats carries the statistics
-// the cost-based planner collects once per query, and each algorithm
-// package registers a Plannable descriptor predicting its (L, r, C)
-// from those stats; internal/plan ranks the descriptors.
+// The descriptor half (plannable.go): Plannable is how an algorithm is
+// declared, once, in its own package — its name, Applies (which queries
+// it can run), Predict (its (L, r, C) from the QueryStats the planner
+// collects once per query) and Run (the entry point). internal/core
+// dispatches through the descriptors; internal/plan ranks them.
 //
 // The heterogeneity half (het.go) extends shares optimization to
 // machines with unequal capacity ("Parallel Query Processing with

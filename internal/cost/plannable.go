@@ -8,6 +8,8 @@ import (
 
 	"mpcquery/internal/fractional"
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
+	"mpcquery/internal/relation"
 )
 
 // QueryStats carries everything the cost-based planner knows about one
@@ -122,28 +124,54 @@ func (e Estimate) String() string {
 	return s
 }
 
-// Plannable describes one executable algorithm to the query planner:
-// its core.Algorithm name, a one-line description, an applicability
-// test (a nil error means the algorithm can run the query; the error
-// text otherwise becomes the EXPLAIN rejection reason), and the cost
-// prediction. Each algorithm package exports its own descriptors via a
-// Plannables() function; internal/plan assembles the registry.
+// Plannable is the one declaration of an algorithm: its core.Algorithm
+// name, a one-line description, an applicability test (a nil error
+// means the algorithm can run the query; the error text otherwise is
+// both the EXPLAIN rejection reason and the engine's refusal), the cost
+// prediction, and the entry point. Each algorithm package exports its
+// descriptors via a Plannables() function; internal/core dispatches
+// through them and internal/plan ranks them.
 type Plannable struct {
 	// Alg matches the core.Algorithm string used to force execution.
 	Alg string
 	// Doc is a one-line description shown by EXPLAIN -verbose.
 	Doc string
-	// Executable marks strategies the planner can actually run through
-	// core.Engine on a conjunctive query. Non-executable descriptors
-	// (sorting and matrix-multiplication primitives) still appear in
-	// EXPLAIN with their rejection reason.
-	Executable bool
 	// Applies returns nil when the algorithm can run this query, or an
 	// error explaining why not.
-	Applies func(st *QueryStats) error
+	Applies func(q hypergraph.Query) error
 	// Predict returns the (L, r, C) estimate; called only when Applies
 	// returned nil.
 	Predict func(st *QueryStats) (Estimate, error)
+	// Run executes the algorithm once Applies has accepted the query;
+	// nil for the primitives (sorting, matrix multiplication, the
+	// aggregation operator), which EXPLAIN lists with their rejection
+	// reason.
+	Run RunFunc
+}
+
+// RunFunc runs a query on c and leaves the result (schema ⊇ q.Vars(),
+// any column order) distributed under outName; rels are keyed by atom
+// name, columns positional to the atom's variables. It is testkit.Algo's
+// signature, so a descriptor's Run goes into the differential walls.
+type RunFunc = func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error
+
+// Names lists the algorithm names of reg, in order.
+func Names(reg []Plannable) []string {
+	names := make([]string, len(reg))
+	for i, pa := range reg {
+		names[i] = pa.Alg
+	}
+	return names
+}
+
+// Lookup returns the descriptor named alg in reg, or nil.
+func Lookup(reg []Plannable, alg string) *Plannable {
+	for i := range reg {
+		if reg[i].Alg == alg {
+			return &reg[i]
+		}
+	}
+	return nil
 }
 
 // ---- Shared estimation helpers ----

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"mpcquery/internal/cost"
 	"mpcquery/internal/join2"
@@ -310,8 +309,8 @@ func E06SortJoin() *Table {
 	}
 	t.Note("heavy values are split across servers by the (key, uid) sort and fixed up with per-value grids")
 	// Sanity: heavy hitters really exist in case 2.
-	hh := stats.JoinHeavyHitters(cases[1].r, cases[1].s, "y", (40000)/p)
-	t.Note("planted case has %d heavy hitter(s); max degree %d", len(hh),
-		int(math.Max(float64(stats.DegreesOf(cases[1].r, "y").Max()), float64(stats.DegreesOf(cases[1].s, "y").Max()))))
+	dr, ds := stats.DegreesOf(cases[1].r, "y"), stats.DegreesOf(cases[1].s, "y")
+	hh := stats.JoinHeavyHitters(dr, ds, (40000)/p)
+	t.Note("planted case has %d heavy hitter(s); max degree %d", len(hh), max(dr.Max(), ds.Max()))
 	return t
 }

@@ -41,7 +41,7 @@ func adaptiveCfg(ps ...int) testkit.Config {
 
 func TestAdaptiveDiffTriangle(t *testing.T) {
 	testkit.RunAdaptiveDiff(t, hypergraph.Triangle(), adaptiveCfg(16),
-		adaptiveAlgo(AdaptiveConfig{}), skewHCAlgo(LocalGeneric))
+		adaptiveAlgo(AdaptiveConfig{}), algo("skewhc"))
 }
 
 // TestAdaptiveDiffStar covers the sharpest mispredicted case: the
@@ -53,7 +53,7 @@ func TestAdaptiveDiffStar(t *testing.T) {
 	cfg := adaptiveCfg(16)
 	cfg.Gen = testkit.GenConfig{Tuples: 240, HeavyFrac: 0.2}
 	testkit.RunAdaptiveDiff(t, hypergraph.Star(3), cfg,
-		adaptiveAlgo(AdaptiveConfig{}), skewHCAlgo(LocalGeneric))
+		adaptiveAlgo(AdaptiveConfig{}), algo("skewhc"))
 }
 
 func TestAdaptiveChaosDiff(t *testing.T) {

@@ -24,11 +24,12 @@ func hetCaps(p int) []float64 {
 	return caps
 }
 
-func hetAlgo(alg LocalAlg) testkit.Algo {
+// hetAlgo is the hypercube descriptor's Run on a cluster carrying the
+// unequal profile, which is what routes it to RunHet.
+func hetAlgo() testkit.Algo {
 	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
 		c.SetCapacities(hetCaps(c.P()))
-		_, err := RunHet(c, q, rels, outName, seed, alg)
-		return err
+		return algo("hypercube")(c, q, rels, outName, seed)
 	}
 }
 
@@ -37,20 +38,20 @@ func hetAlgo(alg LocalAlg) testkit.Algo {
 // the answer, whatever the skew.
 func TestHetDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
-	testkit.RunDiff(t, hypergraph.Triangle(), cfg, hetAlgo(LocalGeneric))
+	testkit.RunDiff(t, hypergraph.Triangle(), cfg, hetAlgo())
 }
 
 func TestHetDiffPath(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Seeds = []int64{1, 2}
-	testkit.RunDiff(t, hypergraph.Path(3), cfg, hetAlgo(LocalGeneric))
+	testkit.RunDiff(t, hypergraph.Path(3), cfg, hetAlgo())
 }
 
 // TestHetChaosDiff runs the capacity-aware shuffle under fault
 // injection: per-cell streams are just more fragment names, so
 // recovery must hold exactly as for the uniform shuffle.
 func TestHetChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, hetAlgo(LocalGeneric))
+	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, hetAlgo())
 }
 
 // TestHetUniformCapsMatchesOracle pins the degenerate profile: no

@@ -238,30 +238,3 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 	})
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}, nil
 }
-
-// HeavyZCount exposes how many heavy z values the threshold IN/p^{1/3}
-// yields on the given inputs (verification helper).
-func HeavyZCount(rels map[string]*relation.Relation, p int) int {
-	q := hypergraph.Triangle()
-	prepped := prepare(q, rels)
-	in := prepped["R"].Len() + prepped["S"].Len() + prepped["T"].Len()
-	threshold := int(float64(in) / math.Cbrt(float64(p)))
-	if threshold < 1 {
-		threshold = 1
-	}
-	counts := map[relation.Value]int{}
-	for _, name := range []string{"S", "T"} {
-		frag := prepped[name]
-		col := frag.MustCol("z")
-		for i := 0; i < frag.Len(); i++ {
-			counts[frag.Row(i)[col]]++
-		}
-	}
-	n := 0
-	for _, d := range counts {
-		if d >= threshold {
-			n++
-		}
-	}
-	return n
-}

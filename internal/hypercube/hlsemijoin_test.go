@@ -109,13 +109,17 @@ func TestHeavyLightLoadBeatsHashOnHotZ(t *testing.T) {
 	}
 }
 
+// TestHeavyZCount: the threshold IN/p^{1/3} on z's degree across S and
+// T singles out the hub and nothing on uniform data.
 func TestHeavyZCount(t *testing.T) {
-	rels := hubTriangle(1000)
-	if got := HeavyZCount(rels, 64); got != 1 {
+	heavyZ := func(rels map[string]*relation.Relation, p int) int {
+		in := rels["R"].Len() + rels["S"].Len() + rels["T"].Len()
+		return len(HeavyByVar(hypergraph.Triangle(), rels, int(float64(in)/math.Cbrt(float64(p))))["z"])
+	}
+	if got := heavyZ(hubTriangle(1000), 64); got != 1 {
 		t.Fatalf("heavy z count = %d, want 1 (the hub)", got)
 	}
-	uniform := triangleRels(100, 400, 5)
-	if got := HeavyZCount(uniform, 8); got != 0 {
+	if got := heavyZ(triangleRels(100, 400, 5), 8); got != 0 {
 		t.Fatalf("uniform data should have no heavy z, got %d", got)
 	}
 }

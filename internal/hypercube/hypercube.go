@@ -21,6 +21,7 @@ package hypercube
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpcquery/internal/fractional"
@@ -500,15 +501,15 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 
 // HeavyByVar computes, centrally, the per-variable heavy-hitter sets
 // for the given threshold — a verification helper mirroring what the
-// distributed rounds of RunSkewHC compute.
+// distributed rounds of RunSkewHC compute. Relations are positional to
+// their atom's variables.
 func HeavyByVar(q hypergraph.Query, rels map[string]*relation.Relation, threshold int) map[string]map[relation.Value]bool {
-	prepped := prepare(q, rels)
 	out := map[string]map[relation.Value]bool{}
 	for _, v := range q.Vars() {
 		agg := stats.Degrees{}
 		for _, a := range q.Atoms {
-			if a.HasVar(v) {
-				agg.Merge(stats.DegreesOf(prepped[a.Name], v))
+			if col := slices.Index(a.Vars, v); col >= 0 {
+				agg.Merge(stats.DegreesOfCol(rels[a.Name], col))
 			}
 		}
 		out[v] = agg.HeavySet(threshold)

@@ -14,12 +14,12 @@ import (
 // multi-round state to hide behind).
 
 func TestHyperCubeChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, hcAlgo(LocalGeneric))
+	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, algo("hypercube"))
 }
 
 // TestSkewHCChaosDiff covers the three-round skew-aware variant: its
 // heavy-pattern broadcast round exercises recovery of broadcast-shaped
 // fragment sets (p fragments per source).
 func TestSkewHCChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, skewHCAlgo(LocalGeneric))
+	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, algo("skewhc"))
 }

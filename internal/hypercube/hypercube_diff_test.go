@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -14,19 +15,9 @@ import (
 // oracle across cluster sizes, seeds and input skews, with exact round
 // counts and the one-round load bound on skew-free inputs.
 
-func hcAlgo(alg LocalAlg) testkit.Algo {
-	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-		_, err := Run(c, q, rels, outName, seed, alg)
-		return err
-	}
-}
-
-func skewHCAlgo(alg LocalAlg) testkit.Algo {
-	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-		_, err := RunSkewHC(c, q, rels, outName, seed, 0, alg)
-		return err
-	}
-}
+// algo returns the Run of this package's descriptor for name — the
+// entry point core.Engine dispatches to.
+func algo(name string) testkit.Algo { return cost.Lookup(Plannables(), name).Run }
 
 // TestHyperCubeDiff sweeps the one-round HyperCube over the canonical
 // query shapes and all four input distributions. r must be exactly 1
@@ -40,7 +31,7 @@ func TestHyperCubeDiff(t *testing.T) {
 		hypergraph.Star(3),
 		hypergraph.Cycle(4),
 	} {
-		testkit.RunDiff(t, q, cfg, hcAlgo(LocalGeneric))
+		testkit.RunDiff(t, q, cfg, algo("hypercube"))
 	}
 }
 
@@ -50,8 +41,13 @@ func TestHyperCubeLocalAlgsDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Seeds = []int64{1, 2, 3, 4, 5}
 	cfg.Rounds = func(q hypergraph.Query, p int) int { return 1 }
-	testkit.RunDiff(t, hypergraph.Triangle(), cfg, hcAlgo(LocalBinary))
-	testkit.RunDiff(t, hypergraph.Triangle(), cfg, hcAlgo(LocalLeapfrog))
+	for _, alg := range []LocalAlg{LocalBinary, LocalLeapfrog} {
+		testkit.RunDiff(t, hypergraph.Triangle(), cfg,
+			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+				_, err := Run(c, q, rels, outName, seed, alg)
+				return err
+			})
+	}
 }
 
 // TestSkewHCDiff sweeps the three-round skew-aware variant over skewed
@@ -64,7 +60,7 @@ func TestSkewHCDiff(t *testing.T) {
 		hypergraph.Triangle(),
 		hypergraph.Path(3),
 	} {
-		testkit.RunDiff(t, q, cfg, skewHCAlgo(LocalGeneric))
+		testkit.RunDiff(t, q, cfg, algo("skewhc"))
 	}
 }
 

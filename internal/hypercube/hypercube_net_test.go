@@ -17,16 +17,16 @@ func TestHyperCubeBackendDiff(t *testing.T) {
 		hypergraph.Triangle(),
 		hypergraph.Path(3),
 	} {
-		testkit.RunBackendDiff(t, q, testkit.Config{}, hcAlgo(LocalGeneric))
+		testkit.RunBackendDiff(t, q, testkit.Config{}, algo("hypercube"))
 	}
 }
 
 func TestSkewHCBackendDiff(t *testing.T) {
-	testkit.RunBackendDiff(t, hypergraph.Triangle(), testkit.Config{}, skewHCAlgo(LocalGeneric))
+	testkit.RunBackendDiff(t, hypergraph.Triangle(), testkit.Config{}, algo("skewhc"))
 }
 
 // TestHyperCubeChaosOverTCP: the recovery driver's replayed commit must
 // cross the wire and still be bit-identical to the fault-free run.
 func TestHyperCubeChaosOverTCP(t *testing.T) {
-	testkit.RunChaosDiffTCP(t, hypergraph.Triangle(), testkit.Config{}, hcAlgo(LocalGeneric))
+	testkit.RunChaosDiffTCP(t, hypergraph.Triangle(), testkit.Config{}, algo("hypercube"))
 }

@@ -7,16 +7,21 @@ import (
 
 	"mpcquery/internal/cost"
 	"mpcquery/internal/fractional"
+	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
+	"mpcquery/internal/relation"
 )
 
-// Plannables describes the one-round HyperCube family to the query
-// planner (internal/plan):
+// Plannables declares the one-round HyperCube family: what the planner
+// (internal/plan) costs and what the engine (internal/core) runs, with
+// the generic-join local evaluator and SkewHC's default threshold:
 //
 //   - hypercube: LP-optimal integer shares; the prediction is the
 //     per-atom expected load *including* the heavy-hitter term — a
 //     value of degree d on variable x cannot be split across the x
 //     dimension, so plain HyperCube degrades under skew exactly as
-//     slide 46 warns.
+//     slide 46 warns. On a cluster carrying a capacity profile it runs
+//     the capacity-aware RunHet instead of Run.
 //   - skewhc: the heavy/light residual-query variant whose load stays
 //     IN/p^{1/ψ*} for any skew (slides 47-51); three rounds (degree
 //     statistics, pattern shuffle, local join).
@@ -26,10 +31,17 @@ import (
 func Plannables() []cost.Plannable {
 	return []cost.Plannable{
 		{
-			Alg:        "hypercube",
-			Doc:        "one-round HyperCube/Shares join with LP-optimal shares (slides 34-45)",
-			Executable: true,
-			Applies:    func(st *cost.QueryStats) error { return nil },
+			Alg:     "hypercube",
+			Doc:     "one-round HyperCube/Shares join with LP-optimal shares (slides 34-45)",
+			Applies: func(hypergraph.Query) error { return nil },
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+				if c.Capacities() != nil {
+					_, err := RunHet(c, q, rels, outName, seed, LocalGeneric)
+					return err
+				}
+				_, err := Run(c, q, rels, outName, seed, LocalGeneric)
+				return err
+			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				sh, err := fractional.OptimalShares(st.Query, st.Sizes, st.P)
 				if err != nil {
@@ -48,10 +60,13 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "skewhc",
-			Doc:        "skew-resilient HyperCube over heavy/light residual queries (slides 47-51)",
-			Executable: true,
-			Applies:    func(st *cost.QueryStats) error { return nil },
+			Alg:     "skewhc",
+			Doc:     "skew-resilient HyperCube over heavy/light residual queries (slides 47-51)",
+			Applies: func(hypergraph.Query) error { return nil },
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+				_, err := RunSkewHC(c, q, rels, outName, seed, 0, LocalGeneric)
+				return err
+			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				load, err := cost.SkewedOneRoundLoad(st.Query, float64(st.IN), st.P)
 				if err != nil {
@@ -92,14 +107,17 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "hl-triangle",
-			Doc:        "multi-round Heavy-Light + Semijoins triangle algorithm (slides 58-60)",
-			Executable: true,
-			Applies: func(st *cost.QueryStats) error {
-				if st.Query.Name != "triangle" || len(st.Query.Atoms) != 3 {
+			Alg: "hl-triangle",
+			Doc: "multi-round Heavy-Light + Semijoins triangle algorithm (slides 58-60)",
+			Applies: func(q hypergraph.Query) error {
+				if q.Name != "triangle" || len(q.Atoms) != 3 {
 					return fmt.Errorf("applies only to the triangle query")
 				}
 				return nil
+			},
+			Run: func(c *mpc.Cluster, _ hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+				_, err := HeavyLightTriangle(c, rels, outName, seed)
+				return err
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				p := float64(st.P)

@@ -30,7 +30,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/sortmpc"
-	"mpcquery/internal/stats"
 	"mpcquery/internal/trace"
 )
 
@@ -383,17 +382,6 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		srv.Delete(outName + ":" + sName)
 	})
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
-}
-
-// HeavyHittersOf is a convenience wrapper exposing the skew threshold
-// the algorithms use: values with degree ≥ (|r|+|s|)/p in either input.
-func HeavyHittersOf(r, s *relation.Relation, p int) []relation.Value {
-	y := joinAttr(r, s)
-	threshold := (r.Len() + s.Len()) / p
-	if threshold < 1 {
-		threshold = 1
-	}
-	return stats.JoinHeavyHitters(r, s, y, threshold)
 }
 
 // SortJoin runs the parallel sort join of slide 31 (Hu et al. '17):

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 )
 
@@ -14,29 +12,23 @@ import (
 // identical to the fault-free run.
 
 func TestHashJoinChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(HashJoin))
+	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("hashjoin"))
 }
 
 // TestSkewJoinChaosDiff exercises the three-round strategy: the degree
 // exchange and heavy-hitter broadcast rounds give the injector three
 // distinct fragment populations to fault.
 func TestSkewJoinChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(SkewJoin))
+	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("skewjoin"))
 }
 
 // TestSortJoinChaosDiff covers the four-round sort-based join — the
 // longest per-query round sequence in the package, so a mid-query crash
 // has the most committed state to threaten.
 func TestSortJoinChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(SortJoin))
+	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("sortjoin"))
 }
 
 func TestBroadcastJoinChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{},
-		func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			r := testkit.Renamed(q.Atoms[0], rels[q.Atoms[0].Name])
-			s := testkit.Renamed(q.Atoms[1], rels[q.Atoms[1].Name])
-			BroadcastJoin(c, r, s, outName)
-			return nil
-		})
+	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("broadcast"))
 }

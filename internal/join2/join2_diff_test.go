@@ -3,9 +3,8 @@ package join2
 import (
 	"testing"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 )
 
@@ -13,16 +12,9 @@ import (
 // sequential oracle on R(x,y) ⋈ S(y,z), across cluster sizes, seeds and
 // input skews, with exact round counts per strategy.
 
-// twoWay adapts a (cluster, R, S) join entry point to the testkit Algo
-// contract by renaming the generated relations to the atom variables.
-func twoWay(join func(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result) testkit.Algo {
-	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-		r := testkit.Renamed(q.Atoms[0], rels[q.Atoms[0].Name])
-		s := testkit.Renamed(q.Atoms[1], rels[q.Atoms[1].Name])
-		join(c, r, s, outName, seed)
-		return nil
-	}
-}
+// algo returns the Run of this package's descriptor for name — the
+// entry point core.Engine dispatches to.
+func algo(name string) testkit.Algo { return cost.Lookup(Plannables(), name).Run }
 
 func fixedRounds(n int) func(hypergraph.Query, int) int {
 	return func(hypergraph.Query, int) int { return n }
@@ -35,22 +27,16 @@ func TestHashJoinDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Rounds = fixedRounds(1)
 	cfg.LoadFactor = 4.0
-	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, twoWay(HashJoin))
+	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, algo("hashjoin"))
 }
 
-// TestBroadcastJoinDiff: one round, R replicated everywhere. No load
-// bound asserted — broadcast load is p·|R|/p + |S|/p by design, not
-// IN/p.
+// TestBroadcastJoinDiff: one round, the smaller side replicated
+// everywhere. No load bound asserted — broadcast load is p·|R|/p + |S|/p
+// by design, not IN/p.
 func TestBroadcastJoinDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Rounds = fixedRounds(1)
-	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg,
-		func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			r := testkit.Renamed(q.Atoms[0], rels[q.Atoms[0].Name])
-			s := testkit.Renamed(q.Atoms[1], rels[q.Atoms[1].Name])
-			BroadcastJoin(c, r, s, outName)
-			return nil
-		})
+	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, algo("broadcast"))
 }
 
 // TestSkewJoinDiff: the three-round skew-resilient join (degree
@@ -59,7 +45,7 @@ func TestBroadcastJoinDiff(t *testing.T) {
 func TestSkewJoinDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Rounds = fixedRounds(3)
-	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, twoWay(SkewJoin))
+	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, algo("skewjoin"))
 }
 
 // TestSortJoinDiff: the four-round sort-based join (2 PSRS rounds +
@@ -67,5 +53,5 @@ func TestSkewJoinDiff(t *testing.T) {
 func TestSortJoinDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Rounds = fixedRounds(4)
-	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, twoWay(SortJoin))
+	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, algo("sortjoin"))
 }

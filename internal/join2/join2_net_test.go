@@ -13,15 +13,15 @@ import (
 // oracle is the *_diff_test.go sweeps' job; these pin backend parity.
 
 func TestHashJoinBackendDiff(t *testing.T) {
-	testkit.RunBackendDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(HashJoin))
+	testkit.RunBackendDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("hashjoin"))
 }
 
 func TestSkewJoinBackendDiff(t *testing.T) {
-	testkit.RunBackendDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(SkewJoin))
+	testkit.RunBackendDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("skewjoin"))
 }
 
 func TestSortJoinBackendDiff(t *testing.T) {
-	testkit.RunBackendDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(SortJoin))
+	testkit.RunBackendDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("sortjoin"))
 }
 
 // TestHashJoinChaosOverTCP: fault injection composes with the TCP
@@ -29,9 +29,9 @@ func TestSortJoinBackendDiff(t *testing.T) {
 // converged round commits over real sockets, so the chaos run must
 // still recover, match the oracle, and meter fault-free (L, r, C).
 func TestHashJoinChaosOverTCP(t *testing.T) {
-	testkit.RunChaosDiffTCP(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(HashJoin))
+	testkit.RunChaosDiffTCP(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("hashjoin"))
 }
 
 func TestSkewJoinChaosOverTCP(t *testing.T) {
-	testkit.RunChaosDiffTCP(t, hypergraph.TwoWayJoin(), testkit.Config{}, twoWay(SkewJoin))
+	testkit.RunChaosDiffTCP(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("skewjoin"))
 }

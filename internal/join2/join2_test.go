@@ -5,6 +5,7 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/workload"
 )
 
@@ -200,10 +201,12 @@ func TestSkewJoinMultipleHeavyHitters(t *testing.T) {
 	checkJoin(t, c, "out", r, s)
 }
 
+// TestHeavyHittersOf: the skew threshold the algorithms use — degree ≥
+// (|r|+|s|)/p in either input — finds the planted value.
 func TestHeavyHittersOf(t *testing.T) {
 	r := workload.PlantHeavy("R", "y", "x", 10, 100, []relation.Value{5}, []int{50}).Project("R", "x", "y")
 	s := workload.Uniform("S", []string{"y", "z"}, 20, 10, 3)
-	hh := HeavyHittersOf(r, s, 4)
+	hh := stats.JoinHeavyHitters(stats.DegreesOf(r, "y"), stats.DegreesOf(s, "y"), (r.Len()+s.Len())/4)
 	found := false
 	for _, v := range hh {
 		if v == 5 {

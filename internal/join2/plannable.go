@@ -5,13 +5,18 @@ import (
 	"math"
 
 	"mpcquery/internal/cost"
+	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
+	"mpcquery/internal/relation"
 )
 
-// Plannables describes the four two-way join strategies to the query
-// planner (internal/plan). Applicability is the join2 contract — two
-// binary atoms sharing exactly one variable — and the predictions are
-// the tutorial's analytic loads instantiated with the collected
-// statistics:
+// Plannables declares the four two-way join strategies: what the
+// planner (internal/plan) costs and what the engine (internal/core)
+// runs. Applicability is the join2 contract — two binary atoms sharing
+// exactly one variable; Run renames the two inputs to their atoms'
+// variables and calls the strategy (broadcast replicates the smaller
+// side); and the predictions are the tutorial's analytic loads
+// instantiated with the collected statistics:
 //
 //   - hashjoin:  L = IN/p + dmax(y), the hash-partition mean plus the
 //     heaviest join value, which a hash join cannot split (slide 24).
@@ -22,18 +27,25 @@ import (
 //   - sortjoin:  same load bound plus the Θ(p) splitter exchange of
 //     PSRS; r = 4 (slide 31).
 func Plannables() []cost.Plannable {
-	applies := func(st *cost.QueryStats) error {
-		if _, ok := st.Query.TwoWayJoinVar(); !ok {
+	applies := func(q hypergraph.Query) error {
+		if _, ok := q.TwoWayJoinVar(); !ok {
 			return fmt.Errorf("requires a two-way binary join R(x,y) ⋈ S(y,z)")
 		}
 		return nil
 	}
+	run := func(join func(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result) cost.RunFunc {
+		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			a, b := q.Atoms[0], q.Atoms[1]
+			join(c, rels[a.Name].CopyAs(a.Name, a.Vars...), rels[b.Name].CopyAs(b.Name, b.Vars...), outName, seed)
+			return nil
+		}
+	}
 	return []cost.Plannable{
 		{
-			Alg:        "hashjoin",
-			Doc:        "one-round parallel hash join (slide 23)",
-			Executable: true,
-			Applies:    applies,
+			Alg:     "hashjoin",
+			Doc:     "one-round parallel hash join (slide 23)",
+			Applies: applies,
+			Run:     run(HashJoin),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				y, _ := st.Query.TwoWayJoinVar()
 				dmax := 0
@@ -49,10 +61,15 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "broadcast",
-			Doc:        "replicate the small side everywhere (slide 32)",
-			Executable: true,
-			Applies:    applies,
+			Alg:     "broadcast",
+			Doc:     "replicate the small side everywhere (slide 32)",
+			Applies: applies,
+			Run: run(func(c *mpc.Cluster, r, s *relation.Relation, outName string, _ uint64) *Result {
+				if s.Len() < r.Len() {
+					r, s = s, r
+				}
+				return BroadcastJoin(c, r, s, outName)
+			}),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				small := st.Sizes[st.Query.Atoms[0].Name]
 				if s := st.Sizes[st.Query.Atoms[1].Name]; s < small {
@@ -67,10 +84,10 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "skewjoin",
-			Doc:        "skew-resilient join: light hash + per-heavy-hitter grids (slides 29-30)",
-			Executable: true,
-			Applies:    applies,
+			Alg:     "skewjoin",
+			Doc:     "skew-resilient join: light hash + per-heavy-hitter grids (slides 29-30)",
+			Applies: applies,
+			Run:     run(SkewJoin),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				p := float64(st.P)
 				return cost.Estimate{
@@ -81,10 +98,10 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "sortjoin",
-			Doc:        "parallel sort join: PSRS + boundary fixups (slide 31)",
-			Executable: true,
-			Applies:    applies,
+			Alg:     "sortjoin",
+			Doc:     "parallel sort join: PSRS + boundary fixups (slide 31)",
+			Applies: applies,
+			Run:     run(SortJoin),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				p := float64(st.P)
 				return cost.Estimate{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpcquery/internal/cost"
+	"mpcquery/internal/hypergraph"
 )
 
 // Plannables describes dense matrix multiplication to the planner.
@@ -14,10 +15,9 @@ import (
 func Plannables() []cost.Plannable {
 	return []cost.Plannable{
 		{
-			Alg:        "matmul",
-			Doc:        "rectangular-block dense matrix multiply in one shuffle (slides 91-99)",
-			Executable: false,
-			Applies: func(st *cost.QueryStats) error {
+			Alg: "matmul",
+			Doc: "rectangular-block dense matrix multiply in one shuffle (slides 91-99)",
+			Applies: func(hypergraph.Query) error {
 				return fmt.Errorf("dense-matrix primitive: operates on matrices, not relations")
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {

@@ -1,9 +1,11 @@
 // Package plan is the cost-based MPC query planner: it collects input
 // statistics from the actual relations, asks every algorithm package
-// for its cost prediction (each exports Plannables() descriptors built
-// on internal/cost), and picks the plan with the smallest predicted
-// per-round load L subject to an optional round budget — the
-// optimization objective of the MPC model itself (slides 12–15).
+// for its cost prediction (each declares its algorithms once, as
+// cost.Plannable descriptors carrying Applies, Predict and Run — the
+// same descriptors core.Engine dispatches through), and picks the plan
+// with the smallest predicted per-round load L subject to an optional
+// round budget — the optimization objective of the MPC model itself
+// (slides 12–15).
 //
 // The planner is self-validating: Execute runs the chosen plan through
 // core.Engine and reports the ratio of predicted to metered load, so
@@ -16,36 +18,32 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpcquery/internal/aggregate"
-	"mpcquery/internal/bigjoin"
 	"mpcquery/internal/core"
 	"mpcquery/internal/cost"
 	"mpcquery/internal/fractional"
-	"mpcquery/internal/hypercube"
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/join2"
 	"mpcquery/internal/matmul"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/sortmpc"
-	"mpcquery/internal/yannakakis"
+	"mpcquery/internal/stats"
 )
 
-// Registry returns every Plannable descriptor the algorithm packages
-// export, in a fixed registration order (the EXPLAIN order before cost
-// sorting).
-func Registry() []cost.Plannable {
-	var all []cost.Plannable
-	all = append(all, join2.Plannables()...)
-	all = append(all, hypercube.Plannables()...)
-	all = append(all, yannakakis.Plannables()...)
-	all = append(all, bigjoin.Plannables()...)
-	all = append(all, aggregate.Plannables()...)
-	all = append(all, sortmpc.Plannables()...)
-	all = append(all, matmul.Plannables()...)
-	return all
-}
+var registry = slices.Concat(
+	core.Registry(),
+	aggregate.Plannables(),
+	sortmpc.Plannables(),
+	matmul.Plannables(),
+)
+
+// Registry returns every Plannable descriptor in a fixed registration
+// order (the EXPLAIN order before cost sorting): core.Registry, the
+// algorithms the engine runs, then the aggregate / sorting / matrix
+// primitives, whose Run is nil. Callers must not modify it.
+func Registry() []cost.Plannable { return registry }
 
 // CollectStats scans the relations once and builds the planner's input
 // statistics: cardinalities, per-column distinct counts and maximum
@@ -96,29 +94,11 @@ func CollectStats(q hypergraph.Query, rels map[string]*relation.Relation, p int)
 		dist := map[string]int{}
 		deg := map[string]int{}
 		for ci, v := range a.Vars {
-			freq := map[relation.Value]int{}
-			for i := 0; i < r.Len(); i++ {
-				freq[r.Row(i)[ci]]++
-			}
-			dmax, heavy := 0, 0
-			for _, f := range freq {
-				if f > dmax {
-					dmax = f
-				}
-				if f > st.HeavyThreshold {
-					heavy++
-				}
-			}
-			d := len(freq)
-			if d < 1 {
-				d = 1
-			}
-			if dmax < 1 {
-				dmax = 1
-			}
-			dist[v] = d
-			deg[v] = dmax
-			if heavy > st.HeavyVars[v] {
+			freq := stats.DegreesOfCol(r, ci)
+			dist[v] = max(len(freq), 1)
+			deg[v] = max(freq.Max(), 1)
+			// Heavy here is strictly above the threshold.
+			if heavy := len(freq.HeavySet(st.HeavyThreshold + 1)); heavy > st.HeavyVars[v] {
 				st.HeavyVars[v] = heavy
 			}
 		}
@@ -212,9 +192,9 @@ func Choose(st *cost.QueryStats, opts Options) (*Plan, error) {
 			pst = &deflated
 		}
 	}
-	for _, pa := range Registry() {
+	for _, pa := range registry {
 		c := Candidate{Plannable: pa}
-		if err := pa.Applies(pst); err != nil {
+		if err := pa.Applies(st.Query); err != nil {
 			c.Rejection = err.Error()
 		} else if est, err := pa.Predict(pst); err != nil {
 			c.Rejection = "prediction failed: " + err.Error()
@@ -233,8 +213,8 @@ func Choose(st *cost.QueryStats, opts Options) (*Plan, error) {
 			return a.Applicable
 		}
 		if !a.Applicable {
-			if a.Executable != b.Executable {
-				return a.Executable
+			if (a.Run != nil) != (b.Run != nil) {
+				return a.Run != nil
 			}
 			return a.Alg < b.Alg
 		}

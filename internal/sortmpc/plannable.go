@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpcquery/internal/cost"
+	"mpcquery/internal/hypergraph"
 )
 
 // Plannables describes parallel sorting to the planner. Sorting is a
@@ -13,10 +14,9 @@ import (
 func Plannables() []cost.Plannable {
 	return []cost.Plannable{
 		{
-			Alg:        "psrs",
-			Doc:        "parallel sample sort (PSRS), L = O(IN/p + p²) in 2 rounds (slide 31)",
-			Executable: false,
-			Applies: func(st *cost.QueryStats) error {
+			Alg: "psrs",
+			Doc: "parallel sample sort (PSRS), L = O(IN/p + p²) in 2 rounds (slide 31)",
+			Applies: func(hypergraph.Query) error {
 				return fmt.Errorf("sorting primitive: used inside sortjoin, not a query strategy")
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {

@@ -7,8 +7,10 @@
 // thresholds: a value is heavy when its degree exceeds IN/p (slide 29
 // for two-way joins; N/p for SkewHC on slide 47). Degrees merge across
 // fragments, so drivers can aggregate per-server counts into a global
-// view, and JoinHeavyHitters applies the threshold across every join
-// attribute of a query at once.
+// view; counting is by attribute name (DegreesOf) or, for the planners'
+// positional relations, by column index (DegreesOfCol); and
+// JoinHeavyHitters applies the threshold to both sides of a two-way
+// join at once.
 //
 // The dynamic half (signal.go) summarizes one metered round's
 // per-server receive vector into a RecvSignal — max load, mean,

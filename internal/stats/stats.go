@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"mpcquery/internal/relation"
@@ -12,7 +13,13 @@ type Degrees map[relation.Value]int
 
 // DegreesOf counts the occurrences of each value of attr in rel.
 func DegreesOf(rel *relation.Relation, attr string) Degrees {
-	c := rel.MustCol(attr)
+	return DegreesOfCol(rel, rel.MustCol(attr))
+}
+
+// DegreesOfCol is DegreesOf by column index — the form the planners
+// use, whose relations are positional to an atom's variables and need
+// no renamed copy just to be counted.
+func DegreesOfCol(rel *relation.Relation, c int) Degrees {
 	d := make(Degrees)
 	n := rel.Len()
 	for i := 0; i < n; i++ {
@@ -139,26 +146,16 @@ func Gini(xs []int64) float64 {
 }
 
 // JoinHeavyHitters finds the heavy hitters of a join attribute across
-// both sides of a two-way join: values whose degree in r or in s
-// reaches threshold (slide 29: "occurs at least IN/p times in R or S").
-func JoinHeavyHitters(r, s *relation.Relation, attr string, threshold int) []relation.Value {
-	dr := DegreesOf(r, attr)
-	ds := DegreesOf(s, attr)
-	set := map[relation.Value]bool{}
-	for v, n := range dr {
-		if n >= threshold {
-			set[v] = true
+// both sides of a two-way join, given its degrees in each: values whose
+// degree in r or in s reaches threshold (slide 29: "occurs at least
+// IN/p times in R or S"), sorted ascending.
+func JoinHeavyHitters(dr, ds Degrees, threshold int) []relation.Value {
+	out := dr.HeavyHitters(threshold)
+	for _, v := range ds.HeavyHitters(threshold) {
+		if dr[v] < threshold {
+			out = append(out, v)
 		}
 	}
-	for v, n := range ds {
-		if n >= threshold {
-			set[v] = true
-		}
-	}
-	out := make([]relation.Value, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }

@@ -75,7 +75,7 @@ func TestJoinHeavyHitters(t *testing.T) {
 	r := rel([]relation.Value{1, 0}, []relation.Value{1, 1}, []relation.Value{2, 2})
 	s := relation.FromRows("S", []string{"y", "q"}, [][]relation.Value{{2, 0}, {2, 1}, {3, 2}})
 	// threshold 2: 1 heavy in r, 2 heavy in s.
-	hh := JoinHeavyHitters(r, s, "y", 2)
+	hh := JoinHeavyHitters(DegreesOf(r, "y"), DegreesOf(s, "y"), 2)
 	if len(hh) != 2 || hh[0] != 1 || hh[1] != 2 {
 		t.Fatalf("join heavy = %v", hh)
 	}

@@ -5,6 +5,8 @@ import (
 
 	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
+	"mpcquery/internal/relation"
 )
 
 // joinTreeConnected reports whether every non-root node of the join
@@ -32,8 +34,8 @@ func joinTreeConnected(jt *hypergraph.JoinTree) bool {
 	return true
 }
 
-func acyclicConnected(st *cost.QueryStats) (*hypergraph.JoinTree, error) {
-	ok, jt := hypergraph.IsAcyclic(st.Query)
+func acyclicConnected(q hypergraph.Query) (*hypergraph.JoinTree, error) {
+	ok, jt := hypergraph.IsAcyclic(q)
 	if !ok {
 		return nil, fmt.Errorf("query is cyclic (GYO reduction leaves a core)")
 	}
@@ -43,8 +45,9 @@ func acyclicConnected(st *cost.QueryStats) (*hypergraph.JoinTree, error) {
 	return jt, nil
 }
 
-// Plannables describes the multi-round acyclic-query algorithms to the
-// query planner (internal/plan):
+// Plannables declares the multi-round acyclic-query algorithms: what
+// the planner (internal/plan) costs and what the engine (internal/core)
+// runs — the GYM variants over the GYO join tree Applies accepted:
 //
 //   - gym: textbook GYM (slides 68-74) — semijoin sweep down, sweep
 //     up, then join up the tree; 3(n−1) rounds, load (IN+OUT)/p.
@@ -56,15 +59,26 @@ func acyclicConnected(st *cost.QueryStats) (*hypergraph.JoinTree, error) {
 //     intermediate the prefix joins produce, which is what the planner
 //     charges it for.
 func Plannables() []cost.Plannable {
+	applies := func(q hypergraph.Query) error {
+		_, err := acyclicConnected(q)
+		return err
+	}
+	overTree := func(gym func(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result) cost.RunFunc {
+		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			jt, err := acyclicConnected(q)
+			if err != nil {
+				return err
+			}
+			gym(c, jt, rels, outName, seed)
+			return nil
+		}
+	}
 	return []cost.Plannable{
 		{
-			Alg:        "gym",
-			Doc:        "GYM: Yannakakis over the join tree, 3(n-1) rounds (slides 68-74)",
-			Executable: true,
-			Applies: func(st *cost.QueryStats) error {
-				_, err := acyclicConnected(st)
-				return err
-			},
+			Alg:     "gym",
+			Doc:     "GYM: Yannakakis over the join tree, 3(n-1) rounds (slides 68-74)",
+			Applies: applies,
+			Run:     overTree(GYM),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				n := len(st.Query.Atoms)
 				if n == 1 {
@@ -83,15 +97,12 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "gym-opt",
-			Doc:        "level-parallel GYM, 3(depth-1)+1 rounds (slide 75)",
-			Executable: true,
-			Applies: func(st *cost.QueryStats) error {
-				_, err := acyclicConnected(st)
-				return err
-			},
+			Alg:     "gym-opt",
+			Doc:     "level-parallel GYM, 3(depth-1)+1 rounds (slide 75)",
+			Applies: applies,
+			Run:     overTree(GYMOptimized),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
-				jt, err := acyclicConnected(st)
+				jt, err := acyclicConnected(st.Query)
 				if err != nil {
 					return cost.Estimate{}, err
 				}
@@ -111,20 +122,19 @@ func Plannables() []cost.Plannable {
 			},
 		},
 		{
-			Alg:        "binaryplan",
-			Doc:        "iterative left-deep binary hash joins, n-1 rounds (slides 57/63)",
-			Executable: true,
-			Applies: func(st *cost.QueryStats) error {
-				if len(st.Query.Atoms) < 2 {
+			Alg: "binaryplan",
+			Doc: "iterative left-deep binary hash joins, n-1 rounds (slides 57/63)",
+			Applies: func(q hypergraph.Query) error {
+				if len(q.Atoms) < 2 {
 					return fmt.Errorf("needs at least two atoms")
 				}
 				// Each join must share a variable with the prefix joined
 				// so far, or the hash co-partitioning has no key.
 				bound := map[string]bool{}
-				for _, v := range st.Query.Atoms[0].Vars {
+				for _, v := range q.Atoms[0].Vars {
 					bound[v] = true
 				}
-				for _, a := range st.Query.Atoms[1:] {
+				for _, a := range q.Atoms[1:] {
 					shared := false
 					for _, v := range a.Vars {
 						if bound[v] {
@@ -138,6 +148,10 @@ func Plannables() []cost.Plannable {
 						bound[v] = true
 					}
 				}
+				return nil
+			},
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+				IterativeBinaryJoin(c, q, rels, outName, seed)
 				return nil
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {

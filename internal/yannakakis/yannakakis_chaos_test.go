@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 )
 
@@ -22,25 +20,13 @@ func chaosCfg() testkit.Config {
 }
 
 func TestGYMChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.Path(3), chaosCfg(),
-		func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			GYM(c, treeOf(q), rels, outName, seed)
-			return nil
-		})
+	testkit.RunChaosDiff(t, hypergraph.Path(3), chaosCfg(), algo("gym"))
 }
 
 func TestGYMOptimizedChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.SlideTree(), chaosCfg(),
-		func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			GYMOptimized(c, treeOf(q), rels, outName, seed)
-			return nil
-		})
+	testkit.RunChaosDiff(t, hypergraph.SlideTree(), chaosCfg(), algo("gym-opt"))
 }
 
 func TestIterativeBinaryJoinChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.Star(4), chaosCfg(),
-		func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			IterativeBinaryJoin(c, q, rels, outName, seed)
-			return nil
-		})
+	testkit.RunChaosDiff(t, hypergraph.Star(4), chaosCfg(), algo("binaryplan"))
 }

@@ -3,9 +3,8 @@ package yannakakis
 import (
 	"testing"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 )
 
@@ -30,6 +29,10 @@ func diffGen() testkit.GenConfig {
 	return testkit.GenConfig{Tuples: 40}
 }
 
+// algo returns the Run of this package's descriptor for name — the
+// entry point core.Engine dispatches to.
+func algo(name string) testkit.Algo { return cost.Lookup(Plannables(), name).Run }
+
 func treeOf(q hypergraph.Query) *hypergraph.JoinTree {
 	ok, jt := hypergraph.IsAcyclic(q)
 	if !ok {
@@ -46,11 +49,7 @@ func TestGYMDiff(t *testing.T) {
 	cfg.Gen = diffGen()
 	cfg.Rounds = func(q hypergraph.Query, p int) int { return 3 * (len(q.Atoms) - 1) }
 	for _, q := range diffQueries() {
-		testkit.RunDiff(t, q, cfg,
-			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				GYM(c, treeOf(q), rels, outName, seed)
-				return nil
-			})
+		testkit.RunDiff(t, q, cfg, algo("gym"))
 	}
 }
 
@@ -65,11 +64,7 @@ func TestGYMOptimizedDiff(t *testing.T) {
 		return 3*(len(treeOf(q).Levels())-1) + 1
 	}
 	for _, q := range diffQueries() {
-		testkit.RunDiff(t, q, cfg,
-			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				GYMOptimized(c, treeOf(q), rels, outName, seed)
-				return nil
-			})
+		testkit.RunDiff(t, q, cfg, algo("gym-opt"))
 	}
 }
 
@@ -80,11 +75,7 @@ func TestIterativeBinaryJoinDiff(t *testing.T) {
 	cfg.Gen = diffGen()
 	cfg.Rounds = func(q hypergraph.Query, p int) int { return len(q.Atoms) - 1 }
 	for _, q := range diffQueries() {
-		testkit.RunDiff(t, q, cfg,
-			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				IterativeBinaryJoin(c, q, rels, outName, seed)
-				return nil
-			})
+		testkit.RunDiff(t, q, cfg, algo("binaryplan"))
 	}
 }
 

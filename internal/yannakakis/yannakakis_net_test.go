@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 )
 
@@ -17,18 +15,10 @@ import (
 func TestGYMBackendDiff(t *testing.T) {
 	cfg := testkit.Config{Gen: diffGen()}
 	for _, q := range []hypergraph.Query{hypergraph.Path(3), hypergraph.SlideTree()} {
-		testkit.RunBackendDiff(t, q, cfg,
-			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				GYM(c, treeOf(q), rels, outName, seed)
-				return nil
-			})
+		testkit.RunBackendDiff(t, q, cfg, algo("gym"))
 	}
 }
 
 func TestGYMOptimizedBackendDiff(t *testing.T) {
-	testkit.RunBackendDiff(t, hypergraph.SlideTree(), testkit.Config{Gen: diffGen()},
-		func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			GYMOptimized(c, treeOf(q), rels, outName, seed)
-			return nil
-		})
+	testkit.RunBackendDiff(t, hypergraph.SlideTree(), testkit.Config{Gen: diffGen()}, algo("gym-opt"))
 }
