@@ -73,7 +73,7 @@ func A01ShareRounding() *Table {
 	return t
 }
 
-// A02LocalJoin compares the three local evaluation strategies under an
+// A02LocalJoin compares the two local evaluation strategies under an
 // identical HyperCube shuffle: the slide-32 point that the local
 // algorithm is orthogonal to the parallel one, quantified.
 func A02LocalJoin() *Table {
@@ -92,8 +92,7 @@ func A02LocalJoin() *Table {
 		name string
 		alg  hypercube.LocalAlg
 	}{
-		{"generic join (WCO)", hypercube.LocalGeneric},
-		{"leapfrog triejoin (WCO)", hypercube.LocalLeapfrog},
+		{"trie join (WCO)", hypercube.LocalGeneric},
 		{"binary hash plans", hypercube.LocalBinary},
 	} {
 		c := mpc.NewCluster(p, 1)
@@ -112,7 +111,7 @@ func A02LocalJoin() *Table {
 			elapsed.Round(time.Millisecond).String(), fmtInt(c.Metrics().MaxLoad()))
 	}
 	t.Note("N = %d edges, p = %d; wall time includes the (identical) shuffle — differences are local evaluation", ne, p)
-	t.Note("binary plans materialize the R⋈S intermediate locally; the WCO algorithms never do")
+	t.Note("binary plans materialize the R⋈S intermediate locally; the WCO trie join never does")
 	return t
 }
 

@@ -166,9 +166,6 @@ const (
 	// ablation baseline (slide 63's intermediate blowup can resurface
 	// locally with this choice).
 	LocalBinary
-	// LocalLeapfrog is the sorted-trie Leapfrog Triejoin — a second
-	// worst-case-optimal implementation with different constants.
-	LocalLeapfrog
 )
 
 // prepare renames each input relation's attributes to the query's
@@ -285,8 +282,6 @@ func joinFragments(srv *mpc.Server, atoms []hypergraph.Atom, vars []string, outN
 		joined = relation.GenericJoin(outName, vars, inputs...)
 	case LocalBinary:
 		joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
-	case LocalLeapfrog:
-		joined = relation.LeapfrogJoin(outName, vars, inputs...)
 	default:
 		panic("hypercube: unknown local algorithm")
 	}

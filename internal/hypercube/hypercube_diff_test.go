@@ -35,13 +35,13 @@ func TestHyperCubeDiff(t *testing.T) {
 	}
 }
 
-// TestHyperCubeLocalAlgsDiff cross-checks the two other local
-// evaluators on the triangle — same shuffle, different local join.
+// TestHyperCubeLocalAlgsDiff cross-checks both local evaluators on the
+// triangle — same shuffle, different local join.
 func TestHyperCubeLocalAlgsDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Seeds = []int64{1, 2, 3, 4, 5}
 	cfg.Rounds = func(q hypergraph.Query, p int) int { return 1 }
-	for _, alg := range []LocalAlg{LocalBinary, LocalLeapfrog} {
+	for _, alg := range []LocalAlg{LocalGeneric, LocalBinary} {
 		testkit.RunDiff(t, hypergraph.Triangle(), cfg,
 			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
 				_, err := Run(c, q, rels, outName, seed, alg)

@@ -1,159 +1,223 @@
 package relation
 
-import "sort"
+import (
+	"math"
+	"slices"
+)
 
-// GenericJoin is a worst-case-optimal multiway join in the style of
-// NPRR / Leapfrog Triejoin: it eliminates one variable at a time,
-// intersecting the candidate values from every relation that contains
-// the variable. On cyclic queries such as the triangle it avoids the
-// intermediate-result blowup of binary join plans (slide 63), which is
-// why the HyperCube local evaluation uses it by default.
+// GenericJoin is a worst-case-optimal multiway join — Leapfrog Triejoin
+// (Veldhuizen '14), the sorted-trie form of NPRR's generic join: it
+// binds one variable at a time, intersecting the candidate values of
+// every relation that contains the variable. On cyclic queries such as
+// the triangle it avoids the intermediate-result blowup of binary join
+// plans (slide 63), which is why the HyperCube local evaluation uses it
+// by default.
+//
+// Each input is sorted once, by its columns in variable order, and
+// stored column by column; a relation's rows that agree with the
+// current binding prefix are then always one contiguous range of those
+// columns, so binding a variable is a galloping intersection of ranges
+// and nothing is regrouped or allocated per binding. All of that lives
+// in the pooled kernelArena; only the output is heap-allocated.
 //
 // varOrder must list every attribute appearing in the inputs exactly
-// once; the output schema is varOrder.
+// once; the output schema is varOrder. The output holds one row per
+// binding (set semantics, whatever the inputs' multiplicities), sorted
+// lexicographically.
 func GenericJoin(name string, varOrder []string, rels ...*Relation) *Relation {
 	if len(rels) == 0 {
 		panic("relation: GenericJoin of nothing")
 	}
-	// seen is a membership set over variable names; iteration order is
-	// never relied upon (candidate values are sorted numerically below).
-	seen := map[string]bool{}
-	for _, v := range varOrder {
-		if seen[v] {
+	for i, v := range varOrder {
+		if slices.Contains(varOrder[:i], v) {
 			panic("relation: GenericJoin duplicate variable " + v)
 		}
-		seen[v] = true
 	}
+	words, widest, empty := 0, 0, false
 	for _, r := range rels {
 		for _, a := range r.Attrs() {
-			if !seen[a] {
+			if !slices.Contains(varOrder, a) {
 				panic("relation: GenericJoin variable order misses " + a)
 			}
 		}
 		checkRowCount("GenericJoin", r.Len())
+		words += r.Words()
+		widest = max(widest, r.Words())
+		empty = empty || r.Len() == 0
 	}
 	out := New(name, varOrder...)
-	st := &gjState{
-		out:      out,
-		varOrder: varOrder,
-		rels:     rels,
-		state:    make([][]int32, len(rels)),
-		version:  make([]int, len(rels)),
-		binding:  make([]Value, len(varOrder)),
-		cache:    map[gjCacheKey]*valueGroups{},
-		arena:    getArena(),
+	// An empty input — a false nullary atom included — empties the join;
+	// a non-empty nullary one constrains nothing and builds no level.
+	if empty {
+		return out
 	}
-	defer putArena(st.arena)
-	for i, r := range rels {
-		rows := make([]int32, r.Len())
-		for j := range rows {
-			rows[j] = int32(j)
+	a := getArena()
+	defer putArena(a)
+	t := &a.trie
+	t.levels = t.levels[:0]
+	t.depthAt = t.depthAt[:0]
+	for _, v := range varOrder {
+		t.depthAt = append(t.depthAt, len(t.levels))
+		for i, r := range rels {
+			if c := r.Col(v); c >= 0 {
+				t.levels = append(t.levels, trieLevel{rel: i, srcCol: c, next: -1})
+			}
 		}
-		st.state[i] = rows
+		if t.depthAt[len(t.depthAt)-1] == len(t.levels) {
+			return out // a variable no input constrains has no finite binding
+		}
 	}
-	st.recurse(0)
+	t.depthAt = append(t.depthAt, len(t.levels))
+
+	// vals holds every input's sorted columns back to back, then one
+	// row-major staging area the widest input fits in.
+	vals := arenaI64(&t.vals, words+widest)
+	stage := vals[words:]
+	for i, r := range rels {
+		n, k := r.Len(), r.Arity()
+		if k == 0 {
+			continue
+		}
+		rows := stage[:n*k]
+		copy(rows, r.data)
+		order := make([]int, 0, 8)
+		prev := -1
+		for li := range t.levels {
+			if l := &t.levels[li]; l.rel == i {
+				l.col, vals = vals[:n:n], vals[n:]
+				l.hi = n
+				if prev >= 0 {
+					t.levels[prev].next = li
+				}
+				prev = li
+				order = append(order, l.srcCol)
+			}
+		}
+		sortRows(rows, k, order, a)
+		for li := range t.levels {
+			if l := &t.levels[li]; l.rel == i {
+				for j := range l.col {
+					l.col[j] = rows[j*k+l.srcCol]
+				}
+			}
+		}
+	}
+
+	if len(varOrder) == 0 {
+		out.nrows = 1 // every input is a true nullary atom: the empty binding
+		return out
+	}
+	t.binding = arenaI64(&t.binding, len(varOrder))
+	t.out = nil
+	t.bind(0)
+	out.data, t.out = t.out, nil
 	return out
 }
 
-// gjState carries the recursion state. The groups cache is the key
-// performance device: a relation not containing the variable bound at
-// depth d keeps the same surviving-row set across all of d's candidate
-// values, so its grouping at depth d+1 is computed once, not once per
-// candidate. Cache keys combine (relation, depth, state version), where
-// the version counter ticks on every state replacement. Groupings are
-// valueGroups — the open-addressing radix kernel with full value
-// verification — rather than Go maps; cached entries own their storage
-// and live until the join returns, while the arena provides transient
-// per-build scratch.
-type gjState struct {
-	out      *Relation
-	varOrder []string
-	rels     []*Relation
-	state    [][]int32
-	version  []int
-	nextVer  int
-	binding  []Value
-	cache    map[gjCacheKey]*valueGroups
-	arena    *kernelArena
+// trieLevel is one (relation, trie level) pair: the relation's column
+// for one variable, in the relation's sorted row order. [lo, hi) is the
+// range of rows agreeing with the variables bound so far — the whole
+// relation at its first level, afterwards the run its previous level
+// matched — and next is the relation's following level, or -1.
+type trieLevel struct {
+	col         []Value
+	lo, hi      int
+	cur, run    int
+	next        int
+	rel, srcCol int
 }
 
-type gjCacheKey struct {
-	ri, depth, version int
+// trieScratch is GenericJoin's share of the kernelArena: the levels in
+// depth order (levels[depthAt[d]:depthAt[d+1]] constrain varOrder[d],
+// which depends on the depth only), the storage their columns point
+// into, the current binding and the output rows being collected.
+type trieScratch struct {
+	levels  []trieLevel
+	depthAt []int
+	vals    []Value
+	binding []Value
+	out     []Value
 }
 
-func (s *gjState) recurse(depth int) {
-	if depth == len(s.varOrder) {
-		s.out.data = append(s.out.data, s.binding...)
-		return
+// bind enumerates the values of variable d consistent with the bound
+// prefix — the leapfrog intersection of the depth's levels over their
+// current ranges — and for each one narrows the next level of every
+// participating relation to the matching run and recurses. Ranges are
+// never empty on entry: every input is non-empty and a run has a row.
+func (t *trieScratch) bind(d int) {
+	ps := t.levels[t.depthAt[d]:t.depthAt[d+1]]
+	for i := range ps {
+		ps[i].cur = ps[i].lo
 	}
-	v := s.varOrder[depth]
-	// Relations containing v, each with its grouping of surviving rows
-	// by v's value.
-	type part struct {
-		ri     int
-		groups *valueGroups
-	}
-	var parts []part
-	for i, r := range s.rels {
-		c := r.Col(v)
-		if c < 0 {
-			continue
-		}
-		key := gjCacheKey{ri: i, depth: depth, version: s.version[i]}
-		g, ok := s.cache[key]
-		if !ok {
-			g = buildValueGroups(r, c, s.state[i], s.arena)
-			s.cache[key] = g
-		}
-		parts = append(parts, part{ri: i, groups: g})
-	}
-	if len(parts) == 0 {
-		// Variable not constrained by any remaining relation; this can
-		// only happen if the query is disconnected from the inputs —
-		// treat as no bindings (full CQs over the inputs never hit this).
-		return
-	}
-	// Intersect candidate values, iterating over the smallest group set.
-	// Candidates are sorted numerically, so the output order is
-	// independent of grouping structure and hash-iteration order.
-	small := 0
-	for i := range parts {
-		if len(parts[i].groups.vals) < len(parts[small].groups.vals) {
-			small = i
-		}
-	}
-	cands := make([]Value, 0, len(parts[small].groups.vals))
-	for _, val := range parts[small].groups.vals {
-		ok := true
-		for i := range parts {
-			if i == small {
-				continue
+	last := d == len(t.binding)-1
+	for {
+		// Leapfrog: raise every cursor to the largest head until all agree.
+		v := ps[0].col[ps[0].cur]
+		for agreed, i := 1, 0; agreed < len(ps); {
+			if i++; i == len(ps) {
+				i = 0
 			}
-			if parts[i].groups.lookup(val) < 0 {
-				ok = false
-				break
+			p := &ps[i]
+			p.cur = seekGE(p.col, p.cur, p.hi, v)
+			if p.cur == p.hi {
+				return
+			}
+			if w := p.col[p.cur]; w != v {
+				v, agreed = w, 1
+			} else {
+				agreed++
 			}
 		}
-		if ok {
-			cands = append(cands, val)
+		t.binding[d] = v
+		for i := range ps {
+			p := &ps[i]
+			p.run = seekGT(p.col, p.cur, p.hi, v)
+			if p.next >= 0 {
+				t.levels[p.next].lo, t.levels[p.next].hi = p.cur, p.run
+			}
+		}
+		if last {
+			t.out = append(t.out, t.binding...)
+		} else {
+			t.bind(d + 1)
+		}
+		for i := range ps {
+			p := &ps[i]
+			if p.cur = p.run; p.cur == p.hi {
+				return
+			}
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
-	savedState := make([][]int32, len(parts))
-	savedVer := make([]int, len(parts))
-	for _, val := range cands {
-		s.binding[depth] = val
-		for i, p := range parts {
-			savedState[i] = s.state[p.ri]
-			savedVer[i] = s.version[p.ri]
-			s.state[p.ri] = p.groups.rowsOf(p.groups.lookup(val))
-			s.nextVer++
-			s.version[p.ri] = s.nextVer
-		}
-		s.recurse(depth + 1)
-		for i, p := range parts {
-			s.state[p.ri] = savedState[i]
-			s.version[p.ri] = savedVer[i]
+}
+
+// seekGE returns the first index in [lo, hi) whose value is at least v,
+// or hi: a gallop from lo (the answer is usually near) and then a
+// binary search inside the last stride. lo < hi.
+func seekGE(col []Value, lo, hi int, v Value) int {
+	if col[lo] >= v {
+		return lo
+	}
+	step := 1
+	for lo+step < hi && col[lo+step] < v {
+		lo += step
+		step <<= 1
+	}
+	hi = min(hi, lo+step)
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); col[mid] < v {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
+	return hi
+}
+
+// seekGT is seekGE for the first value strictly above v: the end of
+// v's run when col[lo] == v.
+func seekGT(col []Value, lo, hi int, v Value) int {
+	if v == math.MaxInt64 {
+		return hi
+	}
+	return seekGE(col, lo, hi, v+1)
 }

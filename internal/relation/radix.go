@@ -9,13 +9,13 @@ import (
 
 // Radix-partitioned open-addressing hash kernels. Every local operator
 // that used to key a Go map on EncodeKey strings (BuildIndex/HashJoin,
-// GroupBy, Distinct, GenericJoin's per-variable grouping) now runs on
-// these: rows are hashed once with HashRow, partitioned by the high
-// hash bits so each partition's table region stays cache-resident, and
-// inserted into an open-addressing region addressed by the low hash
-// bits. A slot matches only when both the full 64-bit hash and the
-// actual key columns compare equal, so hash collisions are verified
-// against the stored rows and never merge distinct keys.
+// GroupBy, Distinct) now runs on these: rows are hashed once with
+// HashRow, partitioned by the high hash bits so each partition's table
+// region stays cache-resident, and inserted into an open-addressing
+// region addressed by the low hash bits. A slot matches only when both
+// the full 64-bit hash and the actual key columns compare equal, so
+// hash collisions are verified against the stored rows and never merge
+// distinct keys.
 //
 // Build-side scratch (hash arrays, partition counters, chain links,
 // slot regions, grouped row ids) lives in a kernelArena recycled
@@ -131,6 +131,9 @@ type kernelArena struct {
 	aggs    []Value  // per-group aggregate accumulator
 	cnts    []int64  // per-group row count
 	order   []int32  // group emit order
+	sortTmp []Value  // sortRows' second row buffer
+
+	trie trieScratch // GenericJoin's sorted columns, levels and binding
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(kernelArena) }}
@@ -404,99 +407,9 @@ func (ix *rowIndex) group(g groupRef) []int32 {
 }
 
 // groupSlot is one open-addressing slot of the grouping kernels
-// (GroupBy, Distinct, GenericJoin's valueGroups): gid holds the group
-// id plus one, so zero marks an empty slot.
+// (GroupBy, Distinct): gid holds the group id plus one, so zero marks
+// an empty slot.
 type groupSlot struct {
 	hash uint64
 	gid  int32
-}
-
-// valueGroups groups a set of rows of one relation by a single column:
-// the radix-kernel replacement for GenericJoin's map[Value][]int32.
-// vals lists the distinct values in first-occurrence order; the rows of
-// group g are rows[start[g]:start[g+1]], in rowset order. Lookup is by
-// open addressing on the value hash with full value verification.
-type valueGroups struct {
-	slots []groupSlot
-	mask  uint64
-	vals  []Value
-	start []int32
-	rows  []int32
-}
-
-// buildValueGroups groups rowset (row ids of rel) by column col. The
-// result is self-contained (no arena references): GenericJoin caches
-// these across its whole recursion. a provides transient scratch only.
-func buildValueGroups(rel *Relation, col int, rowset []int32, a *kernelArena) *valueGroups {
-	n := len(rowset)
-	size := nextPow2(2 * n)
-	if size < 4 {
-		size = 4
-	}
-	g := &valueGroups{
-		slots: make([]groupSlot, size),
-		mask:  uint64(size - 1),
-		vals:  make([]Value, 0, 16),
-	}
-	gids := arenaI32(&a.next, n)
-	cnts := arenaI32(&a.pcnt, 0)
-	for i, row := range rowset {
-		v := rel.Row(int(row))[col]
-		h := kernelValHash(v, kernelSeed)
-		j := h & g.mask
-		for {
-			s := &g.slots[j]
-			if s.gid == 0 {
-				s.hash, s.gid = h, int32(len(g.vals))+1
-				g.vals = append(g.vals, v)
-				cnts = append(cnts, 0)
-				gids[i] = s.gid - 1
-				break
-			}
-			if s.hash == h && g.vals[s.gid-1] == v {
-				gids[i] = s.gid - 1
-				break
-			}
-			j = (j + 1) & g.mask
-		}
-		cnts[gids[i]]++
-	}
-	a.pcnt = cnts
-	ng := len(g.vals)
-	g.start = make([]int32, ng+1)
-	off := int32(0)
-	for gi := 0; gi < ng; gi++ {
-		g.start[gi] = off
-		off += cnts[gi]
-	}
-	g.start[ng] = off
-	cur := arenaI32(&a.pcur, ng)
-	copy(cur, g.start[:ng])
-	g.rows = make([]int32, n)
-	for i, row := range rowset {
-		g.rows[cur[gids[i]]] = row
-		cur[gids[i]]++
-	}
-	return g
-}
-
-// lookup returns the group id of v, or -1 if v is absent.
-func (g *valueGroups) lookup(v Value) int {
-	h := kernelValHash(v, kernelSeed)
-	j := h & g.mask
-	for {
-		s := &g.slots[j]
-		if s.gid == 0 {
-			return -1
-		}
-		if s.hash == h && g.vals[s.gid-1] == v {
-			return int(s.gid - 1)
-		}
-		j = (j + 1) & g.mask
-	}
-}
-
-// rowsOf returns the rows of group gid, in original rowset order.
-func (g *valueGroups) rowsOf(gid int) []int32 {
-	return g.rows[g.start[gid]:g.start[gid+1]:g.start[gid+1]]
 }

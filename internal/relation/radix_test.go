@@ -165,11 +165,6 @@ func TestIndexCollisionVerification(t *testing.T) {
 	if agg.Len() != len(mapIndexOracle(r, []int{0})) {
 		t.Fatalf("GroupBy under colliding hash: %d groups", agg.Len())
 	}
-	gj := GenericJoin("J", []string{"a", "b", "c"}, r, s)
-	lf := LeapfrogJoin("J", []string{"a", "b", "c"}, r, s)
-	if !gj.EqualAsSets(lf) {
-		t.Fatal("GenericJoin disagrees with LeapfrogJoin under colliding hash")
-	}
 }
 
 // checkJoinImplsAgree asserts HashJoin, SortMergeJoin and NestedLoopJoin
@@ -362,45 +357,6 @@ func TestDistinctFullRange(t *testing.T) {
 			if i > 0 && got[i-1] >= v {
 				t.Fatalf("trial %d: output not strictly ascending at %d: %v", trial, i, got)
 			}
-		}
-	}
-}
-
-// TestValueGroupsOracle validates the GenericJoin grouping kernel
-// directly against a map oracle, including subset rowsets.
-func TestValueGroupsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	a := getArena()
-	defer putArena(a)
-	for trial := 0; trial < 30; trial++ {
-		r := fullRangeRel(rng, "R", []string{"x", "y"}, rng.Intn(300))
-		rowset := make([]int32, 0, r.Len())
-		for i := 0; i < r.Len(); i++ {
-			if rng.Intn(3) > 0 {
-				rowset = append(rowset, int32(i))
-			}
-		}
-		col := trial % 2
-		g := buildValueGroups(r, col, rowset, a)
-		oracle := map[Value][]int32{}
-		for _, row := range rowset {
-			v := r.Row(int(row))[col]
-			oracle[v] = append(oracle[v], row)
-		}
-		if len(g.vals) != len(oracle) {
-			t.Fatalf("trial %d: %d groups, oracle %d", trial, len(g.vals), len(oracle))
-		}
-		for v, want := range oracle {
-			gid := g.lookup(v)
-			if gid < 0 {
-				t.Fatalf("trial %d: value %d missing", trial, v)
-			}
-			if !sameRows(g.rowsOf(gid), want) {
-				t.Fatalf("trial %d value %d: rows %v, oracle %v", trial, v, g.rowsOf(gid), want)
-			}
-		}
-		if g.lookup(Value(math.MaxInt64-12345)) >= 0 && oracle[Value(math.MaxInt64-12345)] == nil {
-			t.Fatalf("trial %d: phantom group", trial)
 		}
 	}
 }

@@ -12,7 +12,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -250,32 +250,18 @@ func (r *Relation) SortBy(attrs ...string) {
 	if len(r.attrs) == 0 {
 		return // nullary: all tuples are the empty tuple
 	}
-	cols := r.MustCols(attrs)
-	k := len(r.attrs)
-	n := r.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := r.data[idx[a]*k:idx[a]*k+k], r.data[idx[b]*k:idx[b]*k+k]
-		for _, c := range cols {
-			if ra[c] != rb[c] {
-				return ra[c] < rb[c]
-			}
+	order := r.MustCols(attrs)
+	for c := range r.attrs {
+		if !slices.Contains(order, c) {
+			order = append(order, c)
 		}
-		for c := 0; c < k; c++ {
-			if ra[c] != rb[c] {
-				return ra[c] < rb[c]
-			}
-		}
-		return false
-	})
-	sorted := make([]Value, 0, len(r.data))
-	for _, i := range idx {
-		sorted = append(sorted, r.data[i*k:i*k+k]...)
 	}
-	r.data = sorted
+	// Sort a copy: relations made by Rename share r's storage and must
+	// not see their rows move.
+	r.data = append([]Value(nil), r.data...)
+	a := getArena()
+	defer putArena(a)
+	sortRows(r.data, len(r.attrs), order, a)
 }
 
 // Sort sorts r in place by all attributes left to right.
