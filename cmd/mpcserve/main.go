@@ -96,27 +96,34 @@ func main() {
 
 // buildService constructs the service and registers its data set from
 // -data, -demo, or both (CSV wins on name collision, registered last).
+// Every relation is deduplicated once here, at load: the engine assumes
+// set inputs, and on a bag the row count of an answer would depend on
+// which algorithm ran.
 func buildService(cfg service.Config, dataDir string, demo bool, n int, seed int64) (*service.Service, error) {
 	if dataDir == "" && !demo {
 		return nil, fmt.Errorf("no data: pass -data <dir> or -demo")
 	}
 	svc := service.New(cfg)
+	register := func(rel *relation.Relation) {
+		rel.Dedup()
+		svc.Register(rel)
+	}
 	if demo {
 		dom := n / 2
 		if dom < 2 {
 			dom = 2
 		}
 		for i, name := range []string{"R", "S", "T"} {
-			svc.Register(workload.Uniform(name, []string{"a", "b"}, n, dom, seed+int64(i)))
+			register(workload.Uniform(name, []string{"a", "b"}, n, dom, seed+int64(i)))
 		}
 		edges := workload.RandomGraph("E", "s", "d", n/2+2, n, seed+10)
-		svc.Register(edges)
 		// V: a handful of source vertices for reachability programs.
 		v := relation.New("V", "v")
 		for i := 0; i < 3 && i < edges.Len(); i++ {
 			v.AppendRow([]relation.Value{edges.Row(i)[0]})
 		}
-		svc.Register(v)
+		register(edges)
+		register(v)
 	}
 	if dataDir != "" {
 		paths, err := filepath.Glob(filepath.Join(dataDir, "*.csv"))
@@ -137,7 +144,7 @@ func buildService(cfg service.Config, dataDir string, demo bool, n int, seed int
 			if err != nil {
 				return nil, fmt.Errorf("load %s: %w", name, err)
 			}
-			svc.Register(rel)
+			register(rel)
 		}
 	}
 	return svc, nil

@@ -57,7 +57,9 @@ func TestDemoServiceEndToEnd(t *testing.T) {
 
 func TestBuildServiceCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "Edge.csv"), []byte("s,d\n1,2\n2,3\n"), 0o644); err != nil {
+	// The repeated 1,2 row is dropped at load, so the path join below
+	// has one answer whichever algorithm runs it.
+	if err := os.WriteFile(filepath.Join(dir, "Edge.csv"), []byte("s,d\n1,2\n2,3\n1,2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := buildService(service.Config{P: 2}, dir, false, 0, 1)
@@ -69,6 +71,20 @@ func TestBuildServiceCSV(t *testing.T) {
 	code, m := postQuery(t, srv.URL, `{"query":"tc(x, y) :- Edge(x, y).\ntc(x, z) :- tc(x, y), Edge(y, z)."}`)
 	if code != 200 || m["rows"].(float64) != 3 {
 		t.Fatalf("csv tc: %d %v", code, m)
+	}
+	code, m = postQuery(t, srv.URL, `{"query":"q(x, y, z) :- Edge(x, y), Edge(y, z)."}`)
+	if code != 200 || m["rows"].(float64) != 1 {
+		t.Fatalf("csv path join over a repeated row: %d %v", code, m)
+	}
+}
+
+func TestBuildServiceCSVRepeatedHeader(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "Bad.csv"), []byte("a,a\n1,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildService(service.Config{P: 2}, dir, false, 0, 1); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("repeated CSV header column: error %v, want one naming \"a\"", err)
 	}
 }
 

@@ -22,6 +22,7 @@ package bigjoin
 import (
 	"fmt"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -204,13 +205,10 @@ type Result struct {
 // is left distributed under outName.
 func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := pl.Query
-	// Rename inputs to variable schemas and scatter (placement is free).
+	// Relabel inputs to variable schemas and scatter (placement is free).
+	bound := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
-		r, ok := rels[a.Name]
-		if !ok {
-			panic(fmt.Sprintf("bigjoin: no relation for atom %s", a.Name))
-		}
-		c.ScatterRoundRobin(r.CopyAs(a.Name, a.Vars...))
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "bigjoin.Run %s var order %v", q.Name, pl.VarOrder)
 	start := c.Metrics().Rounds()
@@ -310,11 +308,19 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		propName := fmt.Sprintf("%s:prop%d", outName, si)
 		propAtom := q.Atoms[st.proposer]
 		nb := newBound
+		// A proposer binding more than this step's variable (a Cartesian
+		// extension: none of its variables is bound yet) has the others
+		// projected away, which repeats bindings; drop the repeats so
+		// each binding is extended once and no answer row appears twice.
+		repeats := len(orderedSubset(nb, propAtom.Vars)) < len(propAtom.Vars)
 		c.LocalStep(func(srv *mpc.Server) {
 			bindings := srv.RelOrEmpty(bindName+":x", prevBound...)
 			prop := srv.RelOrEmpty(propName, propAtom.Vars...)
-			joined := relation.HashJoin("j", bindings.Rename("b"), prop.Rename("p"))
-			srv.Put(joined.Project(bindName, nb...))
+			joined := relation.HashJoin("j", bindings.Rename("b"), prop.Rename("p")).Project(bindName, nb...)
+			if repeats {
+				joined.Dedup()
+			}
+			srv.Put(joined)
 			srv.Delete(bindName + ":x")
 			srv.Delete(propName)
 		})

@@ -116,15 +116,6 @@ func New(cfg Config) (*Schedule, error) {
 	return &Schedule{cfg: cfg.withDefaults(), raw: cfg}, nil
 }
 
-// MustNew is New, panicking on invalid configuration.
-func MustNew(cfg Config) *Schedule {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config returns the configuration as written (defaults not
 // materialized), so Config().String() reproduces the original spec.
 func (s *Schedule) Config() Config { return s.raw }

@@ -28,11 +28,14 @@
 // max per-round load L, rounds r, total communication C — from a single
 // ledger, next to the result.
 //
-// Semantics: queries are evaluated under set semantics, as everywhere
-// in the MPC join theory — duplicate input tuples do not multiply
-// output bindings. Workloads needing SQL bag semantics (e.g. SUM over a
-// join with duplicate rows) should carry a unique key column, as the
-// analytics example does.
+// Semantics: inputs are sets, as everywhere in the MPC join theory, and
+// on sets every algorithm returns each output binding exactly once.
+// The engine does not deduplicate its inputs: a duplicate input tuple
+// may repeat bindings, and how often depends on the algorithm. Callers
+// holding bags deduplicate once before executing (cmd/mpcserve does at
+// load); workloads needing SQL bag semantics (e.g. SUM over a join with
+// duplicate rows) should carry a unique key column, as the analytics
+// example does.
 package core
 
 import (
@@ -156,7 +159,8 @@ type Request struct {
 type Execution struct {
 	// Output is the gathered answer: schema Query.Vars() for Execute,
 	// GroupBy + OutAttr for ExecuteAggregate, the fixpoint relation for
-	// ExecuteRecursive.
+	// ExecuteRecursive. Its rows are distinct when the inputs are sets;
+	// duplicate input tuples may repeat bindings.
 	Output *relation.Relation
 	// Algorithm is the planned (or forced) strategy; "fixpoint-<kind>"
 	// for recursive runs. An adaptive run that switched to SkewHC
@@ -313,10 +317,13 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 }
 
 // join runs ex.Algorithm for the request's query on c and gathers the
-// answer, projected to Query.Vars(): look the name up in the registry,
-// ask its Applies, call its Run. The one special case is Adaptive,
-// which swaps HyperCube's Run for the probe driver because the
-// decision record it returns is a hypercube type.
+// answer named Query.Name in Query.Vars() order: look the name up in
+// the registry, ask its Applies, call its Run. The gather is the
+// answer's one copy; a projection runs only when the algorithm left its
+// columns in another order (broadcast with the second atom smaller,
+// sortjoin with the join variable first in atom 0). The one special
+// case is Adaptive, which swaps HyperCube's Run for the probe driver
+// because the decision record it returns is a hypercube type.
 func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Relation, error) {
 	q, alg := req.Query, ex.Algorithm
 	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, ex.Reason)
@@ -344,7 +351,11 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Rel
 			ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
 		}
 	}
-	return c.Gather(outName).Project(q.Name, q.Vars()...), nil
+	out := c.Gather(outName)
+	if vars := q.Vars(); !slices.Equal(out.Attrs(), vars) {
+		return out.Project(q.Name, vars...), nil
+	}
+	return out.Rename(q.Name), nil
 }
 
 // AggregateSpec describes a grouped aggregation over a query's output
@@ -387,8 +398,8 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 		if err != nil {
 			return nil, err
 		}
-		// The join output is gathered and projected; re-scatter it for
-		// the group-by round — placement is free in the model.
+		// The join output is gathered; re-scatter it for the group-by
+		// round — placement is free in the model.
 		trace.Annotatef(c, "aggregate group-by %v", spec.GroupBy)
 		c.ScatterRoundRobin(joined.Rename("joined"))
 		res, err := aggregate.Run(c, aggregate.Spec{
@@ -433,7 +444,7 @@ func validate(req Request) error {
 func Reference(q hypergraph.Query, rels map[string]*relation.Relation) *relation.Relation {
 	inputs := make([]*relation.Relation, len(q.Atoms))
 	for i, a := range q.Atoms {
-		inputs[i] = rels[a.Name].CopyAs(a.Name, a.Vars...)
+		inputs[i] = rels[a.Name].Rename(a.Name, a.Vars...)
 	}
 	return relation.GenericJoin(q.Name, q.Vars(), inputs...)
 }

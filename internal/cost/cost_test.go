@@ -2,9 +2,11 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/relation"
 )
 
 func approx(t *testing.T, got, want, tol float64, what string) {
@@ -236,5 +238,36 @@ func TestProfileAcyclicFlag(t *testing.T) {
 	}
 	if !pr.Acyclic {
 		t.Fatal("path marked cyclic")
+	}
+}
+
+// TestBindAtoms pins RunFunc's input convention: each atom gets its
+// relation relabelled to the atom's name and variables, sharing the
+// input's storage, and a missing relation or wrong arity panics.
+func TestBindAtoms(t *testing.T) {
+	q := hypergraph.TwoWayJoin()
+	e := relation.FromRows("E", []string{"a", "b"}, [][]relation.Value{{1, 2}, {2, 3}})
+	bound := BindAtoms(q, map[string]*relation.Relation{"R": e, "S": e})
+	for _, a := range q.Atoms {
+		r := bound[a.Name]
+		if r.Name() != a.Name || !slices.Equal(r.Attrs(), a.Vars) || &r.Row(0)[0] != &e.Row(0)[0] {
+			t.Fatalf("atom %s bound to %s%v (shares storage: %v)", a.Name, r.Name(), r.Attrs(), &r.Row(0)[0] == &e.Row(0)[0])
+		}
+	}
+	if e.Name() != "E" || e.Attrs()[0] != "a" {
+		t.Fatalf("binding relabelled the input itself: %s%v", e.Name(), e.Attrs())
+	}
+	for what, rels := range map[string]map[string]*relation.Relation{
+		"missing relation": {"R": e},
+		"arity mismatch":   {"R": e, "S": relation.New("S", "y")},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: BindAtoms did not panic", what)
+				}
+			}()
+			BindAtoms(q, rels)
+		}()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"mpcquery/internal/fractional"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -46,20 +45,6 @@ type QueryStats struct {
 	// OutEst is the System-R-style expected output estimate (capped by
 	// OutAGM); the formulas use it wherever the theory says "OUT".
 	OutEst float64
-}
-
-// MaxDegOf returns the maximum degree of variable v across every atom
-// that mentions it (0 if no atom does).
-func (st *QueryStats) MaxDegOf(v string) int {
-	m := 0
-	for _, a := range st.Query.Atoms {
-		if a.HasVar(v) {
-			if d := st.MaxDeg[a.Name][v]; d > m {
-				m = d
-			}
-		}
-	}
-	return m
 }
 
 // Skewed reports whether any variable carries a heavy hitter.
@@ -151,9 +136,29 @@ type Plannable struct {
 
 // RunFunc runs a query on c and leaves the result (schema ⊇ q.Vars(),
 // any column order) distributed under outName; rels are keyed by atom
-// name, columns positional to the atom's variables. It is testkit.Algo's
-// signature, so a descriptor's Run goes into the differential walls.
+// name, columns positional to the atom's variables (BindAtoms applies
+// that convention). internal/core gathers the result and projects it
+// only when its columns are not already q.Vars() in order. It is
+// testkit.Algo's signature, so a descriptor's Run goes into the
+// differential walls.
 type RunFunc = func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error
+
+// BindAtoms applies RunFunc's input convention: for every atom of q it
+// returns rels[atom name] relabelled to the atom's name and variables.
+// The relations are views sharing the inputs' storage, so the scatter
+// that places them is the inputs' only copy. It panics on a missing
+// relation, and Rename on an arity mismatch.
+func BindAtoms(q hypergraph.Query, rels map[string]*relation.Relation) map[string]*relation.Relation {
+	bound := make(map[string]*relation.Relation, len(q.Atoms))
+	for _, a := range q.Atoms {
+		r, ok := rels[a.Name]
+		if !ok {
+			panic(fmt.Sprintf("cost: no relation for atom %s", a.Name))
+		}
+		bound[a.Name] = r.Rename(a.Name, a.Vars...)
+	}
+	return bound
+}
 
 // Names lists the algorithm names of reg, in order.
 func Names(reg []Plannable) []string {
@@ -211,48 +216,6 @@ func EstimateOut(q hypergraph.Query, sizes map[string]int64, distinct map[string
 		est = agm
 	}
 	return est
-}
-
-// SubqueryStats restricts st to the given atoms (by name), recomputing
-// IN and the output estimates for the sub-hypergraph. Atom order
-// follows the original query. Used for prefix estimates of iterative
-// plans.
-func SubqueryStats(st *QueryStats, atomNames []string) (*QueryStats, error) {
-	keep := map[string]bool{}
-	for _, n := range atomNames {
-		keep[n] = true
-	}
-	var atoms []hypergraph.Atom
-	var in int64
-	sizes := map[string]int64{}
-	for _, a := range st.Query.Atoms {
-		if !keep[a.Name] {
-			continue
-		}
-		atoms = append(atoms, a)
-		sizes[a.Name] = st.Sizes[a.Name]
-		in += st.Sizes[a.Name]
-	}
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("cost: empty subquery")
-	}
-	sub := hypergraph.Query{Name: st.Query.Name + "_sub", Atoms: atoms}
-	agm, err := fractional.AGMBound(sub, sizes)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryStats{
-		Query:          sub,
-		P:              st.P,
-		Sizes:          sizes,
-		IN:             in,
-		Distinct:       st.Distinct,
-		MaxDeg:         st.MaxDeg,
-		HeavyThreshold: st.HeavyThreshold,
-		HeavyVars:      st.HeavyVars,
-		OutAGM:         agm,
-		OutEst:         EstimateOut(sub, sizes, st.Distinct, agm),
-	}, nil
 }
 
 // ChainSizes estimates the size of every left-deep prefix join of the

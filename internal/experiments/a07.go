@@ -33,7 +33,7 @@ func A07BigJoinOrder() *Table {
 	rels := map[string]*relation.Relation{}
 	for i, a := range q.Atoms {
 		g := workload.RandomGraph("E", "a", "b", 250, sizes[a.Name], int64(7+i))
-		rels[a.Name] = g.CopyAs(a.Name, a.Vars...)
+		rels[a.Name] = g.Rename(a.Name, a.Vars...)
 	}
 	t := &Table{
 		ID: "A07", Title: "BiGJoin variable orders on an asymmetric 4-cycle",

@@ -32,7 +32,7 @@ func E22BigJoin() *Table {
 		// Reference output size.
 		inputs := make([]*relation.Relation, len(q.Atoms))
 		for i, a := range q.Atoms {
-			inputs[i] = rels[a.Name].CopyAs(a.Name, a.Vars...)
+			inputs[i] = rels[a.Name].Rename(a.Name, a.Vars...)
 		}
 		outSize := relation.GenericJoin("w", q.Vars(), inputs...).Len()
 
@@ -69,7 +69,7 @@ func E22BigJoin() *Table {
 	q4 := hypergraph.Cycle(4)
 	rels4 := map[string]*relation.Relation{}
 	for _, a := range q4.Atoms {
-		rels4[a.Name] = g.CopyAs(a.Name, a.Vars...)
+		rels4[a.Name] = g.Rename(a.Name, a.Vars...)
 	}
 	run(q4, rels4)
 	t.Note("p = %d; HyperCube load for the 4-cycle is ≈ 4·N/√p = %.0f — BiGJoin instead pays for the open-wedge bindings", p, 4*4000/math.Sqrt(p))

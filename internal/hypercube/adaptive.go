@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -164,9 +165,9 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	if err != nil {
 		return nil, err
 	}
-	prepped := prepare(q, rels)
+	bound := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(prepped[a.Name])
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, cfg.ProbeFraction*100, pl.Shares)
 	start := c.Metrics().Rounds()

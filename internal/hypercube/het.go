@@ -95,9 +95,9 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 	if err != nil {
 		return nil, err
 	}
-	prepped := prepare(q, rels)
+	bound := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(prepped[a.Name])
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.RunHet %s shares %v over %d cells (capacities %v)",
 		q.Name, hp.Shares, hp.GridSize(), caps)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -31,15 +32,15 @@ import (
 // implementation follows the slide's illustration, which designates z.)
 func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outName string, seed uint64) (*Result, error) {
 	q := hypergraph.Triangle()
-	prepped := prepare(q, rels)
+	bound := cost.BindAtoms(q, rels)
 	p := c.P()
-	in := prepped["R"].Len() + prepped["S"].Len() + prepped["T"].Len()
+	in := bound["R"].Len() + bound["S"].Len() + bound["T"].Len()
 	threshold := int(float64(in) / math.Cbrt(float64(p)))
 	if threshold < 1 {
 		threshold = 1
 	}
 	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(prepped[a.Name])
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.HeavyLightTriangle (z threshold %d)", threshold)
 	start := c.Metrics().Rounds()

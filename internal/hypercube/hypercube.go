@@ -24,6 +24,7 @@ import (
 	"slices"
 	"sort"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/fractional"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
@@ -168,20 +169,6 @@ const (
 	LocalBinary
 )
 
-// prepare renames each input relation's attributes to the query's
-// variable names (matched by position) and validates arities.
-func prepare(q hypergraph.Query, rels map[string]*relation.Relation) map[string]*relation.Relation {
-	out := make(map[string]*relation.Relation, len(q.Atoms))
-	for _, a := range q.Atoms {
-		r, ok := rels[a.Name]
-		if !ok {
-			panic(fmt.Sprintf("hypercube: no relation for atom %s", a.Name))
-		}
-		out[a.Name] = r.CopyAs(a.Name, a.Vars...)
-	}
-	return out
-}
-
 // Sizes returns the cardinality of each atom's relation, clamped to at
 // least 1: the share and bound LPs need positive sizes.
 func Sizes(q hypergraph.Query, rels map[string]*relation.Relation) map[string]int64 {
@@ -193,7 +180,7 @@ func Sizes(q hypergraph.Query, rels map[string]*relation.Relation) map[string]in
 }
 
 // rowSink consumes one row of an atom's fragment (in atom-variable
-// order, as prepare leaves it).
+// order, as cost.BindAtoms leaves it).
 type rowSink = func(row []relation.Value)
 
 // router returns the sink that sends a row of atom a to every grid cell
@@ -247,9 +234,9 @@ func Run(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation,
 // RunWithPlan executes HyperCube with an explicit plan.
 func RunWithPlan(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName string, alg LocalAlg) *Result {
 	q := pl.Query
-	prepped := prepare(q, rels)
+	bound := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(prepped[a.Name])
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.Run %s shares %v on %v", q.Name, pl.Shares, pl.Vars)
 	start := c.Metrics().Rounds()
@@ -312,9 +299,9 @@ type PatternPlan struct {
 // union of the pattern joins is the answer, exactly once.
 func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, threshold int, alg LocalAlg) (*Result, error) {
 	p := c.P()
-	prepped := prepare(q, rels)
+	bound := cost.BindAtoms(q, rels)
 	maxN := 0
-	for _, r := range prepped {
+	for _, r := range bound {
 		if r.Len() > maxN {
 			maxN = r.Len()
 		}
@@ -326,7 +313,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 		}
 	}
 	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(prepped[a.Name])
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.RunSkewHC %s (heavy threshold %d)", q.Name, threshold)
 	start := c.Metrics().Rounds()
@@ -441,7 +428,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 				return nil, fmt.Errorf("skewhc pattern: %w", err)
 			}
 			tauRes = ep.Tau
-			sh, err := fractional.OptimalShares(res, Sizes(res, prepped), p)
+			sh, err := fractional.OptimalShares(res, Sizes(res, bound), p)
 			if err != nil {
 				return nil, fmt.Errorf("skewhc shares: %w", err)
 			}

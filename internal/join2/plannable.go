@@ -13,10 +13,10 @@ import (
 // Plannables declares the four two-way join strategies: what the
 // planner (internal/plan) costs and what the engine (internal/core)
 // runs. Applicability is the join2 contract — two binary atoms sharing
-// exactly one variable; Run renames the two inputs to their atoms'
-// variables and calls the strategy (broadcast replicates the smaller
-// side); and the predictions are the tutorial's analytic loads
-// instantiated with the collected statistics:
+// exactly one variable; Run relabels the two inputs to their atoms'
+// variables (cost.BindAtoms) and calls the strategy (broadcast
+// replicates the smaller side); and the predictions are the tutorial's
+// analytic loads instantiated with the collected statistics:
 //
 //   - hashjoin:  L = IN/p + dmax(y), the hash-partition mean plus the
 //     heaviest join value, which a hash join cannot split (slide 24).
@@ -35,8 +35,8 @@ func Plannables() []cost.Plannable {
 	}
 	run := func(join func(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result) cost.RunFunc {
 		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-			a, b := q.Atoms[0], q.Atoms[1]
-			join(c, rels[a.Name].CopyAs(a.Name, a.Vars...), rels[b.Name].CopyAs(b.Name, b.Vars...), outName, seed)
+			bound := cost.BindAtoms(q, rels)
+			join(c, bound[q.Atoms[0].Name], bound[q.Atoms[1].Name], outName, seed)
 			return nil
 		}
 	}

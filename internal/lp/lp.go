@@ -73,11 +73,8 @@ func NewMaximize(c []float64) *Problem {
 	return p
 }
 
-// NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return len(p.c) }
-
 // AddConstraint appends the constraint coefs·x (op) rhs. The coefficient
-// slice must have exactly NumVars entries.
+// slice must have exactly one entry per decision variable.
 func (p *Problem) AddConstraint(coefs []float64, op Op, rhs float64) {
 	if len(coefs) != len(p.c) {
 		panic(fmt.Sprintf("lp: constraint has %d coefficients, want %d", len(coefs), len(p.c)))

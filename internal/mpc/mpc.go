@@ -595,30 +595,39 @@ func (c *Cluster) putFragments(rel *relation.Relation, counts []int) []*relation
 }
 
 // Gather collects the union of the named relation's fragments from all
-// servers into one relation. It is a driver-side verification helper
-// and is not metered. Every fragment must carry the same schema; a
-// mismatch means two different relations were stored under one name,
-// and concatenating them would silently produce garbage. Gathering
-// from a cluster poisoned by a failed recovery panics: a fragment lost
-// to an unrecovered fault must not be read as empty.
+// servers into one relation, sized up front so it allocates once. It is
+// not metered: it is how the driver reads an answer off the cluster.
+// Every fragment must carry the same schema; a mismatch means two
+// different relations were stored under one name, and concatenating
+// them would silently produce garbage. Gathering from a cluster
+// poisoned by a failed recovery panics: a fragment lost to an
+// unrecovered fault must not be read as empty.
 func (c *Cluster) Gather(name string) *relation.Relation {
 	c.checkHealthy("Gather")
-	var out *relation.Relation
+	var first *relation.Relation
+	words := 0
 	for _, s := range c.servers {
 		f := s.rels[name]
 		if f == nil {
 			continue
 		}
-		if out == nil {
-			out = relation.New(name, f.Attrs()...)
-		} else if !attrsEqual(out.Attrs(), f.Attrs()) {
+		if first == nil {
+			first = f
+		} else if !attrsEqual(first.Attrs(), f.Attrs()) {
 			panic(fmt.Sprintf("mpc: gather %q: server %d fragment has attrs %v, earlier fragments have %v",
-				name, s.id, f.Attrs(), out.Attrs()))
+				name, s.id, f.Attrs(), first.Attrs()))
 		}
-		out.AppendAll(f)
+		words += f.Words()
 	}
-	if out == nil {
+	if first == nil {
 		panic(fmt.Sprintf("mpc: gather: no server holds relation %q", name))
+	}
+	out := relation.New(name, first.Attrs()...)
+	out.Grow(words)
+	for _, s := range c.servers {
+		if f := s.rels[name]; f != nil {
+			out.AppendAll(f)
+		}
 	}
 	return out
 }

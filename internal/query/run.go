@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcquery/internal/core"
 	"mpcquery/internal/relation"
@@ -30,9 +31,10 @@ func (c *Compiled) BindRelations(rels map[string]*relation.Relation) (map[string
 // Run executes the compiled query on the engine against rels (keyed by
 // catalog relation name). alg forces a strategy for join/aggregate
 // queries; core.AlgAuto (or empty) lets the planner decide. It returns
-// the engine's Execution with Output in rule-head form: for joins a
-// projection to head order, for aggregation the group-by columns plus
-// the aggregate, for recursion the fixpoint output renamed to the head
+// the engine's Execution with Output in rule-head form: for joins the
+// columns in head order (projected only when the head permutes the
+// body's variable order), for aggregation the group-by columns plus the
+// aggregate, for recursion the fixpoint output relabelled to the head
 // variables.
 func (c *Compiled) Run(e *core.Engine, rels map[string]*relation.Relation, alg core.Algorithm) (*core.Execution, error) {
 	switch c.Kind {
@@ -49,7 +51,9 @@ func (c *Compiled) Run(e *core.Engine, rels map[string]*relation.Relation, alg c
 		if err != nil {
 			return nil, err
 		}
-		exec.Output = exec.Output.Project(c.Query.Name, c.Head...)
+		if !slices.Equal(exec.Output.Attrs(), c.Head) {
+			exec.Output = exec.Output.Project(c.Query.Name, c.Head...)
+		}
 		return exec, nil
 	case KindRecursive:
 		return c.runRecursive(e, rels)
@@ -85,7 +89,7 @@ func (c *Compiled) runRecursive(e *core.Engine, rels map[string]*relation.Relati
 	if err != nil {
 		return nil, err
 	}
-	// Rename the fixpoint output columns to the rule's head variables.
-	exec.Output = exec.Output.CopyAs(c.Program.Rules[0].Head.Name, c.Head...)
+	// Relabel the fixpoint output columns to the rule's head variables.
+	exec.Output = exec.Output.Rename(c.Program.Rules[0].Head.Name, c.Head...)
 	return exec, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -39,6 +40,11 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: read header: %w", err)
+	}
+	for i, a := range header {
+		if slices.Contains(header[:i], a) {
+			return nil, fmt.Errorf("relation: header repeats column %q", a)
+		}
 	}
 	rel := New(name, header...)
 	for line := 2; ; line++ {

@@ -68,4 +68,10 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV("R", strings.NewReader("x,y\n1\n")); err == nil {
 		t.Fatal("short row should error")
 	}
+	// A repeated header column used to reach New's duplicate-attribute
+	// panic; mpcserve -data and mpcrun's CSV input both read this path.
+	_, err := ReadCSV("R", strings.NewReader("x,y,x\n1,2,3\n"))
+	if err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("repeated header column: error %v, want one naming \"x\"", err)
+	}
 }

@@ -40,6 +40,11 @@ type Relation struct {
 // It panics on duplicate attributes, since such schemas are always
 // construction bugs. An empty attrs list constructs a nullary relation.
 func New(name string, attrs ...string) *Relation {
+	return &Relation{name: name, attrs: schema(name, attrs)}
+}
+
+// schema returns a private copy of attrs, panicking on a duplicate.
+func schema(name string, attrs []string) []string {
 	seen := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		if seen[a] {
@@ -47,7 +52,7 @@ func New(name string, attrs ...string) *Relation {
 		}
 		seen[a] = true
 	}
-	return &Relation{name: name, attrs: append([]string(nil), attrs...)}
+	return append([]string(nil), attrs...)
 }
 
 // FromRows builds a relation from explicit rows; convenient in tests.
@@ -62,10 +67,24 @@ func FromRows(name string, attrs []string, rows [][]Value) *Relation {
 // Name returns the relation's name.
 func (r *Relation) Name() string { return r.name }
 
-// Rename returns the same relation with a new name (shares storage).
-func (r *Relation) Rename(name string) *Relation {
+// Rename returns r under a new name and, when attrs are given, a new
+// attribute list matched to r's columns by position. It copies no
+// tuple: the result shares r's storage, which is how inputs are
+// relabelled to a query's variables. Sharing is safe because no
+// operator rewrites rows in place — SortBy and Dedup sort a private
+// copy — and an append to either relation never lands in the other's
+// rows. It panics, like New, on a duplicate attribute, and on an attrs
+// list whose length is not r's arity.
+func (r *Relation) Rename(name string, attrs ...string) *Relation {
 	out := *r
 	out.name = name
+	out.data = r.data[:len(r.data):len(r.data)]
+	if len(attrs) > 0 {
+		if len(attrs) != len(r.attrs) {
+			panic(fmt.Sprintf("relation %s: rename as %s with arity %d, want %d", r.name, name, len(attrs), len(r.attrs)))
+		}
+		out.attrs = schema(name, attrs)
+	}
 	return &out
 }
 
@@ -178,18 +197,10 @@ func (r *Relation) MustCols(attrs []string) []int {
 }
 
 // Clone returns a deep copy of r.
-func (r *Relation) Clone() *Relation { return r.CopyAs(r.name, r.attrs...) }
-
-// CopyAs returns a deep copy of r under a new name and attribute list,
-// columns matched positionally. It panics if the arity differs.
-func (r *Relation) CopyAs(name string, attrs ...string) *Relation {
-	if len(attrs) != len(r.attrs) {
-		panic(fmt.Sprintf("relation %s: copy as %s with arity %d, want %d", r.name, name, len(attrs), len(r.attrs)))
-	}
-	out := New(name, attrs...)
+func (r *Relation) Clone() *Relation {
+	out := *r
 	out.data = append([]Value(nil), r.data...)
-	out.nrows = r.nrows
-	return out
+	return &out
 }
 
 // Empty returns an empty relation with the same name and schema.

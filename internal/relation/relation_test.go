@@ -118,6 +118,37 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestRename pins the one relabel: attrs are optional, checked like
+// New's, and the result shares storage without letting an append on
+// either side reach the other.
+func TestRename(t *testing.T) {
+	a := New("A", "x", "y")
+	a.Grow(8) // spare capacity an append on the view could land in
+	a.Append(1, 2)
+	a.Append(3, 4)
+	same := a.Rename("B")
+	if same.Name() != "B" || same.Attrs()[0] != "x" || same.Attrs()[1] != "y" {
+		t.Fatalf("rename without attrs: %s%v", same.Name(), same.Attrs())
+	}
+	v := a.Rename("V", "u", "w")
+	if v.Name() != "V" || v.Attrs()[0] != "u" || v.Attrs()[1] != "w" || v.Col("x") != -1 {
+		t.Fatalf("rename with attrs: %s%v", v.Name(), v.Attrs())
+	}
+	if a.Name() != "A" || a.Attrs()[0] != "x" {
+		t.Fatalf("rename changed the original: %s%v", a.Name(), a.Attrs())
+	}
+	if &v.Row(1)[0] != &a.Row(1)[0] {
+		t.Fatal("rename copied the tuples")
+	}
+	v.Append(5, 6)
+	a.Append(7, 8)
+	if a.Len() != 3 || a.Row(2)[0] != 7 || v.Len() != 3 || v.Row(2)[0] != 5 {
+		t.Fatalf("appends crossed between a relation and its rename: %v / %v", a, v)
+	}
+	mustPanic(t, "rename arity mismatch", func() { a.Rename("R", "x") })
+	mustPanic(t, "rename duplicate attrs", func() { a.Rename("R", "x", "x") })
+}
+
 func randRel(rng *rand.Rand, name string, attrs []string, n, domain int) *Relation {
 	r := New(name, attrs...)
 	row := make([]Value, len(attrs))

@@ -67,8 +67,14 @@ func TestSortByMatchesSliceStable(t *testing.T) {
 		}
 		want := r.Clone()
 		sliceStableSortBy(want, key...)
-		alias := r.Rename("alias")
 		before := r.Clone()
+		// A relabelled view sorted or deduplicated must leave the
+		// relation it shares storage with as it was.
+		view := r.Rename("view", []string{"p", "q", "r", "s"}[:k]...)
+		view.SortBy(view.Attrs()[len(view.Attrs())-1])
+		view.Dedup()
+		requireSameRows(t, "original of a sorted and deduplicated view", r, before)
+		alias := r.Rename("alias")
 		r.SortBy(key...)
 		requireSameRows(t, "SortBy", r, want)
 		requireSameRows(t, "relation sharing the sorted one's storage", alias, before)

@@ -164,7 +164,11 @@ type Cost struct {
 	TotalComm int64 `json:"c"`
 }
 
-// Response is the outcome of one admitted, executed query.
+// Response is the outcome of one admitted, executed query. Rows is the
+// answer's full row count, of which Output holds the first
+// MaxResultRows. Registered relations are taken to be sets: a duplicate
+// tuple in one may repeat bindings, and then Rows depends on which
+// algorithm ran.
 type Response struct {
 	Kind      string             `json:"kind"`
 	Algorithm string             `json:"algorithm"`

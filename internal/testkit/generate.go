@@ -194,5 +194,5 @@ func RandomQuery(seed int64) hypergraph.Query {
 // atom variables already) or caller-supplied ones and algorithms that
 // want variable-named inputs (e.g. the join2 family).
 func Renamed(a hypergraph.Atom, rel *relation.Relation) *relation.Relation {
-	return rel.CopyAs(a.Name, a.Vars...)
+	return rel.Rename(a.Name, a.Vars...)
 }

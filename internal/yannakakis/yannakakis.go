@@ -23,6 +23,7 @@ package yannakakis
 import (
 	"fmt"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypercube"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
@@ -37,25 +38,11 @@ type SerialStats struct {
 	MaxIntermediate int // largest intermediate join result (≤ OUT when reduced)
 }
 
-// prepare renames each relation's attributes to the atom's variable
-// names by position.
-func prepare(q hypergraph.Query, rels map[string]*relation.Relation) map[string]*relation.Relation {
-	out := make(map[string]*relation.Relation, len(q.Atoms))
-	for _, a := range q.Atoms {
-		r, ok := rels[a.Name]
-		if !ok {
-			panic(fmt.Sprintf("yannakakis: no relation for atom %s", a.Name))
-		}
-		out[a.Name] = r.CopyAs(a.Name, a.Vars...)
-	}
-	return out
-}
-
 // Serial runs the three-phase Yannakakis algorithm on a single machine.
 // The query must be acyclic (pass its GYO join tree).
 func Serial(jt *hypergraph.JoinTree, rels map[string]*relation.Relation) (*relation.Relation, *SerialStats) {
 	q := jt.Query
-	work := prepare(q, rels)
+	work := cost.BindAtoms(q, rels)
 	st := &SerialStats{}
 	cur := make([]*relation.Relation, len(q.Atoms))
 	for i, a := range q.Atoms {
@@ -179,7 +166,7 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 // round bottom-up. r = O(n) rounds, load O((IN+OUT)/p).
 func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := jt.Query
-	work := prepare(q, rels)
+	work := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(work[a.Name])
 	}
@@ -267,7 +254,7 @@ func finalize(c *mpc.Cluster, q hypergraph.Query, accRel, outName string) {
 // reduced relations. r = O(depth(jt)).
 func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := jt.Query
-	work := prepare(q, rels)
+	work := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(work[a.Name])
 	}
@@ -437,7 +424,7 @@ func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]i
 // Consecutive relations must share at least one attribute. Returns the
 // peak total intermediate size, the quantity that blows up on slide 63.
 func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
-	work := prepare(q, rels)
+	work := cost.BindAtoms(q, rels)
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(work[a.Name])
 	}
@@ -468,7 +455,7 @@ func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*re
 // processed by optimized GYM. r = O(d), L = O((IN^w + OUT)/p).
 func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := g.Query
-	work := prepare(q, rels)
+	work := cost.BindAtoms(q, rels)
 	start := c.Metrics().Rounds()
 
 	// Build one HyperCube plan per bag over its λ atoms' sub-query.
