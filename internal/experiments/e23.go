@@ -49,18 +49,19 @@ func E23ShareSweep() *Table {
 					c.ScatterRoundRobin(rels[a.Name].Rename(a.Name))
 				}
 				atoms := q.Atoms
+				routes := make([]hypercube.Route, len(atoms))
+				for i, a := range atoms {
+					routes[i] = pl.Route(a)
+				}
 				c.Round("sweep", func(srv *mpc.Server, out *mpc.Out) {
-					for _, a := range atoms {
+					for i, a := range atoms {
 						frag := srv.Rel(a.Name)
 						if frag == nil {
 							continue
 						}
 						st := out.Open("x:"+a.Name, a.Vars...)
-						for i := 0; i < frag.Len(); i++ {
-							row := frag.Row(i)
-							pl.RouteTuple(a, row, 0, func(server int) {
-								st.SendRow(server, row)
-							})
+						for j := 0; j < frag.Len(); j++ {
+							routes[i].Send(st, frag.Row(j))
 						}
 					}
 				})

@@ -173,10 +173,10 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	start := c.Metrics().Rounds()
 
 	// Round 1: metered probe over each fragment's prefix.
-	atoms := q.Atoms
+	atoms, routes := q.Atoms, pl.routes(q.Atoms)
 	frac := cfg.ProbeFraction
 	c.Round("adaptive:probe", func(srv *mpc.Server, out *mpc.Out) {
-		routeFragments(srv, atoms, func(n int) (int, int) { return 0, probeCount(n, frac) }, pl.streams(out, outName))
+		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return 0, probeCount(n, frac) })
 	})
 
 	// Decision: probe receive skew, confirmed by emerging heavy hitters.
@@ -224,7 +224,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	// Round 2: route the remaining tuples under the same plan; the
 	// streams accumulate onto the probe's deliveries.
 	c.Round("adaptive:remainder", func(srv *mpc.Server, out *mpc.Out) {
-		routeFragments(srv, atoms, func(n int) (int, int) { return probeCount(n, frac), n }, pl.streams(out, outName))
+		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return probeCount(n, frac), n })
 	})
 	localJoin(c, q, outName, "", cfg.Alg)
 	res.Rounds = c.Metrics().Rounds() - start

@@ -37,10 +37,8 @@ func ExampleRun() {
 // dimension).
 func ExamplePlanWithShares() {
 	pl := hypercube.PlanWithShares(hypergraph.Triangle(), []int{2, 2, 2}, 7)
-	var targets []int
-	pl.RouteTuple(hypergraph.Triangle().Atom("R"), []relation.Value{10, 20}, 0,
-		func(server int) { targets = append(targets, server) })
-	fmt.Println("copies:", len(targets))
+	rt := pl.Route(hypergraph.Triangle().Atom("R"))
+	fmt.Println("copies:", len(rt.Offsets))
 	// Output:
 	// copies: 2
 }

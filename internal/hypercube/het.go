@@ -103,20 +103,31 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 		q.Name, hp.Shares, hp.GridSize(), caps)
 	start := c.Metrics().Rounds()
 
-	atoms := q.Atoms
+	atoms, routes := q.Atoms, hp.routes(q.Atoms)
 	owner := hp.Owner
 	c.Round("het:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		routeFragments(srv, atoms, allRows, func(a hypergraph.Atom) rowSink {
-			streams := map[int]*mpc.Stream{}
-			return hp.router(a, func(cell int, row []relation.Value) {
-				st := streams[cell]
-				if st == nil {
-					st = out.Open(fmt.Sprintf("%s:%s#%d", outName, a.Name, cell), a.Vars...)
-					streams[cell] = st
+		streams := make([]*mpc.Stream, len(owner)) // by cell, opened on first send
+		for ai, a := range atoms {
+			frag := srv.Rel(a.Name)
+			if frag == nil {
+				continue
+			}
+			clear(streams)
+			rt := routes[ai]
+			for i := 0; i < frag.Len(); i++ {
+				row := frag.Row(i)
+				b := rt.Base(row)
+				for _, o := range rt.Offsets {
+					cell := b + o
+					st := streams[cell]
+					if st == nil {
+						st = out.Open(fmt.Sprintf("%s:%s#%d", outName, a.Name, cell), a.Vars...)
+						streams[cell] = st
+					}
+					st.SendRow(owner[cell], row)
 				}
-				st.SendRow(owner[cell], row)
-			})
-		})
+			}
+		}
 	})
 
 	// Per-cell local joins: each server joins each of its cells'

@@ -104,21 +104,16 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 	c.DeleteAll(outName + ":zheavy")
 	heavySet := map[relation.Value]bool{}
 	blockOf := map[relation.Value]int{}
-	pb := int(math.Pow(float64(p), 2.0/3.0))
-	if pb < 1 {
-		pb = 1
-	}
+	pb := floorRoot(p*p, 3) // ⌊p^{2/3}⌋ servers per heavy block
 	for i, b := range heavyZ {
 		heavySet[b] = true
 		blockOf[b] = (i * pb) % p // blocks wrap if heavy count exceeds p^{1/3}
 	}
 
 	// Light-part HyperCube plan: cubic shares over all p servers.
-	share := int(math.Cbrt(float64(p)))
-	if share < 1 {
-		share = 1
-	}
+	share := floorRoot(p, 3)
 	lightPlan := PlanWithShares(q, []int{share, share, share}, seed)
+	routeR, routeS, routeT := lightPlan.Route(q.Atom("R")), lightPlan.Route(q.Atom("S")), lightPlan.Route(q.Atom("T"))
 
 	// Round 3: main shuffle. Light S/T tuples and all R tuples follow the
 	// HyperCube routing; heavy-z tuples go to their value's block — S_b
@@ -148,9 +143,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 		if frag := srv.Rel("R"); frag != nil {
 			for i := 0; i < frag.Len(); i++ {
 				row := frag.Row(i)
-				lightPlan.RouteTuple(q.Atom("R"), row, 0, func(server int) {
-					stR.SendRow(server, row)
-				})
+				routeR.Send(stR, row)
 				// R participates in every heavy residual; partition by y.
 				for _, blk := range blocks {
 					dst := (blk + relation.Bucket(relation.Hash64(row[1], seed^0x51), pb)) % c.P()
@@ -166,9 +159,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 					dst := (blk + relation.Bucket(relation.Hash64(row[0], seed^0x51), pb)) % c.P()
 					stSb.Send(dst, relation.Value(blk), row[0], row[1])
 				} else {
-					lightPlan.RouteTuple(q.Atom("S"), row, 0, func(server int) {
-						stS.SendRow(server, row)
-					})
+					routeS.Send(stS, row)
 				}
 			}
 		}
@@ -181,9 +172,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 					dst := (blk + relation.Bucket(relation.Hash64(row[1], seed^0x52), pb)) % c.P()
 					stTb.Send(dst, relation.Value(blk), row[1], row[0])
 				} else {
-					lightPlan.RouteTuple(q.Atom("T"), row, 0, func(server int) {
-						stT.SendRow(server, row)
-					})
+					routeT.Send(stT, row)
 				}
 			}
 		}
@@ -238,4 +227,21 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 		srv.Delete(outName + ":Tb")
 	})
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}, nil
+}
+
+// floorRoot returns ⌊n^{1/k}⌋, at least 1, computed in integers: a
+// float root is not exact, and math.Pow(125, 2.0/3.0) is 24.999…, which
+// truncates to one server short of a 25-server block.
+func floorRoot(n, k int) int {
+	r := 1
+	for {
+		next := 1
+		for i := 0; i < k; i++ {
+			next *= r + 1
+		}
+		if next > n {
+			return r
+		}
+		r++
+	}
 }

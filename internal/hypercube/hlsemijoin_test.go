@@ -7,6 +7,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/trace"
 )
 
 // hubTriangle builds the skewed input of slide 59: vertex 0 is a hot z
@@ -121,5 +122,34 @@ func TestHeavyZCount(t *testing.T) {
 	}
 	if got := heavyZ(triangleRels(100, 400, 5), 8); got != 0 {
 		t.Fatalf("uniform data should have no heavy z, got %d", got)
+	}
+}
+
+// TestHeavyLightBlockSizeIsExactRoot: at p = 125 a heavy block is
+// ⌊125^{2/3}⌋ = 25 servers, so a single heavy value's S_b tuples, spread
+// by h(y), reach exactly 25 servers. A float p^{2/3} truncates to 24.
+func TestHeavyLightBlockSizeIsExactRoot(t *testing.T) {
+	for _, tc := range []struct{ n, k, want int }{
+		{1, 3, 1}, {7, 3, 1}, {8, 3, 2}, {125 * 125, 3, 25}, {216 * 216, 3, 36},
+		{512 * 512, 3, 64}, {1000 * 1000, 3, 100}, {999 * 999, 3, 99}, {124, 3, 4}, {125, 3, 5},
+	} {
+		if got := floorRoot(tc.n, tc.k); got != tc.want {
+			t.Errorf("floorRoot(%d, %d) = %d, want %d", tc.n, tc.k, got, tc.want)
+		}
+	}
+	c := mpc.NewCluster(125, 1)
+	rec := trace.NewRecorder()
+	c.SetTracer(rec)
+	if _, err := HeavyLightTriangle(c, hubTriangle(2000), "out", 42); err != nil {
+		t.Fatal(err)
+	}
+	servers := map[int]bool{}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindRecv && ev.Name == "out:Sb" {
+			servers[ev.Server] = true
+		}
+	}
+	if len(servers) != 25 {
+		t.Fatalf("the heavy value's S_b tuples reached %d servers, want 25", len(servers))
 	}
 }

@@ -109,39 +109,85 @@ func (pl *Plan) strides() []int {
 	return st
 }
 
-// RouteTuple calls emit(server) for every grid cell that must receive a
-// tuple of the given atom: dimensions of variables in the atom are
-// fixed by hashing the tuple's values, the remaining dimensions range
-// over their full shares (slide 37). row is in atom-variable order.
-func (pl *Plan) RouteTuple(atom hypergraph.Atom, row []relation.Value, base int, emit func(server int)) {
-	k := len(pl.Vars)
-	fixed := make([]int, k)
-	for i := range fixed {
-		fixed[i] = -1
+// Route is one atom's cell route under a plan, compiled once per round
+// (slide 37): the dimensions of the atom's variables are fixed by
+// hashing the tuple's values, the remaining dimensions range over their
+// full shares. A row of the atom, in atom-variable order, goes to cell
+// Base(row)+o for each o in Offsets, in that order.
+type Route struct {
+	hashed []hashedDim
+	// Offsets are the free dimensions' cell offsets, dimension 0
+	// outermost. Read-only.
+	Offsets []int
+}
+
+// hashedDim is one dimension an atom fixes: coordinate
+// Hash64(row[col], seed) mod share, weighted by the dimension's stride.
+type hashedDim struct {
+	col           int
+	seed          uint64
+	share, stride int
+}
+
+// Route compiles the route of atom a under pl. It panics if a has a
+// variable the plan does not. A variable the atom repeats is hashed from
+// its last column.
+func (pl *Plan) Route(a hypergraph.Atom) Route {
+	col := make([]int, len(pl.Vars))
+	for d := range col {
+		col[d] = -1
 	}
-	for ai, v := range atom.Vars {
+	for ai, v := range a.Vars {
 		d := pl.varIndex(v)
 		if d < 0 {
-			panic(fmt.Sprintf("hypercube: atom %s var %s not in plan", atom.Name, v))
+			panic(fmt.Sprintf("hypercube: atom %s var %s not in plan", a.Name, v))
 		}
-		fixed[d] = int(relation.Hash64(row[ai], pl.Seeds[d]) % uint64(pl.Shares[d]))
+		col[d] = ai
 	}
-	st := pl.stride
-	var walk func(dim, acc int)
-	walk = func(dim, acc int) {
-		if dim == k {
-			emit(base + acc)
-			return
-		}
-		if fixed[dim] >= 0 {
-			walk(dim+1, acc+fixed[dim]*st[dim])
-			return
-		}
-		for cRaw := 0; cRaw < pl.Shares[dim]; cRaw++ {
-			walk(dim+1, acc+cRaw*st[dim])
+	rt := Route{Offsets: []int{0}}
+	for d, share := range pl.Shares {
+		switch {
+		case share == 1: // coordinate 0 whether fixed or free
+		case col[d] >= 0:
+			rt.hashed = append(rt.hashed, hashedDim{col: col[d], seed: pl.Seeds[d], share: share, stride: pl.stride[d]})
+		default:
+			offs := make([]int, 0, len(rt.Offsets)*share)
+			for _, o := range rt.Offsets {
+				for c := 0; c < share; c++ {
+					offs = append(offs, o+c*pl.stride[d])
+				}
+			}
+			rt.Offsets = offs
 		}
 	}
-	walk(0, 0)
+	return rt
+}
+
+// routes compiles the route of every atom, in order.
+func (pl *Plan) routes(atoms []hypergraph.Atom) []Route {
+	rts := make([]Route, len(atoms))
+	for i, a := range atoms {
+		rts[i] = pl.Route(a)
+	}
+	return rts
+}
+
+// Base returns the cell that row's hashed coordinates address, every
+// free coordinate being 0.
+func (rt Route) Base(row []relation.Value) int {
+	b := 0
+	for _, h := range rt.hashed {
+		b += int(relation.Hash64(row[h.col], h.seed)%uint64(h.share)) * h.stride
+	}
+	return b
+}
+
+// Send sends row to every cell of its route on st.
+func (rt Route) Send(st *mpc.Stream, row []relation.Value) {
+	b := rt.Base(row)
+	for _, o := range rt.Offsets {
+		st.SendRow(b+o, row)
+	}
 }
 
 // Result describes a HyperCube execution.
@@ -179,45 +225,45 @@ func Sizes(q hypergraph.Query, rels map[string]*relation.Relation) map[string]in
 	return sizes
 }
 
-// rowSink consumes one row of an atom's fragment (in atom-variable
-// order, as cost.BindAtoms leaves it).
-type rowSink = func(row []relation.Value)
-
-// router returns the sink that sends a row of atom a to every grid cell
-// the plan assigns it.
-func (pl *Plan) router(a hypergraph.Atom, send func(cell int, row []relation.Value)) rowSink {
-	return func(row []relation.Value) {
-		pl.RouteTuple(a, row, 0, func(cell int) { send(cell, row) })
-	}
-}
-
-// streams returns the routeFragments opener of a plain shuffle: each
-// atom's rows are routed under pl onto the stream outName:atom.
-func (pl *Plan) streams(out *mpc.Out, outName string) func(a hypergraph.Atom) rowSink {
-	return func(a hypergraph.Atom) rowSink {
-		return pl.router(a, out.Open(outName+":"+a.Name, a.Vars...).SendRow)
-	}
-}
-
-// routeFragments is one server's side of a HyperCube shuffle: for every
-// atom with a local fragment it asks open for the atom's sink (a
-// Plan.router over a freshly opened stream, typically) and feeds it rows
-// [lo, hi) of the fragment, lo and hi being span of its length.
-func routeFragments(srv *mpc.Server, atoms []hypergraph.Atom, span func(n int) (lo, hi int), open func(a hypergraph.Atom) rowSink) {
-	for _, a := range atoms {
+// shuffle is one server's side of a plain HyperCube shuffle: for every
+// atom with a local fragment, rows [lo, hi) of it, lo and hi being span
+// of its length, go to every cell of the atom's route (routes[i] for
+// atoms[i]) on the stream outName:atom. It counts each destination
+// first and presizes the stream, so routing a fragment allocates the
+// same whatever its length.
+func shuffle(srv *mpc.Server, out *mpc.Out, atoms []hypergraph.Atom, routes []Route, outName string, span func(n int) (lo, hi int)) {
+	counts := make([]int, srv.P())
+	var bases []int32
+	for ai, a := range atoms {
 		frag := srv.Rel(a.Name)
 		if frag == nil {
 			continue
 		}
-		route := open(a)
+		st := out.Open(outName+":"+a.Name, a.Vars...)
+		rt := routes[ai]
 		lo, hi := span(frag.Len())
+		bases = slices.Grow(bases[:0], hi-lo)
+		clear(counts)
 		for i := lo; i < hi; i++ {
-			route(frag.Row(i))
+			b := rt.Base(frag.Row(i))
+			bases = append(bases, int32(b))
+			for _, o := range rt.Offsets {
+				counts[b+o]++
+			}
+		}
+		for d, n := range counts {
+			st.Grow(d, n)
+		}
+		for i, b := range bases {
+			row := frag.Row(lo + i)
+			for _, o := range rt.Offsets {
+				st.SendRow(int(b)+o, row)
+			}
 		}
 	}
 }
 
-// allRows is the routeFragments span of a whole fragment.
+// allRows is the shuffle span of a whole fragment.
 func allRows(n int) (lo, hi int) { return 0, n }
 
 // Run executes the one-round HyperCube algorithm with LP-optimal shares
@@ -240,9 +286,9 @@ func RunWithPlan(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, o
 	}
 	trace.Annotatef(c, "hypercube.Run %s shares %v on %v", q.Name, pl.Shares, pl.Vars)
 	start := c.Metrics().Rounds()
-	atoms := q.Atoms
+	atoms, routes := q.Atoms, pl.routes(q.Atoms)
 	c.Round("hypercube:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		routeFragments(srv, atoms, allRows, pl.streams(out, outName))
+		shuffle(srv, out, atoms, routes, outName, allRows)
 	})
 	localJoin(c, q, outName, "", alg)
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Plan: pl}
@@ -444,17 +490,26 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	// own variables' heavy status.
 	hbv := heavyByVar
 	pats := patterns
+	routes := make([][]Route, len(pats)) // routes[pattern][atom]
+	for pi, pat := range pats {
+		routes[pi] = pat.Plan.routes(atoms)
+	}
 	c.Round("skewhc:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		routeFragments(srv, atoms, allRows, func(a hypergraph.Atom) rowSink {
+		sts := make([]*mpc.Stream, len(pats))
+		for ai, a := range atoms {
+			frag := srv.Rel(a.Name)
+			if frag == nil {
+				continue
+			}
 			heavy := make([]map[relation.Value]bool, len(a.Vars))
 			for j, v := range a.Vars {
 				heavy[j] = hbv[varIdx[v]]
 			}
-			routes := make([]rowSink, len(pats))
-			for pi, pat := range pats {
-				routes[pi] = pat.Plan.router(a, out.Open(fmt.Sprintf("%s:%s@%d", outName, a.Name, pi), a.Vars...).SendRow)
+			for pi := range pats {
+				sts[pi] = out.Open(fmt.Sprintf("%s:%s@%d", outName, a.Name, pi), a.Vars...)
 			}
-			return func(row []relation.Value) {
+			for i := 0; i < frag.Len(); i++ {
+				row := frag.Row(i)
 				for pi, pat := range pats {
 					match := true
 					for j, v := range a.Vars {
@@ -464,11 +519,11 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 						}
 					}
 					if match {
-						routes[pi](row)
+						routes[pi][ai].Send(sts[pi], row)
 					}
 				}
 			}
-		})
+		}
 	})
 	// Local join per pattern; union the results.
 	for pi := range patterns {

@@ -44,14 +44,13 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-func TestRouteTupleReplication(t *testing.T) {
+func TestRouteReplication(t *testing.T) {
 	// Triangle, shares (2,2,2): an R(x,y) tuple must reach exactly 2
 	// servers (the free z dimension), and its coordinates must agree on
 	// the hashed x and y dims.
 	q := hypergraph.Triangle()
 	pl := PlanWithShares(q, []int{2, 2, 2}, 7)
-	var targets []int
-	pl.RouteTuple(q.Atom("R"), []relation.Value{5, 9}, 0, func(s int) { targets = append(targets, s) })
+	targets := routeCells(pl.Route(q.Atom("R")), []relation.Value{5, 9})
 	if len(targets) != 2 {
 		t.Fatalf("R tuple delivered to %d servers, want 2", len(targets))
 	}
@@ -66,10 +65,8 @@ func TestRouteTupleReplication(t *testing.T) {
 		t.Fatalf("free dim not enumerated: %v", targets)
 	}
 	// A fully-bound output tuple addresses exactly one server.
-	var one []int
 	full := hypergraph.Atom{Name: "full", Vars: []string{"x", "y", "z"}}
-	pl.RouteTuple(full, []relation.Value{5, 9, 1}, 0, func(s int) { one = append(one, s) })
-	if len(one) != 1 {
+	if one := routeCells(pl.Route(full), []relation.Value{5, 9, 1}); len(one) != 1 {
 		t.Fatalf("full tuple delivered to %d servers", len(one))
 	}
 }

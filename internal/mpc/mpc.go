@@ -18,7 +18,9 @@
 // computes as it goes) or hands over a whole fragment: SendByHash is the
 // way to hash-partition one, BroadcastAll the way to replicate one, and
 // ScatterByHash places initial data with the same partition routine, so
-// scatter and routing agree on every tuple's owner. On the delivery side
+// scatter and routing agree on every tuple's owner. Grow is the one
+// presize routine: the bulk sends call it, and so may a caller that
+// counts its computed emits per destination first. On the delivery side
 // every round commits through the cluster's Transport (transport.go);
 // the in-process LocalTransport is the default and a Transport like any
 // other.
@@ -331,13 +333,14 @@ func (s *Stream) Broadcast(vals ...relation.Value) {
 // a fragment: ScatterByHash places tuples with the same routine, so data
 // scattered and data routed under equal (cols, seed) meet on one server.
 func (s *Stream) SendByHash(frag *relation.Relation, cols []int, seed uint64) {
-	st, k := s.st, s.bulkArity(frag)
+	st := s.st
+	s.checkArity(frag)
 	if frag.Len() == 0 {
 		return
 	}
 	dsts, counts := hashPartition(frag, cols, seed, s.out.p)
 	for d, n := range counts {
-		st.perDst[d] = slices.Grow(st.perDst[d], n*k)
+		s.Grow(d, n)
 		st.counts[d] += int64(n)
 	}
 	for i, d := range dsts {
@@ -349,25 +352,33 @@ func (s *Stream) SendByHash(frag *relation.Relation, cols []int, seed uint64) {
 // form of one Broadcast per row, with the same per-destination order and
 // the same metering (p copies, each charged to its receiver).
 func (s *Stream) BroadcastAll(frag *relation.Relation) {
-	st, k := s.st, s.bulkArity(frag)
+	st := s.st
+	s.checkArity(frag)
 	n := frag.Len()
 	for d := range st.perDst {
-		slab := slices.Grow(st.perDst[d], n*k)
+		s.Grow(d, n)
 		for i := 0; i < n; i++ {
-			slab = append(slab, frag.Row(i)...)
+			st.perDst[d] = append(st.perDst[d], frag.Row(i)...)
 		}
-		st.perDst[d] = slab
 		st.counts[d] += int64(n)
 	}
 }
 
-// bulkArity checks once, for a whole fragment, what Send checks per
-// tuple, and returns the stream's arity.
-func (s *Stream) bulkArity(frag *relation.Relation) int {
+// Grow reserves room for n more tuples to dst, so the next n sends to
+// dst append without reallocating. It is the one presize routine of
+// every bulk send: SendByHash and BroadcastAll call it, and so does a
+// caller that counts its destinations before sending row by row
+// (HyperCube's grid shuffle).
+func (s *Stream) Grow(dst, n int) {
+	s.st.perDst[dst] = slices.Grow(s.st.perDst[dst], n*len(s.st.attrs))
+}
+
+// checkArity checks once, for a whole fragment, what Send checks per
+// tuple.
+func (s *Stream) checkArity(frag *relation.Relation) {
 	if frag.Arity() != len(s.st.attrs) {
 		panic(fmt.Sprintf("mpc: stream %s send arity %d, want %d", s.st.name, frag.Arity(), len(s.st.attrs)))
 	}
-	return len(s.st.attrs)
 }
 
 // hashPartition is the partition function of the whole system: it

@@ -40,10 +40,11 @@ type JoinView struct {
 	sFrag               string
 	joinSeed, ownerSeed uint64
 
-	// Driver-side per-server state (identity keys; safe under fault
-	// injection — computes run exactly once, only delivery is replayed).
-	rIdx, sIdx []map[string]struct{} // base membership at the co-partitions
-	counts     []map[string]int      // derivation counts at the view owners
+	// Per-server state the view holds outside the fragments, keyed by the
+	// tuples themselves (safe under fault injection — computes run
+	// exactly once, only delivery is replayed).
+	rIdx, sIdx []map[pair]struct{}         // base membership at the co-partitions
+	counts     []map[[3]relation.Value]int // derivation counts at the view owners
 
 	batches int
 }
@@ -71,8 +72,8 @@ func NewJoinView(c *mpc.Cluster, r, s *relation.Relation, outName string, seed u
 		outAttrs: outAttrs,
 		rFrag:    outName + ":R", sFrag: outName + ":S",
 		joinSeed: mix(seed, 3), ownerSeed: mix(seed, 4),
-		rIdx: make([]map[string]struct{}, p), sIdx: make([]map[string]struct{}, p),
-		counts: make([]map[string]int, p),
+		rIdx: make([]map[pair]struct{}, p), sIdx: make([]map[pair]struct{}, p),
+		counts: make([]map[[3]relation.Value]int, p),
 	}
 	start := c.Metrics().Rounds()
 
@@ -112,9 +113,9 @@ func NewJoinView(c *mpc.Cluster, r, s *relation.Relation, outName string, seed u
 	c.LocalStep(func(s *mpc.Server) {
 		sid := s.ID()
 		view := s.RelOrEmpty(outName, outAttrs...)
-		m := make(map[string]int, view.Len())
+		m := make(map[[3]relation.Value]int, view.Len())
 		for i := 0; i < view.Len(); i++ {
-			m[relation.EncodeKey(view.Row(i), outCols)] = 1 // identity key only
+			m[[3]relation.Value(view.Row(i))] = 1
 		}
 		v.counts[sid] = m
 		s.Put(view)
@@ -218,38 +219,33 @@ func (v *JoinView) ApplyBatch(ops []Op) (*BatchStats, error) {
 		sid := s.ID()
 		cands := s.RelOrEmpty(candName, candAttrs...)
 		m := v.counts[sid]
-		type touch struct {
-			row  [3]relation.Value
-			init int
-		}
-		touched := map[string]*touch{}
-		var order []string
+		before := map[[3]relation.Value]int{} // count before the batch, per touched tuple
+		var order [][3]relation.Value
 		for i := 0; i < cands.Len(); i++ {
 			row := cands.Row(i)
-			k := relation.EncodeKey(row, []int{1, 2, 3}) // identity key only
-			if _, ok := touched[k]; !ok {
-				touched[k] = &touch{row: [3]relation.Value{row[1], row[2], row[3]}, init: m[k]}
+			k := [3]relation.Value(row[1:])
+			if _, ok := before[k]; !ok {
+				before[k] = m[k]
 				order = append(order, k)
 			}
 			m[k] += int(row[0])
 		}
-		var removed map[string]struct{}
+		var removed map[[3]relation.Value]struct{}
 		var added [][3]relation.Value
 		for _, k := range order {
-			t := touched[k]
 			final := m[k]
 			if final < 0 || final > 1 {
 				panic(fmt.Sprintf("recursive: view %s derivation count %d for a set-semantics join", v.name, final))
 			}
 			switch {
-			case t.init > 0 && final == 0:
+			case before[k] > 0 && final == 0:
 				if removed == nil {
-					removed = map[string]struct{}{}
+					removed = map[[3]relation.Value]struct{}{}
 				}
 				removed[k] = struct{}{}
 				delete(m, k)
-			case t.init == 0 && final > 0:
-				added = append(added, t.row)
+			case before[k] == 0 && final > 0:
+				added = append(added, k)
 			default:
 				if final == 0 {
 					delete(m, k)
@@ -263,7 +259,7 @@ func (v *JoinView) ApplyBatch(ops []Op) (*BatchStats, error) {
 		view := s.RelOrEmpty(v.name, v.outAttrs...)
 		next := relation.New(v.name, v.outAttrs...)
 		for i := 0; i < view.Len(); i++ {
-			if _, gone := removed[relation.EncodeKey(view.Row(i), outCols)]; !gone {
+			if _, gone := removed[[3]relation.Value(view.Row(i))]; !gone {
 				next.AppendRow(view.Row(i))
 			}
 		}
@@ -287,28 +283,27 @@ func (v *JoinView) ApplyBatch(ops []Op) (*BatchStats, error) {
 // netFold reduces a scattered ops fragment to its net tuple-level
 // effect against the base membership index: returns the net deletions
 // and net insertions in first-touch batch order.
-func netFold(s *mpc.Server, opsName string, idx map[string]struct{}) (dels, inss [][2]relation.Value) {
+func netFold(s *mpc.Server, opsName string, idx map[pair]struct{}) (dels, inss []pair) {
 	o := s.RelOrEmpty(opsName, "o", "c0", "c1")
 	type ent struct {
-		row         [2]relation.Value
+		row         pair
 		init, final bool
 	}
-	m := map[string]*ent{}
-	var order []string
+	var ents []ent
+	at := map[pair]int{} // tuple -> its entry in ents
 	for i := 0; i < o.Len(); i++ {
 		row := o.Row(i)
-		k := relation.EncodeKey(row, []int{1, 2}) // identity key only
-		e, ok := m[k]
+		k := pair(row[1:])
+		j, ok := at[k]
 		if !ok {
 			_, present := idx[k]
-			e = &ent{row: [2]relation.Value{row[1], row[2]}, init: present}
-			m[k] = e
-			order = append(order, k)
+			j = len(ents)
+			at[k] = j
+			ents = append(ents, ent{row: k, init: present})
 		}
-		e.final = row[0] == 1
+		ents[j].final = row[0] == 1
 	}
-	for _, k := range order {
-		e := m[k]
+	for _, e := range ents {
 		switch {
 		case e.init && !e.final:
 			dels = append(dels, e.row)
@@ -321,18 +316,18 @@ func netFold(s *mpc.Server, opsName string, idx map[string]struct{}) (dels, inss
 
 // applyNet rebuilds a base fragment under net deletions/insertions,
 // preserving scan order, and updates the membership index.
-func applyNet(frag *relation.Relation, dels, inss [][2]relation.Value, idx map[string]struct{}) *relation.Relation {
+func applyNet(frag *relation.Relation, dels, inss []pair, idx map[pair]struct{}) *relation.Relation {
 	for _, d := range dels {
-		delete(idx, relation.EncodeKey(d[:], bothCols))
+		delete(idx, d)
 	}
 	next := relation.New(frag.Name(), frag.Attrs()...)
 	for i := 0; i < frag.Len(); i++ {
-		if _, in := idx[relation.EncodeKey(frag.Row(i), bothCols)]; in {
+		if _, in := idx[pair(frag.Row(i))]; in {
 			next.AppendRow(frag.Row(i))
 		}
 	}
 	for _, a := range inss {
-		idx[relation.EncodeKey(a[:], bothCols)] = struct{}{}
+		idx[a] = struct{}{}
 		next.AppendRow(a[:])
 	}
 	return next

@@ -34,17 +34,21 @@ type ClosureView struct {
 	edgeName            string
 	edgeSeed, ownerSeed uint64
 
-	// Driver-side per-server membership indexes (identity keys from
-	// relation.EncodeKey over both columns). Safe under fault
+	// Per-server membership indexes the view holds outside the
+	// fragments, keyed by the binary tuple itself. Safe under fault
 	// injection: computes run exactly once, only delivery is replayed.
-	eIdx []map[string]struct{} // edges, at partition servers
-	tIdx []map[string]struct{} // closure tuples, at owner servers
+	eIdx []map[pair]struct{} // edges, at partition servers
+	tIdx []map[pair]struct{} // closure tuples, at owner servers
 
 	batches int
 }
 
 // bothCols selects both columns of a binary tuple.
 var bothCols = []int{0, 1}
+
+// pair is a binary tuple as a map key: [2]relation.Value(row) for a
+// binary row.
+type pair = [2]relation.Value
 
 // NewClosureView evaluates the initial closure of edges into outName
 // and returns the view handle for incremental maintenance plus the
@@ -64,8 +68,8 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 		attrs:    append([]string(nil), attrs...),
 		edgeName: outName + ":edge",
 		edgeSeed: mix(seed, 1), ownerSeed: mix(seed, 2),
-		eIdx: make([]map[string]struct{}, c.P()),
-		tIdx: make([]map[string]struct{}, c.P()),
+		eIdx: make([]map[pair]struct{}, c.P()),
+		tIdx: make([]map[pair]struct{}, c.P()),
 	}
 	start := c.Metrics().Rounds()
 
@@ -92,12 +96,12 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 	return v, res, nil
 }
 
-// keySet indexes a binary fragment by identity key (membership only —
-// keys are never used for ordering).
-func keySet(r *relation.Relation) map[string]struct{} {
-	m := make(map[string]struct{}, r.Len())
+// keySet indexes a binary fragment's tuples (membership only — map
+// order is never used for emission).
+func keySet(r *relation.Relation) map[pair]struct{} {
+	m := make(map[pair]struct{}, r.Len())
 	for i := 0; i < r.Len(); i++ {
-		m[relation.EncodeKey(r.Row(i), bothCols)] = struct{}{}
+		m[pair(r.Row(i))] = struct{}{}
 	}
 	return m
 }
@@ -105,14 +109,14 @@ func keySet(r *relation.Relation) map[string]struct{} {
 // runFix drives one set-semantics closure fixpoint: candidates
 // (x, y)+(y, z) -> (x, z) are absorbed into the target fragment when
 // they pass the accept filter and are not yet in tgtIdx.
-func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[string]struct{}, accept func(sid int, key string) bool) (int, error) {
+func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]struct{}, accept func(sid int, k pair) bool) (int, error) {
 	f := &fixpoint{
 		c: v.c, label: label,
 		delta: deltaName, deltaAttrs: v.attrs, candAttrs: v.attrs,
 		edge: v.edgeName, edgeAttrs: v.attrs, edgeSeed: v.edgeSeed,
 		probeCol: 1, ownerCols: bothCols, ownerSeed: v.ownerSeed,
-		extend: func(probe, edge []relation.Value, emit func(vals ...relation.Value)) {
-			emit(probe[0], edge[1])
+		extend: func(probe, edge, cand []relation.Value) {
+			cand[0], cand[1] = probe[0], edge[1]
 		},
 		combine: dedupCombine,
 		absorb: func(s *mpc.Server, cands *relation.Relation) *relation.Relation {
@@ -121,7 +125,7 @@ func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[strin
 			next := relation.New(deltaName, v.attrs...)
 			for i := 0; i < cands.Len(); i++ {
 				row := cands.Row(i)
-				k := relation.EncodeKey(row, bothCols) // identity key only
+				k := pair(row)
 				if accept != nil && !accept(sid, k) {
 					continue
 				}
@@ -170,39 +174,16 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 	c.ScatterByHash(opsRel, []string{"c0"}, v.edgeSeed)
 	delName, insName := v.name+":edel", v.name+":eins"
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
-		o := s.RelOrEmpty(opsName, "o", "c0", "c1")
-		type ent struct {
-			row         [2]relation.Value
-			init, final bool
+		dels, inss := netFold(s, opsName, v.eIdx[s.ID()])
+		dr, ir := relation.New(delName, attrs...), relation.New(insName, attrs...)
+		for _, d := range dels {
+			dr.AppendRow(d[:])
 		}
-		m := map[string]*ent{}
-		var order []string
-		for i := 0; i < o.Len(); i++ {
-			row := o.Row(i)
-			k := relation.EncodeKey(row, []int{1, 2}) // identity key only
-			e, ok := m[k]
-			if !ok {
-				_, present := v.eIdx[sid][k]
-				e = &ent{row: [2]relation.Value{row[1], row[2]}, init: present}
-				m[k] = e
-				order = append(order, k)
-			}
-			e.final = row[0] == 1
+		for _, a := range inss {
+			ir.AppendRow(a[:])
 		}
-		dels := relation.New(delName, attrs...)
-		inss := relation.New(insName, attrs...)
-		for _, k := range order {
-			e := m[k]
-			switch {
-			case e.init && !e.final:
-				dels.AppendRow(e.row[:])
-			case !e.init && e.final:
-				inss.AppendRow(e.row[:])
-			}
-		}
-		s.Put(dels)
-		s.Put(inss)
+		s.Put(dr)
+		s.Put(ir)
 		s.Delete(opsName)
 	})
 
@@ -265,16 +246,16 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 
 	// Absorb the seed into the over-delete set D (closure tuples only).
 	dName, dDelta := v.name+":D", v.name+":Ddelta"
-	dIdx := make([]map[string]struct{}, p)
+	dIdx := make([]map[pair]struct{}, p)
 	c.LocalStep(func(s *mpc.Server) {
 		sid := s.ID()
-		dIdx[sid] = map[string]struct{}{}
+		dIdx[sid] = map[pair]struct{}{}
 		cands := s.RelOrEmpty(dseed, attrs...)
 		d := relation.New(dName, attrs...)
 		delta := relation.New(dDelta, attrs...)
 		for i := 0; i < cands.Len(); i++ {
 			row := cands.Row(i)
-			k := relation.EncodeKey(row, bothCols) // identity key only
+			k := pair(row)
 			if _, in := v.tIdx[sid][k]; !in {
 				continue
 			}
@@ -292,7 +273,7 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 
 	// Over-delete fixpoint over the OLD edges: anything derivable from
 	// an over-deleted prefix is over-deleted too.
-	iters, err := v.runFix(v.name+":del", dDelta, dName, dIdx, func(sid int, k string) bool {
+	iters, err := v.runFix(v.name+":del", dDelta, dName, dIdx, func(sid int, k pair) bool {
 		_, in := v.tIdx[sid][k]
 		return in
 	})
@@ -306,12 +287,12 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 		sid := s.ID()
 		if dels := s.RelOrEmpty(delName, attrs...); dels.Len() > 0 {
 			for i := 0; i < dels.Len(); i++ {
-				delete(v.eIdx[sid], relation.EncodeKey(dels.Row(i), bothCols))
+				delete(v.eIdx[sid], pair(dels.Row(i)))
 			}
 			e := s.RelOrEmpty(v.edgeName, attrs...)
 			ne := relation.New(v.edgeName, attrs...)
 			for i := 0; i < e.Len(); i++ {
-				if _, in := v.eIdx[sid][relation.EncodeKey(e.Row(i), bothCols)]; in {
+				if _, in := v.eIdx[sid][pair(e.Row(i))]; in {
 					ne.AppendRow(e.Row(i))
 				}
 			}
@@ -321,7 +302,7 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 			t := s.RelOrEmpty(v.name, attrs...)
 			nt := relation.New(v.name, attrs...)
 			for i := 0; i < t.Len(); i++ {
-				k := relation.EncodeKey(t.Row(i), bothCols)
+				k := pair(t.Row(i))
 				if _, in := dIdx[sid][k]; in {
 					delete(v.tIdx[sid], k)
 					continue
@@ -343,7 +324,7 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 
 // rederive restores over-deleted closure tuples that still have a
 // derivation from the surviving closure and the updated edges.
-func (v *ClosureView) rederive(dName string, dIdx []map[string]struct{}, stats *BatchStats) error {
+func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
 	p := c.P()
@@ -377,7 +358,7 @@ func (v *ClosureView) rederive(dName string, dIdx []map[string]struct{}, stats *
 		dp := s.RelOrEmpty(dprobe, attrs...)
 		for i := 0; i < dp.Len(); i++ {
 			row := dp.Row(i)
-			if _, in := v.eIdx[sid][relation.EncodeKey(row, bothCols)]; in {
+			if _, in := v.eIdx[sid][pair(row)]; in {
 				stc.SendRow(v.owner(row, p), row)
 			}
 		}
@@ -422,7 +403,7 @@ func (v *ClosureView) rederive(dName string, dIdx []map[string]struct{}, stats *
 		delta := relation.New(rDelta, attrs...)
 		for i := 0; i < cands.Len(); i++ {
 			row := cands.Row(i)
-			k := relation.EncodeKey(row, bothCols) // identity key only
+			k := pair(row)
 			if _, in := dIdx[sid][k]; !in {
 				continue
 			}
@@ -437,7 +418,7 @@ func (v *ClosureView) rederive(dName string, dIdx []map[string]struct{}, stats *
 		s.Put(delta)
 		s.Delete(rseed)
 	})
-	iters, err := v.runFix(v.name+":red", rDelta, v.name, v.tIdx, func(sid int, k string) bool {
+	iters, err := v.runFix(v.name+":red", rDelta, v.name, v.tIdx, func(sid int, k pair) bool {
 		_, in := dIdx[sid][k]
 		return in
 	})
@@ -467,7 +448,7 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 		e := s.RelOrEmpty(v.edgeName, attrs...)
 		for i := 0; i < ins.Len(); i++ {
 			row := ins.Row(i)
-			k := relation.EncodeKey(row, bothCols) // identity key only
+			k := pair(row)
 			if _, in := v.eIdx[sid][k]; !in {
 				v.eIdx[sid][k] = struct{}{}
 				e.AppendRow(row)
@@ -508,7 +489,7 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 		delta := relation.New(iDelta, attrs...)
 		for i := 0; i < cands.Len(); i++ {
 			row := cands.Row(i)
-			k := relation.EncodeKey(row, bothCols) // identity key only
+			k := pair(row)
 			if _, in := v.tIdx[sid][k]; in {
 				continue
 			}

@@ -91,8 +91,10 @@ type fixpoint struct {
 	ownerCols []int
 	ownerSeed uint64
 
-	// extend emits candidate tuples for one (delta row, edge row) match.
-	extend func(probe, edge []relation.Value, emit func(vals ...relation.Value))
+	// extend writes the candidate tuple of one (delta row, edge row)
+	// match into cand, a row of candAttrs' arity the kernel owns and
+	// appends after each call.
+	extend func(probe, edge, cand []relation.Value)
 	// combine reduces the local candidate buffer before shipping —
 	// distinct for set semantics, per-key min for label propagation.
 	// Must be deterministic in the buffer's row order.
@@ -143,11 +145,13 @@ func (f *fixpoint) run() (int, error) {
 				if f.edgeIdx[s.ID()] == nil {
 					f.edgeIdx[s.ID()] = relation.BuildIndex(edge, f.edgeAttrs[:1])
 				}
-				emit := func(vals ...relation.Value) { cands.AppendRow(vals) }
+				idx, probeCols := f.edgeIdx[s.ID()], []int{f.probeCol}
+				cand := make([]relation.Value, len(f.candAttrs))
 				for i := 0; i < probe.Len(); i++ {
 					pr := probe.Row(i)
-					for _, j := range f.edgeIdx[s.ID()].Lookup(pr, []int{f.probeCol}) {
-						f.extend(pr, edge.Row(int(j)), emit)
+					for _, j := range idx.Lookup(pr, probeCols) {
+						f.extend(pr, edge.Row(int(j)), cand)
+						cands.AppendRow(cand)
 					}
 				}
 				cands = f.combine(cands)

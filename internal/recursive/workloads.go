@@ -57,8 +57,8 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 		delta: deltaName, deltaAttrs: []string{vAttr}, candAttrs: []string{vAttr},
 		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed,
 		probeCol: 0, ownerCols: []int{0}, ownerSeed: ownerSeed,
-		extend: func(probe, edge []relation.Value, emit func(vals ...relation.Value)) {
-			emit(edge[1])
+		extend: func(probe, edge, cand []relation.Value) {
+			cand[0] = edge[1]
 		},
 		combine: dedupCombine,
 		absorb: func(s *mpc.Server, cands *relation.Relation) *relation.Relation {
@@ -142,8 +142,8 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 		delta: deltaName, deltaAttrs: outAttrs, candAttrs: outAttrs,
 		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed,
 		probeCol: 0, ownerCols: []int{0}, ownerSeed: ownerSeed,
-		extend: func(probe, edge []relation.Value, emit func(vals ...relation.Value)) {
-			emit(edge[1], probe[1]) // neighbour inherits the candidate label
+		extend: func(probe, edge, cand []relation.Value) {
+			cand[0], cand[1] = edge[1], probe[1] // neighbour inherits the candidate label
 		},
 		combine: func(cands *relation.Relation) *relation.Relation {
 			// Per-vertex min label, emitted in first-appearance order.

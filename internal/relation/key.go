@@ -11,9 +11,11 @@ package relation
 // Because the bytes are little endian (and negative values carry a high
 // sign byte), lexicographic order of encoded strings does NOT agree
 // with numeric order for any value ≥ 256 or < 0 — encoded keys are
-// identity keys only and must never be used as sort keys. The local
-// operators themselves hash rows directly (radix.go); EncodeKey remains
-// for map-keyed oracles and tests.
+// identity keys only and must never be used as sort keys. EncodeKey is
+// for oracles and tests only: it allocates a string per call. The local
+// operators hash rows directly (radix.go), and product code that keys a
+// map by a fixed-arity tuple uses the tuple itself, [2]Value or
+// [3]Value (the fixpoint views in internal/recursive).
 func EncodeKey(row []Value, cols []int) string {
 	b := make([]byte, 0, 8*len(cols))
 	for _, c := range cols {

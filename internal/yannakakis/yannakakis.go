@@ -460,8 +460,8 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 
 	// Build one HyperCube plan per bag over its λ atoms' sub-query.
 	type bagPlan struct {
-		sub  hypergraph.Query
-		plan *hypercube.Plan
+		sub    hypergraph.Query
+		routes []hypercube.Route // one per atom of sub
 	}
 	plans := make([]bagPlan, len(g.Bags))
 	for bi, bag := range g.Bags {
@@ -481,7 +481,10 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 		if err != nil {
 			panic(fmt.Sprintf("yannakakis: bag plan: %v", err))
 		}
-		plans[bi] = bagPlan{sub: sub, plan: pl}
+		plans[bi] = bagPlan{sub: sub}
+		for _, a := range atoms {
+			plans[bi].routes = append(plans[bi].routes, pl.Route(a))
+		}
 	}
 	// Scatter each atom once per bag that uses it (under a bag-local
 	// name, since different bags route the same atom differently).
@@ -493,17 +496,14 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 	// One round: route all atoms of all bags.
 	c.Round("ghd:bags", func(srv *mpc.Server, out *mpc.Out) {
 		for bi, bp := range plans {
-			for _, a := range bp.sub.Atoms {
+			for ai, a := range bp.sub.Atoms {
 				frag := srv.Rel(fmt.Sprintf("b%d:%s", bi, a.Name))
 				if frag == nil {
 					continue
 				}
 				st := out.Open(fmt.Sprintf("ghd:b%d:%s", bi, a.Name), a.Vars...)
 				for i := 0; i < frag.Len(); i++ {
-					row := frag.Row(i)
-					bp.plan.RouteTuple(a, row, 0, func(server int) {
-						st.SendRow(server, row)
-					})
+					bp.routes[ai].Send(st, frag.Row(i))
 				}
 			}
 		}
