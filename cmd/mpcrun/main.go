@@ -26,7 +26,9 @@
 // <dir>/<predicate>.csv (header row + int64 rows).
 // Algorithms: auto (default) or any name in core.Registry — `mpcrun -h`
 // lists them; one forced onto a query it does not apply to is refused
-// with the reason -explain gives for rejecting it.
+// with the reason -explain gives for rejecting it. skewjoin and skewhc
+// take the heavy hitters from the input, as auto's planner does, and
+// route in one round (-verbose lists one shuffle round).
 // Skew: none (default), zipf, heavy — honoured for every generated
 // relation, whichever way the query was written.
 //
@@ -54,8 +56,9 @@
 // a metered probe round routes a prefix of the input under the uniform
 // plan, and the driver switches the remaining rounds to SkewHC if the
 // probe's receive vector shows emerging skew. The report prints the
-// decision and its evidence. A switched run is bit-identical to one
-// that chose the skew path up front.
+// decision and its evidence. The switch has no statistics to trust, so
+// SkewHC finds its heavy hitters in two rounds; its routing round is
+// then bit-identical to the one round of -alg skewhc.
 //
 // With -capacities c0,c1,... (len p, entries > 0) the cluster is
 // heterogeneous: the planner costs candidates against the effective

@@ -11,7 +11,6 @@ import (
 	"mpcquery/internal/join2"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/stats"
 	"mpcquery/internal/workload"
 )
 
@@ -29,7 +28,7 @@ func main() {
 	users := workload.Matching("users", []string{"user", "profile"}, nUsers)
 
 	in := clicks.Len() + users.Len()
-	heavy := stats.JoinHeavyHitters(stats.DegreesOf(clicks, "user"), stats.DegreesOf(users, "user"), in/servers)
+	heavy, _ := join2.HeavyHitters(clicks, clicks.MustCol("user"), users, users.MustCol("user"), servers)
 	outSize := relation.HashJoin("ref", clicks, users).Len()
 	fmt.Println("=== skew-aware two-way join (slides 27–30) ===")
 	fmt.Printf("input        %d clicks ⋈ %d users on `user`, p = %d\n", nClicks, nUsers, servers)

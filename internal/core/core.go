@@ -12,6 +12,12 @@
 //   - multiway cyclic queries: SkewHC when any variable has heavy
 //     hitters, plain HyperCube otherwise (slides 34–51).
 //
+// The heavy hitters that choose skewjoin or skewhc are the ones those
+// algorithms route by: the planner and the descriptor's Run call the
+// same routine (join2.HeavyHitters, hypercube.HeavyValues) on the same
+// relations, so the servers know the heavy hitters, as the tutorial's
+// one-round skew algorithms assume, and both route in one round.
+//
 // Planning picks a name; running it is a lookup. Every algorithm is
 // declared once, as a cost.Plannable descriptor in its own package;
 // Registry lists them, and the engine runs the planned or forced name
@@ -52,7 +58,6 @@ import (
 	"mpcquery/internal/join2"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/stats"
 	"mpcquery/internal/trace"
 	"mpcquery/internal/yannakakis"
 )
@@ -204,9 +209,7 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 		if small*e.P <= in {
 			return AlgBroadcast, fmt.Sprintf("small side (%d tuples) ≤ IN/p = %d: broadcast it", small, in/e.P), nil
 		}
-		threshold := max(in/e.P, 1)
-		hh := stats.JoinHeavyHitters(stats.DegreesOfCol(r, slices.Index(q.Atoms[0].Vars, y)),
-			stats.DegreesOfCol(s, slices.Index(q.Atoms[1].Vars, y)), threshold)
+		hh, threshold := join2.HeavyHitters(r, slices.Index(q.Atoms[0].Vars, y), s, slices.Index(q.Atoms[1].Vars, y), e.P)
 		if len(hh) > 0 {
 			return AlgSkewJoin, fmt.Sprintf("%d heavy hitters on %s (threshold %d): skew-aware join", len(hh), y, threshold), nil
 		}
@@ -230,20 +233,11 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 		}
 		return AlgHyperCube, fmt.Sprintf("acyclic but AGM bound %.0f ≥ crossover %.0f: HyperCube", agm, crossover), nil
 	}
-	// Cyclic: HyperCube, skew-aware when needed.
-	maxN := 0
-	for _, a := range q.Atoms {
-		if n := req.Relations[a.Name].Len(); n > maxN {
-			maxN = n
-		}
-	}
-	threshold := maxN / e.P
-	if threshold < 1 {
-		threshold = 1
-	}
-	heavy := hypercube.HeavyByVar(q, req.Relations, threshold)
-	for v, set := range heavy {
-		if len(set) > 0 {
+	// Cyclic: HyperCube, skew-aware when a variable, first in q.Vars()
+	// order, has heavy hitters.
+	threshold := hypercube.Threshold(q, req.Relations, e.P)
+	for _, v := range q.Vars() {
+		if len(hypercube.HeavyValues(q, req.Relations, v, threshold)) > 0 {
 			return AlgSkewHC, fmt.Sprintf("cyclic with heavy hitters on %s: SkewHC", v), nil
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/trace"
 	"mpcquery/internal/workload"
 )
 
@@ -145,6 +146,50 @@ func TestPlannerPicksSkewHCForSkewedTriangle(t *testing.T) {
 	}
 	if alg != AlgSkewHC {
 		t.Fatalf("planner chose %s (%s), want skewhc", alg, reason)
+	}
+}
+
+// TestSkewHCReasonIsDeterministic: with a heavy hitter in every column
+// of a triangle, the plan names the first heavy variable in q.Vars()
+// order every time, and two traced executions export byte-identical
+// traces (the reason is in the plan annotation).
+func TestSkewHCReasonIsDeterministic(t *testing.T) {
+	r := relation.New("R", "x", "y")
+	s := relation.New("S", "y", "z")
+	u := relation.New("T", "z", "x")
+	for i := relation.Value(1); i <= 120; i++ {
+		r.Append(0, 0) // x = 0 and y = 0 are heavy
+		r.Append(i, 1000+i)
+		s.Append(0, 0) // so is z = 0
+		s.Append(1000+i, 2000+i)
+		u.Append(0, 0)
+		u.Append(2000+i, i)
+	}
+	req := Request{Query: hypergraph.Triangle(), Relations: map[string]*relation.Relation{"R": r, "S": s, "T": u}}
+	e := NewEngine(8, 1)
+	for i := 0; i < 100; i++ {
+		alg, reason, err := e.Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "cyclic with heavy hitters on x: SkewHC"; alg != AlgSkewHC || reason != want {
+			t.Fatalf("plan %d: %s (%s), want %s (%s)", i, alg, reason, AlgSkewHC, want)
+		}
+	}
+	traced := func() string {
+		e := NewEngine(8, 1)
+		e.Trace = trace.NewRecorder()
+		if _, err := e.Execute(req); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := trace.WriteJSONL(&b, e.Trace.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if a, b := traced(), traced(); a != b {
+		t.Fatalf("two traced executions differ:\n%s\n---\n%s", a, b)
 	}
 }
 

@@ -309,8 +309,9 @@ func E06SortJoin() *Table {
 	}
 	t.Note("heavy values are split across servers by the (key, uid) sort and fixed up with per-value grids")
 	// Sanity: heavy hitters really exist in case 2.
-	dr, ds := stats.DegreesOf(cases[1].r, "y"), stats.DegreesOf(cases[1].s, "y")
-	hh := stats.JoinHeavyHitters(dr, ds, (40000)/p)
+	r, s := cases[1].r, cases[1].s
+	hh, _ := join2.HeavyHitters(r, r.MustCol("y"), s, s.MustCol("y"), p)
+	dr, ds := stats.DegreesOf(r, "y"), stats.DegreesOf(s, "y")
 	t.Note("planted case has %d heavy hitter(s); max degree %d", len(hh), max(dr.Max(), ds.Max()))
 	return t
 }

@@ -149,16 +149,9 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	cfg = cfg.withDefaults()
 	p := c.P()
 
-	maxN := 0
-	for _, a := range q.Atoms {
-		maxN = max(maxN, rels[a.Name].Len())
-	}
 	threshold := cfg.Threshold
 	if threshold <= 0 {
-		threshold = maxN / p
-		if threshold < 1 {
-			threshold = 1
-		}
+		threshold = Threshold(q, rels, p)
 	}
 
 	pl, err := NewPlan(q, Sizes(q, rels), p, seed)

@@ -24,6 +24,13 @@ func adaptiveAlgo(cfg AdaptiveConfig) testkit.AdaptiveAlgo {
 	}
 }
 
+// inRoundSkewHC is the skew path the adaptive driver switches to: SkewHC
+// finding its heavy hitters in two rounds, at the default threshold.
+func inRoundSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+	_, err := RunSkewHC(c, q, rels, outName, seed, 0, LocalGeneric)
+	return err
+}
+
 // adaptiveCfg shapes instances so the probe's evidence is decisive at
 // the default thresholds: every second row carries the planted heavy
 // value, so a 15% prefix of any fragment already shows the hitter at
@@ -41,7 +48,7 @@ func adaptiveCfg(ps ...int) testkit.Config {
 
 func TestAdaptiveDiffTriangle(t *testing.T) {
 	testkit.RunAdaptiveDiff(t, hypergraph.Triangle(), adaptiveCfg(16),
-		adaptiveAlgo(AdaptiveConfig{}), algo("skewhc"))
+		adaptiveAlgo(AdaptiveConfig{}), inRoundSkewHC)
 }
 
 // TestAdaptiveDiffStar covers the sharpest mispredicted case: the
@@ -53,7 +60,7 @@ func TestAdaptiveDiffStar(t *testing.T) {
 	cfg := adaptiveCfg(16)
 	cfg.Gen = testkit.GenConfig{Tuples: 240, HeavyFrac: 0.2}
 	testkit.RunAdaptiveDiff(t, hypergraph.Star(3), cfg,
-		adaptiveAlgo(AdaptiveConfig{}), algo("skewhc"))
+		adaptiveAlgo(AdaptiveConfig{}), inRoundSkewHC)
 }
 
 func TestAdaptiveChaosDiff(t *testing.T) {

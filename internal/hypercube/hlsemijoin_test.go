@@ -115,7 +115,7 @@ func TestHeavyLightLoadBeatsHashOnHotZ(t *testing.T) {
 func TestHeavyZCount(t *testing.T) {
 	heavyZ := func(rels map[string]*relation.Relation, p int) int {
 		in := rels["R"].Len() + rels["S"].Len() + rels["T"].Len()
-		return len(HeavyByVar(hypergraph.Triangle(), rels, int(float64(in)/math.Cbrt(float64(p))))["z"])
+		return len(HeavyValues(hypergraph.Triangle(), rels, "z", int(float64(in)/math.Cbrt(float64(p)))))
 	}
 	if got := heavyZ(hubTriangle(1000), 64); got != 1 {
 		t.Fatalf("heavy z count = %d, want 1 (the hub)", got)

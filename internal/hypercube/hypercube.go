@@ -11,18 +11,20 @@
 // of the space locally. With shares chosen by the LP of slide 38, the
 // skew-free load is the optimal IN/p^{1/τ*}.
 //
-// SkewHC first identifies, per variable, the values with degree above
-// N/p (the heavy hitters — at most p per attribute), then runs one
-// sub-HyperCube per heavy/light pattern, giving heavy variables a share
-// of 1 and re-optimizing the light shares for the residual query. Every
-// output tuple has exactly one true pattern, so the union of the
-// pattern sub-joins is the join, without duplicates.
+// SkewHC takes, per variable, the values with degree above N/p (the
+// heavy hitters — at most p per attribute) and runs one sub-HyperCube
+// per heavy/light pattern, giving heavy variables a share of 1 and
+// re-optimizing the light shares for the residual query. Every output
+// tuple has exactly one true pattern, so the union of the pattern
+// sub-joins is the join, without duplicates. RunSkewHCKnown routes in
+// one round on servers that know the heavy hitters (HeavyValues);
+// RunSkewHC first finds them in two rounds.
 package hypercube
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mpcquery/internal/cost"
 	"mpcquery/internal/fractional"
@@ -332,31 +334,51 @@ type PatternPlan struct {
 	TauRes float64         // τ* of the residual query (for reporting)
 }
 
-// RunSkewHC executes the SkewHC algorithm of slides 47–51:
+// Threshold is SkewHC's heavy-hitter degree N_max/p (slide 47), at
+// least 1: N_max is the largest input relation of q.
+func Threshold(q hypergraph.Query, rels map[string]*relation.Relation, p int) int {
+	maxN := 0
+	for _, a := range q.Atoms {
+		maxN = max(maxN, rels[a.Name].Len())
+	}
+	return max(maxN/p, 1)
+}
+
+// HeavyValues returns the heavy hitters of variable v, sorted: the values
+// whose degree summed over every atom column binding v reaches threshold.
+// Relations are positional to their atom's variables. The planner calls
+// it to choose SkewHC and the skewhc descriptor to route it, on the same
+// relations.
+func HeavyValues(q hypergraph.Query, rels map[string]*relation.Relation, v string, threshold int) []relation.Value {
+	var cols []stats.Column
+	for _, a := range q.Atoms {
+		if col := slices.Index(a.Vars, v); col >= 0 {
+			cols = append(cols, stats.Column{Rel: rels[a.Name], Col: col})
+		}
+	}
+	var heavy []relation.Value
+	for _, h := range stats.Heavy(cols, threshold, stats.Summed) {
+		heavy = append(heavy, h.Value)
+	}
+	return heavy
+}
+
+// RunSkewHC executes the SkewHC algorithm of slides 47–51 on servers that
+// do not know the heavy hitters:
 //
 //	round 1: per-variable degree summaries are exchanged;
 //	round 2: owners broadcast each variable's heavy hitters
 //	         (degree ≥ threshold; threshold = N_max/p if ≤ 0);
-//	round 3: one sub-HyperCube per heavy/light pattern, all in the same
-//	         round; heavy variables get share 1, light shares are
-//	         re-optimized for the pattern's residual query.
+//	round 3: RunSkewHCKnown's routing round on the broadcast sets.
 //
-// Every server then joins each pattern's fragments separately and the
-// union of the pattern joins is the answer, exactly once.
+// The in-round detection is for callers without trusted statistics —
+// the adaptive driver — and is the differential oracle of the one-round
+// form.
 func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, threshold int, alg LocalAlg) (*Result, error) {
 	p := c.P()
 	bound := cost.BindAtoms(q, rels)
-	maxN := 0
-	for _, r := range bound {
-		if r.Len() > maxN {
-			maxN = r.Len()
-		}
-	}
 	if threshold <= 0 {
-		threshold = maxN / p
-		if threshold < 1 {
-			threshold = 1
-		}
+		threshold = Threshold(q, bound, p)
 	}
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(bound[a.Name])
@@ -391,12 +413,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 		for k := range counts {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a][0] != keys[b][0] {
-				return keys[a][0] < keys[b][0]
-			}
-			return keys[a][1] < keys[b][1]
-		})
+		sortPairs(keys)
 		for _, k := range keys {
 			dst := relation.Bucket(relation.Hash64(k[1], 0x5eed)^uint64(k[0]), p)
 			st.Send(dst, k[0], k[1], relation.Value(counts[k]))
@@ -404,7 +421,6 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	})
 
 	// Round 2: owners aggregate and broadcast heavy hitters.
-	thr := threshold
 	c.Round("skewhc:heavy", func(srv *mpc.Server, out *mpc.Out) {
 		st := out.Open(outName+":heavy", "var", "v")
 		deg := srv.Rel(outName + ":deg")
@@ -420,40 +436,85 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 		for k := range agg {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a][0] != keys[b][0] {
-				return keys[a][0] < keys[b][0]
-			}
-			return keys[a][1] < keys[b][1]
-		})
+		sortPairs(keys)
 		for _, k := range keys {
-			if agg[k] >= thr {
+			if agg[k] >= threshold {
 				st.Broadcast(k[0], k[1])
 			}
 		}
 		srv.Delete(outName + ":deg")
 	})
 
-	// Driver derives the (globally agreed) heavy sets from server 0.
-	heavyByVar := make([]map[relation.Value]bool, len(vars))
-	for i := range heavyByVar {
-		heavyByVar[i] = map[relation.Value]bool{}
-	}
+	// Every server holds the same broadcast; read server 0's copy.
+	heavy := make([][]relation.Value, len(vars))
 	if hrel := c.Server(0).Rel(outName + ":heavy"); hrel != nil {
 		for i := 0; i < hrel.Len(); i++ {
 			row := hrel.Row(i)
-			heavyByVar[int(row[0])][row[1]] = true
+			heavy[row[0]] = append(heavy[row[0]], row[1])
 		}
+	}
+	for _, h := range heavy {
+		slices.Sort(h)
 	}
 	c.DeleteAll(outName + ":heavy")
 
-	// Enumerate patterns; skip heavy patterns over vars with no heavy
-	// values (they'd be empty).
+	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
+}
+
+// sortPairs sorts (variable, value) pairs.
+func sortPairs(keys [][2]relation.Value) {
+	slices.SortFunc(keys, func(a, b [2]relation.Value) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+}
+
+// RunSkewHCKnown executes SkewHC (slides 47–51) on servers that already
+// know each variable's heavy hitters, as the one-round skew bounds
+// assume (arXiv 1602.06236): heavy[i] lists those of q.Vars()[i],
+// sorted. One round routes every tuple under every heavy/light pattern
+// consistent with its own variables' heavy status — one sub-HyperCube
+// per pattern, heavy variables at share 1 and the light shares
+// re-optimized for the pattern's residual query — and every server
+// joins each pattern's fragments separately: the union of the pattern
+// joins is the answer, exactly once. With the heavy sets RunSkewHC's two
+// rounds find, it routes exactly as RunSkewHC's third round.
+func RunSkewHCKnown(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, heavy [][]relation.Value, alg LocalAlg) (*Result, error) {
+	bound := cost.BindAtoms(q, rels)
+	for _, a := range q.Atoms {
+		c.ScatterRoundRobin(bound[a.Name])
+	}
+	trace.Annotatef(c, "hypercube.RunSkewHCKnown %s (known heavy hitters)", q.Name)
+	start := c.Metrics().Rounds()
+	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
+}
+
+// skewShuffle is SkewHC's routing round and local joins, given each
+// variable's sorted heavy hitters. Patterns that bind a variable with
+// no heavy hitter to heavy are skipped (they would be empty).
+func skewShuffle(c *mpc.Cluster, q hypergraph.Query, bound map[string]*relation.Relation, heavy [][]relation.Value, outName string, seed uint64, alg LocalAlg) ([]PatternPlan, error) {
+	p := c.P()
+	vars := q.Vars()
+	varIdx := map[string]int{}
+	for i, v := range vars {
+		varIdx[v] = i
+	}
+	atoms := q.Atoms
 	var patterns []PatternPlan
-	for _, heavy := range q.VarSubsets() {
+	for _, hv := range q.VarSubsets() {
 		skip := false
-		for v := range heavy {
-			if heavy[v] && len(heavyByVar[varIdx[v]]) == 0 {
+		for v := range hv {
+			if hv[v] && len(heavy[varIdx[v]]) == 0 {
 				skip = true
 				break
 			}
@@ -461,8 +522,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 		if skip {
 			continue
 		}
-		res, _ := q.Residual(heavy)
-		var subPlan *Plan
+		res, _ := q.Residual(hv)
 		tauRes := 0.0
 		shares := make([]int, len(vars))
 		for i := range shares {
@@ -482,43 +542,51 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 				shares[varIdx[v]] = sh.Integer[i]
 			}
 		}
-		subPlan = PlanWithShares(q, shares, seed+uint64(len(patterns))+1)
-		patterns = append(patterns, PatternPlan{Heavy: heavy, Plan: subPlan, TauRes: tauRes})
+		subPlan := PlanWithShares(q, shares, seed+uint64(len(patterns))+1)
+		patterns = append(patterns, PatternPlan{Heavy: hv, Plan: subPlan, TauRes: tauRes})
 	}
 
-	// Round 3: route every tuple under every pattern consistent with its
-	// own variables' heavy status.
-	hbv := heavyByVar
-	pats := patterns
-	routes := make([][]Route, len(pats)) // routes[pattern][atom]
-	for pi, pat := range pats {
+	// A row of atom ai matches pattern pi when the bits of want[pi][ai] —
+	// bit j set iff pattern pi makes the atom's j-th variable heavy — are
+	// exactly its own heavy bits.
+	routes := make([][]Route, len(patterns)) // routes[pattern][atom]
+	want := make([][]uint64, len(patterns))
+	for pi, pat := range patterns {
 		routes[pi] = pat.Plan.routes(atoms)
+		want[pi] = make([]uint64, len(atoms))
+		for ai, a := range atoms {
+			for j, v := range a.Vars {
+				if pat.Heavy[v] {
+					want[pi][ai] |= 1 << j
+				}
+			}
+		}
 	}
 	c.Round("skewhc:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		sts := make([]*mpc.Stream, len(pats))
+		sts := make([]*mpc.Stream, len(patterns))
+		sets := make([][]relation.Value, 0, 8)
 		for ai, a := range atoms {
 			frag := srv.Rel(a.Name)
 			if frag == nil {
 				continue
 			}
-			heavy := make([]map[relation.Value]bool, len(a.Vars))
-			for j, v := range a.Vars {
-				heavy[j] = hbv[varIdx[v]]
+			sets = sets[:0]
+			for _, v := range a.Vars {
+				sets = append(sets, heavy[varIdx[v]])
 			}
-			for pi := range pats {
+			for pi := range patterns {
 				sts[pi] = out.Open(fmt.Sprintf("%s:%s@%d", outName, a.Name, pi), a.Vars...)
 			}
 			for i := 0; i < frag.Len(); i++ {
 				row := frag.Row(i)
-				for pi, pat := range pats {
-					match := true
-					for j, v := range a.Vars {
-						if heavy[j][row[j]] != pat.Heavy[v] {
-							match = false
-							break
-						}
+				var bits uint64
+				for j, set := range sets {
+					if _, ok := slices.BinarySearch(set, row[j]); ok {
+						bits |= 1 << j
 					}
-					if match {
+				}
+				for pi := range patterns {
+					if want[pi][ai] == bits {
 						routes[pi][ai].Send(sts[pi], row)
 					}
 				}
@@ -529,27 +597,5 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	for pi := range patterns {
 		localJoin(c, q, outName, fmt.Sprintf("@%d", pi), alg)
 	}
-	return &Result{
-		OutName:  outName,
-		Rounds:   c.Metrics().Rounds() - start,
-		Patterns: patterns,
-	}, nil
-}
-
-// HeavyByVar computes, centrally, the per-variable heavy-hitter sets
-// for the given threshold — a verification helper mirroring what the
-// distributed rounds of RunSkewHC compute. Relations are positional to
-// their atom's variables.
-func HeavyByVar(q hypergraph.Query, rels map[string]*relation.Relation, threshold int) map[string]map[relation.Value]bool {
-	out := map[string]map[relation.Value]bool{}
-	for _, v := range q.Vars() {
-		agg := stats.Degrees{}
-		for _, a := range q.Atoms {
-			if col := slices.Index(a.Vars, v); col >= 0 {
-				agg.Merge(stats.DegreesOfCol(rels[a.Name], col))
-			}
-		}
-		out[v] = agg.HeavySet(threshold)
-	}
-	return out
+	return patterns, nil
 }

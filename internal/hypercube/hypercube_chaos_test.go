@@ -17,9 +17,10 @@ func TestHyperCubeChaosDiff(t *testing.T) {
 	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, algo("hypercube"))
 }
 
-// TestSkewHCChaosDiff covers the three-round skew-aware variant: its
-// heavy-pattern broadcast round exercises recovery of broadcast-shaped
-// fragment sets (p fragments per source).
+// TestSkewHCChaosDiff covers the one-round skew-aware variant: its
+// pattern shuffle replicates each tuple onto several sub-grids, one
+// stream per pattern, and every case's schedule must hit it.
 func TestSkewHCChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, algo("skewhc"))
+	cfg := testkit.Config{ChaosSpecs: testkit.OneRoundChaosSpecs, MustFault: true}
+	testkit.RunChaosDiff(t, hypergraph.Triangle(), cfg, algo("skewhc"))
 }

@@ -50,12 +50,13 @@ func TestHyperCubeLocalAlgsDiff(t *testing.T) {
 	}
 }
 
-// TestSkewHCDiff sweeps the three-round skew-aware variant over skewed
-// inputs — the regime it exists for — plus skew-free ones (where the
-// heavy pattern set degenerates and it must still be correct).
+// TestSkewHCDiff sweeps the skew-aware variant, which knows its heavy
+// hitters and routes in one round, over skewed inputs — the regime it
+// exists for — plus skew-free ones (where the heavy pattern set
+// degenerates and it must still be correct).
 func TestSkewHCDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
-	cfg.Rounds = func(q hypergraph.Query, p int) int { return 3 }
+	cfg.Rounds = func(q hypergraph.Query, p int) int { return 1 }
 	for _, q := range []hypergraph.Query{
 		hypergraph.Triangle(),
 		hypergraph.Path(3),

@@ -23,8 +23,10 @@ import (
 //     slide 46 warns. On a cluster carrying a capacity profile it runs
 //     the capacity-aware RunHet instead of Run.
 //   - skewhc: the heavy/light residual-query variant whose load stays
-//     IN/p^{1/ψ*} for any skew (slides 47-51); three rounds (degree
-//     statistics, pattern shuffle, local join).
+//     IN/p^{1/ψ*} for any skew (slides 47-51). Run takes each variable's
+//     heavy hitters from the inputs, as the planner does, and runs
+//     RunSkewHCKnown: one round, the pattern shuffle, then the local
+//     joins.
 //   - hl-triangle: the multi-round Heavy-Light + Semijoins algorithm
 //     for the triangle query only (slides 58-60): L = O(IN/p^{2/3})
 //     under arbitrary skew in four rounds.
@@ -64,7 +66,13 @@ func Plannables() []cost.Plannable {
 			Doc:     "skew-resilient HyperCube over heavy/light residual queries (slides 47-51)",
 			Applies: func(hypergraph.Query) error { return nil },
 			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				_, err := RunSkewHC(c, q, rels, outName, seed, 0, LocalGeneric)
+				threshold := Threshold(q, rels, c.P())
+				vars := q.Vars()
+				heavy := make([][]relation.Value, len(vars))
+				for i, v := range vars {
+					heavy[i] = HeavyValues(q, rels, v, threshold)
+				}
+				_, err := RunSkewHCKnown(c, q, rels, outName, seed, heavy, LocalGeneric)
 				return err
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
@@ -103,7 +111,7 @@ func Plannables() []cost.Plannable {
 				if skewed > 0 {
 					detail += fmt.Sprintf(", %d skewed vars → %.0f residual patterns", skewed, patterns)
 				}
-				return cost.Estimate{L: load, R: 3, C: c, Detail: detail}, nil
+				return cost.Estimate{L: load, R: 1, C: c, Detail: detail}, nil
 			},
 		},
 		{

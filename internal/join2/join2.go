@@ -10,7 +10,9 @@
 //     optimal shares, load 2·sqrt(|R||S|/p).
 //   - SkewJoin — the arbitrary-skew algorithm (slides 29–30): parallel
 //     hash join for light values plus a dedicated grid Cartesian
-//     product per heavy hitter, load O(sqrt(OUT/p) + IN/p).
+//     product per heavy hitter, load O(sqrt(OUT/p) + IN/p). SkewJoinKnown
+//     routes in one round on servers that know the heavy hitters
+//     (HeavyHitters); SkewJoin first finds them in two rounds.
 //   - SortJoin — the parallel sort join (slide 31, Hu et al. '17):
 //     sort the tagged union by (key, uid), join locally, and fix up
 //     values crossing server boundaries with grid products; same load
@@ -23,13 +25,16 @@
 package join2
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/sortmpc"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/trace"
 )
 
@@ -237,25 +242,34 @@ func planHeavy(heavy []heavyPlan, p int) []heavyPlan {
 	return heavy
 }
 
-// SkewJoin runs the arbitrary-skew two-way join of slides 29–30. Values
-// with degree ≥ IN/p in r or s (heavy hitters) are joined with
-// dedicated grid Cartesian products; all other values use the parallel
-// hash join. Three rounds: a degree-exchange round, a heavy-hitter
-// broadcast round, and the main shuffle.
+// HeavyHitters returns the heavy hitters of a two-way join on column rc
+// of r and column sc of s — the values whose degree in r or in s reaches
+// the threshold (|r|+|s|)/p (slide 29) — sorted, with their degrees in
+// both, and the threshold. The planner calls it to choose the skew join
+// and the skewjoin descriptor to route it, on the same relations.
+func HeavyHitters(r *relation.Relation, rc int, s *relation.Relation, sc int, p int) ([]stats.Hitter, int) {
+	threshold := heavyThreshold(r, s, p)
+	return stats.Heavy([]stats.Column{{Rel: r, Col: rc}, {Rel: s, Col: sc}}, threshold, stats.InAny), threshold
+}
+
+// heavyThreshold is slide 29's heavy-hitter degree IN/p, at least 1.
+func heavyThreshold(r, s *relation.Relation, p int) int { return max((r.Len()+s.Len())/p, 1) }
+
+// SkewJoin runs the arbitrary-skew two-way join of slides 29–30 on
+// servers that do not know the heavy hitters — values with degree ≥ IN/p
+// in r or s — and find them in two rounds: a degree exchange and a
+// heavy-hitter broadcast. The third round is SkewJoinKnown's routing
+// round, fed the broadcast set: light values hash, each heavy hitter
+// gets a dedicated grid Cartesian product.
 func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result {
 	y := joinAttr(r, s)
 	c.ScatterRoundRobin(r)
 	c.ScatterRoundRobin(s)
 	start := c.Metrics().Rounds()
 	p := c.P()
-	in := r.Len() + s.Len()
-	threshold := in / p
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := heavyThreshold(r, s, p)
 	trace.Annotatef(c, "join2.SkewJoin %s ⋈ %s on %s (heavy threshold %d)", r.Name(), s.Name(), y, threshold)
 	rName, sName := r.Name(), s.Name()
-	rAttrs, sAttrs := r.Attrs(), s.Attrs()
 
 	// Round 1: exchange per-value degree summaries so that server h(v)
 	// learns the global degree of v in both relations.
@@ -284,7 +298,7 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		for v := range counts {
 			vals = append(vals, v)
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+		slices.Sort(vals)
 		for _, v := range vals {
 			e := counts[v]
 			st.Send(relation.Bucket(relation.Hash64(v, seed), p), v, relation.Value(e[0]), relation.Value(e[1]))
@@ -311,7 +325,7 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		for v := range agg {
 			vals = append(vals, v)
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+		slices.Sort(vals)
 		for _, v := range vals {
 			e := agg[v]
 			if e[0] >= threshold || e[1] >= threshold {
@@ -321,27 +335,52 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		srv.Delete(outName + ":deg")
 	})
 
-	// Derive the (identical everywhere) heavy-hitter plan from server
-	// 0's copy of the broadcast.
+	// Every server holds the same broadcast; read server 0's copy.
 	var heavy []heavyPlan
 	if hrel := c.Server(0).Rel(outName + ":heavy"); hrel != nil {
-		rows := make([][]relation.Value, 0, hrel.Len())
 		for i := 0; i < hrel.Len(); i++ {
-			rows = append(rows, append([]relation.Value(nil), hrel.Row(i)...))
-		}
-		sort.Slice(rows, func(a, b int) bool { return rows[a][0] < rows[b][0] })
-		for _, row := range rows {
+			row := hrel.Row(i)
 			heavy = append(heavy, heavyPlan{value: row[0], dr: int(row[1]), ds: int(row[2])})
 		}
-	}
-	heavy = planHeavy(heavy, p)
-	planOf := map[relation.Value]heavyPlan{}
-	for _, h := range heavy {
-		planOf[h.value] = h
+		slices.SortFunc(heavy, func(a, b heavyPlan) int { return cmp.Compare(a.value, b.value) })
 	}
 	c.DeleteAll(outName + ":heavy")
 
-	// Round 3: main shuffle. Light tuples hash; heavy tuples grid.
+	skewShuffle(c, r, s, y, heavy, outName, seed)
+	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+}
+
+// SkewJoinKnown runs the skew join of slides 29–30 on servers that
+// already know the heavy hitters and their degrees, as the one-round
+// skew bounds assume (arXiv 1602.06236): heavy lists them, sorted by
+// value, with Deg = [degree in r, degree in s] (HeavyHitters' output).
+// One round: light tuples are hashed on the join value; each heavy
+// hitter gets an exclusive block of servers, sized in proportion to
+// √(dR·dS), over which its r and s tuples form a grid Cartesian product.
+// With the heavy hitters SkewJoin's two rounds find, it routes exactly
+// as SkewJoin's third round.
+func SkewJoinKnown(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64, heavy []stats.Hitter) *Result {
+	y := joinAttr(r, s)
+	c.ScatterRoundRobin(r)
+	c.ScatterRoundRobin(s)
+	start := c.Metrics().Rounds()
+	trace.Annotatef(c, "join2.SkewJoinKnown %s ⋈ %s on %s (%d heavy hitters)", r.Name(), s.Name(), y, len(heavy))
+	plans := make([]heavyPlan, len(heavy))
+	for i, h := range heavy {
+		plans[i] = heavyPlan{value: h.Value, dr: h.Deg[0], ds: h.Deg[1]}
+	}
+	skewShuffle(c, r, s, y, plans, outName, seed)
+	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+}
+
+// skewShuffle is the skew join's routing round and local join, given the
+// heavy hitters sorted by value: a light tuple goes to server h(y), a
+// heavy one to a random row (r) or column (s) of its value's grid.
+func skewShuffle(c *mpc.Cluster, r, s *relation.Relation, y string, heavy []heavyPlan, outName string, seed uint64) {
+	p := c.P()
+	heavy = planHeavy(heavy, p)
+	rName, sName := r.Name(), s.Name()
+	rAttrs, sAttrs := r.Attrs(), s.Attrs()
 	c.Round("skewjoin:shuffle", func(srv *mpc.Server, out *mpc.Out) {
 		route := func(name string, attrs []string, isR bool) {
 			frag := srv.Rel(name)
@@ -353,11 +392,12 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 			for i := 0; i < frag.Len(); i++ {
 				row := frag.Row(i)
 				v := row[col]
-				h, isHeavy := planOf[v]
+				hi, isHeavy := slices.BinarySearchFunc(heavy, v, func(h heavyPlan, v relation.Value) int { return cmp.Compare(h.value, v) })
 				if !isHeavy {
 					st.SendRow(relation.Bucket(relation.Hash64(v, seed), p), row)
 					continue
 				}
+				h := heavy[hi]
 				if isR {
 					gr := srv.Rng().Intn(h.p1)
 					for gc := 0; gc < h.p2; gc++ {
@@ -381,7 +421,6 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		srv.Delete(outName + ":" + rName)
 		srv.Delete(outName + ":" + sName)
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
 }
 
 // SortJoin runs the parallel sort join of slide 31 (Hu et al. '17):

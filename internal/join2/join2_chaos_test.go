@@ -15,11 +15,15 @@ func TestHashJoinChaosDiff(t *testing.T) {
 	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("hashjoin"))
 }
 
-// TestSkewJoinChaosDiff exercises the three-round strategy: the degree
-// exchange and heavy-hitter broadcast rounds give the injector three
-// distinct fragment populations to fault.
+// skewChaos is the chaos sweep of the one-round skew join: every case's
+// schedule must hit its routing round.
+var skewChaos = testkit.Config{ChaosSpecs: testkit.OneRoundChaosSpecs, MustFault: true}
+
+// TestSkewJoinChaosDiff faults the skew join's one round, whose light
+// hash sends and heavy-hitter grid sends are distinct fragment
+// populations to the injector.
 func TestSkewJoinChaosDiff(t *testing.T) {
-	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("skewjoin"))
+	testkit.RunChaosDiff(t, hypergraph.TwoWayJoin(), skewChaos, algo("skewjoin"))
 }
 
 // TestSortJoinChaosDiff covers the four-round sort-based join — the

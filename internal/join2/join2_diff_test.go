@@ -39,12 +39,12 @@ func TestBroadcastJoinDiff(t *testing.T) {
 	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, algo("broadcast"))
 }
 
-// TestSkewJoinDiff: the three-round skew-resilient join (degree
-// exchange, heavy-hitter broadcast, hybrid shuffle). The skewed
+// TestSkewJoinDiff: the skew-resilient join on servers that know the
+// heavy hitters — one round, the hybrid shuffle. The skewed
 // distributions in the sweep put heavy hitters on the join attribute y.
 func TestSkewJoinDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
-	cfg.Rounds = fixedRounds(3)
+	cfg.Rounds = fixedRounds(1)
 	testkit.RunDiff(t, hypergraph.TwoWayJoin(), cfg, algo("skewjoin"))
 }
 

@@ -33,5 +33,5 @@ func TestHashJoinChaosOverTCP(t *testing.T) {
 }
 
 func TestSkewJoinChaosOverTCP(t *testing.T) {
-	testkit.RunChaosDiffTCP(t, hypergraph.TwoWayJoin(), testkit.Config{}, algo("skewjoin"))
+	testkit.RunChaosDiffTCP(t, hypergraph.TwoWayJoin(), skewChaos, algo("skewjoin"))
 }

@@ -5,7 +5,6 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/stats"
 	"mpcquery/internal/workload"
 )
 
@@ -206,10 +205,10 @@ func TestSkewJoinMultipleHeavyHitters(t *testing.T) {
 func TestHeavyHittersOf(t *testing.T) {
 	r := workload.PlantHeavy("R", "y", "x", 10, 100, []relation.Value{5}, []int{50}).Project("R", "x", "y")
 	s := workload.Uniform("S", []string{"y", "z"}, 20, 10, 3)
-	hh := stats.JoinHeavyHitters(stats.DegreesOf(r, "y"), stats.DegreesOf(s, "y"), (r.Len()+s.Len())/4)
+	hh, _ := HeavyHitters(r, r.MustCol("y"), s, s.MustCol("y"), 4)
 	found := false
-	for _, v := range hh {
-		if v == 5 {
+	for _, h := range hh {
+		if h.Value == 5 {
 			found = true
 		}
 	}

@@ -15,15 +15,19 @@ import (
 // runs. Applicability is the join2 contract — two binary atoms sharing
 // exactly one variable; Run relabels the two inputs to their atoms'
 // variables (cost.BindAtoms) and calls the strategy (broadcast
-// replicates the smaller side); and the predictions are the tutorial's
-// analytic loads instantiated with the collected statistics:
+// replicates the smaller side, skewjoin takes its heavy hitters from the
+// inputs, as the planner does, and runs SkewJoinKnown); and the
+// predictions are the tutorial's analytic loads instantiated with the
+// collected statistics:
 //
 //   - hashjoin:  L = IN/p + dmax(y), the hash-partition mean plus the
 //     heaviest join value, which a hash join cannot split (slide 24).
 //   - broadcast: L = |small|; only the replicated copies travel, the
 //     large side stays put (slide 32).
 //   - skewjoin:  L = IN/p + √(OUT/p), the slide-30 skew-resilient
-//     bound; r = 3 (degree exchange, heavy broadcast, hybrid shuffle).
+//     bound; r = 1 (the hybrid shuffle: the servers know the heavy
+//     hitters), and C = IN, each tuple shipped once; the heavy grids'
+//     replication is not charged.
 //   - sortjoin:  same load bound plus the Θ(p) splitter exchange of
 //     PSRS; r = 4 (slide 31).
 func Plannables() []cost.Plannable {
@@ -87,13 +91,17 @@ func Plannables() []cost.Plannable {
 			Alg:     "skewjoin",
 			Doc:     "skew-resilient join: light hash + per-heavy-hitter grids (slides 29-30)",
 			Applies: applies,
-			Run:     run(SkewJoin),
+			Run: run(func(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result {
+				y := joinAttr(r, s)
+				heavy, _ := HeavyHitters(r, r.MustCol(y), s, s.MustCol(y), c.P())
+				return SkewJoinKnown(c, r, s, outName, seed, heavy)
+			}),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				p := float64(st.P)
 				return cost.Estimate{
 					L: float64(st.IN)/p + math.Sqrt(st.OutEst/p),
-					R: 3,
-					C: 2 * float64(st.IN),
+					R: 1,
+					C: float64(st.IN),
 				}, nil
 			},
 		},

@@ -106,6 +106,11 @@ func (r *Relation) Len() int {
 // count" unit used by the MPC load metering.
 func (r *Relation) Words() int { return len(r.data) }
 
+// Flat returns the tuples row-major, as a view of r's storage: for arity
+// k, Row(i) is Flat()[i·k : (i+1)·k], so column c is every k-th value
+// from index c. Callers must not modify it.
+func (r *Relation) Flat() []Value { return r.data }
+
 // Cap returns how many Values r's storage holds before an append must
 // grow it; Words() ≤ Cap(). A relation an MPC round created to receive
 // a stream is presized exactly, so its Cap equals its Words.

@@ -2,15 +2,16 @@
 // algorithms consume, and the per-round feedback signal the adaptive
 // executor reacts to.
 //
-// The static half is per-value degree (frequency) counting of join
-// attributes and heavy-hitter detection against the tutorial's
-// thresholds: a value is heavy when its degree exceeds IN/p (slide 29
-// for two-way joins; N/p for SkewHC on slide 47). Degrees merge across
-// fragments, so drivers can aggregate per-server counts into a global
-// view; counting is by attribute name (DegreesOf) or, for the planners'
-// positional relations, by column index (DegreesOfCol); and
-// JoinHeavyHitters applies the threshold to both sides of a two-way
-// join at once.
+// The static half is heavy-hitter detection against the tutorial's
+// thresholds: a value is heavy when its degree reaches IN/p in R or in
+// S (slide 29, two-way joins) or N/p summed over the atoms binding a
+// variable (slide 47, SkewHC). Heavy decides both rules, with the exact
+// per-column degrees, in one Misra–Gries pass plus one recount and no
+// per-value map; the planner and the skew algorithms all call it.
+// Degrees is the whole per-value distribution of one column, counted by
+// attribute name (DegreesOf) or column index (DegreesOfCol), for the
+// statistics that need every value: distinct counts, maximum degree and
+// percentiles (Summarize).
 //
 // The dynamic half (signal.go) summarizes one metered round's
 // per-server receive vector into a RecvSignal — max load, mean,

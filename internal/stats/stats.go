@@ -2,13 +2,14 @@ package stats
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"mpcquery/internal/relation"
 )
 
 // Degrees maps each distinct value of one attribute to its frequency.
+// It is for where the whole distribution is needed (distinct counts,
+// percentiles); Heavy finds heavy hitters without building one.
 type Degrees map[relation.Value]int
 
 // DegreesOf counts the occurrences of each value of attr in rel.
@@ -26,13 +27,6 @@ func DegreesOfCol(rel *relation.Relation, c int) Degrees {
 		d[rel.Row(i)[c]]++
 	}
 	return d
-}
-
-// Merge adds other's counts into d.
-func (d Degrees) Merge(other Degrees) {
-	for v, n := range other {
-		d[v] += n
-	}
 }
 
 // Max returns the maximum degree (0 for empty).
@@ -143,19 +137,4 @@ func Gini(xs []int64) float64 {
 	}
 	nf := float64(n)
 	return (2*weighted)/(nf*total) - (nf+1)/nf
-}
-
-// JoinHeavyHitters finds the heavy hitters of a join attribute across
-// both sides of a two-way join, given its degrees in each: values whose
-// degree in r or in s reaches threshold (slide 29: "occurs at least
-// IN/p times in R or S"), sorted ascending.
-func JoinHeavyHitters(dr, ds Degrees, threshold int) []relation.Value {
-	out := dr.HeavyHitters(threshold)
-	for _, v := range ds.HeavyHitters(threshold) {
-		if dr[v] < threshold {
-			out = append(out, v)
-		}
-	}
-	slices.Sort(out)
-	return out
 }

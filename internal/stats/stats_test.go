@@ -28,15 +28,6 @@ func TestDegreesEmpty(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Degrees{1: 2, 2: 1}
-	b := Degrees{2: 3, 5: 1}
-	a.Merge(b)
-	if a[1] != 2 || a[2] != 4 || a[5] != 1 {
-		t.Fatalf("merged = %v", a)
-	}
-}
-
 func TestHeavyHitters(t *testing.T) {
 	d := Degrees{10: 5, 20: 3, 30: 5, 40: 1}
 	hh := d.HeavyHitters(4)
@@ -68,16 +59,6 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(Degrees{})
 	if empty.Distinct != 0 || empty.MaxDegree != 0 {
 		t.Fatalf("empty summary = %+v", empty)
-	}
-}
-
-func TestJoinHeavyHitters(t *testing.T) {
-	r := rel([]relation.Value{1, 0}, []relation.Value{1, 1}, []relation.Value{2, 2})
-	s := relation.FromRows("S", []string{"y", "q"}, [][]relation.Value{{2, 0}, {2, 1}, {3, 2}})
-	// threshold 2: 1 heavy in r, 2 heavy in s.
-	hh := JoinHeavyHitters(DegreesOf(r, "y"), DegreesOf(s, "y"), 2)
-	if len(hh) != 2 || hh[0] != 1 || hh[1] != 2 {
-		t.Fatalf("join heavy = %v", hh)
 	}
 }
 

@@ -39,11 +39,11 @@ func (cfg Config) withBackendDefaults() Config {
 	return cfg
 }
 
-// newTCPCluster builds a cluster of size p backed by a fresh loopback
-// TCP transport. Callers own the returned closer (usually via
-// t.Cleanup); the worker count is chosen to not divide p evenly so
-// shard ownership is exercised off the trivial 1:1 mapping.
-func newTCPCluster(t *testing.T, p int, seed int64) *mpc.Cluster {
+// NewTCPCluster builds a cluster of size p backed by a fresh loopback
+// TCP transport, closed when the test ends; the worker count is chosen
+// to not divide p evenly so shard ownership is exercised off the
+// trivial 1:1 mapping.
+func NewTCPCluster(t *testing.T, p int, seed int64) *mpc.Cluster {
 	t.Helper()
 	workers := 3
 	if p < 3 {
@@ -135,7 +135,7 @@ func RunBackendDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 						t.Fatalf("local run failed: %v", err)
 					}
 
-					tcp := newTCPCluster(t, p, seed)
+					tcp := NewTCPCluster(t, p, seed)
 					tcpRec := trace.NewRecorder()
 					tcp.SetTracer(tcpRec)
 					if err := alg(tcp, q, rels, "out", algSeed); err != nil {
@@ -171,7 +171,7 @@ func SweepBackends(t *testing.T, cfg Config, run func(t *testing.T, c *mpc.Clust
 					local.SetTracer(localRec)
 					run(t, local, p, seed, skew)
 
-					tcp := newTCPCluster(t, p, seed)
+					tcp := NewTCPCluster(t, p, seed)
 					tcpRec := trace.NewRecorder()
 					tcp.SetTracer(tcpRec)
 					run(t, tcp, p, seed, skew)
@@ -216,7 +216,7 @@ func RunChaosDiffTCP(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 							t.Fatalf("fault-free run failed: %v", err)
 						}
 
-						chaotic := newTCPCluster(t, p, seed)
+						chaotic := NewTCPCluster(t, p, seed)
 						chaotic.SetFaultInjector(chaos.MustParseSchedule(spec))
 						rec := trace.NewRecorder()
 						chaotic.SetTracer(rec)
@@ -224,6 +224,9 @@ func RunChaosDiffTCP(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 							t.Fatalf("chaos-over-tcp run failed: %v", err)
 						}
 						AssertRecovered(t, chaotic)
+						if cfg.MustFault {
+							AssertFaulted(t, chaotic)
+						}
 						AssertSameLRC(t, clean, chaotic)
 						AssertTraceConsistent(t, chaotic, rec)
 						got := GatherResult(chaotic, "out", q.Vars())

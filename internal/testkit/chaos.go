@@ -32,6 +32,11 @@ var FixpointChaosSpecs = append(append([]string(nil), DefaultChaosSpecs...),
 	"606:crash=0.25,straggle=0.3,delay=5,after=2",
 )
 
+// OneRoundChaosSpecs is DefaultChaosSpecs for algorithms that meter a
+// single round: on 2 servers the drop/duplicate schedule's seed 101
+// first faults round 2, so it is re-seeded to 102, which faults round 0.
+var OneRoundChaosSpecs = append([]string{"102:drop=0.15,dup=0.08"}, DefaultChaosSpecs[1:]...)
+
 // ChaosSkews is the reduced input-distribution axis of the chaos
 // sweeps: the extremes of the skew matrix. Fault injection multiplies
 // the sweep by the schedule axis, so the chaos matrix trades skew
@@ -78,6 +83,20 @@ func AssertRecovered(t *testing.T, c *mpc.Cluster) {
 			t.Fatalf("round %d (%s) has no recovery ledger despite fault injection", i, st.Name)
 		}
 	}
+}
+
+// AssertFaulted fails the test unless the schedule injected at least
+// one fault into the cluster's rounds — a dropped, duplicated or
+// redelivered fragment, a crash, or a straggler — so that a chaos case
+// cannot pass by never being hit.
+func AssertFaulted(t *testing.T, c *mpc.Cluster) {
+	t.Helper()
+	for _, st := range c.Metrics().RoundStats() {
+		if cs := st.Chaos; cs != nil && (cs.Dropped+cs.Duplicated+cs.Redelivered > 0 || cs.Crashes > 0 || cs.MaxStraggle() > 0) {
+			return
+		}
+	}
+	t.Fatalf("the fault schedule injected nothing into %d rounds", c.Metrics().Rounds())
 }
 
 // AssertSameLRC asserts that two clusters metered identical cost
@@ -137,6 +156,9 @@ func RunChaosDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 							t.Fatalf("chaos run failed: %v", err)
 						}
 						AssertRecovered(t, chaotic)
+						if cfg.MustFault {
+							AssertFaulted(t, chaotic)
+						}
 						AssertSameLRC(t, clean, chaotic)
 						AssertTraceConsistent(t, chaotic, rec)
 						got := GatherResult(chaotic, "out", q.Vars())

@@ -44,6 +44,9 @@ type Config struct {
 	// (RunChaosDiff, SweepChaos), in chaos.Parse's compact form;
 	// DefaultChaosSpecs when empty. Ignored by the fault-free sweeps.
 	ChaosSpecs []string
+	// MustFault makes RunChaosDiff and RunChaosDiffTCP assert that every
+	// case's schedule injected at least one fault (AssertFaulted).
+	MustFault bool
 }
 
 // DefaultConfig returns the standard sweep: cluster sizes {2, 4, 8},
