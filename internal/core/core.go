@@ -331,7 +331,7 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Rel
 	seed := uint64(e.Seed)*2654435761 + 12345
 	const outName = "out"
 	if alg == AlgHyperCube && e.Adaptive {
-		res, err := hypercube.RunAdaptive(c, q, req.Relations, outName, seed, hypercube.AdaptiveConfig{})
+		res, err := hypercube.RunAdaptive(c, q, req.Relations, outName, seed)
 		if err != nil {
 			return nil, err
 		}

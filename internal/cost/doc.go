@@ -13,7 +13,10 @@
 // declared, once, in its own package — its name, Applies (which queries
 // it can run), Predict (its (L, r, C) from the QueryStats the planner
 // collects once per query) and Run (the entry point). internal/core
-// dispatches through the descriptors; internal/plan ranks them.
+// dispatches through the descriptors; internal/plan ranks them. Beside
+// them sits what the algorithm packages share at run time: BindAtoms,
+// the input convention, and DetectHeavy (heavy.go), the two-round
+// heavy-hitter detection of every in-round skew algorithm.
 //
 // The heterogeneity half (het.go) extends shares optimization to
 // machines with unequal capacity ("Parallel Query Processing with

@@ -2,7 +2,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -180,43 +179,6 @@ func Lookup(reg []Plannable, alg string) *Plannable {
 }
 
 // ---- Shared estimation helpers ----
-
-// EstimateOut is the System-R-style expected output size of q: the
-// product of relation sizes divided, for every variable shared by k ≥ 2
-// atoms, by each of the k−1 largest distinct counts of that variable
-// (for two relations this is the classic |R|·|S| / max(V(R,y), V(S,y))).
-// distinct maps atom → variable → distinct count. The result is capped
-// at the AGM bound when agm > 0.
-func EstimateOut(q hypergraph.Query, sizes map[string]int64, distinct map[string]map[string]int, agm float64) float64 {
-	logEst := 0.0
-	for _, a := range q.Atoms {
-		logEst += math.Log(float64(sizes[a.Name]))
-	}
-	for _, v := range q.Vars() {
-		var ds []int
-		for _, a := range q.Atoms {
-			if a.HasVar(v) {
-				d := distinct[a.Name][v]
-				if d < 1 {
-					d = 1
-				}
-				ds = append(ds, d)
-			}
-		}
-		if len(ds) < 2 {
-			continue
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-		for _, d := range ds[:len(ds)-1] {
-			logEst -= math.Log(float64(d))
-		}
-	}
-	est := math.Exp(logEst)
-	if agm > 0 && est > agm {
-		est = agm
-	}
-	return est
-}
 
 // ChainSizes estimates the size of every left-deep prefix join of the
 // given atom order. Unlike the pure System-R estimate it tracks the

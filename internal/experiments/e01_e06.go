@@ -4,10 +4,11 @@ import (
 	"fmt"
 
 	"mpcquery/internal/cost"
+	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/join2"
 	"mpcquery/internal/mpc"
+	"mpcquery/internal/plan"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/stats"
 	"mpcquery/internal/workload"
 )
 
@@ -311,7 +312,10 @@ func E06SortJoin() *Table {
 	// Sanity: heavy hitters really exist in case 2.
 	r, s := cases[1].r, cases[1].s
 	hh, _ := join2.HeavyHitters(r, r.MustCol("y"), s, s.MustCol("y"), p)
-	dr, ds := stats.DegreesOf(r, "y"), stats.DegreesOf(s, "y")
-	t.Note("planted case has %d heavy hitter(s); max degree %d", len(hh), max(dr.Max(), ds.Max()))
+	st, err := plan.CollectStats(hypergraph.TwoWayJoin(), map[string]*relation.Relation{"R": r, "S": s}, p)
+	if err != nil {
+		panic(err)
+	}
+	t.Note("planted case has %d heavy hitter(s); max degree %d", len(hh), max(st.MaxDeg["R"]["y"], st.MaxDeg["S"]["y"]))
 	return t
 }

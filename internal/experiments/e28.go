@@ -61,7 +61,7 @@ func E28Adaptive() *Table {
 		uniformL := cu.Metrics().MaxLoad()
 
 		ca := mpc.NewCluster(p, seed)
-		res, err := hypercube.RunAdaptive(ca, w.q, rels, "out", 42, hypercube.AdaptiveConfig{})
+		res, err := hypercube.RunAdaptive(ca, w.q, rels, "out", 42)
 		if err != nil {
 			panic(fmt.Sprintf("E28 %s adaptive: %v", w.name, err))
 		}

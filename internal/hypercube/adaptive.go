@@ -14,42 +14,20 @@ import (
 	"mpcquery/internal/trace"
 )
 
-// AdaptiveConfig tunes the skew-reactive executor. The zero value
-// selects the defaults documented per field.
-type AdaptiveConfig struct {
-	// ProbeFraction is the fraction of each server's input fragment
-	// routed in the metered probe round (default 0.15). The probe's
-	// receive vector is the feedback signal; a mispredicted-skew run
-	// pays only ProbeFraction of the bad plan's load before switching.
-	ProbeFraction float64
-	// MaxImbalance triggers a switch when the probe's max/mean receive
-	// ratio exceeds it (default 2.0). Negative disables the trigger;
-	// zero selects the default.
-	MaxImbalance float64
-	// MaxGini triggers a switch when the probe's receive Gini
-	// coefficient exceeds it (default 0.4). Negative disables the
-	// trigger; zero selects the default.
-	MaxGini float64
-	// Threshold is the full-input heavy-hitter degree threshold the
-	// switch confirmation (and any SkewHC run it triggers) uses;
-	// ≤ 0 means N_max/p, exactly as RunSkewHC defaults.
-	Threshold int
-	// Alg selects the local join algorithm (default LocalGeneric).
-	Alg LocalAlg
-}
-
-func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if cfg.ProbeFraction <= 0 || cfg.ProbeFraction >= 1 {
-		cfg.ProbeFraction = 0.15
-	}
-	if cfg.MaxImbalance == 0 {
-		cfg.MaxImbalance = 2.0
-	}
-	if cfg.MaxGini == 0 {
-		cfg.MaxGini = 0.4
-	}
-	return cfg
-}
+// The adaptive executor's constants.
+const (
+	// probeFraction is the fraction of each server's input fragment
+	// routed in the metered probe round. The probe's receive vector is
+	// the feedback signal; a mispredicted-skew run pays only this
+	// fraction of the bad plan's load before switching.
+	probeFraction = 0.15
+	// maxImbalance triggers a switch when the probe's max/mean receive
+	// ratio exceeds it.
+	maxImbalance = 2.0
+	// maxGini triggers a switch when the probe's receive Gini
+	// coefficient exceeds it.
+	maxGini = 0.4
+)
 
 // AdaptiveResult describes one adaptive execution.
 type AdaptiveResult struct {
@@ -85,31 +63,29 @@ func probeCount(n int, frac float64) int {
 	return k
 }
 
-// probeHeavyVars counts per-variable value degrees over exactly the
-// prefix of each fragment the probe routed and returns (sorted) the
-// variables with at least one heavy hitter at the sample-scaled
-// threshold. Driver-side and deterministic: it reads the same
-// committed fragments every replay sees.
-func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, frac float64, sampledThr int) []string {
+// probeHeavyVars returns, sorted, the variables with at least one heavy
+// hitter at the sample-scaled threshold, counted by stats.Heavy over
+// exactly the prefix of each fragment the probe routed. Driver-side and
+// deterministic: it reads the same committed fragments every replay
+// sees.
+func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, sampledThr int) []string {
 	var heavy []string
 	for _, v := range q.Vars() {
-		agg := stats.Degrees{}
+		var cols []stats.Column
 		for _, a := range q.Atoms {
 			if !a.HasVar(v) {
 				continue
 			}
 			for i := 0; i < c.P(); i++ {
-				frag := c.Server(i).Rel(a.Name)
-				if frag == nil {
-					continue
-				}
-				col := frag.MustCol(v)
-				for j := 0; j < probeCount(frag.Len(), frac); j++ {
-					agg[frag.Row(j)[col]]++
+				if frag := c.Server(i).Rel(a.Name); frag != nil {
+					n := probeCount(frag.Len(), probeFraction)
+					probed := frag.Empty()
+					probed.AppendFlat(frag.Flat()[:n*frag.Arity()], n)
+					cols = append(cols, stats.Column{Rel: probed, Col: frag.MustCol(v)})
 				}
 			}
 		}
-		if len(agg.HeavyHitters(sampledThr)) > 0 {
+		if len(stats.Heavy(cols, sampledThr, stats.Summed)) > 0 {
 			heavy = append(heavy, v)
 		}
 	}
@@ -120,13 +96,13 @@ func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, frac float64, sampledThr
 // RunAdaptive executes the skew-reactive HyperCube driver:
 //
 //	round 1 (adaptive:probe): each server routes the first
-//	    ProbeFraction of its fragment under the uniform LP-optimal
+//	    probeFraction of its fragment under the uniform LP-optimal
 //	    plan. The round is fully metered, so its receive vector is
 //	    exactly the load signal a static uniform run would have
 //	    produced on that prefix.
 //	decision: the driver summarizes the probe's receive vector
-//	    (stats.FromRecv — max, imbalance, Gini) and, if it crosses the
-//	    configured thresholds, confirms by counting heavy hitters on
+//	    (stats.FromRecv — max, imbalance, Gini) and, if it crosses
+//	    maxImbalance or maxGini, confirms by counting heavy hitters on
 //	    the probed prefix at the sample-scaled threshold
 //	    (stats.SampledThreshold). Both inputs are deterministic
 //	    functions of the committed round, so the decision — and hence
@@ -135,7 +111,8 @@ func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, frac float64, sampledThr
 //	    fault-free round would).
 //	switch: the probe's partial shuffle is discarded (DeleteAll on the
 //	    probe streams), an "adapt" event is traced, and RunSkewHC runs
-//	    on the same cluster with the same seed and threshold. SkewHC
+//	    on the same cluster with the same seed and its default
+//	    threshold N_max/p, the one the confirmation scales. SkewHC
 //	    re-prepares and re-scatters its inputs itself; since
 //	    ScatterRoundRobin is deterministic and replaces fragments by
 //	    name, every fragment, round stat, and output row from this
@@ -145,15 +122,9 @@ func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, frac float64, sampledThr
 //	    tuples under the same uniform plan and the local join runs as
 //	    usual; the output is the uniform HyperCube answer (as a bag —
 //	    the two-round split changes only arrival order).
-func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	cfg = cfg.withDefaults()
+func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) (*AdaptiveResult, error) {
 	p := c.P()
-
-	threshold := cfg.Threshold
-	if threshold <= 0 {
-		threshold = Threshold(q, rels, p)
-	}
-
+	threshold := Threshold(q, rels, p)
 	pl, err := NewPlan(q, Sizes(q, rels), p, seed)
 	if err != nil {
 		return nil, err
@@ -162,14 +133,13 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(bound[a.Name])
 	}
-	trace.Annotatef(c, "hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, cfg.ProbeFraction*100, pl.Shares)
+	trace.Annotatef(c, "hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, probeFraction*100, pl.Shares)
 	start := c.Metrics().Rounds()
 
 	// Round 1: metered probe over each fragment's prefix.
 	atoms, routes := q.Atoms, pl.routes(q.Atoms)
-	frac := cfg.ProbeFraction
 	c.Round("adaptive:probe", func(srv *mpc.Server, out *mpc.Out) {
-		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return 0, probeCount(n, frac) })
+		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return 0, probeCount(n, probeFraction) })
 	})
 
 	// Decision: probe receive skew, confirmed by emerging heavy hitters.
@@ -179,9 +149,9 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	res := &AdaptiveResult{OutName: outName, Signal: signal, Plan: pl}
 
 	switched := false
-	if signal.Skewed(cfg.MaxImbalance, cfg.MaxGini) {
-		sampledThr := stats.SampledThreshold(threshold, frac)
-		if heavy := probeHeavyVars(c, q, frac, sampledThr); len(heavy) > 0 {
+	if signal.Skewed(maxImbalance, maxGini) {
+		sampledThr := stats.SampledThreshold(threshold, probeFraction)
+		if heavy := probeHeavyVars(c, q, sampledThr); len(heavy) > 0 {
 			switched = true
 			res.Reason = fmt.Sprintf("probe skewed (%s), heavy vars [%s] at sampled threshold %d",
 				signal, strings.Join(heavy, " "), sampledThr)
@@ -204,7 +174,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 			tr.Adapt(probeRound, res.Reason, signal.MaxRecv, signal.Gini)
 		}
 		trace.Annotatef(c, "adaptive: switching to SkewHC after probe round %d", probeRound)
-		sk, err := RunSkewHC(c, q, rels, outName, seed, threshold, cfg.Alg)
+		sk, err := RunSkewHC(c, q, rels, outName, seed, threshold, LocalGeneric)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive switch: %w", err)
 		}
@@ -217,9 +187,9 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	// Round 2: route the remaining tuples under the same plan; the
 	// streams accumulate onto the probe's deliveries.
 	c.Round("adaptive:remainder", func(srv *mpc.Server, out *mpc.Out) {
-		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return probeCount(n, frac), n })
+		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return probeCount(n, probeFraction), n })
 	})
-	localJoin(c, q, outName, "", cfg.Alg)
+	localJoin(c, q, outName, "", LocalGeneric)
 	res.Rounds = c.Metrics().Rounds() - start
 	return res, nil
 }

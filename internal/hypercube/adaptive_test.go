@@ -14,14 +14,13 @@ import (
 // skew path, must not switch on skew-free inputs, and must keep both
 // properties under fault injection.
 
-func adaptiveAlgo(cfg AdaptiveConfig) testkit.AdaptiveAlgo {
-	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) (bool, error) {
-		res, err := RunAdaptive(c, q, rels, outName, seed, cfg)
-		if err != nil {
-			return false, err
-		}
-		return res.Switched, nil
+// adaptive is RunAdaptive as a testkit.AdaptiveAlgo.
+func adaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) (bool, error) {
+	res, err := RunAdaptive(c, q, rels, outName, seed)
+	if err != nil {
+		return false, err
 	}
+	return res.Switched, nil
 }
 
 // inRoundSkewHC is the skew path the adaptive driver switches to: SkewHC
@@ -48,7 +47,7 @@ func adaptiveCfg(ps ...int) testkit.Config {
 
 func TestAdaptiveDiffTriangle(t *testing.T) {
 	testkit.RunAdaptiveDiff(t, hypergraph.Triangle(), adaptiveCfg(16),
-		adaptiveAlgo(AdaptiveConfig{}), inRoundSkewHC)
+		adaptive, inRoundSkewHC)
 }
 
 // TestAdaptiveDiffStar covers the sharpest mispredicted case: the
@@ -60,19 +59,19 @@ func TestAdaptiveDiffStar(t *testing.T) {
 	cfg := adaptiveCfg(16)
 	cfg.Gen = testkit.GenConfig{Tuples: 240, HeavyFrac: 0.2}
 	testkit.RunAdaptiveDiff(t, hypergraph.Star(3), cfg,
-		adaptiveAlgo(AdaptiveConfig{}), inRoundSkewHC)
+		adaptive, inRoundSkewHC)
 }
 
 func TestAdaptiveChaosDiff(t *testing.T) {
 	cfg := adaptiveCfg(16)
 	cfg.Seeds = []int64{1, 2}
-	testkit.RunAdaptiveChaos(t, hypergraph.Triangle(), cfg, adaptiveAlgo(AdaptiveConfig{}))
+	testkit.RunAdaptiveChaos(t, hypergraph.Triangle(), cfg, adaptive)
 }
 
 // TestAdaptiveBeatsStaticUniformOnMispredictedSkew is the E28 claim at
 // test scale: on an input whose skew a static uniform plan would eat
 // in full, the adaptive run's max load — probe round included — is
-// strictly lower, because only the ProbeFraction prefix is routed
+// strictly lower, because only the probeFraction prefix is routed
 // under the bad plan before the switch.
 func TestAdaptiveBeatsStaticUniformOnMispredictedSkew(t *testing.T) {
 	q := hypergraph.Star(3)
@@ -86,7 +85,7 @@ func TestAdaptiveBeatsStaticUniformOnMispredictedSkew(t *testing.T) {
 	uniformL := cu.Metrics().MaxLoad()
 
 	ca := mpc.NewCluster(p, seed)
-	res, err := RunAdaptive(ca, q, rels, "out", 42, AdaptiveConfig{})
+	res, err := RunAdaptive(ca, q, rels, "out", 42)
 	if err != nil {
 		t.Fatalf("adaptive run failed: %v", err)
 	}
@@ -113,7 +112,7 @@ func TestAdaptiveNoSwitchMatchesUniformBag(t *testing.T) {
 		t.Fatalf("uniform run failed: %v", err)
 	}
 	ca := mpc.NewCluster(p, seed)
-	res, err := RunAdaptive(ca, q, rels, "out", 7, AdaptiveConfig{})
+	res, err := RunAdaptive(ca, q, rels, "out", 7)
 	if err != nil {
 		t.Fatalf("adaptive run failed: %v", err)
 	}

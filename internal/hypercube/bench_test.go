@@ -82,7 +82,7 @@ func BenchmarkAdaptiveSwitch(b *testing.B) {
 	rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 4096, HeavyFrac: 0.5}, 7)
 	for i := 0; i < b.N; i++ {
 		c := mpc.NewCluster(16, 7)
-		res, err := RunAdaptive(c, q, rels, "out", 42, AdaptiveConfig{})
+		res, err := RunAdaptive(c, q, rels, "out", 42)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/trace"
 )
 
@@ -45,63 +46,10 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 	trace.Annotatef(c, "hypercube.HeavyLightTriangle (z threshold %d)", threshold)
 	start := c.Metrics().Rounds()
 
-	// Round 1: z-degree summaries (z occurs in S(y,z) and T(z,x)).
-	c.Round("hl:degrees", func(srv *mpc.Server, out *mpc.Out) {
-		st := out.Open(outName+":zdeg", "z", "d")
-		counts := map[relation.Value]int{}
-		if frag := srv.Rel("S"); frag != nil {
-			col := frag.MustCol("z")
-			for i := 0; i < frag.Len(); i++ {
-				counts[frag.Row(i)[col]]++
-			}
-		}
-		if frag := srv.Rel("T"); frag != nil {
-			col := frag.MustCol("z")
-			for i := 0; i < frag.Len(); i++ {
-				counts[frag.Row(i)[col]]++
-			}
-		}
-		vals := make([]relation.Value, 0, len(counts))
-		for v := range counts {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		for _, v := range vals {
-			st.Send(relation.Bucket(relation.Hash64(v, seed^0x2f), p), v, relation.Value(counts[v]))
-		}
-	})
-	// Round 2: owners broadcast heavy z values.
-	thr := threshold
-	c.Round("hl:heavy", func(srv *mpc.Server, out *mpc.Out) {
-		st := out.Open(outName+":zheavy", "z")
-		deg := srv.Rel(outName + ":zdeg")
-		if deg == nil {
-			return
-		}
-		agg := map[relation.Value]int{}
-		for i := 0; i < deg.Len(); i++ {
-			agg[deg.Row(i)[0]] += int(deg.Row(i)[1])
-		}
-		vals := make([]relation.Value, 0, len(agg))
-		for v := range agg {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		for _, v := range vals {
-			if agg[v] >= thr {
-				st.Broadcast(v)
-			}
-		}
-		srv.Delete(outName + ":zdeg")
-	})
-	var heavyZ []relation.Value
-	if hrel := c.Server(0).Rel(outName + ":zheavy"); hrel != nil {
-		for i := 0; i < hrel.Len(); i++ {
-			heavyZ = append(heavyZ, hrel.Row(i)[0])
-		}
-		sort.Slice(heavyZ, func(a, b int) bool { return heavyZ[a] < heavyZ[b] })
-	}
-	c.DeleteAll(outName + ":zheavy")
+	// Rounds 1–2: the heavy z values, by their degree summed over S(y,z)
+	// and T(z,x).
+	zcols := [][]stats.Column{varColumns(q, bound, "z")}
+	heavyZ := values(cost.DetectHeavy(c, "hl", outName, seed^0x2f, zcols, threshold, stats.Summed)[0])
 	heavySet := map[relation.Value]bool{}
 	blockOf := map[relation.Value]int{}
 	pb := floorRoot(p*p, 3) // ⌊p^{2/3}⌋ servers per heavy block

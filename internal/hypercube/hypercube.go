@@ -22,7 +22,6 @@
 package hypercube
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -350,25 +349,24 @@ func Threshold(q hypergraph.Query, rels map[string]*relation.Relation, p int) in
 // it to choose SkewHC and the skewhc descriptor to route it, on the same
 // relations.
 func HeavyValues(q hypergraph.Query, rels map[string]*relation.Relation, v string, threshold int) []relation.Value {
-	var cols []stats.Column
-	for _, a := range q.Atoms {
-		if col := slices.Index(a.Vars, v); col >= 0 {
-			cols = append(cols, stats.Column{Rel: rels[a.Name], Col: col})
-		}
+	return values(stats.Heavy(varColumns(q, rels, v), threshold, stats.Summed))
+}
+
+// values lists the hitters' values, in order.
+func values(hs []stats.Hitter) []relation.Value {
+	var vs []relation.Value
+	for _, h := range hs {
+		vs = append(vs, h.Value)
 	}
-	var heavy []relation.Value
-	for _, h := range stats.Heavy(cols, threshold, stats.Summed) {
-		heavy = append(heavy, h.Value)
-	}
-	return heavy
+	return vs
 }
 
 // RunSkewHC executes the SkewHC algorithm of slides 47–51 on servers that
 // do not know the heavy hitters:
 //
-//	round 1: per-variable degree summaries are exchanged;
-//	round 2: owners broadcast each variable's heavy hitters
-//	         (degree ≥ threshold; threshold = N_max/p if ≤ 0);
+//	rounds 1–2: cost.DetectHeavy finds each variable's heavy hitters
+//	         (summed degree ≥ threshold; threshold = N_max/p if ≤ 0),
+//	         one group per variable, tagged by its index in q.Vars();
 //	round 3: RunSkewHCKnown's routing round on the broadcast sets.
 //
 // The in-round detection is for callers without trusted statistics —
@@ -386,78 +384,14 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	trace.Annotatef(c, "hypercube.RunSkewHC %s (heavy threshold %d)", q.Name, threshold)
 	start := c.Metrics().Rounds()
 	vars := q.Vars()
-	varIdx := map[string]int{}
+	groups := make([][]stats.Column, len(vars))
 	for i, v := range vars {
-		varIdx[v] = i
+		groups[i] = varColumns(q, bound, v)
 	}
-	atoms := q.Atoms
-
-	// Round 1: per-(variable, value) degree summaries to owner servers.
-	c.Round("skewhc:degrees", func(srv *mpc.Server, out *mpc.Out) {
-		st := out.Open(outName+":deg", "var", "v", "d")
-		counts := map[[2]relation.Value]int{}
-		for _, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
-			for _, v := range a.Vars {
-				col := frag.MustCol(v)
-				vi := relation.Value(varIdx[v])
-				for i := 0; i < frag.Len(); i++ {
-					counts[[2]relation.Value{vi, frag.Row(i)[col]}]++
-				}
-			}
-		}
-		keys := make([][2]relation.Value, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sortPairs(keys)
-		for _, k := range keys {
-			dst := relation.Bucket(relation.Hash64(k[1], 0x5eed)^uint64(k[0]), p)
-			st.Send(dst, k[0], k[1], relation.Value(counts[k]))
-		}
-	})
-
-	// Round 2: owners aggregate and broadcast heavy hitters.
-	c.Round("skewhc:heavy", func(srv *mpc.Server, out *mpc.Out) {
-		st := out.Open(outName+":heavy", "var", "v")
-		deg := srv.Rel(outName + ":deg")
-		if deg == nil {
-			return
-		}
-		agg := map[[2]relation.Value]int{}
-		for i := 0; i < deg.Len(); i++ {
-			row := deg.Row(i)
-			agg[[2]relation.Value{row[0], row[1]}] += int(row[2])
-		}
-		keys := make([][2]relation.Value, 0, len(agg))
-		for k := range agg {
-			keys = append(keys, k)
-		}
-		sortPairs(keys)
-		for _, k := range keys {
-			if agg[k] >= threshold {
-				st.Broadcast(k[0], k[1])
-			}
-		}
-		srv.Delete(outName + ":deg")
-	})
-
-	// Every server holds the same broadcast; read server 0's copy.
 	heavy := make([][]relation.Value, len(vars))
-	if hrel := c.Server(0).Rel(outName + ":heavy"); hrel != nil {
-		for i := 0; i < hrel.Len(); i++ {
-			row := hrel.Row(i)
-			heavy[row[0]] = append(heavy[row[0]], row[1])
-		}
+	for i, hs := range cost.DetectHeavy(c, "skewhc", outName, 0x5eed, groups, threshold, stats.Summed) {
+		heavy[i] = values(hs)
 	}
-	for _, h := range heavy {
-		slices.Sort(h)
-	}
-	c.DeleteAll(outName + ":heavy")
-
 	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)
 	if err != nil {
 		return nil, err
@@ -465,14 +399,16 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
 }
 
-// sortPairs sorts (variable, value) pairs.
-func sortPairs(keys [][2]relation.Value) {
-	slices.SortFunc(keys, func(a, b [2]relation.Value) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
+// varColumns lists the atom columns that bind variable v, in atom order.
+// Relations are positional to their atom's variables.
+func varColumns(q hypergraph.Query, rels map[string]*relation.Relation, v string) []stats.Column {
+	var cols []stats.Column
+	for _, a := range q.Atoms {
+		if col := slices.Index(a.Vars, v); col >= 0 {
+			cols = append(cols, stats.Column{Rel: rels[a.Name], Col: col})
 		}
-		return cmp.Compare(a[1], b[1])
-	})
+	}
+	return cols
 }
 
 // RunSkewHCKnown executes SkewHC (slides 47–51) on servers that already

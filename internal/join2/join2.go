@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sort"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/sortmpc"
@@ -257,96 +258,20 @@ func heavyThreshold(r, s *relation.Relation, p int) int { return max((r.Len()+s.
 
 // SkewJoin runs the arbitrary-skew two-way join of slides 29–30 on
 // servers that do not know the heavy hitters — values with degree ≥ IN/p
-// in r or s — and find them in two rounds: a degree exchange and a
-// heavy-hitter broadcast. The third round is SkewJoinKnown's routing
-// round, fed the broadcast set: light values hash, each heavy hitter
-// gets a dedicated grid Cartesian product.
+// in r or s — and find them in cost.DetectHeavy's two rounds, the
+// owner of value v being server h(v). The third round is SkewJoinKnown's
+// routing round, fed the broadcast set: light values hash, each heavy
+// hitter gets a dedicated grid Cartesian product.
 func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result {
 	y := joinAttr(r, s)
 	c.ScatterRoundRobin(r)
 	c.ScatterRoundRobin(s)
 	start := c.Metrics().Rounds()
-	p := c.P()
-	threshold := heavyThreshold(r, s, p)
+	threshold := heavyThreshold(r, s, c.P())
 	trace.Annotatef(c, "join2.SkewJoin %s ⋈ %s on %s (heavy threshold %d)", r.Name(), s.Name(), y, threshold)
-	rName, sName := r.Name(), s.Name()
-
-	// Round 1: exchange per-value degree summaries so that server h(v)
-	// learns the global degree of v in both relations.
-	c.Round("skewjoin:degrees", func(srv *mpc.Server, out *mpc.Out) {
-		st := out.Open(outName+":deg", "v", "dr", "ds")
-		counts := map[relation.Value][2]int{}
-		if frag := srv.Rel(rName); frag != nil {
-			col := frag.MustCol(y)
-			for i := 0; i < frag.Len(); i++ {
-				v := frag.Row(i)[col]
-				e := counts[v]
-				e[0]++
-				counts[v] = e
-			}
-		}
-		if frag := srv.Rel(sName); frag != nil {
-			col := frag.MustCol(y)
-			for i := 0; i < frag.Len(); i++ {
-				v := frag.Row(i)[col]
-				e := counts[v]
-				e[1]++
-				counts[v] = e
-			}
-		}
-		vals := make([]relation.Value, 0, len(counts))
-		for v := range counts {
-			vals = append(vals, v)
-		}
-		slices.Sort(vals)
-		for _, v := range vals {
-			e := counts[v]
-			st.Send(relation.Bucket(relation.Hash64(v, seed), p), v, relation.Value(e[0]), relation.Value(e[1]))
-		}
-	})
-
-	// Round 2: each server aggregates the degree reports it owns and
-	// broadcasts the heavy hitters with their global degrees.
-	c.Round("skewjoin:heavy", func(srv *mpc.Server, out *mpc.Out) {
-		st := out.Open(outName+":heavy", "v", "dr", "ds")
-		deg := srv.Rel(outName + ":deg")
-		if deg == nil {
-			return
-		}
-		agg := map[relation.Value][2]int{}
-		for i := 0; i < deg.Len(); i++ {
-			row := deg.Row(i)
-			e := agg[row[0]]
-			e[0] += int(row[1])
-			e[1] += int(row[2])
-			agg[row[0]] = e
-		}
-		vals := make([]relation.Value, 0, len(agg))
-		for v := range agg {
-			vals = append(vals, v)
-		}
-		slices.Sort(vals)
-		for _, v := range vals {
-			e := agg[v]
-			if e[0] >= threshold || e[1] >= threshold {
-				st.Broadcast(v, relation.Value(e[0]), relation.Value(e[1]))
-			}
-		}
-		srv.Delete(outName + ":deg")
-	})
-
-	// Every server holds the same broadcast; read server 0's copy.
-	var heavy []heavyPlan
-	if hrel := c.Server(0).Rel(outName + ":heavy"); hrel != nil {
-		for i := 0; i < hrel.Len(); i++ {
-			row := hrel.Row(i)
-			heavy = append(heavy, heavyPlan{value: row[0], dr: int(row[1]), ds: int(row[2])})
-		}
-		slices.SortFunc(heavy, func(a, b heavyPlan) int { return cmp.Compare(a.value, b.value) })
-	}
-	c.DeleteAll(outName + ":heavy")
-
-	skewShuffle(c, r, s, y, heavy, outName, seed)
+	cols := []stats.Column{{Rel: r, Col: r.MustCol(y)}, {Rel: s, Col: s.MustCol(y)}}
+	heavy := cost.DetectHeavy(c, "skewjoin", outName, seed, [][]stats.Column{cols}, threshold, stats.InAny)[0]
+	skewShuffle(c, r, s, y, plansOf(heavy), outName, seed)
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
 }
 
@@ -365,12 +290,17 @@ func SkewJoinKnown(c *mpc.Cluster, r, s *relation.Relation, outName string, seed
 	c.ScatterRoundRobin(s)
 	start := c.Metrics().Rounds()
 	trace.Annotatef(c, "join2.SkewJoinKnown %s ⋈ %s on %s (%d heavy hitters)", r.Name(), s.Name(), y, len(heavy))
+	skewShuffle(c, r, s, y, plansOf(heavy), outName, seed)
+	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+}
+
+// plansOf lists the heavy hitters' degrees as unplaced heavy plans.
+func plansOf(heavy []stats.Hitter) []heavyPlan {
 	plans := make([]heavyPlan, len(heavy))
 	for i, h := range heavy {
 		plans[i] = heavyPlan{value: h.Value, dr: h.Deg[0], ds: h.Deg[1]}
 	}
-	skewShuffle(c, r, s, y, plans, outName, seed)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return plans
 }
 
 // skewShuffle is the skew join's routing round and local join, given the

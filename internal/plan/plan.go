@@ -94,12 +94,19 @@ func CollectStats(q hypergraph.Query, rels map[string]*relation.Relation, p int)
 		dist := map[string]int{}
 		deg := map[string]int{}
 		for ci, v := range a.Vars {
-			freq := stats.DegreesOfCol(r, ci)
-			dist[v] = max(len(freq), 1)
-			deg[v] = max(freq.Max(), 1)
+			// One row (value, degree) per distinct value; the degree
+			// column's name only has to differ from the value column's.
+			attr := r.Attrs()[ci]
+			counts := relation.GroupBy("counts", r, []string{attr}, relation.Count, "", attr+"#")
+			dmax := 1
+			for i := 0; i < counts.Len(); i++ {
+				dmax = max(dmax, int(counts.Row(i)[1]))
+			}
+			dist[v], deg[v] = max(counts.Len(), 1), dmax
 			// Heavy here is strictly above the threshold.
-			if heavy := len(freq.HeavySet(st.HeavyThreshold + 1)); heavy > st.HeavyVars[v] {
-				st.HeavyVars[v] = heavy
+			heavy := stats.Heavy([]stats.Column{{Rel: r, Col: ci}}, st.HeavyThreshold+1, stats.InAny)
+			if len(heavy) > st.HeavyVars[v] {
+				st.HeavyVars[v] = len(heavy)
 			}
 		}
 		st.Distinct[a.Name] = dist
@@ -110,9 +117,9 @@ func CollectStats(q hypergraph.Query, rels map[string]*relation.Relation, p int)
 		return nil, err
 	}
 	st.OutAGM = agm
-	// The heavy-aware chain estimate equals the System-R EstimateOut on
-	// skew-free inputs and only grows when correlated heavy hitters
-	// would make the independence assumption collapse.
+	// The heavy-aware chain estimate is the System-R independence
+	// estimate on skew-free inputs and only grows when correlated heavy
+	// hitters would make the independence assumption collapse.
 	st.OutEst = cost.ChainOut(st)
 	return st, nil
 }

@@ -123,29 +123,14 @@ func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr,
 	}
 	a.keys, a.aggs, a.cnts = keys, aggs, cnts
 
-	// Sort groups by key tuple — numeric comparison, not encoded bytes.
+	// Bulk emit into exactly presized storage, then sort the rows by
+	// group key — numeric comparison, not encoded bytes — with the row
+	// sort. Keys are distinct, so the order is total.
 	ng := len(cnts)
-	order := arenaI32(&a.order, ng)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(x, y int) bool {
-		ka := keys[int(order[x])*k : int(order[x])*k+k]
-		kb := keys[int(order[y])*k : int(order[y])*k+k]
-		for i := 0; i < k; i++ {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
-		}
-		return false
-	})
-
-	// Bulk emit into exactly presized storage.
 	out := New(name, append(append([]string(nil), groupAttrs...), outAttr)...)
 	out.data = make([]Value, ng*(k+1))
 	w := 0
-	for _, gi := range order {
-		g := int(gi)
+	for g := 0; g < ng; g++ {
 		w += copy(out.data[w:], keys[g*k:g*k+k])
 		if fn == Count {
 			out.data[w] = Value(cnts[g])
@@ -154,6 +139,11 @@ func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr,
 		}
 		w++
 	}
+	byKey := make([]int, k)
+	for i := range byKey {
+		byKey[i] = i
+	}
+	sortRows(out.data, k+1, byKey, a)
 	return out
 }
 

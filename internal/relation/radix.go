@@ -130,7 +130,6 @@ type kernelArena struct {
 	keys    []Value  // flat group-key storage, arity per group
 	aggs    []Value  // per-group aggregate accumulator
 	cnts    []int64  // per-group row count
-	order   []int32  // group emit order
 	sortTmp []Value  // sortRows' second row buffer
 
 	trie trieScratch // GenericJoin's sorted columns, levels and binding

@@ -7,11 +7,12 @@
 // S (slide 29, two-way joins) or N/p summed over the atoms binding a
 // variable (slide 47, SkewHC). Heavy decides both rules, with the exact
 // per-column degrees, in one Misra–Gries pass plus one recount and no
-// per-value map; the planner and the skew algorithms all call it.
-// Degrees is the whole per-value distribution of one column, counted by
-// attribute name (DegreesOf) or column index (DegreesOfCol), for the
-// statistics that need every value: distinct counts, maximum degree and
-// percentiles (Summarize).
+// per-value map, on a driver that holds the relations: the planner, the
+// one-round skew descriptors and the adaptive probe all call it. Its one
+// counterpart on servers that hold only fragments is cost.DetectHeavy,
+// the tutorial's two detection rounds, which returns exactly what Heavy
+// returns on the union of the fragments; the in-round skew algorithms
+// all call that.
 //
 // The dynamic half (signal.go) summarizes one metered round's
 // per-server receive vector into a RecvSignal — max load, mean,

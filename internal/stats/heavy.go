@@ -28,6 +28,20 @@ const (
 	Summed
 )
 
+// Reaches reports whether a value whose degree in each column is deg
+// reaches threshold t under r.
+func (r Rule) Reaches(deg []int, t int) bool {
+	sum, single := 0, 0
+	for _, n := range deg {
+		sum += n
+		single = max(single, n)
+	}
+	if r == Summed {
+		return sum >= t
+	}
+	return single >= t
+}
+
 // Hitter is one heavy value with its exact degree in each column, in the
 // order the columns were given.
 type Hitter struct {
@@ -117,13 +131,7 @@ func recount(cols []Column, cands []relation.Value, t int, rule Rule) []Hitter {
 	}
 	var out []Hitter
 	for i, v := range cands {
-		d := deg[(1+i)*k : (2+i)*k : (2+i)*k]
-		sum, single := 0, 0
-		for _, n := range d {
-			sum += n
-			single = max(single, n)
-		}
-		if (rule == Summed && sum >= t) || (rule == InAny && single >= t) {
+		if d := deg[(1+i)*k : (2+i)*k : (2+i)*k]; rule.Reaches(d, t) {
 			out = append(out, Hitter{Value: v, Deg: d})
 		}
 	}

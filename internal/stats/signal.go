@@ -50,15 +50,9 @@ func FromRecv(recv []int64) RecvSignal {
 
 // Skewed reports whether the signal crosses either re-plan trigger:
 // an imbalance ratio above maxImbalance or a Gini coefficient above
-// maxGini. Non-positive thresholds disable the corresponding trigger.
+// maxGini.
 func (s RecvSignal) Skewed(maxImbalance, maxGini float64) bool {
-	if maxImbalance > 0 && s.Imbalance > maxImbalance {
-		return true
-	}
-	if maxGini > 0 && s.Gini > maxGini {
-		return true
-	}
-	return false
+	return s.Imbalance > maxImbalance || s.Gini > maxGini
 }
 
 // String renders the signal for traces and EXPLAIN-style reports.

@@ -50,8 +50,7 @@ func TestFromRecvExtremeSkew(t *testing.T) {
 	}
 }
 
-// TestSkewedThresholds exercises both triggers and the disable
-// semantics of non-positive thresholds.
+// TestSkewedThresholds exercises both triggers.
 func TestSkewedThresholds(t *testing.T) {
 	balanced := FromRecv([]int64{10, 10, 10, 10})
 	skewed := FromRecv([]int64{1, 1, 1, 97})
@@ -61,16 +60,13 @@ func TestSkewedThresholds(t *testing.T) {
 	if !skewed.Skewed(2.0, 0.4) {
 		t.Errorf("skewed signal %+v not flagged", skewed)
 	}
-	// Each trigger alone suffices.
-	if !skewed.Skewed(2.0, 0) {
+	// Each trigger alone suffices: no Gini exceeds 1, and no imbalance
+	// exceeds p.
+	if !skewed.Skewed(2.0, 1) {
 		t.Errorf("imbalance trigger alone should fire on %+v", skewed)
 	}
-	if !skewed.Skewed(0, 0.4) {
+	if !skewed.Skewed(4, 0.4) {
 		t.Errorf("gini trigger alone should fire on %+v", skewed)
-	}
-	// Both disabled: never skewed.
-	if skewed.Skewed(0, 0) {
-		t.Errorf("disabled thresholds must never fire")
 	}
 	// Thresholds are strict: a signal exactly at the threshold does
 	// not fire, so imbalance 1.0 survives maxImbalance 1.0.
@@ -106,22 +102,22 @@ func TestSampledThreshold(t *testing.T) {
 	}
 }
 
-// TestHeavyHitterThresholdBoundary pins the inclusive >= threshold
-// semantics the adaptive probe relies on: a value whose sampled degree
-// lands exactly on SampledThreshold must be detected.
-func TestHeavyHitterThresholdBoundary(t *testing.T) {
-	d := Degrees{1: 2, 2: 3, 3: 4}
-	if got := d.HeavyHitters(3); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("HeavyHitters(3) = %v, want [2 3] (inclusive threshold)", got)
+// TestHeavyThresholdBoundary pins the inclusive >= threshold semantics
+// the adaptive probe relies on: a value whose sampled degree lands
+// exactly on SampledThreshold must be detected.
+func TestHeavyThresholdBoundary(t *testing.T) {
+	col := []Column{column("R", 1, 0, []relation.Value{1, 1, 2, 2, 2, 3, 3, 3, 3}, 0)}
+	if got := Heavy(col, 3, InAny); len(got) != 2 || got[0].Value != 2 || got[1].Value != 3 {
+		t.Fatalf("Heavy(3) = %v, want 2 and 3 (inclusive threshold)", got)
 	}
-	if got := d.HeavyHitters(5); len(got) != 0 {
-		t.Fatalf("HeavyHitters(5) = %v, want empty", got)
+	if got := Heavy(col, 5, InAny); len(got) != 0 {
+		t.Fatalf("Heavy(5) = %v, want none", got)
 	}
 	// Threshold 1 declares everything heavy — the degenerate-probe
 	// floor of SampledThreshold must therefore stay conservative, not
 	// silent.
-	if got := d.HeavyHitters(SampledThreshold(0, 0.15)); len(got) != 3 {
-		t.Fatalf("HeavyHitters(1) = %v, want all 3 values", got)
+	if got := Heavy(col, SampledThreshold(0, 0.15), InAny); len(got) != 3 {
+		t.Fatalf("Heavy(1) = %v, want all 3 values", got)
 	}
 }
 
@@ -152,10 +148,9 @@ func TestQuantileInt64ExtremeSkew(t *testing.T) {
 	}
 }
 
-// TestDegreesOfFeedbackPath mirrors how the adaptive probe derives
-// heavy hitters: count degrees over a prefix and threshold them with
-// the sampled threshold.
-func TestDegreesOfFeedbackPath(t *testing.T) {
+// TestHeavyFeedbackPath mirrors how the adaptive probe derives heavy
+// hitters: Heavy over a prefix at the sampled threshold.
+func TestHeavyFeedbackPath(t *testing.T) {
 	r := relation.New("R", "a", "b")
 	// 40 rows, value 7 appears every 4th row (degree 10), others once.
 	for i := 0; i < 40; i++ {
@@ -165,10 +160,9 @@ func TestDegreesOfFeedbackPath(t *testing.T) {
 		}
 		r.Append(v, relation.Value(i))
 	}
-	d := DegreesOf(r, "a")
 	// Full threshold 8 (say IN/p); the probe saw the full relation
 	// here, so the unscaled threshold finds exactly the planted value.
-	if got := d.HeavyHitters(8); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("HeavyHitters(8) = %v, want [7]", got)
+	if got := Heavy([]Column{{Rel: r, Col: 0}}, 8, Summed); len(got) != 1 || got[0].Value != 7 {
+		t.Fatalf("Heavy(8) = %v, want 7 alone", got)
 	}
 }

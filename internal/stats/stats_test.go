@@ -1,66 +1,6 @@
 package stats
 
-import (
-	"testing"
-
-	"mpcquery/internal/relation"
-)
-
-func rel(rows ...[]relation.Value) *relation.Relation {
-	return relation.FromRows("R", []string{"y", "p"}, rows)
-}
-
-func TestDegreesOf(t *testing.T) {
-	r := rel([]relation.Value{1, 0}, []relation.Value{1, 1}, []relation.Value{2, 2})
-	d := DegreesOf(r, "y")
-	if d[1] != 2 || d[2] != 1 || len(d) != 2 {
-		t.Fatalf("degrees = %v", d)
-	}
-	if d.Max() != 2 {
-		t.Fatalf("max = %d", d.Max())
-	}
-}
-
-func TestDegreesEmpty(t *testing.T) {
-	d := DegreesOf(relation.New("R", "y"), "y")
-	if len(d) != 0 || d.Max() != 0 {
-		t.Fatalf("empty degrees wrong: %v", d)
-	}
-}
-
-func TestHeavyHitters(t *testing.T) {
-	d := Degrees{10: 5, 20: 3, 30: 5, 40: 1}
-	hh := d.HeavyHitters(4)
-	if len(hh) != 2 || hh[0] != 10 || hh[1] != 30 {
-		t.Fatalf("heavy = %v", hh)
-	}
-	set := d.HeavySet(4)
-	if !set[10] || !set[30] || set[20] {
-		t.Fatalf("heavy set = %v", set)
-	}
-	if got := d.HeavyHitters(100); len(got) != 0 {
-		t.Fatalf("threshold 100 should find none: %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	d := Degrees{}
-	for v := relation.Value(0); v < 100; v++ {
-		d[v] = 1
-	}
-	d[999] = 50
-	s := Summarize(d)
-	if s.Distinct != 101 || s.Total != 150 || s.MaxDegree != 50 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P99Degree != 1 {
-		t.Fatalf("p99 = %d, want 1 (heavy value is beyond p99)", s.P99Degree)
-	}
-	empty := Summarize(Degrees{})
-	if empty.Distinct != 0 || empty.MaxDegree != 0 {
-		t.Fatalf("empty summary = %+v", empty)
-	}
-}
+import "testing"
 
 // TestQuantileInt64 pins the shared nearest-rank quantile on raw
 // slices — the primitive both RoundStat.Quantile and the trace skew

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mpcquery/internal/relation"
 	"mpcquery/internal/stats"
 )
 
@@ -137,37 +136,33 @@ func (r *Recorder) Recv(round int, stream string, dst int, tuples, words int64, 
 	r.append(Event{Kind: KindRecv, Round: round, Server: dst, Name: stream, Tuples: tuples, Words: words, Frags: frags})
 }
 
-// RoundEnd closes a round: it derives the round's skew histogram from
-// the per-server received-tuple counts using internal/stats and appends
-// a skew event followed by the round_end frame. recv and recvWords are
+// RoundEnd closes a round: it summarizes the per-server received-tuple
+// counts (busy servers, max, p99, Gini) into a skew event and appends
+// it followed by the round_end frame. recv and recvWords are
 // the RoundStat vectors (one slot per server, zeros included).
 func (r *Recorder) RoundEnd(round int, name string, recv, recvWords []int64) {
-	var total, totalWords int64
-	for _, v := range recv {
-		total += v
+	var total, totalWords, maxRecv int64
+	busy := 0 // servers that received something
+	for _, n := range recv {
+		total += n
+		maxRecv = max(maxRecv, n)
+		if n > 0 {
+			busy++
+		}
 	}
 	for _, v := range recvWords {
 		totalWords += v
 	}
-	// Histogram of per-server received load: server id plays the role of
-	// the "value", its received-tuple count the degree.
-	d := make(stats.Degrees, len(recv))
-	for s, n := range recv {
-		if n > 0 {
-			d[relation.Value(s)] = int(n)
-		}
-	}
-	sum := stats.Summarize(d)
 	r.append(Event{
 		Kind: KindSkew, Round: round, Server: Driver,
-		Tuples: total, Words: totalWords, Frags: sum.Distinct,
-		MaxRecv: int64(sum.MaxDegree),
+		Tuples: total, Words: totalWords, Frags: busy,
+		MaxRecv: maxRecv,
 		P99Recv: stats.QuantileInt64(recv, 0.99),
 		Gini:    stats.Gini(recv),
 	})
 	r.append(Event{
 		Kind: KindRoundEnd, Round: round, Server: Driver, Name: name,
-		Tuples: total, Words: totalWords, MaxRecv: int64(sum.MaxDegree),
+		Tuples: total, Words: totalWords, MaxRecv: maxRecv,
 	})
 }
 

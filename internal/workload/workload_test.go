@@ -1,11 +1,17 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"mpcquery/internal/relation"
 	"mpcquery/internal/stats"
 )
+
+// heavy lists the values of attr in r of degree ≥ t, with their degrees.
+func heavy(r *relation.Relation, attr string, t int) []stats.Hitter {
+	return stats.Heavy([]stats.Column{{Rel: r, Col: r.MustCol(attr)}}, t, stats.InAny)
+}
 
 func TestMatching(t *testing.T) {
 	r := Matching("R", []string{"x", "y"}, 5)
@@ -19,7 +25,7 @@ func TestMatching(t *testing.T) {
 		}
 	}
 	// Every value has degree exactly 1.
-	if stats.DegreesOf(r, "x").Max() != 1 {
+	if len(heavy(r, "x", 2)) != 0 {
 		t.Fatal("matching relation has skew")
 	}
 }
@@ -41,17 +47,17 @@ func TestUniformDegree(t *testing.T) {
 	if r.Len() != 100 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	d := stats.DegreesOf(r, "y")
+	d := heavy(r, "y", 1)
 	if len(d) != 20 {
 		t.Fatalf("distinct keys = %d, want 20", len(d))
 	}
-	for v, n := range d {
-		if n != 5 {
-			t.Fatalf("key %d degree = %d, want 5", v, n)
+	for _, h := range d {
+		if h.Deg[0] != 5 {
+			t.Fatalf("key %d degree = %d, want 5", h.Value, h.Deg[0])
 		}
 	}
 	// Payloads unique.
-	if stats.DegreesOf(r, "p").Max() != 1 {
+	if len(heavy(r, "p", 2)) != 0 {
 		t.Fatal("payloads not unique")
 	}
 	defer func() {
@@ -67,10 +73,9 @@ func TestZipfSkewed(t *testing.T) {
 	if r.Len() != 10000 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	d := stats.DegreesOf(r, "y")
 	// Zipf concentrates mass: max degree far above uniform expectation.
-	if d.Max() < 1000 {
-		t.Fatalf("zipf max degree = %d; expected strong skew", d.Max())
+	if len(heavy(r, "y", 1000)) == 0 {
+		t.Fatal("no zipf value reaches degree 1000; expected strong skew")
 	}
 }
 
@@ -79,11 +84,10 @@ func TestPlantHeavy(t *testing.T) {
 	if r.Len() != 35 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	d := stats.DegreesOf(r, "y")
-	if d[7] != 20 || d[8] != 5 {
-		t.Fatalf("heavy degrees = %v", d)
+	if d := fmt.Sprint(heavy(r, "y", 2)); d != "[{7 [20]} {8 [5]}]" {
+		t.Fatalf("heavy degrees = %s", d)
 	}
-	if stats.DegreesOf(r, "p").Max() != 1 {
+	if len(heavy(r, "p", 2)) != 0 {
 		t.Fatal("payloads not unique")
 	}
 	defer func() {
