@@ -3,10 +3,12 @@
 //
 // Usage:
 //
-//	mpcbench                 # run every experiment (E01..E20)
+//	mpcbench                 # run every experiment (E01..E28, A01..A07)
 //	mpcbench -run E07,E10    # run a subset
-//	mpcbench -markdown       # emit GitHub-flavored markdown (EXPERIMENTS.md body)
 //	mpcbench -list           # list experiment IDs and titles
+//
+// A failed experiment prints its error and exits 1. EXPERIMENTS.md holds
+// the same tables; `go test ./internal/experiments` checks them.
 //
 // It also carries the CI benchmark gate:
 //
@@ -32,7 +34,6 @@ import (
 
 func main() {
 	runFlag := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	markdown := flag.Bool("markdown", false, "emit markdown instead of aligned text")
 	list := flag.Bool("list", false, "list experiments and exit")
 	benchCheck := flag.String("benchcheck", "", "compare `go test -bench` output (file path, or - for stdin) against the baseline and exit non-zero on regressions")
 	baseline := flag.String("baseline", "BENCH_BASELINE.json", "baseline file for -benchcheck")
@@ -97,13 +98,13 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		table := e.Run()
-		if *markdown {
-			fmt.Print(table.Markdown())
-		} else {
-			fmt.Print(table.Render())
-			fmt.Printf("  (%v)\n\n", time.Since(start).Round(time.Millisecond))
+		table, err := e.Run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mpcbench: %s: %v\n", e.ID, err)
+			os.Exit(1)
 		}
+		fmt.Print(table.Render())
+		fmt.Printf("  (%v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	if rec != nil {

@@ -11,10 +11,6 @@ import (
 	"mpcquery/internal/workload"
 )
 
-func init() {
-	All = append(All, Experiment{"A07", "BiGJoin variable-order sensitivity", A07BigJoinOrder})
-}
-
 // A07BigJoinOrder measures how the variable elimination order changes
 // BiGJoin's binding footprint and load — the distributed analogue of
 // the classic worst-case-optimal-join ordering sensitivity. The query
@@ -23,7 +19,7 @@ func init() {
 // sets. (A power-law graph makes the spread more dramatic but its
 // 4-cycle count explodes combinatorially, so the sweep uses a uniform
 // graph.)
-func A07BigJoinOrder() *Table {
+func A07BigJoinOrder() (*Table, error) {
 	const p = 16
 	q := hypergraph.Cycle(4)
 	// Asymmetric sizes make the ordering matter: R1 and R3 are sparse,
@@ -48,7 +44,7 @@ func A07BigJoinOrder() *Table {
 	} {
 		pl, err := bigjoin.NewPlan(q, order)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		c := mpc.NewCluster(p, 1)
 		res := bigjoin.Run(c, pl, rels, "out", 42)
@@ -56,12 +52,12 @@ func A07BigJoinOrder() *Table {
 		if refLen < 0 {
 			refLen = outLen
 		} else if outLen != refLen {
-			panic(fmt.Sprintf("A07: order %v changed the result (%d vs %d)", order, outLen, refLen))
+			return nil, fmt.Errorf("order %v changed the result (%d vs %d)", order, outLen, refLen)
 		}
 		t.AddRow(strings.Join(order, ","), fmtInt(int64(res.Rounds)),
 			fmtInt(int64(res.MaxBindings)), fmtInt(c.Metrics().MaxLoad()),
 			fmtInt(c.Metrics().TotalComm()))
 	}
 	t.Note("p = %d, |R1|=|R3|=400, |R2|=|R4|=4000, OUT = %d; the result is order-independent, the cost is not", p, refLen)
-	return t
+	return t, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,22 +20,11 @@ import (
 // choices inside our implementations whose impact the slides imply but
 // never measure.
 
-func init() {
-	All = append(All,
-		Experiment{"A01", "HyperCube share rounding: floor vs greedy", A01ShareRounding},
-		Experiment{"A02", "Local join algorithm under HyperCube", A02LocalJoin},
-		Experiment{"A03", "PSRS splitter selection: regular vs random", A03Splitters},
-		Experiment{"A04", "Square-block matmul group size g", A04MatMulGroups},
-		Experiment{"A05", "Aggregation combiner on/off", A05Combiner},
-		Experiment{"A06", "HL+Semijoins vs SkewHC vs plain HC", A06HLSemijoins},
-	)
-}
-
 // A01ShareRounding compares the two integer-rounding strategies for
 // HyperCube shares on unequal-size triangles: floor rounding can leave
 // most of the cluster idle when the fractional optimum sits between
 // powers.
-func A01ShareRounding() *Table {
+func A01ShareRounding() (*Table, error) {
 	const p = 60 // deliberately not a perfect cube
 	q := hypergraph.Triangle()
 	t := &Table{
@@ -48,7 +38,7 @@ func A01ShareRounding() *Table {
 	} {
 		sh, err := fractional.OptimalShares(q, sz, p)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		floor := fractional.RoundSharesFloor(sh.Fractional, p)
 		greedy := fractional.RoundSharesGreedy(sh.Fractional, p)
@@ -70,13 +60,13 @@ func A01ShareRounding() *Table {
 			fmtInt(load(floor)), fmtInt(load(greedy)))
 	}
 	t.Note("p = %d; greedy rounding uses leftover server budget to shrink the dominant atom's load", p)
-	return t
+	return t, nil
 }
 
 // A02LocalJoin compares the two local evaluation strategies under an
 // identical HyperCube shuffle: the slide-32 point that the local
 // algorithm is orthogonal to the parallel one, quantified.
-func A02LocalJoin() *Table {
+func A02LocalJoin() (*Table, error) {
 	const nv, ne, p = 3000, 40000, 8
 	rels := func() map[string]*relation.Relation {
 		r, s, u := workload.TriangleInput(nv, ne, 31)
@@ -84,8 +74,9 @@ func A02LocalJoin() *Table {
 	}()
 	t := &Table{
 		ID: "A02", Title: "Local join algorithm under HyperCube",
-		SlideRef: "DESIGN.md ablation 2 (slide 32)",
-		Header:   []string{"local algorithm", "output", "local-eval wall time", "shuffle L (identical)"},
+		SlideRef:     "DESIGN.md ablation 2 (slide 32)",
+		Header:       []string{"local algorithm", "output", "local-eval wall time", "shuffle L (identical)"},
+		RunDependent: []string{"local-eval wall time"},
 	}
 	var wantLen int
 	for _, spec := range []struct {
@@ -98,69 +89,65 @@ func A02LocalJoin() *Table {
 		c := mpc.NewCluster(p, 1)
 		start := time.Now()
 		if _, err := hypercube.Run(c, hypergraph.Triangle(), rels, "out", 42, spec.alg); err != nil {
-			panic(err)
+			return nil, err
 		}
 		elapsed := time.Since(start)
 		outLen := c.TotalLen("out")
 		if wantLen == 0 {
 			wantLen = outLen
 		} else if outLen != wantLen {
-			panic("local algorithms disagree")
+			return nil, errors.New("local algorithms disagree")
 		}
 		t.AddRow(spec.name, fmtInt(int64(outLen)),
 			elapsed.Round(time.Millisecond).String(), fmtInt(c.Metrics().MaxLoad()))
 	}
 	t.Note("N = %d edges, p = %d; wall time includes the (identical) shuffle — differences are local evaluation", ne, p)
 	t.Note("binary plans materialize the R⋈S intermediate locally; the WCO trie join never does")
-	return t
+	return t, nil
 }
 
 // A03Splitters compares PSRS's classical regular sampling with the
 // random-sampling variant at several sample budgets, measuring
 // partition imbalance.
-func A03Splitters() *Table {
+func A03Splitters() (*Table, error) {
 	const n, p = 200000, 16
 	t := &Table{
 		ID: "A03", Title: "PSRS splitter selection",
 		SlideRef: "DESIGN.md ablation 4 (slide 102)",
 		Header:   []string{"strategy", "samples/server", "partition L", "L/(N/p)", "sample-round L"},
 	}
-	runOne := func(name string, run func(c *mpc.Cluster)) {
+	runOne := func(strategy, samples string, sort func(c *mpc.Cluster)) error {
 		c := mpc.NewCluster(p, 1)
 		c.ScatterRoundRobin(workload.Uniform("R", []string{"k", "v"}, n, 1<<30, 7))
-		run(c)
+		sort(c)
 		if err := sortmpc.VerifySorted(c, "sorted", []string{"k"}); err != nil {
-			panic(err)
+			return err
 		}
 		part := c.Metrics().MaxLoadOfRound("sort:partition")
-		samp := c.Metrics().MaxLoadOfRound("sort:sample")
-		parts := []string{name, "-", fmtInt(part), fmtRatio(float64(part), float64(n)/p), fmtInt(samp)}
-		t.Rows = append(t.Rows, parts)
+		t.AddRow(strategy, samples, fmtInt(part), fmtRatio(float64(part), float64(n)/p),
+			fmtInt(c.Metrics().MaxLoadOfRound("sort:sample")))
+		return nil
 	}
-	runOne("regular (p-1 per server)", func(c *mpc.Cluster) {
+	if err := runOne("regular (p-1 per server)", "-", func(c *mpc.Cluster) {
 		sortmpc.PSRS(c, "R", []string{"k"}, "sorted")
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, s := range []int{4, 16, 64, 256} {
-		s := s
-		c := mpc.NewCluster(p, 1)
-		c.ScatterRoundRobin(workload.Uniform("R", []string{"k", "v"}, n, 1<<30, 7))
-		sortmpc.PSRSRandomSample(c, "R", []string{"k"}, "sorted", s)
-		if err := sortmpc.VerifySorted(c, "sorted", []string{"k"}); err != nil {
-			panic(err)
+		if err := runOne("random", fmtInt(int64(s)), func(c *mpc.Cluster) {
+			sortmpc.PSRSRandomSample(c, "R", []string{"k"}, "sorted", s)
+		}); err != nil {
+			return nil, err
 		}
-		part := c.Metrics().MaxLoadOfRound("sort:partition")
-		samp := c.Metrics().MaxLoadOfRound("sort:sample")
-		t.AddRow("random", fmtInt(int64(s)), fmtInt(part),
-			fmtRatio(float64(part), float64(n)/p), fmtInt(samp))
 	}
 	t.Note("N = %d, p = %d; more random samples buy balance at the cost of sample-round load", n, p)
-	return t
+	return t, nil
 }
 
 // A04MatMulGroups sweeps the square-block group count g at fixed H:
 // more groups halve the multiply rounds (slide 119) but add a combine
 // round and replicate partial sums.
-func A04MatMulGroups() *Table {
+func A04MatMulGroups() (*Table, error) {
 	const n, h = 64, 8
 	a, b := matmul.Random(n, 8, 5), matmul.Random(n, 8, 6)
 	want := matmul.Multiply(a, b)
@@ -173,19 +160,19 @@ func A04MatMulGroups() *Table {
 		c := mpc.NewCluster(g*h*h, 1)
 		res, err := matmul.SquareBlock(c, a, b, h, g)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		t.AddRow(fmtInt(int64(g)), fmtInt(int64(g*h*h)),
 			fmtInt(int64(res.Rounds)), fmtInt(c.Metrics().MaxLoad()),
 			fmtInt(c.Metrics().TotalComm()), fmt.Sprintf("%v", res.C.Equal(want)))
 	}
 	t.Note("n = %d, H = %d: g trades processors for rounds at constant per-round load", n, h)
-	return t
+	return t, nil
 }
 
 // A05Combiner measures the effect of local pre-aggregation on the
 // distributed group-by (the slide-52 workload).
-func A05Combiner() *Table {
+func A05Combiner() (*Table, error) {
 	const n, p = 100000, 16
 	rel := workload.Uniform("sales", []string{"g1", "g2", "v"}, n, 25, 13)
 	t := &Table{
@@ -201,7 +188,7 @@ func A05Combiner() *Table {
 			AggAttr: "v", OutAttr: "total", OutRel: "agg", Seed: 3, NoCombiner: !with,
 		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		name := "on"
 		if !with {
@@ -211,13 +198,13 @@ func A05Combiner() *Table {
 			fmtInt(int64(res.Groups)))
 	}
 	t.Note("N = %d rows into 625 groups, p = %d: the combiner makes communication proportional to groups, not rows", n, p)
-	return t
+	return t, nil
 }
 
 // A06HLSemijoins compares the three skew strategies for the triangle on
 // a hot-z input: plain HyperCube (degrades), one-round SkewHC, and the
 // multi-round HL+Semijoins of slides 58–59.
-func A06HLSemijoins() *Table {
+func A06HLSemijoins() (*Table, error) {
 	const k, p = 4096, 64
 	r := relation.New("R", "x", "y")
 	s := relation.New("S", "y", "z")
@@ -245,21 +232,21 @@ func A06HLSemijoins() *Table {
 	cp := mpc.NewCluster(p, 1)
 	resP, err := hypercube.Run(cp, hypergraph.Triangle(), rels, "out", 42, hypercube.LocalGeneric)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	addRow("plain HyperCube", cp, resP.Rounds, "hypercube:shuffle")
 	cs := mpc.NewCluster(p, 1)
 	resS, err := hypercube.RunSkewHC(cs, hypergraph.Triangle(), rels, "out", 42, 0, hypercube.LocalGeneric)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	addRow("SkewHC (1-round patterns)", cs, resS.Rounds, "skewhc:shuffle")
 	ch := mpc.NewCluster(p, 1)
 	resH, err := hypercube.HeavyLightTriangle(ch, rels, "out", 42)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	addRow("HL+Semijoins (multi-round)", ch, resH.Rounds, "hl:shuffle")
 	t.Note("N = %d, p = %d, one hot z value; both skew-aware strategies restore the IN/p^{2/3}-class load", k, p)
-	return t
+	return t, nil
 }

@@ -100,13 +100,17 @@ func TestTableWithChartRenders(t *testing.T) {
 }
 
 func TestAddRowValidation(t *testing.T) {
-	tbl := &Table{Header: []string{"a", "b"}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on cell count mismatch")
-		}
-	}()
-	tbl.AddRow("only one")
+	e := Experiment{ID: "T", run: func() (*Table, error) {
+		tbl := &Table{ID: "T", Header: []string{"a", "b"}}
+		tbl.AddRow("1", "2")
+		tbl.AddRow("only one")
+		tbl.AddRow("3", "4")
+		return tbl, nil
+	}}
+	_, err := e.Run()
+	if err == nil || err.Error() != "row 2 has 1 cells, header has 2" {
+		t.Fatalf("Run() error = %v, want the short row 2", err)
+	}
 }
 
 func TestByID(t *testing.T) {

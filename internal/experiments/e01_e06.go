@@ -15,7 +15,7 @@ import (
 // E01CostRegimes reproduces the cost table of slides 13–18: the load
 // and round count of the ideal, practical, and two naïve strategies on
 // the same two-way join.
-func E01CostRegimes() *Table {
+func E01CostRegimes() (*Table, error) {
 	const n, p = 20000, 16
 	in := 2 * n
 	r := workload.Matching("R", []string{"x", "y"}, n)
@@ -98,13 +98,13 @@ func E01CostRegimes() *Table {
 	t.AddRow("naive 2 (rotation)", "IN/p per round, r=p", fmtInt(int64(in/p)),
 		fmtInt(c4.Metrics().MaxLoad()), fmtInt(int64(c4.Metrics().Rounds())))
 	t.Note("IN = %d tuples, p = %d servers; matching (skew-free) data", in, p)
-	return t
+	return t, nil
 }
 
 // E02LoadConcentration reproduces slides 24–25: how the max hash-
 // partition load concentrates around IN/p without skew, and how degree
 // d weakens the Chernoff exponent by a factor d.
-func E02LoadConcentration() *Table {
+func E02LoadConcentration() (*Table, error) {
 	const n, p = 100000, 16
 	const delta = 0.3
 	t := &Table{
@@ -138,13 +138,13 @@ func E02LoadConcentration() *Table {
 			fmtRatio(float64(load), float64(n)/p), boundStr)
 	}
 	t.Note("IN = %d, p = %d; the bound is p·exp(−δ²·IN/(3pd)), δ = %.1f", n, p, delta)
-	return t
+	return t, nil
 }
 
 // E03SkewThreshold regenerates the slide-26 curve — the largest degree
 // tolerating ≤30%% overload with 95%% confidence at IN = 100 billion —
 // and validates the formula by Monte-Carlo at laptop scale.
-func E03SkewThreshold() *Table {
+func E03SkewThreshold() (*Table, error) {
 	t := &Table{
 		ID: "E03", Title: "Degree threshold for ≤30% overload w.p. 95%",
 		SlideRef: "slide 26",
@@ -198,13 +198,13 @@ func E03SkewThreshold() *Table {
 	t.Note("Monte-Carlo at IN=%d, p=%d, d*=%d: overload frequency %d/%d (bound guarantees ≤ 5%% — the bound is conservative)",
 		n, p, d, over, trials)
 	t.Note("slide annotates p=100 → d≈4e6 (reproduced); its p=1000 → 1e4 annotation is inconsistent with its own bound (formula gives ≈3e5)")
-	return t
+	return t, nil
 }
 
 // E04Cartesian reproduces slide 28: the grid Cartesian product achieves
 // L ≈ 2·sqrt(|R||S|/p) across size ratios, and broadcasting wins when
 // one side is tiny.
-func E04Cartesian() *Table {
+func E04Cartesian() (*Table, error) {
 	const p = 16
 	t := &Table{
 		ID: "E04", Title: "Cartesian product grid load",
@@ -224,13 +224,22 @@ func E04Cartesian() *Table {
 			fmt.Sprintf("%d×%d", p1, p2), fmtF(opt), fmtF(load), fmtRatio(load, opt))
 	}
 	t.Note("p = %d; when |R| ≪ |S| the optimal grid degenerates to 1×p — broadcasting R", p)
-	return t
+	return t, nil
+}
+
+// runJoin runs join on a fresh p-server cluster and returns its load and
+// the size of its output "out". The cluster, output included, is
+// garbage once runJoin returns.
+func runJoin(p int, join func(*mpc.Cluster)) (load int64, out int) {
+	c := mpc.NewCluster(p, 1)
+	join(c)
+	return c.Metrics().MaxLoad(), c.TotalLen("out")
 }
 
 // E05SkewJoin reproduces slides 29–30: the heavy-hitter-aware join
 // achieves L = O(sqrt(OUT/p) + IN/p) where the plain hash join degrades
 // to Θ(IN) under extreme skew.
-func E05SkewJoin() *Table {
+func E05SkewJoin() (*Table, error) {
 	const p = 16
 	t := &Table{
 		ID: "E05", Title: "Skew-aware 2-way join vs hash join",
@@ -240,47 +249,34 @@ func E05SkewJoin() *Table {
 	cases := []struct {
 		name string
 		r, s *relation.Relation
-	}{}
-	// Uniform baseline.
-	ru := workload.Uniform("R", []string{"x", "y"}, 20000, 10000, 1)
-	su := workload.Uniform("S", []string{"y", "z"}, 20000, 10000, 2)
-	cases = append(cases, struct {
-		name string
-		r, s *relation.Relation
-	}{"uniform", ru, su})
-	// Zipf skew.
-	rz := workload.Zipf("R", []string{"y", "x"}, 20000, 5000, 1.4, 3).Project("R", "x", "y")
-	sz := workload.Zipf("S", []string{"y", "z"}, 20000, 5000, 1.4, 4)
-	cases = append(cases, struct {
-		name string
-		r, s *relation.Relation
-	}{"zipf(1.4)", rz, sz})
-	// Extreme: one value holds 10% of each side.
-	rx := workload.PlantHeavy("R", "y", "x", 18000, 1<<20, []relation.Value{7}, []int{2000}).Project("R", "x", "y")
-	sx := workload.PlantHeavy("S", "y", "z", 18000, 1<<21, []relation.Value{7}, []int{2000})
-	cases = append(cases, struct {
-		name string
-		r, s *relation.Relation
-	}{"planted heavy", rx, sx})
-
+	}{
+		// Uniform baseline.
+		{"uniform",
+			workload.Uniform("R", []string{"x", "y"}, 20000, 10000, 1),
+			workload.Uniform("S", []string{"y", "z"}, 20000, 10000, 2)},
+		// Zipf skew.
+		{"zipf(1.4)",
+			workload.Zipf("R", []string{"y", "x"}, 20000, 5000, 1.4, 3).Project("R", "x", "y"),
+			workload.Zipf("S", []string{"y", "z"}, 20000, 5000, 1.4, 4)},
+		// Extreme: one value holds 10% of each side.
+		{"planted heavy",
+			workload.PlantHeavy("R", "y", "x", 18000, 1<<20, []relation.Value{7}, []int{2000}).Project("R", "x", "y"),
+			workload.PlantHeavy("S", "y", "z", 18000, 1<<21, []relation.Value{7}, []int{2000})},
+	}
 	for _, tc := range cases {
 		in := tc.r.Len() + tc.s.Len()
-		outSize := relation.HashJoin("w", tc.r, tc.s).Len()
-		ch := mpc.NewCluster(p, 1)
-		join2.HashJoin(ch, tc.r, tc.s, "out", 42)
-		cs := mpc.NewCluster(p, 1)
-		join2.SkewJoin(cs, tc.r, tc.s, "out", 42)
+		hashL, outSize := runJoin(p, func(c *mpc.Cluster) { join2.HashJoin(c, tc.r, tc.s, "out", 42) })
+		skewL, _ := runJoin(p, func(c *mpc.Cluster) { join2.SkewJoin(c, tc.r, tc.s, "out", 42) })
 		bound := cost.SkewJoinLoad(float64(in), float64(outSize), p)
-		t.AddRow(tc.name, fmtInt(int64(outSize)),
-			fmtInt(ch.Metrics().MaxLoad()), fmtInt(cs.Metrics().MaxLoad()), fmtF(bound))
+		t.AddRow(tc.name, fmtInt(int64(outSize)), fmtInt(hashL), fmtInt(skewL), fmtF(bound))
 	}
 	t.Note("IN = 40000 per case, p = %d; skew join runs 3 rounds (degrees, heavy broadcast, shuffle)", p)
-	return t
+	return t, nil
 }
 
 // E06SortJoin reproduces slide 31: the parallel sort join meets the
 // same O(√(OUT/p) + IN/p) bound via sorting + boundary fix-up.
-func E06SortJoin() *Table {
+func E06SortJoin() (*Table, error) {
 	const p = 16
 	t := &Table{
 		ID: "E06", Title: "Parallel sort join",
@@ -301,12 +297,10 @@ func E06SortJoin() *Table {
 	}
 	for _, c0 := range cases {
 		in := c0.r.Len() + c0.s.Len()
-		outSize := relation.HashJoin("w", c0.r, c0.s).Len()
-		c := mpc.NewCluster(p, 1)
-		res := join2.SortJoin(c, c0.r, c0.s, "out", 42)
+		var rounds int
+		load, outSize := runJoin(p, func(c *mpc.Cluster) { rounds = join2.SortJoin(c, c0.r, c0.s, "out", 42).Rounds })
 		bound := cost.SkewJoinLoad(float64(in), float64(outSize), p)
-		t.AddRow(c0.name, fmtInt(int64(outSize)),
-			fmtInt(c.Metrics().MaxLoad()), fmtInt(int64(res.Rounds)), fmtF(bound))
+		t.AddRow(c0.name, fmtInt(int64(outSize)), fmtInt(load), fmtInt(int64(rounds)), fmtF(bound))
 	}
 	t.Note("heavy values are split across servers by the (key, uid) sort and fixed up with per-value grids")
 	// Sanity: heavy hitters really exist in case 2.
@@ -314,8 +308,8 @@ func E06SortJoin() *Table {
 	hh, _ := join2.HeavyHitters(r, r.MustCol("y"), s, s.MustCol("y"), p)
 	st, err := plan.CollectStats(hypergraph.TwoWayJoin(), map[string]*relation.Relation{"R": r, "S": s}, p)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	t.Note("planted case has %d heavy hitter(s); max degree %d", len(hh), max(st.MaxDeg["R"]["y"], st.MaxDeg["S"]["y"]))
-	return t
+	return t, nil
 }

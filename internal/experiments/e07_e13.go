@@ -18,7 +18,7 @@ import (
 // E07TriangleHC reproduces slides 34–36: one-round HyperCube triangle
 // load N/p^{2/3}, its matching lower bound, and the multi-round binary
 // join plan baseline.
-func E07TriangleHC() *Table {
+func E07TriangleHC() (*Table, error) {
 	const nv, ne = 3000, 30000
 	t := &Table{
 		ID: "E07", Title: "Triangle query: HyperCube vs binary plan",
@@ -32,7 +32,7 @@ func E07TriangleHC() *Table {
 		ch := mpc.NewCluster(p, 1)
 		resHC, err := hypercube.Run(ch, q, rels, "out", 42, hypercube.LocalGeneric)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		cb := mpc.NewCluster(p, 1)
 		resB := yannakakis.IterativeBinaryJoin(cb, q, rels, "out", 42)
@@ -44,13 +44,13 @@ func E07TriangleHC() *Table {
 			fmtInt(cb.Metrics().MaxLoad()), fmtInt(int64(resB.Rounds)))
 	}
 	t.Note("N = %d edges per relation; HC load counts all three atoms, hence ≈ 3·N/p^{2/3} for cubic grids", ne)
-	return t
+	return t, nil
 }
 
 // E08UnequalShares reproduces the slide 42–44 table: the optimal load
 // is the max over edge packings, and the share grid degenerates when
 // relation sizes diverge.
-func E08UnequalShares() *Table {
+func E08UnequalShares() (*Table, error) {
 	const p = 64
 	q := hypergraph.Triangle()
 	t := &Table{
@@ -65,7 +65,7 @@ func E08UnequalShares() *Table {
 	} {
 		sh, err := fractional.OptimalShares(q, sz, p)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		packs := fractional.TopPackings(q, sz, p)
 		dom := "-"
@@ -92,12 +92,12 @@ func E08UnequalShares() *Table {
 			fmtInt(c.Metrics().MaxLoad()))
 	}
 	t.Note("p = %d; measured L sums the per-atom loads, so it tracks a small constant times the LP bound", p)
-	return t
+	return t, nil
 }
 
 // E09Speedup reproduces slide 45: the speedup of HyperCube degrades to
 // p^{1/τ*} = p^{2/3} for triangles as p grows.
-func E09Speedup() *Table {
+func E09Speedup() (*Table, error) {
 	const nv, ne = 2000, 20000
 	q := hypergraph.Triangle()
 	t := &Table{
@@ -112,7 +112,7 @@ func E09Speedup() *Table {
 		rels := map[string]*relation.Relation{"R": r, "S": s, "T": u}
 		c := mpc.NewCluster(p, 1)
 		if _, err := hypercube.Run(c, q, rels, "out", 42, hypercube.LocalGeneric); err != nil {
-			panic(err)
+			return nil, err
 		}
 		load := float64(c.Metrics().MaxLoad())
 		if p == 1 {
@@ -134,13 +134,13 @@ func E09Speedup() *Table {
 		},
 	})
 	t.Note("τ* = 3/2 for the triangle: doubling speed needs 2^{3/2} ≈ 2.8× more servers")
-	return t
+	return t, nil
 }
 
 // E10SkewHC reproduces slides 47–51: the per-pattern residual table and
 // the measured load advantage of SkewHC over plain HyperCube on skewed
 // triangles.
-func E10SkewHC() *Table {
+func E10SkewHC() (*Table, error) {
 	const p = 64
 	q := hypergraph.Triangle()
 	// Heavy x hub: R and T confined to one x-slab under plain HC.
@@ -157,12 +157,12 @@ func E10SkewHC() *Table {
 
 	cp := mpc.NewCluster(p, 1)
 	if _, err := hypercube.Run(cp, q, rels, "out", 42, hypercube.LocalGeneric); err != nil {
-		panic(err)
+		return nil, err
 	}
 	cs := mpc.NewCluster(p, 1)
 	res, err := hypercube.RunSkewHC(cs, q, rels, "out", 42, 0, hypercube.LocalGeneric)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	t := &Table{
 		ID: "E10", Title: "SkewHC heavy/light residual patterns",
@@ -192,12 +192,12 @@ func E10SkewHC() *Table {
 	psi, _ := cost.PsiStar(q)
 	t.Note("ψ* = %.1f: optimal 1-round skewed load IN/p^{1/ψ*} = %.0f", psi,
 		float64(3*k)/math.Pow(float64(p), 1/psi))
-	return t
+	return t, nil
 }
 
 // E11OneVsMulti reproduces the summary tables of slides 51–54: τ*, ψ*,
 // and ρ* per query, with the implied 1-round and multi-round loads.
-func E11OneVsMulti() *Table {
+func E11OneVsMulti() (*Table, error) {
 	const in, p = 30000.0, 64
 	t := &Table{
 		ID: "E11", Title: "1-round vs multi-round load exponents",
@@ -210,15 +210,15 @@ func E11OneVsMulti() *Table {
 	} {
 		ep, err := fractional.MaxEdgePacking(q)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		psi, err := cost.PsiStar(q)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		ec, err := fractional.MinEdgeCover(q)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		pf := float64(p)
 		t.AddRow(q.Name, fmtF(ep.Tau), fmtF(psi), fmtF(ec.Rho),
@@ -227,17 +227,17 @@ func E11OneVsMulti() *Table {
 			fmtF(in/math.Pow(pf, 1/ec.Rho)))
 	}
 	t.Note("IN = %.0f, p = %d; for acyclic queries the multi-round no-skew load is IN/p (slide 54)", in, p)
-	return t
+	return t, nil
 }
 
 // E12ScalabilityLimit reproduces slide 62: for the path-20 query,
 // τ* = 10, so halving the load needs 2^{10} = 1024× more servers.
-func E12ScalabilityLimit() *Table {
+func E12ScalabilityLimit() (*Table, error) {
 	const n = 500
 	q := hypergraph.Path(20)
 	ep, err := fractional.MaxEdgePacking(q)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	t := &Table{
 		ID: "E12", Title: "Speedup limit of the path-20 query",
@@ -251,19 +251,19 @@ func E12ScalabilityLimit() *Table {
 	for _, p := range []int{1, 1024} {
 		c := mpc.NewCluster(p, 1)
 		if _, err := hypercube.Run(c, q, rels, "out", 42, hypercube.LocalGeneric); err != nil {
-			panic(err)
+			return nil, err
 		}
 		pred := 20 * float64(n) / math.Pow(float64(p), 1/ep.Tau)
 		t.AddRow(fmtInt(int64(p)), fmtInt(c.Metrics().MaxLoad()), fmtF(pred))
 	}
 	t.Note("τ* = %.0f: 1024× more servers buy only a 2× load reduction", ep.Tau)
-	return t
+	return t, nil
 }
 
 // E13IntermediateBlowup reproduces slide 63: iterative binary joins can
 // materialize intermediates far larger than IN, while the one-round
 // algorithm only ever pays replication.
-func E13IntermediateBlowup() *Table {
+func E13IntermediateBlowup() (*Table, error) {
 	const p = 16
 	q := hypergraph.Path(3)
 	t := &Table{
@@ -291,12 +291,12 @@ func E13IntermediateBlowup() *Table {
 		resB := yannakakis.IterativeBinaryJoin(cb, q, rels, "out", 42)
 		ch := mpc.NewCluster(p, 1)
 		if _, err := hypercube.Run(ch, q, rels, "out", 42, hypercube.LocalGeneric); err != nil {
-			panic(err)
+			return nil, err
 		}
 		t.AddRow(fmtInt(int64(d)), fmtInt(int64(in)),
 			fmtInt(int64(resB.MaxIntermediate)), fmtInt(cb.Metrics().MaxLoad()),
 			fmtInt(ch.Metrics().MaxLoad()), fmtInt(ch.Metrics().TotalComm()))
 	}
 	t.Note("OUT = K·d² here, so the blowup is also the output — slide 63's point is that T1 can exceed p·IN, favoring 1-round replication")
-	return t
+	return t, nil
 }

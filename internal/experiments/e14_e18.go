@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -18,17 +19,17 @@ import (
 // E14GYM reproduces slides 64–94: serial Yannakakis is O(IN+OUT) with
 // intermediates bounded by OUT; vanilla GYM needs 9 rounds on the
 // star-4 query where the optimized variant needs 4.
-func E14GYM() *Table {
+func E14GYM() (*Table, error) {
 	t := &Table{
 		ID: "E14", Title: "Yannakakis / GYM on acyclic queries",
 		SlideRef: "slides 64–94",
 		Header:   []string{"query", "variant", "rounds", "max load L", "(IN+OUT)/p"},
 	}
 	const p = 8
-	run := func(q hypergraph.Query, rels map[string]*relation.Relation) {
+	run := func(q hypergraph.Query, rels map[string]*relation.Relation) error {
 		ok, jt := hypergraph.IsAcyclic(q)
 		if !ok {
-			panic("E14: query not acyclic")
+			return errors.New("query not acyclic")
 		}
 		in := 0
 		for _, a := range q.Atoms {
@@ -47,33 +48,38 @@ func E14GYM() *Table {
 		ro := yannakakis.GYMOptimized(co, jt, rels, "out", 42)
 		t.AddRow(q.Name, "GYM optimized", fmtInt(int64(ro.Rounds)),
 			fmtInt(co.Metrics().MaxLoad()), fmtF(bound))
+		return nil
 	}
 	// Star-4 (the slide 80–94 example).
 	starRels := map[string]*relation.Relation{}
 	for i, a := range hypergraph.Star(4).Atoms {
 		starRels[a.Name] = workload.Uniform(a.Name, a.Vars, 4000, 1200, int64(i+1))
 	}
-	run(hypergraph.Star(4), starRels)
+	if err := run(hypergraph.Star(4), starRels); err != nil {
+		return nil, err
+	}
 	// The slide-64 tree query.
-	run(hypergraph.SlideTree(), workload.SlideTreeInput(4000, 3))
+	if err := run(hypergraph.SlideTree(), workload.SlideTreeInput(4000, 3)); err != nil {
+		return nil, err
+	}
 	t.Note("p = %d; vanilla = one semijoin/join per round; optimized = level-parallel semijoins + one-round HyperCube join phase", p)
-	return t
+	return t, nil
 }
 
 // E15Crossover reproduces slide 78: GYM's load (IN+OUT)/p crosses
 // HyperCube's IN/p^{1/τ*} at OUT ≈ p^{1−1/τ*}·IN. The path-4 instance
 // is built so the OUT-sized intermediate must be co-partitioned in the
 // final join round — GYM's load genuinely pays OUT/p.
-func E15Crossover() *Table {
+func E15Crossover() (*Table, error) {
 	const n, p = 2000, 16
 	q := hypergraph.Path(4) // τ* = 2 ⇒ crossover at OUT = √p·IN
 	ep, err := fractional.MaxEdgePacking(q)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	ok, jt := hypergraph.IsAcyclic(q)
 	if !ok {
-		panic("path-4 must be acyclic")
+		return nil, errors.New("path-4 must be acyclic")
 	}
 	t := &Table{
 		ID: "E15", Title: "GYM vs HyperCube crossover on path-4",
@@ -107,7 +113,7 @@ func E15Crossover() *Table {
 
 		chc := mpc.NewCluster(p, 1)
 		if _, err := hypercube.Run(chc, q, rels, "out", 42, hypercube.LocalGeneric); err != nil {
-			panic(err)
+			return nil, err
 		}
 		hcLoad := chc.Metrics().MaxLoad()
 
@@ -124,13 +130,13 @@ func E15Crossover() *Table {
 			fmtInt(gymLoad), fmtInt(hcLoad), predicted, measured)
 	}
 	t.Note("τ* = %.0f, crossover at OUT = p^{1-1/τ*}·IN = √%d·IN ≈ %.0f·IN", ep.Tau, p, math.Sqrt(p))
-	return t
+	return t, nil
 }
 
 // E16WidthDepth reproduces slides 79/95: GHDs of the same query with
 // different width/depth realize the r = O(d), L = O((IN^w + OUT)/p)
 // trade-off.
-func E16WidthDepth() *Table {
+func E16WidthDepth() (*Table, error) {
 	const n, size, p = 8, 12, 8
 	rels := map[string]*relation.Relation{}
 	for _, r := range workload.PathInput(n, size) {
@@ -158,12 +164,12 @@ func E16WidthDepth() *Table {
 			fmtInt(int64(res.Rounds)), fmtInt(c.Metrics().MaxLoad()), fmtSci(bound))
 	}
 	t.Note("matching data, N = %d per atom: wider bags mean fewer rounds but bag materialization costs IN^w", size)
-	return t
+	return t, nil
 }
 
 // E17PSRS reproduces slides 100–102: PSRS load is Θ(N/p) while
 // p ≪ N^{1/3} and degrades beyond.
-func E17PSRS() *Table {
+func E17PSRS() (*Table, error) {
 	const n = 200000
 	t := &Table{
 		ID: "E17", Title: "PSRS load scaling",
@@ -175,7 +181,7 @@ func E17PSRS() *Table {
 		c.ScatterRoundRobin(workload.Uniform("R", []string{"k", "v"}, n, 1<<30, int64(p)))
 		sortmpc.PSRS(c, "R", []string{"k"}, "sorted")
 		if err := sortmpc.VerifySorted(c, "sorted", []string{"k"}); err != nil {
-			panic(err)
+			return nil, err
 		}
 		part := c.Metrics().MaxLoadOfRound("sort:partition")
 		samp := c.Metrics().MaxLoadOfRound("sort:sample")
@@ -183,13 +189,13 @@ func E17PSRS() *Table {
 			fmtRatio(float64(part), float64(n)/float64(p)), fmtInt(samp))
 	}
 	t.Note("N = %d, N^{1/3} ≈ %.0f: the p(p−1) sample broadcast is the term that eventually dominates", n, math.Cbrt(n))
-	return t
+	return t, nil
 }
 
 // E18SortBounds reproduces slides 104–106: bounded per-round fan-out
 // forces Ω(log_L N)-style round growth, and the practical recipe
 // (splitters + partition + local sort) is what the contest winners use.
-func E18SortBounds() *Table {
+func E18SortBounds() (*Table, error) {
 	const n, p = 100000, 64
 	t := &Table{
 		ID: "E18", Title: "Sorting rounds under bounded fan-out",
@@ -201,7 +207,7 @@ func E18SortBounds() *Table {
 		c.ScatterRoundRobin(workload.Uniform("R", []string{"k", "v"}, n, 1<<30, int64(fan)))
 		res := sortmpc.FanLimitedSort(c, "R", []string{"k"}, "sorted", fan)
 		if err := sortmpc.VerifySorted(c, "sorted", []string{"k"}); err != nil {
-			panic(err)
+			return nil, err
 		}
 		t.AddRow("fan-limited", fmtInt(int64(fan)), fmtInt(int64(res.Rounds)),
 			fmtInt(c.Metrics().MaxLoad()), fmtInt(c.Metrics().TotalComm()),
@@ -215,5 +221,5 @@ func E18SortBounds() *Table {
 		fmtInt(c.Metrics().MaxLoad()), fmtInt(c.Metrics().TotalComm()), "1")
 	t.Note("N = %d, p = %d; total C grows as N·(rounds) — the Ω(N·log_L N) communication bound in action", n, p)
 	t.Note("the slide-106 contest table is not reproducible (external systems); its lesson — coarse-grained p with splitter partitioning — is the PSRS row")
-	return t
+	return t, nil
 }

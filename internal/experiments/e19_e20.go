@@ -13,7 +13,7 @@ import (
 // rectangle-block algorithm has C = Θ(n⁴/L), the multi-round
 // square-block algorithm C = Θ(n³/√L) with r = Θ(n³/(pL^{3/2})) rounds,
 // and the products-per-processor comparison t²n vs (tn)^{3/2}.
-func E19MatMul() *Table {
+func E19MatMul() (*Table, error) {
 	const n = 64
 	a, b := matmul.Random(n, 8, 1), matmul.Random(n, 8, 2)
 	want := matmul.Multiply(a, b)
@@ -28,7 +28,7 @@ func E19MatMul() *Table {
 		c := mpc.NewCluster(p, 1)
 		res, err := matmul.RectangleBlock(c, a, b)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		load := float64(c.Metrics().MaxLoad())
 		t.AddRow("rectangle 1-round", fmtInt(int64(p)),
@@ -42,7 +42,7 @@ func E19MatMul() *Table {
 		c := mpc.NewCluster(p, 1)
 		res, err := matmul.SquareBlock(c, a, b, h, 1)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		load := float64(c.Metrics().MaxLoad())
 		t.AddRow(fmt.Sprintf("square H=%d", h), fmtInt(int64(p)),
@@ -56,21 +56,21 @@ func E19MatMul() *Table {
 	c := mpc.NewCluster(16, 1)
 	res, err := matmul.SQLJoinAggregate(c, a, b, 42)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	t.AddRow("SQL join+aggregate", "16",
 		fmtInt(c.Metrics().MaxLoad()), fmtInt(int64(res.Rounds)),
 		fmtInt(c.Metrics().TotalComm()), "-",
 		fmt.Sprintf("%v", res.C.Equal(want)))
 	t.Note("n = %d; C counts matrix elements received; every algorithm is verified elementwise against the local reference", n)
-	return t
+	return t, nil
 }
 
 // E20CommLoadTradeoff reproduces the slide-126 figure: total
 // communication C as a function of per-round load L for the one-round
 // (C = 4n⁴/L) and multi-round (C = Θ(n³/√L)) algorithms, with the round
 // counts that each load level forces.
-func E20CommLoadTradeoff() *Table {
+func E20CommLoadTradeoff() (*Table, error) {
 	const n = 64
 	a, b := matmul.Random(n, 8, 3), matmul.Random(n, 8, 4)
 	t := &Table{
@@ -86,12 +86,12 @@ func E20CommLoadTradeoff() *Table {
 		k, h := kh[0], kh[1]
 		cr := mpc.NewCluster(k*k, 1)
 		if _, err := matmul.RectangleBlock(cr, a, b); err != nil {
-			panic(err)
+			return nil, err
 		}
 		cs := mpc.NewCluster(h*h, 1)
 		rs, err := matmul.SquareBlock(cs, a, b, h, 1)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		rectL := float64(cr.Metrics().MaxLoad())
 		sqL := float64(cs.Metrics().MaxLoad())
@@ -114,5 +114,5 @@ func E20CommLoadTradeoff() *Table {
 		},
 	})
 	t.Note("n = %d: smaller L forces more rounds for the square-block algorithm (the staircase of slide 126)", n)
-	return t
+	return t, nil
 }

@@ -7,15 +7,11 @@ import (
 	"mpcquery/internal/mpc"
 )
 
-func init() {
-	All = append(All, Experiment{"E21", "Sparse and non-square matrix multiplication", E21SparseMatMul})
-}
-
 // E21SparseMatMul covers the slide-127 extensions: non-square products
 // and sparse products via the relational formulation, whose
 // communication scales with the number of non-zeros instead of the
 // dense dimensions.
-func E21SparseMatMul() *Table {
+func E21SparseMatMul() (*Table, error) {
 	t := &Table{
 		ID: "E21", Title: "Sparse / non-square MM via the SQL formulation",
 		SlideRef: "slides 108, 127",
@@ -36,7 +32,7 @@ func E21SparseMatMul() *Table {
 		c := mpc.NewCluster(16, 1)
 		got, rounds, err := matmul.SparseSQLMultiply(c, cs.a, cs.b, 42)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		dense := cs.a.Rows*cs.a.Cols + cs.b.Rows*cs.b.Cols
 		t.AddRow(cs.name,
@@ -46,5 +42,5 @@ func E21SparseMatMul() *Table {
 			fmt.Sprintf("%v", got.EqualRect(want)))
 	}
 	t.Note("p = 16; at 1%% density the join communicates ~1%% of what a dense layout would ship, plus output-sized partial sums")
-	return t
+	return t, nil
 }

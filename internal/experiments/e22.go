@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 
 	"mpcquery/internal/bigjoin"
@@ -11,16 +12,12 @@ import (
 	"mpcquery/internal/workload"
 )
 
-func init() {
-	All = append(All, Experiment{"E22", "BiGJoin (variable-at-a-time) vs HyperCube", E22BigJoin})
-}
-
 // E22BigJoin compares the slide-97 practical family — variable-at-a-
 // time multi-round joins à la BiGJoin — against the one-round HyperCube
 // on the triangle and 4-cycle queries: BiGJoin trades rounds for
 // shipping partial bindings instead of replicated inputs, so its load
 // tracks the binding-set sizes while HyperCube's tracks IN/p^{1/τ*}.
-func E22BigJoin() *Table {
+func E22BigJoin() (*Table, error) {
 	const p = 16
 	t := &Table{
 		ID: "E22", Title: "BiGJoin vs HyperCube",
@@ -28,7 +25,7 @@ func E22BigJoin() *Table {
 		Header: []string{"query", "algorithm", "rounds", "max L", "total C",
 			"max bindings", "OUT"},
 	}
-	run := func(q hypergraph.Query, rels map[string]*relation.Relation) {
+	run := func(q hypergraph.Query, rels map[string]*relation.Relation) error {
 		// Reference output size.
 		inputs := make([]*relation.Relation, len(q.Atoms))
 		for i, a := range q.Atoms {
@@ -38,7 +35,7 @@ func E22BigJoin() *Table {
 
 		pl, err := bigjoin.NewPlan(q, nil)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		cb := mpc.NewCluster(p, 1)
 		resB := bigjoin.Run(cb, pl, rels, "out", 42)
@@ -49,19 +46,22 @@ func E22BigJoin() *Table {
 		ch := mpc.NewCluster(p, 1)
 		resH, err := hypercube.Run(ch, q, rels, "out", 42, hypercube.LocalGeneric)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		t.AddRow(q.Name, "HyperCube", fmtInt(int64(resH.Rounds)),
 			fmtInt(ch.Metrics().MaxLoad()), fmtInt(ch.Metrics().TotalComm()),
 			"-", fmtInt(int64(outSize)))
 		if got := cb.Gather("out"); got.Len() != outSize {
-			panic("bigjoin output size wrong")
+			return errors.New("bigjoin output size wrong")
 		}
+		return nil
 	}
 
 	// Sparse triangle: few bindings survive, BiGJoin ships little.
 	r, s, u := workload.TriangleInput(4000, 20000, 3)
-	run(hypergraph.Triangle(), map[string]*relation.Relation{"R": r, "S": s, "T": u})
+	if err := run(hypergraph.Triangle(), map[string]*relation.Relation{"R": r, "S": s, "T": u}); err != nil {
+		return nil, err
+	}
 
 	// Denser 4-cycle: the intermediate open-wedge bindings (IN·d tuples)
 	// dominate BiGJoin while HyperCube stays at IN/√p replication.
@@ -71,7 +71,9 @@ func E22BigJoin() *Table {
 	for _, a := range q4.Atoms {
 		rels4[a.Name] = g.Rename(a.Name, a.Vars...)
 	}
-	run(q4, rels4)
+	if err := run(q4, rels4); err != nil {
+		return nil, err
+	}
 	t.Note("p = %d; HyperCube load for the 4-cycle is ≈ 4·N/√p = %.0f — BiGJoin instead pays for the open-wedge bindings", p, 4*4000/math.Sqrt(p))
-	return t
+	return t, nil
 }

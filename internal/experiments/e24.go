@@ -9,10 +9,6 @@ import (
 	"mpcquery/internal/testkit"
 )
 
-func init() {
-	All = append(All, Experiment{"E24", "Planner accuracy: predicted vs measured load", E24PlannerAccuracy})
-}
-
 // E24PlannerAccuracy runs the cost-based planner (internal/plan) over
 // the tutorial's standard query shapes on uniform and Zipf-skewed
 // inputs, executes the chosen plan, and reports predicted vs measured
@@ -23,7 +19,7 @@ func init() {
 // worst-case heavy-hitter alignment — mispredicting the winner's
 // load is acceptable; picking a plan that blows up is not (that is
 // what the plannertest 2× competitive gate enforces).
-func E24PlannerAccuracy() *Table {
+func E24PlannerAccuracy() (*Table, error) {
 	const p = 8
 	gen := testkit.GenConfig{Tuples: 1000, Domain: 350}
 	queries := []hypergraph.Query{
@@ -43,11 +39,11 @@ func E24PlannerAccuracy() *Table {
 			rels := testkit.GenInstance(q, skew, gen, 1)
 			pl, err := plan.For(q, rels, p, plan.Options{})
 			if err != nil {
-				panic(fmt.Sprintf("E24 %s/%s: %v", q.Name, skew, err))
+				return nil, fmt.Errorf("%s/%s: %w", q.Name, skew, err)
 			}
 			res, err := pl.Execute(core.NewEngine(p, 1), rels)
 			if err != nil {
-				panic(fmt.Sprintf("E24 %s/%s execute: %v", q.Name, skew, err))
+				return nil, fmt.Errorf("%s/%s execute: %w", q.Name, skew, err)
 			}
 			t.AddRow(q.Name, skew.String(), string(pl.Best().Alg),
 				fmtInt(int64(res.PredictedL)), fmtInt(res.MeasuredL),
@@ -57,5 +53,5 @@ func E24PlannerAccuracy() *Table {
 	t.Note("n = %d tuples/relation, p = %d, seed 1; plans chosen by min predicted L", gen.Tuples, p)
 	t.Note("prediction errors are tolerated; the plannertest harness separately enforces the chosen")
 	t.Note("plan's measured load stays within 2× of the best measured candidate")
-	return t
+	return t, nil
 }

@@ -9,13 +9,6 @@ import (
 	"mpcquery/internal/workload"
 )
 
-func init() {
-	All = append(All,
-		Experiment{"E25", "Recursive queries: rounds track iterations, iterations track diameter", E25RecursiveRounds},
-		Experiment{"E26", "Incremental view maintenance: delta cost scales with the batch, not the base", E26IVMDeltaScaling},
-	)
-}
-
 // E25RecursiveRounds evaluates semi-naive transitive closure on graphs
 // whose diameter varies independently of size: chains (diameter = n−1),
 // random digraphs (logarithmic diameter), and a heavy-tailed graph.
@@ -25,7 +18,7 @@ func init() {
 // count is the longest shortest-path the closure has to grow, not the
 // input size. The chain rows pin that: a quarter of the edges of the
 // equal-n random row and half its closure, yet ~17× the rounds.
-func E25RecursiveRounds() *Table {
+func E25RecursiveRounds() (*Table, error) {
 	const p = 8
 	t := &Table{
 		ID: "E25", Title: "Semi-naive fixpoint: rounds vs iterations vs diameter",
@@ -53,7 +46,7 @@ func E25RecursiveRounds() *Table {
 		c := mpc.NewCluster(p, 1)
 		res, err := recursive.TransitiveClosure(c, cse.edges, "tc", 7)
 		if err != nil {
-			panic(fmt.Sprintf("E25 %s: %v", cse.name, err))
+			return nil, fmt.Errorf("%s: %w", cse.name, err)
 		}
 		m := c.Metrics()
 		t.AddRow(cse.name, fmtInt(int64(cse.edges.Len())), fmtInt(int64(res.OutSize)),
@@ -64,7 +57,7 @@ func E25RecursiveRounds() *Table {
 	t.Note("iterations follow the longest shortest path (chain: n−1; random digraph: O(log n)),")
 	t.Note("so the chain rows pay ~17× the rounds of equal-n random graphs — the r vs L trade-off")
 	t.Note("of the multi-round chapters, now with r chosen by the data instead of the algorithm")
-	return t
+	return t, nil
 }
 
 // E26IVMDeltaScaling maintains a standing transitive closure under
@@ -73,7 +66,7 @@ func E25RecursiveRounds() *Table {
 // on the mutated edge set. Delta maintenance touches work proportional
 // to what the batch actually derives, so its cost grows with the batch
 // while recomputation pays the full base every time.
-func E26IVMDeltaScaling() *Table {
+func E26IVMDeltaScaling() (*Table, error) {
 	const p = 8
 	t := &Table{
 		ID: "E26", Title: "IVM: maintenance comm vs batch size, against full recomputation",
@@ -86,7 +79,7 @@ func E26IVMDeltaScaling() *Table {
 		c := mpc.NewCluster(p, 1)
 		view, _, err := recursive.NewClosureView(c, base, "tcv", 13)
 		if err != nil {
-			panic(fmt.Sprintf("E26 batch=%d: %v", batch, err))
+			return nil, fmt.Errorf("batch=%d: %w", batch, err)
 		}
 		pre := c.Metrics().TotalComm()
 		preRounds := c.Metrics().Rounds()
@@ -98,7 +91,7 @@ func E26IVMDeltaScaling() *Table {
 			mutated.AppendRow([]relation.Value{from, to})
 		}
 		if _, err := view.ApplyBatch(ops); err != nil {
-			panic(fmt.Sprintf("E26 batch=%d apply: %v", batch, err))
+			return nil, fmt.Errorf("batch=%d apply: %w", batch, err)
 		}
 		deltaComm := c.Metrics().TotalComm() - pre
 		deltaRounds := c.Metrics().Rounds() - preRounds
@@ -106,7 +99,7 @@ func E26IVMDeltaScaling() *Table {
 		sc := mpc.NewCluster(p, 1)
 		res, err := recursive.TransitiveClosure(sc, mutated, "tc", 13)
 		if err != nil {
-			panic(fmt.Sprintf("E26 batch=%d recompute: %v", batch, err))
+			return nil, fmt.Errorf("batch=%d recompute: %w", batch, err)
 		}
 		full := sc.Metrics().TotalComm()
 		t.AddRow(fmtInt(int64(batch)), fmtInt(deltaComm), fmtInt(full),
@@ -116,5 +109,5 @@ func E26IVMDeltaScaling() *Table {
 	t.Note("base graph n = %d vertices, m = %d edges, p = %d; inserts attach fresh source vertices", n, m, p)
 	t.Note("each batch is applied to a fresh standing view of the same base, so rows are comparable;")
 	t.Note("delete batches carry no such bound — DRed's over-delete can exceed recomputation on dense closures")
-	return t
+	return t, nil
 }

@@ -9,12 +9,6 @@ import (
 	"mpcquery/internal/testkit"
 )
 
-func init() {
-	All = append(All,
-		Experiment{"E28", "Adaptive skew-reactive execution and heterogeneity-aware shares", E28Adaptive},
-	)
-}
-
 // E28Adaptive measures the two mid-2020s extensions of the tutorial's
 // one-shot planning story (methodology in EXPERIMENTS.md §E28).
 //
@@ -35,7 +29,7 @@ func init() {
 // max_i(received_i / c_i) — per-round wall-clock time when server i
 // processes c_i tuples per tick. The het plan must reduce it on every
 // unequal profile; that too is asserted.
-func E28Adaptive() *Table {
+func E28Adaptive() (*Table, error) {
 	t := &Table{
 		ID: "E28", Title: "adaptive execution under mispredicted skew; capacity-aware shares",
 		SlideRef: "beyond the tutorial: skew-reactive re-planning (EXPERIMENTS.md §E28), het shares per arXiv 2501.08896",
@@ -56,31 +50,31 @@ func E28Adaptive() *Table {
 
 		cu := mpc.NewCluster(p, seed)
 		if _, err := hypercube.Run(cu, w.q, rels, "out", 42, hypercube.LocalGeneric); err != nil {
-			panic(fmt.Sprintf("E28 %s uniform: %v", w.name, err))
+			return nil, fmt.Errorf("%s uniform: %w", w.name, err)
 		}
 		uniformL := cu.Metrics().MaxLoad()
 
 		ca := mpc.NewCluster(p, seed)
 		res, err := hypercube.RunAdaptive(ca, w.q, rels, "out", 42)
 		if err != nil {
-			panic(fmt.Sprintf("E28 %s adaptive: %v", w.name, err))
+			return nil, fmt.Errorf("%s adaptive: %w", w.name, err)
 		}
 		if !res.Switched {
-			panic(fmt.Sprintf("E28 %s: adaptive run did not switch: %s", w.name, res.Reason))
+			return nil, fmt.Errorf("%s: adaptive run did not switch: %s", w.name, res.Reason)
 		}
 		adaptiveL := ca.Metrics().MaxLoad()
 
 		cs := mpc.NewCluster(p, seed)
 		if _, err := hypercube.RunSkewHC(cs, w.q, rels, "out", 42, 0, hypercube.LocalGeneric); err != nil {
-			panic(fmt.Sprintf("E28 %s skewhc: %v", w.name, err))
+			return nil, fmt.Errorf("%s skewhc: %w", w.name, err)
 		}
 		oracleL := cs.Metrics().MaxLoad()
 
 		if adaptiveL >= uniformL {
-			panic(fmt.Sprintf("E28 %s: adaptive L=%d not below static uniform L=%d", w.name, adaptiveL, uniformL))
+			return nil, fmt.Errorf("%s: adaptive L=%d not below static uniform L=%d", w.name, adaptiveL, uniformL)
 		}
 		if adaptiveL < oracleL {
-			panic(fmt.Sprintf("E28 %s: adaptive L=%d below the SkewHC oracle L=%d — metering bug", w.name, adaptiveL, oracleL))
+			return nil, fmt.Errorf("%s: adaptive L=%d below the SkewHC oracle L=%d — metering bug", w.name, adaptiveL, oracleL)
 		}
 		t.AddRow("A", w.name+" (mispredicted)", fmtInt(int64(p)),
 			fmtInt(uniformL), fmtInt(adaptiveL), fmtInt(oracleL), "yes")
@@ -102,19 +96,19 @@ func E28Adaptive() *Table {
 		pb := len(prof.caps)
 		cu := mpc.NewCluster(pb, 1)
 		if _, err := hypercube.Run(cu, q, rels, "out", 9, hypercube.LocalGeneric); err != nil {
-			panic(fmt.Sprintf("E28 uniform/%s: %v", prof.name, err))
+			return nil, fmt.Errorf("uniform/%s: %w", prof.name, err)
 		}
 		uniformMk := cu.Metrics().NormalizedMakespan(prof.caps)
 
 		ch := mpc.NewCluster(pb, 1)
 		ch.SetCapacities(prof.caps)
 		if _, err := hypercube.RunHet(ch, q, rels, "out", 9, hypercube.LocalGeneric); err != nil {
-			panic(fmt.Sprintf("E28 het/%s: %v", prof.name, err))
+			return nil, fmt.Errorf("het/%s: %w", prof.name, err)
 		}
 		hetMk := ch.Metrics().NormalizedMakespan(prof.caps)
 
 		if hetMk >= uniformMk {
-			panic(fmt.Sprintf("E28 %s: het makespan %.1f not below uniform %.1f", prof.name, hetMk, uniformMk))
+			return nil, fmt.Errorf("%s: het makespan %.1f not below uniform %.1f", prof.name, hetMk, uniformMk)
 		}
 		// The fluid lower bound: the het run's total work split
 		// perfectly in proportion to capacity.
@@ -128,5 +122,5 @@ func E28Adaptive() *Table {
 	}
 	t.Note("B: makespan = max_i(received_i / c_i) on a skew-free triangle; the uniform plan is slowest-machine-bound,")
 	t.Note("   capacity-proportional cell ownership ships load where the capacity is (oracle column: C / Σc, the fluid bound).")
-	return t
+	return t, nil
 }

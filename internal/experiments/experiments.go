@@ -15,12 +15,23 @@ type Table struct {
 	Notes    []string
 	// Charts render figure-type artifacts (curves) under the table.
 	Charts []*Chart
+	// RunDependent names the header columns whose cells change from run
+	// to run (wall times, rates under concurrency). EXPERIMENTS.md pins
+	// only their shape: header, row labels and row count.
+	RunDependent []string
+
+	// err is the first malformed row AddRow refused.
+	err error
 }
 
-// AddRow appends a formatted row.
+// AddRow appends a formatted row. A row whose cell count differs from
+// the header's is refused, and the experiment fails (Experiment.Run).
 func (t *Table) AddRow(cells ...string) {
 	if len(cells) != len(t.Header) {
-		panic(fmt.Sprintf("experiments: row has %d cells, header has %d", len(cells), len(t.Header)))
+		if t.err == nil {
+			t.err = fmt.Errorf("row %d has %d cells, header has %d", len(t.Rows)+1, len(cells), len(t.Header))
+		}
+		return
 	}
 	t.Rows = append(t.Rows, cells)
 }
@@ -70,18 +81,22 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavored markdown.
+// Markdown renders the table as GitHub-flavored markdown. A '|' inside
+// a cell is escaped, so it cannot split the cell.
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n*Source: %s*\n\n", t.ID, t.Title, t.SlideRef)
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(t.Header, " | "))
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
+	row := func(cells []string) {
+		b.WriteByte('|')
+		for _, c := range cells {
+			fmt.Fprintf(&b, " %s |", strings.ReplaceAll(c, "|", `\|`))
+		}
+		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(sep, " | "))
-	for _, row := range t.Rows {
-		fmt.Fprintf(&b, "| %s |\n", strings.Join(row, " | "))
+	row(t.Header)
+	fmt.Fprintf(&b, "|%s\n", strings.Repeat(" --- |", len(t.Header)))
+	for _, r := range t.Rows {
+		row(r)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "\n> %s\n", n)
@@ -97,10 +112,23 @@ func (t *Table) Markdown() string {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() *Table
+	run   func() (*Table, error)
 }
 
-// All lists every experiment in ID order.
+// Run executes the experiment. It fails when the driver does (an
+// algorithm error, or a measurement that contradicts the claim the
+// table illustrates) and when the driver built a malformed row.
+func (e Experiment) Run() (*Table, error) {
+	t, err := e.run()
+	if err == nil && t.err != nil {
+		t, err = nil, t.err
+	}
+	return t, err
+}
+
+// All lists every experiment in the order mpcbench runs them and
+// EXPERIMENTS.md shows them: the tutorial's E01–E20, the design-choice
+// ablations A01–A07, then the extensions E21–E28.
 var All = []Experiment{
 	{"E01", "MPC cost regimes", E01CostRegimes},
 	{"E02", "Hash-join load concentration vs degree", E02LoadConcentration},
@@ -122,6 +150,21 @@ var All = []Experiment{
 	{"E18", "Sorting round/communication bounds", E18SortBounds},
 	{"E19", "Matrix multiplication costs", E19MatMul},
 	{"E20", "Communication vs load trade-off", E20CommLoadTradeoff},
+	{"A01", "HyperCube share rounding: floor vs greedy", A01ShareRounding},
+	{"A02", "Local join algorithm under HyperCube", A02LocalJoin},
+	{"A03", "PSRS splitter selection: regular vs random", A03Splitters},
+	{"A04", "Square-block matmul group size g", A04MatMulGroups},
+	{"A05", "Aggregation combiner on/off", A05Combiner},
+	{"A06", "HL+Semijoins vs SkewHC vs plain HC", A06HLSemijoins},
+	{"A07", "BiGJoin variable-order sensitivity", A07BigJoinOrder},
+	{"E21", "Sparse and non-square matrix multiplication", E21SparseMatMul},
+	{"E22", "BiGJoin (variable-at-a-time) vs HyperCube", E22BigJoin},
+	{"E23", "Exhaustive share sweep: certifying HyperCube optimality", E23ShareSweep},
+	{"E24", "Planner accuracy: predicted vs measured load", E24PlannerAccuracy},
+	{"E25", "Recursive queries: rounds track iterations, iterations track diameter", E25RecursiveRounds},
+	{"E26", "Incremental view maintenance: delta cost scales with the batch, not the base", E26IVMDeltaScaling},
+	{"E27", "Query service throughput: plan cache and admission under tenant mixes", E27ServiceThroughput},
+	{"E28", "Adaptive skew-reactive execution and heterogeneity-aware shares", E28Adaptive},
 }
 
 // ByID returns the experiment with the given ID, or nil.

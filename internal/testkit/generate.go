@@ -6,6 +6,7 @@ import (
 
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/workload"
 )
 
 // Skew selects the value distribution of a generated relation's first
@@ -60,7 +61,8 @@ type GenConfig struct {
 	// Domain is the attribute value domain [0, Domain) (default
 	// Tuples/3, so joins produce non-trivial output).
 	Domain int
-	// Zipf is the Zipf exponent for SkewZipf, must be > 1 (default 1.5).
+	// Zipf is the Zipf exponent for SkewZipf (default 1.5; values ≤ 1
+	// are clamped to 1.01, see workload.NewZipfSampler).
 	Zipf float64
 	// HeavyFrac is the fraction of tuples sharing the planted heavy
 	// value under SkewHeavy (default 0.3).
@@ -83,45 +85,15 @@ func (c GenConfig) withDefaults() GenConfig {
 	return c
 }
 
-// ZipfSampler is a seeded Zipf sampler over [0, domain), the skew
-// source of the workload generator. Exponents ≤ 1 (unsupported by the
-// stdlib) are clamped to 1.01.
-type ZipfSampler struct {
-	z      *rand.Zipf
-	domain int64
-}
-
-// NewZipfSampler returns a deterministic sampler; identical arguments
-// yield identical streams.
-func NewZipfSampler(s float64, domain int, seed int64) *ZipfSampler {
-	if domain < 1 {
-		panic(fmt.Sprintf("testkit: Zipf domain %d < 1", domain))
-	}
-	if s <= 1 {
-		s = 1.01
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return &ZipfSampler{z: rand.NewZipf(rng, s, 1, uint64(domain-1)), domain: int64(domain)}
-}
-
-// Next returns the next sample, always in [0, domain).
-func (zs *ZipfSampler) Next() relation.Value {
-	v := relation.Value(zs.z.Uint64())
-	if v < 0 || v >= zs.domain {
-		panic(fmt.Sprintf("testkit: Zipf sample %d outside [0, %d)", v, zs.domain))
-	}
-	return v
-}
-
 // GenRelation generates one relation of cfg.Tuples rows under the given
 // skew, deterministically in seed. The first attribute carries the skew;
 // all others are uniform (SkewNone makes every attribute the row index).
 func GenRelation(name string, attrs []string, skew Skew, cfg GenConfig, seed int64) *relation.Relation {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	var zipf *ZipfSampler
+	var zipf *workload.ZipfSampler
 	if skew == SkewZipf {
-		zipf = NewZipfSampler(cfg.Zipf, cfg.Domain, seed+1)
+		zipf = workload.NewZipfSampler(cfg.Zipf, cfg.Domain, seed+1)
 	}
 	heavyCut := int(float64(cfg.Tuples) * cfg.HeavyFrac)
 	r := relation.New(name, attrs...)

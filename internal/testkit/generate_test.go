@@ -92,26 +92,6 @@ func TestSkewedDistributionsAreSkewed(t *testing.T) {
 	}
 }
 
-// TestZipfSamplerRangeAndDeterminism pins the sampler invariants the
-// fuzz target also enforces.
-func TestZipfSamplerRangeAndDeterminism(t *testing.T) {
-	a := NewZipfSampler(1.2, 64, 11)
-	b := NewZipfSampler(1.2, 64, 11)
-	for i := 0; i < 10_000; i++ {
-		va, vb := a.Next(), b.Next()
-		if va != vb {
-			t.Fatalf("sample %d: %d != %d with identical seeds", i, va, vb)
-		}
-		if va < 0 || va >= 64 {
-			t.Fatalf("sample %d = %d outside [0, 64)", i, va)
-		}
-	}
-	// Exponents ≤ 1 are clamped, not rejected.
-	if v := NewZipfSampler(0.5, 8, 1).Next(); v < 0 || v >= 8 {
-		t.Fatalf("clamped sampler out of range: %d", v)
-	}
-}
-
 // TestRandomQueryCoverage: the query generator must hit all four
 // families across a modest seed range.
 func TestRandomQueryCoverage(t *testing.T) {

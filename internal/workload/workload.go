@@ -54,16 +54,36 @@ func UniformDegree(name string, keyAttr, payloadAttr string, n, d int) *relation
 	return r
 }
 
-// Zipf returns n tuples whose first attribute follows a Zipf(s, v=1)
-// distribution over [0, domain) and whose remaining attributes are a
-// unique payload. s must be > 1 (stdlib constraint).
-func Zipf(name string, attrs []string, n, domain int, s float64, seed int64) *relation.Relation {
+// ZipfSampler is a seeded Zipf(s, v=1) sampler over [0, domain): the
+// skew source of Zipf and of internal/testkit's generator. Exponents
+// ≤ 1 (unsupported by the stdlib) are clamped to 1.01.
+type ZipfSampler struct{ z *rand.Zipf }
+
+// NewZipfSampler returns a deterministic sampler; identical arguments
+// yield identical streams.
+func NewZipfSampler(s float64, domain int, seed int64) *ZipfSampler {
+	if domain < 1 {
+		panic(fmt.Sprintf("workload: Zipf domain %d < 1", domain))
+	}
+	if s <= 1 {
+		s = 1.01
+	}
 	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, s, 1, uint64(domain-1))
+	return &ZipfSampler{rand.NewZipf(rng, s, 1, uint64(domain-1))}
+}
+
+// Next returns the next sample, in [0, domain).
+func (zs *ZipfSampler) Next() relation.Value { return relation.Value(zs.z.Uint64()) }
+
+// Zipf returns n tuples whose first attribute is drawn by
+// NewZipfSampler(s, domain, seed) and whose remaining attributes are a
+// unique payload.
+func Zipf(name string, attrs []string, n, domain int, s float64, seed int64) *relation.Relation {
+	z := NewZipfSampler(s, domain, seed)
 	r := relation.New(name, attrs...)
 	row := make([]relation.Value, len(attrs))
 	for i := 0; i < n; i++ {
-		row[0] = relation.Value(z.Uint64())
+		row[0] = z.Next()
 		for j := 1; j < len(row); j++ {
 			row[j] = relation.Value(i)
 		}

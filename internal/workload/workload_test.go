@@ -79,6 +79,30 @@ func TestZipfSkewed(t *testing.T) {
 	}
 }
 
+// TestZipfSamplerRangeAndDeterminism pins the sampler invariants the
+// fuzz target also enforces.
+func TestZipfSamplerRangeAndDeterminism(t *testing.T) {
+	a := NewZipfSampler(1.2, 64, 11)
+	b := NewZipfSampler(1.2, 64, 11)
+	for i := 0; i < 10_000; i++ {
+		va, vb := a.Next(), b.Next()
+		if va != vb {
+			t.Fatalf("sample %d: %d != %d with identical seeds", i, va, vb)
+		}
+		if va < 0 || va >= 64 {
+			t.Fatalf("sample %d = %d outside [0, 64)", i, va)
+		}
+	}
+	// Exponents ≤ 1 are clamped, not rejected — Zipf's too (it used to
+	// crash on the stdlib's nil *rand.Zipf).
+	if v := NewZipfSampler(0.5, 8, 1).Next(); v < 0 || v >= 8 {
+		t.Fatalf("clamped sampler out of range: %d", v)
+	}
+	if r := Zipf("R", []string{"y", "p"}, 100, 8, 1, 1); r.Len() != 100 {
+		t.Fatalf("Zipf at s = 1: %d rows, want 100", r.Len())
+	}
+}
+
 func TestPlantHeavy(t *testing.T) {
 	r := PlantHeavy("R", "y", "p", 10, 1000, []relation.Value{7, 8}, []int{20, 5})
 	if r.Len() != 35 {
