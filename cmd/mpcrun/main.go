@@ -36,7 +36,7 @@
 // transitive closure, reachability from a source, or connected
 // components — by semi-naive fixpoint over a generated random graph
 // with -n edges (heavy-tailed degrees under -skew zipf or heavy). Each
-// fixpoint iteration costs two metered rounds.
+// fixpoint iteration costs one metered round.
 //
 // Every run prints the same report: the query (or workload), servers,
 // transport, algorithm, output size and columns, cost (L, r, C), then —

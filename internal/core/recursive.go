@@ -29,10 +29,10 @@ type RecursiveRequest struct {
 
 // ExecuteRecursive runs a semi-naive fixpoint workload on the engine's
 // cluster, composing with the Chaos, Trace, and Transport hooks exactly
-// like Execute. Every iteration costs two metered rounds (probe +
-// extend); the loop terminates when the delta relation is globally
-// empty. The Execution reports Algorithm "fixpoint-<kind>" and the
-// iteration count.
+// like Execute. Every iteration costs one metered round (extend); the
+// loop terminates when the delta relation is globally empty. The
+// Execution reports Algorithm "fixpoint-<kind>" and the iteration
+// count.
 func (e *Engine) ExecuteRecursive(req RecursiveRequest) (*Execution, error) {
 	if req.Edges == nil {
 		return nil, fmt.Errorf("core: recursive request needs an edge relation")

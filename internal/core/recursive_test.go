@@ -34,8 +34,8 @@ func TestExecuteRecursive(t *testing.T) {
 		if !testkit.BagEqual(got, tc.want) {
 			t.Errorf("%s differs from oracle: %s", tc.kind, testkit.DiffSample(got, tc.want))
 		}
-		if exec.Rounds != 2*exec.Iterations {
-			t.Errorf("%s: rounds = %d over %d iterations, want exactly 2 per iteration", tc.kind, exec.Rounds, exec.Iterations)
+		if exec.Rounds != exec.Iterations {
+			t.Errorf("%s: rounds = %d over %d iterations, want exactly 1 per iteration", tc.kind, exec.Rounds, exec.Iterations)
 		}
 	}
 

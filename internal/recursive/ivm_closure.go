@@ -27,12 +27,17 @@ type EdgeOp struct {
 // Only the affected deltas are recomputed; the maintained view is
 // asserted (by the testkit harness) equal to recomputation from
 // scratch.
+//
+// Every tuple lives at the hash of one value under edgeSeed: an edge
+// (y, z) at h(y), a closure tuple (x, y) at h(y). So a closure tuple
+// sits with the edges it extends along, and T ⋈ dE joins need no
+// broadcast.
 type ClosureView struct {
-	c                   *mpc.Cluster
-	name                string
-	attrs               []string // binary edge/closure schema
-	edgeName            string
-	edgeSeed, ownerSeed uint64
+	c        *mpc.Cluster
+	name     string
+	attrs    []string // binary edge/closure schema
+	edgeName string
+	edgeSeed uint64
 
 	// Per-server membership indexes the view holds outside the
 	// fragments, keyed by the binary tuple itself. Safe under fault
@@ -43,8 +48,9 @@ type ClosureView struct {
 	batches int
 }
 
-// bothCols selects both columns of a binary tuple.
-var bothCols = []int{0, 1}
+// toCol selects a closure tuple's to-column: it owns the tuple and is
+// the value the tuple probes the edges with.
+var toCol = []int{1}
 
 // pair is a binary tuple as a map key: [2]relation.Value(row) for a
 // binary row.
@@ -67,9 +73,9 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 		name:     outName,
 		attrs:    append([]string(nil), attrs...),
 		edgeName: outName + ":edge",
-		edgeSeed: mix(seed, 1), ownerSeed: mix(seed, 2),
-		eIdx: make([]map[pair]struct{}, c.P()),
-		tIdx: make([]map[pair]struct{}, c.P()),
+		edgeSeed: mix(seed, 1),
+		eIdx:     make([]map[pair]struct{}, c.P()),
+		tIdx:     make([]map[pair]struct{}, c.P()),
 	}
 	start := c.Metrics().Rounds()
 
@@ -79,8 +85,8 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 
 	t0 := edges.Project(outName, attrs...)
 	t0.Dedup()
-	c.ScatterByHash(t0, attrs, v.ownerSeed)
-	c.ScatterByHash(t0.Project(outName+":delta", attrs...), attrs, v.ownerSeed)
+	c.ScatterByHash(t0, attrs[1:], v.edgeSeed)
+	c.ScatterByHash(t0.Project(outName+":delta", attrs...), attrs[1:], v.edgeSeed)
 
 	c.LocalStep(func(s *mpc.Server) {
 		sid := s.ID()
@@ -112,9 +118,8 @@ func keySet(r *relation.Relation) map[pair]struct{} {
 func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]struct{}, accept func(sid int, k pair) bool) (int, error) {
 	f := &fixpoint{
 		c: v.c, label: label,
-		delta: deltaName, deltaAttrs: v.attrs, candAttrs: v.attrs,
-		edge: v.edgeName, edgeAttrs: v.attrs, edgeSeed: v.edgeSeed,
-		probeCol: 1, ownerCols: bothCols, ownerSeed: v.ownerSeed,
+		delta: deltaName, attrs: v.attrs,
+		edge: v.edgeName, edgeAttrs: v.attrs, edgeSeed: v.edgeSeed, probeCol: 1,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0], cand[1] = probe[0], edge[1]
 		},
@@ -123,6 +128,7 @@ func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]
 			sid := s.ID()
 			t := s.RelOrEmpty(target, v.attrs...)
 			next := relation.New(deltaName, v.attrs...)
+			next.Grow(cands.Words())
 			for i := 0; i < cands.Len(); i++ {
 				row := cands.Row(i)
 				k := pair(row)
@@ -143,9 +149,32 @@ func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]
 	return f.run()
 }
 
-// owner routes a binary tuple to its owner server.
-func (v *ClosureView) owner(row []relation.Value, p int) int {
-	return relation.Bucket(relation.HashRow(row, bothCols, v.ownerSeed), p)
+// owner routes a binary tuple to its owner server, h(to-column). A
+// one-step extension (x, y)+(y, z) -> (x, z) goes where the edge (y, z)
+// would as a closure tuple, so owner(edge row) routes it.
+func (v *ClosureView) owner(row []relation.Value) int {
+	return relation.Bucket(relation.HashRow(row, toCol, v.edgeSeed), v.c.P())
+}
+
+// sendSeeds sends the changed edges of the local fragment dName, and
+// their one-step extensions T(x, y) ⋈ dE(y, z) of the local closure
+// fragment, to their owners. Both fragments sit at h(y), so the join
+// is local.
+func (v *ClosureView) sendSeeds(s *mpc.Server, st *mpc.Stream, dName string) {
+	d := s.RelOrEmpty(dName, v.attrs...)
+	if d.Len() == 0 {
+		return
+	}
+	dix := relation.BuildIndex(d, v.attrs[:1])
+	t := s.RelOrEmpty(v.name, v.attrs...)
+	for i := 0; i < t.Len(); i++ {
+		tr := t.Row(i)
+		for _, j := range dix.Lookup(tr, toCol) {
+			dr := d.Row(int(j))
+			st.Send(v.owner(dr), tr[0], dr[1])
+		}
+	}
+	st.SendByHash(d, toCol, v.edgeSeed)
 }
 
 // ApplyBatch applies a batch of edge mutations to the standing view,
@@ -216,32 +245,12 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	p := c.P()
 	trace.Annotatef(c, "%s batch %d: over-delete |dE|=%d", v.name, v.batches, c.TotalLen(delName))
 
-	// Over-delete seed: broadcast the deleted edges, then every owner
-	// emits T ⋈ dE- one-step extensions while the partition servers
-	// re-emit the deleted edges themselves (every deleted edge is a
-	// deleted closure tuple).
-	bcast, dseed := v.name+":dbcast", v.name+":dseed"
-	c.Round(v.name+":delbcast", func(s *mpc.Server, out *mpc.Out) {
-		out.Open(bcast, attrs...).BroadcastAll(s.RelOrEmpty(delName, attrs...))
-	})
+	// Over-delete seed: the T ⋈ dE- one-step extensions and the
+	// deleted edges themselves (every deleted edge is a deleted
+	// closure tuple).
+	dseed := v.name + ":dseed"
 	c.Round(v.name+":delseed", func(s *mpc.Server, out *mpc.Out) {
-		st := out.Open(dseed, attrs...)
-		b := s.RelOrEmpty(bcast, attrs...)
-		if b.Len() > 0 {
-			bix := relation.BuildIndex(b, attrs[:1])
-			t := s.RelOrEmpty(v.name, attrs...)
-			for i := 0; i < t.Len(); i++ {
-				tr := t.Row(i)
-				for _, j := range bix.Lookup(tr, []int{1}) {
-					st.Send(v.owner([]relation.Value{tr[0], b.Row(int(j))[1]}, p), tr[0], b.Row(int(j))[1])
-				}
-			}
-		}
-		d := s.RelOrEmpty(delName, attrs...)
-		for i := 0; i < d.Len(); i++ {
-			st.SendRow(v.owner(d.Row(i), p), d.Row(i))
-		}
-		s.Delete(bcast)
+		v.sendSeeds(s, out.Open(dseed, attrs...), delName)
 	})
 
 	// Absorb the seed into the over-delete set D (closure tuples only).
@@ -327,14 +336,13 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	p := c.P()
 	trace.Annotatef(c, "%s batch %d: rederive |D|=%d", v.name, v.batches, c.TotalLen(dName))
 
 	// Seeds of the restricted fixpoint: (a) over-deleted tuples that
 	// are still edges, and (b) one-step extensions T'(x, y) * E1(y, z)
 	// of surviving closure tuples whose source x lost tuples. (a) needs
 	// the D tuples at their edge partitions; (b) needs the distinct
-	// sources pi_x(D) everywhere and one probe round against E1.
+	// sources pi_x(D) everywhere, and then joins T' with the local E1.
 	dxB, dprobe := v.name+":dx", v.name+":dprobe"
 	c.Round(v.name+":redprep", func(s *mpc.Server, out *mpc.Out) {
 		stx := out.Open(dxB, attrs[:1]...)
@@ -350,16 +358,15 @@ func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *Ba
 		}
 		stp.SendByHash(d, []int{0}, v.edgeSeed)
 	})
-	rseed, rprobe := v.name+":rseed", v.name+":rprobe"
+	rseed := v.name + ":rseed"
 	c.Round(v.name+":redprobe", func(s *mpc.Server, out *mpc.Out) {
 		sid := s.ID()
-		stc := out.Open(rseed, attrs...)
-		stq := out.Open(rprobe, attrs...)
+		st := out.Open(rseed, attrs...)
 		dp := s.RelOrEmpty(dprobe, attrs...)
 		for i := 0; i < dp.Len(); i++ {
 			row := dp.Row(i)
 			if _, in := v.eIdx[sid][pair(row)]; in {
-				stc.SendRow(v.owner(row, p), row)
+				st.SendRow(v.owner(row), row)
 			}
 		}
 		s.Delete(dprobe)
@@ -368,29 +375,23 @@ func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *Ba
 		for i := 0; i < dx.Len(); i++ {
 			xs[dx.Row(i)[0]] = struct{}{}
 		}
+		s.Delete(dxB)
 		t := s.RelOrEmpty(v.name, attrs...)
+		var ix *relation.Index
+		e := s.RelOrEmpty(v.edgeName, attrs...)
 		for i := 0; i < t.Len(); i++ {
 			tr := t.Row(i)
-			if _, ok := xs[tr[0]]; ok {
-				stq.SendRow(relation.Bucket(relation.HashRow(tr, []int{1}, v.edgeSeed), p), tr)
+			if _, ok := xs[tr[0]]; !ok {
+				continue
+			}
+			if ix == nil {
+				ix = relation.BuildIndex(e, attrs[:1])
+			}
+			for _, j := range ix.Lookup(tr, toCol) {
+				er := e.Row(int(j))
+				st.Send(v.owner(er), tr[0], er[1])
 			}
 		}
-		s.Delete(dxB)
-	})
-	c.Round(v.name+":redjoin", func(s *mpc.Server, out *mpc.Out) {
-		stc := out.Open(rseed, attrs...)
-		q := s.RelOrEmpty(rprobe, attrs...)
-		if q.Len() > 0 {
-			e := s.RelOrEmpty(v.edgeName, attrs...)
-			ix := relation.BuildIndex(e, attrs[:1])
-			for i := 0; i < q.Len(); i++ {
-				qr := q.Row(i)
-				for _, j := range ix.Lookup(qr, []int{1}) {
-					stc.Send(v.owner([]relation.Value{qr[0], e.Row(int(j))[1]}, p), qr[0], e.Row(int(j))[1])
-				}
-			}
-		}
-		s.Delete(rprobe)
 	})
 
 	// Absorb the seeds (restricted to D, not yet back in T), then run
@@ -434,7 +435,6 @@ func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *Ba
 func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	p := c.P()
 	trace.Annotatef(c, "%s batch %d: insert |dE|=%d", v.name, v.batches, c.TotalLen(insName))
 
 	// Apply dE+ to the edge partitions first: propagation must run
@@ -457,28 +457,9 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 		s.Put(e)
 	})
 
-	ibcast, iseed := v.name+":ibcast", v.name+":iseed"
-	c.Round(v.name+":insbcast", func(s *mpc.Server, out *mpc.Out) {
-		out.Open(ibcast, attrs...).BroadcastAll(s.RelOrEmpty(insName, attrs...))
-	})
+	iseed := v.name + ":iseed"
 	c.Round(v.name+":insseed", func(s *mpc.Server, out *mpc.Out) {
-		st := out.Open(iseed, attrs...)
-		b := s.RelOrEmpty(ibcast, attrs...)
-		if b.Len() > 0 {
-			bix := relation.BuildIndex(b, attrs[:1])
-			t := s.RelOrEmpty(v.name, attrs...)
-			for i := 0; i < t.Len(); i++ {
-				tr := t.Row(i)
-				for _, j := range bix.Lookup(tr, []int{1}) {
-					st.Send(v.owner([]relation.Value{tr[0], b.Row(int(j))[1]}, p), tr[0], b.Row(int(j))[1])
-				}
-			}
-		}
-		ins := s.RelOrEmpty(insName, attrs...)
-		for i := 0; i < ins.Len(); i++ {
-			st.SendRow(v.owner(ins.Row(i), p), ins.Row(i))
-		}
-		s.Delete(ibcast)
+		v.sendSeeds(s, out.Open(iseed, attrs...), insName)
 	})
 
 	iDelta := v.name + ":idelta"

@@ -9,13 +9,15 @@
 // recomputes only the affected deltas, with output equality against
 // full recomputation pinned by the testkit differential harness.
 //
-// Every iteration of the kernel costs exactly two metered rounds:
-//
-//	probe:  ship each delta tuple to the server owning the matching
-//	        edge partition (hash of the probe column);
-//	extend: join the delivered delta against the local edge fragment,
-//	        reduce the candidates locally (distinct, or per-key min),
-//	        and ship them to the servers owning the output tuples.
+// Every iteration of the kernel costs exactly one metered round,
+// extend: join the local delta against the local edge fragment, reduce
+// the candidates locally (distinct, or per-key min), and ship each to
+// the server owning its probe column. The delta, the accumulator and
+// the edges (by column 0) are all partitioned by the hash of the probe
+// column under one seed, so the server that dedups a candidate is the
+// one holding the edges it probes next (arXiv 1412.4030,
+// transferability): the layout extend produces is the layout the next
+// iteration needs, and no round re-ships the delta.
 //
 // A free local step then absorbs delivered candidates into the
 // accumulator fragment, emits the next delta (only genuinely new
@@ -47,7 +49,7 @@ type Result struct {
 	// emptied; 0 means the seed was already empty.
 	Iterations int
 	// Rounds is the number of metered communication rounds attributable
-	// to this evaluation (two per iteration, plus any seeding rounds).
+	// to this evaluation (one per iteration, plus any seeding rounds).
 	Rounds int
 	// OutSize is the total output cardinality across all fragments.
 	OutSize int
@@ -73,26 +75,23 @@ func mix(seed uint64, k int64) uint64 {
 // fixpoint is the semi-naive evaluation kernel. The caller places the
 // edge relation (partitioned by hash of its first column under
 // edgeSeed), the accumulator, and the initial delta (both partitioned
-// by hash of ownerCols under ownerSeed, co-located), then run drives
-// probe/extend rounds until the delta empties.
+// by hash of probeCol under edgeSeed, co-located with the edges they
+// probe), then run drives extend rounds until the delta empties.
 type fixpoint struct {
 	c     *mpc.Cluster
 	label string // round, stream, and trace-annotation prefix
 
-	delta      string // delta relation, co-located with the accumulator
-	deltaAttrs []string
-	candAttrs  []string
+	delta string   // delta relation, co-located with the accumulator
+	attrs []string // schema of the delta and of the candidates
 
 	edge      string // edge relation, partitioned by h(col 0, edgeSeed)
 	edgeAttrs []string
 	edgeSeed  uint64
 
-	probeCol  int // delta column matched against edge column 0
-	ownerCols []int
-	ownerSeed uint64
+	probeCol int // delta column matched against edge column 0; owns the tuple
 
 	// extend writes the candidate tuple of one (delta row, edge row)
-	// match into cand, a row of candAttrs' arity the kernel owns and
+	// match into cand, a row of attrs' arity the kernel owns and
 	// appends after each call.
 	extend func(probe, edge, cand []relation.Value)
 	// combine reduces the local candidate buffer before shipping —
@@ -119,7 +118,7 @@ func dedupCombine(cands *relation.Relation) *relation.Relation {
 func (f *fixpoint) run() (int, error) {
 	c := f.c
 	f.edgeIdx = make([]*relation.Index, c.P())
-	probeName, candName := f.label+":probe", f.label+":cand"
+	candName, probeCols := f.label+":cand", []int{f.probeCol}
 	// Defensive cap: each iteration either adds an output tuple or
 	// improves a label, both bounded far below this. Hitting the cap
 	// means a kernel bug, not a slow input.
@@ -131,24 +130,23 @@ func (f *fixpoint) run() (int, error) {
 		}
 		iters++
 		trace.Annotatef(c, "%s iteration %d: |delta|=%d", f.label, iters, c.TotalLen(f.delta))
-		c.Round(probeName, func(s *mpc.Server, out *mpc.Out) {
-			st := out.Open(probeName, f.deltaAttrs...)
-			d := s.RelOrEmpty(f.delta, f.deltaAttrs...)
-			st.SendByHash(d, []int{f.probeCol}, f.edgeSeed)
-		})
 		c.Round(f.label+":extend", func(s *mpc.Server, out *mpc.Out) {
-			st := out.Open(candName, f.candAttrs...)
-			probe := s.RelOrEmpty(probeName, f.deltaAttrs...)
-			cands := relation.New(candName, f.candAttrs...)
-			if probe.Len() > 0 {
+			st := out.Open(candName, f.attrs...)
+			delta := s.RelOrEmpty(f.delta, f.attrs...)
+			cands := relation.New(candName, f.attrs...)
+			if delta.Len() > 0 {
 				edge := s.RelOrEmpty(f.edge, f.edgeAttrs...)
 				if f.edgeIdx[s.ID()] == nil {
 					f.edgeIdx[s.ID()] = relation.BuildIndex(edge, f.edgeAttrs[:1])
 				}
-				idx, probeCols := f.edgeIdx[s.ID()], []int{f.probeCol}
-				cand := make([]relation.Value, len(f.candAttrs))
-				for i := 0; i < probe.Len(); i++ {
-					pr := probe.Row(i)
+				idx, n := f.edgeIdx[s.ID()], 0
+				for i := 0; i < delta.Len(); i++ {
+					n += len(idx.Lookup(delta.Row(i), probeCols))
+				}
+				cands.Grow(n * len(f.attrs))
+				cand := make([]relation.Value, len(f.attrs))
+				for i := 0; i < delta.Len(); i++ {
+					pr := delta.Row(i)
 					for _, j := range idx.Lookup(pr, probeCols) {
 						f.extend(pr, edge.Row(int(j)), cand)
 						cands.AppendRow(cand)
@@ -156,11 +154,10 @@ func (f *fixpoint) run() (int, error) {
 				}
 				cands = f.combine(cands)
 			}
-			st.SendByHash(cands, f.ownerCols, f.ownerSeed)
-			s.Delete(probeName)
+			st.SendByHash(cands, probeCols, f.edgeSeed)
 		})
 		c.LocalStep(func(s *mpc.Server) {
-			cands := s.RelOrEmpty(candName, f.candAttrs...)
+			cands := s.RelOrEmpty(candName, f.attrs...)
 			next := f.absorb(s, cands)
 			s.Put(next.Rename(f.delta))
 			s.Delete(candName)

@@ -12,9 +12,10 @@ import (
 // is FixpointChaosSpecs, whose after= entries delay fault onset past
 // the first iterations so crashes and drops land *between* fixpoint
 // iterations — the regime where a recovery bug would corrupt the
-// standing delta rather than a single shuffle. Recovery must be
-// invisible: bit-for-bit identical fragments, identical (L, r, C),
-// and a trace whose crash/replay events reconcile with the ledger.
+// standing delta rather than a single shuffle. Every schedule must
+// fault at least once, and recovery must be invisible: bit-for-bit
+// identical fragments, identical (L, r, C), and a trace whose
+// crash/replay events reconcile with the ledger.
 
 func runFixpointChaos(t *testing.T, name string, run func(c *mpc.Cluster, p int, seed int64, skew testkit.Skew) error) {
 	t.Helper()
@@ -31,6 +32,7 @@ func runFixpointChaos(t *testing.T, name string, run func(c *mpc.Cluster, p int,
 				t.Fatalf("chaos %s: %v", name, err)
 			}
 			testkit.AssertRecovered(t, chaotic)
+			testkit.AssertFaulted(t, chaotic)
 			testkit.AssertSameLRC(t, clean, chaotic)
 			testkit.AssertSameFragments(t, clean, chaotic)
 			testkit.AssertTraceConsistent(t, chaotic, rec)

@@ -27,7 +27,7 @@ func genGraph(skew testkit.Skew, seed int64) *relation.Relation {
 
 // TestSemiNaiveTCDiff sweeps transitive closure against the naive
 // fixpoint oracle: (p, seed, skew) matrix, exact round accounting
-// (two metered rounds per iteration), and trace consistency.
+// (one metered round per iteration), and trace consistency.
 func TestSemiNaiveTCDiff(t *testing.T) {
 	testkit.Sweep(t, testkit.Config{}, func(t *testing.T, p int, seed int64, skew testkit.Skew) {
 		edges := genGraph(skew, seed)
@@ -41,8 +41,8 @@ func TestSemiNaiveTCDiff(t *testing.T) {
 		if !testkit.BagEqual(got, want) {
 			t.Fatalf("closure differs from naive fixpoint: %s", testkit.DiffSample(got, want))
 		}
-		if res.Rounds != 2*res.Iterations {
-			t.Errorf("rounds = %d over %d iterations, want exactly 2 per iteration", res.Rounds, res.Iterations)
+		if res.Rounds != res.Iterations {
+			t.Errorf("rounds = %d over %d iterations, want exactly 1 per iteration", res.Rounds, res.Iterations)
 		}
 		testkit.AssertRounds(t, c, res.Rounds)
 	})
@@ -69,8 +69,8 @@ func TestReachableDiff(t *testing.T) {
 		if !testkit.BagEqual(got, want) {
 			t.Fatalf("reachability differs from oracle: %s", testkit.DiffSample(got, want))
 		}
-		if res.Rounds != 2*res.Iterations {
-			t.Errorf("rounds = %d over %d iterations, want exactly 2 per iteration", res.Rounds, res.Iterations)
+		if res.Rounds != res.Iterations {
+			t.Errorf("rounds = %d over %d iterations, want exactly 1 per iteration", res.Rounds, res.Iterations)
 		}
 	})
 }
@@ -90,8 +90,8 @@ func TestConnectedComponentsDiff(t *testing.T) {
 		if !testkit.BagEqual(got, want) {
 			t.Fatalf("components differ from oracle: %s", testkit.DiffSample(got, want))
 		}
-		if res.Rounds != 2*res.Iterations {
-			t.Errorf("rounds = %d over %d iterations, want exactly 2 per iteration", res.Rounds, res.Iterations)
+		if res.Rounds != res.Iterations {
+			t.Errorf("rounds = %d over %d iterations, want exactly 1 per iteration", res.Rounds, res.Iterations)
 		}
 	})
 }

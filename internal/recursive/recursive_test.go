@@ -36,12 +36,12 @@ func TestTransitiveClosureChain(t *testing.T) {
 		t.Fatalf("closure differs from oracle: %s", testkit.DiffSample(got, want))
 	}
 	// Chain of 3 edges: deltas are length-1, length-2, length-3 paths,
-	// then one empty-delta-producing pass — 3 iterations, 2 rounds each.
+	// then one empty-delta-producing pass — 3 iterations, 1 round each.
 	if res.Iterations != 3 {
 		t.Errorf("iterations = %d, want 3", res.Iterations)
 	}
-	if res.Rounds != 2*res.Iterations {
-		t.Errorf("rounds = %d, want 2*%d", res.Rounds, res.Iterations)
+	if res.Rounds != res.Iterations {
+		t.Errorf("rounds = %d, want %d", res.Rounds, res.Iterations)
 	}
 	if res.OutSize != want.Len() {
 		t.Errorf("OutSize = %d, want %d", res.OutSize, want.Len())

@@ -25,7 +25,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	}
 	attrs := edges.Attrs()
 	vAttr := attrs[0]
-	edgeSeed, ownerSeed := mix(seed, 1), mix(seed, 2)
+	edgeSeed := mix(seed, 1)
 	start := c.Metrics().Rounds()
 	edgeName, deltaName := outName+":edge", outName+":delta"
 
@@ -38,8 +38,8 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 		t0.AppendRow([]relation.Value{v})
 	}
 	t0.Dedup()
-	c.ScatterByHash(t0, []string{vAttr}, ownerSeed)
-	c.ScatterByHash(t0.Project(deltaName, vAttr), []string{vAttr}, ownerSeed)
+	c.ScatterByHash(t0, []string{vAttr}, edgeSeed)
+	c.ScatterByHash(t0.Project(deltaName, vAttr), []string{vAttr}, edgeSeed)
 
 	// Per-server membership index over the accumulator fragment.
 	seen := make([]map[relation.Value]struct{}, c.P())
@@ -54,9 +54,8 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 
 	f := &fixpoint{
 		c: c, label: outName,
-		delta: deltaName, deltaAttrs: []string{vAttr}, candAttrs: []string{vAttr},
-		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed,
-		probeCol: 0, ownerCols: []int{0}, ownerSeed: ownerSeed,
+		delta: deltaName, attrs: []string{vAttr},
+		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed, probeCol: 0,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0] = edge[1]
 		},
@@ -65,6 +64,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 			m := seen[s.ID()]
 			t := s.RelOrEmpty(outName, vAttr)
 			next := relation.New(deltaName, vAttr)
+			next.Grow(cands.Words())
 			for i := 0; i < cands.Len(); i++ {
 				v := cands.Row(i)[0]
 				if _, ok := m[v]; ok {
@@ -97,7 +97,7 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 	}
 	attrs := edges.Attrs()
 	outAttrs := []string{"v", "comp"}
-	edgeSeed, ownerSeed := mix(seed, 1), mix(seed, 2)
+	edgeSeed := mix(seed, 1)
 	start := c.Metrics().Rounds()
 	edgeName, deltaName := outName+":edge", outName+":delta"
 
@@ -122,8 +122,8 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 			}
 		}
 	}
-	c.ScatterByHash(t0, outAttrs[:1], ownerSeed)
-	c.ScatterByHash(t0.Project(deltaName, outAttrs...), outAttrs[:1], ownerSeed)
+	c.ScatterByHash(t0, outAttrs[:1], edgeSeed)
+	c.ScatterByHash(t0.Project(deltaName, outAttrs...), outAttrs[:1], edgeSeed)
 
 	// Per-server position index: vertex -> row in the label fragment,
 	// so absorb can update labels through the mutable Row view.
@@ -139,9 +139,8 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 
 	f := &fixpoint{
 		c: c, label: outName,
-		delta: deltaName, deltaAttrs: outAttrs, candAttrs: outAttrs,
-		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed,
-		probeCol: 0, ownerCols: []int{0}, ownerSeed: ownerSeed,
+		delta: deltaName, attrs: outAttrs,
+		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed, probeCol: 0,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0], cand[1] = edge[1], probe[1] // neighbour inherits the candidate label
 		},

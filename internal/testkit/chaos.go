@@ -23,13 +23,15 @@ var DefaultChaosSpecs = []string{
 // FixpointChaosSpecs extends the standard sweep for iterative
 // workloads with after= schedules: no fault fires before metered round
 // index N, so recovery is exercised *between* fixpoint iterations (the
-// kernel meters two rounds per iteration, so after=2 lands the first
-// fault no earlier than iteration 2) rather than only at the initial
-// scatter/seed rounds the flat specs tend to hit first.
+// kernel meters one round per iteration and its seeding is unmetered,
+// so after=N lands the first fault no earlier than iteration N+1:
+// iterations 4, 3 and 2 below) rather than only at the first rounds
+// the flat specs tend to hit first. The shortest fixpoint of the chaos
+// sweeps runs 5 iterations, so every schedule faults inside it.
 var FixpointChaosSpecs = append(append([]string(nil), DefaultChaosSpecs...),
 	"404:crash=0.35,after=3",
-	"505:drop=0.12,dup=0.06,after=4",
-	"606:crash=0.25,straggle=0.3,delay=5,after=2",
+	"505:drop=0.12,dup=0.06,after=2",
+	"606:crash=0.25,straggle=0.3,delay=5,after=1",
 )
 
 // OneRoundChaosSpecs is DefaultChaosSpecs for algorithms that meter a
