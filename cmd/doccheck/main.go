@@ -1,5 +1,5 @@
 // Command doccheck is the documentation gate for the CI docs lane.
-// It enforces two invariants that rot silently without a check:
+// It enforces three invariants that rot silently without a check:
 //
 //  1. Every relative markdown link in the repo's own documentation
 //     resolves — the file exists, and when the link carries a
@@ -8,13 +8,16 @@
 //     fetched; CI must not depend on the network.
 //  2. Every Go package in the repo has a package-level doc comment
 //     (checked with go/parser, the same source of truth godoc uses).
+//  3. Every -flag on a `go run ./cmd/<tool>` line in a fenced code
+//     block is a flag <tool>'s main package defines (read with
+//     go/parser from its flag definitions).
 //
 // Usage:
 //
 //	doccheck [-root dir]
 //
 // Retrieval-artifact files (PAPER.md, PAPERS.md, SNIPPETS.md) are
-// skipped as link *sources*: they quote external material whose links
+// skipped as link and sample *sources*: they quote external material
 // we do not own. They still count as link *targets*.
 package main
 
@@ -29,18 +32,14 @@ func main() {
 	flag.Parse()
 
 	var problems []string
-	linkProblems, err := CheckMarkdown(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(1)
+	for _, check := range []func(string) ([]string, error){CheckMarkdown, CheckPackageDocs, CheckFlagSamples} {
+		found, err := check(*root)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doccheck:", err)
+			os.Exit(1)
+		}
+		problems = append(problems, found...)
 	}
-	problems = append(problems, linkProblems...)
-	docProblems, err := CheckPackageDocs(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(1)
-	}
-	problems = append(problems, docProblems...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {

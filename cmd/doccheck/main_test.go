@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,53 @@ func TestCheckPackageDocs(t *testing.T) {
 	}
 }
 
+func TestCheckFlagSamples(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "cmd/mpcrun/main.go", `// Command mpcrun runs a query.
+package main
+
+import "flag"
+
+func run(args []string) {
+	fs := flag.NewFlagSet("mpcrun", flag.ContinueOnError)
+	fs.Int("p", 16, "servers")
+	fs.String("q", "", "query")
+	fs.String("skew", "none", "skew")
+	var verbose bool
+	fs.BoolVar(&verbose, "verbose", false, "per-round metrics")
+}
+`)
+	write(t, root, "cmd/mpcserve/main.go", "// Command mpcserve serves.\npackage main\n\nimport \"flag\"\n\nvar demo = flag.Bool(\"demo\", false, \"demo data\")\n")
+	write(t, root, "cmd/mpcrun/main_test.go", "package main\n\nimport \"flag\"\n\nvar _ = flag.Bool(\"testonly\", false, \"\")\n")
+	write(t, root, "README.md", strings.Join([]string{
+		"Prose is not checked: `go run ./cmd/mpcrun -gone`.",
+		"```bash",
+		"go run ./cmd/mpcrun -p 8 -skew=zipf -verbose -h   # a comment -ignored",
+		"$ go run ./cmd/mpcrun -q 'R(x,y) :- -S(x)' -p 4 | grep -v total",
+		"go run ./cmd/mpcrun -query triangle -n 5000 -p 16 -skew heavy -adaptive -mpcrun",
+		"go run ./cmd/mpcserve -demo -adaptive &",
+		"go run ./cmd/mpcrun -testonly",
+		"go run ./cmd/nosuch -p 1",
+		"```",
+	}, "\n"))
+	problems, err := CheckFlagSamples(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:5: go run ./cmd/mpcrun: flag -query is not defined",
+		"README.md:5: go run ./cmd/mpcrun: flag -n is not defined",
+		"README.md:5: go run ./cmd/mpcrun: flag -adaptive is not defined",
+		"README.md:5: go run ./cmd/mpcrun: flag -mpcrun is not defined",
+		"README.md:6: go run ./cmd/mpcserve: flag -adaptive is not defined",
+		"README.md:7: go run ./cmd/mpcrun: flag -testonly is not defined",
+		"README.md:8: go run ./cmd/nosuch: no such command",
+	}
+	if !slices.Equal(problems, want) {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestRepoIsClean(t *testing.T) {
 	// The gate CI runs, run as a test too: the repo's own docs and
 	// package comments must stay clean.
@@ -105,6 +153,9 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if problems, err := CheckPackageDocs(root); err != nil || len(problems) != 0 {
 		t.Errorf("CheckPackageDocs: err=%v problems=%v", err, problems)
+	}
+	if problems, err := CheckFlagSamples(root); err != nil || len(problems) != 0 {
+		t.Errorf("CheckFlagSamples: err=%v problems=%v", err, problems)
 	}
 }
 

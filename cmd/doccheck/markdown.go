@@ -34,33 +34,13 @@ var inlineCodeRe = regexp.MustCompile("`[^`]*`")
 // match a GitHub-style heading anchor in the target. Returns one
 // human-readable problem string per broken link.
 func CheckMarkdown(root string) ([]string, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.EqualFold(filepath.Ext(path), ".md") {
-			files = append(files, path)
-		}
-		return nil
-	})
+	files, err := markdownFiles(root)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(files)
-
 	anchorCache := map[string]map[string]bool{}
 	var problems []string
 	for _, f := range files {
-		if skipSources[filepath.Base(f)] {
-			continue
-		}
 		data, err := os.ReadFile(f)
 		if err != nil {
 			return nil, err
@@ -77,24 +57,57 @@ func CheckMarkdown(root string) ([]string, error) {
 	return problems, nil
 }
 
-// linkLines returns the file's lines with fenced code blocks and
-// inline code spans blanked out, so transcripts and code samples are
-// not scanned for links. Line numbering is preserved.
-func linkLines(src string) []string {
-	lines := strings.Split(src, "\n")
+// markdownFiles lists, sorted, the repository's own markdown files:
+// every .md file outside .git except the retrieval artifacts.
+func markdownFiles(root string) ([]string, error) {
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.EqualFold(filepath.Ext(path), ".md") && !skipSources[d.Name()] {
+			files = append(files, path)
+		}
+		return nil
+	})
+	sort.Strings(files)
+	return files, err
+}
+
+// fenced reports, per line, whether it is a code fence or inside a
+// fenced code block.
+func fenced(lines []string) []bool {
+	in := make([]bool, len(lines))
 	inFence := false
 	for i, line := range lines {
 		trimmed := strings.TrimSpace(line)
 		if strings.HasPrefix(trimmed, "```") || strings.HasPrefix(trimmed, "~~~") {
 			inFence = !inFence
-			lines[i] = ""
+			in[i] = true
 			continue
 		}
-		if inFence {
+		in[i] = inFence
+	}
+	return in
+}
+
+// linkLines returns the file's lines with fenced code blocks and
+// inline code spans blanked out, so transcripts and code samples are
+// not scanned for links. Line numbering is preserved.
+func linkLines(src string) []string {
+	lines := strings.Split(src, "\n")
+	for i, in := range fenced(lines) {
+		if in {
 			lines[i] = ""
-			continue
+		} else {
+			lines[i] = inlineCodeRe.ReplaceAllString(lines[i], "")
 		}
-		lines[i] = inlineCodeRe.ReplaceAllString(line, "")
 	}
 	return lines
 }
@@ -146,14 +159,10 @@ func checkLink(root, file, target string, anchorCache map[string]map[string]bool
 func headingAnchors(src string) map[string]bool {
 	anchors := map[string]bool{}
 	seen := map[string]int{}
-	inFence := false
-	for _, line := range strings.Split(src, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "```") || strings.HasPrefix(trimmed, "~~~") {
-			inFence = !inFence
-			continue
-		}
-		if inFence || !strings.HasPrefix(trimmed, "#") {
+	lines := strings.Split(src, "\n")
+	for i, in := range fenced(lines) {
+		trimmed := strings.TrimSpace(lines[i])
+		if in || !strings.HasPrefix(trimmed, "#") {
 			continue
 		}
 		text := strings.TrimLeft(trimmed, "#")

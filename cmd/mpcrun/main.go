@@ -10,7 +10,6 @@
 //	mpcrun -q 'E(a,b), F(b,c)' -data ./csvdir -p 8
 //	mpcrun -q 'spend(c, sum(p)) :- Orders(c, i, p).' -n 5000 -p 8 -verbose
 //	mpcrun -query triangle -n 5000 -p 27 -explain
-//	mpcrun -query triangle -n 20000 -p 16 -skew heavy -adaptive
 //	mpcrun -query triangle -n 20000 -p 8 -capacities 4,4,1,1,1,1,1,1
 //	mpcrun -recursive tc -n 2000 -p 16 -skew zipf
 //
@@ -28,7 +27,9 @@
 // lists them; one forced onto a query it does not apply to is refused
 // with the reason -explain gives for rejecting it. skewjoin and skewhc
 // take the heavy hitters from the input, as auto's planner does, and
-// route in one round (-verbose lists one shuffle round).
+// route in one round (-verbose lists one shuffle round); auto runs
+// skewhc on a multiway query exactly when a variable whose HyperCube
+// share is > 1 has heavy hitters.
 // Skew: none (default), zipf, heavy — honoured for every generated
 // relation, whichever way the query was written.
 //
@@ -43,7 +44,7 @@
 // each under its flag or condition — fixpoint iterations, capacity
 // (-capacities), chaos (-chaos), the theory bounds (any conjunctive
 // body) and the per-round table (-verbose). -chaos, -trace, -transport,
-// -adaptive, -capacities, -p and -seed compose with every kind of run.
+// -capacities, -p and -seed compose with every kind of run.
 //
 // With -chaos seed[:key=rate,...] (e.g. -chaos 7:drop=0.1,crash=0.05)
 // the run executes under that deterministic fault schedule: faults are
@@ -51,14 +52,6 @@
 // replay. A recovered run reports the exact output and (L, r, C) of the
 // fault-free run plus a recovery summary; an unrecovered one exits
 // non-zero with the spec that reproduces it.
-//
-// With -adaptive, HyperCube executions run the skew-reactive driver:
-// a metered probe round routes a prefix of the input under the uniform
-// plan, and the driver switches the remaining rounds to SkewHC if the
-// probe's receive vector shows emerging skew. The report prints the
-// decision and its evidence. The switch has no statistics to trust, so
-// SkewHC finds its heavy hitters in two rounds; its routing round is
-// then bit-identical to the one round of -alg skewhc.
 //
 // With -capacities c0,c1,... (len p, entries > 0) the cluster is
 // heterogeneous: the planner costs candidates against the effective
@@ -136,7 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	netWorkers := fs.Int("net-workers", 0, "worker processes for -transport=tcp (0 = min(p, 4))")
 	netWorker := fs.Bool("net-worker", false, "run as an mpcnet worker process (internal, used by -transport=tcp)")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address in -net-worker mode")
-	adaptive := fs.Bool("adaptive", false, "skew-reactive execution: probe, then switch HyperCube plans to SkewHC on emerging skew")
 	capacities := fs.String("capacities", "", "comma-separated per-server capacities (len p, entries > 0) for heterogeneity-aware shares")
 	verbose := fs.Bool("verbose", false, "print per-round metrics")
 	if err := fs.Parse(args); err != nil {
@@ -192,7 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	engine := core.NewEngine(*p, *seed)
-	engine.Adaptive = *adaptive
 	engine.Capacities = caps
 	transportDesc := "local (in-process)"
 	switch *transport {

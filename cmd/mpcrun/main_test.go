@@ -381,7 +381,7 @@ func TestExplainViaPlanner(t *testing.T) {
 	if code := run([]string{"-query", "triangle", "-n", "500", "-p", "8", "-explain"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-explain: exit %d: %s", code, stderr.String())
 	}
-	if want := out + "auto runs: hypercube — cyclic, no skew: one-round HyperCube\n"; stdout.String() != want {
+	if want := out + "auto runs: hypercube — cyclic, no heavy hitters on a variable of share > 1: HyperCube\n"; stdout.String() != want {
 		t.Errorf("-explain printed\n%s\nwant\n%s", stdout.String(), want)
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	mpcserve -demo -n 5000 -addr 127.0.0.1:8080
 //	mpcserve -data ./csvdir -p 16 -quota-rate 10 -quota-burst 20
-//	mpcserve -demo -adaptive -capacities 4,4,1,1,1,1,1,1
+//	mpcserve -demo -capacities 4,4,1,1,1,1,1,1
 //
 // Endpoints:
 //
@@ -56,7 +56,6 @@ func main() {
 	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant burst capacity (default max(quota-rate, 1))")
 	cacheSize := flag.Int("plan-cache", 128, "plan cache capacity (entries)")
 	maxRows := flag.Int("max-rows", 100, "result rows embedded per response")
-	adaptive := flag.Bool("adaptive", false, "skew-reactive execution: probe, then switch HyperCube plans to SkewHC on emerging skew")
 	capacities := flag.String("capacities", "", "comma-separated per-server capacities (len p, entries > 0) for heterogeneity-aware shares")
 	flag.Parse()
 
@@ -80,7 +79,6 @@ func main() {
 		QuotaBurst:    *quotaBurst,
 		PlanCacheSize: *cacheSize,
 		MaxResultRows: *maxRows,
-		Adaptive:      *adaptive,
 		Capacities:    caps,
 	}, *dataDir, *demo, *n, *seed)
 	if err != nil {

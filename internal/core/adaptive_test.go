@@ -1,125 +1,61 @@
 package core
 
 import (
-	"slices"
-	"strings"
+	"fmt"
 	"testing"
 
+	"mpcquery/internal/hypercube"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
 	"mpcquery/internal/workload"
 )
 
-// TestAdaptiveSwitches drives the skew-reactive path through the
-// public engine API: a mispredicted-skew triangle must switch, report
-// the decision on Execution.Adaptive, and still produce the reference
-// answer. Execution.Algorithm stays the planned hypercube — forcing it
-// again (as the service's plan cache does) probes again. The switch
-// has no statistics to trust, so SkewHC finds its heavy hitters in two
-// rounds; after the probe and those two rounds the switched run is
-// bit-identical to a run that chose SkewHC up front and knew them: same
-// output rows in the same order, same receive vectors in the one
-// routing round.
-func TestAdaptiveSwitches(t *testing.T) {
-	q := hypergraph.Triangle()
-	rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: 0.5}, 1)
-	e := NewEngine(16, 1)
-	e.Adaptive = true
-	exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Adaptive == nil || !exec.Adaptive.Switched {
-		t.Fatalf("did not switch: %s", exec.Reason)
-	}
-	if exec.Algorithm != AlgHyperCube {
-		t.Errorf("algorithm = %s, want the planned %s", exec.Algorithm, AlgHyperCube)
-	}
-	if exec.Adaptive.Signal.MaxRecv == 0 {
-		t.Error("switched run reports a zero probe signal")
-	}
-	want := Reference(q, rels)
-	if !testkit.BagEqual(exec.Output, want) {
-		t.Errorf("adaptive output differs from reference: %s", testkit.DiffSample(exec.Output, want))
-	}
-
-	static, err := NewEngine(16, 1).Execute(Request{Query: q, Relations: rels, Algorithm: AlgSkewHC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Output.Len() != static.Output.Len() {
-		t.Fatalf("switched run has %d output rows, SkewHC up front %d", exec.Output.Len(), static.Output.Len())
-	}
-	for i := 0; i < static.Output.Len(); i++ {
-		if !slices.Equal(exec.Output.Row(i), static.Output.Row(i)) {
-			t.Fatalf("output row %d: switched %v, SkewHC up front %v", i, exec.Output.Row(i), static.Output.Row(i))
-		}
-	}
-	tail, up := exec.Metrics.RoundStats()[3:], static.Metrics.RoundStats()
-	if len(tail) != len(up) {
-		t.Fatalf("switched run has %d rounds after the probe and detection, SkewHC up front %d", len(tail), len(up))
-	}
-	for i := range up {
-		if tail[i].Name != up[i].Name {
-			t.Errorf("round %d: switched %q, SkewHC up front %q", i, tail[i].Name, up[i].Name)
-		}
-		for s := range up[i].Recv {
-			if tail[i].Recv[s] != up[i].Recv[s] {
-				t.Errorf("round %q server %d: switched received %d, SkewHC up front %d", up[i].Name, s, tail[i].Recv[s], up[i].Recv[s])
+// TestPlannerCoversAdaptiveSwitch is the sweep that retired the
+// engine's adaptive mode: on the mispredicted-skew instances the probe
+// driver (hypercube.RunAdaptive) was built for, wherever it switches
+// to SkewHC mid-query, auto planning picks skewhc up front and reaches
+// the switched run's L in one round. On path4 the heavy endpoint A0
+// has share 1, so the driver never switches and the planner keeps
+// plain HyperCube.
+func TestPlannerCoversAdaptiveSwitch(t *testing.T) {
+	const p = 16
+	switches := map[string]int{}
+	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Star(3), hypergraph.Path(4)} {
+		for _, frac := range []float64{0.1, 0.3, 0.5, 0.8} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: frac}, seed)
+				e := NewEngine(p, seed)
+				c := e.newCluster()
+				res, err := hypercube.RunAdaptive(c, q, rels, "out", e.joinSeed())
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec, err := e.Execute(Request{Query: q, Relations: rels})
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("%s HeavyFrac %.1f seed %d", q.Name, frac, seed)
+				if got, want := exec.Output.Len(), c.Gather("out").Len(); got != want {
+					t.Errorf("%s: auto answers %d rows, the driver %d", at, got, want)
+				}
+				if q.Name == "path4" && exec.Algorithm != AlgHyperCube {
+					t.Errorf("%s: auto plans %s (%s), want %s", at, exec.Algorithm, exec.Reason, AlgHyperCube)
+				}
+				if !res.Switched {
+					continue
+				}
+				switches[q.Name]++
+				if exec.Algorithm != AlgSkewHC || exec.Rounds != 1 || exec.MaxLoad != c.Metrics().MaxLoad() {
+					t.Errorf("%s: the driver switched at L %d; auto plans %s (%s) at L %d, r %d, want %s at L %d, r 1",
+						at, c.Metrics().MaxLoad(), exec.Algorithm, exec.Reason, exec.MaxLoad, exec.Rounds, AlgSkewHC, c.Metrics().MaxLoad())
+				}
 			}
 		}
 	}
-}
-
-// TestAdaptiveNoSwitch pins the balanced case end to end.
-func TestAdaptiveNoSwitch(t *testing.T) {
-	q := hypergraph.Triangle()
-	rels := testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{Tuples: 120}, 1)
-	e := NewEngine(4, 1)
-	e.Adaptive = true
-	exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Adaptive == nil || exec.Adaptive.Switched {
-		t.Fatalf("switched on a skew-free instance: %s", exec.Reason)
-	}
-	if exec.Algorithm != AlgHyperCube {
-		t.Errorf("algorithm = %s, want %s", exec.Algorithm, AlgHyperCube)
-	}
-	want := Reference(q, rels)
-	if !testkit.BagEqual(exec.Output, want) {
-		t.Errorf("output differs from reference: %s", testkit.DiffSample(exec.Output, want))
-	}
-}
-
-// TestEngineAdaptiveFlagReroutesHyperCube checks that Engine.Adaptive
-// reroutes the ordinary Execute path when the request forces (or the
-// planner picks) HyperCube, and leaves every other plan alone.
-func TestEngineAdaptiveFlagReroutesHyperCube(t *testing.T) {
-	q := hypergraph.Triangle()
-	rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: 0.5}, 2)
-	e := NewEngine(16, 2)
-	e.Adaptive = true
-	exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Reference(q, rels)
-	if !testkit.BagEqual(exec.Output, want) {
-		t.Errorf("output differs from reference: %s", testkit.DiffSample(exec.Output, want))
-	}
-	// The switch decision must surface in the plan explanation.
-	if got := exec.Reason; !strings.Contains(got, "adaptive:") {
-		t.Errorf("reason %q does not mention the adaptive decision", got)
-	}
-	other, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgBigJoin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Adaptive != nil {
-		t.Errorf("non-HyperCube plan %s carries an adaptive record", other.Algorithm)
+	t.Logf("driver switched on %v", switches)
+	if switches["triangle"] == 0 || switches["star3"] == 0 || switches["path4"] != 0 {
+		t.Errorf("driver switched on %v instances, want some triangle and star3 and no path4", switches)
 	}
 }
 

@@ -93,9 +93,9 @@ func TestExecuteOutputInQueryVarOrder(t *testing.T) {
 // TestExecuteLeavesInputsUntouched is the wall behind relabelling
 // inputs in place: algorithms read the caller's relations through
 // views sharing their storage, so no run — any algorithm, either join
-// entry point, the adaptive and capacity-aware HyperCube drivers, two
-// requests at once over one relation map — may change an input's name,
-// schema or rows.
+// entry point, the capacity-aware HyperCube driver, two requests at
+// once over one relation map — may change an input's name, schema or
+// rows.
 func TestExecuteLeavesInputsUntouched(t *testing.T) {
 	snapshot := func(rels map[string]*relation.Relation) map[string]*relation.Relation {
 		snap := make(map[string]*relation.Relation, len(rels))
@@ -131,7 +131,6 @@ func TestExecuteLeavesInputsUntouched(t *testing.T) {
 		engine func() *Engine
 	}{
 		{"plain", func() *Engine { return NewEngine(4, 1) }},
-		{"adaptive", func() *Engine { e := NewEngine(4, 1); e.Adaptive = true; return e }},
 		{"capacities", func() *Engine { e := NewEngine(4, 1); e.Capacities = []float64{2, 1, 1, 1}; return e }},
 	}
 	for _, tc := range cases {

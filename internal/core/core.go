@@ -8,9 +8,15 @@
 //     join otherwise (slide 23);
 //   - multiway acyclic queries: GYM (distributed Yannakakis) when the
 //     AGM output bound is below the crossover OUT < p^{1−1/τ*}·IN
-//     (slide 78), HyperCube otherwise;
-//   - multiway cyclic queries: SkewHC when any variable has heavy
-//     hitters, plain HyperCube otherwise (slides 34–51).
+//     (slide 78), one-round HyperCube otherwise;
+//   - multiway cyclic queries: one-round HyperCube (slides 34–51).
+//
+// Both multiway branches choose their one-round HyperCube by one skew
+// rule: SkewHC when a variable whose integer HyperCube share is > 1
+// has heavy hitters, plain HyperCube otherwise. A heavy value hurts
+// HyperCube only by confining its tuples to one slab of its variable's
+// dimension (slide 46); a variable of share 1 has no slabs, so its
+// heavy hitters cost plain HyperCube nothing.
 //
 // The heavy hitters that choose skewjoin or skewhc are the ones those
 // algorithms route by: the planner and the descriptor's Run call the
@@ -126,12 +132,6 @@ type Engine struct {
 	// trace events — so this selects *where bytes move*, never *what the
 	// simulation computes*. The engine does not close the transport.
 	Transport mpc.Transport
-	// Adaptive, when true, reroutes HyperCube executions through the
-	// skew-reactive driver (hypercube.RunAdaptive): a metered probe
-	// round feeds a receive-skew signal into a mid-query re-plan that
-	// switches to SkewHC when the uniform plan's skew prediction turns
-	// out wrong. Takes precedence over Capacities for HyperCube plans.
-	Adaptive bool
 	// Capacities, when non-nil, declares a heterogeneous per-server
 	// capacity profile (len must equal P, entries > 0). Clusters carry
 	// the profile, Metrics.NormalizedMakespan can normalize by it, and
@@ -168,18 +168,12 @@ type Execution struct {
 	// duplicate input tuples may repeat bindings.
 	Output *relation.Relation
 	// Algorithm is the planned (or forced) strategy; "fixpoint-<kind>"
-	// for recursive runs. An adaptive run that switched to SkewHC
-	// mid-query still reports the planned AlgHyperCube, so forcing
-	// Algorithm again reproduces the run; Adaptive records the switch.
+	// for recursive runs.
 	Algorithm Algorithm
 	// Reason explains the planner's choice (empty for recursion).
 	Reason string
 	// Iterations is the semi-naive iteration count (recursive only).
 	Iterations int
-	// Adaptive is the skew-reactive driver's decision record — switched
-	// or not, the probe signal, the stated reason — when Engine.Adaptive
-	// rerouted a HyperCube plan; nil otherwise.
-	Adaptive *hypercube.AdaptiveResult
 	// Rounds, MaxLoad and TotalComm are (r, L, C) read off Metrics, the
 	// one ledger of the one cluster the execution ran on.
 	Rounds    int
@@ -189,6 +183,9 @@ type Execution struct {
 }
 
 // Plan decides which algorithm to use for the request and explains why.
+// A multiway query that does not go to GYM runs SkewHC exactly when a
+// variable with integer HyperCube share > 1 has heavy hitters (see
+// oneRound), and plain HyperCube otherwise.
 func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 	if err := validate(req); err != nil {
 		return "", "", err
@@ -231,17 +228,27 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 		if agm < crossover {
 			return AlgGYMOptimized, fmt.Sprintf("acyclic, AGM bound %.0f < crossover %.0f: GYM", agm, crossover), nil
 		}
-		return AlgHyperCube, fmt.Sprintf("acyclic but AGM bound %.0f ≥ crossover %.0f: HyperCube", agm, crossover), nil
+		return e.oneRound(q, req.Relations, fmt.Sprintf("acyclic, AGM bound %.0f ≥ crossover %.0f", agm, crossover))
 	}
-	// Cyclic: HyperCube, skew-aware when a variable, first in q.Vars()
-	// order, has heavy hitters.
-	threshold := hypercube.Threshold(q, req.Relations, e.P)
-	for _, v := range q.Vars() {
-		if len(hypercube.HeavyValues(q, req.Relations, v, threshold)) > 0 {
-			return AlgSkewHC, fmt.Sprintf("cyclic with heavy hitters on %s: SkewHC", v), nil
+	return e.oneRound(q, req.Relations, "cyclic")
+}
+
+// oneRound is Plan's skew rule for a multiway query. The shares are
+// the grid hypercube.Run routes on and the heavy hitters the ones the
+// skewhc descriptor routes by; the reason, opened by why, names the
+// first split heavy variable in q.Vars() order.
+func (e *Engine) oneRound(q hypergraph.Query, rels map[string]*relation.Relation, why string) (Algorithm, string, error) {
+	sh, err := fractional.OptimalShares(q, hypercube.Sizes(q, rels), e.P)
+	if err != nil {
+		return "", "", err
+	}
+	threshold := hypercube.Threshold(q, rels, e.P)
+	for i, v := range sh.Vars {
+		if sh.Integer[i] > 1 && len(hypercube.HeavyValues(q, rels, v, threshold)) > 0 {
+			return AlgSkewHC, fmt.Sprintf("%s, heavy hitters on %s (share %d): SkewHC", why, v, sh.Integer[i]), nil
 		}
 	}
-	return AlgHyperCube, "cyclic, no skew: one-round HyperCube", nil
+	return AlgHyperCube, why + ", no heavy hitters on a variable of share > 1: HyperCube", nil
 }
 
 // newCluster builds the engine's simulated cluster, attaching the
@@ -281,7 +288,7 @@ func (e *Engine) checkCapacities() error {
 // run is the execution spine every entry point goes through: validate
 // the engine, build the one cluster, let body compute on it and hand
 // back the gathered output, then read (L, r, C) off that cluster's
-// ledger. body may extend ex.Reason and set ex.Iterations/ex.Adaptive.
+// ledger. body may extend ex.Reason and set ex.Iterations.
 func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error)) (*Execution, error) {
 	if err := e.checkCapacities(); err != nil {
 		return nil, err
@@ -315,9 +322,7 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 // the registry, ask its Applies, call its Run. The gather is the
 // answer's one copy; a projection runs only when the algorithm left its
 // columns in another order (broadcast with the second atom smaller,
-// sortjoin with the join variable first in atom 0). The one special
-// case is Adaptive, which swaps HyperCube's Run for the probe driver
-// because the decision record it returns is a hypercube type.
+// sortjoin with the join variable first in atom 0).
 func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Relation, error) {
 	q, alg := req.Query, ex.Algorithm
 	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, ex.Reason)
@@ -328,22 +333,12 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Rel
 	if err := d.Applies(q); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", alg, err)
 	}
-	seed := uint64(e.Seed)*2654435761 + 12345
 	const outName = "out"
-	if alg == AlgHyperCube && e.Adaptive {
-		res, err := hypercube.RunAdaptive(c, q, req.Relations, outName, seed)
-		if err != nil {
-			return nil, err
-		}
-		ex.Adaptive = res
-		ex.Reason += "; adaptive: " + res.Reason
-	} else {
-		if err := d.Run(c, q, req.Relations, outName, seed); err != nil {
-			return nil, err
-		}
-		if alg == AlgHyperCube && e.Capacities != nil {
-			ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
-		}
+	if err := d.Run(c, q, req.Relations, outName, e.joinSeed()); err != nil {
+		return nil, err
+	}
+	if alg == AlgHyperCube && e.Capacities != nil {
+		ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
 	}
 	out := c.Gather(outName)
 	if vars := q.Vars(); !slices.Equal(out.Attrs(), vars) {
@@ -351,6 +346,9 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Rel
 	}
 	return out.Rename(q.Name), nil
 }
+
+// joinSeed is the hash seed join passes to every algorithm's Run.
+func (e *Engine) joinSeed() uint64 { return uint64(e.Seed)*2654435761 + 12345 }
 
 // AggregateSpec describes a grouped aggregation over a query's output
 // — the slide-52 workload (SELECT cKey, month, SUM(price) FROM ... GROUP

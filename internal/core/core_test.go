@@ -6,6 +6,7 @@ import (
 
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/testkit"
 	"mpcquery/internal/trace"
 	"mpcquery/internal/workload"
 )
@@ -149,6 +150,36 @@ func TestPlannerPicksSkewHCForSkewedTriangle(t *testing.T) {
 	}
 }
 
+// TestPlannerIgnoresHeavyHittersOnShareOneVariable: at p = 4 the
+// triangle's integer shares are x=2, y=2, z=1, so a heavy z confines
+// its tuples to no slab and costs plain HyperCube nothing. Auto must
+// plan hypercube, at forced hypercube's L, for every heavy fraction.
+func TestPlannerIgnoresHeavyHittersOnShareOneVariable(t *testing.T) {
+	q := hypergraph.Triangle()
+	// GenMispredicted plants its heavy value on the first variable of
+	// the query it is given: z, in this atom order.
+	zFirst := hypergraph.NewQuery("triangle",
+		hypergraph.Atom{Name: "T", Vars: []string{"z", "x"}},
+		hypergraph.Atom{Name: "R", Vars: []string{"x", "y"}},
+		hypergraph.Atom{Name: "S", Vars: []string{"y", "z"}})
+	for _, frac := range []float64{0.3, 0.5, 0.8} {
+		req := Request{Query: q, Relations: testkit.GenMispredicted(zFirst, testkit.GenConfig{Tuples: 480, HeavyFrac: frac}, 1)}
+		auto, err := NewEngine(4, 1).Execute(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Algorithm = AlgHyperCube
+		forced, err := NewEngine(4, 1).Execute(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto.Algorithm != AlgHyperCube || auto.MaxLoad != forced.MaxLoad {
+			t.Errorf("HeavyFrac %.1f: auto plans %s (%s) at L %d, want %s at L %d",
+				frac, auto.Algorithm, auto.Reason, auto.MaxLoad, AlgHyperCube, forced.MaxLoad)
+		}
+	}
+}
+
 // TestSkewHCReasonIsDeterministic: with a heavy hitter in every column
 // of a triangle, the plan names the first heavy variable in q.Vars()
 // order every time, and two traced executions export byte-identical
@@ -172,7 +203,7 @@ func TestSkewHCReasonIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := "cyclic with heavy hitters on x: SkewHC"; alg != AlgSkewHC || reason != want {
+		if want := "cyclic, heavy hitters on x (share 2): SkewHC"; alg != AlgSkewHC || reason != want {
 			t.Fatalf("plan %d: %s (%s), want %s (%s)", i, alg, reason, AlgSkewHC, want)
 		}
 	}

@@ -61,17 +61,4 @@ func TestOneLedger(t *testing.T) {
 			check(t, func(e *Engine) (*Execution, error) { return e.ExecuteRecursive(req) })
 		})
 	}
-
-	t.Run("adaptive", func(t *testing.T) {
-		q := hypergraph.Triangle()
-		rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: 0.5}, 1)
-		check(t, func(e *Engine) (*Execution, error) {
-			e.P, e.Adaptive = 16, true // the p the instance switches at
-			exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
-			if err == nil && !exec.Adaptive.Switched {
-				t.Errorf("mispredicted instance did not switch: %s", exec.Reason)
-			}
-			return exec, err
-		})
-	})
 }

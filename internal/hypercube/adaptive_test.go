@@ -1,6 +1,8 @@
 package hypercube
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
@@ -149,6 +151,52 @@ func TestProbeCount(t *testing.T) {
 	for _, tc := range tests {
 		if got := probeCount(tc.n, tc.frac); got != tc.want {
 			t.Errorf("probeCount(%d, %g) = %d, want %d", tc.n, tc.frac, got, tc.want)
+		}
+	}
+}
+
+// TestRunAdaptiveLeavesInputsUntouched: the driver reads the caller's
+// relations through views sharing their storage, so neither a switched
+// nor an unswitched run may change an input's name, schema or rows.
+// The inputs carry catalog-style column names, unlike the atoms'
+// variables, so every atom is relabelled on the way in.
+func TestRunAdaptiveLeavesInputsUntouched(t *testing.T) {
+	for _, tc := range []struct {
+		q        hypergraph.Query
+		p        int
+		rels     map[string]*relation.Relation
+		switched bool
+	}{
+		{hypergraph.Star(3), 16, testkit.GenMispredicted(hypergraph.Star(3), testkit.GenConfig{Tuples: 240, HeavyFrac: 0.2}, 3), true},
+		{hypergraph.Triangle(), 4, testkit.GenInstance(hypergraph.Triangle(), testkit.SkewNone, testkit.GenConfig{Tuples: 120}, 1), false},
+	} {
+		snap, snapAttrs := map[string]*relation.Relation{}, map[string][]string{}
+		for name, r := range tc.rels {
+			cols := make([]string, r.Arity())
+			for i := range cols {
+				cols[i] = fmt.Sprintf("c%d", i)
+			}
+			tc.rels[name] = r.Rename("catalog_"+name, cols...)
+			snap[name], snapAttrs[name] = tc.rels[name].Clone(), slices.Clone(cols)
+		}
+		res, err := RunAdaptive(mpc.NewCluster(tc.p, 1), tc.q, tc.rels, "out", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Switched != tc.switched {
+			t.Fatalf("%s: switched = %v, want %v (%s)", tc.q.Name, res.Switched, tc.switched, res.Reason)
+		}
+		for name, r := range tc.rels {
+			s := snap[name]
+			if r.Name() != s.Name() || !slices.Equal(r.Attrs(), snapAttrs[name]) || r.Len() != s.Len() {
+				t.Fatalf("%s: input %s became %s%v with %d rows, was %s%v with %d", tc.q.Name, name,
+					r.Name(), r.Attrs(), r.Len(), s.Name(), snapAttrs[name], s.Len())
+			}
+			for i := 0; i < r.Len(); i++ {
+				if !slices.Equal(r.Row(i), s.Row(i)) {
+					t.Fatalf("%s: input %s row %d became %v, was %v", tc.q.Name, name, i, r.Row(i), s.Row(i))
+				}
+			}
 		}
 	}
 }

@@ -40,10 +40,6 @@ type Config struct {
 	// MaxResultRows caps the rows embedded in a response; the full count
 	// is always reported (default 100).
 	MaxResultRows int
-	// Adaptive routes HyperCube executions through the skew-reactive
-	// driver: a metered probe round switches the run to SkewHC when the
-	// uniform plan's skew prediction turns out wrong mid-query.
-	Adaptive bool
 	// Capacities declares a heterogeneous per-server capacity profile
 	// (len must equal P, entries > 0); HyperCube executions then use
 	// capacity-proportional cell ownership. Nil means uniform.
@@ -107,7 +103,6 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	engine := core.NewEngine(cfg.P, cfg.Seed)
-	engine.Adaptive = cfg.Adaptive
 	engine.Capacities = cfg.Capacities
 	s := &Service{
 		cfg:      cfg,

@@ -1,6 +1,6 @@
 // Package stats computes the data statistics that skew-aware MPC
-// algorithms consume, and the per-round feedback signal the adaptive
-// executor reacts to.
+// algorithms consume, and the per-round feedback signal E28's adaptive
+// driver reacts to.
 //
 // The static half is heavy-hitter detection against the tutorial's
 // thresholds: a value is heavy when its degree reaches IN/p in R or in
@@ -17,9 +17,9 @@
 // The dynamic half (signal.go) summarizes one metered round's
 // per-server receive vector into a RecvSignal — max load, mean,
 // imbalance ratio max/mean, and Gini coefficient — which the adaptive
-// layer (internal/hypercube RunAdaptive) thresholds to decide whether
-// to abandon the uniform HyperCube plan mid-query and re-plan onto the
-// skew-aware path. SampledThreshold scales a full-input heavy-hitter
-// threshold down to the probe prefix the adaptive layer actually
-// observed.
+// driver (internal/hypercube RunAdaptive, run by experiment E28, not by
+// the engine) thresholds to decide whether to abandon the uniform
+// HyperCube plan mid-query and re-plan onto the skew-aware path.
+// SampledThreshold scales a full-input heavy-hitter threshold down to
+// the probe prefix the driver actually observed.
 package stats
