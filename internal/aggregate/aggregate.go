@@ -33,7 +33,8 @@ type Spec struct {
 	OutAttr string
 	// OutRel names the distributed output relation.
 	OutRel string
-	// Seed drives the group-key hash.
+	// Seed is the query seed; the group-key hash derives from it and
+	// GroupBy (mpc.HashSeed).
 	Seed uint64
 	// NoCombiner disables local pre-aggregation (for ablations: the
 	// shuffle then carries every input tuple).
@@ -70,6 +71,7 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 	trace.Annotatef(c, "aggregate.Run %s group-by %v", spec.Rel, spec.GroupBy)
 	start := c.Metrics().Rounds()
 	gb := spec.GroupBy
+	keySeed := mpc.HashSeed(spec.Seed, gb...)
 	c.Round("aggregate:"+spec.OutRel, func(srv *mpc.Server, out *mpc.Out) {
 		frag := srv.Rel(spec.Rel)
 		if frag == nil || frag.Len() == 0 {
@@ -106,7 +108,7 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 		for i := range gb {
 			gcols[i] = i // partial's group columns are leading
 		}
-		st.SendByHash(partial, gcols, spec.Seed)
+		st.SendByHash(partial, gcols, keySeed)
 	})
 	merge := mergeFn(spec.Fn)
 	if spec.NoCombiner {

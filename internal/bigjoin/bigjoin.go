@@ -221,7 +221,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		for _, vi := range seedVerifiers {
 			va := q.Atoms[vi]
 			if frag := srv.Rel(va.Name); frag != nil {
-				out.Open(fmt.Sprintf("%s:sver%d", outName, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), seed^uint64(9000+vi))
+				out.Open(fmt.Sprintf("%s:sver%d", outName, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), mpc.HashSeed(seed, va.Vars...))
 			}
 		}
 		for si, st := range steps {
@@ -232,15 +232,15 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 					// Cartesian extension: broadcast the proposer.
 					stream.BroadcastAll(frag)
 				} else {
-					stream.SendByHash(frag, frag.MustCols(st.sharedBound), seed+uint64(si))
+					stream.SendByHash(frag, frag.MustCols(st.sharedBound), mpc.HashSeed(seed, st.sharedBound...))
 				}
 			}
 			for _, vi := range st.verifiers {
 				va := q.Atoms[vi]
 				if frag := srv.Rel(va.Name); frag != nil {
-					// The seed must match the binding routing of this
-					// verifier's round below.
-					out.Open(fmt.Sprintf("%s:ver%d_%d", outName, si, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), seed^uint64(7000+1000*si+vi))
+					// Hashed on the verifier's variables, as this
+					// verifier's round below hashes the bindings.
+					out.Open(fmt.Sprintf("%s:ver%d_%d", outName, si, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), mpc.HashSeed(seed, va.Vars...))
 				}
 			}
 		}
@@ -263,7 +263,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 	for _, vi := range seedVerifiers {
 		vi := vi
 		va := q.Atoms[vi]
-		vseed := seed ^ uint64(9000+vi)
+		vseed := mpc.HashSeed(seed, va.Vars...)
 		bvNow := boundVars
 		c.Round(fmt.Sprintf("bigjoin:sverify%d", vi), func(srv *mpc.Server, out *mpc.Out) {
 			frag := srv.Rel(bindName)
@@ -301,7 +301,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 					stream.SendRow(srv.ID(), frag.Row(i))
 				}
 			} else {
-				stream.SendByHash(frag, frag.MustCols(shared), seed+uint64(si))
+				stream.SendByHash(frag, frag.MustCols(shared), mpc.HashSeed(seed, shared...))
 			}
 			srv.Delete(bindName)
 		})
@@ -332,7 +332,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		for _, vi := range st.verifiers {
 			vi := vi
 			va := q.Atoms[vi]
-			vseed := seed ^ uint64(7000+1000*si+vi)
+			vseed := mpc.HashSeed(seed, va.Vars...)
 			c.Round(fmt.Sprintf("bigjoin:verify%d_%d", si, vi), func(srv *mpc.Server, out *mpc.Out) {
 				frag := srv.Rel(bindName)
 				if frag == nil {

@@ -27,7 +27,7 @@ func TestPlannerCoversAdaptiveSwitch(t *testing.T) {
 				rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 480, HeavyFrac: frac}, seed)
 				e := NewEngine(p, seed)
 				c := e.newCluster()
-				res, err := hypercube.RunAdaptive(c, q, rels, "out", e.joinSeed())
+				res, err := hypercube.RunAdaptive(c, q, rels, "out", uint64(e.Seed))
 				if err != nil {
 					t.Fatal(err)
 				}

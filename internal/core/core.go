@@ -112,7 +112,10 @@ type Engine struct {
 	// P is the number of servers.
 	P int
 	// Seed drives all hashing and data placement; equal seeds give
-	// bit-identical executions.
+	// bit-identical executions. It is the query seed: every algorithm's
+	// Run, the group-by and the fixpoint get it unchanged, and each
+	// shuffle derives its own from it and the variables it hashes
+	// (mpc.HashSeed).
 	Seed int64
 	// Chaos, when non-nil, attaches this fault schedule to every cluster
 	// the engine builds (typically a *chaos.Schedule). Executions then
@@ -334,7 +337,7 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Rel
 		return nil, fmt.Errorf("core: %s: %w", alg, err)
 	}
 	const outName = "out"
-	if err := d.Run(c, q, req.Relations, outName, e.joinSeed()); err != nil {
+	if err := d.Run(c, q, req.Relations, outName, uint64(e.Seed)); err != nil {
 		return nil, err
 	}
 	if alg == AlgHyperCube && e.Capacities != nil {
@@ -346,9 +349,6 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Rel
 	}
 	return out.Rename(q.Name), nil
 }
-
-// joinSeed is the hash seed join passes to every algorithm's Run.
-func (e *Engine) joinSeed() uint64 { return uint64(e.Seed)*2654435761 + 12345 }
 
 // AggregateSpec describes a grouped aggregation over a query's output
 // — the slide-52 workload (SELECT cKey, month, SUM(price) FROM ... GROUP
@@ -401,7 +401,7 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 			AggAttr: spec.AggVar,
 			OutAttr: spec.OutAttr,
 			OutRel:  "agg",
-			Seed:    uint64(e.Seed) ^ 0xa66,
+			Seed:    uint64(e.Seed),
 		})
 		if err != nil {
 			return nil, err

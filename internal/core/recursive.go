@@ -38,7 +38,7 @@ func (e *Engine) ExecuteRecursive(req RecursiveRequest) (*Execution, error) {
 		return nil, fmt.Errorf("core: recursive request needs an edge relation")
 	}
 	return e.run(Algorithm("fixpoint-"+string(req.Kind)), "", func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
-		seed := uint64(e.Seed)*2654435761 + 54321
+		seed := uint64(e.Seed)
 		const outName = "out"
 		var (
 			res *recursive.Result

@@ -64,6 +64,47 @@ func TestAdaptiveDiffStar(t *testing.T) {
 		adaptive, inRoundSkewHC)
 }
 
+// TestAdaptiveSwitchIsNotHashLuck runs the driver on the instances of
+// TestAdaptiveDiff{Triangle,Star} under 64 hash seeds each. The switch
+// must follow the data, not the hash function: never on skew-free
+// input, where a star3 centre's summed degree is 3 and the probe's
+// imbalance is hash noise, and always on mispredicted skew.
+func TestAdaptiveSwitchIsNotHashLuck(t *testing.T) {
+	const p, hashSeeds = 16, 64
+	for _, tc := range []struct {
+		q   hypergraph.Query
+		gen testkit.GenConfig
+	}{
+		{hypergraph.Triangle(), testkit.GenConfig{Tuples: 480, HeavyFrac: 0.5}},
+		{hypergraph.Star(3), testkit.GenConfig{Tuples: 240, HeavyFrac: 0.2}},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, inst := range []struct {
+				name string
+				rels map[string]*relation.Relation
+				want bool
+			}{
+				{"uniform", testkit.GenInstance(tc.q, testkit.SkewNone, tc.gen, seed), false},
+				{"mispredicted", testkit.GenMispredicted(tc.q, tc.gen, seed), true},
+			} {
+				wrong := 0
+				for h := uint64(1); h <= hashSeeds; h++ {
+					res, err := RunAdaptive(mpc.NewCluster(p, seed), tc.q, inst.rels, "out", h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Switched != inst.want {
+						wrong++
+					}
+				}
+				if wrong > 0 {
+					t.Errorf("%s/%s/seed%d: switched=%v on only %d of %d hash seeds", tc.q.Name, inst.name, seed, inst.want, hashSeeds-wrong, hashSeeds)
+				}
+			}
+		}
+	}
+}
+
 func TestAdaptiveChaosDiff(t *testing.T) {
 	cfg := adaptiveCfg(16)
 	cfg.Seeds = []int64{1, 2}

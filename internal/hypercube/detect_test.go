@@ -23,9 +23,11 @@ type detectionPin struct {
 // HeavyLightTriangle on the hub triangle: one summary per distinct
 // (variable, value) a server holds, sent to the value's owner, then one
 // broadcast tuple per heavy hitter. The counts are those the map-based
-// rounds metered before cost.DetectHeavy replaced them; a changed owner
-// function, or a server that stops sending exactly one summary per
-// distinct value, moves them.
+// rounds metered before cost.DetectHeavy replaced them, under the
+// detection seeds of that time (the query seed is now passed to the
+// detection unchanged, so the runs below take those seeds as query
+// seeds); a changed owner function, or a server that stops sending
+// exactly one summary per distinct value, moves them.
 func TestDetectionRounds(t *testing.T) {
 	want := map[string]detectionPin{
 		"triangle/heavy0/p8":  {[]int64{90, 107, 86, 89, 88, 83, 93, 82}, 0},
@@ -57,7 +59,7 @@ func TestDetectionRounds(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rels := plantHeavy(q, 120, func(_, i int, v string) bool { return i%3 == 0 && slices.Contains(vars[:k], v) })
 					c := mpc.NewCluster(p, 1)
-					if _, err := RunSkewHC(c, q, rels, "out", 99, 0, LocalGeneric); err != nil {
+					if _, err := RunSkewHC(c, q, rels, "out", 0x5eed, 0, LocalGeneric); err != nil {
 						t.Fatal(err)
 					}
 					checkDetection(t, c, "skewhc", want[name])
@@ -67,7 +69,7 @@ func TestDetectionRounds(t *testing.T) {
 		name := fmt.Sprintf("hl/p%d", p)
 		t.Run(name, func(t *testing.T) {
 			c := mpc.NewCluster(p, 1)
-			if _, err := HeavyLightTriangle(c, hubTriangle(300), "out", 42); err != nil {
+			if _, err := HeavyLightTriangle(c, hubTriangle(300), "out", 42^0x2f); err != nil {
 				t.Fatal(err)
 			}
 			checkDetection(t, c, "hl", want[name])

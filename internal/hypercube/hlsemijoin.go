@@ -49,7 +49,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 	// Rounds 1–2: the heavy z values, by their degree summed over S(y,z)
 	// and T(z,x).
 	zcols := [][]stats.Column{varColumns(q, bound, "z")}
-	heavyZ := values(cost.DetectHeavy(c, "hl", outName, seed^0x2f, zcols, threshold, stats.Summed)[0])
+	heavyZ := values(cost.DetectHeavy(c, "hl", outName, seed, zcols, threshold, stats.Summed)[0])
 	heavySet := map[relation.Value]bool{}
 	blockOf := map[relation.Value]int{}
 	pb := floorRoot(p*p, 3) // ⌊p^{2/3}⌋ servers per heavy block
@@ -62,6 +62,8 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 	share := floorRoot(p, 3)
 	lightPlan := PlanWithShares(q, []int{share, share, share}, seed)
 	routeR, routeS, routeT := lightPlan.Route(q.Atom("R")), lightPlan.Route(q.Atom("S")), lightPlan.Route(q.Atom("T"))
+	// Inside a heavy block, h(y) and h(x) pick one of its pb servers.
+	xSeed, ySeed := mpc.HashSeed(seed, "x"), mpc.HashSeed(seed, "y")
 
 	// Round 3: main shuffle. Light S/T tuples and all R tuples follow the
 	// HyperCube routing; heavy-z tuples go to their value's block — S_b
@@ -94,7 +96,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 				routeR.Send(stR, row)
 				// R participates in every heavy residual; partition by y.
 				for _, blk := range blocks {
-					dst := (blk + relation.Bucket(relation.Hash64(row[1], seed^0x51), pb)) % c.P()
+					dst := (blk + relation.Bucket(relation.Hash64(row[1], ySeed), pb)) % c.P()
 					stRb.Send(dst, relation.Value(blk), row[0], row[1])
 				}
 			}
@@ -104,7 +106,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 				row := frag.Row(i) // (y, z)
 				if heavySet[row[1]] {
 					blk := blockOf[row[1]]
-					dst := (blk + relation.Bucket(relation.Hash64(row[0], seed^0x51), pb)) % c.P()
+					dst := (blk + relation.Bucket(relation.Hash64(row[0], ySeed), pb)) % c.P()
 					stSb.Send(dst, relation.Value(blk), row[0], row[1])
 				} else {
 					routeS.Send(stS, row)
@@ -117,7 +119,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 				if heavySet[row[0]] {
 					blk := blockOf[row[0]]
 					// Pre-place T_b keys where round 4 re-partitions R' by x.
-					dst := (blk + relation.Bucket(relation.Hash64(row[1], seed^0x52), pb)) % c.P()
+					dst := (blk + relation.Bucket(relation.Hash64(row[1], xSeed), pb)) % c.P()
 					stTb.Send(dst, relation.Value(blk), row[1], row[0])
 				} else {
 					routeT.Send(stT, row)
@@ -155,7 +157,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 		for i := 0; i < frag.Len(); i++ {
 			row := frag.Row(i) // (blk, x, y, z)
 			blk := int(row[0])
-			dst := (blk + relation.Bucket(relation.Hash64(row[1], seed^0x52), pb)) % c.P()
+			dst := (blk + relation.Bucket(relation.Hash64(row[1], xSeed), pb)) % c.P()
 			st.SendRow(dst, row)
 		}
 		srv.Delete(outName + ":Rsemi")

@@ -39,7 +39,10 @@ type Plan struct {
 	Query  hypergraph.Query
 	Vars   []string // q.Vars() order; dimension i belongs to Vars[i]
 	Shares []int    // one per variable; product ≤ p
-	Seeds  []uint64 // per-variable hash seeds (independent hash functions)
+	// Seeds holds dimension i's hash seed, mpc.HashSeed(seed, Vars[i]):
+	// a dimension is named by its variable, so every plan under one
+	// query seed hashes a variable alike, whatever its shares.
+	Seeds []uint64
 
 	stride []int // cached mixed-radix strides
 }
@@ -70,8 +73,8 @@ func PlanWithShares(q hypergraph.Query, shares []int, seed uint64) *Plan {
 		prod *= s
 	}
 	seeds := make([]uint64, len(vars))
-	for i := range seeds {
-		seeds[i] = seed*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
+	for i, v := range vars {
+		seeds[i] = mpc.HashSeed(seed, v)
 	}
 	pl := &Plan{Query: q, Vars: vars, Shares: shares, Seeds: seeds}
 	pl.stride = pl.strides()
@@ -389,7 +392,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 		groups[i] = varColumns(q, bound, v)
 	}
 	heavy := make([][]relation.Value, len(vars))
-	for i, hs := range cost.DetectHeavy(c, "skewhc", outName, 0x5eed, groups, threshold, stats.Summed) {
+	for i, hs := range cost.DetectHeavy(c, "skewhc", outName, seed, groups, threshold, stats.Summed) {
 		heavy[i] = values(hs)
 	}
 	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)
@@ -478,7 +481,7 @@ func skewShuffle(c *mpc.Cluster, q hypergraph.Query, bound map[string]*relation.
 				shares[varIdx[v]] = sh.Integer[i]
 			}
 		}
-		subPlan := PlanWithShares(q, shares, seed+uint64(len(patterns))+1)
+		subPlan := PlanWithShares(q, shares, seed)
 		patterns = append(patterns, PatternPlan{Heavy: hv, Plan: subPlan, TauRes: tauRes})
 	}
 

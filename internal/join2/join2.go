@@ -77,6 +77,7 @@ func HashJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 	start := c.Metrics().Rounds()
 	rName, sName := r.Name(), s.Name()
 	rAttrs, sAttrs := r.Attrs(), s.Attrs()
+	keySeed := mpc.HashSeed(seed, shared...)
 	c.Round("hashjoin:shuffle", func(srv *mpc.Server, out *mpc.Out) {
 		for _, spec := range []struct {
 			name  string
@@ -86,7 +87,7 @@ func HashJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 			if frag == nil {
 				continue
 			}
-			out.Open(outName+":"+spec.name, spec.attrs...).SendByHash(frag, frag.MustCols(shared), seed)
+			out.Open(outName+":"+spec.name, spec.attrs...).SendByHash(frag, frag.MustCols(shared), keySeed)
 		}
 	})
 	c.LocalStep(func(srv *mpc.Server) {
@@ -309,6 +310,7 @@ func plansOf(heavy []stats.Hitter) []heavyPlan {
 func skewShuffle(c *mpc.Cluster, r, s *relation.Relation, y string, heavy []heavyPlan, outName string, seed uint64) {
 	p := c.P()
 	heavy = planHeavy(heavy, p)
+	ySeed := mpc.HashSeed(seed, y)
 	rName, sName := r.Name(), s.Name()
 	rAttrs, sAttrs := r.Attrs(), s.Attrs()
 	c.Round("skewjoin:shuffle", func(srv *mpc.Server, out *mpc.Out) {
@@ -318,13 +320,12 @@ func skewShuffle(c *mpc.Cluster, r, s *relation.Relation, y string, heavy []heav
 				return
 			}
 			st := out.Open(outName+":"+name, attrs...)
-			col := frag.MustCol(y)
+			cols := frag.MustCols([]string{y})
 			for i := 0; i < frag.Len(); i++ {
 				row := frag.Row(i)
-				v := row[col]
-				hi, isHeavy := slices.BinarySearchFunc(heavy, v, func(h heavyPlan, v relation.Value) int { return cmp.Compare(h.value, v) })
+				hi, isHeavy := slices.BinarySearchFunc(heavy, row[cols[0]], func(h heavyPlan, v relation.Value) int { return cmp.Compare(h.value, v) })
 				if !isHeavy {
-					st.SendRow(relation.Bucket(relation.Hash64(v, seed), p), row)
+					st.SendRow(mpc.Owner(row, cols, ySeed, p), row)
 					continue
 				}
 				h := heavy[hi]

@@ -21,6 +21,19 @@ func scatterMatrix(c *mpc.Cluster, name string, m *Matrix) {
 	c.ScatterRoundRobin(rel)
 }
 
+// shuffleOnJ is one server's side of the relational multiply's join
+// round: A(i, j, v) and B(j, k, v) both hash on j, so the two factors of
+// every product meet on one server.
+func shuffleOnJ(srv *mpc.Server, out *mpc.Out, seed uint64) {
+	jSeed := mpc.HashSeed(seed, "j")
+	if frag := srv.Rel("A"); frag != nil {
+		out.Open("Aj", "i", "j", "v").SendByHash(frag, []int{1}, jSeed)
+	}
+	if frag := srv.Rel("B"); frag != nil {
+		out.Open("Bj", "j", "k", "v").SendByHash(frag, []int{0}, jSeed)
+	}
+}
+
 // gatherMatrix reassembles an n×n matrix from element tuples (r, c, v)
 // distributed under name, summing duplicates (partial sums).
 func gatherMatrix(c *mpc.Cluster, name string, n int) *Matrix {
@@ -278,23 +291,9 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 	c.ScatterRoundRobin(bRel)
 	trace.Annotatef(c, "matmul.SQLJoinAggregate n=%d (nnz %d+%d)", n, aRel.Len(), bRel.Len())
 	start := c.Metrics().Rounds()
-	p := c.P()
 	// Round 1: co-partition on j.
 	c.Round("sqlmm:join", func(srv *mpc.Server, out *mpc.Out) {
-		if frag := srv.Rel("A"); frag != nil {
-			st := out.Open("Aj", "i", "j", "v")
-			for t := 0; t < frag.Len(); t++ {
-				row := frag.Row(t)
-				st.SendRow(relation.Bucket(relation.Hash64(row[1], seed), p), row)
-			}
-		}
-		if frag := srv.Rel("B"); frag != nil {
-			st := out.Open("Bj", "j", "k", "v")
-			for t := 0; t < frag.Len(); t++ {
-				row := frag.Row(t)
-				st.SendRow(relation.Bucket(relation.Hash64(row[0], seed), p), row)
-			}
-		}
+		shuffleOnJ(srv, out, seed)
 	})
 	// Local join + multiply, then round 2: partition products on (i,k).
 	c.LocalStep(func(srv *mpc.Server) {
@@ -321,7 +320,7 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 		st := out.Open("Cagg", "i", "k", "v")
 		// Pre-aggregate locally (combiner) before shuffling.
 		partial := relation.GroupBy("pagg", frag, []string{"i", "k"}, relation.Sum, "v", "v")
-		st.SendByHash(partial, []int{0, 1}, seed^0x77)
+		st.SendByHash(partial, []int{0, 1}, mpc.HashSeed(seed, "i", "k"))
 		srv.Delete("prod")
 	})
 	c.LocalStep(func(srv *mpc.Server) {

@@ -138,22 +138,8 @@ func SparseSQLMultiply(c *mpc.Cluster, a, b *Rect, seed uint64) (*Rect, int, err
 	c.ScatterRoundRobin(aRel)
 	c.ScatterRoundRobin(bRel)
 	start := c.Metrics().Rounds()
-	p := c.P()
 	c.Round("sparsemm:join", func(srv *mpc.Server, out *mpc.Out) {
-		if frag := srv.Rel("A"); frag != nil {
-			st := out.Open("Aj", "i", "j", "v")
-			for t := 0; t < frag.Len(); t++ {
-				row := frag.Row(t)
-				st.SendRow(relation.Bucket(relation.Hash64(row[1], seed), p), row)
-			}
-		}
-		if frag := srv.Rel("B"); frag != nil {
-			st := out.Open("Bj", "j", "k", "v")
-			for t := 0; t < frag.Len(); t++ {
-				row := frag.Row(t)
-				st.SendRow(relation.Bucket(relation.Hash64(row[0], seed), p), row)
-			}
-		}
+		shuffleOnJ(srv, out, seed)
 	})
 	c.LocalStep(func(srv *mpc.Server) {
 		af := srv.RelOrEmpty("Aj", "i", "j", "v")
@@ -177,7 +163,7 @@ func SparseSQLMultiply(c *mpc.Cluster, a, b *Rect, seed uint64) (*Rect, int, err
 		if frag == nil {
 			return
 		}
-		out.Open("Cagg", "i", "k", "v").SendByHash(frag, []int{0, 1}, seed^0x99)
+		out.Open("Cagg", "i", "k", "v").SendByHash(frag, []int{0, 1}, mpc.HashSeed(seed, "i", "k"))
 		srv.Delete("prod")
 	})
 	out := NewRect(a.Rows, b.Cols)

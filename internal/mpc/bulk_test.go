@@ -106,34 +106,84 @@ func TestBulkRoutingMatchesPerRowLoop(t *testing.T) {
 }
 
 // TestScatterAndSendByHashAgree pins the co-location guarantee: data
-// placed by ScatterByHash and data routed by SendByHash under the same
-// attributes and seed have the same owner, so re-partitioning already
-// partitioned data sends every tuple to the server that holds it.
+// placed by ScatterByHash, data routed by SendByHash and rows routed one
+// by one to their Owner under the same variables and query seed have the
+// same owner, whatever column the variables sit in. So R(x, y) and
+// S(y, z) hashed on y meet on one server per y value, and re-partitioning
+// already partitioned data sends every tuple to the server that holds
+// it: the round's Self is all it receives.
 func TestScatterAndSendByHashAgree(t *testing.T) {
-	input := relation.New("R", "x", "y", "z")
+	r3 := relation.New("R", "x", "y", "z")
+	r, s := relation.New("R", "x", "y"), relation.New("S", "y", "z")
 	for i := 0; i < 500; i++ {
-		input.Append(relation.Value(i%37), relation.Value(i), relation.Value(i%5))
+		r3.Append(relation.Value(i%37), relation.Value(i), relation.Value(i%5))
+		r.Append(relation.Value(i), relation.Value(i%41))
+		s.Append(relation.Value(i%41), relation.Value(i*3))
 	}
-	c := mpc.NewCluster(7, 1)
-	c.ScatterByHash(input, []string{"z", "x"}, 99)
-	c.Round("repartition", func(s *mpc.Server, out *mpc.Out) {
-		frag := s.Rel("R")
-		out.Open("H", frag.Attrs()...).SendByHash(frag, frag.MustCols([]string{"z", "x"}), 99)
-	})
-	total := 0
-	for i := 0; i < c.P(); i++ {
-		r, h := c.Server(i).Rel("R"), c.Server(i).RelOrEmpty("H", "x", "y", "z")
-		if r.Len() != h.Len() {
-			t.Fatalf("server %d scattered %d tuples but was routed %d", i, r.Len(), h.Len())
-		}
-		for j := 0; j < r.Len(); j++ {
-			if fmt.Sprint(r.Row(j)) != fmt.Sprint(h.Row(j)) {
-				t.Fatalf("server %d row %d: scattered %v, routed %v", i, j, r.Row(j), h.Row(j))
+	for _, tc := range []struct {
+		name string
+		key  []string
+		rels []*relation.Relation
+	}{
+		{"composite key", []string{"z", "x"}, []*relation.Relation{r3}},
+		{"y in columns 1 and 0", []string{"y"}, []*relation.Relation{r, s}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := mpc.HashSeed(99, tc.key...)
+			c := mpc.NewCluster(7, 1)
+			for _, rel := range tc.rels {
+				c.ScatterByHash(rel, tc.key, seed)
 			}
-		}
-		total += r.Len()
+			c.Round("repartition", func(srv *mpc.Server, out *mpc.Out) {
+				for _, rel := range tc.rels {
+					frag := srv.Rel(rel.Name())
+					cols := frag.MustCols(tc.key)
+					out.Open(rel.Name()+":H", frag.Attrs()...).SendByHash(frag, cols, seed)
+					st := out.Open(rel.Name()+":O", frag.Attrs()...)
+					for i := 0; i < frag.Len(); i++ {
+						st.SendRow(mpc.Owner(frag.Row(i), cols, seed, srv.P()), frag.Row(i))
+					}
+				}
+			})
+			owner := map[string]int{}
+			for _, rel := range tc.rels {
+				total := 0
+				for i := 0; i < c.P(); i++ {
+					frag := c.Server(i).Rel(rel.Name())
+					for _, routed := range []string{":H", ":O"} {
+						h := c.Server(i).RelOrEmpty(rel.Name()+routed, rel.Attrs()...)
+						if frag.Len() != h.Len() {
+							t.Fatalf("server %d scattered %d tuples of %s but was routed %d on %s", i, frag.Len(), rel.Name(), h.Len(), routed)
+						}
+						for j := 0; j < frag.Len(); j++ {
+							if fmt.Sprint(frag.Row(j)) != fmt.Sprint(h.Row(j)) {
+								t.Fatalf("server %d row %d: scattered %v, routed %v on %s", i, j, frag.Row(j), h.Row(j), routed)
+							}
+						}
+					}
+					cols := frag.MustCols(tc.key)
+					for j := 0; j < frag.Len(); j++ {
+						var k string
+						for _, col := range cols {
+							k += fmt.Sprint(frag.Row(j)[col], " ")
+						}
+						if o, ok := owner[k]; ok && o != i {
+							t.Fatalf("%v = %s on servers %d and %d", tc.key, k, o, i)
+						}
+						owner[k] = i
+					}
+					total += frag.Len()
+				}
+				if total != rel.Len() {
+					t.Fatalf("scatter placed %d of %d tuples of %s", total, rel.Len(), rel.Name())
+				}
+			}
+			if st := c.Metrics().RoundStats()[0]; st.Self != st.TotalRecv() {
+				t.Errorf("re-partition kept %d of %d tuples in place", st.Self, st.TotalRecv())
+			}
+		})
 	}
-	if total != input.Len() {
-		t.Fatalf("scatter placed %d of %d tuples", total, input.Len())
+	if mpc.HashSeed(99, "ab", "c") == mpc.HashSeed(99, "a", "bc") {
+		t.Error("HashSeed is not prefix-free over variable names")
 	}
 }

@@ -13,6 +13,10 @@ type RoundStat struct {
 	Name      string
 	Recv      []int64 // tuples received per server
 	RecvWords []int64 // values (words) received per server
+	// Self counts the tuples whose destination is their source: metered
+	// like any other, but already in place. Self = TotalRecv() is a
+	// shuffle onto the layout its input already had.
+	Self int64
 	// Chaos records fault-injection and recovery activity for the
 	// round; nil unless a FaultInjector was attached. Recv/RecvWords
 	// always count accepted (exactly-once) deliveries, so they match
@@ -140,8 +144,8 @@ type Metrics struct {
 // NewMetrics creates empty metrics for a p-server cluster.
 func NewMetrics(p int) *Metrics { return &Metrics{p: p} }
 
-func (m *Metrics) record(name string, recv, recvWords []int64) {
-	m.stats = append(m.stats, RoundStat{Name: name, Recv: recv, RecvWords: recvWords})
+func (m *Metrics) record(name string, recv, recvWords []int64, self int64) {
+	m.stats = append(m.stats, RoundStat{Name: name, Recv: recv, RecvWords: recvWords, Self: self})
 }
 
 // Rounds returns r, the number of communication rounds executed.

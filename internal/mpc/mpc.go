@@ -327,11 +327,14 @@ func (s *Stream) Broadcast(vals ...relation.Value) {
 }
 
 // SendByHash hash-partitions frag onto the stream: row i goes to server
-// Bucket(HashRow(row, cols, seed), p). It is the bulk form of one Send
-// per row — per destination the tuples land in exactly that order, after
-// whatever the stream already holds — and it is how algorithms partition
-// a fragment: ScatterByHash places tuples with the same routine, so data
+// Owner(row, cols, seed, p). It is the bulk form of one Send per row —
+// per destination the tuples land in exactly that order, after whatever
+// the stream already holds — and it is how algorithms partition a
+// fragment: ScatterByHash places tuples with the same routine, so data
 // scattered and data routed under equal (cols, seed) meet on one server.
+// Callers take seed from HashSeed over the variables cols hold, so a
+// shuffle onto the variables a relation is already laid out on keeps
+// every tuple where it is.
 func (s *Stream) SendByHash(frag *relation.Relation, cols []int, seed uint64) {
 	st := s.st
 	s.checkArity(frag)
@@ -381,15 +384,40 @@ func (s *Stream) checkArity(frag *relation.Relation) {
 	}
 }
 
+// HashSeed derives the seed of a hash shuffle from the query seed and
+// the ordered names of the variables the shuffle hashes: it folds each
+// name's length and bytes into seed with relation.Hash64. A placement is
+// thereby named by (query seed, variables), not by the columns the
+// variables sit in: two relations hashed on y under one query seed meet
+// on one server whatever y's position in each, and a relation already
+// laid out on y moves nothing when shuffled onto y again (arXiv
+// 1412.4030, transferability).
+func HashSeed(seed uint64, vars ...string) uint64 {
+	for _, v := range vars {
+		seed = relation.Hash64(relation.Value(len(v)), seed)
+		for i := 0; i < len(v); i++ {
+			seed = relation.Hash64(relation.Value(v[i]), seed)
+		}
+	}
+	return seed
+}
+
+// Owner returns the server among p that owns row under (cols, seed):
+// Bucket(HashRow(row, cols, seed), p). It is the per-row form of
+// hashPartition, for routes that decide row by row.
+func Owner(row []relation.Value, cols []int, seed uint64, p int) int {
+	return relation.Bucket(relation.HashRow(row, cols, seed), p)
+}
+
 // hashPartition is the partition function of the whole system: it
-// assigns each row of rel its owner among p servers under (cols, seed)
+// assigns each row of rel its Owner among p servers under (cols, seed)
 // and counts the rows per owner. Scatter and in-round routing both go
 // through it; that they agree is what makes co-location hold.
 func hashPartition(rel *relation.Relation, cols []int, seed uint64, p int) (dsts []int32, counts []int) {
 	dsts = make([]int32, rel.Len())
 	counts = make([]int, p)
 	for i := range dsts {
-		d := relation.Bucket(relation.HashRow(rel.Row(i), cols, seed), p)
+		d := Owner(rel.Row(i), cols, seed, p)
 		dsts[i] = int32(d)
 		counts[d]++
 	}

@@ -98,7 +98,7 @@ func (c *Cluster) deliverCommit(name string, outs []*Out) error {
 	if err := v.checkLanded(); err != nil {
 		return err
 	}
-	c.metrics.record(name, v.recv, v.recvWords)
+	c.metrics.record(name, v.recv, v.recvWords, v.self)
 	return nil
 }
 
@@ -116,9 +116,11 @@ type RoundView struct {
 	landings []landing
 	byName   map[string]int
 	streams  []sourceStream
-	// The metered load, a function of the outs alone.
+	// The metered load, a function of the outs alone, and the part of
+	// it each source sent to itself.
 	recv      []int64
 	recvWords []int64
+	self      int64
 }
 
 // landing is the plan for one stream name: its schema and, per
@@ -147,7 +149,8 @@ type sourceStream struct {
 // planRound builds the round's landing plan. The first pass resolves
 // every (source, stream) to its name's landing, checks that all sources
 // declare a name with one schema, and sums the planned tuples and the
-// metered load per destination; the second checks every existing
+// metered load per destination, and the tuples whose destination is
+// their source (RoundStat.Self); the second checks every existing
 // receiving relation's schema. Only then, with the round known to be
 // well-formed, does the third create each missing receiver and presize
 // every receiver with one exact reservation, so whatever the transport,
@@ -165,7 +168,7 @@ func (c *Cluster) planRound(name string, outs []*Out) (*RoundView, error) {
 		recv:      make([]int64, c.p),
 		recvWords: make([]int64, c.p),
 	}
-	for _, out := range outs {
+	for src, out := range outs {
 		for _, stName := range out.order {
 			st := out.streams[stName]
 			i, ok := v.byName[stName]
@@ -184,6 +187,7 @@ func (c *Cluster) planRound(name string, outs []*Out) (*RoundView, error) {
 				v.recv[dst] += st.counts[dst]
 				v.recvWords[dst] += int64(len(st.perDst[dst]))
 			}
+			v.self += st.counts[src]
 			v.streams = append(v.streams, sourceStream{st: st, l: i})
 		}
 	}

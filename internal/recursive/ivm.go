@@ -29,16 +29,18 @@ type Op struct {
 // counts; the testkit harness asserts the maintained view equal to
 // recomputation on every generated workload.
 type JoinView struct {
-	c                   *mpc.Cluster
-	name                string
-	rName               string
-	sName               string
-	rAttrs              []string
-	sAttrs              []string
-	outAttrs            []string
-	rFrag               string
-	sFrag               string
-	joinSeed, ownerSeed uint64
+	c        *mpc.Cluster
+	name     string
+	rName    string
+	sName    string
+	rAttrs   []string
+	sAttrs   []string
+	outAttrs []string
+	rFrag    string
+	sFrag    string
+	// joinLayout co-partitions the bases on the join variable, and
+	// ownerLayout places view tuples on all three of theirs.
+	joinLayout, ownerLayout uint64
 
 	// Per-server state the view holds outside the fragments, keyed by the
 	// tuples themselves (safe under fault injection — computes run
@@ -71,7 +73,7 @@ func NewJoinView(c *mpc.Cluster, r, s *relation.Relation, outName string, seed u
 		sAttrs:   append([]string(nil), s.Attrs()...),
 		outAttrs: outAttrs,
 		rFrag:    outName + ":R", sFrag: outName + ":S",
-		joinSeed: mix(seed, 3), ownerSeed: mix(seed, 4),
+		joinLayout: mpc.HashSeed(seed, r.Attrs()[1]), ownerLayout: mpc.HashSeed(seed, outAttrs...),
 		rIdx: make([]map[pair]struct{}, p), sIdx: make([]map[pair]struct{}, p),
 		counts: make([]map[[3]relation.Value]int, p),
 	}
@@ -79,10 +81,10 @@ func NewJoinView(c *mpc.Cluster, r, s *relation.Relation, outName string, seed u
 
 	rc := r.Project(v.rFrag, r.Attrs()...)
 	rc.Dedup()
-	c.ScatterByHash(rc, v.rAttrs[1:2], v.joinSeed)
+	c.ScatterByHash(rc, v.rAttrs[1:2], v.joinLayout)
 	sc := s.Project(v.sFrag, s.Attrs()...)
 	sc.Dedup()
-	c.ScatterByHash(sc, v.sAttrs[0:1], v.joinSeed)
+	c.ScatterByHash(sc, v.sAttrs[0:1], v.joinLayout)
 
 	c.LocalStep(func(s *mpc.Server) {
 		sid := s.ID()
@@ -106,7 +108,7 @@ func NewJoinView(c *mpc.Cluster, r, s *relation.Relation, outName string, seed u
 			rr := rf.Row(i)
 			for _, j := range ix.Lookup(rr, []int{1}) {
 				row[0], row[1], row[2] = rr[0], rr[1], sf.Row(int(j))[1]
-				st.SendRow(relation.Bucket(relation.HashRow(row, outCols, v.ownerSeed), p), row)
+				st.SendRow(mpc.Owner(row, outCols, v.ownerLayout, p), row)
 			}
 		}
 	})
@@ -157,8 +159,8 @@ func (v *JoinView) ApplyBatch(ops []Op) (*BatchStats, error) {
 			return nil, fmt.Errorf("recursive: op against unknown base %q (view joins %q and %q)", op.Rel, v.rName, v.sName)
 		}
 	}
-	c.ScatterByHash(opsR, []string{"c1"}, v.joinSeed)
-	c.ScatterByHash(opsS, []string{"c0"}, v.joinSeed)
+	c.ScatterByHash(opsR, []string{"c1"}, v.joinLayout)
+	c.ScatterByHash(opsS, []string{"c0"}, v.joinLayout)
 
 	candName := v.name + ":cand"
 	candAttrs := []string{"o", "c0", "c1", "c2"}
@@ -166,7 +168,7 @@ func (v *JoinView) ApplyBatch(ops []Op) (*BatchStats, error) {
 		sid := s.ID()
 		st := out.Open(candName, candAttrs...)
 		send := func(sign, x, y, z relation.Value) {
-			dst := relation.Bucket(relation.HashRow([]relation.Value{x, y, z}, outCols, v.ownerSeed), p)
+			dst := mpc.Owner([]relation.Value{x, y, z}, outCols, v.ownerLayout, p)
 			st.Send(dst, sign, x, y, z)
 		}
 		rf := s.RelOrEmpty(v.rFrag, v.rAttrs...)

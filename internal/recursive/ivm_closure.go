@@ -28,7 +28,8 @@ type EdgeOp struct {
 // asserted (by the testkit harness) equal to recomputation from
 // scratch.
 //
-// Every tuple lives at the hash of one value under edgeSeed: an edge
+// Every tuple lives at the hash of one value under the fixpoint's one
+// layout, mpc.HashSeed(seed, the edges' source attribute): an edge
 // (y, z) at h(y), a closure tuple (x, y) at h(y). So a closure tuple
 // sits with the edges it extends along, and T ⋈ dE joins need no
 // broadcast.
@@ -37,7 +38,7 @@ type ClosureView struct {
 	name     string
 	attrs    []string // binary edge/closure schema
 	edgeName string
-	edgeSeed uint64
+	layout   uint64 // mpc.HashSeed(query seed, attrs[0])
 
 	// Per-server membership indexes the view holds outside the
 	// fragments, keyed by the binary tuple itself. Safe under fault
@@ -73,7 +74,7 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 		name:     outName,
 		attrs:    append([]string(nil), attrs...),
 		edgeName: outName + ":edge",
-		edgeSeed: mix(seed, 1),
+		layout:   mpc.HashSeed(seed, attrs[0]),
 		eIdx:     make([]map[pair]struct{}, c.P()),
 		tIdx:     make([]map[pair]struct{}, c.P()),
 	}
@@ -81,12 +82,12 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 
 	e := edges.Project(v.edgeName, attrs...)
 	e.Dedup()
-	c.ScatterByHash(e, attrs[:1], v.edgeSeed)
+	c.ScatterByHash(e, attrs[:1], v.layout)
 
 	t0 := edges.Project(outName, attrs...)
 	t0.Dedup()
-	c.ScatterByHash(t0, attrs[1:], v.edgeSeed)
-	c.ScatterByHash(t0.Project(outName+":delta", attrs...), attrs[1:], v.edgeSeed)
+	c.ScatterByHash(t0, attrs[1:], v.layout)
+	c.ScatterByHash(t0.Project(outName+":delta", attrs...), attrs[1:], v.layout)
 
 	c.LocalStep(func(s *mpc.Server) {
 		sid := s.ID()
@@ -119,7 +120,7 @@ func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]
 	f := &fixpoint{
 		c: v.c, label: label,
 		delta: deltaName, attrs: v.attrs,
-		edge: v.edgeName, edgeAttrs: v.attrs, edgeSeed: v.edgeSeed, probeCol: 1,
+		edge: v.edgeName, edgeAttrs: v.attrs, layout: v.layout, probeCol: 1,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0], cand[1] = probe[0], edge[1]
 		},
@@ -153,7 +154,7 @@ func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]
 // one-step extension (x, y)+(y, z) -> (x, z) goes where the edge (y, z)
 // would as a closure tuple, so owner(edge row) routes it.
 func (v *ClosureView) owner(row []relation.Value) int {
-	return relation.Bucket(relation.HashRow(row, toCol, v.edgeSeed), v.c.P())
+	return mpc.Owner(row, toCol, v.layout, v.c.P())
 }
 
 // sendSeeds sends the changed edges of the local fragment dName, and
@@ -174,7 +175,7 @@ func (v *ClosureView) sendSeeds(s *mpc.Server, st *mpc.Stream, dName string) {
 			st.Send(v.owner(dr), tr[0], dr[1])
 		}
 	}
-	st.SendByHash(d, toCol, v.edgeSeed)
+	st.SendByHash(d, toCol, v.layout)
 }
 
 // ApplyBatch applies a batch of edge mutations to the standing view,
@@ -199,8 +200,8 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 		opsRel.AppendRow([]relation.Value{flag, op.From, op.To})
 	}
 	// Column c0 carries the edge's from-value: hashing it under
-	// edgeSeed lands each op on the server partitioning that edge.
-	c.ScatterByHash(opsRel, []string{"c0"}, v.edgeSeed)
+	// the layout lands each op on the server partitioning that edge.
+	c.ScatterByHash(opsRel, []string{"c0"}, v.layout)
 	delName, insName := v.name+":edel", v.name+":eins"
 	c.LocalStep(func(s *mpc.Server) {
 		dels, inss := netFold(s, opsName, v.eIdx[s.ID()])
@@ -356,7 +357,7 @@ func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *Ba
 				stx.Broadcast(row[0])
 			}
 		}
-		stp.SendByHash(d, []int{0}, v.edgeSeed)
+		stp.SendByHash(d, []int{0}, v.layout)
 	})
 	rseed := v.name + ":rseed"
 	c.Round(v.name+":redprobe", func(s *mpc.Server, out *mpc.Out) {

@@ -12,12 +12,16 @@
 // Every iteration of the kernel costs exactly one metered round,
 // extend: join the local delta against the local edge fragment, reduce
 // the candidates locally (distinct, or per-key min), and ship each to
-// the server owning its probe column. The delta, the accumulator and
-// the edges (by column 0) are all partitioned by the hash of the probe
-// column under one seed, so the server that dedups a candidate is the
-// one holding the edges it probes next (arXiv 1412.4030,
-// transferability): the layout extend produces is the layout the next
-// iteration needs, and no round re-ships the delta.
+// the server owning its probe column. The kernel has one layout, named
+// by the edge relation's source attribute: mpc.HashSeed(seed, that
+// attribute) partitions the edges by column 0 and the delta and the
+// accumulator by the probe column, the column the source attribute is
+// matched against. So the server that dedups a candidate is the one
+// holding the edges it probes next (arXiv 1412.4030, transferability):
+// the layout extend produces is the layout the next iteration needs,
+// and no round re-ships the delta. The incremental views place their
+// bases and owners the same way, by mpc.HashSeed over the variables
+// they hash and mpc.Owner per row.
 //
 // A free local step then absorbs delivered candidates into the
 // accumulator fragment, emits the next delta (only genuinely new
@@ -67,16 +71,11 @@ type BatchStats struct {
 	Inserted, Deleted int
 }
 
-// mix derives independent routing seeds from one user seed.
-func mix(seed uint64, k int64) uint64 {
-	return relation.Hash64(relation.Value(k), seed^0x9e3779b97f4a7c15)
-}
-
 // fixpoint is the semi-naive evaluation kernel. The caller places the
-// edge relation (partitioned by hash of its first column under
-// edgeSeed), the accumulator, and the initial delta (both partitioned
-// by hash of probeCol under edgeSeed, co-located with the edges they
-// probe), then run drives extend rounds until the delta empties.
+// edge relation (partitioned by hash of its first column under layout),
+// the accumulator, and the initial delta (both partitioned by hash of
+// probeCol under layout, co-located with the edges they probe), then
+// run drives extend rounds until the delta empties.
 type fixpoint struct {
 	c     *mpc.Cluster
 	label string // round, stream, and trace-annotation prefix
@@ -84,9 +83,9 @@ type fixpoint struct {
 	delta string   // delta relation, co-located with the accumulator
 	attrs []string // schema of the delta and of the candidates
 
-	edge      string // edge relation, partitioned by h(col 0, edgeSeed)
+	edge      string // edge relation, partitioned by h(col 0, layout)
 	edgeAttrs []string
-	edgeSeed  uint64
+	layout    uint64 // mpc.HashSeed(query seed, edgeAttrs[0])
 
 	probeCol int // delta column matched against edge column 0; owns the tuple
 
@@ -154,7 +153,7 @@ func (f *fixpoint) run() (int, error) {
 				}
 				cands = f.combine(cands)
 			}
-			st.SendByHash(cands, probeCols, f.edgeSeed)
+			st.SendByHash(cands, probeCols, f.layout)
 		})
 		c.LocalStep(func(s *mpc.Server) {
 			cands := s.RelOrEmpty(candName, f.attrs...)

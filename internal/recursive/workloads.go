@@ -25,21 +25,21 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	}
 	attrs := edges.Attrs()
 	vAttr := attrs[0]
-	edgeSeed := mix(seed, 1)
+	layout := mpc.HashSeed(seed, attrs[0])
 	start := c.Metrics().Rounds()
 	edgeName, deltaName := outName+":edge", outName+":delta"
 
 	e := edges.Project(edgeName, attrs...)
 	e.Dedup()
-	c.ScatterByHash(e, attrs[:1], edgeSeed)
+	c.ScatterByHash(e, attrs[:1], layout)
 
 	t0 := relation.New(outName, vAttr)
 	for _, v := range sources {
 		t0.AppendRow([]relation.Value{v})
 	}
 	t0.Dedup()
-	c.ScatterByHash(t0, []string{vAttr}, edgeSeed)
-	c.ScatterByHash(t0.Project(deltaName, vAttr), []string{vAttr}, edgeSeed)
+	c.ScatterByHash(t0, []string{vAttr}, layout)
+	c.ScatterByHash(t0.Project(deltaName, vAttr), []string{vAttr}, layout)
 
 	// Per-server membership index over the accumulator fragment.
 	seen := make([]map[relation.Value]struct{}, c.P())
@@ -55,7 +55,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	f := &fixpoint{
 		c: c, label: outName,
 		delta: deltaName, attrs: []string{vAttr},
-		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed, probeCol: 0,
+		edge: edgeName, edgeAttrs: attrs, layout: layout, probeCol: 0,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0] = edge[1]
 		},
@@ -97,7 +97,7 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 	}
 	attrs := edges.Attrs()
 	outAttrs := []string{"v", "comp"}
-	edgeSeed := mix(seed, 1)
+	layout := mpc.HashSeed(seed, attrs[0])
 	start := c.Metrics().Rounds()
 	edgeName, deltaName := outName+":edge", outName+":delta"
 
@@ -108,7 +108,7 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 		sym.AppendRow([]relation.Value{e[1], e[0]})
 	}
 	sym.Dedup()
-	c.ScatterByHash(sym, attrs[:1], edgeSeed)
+	c.ScatterByHash(sym, attrs[:1], layout)
 
 	// Every vertex starts labelled with itself, in first-appearance
 	// scan order.
@@ -122,8 +122,8 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 			}
 		}
 	}
-	c.ScatterByHash(t0, outAttrs[:1], edgeSeed)
-	c.ScatterByHash(t0.Project(deltaName, outAttrs...), outAttrs[:1], edgeSeed)
+	c.ScatterByHash(t0, outAttrs[:1], layout)
+	c.ScatterByHash(t0.Project(deltaName, outAttrs...), outAttrs[:1], layout)
 
 	// Per-server position index: vertex -> row in the label fragment,
 	// so absorb can update labels through the mutable Row view.
@@ -140,7 +140,7 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 	f := &fixpoint{
 		c: c, label: outName,
 		delta: deltaName, attrs: outAttrs,
-		edge: edgeName, edgeAttrs: attrs, edgeSeed: edgeSeed, probeCol: 0,
+		edge: edgeName, edgeAttrs: attrs, layout: layout, probeCol: 0,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0], cand[1] = edge[1], probe[1] // neighbour inherits the candidate label
 		},

@@ -21,5 +21,6 @@
 // the engine) thresholds to decide whether to abandon the uniform
 // HyperCube plan mid-query and re-plan onto the skew-aware path.
 // SampledThreshold scales a full-input heavy-hitter threshold down to
-// the probe prefix the driver actually observed.
+// the probe prefix the driver actually observed, plus a margin for the
+// prefix's sampling noise.
 package stats

@@ -62,10 +62,15 @@ func (s RecvSignal) String() string {
 }
 
 // SampledThreshold scales a full-input heavy-hitter threshold down to
-// a probe that observed only a frac fraction of the input: a value
-// with full-input degree d is expected to show degree frac·d in the
-// probe, so the probe-side threshold is ceil(frac·threshold), floored
-// at 1 so a degenerate probe never declares every value heavy-free.
+// a probe that observed only a frac fraction of the input. A value with
+// full-input degree d shows about Poisson(frac·d) occurrences in the
+// probe, so a value at the threshold shows m = frac·threshold on
+// average, give or take √m. The probe-side threshold is
+// ceil(m + 3√m): a value at or below the full threshold crosses it by
+// sampling noise alone with probability about 0.1 %, while a hitter
+// well above the threshold still does. Without the margin a value of
+// summed degree 3 crosses ceil(m) = 3 whenever its three occurrences
+// all fall in the probe. A non-positive threshold gives 1.
 func SampledThreshold(threshold int, frac float64) int {
 	if threshold <= 0 {
 		return 1
@@ -73,9 +78,6 @@ func SampledThreshold(threshold int, frac float64) int {
 	if frac <= 0 || frac >= 1 {
 		return threshold
 	}
-	t := int(math.Ceil(frac * float64(threshold)))
-	if t < 1 {
-		t = 1
-	}
-	return t
+	m := frac * float64(threshold)
+	return int(math.Ceil(m + 3*math.Sqrt(m)))
 }

@@ -86,13 +86,14 @@ func TestSampledThreshold(t *testing.T) {
 		frac      float64
 		want      int
 	}{
-		{0, 0.15, 1},     // degenerate full threshold floors at 1
-		{-3, 0.5, 1},     // negative likewise
-		{100, 0.15, 15},  // plain scaling
-		{100, 0.151, 16}, // ceil, not round
-		{3, 0.15, 1},     // small threshold floors at 1
-		{100, 0, 100},    // non-positive frac: no scaling
-		{100, 1, 100},    // frac >= 1: no scaling
+		{0, 0.15, 1},    // degenerate full threshold floors at 1
+		{-3, 0.5, 1},    // negative likewise
+		{100, 0.25, 40}, // m = 25 plus 3√25 = 15
+		{100, 0.15, 27}, // m = 15 plus 3√15 = 11.6, ceil, not round
+		{15, 0.15, 7},   // m = 2.25 plus 4.5: a summed degree of 3 is not heavy
+		{3, 0.15, 3},    // small threshold: the margin dominates
+		{100, 0, 100},   // non-positive frac: no scaling
+		{100, 1, 100},   // frac >= 1: no scaling
 		{100, 2, 100},
 	}
 	for _, tc := range tests {

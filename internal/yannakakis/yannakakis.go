@@ -99,14 +99,15 @@ func semijoinRound(c *mpc.Cluster, roundName, target, reducer string, targetAttr
 	}
 	tmpT := roundName + ":t"
 	tmpK := roundName + ":k"
+	keySeed := mpc.HashSeed(seed, shared...)
 	c.Round(roundName, func(srv *mpc.Server, out *mpc.Out) {
 		if frag := srv.Rel(target); frag != nil {
-			out.Open(tmpT, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), seed)
+			out.Open(tmpT, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), keySeed)
 		}
 		if frag := srv.Rel(reducer); frag != nil {
 			keys := frag.Project(tmpK, shared...)
 			keys.Dedup()
-			out.Open(tmpK, shared...).SendByHash(keys, keys.MustCols(shared), seed)
+			out.Open(tmpK, shared...).SendByHash(keys, keys.MustCols(shared), keySeed)
 		}
 	})
 	c.LocalStep(func(srv *mpc.Server) {
@@ -140,6 +141,7 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 		panic(fmt.Sprintf("yannakakis: join round %s has no shared attributes", roundName))
 	}
 	tmpA, tmpB := roundName+":a", roundName+":b"
+	keySeed := mpc.HashSeed(seed, shared...)
 	c.Round(roundName, func(srv *mpc.Server, out *mpc.Out) {
 		for _, spec := range []struct {
 			rel, tmp string
@@ -148,7 +150,7 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 			if frag == nil {
 				continue
 			}
-			out.Open(spec.tmp, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), seed)
+			out.Open(spec.tmp, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), keySeed)
 		}
 	})
 	c.LocalStep(func(srv *mpc.Server) {
@@ -177,14 +179,14 @@ func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Rela
 	// Upward semijoins: children before parents.
 	for _, i := range jt.PostOrder() {
 		for _, ch := range jt.Children[i] {
-			semijoinRound(c, fmt.Sprintf("gym:up%d", round), q.Atoms[i].Name, q.Atoms[ch].Name, attrsOf(i), attrsOf(ch), seed+uint64(round))
+			semijoinRound(c, fmt.Sprintf("gym:up%d", round), q.Atoms[i].Name, q.Atoms[ch].Name, attrsOf(i), attrsOf(ch), seed)
 			round++
 		}
 	}
 	// Downward semijoins: parents before children.
 	for _, i := range jt.PreOrder() {
 		for _, ch := range jt.Children[i] {
-			semijoinRound(c, fmt.Sprintf("gym:down%d", round), q.Atoms[ch].Name, q.Atoms[i].Name, attrsOf(ch), attrsOf(i), seed+uint64(round))
+			semijoinRound(c, fmt.Sprintf("gym:down%d", round), q.Atoms[ch].Name, q.Atoms[i].Name, attrsOf(ch), attrsOf(i), seed)
 			round++
 		}
 	}
@@ -199,7 +201,7 @@ func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Rela
 	for _, i := range jt.PostOrder() {
 		for _, ch := range jt.Children[i] {
 			outRel := fmt.Sprintf("%s:acc%d", outName, round)
-			n := joinRound(c, fmt.Sprintf("gym:join%d", round), accName[i], accName[ch], outRel, accAttrs[i], accAttrs[ch], seed+uint64(round))
+			n := joinRound(c, fmt.Sprintf("gym:join%d", round), accName[i], accName[ch], outRel, accAttrs[i], accAttrs[ch], seed)
 			if n > maxInter {
 				maxInter = n
 			}
@@ -274,7 +276,7 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 		if len(parents) == 0 {
 			continue
 		}
-		parallelSemijoinRound(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parents, seed+uint64(round))
+		parallelSemijoinRound(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parents, seed)
 		round += 2 // semijoin + intersect
 	}
 	// Downward, root level first: children semijoined by parents.
@@ -288,7 +290,7 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 		if len(edges) == 0 {
 			continue
 		}
-		downwardRound(c, fmt.Sprintf("gymopt:down%d", round), q, edges, seed+uint64(round))
+		downwardRound(c, fmt.Sprintf("gymopt:down%d", round), q, edges, seed)
 		round++
 	}
 	// Join phase: one HyperCube round over the reduced relations.
@@ -297,7 +299,7 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 		reduced[a.Name] = c.Gather(a.Name)
 		c.DeleteAll(a.Name)
 	}
-	if _, err := hypercube.Run(c, q, reduced, outName, seed+999, hypercube.LocalGeneric); err != nil {
+	if _, err := hypercube.Run(c, q, reduced, outName, seed, hypercube.LocalGeneric); err != nil {
 		panic(fmt.Sprintf("yannakakis: join-phase HyperCube: %v", err))
 	}
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
@@ -329,13 +331,13 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 		for ei, e := range edges {
 			pa := q.Atoms[e.parent]
 			if frag := srv.Rel(pa.Name); frag != nil {
-				out.Open(fmt.Sprintf("%s:p%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(e.shared), seed+uint64(ei))
+				out.Open(fmt.Sprintf("%s:p%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
 			}
 			ca := q.Atoms[e.child]
 			if frag := srv.Rel(ca.Name); frag != nil {
 				keys := frag.Project("k", e.shared...)
 				keys.Dedup()
-				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), seed+uint64(ei))
+				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
 			}
 		}
 	})
@@ -358,7 +360,7 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 			if frag == nil {
 				continue
 			}
-			out.Open(fmt.Sprintf("%s:x%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(pa.Vars), seed^0xabcd)
+			out.Open(fmt.Sprintf("%s:x%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(pa.Vars), mpc.HashSeed(seed, pa.Vars...))
 			srv.Delete(fmt.Sprintf("%s:r%d", name, ei))
 		}
 	})
@@ -397,13 +399,13 @@ func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]i
 		for ei, e := range specs {
 			ca := q.Atoms[e.child]
 			if frag := srv.Rel(ca.Name); frag != nil {
-				out.Open(fmt.Sprintf("%s:c%d", name, ei), ca.Vars...).SendByHash(frag, frag.MustCols(e.shared), seed+uint64(ei))
+				out.Open(fmt.Sprintf("%s:c%d", name, ei), ca.Vars...).SendByHash(frag, frag.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
 			}
 			pa := q.Atoms[e.parent]
 			if frag := srv.Rel(pa.Name); frag != nil {
 				keys := frag.Project("k", e.shared...)
 				keys.Dedup()
-				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), seed+uint64(ei))
+				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
 			}
 		}
 	})
@@ -436,7 +438,7 @@ func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*re
 	for i := 1; i < len(q.Atoms); i++ {
 		next := q.Atoms[i]
 		outRel := fmt.Sprintf("%s:acc%d", outName, i)
-		n := joinRound(c, fmt.Sprintf("ibj:join%d", i), accRel, next.Name, outRel, accAttrs, next.Vars, seed+uint64(i))
+		n := joinRound(c, fmt.Sprintf("ibj:join%d", i), accRel, next.Name, outRel, accAttrs, next.Vars, seed)
 		if n > maxInter {
 			maxInter = n
 		}
@@ -477,7 +479,7 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 			sizes[a.Name] = n
 		}
 		sub := hypergraph.Query{Name: fmt.Sprintf("bag%d", bi), Atoms: atoms}
-		pl, err := hypercube.NewPlan(sub, sizes, c.P(), seed+uint64(bi))
+		pl, err := hypercube.NewPlan(sub, sizes, c.P(), seed)
 		if err != nil {
 			panic(fmt.Sprintf("yannakakis: bag plan: %v", err))
 		}
@@ -552,7 +554,7 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 		bagRels[fmt.Sprintf("bag%d", bi)] = c.Gather(fmt.Sprintf("bag%d", bi))
 		c.DeleteAll(fmt.Sprintf("bag%d", bi))
 	}
-	sub := GYMOptimized(c, bagTree, bagRels, outName+":bq", seed+101)
+	sub := GYMOptimized(c, bagTree, bagRels, outName+":bq", seed)
 	// Project to the original query's variable order.
 	finalize(c, q, sub.OutName, outName)
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
