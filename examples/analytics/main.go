@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mpcquery/internal/aggregate"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -64,24 +65,23 @@ func main() {
 	rels := map[string]*relation.Relation{
 		"orders": orders, "customers": customers, "regions": regions,
 	}
+	const seed = 42
 	c := mpc.NewCluster(servers, 1)
-	res := yannakakis.GYMOptimized(c, jt, rels, "joined", 42)
+	res := yannakakis.GYMOptimized(c, jt, rels, "joined", seed)
 
-	// Distributed GROUP BY (cKey, month) SUM(price): one more round that
-	// co-partitions pre-aggregated partials by group key.
-	c.Round("groupby", func(srv *mpc.Server, out *mpc.Out) {
-		frag := srv.Rel("joined")
-		if frag == nil {
-			return
-		}
-		partial := relation.GroupBy("pagg", frag, []string{"cKey", "month"}, relation.Sum, "price", "total")
-		st := out.Open("grouped", "cKey", "month", "total")
-		st.SendByHash(partial, []int{0, 1}, 77)
-	})
-	c.LocalStep(func(srv *mpc.Server) {
-		frag := srv.RelOrEmpty("grouped", "cKey", "month", "total")
-		srv.Put(relation.GroupBy("result", frag, []string{"cKey", "month"}, relation.Sum, "total", "total"))
-	})
+	// Distributed GROUP BY (cKey, month) SUM(price) over the join output
+	// where it lies: one round with local pre-aggregation (combiners).
+	if _, err := aggregate.Run(c, aggregate.Spec{
+		Rel:     "joined",
+		GroupBy: []string{"cKey", "month"},
+		Fn:      relation.Sum,
+		AggAttr: "price",
+		OutAttr: "total",
+		OutRel:  "result",
+		Seed:    seed,
+	}); err != nil {
+		panic(err)
+	}
 	result := c.Gather("result")
 	m := c.Metrics()
 

@@ -56,7 +56,7 @@ func boundaryCases() []boundaryCase {
 	return append(cases, boundaryCase{"join2-small-second", twoWay, smallS})
 }
 
-// TestExecuteOutputInQueryVarOrder is the wall behind Engine.join's
+// TestExecuteOutputInQueryVarOrder is the wall behind Engine.run's
 // conditional projection: whatever column order an algorithm leaves
 // behind, Execute answers in Query.Vars() order, named Query.Name, with
 // exactly the reference's rows.

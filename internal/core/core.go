@@ -38,7 +38,9 @@
 // validates the engine, builds the cluster, gathers and assembles the
 // Execution, so every execution reports the MPC cost actually metered —
 // max per-round load L, rounds r, total communication C — from a single
-// ledger, next to the result.
+// ledger, next to the result. Operators compose on the cluster: each
+// reads its input where the previous one left it, and the answer
+// leaves the cluster once, in run's Gather.
 //
 // Semantics: inputs are sets, as everywhere in the MPC join theory, and
 // on sets every algorithm returns each output binding exactly once.
@@ -289,18 +291,26 @@ func (e *Engine) checkCapacities() error {
 }
 
 // run is the execution spine every entry point goes through: validate
-// the engine, build the one cluster, let body compute on it and hand
-// back the gathered output, then read (L, r, C) off that cluster's
-// ledger. body may extend ex.Reason and set ex.Iterations.
-func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error)) (*Execution, error) {
+// the engine, build the one cluster, let body compute on it and leave
+// its answer there, gather the answer — its one copy — and read
+// (L, r, C) off that cluster's ledger. body names the answer's relation
+// and the column order it wants, or nil; a projection runs only when
+// the columns came in another order (broadcast with the second atom
+// smaller, sortjoin with the join variable first in atom 0). body may
+// extend ex.Reason and set ex.Iterations.
+func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex *Execution) (rel string, vars []string, err error)) (*Execution, error) {
 	if err := e.checkCapacities(); err != nil {
 		return nil, err
 	}
 	c := e.newCluster()
 	ex := &Execution{Algorithm: alg, Reason: reason}
-	out, err := body(c, ex)
+	rel, vars, err := body(c, ex)
 	if err != nil {
 		return nil, err
+	}
+	out := c.Gather(rel)
+	if vars != nil && !slices.Equal(out.Attrs(), vars) {
+		out = out.Project(rel, vars...)
 	}
 	m := c.Metrics()
 	ex.Output, ex.Metrics = out, m
@@ -309,45 +319,44 @@ func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex 
 }
 
 // Execute plans (unless forced) and runs the request, returning the
-// gathered output and metered costs.
+// gathered output, named Query.Name, and metered costs.
 func (e *Engine) Execute(req Request) (*Execution, error) {
 	alg, reason, err := e.Plan(req)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
-		return e.join(c, ex, req)
+	ex, err := e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (string, []string, error) {
+		rel, err := e.join(c, ex, req)
+		return rel, req.Query.Vars(), err
 	})
+	if err != nil {
+		return nil, err
+	}
+	ex.Output = ex.Output.Rename(req.Query.Name)
+	return ex, nil
 }
 
-// join runs ex.Algorithm for the request's query on c and gathers the
-// answer named Query.Name in Query.Vars() order: look the name up in
-// the registry, ask its Applies, call its Run. The gather is the
-// answer's one copy; a projection runs only when the algorithm left its
-// columns in another order (broadcast with the second atom smaller,
-// sortjoin with the join variable first in atom 0).
-func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (*relation.Relation, error) {
+// join runs ex.Algorithm for the request's query on c and returns the
+// name of the relation its answer is distributed under: look the name
+// up in the registry, ask its Applies, call its Run.
+func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (string, error) {
 	q, alg := req.Query, ex.Algorithm
 	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, ex.Reason)
 	d := cost.Lookup(registry, string(alg))
 	if d == nil {
-		return nil, fmt.Errorf("core: unknown algorithm %q (have %s)", alg, strings.Join(cost.Names(registry), ", "))
+		return "", fmt.Errorf("core: unknown algorithm %q (have %s)", alg, strings.Join(cost.Names(registry), ", "))
 	}
 	if err := d.Applies(q); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", alg, err)
+		return "", fmt.Errorf("core: %s: %w", alg, err)
 	}
 	const outName = "out"
 	if err := d.Run(c, q, req.Relations, outName, uint64(e.Seed)); err != nil {
-		return nil, err
+		return "", err
 	}
 	if alg == AlgHyperCube && e.Capacities != nil {
 		ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
 	}
-	out := c.Gather(outName)
-	if vars := q.Vars(); !slices.Equal(out.Attrs(), vars) {
-		return out.Project(q.Name, vars...), nil
-	}
-	return out.Rename(q.Name), nil
+	return outName, nil
 }
 
 // AggregateSpec describes a grouped aggregation over a query's output
@@ -362,9 +371,10 @@ type AggregateSpec struct {
 
 // ExecuteAggregate runs the request's join and then a distributed
 // group-by round over its output, with local pre-aggregation, on the
-// same cluster. The returned Execution's Output has schema GroupBy +
-// OutAttr, and its metrics cover the join rounds and the aggregation
-// round.
+// same cluster: the group-by reads the join's fragments where the join
+// left them, so each server's combiner sees the join's placement. The
+// returned Execution's Output has schema GroupBy + OutAttr, and its
+// metrics cover the join rounds and the aggregation round.
 func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, error) {
 	if len(spec.GroupBy) == 0 {
 		return nil, fmt.Errorf("core: aggregate needs group-by variables")
@@ -385,17 +395,14 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 	if err != nil {
 		return nil, err
 	}
-	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
+	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (string, []string, error) {
 		joined, err := e.join(c, ex, req)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
-		// The join output is gathered; re-scatter it for the group-by
-		// round — placement is free in the model.
 		trace.Annotatef(c, "aggregate group-by %v", spec.GroupBy)
-		c.ScatterRoundRobin(joined.Rename("joined"))
 		res, err := aggregate.Run(c, aggregate.Spec{
-			Rel:     "joined",
+			Rel:     joined,
 			GroupBy: spec.GroupBy,
 			Fn:      spec.Fn,
 			AggAttr: spec.AggVar,
@@ -404,10 +411,10 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 			Seed:    uint64(e.Seed),
 		})
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		ex.Reason += "; + distributed group-by with combiners"
-		return c.Gather(res.OutRel), nil
+		return res.OutRel, nil, nil
 	})
 }
 

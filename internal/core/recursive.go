@@ -37,7 +37,7 @@ func (e *Engine) ExecuteRecursive(req RecursiveRequest) (*Execution, error) {
 	if req.Edges == nil {
 		return nil, fmt.Errorf("core: recursive request needs an edge relation")
 	}
-	return e.run(Algorithm("fixpoint-"+string(req.Kind)), "", func(c *mpc.Cluster, ex *Execution) (*relation.Relation, error) {
+	return e.run(Algorithm("fixpoint-"+string(req.Kind)), "", func(c *mpc.Cluster, ex *Execution) (string, []string, error) {
 		seed := uint64(e.Seed)
 		const outName = "out"
 		var (
@@ -49,18 +49,18 @@ func (e *Engine) ExecuteRecursive(req RecursiveRequest) (*Execution, error) {
 			res, err = recursive.TransitiveClosure(c, req.Edges, outName, seed)
 		case RecReachable:
 			if len(req.Sources) == 0 {
-				return nil, fmt.Errorf("core: reachability needs at least one source vertex")
+				return "", nil, fmt.Errorf("core: reachability needs at least one source vertex")
 			}
 			res, err = recursive.Reachable(c, req.Edges, req.Sources, outName, seed)
 		case RecConnectedComponents:
 			res, err = recursive.ConnectedComponents(c, req.Edges, outName, seed)
 		default:
-			return nil, fmt.Errorf("core: unknown recursive kind %q", req.Kind)
+			return "", nil, fmt.Errorf("core: unknown recursive kind %q", req.Kind)
 		}
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		ex.Iterations = res.Iterations
-		return c.Gather(outName), nil
+		return outName, nil, nil
 	})
 }

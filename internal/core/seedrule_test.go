@@ -26,8 +26,79 @@ func TestNoSeedArithmetic(t *testing.T) {
 		token.ADD: true, token.XOR: true, token.MUL: true, token.OR: true,
 		token.ADD_ASSIGN: true, token.XOR_ASSIGN: true, token.MUL_ASSIGN: true, token.OR_ASSIGN: true,
 	}
-	fset := token.NewFileSet()
+	fset, files := placementFiles(t)
 	var sites []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var operands []ast.Expr
+			switch x := n.(type) {
+			case *ast.BinaryExpr:
+				if ops[x.Op] {
+					operands = []ast.Expr{x.X, x.Y}
+				}
+			case *ast.AssignStmt:
+				if ops[x.Tok] {
+					operands = append(x.Lhs, x.Rhs...)
+				}
+			}
+			for _, e := range operands {
+				if isSeed(e) {
+					sites = append(sites, fset.Position(n.Pos()).String()+": "+nodeString(n))
+					break
+				}
+			}
+			return true
+		})
+	}
+	for _, s := range sites {
+		t.Errorf("seed arithmetic at %s; derive the seed with mpc.HashSeed", s)
+	}
+}
+
+// TestGatherReadsOnlyTheAnswer pins that operators compose on the
+// cluster. Only the initial placement is free in the MPC model; a
+// relation gathered to the driver and scattered again is moved without
+// being metered, and the next round no longer sees where the last one
+// left it. So the non-test files of placementPackages call Gather once,
+// in Engine.run, which reads the answer.
+func TestGatherReadsOnlyTheAnswer(t *testing.T) {
+	fset, files := placementFiles(t)
+	inRun := 0
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			isRun := fn.Name.Name == "run" && fn.Recv != nil && types.ExprString(fn.Recv.List[0].Type) == "*Engine"
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Gather" {
+					return true
+				}
+				if isRun {
+					inRun++
+				} else {
+					t.Errorf("Gather at %s in %s: %s; leave the relation on the cluster for the next round",
+						fset.Position(call.Pos()), fn.Name.Name, types.ExprString(call))
+				}
+				return true
+			})
+		}
+	}
+	if inRun != 1 {
+		t.Errorf("Engine.run calls Gather %d times, want once", inRun)
+	}
+}
+
+// placementFiles parses the non-test Go files of placementPackages.
+func placementFiles(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
 	for _, pkg := range placementPackages {
 		dir := filepath.Join("..", pkg)
 		entries, err := os.ReadDir(dir)
@@ -43,31 +114,10 @@ func TestNoSeedArithmetic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				var operands []ast.Expr
-				switch x := n.(type) {
-				case *ast.BinaryExpr:
-					if ops[x.Op] {
-						operands = []ast.Expr{x.X, x.Y}
-					}
-				case *ast.AssignStmt:
-					if ops[x.Tok] {
-						operands = append(x.Lhs, x.Rhs...)
-					}
-				}
-				for _, e := range operands {
-					if isSeed(e) {
-						sites = append(sites, fset.Position(n.Pos()).String()+": "+nodeString(n))
-						break
-					}
-				}
-				return true
-			})
+			files = append(files, f)
 		}
 	}
-	for _, s := range sites {
-		t.Errorf("seed arithmetic at %s; derive the seed with mpc.HashSeed", s)
-	}
+	return fset, files
 }
 
 // isSeed reports whether e is a seed: an identifier or field named seed

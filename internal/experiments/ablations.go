@@ -50,7 +50,10 @@ func A01ShareRounding() (*Table, error) {
 		load := func(shares []int) int64 {
 			c := mpc.NewCluster(p, 1)
 			pl := hypercube.PlanWithShares(q, shares, 42)
-			hypercube.RunWithPlan(c, pl, rels, "out", hypercube.LocalGeneric)
+			for _, a := range q.Atoms {
+				c.ScatterRoundRobin(rels[a.Name])
+			}
+			hypercube.RunWithPlan(c, pl, "out", hypercube.LocalGeneric)
 			return c.Metrics().MaxLoad()
 		}
 		t.AddRow(

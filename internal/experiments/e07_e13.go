@@ -84,7 +84,10 @@ func E08UnequalShares() (*Table, error) {
 		}
 		c := mpc.NewCluster(p, 1)
 		pl := hypercube.PlanWithShares(q, sh.Integer, 42)
-		hypercube.RunWithPlan(c, pl, rels, "out", hypercube.LocalGeneric)
+		for _, a := range q.Atoms {
+			c.ScatterRoundRobin(rels[a.Name])
+		}
+		hypercube.RunWithPlan(c, pl, "out", hypercube.LocalGeneric)
 		t.AddRow(
 			fmt.Sprintf("%d,%d,%d", sz["R"], sz["S"], sz["T"]),
 			dom, fmtF(sh.FractionalLoad),

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -129,10 +128,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	if err != nil {
 		return nil, err
 	}
-	bound := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
-	}
+	scatter(c, q, rels)
 	trace.Annotatef(c, "hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, probeFraction*100, pl.Shares)
 	start := c.Metrics().Rounds()
 

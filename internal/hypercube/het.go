@@ -95,10 +95,7 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 	if err != nil {
 		return nil, err
 	}
-	bound := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
-	}
+	scatter(c, q, rels)
 	trace.Annotatef(c, "hypercube.RunHet %s shares %v over %d cells (capacities %v)",
 		q.Name, hp.Shares, hp.GridSize(), caps)
 	start := c.Metrics().Rounds()

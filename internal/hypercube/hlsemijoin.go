@@ -33,15 +33,12 @@ import (
 // implementation follows the slide's illustration, which designates z.)
 func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outName string, seed uint64) (*Result, error) {
 	q := hypergraph.Triangle()
-	bound := cost.BindAtoms(q, rels)
+	bound := scatter(c, q, rels)
 	p := c.P()
 	in := bound["R"].Len() + bound["S"].Len() + bound["T"].Len()
 	threshold := int(float64(in) / math.Cbrt(float64(p)))
 	if threshold < 1 {
 		threshold = 1
-	}
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.HeavyLightTriangle (z threshold %d)", threshold)
 	start := c.Metrics().Rounds()

@@ -229,6 +229,17 @@ func Sizes(q hypergraph.Query, rels map[string]*relation.Relation) map[string]in
 	return sizes
 }
 
+// scatter binds rels to q's atoms (cost.BindAtoms) and places them
+// round-robin, the inputs' initial placement. It returns the bound
+// relations.
+func scatter(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation) map[string]*relation.Relation {
+	bound := cost.BindAtoms(q, rels)
+	for _, a := range q.Atoms {
+		c.ScatterRoundRobin(bound[a.Name])
+	}
+	return bound
+}
+
 // shuffle is one server's side of a plain HyperCube shuffle: for every
 // atom with a local fragment, rows [lo, hi) of it, lo and hi being span
 // of its length, go to every cell of the atom's route (routes[i] for
@@ -272,22 +283,22 @@ func allRows(n int) (lo, hi int) { return 0, n }
 
 // Run executes the one-round HyperCube algorithm with LP-optimal shares
 // and leaves the join result (schema = q.Vars()) distributed under
-// outName.
+// outName. It places the inputs round-robin and runs RunWithPlan.
 func Run(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, alg LocalAlg) (*Result, error) {
 	pl, err := NewPlan(q, Sizes(q, rels), c.P(), seed)
 	if err != nil {
 		return nil, err
 	}
-	return RunWithPlan(c, pl, rels, outName, alg), nil
+	scatter(c, q, rels)
+	return RunWithPlan(c, pl, outName, alg), nil
 }
 
-// RunWithPlan executes HyperCube with an explicit plan.
-func RunWithPlan(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName string, alg LocalAlg) *Result {
+// RunWithPlan executes HyperCube with an explicit plan on the atom
+// fragments already on the cluster: each atom of pl.Query held under its
+// name, its columns the atom's variables, wherever an earlier round or
+// the initial placement left it. The fragments stay in place.
+func RunWithPlan(c *mpc.Cluster, pl *Plan, outName string, alg LocalAlg) *Result {
 	q := pl.Query
-	bound := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
-	}
 	trace.Annotatef(c, "hypercube.Run %s shares %v on %v", q.Name, pl.Shares, pl.Vars)
 	start := c.Metrics().Rounds()
 	atoms, routes := q.Atoms, pl.routes(q.Atoms)
@@ -377,12 +388,9 @@ func values(hs []stats.Hitter) []relation.Value {
 // form.
 func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, threshold int, alg LocalAlg) (*Result, error) {
 	p := c.P()
-	bound := cost.BindAtoms(q, rels)
+	bound := scatter(c, q, rels)
 	if threshold <= 0 {
 		threshold = Threshold(q, bound, p)
-	}
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "hypercube.RunSkewHC %s (heavy threshold %d)", q.Name, threshold)
 	start := c.Metrics().Rounds()
@@ -425,10 +433,7 @@ func varColumns(q hypergraph.Query, rels map[string]*relation.Relation, v string
 // joins is the answer, exactly once. With the heavy sets RunSkewHC's two
 // rounds find, it routes exactly as RunSkewHC's third round.
 func RunSkewHCKnown(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, heavy [][]relation.Value, alg LocalAlg) (*Result, error) {
-	bound := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
-	}
+	bound := scatter(c, q, rels)
 	trace.Annotatef(c, "hypercube.RunSkewHCKnown %s (known heavy hitters)", q.Name)
 	start := c.Metrics().Rounds()
 	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)

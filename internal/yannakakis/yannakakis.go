@@ -89,6 +89,15 @@ type Result struct {
 	MaxIntermediate int
 }
 
+// scatter binds rels to q's atoms (cost.BindAtoms) and places them
+// round-robin, the inputs' initial placement.
+func scatter(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation) {
+	work := cost.BindAtoms(q, rels)
+	for _, a := range q.Atoms {
+		c.ScatterRoundRobin(work[a.Name])
+	}
+}
+
 // semijoinRound co-partitions target and reducer on their shared
 // attributes and replaces target with target ⋉ reducer. The reducer
 // only ships its key projection. One MPC round.
@@ -168,10 +177,7 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 // round bottom-up. r = O(n) rounds, load O((IN+OUT)/p).
 func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := jt.Query
-	work := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(work[a.Name])
-	}
+	scatter(c, q, rels)
 	trace.Annotatef(c, "yannakakis.GYM %s (%d atoms)", q.Name, len(q.Atoms))
 	start := c.Metrics().Rounds()
 	attrsOf := func(i int) []string { return q.Atoms[i].Vars }
@@ -253,13 +259,19 @@ func finalize(c *mpc.Cluster, q hypergraph.Query, accRel, outName string) {
 // one round — a parent with k children is shipped in k keyed copies —
 // followed by one intersection round; the downward phase runs one round
 // per level; the join phase is a single HyperCube round over the fully
-// reduced relations. r = O(depth(jt)).
+// reduced relations, routed from where the reductions left them.
+// r = O(depth(jt)). It places the inputs round-robin and runs
+// gymOptimized.
 func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
+	scatter(c, jt.Query, rels)
+	return gymOptimized(c, jt, outName, seed)
+}
+
+// gymOptimized is GYMOptimized on the atom fragments already on the
+// cluster, each held under its atom's name with its variables as
+// columns.
+func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed uint64) *Result {
 	q := jt.Query
-	work := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(work[a.Name])
-	}
 	trace.Annotatef(c, "yannakakis.GYMOptimized %s (depth %d)", q.Name, len(jt.Levels())-1)
 	start := c.Metrics().Rounds()
 	levels := jt.Levels()
@@ -293,15 +305,17 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 		downwardRound(c, fmt.Sprintf("gymopt:down%d", round), q, edges, seed)
 		round++
 	}
-	// Join phase: one HyperCube round over the reduced relations.
-	reduced := map[string]*relation.Relation{}
+	// Join phase: one HyperCube round over the reduced relations, where
+	// they lie, with shares for their reduced sizes.
+	sizes := make(map[string]int64, len(q.Atoms))
 	for _, a := range q.Atoms {
-		reduced[a.Name] = c.Gather(a.Name)
-		c.DeleteAll(a.Name)
+		sizes[a.Name] = max(int64(c.TotalLen(a.Name)), 1)
 	}
-	if _, err := hypercube.Run(c, q, reduced, outName, seed, hypercube.LocalGeneric); err != nil {
+	pl, err := hypercube.NewPlan(q, sizes, c.P(), seed)
+	if err != nil {
 		panic(fmt.Sprintf("yannakakis: join-phase HyperCube: %v", err))
 	}
+	hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
 }
 
@@ -426,10 +440,7 @@ func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]i
 // Consecutive relations must share at least one attribute. Returns the
 // peak total intermediate size, the quantity that blows up on slide 63.
 func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
-	work := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(work[a.Name])
-	}
+	scatter(c, q, rels)
 	trace.Annotatef(c, "yannakakis.IterativeBinaryJoin %s (%d atoms)", q.Name, len(q.Atoms))
 	start := c.Metrics().Rounds()
 	accRel := q.Atoms[0].Name
@@ -453,11 +464,12 @@ func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*re
 
 // GHDRun executes a query via a width-w, depth-d GHD (slide 95):
 // round 1 materializes every bag (joining its λ atoms on a HyperCube
-// grid, all bags sharing the round); the acyclic bag tree is then
-// processed by optimized GYM. r = O(d), L = O((IN^w + OUT)/p).
+// grid, all bags sharing the round); optimized GYM then processes the
+// acyclic bag tree on the bags where round 1 left them.
+// r = O(d), L = O((IN^w + OUT)/p).
 func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := g.Query
-	work := cost.BindAtoms(q, rels)
+	scatter(c, q, rels)
 	start := c.Metrics().Rounds()
 
 	// Build one HyperCube plan per bag over its λ atoms' sub-query.
@@ -468,18 +480,11 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 	plans := make([]bagPlan, len(g.Bags))
 	for bi, bag := range g.Bags {
 		var atoms []hypergraph.Atom
-		sizes := map[string]int64{}
 		for _, ai := range bag.Atoms {
-			a := q.Atoms[ai]
-			atoms = append(atoms, a)
-			n := int64(work[a.Name].Len())
-			if n == 0 {
-				n = 1
-			}
-			sizes[a.Name] = n
+			atoms = append(atoms, q.Atoms[ai])
 		}
 		sub := hypergraph.Query{Name: fmt.Sprintf("bag%d", bi), Atoms: atoms}
-		pl, err := hypercube.NewPlan(sub, sizes, c.P(), seed)
+		pl, err := hypercube.NewPlan(sub, hypercube.Sizes(sub, rels), c.P(), seed)
 		if err != nil {
 			panic(fmt.Sprintf("yannakakis: bag plan: %v", err))
 		}
@@ -488,18 +493,12 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 			plans[bi].routes = append(plans[bi].routes, pl.Route(a))
 		}
 	}
-	// Scatter each atom once per bag that uses it (under a bag-local
-	// name, since different bags route the same atom differently).
-	for bi, bp := range plans {
-		for _, a := range bp.sub.Atoms {
-			c.ScatterRoundRobin(work[a.Name].Rename(fmt.Sprintf("b%d:%s", bi, a.Name)))
-		}
-	}
-	// One round: route all atoms of all bags.
+	// One round: route all atoms of all bags, each bag from the one
+	// placement of its atoms on its own grid.
 	c.Round("ghd:bags", func(srv *mpc.Server, out *mpc.Out) {
 		for bi, bp := range plans {
 			for ai, a := range bp.sub.Atoms {
-				frag := srv.Rel(fmt.Sprintf("b%d:%s", bi, a.Name))
+				frag := srv.Rel(a.Name)
 				if frag == nil {
 					continue
 				}
@@ -530,12 +529,6 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 			srv.Put(bagRel)
 		}
 	})
-	for bi, bp := range plans {
-		for _, a := range bp.sub.Atoms {
-			c.DeleteAll(fmt.Sprintf("b%d:%s", bi, a.Name))
-		}
-	}
-
 	// The bag tree is an acyclic query over bag relations; run optimized
 	// GYM on it.
 	bagAtoms := make([]hypergraph.Atom, len(g.Bags))
@@ -549,12 +542,7 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 		Children: g.Children,
 		Root:     g.Root,
 	}
-	bagRels := map[string]*relation.Relation{}
-	for bi := range g.Bags {
-		bagRels[fmt.Sprintf("bag%d", bi)] = c.Gather(fmt.Sprintf("bag%d", bi))
-		c.DeleteAll(fmt.Sprintf("bag%d", bi))
-	}
-	sub := GYMOptimized(c, bagTree, bagRels, outName+":bq", seed)
+	sub := gymOptimized(c, bagTree, outName+":bq", seed)
 	// Project to the original query's variable order.
 	finalize(c, q, sub.OutName, outName)
 	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
