@@ -184,14 +184,31 @@ type Shares struct {
 // exponents e_v ≥ 0 with Σ e_v ≤ 1 minimizing
 // max_j log|S_j| − (Σ_{v∈S_j} e_v)·log p, then rounds the resulting
 // fractional shares p^{e_v} to integers with product ≤ p.
+//
+// The LP only prices the largest atom term, so it usually has many
+// optimal vertices; on a path it may spend shares on the endpoints,
+// which only adds replication. Dominated variables (Afrati & Ullman,
+// EDBT 2010) are therefore pinned to e_u = 0 (they get no LP column),
+// so the rounding gives them share 1: u is dominated when another
+// variable v occurs in every atom u occurs in, and in strictly more
+// atoms, or in the same atoms and earlier in q.Vars(). Moving u's share
+// onto v keeps Π_v p_v, leaves Π_{x∈S_j} p_x unchanged for every atom
+// with u and raises it for every atom with v but not u, so no term
+// |S_j|/Π_{x∈S_j} p_x rises and neither does C = Σ_j |S_j|·Π_{x∉S_j} p_x.
+// FractionalLoad is the LP optimum either way; only the choice among
+// tied optimal vertices moves.
 func OptimalShares(q hypergraph.Query, sizes map[string]int64, p int) (*Shares, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("OptimalShares: p = %d", p)
 	}
 	vars := q.Vars()
-	k := len(vars)
 	logp := math.Log(float64(p))
-	// Variables: e_0..e_{k-1}, t+ , t-  (t = t+ - t- is the max log-load).
+	// Only the variables no other variable dominates get an LP column;
+	// the rest keep e_v = 0.
+	free := undominated(q, vars)
+	k := len(free)
+	// Columns: e_{free[0]}..e_{free[k-1]}, t+, t- (t = t+ - t- is the
+	// max log-load).
 	obj := make([]float64, k+2)
 	obj[k] = 1
 	obj[k+1] = -1
@@ -210,9 +227,9 @@ func OptimalShares(q hypergraph.Query, sizes map[string]int64, p int) (*Shares, 
 			return nil, fmt.Errorf("OptimalShares: missing or non-positive size for atom %s", a.Name)
 		}
 		row := make([]float64, k+2)
-		for i, v := range vars {
-			if a.HasVar(v) {
-				row[i] = logp
+		for c, i := range free {
+			if a.HasVar(vars[i]) {
+				row[c] = logp
 			}
 		}
 		row[k] = 1
@@ -223,20 +240,55 @@ func OptimalShares(q hypergraph.Query, sizes map[string]int64, p int) (*Shares, 
 	if err != nil {
 		return nil, fmt.Errorf("share LP for %s: %w", q.Name, err)
 	}
-	exp := sol.X[:k]
-	frac := make([]float64, k)
+	exp := make([]float64, len(vars))
+	for c, i := range free {
+		exp[i] = sol.X[c]
+	}
+	frac := make([]float64, len(vars))
 	for i := range frac {
 		frac[i] = math.Pow(float64(p), exp[i])
 	}
 	ints := roundShares(frac, p)
 	return &Shares{
 		Vars:           vars,
-		Exponents:      append([]float64(nil), exp...),
+		Exponents:      exp,
 		Fractional:     frac,
 		Integer:        ints,
 		PredictedLoad:  maxAtomLoad(q, sizes, vars, toFloats(ints)),
 		FractionalLoad: math.Exp(sol.Objective),
 	}, nil
+}
+
+// undominated returns the indices of the variables of vars that no other
+// variable dominates in the sense of OptimalShares.
+func undominated(q hypergraph.Query, vars []string) []int {
+	// covers reports whether v occurs in every atom u occurs in, and
+	// whether it also occurs in one u does not.
+	covers := func(v, u string) (all, more bool) {
+		for _, a := range q.Atoms {
+			switch inV := a.HasVar(v); {
+			case a.HasVar(u) && !inV:
+				return false, false
+			case inV && !a.HasVar(u):
+				more = true
+			}
+		}
+		return true, more
+	}
+	var free []int
+	for i, u := range vars {
+		dominated := false
+		for j, v := range vars {
+			if all, more := covers(v, u); j != i && all && (more || j < i) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			free = append(free, i)
+		}
+	}
+	return free
 }
 
 func toFloats(xs []int) []float64 {

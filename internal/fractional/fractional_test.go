@@ -2,6 +2,7 @@ package fractional
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
@@ -221,6 +222,11 @@ func TestShareLPEqualsMaxPacking(t *testing.T) {
 		{hypergraph.Triangle(), map[string]int64{"R": 1 << 10, "S": 1 << 18, "T": 1 << 14}},
 		{hypergraph.TwoWayJoin(), map[string]int64{"R": 1 << 15, "S": 1 << 12}},
 		{hypergraph.RST(), map[string]int64{"R": 1 << 12, "S": 1 << 16, "T": 1 << 12}},
+		// Paths and stars have dominated variables: pinning them to
+		// share 1 must leave the optimum where it was.
+		{hypergraph.Path(3), map[string]int64{"R1": 1 << 14, "R2": 1 << 10, "R3": 1 << 16}},
+		{hypergraph.Path(4), map[string]int64{"R1": 1 << 12, "R2": 1 << 15, "R3": 1 << 11, "R4": 1 << 14}},
+		{hypergraph.Star(3), map[string]int64{"R1": 1 << 13, "R2": 1 << 16, "R3": 1 << 10}},
 	} {
 		p := 64
 		sh, err := OptimalShares(tc.q, tc.sizes, p)
@@ -236,6 +242,53 @@ func TestShareLPEqualsMaxPacking(t *testing.T) {
 		if math.Abs(sh.FractionalLoad-best) > 1e-3*best {
 			t.Errorf("%s: share LP load %g != max packing load %g", tc.q.Name, sh.FractionalLoad, best)
 		}
+	}
+}
+
+// A variable whose atoms another variable covers gets share 1 (Afrati &
+// Ullman's dominance rule): its share would only add replication.
+func TestDominatedVariablesGetShareOne(t *testing.T) {
+	equal := func(q hypergraph.Query) map[string]int64 {
+		sizes := map[string]int64{}
+		for _, a := range q.Atoms {
+			sizes[a.Name] = 1 << 12
+		}
+		return sizes
+	}
+	shares := func(q hypergraph.Query, p int) []int {
+		t.Helper()
+		sh, err := OptimalShares(q, equal(q), p)
+		if err != nil {
+			t.Fatalf("%s p=%d: %v", q.Name, p, err)
+		}
+		return sh.Integer
+	}
+
+	// path3 R1(A0,A1), R2(A1,A2), R3(A2,A3): A1 covers A0 and A2 covers A3.
+	path3 := hypergraph.Path(3)
+	if got := shares(path3, 4); !slices.Equal(got, []int{1, 2, 2, 1}) {
+		t.Errorf("path3 p=4: shares %v, want [1 2 2 1]", got)
+	}
+	for _, p := range []int{8, 64} {
+		if got := shares(path3, p); got[0] != 1 || got[3] != 1 {
+			t.Errorf("path3 p=%d: shares %v, want A0 = A3 = 1", p, got)
+		}
+	}
+
+	// star3: the centre A0 covers every leaf.
+	if got := shares(hypergraph.Star(3), 64); !slices.Equal(got, []int{64, 1, 1, 1}) {
+		t.Errorf("star3 p=64: shares %v, want [64 1 1 1]", got)
+	}
+
+	// x and u occur in the same atoms R and T: only x, the first in
+	// q.Vars(), keeps a share, and the triangle on x, y, z keeps its grid.
+	q := hypergraph.NewQuery("tri-u",
+		hypergraph.Atom{Name: "R", Vars: []string{"x", "y", "u"}},
+		hypergraph.Atom{Name: "S", Vars: []string{"y", "z"}},
+		hypergraph.Atom{Name: "T", Vars: []string{"z", "x", "u"}},
+	)
+	if got := shares(q, 64); !slices.Equal(got, []int{4, 4, 1, 4}) {
+		t.Errorf("%s p=64: shares %v over %v, want [4 4 1 4]", q.Name, got, q.Vars())
 	}
 }
 
@@ -325,4 +378,84 @@ func TestDualCoverCertifiesPacking(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzOptimalShares drives the share LP on random hypergraphs of up to
+// five variables and four atoms: the integer shares must fit in p, every
+// dominated variable must get share 1, rounding can only raise the load
+// above the LP optimum, and the result must be deterministic.
+func FuzzOptimalShares(f *testing.F) {
+	f.Add(uint32(0x30c3), uint64(1), uint16(15))    // path3 at p = 16
+	f.Add(uint32(0xc30c3), uint64(77), uint16(255)) // path4 at p = 256
+	f.Add(uint32(0xfffff), uint64(0), uint16(0))    // p = 1, every variable in every atom
+	f.Fuzz(func(t *testing.T, masks uint32, sizeSeed uint64, pRaw uint16) {
+		names := []string{"a", "b", "c", "d", "e"}
+		var atoms []hypergraph.Atom
+		sizes := map[string]int64{}
+		for j := 0; j < 4; j++ {
+			mask := masks >> (5 * j) & 0x1f
+			var vars []string
+			for i, v := range names {
+				if mask&(1<<i) != 0 {
+					vars = append(vars, v)
+				}
+			}
+			if len(vars) == 0 {
+				continue
+			}
+			name := string(rune('R' + j))
+			atoms = append(atoms, hypergraph.Atom{Name: name, Vars: vars})
+			sizes[name] = int64(1 + (sizeSeed>>(16*j)&0xffff)*999_999/0xffff)
+		}
+		if len(atoms) == 0 {
+			return
+		}
+		q := hypergraph.NewQuery("fuzz", atoms...)
+		p := 1 + int(pRaw)%256
+		sh, err := OptimalShares(q, sizes, p)
+		if err != nil {
+			t.Fatalf("%v p=%d: %v", q.Atoms, p, err)
+		}
+		prod := 1
+		for i, s := range sh.Integer {
+			if s < 1 {
+				t.Fatalf("%v p=%d: share %s = %d < 1", q.Atoms, p, sh.Vars[i], s)
+			}
+			prod *= s
+		}
+		if prod > p {
+			t.Fatalf("%v p=%d: shares %v have product %d > p", q.Atoms, p, sh.Integer, prod)
+		}
+		// u is dominated when some v occurs in all of u's atoms and in
+		// more of them, or in the same ones and earlier in q.Vars().
+		atomSet := func(v string) map[string]bool {
+			set := map[string]bool{}
+			for _, a := range q.Atoms {
+				if a.HasVar(v) {
+					set[a.Name] = true
+				}
+			}
+			return set
+		}
+		for i, u := range sh.Vars {
+			us := atomSet(u)
+			for j, v := range sh.Vars {
+				vs := atomSet(v)
+				covers := true
+				for a := range us {
+					covers = covers && vs[a]
+				}
+				if j != i && covers && (len(vs) > len(us) || j < i) && sh.Integer[i] != 1 {
+					t.Fatalf("%v p=%d: %s is dominated by %s but has share %d (shares %v)", q.Atoms, p, u, v, sh.Integer[i], sh.Integer)
+				}
+			}
+		}
+		if sh.PredictedLoad < sh.FractionalLoad*(1-1e-9) {
+			t.Fatalf("%v p=%d: integer load %g < LP optimum %g", q.Atoms, p, sh.PredictedLoad, sh.FractionalLoad)
+		}
+		again, err := OptimalShares(q, sizes, p)
+		if err != nil || !slices.Equal(again.Integer, sh.Integer) {
+			t.Fatalf("%v p=%d: second call gave %v (%v), first %v", q.Atoms, p, again.Integer, err, sh.Integer)
+		}
+	})
 }

@@ -65,6 +65,31 @@ func TestSkewHCDiff(t *testing.T) {
 	}
 }
 
+// TestPredictedCommIsExact pins EXPLAIN's C for plain HyperCube to the
+// metered shuffle: on skew-free random queries every tuple of atom j is
+// sent to exactly Π_{v∉S_j} p_v cells, so cost.HyperCubeReplication over
+// the shares Predict reports must equal TotalComm exactly.
+func TestPredictedCommIsExact(t *testing.T) {
+	hc := cost.Lookup(Plannables(), "hypercube")
+	for seed := int64(1); seed <= 20; seed++ {
+		q := testkit.RandomQuery(seed)
+		rels := testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{}, seed)
+		for _, p := range []int{4, 8, 16} {
+			est, err := hc.Predict(&cost.QueryStats{Query: q, P: p, Sizes: Sizes(q, rels)})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", q.Name, p, err)
+			}
+			c := mpc.NewCluster(p, seed)
+			if err := hc.Run(c, q, rels, "out", uint64(seed)); err != nil {
+				t.Fatalf("%s p=%d: %v", q.Name, p, err)
+			}
+			if got := c.Metrics().TotalComm(); float64(got) != est.C {
+				t.Errorf("seed %d %s p=%d (%s): measured C = %d, predicted %.0f", seed, q.Name, p, est.Detail, got, est.C)
+			}
+		}
+	}
+}
+
 // TestTriangleLoadBound asserts the headline theory claim of the paper
 // on skew-free inputs: HyperCube computes the triangle with per-server
 // load L = O(IN/p^{2/3}) (τ* = 3/2) in one round. Cluster sizes are
