@@ -1,5 +1,5 @@
 // Command doccheck is the documentation gate for the CI docs lane.
-// It enforces three invariants that rot silently without a check:
+// It enforces four invariants that rot silently without a check:
 //
 //  1. Every relative markdown link in the repo's own documentation
 //     resolves — the file exists, and when the link carries a
@@ -11,6 +11,10 @@
 //  3. Every -flag on a `go run ./cmd/<tool>` line in a fenced code
 //     block is a flag <tool>'s main package defines (read with
 //     go/parser from its flag definitions).
+//  4. Every `pkg.Name` or `pkg.Type.Method` code span in README.md,
+//     ARCHITECTURE.md, DESIGN.md and EXPERIMENTS.md names a declaration
+//     that exists, when pkg is a package under internal/. CHANGES.md
+//     and ROADMAP.md are exempt: they name deleted APIs on purpose.
 //
 // Usage:
 //
@@ -32,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	var problems []string
-	for _, check := range []func(string) ([]string, error){CheckMarkdown, CheckPackageDocs, CheckFlagSamples} {
+	for _, check := range []func(string) ([]string, error){CheckMarkdown, CheckPackageDocs, CheckFlagSamples, CheckCodeRefs} {
 		found, err := check(*root)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doccheck:", err)

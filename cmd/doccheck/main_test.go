@@ -144,6 +144,46 @@ func run(args []string) {
 	}
 }
 
+func TestCheckCodeRefs(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "internal/view/view.go", `// Package view maintains views.
+package view
+
+type Base struct{ Rows int }
+
+type View struct {
+	Base
+	Name string
+}
+
+func New() *View { return nil }
+
+func (v *View) Apply() {}
+
+type Op int
+`)
+	write(t, root, "README.md", strings.Join([]string{
+		"Live: `view.New`, `view.View.Apply`, `view.View.Name`, `view.Apply()`, `view.View.Rows`.",
+		"Not internal: `fmt.Println`, `r.Gone`; wildcard `view.Op*`.",
+		"Gone: `view.NewJoin(c)` and `view.Op.Apply`.",
+		"```go",
+		"view.Fenced()",
+		"```",
+	}, "\n"))
+	write(t, root, "CHANGES.md", "Deleted `view.NewJoin`.\n")
+	problems, err := CheckCodeRefs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:3: view.NewJoin: package view declares no NewJoin",
+		"README.md:3: view.Op.Apply: type Op has no method or field Apply",
+	}
+	if !slices.Equal(problems, want) {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestRepoIsClean(t *testing.T) {
 	// The gate CI runs, run as a test too: the repo's own docs and
 	// package comments must stay clean.
@@ -156,6 +196,9 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if problems, err := CheckFlagSamples(root); err != nil || len(problems) != 0 {
 		t.Errorf("CheckFlagSamples: err=%v problems=%v", err, problems)
+	}
+	if problems, err := CheckCodeRefs(root); err != nil || len(problems) != 0 {
+		t.Errorf("CheckCodeRefs: err=%v problems=%v", err, problems)
 	}
 }
 

@@ -142,6 +142,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if *p < 1 {
+		return fail(fmt.Errorf("-p must be at least 1, got %d", *p))
+	}
 	caps, err := cost.ParseCapacities(*capacities)
 	if err != nil {
 		return fail(err)
@@ -155,8 +158,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var j *job
 	if *recKind != "" {
-		j = recursiveJob(*recKind, *n, *skew, *seed)
-	} else if j, err = queryJob(*queryBody, *queryName, core.Algorithm(*alg), *dataDir, *n, *skew, *seed); err != nil {
+		j, err = recursiveJob(*recKind, *n, *skew, *seed)
+	} else {
+		j, err = queryJob(*queryBody, *queryName, core.Algorithm(*alg), *dataDir, *n, *skew, *seed)
+	}
+	if err != nil {
 		return fail(err)
 	}
 	if *explain {
@@ -290,22 +296,27 @@ func indent(s string) string {
 // fixpoint over a generated random graph with n edges (heavy-tailed
 // degrees under -skew zipf/heavy), reachability starting from the
 // first edge's source.
-func recursiveJob(kind string, n int, skew string, seed int64) *job {
+func recursiveJob(kind string, n int, skew string, seed int64) (*job, error) {
 	vertices := max(n/3, 2)
 	gen := workload.RandomGraph
 	if skew == "zipf" || skew == "heavy" {
 		gen = workload.PowerLawGraph
+	} else if n > vertices*(vertices-1) {
+		return nil, fmt.Errorf("-n %d edges do not fit a simple graph on %d vertices", n, vertices)
 	}
 	edges := gen("E", "src", "dst", vertices, n, seed)
 	req := core.RecursiveRequest{Kind: core.RecursiveKind(kind), Edges: edges}
 	if req.Kind == core.RecReachable {
+		if edges.Len() == 0 {
+			return nil, errors.New("-recursive reach needs -n ≥ 1 for its source vertex")
+		}
 		req.Sources = []relation.Value{edges.Row(0)[0]}
 	}
 	return &job{
 		title:   fmt.Sprintf("workload   recursive %s (semi-naive fixpoint over %d vertices)", kind, vertices),
 		rels:    map[string]*relation.Relation{"E": edges},
 		execute: func(e *core.Engine) (*core.Execution, error) { return e.ExecuteRecursive(req) },
-	}
+	}, nil
 }
 
 // queryJob resolves the -q / -query value to a rule set, builds one

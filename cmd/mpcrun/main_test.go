@@ -428,7 +428,8 @@ func TestReportSameLinesEveryKind(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadInput pins the exit-1-with-a-named-error paths.
+// TestRunRejectsBadInput pins the exit-1-with-a-named-error paths. A
+// case's own -n overrides the default 50.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-query", "nonsense"},
@@ -441,9 +442,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-recursive", "nope"},
 		{"-transport", "carrier-pigeon"},
 		{"-data", t.TempDir()},
+		{"-p", "0"}, // this and the sizes below panicked before they were checked
+		{"-p", "-2", "-recursive", "tc"},
+		{"-recursive", "tc", "-n", "3"},  // 3 edges on 2 vertices
+		{"-recursive", "cc", "-n", "11"}, // 11 edges on 3 vertices
+		{"-recursive", "tc", "-n", "13"}, // 13 edges on 4 vertices
+		{"-recursive", "reach", "-n", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(append(args, "-n", "50"), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") || strings.Count(stderr.String(), "\n") != 1 {
+		if code := run(append([]string{"-n", "50"}, args...), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") || strings.Count(stderr.String(), "\n") != 1 {
 			t.Errorf("%v: exit %d, stderr %q; want exit 1 and a one-line named error", args, code, stderr.String())
 		}
 	}

@@ -128,9 +128,3 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 		Groups: c.TotalLen(spec.OutRel),
 	}, nil
 }
-
-// Local computes the same aggregation on a gathered relation — the
-// single-machine reference for verification.
-func Local(rel *relation.Relation, spec Spec) *relation.Relation {
-	return relation.GroupBy(spec.OutRel, rel, spec.GroupBy, spec.Fn, spec.AggAttr, spec.OutAttr)
-}

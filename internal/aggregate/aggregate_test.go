@@ -173,3 +173,9 @@ func TestEmptyInput(t *testing.T) {
 		t.Fatalf("empty input produced %d groups", res.Groups)
 	}
 }
+
+// Local computes the same aggregation on a gathered relation — the
+// single-machine reference for verification.
+func Local(rel *relation.Relation, spec Spec) *relation.Relation {
+	return relation.GroupBy(spec.OutRel, rel, spec.GroupBy, spec.Fn, spec.AggAttr, spec.OutAttr)
+}

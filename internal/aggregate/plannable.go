@@ -1,11 +1,6 @@
 package aggregate
 
-import (
-	"fmt"
-
-	"mpcquery/internal/cost"
-	"mpcquery/internal/hypergraph"
-)
+import "mpcquery/internal/cost"
 
 // EstimateGroups predicts the number of output groups of a group-by
 // over the join result: the product over group-by variables of the
@@ -37,24 +32,4 @@ func EstimateGroups(st *cost.QueryStats, groupBy []string) float64 {
 		groups = st.OutEst
 	}
 	return groups
-}
-
-// Plannables describes the aggregation operator to the planner. It is
-// not a standalone join strategy — it rides on top of whatever plan
-// produced the join result — so its descriptor never applies on its
-// own; it exists so EXPLAIN can list the operator and its cost shape.
-func Plannables() []cost.Plannable {
-	return []cost.Plannable{
-		{
-			Alg: "aggregate",
-			Doc: "combiner-style group-by pushdown, one extra round (slides 87-90)",
-			Applies: func(hypergraph.Query) error {
-				return fmt.Errorf("post-processing operator: attaches to a join plan via plan.Options.Aggregate, not a standalone strategy")
-			},
-			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
-				p := float64(st.P)
-				return cost.Estimate{L: st.OutEst / p, R: 1, C: st.OutEst}, nil
-			},
-		},
-	}
 }

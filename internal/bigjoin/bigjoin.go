@@ -193,8 +193,7 @@ func (pl *Plan) Rounds() int {
 
 // Result describes an execution.
 type Result struct {
-	OutName string
-	Rounds  int
+	Rounds int
 	// MaxBindings is the largest total binding-set size shipped by any
 	// extend round (the quantity BiGJoin's batching bounds).
 	MaxBindings int
@@ -357,7 +356,6 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		srv.Delete(bindName)
 	})
 	return &Result{
-		OutName:     outName,
 		Rounds:      c.Metrics().Rounds() - start,
 		MaxBindings: maxBind,
 	}

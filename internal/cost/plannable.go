@@ -126,10 +126,7 @@ type Plannable struct {
 	// Predict returns the (L, r, C) estimate; called only when Applies
 	// returned nil.
 	Predict func(st *QueryStats) (Estimate, error)
-	// Run executes the algorithm once Applies has accepted the query;
-	// nil for the primitives (sorting, matrix multiplication, the
-	// aggregation operator), which EXPLAIN lists with their rejection
-	// reason.
+	// Run executes the algorithm once Applies has accepted the query.
 	Run RunFunc
 }
 

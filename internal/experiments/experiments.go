@@ -81,33 +81,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavored markdown. A '|' inside
-// a cell is escaped, so it cannot split the cell.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n*Source: %s*\n\n", t.ID, t.Title, t.SlideRef)
-	row := func(cells []string) {
-		b.WriteByte('|')
-		for _, c := range cells {
-			fmt.Fprintf(&b, " %s |", strings.ReplaceAll(c, "|", `\|`))
-		}
-		b.WriteByte('\n')
-	}
-	row(t.Header)
-	fmt.Fprintf(&b, "|%s\n", strings.Repeat(" --- |", len(t.Header)))
-	for _, r := range t.Rows {
-		row(r)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n> %s\n", n)
-	}
-	for _, ch := range t.Charts {
-		fmt.Fprintf(&b, "\n```\n%s```\n", ch.Render())
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
 // Experiment pairs an ID with its driver.
 type Experiment struct {
 	ID    string

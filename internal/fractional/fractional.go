@@ -84,39 +84,6 @@ func MinEdgeCover(q hypergraph.Query) (*EdgeCover, error) {
 	return &EdgeCover{Weights: sol.X, Rho: sol.Objective}, nil
 }
 
-// VertexCover holds an optimal fractional vertex cover: one weight per
-// variable (in q.Vars() order) with Σ_{v∈e} w_v ≥ 1 for every atom e.
-// By LP duality its value equals τ* (slide 39); tests exploit this.
-type VertexCover struct {
-	Vars    []string
-	Weights []float64
-	Value   float64
-}
-
-// MinVertexCover solves the fractional vertex cover LP for q.
-func MinVertexCover(q hypergraph.Query) (*VertexCover, error) {
-	vars := q.Vars()
-	obj := make([]float64, len(vars))
-	for i := range obj {
-		obj[i] = 1
-	}
-	p := lp.NewMinimize(obj)
-	for _, a := range q.Atoms {
-		row := make([]float64, len(vars))
-		for i, v := range vars {
-			if a.HasVar(v) {
-				row[i] = 1
-			}
-		}
-		p.AddConstraint(row, lp.GE, 1)
-	}
-	sol, err := p.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("vertex cover LP for %s: %w", q.Name, err)
-	}
-	return &VertexCover{Vars: vars, Weights: sol.X, Value: sol.Objective}, nil
-}
-
 // AGMBound returns the AGM bound on the output size of q for the given
 // relation sizes (slide 55): min over fractional edge covers w of
 // Π_j |S_j|^{w_j}. sizes maps atom name to cardinality; all atoms must

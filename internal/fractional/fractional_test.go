@@ -1,11 +1,13 @@
 package fractional
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/lp"
 )
 
 func approx(t *testing.T, got, want, tol float64, what string) {
@@ -458,4 +460,37 @@ func FuzzOptimalShares(f *testing.F) {
 			t.Fatalf("%v p=%d: second call gave %v (%v), first %v", q.Atoms, p, again.Integer, err, sh.Integer)
 		}
 	})
+}
+
+// VertexCover holds an optimal fractional vertex cover: one weight per
+// variable (in q.Vars() order) with Σ_{v∈e} w_v ≥ 1 for every atom e.
+// By LP duality its value equals τ* (slide 39), which the tests check.
+type VertexCover struct {
+	Vars    []string
+	Weights []float64
+	Value   float64
+}
+
+// MinVertexCover solves the fractional vertex cover LP for q.
+func MinVertexCover(q hypergraph.Query) (*VertexCover, error) {
+	vars := q.Vars()
+	obj := make([]float64, len(vars))
+	for i := range obj {
+		obj[i] = 1
+	}
+	p := lp.NewMinimize(obj)
+	for _, a := range q.Atoms {
+		row := make([]float64, len(vars))
+		for i, v := range vars {
+			if a.HasVar(v) {
+				row[i] = 1
+			}
+		}
+		p.AddConstraint(row, lp.GE, 1)
+	}
+	sol, err := p.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("vertex cover LP for %s: %w", q.Name, err)
+	}
+	return &VertexCover{Vars: vars, Weights: sol.X, Value: sol.Objective}, nil
 }

@@ -30,8 +30,7 @@ const (
 
 // AdaptiveResult describes one adaptive execution.
 type AdaptiveResult struct {
-	OutName string
-	Rounds  int
+	Rounds int
 	// Switched reports whether the run abandoned the uniform plan.
 	Switched bool
 	// Signal is the probe round's receive summary — the evidence the
@@ -142,7 +141,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	probeRound := c.Metrics().Rounds() - 1
 	st := c.Metrics().RoundStats()[probeRound]
 	signal := stats.FromRecv(st.Recv)
-	res := &AdaptiveResult{OutName: outName, Signal: signal, Plan: pl}
+	res := &AdaptiveResult{Signal: signal, Plan: pl}
 
 	switched := false
 	if signal.Skewed(maxImbalance, maxGini) {

@@ -64,9 +64,8 @@ func NewHetPlan(q hypergraph.Query, sizes map[string]int64, caps []float64, seed
 
 // HetResult describes a heterogeneity-aware execution.
 type HetResult struct {
-	OutName string
-	Rounds  int
-	Plan    *HetPlan
+	Rounds int
+	Plan   *HetPlan
 }
 
 // RunHet executes HyperCube with capacity-proportional cell ownership.
@@ -138,5 +137,5 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 			joinFragments(srv, atoms, vars, outName, fmt.Sprintf("#%d", cell), alg)
 		}
 	})
-	return &HetResult{OutName: outName, Rounds: c.Metrics().Rounds() - start, Plan: hp}, nil
+	return &HetResult{Rounds: c.Metrics().Rounds() - start, Plan: hp}, nil
 }

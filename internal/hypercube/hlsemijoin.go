@@ -173,7 +173,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 		srv.Delete(outName + ":Rx")
 		srv.Delete(outName + ":Tb")
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}, nil
+	return &Result{Rounds: c.Metrics().Rounds() - start}, nil
 }
 
 // floorRoot returns ⌊n^{1/k}⌋, at least 1, computed in integers: a

@@ -196,9 +196,8 @@ func (rt Route) Send(st *mpc.Stream, row []relation.Value) {
 
 // Result describes a HyperCube execution.
 type Result struct {
-	OutName string
-	Rounds  int
-	Plan    *Plan
+	Rounds int
+	Plan   *Plan
 	// Patterns holds SkewHC's per-pattern sub-plans (nil for plain runs).
 	Patterns []PatternPlan
 }
@@ -306,7 +305,7 @@ func RunWithPlan(c *mpc.Cluster, pl *Plan, outName string, alg LocalAlg) *Result
 		shuffle(srv, out, atoms, routes, outName, allRows)
 	})
 	localJoin(c, q, outName, "", alg)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Plan: pl}
+	return &Result{Rounds: c.Metrics().Rounds() - start, Plan: pl}
 }
 
 // localJoin joins each server's atom fragments (stored under
@@ -407,7 +406,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	if err != nil {
 		return nil, err
 	}
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
+	return &Result{Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
 }
 
 // varColumns lists the atom columns that bind variable v, in atom order.
@@ -440,7 +439,7 @@ func RunSkewHCKnown(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relatio
 	if err != nil {
 		return nil, err
 	}
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
+	return &Result{Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
 }
 
 // skewShuffle is SkewHC's routing round and local joins, given each

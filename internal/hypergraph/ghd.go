@@ -178,17 +178,6 @@ func (g *GHD) Validate() error {
 	return nil
 }
 
-// FromJoinTree converts a width-1 join tree (from GYO) into a GHD: one
-// bag per atom, λ = that atom.
-func FromJoinTree(jt *JoinTree) *GHD {
-	q := jt.Query
-	bags := make([]Bag, len(q.Atoms))
-	for i, a := range q.Atoms {
-		bags[i] = Bag{Vars: append([]string(nil), a.Vars...), Atoms: []int{i}}
-	}
-	return NewGHD(q, bags, append([]int(nil), jt.Parent...))
-}
-
 // PathChainGHD returns the width-1, depth-(n-1) chain decomposition of
 // the path-n query (slide 79, left).
 func PathChainGHD(n int) *GHD {

@@ -16,9 +16,6 @@ func TestQueryBasics(t *testing.T) {
 	if q.AtomIndex("T") != 2 || q.AtomIndex("Z") != -1 {
 		t.Fatalf("AtomIndex broken")
 	}
-	if got := q.AtomsWithVar("x"); len(got) != 2 {
-		t.Fatalf("atoms with x = %v, want R and T", got)
-	}
 }
 
 func TestQueryValidation(t *testing.T) {
@@ -164,7 +161,12 @@ func TestJoinTreeRunningIntersection(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s should be acyclic", q.Name)
 		}
-		g := FromJoinTree(jt)
+		// One bag per atom, λ = that atom: the join tree as a width-1 GHD.
+		bags := make([]Bag, len(q.Atoms))
+		for i, a := range q.Atoms {
+			bags[i] = Bag{Vars: a.Vars, Atoms: []int{i}}
+		}
+		g := NewGHD(q, bags, jt.Parent)
 		if err := g.Validate(); err != nil {
 			t.Errorf("%s: join tree violates GHD conditions: %v", q.Name, err)
 		}

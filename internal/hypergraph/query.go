@@ -113,17 +113,6 @@ func (q Query) AtomIndex(name string) int {
 	return -1
 }
 
-// AtomsWithVar returns the indices of atoms mentioning v.
-func (q Query) AtomsWithVar(v string) []int {
-	var out []int
-	for i, a := range q.Atoms {
-		if a.HasVar(v) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // TwoWayJoinVar reports whether q is a two-way binary join
 // R(x,y) ⋈ S(y,z) — two binary atoms sharing exactly one variable, the
 // shape the join2 algorithms handle — and returns the shared variable.

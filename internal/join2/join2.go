@@ -41,8 +41,7 @@ import (
 
 // Result describes one parallel join execution.
 type Result struct {
-	OutName string
-	Rounds  int // communication rounds used by this join alone
+	Rounds int // communication rounds used by this join alone
 }
 
 // joinAttr returns the single shared attribute of r and s, panicking if
@@ -97,7 +96,7 @@ func HashJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		srv.Delete(outName + ":" + rName)
 		srv.Delete(outName + ":" + sName)
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 // BroadcastJoin replicates r (the designated small relation) to every
@@ -124,7 +123,7 @@ func BroadcastJoin(c *mpc.Cluster, r, s *relation.Relation, outName string) *Res
 		srv.Put(relation.HashJoin(outName, rf.Rename(rName), sf))
 		srv.Delete(outName + ":" + rName)
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 // GridShares returns the optimal grid dimensions p1×p2 ≤ p for a
@@ -194,7 +193,7 @@ func CartesianProduct(c *mpc.Cluster, r, s *relation.Relation, outName string) *
 		srv.Delete(outName + ":" + rName)
 		srv.Delete(outName + ":" + sName)
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 // heavyPlan describes the exclusive server block assigned to one heavy
@@ -273,7 +272,7 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 	cols := []stats.Column{{Rel: r, Col: r.MustCol(y)}, {Rel: s, Col: s.MustCol(y)}}
 	heavy := cost.DetectHeavy(c, "skewjoin", outName, seed, [][]stats.Column{cols}, threshold, stats.InAny)[0]
 	skewShuffle(c, r, s, y, plansOf(heavy), outName, seed)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 // SkewJoinKnown runs the skew join of slides 29–30 on servers that
@@ -292,7 +291,7 @@ func SkewJoinKnown(c *mpc.Cluster, r, s *relation.Relation, outName string, seed
 	start := c.Metrics().Rounds()
 	trace.Annotatef(c, "join2.SkewJoinKnown %s ⋈ %s on %s (%d heavy hitters)", r.Name(), s.Name(), y, len(heavy))
 	skewShuffle(c, r, s, y, plansOf(heavy), outName, seed)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 // plansOf lists the heavy hitters' degrees as unplaced heavy plans.
@@ -555,7 +554,7 @@ func SortJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		srv.Delete(outName + ":xr")
 		srv.Delete(outName + ":xs")
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 func restAttrs(r *relation.Relation, y string) []string {

@@ -72,19 +72,6 @@ func TestMultiplyIdentity(t *testing.T) {
 	}
 }
 
-func TestBlockExtractSet(t *testing.T) {
-	m := Random(8, 100, 2)
-	blk := m.Block(1, 0, 4)
-	if blk.At(0, 0) != m.At(4, 0) || blk.At(3, 3) != m.At(7, 3) {
-		t.Fatal("Block extraction wrong")
-	}
-	o := New(8)
-	o.SetBlock(1, 0, blk)
-	if o.At(5, 2) != m.At(5, 2) {
-		t.Fatal("SetBlock wrong")
-	}
-}
-
 func TestRectangleBlockCorrect(t *testing.T) {
 	const n = 16
 	a, b := Random(n, 10, 3), Random(n, 10, 4)

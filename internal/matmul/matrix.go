@@ -103,21 +103,3 @@ func Multiply(a, b *Matrix) *Matrix {
 	}
 	return c
 }
-
-// Block extracts the (bi, bj) block of size b (the matrix size must be
-// divisible by b).
-func (m *Matrix) Block(bi, bj, b int) *Matrix {
-	out := New(b)
-	for i := 0; i < b; i++ {
-		copy(out.data[i*b:(i+1)*b], m.data[(bi*b+i)*m.N+bj*b:(bi*b+i)*m.N+bj*b+b])
-	}
-	return out
-}
-
-// SetBlock writes a b×b block at block coordinates (bi, bj).
-func (m *Matrix) SetBlock(bi, bj int, blk *Matrix) {
-	b := blk.N
-	for i := 0; i < b; i++ {
-		copy(m.data[(bi*b+i)*m.N+bj*b:(bi*b+i)*m.N+bj*b+b], blk.data[i*b:(i+1)*b])
-	}
-}

@@ -40,8 +40,8 @@ func TestZeroArityStreamDeliveredAndMetered(t *testing.T) {
 	if m.MaxLoad() != 4 {
 		t.Fatalf("L = %d, want 4", m.MaxLoad())
 	}
-	if m.MaxLoadWords() != 0 {
-		t.Fatalf("words = %d, want 0 (empty tuples carry no values)", m.MaxLoadWords())
+	if got := maxRecvWords(m); got != 0 {
+		t.Fatalf("words = %d, want 0 (empty tuples carry no values)", got)
 	}
 	if got := c.Gather("hit"); got.Len() != 6 || got.Arity() != 0 {
 		t.Fatalf("gather = %v, want 6 empty tuples", got)
@@ -60,8 +60,8 @@ func TestZeroArityMixedWithRegularStreams(t *testing.T) {
 	if m.TotalComm() != 6 {
 		t.Fatalf("C = %d, want 6 (3 data + 3 flags)", m.TotalComm())
 	}
-	if m.MaxLoad() != 6 || m.MaxLoadWords() != 3 {
-		t.Fatalf("L = %d words = %d, want 6 tuples / 3 words", m.MaxLoad(), m.MaxLoadWords())
+	if m.MaxLoad() != 6 || maxRecvWords(m) != 3 {
+		t.Fatalf("L = %d words = %d, want 6 tuples / 3 words", m.MaxLoad(), maxRecvWords(m))
 	}
 	if c.Server(0).Rel("flag").Len() != 3 || c.Server(0).Rel("data").Len() != 3 {
 		t.Fatal("mixed delivery lost tuples")

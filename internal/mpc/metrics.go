@@ -163,19 +163,6 @@ func (m *Metrics) MaxLoad() int64 {
 	return l
 }
 
-// MaxLoadWords is MaxLoad measured in words (attribute values).
-func (m *Metrics) MaxLoadWords() int64 {
-	var l int64
-	for i := range m.stats {
-		for _, v := range m.stats[i].RecvWords {
-			if v > l {
-				l = v
-			}
-		}
-	}
-	return l
-}
-
 // TotalComm returns C: the total number of tuples communicated across
 // all rounds and servers.
 func (m *Metrics) TotalComm() int64 {
@@ -188,70 +175,6 @@ func (m *Metrics) TotalComm() int64 {
 
 // RoundStats returns the per-round statistics (read-only).
 func (m *Metrics) RoundStats() []RoundStat { return m.stats }
-
-// TotalReplays returns the delivery attempts beyond the first summed
-// over all rounds (0 when no fault injector was attached).
-func (m *Metrics) TotalReplays() int {
-	n := 0
-	for i := range m.stats {
-		if cs := m.stats[i].Chaos; cs != nil {
-			n += cs.Replays()
-		}
-	}
-	return n
-}
-
-// MaxStraggleUnits returns the largest injected per-server delay across
-// all rounds.
-func (m *Metrics) MaxStraggleUnits() int64 {
-	var u int64
-	for i := range m.stats {
-		if cs := m.stats[i].Chaos; cs != nil {
-			if v := cs.MaxStraggle(); v > u {
-				u = v
-			}
-		}
-	}
-	return u
-}
-
-// StatsSince returns the statistics of rounds executed at or after
-// round index `from` (as returned by Rounds() before an algorithm ran)
-// — the windowing primitive for asserting one algorithm's cost on a
-// cluster that has already run others.
-func (m *Metrics) StatsSince(from int) []RoundStat {
-	if from < 0 {
-		from = 0
-	}
-	if from > len(m.stats) {
-		from = len(m.stats)
-	}
-	return m.stats[from:]
-}
-
-// RoundsSince returns the number of rounds executed since round index
-// `from`.
-func (m *Metrics) RoundsSince(from int) int { return len(m.StatsSince(from)) }
-
-// MaxLoadSince returns L restricted to rounds at or after index `from`.
-func (m *Metrics) MaxLoadSince(from int) int64 {
-	var l int64
-	for _, st := range m.StatsSince(from) {
-		if v := st.MaxRecv(); v > l {
-			l = v
-		}
-	}
-	return l
-}
-
-// RoundNames returns the labels of all executed rounds in order.
-func (m *Metrics) RoundNames() []string {
-	names := make([]string, len(m.stats))
-	for i := range m.stats {
-		names[i] = m.stats[i].Name
-	}
-	return names
-}
 
 // MaxLoadOfRound returns the max per-server load of the named round
 // (the first round with that name), or -1 if no such round ran.
@@ -278,16 +201,4 @@ func (m *Metrics) String() string {
 		}
 	}
 	return b.String()
-}
-
-// WorstImbalance returns the highest max/mean load ratio across rounds
-// (0 if no round communicated) together with that round's name.
-func (m *Metrics) WorstImbalance() (float64, string) {
-	worst, name := 0.0, ""
-	for i := range m.stats {
-		if im := m.stats[i].Imbalance(); im > worst {
-			worst, name = im, m.stats[i].Name
-		}
-	}
-	return worst, name
 }

@@ -1,11 +1,6 @@
 package mpc
 
-import (
-	"reflect"
-	"testing"
-
-	"mpcquery/internal/relation"
-)
+import "testing"
 
 // TestQuantileNearestRank pins the nearest-rank quantile definition:
 // Quantile(q) is the smallest per-server load with at least ⌈q·p⌉
@@ -106,56 +101,5 @@ func TestGiniRecv(t *testing.T) {
 	hi := (&RoundStat{Recv: []int64{0, 0, 2, 18}}).GiniRecv()
 	if !(lo < mid && mid < hi) {
 		t.Errorf("Gini not ordered: balanced %v, mild %v, extreme %v", lo, mid, hi)
-	}
-}
-
-// TestMetricsWindows exercises the per-algorithm windowing accessors:
-// an algorithm that starts after `from = Rounds()` must see only its
-// own rounds in RoundsSince/MaxLoadSince/StatsSince.
-func TestMetricsWindows(t *testing.T) {
-	c := NewCluster(3, 1)
-	c.Round("setup", func(s *Server, out *Out) {
-		if s.ID() == 0 {
-			st := out.Open("A", "x")
-			for i := 0; i < 9; i++ {
-				st.Send(1, relation.Value(i))
-			}
-		}
-	})
-	from := c.Metrics().Rounds()
-	c.Round("alg:one", func(s *Server, out *Out) {
-		out.Open("B", "x").Send(s.ID(), 1)
-	})
-	c.Round("alg:two", func(s *Server, out *Out) {
-		if s.ID() == 0 {
-			st := out.Open("C", "x")
-			st.Send(2, 1)
-			st.Send(2, 2)
-		}
-	})
-	m := c.Metrics()
-	if got := m.RoundsSince(from); got != 2 {
-		t.Fatalf("RoundsSince = %d, want 2", got)
-	}
-	// The setup round's load of 9 must not leak into the window.
-	if got := m.MaxLoadSince(from); got != 2 {
-		t.Fatalf("MaxLoadSince = %d, want 2", got)
-	}
-	if got := m.MaxLoad(); got != 9 {
-		t.Fatalf("MaxLoad = %d, want 9", got)
-	}
-	wantNames := []string{"setup", "alg:one", "alg:two"}
-	if got := m.RoundNames(); !reflect.DeepEqual(got, wantNames) {
-		t.Fatalf("RoundNames = %v, want %v", got, wantNames)
-	}
-	if got := len(m.StatsSince(from)); got != 2 {
-		t.Fatalf("StatsSince length = %d, want 2", got)
-	}
-	// Out-of-range windows clamp instead of panicking.
-	if got := m.RoundsSince(-1); got != 3 {
-		t.Fatalf("RoundsSince(-1) = %d, want 3", got)
-	}
-	if got := m.RoundsSince(99); got != 0 {
-		t.Fatalf("RoundsSince(99) = %d, want 0", got)
 	}
 }

@@ -256,8 +256,8 @@ func TestMetricsReport(t *testing.T) {
 	if m.String() == "" {
 		t.Fatal("empty report")
 	}
-	if m.MaxLoadWords() != 2 {
-		t.Fatalf("words = %d", m.MaxLoadWords())
+	if got := maxRecvWords(m); got != 2 {
+		t.Fatalf("words = %d", got)
 	}
 	c.ResetMetrics()
 	if c.Metrics().Rounds() != 0 {
@@ -347,10 +347,6 @@ func TestRoundStatQuantilesAndImbalance(t *testing.T) {
 	if rs.Quantile(0) != 0 || rs.Quantile(1) != 8 {
 		t.Fatalf("quantiles wrong: %d %d", rs.Quantile(0), rs.Quantile(1))
 	}
-	worst, name := c.Metrics().WorstImbalance()
-	if worst != 4 || name != "skewed" {
-		t.Fatalf("worst imbalance = %g %q", worst, name)
-	}
 	// Perfectly balanced round: imbalance 1.
 	c2 := NewCluster(4, 1)
 	c2.Round("flat", func(s *Server, out *Out) {
@@ -365,4 +361,16 @@ func TestRoundStatQuantilesAndImbalance(t *testing.T) {
 	if got := c3.Metrics().RoundStats()[0].Imbalance(); got != 0 {
 		t.Fatalf("empty imbalance = %g", got)
 	}
+}
+
+// maxRecvWords is L in words (attribute values): the most any server
+// received in one round.
+func maxRecvWords(m *Metrics) int64 {
+	var l int64
+	for _, st := range m.RoundStats() {
+		for _, v := range st.RecvWords {
+			l = max(l, v)
+		}
+	}
+	return l
 }

@@ -18,7 +18,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"mpcquery/internal/aggregate"
@@ -26,24 +25,9 @@ import (
 	"mpcquery/internal/cost"
 	"mpcquery/internal/fractional"
 	"mpcquery/internal/hypergraph"
-	"mpcquery/internal/matmul"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/sortmpc"
 	"mpcquery/internal/stats"
 )
-
-var registry = slices.Concat(
-	core.Registry(),
-	aggregate.Plannables(),
-	sortmpc.Plannables(),
-	matmul.Plannables(),
-)
-
-// Registry returns every Plannable descriptor in a fixed registration
-// order (the EXPLAIN order before cost sorting): core.Registry, the
-// algorithms the engine runs, then the aggregate / sorting / matrix
-// primitives, whose Run is nil. Callers must not modify it.
-func Registry() []cost.Plannable { return registry }
 
 // CollectStats scans the relations once and builds the planner's input
 // statistics: cardinalities, per-column distinct counts and maximum
@@ -160,9 +144,8 @@ type Candidate struct {
 type Plan struct {
 	Stats *cost.QueryStats
 	Opts  Options
-	// Candidates holds every registry entry, sorted: applicable by
-	// (L, r, C, name), then inapplicable executable strategies, then
-	// primitives, both alphabetically.
+	// Candidates holds every core.Registry entry, sorted: applicable by
+	// (L, r, C, name), then inapplicable ones alphabetically.
 	Candidates []Candidate
 	// Chosen indexes the selected candidate in Candidates (-1 when no
 	// strategy applies).
@@ -199,7 +182,7 @@ func Choose(st *cost.QueryStats, opts Options) (*Plan, error) {
 			pst = &deflated
 		}
 	}
-	for _, pa := range registry {
+	for _, pa := range core.Registry() {
 		c := Candidate{Plannable: pa}
 		if err := pa.Applies(st.Query); err != nil {
 			c.Rejection = err.Error()
@@ -220,9 +203,6 @@ func Choose(st *cost.QueryStats, opts Options) (*Plan, error) {
 			return a.Applicable
 		}
 		if !a.Applicable {
-			if (a.Run != nil) != (b.Run != nil) {
-				return a.Run != nil
-			}
 			return a.Alg < b.Alg
 		}
 		if a.Est.L != b.Est.L {

@@ -27,28 +27,10 @@ func BenchmarkSemiNaiveTC(b *testing.B) {
 }
 
 // BenchmarkIVMDelta times one maintenance batch against a standing
-// view: the single-round signed-delta path of the join view, and the
-// insert fixpoint of the closure view. Setup (initial evaluation) is
+// view: the insert fixpoint of the closure view. Setup (initial evaluation) is
 // excluded; each iteration inserts a fresh tuple so the delta stays
 // non-trivial and the state machine is never replaying a no-op.
 func BenchmarkIVMDelta(b *testing.B) {
-	b.Run("join", func(b *testing.B) {
-		r := workload.RandomGraph("R", "x", "y", 80, 400, 3)
-		s := workload.RandomGraph("S", "y2", "z", 80, 400, 4)
-		c := mpc.NewCluster(8, 1)
-		view, _, err := NewJoinView(c, r, s, "V", 19)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := view.ApplyBatch([]Op{
-				{Rel: "R", Insert: true, Row: []relation.Value{relation.Value(10_000 + i), relation.Value(i % 80)}},
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("closure", func(b *testing.B) {
 		edges := workload.RandomGraph("E", "src", "dst", 60, 150, 5)
 		c := mpc.NewCluster(8, 1)

@@ -99,8 +99,42 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{OutName: outName, Iterations: iters, Rounds: c.Metrics().Rounds() - start, OutSize: c.TotalLen(outName)}
+	res := &Result{Iterations: iters, Rounds: c.Metrics().Rounds() - start, OutSize: c.TotalLen(outName)}
 	return v, res, nil
+}
+
+// netFold reduces a scattered ops fragment to its net tuple-level
+// effect against the base membership index: returns the net deletions
+// and net insertions in first-touch batch order.
+func netFold(s *mpc.Server, opsName string, idx map[pair]struct{}) (dels, inss []pair) {
+	o := s.RelOrEmpty(opsName, "o", "c0", "c1")
+	type ent struct {
+		row         pair
+		init, final bool
+	}
+	var ents []ent
+	at := map[pair]int{} // tuple -> its entry in ents
+	for i := 0; i < o.Len(); i++ {
+		row := o.Row(i)
+		k := pair(row[1:])
+		j, ok := at[k]
+		if !ok {
+			_, present := idx[k]
+			j = len(ents)
+			at[k] = j
+			ents = append(ents, ent{row: k, init: present})
+		}
+		ents[j].final = row[0] == 1
+	}
+	for _, e := range ents {
+		switch {
+		case e.init && !e.final:
+			dels = append(dels, e.row)
+		case !e.init && e.final:
+			inss = append(inss, e.row)
+		}
+	}
+	return dels, inss
 }
 
 // keySet indexes a binary fragment's tuples (membership only — map

@@ -4,10 +4,10 @@
 // same (L, r, C) accounting as the one-shot algorithms. Shipped
 // workloads are transitive closure, reachability-from-sources, and
 // connected components (workloads.go), plus delta-based incremental
-// view maintenance for standing two-way joins (ivm.go) and standing
-// closures (ivm_closure.go): a batch of tuple inserts/deletes
-// recomputes only the affected deltas, with output equality against
-// full recomputation pinned by the testkit differential harness.
+// maintenance of standing closures (ivm_closure.go): a batch of edge
+// inserts/deletes recomputes only the affected deltas, with output
+// equality against full recomputation pinned by the testkit
+// differential harness.
 //
 // Every iteration of the kernel costs exactly one metered round,
 // extend: join the local delta against the local edge fragment, reduce
@@ -19,9 +19,9 @@
 // matched against. So the server that dedups a candidate is the one
 // holding the edges it probes next (arXiv 1412.4030, transferability):
 // the layout extend produces is the layout the next iteration needs,
-// and no round re-ships the delta. The incremental views place their
-// bases and owners the same way, by mpc.HashSeed over the variables
-// they hash and mpc.Owner per row.
+// and no round re-ships the delta. The incremental view places its
+// edges and closure tuples under the same layout, with mpc.Owner per
+// row.
 //
 // A free local step then absorbs delivered candidates into the
 // accumulator fragment, emits the next delta (only genuinely new
@@ -47,8 +47,6 @@ import (
 
 // Result summarizes one fixpoint evaluation.
 type Result struct {
-	// OutName is the distributed output relation (gather it to inspect).
-	OutName string
 	// Iterations is the number of semi-naive iterations until the delta
 	// emptied; 0 means the seed was already empty.
 	Iterations int

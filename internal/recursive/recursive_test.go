@@ -167,74 +167,6 @@ func TestArityValidation(t *testing.T) {
 	}
 }
 
-func TestJoinViewBasic(t *testing.T) {
-	r := relation.New("R", "x", "y")
-	r.AppendRow([]relation.Value{1, 10})
-	r.AppendRow([]relation.Value{2, 10})
-	s := relation.New("S", "y2", "z")
-	s.AppendRow([]relation.Value{10, 100})
-	c := mpc.NewCluster(3, 6)
-	view, res, err := NewJoinView(c, r, s, "V", 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 1 || res.OutSize != 2 {
-		t.Fatalf("init: %+v, want 1 round, 2 tuples", res)
-	}
-
-	// Delete-then-reinsert folds to a no-op batch.
-	stats, err := view.ApplyBatch([]Op{
-		{Rel: "R", Insert: false, Row: []relation.Value{1, 10}},
-		{Rel: "R", Insert: true, Row: []relation.Value{1, 10}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Inserted != 0 || stats.Deleted != 0 {
-		t.Fatalf("no-op batch changed the view: %+v", stats)
-	}
-
-	// A real mixed batch, checked against recomputation from scratch.
-	ops := []Op{
-		{Rel: "S", Insert: false, Row: []relation.Value{10, 100}},
-		{Rel: "S", Insert: true, Row: []relation.Value{10, 200}},
-		{Rel: "R", Insert: true, Row: []relation.Value{3, 10}},
-	}
-	if stats, err = view.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 1 {
-		t.Errorf("batch cost %d rounds, want 1", stats.Rounds)
-	}
-	bases := map[string]*relation.Relation{"R": r, "S": s}
-	var setOps []testkit.SetOp
-	for _, op := range ops {
-		setOps = append(setOps, testkit.SetOp{Rel: op.Rel, Insert: op.Insert, Row: op.Row})
-	}
-	next := testkit.ApplySetOps(bases, setOps)
-	want := testkit.OracleJoinView("V", next["R"], next["S"])
-	got := gatherSorted(c, "V", []string{"x", "y", "z"})
-	if !testkit.BagEqual(got, want) {
-		t.Fatalf("maintained view differs from recomputation: %s", testkit.DiffSample(got, want))
-	}
-	if stats.Inserted != 3 || stats.Deleted != 2 {
-		t.Errorf("stats = %+v, want 3 inserted, 2 deleted", stats)
-	}
-}
-
-func TestJoinViewRejectsUnknownBase(t *testing.T) {
-	r := relation.New("R", "x", "y")
-	s := relation.New("S", "y2", "z")
-	c := mpc.NewCluster(2, 1)
-	view, _, err := NewJoinView(c, r, s, "V", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := view.ApplyBatch([]Op{{Rel: "T", Insert: true, Row: []relation.Value{1, 2}}}); err == nil {
-		t.Error("ApplyBatch accepted an op against an unknown base")
-	}
-}
-
 func TestClosureViewBasic(t *testing.T) {
 	edges := edgeRel(t, [2]relation.Value{1, 2}, [2]relation.Value{2, 3}, [2]relation.Value{1, 3})
 	c := mpc.NewCluster(3, 8)

@@ -82,7 +82,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	if err != nil {
 		return nil, err
 	}
-	return &Result{OutName: outName, Iterations: iters, Rounds: c.Metrics().Rounds() - start, OutSize: c.TotalLen(outName)}, nil
+	return &Result{Iterations: iters, Rounds: c.Metrics().Rounds() - start, OutSize: c.TotalLen(outName)}, nil
 }
 
 // ConnectedComponents labels every vertex of the undirected view of
@@ -192,5 +192,5 @@ func ConnectedComponents(c *mpc.Cluster, edges *relation.Relation, outName strin
 	if err != nil {
 		return nil, err
 	}
-	return &Result{OutName: outName, Iterations: iters, Rounds: c.Metrics().Rounds() - start, OutSize: c.TotalLen(outName)}, nil
+	return &Result{Iterations: iters, Rounds: c.Metrics().Rounds() - start, OutSize: c.TotalLen(outName)}, nil
 }

@@ -12,29 +12,8 @@ import (
 // row one tuple of int64 values. This is the on-disk interchange format
 // for cmd/mpcrun's -csv mode and for users bringing their own data.
 
-// WriteCSV writes r with a header row.
-func (r *Relation) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(r.attrs); err != nil {
-		return fmt.Errorf("relation: write header: %w", err)
-	}
-	record := make([]string, r.Arity())
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		for j, v := range row {
-			record[j] = strconv.FormatInt(v, 10)
-		}
-		if err := cw.Write(record); err != nil {
-			return fmt.Errorf("relation: write row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads a relation written by WriteCSV (or any integer CSV with
-// a header row) under the given name.
+// ReadCSV reads an integer CSV with a header row as a relation under
+// the given name.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	header, err := cr.Read()

@@ -84,8 +84,8 @@ func FuzzRadixIndex(f *testing.F) {
 		for i := 0; i < r.Len(); i++ {
 			oracle[r.Row(i)[0]] = append(oracle[r.Row(i)[0]], int32(i))
 		}
-		if ix.DistinctKeys() != len(oracle) {
-			t.Fatalf("DistinctKeys = %d, oracle %d", ix.DistinctKeys(), len(oracle))
+		if ix.ri.distinct != len(oracle) {
+			t.Fatalf("distinct keys = %d, oracle %d", ix.ri.distinct, len(oracle))
 		}
 		check := func(key Value) {
 			got := ix.LookupKey([]Value{key})

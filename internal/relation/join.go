@@ -1,7 +1,5 @@
 package relation
 
-import "sort"
-
 // Local (single-server) join algorithms. The tutorial stresses that the
 // choice of local join algorithm is independent of the parallel
 // algorithm (slide 32); every parallel operator in this repository takes
@@ -205,31 +203,6 @@ func SortMergeJoin(name string, r, s *Relation) *Relation {
 	return out
 }
 
-// NestedLoopJoin is the O(|r|·|s|) reference implementation used only to
-// validate the fast joins in tests.
-func NestedLoopJoin(name string, r, s *Relation) *Relation {
-	shared := SharedAttrs(r, s)
-	out := New(name, joinSchema(r, s)...)
-	rc := r.MustCols(shared)
-	sc := s.MustCols(shared)
-	emit := makeEmitter(out, r, s)
-	nr, ns := r.Len(), s.Len()
-	for i := 0; i < nr; i++ {
-		ri := r.Row(i)
-	probe:
-		for j := 0; j < ns; j++ {
-			sj := s.Row(j)
-			for k := range shared {
-				if ri[rc[k]] != sj[sc[k]] {
-					continue probe
-				}
-			}
-			emit(ri, sj)
-		}
-	}
-	return out
-}
-
 // Semijoin returns the tuples of r that join with at least one tuple of
 // s on their shared attributes (r ⋉ s). With no shared attributes it
 // returns all of r if s is non-empty, else none.
@@ -251,28 +224,6 @@ func Semijoin(name string, r, s *Relation) *Relation {
 	buildRowIndex(&ri, s, scols, a)
 	return r.Select(name, func(row []Value) bool {
 		return ri.lookupRef(row, cols).count > 0
-	})
-}
-
-// Antijoin returns the tuples of r that join with no tuple of s.
-func Antijoin(name string, r, s *Relation) *Relation {
-	shared := SharedAttrs(r, s)
-	if len(shared) == 0 {
-		if s.Len() > 0 {
-			return New(name, r.attrs...)
-		}
-		out := r.Clone()
-		out.name = name
-		return out
-	}
-	scols := s.MustCols(shared)
-	cols := r.MustCols(shared)
-	a := getArena()
-	defer putArena(a)
-	var ri rowIndex
-	buildRowIndex(&ri, s, scols, a)
-	return r.Select(name, func(row []Value) bool {
-		return ri.lookupRef(row, cols).count == 0
 	})
 }
 
@@ -311,29 +262,4 @@ func MultiJoin(name string, rels ...*Relation) *Relation {
 		acc.name = name
 	}
 	return acc
-}
-
-// TopKByCount is a helper returning the k most frequent values of attr,
-// most frequent first, ties broken by value.
-func TopKByCount(r *Relation, attr string, k int) []Value {
-	c := r.MustCol(attr)
-	counts := make(map[Value]int)
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		counts[r.Row(i)[c]]++
-	}
-	vals := make([]Value, 0, len(counts))
-	for v := range counts {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(a, b int) bool {
-		if counts[vals[a]] != counts[vals[b]] {
-			return counts[vals[a]] > counts[vals[b]]
-		}
-		return vals[a] < vals[b]
-	})
-	if len(vals) > k {
-		vals = vals[:k]
-	}
-	return vals
 }

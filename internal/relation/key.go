@@ -79,7 +79,7 @@ type Index struct {
 
 // BuildIndex indexes rel on the given attributes. The returned Index
 // owns its storage for as long as the caller retains it; the pooled
-// kernels inside HashJoin/Semijoin/Antijoin recycle their build-side
+// kernels inside HashJoin/Semijoin recycle their build-side
 // arenas instead, so prefer those operators over manual indexing when
 // the index is join-transient.
 func BuildIndex(rel *Relation, attrs []string) *Index {
@@ -107,6 +107,3 @@ func (ix *Index) LookupKey(key []Value) []int32 {
 	}
 	return ix.Lookup(key, cols)
 }
-
-// DistinctKeys returns the number of distinct keys in the index.
-func (ix *Index) DistinctKeys() int { return ix.ri.distinct }

@@ -79,8 +79,8 @@ func TestIndexLookup(t *testing.T) {
 	if got := ix.LookupKey([]Value{9}); len(got) != 0 {
 		t.Fatalf("lookup x=9 returned %d rows, want 0", len(got))
 	}
-	if ix.DistinctKeys() != 2 {
-		t.Fatalf("distinct keys = %d, want 2", ix.DistinctKeys())
+	if ix.ri.distinct != 2 {
+		t.Fatalf("distinct keys = %d, want 2", ix.ri.distinct)
 	}
 	// Probe with a differently-shaped row.
 	probe := []Value{99, 1}

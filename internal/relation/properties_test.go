@@ -214,22 +214,3 @@ func TestPropProjectIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Antijoin complements semijoin exactly.
-func TestPropSemiAntiPartition(t *testing.T) {
-	f := func(gr, gs genRel) bool {
-		r := asSchema(gr, "R", "x", "y")
-		s := asSchema(gs, "S", "y", "z")
-		semi := Semijoin("S", r, s)
-		anti := Antijoin("A", r, s)
-		if semi.Len()+anti.Len() != r.Len() {
-			return false
-		}
-		union := semi.Clone()
-		union.AppendAll(anti)
-		return union.EqualAsSets(r)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

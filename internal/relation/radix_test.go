@@ -76,8 +76,8 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 		}
 		ix := BuildIndex(r, attrs)
 		oracle := mapIndexOracle(r, cols)
-		if ix.DistinctKeys() != len(oracle) {
-			t.Fatalf("trial %d: DistinctKeys = %d, oracle %d", trial, ix.DistinctKeys(), len(oracle))
+		if ix.ri.distinct != len(oracle) {
+			t.Fatalf("trial %d: distinct keys = %d, oracle %d", trial, ix.ri.distinct, len(oracle))
 		}
 		for i := 0; i < n; i++ {
 			got := ix.Lookup(r.Row(i), cols)
@@ -117,8 +117,8 @@ func TestIndexRadixPartitioned(t *testing.T) {
 	cols := []int{0}
 	ix := BuildIndex(r, []string{"a"})
 	oracle := mapIndexOracle(r, cols)
-	if ix.DistinctKeys() != len(oracle) {
-		t.Fatalf("DistinctKeys = %d, oracle %d", ix.DistinctKeys(), len(oracle))
+	if ix.ri.distinct != len(oracle) {
+		t.Fatalf("distinct keys = %d, oracle %d", ix.ri.distinct, len(oracle))
 	}
 	for i := 0; i < n; i += 17 {
 		got := ix.Lookup(r.Row(i), cols)
@@ -148,8 +148,8 @@ func TestIndexCollisionVerification(t *testing.T) {
 	cols := []int{0, 1}
 	ix := BuildIndex(r, []string{"a", "b"})
 	oracle := mapIndexOracle(r, cols)
-	if ix.DistinctKeys() != len(oracle) {
-		t.Fatalf("DistinctKeys = %d, oracle %d", ix.DistinctKeys(), len(oracle))
+	if ix.ri.distinct != len(oracle) {
+		t.Fatalf("distinct keys = %d, oracle %d", ix.ri.distinct, len(oracle))
 	}
 	for i := 0; i < r.Len(); i++ {
 		got := ix.Lookup(r.Row(i), cols)

@@ -259,12 +259,6 @@ func (r *Relation) Select(name string, pred func(row []Value) bool) *Relation {
 	return out
 }
 
-// SelectEq returns the tuples whose attr equals v.
-func (r *Relation) SelectEq(name, attr string, v Value) *Relation {
-	c := r.MustCol(attr)
-	return r.Select(name, func(row []Value) bool { return row[c] == v })
-}
-
 // SortBy sorts r in place lexicographically by the given attributes,
 // breaking ties by the full tuple so the order is total and deterministic.
 func (r *Relation) SortBy(attrs ...string) {

@@ -25,7 +25,6 @@ import (
 
 // Result reports what a distributed sort did.
 type Result struct {
-	OutName   string
 	Splitters [][]relation.Value // p-1 composite-key interval boundaries
 	Rounds    int                // rounds used by this sort alone
 }
@@ -176,7 +175,6 @@ func psrs(c *mpc.Cluster, name string, keyAttrs []string, outName string, regula
 		}
 	})
 	return &Result{
-		OutName:   outName,
 		Splitters: splitters,
 		Rounds:    c.Metrics().Rounds() - startRounds,
 	}
@@ -219,7 +217,7 @@ func FanLimitedSort(c *mpc.Cluster, name string, keyAttrs []string, outName stri
 			s.Delete(final)
 		}
 	})
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - startRounds}
+	return &Result{Rounds: c.Metrics().Rounds() - startRounds}
 }
 
 // sortFanLevel refines the assignment of tuples to server groups: the
@@ -332,24 +330,4 @@ func VerifySorted(c *mpc.Cluster, outName string, keyAttrs []string) error {
 		}
 	}
 	return nil
-}
-
-// FragmentBounds returns, for each server, the (first, last) composite
-// keys of its fragment of outName, or nil for empty fragments. Callers
-// use it to detect values crossing server boundaries (slide 31's
-// Cartesian-product fix-up in the parallel sort join).
-func FragmentBounds(c *mpc.Cluster, outName string, keyAttrs []string) [][2][]relation.Value {
-	out := make([][2][]relation.Value, c.P())
-	for i := 0; i < c.P(); i++ {
-		frag := c.Server(i).Rel(outName)
-		if frag == nil || frag.Len() == 0 {
-			continue
-		}
-		cols := keyCols(frag, keyAttrs)
-		out[i] = [2][]relation.Value{
-			append([]relation.Value(nil), keyOf(frag.Row(0), cols)...),
-			append([]relation.Value(nil), keyOf(frag.Row(frag.Len()-1), cols)...),
-		}
-	}
-	return out
 }

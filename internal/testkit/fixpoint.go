@@ -124,26 +124,6 @@ func OracleComponents(name string, edges *relation.Relation) *relation.Relation 
 	return out
 }
 
-// OracleJoinView evaluates the standing two-way join R(x, y) ⋈ S(y, z)
-// from scratch by nested loops with set semantics — the
-// recompute-everything side of every IVM differential test. The output
-// schema is (R.x, R.y, S.z), sorted.
-func OracleJoinView(name string, r, s *relation.Relation) *relation.Relation {
-	if r.Arity() != 2 || s.Arity() != 2 {
-		panic("testkit: OracleJoinView wants binary relations")
-	}
-	out := relation.New(name, r.Attrs()[0], r.Attrs()[1], s.Attrs()[1])
-	for i := 0; i < r.Len(); i++ {
-		for j := 0; j < s.Len(); j++ {
-			if r.Row(i)[1] == s.Row(j)[0] {
-				out.AppendRow([]relation.Value{r.Row(i)[0], r.Row(i)[1], s.Row(j)[1]})
-			}
-		}
-	}
-	out.Dedup()
-	return out
-}
-
 // SetOp is one tuple-level mutation of a named base relation, applied
 // with set semantics: inserting a present tuple and deleting an absent
 // one are both no-ops.

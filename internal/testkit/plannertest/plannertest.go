@@ -73,7 +73,7 @@ func bestMeasuredLoad(t *testing.T, eng *core.Engine, q hypergraph.Query, rels m
 	t.Helper()
 	best := int64(-1)
 	for _, c := range pl.Candidates {
-		if !c.Applicable || c.Run == nil {
+		if !c.Applicable {
 			continue
 		}
 		exec, err := eng.Execute(core.Request{Query: q, Relations: rels, Algorithm: core.Algorithm(c.Alg)})

@@ -224,25 +224,6 @@ func PathInput(n, size int) []*relation.Relation {
 	return rels
 }
 
-// StarInput returns n binary relations R1(A0,A1)...Rn(A0,An) for the
-// star query. Each relation has size tuples; the hub attribute A0
-// ranges over [0, hubs) uniformly so the output size is controllable:
-// OUT ≈ hubs · (size/hubs)^n.
-func StarInput(n, size, hubs int, seed int64) []*relation.Relation {
-	rels := make([]*relation.Relation, n)
-	for i := 0; i < n; i++ {
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		r := relation.New(
-			fmt.Sprintf("R%d", i+1),
-			"A0", fmt.Sprintf("A%d", i+1))
-		for j := 0; j < size; j++ {
-			r.Append(relation.Value(rng.Intn(hubs)), relation.Value(j))
-		}
-		rels[i] = r
-	}
-	return rels
-}
-
 // SlideTreeInput generates data for the 5-atom acyclic query of the
 // Yannakakis walkthrough (slides 64–77), sized so that semijoins
 // meaningfully reduce the inputs: each relation has size tuples with

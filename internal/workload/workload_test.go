@@ -187,25 +187,6 @@ func TestPathInput(t *testing.T) {
 	}
 }
 
-func TestStarInput(t *testing.T) {
-	rels := StarInput(3, 60, 4, 2)
-	if len(rels) != 3 {
-		t.Fatal("wrong count")
-	}
-	for i, r := range rels {
-		if r.Len() != 60 {
-			t.Fatalf("rel %d size %d", i, r.Len())
-		}
-		if r.Col("A0") < 0 {
-			t.Fatalf("rel %d missing hub", i)
-		}
-	}
-	out := relation.MultiJoin("J", rels[0], rels[1], rels[2])
-	if out.Len() == 0 {
-		t.Fatal("star join empty; hubs should collide")
-	}
-}
-
 func TestSlideTreeInput(t *testing.T) {
 	rels := SlideTreeInput(50, 3)
 	if len(rels) != 5 {

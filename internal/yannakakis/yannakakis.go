@@ -81,8 +81,7 @@ func Serial(jt *hypergraph.JoinTree, rels map[string]*relation.Relation) (*relat
 
 // Result describes a distributed execution.
 type Result struct {
-	OutName string
-	Rounds  int
+	Rounds int
 	// MaxIntermediate is the largest total (cluster-wide) intermediate
 	// relation produced by a join round — the quantity that explodes in
 	// slide 63.
@@ -219,7 +218,7 @@ func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Rela
 		}
 	}
 	finalize(c, q, accName[jt.Root], outName)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, MaxIntermediate: maxInter}
+	return &Result{Rounds: c.Metrics().Rounds() - start, MaxIntermediate: maxInter}
 }
 
 func unionAttrs(a, b []string) []string {
@@ -316,7 +315,7 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 		panic(fmt.Sprintf("yannakakis: join-phase HyperCube: %v", err))
 	}
 	hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
 // parallelSemijoinRound semijoins every listed parent by all of its
@@ -459,7 +458,7 @@ func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*re
 		accAttrs = unionAttrs(accAttrs, next.Vars)
 	}
 	finalize(c, q, accRel, outName)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start, MaxIntermediate: maxInter}
+	return &Result{Rounds: c.Metrics().Rounds() - start, MaxIntermediate: maxInter}
 }
 
 // GHDRun executes a query via a width-w, depth-d GHD (slide 95):
@@ -542,8 +541,8 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 		Children: g.Children,
 		Root:     g.Root,
 	}
-	sub := gymOptimized(c, bagTree, outName+":bq", seed)
+	gymOptimized(c, bagTree, outName+":bq", seed)
 	// Project to the original query's variable order.
-	finalize(c, q, sub.OutName, outName)
-	return &Result{OutName: outName, Rounds: c.Metrics().Rounds() - start}
+	finalize(c, q, outName+":bq", outName)
+	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
