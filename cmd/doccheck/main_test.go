@@ -145,8 +145,7 @@ func run(args []string) {
 }
 
 func TestCheckCodeRefs(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/view/view.go", `// Package view maintains views.
+	const pkg = `// Package view maintains views.
 package view
 
 type Base struct{ Rows int }
@@ -161,26 +160,39 @@ func New() *View { return nil }
 func (v *View) Apply() {}
 
 type Op int
-`)
-	write(t, root, "README.md", strings.Join([]string{
-		"Live: `view.New`, `view.View.Apply`, `view.View.Name`, `view.Apply()`, `view.View.Rows`.",
-		"Not internal: `fmt.Println`, `r.Gone`; wildcard `view.Op*`.",
-		"Gone: `view.NewJoin(c)` and `view.Op.Apply`.",
-		"```go",
-		"view.Fenced()",
-		"```",
-	}, "\n"))
-	write(t, root, "CHANGES.md", "Deleted `view.NewJoin`.\n")
-	problems, err := CheckCodeRefs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"README.md:3: view.NewJoin: package view declares no NewJoin",
-		"README.md:3: view.Op.Apply: type Op has no method or field Apply",
-	}
-	if !slices.Equal(problems, want) {
-		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+`
+	for _, tc := range []struct {
+		name, doc, text string
+		want            []string
+	}{
+		{"function", "README.md", "Live: `view.New`.", nil},
+		{"method", "ARCHITECTURE.md", "Live: `view.View.Apply`.", nil},
+		{"field", "DESIGN.md", "Live: `view.View.Name`.", nil},
+		{"method shorthand", "EXPERIMENTS.md", "Live: `view.Apply()`.", nil},
+		{"embedded field", "README.md", "Live: `view.View.Rows`.", nil},
+		{"not internal", "README.md", "Not internal: `fmt.Println`, `r.Gone`.", nil},
+		{"wildcard", "README.md", "Wildcard: `view.Op*`.", nil},
+		{"prose", "README.md", "Not a code span: view.NewJoin.", nil},
+		{"fenced block", "README.md", "```go\nview.Fenced()\n```", nil},
+		{"unknown name", "README.md", "Intro.\n\nGone: `view.NewJoin(c)`.",
+			[]string{"README.md:3: view.NewJoin: package view declares no NewJoin"}},
+		{"unknown member", "ARCHITECTURE.md", "Gone: `view.Op.Apply`.",
+			[]string{"ARCHITECTURE.md:1: view.Op.Apply: type Op has no method or field Apply"}},
+		{"CHANGES exempt", "CHANGES.md", "Deleted `view.NewJoin`.", nil},
+		{"ROADMAP exempt", "ROADMAP.md", "Deleted `view.NewJoin`.", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			write(t, root, "internal/view/view.go", pkg)
+			write(t, root, tc.doc, tc.text)
+			problems, err := CheckCodeRefs(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(problems, tc.want) {
+				t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
 	}
 }
 

@@ -431,27 +431,58 @@ func TestReportSameLinesEveryKind(t *testing.T) {
 // TestRunRejectsBadInput pins the exit-1-with-a-named-error paths. A
 // case's own -n overrides the default 50.
 func TestRunRejectsBadInput(t *testing.T) {
-	for _, args := range [][]string{
-		{"-query", "nonsense"},
-		{"-q", "R(x,y) S(y,z)"},
-		{"-alg", "nope"},
-		{"-alg", "gym", "-q", "R(x,y), S(z,w)"}, // panicked with a goroutine dump before the registry dispatch
-		{"-p", "4", "-capacities", "1,2"},
-		{"-p", "2", "-capacities", "1,0"},
-		{"-recursive", "tc", "-explain"},
-		{"-recursive", "nope"},
-		{"-transport", "carrier-pigeon"},
-		{"-data", t.TempDir()},
-		{"-p", "0"}, // this and the sizes below panicked before they were checked
-		{"-p", "-2", "-recursive", "tc"},
-		{"-recursive", "tc", "-n", "3"},  // 3 edges on 2 vertices
-		{"-recursive", "cc", "-n", "11"}, // 11 edges on 3 vertices
-		{"-recursive", "tc", "-n", "13"}, // 13 edges on 4 vertices
-		{"-recursive", "reach", "-n", "0"},
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown query", []string{"-query", "nonsense"}},
+		{"unparsable body", []string{"-q", "R(x,y) S(y,z)"}},
+		{"unknown alg", []string{"-alg", "nope"}},
+		{"inapplicable alg", []string{"-alg", "gym", "-q", "R(x,y), S(z,w)"}}, // panicked with a goroutine dump before the registry dispatch
+		{"capacities count", []string{"-p", "4", "-capacities", "1,2"}},
+		{"zero capacity", []string{"-p", "2", "-capacities", "1,0"}},
+		{"recursive explain", []string{"-recursive", "tc", "-explain"}},
+		{"unknown recursive", []string{"-recursive", "nope"}},
+		{"unknown transport", []string{"-transport", "carrier-pigeon"}},
+		{"data dir missing R.csv", []string{"-data", t.TempDir()}},
+		{"zero p", []string{"-p", "0"}}, // this and the sizes below panicked before they were checked
+		{"negative p", []string{"-p", "-2", "-recursive", "tc"}},
+		{"tc 3 edges on 2 vertices", []string{"-recursive", "tc", "-n", "3"}},
+		{"cc 11 edges on 3 vertices", []string{"-recursive", "cc", "-n", "11"}},
+		{"tc 13 edges on 4 vertices", []string{"-recursive", "tc", "-n", "13"}},
+		{"reach no edges", []string{"-recursive", "reach", "-n", "0"}},
 	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(append([]string{"-n", "50"}, args...), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") || strings.Count(stderr.String(), "\n") != 1 {
-			t.Errorf("%v: exit %d, stderr %q; want exit 1 and a one-line named error", args, code, stderr.String())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append([]string{"-n", "50"}, tc.args...), &stdout, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "mpcrun: ") || strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("%v: exit %d, stderr %q; want exit 1 and a one-line named error", tc.args, code, stderr.String())
+			}
+		})
+	}
+}
+
+// TestRunRecursiveSizesThatFit pins the other side of the -recursive
+// size check: the largest -n each small vertex count holds, and skewed
+// graphs, which the check leaves alone, still run.
+func TestRunRecursiveSizesThatFit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"tc 1 edge on 2 vertices", []string{"-recursive", "tc", "-n", "1"}},
+		{"tc 2 edges on 2 vertices", []string{"-recursive", "tc", "-n", "2"}},
+		{"reach 1 edge", []string{"-recursive", "reach", "-n", "1"}},
+		{"cc 12 edges on 4 vertices", []string{"-recursive", "cc", "-n", "12"}},
+		{"tc 15 edges on 5 vertices", []string{"-recursive", "tc", "-n", "15"}},
+		{"tc zipf 3 edges", []string{"-recursive", "tc", "-n", "3", "-skew", "zipf"}},
+		{"cc heavy 11 edges", []string{"-recursive", "cc", "-n", "11", "-skew", "heavy"}},
+		{"reach zipf 13 edges", []string{"-recursive", "reach", "-n", "13", "-skew", "zipf"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(append([]string{"-p", "2"}, tc.args...), &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+				t.Errorf("%v: exit %d, stderr %q; want exit 0", tc.args, code, stderr.String())
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -211,6 +212,40 @@ func TestPropProjectIdentity(t *testing.T) {
 		return p.Len() == r.Len() && p.EqualAsSets(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Semijoin keeps exactly the rows of r whose key occurs in s, each as
+// often as r holds it: with the rows it drops, it partitions r.
+func TestPropSemijoinPartition(t *testing.T) {
+	f := func(gr, gs genRel) bool {
+		r := asSchema(gr, "R", "x", "y")
+		s := asSchema(gs, "S", "y", "z")
+		inS := map[Value]bool{}
+		for i := 0; i < s.Len(); i++ {
+			inS[s.Row(i)[0]] = true
+		}
+		want := New("W", "x", "y")
+		for i := 0; i < r.Len(); i++ {
+			if inS[r.Row(i)[1]] {
+				want.AppendRow(r.Row(i))
+			}
+		}
+		semi := Semijoin("SJ", r, s)
+		if semi.Len() != want.Len() {
+			return false
+		}
+		semi.Sort()
+		want.Sort()
+		for i := 0; i < want.Len(); i++ {
+			if !slices.Equal(semi.Row(i), want.Row(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
