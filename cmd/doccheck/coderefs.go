@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -21,6 +22,10 @@ var refDocs = []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS
 // capturing the three parts. The trailing guard skips wildcards such as
 // core.Alg* and longer dotted paths.
 var refRe = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?(?:$|[^\w.*])`)
+
+// memberRe matches an unprefixed Type.Member inside a code span, with
+// the same guards as refRe.
+var memberRe = regexp.MustCompile(`(?:^|[^\w.])([A-Z]\w*)\.([A-Z]\w*)(?:$|[^\w.*])`)
 
 // pkgDecls is what one package declares: every top-level and method
 // name, and per type its methods and fields (an embedded type marked
@@ -35,11 +40,22 @@ type pkgDecls struct {
 // package under internal/. Name may be a method, the docs' shorthand
 // for one; a member is a method or a struct field, and a type that
 // embeds another may have members from it, so its unknown members are
-// not flagged. Fenced code blocks are not checked.
+// not flagged. An unprefixed `Type.Member` span is checked too, when
+// Type names exactly one exported type under internal/. Fenced code
+// blocks are not checked.
 func CheckCodeRefs(root string) ([]string, error) {
 	pkgs, err := internalDecls(filepath.Join(root, "internal"))
 	if err != nil {
 		return nil, err
+	}
+	// typePkgs lists the packages declaring each exported type.
+	typePkgs := map[string][]string{}
+	for pkg, d := range pkgs {
+		for typ := range d.members {
+			if ast.IsExported(typ) {
+				typePkgs[typ] = append(typePkgs[typ], pkg)
+			}
+		}
 	}
 	var problems []string
 	for _, doc := range refDocs {
@@ -58,6 +74,11 @@ func CheckCodeRefs(root string) ([]string, error) {
 			for _, span := range inlineCodeRe.FindAllString(lines[i], -1) {
 				for _, m := range refRe.FindAllStringSubmatch(span, -1) {
 					if p := checkRef(pkgs, m[1], m[2], m[3]); p != "" {
+						problems = append(problems, fmt.Sprintf("%s:%d: %s", doc, i+1, p))
+					}
+				}
+				for _, m := range memberRe.FindAllStringSubmatch(span, -1) {
+					if p := checkMember(pkgs, typePkgs[m[1]], m[1], m[2]); p != "" {
 						problems = append(problems, fmt.Sprintf("%s:%d: %s", doc, i+1, p))
 					}
 				}
@@ -81,6 +102,27 @@ func checkRef(pkgs map[string]*pkgDecls, pkg, name, member string) string {
 		return fmt.Sprintf("%s.%s.%s: type %s has no method or field %s", pkg, name, member, name, member)
 	}
 	return ""
+}
+
+// checkMember returns a problem when typ, declared in the packages
+// decls, has member in none of them. A type name declared in exactly
+// one package is checked as pkg.Type.Member; one that several packages
+// declare passes when any of them has the member; one no package
+// declares is not checked.
+func checkMember(pkgs map[string]*pkgDecls, decls []string, typ, member string) string {
+	if len(decls) == 1 {
+		return checkRef(pkgs, decls[0], typ, member)
+	}
+	for _, pkg := range decls {
+		if checkRef(pkgs, pkg, typ, member) == "" {
+			return ""
+		}
+	}
+	if len(decls) == 0 {
+		return ""
+	}
+	slices.Sort(decls)
+	return fmt.Sprintf("%s.%s: no type %s (in %s) has a method or field %s", typ, member, typ, strings.Join(decls, ", "), member)
 }
 
 // internalDecls parses the non-test Go files under dir and returns the

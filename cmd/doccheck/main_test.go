@@ -161,6 +161,12 @@ func (v *View) Apply() {}
 
 type Op int
 `
+	// A second package declaring Op makes the name ambiguous unprefixed.
+	const other = `// Package audit records ops.
+package audit
+
+type Op struct{ Kind int }
+`
 	for _, tc := range []struct {
 		name, doc, text string
 		want            []string
@@ -180,10 +186,17 @@ type Op int
 			[]string{"ARCHITECTURE.md:1: view.Op.Apply: type Op has no method or field Apply"}},
 		{"CHANGES exempt", "CHANGES.md", "Deleted `view.NewJoin`.", nil},
 		{"ROADMAP exempt", "ROADMAP.md", "Deleted `view.NewJoin`.", nil},
+		{"unprefixed member", "README.md", "Live: `View.Apply()`, `View.Rows`, `Op.Kind`.", nil},
+		{"unprefixed not internal", "README.md", "Not internal: `Builder.Reset`.", nil},
+		{"unprefixed unknown member", "EXPERIMENTS.md", "Gone: `Base.MaxRows`.",
+			[]string{"EXPERIMENTS.md:1: view.Base.MaxRows: type Base has no method or field MaxRows"}},
+		{"unprefixed ambiguous type", "README.md", "Gone: `Op.Apply`.",
+			[]string{"README.md:1: Op.Apply: no type Op (in audit, view) has a method or field Apply"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
 			write(t, root, "internal/view/view.go", pkg)
+			write(t, root, "internal/audit/audit.go", other)
 			write(t, root, tc.doc, tc.text)
 			problems, err := CheckCodeRefs(root)
 			if err != nil {

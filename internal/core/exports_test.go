@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,12 +30,15 @@ var exportAllowlist = map[string]bool{
 // so an exported function or method that only its own package's tests
 // call has no consumer anywhere: it moves into a _test.go file or is
 // deleted. A declaration counts as called when a non-test file anywhere
-// in the module (bench/ included) or a file of another package uses its
-// name. The match is by name alone, since which declaration a selector
-// reaches is not known without type checking, so a dead export that
-// shares its name with a live one goes unseen. testkit is exempt: it
-// exists for tests.
+// in the module (bench/ included) or a file of another package uses it.
+// A function is resolved by package: its own package's non-test files
+// must name it bare, and another package must name it through an
+// import of its package, as pkg.Name. A method is matched by name
+// alone, since which type a selector reaches is not known without type
+// checking, so a dead method that shares its name with a live
+// identifier goes unseen. testkit is exempt: it exists for tests.
 func TestEveryExportIsCalled(t *testing.T) {
+	const module = "mpcquery"
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	type file struct {
@@ -90,11 +95,27 @@ func TestEveryExportIsCalled(t *testing.T) {
 		}
 	}
 
-	// names[i] holds every identifier file i uses, its declarations'
-	// own names aside.
-	names := make([]map[string]bool, len(files))
+	// use is what one file names, its declarations' own names aside:
+	// every identifier, the identifiers that are not a selector's
+	// member, and the dir.Name pairs it reaches as pkg.Name through an
+	// import of the package in dir.
+	type use struct{ names, bare, qualified map[string]bool }
+	uses := make([]use, len(files))
 	for i, f := range files {
-		used := map[string]bool{}
+		imports := map[string]string{} // local name -> package dir
+		for _, imp := range f.ast.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			rest, ok := strings.CutPrefix(path, module+"/")
+			if !ok {
+				continue
+			}
+			name := pathpkg.Base(path)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = filepath.Join(root, filepath.FromSlash(rest))
+		}
+		u := use{names: map[string]bool{}, bare: map[string]bool{}, qualified: map[string]bool{}}
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -107,13 +128,23 @@ func TestEveryExportIsCalled(t *testing.T) {
 					ast.Inspect(x.Body, visit)
 				}
 				return false
+			case *ast.ImportSpec:
+				return false
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					u.qualified[imports[id.Name]+"."+x.Sel.Name] = true
+				}
+				u.names[x.Sel.Name] = true
+				ast.Inspect(x.X, visit)
+				return false
 			case *ast.Ident:
-				used[x.Name] = true
+				u.names[x.Name] = true
+				u.bare[x.Name] = true
 			}
 			return true
 		}
 		ast.Inspect(f.ast, visit)
-		names[i] = used
+		uses[i] = u
 	}
 
 	var offenders []string
@@ -128,11 +159,17 @@ func TestEveryExportIsCalled(t *testing.T) {
 		}
 		called := false
 		for i, f := range files {
-			if f.test && f.dir == d.dir {
+			switch {
+			case f.dir == d.dir && f.test:
 				continue
+			case d.recv != "":
+				called = uses[i].names[d.name]
+			case f.dir == d.dir:
+				called = uses[i].bare[d.name]
+			default:
+				called = uses[i].qualified[d.dir+"."+d.name]
 			}
-			if names[i][d.name] {
-				called = true
+			if called {
 				break
 			}
 		}

@@ -23,6 +23,7 @@
 // Heterogeneous Machines", arXiv 2501.08896): EffectiveParallelism
 // maps a capacity vector to the uniform-server count a heterogeneous
 // cluster is worth, ApportionCells splits a share grid across servers
-// proportionally to capacity, and NormalizedMakespan is the objective
-// (max load over capacity) those splits minimize.
+// proportionally to capacity, and the splits minimize the normalized
+// makespan, max load over capacity, which mpc.Metrics.NormalizedMakespan
+// measures.
 package cost

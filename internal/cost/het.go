@@ -86,24 +86,6 @@ func ApportionCells(g int, caps []float64) []int {
 	return counts
 }
 
-// NormalizedMakespan is the heterogeneous objective: the maximum over
-// servers of load_i/c_i. Minimizing it is the capacity-aware analogue
-// of minimizing L — the slowest-relative-to-its-load server determines
-// when the round finishes. loads and caps must have equal length.
-func NormalizedMakespan(loads []int64, caps []float64) float64 {
-	var worst float64
-	for i, l := range loads {
-		c := 1.0
-		if caps != nil {
-			c = caps[i]
-		}
-		if v := float64(l) / c; v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
 // ParseCapacities parses a comma-separated capacity vector such as
 // "1,1,2,4" (whitespace around entries is ignored). Every entry must
 // be a positive float. Both mpcrun -capacities and mpcserve

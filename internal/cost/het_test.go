@@ -89,21 +89,6 @@ func TestApportionCellsConservation(t *testing.T) {
 	}
 }
 
-func TestNormalizedMakespan(t *testing.T) {
-	loads := []int64{100, 100, 100, 100}
-	if got := NormalizedMakespan(loads, nil); got != 100 {
-		t.Errorf("nil caps: %v, want 100", got)
-	}
-	// A slow server at equal load dominates: 100/0.5 = 200.
-	if got := NormalizedMakespan(loads, []float64{1, 1, 1, 0.5}); got != 200 {
-		t.Errorf("slow server: %v, want 200", got)
-	}
-	// Giving the slow server proportionally less load restores balance.
-	if got := NormalizedMakespan([]int64{120, 120, 120, 40}, []float64{1, 1, 1, 0.5}); got != 120 {
-		t.Errorf("proportional: %v, want 120", got)
-	}
-}
-
 func TestParseCapacities(t *testing.T) {
 	good := []struct {
 		in   string

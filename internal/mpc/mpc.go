@@ -152,7 +152,7 @@ func (c *Cluster) TraceEnabled() bool { return c.tracer != nil }
 
 // TraceAnnotate implements trace.Annotator: it records a phase marker
 // stamped with the metric index the next round will get. Call it from
-// driver code between rounds (algorithms use trace.Annotate), not from
+// driver code between rounds (algorithms use trace.Annotatef), not from
 // compute functions.
 func (c *Cluster) TraceAnnotate(msg string) {
 	if c.tracer != nil {

@@ -34,17 +34,16 @@ type EdgeOp struct {
 // sits with the edges it extends along, and T ⋈ dE joins need no
 // broadcast.
 type ClosureView struct {
-	c        *mpc.Cluster
-	name     string
-	attrs    []string // binary edge/closure schema
-	edgeName string
-	layout   uint64 // mpc.HashSeed(query seed, attrs[0])
+	c      *mpc.Cluster
+	name   string
+	attrs  []string // binary edge/closure schema
+	layout uint64   // mpc.HashSeed(query seed, attrs[0])
 
-	// Per-server membership indexes the view holds outside the
-	// fragments, keyed by the binary tuple itself. Safe under fault
-	// injection: computes run exactly once, only delivery is replayed.
-	eIdx []map[pair]struct{} // edges, at partition servers
-	tIdx []map[pair]struct{} // closure tuples, at owner servers
+	// The edge and closure fragments with the row sets the view keeps
+	// over them on the driver. Safe under fault injection: computes run
+	// exactly once, only delivery is replayed.
+	e indexed // edges, at partition servers
+	t indexed // closure tuples, at owner servers
 
 	batches int
 }
@@ -52,10 +51,6 @@ type ClosureView struct {
 // toCol selects a closure tuple's to-column: it owns the tuple and is
 // the value the tuple probes the edges with.
 var toCol = []int{1}
-
-// pair is a binary tuple as a map key: [2]relation.Value(row) for a
-// binary row.
-type pair = [2]relation.Value
 
 // NewClosureView evaluates the initial closure of edges into outName
 // and returns the view handle for incremental maintenance plus the
@@ -70,17 +65,16 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 	}
 	attrs := edges.Attrs()
 	v := &ClosureView{
-		c:        c,
-		name:     outName,
-		attrs:    append([]string(nil), attrs...),
-		edgeName: outName + ":edge",
-		layout:   mpc.HashSeed(seed, attrs[0]),
-		eIdx:     make([]map[pair]struct{}, c.P()),
-		tIdx:     make([]map[pair]struct{}, c.P()),
+		c:      c,
+		name:   outName,
+		attrs:  append([]string(nil), attrs...),
+		layout: mpc.HashSeed(seed, attrs[0]),
+		e:      newIndexed(outName+":edge", c.P()),
+		t:      newIndexed(outName, c.P()),
 	}
 	start := c.Metrics().Rounds()
 
-	e := edges.Project(v.edgeName, attrs...)
+	e := edges.Project(v.e.name, attrs...)
 	e.Dedup()
 	c.ScatterByHash(e, attrs[:1], v.layout)
 
@@ -90,12 +84,13 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 	c.ScatterByHash(t0.Project(outName+":delta", attrs...), attrs[1:], v.layout)
 
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
-		v.eIdx[sid] = keySet(s.RelOrEmpty(v.edgeName, attrs...))
-		v.tIdx[sid] = keySet(s.RelOrEmpty(outName, attrs...))
+		for _, x := range []indexed{v.e, v.t} {
+			rel, set := x.at(s, attrs)
+			set.build(rel)
+		}
 	})
 
-	iters, err := v.runFix(outName, outName+":delta", outName, v.tIdx, nil)
+	iters, err := v.runFix(outName, outName+":delta", v.t, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,82 +99,48 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 }
 
 // netFold reduces a scattered ops fragment to its net tuple-level
-// effect against the base membership index: returns the net deletions
-// and net insertions in first-touch batch order.
-func netFold(s *mpc.Server, opsName string, idx map[pair]struct{}) (dels, inss []pair) {
+// effect against the edge fragment e, indexed by eSet: the net
+// deletions and net insertions, each in first-touch batch order, as
+// relations of e's schema named delName and insName.
+func netFold(s *mpc.Server, opsName string, e *relation.Relation, eSet *rowSet, delName, insName string) (dels, inss *relation.Relation) {
 	o := s.RelOrEmpty(opsName, "o", "c0", "c1")
-	type ent struct {
-		row         pair
-		init, final bool
-	}
-	var ents []ent
-	at := map[pair]int{} // tuple -> its entry in ents
+	attrs := e.Attrs()
+	touched := relation.New(opsName, attrs...) // each tuple once, in first-touch order
+	var set rowSet
+	var init, final []bool // per touched tuple: in e before the batch, and after it
 	for i := 0; i < o.Len(); i++ {
 		row := o.Row(i)
-		k := pair(row[1:])
-		j, ok := at[k]
-		if !ok {
-			_, present := idx[k]
-			j = len(ents)
-			at[k] = j
-			ents = append(ents, ent{row: k, init: present})
+		j, added := set.add(touched, row[1:])
+		if added {
+			init = append(init, eSet.has(e, row[1:]))
+			final = append(final, false)
 		}
-		ents[j].final = row[0] == 1
+		final[j] = row[0] == 1
 	}
-	for _, e := range ents {
+	dels, inss = relation.New(delName, attrs...), relation.New(insName, attrs...)
+	for j := range init {
 		switch {
-		case e.init && !e.final:
-			dels = append(dels, e.row)
-		case !e.init && e.final:
-			inss = append(inss, e.row)
+		case init[j] && !final[j]:
+			dels.AppendRow(touched.Row(j))
+		case !init[j] && final[j]:
+			inss.AppendRow(touched.Row(j))
 		}
 	}
 	return dels, inss
 }
 
-// keySet indexes a binary fragment's tuples (membership only — map
-// order is never used for emission).
-func keySet(r *relation.Relation) map[pair]struct{} {
-	m := make(map[pair]struct{}, r.Len())
-	for i := 0; i < r.Len(); i++ {
-		m[pair(r.Row(i))] = struct{}{}
-	}
-	return m
-}
-
 // runFix drives one set-semantics closure fixpoint: candidates
-// (x, y)+(y, z) -> (x, z) are absorbed into the target fragment when
-// they pass the accept filter and are not yet in tgtIdx.
-func (v *ClosureView) runFix(label, deltaName, target string, tgtIdx []map[pair]struct{}, accept func(sid int, k pair) bool) (int, error) {
+// (x, y)+(y, z) -> (x, z) are absorbed into target when within (if not
+// nil) holds them and target does not yet.
+func (v *ClosureView) runFix(label, deltaName string, target indexed, within *indexed) (int, error) {
 	f := &fixpoint{
 		c: v.c, label: label,
 		delta: deltaName, attrs: v.attrs,
-		edge: v.edgeName, edgeAttrs: v.attrs, layout: v.layout, probeCol: 1,
+		edge: v.e.name, edgeAttrs: v.attrs, layout: v.layout, probeCol: 1,
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0], cand[1] = probe[0], edge[1]
 		},
-		combine: dedupCombine,
-		absorb: func(s *mpc.Server, cands *relation.Relation) *relation.Relation {
-			sid := s.ID()
-			t := s.RelOrEmpty(target, v.attrs...)
-			next := relation.New(deltaName, v.attrs...)
-			next.Grow(cands.Words())
-			for i := 0; i < cands.Len(); i++ {
-				row := cands.Row(i)
-				k := pair(row)
-				if accept != nil && !accept(sid, k) {
-					continue
-				}
-				if _, in := tgtIdx[sid][k]; in {
-					continue
-				}
-				tgtIdx[sid][k] = struct{}{}
-				t.AppendRow(row)
-				next.AppendRow(row)
-			}
-			s.Put(t)
-			return next
-		},
+		absorb: absorbSet(target, within, deltaName, v.attrs),
 	}
 	return f.run()
 }
@@ -238,16 +199,10 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 	c.ScatterByHash(opsRel, []string{"c0"}, v.layout)
 	delName, insName := v.name+":edel", v.name+":eins"
 	c.LocalStep(func(s *mpc.Server) {
-		dels, inss := netFold(s, opsName, v.eIdx[s.ID()])
-		dr, ir := relation.New(delName, attrs...), relation.New(insName, attrs...)
-		for _, d := range dels {
-			dr.AppendRow(d[:])
-		}
-		for _, a := range inss {
-			ir.AppendRow(a[:])
-		}
-		s.Put(dr)
-		s.Put(ir)
+		e, eSet := v.e.at(s, attrs)
+		dels, inss := netFold(s, opsName, e, eSet, delName, insName)
+		s.Put(dels)
+		s.Put(inss)
 		s.Delete(opsName)
 	})
 
@@ -277,7 +232,6 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	p := c.P()
 	trace.Annotatef(c, "%s batch %d: over-delete |dE|=%d", v.name, v.batches, c.TotalLen(delName))
 
 	// Over-delete seed: the T ⋈ dE- one-step extensions and the
@@ -289,89 +243,68 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	})
 
 	// Absorb the seed into the over-delete set D (closure tuples only).
-	dName, dDelta := v.name+":D", v.name+":Ddelta"
-	dIdx := make([]map[pair]struct{}, p)
+	dDelta := v.name + ":Ddelta"
+	d := newIndexed(v.name+":D", c.P())
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
-		dIdx[sid] = map[pair]struct{}{}
-		cands := s.RelOrEmpty(dseed, attrs...)
-		d := relation.New(dName, attrs...)
-		delta := relation.New(dDelta, attrs...)
-		for i := 0; i < cands.Len(); i++ {
-			row := cands.Row(i)
-			k := pair(row)
-			if _, in := v.tIdx[sid][k]; !in {
-				continue
-			}
-			if _, in := dIdx[sid][k]; in {
-				continue
-			}
-			dIdx[sid][k] = struct{}{}
-			d.AppendRow(row)
-			delta.AppendRow(row)
-		}
-		s.Put(d)
-		s.Put(delta)
+		t, tSet := v.t.at(s, attrs)
+		dr, dSet := d.at(s, attrs)
+		inT := func(row []relation.Value) bool { return tSet.has(t, row) }
+		s.Put(absorbNew(dr, dSet, s.RelOrEmpty(dseed, attrs...), inT, dDelta))
+		s.Put(dr)
 		s.Delete(dseed)
 	})
 
 	// Over-delete fixpoint over the OLD edges: anything derivable from
 	// an over-deleted prefix is over-deleted too.
-	iters, err := v.runFix(v.name+":del", dDelta, dName, dIdx, func(sid int, k pair) bool {
-		_, in := v.tIdx[sid][k]
-		return in
-	})
+	iters, err := v.runFix(v.name+":del", dDelta, d, &v.t)
 	if err != nil {
 		return err
 	}
 	stats.Iterations += iters
 
 	// Apply: E := E - dE- at the partitions, T := T - D at the owners.
+	// Each compaction rebuilds the row set over the compacted fragment.
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
 		if dels := s.RelOrEmpty(delName, attrs...); dels.Len() > 0 {
-			for i := 0; i < dels.Len(); i++ {
-				delete(v.eIdx[sid], pair(dels.Row(i)))
-			}
-			e := s.RelOrEmpty(v.edgeName, attrs...)
-			ne := relation.New(v.edgeName, attrs...)
-			for i := 0; i < e.Len(); i++ {
-				if _, in := v.eIdx[sid][pair(e.Row(i))]; in {
-					ne.AppendRow(e.Row(i))
-				}
-			}
-			s.Put(ne)
+			var delSet rowSet
+			delSet.build(dels)
+			compact(s, v.e, attrs, dels, &delSet)
 		}
-		if len(dIdx[sid]) > 0 {
-			t := s.RelOrEmpty(v.name, attrs...)
-			nt := relation.New(v.name, attrs...)
-			for i := 0; i < t.Len(); i++ {
-				k := pair(t.Row(i))
-				if _, in := dIdx[sid][k]; in {
-					delete(v.tIdx[sid], k)
-					continue
-				}
-				nt.AppendRow(t.Row(i))
-			}
-			s.Put(nt)
+		if dr, dSet := d.at(s, attrs); dr.Len() > 0 {
+			compact(s, v.t, attrs, dr, dSet)
 		}
 	})
 
-	if c.TotalLen(dName) > 0 {
-		if err := v.rederive(dName, dIdx, stats); err != nil {
+	if c.TotalLen(d.name) > 0 {
+		if err := v.rederive(d, stats); err != nil {
 			return err
 		}
 	}
-	c.LocalStep(func(s *mpc.Server) { s.Delete(dName) })
+	c.LocalStep(func(s *mpc.Server) { s.Delete(d.name) })
 	return nil
+}
+
+// compact removes from server s's fragment of x every row that drop,
+// indexed by dropSet, holds, and rebuilds x's row set over what is
+// left.
+func compact(s *mpc.Server, x indexed, attrs []string, drop *relation.Relation, dropSet *rowSet) {
+	rel, set := x.at(s, attrs)
+	kept := relation.New(x.name, attrs...)
+	for i := 0; i < rel.Len(); i++ {
+		if row := rel.Row(i); !dropSet.has(drop, row) {
+			kept.AppendRow(row)
+		}
+	}
+	set.build(kept)
+	s.Put(kept)
 }
 
 // rederive restores over-deleted closure tuples that still have a
 // derivation from the surviving closure and the updated edges.
-func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *BatchStats) error {
+func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	trace.Annotatef(c, "%s batch %d: rederive |D|=%d", v.name, v.batches, c.TotalLen(dName))
+	trace.Annotatef(c, "%s batch %d: rederive |D|=%d", v.name, v.batches, c.TotalLen(d.name))
 
 	// Seeds of the restricted fixpoint: (a) over-deleted tuples that
 	// are still edges, and (b) one-step extensions T'(x, y) * E1(y, z)
@@ -382,41 +315,35 @@ func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *Ba
 	c.Round(v.name+":redprep", func(s *mpc.Server, out *mpc.Out) {
 		stx := out.Open(dxB, attrs[:1]...)
 		stp := out.Open(dprobe, attrs...)
-		d := s.RelOrEmpty(dName, attrs...)
-		seen := map[relation.Value]struct{}{}
-		for i := 0; i < d.Len(); i++ {
-			row := d.Row(i)
-			if _, ok := seen[row[0]]; !ok {
-				seen[row[0]] = struct{}{}
-				stx.Broadcast(row[0])
-			}
+		dr := s.RelOrEmpty(d.name, attrs...)
+		xs := relation.New(dxB, attrs[:1]...)
+		var xSet rowSet
+		for i := 0; i < dr.Len(); i++ {
+			xSet.add(xs, dr.Row(i)[:1])
 		}
-		stp.SendByHash(d, []int{0}, v.layout)
+		stx.BroadcastAll(xs)
+		stp.SendByHash(dr, []int{0}, v.layout)
 	})
 	rseed := v.name + ":rseed"
 	c.Round(v.name+":redprobe", func(s *mpc.Server, out *mpc.Out) {
-		sid := s.ID()
 		st := out.Open(rseed, attrs...)
+		e, eSet := v.e.at(s, attrs)
 		dp := s.RelOrEmpty(dprobe, attrs...)
 		for i := 0; i < dp.Len(); i++ {
-			row := dp.Row(i)
-			if _, in := v.eIdx[sid][pair(row)]; in {
+			if row := dp.Row(i); eSet.has(e, row) {
 				st.SendRow(v.owner(row), row)
 			}
 		}
 		s.Delete(dprobe)
 		dx := s.RelOrEmpty(dxB, attrs[:1]...)
-		xs := make(map[relation.Value]struct{}, dx.Len())
-		for i := 0; i < dx.Len(); i++ {
-			xs[dx.Row(i)[0]] = struct{}{}
-		}
+		var xSet rowSet
+		xSet.build(dx)
 		s.Delete(dxB)
 		t := s.RelOrEmpty(v.name, attrs...)
 		var ix *relation.Index
-		e := s.RelOrEmpty(v.edgeName, attrs...)
 		for i := 0; i < t.Len(); i++ {
 			tr := t.Row(i)
-			if _, ok := xs[tr[0]]; !ok {
+			if !xSet.has(dx, tr[:1]) {
 				continue
 			}
 			if ix == nil {
@@ -433,31 +360,14 @@ func (v *ClosureView) rederive(dName string, dIdx []map[pair]struct{}, stats *Ba
 	// the restricted fixpoint over the updated edges.
 	rDelta := v.name + ":rdelta"
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
-		cands := s.RelOrEmpty(rseed, attrs...)
-		t := s.RelOrEmpty(v.name, attrs...)
-		delta := relation.New(rDelta, attrs...)
-		for i := 0; i < cands.Len(); i++ {
-			row := cands.Row(i)
-			k := pair(row)
-			if _, in := dIdx[sid][k]; !in {
-				continue
-			}
-			if _, in := v.tIdx[sid][k]; in {
-				continue
-			}
-			v.tIdx[sid][k] = struct{}{}
-			t.AppendRow(row)
-			delta.AppendRow(row)
-		}
+		t, tSet := v.t.at(s, attrs)
+		dr, dSet := d.at(s, attrs)
+		inD := func(row []relation.Value) bool { return dSet.has(dr, row) }
+		s.Put(absorbNew(t, tSet, s.RelOrEmpty(rseed, attrs...), inD, rDelta))
 		s.Put(t)
-		s.Put(delta)
 		s.Delete(rseed)
 	})
-	iters, err := v.runFix(v.name+":red", rDelta, v.name, v.tIdx, func(sid int, k pair) bool {
-		_, in := dIdx[sid][k]
-		return in
-	})
+	iters, err := v.runFix(v.name+":red", rDelta, v.t, &d)
 	if err != nil {
 		return err
 	}
@@ -475,19 +385,13 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 	// Apply dE+ to the edge partitions first: propagation must run
 	// over the updated edges so chains among new edges close.
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
 		ins := s.RelOrEmpty(insName, attrs...)
 		if ins.Len() == 0 {
 			return
 		}
-		e := s.RelOrEmpty(v.edgeName, attrs...)
+		e, eSet := v.e.at(s, attrs)
 		for i := 0; i < ins.Len(); i++ {
-			row := ins.Row(i)
-			k := pair(row)
-			if _, in := v.eIdx[sid][k]; !in {
-				v.eIdx[sid][k] = struct{}{}
-				e.AppendRow(row)
-			}
+			eSet.add(e, ins.Row(i))
 		}
 		s.Put(e)
 	})
@@ -499,25 +403,12 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 
 	iDelta := v.name + ":idelta"
 	c.LocalStep(func(s *mpc.Server) {
-		sid := s.ID()
-		cands := s.RelOrEmpty(iseed, attrs...)
-		t := s.RelOrEmpty(v.name, attrs...)
-		delta := relation.New(iDelta, attrs...)
-		for i := 0; i < cands.Len(); i++ {
-			row := cands.Row(i)
-			k := pair(row)
-			if _, in := v.tIdx[sid][k]; in {
-				continue
-			}
-			v.tIdx[sid][k] = struct{}{}
-			t.AppendRow(row)
-			delta.AppendRow(row)
-		}
+		t, tSet := v.t.at(s, attrs)
+		s.Put(absorbNew(t, tSet, s.RelOrEmpty(iseed, attrs...), nil, iDelta))
 		s.Put(t)
-		s.Put(delta)
 		s.Delete(iseed)
 	})
-	iters, err := v.runFix(v.name+":ins", iDelta, v.name, v.tIdx, nil)
+	iters, err := v.runFix(v.name+":ins", iDelta, v.t, nil)
 	if err != nil {
 		return err
 	}

@@ -29,12 +29,23 @@
 // stops once the delta is globally empty. Iteration boundaries are
 // stamped into the trace as annotations.
 //
-// Determinism: every emission walks relations in scan order and maps
-// are used for membership only, so fragments, deltas, and metered
-// costs are bit-for-bit identical across runs, transports, and
-// chaos-recovered executions. Driver-side per-server index maps are
-// safe under fault injection because round computes run exactly once —
-// only delivery is replayed.
+// Set membership is one structure, the row set (rowset.go): an
+// open-addressed table of row positions in the fragment it indexes,
+// so a row is stored once, in its fragment, and never copied into a
+// key. Extend drops a duplicate candidate as it is produced, through a
+// row set over a candidate buffer reused every iteration; absorb
+// appends each new candidate to the accumulator through the
+// accumulator's row set, and the next delta is exactly the rows it
+// appended. The incremental view keeps row sets over its edge,
+// closure and over-delete fragments the same way.
+//
+// Determinism: every emission walks relations in scan order and a row
+// set only answers membership, so fragments hold their rows in
+// first-occurrence order, and fragments, deltas, and metered costs are
+// bit-for-bit identical across runs, transports, and chaos-recovered
+// executions. Driver-side per-server row sets are safe under fault
+// injection because round computes run exactly once — only delivery is
+// replayed.
 package recursive
 
 import (
@@ -91,30 +102,49 @@ type fixpoint struct {
 	// match into cand, a row of attrs' arity the kernel owns and
 	// appends after each call.
 	extend func(probe, edge, cand []relation.Value)
-	// combine reduces the local candidate buffer before shipping —
-	// distinct for set semantics, per-key min for label propagation.
-	// Must be deterministic in the buffer's row order.
+	// combine reduces the local candidate buffer before shipping, for
+	// label propagation's per-key min; it must be deterministic in the
+	// buffer's row order. Nil means set semantics: extend drops each
+	// duplicate candidate as it is produced, through a row set over the
+	// buffer.
 	combine func(cands *relation.Relation) *relation.Relation
 	// absorb merges delivered candidates into the server's accumulator
-	// and returns the next delta fragment (renamed by the kernel). It
-	// runs in a free local step; closures may mutate driver-side
-	// per-server state (membership indexes) — compute runs exactly once
-	// even under fault injection, only delivery is replayed.
+	// and returns the next delta fragment, named delta. It runs in a
+	// free local step; closures may mutate driver-side per-server state
+	// (row sets) — compute runs exactly once even under fault
+	// injection, only delivery is replayed.
 	absorb func(s *mpc.Server, cands *relation.Relation) *relation.Relation
 
-	edgeIdx []*relation.Index // per-server edge index, built on first use
+	// Per-server state, built on first use: the edge index, and the
+	// candidate buffer with its row set, both reused every iteration.
+	edgeIdx  []*relation.Index
+	cands    []*relation.Relation
+	candSets []rowSet
 }
 
-// dedupCombine is the set-semantics combine: sort + distinct.
-func dedupCombine(cands *relation.Relation) *relation.Relation {
-	cands.Dedup()
-	return cands
+// absorbSet is the set-semantics absorb: each candidate that within
+// holds (when within is not nil) and acc does not is appended to acc,
+// and the rows appended make the next delta, named delta.
+func absorbSet(acc indexed, within *indexed, delta string, attrs []string) func(s *mpc.Server, cands *relation.Relation) *relation.Relation {
+	return func(s *mpc.Server, cands *relation.Relation) *relation.Relation {
+		t, set := acc.at(s, attrs)
+		var keep func([]relation.Value) bool
+		if within != nil {
+			w, ws := within.at(s, attrs)
+			keep = func(row []relation.Value) bool { return ws.has(w, row) }
+		}
+		next := absorbNew(t, set, cands, keep, delta)
+		s.Put(t)
+		return next
+	}
 }
 
 // run iterates to convergence and returns the iteration count.
 func (f *fixpoint) run() (int, error) {
 	c := f.c
 	f.edgeIdx = make([]*relation.Index, c.P())
+	f.cands = make([]*relation.Relation, c.P())
+	f.candSets = make([]rowSet, c.P())
 	candName, probeCols := f.label+":cand", []int{f.probeCol}
 	// Defensive cap: each iteration either adds an output tuple or
 	// improves a label, both bounded far below this. Hitting the cap
@@ -130,33 +160,38 @@ func (f *fixpoint) run() (int, error) {
 		c.Round(f.label+":extend", func(s *mpc.Server, out *mpc.Out) {
 			st := out.Open(candName, f.attrs...)
 			delta := s.RelOrEmpty(f.delta, f.attrs...)
-			cands := relation.New(candName, f.attrs...)
-			if delta.Len() > 0 {
-				edge := s.RelOrEmpty(f.edge, f.edgeAttrs...)
-				if f.edgeIdx[s.ID()] == nil {
-					f.edgeIdx[s.ID()] = relation.BuildIndex(edge, f.edgeAttrs[:1])
-				}
-				idx, n := f.edgeIdx[s.ID()], 0
-				for i := 0; i < delta.Len(); i++ {
-					n += len(idx.Lookup(delta.Row(i), probeCols))
-				}
-				cands.Grow(n * len(f.attrs))
-				cand := make([]relation.Value, len(f.attrs))
-				for i := 0; i < delta.Len(); i++ {
-					pr := delta.Row(i)
-					for _, j := range idx.Lookup(pr, probeCols) {
-						f.extend(pr, edge.Row(int(j)), cand)
+			if delta.Len() == 0 {
+				return
+			}
+			sid := s.ID()
+			edge := s.RelOrEmpty(f.edge, f.edgeAttrs...)
+			if f.edgeIdx[sid] == nil {
+				f.edgeIdx[sid] = relation.BuildIndex(edge, f.edgeAttrs[:1])
+				f.cands[sid] = relation.New(candName, f.attrs...)
+			}
+			idx, cands, set := f.edgeIdx[sid], f.cands[sid], &f.candSets[sid]
+			cands.Reset()
+			set.reset()
+			cand := make([]relation.Value, len(f.attrs))
+			for i := 0; i < delta.Len(); i++ {
+				pr := delta.Row(i)
+				for _, j := range idx.Lookup(pr, probeCols) {
+					f.extend(pr, edge.Row(int(j)), cand)
+					if f.combine == nil {
+						set.add(cands, cand)
+					} else {
 						cands.AppendRow(cand)
 					}
 				}
+			}
+			if f.combine != nil {
 				cands = f.combine(cands)
 			}
 			st.SendByHash(cands, probeCols, f.layout)
 		})
 		c.LocalStep(func(s *mpc.Server) {
 			cands := s.RelOrEmpty(candName, f.attrs...)
-			next := f.absorb(s, cands)
-			s.Put(next.Rename(f.delta))
+			s.Put(f.absorb(s, cands))
 			s.Delete(candName)
 		})
 	}

@@ -223,21 +223,24 @@ func TestClosureViewBasic(t *testing.T) {
 	}
 }
 
+// chains returns k disjoint 6-edge chains, chain c running from 100c
+// to 100c+6.
+func chains(k int) *relation.Relation {
+	e := relation.New("E", "src", "dst")
+	for c := 0; c < k; c++ {
+		for i := 0; i < 6; i++ {
+			e.Append(relation.Value(100*c+i), relation.Value(100*c+i+1))
+		}
+	}
+	return e
+}
+
 // TestTransitiveClosureAllocsIndependentOfTuples is the kernel's
 // allocation wall: two graphs with the same iteration count, one with
 // 10× the chains and so 10× the candidates and closure tuples, must
 // allocate about equally. Allocations may grow with rounds and with
 // buffer doublings, never once per candidate.
 func TestTransitiveClosureAllocsIndependentOfTuples(t *testing.T) {
-	chains := func(k int) *relation.Relation {
-		e := relation.New("E", "src", "dst")
-		for c := 0; c < k; c++ {
-			for i := 0; i < 6; i++ {
-				e.Append(relation.Value(100*c+i), relation.Value(100*c+i+1))
-			}
-		}
-		return e
-	}
 	run := func(edges *relation.Relation) (allocs float64, iters int) {
 		allocs = testing.AllocsPerRun(3, func() {
 			res, err := TransitiveClosure(mpc.NewCluster(4, 1), edges, "tc", 7)
@@ -256,5 +259,36 @@ func TestTransitiveClosureAllocsIndependentOfTuples(t *testing.T) {
 	t.Logf("allocs per closure: %.0f at 40 chains, %.0f at 400", small, large)
 	if large > 1.5*small {
 		t.Fatalf("closure allocations scale with the tuples: %.0f at 40 chains, %.0f at 400", small, large)
+	}
+}
+
+// TestReachableAllocsIndependentOfTuples is the same wall for
+// reachability, which runs the same kernel over unary rows: from every
+// chain's head, 10× the chains gives 10× the candidates and reached
+// vertices at equal iterations, and must allocate about equally.
+func TestReachableAllocsIndependentOfTuples(t *testing.T) {
+	run := func(k int) (allocs float64, iters int) {
+		edges := chains(k)
+		sources := make([]relation.Value, k)
+		for c := range sources {
+			sources[c] = relation.Value(100 * c)
+		}
+		allocs = testing.AllocsPerRun(3, func() {
+			res, err := Reachable(mpc.NewCluster(4, 1), edges, sources, "reach", 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iterations
+		})
+		return allocs, iters
+	}
+	small, smallIters := run(40)
+	large, largeIters := run(400)
+	if smallIters != largeIters {
+		t.Fatalf("iterations %d vs %d: the graphs must differ only in size", smallIters, largeIters)
+	}
+	t.Logf("allocs per reachability: %.0f at 40 chains, %.0f at 400", small, large)
+	if large > 1.5*small {
+		t.Fatalf("reachability allocations scale with the tuples: %.0f at 40 chains, %.0f at 400", small, large)
 	}
 }

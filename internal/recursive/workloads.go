@@ -41,15 +41,11 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	c.ScatterByHash(t0, []string{vAttr}, layout)
 	c.ScatterByHash(t0.Project(deltaName, vAttr), []string{vAttr}, layout)
 
-	// Per-server membership index over the accumulator fragment.
-	seen := make([]map[relation.Value]struct{}, c.P())
+	// Per-server row set over the accumulator fragment.
+	acc := newIndexed(outName, c.P())
 	c.LocalStep(func(s *mpc.Server) {
-		t := s.RelOrEmpty(outName, vAttr)
-		m := make(map[relation.Value]struct{}, t.Len())
-		for i := 0; i < t.Len(); i++ {
-			m[t.Row(i)[0]] = struct{}{}
-		}
-		seen[s.ID()] = m
+		t, set := acc.at(s, []string{vAttr})
+		set.build(t)
 	})
 
 	f := &fixpoint{
@@ -59,24 +55,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 		extend: func(probe, edge, cand []relation.Value) {
 			cand[0] = edge[1]
 		},
-		combine: dedupCombine,
-		absorb: func(s *mpc.Server, cands *relation.Relation) *relation.Relation {
-			m := seen[s.ID()]
-			t := s.RelOrEmpty(outName, vAttr)
-			next := relation.New(deltaName, vAttr)
-			next.Grow(cands.Words())
-			for i := 0; i < cands.Len(); i++ {
-				v := cands.Row(i)[0]
-				if _, ok := m[v]; ok {
-					continue
-				}
-				m[v] = struct{}{}
-				t.AppendRow([]relation.Value{v})
-				next.AppendRow([]relation.Value{v})
-			}
-			s.Put(t)
-			return next
-		},
+		absorb: absorbSet(acc, nil, deltaName, []string{vAttr}),
 	}
 	iters, err := f.run()
 	if err != nil {

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Aggregation operators. Grouping is all the tutorial needs: the SQL
 // formulation of matrix multiplication (slide 108) and the grouped-join
@@ -145,42 +142,4 @@ func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr,
 	}
 	sortRows(out.data, k+1, byKey, a)
 	return out
-}
-
-// Distinct returns the distinct values of attr, sorted ascending. The
-// dedup runs on an open-addressing value set (hash + full value
-// verification) instead of a Go map; only the result slice is
-// allocated.
-func Distinct(r *Relation, attr string) []Value {
-	c := r.MustCol(attr)
-	n := r.Len()
-	checkRowCount("Distinct", n)
-	a := getArena()
-	defer putArena(a)
-	size := nextPow2(2 * n)
-	if size < 4 {
-		size = 4
-	}
-	slots := arenaGSlots(&a.gslots, size)
-	mask := uint64(size - 1)
-	vals := make([]Value, 0, 16)
-	for i := 0; i < n; i++ {
-		v := r.Row(i)[c]
-		h := kernelValHash(v, kernelSeed)
-		j := h & mask
-		for {
-			s := &slots[j]
-			if s.gid == 0 {
-				s.hash, s.gid = h, int32(len(vals))+1
-				vals = append(vals, v)
-				break
-			}
-			if s.hash == h && vals[s.gid-1] == v {
-				break
-			}
-			j = (j + 1) & mask
-		}
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-	return vals
 }

@@ -113,17 +113,3 @@ func TestGroupByCountMinMax(t *testing.T) {
 		t.Fatalf("max wrong: %v", mx)
 	}
 }
-
-func TestDistinct(t *testing.T) {
-	r := FromRows("R", []string{"x"}, [][]Value{{3}, {1}, {3}, {2}})
-	got := Distinct(r, "x")
-	want := []Value{1, 2, 3}
-	if len(got) != 3 {
-		t.Fatalf("distinct = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("distinct = %v, want %v", got, want)
-		}
-	}
-}

@@ -9,7 +9,7 @@ import (
 
 // Radix-partitioned open-addressing hash kernels. Every local operator
 // that used to key a Go map on EncodeKey strings (BuildIndex/HashJoin,
-// GroupBy, Distinct) now runs on these: rows are hashed once with
+// GroupBy) now runs on these: rows are hashed once with
 // HashRow, partitioned by the high hash bits so each partition's table
 // region stays cache-resident, and inserted into an open-addressing
 // region addressed by the low hash bits. A slot matches only when both
@@ -406,7 +406,7 @@ func (ix *rowIndex) group(g groupRef) []int32 {
 }
 
 // groupSlot is one open-addressing slot of the grouping kernels
-// (GroupBy, Distinct): gid holds the group id plus one, so zero marks
+// (GroupBy): gid holds the group id plus one, so zero marks
 // an empty slot.
 type groupSlot struct {
 	hash uint64

@@ -338,29 +338,6 @@ func TestGroupBySortedNumeric(t *testing.T) {
 	}
 }
 
-func TestDistinctFullRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		r := fullRangeRel(rng, "R", []string{"a"}, rng.Intn(500))
-		got := Distinct(r, "a")
-		seen := map[Value]bool{}
-		for i := 0; i < r.Len(); i++ {
-			seen[r.Row(i)[0]] = true
-		}
-		if len(got) != len(seen) {
-			t.Fatalf("trial %d: %d distinct, want %d", trial, len(got), len(seen))
-		}
-		for i, v := range got {
-			if !seen[v] {
-				t.Fatalf("trial %d: value %d not in input", trial, v)
-			}
-			if i > 0 && got[i-1] >= v {
-				t.Fatalf("trial %d: output not strictly ascending at %d: %v", trial, i, got)
-			}
-		}
-	}
-}
-
 // TestCheckRowCountPanics pins the int32 row-id guard: relations past
 // MaxInt32 rows must fail loudly, not truncate silently.
 func TestCheckRowCountPanics(t *testing.T) {

@@ -140,6 +140,13 @@ func (r *Relation) AppendAll(s *Relation) {
 	r.data = append(r.data, s.data...)
 }
 
+// Reset empties r and keeps its storage, for a buffer refilled round
+// after round.
+func (r *Relation) Reset() {
+	r.data = r.data[:0]
+	r.nrows = 0
+}
+
 // Grow reserves capacity for at least words more values, so a known
 // upcoming volume of appends performs at most one reallocation.
 func (r *Relation) Grow(words int) {

@@ -213,17 +213,10 @@ type Annotator interface {
 	TraceAnnotate(msg string)
 }
 
-// Annotate emits a phase marker through a, tolerating nil annotators
+// Annotatef emits a phase marker through a, tolerating nil annotators
 // and disabled tracing. Algorithms call this between rounds to label
-// their phases; on an untraced cluster the cost is two interface calls.
-func Annotate(a Annotator, msg string) {
-	if a != nil && a.TraceEnabled() {
-		a.TraceAnnotate(msg)
-	}
-}
-
-// Annotatef is Annotate with formatting; the format is only evaluated
-// when tracing is enabled.
+// their phases; the format is only evaluated when tracing is enabled,
+// so on an untraced cluster the cost is two interface calls.
 func Annotatef(a Annotator, format string, args ...any) {
 	if a != nil && a.TraceEnabled() {
 		a.TraceAnnotate(fmt.Sprintf(format, args...))

@@ -178,16 +178,14 @@ func (f *fakeAnnotator) TraceEnabled() bool       { return f.enabled }
 func (f *fakeAnnotator) TraceAnnotate(msg string) { f.msgs = append(f.msgs, msg) }
 
 func TestAnnotateHelpers(t *testing.T) {
-	Annotate(nil, "dropped") // must not panic
 	Annotatef(nil, "d%d", 1) // must not panic
 	off := &fakeAnnotator{}
-	Annotate(off, "dropped")
 	Annotatef(off, "d%d", 2)
 	if len(off.msgs) != 0 {
 		t.Errorf("disabled annotator recorded %v", off.msgs)
 	}
 	on := &fakeAnnotator{enabled: true}
-	Annotate(on, "one")
+	Annotatef(on, "one")
 	Annotatef(on, "two %d", 2)
 	if len(on.msgs) != 2 || on.msgs[0] != "one" || on.msgs[1] != "two 2" {
 		t.Errorf("enabled annotator recorded %v", on.msgs)
