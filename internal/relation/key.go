@@ -13,9 +13,9 @@ package relation
 // with numeric order for any value ≥ 256 or < 0 — encoded keys are
 // identity keys only and must never be used as sort keys. EncodeKey is
 // for oracles and tests only: it allocates a string per call. The local
-// operators hash rows directly (radix.go), and product code that keys a
-// map by a fixed-arity tuple uses the tuple itself, [2]Value or
-// [3]Value (the fixpoint views in internal/recursive).
+// operators hash rows directly (radix.go), and the fixpoints in
+// internal/recursive index a fragment's rows by position (their row
+// set).
 func EncodeKey(row []Value, cols []int) string {
 	b := make([]byte, 0, 8*len(cols))
 	for _, c := range cols {
