@@ -15,12 +15,11 @@ import (
 // itself. Every call takes the indexed fragment as an argument; the
 // set only stays valid while that fragment changes by its own appends.
 // A compaction that rewrites the fragment is followed by build over
-// the result.
+// the result. Positions are int32, as in relation.Index.
 //
-// The zero value is an empty set. Slot order depends only on the rows'
-// values and insertion order, never on a random seed, so every
-// fragment a set builds comes out in first-occurrence order, the same
-// on every run.
+// The zero value is an empty set. A set decides no order: add appends
+// to the fragment, so a fragment filled through a set holds its rows in
+// first-occurrence order, the same on every run.
 type rowSet struct {
 	slots []int32 // len is 0 or a power of two; at most half are full
 	shift uint    // 64 - log2(len(slots)): a hash's top bits pick the home slot
