@@ -71,45 +71,40 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 	trace.Annotatef(c, "aggregate.Run %s group-by %v", spec.Rel, spec.GroupBy)
 	start := c.Metrics().Rounds()
 	gb := spec.GroupBy
-	keySeed := mpc.HashSeed(spec.Seed, gb...)
-	c.Round("aggregate:"+spec.OutRel, func(srv *mpc.Server, out *mpc.Out) {
+	partials := spec.OutRel + ":combined"
+	c.LocalStep(func(srv *mpc.Server) {
 		frag := srv.Rel(spec.Rel)
 		if frag == nil || frag.Len() == 0 {
 			return
 		}
-		var partial *relation.Relation
-		if spec.NoCombiner {
-			// Ship raw tuples re-shaped to (group..., value): for Count
-			// the value column is a constant 1.
-			partial = relation.New("p", outAttrs...)
-			gcols := frag.MustCols(gb)
-			acol := -1
-			if spec.Fn != relation.Count {
-				acol = frag.MustCol(spec.AggAttr)
-			}
-			row := make([]relation.Value, len(outAttrs))
-			for i := 0; i < frag.Len(); i++ {
-				src := frag.Row(i)
-				for j, cix := range gcols {
-					row[j] = src[cix]
-				}
-				if acol >= 0 {
-					row[len(row)-1] = src[acol]
-				} else {
-					row[len(row)-1] = 1
-				}
-				partial.AppendRow(row)
-			}
-		} else {
-			partial = relation.GroupBy("p", frag, gb, spec.Fn, spec.AggAttr, spec.OutAttr)
+		if !spec.NoCombiner {
+			srv.Put(relation.GroupBy(partials, frag, gb, spec.Fn, spec.AggAttr, spec.OutAttr))
+			return
 		}
-		st := out.Open(spec.OutRel+":partial", outAttrs...)
-		gcols := make([]int, len(gb))
-		for i := range gb {
-			gcols[i] = i // partial's group columns are leading
+		// Ship raw tuples re-shaped to (group..., value): for Count the
+		// value column is a constant 1.
+		partial := relation.New(partials, outAttrs...)
+		gcols := frag.MustCols(gb)
+		acol := -1
+		if spec.Fn != relation.Count {
+			acol = frag.MustCol(spec.AggAttr)
 		}
-		st.SendByHash(partial, gcols, keySeed)
+		row := make([]relation.Value, len(outAttrs))
+		for i := 0; i < frag.Len(); i++ {
+			src := frag.Row(i)
+			for j, cix := range gcols {
+				row[j] = src[cix]
+			}
+			if acol >= 0 {
+				row[len(row)-1] = src[acol]
+			} else {
+				row[len(row)-1] = 1
+			}
+			partial.AppendRow(row)
+		}
+		srv.Put(partial)
 	})
+	c.Shuffle("aggregate:"+spec.OutRel, mpc.Send{From: partials, To: spec.OutRel + ":partial", Policy: mpc.Hash(spec.Seed, gb...)})
 	merge := mergeFn(spec.Fn)
 	if spec.NoCombiner {
 		merge = spec.Fn
@@ -121,6 +116,7 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 		frag := srv.RelOrEmpty(spec.OutRel+":partial", outAttrs...)
 		srv.Put(relation.GroupBy(spec.OutRel, frag, gb, merge, spec.OutAttr, spec.OutAttr))
 		srv.Delete(spec.OutRel + ":partial")
+		srv.Delete(partials)
 	})
 	return &Result{
 		OutRel: spec.OutRel,

@@ -216,34 +216,27 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 	// each verifier by its full variable set, under step-local names.
 	steps := pl.Steps
 	seedVerifiers := pl.SeedVerifiers
-	c.Round("bigjoin:setup", func(srv *mpc.Server, out *mpc.Out) {
-		for _, vi := range seedVerifiers {
+	var sends []mpc.Send
+	for _, vi := range seedVerifiers {
+		va := q.Atoms[vi]
+		sends = append(sends, mpc.Send{From: va.Name, To: fmt.Sprintf("%s:sver%d", outName, vi), Policy: mpc.Hash(seed, va.Vars...)})
+	}
+	for si, st := range steps {
+		// A Cartesian extension (no shared bound variable) broadcasts
+		// its proposer.
+		prop := mpc.Broadcast()
+		if len(st.sharedBound) > 0 {
+			prop = mpc.Hash(seed, st.sharedBound...)
+		}
+		sends = append(sends, mpc.Send{From: q.Atoms[st.proposer].Name, To: fmt.Sprintf("%s:prop%d", outName, si), Policy: prop})
+		for _, vi := range st.verifiers {
+			// Hashed on the verifier's variables, as this verifier's
+			// round below hashes the bindings.
 			va := q.Atoms[vi]
-			if frag := srv.Rel(va.Name); frag != nil {
-				out.Open(fmt.Sprintf("%s:sver%d", outName, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), mpc.HashSeed(seed, va.Vars...))
-			}
+			sends = append(sends, mpc.Send{From: va.Name, To: fmt.Sprintf("%s:ver%d_%d", outName, si, vi), Policy: mpc.Hash(seed, va.Vars...)})
 		}
-		for si, st := range steps {
-			pa := q.Atoms[st.proposer]
-			if frag := srv.Rel(pa.Name); frag != nil {
-				stream := out.Open(fmt.Sprintf("%s:prop%d", outName, si), pa.Vars...)
-				if len(st.sharedBound) == 0 {
-					// Cartesian extension: broadcast the proposer.
-					stream.BroadcastAll(frag)
-				} else {
-					stream.SendByHash(frag, frag.MustCols(st.sharedBound), mpc.HashSeed(seed, st.sharedBound...))
-				}
-			}
-			for _, vi := range st.verifiers {
-				va := q.Atoms[vi]
-				if frag := srv.Rel(va.Name); frag != nil {
-					// Hashed on the verifier's variables, as this
-					// verifier's round below hashes the bindings.
-					out.Open(fmt.Sprintf("%s:ver%d_%d", outName, si, vi), va.Vars...).SendByHash(frag, frag.MustCols(va.Vars), mpc.HashSeed(seed, va.Vars...))
-				}
-			}
-		}
-	})
+	}
+	c.Shuffle("bigjoin:setup", sends...)
 
 	// Seed bindings: the seed atom's local fragments, projected to its
 	// variable set in VarOrder-consistent order.
@@ -260,18 +253,9 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 	// Seed-verifier rounds: filter the seed bindings through each atom
 	// that the seed already fully binds.
 	for _, vi := range seedVerifiers {
-		vi := vi
 		va := q.Atoms[vi]
-		vseed := mpc.HashSeed(seed, va.Vars...)
 		bvNow := boundVars
-		c.Round(fmt.Sprintf("bigjoin:sverify%d", vi), func(srv *mpc.Server, out *mpc.Out) {
-			frag := srv.Rel(bindName)
-			if frag == nil {
-				return
-			}
-			out.Open(bindName+":v", bvNow...).SendByHash(frag, frag.MustCols(va.Vars), vseed)
-			srv.Delete(bindName)
-		})
+		c.Shuffle(fmt.Sprintf("bigjoin:sverify%d", vi), mpc.Send{From: bindName, To: bindName + ":v", Policy: mpc.Hash(seed, va.Vars...)})
 		c.LocalStep(func(srv *mpc.Server) {
 			bindings := srv.RelOrEmpty(bindName+":v", bvNow...)
 			verRel := srv.RelOrEmpty(fmt.Sprintf("%s:sver%d", outName, vi), va.Vars...)
@@ -329,17 +313,8 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		// Verify rounds: filter the bindings through each newly-bound
 		// atom, one co-partitioned semijoin round per verifier.
 		for _, vi := range st.verifiers {
-			vi := vi
 			va := q.Atoms[vi]
-			vseed := mpc.HashSeed(seed, va.Vars...)
-			c.Round(fmt.Sprintf("bigjoin:verify%d_%d", si, vi), func(srv *mpc.Server, out *mpc.Out) {
-				frag := srv.Rel(bindName)
-				if frag == nil {
-					return
-				}
-				out.Open(bindName+":v", nb...).SendByHash(frag, frag.MustCols(va.Vars), vseed)
-				srv.Delete(bindName)
-			})
+			c.Shuffle(fmt.Sprintf("bigjoin:verify%d_%d", si, vi), mpc.Send{From: bindName, To: bindName + ":v", Policy: mpc.Hash(seed, va.Vars...)})
 			c.LocalStep(func(srv *mpc.Server) {
 				bindings := srv.RelOrEmpty(bindName+":v", nb...)
 				verRel := srv.RelOrEmpty(fmt.Sprintf("%s:ver%d_%d", outName, si, vi), va.Vars...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mpcquery/internal/hypercube"
@@ -77,6 +78,31 @@ func TestEngineCapacitiesRunHet(t *testing.T) {
 	}
 	if exec.Metrics.NormalizedMakespan(e.Capacities) <= 0 {
 		t.Error("normalized makespan not metered")
+	}
+}
+
+// TestUniformCapacitiesAreNoProfile pins that an all-equal capacity
+// profile is no profile: HyperCube runs its plain grid, with every
+// round's name and receive vector, and so (L, r, C), identical to an
+// engine without one, and the reason claims no capacity-aware shares.
+func TestUniformCapacitiesAreNoProfile(t *testing.T) {
+	q := hypergraph.Triangle()
+	rels := testkit.GenInstance(q, testkit.SkewUniform, testkit.GenConfig{Tuples: 400}, 3)
+	run := func(caps []float64) *Execution {
+		e := NewEngine(8, 3)
+		e.Capacities = caps
+		exec, err := e.Execute(Request{Query: q, Relations: rels, Algorithm: AlgHyperCube})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exec
+	}
+	none, uniform := run(nil), run([]float64{2, 2, 2, 2, 2, 2, 2, 2})
+	if got, want := fmt.Sprint(uniform.Metrics.RoundStats()), fmt.Sprint(none.Metrics.RoundStats()); got != want {
+		t.Errorf("uniform profile rounds %s, no profile %s", got, want)
+	}
+	if strings.Contains(uniform.Reason, "capacity-aware") {
+		t.Errorf("uniform profile reason %q claims capacity-aware shares", uniform.Reason)
 	}
 }
 

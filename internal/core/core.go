@@ -353,7 +353,7 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (string, error
 	if err := d.Run(c, q, req.Relations, outName, uint64(e.Seed)); err != nil {
 		return "", err
 	}
-	if alg == AlgHyperCube && e.Capacities != nil {
+	if alg == AlgHyperCube && c.Capacities() != nil {
 		ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
 	}
 	return outName, nil

@@ -44,23 +44,11 @@ func E23ShareSweep() (*Table, error) {
 				for _, a := range q.Atoms {
 					c.ScatterRoundRobin(rels[a.Name].Rename(a.Name))
 				}
-				atoms := q.Atoms
-				routes := make([]hypercube.Route, len(atoms))
-				for i, a := range atoms {
-					routes[i] = pl.Route(a)
+				sends := make([]mpc.Send, len(q.Atoms))
+				for i, a := range q.Atoms {
+					sends[i] = mpc.Send{From: a.Name, To: "x:" + a.Name, Policy: pl.Route(a)}
 				}
-				c.Round("sweep", func(srv *mpc.Server, out *mpc.Out) {
-					for i, a := range atoms {
-						frag := srv.Rel(a.Name)
-						if frag == nil {
-							continue
-						}
-						st := out.Open("x:"+a.Name, a.Vars...)
-						for j := 0; j < frag.Len(); j++ {
-							routes[i].Send(st, frag.Row(j))
-						}
-					}
-				})
+				c.Shuffle("sweep", sends...)
 				results = append(results, runResult{
 					shares: [3]int{p1, p2, p3},
 					load:   c.Metrics().MaxLoad(),

@@ -63,10 +63,10 @@ func probeCount(n int, frac float64) int {
 
 // probeHeavyVars returns, sorted, the variables with at least one heavy
 // hitter at the sample-scaled threshold, counted by stats.Heavy over
-// exactly the prefix of each fragment the probe routed. Driver-side and
-// deterministic: it reads the same committed fragments every replay
-// sees.
-func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, sampledThr int) []string {
+// exactly the prefixes the probe routed, stored under probe+atom.
+// Driver-side and deterministic: it reads the same committed fragments
+// every replay sees.
+func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, probe string, sampledThr int) []string {
 	var heavy []string
 	for _, v := range q.Vars() {
 		var cols []stats.Column
@@ -75,11 +75,8 @@ func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, sampledThr int) []string
 				continue
 			}
 			for i := 0; i < c.P(); i++ {
-				if frag := c.Server(i).Rel(a.Name); frag != nil {
-					n := probeCount(frag.Len(), probeFraction)
-					probed := frag.Empty()
-					probed.AppendFlat(frag.Flat()[:n*frag.Arity()], n)
-					cols = append(cols, stats.Column{Rel: probed, Col: frag.MustCol(v)})
+				if probed := c.Server(i).Rel(probe + a.Name); probed != nil {
+					cols = append(cols, stats.Column{Rel: probed, Col: probed.MustCol(v)})
 				}
 			}
 		}
@@ -89,6 +86,14 @@ func probeHeavyVars(c *mpc.Cluster, q hypergraph.Query, sampledThr int) []string
 	}
 	sort.Strings(heavy)
 	return heavy
+}
+
+// rows returns rows [lo, hi) of frag as a relation named name.
+func rows(frag *relation.Relation, name string, lo, hi int) *relation.Relation {
+	r := relation.New(name, frag.Attrs()...)
+	k := frag.Arity()
+	r.AppendFlat(frag.Flat()[lo*k:hi*k], hi-lo)
+	return r
 }
 
 // RunAdaptive executes the skew-reactive HyperCube driver:
@@ -131,11 +136,25 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	trace.Annotatef(c, "hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, probeFraction*100, pl.Shares)
 	start := c.Metrics().Rounds()
 
-	// Round 1: metered probe over each fragment's prefix.
-	atoms, routes := q.Atoms, pl.routes(q.Atoms)
-	c.Round("adaptive:probe", func(srv *mpc.Server, out *mpc.Out) {
-		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return 0, probeCount(n, probeFraction) })
+	// Round 1: metered probe over each fragment's prefix. Every
+	// fragment is first split, locally, into the prefix the probe
+	// routes and the remainder, stored beside it.
+	probe, rest := outName+":probe:", outName+":rest:"
+	drop := func(prefix string) {
+		for _, a := range q.Atoms {
+			c.DeleteAll(prefix + a.Name)
+		}
+	}
+	c.LocalStep(func(srv *mpc.Server) {
+		for _, a := range q.Atoms {
+			if frag := srv.Rel(a.Name); frag != nil {
+				k := probeCount(frag.Len(), probeFraction)
+				srv.Put(rows(frag, probe+a.Name, 0, k))
+				srv.Put(rows(frag, rest+a.Name, k, frag.Len()))
+			}
+		}
 	})
+	shuffle(c, "adaptive:probe", q.Atoms, probe, outName, pl.Route)
 
 	// Decision: probe receive skew, confirmed by emerging heavy hitters.
 	probeRound := c.Metrics().Rounds() - 1
@@ -146,7 +165,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	switched := false
 	if signal.Skewed(maxImbalance, maxGini) {
 		sampledThr := stats.SampledThreshold(threshold, probeFraction)
-		if heavy := probeHeavyVars(c, q, sampledThr); len(heavy) > 0 {
+		if heavy := probeHeavyVars(c, q, probe, sampledThr); len(heavy) > 0 {
 			switched = true
 			res.Reason = fmt.Sprintf("probe skewed (%s), heavy vars [%s] at sampled threshold %d",
 				signal, strings.Join(heavy, " "), sampledThr)
@@ -157,14 +176,14 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 	} else {
 		res.Reason = fmt.Sprintf("probe balanced (%s)", signal)
 	}
+	drop(probe)
 
 	if switched {
 		// Discard the probe's partial shuffle and hand the cluster to
 		// the skew path. From here on the run is byte-for-byte a
 		// static SkewHC execution.
-		for _, a := range q.Atoms {
-			c.DeleteAll(outName + ":" + a.Name)
-		}
+		drop(outName + ":")
+		drop(rest)
 		if tr := c.Tracer(); tr != nil {
 			tr.Adapt(probeRound, res.Reason, signal.MaxRecv, signal.Gini)
 		}
@@ -181,9 +200,8 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 
 	// Round 2: route the remaining tuples under the same plan; the
 	// streams accumulate onto the probe's deliveries.
-	c.Round("adaptive:remainder", func(srv *mpc.Server, out *mpc.Out) {
-		shuffle(srv, out, atoms, routes, outName, func(n int) (int, int) { return probeCount(n, probeFraction), n })
-	})
+	shuffle(c, "adaptive:remainder", q.Atoms, rest, outName, pl.Route)
+	drop(rest)
 	localJoin(c, q, outName, "", LocalGeneric)
 	res.Rounds = c.Metrics().Rounds() - start
 	return res, nil

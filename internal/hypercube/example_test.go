@@ -33,12 +33,14 @@ func ExampleRun() {
 }
 
 // ExamplePlanWithShares shows manual share control: a 2×2×2 grid on 8
-// servers and where one R-tuple is replicated (along the free z
-// dimension).
+// servers, and one R-tuple routed by its atom's grid policy, which
+// replicates it along the free z dimension.
 func ExamplePlanWithShares() {
 	pl := hypercube.PlanWithShares(hypergraph.Triangle(), []int{2, 2, 2}, 7)
-	rt := pl.Route(hypergraph.Triangle().Atom("R"))
-	fmt.Println("copies:", len(rt.Offsets))
+	c := mpc.NewCluster(8, 1)
+	c.Server(0).Put(relation.FromRows("R", []string{"x", "y"}, [][]relation.Value{{5, 9}}))
+	c.Shuffle("route", mpc.Send{From: "R", To: "routed", Policy: pl.Route(hypergraph.Triangle().Atom("R"))})
+	fmt.Println("copies:", c.TotalLen("routed"))
 	// Output:
 	// copies: 2
 }

@@ -70,8 +70,9 @@ type HetResult struct {
 
 // RunHet executes HyperCube with capacity-proportional cell ownership.
 // The capacity profile comes from the cluster (mpc.SetCapacities);
-// a cluster without one runs with uniform capacities, which degrades
-// to plain HyperCube on a 4x-refined grid.
+// a cluster without one, or with an all-equal one (which the cluster
+// stores as none), runs with uniform capacities, which degrades to
+// plain HyperCube on a 4x-refined grid.
 //
 // Tuples are routed per virtual cell — stream "out:Atom#cell" to the
 // cell's owner — and each server joins every cell it owns separately,
@@ -99,42 +100,17 @@ func RunHet(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relati
 		q.Name, hp.Shares, hp.GridSize(), caps)
 	start := c.Metrics().Rounds()
 
-	atoms, routes := q.Atoms, hp.routes(q.Atoms)
-	owner := hp.Owner
-	c.Round("het:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		streams := make([]*mpc.Stream, len(owner)) // by cell, opened on first send
-		for ai, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
-			clear(streams)
-			rt := routes[ai]
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				b := rt.Base(row)
-				for _, o := range rt.Offsets {
-					cell := b + o
-					st := streams[cell]
-					if st == nil {
-						st = out.Open(fmt.Sprintf("%s:%s#%d", outName, a.Name, cell), a.Vars...)
-						streams[cell] = st
-					}
-					st.SendRow(owner[cell], row)
-				}
-			}
-		}
-	})
+	shuffle(c, "het:shuffle", q.Atoms, "", outName, func(a hypergraph.Atom) mpc.Policy { return hp.grid(a, hp.Owner) })
 
 	// Per-cell local joins: each server joins each of its cells'
 	// fragments independently and unions the results under outName.
 	vars := q.Vars()
 	c.LocalStep(func(srv *mpc.Server) {
-		for cell, own := range owner {
+		for cell, own := range hp.Owner {
 			if own != srv.ID() {
 				continue
 			}
-			joinFragments(srv, atoms, vars, outName, fmt.Sprintf("#%d", cell), alg)
+			joinFragments(srv, q.Atoms, vars, outName, fmt.Sprintf("#%d", cell), alg)
 		}
 	})
 	return &HetResult{Rounds: c.Metrics().Rounds() - start, Plan: hp}, nil

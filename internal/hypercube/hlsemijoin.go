@@ -90,7 +90,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 		if frag := srv.Rel("R"); frag != nil {
 			for i := 0; i < frag.Len(); i++ {
 				row := frag.Row(i)
-				routeR.Send(stR, row)
+				routeR.SendRow(stR, row)
 				// R participates in every heavy residual; partition by y.
 				for _, blk := range blocks {
 					dst := (blk + relation.Bucket(relation.Hash64(row[1], ySeed), pb)) % c.P()
@@ -106,7 +106,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 					dst := (blk + relation.Bucket(relation.Hash64(row[0], ySeed), pb)) % c.P()
 					stSb.Send(dst, relation.Value(blk), row[0], row[1])
 				} else {
-					routeS.Send(stS, row)
+					routeS.SendRow(stS, row)
 				}
 			}
 		}
@@ -119,7 +119,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 					dst := (blk + relation.Bucket(relation.Hash64(row[1], xSeed), pb)) % c.P()
 					stTb.Send(dst, relation.Value(blk), row[1], row[0])
 				} else {
-					routeT.Send(stT, row)
+					routeT.SendRow(stT, row)
 				}
 			}
 		}

@@ -43,8 +43,6 @@ type Plan struct {
 	// a dimension is named by its variable, so every plan under one
 	// query seed hashes a variable alike, whatever its shares.
 	Seeds []uint64
-
-	stride []int // cached mixed-radix strides
 }
 
 // NewPlan computes LP-optimal integer shares for the query given the
@@ -76,9 +74,7 @@ func PlanWithShares(q hypergraph.Query, shares []int, seed uint64) *Plan {
 	for i, v := range vars {
 		seeds[i] = mpc.HashSeed(seed, v)
 	}
-	pl := &Plan{Query: q, Vars: vars, Shares: shares, Seeds: seeds}
-	pl.stride = pl.strides()
-	return pl
+	return &Plan{Query: q, Vars: vars, Shares: shares, Seeds: seeds}
 }
 
 // GridSize returns the number of servers the plan actually addresses
@@ -91,107 +87,37 @@ func (pl *Plan) GridSize() int {
 	return prod
 }
 
-// varIndex returns the dimension of variable v.
-func (pl *Plan) varIndex(v string) int {
-	for i, x := range pl.Vars {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
+// Route compiles the route of atom a under pl into a grid policy
+// (slide 37): the dimensions of a's variables are fixed by hashing the
+// row's values, the remaining dimensions range over their full shares.
+// It panics if a has a variable the plan does not. A variable the atom
+// repeats is hashed from its last column.
+func (pl *Plan) Route(a hypergraph.Atom) mpc.Policy { return pl.grid(a, nil) }
 
-// strides returns mixed-radix strides: server = Σ coord[i]·stride[i].
-func (pl *Plan) strides() []int {
-	k := len(pl.Shares)
-	st := make([]int, k)
-	acc := 1
-	for i := k - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= pl.Shares[i]
-	}
-	return st
-}
-
-// Route is one atom's cell route under a plan, compiled once per round
-// (slide 37): the dimensions of the atom's variables are fixed by
-// hashing the tuple's values, the remaining dimensions range over their
-// full shares. A row of the atom, in atom-variable order, goes to cell
-// Base(row)+o for each o in Offsets, in that order.
-type Route struct {
-	hashed []hashedDim
-	// Offsets are the free dimensions' cell offsets, dimension 0
-	// outermost. Read-only.
-	Offsets []int
-}
-
-// hashedDim is one dimension an atom fixes: coordinate
-// Hash64(row[col], seed) mod share, weighted by the dimension's stride.
-type hashedDim struct {
-	col           int
-	seed          uint64
-	share, stride int
-}
-
-// Route compiles the route of atom a under pl. It panics if a has a
-// variable the plan does not. A variable the atom repeats is hashed from
-// its last column.
-func (pl *Plan) Route(a hypergraph.Atom) Route {
-	col := make([]int, len(pl.Vars))
-	for d := range col {
-		col[d] = -1
+// grid is Route with cell c hosted by owner[c] (nil: by server c).
+func (pl *Plan) grid(a hypergraph.Atom, owner []int) mpc.Policy {
+	cols := make([]int, len(pl.Vars))
+	for d := range cols {
+		cols[d] = -1
 	}
 	for ai, v := range a.Vars {
-		d := pl.varIndex(v)
+		d := slices.Index(pl.Vars, v)
 		if d < 0 {
 			panic(fmt.Sprintf("hypercube: atom %s var %s not in plan", a.Name, v))
 		}
-		col[d] = ai
+		cols[d] = ai
 	}
-	rt := Route{Offsets: []int{0}}
-	for d, share := range pl.Shares {
-		switch {
-		case share == 1: // coordinate 0 whether fixed or free
-		case col[d] >= 0:
-			rt.hashed = append(rt.hashed, hashedDim{col: col[d], seed: pl.Seeds[d], share: share, stride: pl.stride[d]})
-		default:
-			offs := make([]int, 0, len(rt.Offsets)*share)
-			for _, o := range rt.Offsets {
-				for c := 0; c < share; c++ {
-					offs = append(offs, o+c*pl.stride[d])
-				}
-			}
-			rt.Offsets = offs
-		}
-	}
-	return rt
+	return mpc.Grid(pl.Shares, pl.Seeds, cols, owner)
 }
 
-// routes compiles the route of every atom, in order.
-func (pl *Plan) routes(atoms []hypergraph.Atom) []Route {
-	rts := make([]Route, len(atoms))
+// shuffle is one round that routes every atom's fragment, stored under
+// from+atom, onto the stream outName:atom by the atom's policy.
+func shuffle(c *mpc.Cluster, name string, atoms []hypergraph.Atom, from, outName string, policy func(hypergraph.Atom) mpc.Policy) {
+	sends := make([]mpc.Send, len(atoms))
 	for i, a := range atoms {
-		rts[i] = pl.Route(a)
+		sends[i] = mpc.Send{From: from + a.Name, To: outName + ":" + a.Name, Policy: policy(a)}
 	}
-	return rts
-}
-
-// Base returns the cell that row's hashed coordinates address, every
-// free coordinate being 0.
-func (rt Route) Base(row []relation.Value) int {
-	b := 0
-	for _, h := range rt.hashed {
-		b += int(relation.Hash64(row[h.col], h.seed)%uint64(h.share)) * h.stride
-	}
-	return b
-}
-
-// Send sends row to every cell of its route on st.
-func (rt Route) Send(st *mpc.Stream, row []relation.Value) {
-	b := rt.Base(row)
-	for _, o := range rt.Offsets {
-		st.SendRow(b+o, row)
-	}
+	c.Shuffle(name, sends...)
 }
 
 // Result describes a HyperCube execution.
@@ -239,47 +165,6 @@ func scatter(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relat
 	return bound
 }
 
-// shuffle is one server's side of a plain HyperCube shuffle: for every
-// atom with a local fragment, rows [lo, hi) of it, lo and hi being span
-// of its length, go to every cell of the atom's route (routes[i] for
-// atoms[i]) on the stream outName:atom. It counts each destination
-// first and presizes the stream, so routing a fragment allocates the
-// same whatever its length.
-func shuffle(srv *mpc.Server, out *mpc.Out, atoms []hypergraph.Atom, routes []Route, outName string, span func(n int) (lo, hi int)) {
-	counts := make([]int, srv.P())
-	var bases []int32
-	for ai, a := range atoms {
-		frag := srv.Rel(a.Name)
-		if frag == nil {
-			continue
-		}
-		st := out.Open(outName+":"+a.Name, a.Vars...)
-		rt := routes[ai]
-		lo, hi := span(frag.Len())
-		bases = slices.Grow(bases[:0], hi-lo)
-		clear(counts)
-		for i := lo; i < hi; i++ {
-			b := rt.Base(frag.Row(i))
-			bases = append(bases, int32(b))
-			for _, o := range rt.Offsets {
-				counts[b+o]++
-			}
-		}
-		for d, n := range counts {
-			st.Grow(d, n)
-		}
-		for i, b := range bases {
-			row := frag.Row(lo + i)
-			for _, o := range rt.Offsets {
-				st.SendRow(int(b)+o, row)
-			}
-		}
-	}
-}
-
-// allRows is the shuffle span of a whole fragment.
-func allRows(n int) (lo, hi int) { return 0, n }
-
 // Run executes the one-round HyperCube algorithm with LP-optimal shares
 // and leaves the join result (schema = q.Vars()) distributed under
 // outName. It places the inputs round-robin and runs RunWithPlan.
@@ -300,10 +185,7 @@ func RunWithPlan(c *mpc.Cluster, pl *Plan, outName string, alg LocalAlg) *Result
 	q := pl.Query
 	trace.Annotatef(c, "hypercube.Run %s shares %v on %v", q.Name, pl.Shares, pl.Vars)
 	start := c.Metrics().Rounds()
-	atoms, routes := q.Atoms, pl.routes(q.Atoms)
-	c.Round("hypercube:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		shuffle(srv, out, atoms, routes, outName, allRows)
-	})
+	shuffle(c, "hypercube:shuffle", q.Atoms, "", outName, pl.Route)
 	localJoin(c, q, outName, "", alg)
 	return &Result{Rounds: c.Metrics().Rounds() - start, Plan: pl}
 }
@@ -452,7 +334,6 @@ func skewShuffle(c *mpc.Cluster, q hypergraph.Query, bound map[string]*relation.
 	for i, v := range vars {
 		varIdx[v] = i
 	}
-	atoms := q.Atoms
 	var patterns []PatternPlan
 	for _, hv := range q.VarSubsets() {
 		skip := false
@@ -489,52 +370,25 @@ func skewShuffle(c *mpc.Cluster, q hypergraph.Query, bound map[string]*relation.
 		patterns = append(patterns, PatternPlan{Heavy: hv, Plan: subPlan, TauRes: tauRes})
 	}
 
-	// A row of atom ai matches pattern pi when the bits of want[pi][ai] —
-	// bit j set iff pattern pi makes the atom's j-th variable heavy — are
-	// exactly its own heavy bits.
-	routes := make([][]Route, len(patterns)) // routes[pattern][atom]
-	want := make([][]uint64, len(patterns))
-	for pi, pat := range patterns {
-		routes[pi] = pat.Plan.routes(atoms)
-		want[pi] = make([]uint64, len(atoms))
-		for ai, a := range atoms {
+	// A row of atom a takes pattern pi's grid when its heavy bits — bit
+	// j set iff its j-th variable is heavy — are the ones pattern pi
+	// gives the atom's variables.
+	shuffle(c, "skewhc:shuffle", q.Atoms, "", outName, func(a hypergraph.Atom) mpc.Policy {
+		sets := make([][]relation.Value, len(a.Vars))
+		for j, v := range a.Vars {
+			sets[j] = heavy[varIdx[v]]
+		}
+		want := make([]uint64, len(patterns))
+		grids := make([]mpc.Policy, len(patterns))
+		for pi, pat := range patterns {
 			for j, v := range a.Vars {
 				if pat.Heavy[v] {
-					want[pi][ai] |= 1 << j
+					want[pi] |= 1 << j
 				}
 			}
+			grids[pi] = pat.Plan.Route(a)
 		}
-	}
-	c.Round("skewhc:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		sts := make([]*mpc.Stream, len(patterns))
-		sets := make([][]relation.Value, 0, 8)
-		for ai, a := range atoms {
-			frag := srv.Rel(a.Name)
-			if frag == nil {
-				continue
-			}
-			sets = sets[:0]
-			for _, v := range a.Vars {
-				sets = append(sets, heavy[varIdx[v]])
-			}
-			for pi := range patterns {
-				sts[pi] = out.Open(fmt.Sprintf("%s:%s@%d", outName, a.Name, pi), a.Vars...)
-			}
-			for i := 0; i < frag.Len(); i++ {
-				row := frag.Row(i)
-				var bits uint64
-				for j, set := range sets {
-					if _, ok := slices.BinarySearch(set, row[j]); ok {
-						bits |= 1 << j
-					}
-				}
-				for pi := range patterns {
-					if want[pi][ai] == bits {
-						routes[pi][ai].Send(sts[pi], row)
-					}
-				}
-			}
-		}
+		return mpc.Patterns(sets, want, grids...)
 	})
 	// Local join per pattern; union the results.
 	for pi := range patterns {

@@ -50,7 +50,7 @@ func TestRouteReplication(t *testing.T) {
 	// the hashed x and y dims.
 	q := hypergraph.Triangle()
 	pl := PlanWithShares(q, []int{2, 2, 2}, 7)
-	targets := routeCells(pl.Route(q.Atom("R")), []relation.Value{5, 9})
+	targets := routeCells(pl, pl.Route(q.Atom("R")), []relation.Value{5, 9})[0]
 	if len(targets) != 2 {
 		t.Fatalf("R tuple delivered to %d servers, want 2", len(targets))
 	}
@@ -66,7 +66,7 @@ func TestRouteReplication(t *testing.T) {
 	}
 	// A fully-bound output tuple addresses exactly one server.
 	full := hypergraph.Atom{Name: "full", Vars: []string{"x", "y", "z"}}
-	if one := routeCells(pl.Route(full), []relation.Value{5, 9, 1}); len(one) != 1 {
+	if one := routeCells(pl, pl.Route(full), []relation.Value{5, 9, 1})[0]; len(one) != 1 {
 		t.Fatalf("full tuple delivered to %d servers", len(one))
 	}
 }

@@ -21,7 +21,8 @@ import (
 //     value of degree d on variable x cannot be split across the x
 //     dimension, so plain HyperCube degrades under skew exactly as
 //     slide 46 warns. On a cluster carrying a capacity profile it runs
-//     the capacity-aware RunHet instead of Run.
+//     the capacity-aware RunHet instead of Run; a uniform profile is
+//     none (mpc.SetCapacities).
 //   - skewhc: the heavy/light residual-query variant whose load stays
 //     IN/p^{1/ψ*} for any skew (slides 47-51). Run takes each variable's
 //     heavy hitters from the inputs, as the planner does, and runs

@@ -76,19 +76,10 @@ func HashJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 	start := c.Metrics().Rounds()
 	rName, sName := r.Name(), s.Name()
 	rAttrs, sAttrs := r.Attrs(), s.Attrs()
-	keySeed := mpc.HashSeed(seed, shared...)
-	c.Round("hashjoin:shuffle", func(srv *mpc.Server, out *mpc.Out) {
-		for _, spec := range []struct {
-			name  string
-			attrs []string
-		}{{rName, rAttrs}, {sName, sAttrs}} {
-			frag := srv.Rel(spec.name)
-			if frag == nil {
-				continue
-			}
-			out.Open(outName+":"+spec.name, spec.attrs...).SendByHash(frag, frag.MustCols(shared), keySeed)
-		}
-	})
+	key := mpc.Hash(seed, shared...)
+	c.Shuffle("hashjoin:shuffle",
+		mpc.Send{From: rName, To: outName + ":" + rName, Policy: key},
+		mpc.Send{From: sName, To: outName + ":" + sName, Policy: key})
 	c.LocalStep(func(srv *mpc.Server) {
 		rf := srv.RelOrEmpty(outName+":"+rName, rAttrs...)
 		sf := srv.RelOrEmpty(outName+":"+sName, sAttrs...)
@@ -110,13 +101,7 @@ func BroadcastJoin(c *mpc.Cluster, r, s *relation.Relation, outName string) *Res
 	start := c.Metrics().Rounds()
 	rName, sName := r.Name(), s.Name()
 	rAttrs, sAttrs := r.Attrs(), s.Attrs()
-	c.Round("broadcastjoin:replicate", func(srv *mpc.Server, out *mpc.Out) {
-		frag := srv.Rel(rName)
-		if frag == nil {
-			return
-		}
-		out.Open(outName+":"+rName, rAttrs...).BroadcastAll(frag)
-	})
+	c.Shuffle("broadcastjoin:replicate", mpc.Send{From: rName, To: outName + ":" + rName, Policy: mpc.Broadcast()})
 	c.LocalStep(func(srv *mpc.Server) {
 		rf := srv.RelOrEmpty(outName+":"+rName, rAttrs...)
 		sf := srv.RelOrEmpty(sName, sAttrs...)

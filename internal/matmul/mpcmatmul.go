@@ -21,16 +21,13 @@ func scatterMatrix(c *mpc.Cluster, name string, m *Matrix) {
 	c.ScatterRoundRobin(rel)
 }
 
-// shuffleOnJ is one server's side of the relational multiply's join
-// round: A(i, j, v) and B(j, k, v) both hash on j, so the two factors of
-// every product meet on one server.
-func shuffleOnJ(srv *mpc.Server, out *mpc.Out, seed uint64) {
-	jSeed := mpc.HashSeed(seed, "j")
-	if frag := srv.Rel("A"); frag != nil {
-		out.Open("Aj", "i", "j", "v").SendByHash(frag, []int{1}, jSeed)
-	}
-	if frag := srv.Rel("B"); frag != nil {
-		out.Open("Bj", "j", "k", "v").SendByHash(frag, []int{0}, jSeed)
+// onJ is the relational multiply's join round: A(i, j, v) and
+// B(j, k, v) both hash on j, so the two factors of every product meet on
+// one server.
+func onJ(seed uint64) []mpc.Send {
+	return []mpc.Send{
+		{From: "A", To: "Aj", Policy: mpc.Hash(seed, "j")},
+		{From: "B", To: "Bj", Policy: mpc.Hash(seed, "j")},
 	}
 }
 
@@ -292,9 +289,7 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 	trace.Annotatef(c, "matmul.SQLJoinAggregate n=%d (nnz %d+%d)", n, aRel.Len(), bRel.Len())
 	start := c.Metrics().Rounds()
 	// Round 1: co-partition on j.
-	c.Round("sqlmm:join", func(srv *mpc.Server, out *mpc.Out) {
-		shuffleOnJ(srv, out, seed)
-	})
+	c.Shuffle("sqlmm:join", onJ(seed)...)
 	// Local join + multiply, then round 2: partition products on (i,k).
 	c.LocalStep(func(srv *mpc.Server) {
 		af := srv.RelOrEmpty("Aj", "i", "j", "v")
@@ -308,21 +303,13 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 				prod.Append(arow[0], brow[1], arow[2]*brow[2])
 			}
 		}
-		srv.Put(prod)
+		// Pre-aggregate locally (combiner) before shuffling.
+		srv.Put(relation.GroupBy("prod", prod, []string{"i", "k"}, relation.Sum, "v", "v"))
 		srv.Delete("Aj")
 		srv.Delete("Bj")
 	})
-	c.Round("sqlmm:aggregate", func(srv *mpc.Server, out *mpc.Out) {
-		frag := srv.Rel("prod")
-		if frag == nil {
-			return
-		}
-		st := out.Open("Cagg", "i", "k", "v")
-		// Pre-aggregate locally (combiner) before shuffling.
-		partial := relation.GroupBy("pagg", frag, []string{"i", "k"}, relation.Sum, "v", "v")
-		st.SendByHash(partial, []int{0, 1}, mpc.HashSeed(seed, "i", "k"))
-		srv.Delete("prod")
-	})
+	c.Shuffle("sqlmm:aggregate", mpc.Send{From: "prod", To: "Cagg", Policy: mpc.Hash(seed, "i", "k")})
+	c.DeleteAll("prod")
 	c.LocalStep(func(srv *mpc.Server) {
 		frag := srv.RelOrEmpty("Cagg", "i", "k", "v")
 		srv.Put(relation.GroupBy("C", frag, []string{"i", "k"}, relation.Sum, "v", "v"))

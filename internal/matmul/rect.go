@@ -138,9 +138,7 @@ func SparseSQLMultiply(c *mpc.Cluster, a, b *Rect, seed uint64) (*Rect, int, err
 	c.ScatterRoundRobin(aRel)
 	c.ScatterRoundRobin(bRel)
 	start := c.Metrics().Rounds()
-	c.Round("sparsemm:join", func(srv *mpc.Server, out *mpc.Out) {
-		shuffleOnJ(srv, out, seed)
-	})
+	c.Shuffle("sparsemm:join", onJ(seed)...)
 	c.LocalStep(func(srv *mpc.Server) {
 		af := srv.RelOrEmpty("Aj", "i", "j", "v")
 		bf := srv.RelOrEmpty("Bj", "j", "k", "v")
@@ -158,14 +156,8 @@ func SparseSQLMultiply(c *mpc.Cluster, a, b *Rect, seed uint64) (*Rect, int, err
 		srv.Delete("Aj")
 		srv.Delete("Bj")
 	})
-	c.Round("sparsemm:aggregate", func(srv *mpc.Server, out *mpc.Out) {
-		frag := srv.Rel("prod")
-		if frag == nil {
-			return
-		}
-		out.Open("Cagg", "i", "k", "v").SendByHash(frag, []int{0, 1}, mpc.HashSeed(seed, "i", "k"))
-		srv.Delete("prod")
-	})
+	c.Shuffle("sparsemm:aggregate", mpc.Send{From: "prod", To: "Cagg", Policy: mpc.Hash(seed, "i", "k")})
+	c.DeleteAll("prod")
 	out := NewRect(a.Rows, b.Cols)
 	for i := 0; i < c.P(); i++ {
 		frag := c.Server(i).Rel("Cagg")

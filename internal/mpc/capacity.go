@@ -7,8 +7,11 @@ import "fmt"
 // only ratios matter). Heterogeneity-aware planners apportion grid
 // cells proportionally to capacity, and NormalizedMakespan judges a
 // round by max recv_i/caps_i instead of max recv_i. A nil caps detaches
-// the profile (uniform capacities). Capacities never influence message
-// delivery, so attaching them is observationally free.
+// the profile, and so does one whose capacities are all equal: a
+// uniform profile is no profile. A profile is not observationally
+// free: on a cluster that carries one, the hypercube descriptor routes
+// by capacity-proportional cells (hypercube.RunHet), which changes
+// what every server receives.
 func (c *Cluster) SetCapacities(caps []float64) {
 	if caps == nil {
 		c.caps = nil
@@ -17,16 +20,22 @@ func (c *Cluster) SetCapacities(caps []float64) {
 	if len(caps) != c.p {
 		panic(fmt.Sprintf("mpc: SetCapacities: %d capacities for %d servers", len(caps), c.p))
 	}
+	uniform := true
 	for i, v := range caps {
 		if v <= 0 {
 			panic(fmt.Sprintf("mpc: SetCapacities: capacity[%d] = %v must be > 0", i, v))
 		}
+		uniform = uniform && v == caps[0]
+	}
+	if uniform {
+		c.caps = nil
+		return
 	}
 	c.caps = append([]float64(nil), caps...)
 }
 
 // Capacities returns the attached capacity profile, or nil when the
-// cluster is uniform. The slice is a copy; mutating it does not affect
+// cluster is uniform (none attached, or all capacities equal). The slice is a copy; mutating it does not affect
 // the cluster.
 func (c *Cluster) Capacities() []float64 {
 	if c.caps == nil {

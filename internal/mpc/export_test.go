@@ -54,3 +54,34 @@ func (pt PortableTransport) Deliver(v *RoundView) error {
 }
 
 func (PortableTransport) Close() error { return nil }
+
+// WalkCells is the reference a compiled Grid is checked against: the
+// recursive walk routing used before routes were compiled. Dimension d
+// is fixed by hashing row[cols[d]] under seeds[d] when cols[d] ≥ 0 and
+// ranges over its full share otherwise; cells are listed with dimension
+// 0 outermost.
+func WalkCells(shares []int, seeds []uint64, cols []int, row []relation.Value) []int {
+	k := len(shares)
+	stride := make([]int, k)
+	acc := 1
+	for d := k - 1; d >= 0; d-- {
+		stride[d] = acc
+		acc *= shares[d]
+	}
+	var cells []int
+	var walk func(dim, acc int)
+	walk = func(dim, acc int) {
+		switch {
+		case dim == k:
+			cells = append(cells, acc)
+		case cols[dim] >= 0:
+			walk(dim+1, acc+int(relation.Hash64(row[cols[dim]], seeds[dim])%uint64(shares[dim]))*stride[dim])
+		default:
+			for c := 0; c < shares[dim]; c++ {
+				walk(dim+1, acc+c*stride[dim])
+			}
+		}
+	}
+	walk(0, 0)
+	return cells
+}

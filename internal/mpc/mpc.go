@@ -13,17 +13,18 @@
 // runs on its own goroutine, so the simulation is also genuinely
 // parallel.
 //
-// Tuples move one way. On the send side a compute function opens a
-// Stream and either sends tuple by tuple (Send, Broadcast — for emits it
-// computes as it goes) or hands over a whole fragment: SendByHash is the
-// way to hash-partition one, BroadcastAll the way to replicate one, and
-// ScatterByHash places initial data with the same partition routine, so
-// scatter and routing agree on every tuple's owner. Grow is the one
-// presize routine: the bulk sends call it, and so may a caller that
-// counts its computed emits per destination first. On the delivery side
-// every round commits through the cluster's Transport (transport.go);
-// the in-process LocalTransport is the default and a Transport like any
-// other.
+// Tuples move one way. On the send side, a round that only routes
+// stored fragments is a Shuffle: each input names a fragment, a target
+// stream and a Policy — hash, broadcast or a HyperCube grid
+// (policy.go) — and one presized routine sends it. A round that
+// computes what it sends, or routes by the server RNG, is a Round
+// closure: it opens a Stream and sends tuple by tuple (Send, Broadcast)
+// or hands over a computed fragment (SendByHash, BroadcastAll).
+// ScatterByHash places initial data with the hash partition routine,
+// so scatter and routing agree on every tuple's owner. On the delivery
+// side every round commits through the cluster's Transport
+// (transport.go); the in-process LocalTransport is the default and a
+// Transport like any other.
 //
 // The delivery path is the simulator's hot loop: every tuple an
 // algorithm communicates passes through it exactly once. It is built
@@ -61,9 +62,10 @@ type Cluster struct {
 	// on the first Round and reset (capacity retained) after each one.
 	outs []*Out
 	// caps, when non-nil, is the per-server capacity profile
-	// (capacity.go). It never affects delivery — only planners and
-	// metrics consult it — so attaching capacities cannot change what
-	// a run computes, only how its load is apportioned and judged.
+	// (capacity.go); an all-equal profile is stored as nil. Delivery
+	// never reads it, but planners do: the hypercube descriptor routes
+	// by capacity on a cluster that carries one, so a profile changes
+	// what every server receives, not only how its load is judged.
 	caps []float64
 	// faults, when non-nil, routes every round through the recovery
 	// driver (recovery.go); failed poisons the cluster after a round
@@ -228,6 +230,10 @@ type Out struct {
 	streams map[string]*stream
 	order   []string           // stream creation order for deterministic delivery
 	spare   map[string]*stream // reset streams from prior rounds, by name
+	// bases and counts are the grid loop's scratch (policy.go), kept
+	// for the next fragment.
+	bases  []int32
+	counts []int
 }
 
 // reset parks every open stream for reuse. Called by the cluster after
@@ -329,9 +335,9 @@ func (s *Stream) Broadcast(vals ...relation.Value) {
 // SendByHash hash-partitions frag onto the stream: row i goes to server
 // Owner(row, cols, seed, p). It is the bulk form of one Send per row —
 // per destination the tuples land in exactly that order, after whatever
-// the stream already holds — and it is how algorithms partition a
-// fragment: ScatterByHash places tuples with the same routine, so data
-// scattered and data routed under equal (cols, seed) meet on one server.
+// the stream already holds — and the routine a hash Policy runs:
+// ScatterByHash places tuples with the same routine, so data scattered
+// and data routed under equal (cols, seed) meet on one server.
 // Callers take seed from HashSeed over the variables cols hold, so a
 // shuffle onto the variables a relation is already laid out on keeps
 // every tuple where it is.
@@ -343,8 +349,7 @@ func (s *Stream) SendByHash(frag *relation.Relation, cols []int, seed uint64) {
 	}
 	dsts, counts := hashPartition(frag, cols, seed, s.out.p)
 	for d, n := range counts {
-		s.Grow(d, n)
-		st.counts[d] += int64(n)
+		s.reserve(d, n)
 	}
 	for i, d := range dsts {
 		st.perDst[d] = append(st.perDst[d], frag.Row(i)...)
@@ -359,21 +364,20 @@ func (s *Stream) BroadcastAll(frag *relation.Relation) {
 	s.checkArity(frag)
 	n := frag.Len()
 	for d := range st.perDst {
-		s.Grow(d, n)
+		s.reserve(d, n)
 		for i := 0; i < n; i++ {
 			st.perDst[d] = append(st.perDst[d], frag.Row(i)...)
 		}
-		st.counts[d] += int64(n)
 	}
 }
 
-// Grow reserves room for n more tuples to dst, so the next n sends to
-// dst append without reallocating. It is the one presize routine of
-// every bulk send: SendByHash and BroadcastAll call it, and so does a
-// caller that counts its destinations before sending row by row
-// (HyperCube's grid shuffle).
-func (s *Stream) Grow(dst, n int) {
+// reserve counts n more tuples to dst and makes room for them, so the
+// next n appends to dst do not reallocate. It is the one presize
+// routine of every bulk send: SendByHash, BroadcastAll and the grid
+// loop of Cluster.Shuffle.
+func (s *Stream) reserve(dst, n int) {
 	s.st.perDst[dst] = slices.Grow(s.st.perDst[dst], n*len(s.st.attrs))
+	s.st.counts[dst] += int64(n)
 }
 
 // checkArity checks once, for a whole fragment, what Send checks per

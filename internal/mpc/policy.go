@@ -1,0 +1,237 @@
+// One-round distribution policies and the round that runs them.
+
+package mpc
+
+import (
+	"slices"
+	"strconv"
+
+	"mpcquery/internal/relation"
+)
+
+// Policy is a one-round distribution policy for one stored fragment: a
+// deterministic map from each of its rows to a set of servers (arXiv
+// 1412.4030), compiled once before the round. Cluster.Shuffle runs
+// policies; a round that computes what it sends, or routes by the
+// server RNG, stays a Round closure. The kinds are:
+//
+//   - Hash: a row goes to its Owner under HashSeed(seed, vars...) on
+//     the columns that hold vars (Stream.SendByHash);
+//   - Broadcast: a row goes to every server (Stream.BroadcastAll);
+//   - Grid: a row goes to every cell of a HyperCube grid its hashed
+//     coordinates address, every free dimension enumerated. Two tables
+//     extend it: Patterns splits the rows over one grid per heavy-hitter
+//     pattern, and an owner map hosts several cells per server.
+type Policy struct {
+	kind  policyKind
+	vars  []string // Hash: the variables, resolved to columns per fragment
+	seed  uint64   // Hash: HashSeed(seed, vars...)
+	grids []grid   // Grid: one; Patterns: one per pattern
+	heavy [][]relation.Value
+	want  []uint64
+	owner []int
+}
+
+type policyKind uint8
+
+const (
+	hashPolicy policyKind = iota
+	broadcastPolicy
+	gridPolicy
+	patternPolicy
+)
+
+// grid is one compiled HyperCube route: a row's base cell is the sum
+// of its hashed coordinates times their strides, and the row goes to
+// base + o for each o in offsets, dimension 0 outermost.
+type grid struct {
+	hashed  []hashedDim
+	offsets []int
+	cells   int // the grid's size, the product of its shares
+}
+
+// hashedDim is one dimension a fragment fixes: coordinate
+// Hash64(row[col], seed) mod share, weighted by the dimension's stride.
+type hashedDim struct {
+	col           int
+	seed          uint64
+	share, stride int
+}
+
+// Hash is the policy that hash-partitions a fragment on the columns
+// holding vars, under HashSeed(seed, vars...): fragments hashed on the
+// same variables under one query seed meet on one server, whatever
+// columns the variables sit in.
+func Hash(seed uint64, vars ...string) Policy {
+	return Policy{kind: hashPolicy, vars: vars, seed: HashSeed(seed, vars...)}
+}
+
+// Broadcast is the policy that replicates a fragment to every server.
+func Broadcast() Policy { return Policy{kind: broadcastPolicy} }
+
+// Grid compiles a HyperCube grid route with one dimension per share,
+// the last dimension varying fastest: dimension d has seed seeds[d], and
+// is fixed by hashing column cols[d] of a row, or free when cols[d] < 0.
+// A nil owner makes cell c server c; otherwise owner[c] hosts cell c,
+// and the rows of cell c travel on stream To#c.
+func Grid(shares []int, seeds []uint64, cols []int, owner []int) Policy {
+	g := grid{offsets: []int{0}, cells: 1}
+	for _, s := range shares {
+		g.cells *= s
+	}
+	stride := g.cells
+	for d, share := range shares {
+		stride /= share
+		switch {
+		case share == 1: // coordinate 0 whether fixed or free
+		case cols[d] >= 0:
+			g.hashed = append(g.hashed, hashedDim{col: cols[d], seed: seeds[d], share: share, stride: stride})
+		default:
+			offs := make([]int, 0, len(g.offsets)*share)
+			for _, o := range g.offsets {
+				for c := 0; c < share; c++ {
+					offs = append(offs, o+c*stride)
+				}
+			}
+			g.offsets = offs
+		}
+	}
+	return Policy{kind: gridPolicy, grids: []grid{g}, owner: owner}
+}
+
+// Patterns splits a fragment over plain grids by heavy-hitter pattern:
+// heavy[j] lists the heavy values of column j, sorted, and a row whose
+// heavy bits (bit j set iff row[j] is heavy) equal want[i] takes
+// grids[i], on stream To@i.
+func Patterns(heavy [][]relation.Value, want []uint64, grids ...Policy) Policy {
+	pl := Policy{kind: patternPolicy, heavy: heavy, want: want}
+	for _, g := range grids {
+		pl.grids = append(pl.grids, g.grids[0])
+	}
+	return pl
+}
+
+// SendRow sends row on st to every cell of a grid's route (the grid
+// without an owner map): the per-row form of the grid, for a round that
+// decides row by row, as Owner is the per-row form of a hash policy.
+func (pl Policy) SendRow(st *Stream, row []relation.Value) {
+	if pl.kind != gridPolicy || pl.owner != nil {
+		panic("mpc: SendRow needs a grid without an owner map")
+	}
+	g := &pl.grids[0]
+	b := g.base(row)
+	for _, o := range g.offsets {
+		st.SendRow(b+o, row)
+	}
+}
+
+// Send is one input of a shuffle: the fragment stored under From on
+// every server, routed by Policy onto the stream To.
+type Send struct {
+	From, To string
+	Policy   Policy
+}
+
+// Shuffle runs one metered round that does nothing but route stored
+// fragments: on every server, each send in order opens its stream with
+// the fragment's schema, counts each destination, presizes, and sends.
+// A server that holds no fragment From sends nothing for it. The local
+// step that follows stays with the algorithm.
+func (c *Cluster) Shuffle(name string, sends ...Send) {
+	c.Round(name, func(srv *Server, out *Out) {
+		for i := range sends {
+			if frag := srv.rels[sends[i].From]; frag != nil {
+				sends[i].Policy.send(out, sends[i].To, frag)
+			}
+		}
+	})
+}
+
+// send is one server's side of the policy on frag.
+func (pl Policy) send(out *Out, to string, frag *relation.Relation) {
+	attrs := frag.Attrs()
+	switch {
+	case pl.kind == hashPolicy:
+		out.Open(to, attrs...).SendByHash(frag, frag.MustCols(pl.vars), pl.seed)
+	case pl.kind == broadcastPolicy:
+		out.Open(to, attrs...).BroadcastAll(frag)
+	case pl.kind == gridPolicy && pl.owner != nil:
+		pl.grids[0].send(out, nil, to, pl.owner, frag, nil, 0)
+	case pl.kind == gridPolicy:
+		pl.grids[0].send(out, out.Open(to, attrs...), to, nil, frag, nil, 0)
+	default:
+		bits := make([]uint64, frag.Len())
+		for i := range bits {
+			for j, v := range frag.Row(i) {
+				if _, ok := slices.BinarySearch(pl.heavy[j], v); ok {
+					bits[i] |= 1 << j
+				}
+			}
+		}
+		for i := range pl.grids {
+			pl.grids[i].send(out, out.Open(to+"@"+strconv.Itoa(i), attrs...), to, nil, frag, bits, pl.want[i])
+		}
+	}
+}
+
+// base returns the cell that row's hashed coordinates address, every
+// free coordinate being 0.
+func (g *grid) base(row []relation.Value) int {
+	b := 0
+	for _, h := range g.hashed {
+		b += int(relation.Hash64(row[h.col], h.seed)%uint64(h.share)) * h.stride
+	}
+	return b
+}
+
+// send is the grid loop: the rows of frag whose heavy bits equal want
+// (every row when bits is nil) go to every cell of their route. Cell c
+// is server c on st; with an owner map it is server owner[c] on stream
+// to#c, opened when the cell takes its first row. It counts every
+// destination first and presizes, so routing a fragment allocates the
+// same whatever its length.
+func (g *grid) send(out *Out, st *Stream, to string, owner []int, frag *relation.Relation, bits []uint64, want uint64) {
+	n := frag.Len()
+	bases := slices.Grow(out.bases[:0], n)[:n]
+	counts := slices.Grow(out.counts[:0], g.cells)[:g.cells]
+	clear(counts)
+	var cellSt []*Stream
+	if owner != nil {
+		cellSt = make([]*Stream, g.cells)
+	}
+	for i := range bases {
+		if bits != nil && bits[i] != want {
+			bases[i] = -1
+			continue
+		}
+		b := g.base(frag.Row(i))
+		bases[i] = int32(b)
+		for _, o := range g.offsets {
+			if owner != nil && cellSt[b+o] == nil {
+				cellSt[b+o] = out.Open(to+"#"+strconv.Itoa(b+o), frag.Attrs()...)
+			}
+			counts[b+o]++
+		}
+	}
+	for c, k := range counts {
+		if owner == nil {
+			st.reserve(c, k)
+		} else if k > 0 {
+			cellSt[c].reserve(owner[c], k)
+		}
+	}
+	for i, b := range bases {
+		if b < 0 {
+			continue
+		}
+		row := frag.Row(i)
+		for _, o := range g.offsets {
+			s, d := st, int(b)+o
+			if owner != nil {
+				s, d = cellSt[d], owner[d]
+			}
+			s.st.perDst[d] = append(s.st.perDst[d], row...)
+		}
+	}
+	out.bases, out.counts = bases, counts
+}

@@ -105,26 +105,29 @@ func semijoinRound(c *mpc.Cluster, roundName, target, reducer string, targetAttr
 	if len(shared) == 0 {
 		panic(fmt.Sprintf("yannakakis: %s and %s share no attributes", target, reducer))
 	}
-	tmpT := roundName + ":t"
-	tmpK := roundName + ":k"
-	keySeed := mpc.HashSeed(seed, shared...)
-	c.Round(roundName, func(srv *mpc.Server, out *mpc.Out) {
-		if frag := srv.Rel(target); frag != nil {
-			out.Open(tmpT, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), keySeed)
-		}
-		if frag := srv.Rel(reducer); frag != nil {
-			keys := frag.Project(tmpK, shared...)
-			keys.Dedup()
-			out.Open(tmpK, shared...).SendByHash(keys, keys.MustCols(shared), keySeed)
-		}
-	})
+	tmpT, tmpK, keys := roundName+":t", roundName+":k", roundName+":keys"
+	c.LocalStep(func(srv *mpc.Server) { projectKeys(srv, reducer, keys, shared) })
+	key := mpc.Hash(seed, shared...)
+	c.Shuffle(roundName, mpc.Send{From: target, To: tmpT, Policy: key}, mpc.Send{From: keys, To: tmpK, Policy: key})
 	c.LocalStep(func(srv *mpc.Server) {
 		tf := srv.RelOrEmpty(tmpT, targetAttrs...)
 		kf := srv.RelOrEmpty(tmpK, shared...)
 		srv.Put(relation.Semijoin(target, tf.Rename(target), kf.Rename("keys")))
 		srv.Delete(tmpT)
 		srv.Delete(tmpK)
+		srv.Delete(keys)
 	})
+}
+
+// projectKeys stores under name the distinct projection of the
+// server's fragment of rel onto keys, when it holds one: the key set a
+// semijoin ships in place of the relation.
+func projectKeys(srv *mpc.Server, rel, name string, keys []string) {
+	if frag := srv.Rel(rel); frag != nil {
+		k := frag.Project(name, keys...)
+		k.Dedup()
+		srv.Put(k)
+	}
 }
 
 func sharedOf(a, b []string) []string {
@@ -149,18 +152,8 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 		panic(fmt.Sprintf("yannakakis: join round %s has no shared attributes", roundName))
 	}
 	tmpA, tmpB := roundName+":a", roundName+":b"
-	keySeed := mpc.HashSeed(seed, shared...)
-	c.Round(roundName, func(srv *mpc.Server, out *mpc.Out) {
-		for _, spec := range []struct {
-			rel, tmp string
-		}{{a, tmpA}, {b, tmpB}} {
-			frag := srv.Rel(spec.rel)
-			if frag == nil {
-				continue
-			}
-			out.Open(spec.tmp, frag.Attrs()...).SendByHash(frag, frag.MustCols(shared), keySeed)
-		}
-	})
+	key := mpc.Hash(seed, shared...)
+	c.Shuffle(roundName, mpc.Send{From: a, To: tmpA, Policy: key}, mpc.Send{From: b, To: tmpB, Policy: key})
 	c.LocalStep(func(srv *mpc.Server) {
 		af := srv.RelOrEmpty(tmpA, aAttrs...)
 		bf := srv.RelOrEmpty(tmpB, bAttrs...)
@@ -340,20 +333,19 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 		}
 	}
 	// Round 1: ship parent copies + child keys, one stream pair per edge.
-	c.Round(name+":semi", func(srv *mpc.Server, out *mpc.Out) {
+	var sends []mpc.Send
+	for ei, e := range edges {
+		key := mpc.Hash(seed, e.shared...)
+		sends = append(sends,
+			mpc.Send{From: q.Atoms[e.parent].Name, To: fmt.Sprintf("%s:p%d", name, ei), Policy: key},
+			mpc.Send{From: fmt.Sprintf("%s:keys%d", name, ei), To: fmt.Sprintf("%s:k%d", name, ei), Policy: key})
+	}
+	c.LocalStep(func(srv *mpc.Server) {
 		for ei, e := range edges {
-			pa := q.Atoms[e.parent]
-			if frag := srv.Rel(pa.Name); frag != nil {
-				out.Open(fmt.Sprintf("%s:p%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
-			}
-			ca := q.Atoms[e.child]
-			if frag := srv.Rel(ca.Name); frag != nil {
-				keys := frag.Project("k", e.shared...)
-				keys.Dedup()
-				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
-			}
+			projectKeys(srv, q.Atoms[e.child].Name, fmt.Sprintf("%s:keys%d", name, ei), e.shared)
 		}
 	})
+	c.Shuffle(name+":semi", sends...)
 	c.LocalStep(func(srv *mpc.Server) {
 		for ei, e := range edges {
 			pa := q.Atoms[e.parent]
@@ -362,21 +354,16 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 			srv.Put(relation.Semijoin(fmt.Sprintf("%s:r%d", name, ei), pf.Rename("p"), kf.Rename("k")))
 			srv.Delete(fmt.Sprintf("%s:p%d", name, ei))
 			srv.Delete(fmt.Sprintf("%s:k%d", name, ei))
+			srv.Delete(fmt.Sprintf("%s:keys%d", name, ei))
 		}
 	})
 	// Round 2: re-partition each reduced copy by the full parent tuple
 	// and intersect the copies of each parent.
-	c.Round(name+":intersect", func(srv *mpc.Server, out *mpc.Out) {
-		for ei, e := range edges {
-			pa := q.Atoms[e.parent]
-			frag := srv.Rel(fmt.Sprintf("%s:r%d", name, ei))
-			if frag == nil {
-				continue
-			}
-			out.Open(fmt.Sprintf("%s:x%d", name, ei), pa.Vars...).SendByHash(frag, frag.MustCols(pa.Vars), mpc.HashSeed(seed, pa.Vars...))
-			srv.Delete(fmt.Sprintf("%s:r%d", name, ei))
-		}
-	})
+	copies := make([]mpc.Send, len(edges))
+	for ei, e := range edges {
+		copies[ei] = mpc.Send{From: fmt.Sprintf("%s:r%d", name, ei), To: fmt.Sprintf("%s:x%d", name, ei), Policy: mpc.Hash(seed, q.Atoms[e.parent].Vars...)}
+	}
+	c.Shuffle(name+":intersect", copies...)
 	c.LocalStep(func(srv *mpc.Server) {
 		for _, pIdx := range parents {
 			pa := q.Atoms[pIdx]
@@ -389,6 +376,7 @@ func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *
 				cf.Dedup()
 				copies = append(copies, cf.Rename(fmt.Sprintf("c%d", ei)))
 				srv.Delete(fmt.Sprintf("%s:x%d", name, ei))
+				srv.Delete(fmt.Sprintf("%s:r%d", name, ei))
 			}
 			srv.Put(relation.Intersect(pa.Name, copies...))
 		}
@@ -408,20 +396,19 @@ func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]i
 		sh := sharedOf(q.Atoms[e[0]].Vars, q.Atoms[e[1]].Vars)
 		specs = append(specs, espec{child: e[0], parent: e[1], shared: sh})
 	}
-	c.Round(name, func(srv *mpc.Server, out *mpc.Out) {
+	var sends []mpc.Send
+	for ei, e := range specs {
+		key := mpc.Hash(seed, e.shared...)
+		sends = append(sends,
+			mpc.Send{From: q.Atoms[e.child].Name, To: fmt.Sprintf("%s:c%d", name, ei), Policy: key},
+			mpc.Send{From: fmt.Sprintf("%s:keys%d", name, ei), To: fmt.Sprintf("%s:k%d", name, ei), Policy: key})
+	}
+	c.LocalStep(func(srv *mpc.Server) {
 		for ei, e := range specs {
-			ca := q.Atoms[e.child]
-			if frag := srv.Rel(ca.Name); frag != nil {
-				out.Open(fmt.Sprintf("%s:c%d", name, ei), ca.Vars...).SendByHash(frag, frag.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
-			}
-			pa := q.Atoms[e.parent]
-			if frag := srv.Rel(pa.Name); frag != nil {
-				keys := frag.Project("k", e.shared...)
-				keys.Dedup()
-				out.Open(fmt.Sprintf("%s:k%d", name, ei), e.shared...).SendByHash(keys, keys.MustCols(e.shared), mpc.HashSeed(seed, e.shared...))
-			}
+			projectKeys(srv, q.Atoms[e.parent].Name, fmt.Sprintf("%s:keys%d", name, ei), e.shared)
 		}
 	})
+	c.Shuffle(name, sends...)
 	c.LocalStep(func(srv *mpc.Server) {
 		for ei, e := range specs {
 			ca := q.Atoms[e.child]
@@ -430,6 +417,7 @@ func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]i
 			srv.Put(relation.Semijoin(ca.Name, cf.Rename("c"), kf.Rename("k")))
 			srv.Delete(fmt.Sprintf("%s:c%d", name, ei))
 			srv.Delete(fmt.Sprintf("%s:k%d", name, ei))
+			srv.Delete(fmt.Sprintf("%s:keys%d", name, ei))
 		}
 	})
 }
@@ -471,53 +459,36 @@ func GHDRun(c *mpc.Cluster, g *hypergraph.GHD, rels map[string]*relation.Relatio
 	scatter(c, q, rels)
 	start := c.Metrics().Rounds()
 
-	// Build one HyperCube plan per bag over its λ atoms' sub-query.
-	type bagPlan struct {
-		sub    hypergraph.Query
-		routes []hypercube.Route // one per atom of sub
-	}
-	plans := make([]bagPlan, len(g.Bags))
+	// One round routes all atoms of all bags, each bag from the one
+	// placement of its atoms on a HyperCube grid of its own, planned over
+	// its λ atoms' sub-query.
+	subs := make([]hypergraph.Query, len(g.Bags))
+	var sends []mpc.Send
 	for bi, bag := range g.Bags {
 		var atoms []hypergraph.Atom
 		for _, ai := range bag.Atoms {
 			atoms = append(atoms, q.Atoms[ai])
 		}
-		sub := hypergraph.Query{Name: fmt.Sprintf("bag%d", bi), Atoms: atoms}
-		pl, err := hypercube.NewPlan(sub, hypercube.Sizes(sub, rels), c.P(), seed)
+		subs[bi] = hypergraph.Query{Name: fmt.Sprintf("bag%d", bi), Atoms: atoms}
+		pl, err := hypercube.NewPlan(subs[bi], hypercube.Sizes(subs[bi], rels), c.P(), seed)
 		if err != nil {
 			panic(fmt.Sprintf("yannakakis: bag plan: %v", err))
 		}
-		plans[bi] = bagPlan{sub: sub}
 		for _, a := range atoms {
-			plans[bi].routes = append(plans[bi].routes, pl.Route(a))
+			sends = append(sends, mpc.Send{From: a.Name, To: fmt.Sprintf("ghd:b%d:%s", bi, a.Name), Policy: pl.Route(a)})
 		}
 	}
-	// One round: route all atoms of all bags, each bag from the one
-	// placement of its atoms on its own grid.
-	c.Round("ghd:bags", func(srv *mpc.Server, out *mpc.Out) {
-		for bi, bp := range plans {
-			for ai, a := range bp.sub.Atoms {
-				frag := srv.Rel(a.Name)
-				if frag == nil {
-					continue
-				}
-				st := out.Open(fmt.Sprintf("ghd:b%d:%s", bi, a.Name), a.Vars...)
-				for i := 0; i < frag.Len(); i++ {
-					bp.routes[ai].Send(st, frag.Row(i))
-				}
-			}
-		}
-	})
+	c.Shuffle("ghd:bags", sends...)
 	// Local: join each bag's fragments, project to bag vars.
 	bagVars := make([][]string, len(g.Bags))
 	for bi, bag := range g.Bags {
 		bagVars[bi] = bag.Vars
 	}
 	c.LocalStep(func(srv *mpc.Server) {
-		for bi, bp := range plans {
-			inputs := make([]*relation.Relation, len(bp.sub.Atoms))
+		for bi, sub := range subs {
+			inputs := make([]*relation.Relation, len(sub.Atoms))
 			var allVars []string
-			for i, a := range bp.sub.Atoms {
+			for i, a := range sub.Atoms {
 				inputs[i] = srv.RelOrEmpty(fmt.Sprintf("ghd:b%d:%s", bi, a.Name), a.Vars...)
 				allVars = unionAttrs(allVars, a.Vars)
 				srv.Delete(fmt.Sprintf("ghd:b%d:%s", bi, a.Name))
