@@ -6,9 +6,13 @@ import (
 	"slices"
 	"testing"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
+	"mpcquery/internal/mpcnet"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/testkit"
+	"mpcquery/internal/trace"
 )
 
 // walkCells is the reference the compiled Route is checked against: the
@@ -133,6 +137,97 @@ func TestRouteMatchesWalk(t *testing.T) {
 				}
 			}
 			checkRoute(t, pl, a, rows...)
+		}
+	}
+}
+
+// loopShuffle is shuffle's per-row reference: the same streams, opened
+// in the same order with the fragments' schemas, fed one Send per (row,
+// reference-walk cell).
+func loopShuffle(srv *mpc.Server, out *mpc.Out, pl *Plan, atoms []hypergraph.Atom, from, outName string) {
+	for _, a := range atoms {
+		frag := srv.Rel(from + a.Name)
+		if frag == nil {
+			continue
+		}
+		st := out.Open(outName+":"+a.Name, frag.Attrs()...)
+		for i := 0; i < frag.Len(); i++ {
+			for _, cell := range walkCells(pl, a, frag.Row(i)) {
+				st.SendRow(cell, frag.Row(i))
+			}
+		}
+	}
+}
+
+// TestShuffleMatchesPerRowLoop is the contract of a plan's grid shuffle:
+// fragments (bit for bit, row order included), RoundStats and trace
+// events of shuffle under the plan's Route are those of one Send per row
+// and reference-walk cell, for whole fragments and for the adaptive
+// probe's prefix and remainder split, with a missing fragment and with
+// heavy-hitter input, on the local transport and over loopback TCP.
+// mpc.TestShuffleMatchesPerRowLoop checks each policy kind on its own;
+// this checks the plans HyperCube and the adaptive driver route by.
+func TestShuffleMatchesPerRowLoop(t *testing.T) {
+	spans := map[string]func(n int) (int, int){
+		"all":    func(n int) (int, int) { return 0, n },
+		"prefix": func(n int) (int, int) { return 0, probeCount(n, 0.3) },
+		"suffix": func(n int) (int, int) { return probeCount(n, 0.3), n },
+	}
+	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Path(3), hypergraph.CartesianProduct()} {
+		for _, skew := range []testkit.Skew{testkit.SkewUniform, testkit.SkewHeavy} {
+			rels := testkit.GenInstance(q, skew, testkit.GenConfig{Tuples: 150}, 3)
+			for _, p := range []int{1, 8, 27} {
+				pl, err := NewPlan(q, Sizes(q, rels), p, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for spanName, span := range spans {
+					for _, backend := range []string{"local", "tcp"} {
+						t.Run(fmt.Sprintf("%s/%s/p%d/%s/%s", q.Name, skew, p, spanName, backend), func(t *testing.T) {
+							run := func(bulk bool) (*mpc.Cluster, *trace.Recorder) {
+								c := mpc.NewCluster(p, 5)
+								rec := trace.NewRecorder()
+								c.SetTracer(rec)
+								if backend == "tcp" {
+									tr, err := mpcnet.NewLoopback(p, mpcnet.Options{})
+									if err != nil {
+										t.Fatal(err)
+									}
+									t.Cleanup(func() { tr.Close() })
+									c.SetTransport(tr)
+								}
+								bound := cost.BindAtoms(q, rels)
+								for _, a := range q.Atoms {
+									c.ScatterRoundRobin(bound[a.Name])
+								}
+								c.Server(0).Delete(q.Atoms[0].Name)
+								from := "s:"
+								c.LocalStep(func(srv *mpc.Server) {
+									for _, a := range q.Atoms {
+										if frag := srv.Rel(a.Name); frag != nil {
+											lo, hi := span(frag.Len())
+											srv.Put(rows(frag, from+a.Name, lo, hi))
+										}
+									}
+								})
+								if bulk {
+									shuffle(c, "grid", q.Atoms, from, "g", pl.Route)
+								} else {
+									c.Round("grid", func(srv *mpc.Server, out *mpc.Out) {
+										loopShuffle(srv, out, pl, q.Atoms, from, "g")
+									})
+								}
+								return c, rec
+							}
+							loop, loopRec := run(false)
+							bulk, bulkRec := run(true)
+							testkit.AssertSameFragments(t, loop, bulk)
+							testkit.AssertSameLRC(t, loop, bulk)
+							testkit.AssertSameTrace(t, loopRec, bulkRec)
+						})
+					}
+				}
+			}
 		}
 	}
 }
