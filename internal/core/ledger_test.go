@@ -32,7 +32,25 @@ func TestOneLedger(t *testing.T) {
 			t.Errorf("Execution reports (L, r, C) = (%d, %d, %d), its Metrics (%d, %d, %d)",
 				exec.MaxLoad, exec.Rounds, exec.TotalComm, m.MaxLoad(), m.Rounds(), m.TotalComm())
 		}
-		testkit.AssertTraceMatchesMetrics(t, m, e.Trace)
+		rounds := m.RoundStats()
+		var starts, ends int
+		for _, ev := range e.Trace.Events() {
+			switch ev.Kind {
+			case trace.KindRoundStart:
+				if starts >= len(rounds) || ev.Round != starts || ev.Name != rounds[starts].Name {
+					t.Fatalf("round_start %d %q is not the ledger's round %d of %d", ev.Round, ev.Name, starts, len(rounds))
+				}
+				starts++
+			case trace.KindRoundEnd:
+				if ends >= len(rounds) || ev.Round != ends || ev.Name != rounds[ends].Name {
+					t.Fatalf("round_end %d %q is not the ledger's round %d of %d", ev.Round, ev.Name, ends, len(rounds))
+				}
+				ends++
+			}
+		}
+		if starts != len(rounds) || ends != len(rounds) {
+			t.Errorf("trace saw %d round_start and %d round_end events, the ledger has %d rounds", starts, ends, len(rounds))
+		}
 	}
 
 	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Path(3), hypergraph.Star(3), hypergraph.TwoWayJoin()} {

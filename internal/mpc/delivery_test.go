@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/relation"
@@ -235,7 +236,7 @@ func assertClustersEqual(t *testing.T, a, b *Cluster) {
 				t.Fatalf("server %d holds %v vs %v", i, na, nb)
 			}
 			ra, rb := sa.Rel(name), sb.Rel(name)
-			if !attrsEqual(ra.Attrs(), rb.Attrs()) || ra.Len() != rb.Len() {
+			if !slices.Equal(ra.Attrs(), rb.Attrs()) || ra.Len() != rb.Len() {
 				t.Fatalf("server %d rel %s: %v/%d vs %v/%d", i, name, ra.Attrs(), ra.Len(), rb.Attrs(), rb.Len())
 			}
 			for k := 0; k < ra.Len(); k++ {

@@ -7,8 +7,10 @@ import (
 	"mpcquery/internal/stats"
 )
 
-// RoundStat records the communication received by each server in one
-// round.
+// RoundStat is one committed round's ledger: the communication each
+// server received, and the per-stream entries the round's trace events
+// are rendered from. The commit's landing plan fills it in one pass
+// over the round's streams.
 type RoundStat struct {
 	Name      string
 	Recv      []int64 // tuples received per server
@@ -17,11 +19,30 @@ type RoundStat struct {
 	// like any other, but already in place. Self = TotalRecv() is a
 	// shuffle onto the layout its input already had.
 	Self int64
+	// StreamSends holds what each source sent on each stream, in
+	// canonical order (source, then stream creation order);
+	// StreamRecvs what each receiver got on each stream, by stream name
+	// in first-appearance order, then receiver. Only non-empty entries
+	// are kept, and both share one allocation.
+	StreamSends, StreamRecvs []StreamLoad
 	// Chaos records fault-injection and recovery activity for the
 	// round; nil unless a FaultInjector was attached. Recv/RecvWords
 	// always count accepted (exactly-once) deliveries, so they match
 	// the fault-free run even when Chaos shows replays.
 	Chaos *ChaosStat
+}
+
+// StreamLoad is one entry of a round's per-stream ledger: the tuples
+// and words one server sent (RoundStat.StreamSends) or received
+// (RoundStat.StreamRecvs) on one stream.
+type StreamLoad struct {
+	Stream        string
+	Tuples, Words int64
+	// Server is the source of a send and the receiver of a receive.
+	Server int32
+	// Frags is a receive's fan-in: the sources that sent the receiver a
+	// non-empty fragment on the stream. It is 0 on sends.
+	Frags int32
 }
 
 // ChaosStat is the recovery ledger of one round executed under fault
@@ -100,9 +121,7 @@ func (r *RoundStat) TotalRecv() int64 {
 // tuples this round, using the nearest-rank definition: the smallest
 // value with at least ⌈q·p⌉ servers at or below it. Quantile(0) is the
 // minimum and Quantile(1) the maximum; truncating instead of rounding
-// the rank would bias high quantiles (p99) low on small clusters. The
-// computation is shared with the trace layer (stats.QuantileInt64) so
-// trace-derived and metric-derived quantiles agree exactly.
+// the rank would bias high quantiles (p99) low on small clusters.
 func (r *RoundStat) Quantile(q float64) int64 {
 	return stats.QuantileInt64(r.Recv, q)
 }
@@ -143,10 +162,6 @@ type Metrics struct {
 
 // NewMetrics creates empty metrics for a p-server cluster.
 func NewMetrics(p int) *Metrics { return &Metrics{p: p} }
-
-func (m *Metrics) record(name string, recv, recvWords []int64, self int64) {
-	m.stats = append(m.stats, RoundStat{Name: name, Recv: recv, RecvWords: recvWords, Self: self})
-}
 
 // Rounds returns r, the number of communication rounds executed.
 func (m *Metrics) Rounds() int { return len(m.stats) }

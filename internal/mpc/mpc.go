@@ -77,9 +77,11 @@ type Cluster struct {
 	// fragments, metering, traces — is identical across conforming
 	// transports.
 	transport Transport
-	// tracer, when non-nil, records structured round events (see
-	// internal/trace). The entire cost on an untraced cluster is the
-	// nil checks in Round.
+	// tracer, when non-nil, receives each committed round's events,
+	// rendered from its RoundStat (roundEvents), and the recovery
+	// driver's crash and backoff events. Every round keeps its ledger
+	// whether or not a recorder is attached; an untraced round skips
+	// only the rendering.
 	tracer *trace.Recorder
 }
 
@@ -141,9 +143,9 @@ var defaultTracer atomic.Pointer[trace.Recorder]
 func SetDefaultTracer(r *trace.Recorder) { defaultTracer.Store(r) }
 
 // SetTracer attaches a trace recorder to the cluster; nil disables
-// tracing. Attach before running rounds: consistency checks
-// (testkit.AssertTraceConsistent) expect the trace to cover every
-// metered round.
+// tracing. Attach before running rounds: a round committed while no
+// recorder was attached keeps its RoundStat but is absent from the
+// trace.
 func (c *Cluster) SetTracer(r *trace.Recorder) { c.tracer = r }
 
 // Tracer returns the attached recorder, or nil when tracing is off.
@@ -447,8 +449,9 @@ func (c *Cluster) roundOuts() []*Out {
 // send order) so simulations are bit-for-bit reproducible.
 func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 	c.checkHealthy("Round")
+	round := c.metrics.Rounds()
 	if c.tracer != nil {
-		c.tracer.RoundStart(c.metrics.Rounds(), name)
+		c.tracer.Append(trace.Event{Kind: trace.KindRoundStart, Round: round, Server: trace.Driver, Name: name})
 	}
 	outs := c.roundOuts()
 	var wg sync.WaitGroup
@@ -480,73 +483,43 @@ func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 	}
 	c.deliver(name, outs)
 	if c.tracer != nil {
-		c.traceRound(name, outs)
+		c.tracer.Append(roundEvents(round, &c.metrics.stats[round])...)
 	}
 }
 
-// traceRound records the committed round's communication ledger: per
-// (source, stream) send totals, per (stream, destination) recv totals
-// with fan-in, the recovery summary when the round ran under fault
-// injection, and the skew/round_end closing events. It runs on the
-// driver after delivery, before the round buffers are recycled, and is
-// transport-agnostic: it reads the outs (identical whichever transport
-// delivered them) and the just-recorded RoundStat.
-func (c *Cluster) traceRound(name string, outs []*Out) {
-	tr := c.tracer
-	round := c.metrics.Rounds() - 1
-	st := &c.metrics.stats[len(c.metrics.stats)-1]
-	// Send totals, in canonical (source, stream creation) order.
-	for src := 0; src < c.p; src++ {
-		for _, stName := range outs[src].order {
-			s := outs[src].streams[stName]
-			var tuples, words int64
-			for dst := 0; dst < c.p; dst++ {
-				tuples += s.counts[dst]
-				words += int64(len(s.perDst[dst]))
-			}
-			if tuples > 0 {
-				tr.Send(round, stName, src, tuples, words)
-			}
-		}
+// roundEvents renders a committed round's send, recv, chaos, skew and
+// round_end events from its RoundStat alone: the ledger is the one
+// record of the round, and its trace is a view of it. round is the
+// round's zero-based metric index.
+func roundEvents(round int, st *RoundStat) []trace.Event {
+	evs := make([]trace.Event, 0, len(st.StreamSends)+len(st.StreamRecvs)+3)
+	for _, s := range st.StreamSends {
+		evs = append(evs, trace.Event{Kind: trace.KindSend, Round: round, Server: int(s.Server), Name: s.Stream,
+			Tuples: s.Tuples, Words: s.Words})
 	}
-	// Recv totals: aggregate fan-in per stream name across sources, in
-	// first-appearance order (deterministic, like delivery itself).
-	type fanIn struct {
-		tuples, words []int64
-		frags         []int
-	}
-	var order []string
-	aggs := map[string]*fanIn{}
-	for src := 0; src < c.p; src++ {
-		for _, stName := range outs[src].order {
-			a := aggs[stName]
-			if a == nil {
-				a = &fanIn{tuples: make([]int64, c.p), words: make([]int64, c.p), frags: make([]int, c.p)}
-				aggs[stName] = a
-				order = append(order, stName)
-			}
-			s := outs[src].streams[stName]
-			for dst := 0; dst < c.p; dst++ {
-				if s.counts[dst] > 0 {
-					a.tuples[dst] += s.counts[dst]
-					a.words[dst] += int64(len(s.perDst[dst]))
-					a.frags[dst]++
-				}
-			}
-		}
-	}
-	for _, stName := range order {
-		a := aggs[stName]
-		for dst := 0; dst < c.p; dst++ {
-			if a.frags[dst] > 0 {
-				tr.Recv(round, stName, dst, a.tuples[dst], a.words[dst], a.frags[dst])
-			}
-		}
+	for _, r := range st.StreamRecvs {
+		evs = append(evs, trace.Event{Kind: trace.KindRecv, Round: round, Server: int(r.Server), Name: r.Stream,
+			Tuples: r.Tuples, Words: r.Words, Frags: int(r.Frags)})
 	}
 	if cs := st.Chaos; cs != nil {
-		tr.ChaosSummary(round, cs.Attempts, cs.Dropped, cs.Duplicated, cs.Redelivered, cs.Crashes, cs.BackoffUnits)
+		evs = append(evs, trace.Event{Kind: trace.KindChaos, Round: round, Server: trace.Driver, Attempt: cs.Attempts,
+			Dropped: cs.Dropped, Duplicated: cs.Duplicated, Redelivered: cs.Redelivered,
+			Crashes: cs.Crashes, Units: cs.BackoffUnits})
 	}
-	tr.RoundEnd(round, name, st.Recv, st.RecvWords)
+	var words int64
+	busy := 0 // servers that received something
+	for dst, n := range st.Recv {
+		words += st.RecvWords[dst]
+		if n > 0 {
+			busy++
+		}
+	}
+	total, maxRecv := st.TotalRecv(), st.MaxRecv()
+	return append(evs,
+		trace.Event{Kind: trace.KindSkew, Round: round, Server: trace.Driver, Tuples: total, Words: words, Frags: busy,
+			MaxRecv: maxRecv, P99Recv: st.P99Recv(), Gini: st.GiniRecv()},
+		trace.Event{Kind: trace.KindRoundEnd, Round: round, Server: trace.Driver, Name: st.Name,
+			Tuples: total, Words: words, MaxRecv: maxRecv})
 }
 
 // deliver dispatches a round's delivery: through the recovery driver
@@ -561,18 +534,6 @@ func (c *Cluster) deliver(name string, outs []*Out) {
 	if err := c.deliverCommit(name, outs); err != nil {
 		panic(err.Error())
 	}
-}
-
-func attrsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // LocalStep runs compute on every server (in parallel) without any
@@ -658,7 +619,7 @@ func (c *Cluster) Gather(name string) *relation.Relation {
 		}
 		if first == nil {
 			first = f
-		} else if !attrsEqual(first.Attrs(), f.Attrs()) {
+		} else if !slices.Equal(first.Attrs(), f.Attrs()) {
 			panic(fmt.Sprintf("mpc: gather %q: server %d fragment has attrs %v, earlier fragments have %v",
 				name, s.id, f.Attrs(), first.Attrs()))
 		}

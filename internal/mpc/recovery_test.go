@@ -1,12 +1,15 @@
 package mpc_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mpcquery/internal/chaos"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/testkit"
+	"mpcquery/internal/trace"
 )
 
 // recoveryProgram is the multi-round communication program the recovery
@@ -159,6 +162,74 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if replays == 0 {
 		t.Fatal("schedule injected no replays; test exercises nothing")
+	}
+}
+
+// TestChaosEventsMatchLedger compares the two records of a
+// fault-injected round that stay separate: the crash and backoff
+// events the recovery driver appends while it replays, and the
+// ChaosStat the round commits with. Over the golden trace's schedule
+// (303:drop=0.1,dup=0.05,crash=0.1, one of testkit.DefaultChaosSpecs),
+// the rest of that sweep, and a fault-free run, every round's crash
+// events number ChaosStat.Crashes, its backoff events sum to
+// BackoffUnits and number Replays(), and its chaos summary is present
+// exactly when Chaos is non-nil.
+func TestChaosEventsMatchLedger(t *testing.T) {
+	var crashes, backoffs int
+	for _, spec := range append([]string{"fault-free"}, testkit.DefaultChaosSpecs...) {
+		for _, p := range []int{2, 5} {
+			t.Run(fmt.Sprintf("%s/p%d", spec, p), func(t *testing.T) {
+				c := mpc.NewCluster(p, 7)
+				if spec != "fault-free" {
+					c.SetFaultInjector(chaos.MustParseSchedule(spec))
+				}
+				rec := trace.NewRecorder()
+				c.SetTracer(rec)
+				recoveryProgram(c, 300)
+				if f := c.Failed(); f != nil {
+					t.Fatalf("schedule failed recovery: %v", f)
+				}
+				stats := c.Metrics().RoundStats()
+				roundCrashes, roundBackoffs, summaries := make([]int, len(stats)), make([]int, len(stats)), make([]int, len(stats))
+				units := make([]int64, len(stats))
+				for _, ev := range rec.Events() {
+					switch ev.Kind {
+					case trace.KindCrash:
+						roundCrashes[ev.Round]++
+					case trace.KindBackoff:
+						roundBackoffs[ev.Round]++
+						units[ev.Round] += ev.Units
+					case trace.KindChaos:
+						summaries[ev.Round]++
+					}
+				}
+				for r, st := range stats {
+					cs := st.Chaos
+					if cs == nil {
+						if summaries[r]+roundCrashes[r]+roundBackoffs[r] != 0 {
+							t.Errorf("round %d: fault-free round has %d chaos, %d crash and %d backoff events",
+								r, summaries[r], roundCrashes[r], roundBackoffs[r])
+						}
+						continue
+					}
+					if summaries[r] != 1 {
+						t.Errorf("round %d: %d chaos summaries, want 1", r, summaries[r])
+					}
+					if roundCrashes[r] != cs.Crashes {
+						t.Errorf("round %d: %d crash events, ledger says %d", r, roundCrashes[r], cs.Crashes)
+					}
+					if units[r] != cs.BackoffUnits || roundBackoffs[r] != cs.Replays() {
+						t.Errorf("round %d: %d backoff events summing to %d units, ledger shows %d replays and %d units",
+							r, roundBackoffs[r], units[r], cs.Replays(), cs.BackoffUnits)
+					}
+					crashes += roundCrashes[r]
+					backoffs += roundBackoffs[r]
+				}
+			})
+		}
+	}
+	if crashes == 0 || backoffs == 0 {
+		t.Errorf("the sweep injected %d crashes and %d replays; it must exercise both", crashes, backoffs)
 	}
 }
 

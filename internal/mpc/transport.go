@@ -50,6 +50,7 @@ package mpc
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcquery/internal/relation"
 )
@@ -98,7 +99,7 @@ func (c *Cluster) deliverCommit(name string, outs []*Out) error {
 	if err := v.checkLanded(); err != nil {
 		return err
 	}
-	c.metrics.record(name, v.recv, v.recvWords, v.self)
+	c.metrics.stats = append(c.metrics.stats, v.stat)
 	return nil
 }
 
@@ -108,7 +109,6 @@ func (c *Cluster) deliverCommit(name string, outs []*Out) error {
 // the Deliver call it was created for.
 type RoundView struct {
 	c    *Cluster
-	name string
 	outs []*Out
 	// The landing plan: one landing per stream name in first-appearance
 	// order, the index Land resolves names through, and every (source,
@@ -116,11 +116,10 @@ type RoundView struct {
 	landings []landing
 	byName   map[string]int
 	streams  []sourceStream
-	// The metered load, a function of the outs alone, and the part of
-	// it each source sent to itself.
-	recv      []int64
-	recvWords []int64
-	self      int64
+	// stat is the round's ledger and carries its name; a function of
+	// the outs alone, the commit records it once the transport has
+	// landed the plan.
+	stat RoundStat
 }
 
 // landing is the plan for one stream name: its schema and, per
@@ -131,43 +130,52 @@ type landing struct {
 	dsts  []receiver
 }
 
-// receiver is one destination's side of a landing. rel is nil only
-// where nothing is planned and the server holds no relation of the
-// name.
+// receiver is one destination's side of a landing: the tuples still
+// to land, and the words and non-empty source fragments planned. rel is
+// nil only where nothing is planned and the server holds no relation of
+// the name.
 type receiver struct {
-	rel  *relation.Relation
-	left int64
+	rel   *relation.Relation
+	left  int64
+	words int64
+	frags int32
 }
 
 // sourceStream pairs one source's stream with the index of its name's
-// landing.
+// landing and the tuples and words it sends.
 type sourceStream struct {
-	st *stream
-	l  int
+	st            *stream
+	l             int
+	src           int32
+	tuples, words int64
 }
 
-// planRound builds the round's landing plan. The first pass resolves
-// every (source, stream) to its name's landing, checks that all sources
-// declare a name with one schema, and sums the planned tuples and the
-// metered load per destination, and the tuples whose destination is
-// their source (RoundStat.Self); the second checks every existing
-// receiving relation's schema. Only then, with the round known to be
-// well-formed, does the third create each missing receiver and presize
-// every receiver with one exact reservation, so whatever the transport,
-// tuples land into storage that never grows. At p=256 a shuffle round
-// has 65536 fragments but typically a handful of names.
+// planRound builds the round's landing plan and its ledger. The first
+// pass resolves every (source, stream) to its name's landing, checks
+// that all sources declare a name with one schema, and sums what each
+// source stream sends, what each receiver is planned to get, and the
+// tuples whose destination is their source (RoundStat.Self); the second
+// checks every existing receiving relation's schema. Only then, with
+// the round known to be well-formed, does the third sum the metered
+// load per destination, create each missing receiver and presize every
+// receiver with one exact reservation, so whatever the transport,
+// tuples land into storage that never grows. Last, the non-empty sends
+// and receives are copied into the ledger in the order the trace lists
+// them. At p=256 a shuffle round has 65536 fragments but typically a
+// handful of names.
 func (c *Cluster) planRound(name string, outs []*Out) (*RoundView, error) {
 	n := 0
 	for _, out := range outs {
 		n += len(out.order)
 	}
+	load := make([]int64, 2*c.p)
 	v := &RoundView{
-		c: c, name: name, outs: outs,
-		byName:    make(map[string]int),
-		streams:   make([]sourceStream, 0, n),
-		recv:      make([]int64, c.p),
-		recvWords: make([]int64, c.p),
+		c: c, outs: outs,
+		byName:  make(map[string]int),
+		streams: make([]sourceStream, 0, n),
+		stat:    RoundStat{Name: name, Recv: load[:c.p:c.p], RecvWords: load[c.p:]},
 	}
+	sends := 0
 	for src, out := range outs {
 		for _, stName := range out.order {
 			st := out.streams[stName]
@@ -178,30 +186,42 @@ func (c *Cluster) planRound(name string, outs []*Out) (*RoundView, error) {
 				v.landings = append(v.landings, landing{name: stName, attrs: st.attrs, dsts: make([]receiver, c.p)})
 			}
 			l := &v.landings[i]
-			if !attrsEqual(l.attrs, st.attrs) {
+			if !slices.Equal(l.attrs, st.attrs) {
 				return nil, fmt.Errorf("mpc: round %q stream %s declared with attrs %v by one server and %v by another",
 					name, stName, l.attrs, st.attrs)
 			}
-			for dst := range l.dsts {
-				l.dsts[dst].left += st.counts[dst]
-				v.recv[dst] += st.counts[dst]
-				v.recvWords[dst] += int64(len(st.perDst[dst]))
+			s := sourceStream{st: st, l: i, src: int32(src)}
+			for dst, k := range st.counts {
+				if k == 0 {
+					continue
+				}
+				w := int64(len(st.perDst[dst]))
+				r := &l.dsts[dst]
+				r.left += k
+				r.words += w
+				r.frags++
+				s.tuples += k
+				s.words += w
 			}
-			v.self += st.counts[src]
-			v.streams = append(v.streams, sourceStream{st: st, l: i})
+			if s.tuples > 0 {
+				sends++
+			}
+			v.stat.Self += st.counts[src]
+			v.streams = append(v.streams, s)
 		}
 	}
 	for i := range v.landings {
 		l := &v.landings[i]
 		for dst := range l.dsts {
 			rel := c.servers[dst].rels[l.name]
-			if rel != nil && !attrsEqual(rel.Attrs(), l.attrs) {
+			if rel != nil && !slices.Equal(rel.Attrs(), l.attrs) {
 				return nil, fmt.Errorf("mpc: round %q delivers %s with attrs %v into existing attrs %v",
 					name, l.name, l.attrs, rel.Attrs())
 			}
 			l.dsts[dst].rel = rel
 		}
 	}
+	recvs := 0
 	for i := range v.landings {
 		l := &v.landings[i]
 		for dst := range l.dsts {
@@ -209,6 +229,9 @@ func (c *Cluster) planRound(name string, outs []*Out) (*RoundView, error) {
 			if r.left == 0 {
 				continue
 			}
+			recvs++
+			v.stat.Recv[dst] += r.left
+			v.stat.RecvWords[dst] += r.words
 			if r.rel == nil {
 				r.rel = relation.New(l.name, l.attrs...)
 				c.servers[dst].rels[l.name] = r.rel
@@ -216,6 +239,21 @@ func (c *Cluster) planRound(name string, outs []*Out) (*RoundView, error) {
 			r.rel.Grow(int(r.left) * len(l.attrs))
 		}
 	}
+	ledger := make([]StreamLoad, 0, sends+recvs)
+	for _, s := range v.streams {
+		if s.tuples > 0 {
+			ledger = append(ledger, StreamLoad{Stream: s.st.name, Tuples: s.tuples, Words: s.words, Server: s.src})
+		}
+	}
+	for i := range v.landings {
+		l := &v.landings[i]
+		for dst, r := range l.dsts {
+			if r.left > 0 {
+				ledger = append(ledger, StreamLoad{Stream: l.name, Tuples: r.left, Words: r.words, Server: int32(dst), Frags: r.frags})
+			}
+		}
+	}
+	v.stat.StreamSends, v.stat.StreamRecvs = ledger[:sends:sends], ledger[sends:]
 	return v, nil
 }
 
@@ -228,7 +266,7 @@ func (v *RoundView) checkLanded() error {
 		for dst, r := range l.dsts {
 			if r.left != 0 {
 				return fmt.Errorf("mpc: round %q stream %s: server %d is %d tuples short of the plan",
-					v.name, l.name, dst, r.left)
+					v.stat.Name, l.name, dst, r.left)
 			}
 		}
 	}
@@ -239,7 +277,7 @@ func (v *RoundView) checkLanded() error {
 func (v *RoundView) P() int { return v.c.p }
 
 // Name returns the round's label (metric/trace round name).
-func (v *RoundView) Name() string { return v.name }
+func (v *RoundView) Name() string { return v.stat.Name }
 
 // Streams returns how many streams source src opened this round.
 func (v *RoundView) Streams(src int) int { return len(v.outs[src].order) }
@@ -276,27 +314,27 @@ func (sv StreamView) Fragment(dst int) ([]relation.Value, int64) {
 // one dst.
 func (v *RoundView) Land(dst int, name string, attrs []string, flat []relation.Value, tuples int64) error {
 	if dst < 0 || dst >= v.c.p {
-		return fmt.Errorf("round %q: land into server %d of %d", v.name, dst, v.c.p)
+		return fmt.Errorf("round %q: land into server %d of %d", v.stat.Name, dst, v.c.p)
 	}
 	if tuples <= 0 {
-		return fmt.Errorf("round %q stream %s: land %d tuples", v.name, name, tuples)
+		return fmt.Errorf("round %q stream %s: land %d tuples", v.stat.Name, name, tuples)
 	}
 	if int64(len(flat)) != tuples*int64(len(attrs)) {
 		return fmt.Errorf("round %q stream %s: %d words for %d tuples of arity %d",
-			v.name, name, len(flat), tuples, len(attrs))
+			v.stat.Name, name, len(flat), tuples, len(attrs))
 	}
 	i, ok := v.byName[name]
 	if !ok {
-		return fmt.Errorf("round %q: land stream %s, which the round did not send", v.name, name)
+		return fmt.Errorf("round %q: land stream %s, which the round did not send", v.stat.Name, name)
 	}
 	l := &v.landings[i]
-	if !attrsEqual(attrs, l.attrs) {
-		return fmt.Errorf("round %q stream %s: land with attrs %v, sent with %v", v.name, name, attrs, l.attrs)
+	if !slices.Equal(attrs, l.attrs) {
+		return fmt.Errorf("round %q stream %s: land with attrs %v, sent with %v", v.stat.Name, name, attrs, l.attrs)
 	}
 	r := &l.dsts[dst]
 	if tuples > r.left {
 		return fmt.Errorf("round %q stream %s: land %d tuples on server %d, %d planned left",
-			v.name, name, tuples, dst, r.left)
+			v.stat.Name, name, tuples, dst, r.left)
 	}
 	r.rel.AppendFlat(flat, int(tuples))
 	r.left -= tuples

@@ -7,7 +7,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
-	"mpcquery/internal/trace"
 )
 
 // Differential tests: the parallel sorts vs the sequential stdlib-sort
@@ -63,8 +62,6 @@ func TestPSRSDiff(t *testing.T) {
 		rel := genSortInput(skew, 160, seed)
 		want := testkit.OracleSort(rel, keys...)
 		c := mpc.NewCluster(p, seed)
-		rec := trace.NewRecorder()
-		c.SetTracer(rec)
 		c.ScatterRoundRobin(rel)
 		PSRS(c, "R", keys, "out")
 		testkit.AssertRounds(t, c, 2)
@@ -72,7 +69,6 @@ func TestPSRSDiff(t *testing.T) {
 			t.Fatalf("VerifySorted: %v", err)
 		}
 		assertExactOrder(t, gatherInServerOrder(c, "out", keys), want)
-		testkit.AssertTraceConsistent(t, c, rec)
 	})
 }
 
@@ -85,8 +81,6 @@ func TestPSRSRandomSampleDiff(t *testing.T) {
 		rel := genSortInput(skew, 160, seed)
 		want := testkit.OracleSort(rel, keys...)
 		c := mpc.NewCluster(p, seed)
-		rec := trace.NewRecorder()
-		c.SetTracer(rec)
 		c.ScatterRoundRobin(rel)
 		PSRSRandomSample(c, "R", keys, "out", 8)
 		testkit.AssertRounds(t, c, 2)
@@ -94,7 +88,6 @@ func TestPSRSRandomSampleDiff(t *testing.T) {
 			t.Fatalf("VerifySorted: %v", err)
 		}
 		assertExactOrder(t, gatherInServerOrder(c, "out", keys), want)
-		testkit.AssertTraceConsistent(t, c, rec)
 	})
 }
 
@@ -117,8 +110,6 @@ func TestFanLimitedSortDiff(t *testing.T) {
 				rel := genSortInput(skew, 160, seed)
 				want := testkit.OracleSort(rel, keys...)
 				c := mpc.NewCluster(p, seed)
-				rec := trace.NewRecorder()
-				c.SetTracer(rec)
 				c.ScatterRoundRobin(rel)
 				FanLimitedSort(c, "R", keys, "out", fan)
 				testkit.AssertRounds(t, c, 2*logCeil(fan, p))
@@ -126,7 +117,6 @@ func TestFanLimitedSortDiff(t *testing.T) {
 					t.Fatalf("VerifySorted: %v", err)
 				}
 				assertExactOrder(t, gatherInServerOrder(c, "out", keys), want)
-				testkit.AssertTraceConsistent(t, c, rec)
 			})
 		})
 	}

@@ -114,9 +114,8 @@ func AssertSameTrace(t *testing.T, want, got *trace.Recorder) {
 // algorithm on one query: for every (skew, p, seed) it runs the
 // algorithm on the in-process engine and on the TCP backend with
 // identical seeding and asserts the runs are indistinguishable —
-// fragments, (L, r, C), traces — and that the TCP run's trace is
-// self-consistent. Correctness against the oracle is RunDiff's job;
-// this sweep pins backend equivalence.
+// fragments, per-round ledgers, traces. Correctness against the oracle
+// is RunDiff's job; this sweep pins backend equivalence.
 func RunBackendDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 	t.Helper()
 	cfg = cfg.withBackendDefaults()
@@ -145,7 +144,6 @@ func RunBackendDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 					AssertSameFragments(t, local, tcp)
 					AssertSameLRC(t, local, tcp)
 					AssertSameTrace(t, localRec, tcpRec)
-					AssertTraceConsistent(t, tcp, tcpRec)
 				})
 			}
 		}
@@ -179,7 +177,6 @@ func SweepBackends(t *testing.T, cfg Config, run func(t *testing.T, c *mpc.Clust
 					AssertSameFragments(t, local, tcp)
 					AssertSameLRC(t, local, tcp)
 					AssertSameTrace(t, localRec, tcpRec)
-					AssertTraceConsistent(t, tcp, tcpRec)
 				})
 			}
 		}
@@ -218,8 +215,6 @@ func RunChaosDiffTCP(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 
 						chaotic := NewTCPCluster(t, p, seed)
 						chaotic.SetFaultInjector(chaos.MustParseSchedule(spec))
-						rec := trace.NewRecorder()
-						chaotic.SetTracer(rec)
 						if err := alg(chaotic, q, rels, "out", algSeed); err != nil {
 							t.Fatalf("chaos-over-tcp run failed: %v", err)
 						}
@@ -228,7 +223,6 @@ func RunChaosDiffTCP(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 							AssertFaulted(t, chaotic)
 						}
 						AssertSameLRC(t, clean, chaotic)
-						AssertTraceConsistent(t, chaotic, rec)
 						got := GatherResult(chaotic, "out", q.Vars())
 						got.Dedup()
 						if !BagEqual(got, want) {

@@ -2,12 +2,12 @@ package testkit
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/chaos"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
-	"mpcquery/internal/trace"
 )
 
 // DefaultChaosSpecs are the fault schedules of the standard chaos
@@ -101,11 +101,12 @@ func AssertFaulted(t *testing.T, c *mpc.Cluster) {
 	t.Fatalf("the fault schedule injected nothing into %d rounds", c.Metrics().Rounds())
 }
 
-// AssertSameLRC asserts that two clusters metered identical cost
-// observables — per-round, per-server Recv and RecvWords, hence equal
-// (L, r, C). This is the recovery guarantee: a fault-injected run that
-// recovers is indistinguishable from the fault-free run in the model's
-// cost metrics.
+// AssertSameLRC asserts that two clusters metered identical ledgers:
+// per round, per-server Recv and RecvWords, hence equal (L, r, C), and
+// Self and every per-stream send and receive entry. This is the
+// recovery guarantee: a fault-injected run that recovers is
+// indistinguishable from the fault-free run in the model's cost
+// metrics. The backend differentials use it to pin local vs TCP.
 func AssertSameLRC(t *testing.T, clean, chaotic *mpc.Cluster) {
 	t.Helper()
 	cs, xs := clean.Metrics().RoundStats(), chaotic.Metrics().RoundStats()
@@ -113,14 +114,22 @@ func AssertSameLRC(t *testing.T, clean, chaotic *mpc.Cluster) {
 		t.Fatalf("round counts differ: fault-free %d, chaos %d", len(cs), len(xs))
 	}
 	for i := range cs {
-		if cs[i].Name != xs[i].Name {
-			t.Fatalf("round %d name differs: %q vs %q", i, cs[i].Name, xs[i].Name)
+		a, b := &cs[i], &xs[i]
+		if a.Name != b.Name {
+			t.Fatalf("round %d name differs: %q vs %q", i, a.Name, b.Name)
 		}
-		for d := range cs[i].Recv {
-			if cs[i].Recv[d] != xs[i].Recv[d] || cs[i].RecvWords[d] != xs[i].RecvWords[d] {
+		for d := range a.Recv {
+			if a.Recv[d] != b.Recv[d] || a.RecvWords[d] != b.RecvWords[d] {
 				t.Fatalf("round %q server %d: fault-free (%d,%d), chaos (%d,%d)",
-					cs[i].Name, d, cs[i].Recv[d], cs[i].RecvWords[d], xs[i].Recv[d], xs[i].RecvWords[d])
+					a.Name, d, a.Recv[d], a.RecvWords[d], b.Recv[d], b.RecvWords[d])
 			}
+		}
+		if a.Self != b.Self {
+			t.Fatalf("round %q: fault-free Self %d, chaos %d", a.Name, a.Self, b.Self)
+		}
+		if !slices.Equal(a.StreamSends, b.StreamSends) || !slices.Equal(a.StreamRecvs, b.StreamRecvs) {
+			t.Fatalf("round %q: per-stream ledgers differ:\n  fault-free sends %v recvs %v\n  chaos      sends %v recvs %v",
+				a.Name, a.StreamSends, a.StreamRecvs, b.StreamSends, b.StreamRecvs)
 		}
 	}
 }
@@ -149,11 +158,6 @@ func RunChaosDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 							t.Fatalf("fault-free run failed: %v", err)
 						}
 						chaotic := NewChaosCluster(p, seed, spec)
-						// Trace the chaos run: AssertTraceConsistent below
-						// reconciles the crash/backoff/replay events against
-						// the recovery ledger of every round.
-						rec := trace.NewRecorder()
-						chaotic.SetTracer(rec)
 						if err := alg(chaotic, q, rels, "out", algSeed); err != nil {
 							t.Fatalf("chaos run failed: %v", err)
 						}
@@ -162,7 +166,6 @@ func RunChaosDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 							AssertFaulted(t, chaotic)
 						}
 						AssertSameLRC(t, clean, chaotic)
-						AssertTraceConsistent(t, chaotic, rec)
 						got := GatherResult(chaotic, "out", q.Vars())
 						got.Dedup()
 						if !BagEqual(got, want) {

@@ -26,15 +26,17 @@
 // received).
 //
 // A Recorder is attached to a cluster with (*mpc.Cluster).SetTracer.
-// With no recorder attached the hot path pays a nil check and nothing
-// else.
+// The round events (send, recv, chaos, skew, round_end) are a view of
+// the round's ledger, mpc.RoundStat, which every round keeps whether
+// or not it is traced: the simulator renders them and hands them to
+// Recorder.Append. The recorder's own methods record only what the
+// ledger cannot know — annotations, adapt decisions, and the recovery
+// driver's individual crashes and backoffs.
 package trace
 
 import (
 	"fmt"
 	"sync"
-
-	"mpcquery/internal/stats"
 )
 
 // Event kinds. Kind is a string so JSONL traces are self-describing.
@@ -89,9 +91,12 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-func (r *Recorder) append(ev Event) {
+// Append records events in order. The simulator renders each
+// committed round's events from its ledger (mpc.RoundStat) and appends
+// them here; the methods below record what the ledger cannot know.
+func (r *Recorder) Append(evs ...Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	r.events = append(r.events, evs...)
 	r.mu.Unlock()
 }
 
@@ -117,59 +122,10 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
-// RoundStart records the opening of round `round` (zero-based metric
-// index) with its label.
-func (r *Recorder) RoundStart(round int, name string) {
-	r.append(Event{Kind: KindRoundStart, Round: round, Server: Driver, Name: name})
-}
-
-// Send records the per-stream totals one source server emitted this
-// round.
-func (r *Recorder) Send(round int, stream string, src int, tuples, words int64) {
-	r.append(Event{Kind: KindSend, Round: round, Server: src, Name: stream, Tuples: tuples, Words: words})
-}
-
-// Recv records the per-stream totals one destination server received
-// this round; frags is the fan-in (number of non-empty source
-// fragments concatenated into the destination's inbox).
-func (r *Recorder) Recv(round int, stream string, dst int, tuples, words int64, frags int) {
-	r.append(Event{Kind: KindRecv, Round: round, Server: dst, Name: stream, Tuples: tuples, Words: words, Frags: frags})
-}
-
-// RoundEnd closes a round: it summarizes the per-server received-tuple
-// counts (busy servers, max, p99, Gini) into a skew event and appends
-// it followed by the round_end frame. recv and recvWords are
-// the RoundStat vectors (one slot per server, zeros included).
-func (r *Recorder) RoundEnd(round int, name string, recv, recvWords []int64) {
-	var total, totalWords, maxRecv int64
-	busy := 0 // servers that received something
-	for _, n := range recv {
-		total += n
-		maxRecv = max(maxRecv, n)
-		if n > 0 {
-			busy++
-		}
-	}
-	for _, v := range recvWords {
-		totalWords += v
-	}
-	r.append(Event{
-		Kind: KindSkew, Round: round, Server: Driver,
-		Tuples: total, Words: totalWords, Frags: busy,
-		MaxRecv: maxRecv,
-		P99Recv: stats.QuantileInt64(recv, 0.99),
-		Gini:    stats.Gini(recv),
-	})
-	r.append(Event{
-		Kind: KindRoundEnd, Round: round, Server: Driver, Name: name,
-		Tuples: total, Words: totalWords, MaxRecv: maxRecv,
-	})
-}
-
 // Annotate records an algorithm phase marker. round is the metric index
 // the *next* round will get — the marker precedes the rounds it labels.
 func (r *Recorder) Annotate(round int, msg string) {
-	r.append(Event{Kind: KindAnnotate, Round: round, Server: Driver, Name: msg})
+	r.Append(Event{Kind: KindAnnotate, Round: round, Server: Driver, Name: msg})
 }
 
 // Adapt records a mid-query re-plan decision: after observing round's
@@ -178,28 +134,19 @@ func (r *Recorder) Annotate(round int, msg string) {
 // MaxRecv/Gini the triggering skew signal, so a trace alone explains
 // why a run adapted.
 func (r *Recorder) Adapt(round int, reason string, maxRecv int64, gini float64) {
-	r.append(Event{Kind: KindAdapt, Round: round, Server: Driver, Name: reason, MaxRecv: maxRecv, Gini: gini})
+	r.Append(Event{Kind: KindAdapt, Round: round, Server: Driver, Name: reason, MaxRecv: maxRecv, Gini: gini})
 }
 
 // Crash records that server was down during delivery attempt `attempt`
 // of the round's recovery.
 func (r *Recorder) Crash(round, attempt, server int) {
-	r.append(Event{Kind: KindCrash, Round: round, Server: server, Attempt: attempt})
+	r.Append(Event{Kind: KindCrash, Round: round, Server: server, Attempt: attempt})
 }
 
 // Backoff records the simulated delay the recovery driver metered
 // before replay attempt `attempt`.
 func (r *Recorder) Backoff(round, attempt int, units int64) {
-	r.append(Event{Kind: KindBackoff, Round: round, Server: Driver, Attempt: attempt, Units: units})
-}
-
-// ChaosSummary records the round's recovery ledger after it committed.
-func (r *Recorder) ChaosSummary(round, attempts int, dropped, duplicated, redelivered int64, crashes int, backoffUnits int64) {
-	r.append(Event{
-		Kind: KindChaos, Round: round, Server: Driver, Attempt: attempts,
-		Dropped: dropped, Duplicated: duplicated, Redelivered: redelivered,
-		Crashes: crashes, Units: backoffUnits,
-	})
+	r.Append(Event{Kind: KindBackoff, Round: round, Server: Driver, Attempt: attempt, Units: units})
 }
 
 // Annotator is anything that accepts phase markers — notably

@@ -9,12 +9,14 @@ import (
 
 func TestRecorderAppendOrder(t *testing.T) {
 	r := NewRecorder()
-	r.RoundStart(0, "shuffle")
-	r.Send(0, "out:R", 1, 10, 20)
-	r.Recv(0, "out:R", 2, 10, 20, 1)
-	r.RoundEnd(0, "shuffle", []int64{0, 0, 10}, []int64{0, 0, 20})
+	r.Annotate(0, "phase")
+	r.Append(Event{Kind: KindRoundStart, Round: 0, Server: Driver, Name: "shuffle"},
+		Event{Kind: KindSend, Round: 0, Server: 1, Name: "out:R", Tuples: 10, Words: 20})
+	r.Crash(0, 0, 2)
+	r.Backoff(0, 1, 2)
+	r.Append(Event{Kind: KindRoundEnd, Round: 0, Server: Driver, Name: "shuffle", Tuples: 10, Words: 20, MaxRecv: 10})
 	evs := r.Events()
-	wantKinds := []string{KindRoundStart, KindSend, KindRecv, KindSkew, KindRoundEnd}
+	wantKinds := []string{KindAnnotate, KindRoundStart, KindSend, KindCrash, KindBackoff, KindRoundEnd}
 	if len(evs) != len(wantKinds) {
 		t.Fatalf("got %d events, want %d", len(evs), len(wantKinds))
 	}
@@ -23,47 +25,12 @@ func TestRecorderAppendOrder(t *testing.T) {
 			t.Errorf("event %d kind %q, want %q", i, evs[i].Kind, k)
 		}
 	}
-	if r.Len() != 5 {
-		t.Errorf("Len = %d, want 5", r.Len())
+	if r.Len() != len(wantKinds) {
+		t.Errorf("Len = %d, want %d", r.Len(), len(wantKinds))
 	}
 	r.Reset()
 	if r.Len() != 0 {
 		t.Errorf("Len after Reset = %d, want 0", r.Len())
-	}
-}
-
-func TestRoundEndSkewSummary(t *testing.T) {
-	r := NewRecorder()
-	// Three servers: loads 30, 10, 0 — max 30, total 40, two active.
-	r.RoundEnd(3, "x", []int64{30, 10, 0}, []int64{60, 20, 0})
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d events, want skew + round_end", len(evs))
-	}
-	skew, end := evs[0], evs[1]
-	if skew.Kind != KindSkew || end.Kind != KindRoundEnd {
-		t.Fatalf("kinds %q, %q", skew.Kind, end.Kind)
-	}
-	if skew.Tuples != 40 || skew.Words != 80 || skew.MaxRecv != 30 || skew.Frags != 2 {
-		t.Errorf("skew event %+v: want total 40, words 80, max 30, 2 active servers", skew)
-	}
-	if skew.P99Recv != 30 {
-		t.Errorf("P99Recv = %d, want 30 (nearest-rank p99 on 3 servers is the max)", skew.P99Recv)
-	}
-	if skew.Gini <= 0 || skew.Gini >= 1 {
-		t.Errorf("Gini = %v, want in (0, 1) for an unbalanced round", skew.Gini)
-	}
-	if end.Round != 3 || end.Name != "x" || end.Tuples != 40 || end.MaxRecv != 30 {
-		t.Errorf("round_end event %+v", end)
-	}
-}
-
-func TestRoundEndAllZero(t *testing.T) {
-	r := NewRecorder()
-	r.RoundEnd(0, "idle", []int64{0, 0}, []int64{0, 0})
-	skew := r.Events()[0]
-	if skew.MaxRecv != 0 || skew.P99Recv != 0 || skew.Gini != 0 || skew.Frags != 0 {
-		t.Errorf("all-zero round skew %+v, want all zeros", skew)
 	}
 }
 
