@@ -54,10 +54,11 @@
 // non-zero with the spec that reproduces it.
 //
 // With -capacities c0,c1,... (len p, entries > 0) the cluster is
-// heterogeneous: the planner costs candidates against the effective
-// parallelism Σc/max(c), HyperCube runs capacity-proportional cell
-// ownership, and the report adds the capacity-normalized makespan
-// max_i(received_i / c_i) next to (L, r, C).
+// heterogeneous: HyperCube gives each server a box of its share grid
+// sized to the server's capacity, a tuple goes once to each server
+// whose box meets it, and the report adds the capacity-normalized
+// makespan max_i(received_i / c_i) next to (L, r, C). The planner
+// still costs candidates at p.
 //
 // With -explain the cost-based planner (internal/plan) evaluates every
 // candidate strategy against statistics collected from the actual
@@ -129,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	netWorkers := fs.Int("net-workers", 0, "worker processes for -transport=tcp (0 = min(p, 4))")
 	netWorker := fs.Bool("net-worker", false, "run as an mpcnet worker process (internal, used by -transport=tcp)")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address in -net-worker mode")
-	capacities := fs.String("capacities", "", "comma-separated per-server capacities (len p, entries > 0) for heterogeneity-aware shares")
+	capacities := fs.String("capacities", "", "comma-separated per-server capacities (len p, entries > 0); HyperCube gives each server a grid box sized to its capacity")
 	verbose := fs.Bool("verbose", false, "print per-round metrics")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -266,8 +267,7 @@ func report(w io.Writer, j *job, e *core.Engine, transportDesc string, exec *cor
 		fmt.Fprintf(w, "fixpoint   %d semi-naive iterations\n", exec.Iterations)
 	}
 	if e.Capacities != nil {
-		fmt.Fprintf(w, "capacity   effective p = %.2f, normalized makespan = %.1f\n",
-			cost.EffectiveParallelism(e.Capacities), exec.Metrics.NormalizedMakespan(e.Capacities))
+		fmt.Fprintf(w, "capacity   normalized makespan = %.1f\n", exec.Metrics.NormalizedMakespan(e.Capacities))
 	}
 	if sched != nil {
 		fmt.Fprintf(w, "chaos      %s\n", sched.Report(exec.Metrics, nil))

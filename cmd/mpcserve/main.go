@@ -56,7 +56,7 @@ func main() {
 	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant burst capacity (default max(quota-rate, 1))")
 	cacheSize := flag.Int("plan-cache", 128, "plan cache capacity (entries)")
 	maxRows := flag.Int("max-rows", 100, "result rows embedded per response")
-	capacities := flag.String("capacities", "", "comma-separated per-server capacities (len p, entries > 0) for heterogeneity-aware shares")
+	capacities := flag.String("capacities", "", "comma-separated per-server capacities (len p, entries > 0); HyperCube gives each server a grid box sized to its capacity")
 	flag.Parse()
 
 	caps, err := cost.ParseCapacities(*capacities)

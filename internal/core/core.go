@@ -141,8 +141,8 @@ type Engine struct {
 	// capacity profile (len must equal P, entries > 0). Clusters carry
 	// the profile, Metrics.NormalizedMakespan can normalize by it, and
 	// HyperCube executions run the capacity-aware plan
-	// (hypercube.RunHet) that apportions grid cells in proportion to
-	// capacity.
+	// (hypercube.RunHet), which gives each server a box of the share
+	// grid sized to its capacity.
 	Capacities []float64
 }
 
@@ -273,23 +273,6 @@ func (e *Engine) newCluster() *mpc.Cluster {
 	return c
 }
 
-// checkCapacities validates the engine's capacity profile before a
-// cluster is built (SetCapacities would panic on the same conditions).
-func (e *Engine) checkCapacities() error {
-	if e.Capacities == nil {
-		return nil
-	}
-	if len(e.Capacities) != e.P {
-		return fmt.Errorf("core: %d capacities for %d servers", len(e.Capacities), e.P)
-	}
-	for i, cp := range e.Capacities {
-		if cp <= 0 {
-			return fmt.Errorf("core: capacity of server %d is %g, want > 0", i, cp)
-		}
-	}
-	return nil
-}
-
 // run is the execution spine every entry point goes through: validate
 // the engine, build the one cluster, let body compute on it and leave
 // its answer there, gather the answer — its one copy — and read
@@ -299,7 +282,7 @@ func (e *Engine) checkCapacities() error {
 // smaller, sortjoin with the join variable first in atom 0). body may
 // extend ex.Reason and set ex.Iterations.
 func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex *Execution) (rel string, vars []string, err error)) (*Execution, error) {
-	if err := e.checkCapacities(); err != nil {
+	if err := mpc.CheckCapacities(e.P, e.Capacities); err != nil {
 		return nil, err
 	}
 	c := e.newCluster()
@@ -354,7 +337,7 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (string, error
 		return "", err
 	}
 	if alg == AlgHyperCube && c.Capacities() != nil {
-		ex.Reason += fmt.Sprintf("; capacity-aware shares (effective p %.1f)", cost.EffectiveParallelism(e.Capacities))
+		ex.Reason += "; capacity-aware boxes, one per server"
 	}
 	return outName, nil
 }

@@ -18,12 +18,10 @@
 // the input convention, and DetectHeavy (heavy.go), the two-round
 // heavy-hitter detection of every in-round skew algorithm.
 //
-// The heterogeneity half (het.go) extends shares optimization to
-// machines with unequal capacity ("Parallel Query Processing with
-// Heterogeneous Machines", arXiv 2501.08896): EffectiveParallelism
-// maps a capacity vector to the uniform-server count a heterogeneous
-// cluster is worth, ApportionCells splits a share grid across servers
-// proportionally to capacity, and the splits minimize the normalized
-// makespan, max load over capacity, which mpc.Metrics.NormalizedMakespan
-// measures.
+// The heterogeneity half (het.go) is ParseCapacities, the one parser
+// of a per-server capacity vector for machines with unequal capacity
+// ("Parallel Query Processing with Heterogeneous Machines", arXiv
+// 2501.08896). The layout that serves the capacities, a box of the
+// share grid per server, is internal/hypercube's;
+// mpc.Metrics.NormalizedMakespan measures the makespan it minimises.
 package cost

@@ -92,8 +92,8 @@ func BenchmarkAdaptiveSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkHetTriangle measures the capacity-aware shuffle and
-// per-cell local joins on an unequal profile.
+// BenchmarkHetTriangle measures the capacity-aware plan, shuffle and
+// per-server local joins on an unequal profile.
 func BenchmarkHetTriangle(b *testing.B) {
 	const nv, ne = 3000, 30000
 	r, s, u := workload.TriangleInput(nv, ne, 7)

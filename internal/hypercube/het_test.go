@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"math"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
@@ -9,10 +10,9 @@ import (
 	"mpcquery/internal/testkit"
 )
 
-// Heterogeneity-aware execution tests: capacity-proportional cell
-// ownership must stay correct on every instance, put load where the
-// capacity is, and beat the uniform plan on the capacity-normalized
-// makespan.
+// Heterogeneity-aware execution tests: the box layout must stay
+// correct on every instance, put load where the capacity is, and never
+// lose to the uniform plan on the capacity-normalized makespan.
 
 // hetCaps returns the deterministic unequal profile the tests use:
 // capacities cycling 1, 2, 4 — spanning a 4x speed ratio.
@@ -48,14 +48,15 @@ func TestHetDiffPath(t *testing.T) {
 }
 
 // TestHetChaosDiff runs the capacity-aware shuffle under fault
-// injection: per-cell streams are just more fragment names, so
-// recovery must hold exactly as for the uniform shuffle.
+// injection: it is the uniform shuffle's one grid loop on another
+// owner table, so recovery must hold exactly as for the uniform
+// shuffle.
 func TestHetChaosDiff(t *testing.T) {
 	testkit.RunChaosDiff(t, hypergraph.Triangle(), testkit.Config{}, hetAlgo())
 }
 
 // TestHetUniformCapsMatchesOracle pins the degenerate profile: no
-// capacities attached means uniform ownership of the refined grid.
+// capacities attached runs plain HyperCube.
 func TestHetUniformCapsMatchesOracle(t *testing.T) {
 	q := hypergraph.Triangle()
 	rels := testkit.GenInstance(q, testkit.SkewUniform, testkit.GenConfig{Tuples: 200}, 7)
@@ -75,9 +76,12 @@ func TestHetUniformCapsMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestHetLoadFollowsCapacity checks the whole point of the cell
-// apportionment: on skew-free input, a server with twice the capacity
-// receives roughly twice the tuples.
+// TestHetLoadFollowsCapacity checks the whole point of the box layout:
+// on skew-free input, each server receives its box's predicted load
+// within hashing noise, and load per unit of capacity is even — a
+// server with four times the capacity receives about four times the
+// tuples. The owner table is the layout: each server owns as many cells
+// as its box holds.
 func TestHetLoadFollowsCapacity(t *testing.T) {
 	q := hypergraph.Triangle()
 	const p, seed = 4, 3
@@ -89,25 +93,26 @@ func TestHetLoadFollowsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cell counts must follow the largest-remainder apportionment.
+	if res.Plan.Owner == nil {
+		t.Fatalf("plan %v kept plain HyperCube on a 4:1 profile", res.Plan.Shares)
+	}
+	sizes := Sizes(q, rels)
+	bs := boxes(res.Plan, sizes, caps)
 	counts := make([]int, p)
 	for _, own := range res.Plan.Owner {
 		counts[own]++
 	}
-	g := res.Plan.GridSize()
-	var sumCap float64
-	for _, cp := range caps {
-		sumCap += cp
-	}
-	for i, n := range counts {
-		exact := float64(g) * caps[i] / sumCap
-		if float64(n) < exact-1 || float64(n) > exact+1 {
-			t.Errorf("server %d owns %d cells, want %.2f ± 1 of %d", i, n, exact, g)
+	st := c.Metrics().RoundStats()[0]
+	for s, b := range bs {
+		if counts[s] != b.volume() {
+			t.Errorf("server %d owns %d cells, its box %v holds %d", s, counts[s], b, b.volume())
+		}
+		if want := spread(res.Plan, sizes, b, []int{s}, caps) * caps[s]; math.Abs(float64(st.Recv[s])-want) > 0.15*want {
+			t.Errorf("server %d received %d tuples, its box %v predicts %.0f ± 15%%", s, st.Recv[s], b, want)
 		}
 	}
-	// Received load must track capacity within a generous factor
-	// (hashing is only asymptotically balanced).
-	st := c.Metrics().RoundStats()[0]
+	// Received load per unit of capacity must be even within a
+	// generous factor (hashing is only asymptotically balanced).
 	fast, slow := float64(st.Recv[0])/caps[0], (float64(st.Recv[2])+float64(st.Recv[3]))/2
 	if fast > 2*slow || slow > 2*fast {
 		t.Errorf("normalized loads diverge: fast %0.f vs slow mean %.0f (recv %v)", fast, slow, st.Recv)

@@ -43,6 +43,10 @@ type Plan struct {
 	// a dimension is named by its variable, so every plan under one
 	// query seed hashes a variable alike, whatever its shares.
 	Seeds []uint64
+	// Owner[c] is the server that hosts cell c of the grid; nil hosts
+	// cell c on server c. A capacity plan (RunHet) sets it to a box
+	// layout.
+	Owner []int
 }
 
 // NewPlan computes LP-optimal integer shares for the query given the
@@ -89,13 +93,11 @@ func (pl *Plan) GridSize() int {
 
 // Route compiles the route of atom a under pl into a grid policy
 // (slide 37): the dimensions of a's variables are fixed by hashing the
-// row's values, the remaining dimensions range over their full shares.
-// It panics if a has a variable the plan does not. A variable the atom
+// row's values, the remaining dimensions range over their full shares,
+// and the row goes once to each owner of the cells so addressed. It
+// panics if a has a variable the plan does not. A variable the atom
 // repeats is hashed from its last column.
-func (pl *Plan) Route(a hypergraph.Atom) mpc.Policy { return pl.grid(a, nil) }
-
-// grid is Route with cell c hosted by owner[c] (nil: by server c).
-func (pl *Plan) grid(a hypergraph.Atom, owner []int) mpc.Policy {
+func (pl *Plan) Route(a hypergraph.Atom) mpc.Policy {
 	cols := make([]int, len(pl.Vars))
 	for d := range cols {
 		cols[d] = -1
@@ -107,7 +109,7 @@ func (pl *Plan) grid(a hypergraph.Atom, owner []int) mpc.Policy {
 		}
 		cols[d] = ai
 	}
-	return mpc.Grid(pl.Shares, pl.Seeds, cols, owner)
+	return mpc.Grid(pl.Shares, pl.Seeds, cols, pl.Owner)
 }
 
 // shuffle is one round that routes every atom's fragment, stored under
@@ -191,34 +193,30 @@ func RunWithPlan(c *mpc.Cluster, pl *Plan, outName string, alg LocalAlg) *Result
 }
 
 // localJoin joins each server's atom fragments (stored under
-// outName+":"+atom+suffix) into outName (appending).
+// outName+":"+atom+suffix, which it consumes) into outName (appending).
 func localJoin(c *mpc.Cluster, q hypergraph.Query, outName, suffix string, alg LocalAlg) {
 	vars := q.Vars()
-	c.LocalStep(func(srv *mpc.Server) { joinFragments(srv, q.Atoms, vars, outName, suffix, alg) })
-}
-
-// joinFragments is localJoin on one server: it consumes the fragments
-// outName+":"+atom+suffix and appends their join to outName.
-func joinFragments(srv *mpc.Server, atoms []hypergraph.Atom, vars []string, outName, suffix string, alg LocalAlg) {
-	inputs := make([]*relation.Relation, len(atoms))
-	for i, a := range atoms {
-		inputs[i] = srv.RelOrEmpty(outName+":"+a.Name+suffix, a.Vars...)
-		srv.Delete(outName + ":" + a.Name + suffix)
-	}
-	var joined *relation.Relation
-	switch alg {
-	case LocalGeneric:
-		joined = relation.GenericJoin(outName, vars, inputs...)
-	case LocalBinary:
-		joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
-	default:
-		panic("hypercube: unknown local algorithm")
-	}
-	if prev := srv.Rel(outName); prev != nil {
-		prev.AppendAll(joined)
-	} else {
-		srv.Put(joined)
-	}
+	c.LocalStep(func(srv *mpc.Server) {
+		inputs := make([]*relation.Relation, len(q.Atoms))
+		for i, a := range q.Atoms {
+			inputs[i] = srv.RelOrEmpty(outName+":"+a.Name+suffix, a.Vars...)
+			srv.Delete(outName + ":" + a.Name + suffix)
+		}
+		var joined *relation.Relation
+		switch alg {
+		case LocalGeneric:
+			joined = relation.GenericJoin(outName, vars, inputs...)
+		case LocalBinary:
+			joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
+		default:
+			panic("hypercube: unknown local algorithm")
+		}
+		if prev := srv.Rel(outName); prev != nil {
+			prev.AppendAll(joined)
+		} else {
+			srv.Put(joined)
+		}
+	})
 }
 
 // PatternPlan describes one heavy/light pattern of a SkewHC execution.

@@ -20,9 +20,9 @@ import (
 //     per-atom expected load *including* the heavy-hitter term — a
 //     value of degree d on variable x cannot be split across the x
 //     dimension, so plain HyperCube degrades under skew exactly as
-//     slide 46 warns. On a cluster carrying a capacity profile it runs
-//     the capacity-aware RunHet instead of Run; a uniform profile is
-//     none (mpc.SetCapacities).
+//     slide 46 warns. It runs RunHet: Run on a uniform cluster, one
+//     box of the grid per server on a cluster carrying a capacity
+//     profile (an all-equal one is none, mpc.SetCapacities).
 //   - skewhc: the heavy/light residual-query variant whose load stays
 //     IN/p^{1/ψ*} for any skew (slides 47-51). Run takes each variable's
 //     heavy hitters from the inputs, as the planner does, and runs
@@ -38,11 +38,7 @@ func Plannables() []cost.Plannable {
 			Doc:     "one-round HyperCube/Shares join with LP-optimal shares (slides 34-45)",
 			Applies: func(hypergraph.Query) error { return nil },
 			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				if c.Capacities() != nil {
-					_, err := RunHet(c, q, rels, outName, seed, LocalGeneric)
-					return err
-				}
-				_, err := Run(c, q, rels, outName, seed, LocalGeneric)
+				_, err := RunHet(c, q, rels, outName, seed, LocalGeneric)
 				return err
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {

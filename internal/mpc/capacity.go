@@ -4,39 +4,44 @@ import "fmt"
 
 // SetCapacities attaches a per-server capacity profile to the cluster:
 // caps[i] is server i's relative processing rate (any positive scale;
-// only ratios matter). Heterogeneity-aware planners apportion grid
-// cells proportionally to capacity, and NormalizedMakespan judges a
-// round by max recv_i/caps_i instead of max recv_i. A nil caps detaches
-// the profile, and so does one whose capacities are all equal: a
-// uniform profile is no profile. A profile is not observationally
-// free: on a cluster that carries one, the hypercube descriptor routes
-// by capacity-proportional cells (hypercube.RunHet), which changes
-// what every server receives.
+// only ratios matter). NormalizedMakespan judges a round by max
+// recv_i/caps_i instead of max recv_i. A nil caps detaches the profile,
+// and so does one whose capacities are all equal: a uniform profile is
+// no profile. A profile is not observationally free: on a cluster that
+// carries one, the hypercube descriptor gives each server a box of its
+// grid sized to the server's capacity (hypercube.RunHet), which changes
+// what every server receives. It panics on a profile CheckCapacities
+// rejects.
 func (c *Cluster) SetCapacities(caps []float64) {
-	if caps == nil {
-		c.caps = nil
-		return
+	if err := CheckCapacities(c.p, caps); err != nil {
+		panic(err)
 	}
-	if len(caps) != c.p {
-		panic(fmt.Sprintf("mpc: SetCapacities: %d capacities for %d servers", len(caps), c.p))
+	c.caps = nil
+	for _, v := range caps {
+		if v != caps[0] {
+			c.caps = append([]float64(nil), caps...)
+			break
+		}
 	}
-	uniform := true
+}
+
+// CheckCapacities reports whether caps is a valid capacity profile for
+// p servers: nil, or one positive capacity per server.
+func CheckCapacities(p int, caps []float64) error {
+	if caps != nil && len(caps) != p {
+		return fmt.Errorf("mpc: %d capacities for %d servers", len(caps), p)
+	}
 	for i, v := range caps {
 		if v <= 0 {
-			panic(fmt.Sprintf("mpc: SetCapacities: capacity[%d] = %v must be > 0", i, v))
+			return fmt.Errorf("mpc: capacity of server %d is %v, want > 0", i, v)
 		}
-		uniform = uniform && v == caps[0]
 	}
-	if uniform {
-		c.caps = nil
-		return
-	}
-	c.caps = append([]float64(nil), caps...)
+	return nil
 }
 
 // Capacities returns the attached capacity profile, or nil when the
-// cluster is uniform (none attached, or all capacities equal). The slice is a copy; mutating it does not affect
-// the cluster.
+// cluster is uniform (none attached, or all capacities equal). The
+// slice is a copy; mutating it does not affect the cluster.
 func (c *Cluster) Capacities() []float64 {
 	if c.caps == nil {
 		return nil

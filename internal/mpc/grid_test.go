@@ -57,7 +57,10 @@ func TestGridMatchesWalk(t *testing.T) {
 // FuzzRoute fuzzes a grid — shares (one per byte, 1–4, up to four
 // dimensions) and the column fixing each dimension (one per byte, free
 // or any of four columns) — the row's values and the seed, and checks
-// the compiled grid against the reference walk.
+// the compiled grid against the reference walk. It then hosts the grid
+// on a box layout drawn from the seed, and checks that Cluster.Shuffle
+// sends the row to exactly the servers whose box meets its slab, once
+// each.
 func FuzzRoute(f *testing.F) {
 	f.Add([]byte{1, 1, 1}, []byte{1, 2}, int64(5), int64(9), int64(1), uint64(7))
 	f.Add([]byte{0}, []byte{}, int64(0), int64(0), int64(0), uint64(0))
@@ -76,6 +79,83 @@ func FuzzRoute(f *testing.F) {
 				cols[d] = int(colBytes[d]%5) - 1
 			}
 		}
-		checkGrid(t, shares, seeds, cols, []relation.Value{x, y, z, x ^ y})
+		row := []relation.Value{x, y, z, x ^ y}
+		checkGrid(t, shares, seeds, cols, row)
+		checkBoxRoute(t, shares, seeds, cols, row, rand.New(rand.NewSource(int64(seed))))
 	})
+}
+
+// testBox is a box of a grid: coordinate d in [lo[d], hi[d]).
+type testBox struct{ lo, hi []int }
+
+// randomBoxes splits the grid of the given shares into 1 to 6 disjoint
+// boxes that cover it, by random guillotine cuts, one box per server.
+func randomBoxes(shares []int, rng *rand.Rand) []testBox {
+	bs := []testBox{{lo: make([]int, len(shares)), hi: slices.Clone(shares)}}
+	for n := 1 + rng.Intn(6); len(bs) < n; {
+		i, d := rng.Intn(len(bs)), rng.Intn(len(shares))
+		b := bs[i]
+		if b.hi[d]-b.lo[d] < 2 {
+			if rng.Intn(8) == 0 {
+				break // the grid may have too few cells to split further
+			}
+			continue
+		}
+		cut := b.lo[d] + 1 + rng.Intn(b.hi[d]-b.lo[d]-1)
+		lo, hi := testBox{b.lo, slices.Clone(b.hi)}, testBox{slices.Clone(b.lo), b.hi}
+		lo.hi[d], hi.lo[d] = cut, cut
+		bs[i] = lo
+		bs = append(bs, hi)
+	}
+	return bs
+}
+
+// checkBoxRoute hosts the grid on random boxes and checks that routing
+// row reaches exactly the servers whose box meets its slab — every
+// dimension the row fixes lands in the box's interval — once each.
+func checkBoxRoute(t *testing.T, shares []int, seeds []uint64, cols []int, row []relation.Value, rng *rand.Rand) {
+	t.Helper()
+	bs := randomBoxes(shares, rng)
+	cells := 1
+	for _, s := range shares {
+		cells *= s
+	}
+	owner := make([]int, cells)
+	for c := range owner {
+		rest := c
+		coord := make([]int, len(shares))
+		for d := len(shares) - 1; d >= 0; d-- {
+			coord[d], rest = rest%shares[d], rest/shares[d]
+		}
+		for s, b := range bs {
+			in := true
+			for d := range coord {
+				in = in && b.lo[d] <= coord[d] && coord[d] < b.hi[d]
+			}
+			if in {
+				owner[c] = s
+			}
+		}
+	}
+	c := NewCluster(len(bs), 1)
+	frag := relation.New("R", "a", "b", "c", "d")
+	frag.Append(row...)
+	c.Server(0).Put(frag)
+	c.Shuffle("route", Send{From: "R", To: "g", Policy: Grid(shares, seeds, cols, owner)})
+	for s, b := range bs {
+		meets := true
+		for d, col := range cols {
+			if col >= 0 && shares[d] > 1 {
+				x := int(relation.Hash64(row[col], seeds[d]) % uint64(shares[d]))
+				meets = meets && b.lo[d] <= x && x < b.hi[d]
+			}
+		}
+		want := 0
+		if meets {
+			want = 1
+		}
+		if got := c.Server(s).RelOrEmpty("g", frag.Attrs()...).Len(); got != want {
+			t.Fatalf("shares %v cols %v boxes %v row %v: server %d received %d copies, want %d", shares, cols, bs, row, s, got, want)
+		}
+	}
 }

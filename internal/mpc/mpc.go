@@ -232,10 +232,22 @@ type Out struct {
 	streams map[string]*stream
 	order   []string           // stream creation order for deterministic delivery
 	spare   map[string]*stream // reset streams from prior rounds, by name
-	// bases and counts are the grid loop's scratch (policy.go), kept
-	// for the next fragment.
+	// bases, counts and mark are the grid loop's scratch (policy.go),
+	// kept for the next fragment: counts[:p] counts each destination's
+	// rows, counts[p:] holds the mark of the last row sent to each
+	// server, and mark is the last mark handed out.
 	bases  []int32
 	counts []int
+	mark   int
+}
+
+// seen returns the grid loop's per-server marks, making room for its
+// per-destination counts beside them.
+func (o *Out) seen() []int {
+	if len(o.counts) < 2*o.p {
+		o.counts = make([]int, 2*o.p)
+	}
+	return o.counts[o.p:]
 }
 
 // reset parks every open stream for reuse. Called by the cluster after

@@ -18,10 +18,10 @@ import (
 //   - Hash: a row goes to its Owner under HashSeed(seed, vars...) on
 //     the columns that hold vars (Stream.SendByHash);
 //   - Broadcast: a row goes to every server (Stream.BroadcastAll);
-//   - Grid: a row goes to every cell of a HyperCube grid its hashed
-//     coordinates address, every free dimension enumerated. Two tables
-//     extend it: Patterns splits the rows over one grid per heavy-hitter
-//     pattern, and an owner map hosts several cells per server.
+//   - Grid: a row goes once to every server that hosts a cell of a
+//     HyperCube grid its hashed coordinates address, every free
+//     dimension enumerated. Patterns splits the rows over one grid per
+//     heavy-hitter pattern.
 type Policy struct {
 	kind  policyKind
 	vars  []string // Hash: the variables, resolved to columns per fragment
@@ -29,7 +29,6 @@ type Policy struct {
 	grids []grid   // Grid: one; Patterns: one per pattern
 	heavy [][]relation.Value
 	want  []uint64
-	owner []int
 }
 
 type policyKind uint8
@@ -42,12 +41,13 @@ const (
 )
 
 // grid is one compiled HyperCube route: a row's base cell is the sum
-// of its hashed coordinates times their strides, and the row goes to
-// base + o for each o in offsets, dimension 0 outermost.
+// of its hashed coordinates times their strides, its cells are base + o
+// for each o in offsets, dimension 0 outermost, and it goes once to
+// each distinct owner of those cells, in the order of their first cell.
 type grid struct {
 	hashed  []hashedDim
 	offsets []int
-	cells   int // the grid's size, the product of its shares
+	owner   []int // owner[c] hosts cell c
 }
 
 // hashedDim is one dimension a fragment fixes: coordinate
@@ -72,14 +72,22 @@ func Broadcast() Policy { return Policy{kind: broadcastPolicy} }
 // Grid compiles a HyperCube grid route with one dimension per share,
 // the last dimension varying fastest: dimension d has seed seeds[d], and
 // is fixed by hashing column cols[d] of a row, or free when cols[d] < 0.
-// A nil owner makes cell c server c; otherwise owner[c] hosts cell c,
-// and the rows of cell c travel on stream To#c.
+// owner[c] is the server that hosts cell c; a nil owner hosts cell c on
+// server c. A row is sent once to each server that hosts one of its
+// cells, however many of them it hosts.
 func Grid(shares []int, seeds []uint64, cols []int, owner []int) Policy {
-	g := grid{offsets: []int{0}, cells: 1}
+	cells := 1
 	for _, s := range shares {
-		g.cells *= s
+		cells *= s
 	}
-	stride := g.cells
+	if owner == nil {
+		owner = make([]int, cells)
+		for c := range owner {
+			owner[c] = c
+		}
+	}
+	g := grid{offsets: []int{0}, owner: owner}
+	stride := cells
 	for d, share := range shares {
 		stride /= share
 		switch {
@@ -96,7 +104,7 @@ func Grid(shares []int, seeds []uint64, cols []int, owner []int) Policy {
 			g.offsets = offs
 		}
 	}
-	return Policy{kind: gridPolicy, grids: []grid{g}, owner: owner}
+	return Policy{kind: gridPolicy, grids: []grid{g}}
 }
 
 // Patterns splits a fragment over plain grids by heavy-hitter pattern:
@@ -111,17 +119,18 @@ func Patterns(heavy [][]relation.Value, want []uint64, grids ...Policy) Policy {
 	return pl
 }
 
-// SendRow sends row on st to every cell of a grid's route (the grid
-// without an owner map): the per-row form of the grid, for a round that
-// decides row by row, as Owner is the per-row form of a hash policy.
+// SendRow sends row on st to every server of a grid's route: the
+// per-row form of the grid, for a round that decides row by row, as
+// Owner is the per-row form of a hash policy.
 func (pl Policy) SendRow(st *Stream, row []relation.Value) {
-	if pl.kind != gridPolicy || pl.owner != nil {
-		panic("mpc: SendRow needs a grid without an owner map")
-	}
 	g := &pl.grids[0]
-	b := g.base(row)
+	b, seen := g.base(row), st.out.seen()
+	st.out.mark++
 	for _, o := range g.offsets {
-		st.SendRow(b+o, row)
+		if d := g.owner[b+o]; seen[d] != st.out.mark {
+			seen[d] = st.out.mark
+			st.SendRow(d, row)
+		}
 	}
 }
 
@@ -155,10 +164,8 @@ func (pl Policy) send(out *Out, to string, frag *relation.Relation) {
 		out.Open(to, attrs...).SendByHash(frag, frag.MustCols(pl.vars), pl.seed)
 	case pl.kind == broadcastPolicy:
 		out.Open(to, attrs...).BroadcastAll(frag)
-	case pl.kind == gridPolicy && pl.owner != nil:
-		pl.grids[0].send(out, nil, to, pl.owner, frag, nil, 0)
 	case pl.kind == gridPolicy:
-		pl.grids[0].send(out, out.Open(to, attrs...), to, nil, frag, nil, 0)
+		pl.grids[0].send(out.Open(to, attrs...), frag, nil, 0)
 	default:
 		bits := make([]uint64, frag.Len())
 		for i := range bits {
@@ -169,7 +176,7 @@ func (pl Policy) send(out *Out, to string, frag *relation.Relation) {
 			}
 		}
 		for i := range pl.grids {
-			pl.grids[i].send(out, out.Open(to+"@"+strconv.Itoa(i), attrs...), to, nil, frag, bits, pl.want[i])
+			pl.grids[i].send(out.Open(to+"@"+strconv.Itoa(i), attrs...), frag, bits, pl.want[i])
 		}
 	}
 }
@@ -185,20 +192,18 @@ func (g *grid) base(row []relation.Value) int {
 }
 
 // send is the grid loop: the rows of frag whose heavy bits equal want
-// (every row when bits is nil) go to every cell of their route. Cell c
-// is server c on st; with an owner map it is server owner[c] on stream
-// to#c, opened when the cell takes its first row. It counts every
-// destination first and presizes, so routing a fragment allocates the
-// same whatever its length.
-func (g *grid) send(out *Out, st *Stream, to string, owner []int, frag *relation.Relation, bits []uint64, want uint64) {
+// (every row when bits is nil) go on st once to each server that hosts
+// a cell of their route. It counts every destination first and
+// presizes, so routing a fragment allocates the same whatever its
+// length. A row's servers are told apart by marking them in the Out's
+// seen table with a number no earlier row used.
+func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uint64) {
+	out := st.out
 	n := frag.Len()
 	bases := slices.Grow(out.bases[:0], n)[:n]
-	counts := slices.Grow(out.counts[:0], g.cells)[:g.cells]
+	seen := out.seen()
+	counts := out.counts[:out.p]
 	clear(counts)
-	var cellSt []*Stream
-	if owner != nil {
-		cellSt = make([]*Stream, g.cells)
-	}
 	for i := range bases {
 		if bits != nil && bits[i] != want {
 			bases[i] = -1
@@ -206,32 +211,29 @@ func (g *grid) send(out *Out, st *Stream, to string, owner []int, frag *relation
 		}
 		b := g.base(frag.Row(i))
 		bases[i] = int32(b)
+		out.mark++
 		for _, o := range g.offsets {
-			if owner != nil && cellSt[b+o] == nil {
-				cellSt[b+o] = out.Open(to+"#"+strconv.Itoa(b+o), frag.Attrs()...)
+			if d := g.owner[b+o]; seen[d] != out.mark {
+				seen[d] = out.mark
+				counts[d]++
 			}
-			counts[b+o]++
 		}
 	}
-	for c, k := range counts {
-		if owner == nil {
-			st.reserve(c, k)
-		} else if k > 0 {
-			cellSt[c].reserve(owner[c], k)
-		}
+	for d, k := range counts {
+		st.reserve(d, k)
 	}
 	for i, b := range bases {
 		if b < 0 {
 			continue
 		}
 		row := frag.Row(i)
+		out.mark++
 		for _, o := range g.offsets {
-			s, d := st, int(b)+o
-			if owner != nil {
-				s, d = cellSt[d], owner[d]
+			if d := g.owner[int(b)+o]; seen[d] != out.mark {
+				seen[d] = out.mark
+				st.st.perDst[d] = append(st.st.perDst[d], row...)
 			}
-			s.st.perDst[d] = append(s.st.perDst[d], row...)
 		}
 	}
-	out.bases, out.counts = bases, counts
+	out.bases = bases
 }

@@ -69,7 +69,8 @@ func policyCases(p, arity int) []policyCase {
 	for i, sh := range pshares {
 		pgrids[i] = mpc.Grid(sh, gridSeeds, cols, nil)
 	}
-	// Owner map: about two cells per server, in contiguous runs.
+	// Owner map: about two cells per server, in contiguous runs; a row
+	// goes once to each server that hosts one of its cells.
 	oshares := []int{s, 2, (p + s - 1) / s}
 	cells := oshares[0] * oshares[1] * oshares[2]
 	owner := make([]int, cells)
@@ -117,14 +118,15 @@ func policyCases(p, arity int) []policyCase {
 			}
 		}},
 		{"owner", mpc.Grid(oshares, gridSeeds, cols, owner), func(out *mpc.Out, to string, frag *relation.Relation) {
-			sts := map[int]*mpc.Stream{}
+			st := out.Open(to, frag.Attrs()...)
 			for i := 0; i < frag.Len(); i++ {
 				row := frag.Row(i)
+				var sent []int
 				for _, c := range mpc.WalkCells(oshares, gridSeeds, cols, row) {
-					if sts[c] == nil {
-						sts[c] = out.Open(fmt.Sprintf("%s#%d", to, c), frag.Attrs()...)
+					if !slices.Contains(sent, owner[c]) {
+						sent = append(sent, owner[c])
+						st.SendRow(owner[c], row)
 					}
-					sts[c].SendRow(owner[c], row)
 				}
 			}
 		}},

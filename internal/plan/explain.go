@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-
-	"mpcquery/internal/cost"
 )
 
 // Explain renders the plan as the EXPLAIN listing: the query, the
@@ -24,7 +22,7 @@ func (pl *Plan) Explain() string {
 	}
 	b.WriteString(")\n")
 	if caps := pl.Opts.Capacities; len(caps) > 0 {
-		fmt.Fprintf(&b, "  capacities %v, effective p %.2f\n", caps, cost.EffectiveParallelism(caps))
+		fmt.Fprintf(&b, "  capacities %v\n", caps)
 	}
 	fmt.Fprintf(&b, "  %s\n", pl.Stats.Query)
 	for _, line := range strings.Split(strings.TrimRight(pl.Stats.String(), "\n"), "\n") {

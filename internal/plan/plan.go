@@ -118,11 +118,9 @@ type Options struct {
 	Aggregate *core.AggregateSpec
 	// Capacities, when non-empty, declares a heterogeneous per-server
 	// capacity profile (len must equal the cluster's p, entries > 0).
-	// Candidates are then costed against the profile's effective
-	// parallelism Σc/max(c) — the honest p of an unequal cluster, since
-	// per-round time is governed by the slowest machine's normalized
-	// load — and Execute runs HyperCube plans through the
-	// capacity-aware executor.
+	// Candidates are costed at the cluster's p all the same; EXPLAIN
+	// names the profile, and Execute runs HyperCube plans through the
+	// capacity-aware executor, which uses every server.
 	Capacities []float64
 }
 
@@ -169,30 +167,17 @@ func For(q hypergraph.Query, rels map[string]*relation.Relation, p int, opts Opt
 // candidate table for EXPLAIN).
 func Choose(st *cost.QueryStats, opts Options) (*Plan, error) {
 	pl := &Plan{Stats: st, Opts: opts, Chosen: -1}
-	// On a heterogeneous profile, cost candidates against the effective
-	// parallelism Σc/max(c) instead of the machine count: per-round time
-	// is the max capacity-normalized load, so an unequal cluster behaves
-	// like a smaller uniform one. The plan keeps the real stats — only
-	// prediction sees the deflated p.
-	pst := st
-	if len(opts.Capacities) > 0 {
-		if ep := int(cost.EffectiveParallelism(opts.Capacities)); ep >= 1 && ep != st.P {
-			deflated := *st
-			deflated.P = ep
-			pst = &deflated
-		}
-	}
 	for _, pa := range core.Registry() {
 		c := Candidate{Plannable: pa}
 		if err := pa.Applies(st.Query); err != nil {
 			c.Rejection = err.Error()
-		} else if est, err := pa.Predict(pst); err != nil {
+		} else if est, err := pa.Predict(st); err != nil {
 			c.Rejection = "prediction failed: " + err.Error()
 		} else {
 			c.Applicable = true
 			c.Est = est
 			if opts.Aggregate != nil {
-				c.Est = addAggregateRound(pst, c.Est, opts.Aggregate)
+				c.Est = addAggregateRound(st, c.Est, opts.Aggregate)
 			}
 		}
 		pl.Candidates = append(pl.Candidates, c)

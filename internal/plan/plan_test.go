@@ -288,31 +288,28 @@ func TestPredictionRatioReported(t *testing.T) {
 }
 
 // TestCapacityOptions pins the heterogeneous planning path: candidates
-// are costed against the profile's effective parallelism, the EXPLAIN
-// listing names the profile, and Execute routes through the
-// capacity-aware executor with the answer unchanged.
+// are costed at the cluster's p whatever the profile, so the profile
+// changes only EXPLAIN's capacity line, and Execute routes the one-round
+// plan, HyperCube, through the capacity-aware executor with the answer
+// unchanged.
 func TestCapacityOptions(t *testing.T) {
 	q := hypergraph.Triangle()
 	rels := triangleInstance(7)
-	caps := []float64{4, 1, 1, 1, 1, 1, 1, 1} // effective p ≈ 2.75
-	uniform, err := For(q, rels, 8, Options{})
+	caps := []float64{4, 1, 1, 1, 1, 1, 1, 1}
+	uniform, err := For(q, rels, 8, Options{MaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	het, err := For(q, rels, 8, Options{Capacities: caps})
+	het, err := For(q, rels, 8, Options{MaxRounds: 1, Capacities: caps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deflating p to 2 must raise per-server load predictions.
-	ub, hb := uniform.Best(), het.Best()
-	if hb.Est.L <= ub.Est.L {
-		t.Errorf("het plan predicts L %.4g, not above uniform %.4g at full p", hb.Est.L, ub.Est.L)
+	if best := het.Best(); best.Alg != "hypercube" {
+		t.Fatalf("one-round plan is %s, want hypercube", best.Alg)
 	}
-	if !strings.Contains(het.Explain(), "effective p") {
-		t.Errorf("EXPLAIN does not name the capacity profile:\n%s", het.Explain())
-	}
-	if strings.Contains(uniform.Explain(), "capacities") {
-		t.Errorf("uniform EXPLAIN mentions capacities:\n%s", uniform.Explain())
+	const capLine = "  capacities [4 1 1 1 1 1 1 1]\n"
+	if got := strings.Replace(het.Explain(), capLine, "", 1); !strings.Contains(het.Explain(), capLine) || got != uniform.Explain() {
+		t.Errorf("the profile changes EXPLAIN beyond its capacity line %q:\n%s\nwithout the profile:\n%s", capLine, het.Explain(), uniform.Explain())
 	}
 
 	eng := core.NewEngine(8, 7)

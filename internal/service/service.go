@@ -41,8 +41,9 @@ type Config struct {
 	// is always reported (default 100).
 	MaxResultRows int
 	// Capacities declares a heterogeneous per-server capacity profile
-	// (len must equal P, entries > 0); HyperCube executions then use
-	// capacity-proportional cell ownership. Nil means uniform.
+	// (len must equal P, entries > 0); HyperCube executions then give
+	// each server a box of the share grid sized to its capacity
+	// (hypercube.RunHet). Nil means uniform.
 	Capacities []float64
 	// Clock overrides the quota clock (tests only; default time.Now).
 	Clock func() time.Time
