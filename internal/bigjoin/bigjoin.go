@@ -205,9 +205,17 @@ type Result struct {
 func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := pl.Query
 	// Relabel inputs to variable schemas and scatter (placement is free).
+	// Bindings routed on their own values put the copies of a repeated
+	// binding on one server, and a Cartesian extension (which keeps them
+	// in place) preserves that. A plan with no such round places its
+	// seed atom by hash instead, so that the final dedup finds every copy.
 	bound := cost.BindAtoms(q, rels)
-	for _, a := range q.Atoms {
-		c.ScatterRoundRobin(bound[a.Name])
+	for i, a := range q.Atoms {
+		if i == pl.SeedAtom && !pl.routesBindings() {
+			c.ScatterByHash(bound[a.Name], a.Vars, mpc.HashSeed(seed, a.Vars...))
+		} else {
+			c.ScatterRoundRobin(bound[a.Name])
+		}
 	}
 	trace.Annotatef(c, "bigjoin.Run %s var order %v", q.Name, pl.VarOrder)
 	start := c.Metrics().Rounds()
@@ -325,8 +333,11 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		}
 		boundVars = newBound
 	}
+	// Bag inputs repeat bindings; their copies share a server (see the
+	// scatter), so a local dedup leaves each answer once.
 	c.LocalStep(func(srv *mpc.Server) {
 		frag := srv.RelOrEmpty(bindName, pl.VarOrder...)
+		frag.Dedup()
 		srv.Put(frag.Rename(outName))
 		srv.Delete(bindName)
 	})
@@ -334,6 +345,21 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		Rounds:      c.Metrics().Rounds() - start,
 		MaxBindings: maxBind,
 	}
+}
+
+// routesBindings reports whether some round ships the bindings hashed
+// on bound variables: a seed verifier, a verifier, or an extension that
+// shares a bound variable with its proposer.
+func (pl *Plan) routesBindings() bool {
+	if len(pl.SeedVerifiers) > 0 {
+		return true
+	}
+	for _, st := range pl.Steps {
+		if len(st.sharedBound) > 0 || len(st.verifiers) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // orderedSubset returns the members of set ordered as in order.

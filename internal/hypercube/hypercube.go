@@ -137,8 +137,10 @@ type LocalAlg int
 
 // Local join algorithm choices.
 const (
-	// LocalGeneric is the worst-case-optimal generic join — the default;
-	// it never builds oversized intermediates on cyclic queries.
+	// LocalGeneric is the worst-case-optimal generic join
+	// (relation.GenericJoin) — the default; it never builds oversized
+	// intermediates on cyclic queries, and it picks its own binding
+	// order, so its output rows come in no promised order.
 	LocalGeneric LocalAlg = iota
 	// LocalBinary evaluates by iterative binary hash joins; exists as an
 	// ablation baseline (slide 63's intermediate blowup can resurface

@@ -2,13 +2,13 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // binaryPlanOracle is GenericJoin's differential reference: the binary
-// hash-join plan projected to varOrder and deduplicated, which Dedup
-// leaves sorted lexicographically — the exact rows, in the exact order,
-// GenericJoin promises.
+// hash-join plan projected to varOrder and deduplicated — each binding
+// once, columns in varOrder (Dedup also sorts it).
 func binaryPlanOracle(varOrder []string, rels ...*Relation) *Relation {
 	want := MultiJoin("J", rels...).Project("J", varOrder...)
 	want.Dedup()
@@ -29,6 +29,20 @@ func requireSameRows(t *testing.T, what string, got, want *Relation) {
 	}
 }
 
+// requireSameBindings is GenericJoin's contract: got holds exactly the
+// bindings of want (a set), each exactly once, with the same columns.
+// GenericJoin promises no row order, so both sides are compared sorted.
+func requireSameBindings(t *testing.T, what string, got, want *Relation) {
+	t.Helper()
+	if !slices.Equal(got.Attrs(), want.Attrs()) {
+		t.Fatalf("%s: columns %v, want %v", what, got.Attrs(), want.Attrs())
+	}
+	g, w := got.Clone(), want.Clone()
+	g.Sort()
+	w.Sort()
+	requireSameRows(t, what, g, w)
+}
+
 func TestGenericJoinTriangle(t *testing.T) {
 	edges := [][]Value{{1, 2}, {2, 3}, {3, 1}, {1, 4}}
 	r := FromRows("R", []string{"x", "y"}, edges)
@@ -36,11 +50,11 @@ func TestGenericJoinTriangle(t *testing.T) {
 	u := FromRows("T", []string{"z", "x"}, edges)
 	got := GenericJoin("Tri", []string{"x", "y", "z"}, r, s, u)
 	want := FromRows("W", []string{"x", "y", "z"}, [][]Value{{1, 2, 3}, {2, 3, 1}, {3, 1, 2}})
-	requireSameRows(t, "triangle", got, want)
+	requireSameBindings(t, "triangle", got, want)
 }
 
 // TestGenericJoinMatchesBinaryPlans cross-validates the kernel on
-// random triangles (bag inputs), row for row and in order.
+// random triangles (bag inputs), binding for binding.
 func TestGenericJoinMatchesBinaryPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vars := []string{"x", "y", "z"}
@@ -49,7 +63,7 @@ func TestGenericJoinMatchesBinaryPlans(t *testing.T) {
 		r := randRel(rng, "R", []string{"x", "y"}, rng.Intn(35), dom)
 		s := randRel(rng, "S", []string{"y", "z"}, rng.Intn(35), dom)
 		u := randRel(rng, "T", []string{"z", "x"}, rng.Intn(35), dom)
-		requireSameRows(t, "random triangle", GenericJoin("J", vars, r, s, u), binaryPlanOracle(vars, r, s, u))
+		requireSameBindings(t, "random triangle", GenericJoin("J", vars, r, s, u), binaryPlanOracle(vars, r, s, u))
 	}
 }
 
@@ -59,11 +73,11 @@ func TestGenericJoinAcyclicChain(t *testing.T) {
 	s := randRel(rng, "S", []string{"b", "c"}, 50, 8)
 	u := randRel(rng, "U", []string{"c", "d"}, 50, 8)
 	vars := []string{"a", "b", "c", "d"}
-	requireSameRows(t, "chain", GenericJoin("J", vars, r, s, u), binaryPlanOracle(vars, r, s, u))
+	requireSameBindings(t, "chain", GenericJoin("J", vars, r, s, u), binaryPlanOracle(vars, r, s, u))
 }
 
-// Any of the six variable orders yields the same bindings, each sorted
-// by its own order.
+// Any of the six variable orders yields the same bindings, each with
+// its columns in its own order.
 func TestGenericJoinVarOrderInsensitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	r := randRel(rng, "R", []string{"x", "y"}, 30, 5)
@@ -79,7 +93,7 @@ func TestGenericJoinVarOrderInsensitive(t *testing.T) {
 	}
 	for _, ord := range orders {
 		got := GenericJoin("J", ord, r, s, u)
-		requireSameRows(t, "order "+ord[0]+ord[1]+ord[2], got, binaryPlanOracle(ord, r, s, u))
+		requireSameBindings(t, "order "+ord[0]+ord[1]+ord[2], got, binaryPlanOracle(ord, r, s, u))
 		if !got.EqualAsSets(base) {
 			t.Fatalf("order %v: different bindings", ord)
 		}
@@ -90,7 +104,36 @@ func TestGenericJoinSingleRelation(t *testing.T) {
 	r := FromRows("R", []string{"x", "y"}, [][]Value{{1, 4}, {3, 2}, {1, 4}})
 	got := GenericJoin("J", []string{"y", "x"}, r)
 	want := FromRows("W", []string{"y", "x"}, [][]Value{{2, 3}, {4, 1}})
-	requireSameRows(t, "single relation, permuted order", got, want)
+	requireSameBindings(t, "single relation, permuted order", got, want)
+}
+
+// The kernel's own binding order: the variable in the most inputs
+// first, then the one the most inputs have narrowed, ties to the one in
+// more inputs and then to the earlier varOrder position.
+func TestGenericJoinBindingOrder(t *testing.T) {
+	rel := func(a1, a2 string) *Relation { return FromRows(a1+a2, []string{a1, a2}, [][]Value{{1, 1}}) }
+	for _, tc := range []struct {
+		vars []string
+		rels []*Relation
+		want []string
+	}{
+		{[]string{"x", "y", "z", "w"}, []*Relation{rel("x", "y"), rel("y", "z"), rel("z", "w")}, []string{"y", "z", "x", "w"}},
+		{[]string{"x", "y", "z"}, []*Relation{rel("x", "y"), rel("y", "z"), rel("z", "x")}, []string{"x", "y", "z"}},
+		{[]string{"y", "z", "w", "x"}, []*Relation{rel("x", "y"), rel("x", "z"), rel("x", "w")}, []string{"x", "y", "z", "w"}},
+	} {
+		a := getArena()
+		if !a.trie.plan(tc.vars, tc.rels) {
+			t.Fatalf("%v: plan found a variable in no input", tc.vars)
+		}
+		var got []string
+		for _, vi := range a.trie.order {
+			got = append(got, tc.vars[vi])
+		}
+		putArena(a)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v over %v binds %v, want %v", tc.vars, tc.rels, got, tc.want)
+		}
+	}
 }
 
 func TestGenericJoinEmptyInput(t *testing.T) {
@@ -114,7 +157,7 @@ func TestGenericJoinLongEqualRuns(t *testing.T) {
 	if got.Len() != 20*30 {
 		t.Fatalf("run join = %d rows, want 600", got.Len())
 	}
-	requireSameRows(t, "long runs", got, binaryPlanOracle([]string{"x", "y", "z"}, r, s))
+	requireSameBindings(t, "long runs", got, binaryPlanOracle([]string{"x", "y", "z"}, r, s))
 }
 
 // A nullary atom is a boolean: false (no tuple) empties the join, true
@@ -129,7 +172,7 @@ func TestGenericJoinNullaryInputs(t *testing.T) {
 	yes := New("E")
 	yes.Append()
 	yes.Append()
-	requireSameRows(t, "true nullary atom", GenericJoin("J", vars, yes, r), r)
+	requireSameBindings(t, "true nullary atom", GenericJoin("J", vars, yes, r), r)
 	if got := GenericJoin("J", nil, yes, yes); got.Len() != 1 {
 		t.Fatalf("join of true nullary atoms = %d rows, want the one empty binding", got.Len())
 	}
@@ -146,23 +189,34 @@ func TestGenericJoinPanics(t *testing.T) {
 // took the kernel out of the allocation profile: nothing is allocated
 // per binding, so ten times the rows (and ~100 times the bindings)
 // costs the same handful of allocations, give or take the doublings
-// of the output's append.
+// of the output. The path's probed levels are held to the same bound.
 func TestGenericJoinAllocsIndependentOfBindings(t *testing.T) {
-	allocs := func(n int) float64 {
-		r, s, u := benchTriangle(n)
-		return testing.AllocsPerRun(5, func() {
-			GenericJoin("J", []string{"x", "y", "z"}, r, s, u)
+	for _, tc := range []struct {
+		name    string
+		vars    []string
+		fixture func(n int) (r, s, u *Relation)
+	}{
+		{"triangle", []string{"x", "y", "z"}, benchTriangle},
+		{"path3", []string{"x", "y", "z", "w"}, benchPath3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				r, s, u := tc.fixture(n)
+				return testing.AllocsPerRun(5, func() {
+					GenericJoin("J", tc.vars, r, s, u)
+				})
+			}
+			small, large := allocs(500), allocs(5000)
+			t.Logf("allocs per join: %v at n=500, %v at n=5000", small, large)
+			if large > 64 || small > 64 {
+				t.Fatalf("GenericJoin allocates %v (n=500) / %v (n=5000) times, want <= 64", small, large)
+			}
+			// 100x the output is at most 7 more doublings of the output,
+			// plus slack for an arena the pool dropped between runs.
+			if large-small > 12 {
+				t.Fatalf("allocations grow with the input: %v at n=500, %v at n=5000", small, large)
+			}
 		})
-	}
-	small, large := allocs(500), allocs(5000)
-	t.Logf("allocs per join: %v at n=500, %v at n=5000", small, large)
-	if large > 64 || small > 64 {
-		t.Fatalf("GenericJoin allocates %v (n=500) / %v (n=5000) times, want <= 64", small, large)
-	}
-	// 100x the output is at most 7 more doublings of the append, plus
-	// slack for an arena the pool dropped between runs.
-	if large-small > 12 {
-		t.Fatalf("allocations grow with the input: %v at n=500, %v at n=5000", small, large)
 	}
 }
 
@@ -176,6 +230,32 @@ func benchTriangle(n int) (r, s, u *Relation) {
 		return rel
 	}
 	return mk("R", "x", "y"), mk("S", "y", "z"), mk("T", "z", "x")
+}
+
+// benchPath3 returns the path fixture of the kernel benchmarks: one
+// server's fragments of the path R(x,y), S(y,z), T(z,w) over n-row
+// deduplicated relations on n/2 values at p = 4 with shares y = z = 2
+// (the serve workload's path3) — the rows whose y, z or both fall in
+// one of two buckets.
+func benchPath3(n int) (r, s, u *Relation) {
+	rng := rand.New(rand.NewSource(1))
+	mk := func(name, a1, a2 string, keep func(v1, v2 Value) bool) *Relation {
+		rel := randRel(rng, name, []string{a1, a2}, n, n/2)
+		rel.Dedup()
+		return rel.Select(name, func(row []Value) bool { return keep(row[0], row[1]) })
+	}
+	even := func(v Value) bool { return v%2 == 0 }
+	return mk("R", "x", "y", func(_, y Value) bool { return even(y) }),
+		mk("S", "y", "z", func(y, z Value) bool { return even(y) && even(z) }),
+		mk("T", "z", "w", func(z, _ Value) bool { return even(z) })
+}
+
+func BenchmarkLocalJoinPath3(b *testing.B) {
+	r, s, u := benchPath3(3000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GenericJoin("J", []string{"x", "y", "z", "w"}, r, s, u)
+	}
 }
 
 func BenchmarkLocalJoinTriangle(b *testing.B) {

@@ -182,12 +182,14 @@ func (genAtoms) Generate(rand *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(g)
 }
 
-// GenericJoin returns exactly the binary plan's bindings, as a set, in
-// lexicographic order — on cyclic, acyclic and disconnected shapes, bag
-// inputs and nullary atoms alike.
+// GenericJoin returns exactly the binary plan's bindings, each once,
+// columns in varOrder — on cyclic, acyclic and disconnected shapes, bag
+// inputs and nullary atoms alike. Rows are compared sorted: the kernel
+// promises no order.
 func TestPropGenericJoinMatchesBinaryPlan(t *testing.T) {
 	f := func(g genAtoms) bool {
 		got := GenericJoin("J", g.vars, g.rels...)
+		got.Sort()
 		want := binaryPlanOracle(g.vars, g.rels...)
 		if got.Len() != want.Len() {
 			return false

@@ -165,6 +165,11 @@ func TestIndexCollisionVerification(t *testing.T) {
 	if agg.Len() != len(mapIndexOracle(r, []int{0})) {
 		t.Fatalf("GroupBy under colliding hash: %d groups", agg.Len())
 	}
+	// So must the trie join's probed levels (the path probes T's z).
+	pr, ps, pu := benchPath3(300)
+	vars := []string{"x", "y", "z", "w"}
+	requireSameBindings(t, "GenericJoin under colliding hash",
+		GenericJoin("J", vars, pr, ps, pu), binaryPlanOracle(vars, pr, ps, pu))
 }
 
 // checkJoinImplsAgree asserts HashJoin, SortMergeJoin and NestedLoopJoin

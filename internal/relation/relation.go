@@ -235,11 +235,15 @@ func (r *Relation) Project(name string, attrs ...string) *Relation {
 		out.nrows = r.Len()
 		return out
 	}
-	n := r.Len()
+	n, k := r.Len(), len(cols)
+	if n == 0 {
+		return out
+	}
+	out.data = make([]Value, n*k)
 	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		for _, c := range cols {
-			out.data = append(out.data, row[c])
+		row, dst := r.Row(i), out.data[i*k:(i+1)*k]
+		for j, c := range cols {
+			dst[j] = row[c]
 		}
 	}
 	return out
