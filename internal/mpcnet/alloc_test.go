@@ -14,7 +14,8 @@ import (
 const allocRuns = 100
 
 // warmFrame is one DATA frame of the data plane's steady state: a
-// 3-ary chunk of 256 tuples with values of every varint width.
+// 3-ary chunk of 256 tuples with values of both signs, 5 bytes wide
+// zig-zagged, so the codec takes its 8-byte store and load path.
 func warmFrame() (name string, attrs []string, flat []relation.Value, tuples int64) {
 	attrs = []string{"x", "y", "z"}
 	tuples = 256

@@ -3,27 +3,32 @@
 // Every message on a driver↔worker connection is one frame: a uvarint
 // byte length followed by that many payload bytes, of which the first
 // is the frame kind. Multi-byte integers inside payloads are unsigned
-// varints; attribute values use the repository value codec
-// (relation.AppendValue — zig-zag varint). The format is
-// self-contained per frame: a DATA frame carries a string table of the
-// unique strings it references (stream name and attributes, in first-
-// occurrence order) so the payload never repeats a string and a decoder
-// never needs cross-frame state.
+// varints. A DATA frame's attribute values are fixed-width: one width
+// byte w in [1, 8], then every value zig-zag encoded (small magnitudes
+// of either sign give small numbers) in exactly w little-endian bytes,
+// w being the fewest that hold the frame's widest value. The
+// format is self-contained per frame: a DATA frame carries a string
+// table of the unique strings it references (stream name and
+// attributes, in first-occurrence order) so the payload never repeats a
+// string and a decoder never needs cross-frame state.
 //
 //	HELLO    kind=1  version, p, nworkers, workerIdx
 //	HELLOACK kind=2  version
 //	DATA     kind=3  dst, nstrings, strings..., nameIdx,
-//	                 arity, attrIdx..., tuples, values...
+//	                 arity, attrIdx..., tuples, w, values...
 //	FLUSH    kind=4  seq
 //	END      kind=5  seq, frames
 //	BYE      kind=6  (empty)
 //
 // Decoding is strict and allocation-safe on hostile input: every
 // claimed count is validated against the bytes actually remaining
-// before anything is allocated (each string and each value occupies at
-// least one byte), truncated or trailing bytes are errors, and frames
-// above maxFrameBytes are rejected at the length prefix. The fuzz
-// targets in fuzz_test.go pin these properties.
+// before anything is allocated (each string occupies at least one byte,
+// and the value section must be exactly tuples × arity × w bytes),
+// truncated or trailing bytes are errors, and frames above
+// maxFrameBytes are rejected at the length prefix. Every byte string of
+// the right length decodes to valid values, so checking a DATA frame
+// reads none of its value bytes. The fuzz targets in fuzz_test.go pin
+// these properties.
 //
 // A DATA frame in steady state moves without allocating. The driver
 // encodes into one scratch buffer per round and writes the length
@@ -41,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 
 	"mpcquery/internal/relation"
@@ -48,7 +54,7 @@ import (
 
 // protoVersion is bumped on any incompatible wire change; HELLO and
 // HELLOACK must agree on it.
-const protoVersion = 1
+const protoVersion = 2
 
 // maxFrameBytes bounds a single frame. The driver's chunking (Options.
 // MaxFrameTuples) keeps real frames far below it; the decoder uses it
@@ -155,57 +161,42 @@ type hello struct {
 	version, p, nworkers, workerIdx int
 }
 
-func appendHello(b []byte, h hello) []byte {
-	b = append(b, kindHello)
-	b = appendUint(b, uint64(h.version))
-	b = appendUint(b, uint64(h.p))
-	b = appendUint(b, uint64(h.nworkers))
-	return appendUint(b, uint64(h.workerIdx))
+// appendUints appends a control frame: its kind, then vals as
+// uvarints. HELLO, HELLOACK, FLUSH, END and BYE are all of this shape.
+func appendUints(b []byte, kind byte, vals ...uint64) []byte {
+	b = append(b, kind)
+	for _, v := range vals {
+		b = appendUint(b, v)
+	}
+	return b
 }
 
+// decodeUints decodes a control frame of the given kind that holds
+// exactly len(vals) uvarints.
+func decodeUints(payload []byte, kind byte, vals ...*uint64) error {
+	if len(payload) == 0 || payload[0] != kind {
+		return fmt.Errorf("mpcnet: not a frame of kind %d", kind)
+	}
+	c := cursor{payload[1:]}
+	for _, v := range vals {
+		var err error
+		if *v, err = c.uint(); err != nil {
+			return err
+		}
+	}
+	return c.done()
+}
+
+// decodeHello decodes a HELLO and checks the topology it announces.
 func decodeHello(payload []byte) (hello, error) {
-	var h hello
-	if len(payload) == 0 || payload[0] != kindHello {
-		return h, fmt.Errorf("mpcnet: not a HELLO frame")
+	var f [4]uint64
+	if err := decodeUints(payload, kindHello, &f[0], &f[1], &f[2], &f[3]); err != nil {
+		return hello{}, err
 	}
-	c := cursor{payload[1:]}
-	fields := []*int{&h.version, &h.p, &h.nworkers, &h.workerIdx}
-	for _, f := range fields {
-		v, err := c.uint()
-		if err != nil {
-			return h, err
-		}
-		if v > math.MaxInt32 {
-			return h, fmt.Errorf("mpcnet: HELLO field %d out of range", v)
-		}
-		*f = int(v)
+	if slices.Max(f[:]) > math.MaxInt32 || f[1] < 1 || f[3] >= f[2] {
+		return hello{}, fmt.Errorf("mpcnet: HELLO version=%d p=%d nworkers=%d idx=%d", f[0], f[1], f[2], f[3])
 	}
-	if h.p < 1 || h.nworkers < 1 || h.workerIdx < 0 || h.workerIdx >= h.nworkers {
-		return h, fmt.Errorf("mpcnet: HELLO p=%d nworkers=%d idx=%d", h.p, h.nworkers, h.workerIdx)
-	}
-	return h, c.done()
-}
-
-func appendHelloAck(b []byte, version int) []byte {
-	return appendUint(append(b, kindHelloAck), uint64(version))
-}
-
-func decodeHelloAck(payload []byte) (int, error) {
-	if len(payload) == 0 || payload[0] != kindHelloAck {
-		return 0, fmt.Errorf("mpcnet: not a HELLOACK frame")
-	}
-	c := cursor{payload[1:]}
-	v, err := c.uint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("mpcnet: HELLOACK version %d", v)
-	}
-	if err := c.done(); err != nil {
-		return 0, err
-	}
-	return int(v), nil
+	return hello{int(f[0]), int(f[1]), int(f[2]), int(f[3])}, nil
 }
 
 // dataFrame is one decoded DATA frame: a whole fragment or one chunk of
@@ -245,7 +236,113 @@ func appendData(b []byte, dst int, name string, attrs []string, flat []relation.
 		b = appendUint(b, uint64(slices.Index(table, a)))
 	}
 	b = appendUint(b, uint64(tuples))
-	return relation.AppendValues(b, flat)
+	w := valueWidth(flat)
+	return appendValues(append(b, byte(w)), flat, w)
+}
+
+// zigzag folds signed values into unsigned ones with small absolute
+// values mapping to small encodings: 0→0, -1→1, 1→2, -2→3, ...
+func zigzag(v relation.Value) uint64 { return uint64((v << 1) ^ (v >> 63)) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) relation.Value { return relation.Value(u>>1) ^ -relation.Value(u&1) }
+
+// valueWidth is the fewest bytes, 1 to 8, that hold every value of vals
+// zig-zagged.
+func valueWidth(vals []relation.Value) int {
+	var or uint64
+	for _, v := range vals {
+		or |= zigzag(v)
+	}
+	return max(1, (bits.Len64(or)+7)/8)
+}
+
+// appendValues appends every value of vals zig-zagged into w
+// little-endian bytes; each must fit. Widths above 4 store all 8 bytes
+// of a value into spare capacity: its high bytes are zero, and the next
+// value's store overwrites them.
+func appendValues(b []byte, vals []relation.Value, w int) []byte {
+	n := len(b) + len(vals)*w
+	b = slices.Grow(b, len(vals)*w+8)
+	out := b[len(b) : n+8]
+	switch w {
+	case 1:
+		for i, v := range vals {
+			out[i] = byte(zigzag(v))
+		}
+	case 2:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(zigzag(v)))
+		}
+	case 3:
+		for i, v := range vals {
+			u, o := zigzag(v), out[3*i:3*i+3]
+			o[0], o[1], o[2] = byte(u), byte(u>>8), byte(u>>16)
+		}
+	case 4:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(zigzag(v)))
+		}
+	default:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[w*i:], zigzag(v))
+		}
+	}
+	return b[:n]
+}
+
+// decodeValues fills dst from src, which holds len(dst) values of w
+// bytes each. Widths above 4 load 8 bytes and mask them while 8 remain;
+// the last few values are read byte by byte.
+func decodeValues(dst []relation.Value, src []byte, w int) {
+	switch w {
+	case 1:
+		for i := range dst {
+			dst[i] = unzigzag(uint64(src[i]))
+		}
+	case 2:
+		for i := range dst {
+			dst[i] = unzigzag(uint64(binary.LittleEndian.Uint16(src[2*i:])))
+		}
+	case 3:
+		for i := range dst {
+			s := src[3*i : 3*i+3]
+			dst[i] = unzigzag(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16)
+		}
+	case 4:
+		for i := range dst {
+			dst[i] = unzigzag(uint64(binary.LittleEndian.Uint32(src[4*i:])))
+		}
+	default:
+		mask := ^uint64(0) >> (64 - 8*w)
+		i := 0
+		for ; i < len(dst) && w*i+8 <= len(src); i++ {
+			dst[i] = unzigzag(binary.LittleEndian.Uint64(src[w*i:]) & mask)
+		}
+		for ; i < len(dst); i++ {
+			var u uint64
+			for j := w*i + w - 1; j >= w*i; j-- {
+				u = u<<8 | uint64(src[j])
+			}
+			dst[i] = unzigzag(u)
+		}
+	}
+}
+
+// frameTuples is how many tuples of a fragment each of its DATA frames
+// carries: at most maxTuples, and no more than fit maxFrameBytes beside
+// the longest header the stream can have, at the fragment's arity and
+// value width. A chunk is no wider than its fragment, so every frame
+// fits. The width pass runs only when 8-byte values might not.
+func frameTuples(maxTuples int64, name string, attrs []string, flat []relation.Value) int64 {
+	room := int64(maxFrameBytes - 2 - 6*binary.MaxVarintLen64 - len(name))
+	for _, a := range attrs {
+		room -= int64(2*binary.MaxVarintLen64 + len(a))
+	}
+	if len(attrs) == 0 || maxTuples <= room/int64(8*len(attrs)) {
+		return maxTuples
+	}
+	return max(1, min(maxTuples, room/int64(valueWidth(flat)*len(attrs))))
 }
 
 // decoder decodes DATA frames into scratch it reuses from frame to
@@ -279,8 +376,9 @@ func decodeData(payload []byte) (dataFrame, error) {
 }
 
 // validateData checks a DATA payload exactly as decodeData does and
-// returns its destination, materializing nothing: it skips strings and
-// values instead of building them, and so never allocates.
+// returns its destination, materializing nothing: it skips strings
+// instead of building them and checks the values by their length alone,
+// so it never allocates.
 func validateData(payload []byte) (int, error) {
 	df, err := scanData(payload, nil)
 	return df.dst, err
@@ -351,74 +449,32 @@ func scanData(payload []byte, d *decoder) (dataFrame, error) {
 	if err != nil {
 		return df, err
 	}
-	if tuples == 0 {
-		return df, fmt.Errorf("mpcnet: DATA frame with 0 tuples")
+	if tuples == 0 || tuples > math.MaxInt64 {
+		return df, fmt.Errorf("mpcnet: DATA frame with %d tuples", tuples)
 	}
-	if arity > 0 && tuples > uint64(len(c.b))/uint64(arity) {
-		return df, fmt.Errorf("mpcnet: DATA claims %d×%d values, %d bytes remain", tuples, arity, len(c.b))
+	if len(c.b) == 0 {
+		return df, fmt.Errorf("mpcnet: DATA frame without a value width")
+	}
+	w := int(c.b[0])
+	c.b = c.b[1:]
+	if w < 1 || w > 8 {
+		return df, fmt.Errorf("mpcnet: DATA value width %d", w)
+	}
+	// The value section is exactly tuples×arity values of w bytes. This
+	// is checked before anything is allocated, and any bytes of that
+	// length decode, so validation reads no value.
+	if arity > 0 && tuples > uint64(len(c.b)/(arity*w)) || int(tuples)*arity*w != len(c.b) {
+		return df, fmt.Errorf("mpcnet: DATA claims %d×%d values of %d bytes, %d bytes remain", tuples, arity, w, len(c.b))
 	}
 	df.tuples = int64(tuples)
-	words := int(tuples) * arity
 	if d != nil {
-		df.attrs = d.attrs
-		// The count check above bounds words by the bytes left, so the
-		// scratch never grows past the payload's size.
-		vals, n, ok := relation.ConsumeValues(slices.Grow(d.flat[:0], words), c.b, words)
-		if !ok {
-			return df, fmt.Errorf("mpcnet: DATA values truncated")
-		}
-		d.flat, df.flat, c.b = vals, vals, c.b[n:]
-		return df, c.done()
+		words := int(tuples) * arity
+		d.flat = slices.Grow(d.flat[:0], words)[:words]
+		decodeValues(d.flat, c.b, w)
+		df.attrs, df.flat = d.attrs, d.flat
 	}
-	for i := 0; i < words; i++ {
-		_, n := relation.ConsumeValue(c.b)
-		if n == 0 {
-			return df, fmt.Errorf("mpcnet: DATA values truncated")
-		}
-		c.b = c.b[n:]
-	}
-	return df, c.done()
+	return df, nil
 }
-
-func appendFlush(b []byte, seq uint64) []byte {
-	return appendUint(append(b, kindFlush), seq)
-}
-
-func decodeFlush(payload []byte) (uint64, error) {
-	if len(payload) == 0 || payload[0] != kindFlush {
-		return 0, fmt.Errorf("mpcnet: not a FLUSH frame")
-	}
-	c := cursor{payload[1:]}
-	seq, err := c.uint()
-	if err != nil {
-		return 0, err
-	}
-	return seq, c.done()
-}
-
-func appendEnd(b []byte, seq uint64, frames int) []byte {
-	return appendUint(appendUint(append(b, kindEnd), seq), uint64(frames))
-}
-
-func decodeEnd(payload []byte) (seq uint64, frames int, err error) {
-	if len(payload) == 0 || payload[0] != kindEnd {
-		return 0, 0, fmt.Errorf("mpcnet: not an END frame")
-	}
-	c := cursor{payload[1:]}
-	if seq, err = c.uint(); err != nil {
-		return 0, 0, err
-	}
-	f, err := c.uint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if f > math.MaxInt32 {
-		return 0, 0, fmt.Errorf("mpcnet: END frame count %d", f)
-	}
-	return seq, int(f), c.done()
-}
-
-func appendBye(b []byte) []byte { return append(b, kindBye) }
 
 // decodePayload dispatches on the kind byte — the single entry point
 // the fuzzers drive so any byte string exercises every decoder.
@@ -426,23 +482,18 @@ func decodePayload(payload []byte) (any, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("mpcnet: empty frame")
 	}
+	var v [2]uint64
 	switch payload[0] {
 	case kindHello:
 		return decodeHello(payload)
-	case kindHelloAck:
-		return decodeHelloAck(payload)
 	case kindData:
 		return decodeData(payload)
-	case kindFlush:
-		return decodeFlush(payload)
+	case kindHelloAck, kindFlush:
+		return nil, decodeUints(payload, payload[0], &v[0])
 	case kindEnd:
-		seq, frames, err := decodeEnd(payload)
-		return [2]uint64{seq, uint64(frames)}, err
+		return nil, decodeUints(payload, kindEnd, &v[0], &v[1])
 	case kindBye:
-		if len(payload) != 1 {
-			return nil, fmt.Errorf("mpcnet: BYE with %d payload bytes", len(payload)-1)
-		}
-		return nil, nil
+		return nil, decodeUints(payload, kindBye)
 	default:
 		return nil, fmt.Errorf("mpcnet: unknown frame kind %d", payload[0])
 	}

@@ -91,6 +91,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{kindData, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add(appendData(nil, 3, "R", []string{"a", "b"}, []relation.Value{-1, 1 << 40}, 1))
 	f.Add(appendData(nil, 0, "done", nil, nil, 5))
+	for _, hostile := range hostileDataFrames() {
+		f.Add(hostile)
+	}
 	// Frames a reused decoder reads around the fuzzed one: wider, with
 	// overlapping and disjoint names, nullary, and one truncated inside
 	// its values.

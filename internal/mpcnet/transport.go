@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mpcquery/internal/mpc"
-	"mpcquery/internal/relation"
 )
 
 // DefaultMaxFrameTuples caps the tuples per DATA frame: large fragments
@@ -109,12 +108,16 @@ func NewLoopback(p int, opts Options) (*Transport, error) {
 			n = 4
 		}
 	}
+	// Each worker has accepted its connection once Dial returns, so the
+	// listeners close on every path: on an error that ends the workers
+	// still waiting in Accept.
 	addrs := make([]string, n)
 	for i := range addrs {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("mpcnet: loopback worker %d: %w", i, err)
 		}
+		defer lis.Close()
 		addrs[i] = lis.Addr().String()
 		go ServeOne(lis) //nolint:errcheck // a worker error surfaces as a driver I/O error
 	}
@@ -124,8 +127,7 @@ func NewLoopback(p int, opts Options) (*Transport, error) {
 // handshake announces the topology to one worker and verifies the
 // protocol version on its HELLOACK.
 func handshake(cn *workerConn, p, nworkers int) error {
-	h := hello{version: protoVersion, p: p, nworkers: nworkers, workerIdx: cn.idx}
-	if err := writeFrame(cn.bw, appendHello(nil, h)); err != nil {
+	if err := writeFrame(cn.bw, appendUints(nil, kindHello, protoVersion, uint64(p), uint64(nworkers), uint64(cn.idx))); err != nil {
 		return err
 	}
 	if err := cn.bw.Flush(); err != nil {
@@ -135,8 +137,8 @@ func handshake(cn *workerConn, p, nworkers int) error {
 	if err != nil {
 		return err
 	}
-	v, err := decodeHelloAck(payload)
-	if err != nil {
+	var v uint64
+	if err := decodeUints(payload, kindHelloAck, &v); err != nil {
 		return err
 	}
 	if v != protoVersion {
@@ -185,16 +187,10 @@ func (cn *workerConn) deliverShard(v *mpc.RoundView, seq uint64, nworkers int, o
 					continue
 				}
 				arity := int64(len(sv.Attrs()))
+				chunk := frameTuples(maxTuples, sv.Name(), sv.Attrs(), flat)
 				for off := int64(0); off < n; {
-					k := maxTuples
-					if k > n-off {
-						k = n - off
-					}
-					var chunk []relation.Value
-					if arity > 0 {
-						chunk = flat[off*arity : (off+k)*arity]
-					}
-					scratch = appendData(scratch[:0], dst, sv.Name(), sv.Attrs(), chunk, k)
+					k := min(chunk, n-off)
+					scratch = appendData(scratch[:0], dst, sv.Name(), sv.Attrs(), flat[off*arity:(off+k)*arity], k)
 					if err := cn.write(scratch, opts); err != nil {
 						return err
 					}
@@ -204,7 +200,7 @@ func (cn *workerConn) deliverShard(v *mpc.RoundView, seq uint64, nworkers int, o
 			}
 		}
 	}
-	if err := cn.write(appendFlush(scratch[:0], seq), opts); err != nil {
+	if err := cn.write(appendUints(scratch[:0], kindFlush, seq), opts); err != nil {
 		return err
 	}
 	if err := cn.flush(opts); err != nil {
@@ -238,14 +234,14 @@ func (cn *workerConn) deliverShard(v *mpc.RoundView, seq uint64, nworkers int, o
 			}
 			landed++
 		case kindEnd:
-			gotSeq, frames, err := decodeEnd(payload)
-			if err != nil {
+			var gotSeq, frames uint64
+			if err := decodeUints(payload, kindEnd, &gotSeq, &frames); err != nil {
 				return err
 			}
 			if gotSeq != seq {
 				return fmt.Errorf("mpcnet: worker %d finished round %d during round %d", cn.idx, gotSeq, seq)
 			}
-			if frames != sent || landed != sent {
+			if frames != uint64(sent) || landed != sent {
 				return fmt.Errorf("mpcnet: worker %d: sent %d frames, echoed %d, landed %d",
 					cn.idx, sent, frames, landed)
 			}
@@ -286,7 +282,7 @@ func (t *Transport) Close() error {
 		if cn == nil || cn.nc == nil {
 			continue
 		}
-		if err := writeFrame(cn.bw, appendBye(nil)); err == nil {
+		if err := writeFrame(cn.bw, appendUints(nil, kindBye)); err == nil {
 			_ = cn.bw.Flush()
 		}
 		if err := cn.nc.Close(); err != nil && firstErr == nil {

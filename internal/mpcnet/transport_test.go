@@ -3,9 +3,11 @@ package mpcnet_test
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
+	"runtime"
 	"testing"
 	"time"
 
@@ -201,6 +203,81 @@ func TestReceiversPresizedOnEveryBackend(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWideFragmentFitsFrames: 7 000 tuples of arity 300 whose values
+// all take 8 bytes are more than one frame can hold under the default
+// tuple cap, so the driver chunks them by bytes and the round lands
+// every value.
+func TestWideFragmentFitsFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 17 MB fragment in -short")
+	}
+	const tuples, arity = 7000, 300
+	attrs := make([]string, arity)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%d", i)
+	}
+	value := func(i int) relation.Value { return math.MinInt64 + relation.Value(i) }
+	tr, err := mpcnet.NewLoopback(2, mpcnet.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := mpc.NewCluster(2, 1)
+	c.SetTransport(tr)
+	c.Round("wide", func(s *mpc.Server, out *mpc.Out) {
+		if s.ID() != 0 {
+			return
+		}
+		st := out.Open("W", attrs...)
+		row := make([]relation.Value, arity)
+		for i := 0; i < tuples; i++ {
+			for j := range row {
+				row[j] = value(i*arity + j)
+			}
+			st.SendRow(1, row)
+		}
+	})
+	rel := c.Server(1).Rel("W")
+	if rel.Len() != tuples {
+		t.Fatalf("landed %d tuples, want %d", rel.Len(), tuples)
+	}
+	for i := 0; i < tuples; i++ {
+		for j, v := range rel.Row(i) {
+			if v != value(i*arity+j) {
+				t.Fatalf("row %d value %d: %d, want %d", i, j, v, value(i*arity+j))
+			}
+		}
+	}
+}
+
+// TestLoopbackFailureLeaksNothing: when NewLoopback's Dial fails, the
+// listeners it opened are closed, so no worker goroutine is left
+// waiting in Accept.
+func TestLoopbackFailureLeaksNothing(t *testing.T) {
+	base := settledGoroutines()
+	if _, err := mpcnet.NewLoopback(0, mpcnet.Options{Workers: 3}); err == nil {
+		t.Fatal("cluster size 0 accepted")
+	}
+	if got := settledGoroutines(); got > base {
+		t.Fatalf("%d goroutines after the failed call, %d before", got, base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 50 ms, or after 5 s.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // TestTransportReuse: one transport serves several consecutive clusters

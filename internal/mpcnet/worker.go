@@ -5,9 +5,11 @@
 // driver process — closures do not serialize — so the worker's job is
 // the data plane: it receives its shard's fragments over TCP, validates
 // and holds them for the round, and at the FLUSH barrier streams them
-// back in arrival order followed by END. The driver lands the echoed
-// fragments, so every delivered byte has physically crossed the wire
-// twice while delivery order and metering stay exactly canonical.
+// back in arrival order followed by END. Validation reads a frame's
+// header and checks its fixed-width value section by its length alone:
+// the worker never reads a value. The driver lands the echoed fragments,
+// so every delivered byte has physically crossed the wire twice while
+// delivery order and metering stay exactly canonical.
 package mpcnet
 
 import (
@@ -33,7 +35,7 @@ func ServeConn(conn net.Conn) error {
 	if h.version != protoVersion {
 		return fmt.Errorf("mpcnet: worker speaks version %d, driver %d", protoVersion, h.version)
 	}
-	if err := writeFrame(bw, appendHelloAck(nil, protoVersion)); err != nil {
+	if err := writeFrame(bw, appendUints(nil, kindHelloAck, protoVersion)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -63,8 +65,8 @@ func ServeConn(conn net.Conn) error {
 			}
 			held = append(held, payload)
 		case kindFlush:
-			seq, err := decodeFlush(payload)
-			if err != nil {
+			var seq uint64
+			if err := decodeUints(payload, kindFlush, &seq); err != nil {
 				return err
 			}
 			for _, p := range held {
@@ -72,7 +74,7 @@ func ServeConn(conn net.Conn) error {
 					return err
 				}
 			}
-			if err := writeFrame(bw, appendEnd(nil, seq, len(held))); err != nil {
+			if err := writeFrame(bw, appendUints(nil, kindEnd, seq, uint64(len(held)))); err != nil {
 				return err
 			}
 			if err := bw.Flush(); err != nil {
