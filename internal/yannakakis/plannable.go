@@ -51,9 +51,10 @@ func acyclicConnected(q hypergraph.Query) (*hypergraph.JoinTree, error) {
 //
 //   - gym: textbook GYM (slides 68-74) — semijoin sweep down, sweep
 //     up, then join up the tree; 3(n−1) rounds, load (IN+OUT)/p.
-//   - gym-opt: the log-depth variant (slide 75) — one shared semijoin
-//     round per tree level and level-parallel joins, 3(d−1)+1 rounds
-//     for tree depth d.
+//   - gym-opt: the log-depth variant (slide 75) — per non-leaf tree
+//     level one upward semijoin round (two when a parent there has two
+//     or more children) and one downward round, then one HyperCube join
+//     round: at most 3(d−1)+1 rounds for tree depth d.
 //   - binaryplan: the iterative left-deep hash-join baseline
 //     (slides 57/63) — n−1 rounds, but the load carries whatever
 //     intermediate the prefix joins produce, which is what the planner
@@ -98,7 +99,7 @@ func Plannables() []cost.Plannable {
 		},
 		{
 			Alg:     "gym-opt",
-			Doc:     "level-parallel GYM, 3(depth-1)+1 rounds (slide 75)",
+			Doc:     "level-parallel GYM, per non-leaf level 1 round up (2 if a parent has 2+ children) and 1 down, plus 1 join round (slide 75)",
 			Applies: applies,
 			Run:     overTree(GYMOptimized),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
@@ -115,7 +116,7 @@ func Plannables() []cost.Plannable {
 				p := float64(st.P)
 				return cost.Estimate{
 					L:      (float64(st.IN) + st.OutEst/float64(d-1)) / p,
-					R:      3*(d-1) + 1,
+					R:      gymOptRounds(jt),
 					C:      float64(d-1)*float64(st.IN) + st.OutEst,
 					Detail: fmt.Sprintf("tree depth %d", d),
 				}, nil

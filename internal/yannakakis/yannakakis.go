@@ -7,8 +7,13 @@
 //     hash-partitioned MPC round with load O((IN+OUT)/p). The vanilla
 //     variant runs one semijoin per round (r = O(n), slides 80–89); the
 //     optimized variant runs each tree level's semijoins in parallel
-//     with an intersection round and finishes with a one-round
-//     HyperCube join phase (r = O(d), slides 90–94).
+//     and finishes with a one-round HyperCube join phase (r = O(d),
+//     slides 90–94). It keeps the slides' keyed copies plus
+//     intersection round for a parent with k ≥ 3 children; a parent
+//     with one child takes one keyed semijoin, and one with two is
+//     semijoined by them in sequence, so each parent is shipped at most
+//     once per round and neither r nor the parents' tuples in C rise
+//     (semijoinLevel).
 //   - IterativeBinaryJoin — the "what most systems do" baseline
 //     (slide 57): a left-deep chain of parallel hash joins, one round
 //     per join, whose intermediate results can explode on the inputs of
@@ -97,28 +102,6 @@ func scatter(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relat
 	}
 }
 
-// semijoinRound co-partitions target and reducer on their shared
-// attributes and replaces target with target ⋉ reducer. The reducer
-// only ships its key projection. One MPC round.
-func semijoinRound(c *mpc.Cluster, roundName, target, reducer string, targetAttrs, reducerAttrs []string, seed uint64) {
-	shared := sharedOf(targetAttrs, reducerAttrs)
-	if len(shared) == 0 {
-		panic(fmt.Sprintf("yannakakis: %s and %s share no attributes", target, reducer))
-	}
-	tmpT, tmpK, keys := roundName+":t", roundName+":k", roundName+":keys"
-	c.LocalStep(func(srv *mpc.Server) { projectKeys(srv, reducer, keys, shared) })
-	key := mpc.Hash(seed, shared...)
-	c.Shuffle(roundName, mpc.Send{From: target, To: tmpT, Policy: key}, mpc.Send{From: keys, To: tmpK, Policy: key})
-	c.LocalStep(func(srv *mpc.Server) {
-		tf := srv.RelOrEmpty(tmpT, targetAttrs...)
-		kf := srv.RelOrEmpty(tmpK, shared...)
-		srv.Put(relation.Semijoin(target, tf.Rename(target), kf.Rename("keys")))
-		srv.Delete(tmpT)
-		srv.Delete(tmpK)
-		srv.Delete(keys)
-	})
-}
-
 // projectKeys stores under name the distinct projection of the
 // server's fragment of rel onto keys, when it holds one: the key set a
 // semijoin ships in place of the relation.
@@ -172,19 +155,18 @@ func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Rela
 	scatter(c, q, rels)
 	trace.Annotatef(c, "yannakakis.GYM %s (%d atoms)", q.Name, len(q.Atoms))
 	start := c.Metrics().Rounds()
-	attrsOf := func(i int) []string { return q.Atoms[i].Vars }
 	round := 0
 	// Upward semijoins: children before parents.
 	for _, i := range jt.PostOrder() {
 		for _, ch := range jt.Children[i] {
-			semijoinRound(c, fmt.Sprintf("gym:up%d", round), q.Atoms[i].Name, q.Atoms[ch].Name, attrsOf(i), attrsOf(ch), seed)
+			semijoin(c, fmt.Sprintf("gym:up%d", round), q, i, ch, seed)
 			round++
 		}
 	}
 	// Downward semijoins: parents before children.
 	for _, i := range jt.PreOrder() {
 		for _, ch := range jt.Children[i] {
-			semijoinRound(c, fmt.Sprintf("gym:down%d", round), q.Atoms[ch].Name, q.Atoms[i].Name, attrsOf(ch), attrsOf(i), seed)
+			semijoin(c, fmt.Sprintf("gym:down%d", round), q, ch, i, seed)
 			round++
 		}
 	}
@@ -247,13 +229,13 @@ func finalize(c *mpc.Cluster, q hypergraph.Query, accRel, outName string) {
 }
 
 // GYMOptimized runs the depth-optimized GYM of slides 90–94: per level
-// (deepest first) all parents are semijoined by all their children in
-// one round — a parent with k children is shipped in k keyed copies —
-// followed by one intersection round; the downward phase runs one round
-// per level; the join phase is a single HyperCube round over the fully
-// reduced relations, routed from where the reductions left them.
-// r = O(depth(jt)). It places the inputs round-robin and runs
-// gymOptimized.
+// (deepest first) every parent is semijoined by all of its children
+// (semijoinLevel) in one round, or in two when some parent there has
+// two or more children; the downward phase runs one round per level;
+// the join phase is a single HyperCube round over the fully reduced
+// relations, routed from where the reductions left them.
+// r = O(depth(jt)), exactly gymOptRounds(jt). It places the inputs
+// round-robin and runs gymOptimized.
 func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	scatter(c, jt.Query, rels)
 	return gymOptimized(c, jt, outName, seed)
@@ -271,30 +253,22 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 	// Upward, deepest level first: semijoin all parents at level d by
 	// their children (level d+1).
 	for d := len(levels) - 2; d >= 0; d-- {
-		var parents []int
-		for _, i := range levels[d] {
-			if len(jt.Children[i]) > 0 {
-				parents = append(parents, i)
-			}
+		if parents := parentsOf(jt, levels[d]); len(parents) > 0 {
+			round += semijoinLevel(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parents, seed)
 		}
-		if len(parents) == 0 {
-			continue
-		}
-		parallelSemijoinRound(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parents, seed)
-		round += 2 // semijoin + intersect
 	}
 	// Downward, root level first: children semijoined by parents.
 	for d := 0; d < len(levels)-1; d++ {
-		var edges [][2]int // (child, parent)
+		var sjs []keyedSemijoin
 		for _, i := range levels[d] {
 			for _, ch := range jt.Children[i] {
-				edges = append(edges, [2]int{ch, i})
+				sjs = append(sjs, newKeyedSemijoin(q, ch, i, q.Atoms[ch].Name, q.Atoms[ch].Name))
 			}
 		}
-		if len(edges) == 0 {
+		if len(sjs) == 0 {
 			continue
 		}
-		downwardRound(c, fmt.Sprintf("gymopt:down%d", round), q, edges, seed)
+		keyedSemijoins(c, fmt.Sprintf("gymopt:down%d", round), q, sjs, nil, seed)
 		round++
 	}
 	// Join phase: one HyperCube round over the reduced relations, where
@@ -311,113 +285,164 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
 
-// parallelSemijoinRound semijoins every listed parent by all of its
-// children in one round plus one intersection round. For a parent with
-// children c1..ck, k keyed copies of the parent are co-partitioned with
-// each child's key projection (round 1, slide 91); each copy is reduced
-// locally, and the copies are then re-partitioned on the full parent
-// tuple and intersected (round 2, slide 92).
-func parallelSemijoinRound(c *mpc.Cluster, name string, q hypergraph.Query, jt *hypergraph.JoinTree, parents []int, seed uint64) {
-	type edge struct {
-		parent, child int
-		shared        []string
-	}
-	var edges []edge
-	for _, pIdx := range parents {
-		for _, ch := range jt.Children[pIdx] {
-			sh := sharedOf(q.Atoms[pIdx].Vars, q.Atoms[ch].Vars)
-			if len(sh) == 0 {
-				panic("yannakakis: parent and child share no attributes")
-			}
-			edges = append(edges, edge{parent: pIdx, child: ch, shared: sh})
+// parentsOf returns the nodes of level that have children.
+func parentsOf(jt *hypergraph.JoinTree, level []int) []int {
+	var parents []int
+	for _, i := range level {
+		if len(jt.Children[i]) > 0 {
+			parents = append(parents, i)
 		}
 	}
-	// Round 1: ship parent copies + child keys, one stream pair per edge.
-	var sends []mpc.Send
-	for ei, e := range edges {
-		key := mpc.Hash(seed, e.shared...)
-		sends = append(sends,
-			mpc.Send{From: q.Atoms[e.parent].Name, To: fmt.Sprintf("%s:p%d", name, ei), Policy: key},
-			mpc.Send{From: fmt.Sprintf("%s:keys%d", name, ei), To: fmt.Sprintf("%s:k%d", name, ei), Policy: key})
-	}
-	c.LocalStep(func(srv *mpc.Server) {
-		for ei, e := range edges {
-			projectKeys(srv, q.Atoms[e.child].Name, fmt.Sprintf("%s:keys%d", name, ei), e.shared)
-		}
-	})
-	c.Shuffle(name+":semi", sends...)
-	c.LocalStep(func(srv *mpc.Server) {
-		for ei, e := range edges {
-			pa := q.Atoms[e.parent]
-			pf := srv.RelOrEmpty(fmt.Sprintf("%s:p%d", name, ei), pa.Vars...)
-			kf := srv.RelOrEmpty(fmt.Sprintf("%s:k%d", name, ei), e.shared...)
-			srv.Put(relation.Semijoin(fmt.Sprintf("%s:r%d", name, ei), pf.Rename("p"), kf.Rename("k")))
-			srv.Delete(fmt.Sprintf("%s:p%d", name, ei))
-			srv.Delete(fmt.Sprintf("%s:k%d", name, ei))
-			srv.Delete(fmt.Sprintf("%s:keys%d", name, ei))
-		}
-	})
-	// Round 2: re-partition each reduced copy by the full parent tuple
-	// and intersect the copies of each parent.
-	copies := make([]mpc.Send, len(edges))
-	for ei, e := range edges {
-		copies[ei] = mpc.Send{From: fmt.Sprintf("%s:r%d", name, ei), To: fmt.Sprintf("%s:x%d", name, ei), Policy: mpc.Hash(seed, q.Atoms[e.parent].Vars...)}
-	}
-	c.Shuffle(name+":intersect", copies...)
-	c.LocalStep(func(srv *mpc.Server) {
-		for _, pIdx := range parents {
-			pa := q.Atoms[pIdx]
-			var copies []*relation.Relation
-			for ei, e := range edges {
-				if e.parent != pIdx {
-					continue
-				}
-				cf := srv.RelOrEmpty(fmt.Sprintf("%s:x%d", name, ei), pa.Vars...)
-				cf.Dedup()
-				copies = append(copies, cf.Rename(fmt.Sprintf("c%d", ei)))
-				srv.Delete(fmt.Sprintf("%s:x%d", name, ei))
-				srv.Delete(fmt.Sprintf("%s:r%d", name, ei))
-			}
-			srv.Put(relation.Intersect(pa.Name, copies...))
-		}
-	})
+	return parents
 }
 
-// downwardRound semijoins every (child, parent) edge in one round:
-// children and the parents' key projections are co-partitioned per
-// edge.
-func downwardRound(c *mpc.Cluster, name string, q hypergraph.Query, edges [][2]int, seed uint64) {
-	type espec struct {
-		child, parent int
-		shared        []string
+// gymOptRounds is gymOptimized's round count on jt: per non-leaf level
+// one upward round (two when a parent there has two or more children)
+// and one downward round, and the join round.
+func gymOptRounds(jt *hypergraph.JoinTree) int {
+	levels := jt.Levels()
+	r := len(levels) // the d − 1 downward rounds and the join round
+	for _, level := range levels[:len(levels)-1] {
+		r++
+		for _, i := range level {
+			if len(jt.Children[i]) >= 2 {
+				r++
+				break
+			}
+		}
 	}
-	var specs []espec
-	for _, e := range edges {
-		sh := sharedOf(q.Atoms[e[0]].Vars, q.Atoms[e[1]].Vars)
-		specs = append(specs, espec{child: e[0], parent: e[1], shared: sh})
+	return r
+}
+
+// semijoinLevel semijoins every listed parent by all of its children and
+// returns the number of rounds it ran: round A, named name+":semi",
+// and round B, name+":semi2", when some parent has two or more
+// children. Each parent crosses the network at most once per round;
+// its sends are planned by its child count k:
+//
+//   - k = 1: round A co-partitions the parent with its child's key
+//     projection on their shared variables and reduces it there.
+//   - k = 2: round A reduces the parent by child 1 as above, and round B
+//     re-keys the reduced parent on child 2's shared variables and
+//     reduces it by child 2's keys.
+//   - k ≥ 3: the slides' form (91–92). Round A ships k keyed copies of
+//     the parent, each reduced by one child's keys; round B
+//     re-partitions the copies on the full parent tuple and intersects
+//     them.
+//
+// The slides' form takes two rounds for every k. For k ≤ 2 the
+// sequential form takes no more, and each round ships the parent once,
+// keyed as one of the slides' round-1 copies and already reduced by the
+// children before, so r does not rise and neither do the parents'
+// tuples in C. For k ≥ 3 the sequential form would take k rounds, so
+// the copies stay. Two things differ from the slides' form. A k ≤ 2
+// parent ends the level hashed on a child's shared variables, not on
+// its full tuple, which sets how many keys the local dedup of its later
+// key projections leaves. And no intersection collapses a repeated
+// input row of a k ≤ 2 parent, so on a bag input the row travels on
+// into the later rounds.
+func semijoinLevel(c *mpc.Cluster, name string, q hypergraph.Query, jt *hypergraph.JoinTree, parents []int, seed uint64) int {
+	var first, second []keyedSemijoin
+	var wide []int        // the k ≥ 3 parents, in order
+	var copies []mpc.Send // round B: their copies, in the same order, on the full parent tuple
+	for _, pIdx := range parents {
+		pa, chs := q.Atoms[pIdx], jt.Children[pIdx]
+		if len(chs) <= 2 {
+			first = append(first, newKeyedSemijoin(q, pIdx, chs[0], pa.Name, pa.Name))
+			if len(chs) == 2 {
+				second = append(second, newKeyedSemijoin(q, pIdx, chs[1], pa.Name, pa.Name))
+			}
+			continue
+		}
+		wide = append(wide, pIdx)
+		for _, ch := range chs {
+			r := fmt.Sprintf("%s:r%d", name, len(copies))
+			first = append(first, newKeyedSemijoin(q, pIdx, ch, pa.Name, r))
+			copies = append(copies, mpc.Send{From: r, To: fmt.Sprintf("%s:x%d", name, len(copies)), Policy: mpc.Hash(seed, pa.Vars...)})
+		}
 	}
-	var sends []mpc.Send
-	for ei, e := range specs {
-		key := mpc.Hash(seed, e.shared...)
-		sends = append(sends,
-			mpc.Send{From: q.Atoms[e.child].Name, To: fmt.Sprintf("%s:c%d", name, ei), Policy: key},
-			mpc.Send{From: fmt.Sprintf("%s:keys%d", name, ei), To: fmt.Sprintf("%s:k%d", name, ei), Policy: key})
+	keyedSemijoins(c, name+":semi", q, first, nil, seed)
+	if len(second) == 0 && len(copies) == 0 {
+		return 1
+	}
+	keyedSemijoins(c, name+":semi2", q, second, copies, seed)
+	if len(wide) == 0 {
+		return 2
 	}
 	c.LocalStep(func(srv *mpc.Server) {
-		for ei, e := range specs {
-			projectKeys(srv, q.Atoms[e.parent].Name, fmt.Sprintf("%s:keys%d", name, ei), e.shared)
+		rest := copies
+		for _, pIdx := range wide {
+			pa, k := q.Atoms[pIdx], len(jt.Children[pIdx])
+			xs := make([]*relation.Relation, k)
+			for i, x := range rest[:k] {
+				xs[i] = srv.RelOrEmpty(x.To, pa.Vars...).Rename(fmt.Sprintf("c%d", i))
+				srv.Delete(x.To)
+				srv.Delete(x.From)
+			}
+			rest = rest[k:]
+			srv.Put(relation.Intersect(pa.Name, xs...))
+		}
+	})
+	return 2
+}
+
+// keyedSemijoin is one semijoin of a keyedSemijoins round: the fragment
+// stored under from, with the target atom's variables, is reduced by the
+// reducer atom's key projection on their shared variables, and the
+// result is stored under out.
+type keyedSemijoin struct {
+	target, reducer int
+	from, out       string
+	shared          []string
+}
+
+func newKeyedSemijoin(q hypergraph.Query, target, reducer int, from, out string) keyedSemijoin {
+	sh := sharedOf(q.Atoms[target].Vars, q.Atoms[reducer].Vars)
+	if len(sh) == 0 {
+		panic(fmt.Sprintf("yannakakis: %s and %s share no attributes", q.Atoms[target].Name, q.Atoms[reducer].Name))
+	}
+	return keyedSemijoin{target: target, reducer: reducer, from: from, out: out, shared: sh}
+}
+
+// semijoin replaces atom target with target ⋉ reducer in one round,
+// shipping only the reducer's key projection.
+func semijoin(c *mpc.Cluster, name string, q hypergraph.Query, target, reducer int, seed uint64) {
+	t := q.Atoms[target].Name
+	keyedSemijoins(c, name, q, []keyedSemijoin{newKeyedSemijoin(q, target, reducer, t, t)}, nil, seed)
+}
+
+// keyedSemijoins runs sjs as one round: each ships its from fragment
+// and its reducer's key projection, both hashed on their shared
+// variables, and reduces the one by the other where they meet. extra
+// rides in the same round; the caller's next local step consumes it.
+func keyedSemijoins(c *mpc.Cluster, name string, q hypergraph.Query, sjs []keyedSemijoin, extra []mpc.Send, seed uint64) {
+	// Semijoin i ships the target on stream "<name>:<target>|<reducer>"
+	// and the keys, projected locally under that name + ":keys", on that
+	// name + ":k".
+	streams := make([]string, len(sjs))
+	sends := make([]mpc.Send, 0, 2*len(sjs)+len(extra))
+	for i, sj := range sjs {
+		streams[i] = fmt.Sprintf("%s:%s|%s", name, q.Atoms[sj.target].Name, q.Atoms[sj.reducer].Name)
+		key := mpc.Hash(seed, sj.shared...)
+		sends = append(sends,
+			mpc.Send{From: sj.from, To: streams[i], Policy: key},
+			mpc.Send{From: streams[i] + ":keys", To: streams[i] + ":k", Policy: key})
+	}
+	sends = append(sends, extra...)
+	c.LocalStep(func(srv *mpc.Server) {
+		for i, sj := range sjs {
+			projectKeys(srv, q.Atoms[sj.reducer].Name, streams[i]+":keys", sj.shared)
 		}
 	})
 	c.Shuffle(name, sends...)
 	c.LocalStep(func(srv *mpc.Server) {
-		for ei, e := range specs {
-			ca := q.Atoms[e.child]
-			cf := srv.RelOrEmpty(fmt.Sprintf("%s:c%d", name, ei), ca.Vars...)
-			kf := srv.RelOrEmpty(fmt.Sprintf("%s:k%d", name, ei), e.shared...)
-			srv.Put(relation.Semijoin(ca.Name, cf.Rename("c"), kf.Rename("k")))
-			srv.Delete(fmt.Sprintf("%s:c%d", name, ei))
-			srv.Delete(fmt.Sprintf("%s:k%d", name, ei))
-			srv.Delete(fmt.Sprintf("%s:keys%d", name, ei))
+		for i, sj := range sjs {
+			tf := srv.RelOrEmpty(streams[i], q.Atoms[sj.target].Vars...)
+			kf := srv.RelOrEmpty(streams[i]+":k", sj.shared...)
+			srv.Put(relation.Semijoin(sj.out, tf.Rename("t"), kf.Rename("k")))
+			for _, tmp := range []string{streams[i], streams[i] + ":k", streams[i] + ":keys"} {
+				srv.Delete(tmp)
+			}
 		}
 	})
 }

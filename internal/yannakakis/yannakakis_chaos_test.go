@@ -27,6 +27,14 @@ func TestGYMOptimizedChaosDiff(t *testing.T) {
 	testkit.RunChaosDiff(t, hypergraph.SlideTree(), chaosCfg(), algo("gym-opt"))
 }
 
+// TestGYMOptimizedOneChildChaosDiff covers one-round levels: Path(2)'s
+// root and Path(4)'s inner parent each have one child.
+func TestGYMOptimizedOneChildChaosDiff(t *testing.T) {
+	for _, q := range []hypergraph.Query{hypergraph.Path(2), hypergraph.Path(4)} {
+		testkit.RunChaosDiff(t, q, chaosCfg(), algo("gym-opt"))
+	}
+}
+
 func TestIterativeBinaryJoinChaosDiff(t *testing.T) {
 	testkit.RunChaosDiff(t, hypergraph.Star(4), chaosCfg(), algo("binaryplan"))
 }

@@ -15,7 +15,9 @@ import (
 // diffQueries are the acyclic shapes swept by every variant here.
 func diffQueries() []hypergraph.Query {
 	return []hypergraph.Query{
+		hypergraph.Path(2),
 		hypergraph.Path(3),
+		hypergraph.Path(4),
 		hypergraph.Star(4),
 		hypergraph.SlideTree(),
 	}
@@ -54,18 +56,34 @@ func TestGYMDiff(t *testing.T) {
 }
 
 // TestGYMOptimizedDiff: the depth-optimized variant. Every non-leaf
-// level contributes two upward rounds (keyed semijoin + intersect) and
-// one downward round, and the join phase is a single HyperCube round:
-// r = 3·(depth−1) + 1 where depth = number of tree levels.
+// level contributes one upward round, or two when a parent there has two
+// or more children, and one downward round; the join phase is a single
+// HyperCube round.
 func TestGYMOptimizedDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Gen = diffGen()
-	cfg.Rounds = func(q hypergraph.Query, p int) int {
-		return 3*(len(treeOf(q).Levels())-1) + 1
-	}
+	cfg.Rounds = func(q hypergraph.Query, p int) int { return levelFormula(treeOf(q)) }
 	for _, q := range diffQueries() {
 		testkit.RunDiff(t, q, cfg, algo("gym-opt"))
 	}
+}
+
+// levelFormula is gym-opt's round count written out from the tree: Σ
+// over non-leaf levels of (1, or 2 if a parent there has ≥ 2 children),
+// plus (d − 1) downward rounds for d levels, plus 1 join round.
+func levelFormula(jt *hypergraph.JoinTree) int {
+	levels := jt.Levels()
+	r := len(levels) // (d − 1) downward rounds + 1 join round
+	for _, level := range levels[:len(levels)-1] {
+		up := 1
+		for _, i := range level {
+			if len(jt.Children[i]) >= 2 {
+				up = 2
+			}
+		}
+		r += up
+	}
+	return r
 }
 
 // TestIterativeBinaryJoinDiff: the ablation baseline joining atoms one

@@ -22,3 +22,11 @@ func TestGYMBackendDiff(t *testing.T) {
 func TestGYMOptimizedBackendDiff(t *testing.T) {
 	testkit.RunBackendDiff(t, hypergraph.SlideTree(), testkit.Config{Gen: diffGen()}, algo("gym-opt"))
 }
+
+// TestGYMOptimizedOneChildBackendDiff covers one-round levels over TCP:
+// Path(2)'s root and Path(4)'s inner parent each have one child.
+func TestGYMOptimizedOneChildBackendDiff(t *testing.T) {
+	for _, q := range []hypergraph.Query{hypergraph.Path(2), hypergraph.Path(4)} {
+		testkit.RunBackendDiff(t, q, testkit.Config{Gen: diffGen()}, algo("gym-opt"))
+	}
+}

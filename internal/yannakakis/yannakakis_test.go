@@ -1,8 +1,10 @@
 package yannakakis
 
 import (
+	"strings"
 	"testing"
 
+	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
@@ -161,6 +163,90 @@ func TestGYMStarRoundCounts(t *testing.T) {
 	}
 }
 
+// gymOptShapes are the trees whose level plans the gym-opt tests pin:
+// one-child levels (Path(2), Star(2), the inner levels of longer
+// paths), two-child parents (Path(3) to Path(5), Star(3)), k ≥ 3
+// children (Star(4)) and a mix (SlideTree).
+func gymOptShapes() []hypergraph.Query {
+	return []hypergraph.Query{
+		hypergraph.Path(2), hypergraph.Path(3), hypergraph.Path(4), hypergraph.Path(5),
+		hypergraph.Star(2), hypergraph.Star(3), hypergraph.Star(4),
+		hypergraph.SlideTree(),
+	}
+}
+
+// runGYMOpt runs GYMOptimized on uniform inputs for q at p = 8 and
+// checks its output.
+func runGYMOpt(t *testing.T, q hypergraph.Query) (*mpc.Cluster, *hypergraph.JoinTree, map[string]*relation.Relation) {
+	t.Helper()
+	rels := map[string]*relation.Relation{}
+	for i, a := range q.Atoms {
+		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1))
+	}
+	jt := joinTreeOf(t, q)
+	c := mpc.NewCluster(8, 1)
+	GYMOptimized(c, jt, rels, "out", 42)
+	got := c.Gather("out")
+	got.Dedup()
+	if !got.EqualAsSets(reference(q, rels)) {
+		t.Fatalf("%s: optimized GYM wrong", q.Name)
+	}
+	return c, jt, rels
+}
+
+// TestGYMOptimizedPredictedRounds: the cost mirror's R is the measured r.
+func TestGYMOptimizedPredictedRounds(t *testing.T) {
+	gymOpt := cost.Lookup(Plannables(), "gym-opt")
+	for _, q := range gymOptShapes() {
+		c, _, rels := runGYMOpt(t, q)
+		est, err := gymOpt.Predict(&cost.QueryStats{Query: q, P: c.P(), IN: int64(len(rels) * 60), OutEst: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.R != c.Metrics().Rounds() {
+			t.Errorf("%s: predicted R = %d, measured r = %d", q.Name, est.R, c.Metrics().Rounds())
+		}
+	}
+}
+
+// TestGYMOptimizedShipsParentOncePerRound reads the round ledger: each
+// upward round ships a parent with k ≤ 2 children on at most one stream,
+// at most its input size, and k rounds ship it in all.
+func TestGYMOptimizedShipsParentOncePerRound(t *testing.T) {
+	for _, q := range gymOptShapes() {
+		c, jt, rels := runGYMOpt(t, q)
+		for i, a := range q.Atoms {
+			k := len(jt.Children[i])
+			if k == 0 || k > 2 {
+				continue
+			}
+			shipped := 0
+			for _, rs := range c.Metrics().RoundStats() {
+				if !strings.HasPrefix(rs.Name, "gymopt:up") {
+					continue
+				}
+				streams := map[string]bool{}
+				var tuples int64
+				for _, s := range rs.StreamSends {
+					if strings.HasPrefix(s.Stream, rs.Name+":"+a.Name+"|") && !strings.HasSuffix(s.Stream, ":k") {
+						streams[s.Stream] = true
+						tuples += s.Tuples
+					}
+				}
+				if len(streams) > 1 || tuples > int64(rels[a.Name].Len()) {
+					t.Errorf("%s: round %s ships %s (%d children) on %d streams, %d tuples of %d", q.Name, rs.Name, a.Name, k, len(streams), tuples, rels[a.Name].Len())
+				}
+				if len(streams) == 1 {
+					shipped++
+				}
+			}
+			if shipped != k {
+				t.Errorf("%s: %s (%d children) shipped in %d upward rounds, want %d", q.Name, a.Name, k, shipped, k)
+			}
+		}
+	}
+}
+
 func TestIterativeBinaryJoinCorrect(t *testing.T) {
 	q := hypergraph.Path(4)
 	rels := map[string]*relation.Relation{}
@@ -281,7 +367,8 @@ func TestSemijoinRoundReduces(t *testing.T) {
 	})
 	c.ScatterRoundRobin(target)
 	c.ScatterRoundRobin(reducer)
-	semijoinRound(c, "semi", "T", "Rd", []string{"x", "y"}, []string{"y", "z"}, 7)
+	q := hypergraph.NewQuery("q", hypergraph.Atom{Name: "T", Vars: []string{"x", "y"}}, hypergraph.Atom{Name: "Rd", Vars: []string{"y", "z"}})
+	semijoin(c, "semi", q, 0, 1, 7)
 	got := c.Gather("T")
 	if got.Len() != 2 {
 		t.Fatalf("semijoin kept %d, want 2", got.Len())
