@@ -13,7 +13,11 @@
 //     with one child takes one keyed semijoin, and one with two is
 //     semijoined by them in sequence, so each parent is shipped at most
 //     once per round and neither r nor the parents' tuples in C rise
-//     (semijoinLevel).
+//     (semijoinLevel). The child of such a parent reduces it whole and
+//     stays where it lands, on their shared variables, so the downward
+//     pass sends it only the parent's keys, and runs no round for a
+//     level where parent and children all lie on the same key
+//     (downwardPass).
 //   - IterativeBinaryJoin — the "what most systems do" baseline
 //     (slide 57): a left-deep chain of parallel hash joins, one round
 //     per join, whose intermediate results can explode on the inputs of
@@ -27,6 +31,7 @@ package yannakakis
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcquery/internal/cost"
 	"mpcquery/internal/hypercube"
@@ -231,9 +236,10 @@ func finalize(c *mpc.Cluster, q hypergraph.Query, accRel, outName string) {
 // GYMOptimized runs the depth-optimized GYM of slides 90–94: per level
 // (deepest first) every parent is semijoined by all of its children
 // (semijoinLevel) in one round, or in two when some parent there has
-// two or more children; the downward phase runs one round per level;
-// the join phase is a single HyperCube round over the fully reduced
-// relations, routed from where the reductions left them.
+// two or more children; the downward phase runs at most one round per
+// level, and none for a level whose semijoins are all local
+// (downwardPass); the join phase is a single HyperCube round over the
+// fully reduced relations, routed from where the reductions left them.
 // r = O(depth(jt)), exactly gymOptRounds(jt). It places the inputs
 // round-robin and runs gymOptimized.
 func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
@@ -243,7 +249,11 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 
 // gymOptimized is GYMOptimized on the atom fragments already on the
 // cluster, each held under its atom's name with its variables as
-// columns.
+// columns. Where each atom lies between the passes is a function of the
+// tree alone: the upward pass carries every child of a parent with k ≤ 2
+// children whole to their shared variables K(p, c) and leaves it there,
+// so the downward pass ships that child only its parent's keys, or
+// nothing when the parent lies on K(p, c) too (downwardPass).
 func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed uint64) *Result {
 	q := jt.Query
 	trace.Annotatef(c, "yannakakis.GYMOptimized %s (depth %d)", q.Name, len(jt.Levels())-1)
@@ -253,23 +263,11 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 	// Upward, deepest level first: semijoin all parents at level d by
 	// their children (level d+1).
 	for d := len(levels) - 2; d >= 0; d-- {
-		if parents := parentsOf(jt, levels[d]); len(parents) > 0 {
-			round += semijoinLevel(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parents, seed)
-		}
+		round += semijoinLevel(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parentsOf(jt, levels[d]), seed)
 	}
 	// Downward, root level first: children semijoined by parents.
-	for d := 0; d < len(levels)-1; d++ {
-		var sjs []keyedSemijoin
-		for _, i := range levels[d] {
-			for _, ch := range jt.Children[i] {
-				sjs = append(sjs, newKeyedSemijoin(q, ch, i, q.Atoms[ch].Name, q.Atoms[ch].Name))
-			}
-		}
-		if len(sjs) == 0 {
-			continue
-		}
-		keyedSemijoins(c, fmt.Sprintf("gymopt:down%d", round), q, sjs, nil, seed)
-		round++
+	for _, sjs := range downwardPass(jt) {
+		round += keyedSemijoins(c, fmt.Sprintf("gymopt:down%d", round), q, sjs, nil, seed)
 	}
 	// Join phase: one HyperCube round over the reduced relations, where
 	// they lie, with shares for their reduced sizes.
@@ -298,10 +296,11 @@ func parentsOf(jt *hypergraph.JoinTree, level []int) []int {
 
 // gymOptRounds is gymOptimized's round count on jt: per non-leaf level
 // one upward round (two when a parent there has two or more children)
-// and one downward round, and the join round.
+// and one downward round unless all of the level's downward semijoins
+// are local, and the join round.
 func gymOptRounds(jt *hypergraph.JoinTree) int {
 	levels := jt.Levels()
-	r := len(levels) // the d − 1 downward rounds and the join round
+	r := 1 // the join round
 	for _, level := range levels[:len(levels)-1] {
 		r++
 		for _, i := range level {
@@ -311,7 +310,70 @@ func gymOptRounds(jt *hypergraph.JoinTree) int {
 			}
 		}
 	}
+	for _, sjs := range downwardPass(jt) {
+		if slices.ContainsFunc(sjs, keyedSemijoin.ships) {
+			r++
+		}
+	}
 	return r
+}
+
+// downwardPass plans gymOptimized's downward semijoins, one list per
+// non-leaf level, root first. Each child c of a parent p is reduced by
+// p's keys; what moves depends on where the upward pass (semijoinLevel)
+// left the two, which the tree alone fixes:
+//
+//   - a child of a parent with k ≤ 2 children was carried: it lies
+//     hashed on K(p, c), in p's variable order;
+//   - a parent with k ≤ 2 children lies on its last child's key, and one
+//     with k ≥ 3 on its full tuple;
+//   - a leaf under a k ≥ 3 parent lies where it was scattered.
+//
+// A child already hashed on the variables of K(p, c) stays there and is
+// sent only p's key projection, hashed the same way; when p lies on that
+// key too, nothing moves and the semijoin is local. Any other child is
+// re-keyed with p's keys on K(p, c) in its own variable order, and lies
+// there from then on, which its own children's semijoins at the next
+// level see.
+func downwardPass(jt *hypergraph.JoinTree) [][]keyedSemijoin {
+	q := jt.Query
+	at := make([][]string, len(q.Atoms)) // the variables each atom is hashed on; nil: as scattered
+	for i, chs := range jt.Children {
+		switch k := len(chs); {
+		case k >= 3:
+			at[i] = q.Atoms[i].Vars
+		case k > 0:
+			at[i] = sharedOf(q.Atoms[i].Vars, q.Atoms[chs[k-1]].Vars)
+		}
+	}
+	for ch, p := range jt.Parent {
+		if p >= 0 && len(jt.Children[p]) <= 2 {
+			at[ch] = sharedOf(q.Atoms[p].Vars, q.Atoms[ch].Vars)
+		}
+	}
+	levels := jt.Levels()
+	pass := make([][]keyedSemijoin, len(levels)-1)
+	for d, level := range levels[:len(levels)-1] {
+		for _, p := range level {
+			for _, ch := range jt.Children[p] {
+				name := q.Atoms[ch].Name
+				sj := newKeyedSemijoin(q, ch, p, name, name)
+				if sameVars(at[ch], sj.shared) {
+					sj.shared, sj.targetPlaced = at[ch], true
+				}
+				at[ch] = sj.shared
+				sj.reducerPlaced = slices.Equal(at[p], sj.shared)
+				pass[d] = append(pass[d], sj)
+			}
+		}
+	}
+	return pass
+}
+
+// sameVars reports whether a and b hold the same variables, in any
+// order.
+func sameVars(a, b []string) bool {
+	return len(a) == len(b) && len(sharedOf(a, b)) == len(a)
 }
 
 // semijoinLevel semijoins every listed parent by all of its children and
@@ -320,27 +382,30 @@ func gymOptRounds(jt *hypergraph.JoinTree) int {
 // children. Each parent crosses the network at most once per round;
 // its sends are planned by its child count k:
 //
-//   - k = 1: round A co-partitions the parent with its child's key
-//     projection on their shared variables and reduces it there.
+//   - k = 1: round A co-partitions the parent with its child on their
+//     shared variables K(p, c) and reduces it there. The child travels
+//     whole, not as its key projection, and is left where it lands
+//     (it is carried), so the downward pass need not ship it again.
 //   - k = 2: round A reduces the parent by child 1 as above, and round B
-//     re-keys the reduced parent on child 2's shared variables and
-//     reduces it by child 2's keys.
+//     re-keys the reduced parent on K(p, c2) and reduces it by child 2,
+//     carried the same way.
 //   - k ≥ 3: the slides' form (91–92). Round A ships k keyed copies of
 //     the parent, each reduced by one child's keys; round B
 //     re-partitions the copies on the full parent tuple and intersects
-//     them.
+//     them. The children stay where they were.
 //
 // The slides' form takes two rounds for every k. For k ≤ 2 the
 // sequential form takes no more, and each round ships the parent once,
 // keyed as one of the slides' round-1 copies and already reduced by the
 // children before, so r does not rise and neither do the parents'
 // tuples in C. For k ≥ 3 the sequential form would take k rounds, so
-// the copies stay. Two things differ from the slides' form. A k ≤ 2
-// parent ends the level hashed on a child's shared variables, not on
-// its full tuple, which sets how many keys the local dedup of its later
-// key projections leaves. And no intersection collapses a repeated
-// input row of a k ≤ 2 parent, so on a bag input the row travels on
-// into the later rounds.
+// the copies stay; carrying the children there too would put every
+// child in the copies' round, and it raised L on Star(4). Two things
+// differ from the slides' form. A k ≤ 2 parent ends the level hashed on
+// its last child's shared variables, not on its full tuple, which sets
+// how many keys the local dedup of its later key projections leaves.
+// And no intersection collapses a repeated input row of a k ≤ 2 parent,
+// so on a bag input the row travels on into the later rounds.
 func semijoinLevel(c *mpc.Cluster, name string, q hypergraph.Query, jt *hypergraph.JoinTree, parents []int, seed uint64) int {
 	var first, second []keyedSemijoin
 	var wide []int        // the k ≥ 3 parents, in order
@@ -348,9 +413,13 @@ func semijoinLevel(c *mpc.Cluster, name string, q hypergraph.Query, jt *hypergra
 	for _, pIdx := range parents {
 		pa, chs := q.Atoms[pIdx], jt.Children[pIdx]
 		if len(chs) <= 2 {
-			first = append(first, newKeyedSemijoin(q, pIdx, chs[0], pa.Name, pa.Name))
+			sj := newKeyedSemijoin(q, pIdx, chs[0], pa.Name, pa.Name)
+			sj.carry = true
+			first = append(first, sj)
 			if len(chs) == 2 {
-				second = append(second, newKeyedSemijoin(q, pIdx, chs[1], pa.Name, pa.Name))
+				sj := newKeyedSemijoin(q, pIdx, chs[1], pa.Name, pa.Name)
+				sj.carry = true
+				second = append(second, sj)
 			}
 			continue
 		}
@@ -388,12 +457,20 @@ func semijoinLevel(c *mpc.Cluster, name string, q hypergraph.Query, jt *hypergra
 
 // keyedSemijoin is one semijoin of a keyedSemijoins round: the fragment
 // stored under from, with the target atom's variables, is reduced by the
-// reducer atom's key projection on their shared variables, and the
-// result is stored under out.
+// reducer atom on their shared variables, and the result is stored
+// under out.
 type keyedSemijoin struct {
 	target, reducer int
 	from, out       string
-	shared          []string
+	// shared is the key both sides meet on: the hash of these
+	// variables, in this order.
+	shared []string
+	// targetPlaced and reducerPlaced say that side already lies hashed
+	// on shared, so it is not shipped (the downward pass).
+	targetPlaced, reducerPlaced bool
+	// carry ships the reducer whole in place of its key projection and
+	// leaves it where it lands, under its atom's name (the upward pass).
+	carry bool
 }
 
 func newKeyedSemijoin(q hypergraph.Query, target, reducer int, from, out string) keyedSemijoin {
@@ -404,6 +481,10 @@ func newKeyedSemijoin(q hypergraph.Query, target, reducer int, from, out string)
 	return keyedSemijoin{target: target, reducer: reducer, from: from, out: out, shared: sh}
 }
 
+// ships reports whether sj sends anything: it is local when both sides
+// already lie on its key.
+func (sj keyedSemijoin) ships() bool { return !sj.targetPlaced || !sj.reducerPlaced }
+
 // semijoin replaces atom target with target ⋉ reducer in one round,
 // shipping only the reducer's key projection.
 func semijoin(c *mpc.Cluster, name string, q hypergraph.Query, target, reducer int, seed uint64) {
@@ -412,39 +493,72 @@ func semijoin(c *mpc.Cluster, name string, q hypergraph.Query, target, reducer i
 }
 
 // keyedSemijoins runs sjs as one round: each ships its from fragment
-// and its reducer's key projection, both hashed on their shared
-// variables, and reduces the one by the other where they meet. extra
-// rides in the same round; the caller's next local step consumes it.
-func keyedSemijoins(c *mpc.Cluster, name string, q hypergraph.Query, sjs []keyedSemijoin, extra []mpc.Send, seed uint64) {
+// and its reducer's key projection, or the whole reducer when it
+// carries it, all hashed on their shared variables, and reduces the one
+// by the other where they meet. A side already placed on that key is
+// not shipped. extra rides in the same round; the caller's next local
+// step consumes it. It returns the number of rounds it ran: 0 when every
+// semijoin is local, else 1.
+func keyedSemijoins(c *mpc.Cluster, name string, q hypergraph.Query, sjs []keyedSemijoin, extra []mpc.Send, seed uint64) int {
 	// Semijoin i ships the target on stream "<name>:<target>|<reducer>"
 	// and the keys, projected locally under that name + ":keys", on that
-	// name + ":k".
+	// name + ":k"; a carried reducer travels on "<name>:<reducer>^<target>".
 	streams := make([]string, len(sjs))
+	carried := make([]string, len(sjs))
 	sends := make([]mpc.Send, 0, 2*len(sjs)+len(extra))
 	for i, sj := range sjs {
-		streams[i] = fmt.Sprintf("%s:%s|%s", name, q.Atoms[sj.target].Name, q.Atoms[sj.reducer].Name)
+		tn, rn := q.Atoms[sj.target].Name, q.Atoms[sj.reducer].Name
+		streams[i] = fmt.Sprintf("%s:%s|%s", name, tn, rn)
 		key := mpc.Hash(seed, sj.shared...)
-		sends = append(sends,
-			mpc.Send{From: sj.from, To: streams[i], Policy: key},
-			mpc.Send{From: streams[i] + ":keys", To: streams[i] + ":k", Policy: key})
+		if !sj.targetPlaced {
+			sends = append(sends, mpc.Send{From: sj.from, To: streams[i], Policy: key})
+		}
+		switch {
+		case sj.carry:
+			carried[i] = fmt.Sprintf("%s:%s^%s", name, rn, tn)
+			sends = append(sends, mpc.Send{From: rn, To: carried[i], Policy: key})
+		case !sj.reducerPlaced:
+			sends = append(sends, mpc.Send{From: streams[i] + ":keys", To: streams[i] + ":k", Policy: key})
+		}
 	}
 	sends = append(sends, extra...)
 	c.LocalStep(func(srv *mpc.Server) {
 		for i, sj := range sjs {
-			projectKeys(srv, q.Atoms[sj.reducer].Name, streams[i]+":keys", sj.shared)
+			if !sj.carry {
+				projectKeys(srv, q.Atoms[sj.reducer].Name, streams[i]+":keys", sj.shared)
+			}
 		}
 	})
-	c.Shuffle(name, sends...)
+	if len(sends) > 0 {
+		c.Shuffle(name, sends...)
+	}
 	c.LocalStep(func(srv *mpc.Server) {
 		for i, sj := range sjs {
-			tf := srv.RelOrEmpty(streams[i], q.Atoms[sj.target].Vars...)
-			kf := srv.RelOrEmpty(streams[i]+":k", sj.shared...)
-			srv.Put(relation.Semijoin(sj.out, tf.Rename("t"), kf.Rename("k")))
-			for _, tmp := range []string{streams[i], streams[i] + ":k", streams[i] + ":keys"} {
+			from := streams[i]
+			if sj.targetPlaced {
+				from = sj.from
+			}
+			tf := srv.RelOrEmpty(from, q.Atoms[sj.target].Vars...)
+			var rf *relation.Relation
+			switch {
+			case sj.carry:
+				rf = srv.RelOrEmpty(carried[i], q.Atoms[sj.reducer].Vars...).Rename(q.Atoms[sj.reducer].Name)
+				srv.Put(rf)
+			case sj.reducerPlaced:
+				rf = srv.RelOrEmpty(streams[i]+":keys", sj.shared...)
+			default:
+				rf = srv.RelOrEmpty(streams[i]+":k", sj.shared...)
+			}
+			srv.Put(relation.Semijoin(sj.out, tf.Rename("t"), rf.Rename("k")))
+			for _, tmp := range []string{streams[i], streams[i] + ":k", streams[i] + ":keys", carried[i]} {
 				srv.Delete(tmp)
 			}
 		}
 	})
+	if len(sends) == 0 {
+		return 0
+	}
+	return 1
 }
 
 // IterativeBinaryJoin is the multi-round baseline (slide 57/63): join

@@ -1,6 +1,8 @@
 package yannakakis
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"mpcquery/internal/cost"
@@ -57,7 +59,8 @@ func TestGYMDiff(t *testing.T) {
 
 // TestGYMOptimizedDiff: the depth-optimized variant. Every non-leaf
 // level contributes one upward round, or two when a parent there has two
-// or more children, and one downward round; the join phase is a single
+// or more children, and one downward round unless every child there
+// already lies co-located with its parent; the join phase is a single
 // HyperCube round.
 func TestGYMOptimizedDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
@@ -70,18 +73,62 @@ func TestGYMOptimizedDiff(t *testing.T) {
 
 // levelFormula is gym-opt's round count written out from the tree: Σ
 // over non-leaf levels of (1, or 2 if a parent there has ≥ 2 children),
-// plus (d − 1) downward rounds for d levels, plus 1 join round.
+// plus one downward round per non-leaf level with a child not
+// co-located with its parent, plus 1 join round. It follows each
+// atom's placement as the set of variables it is hashed on ("" for the
+// scattered input), which is exact where shared keys are single
+// variables, as in diffQueries:
+//
+//   - upward, a child of a parent with ≤ 2 children moves to its parent's
+//     shared variables; a parent with ≤ 2 children ends on its last
+//     child's, a parent with ≥ 3 on all of its variables;
+//   - downward, root level first, a child not on its parent's shared
+//     variables moves there; the level needs a round unless every child
+//     sat there already and so did its parent.
 func levelFormula(jt *hypergraph.JoinTree) int {
+	q := jt.Query
+	shared := func(a, b int) string {
+		var vs []string
+		for _, v := range q.Atoms[a].Vars {
+			if q.Atoms[b].HasVar(v) {
+				vs = append(vs, v)
+			}
+		}
+		sort.Strings(vs)
+		return strings.Join(vs, ",")
+	}
+	on := make([]string, len(q.Atoms))
+	for i, chs := range jt.Children {
+		switch {
+		case len(chs) >= 3:
+			vs := append([]string(nil), q.Atoms[i].Vars...)
+			sort.Strings(vs)
+			on[i] = strings.Join(vs, ",")
+		case len(chs) > 0:
+			on[i] = shared(i, chs[len(chs)-1])
+		}
+	}
+	for i, p := range jt.Parent {
+		if p >= 0 && len(jt.Children[p]) <= 2 {
+			on[i] = shared(p, i)
+		}
+	}
 	levels := jt.Levels()
-	r := len(levels) // (d − 1) downward rounds + 1 join round
+	r := 1 // the join round
 	for _, level := range levels[:len(levels)-1] {
-		up := 1
+		up, down := 1, 0
 		for _, i := range level {
 			if len(jt.Children[i]) >= 2 {
 				up = 2
 			}
+			for _, ch := range jt.Children[i] {
+				if on[ch] != shared(i, ch) || on[i] != on[ch] {
+					down = 1
+				}
+				on[ch] = shared(i, ch)
+			}
 		}
-		r += up
+		r += up + down
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package yannakakis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -245,6 +246,92 @@ func TestGYMOptimizedShipsParentOncePerRound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGYMOptimizedCarriedChildStays reads the round ledger. A child of
+// a parent with k ≤ 2 children is received whole in exactly one upward
+// round, on each server exactly its rows that hash there on the
+// variables it shares with the parent, and is shipped again in no
+// downward round, which sends it at most its parent's keys. A level
+// whose children all lie with their parent runs no downward round.
+func TestGYMOptimizedCarriedChildStays(t *testing.T) {
+	// Downward rounds per shape, by hand from each join tree: a level
+	// needs one unless every child there lies on the key its parent lies
+	// on. Path(2)'s and Star(2)'s root lies on its one child's key, and
+	// Star(3)'s on its second child's, which is the first child's too.
+	downRounds := map[string]int{"path2": 0, "path3": 1, "path4": 2, "path5": 2, "star2": 0, "star3": 0, "star4": 1, "slidetree": 2}
+	for _, q := range gymOptShapes() {
+		c, jt, rels := runGYMOpt(t, q)
+		stats := c.Metrics().RoundStats()
+		down := 0
+		for _, rs := range stats {
+			if strings.HasPrefix(rs.Name, "gymopt:down") {
+				down++
+			}
+		}
+		if down != downRounds[q.Name] {
+			t.Errorf("%s: %d downward rounds, want %d", q.Name, down, downRounds[q.Name])
+		}
+		reduced := upwardReduced(jt, rels)
+		for ch, p := range jt.Parent {
+			if p < 0 || len(jt.Children[p]) > 2 {
+				continue
+			}
+			cn, pn := q.Atoms[ch].Name, q.Atoms[p].Name
+			if reduced[ch].Len() == 0 {
+				t.Fatalf("%s: the inputs reduce %s to nothing", q.Name, cn)
+			}
+			key := sharedOf(q.Atoms[p].Vars, q.Atoms[ch].Vars)
+			want := make([]int64, c.P())
+			cols := reduced[ch].MustCols(key)
+			for i := 0; i < reduced[ch].Len(); i++ {
+				want[mpc.Owner(reduced[ch].Row(i), cols, mpc.HashSeed(42, key...), c.P())]++
+			}
+			carried := 0
+			for _, rs := range stats {
+				up := strings.HasPrefix(rs.Name, "gymopt:up")
+				got := make([]int64, c.P())
+				for _, s := range rs.StreamRecvs {
+					switch {
+					case s.Stream == rs.Name+":"+cn+"^"+pn:
+						got[s.Server] += s.Tuples
+					case !up && strings.HasPrefix(s.Stream, rs.Name+":"+cn+"|") && !strings.HasSuffix(s.Stream, ":k"):
+						t.Errorf("%s: round %s ships carried child %s again on %s", q.Name, rs.Name, cn, s.Stream)
+					}
+				}
+				if !slices.ContainsFunc(got, func(n int64) bool { return n > 0 }) {
+					continue
+				}
+				carried++
+				if !up || !slices.Equal(got, want) {
+					t.Errorf("%s: round %s receives %s carried to %s as %v per server, want %v in an upward round", q.Name, rs.Name, cn, pn, got, want)
+				}
+			}
+			if carried != 1 {
+				t.Errorf("%s: %s carried to %s in %d rounds, want 1", q.Name, cn, pn, carried)
+			}
+		}
+	}
+}
+
+// upwardReduced returns each atom of jt as the upward semijoin pass
+// leaves it: reduced by each of its children in turn, and deduplicated
+// when there are three or more, as the intersection of their keyed
+// copies leaves it.
+func upwardReduced(jt *hypergraph.JoinTree, rels map[string]*relation.Relation) []*relation.Relation {
+	q := jt.Query
+	bound := cost.BindAtoms(q, rels)
+	cur := make([]*relation.Relation, len(q.Atoms))
+	for _, i := range jt.PostOrder() {
+		cur[i] = bound[q.Atoms[i].Name]
+		for _, ch := range jt.Children[i] {
+			cur[i] = relation.Semijoin(q.Atoms[i].Name, cur[i], cur[ch])
+		}
+		if len(jt.Children[i]) >= 3 {
+			cur[i].Dedup()
+		}
+	}
+	return cur
 }
 
 func TestIterativeBinaryJoinCorrect(t *testing.T) {
