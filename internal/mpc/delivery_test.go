@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -131,23 +133,26 @@ func TestDeliverValidatesAttrNames(t *testing.T) {
 	})
 }
 
-// TestBufferPoolReuseAcrossRounds pins the pooling contract: the same
-// stream object (and its per-destination slabs) is recycled across
-// consecutive rounds instead of being reallocated, and reuse is
-// invisible to delivered results.
+// TestBufferPoolReuseAcrossRounds pins the pooling contract: a round's
+// stream objects (and their per-destination slabs) are parked after
+// delivery and taken over by the next round's streams, whatever those
+// are named, instead of being reallocated, and reuse is invisible to
+// delivered results.
 func TestBufferPoolReuseAcrossRounds(t *testing.T) {
 	c := NewCluster(4, 1)
-	send := func(s *Server, out *Out) {
-		st := out.Open("A", "x")
-		for i := 0; i < 100; i++ {
-			st.Send(i%s.P(), relation.Value(i))
+	send := func(name string) func(s *Server, out *Out) {
+		return func(s *Server, out *Out) {
+			st := out.Open(name, "x")
+			for i := 0; i < 100; i++ {
+				st.Send(i%s.P(), relation.Value(i))
+			}
 		}
 	}
-	c.Round("r1", send)
-	st1 := c.outs[0].spare["A"]
-	if st1 == nil {
-		t.Fatal("stream not parked in spare pool after round")
+	c.Round("r1", send("A"))
+	if len(c.outs[0].spare) != 1 {
+		t.Fatalf("%d streams parked after a one-stream round, want 1", len(c.outs[0].spare))
 	}
+	st1 := c.outs[0].spare[0]
 	cap1 := cap(st1.perDst[0])
 	if cap1 == 0 {
 		t.Fatal("parked stream lost its slab capacity")
@@ -155,25 +160,100 @@ func TestBufferPoolReuseAcrossRounds(t *testing.T) {
 	if len(st1.perDst[0]) != 0 || st1.counts[0] != 0 {
 		t.Fatal("parked stream not reset")
 	}
-	c.Round("r2", send)
-	st2 := c.outs[0].spare["A"]
+	c.Round("r2", send("B"))
+	if len(c.outs[0].spare) != 1 {
+		t.Fatalf("%d streams parked after two one-stream rounds, want 1", len(c.outs[0].spare))
+	}
+	st2 := c.outs[0].spare[0]
 	if st1 != st2 {
-		t.Fatal("stream was reallocated instead of reused")
+		t.Fatal("a stream under a new name was reallocated instead of taking the parked one")
+	}
+	if st2.name != "B" {
+		t.Fatalf("reused stream is named %q, want B", st2.name)
 	}
 	if cap(st2.perDst[0]) < cap1 {
 		t.Fatal("slab capacity shrank across rounds")
 	}
-	if got := c.TotalLen("A"); got != 800 {
-		t.Fatalf("total after 2 rounds = %d, want 800", got)
+	if a, b := c.TotalLen("A"), c.TotalLen("B"); a != 400 || b != 400 {
+		t.Fatalf("delivered A=%d B=%d tuples, want 400 each", a, b)
 	}
-	// Reuse under a different schema for the same stream name.
-	c.DeleteAll("A")
+	// Reuse under a different schema, and a second stream beside it:
+	// the first opened takes the parked stream, the second is new.
 	c.Round("r3", func(s *Server, out *Out) {
-		out.Open("A", "u", "v").Send(0, 1, 2)
+		out.Open("C", "u", "v").Send(0, 1, 2)
+		out.Open("D", "w").Send(1, 3)
 	})
-	got := c.Server(0).Rel("A")
-	if got.Arity() != 2 || got.Len() != 4 {
+	if got := c.Server(0).Rel("C"); got.Arity() != 2 || got.Len() != 4 {
 		t.Fatalf("schema-changed reuse delivered %v", got)
+	}
+	if got := c.Server(1).Rel("D"); got.Arity() != 1 || got.Len() != 4 {
+		t.Fatalf("second stream delivered %v", got)
+	}
+	if spare := c.outs[0].spare; len(spare) != 2 || spare[1] != st1 {
+		t.Fatal("the round's first stream did not take the parked one")
+	}
+}
+
+// mallocs returns how many heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// TestShuffleOntoFreshNameAllocatesAsOldName pins slab reuse across
+// stream names: once a round has grown the slabs, a shuffle of equal
+// volume onto a name no round used before allocates exactly what one
+// onto the warm-up round's name does. Each shuffle lands in a fresh
+// receiver and a fresh ledger, so only the send side can differ; the
+// least of three runs drops a goroutine the runtime had to make.
+func TestShuffleOntoFreshNameAllocatesAsOldName(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := NewCluster(4, 1)
+	frag := relation.New("F", "x", "y")
+	for i := 0; i < 400; i++ {
+		frag.Append(relation.Value(i), relation.Value(i%13))
+	}
+	c.ScatterRoundRobin(frag)
+	shuffle := func(to string) uint64 {
+		c.ResetMetrics()
+		n := mallocs(func() { c.Shuffle("s", Send{From: "F", To: to, Policy: Hash(7, "x")}) })
+		c.DeleteAll(to)
+		return n
+	}
+	shuffle("A")
+	old := min(shuffle("A"), shuffle("A"), shuffle("A"))
+	fresh := min(shuffle("B1"), shuffle("B2"), shuffle("B3"))
+	t.Logf("allocations per shuffle: %d onto the old name, %d onto a fresh one", old, fresh)
+	if fresh != old {
+		t.Fatalf("a shuffle onto a fresh name allocates %d times, onto the old name %d", fresh, old)
+	}
+}
+
+// TestHashSendOnWarmOutAllocatesNothing pins the hash send's scratch:
+// per-row owners and per-destination counts live in the Out, and Open
+// hands back the parked stream's handle, so on a warm Out sending a
+// fragment under a hash policy allocates nothing, one fragment or four.
+func TestHashSendOnWarmOutAllocatesNothing(t *testing.T) {
+	o := &Out{p: 8, streams: map[string]*stream{}}
+	frag := relation.New("F", "x", "y")
+	for i := 0; i < 500; i++ {
+		frag.Append(relation.Value(i), relation.Value(i*3))
+	}
+	pl := Hash(7, "x")
+	send := func(frags int) func() {
+		return func() {
+			for i := 0; i < frags; i++ {
+				pl.send(o, "A", frag)
+			}
+			o.reset()
+		}
+	}
+	send(4)()
+	if one, four := testing.AllocsPerRun(10, send(1)), testing.AllocsPerRun(10, send(4)); one != 0 || four != 0 {
+		t.Fatalf("hash sends on a warm Out allocate %v times for one fragment, %v for four; want 0", one, four)
 	}
 }
 

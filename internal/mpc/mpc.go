@@ -36,7 +36,8 @@
 //     source server, then stream creation order, then send order, so
 //     simulations are bit-for-bit reproducible;
 //  3. round buffers are pooled — Out/stream slabs are reused across
-//     rounds, so steady-state rounds allocate almost nothing.
+//     rounds, whatever the next round names its streams, so
+//     steady-state rounds allocate almost nothing.
 package mpc
 
 import (
@@ -221,21 +222,26 @@ type stream struct {
 	attrs  []string
 	perDst [][]relation.Value // perDst[dst] = flat rows
 	counts []int64            // counts[dst] = tuples sent to dst
+	handle Stream             // what Open returns, made once with the stream
 }
 
 // Out buffers the messages one server emits during a round. It is not
 // safe for concurrent use; each server gets its own. Outs are pooled by
 // the cluster: after delivery each stream's slabs are truncated
-// (capacity retained) and parked in spare for the next round.
+// (capacity retained) and parked in spare, and the next round's streams
+// take them over in creation order, whatever their names. Rounds that
+// name their streams afresh (GYM's per-level streams, the aggregate's)
+// thus reuse the slabs of the round before.
 type Out struct {
 	p       int
 	streams map[string]*stream
-	order   []string           // stream creation order for deterministic delivery
-	spare   map[string]*stream // reset streams from prior rounds, by name
-	// bases, counts and mark are the grid loop's scratch (policy.go),
-	// kept for the next fragment: counts[:p] counts each destination's
-	// rows, counts[p:] holds the mark of the last row sent to each
-	// server, and mark is the last mark handed out.
+	order   []string  // stream creation order for deterministic delivery
+	spare   []*stream // reset streams from prior rounds; the last is taken first
+	// bases, counts and mark are the bulk sends' scratch, kept for the
+	// next fragment: bases holds one entry per row (the grid loop's base
+	// cell, SendByHash's owner), counts[:p] counts each destination's
+	// rows, counts[p:] holds the mark of the last row the grid loop sent
+	// to each server, and mark is the last mark handed out.
 	bases  []int32
 	counts []int
 	mark   int
@@ -250,19 +256,29 @@ func (o *Out) seen() []int {
 	return o.counts[o.p:]
 }
 
-// reset parks every open stream for reuse. Called by the cluster after
-// delivery; the compute goroutine that wrote the Out has exited.
+// scratch returns a bulk send's per-row entries for a fragment of n
+// rows and its per-destination counts, zeroed.
+func (o *Out) scratch(n int) (rows []int32, counts []int) {
+	o.seen() // sizes o.counts
+	o.bases = slices.Grow(o.bases[:0], n)[:n]
+	counts = o.counts[:o.p]
+	clear(counts)
+	return o.bases, counts
+}
+
+// reset parks every open stream for reuse, the last opened deepest, so
+// the next round's first stream takes this round's first stream's
+// slabs. Called by the cluster after delivery; the compute goroutine
+// that wrote the Out has exited.
 func (o *Out) reset() {
-	for name, st := range o.streams {
+	for i := len(o.order) - 1; i >= 0; i-- {
+		st := o.streams[o.order[i]]
 		for d := range st.perDst {
 			st.perDst[d] = st.perDst[d][:0]
 			st.counts[d] = 0
 		}
-		if o.spare == nil {
-			o.spare = map[string]*stream{}
-		}
-		o.spare[name] = st
-		delete(o.streams, name)
+		o.spare = append(o.spare, st)
+		delete(o.streams, o.order[i])
 	}
 	o.order = o.order[:0]
 }
@@ -293,7 +309,7 @@ func (o *Out) Open(name string, attrs ...string) *Stream {
 					name, a, i, st.attrs[i]))
 			}
 		}
-		return &Stream{out: o, st: st}
+		return &st.handle
 	}
 	for i, a := range attrs {
 		for _, b := range attrs[:i] {
@@ -302,14 +318,16 @@ func (o *Out) Open(name string, attrs ...string) *Stream {
 			}
 		}
 	}
-	if st, ok := o.spare[name]; ok {
-		// Reuse the parked stream's slabs; the schema is whatever this
-		// round declares.
-		delete(o.spare, name)
+	if n := len(o.spare); n > 0 {
+		// Reuse a parked stream's slabs; the name and schema are
+		// whatever this round declares.
+		st := o.spare[n-1]
+		o.spare = o.spare[:n-1]
+		st.name = name
 		st.attrs = append(st.attrs[:0], attrs...)
 		o.streams[name] = st
 		o.order = append(o.order, name)
-		return &Stream{out: o, st: st}
+		return &st.handle
 	}
 	st := &stream{
 		name:   name,
@@ -317,9 +335,10 @@ func (o *Out) Open(name string, attrs ...string) *Stream {
 		perDst: make([][]relation.Value, o.p),
 		counts: make([]int64, o.p),
 	}
+	st.handle = Stream{out: o, st: st}
 	o.streams[name] = st
 	o.order = append(o.order, name)
-	return &Stream{out: o, st: st}
+	return &st.handle
 }
 
 // Send routes one tuple to server dst.
@@ -361,7 +380,8 @@ func (s *Stream) SendByHash(frag *relation.Relation, cols []int, seed uint64) {
 	if frag.Len() == 0 {
 		return
 	}
-	dsts, counts := hashPartition(frag, cols, seed, s.out.p)
+	dsts, counts := s.out.scratch(frag.Len())
+	hashPartition(frag, cols, seed, dsts, counts)
 	for d, n := range counts {
 		s.reserve(d, n)
 	}
@@ -428,18 +448,17 @@ func Owner(row []relation.Value, cols []int, seed uint64, p int) int {
 }
 
 // hashPartition is the partition function of the whole system: it
-// assigns each row of rel its Owner among p servers under (cols, seed)
-// and counts the rows per owner. Scatter and in-round routing both go
-// through it; that they agree is what makes co-location hold.
-func hashPartition(rel *relation.Relation, cols []int, seed uint64, p int) (dsts []int32, counts []int) {
-	dsts = make([]int32, rel.Len())
-	counts = make([]int, p)
+// writes into dsts (one entry per row of rel) each row's Owner among
+// len(counts) servers under (cols, seed), and adds one to counts for
+// each row an owner gets. Scatter and in-round routing both go through
+// it; that they agree is what makes co-location hold.
+func hashPartition(rel *relation.Relation, cols []int, seed uint64, dsts []int32, counts []int) {
+	p := len(counts)
 	for i := range dsts {
 		d := Owner(rel.Row(i), cols, seed, p)
 		dsts[i] = int32(d)
 		counts[d]++
 	}
-	return dsts, counts
 }
 
 // roundOuts returns the cluster's pooled per-server round buffers,
@@ -448,7 +467,7 @@ func (c *Cluster) roundOuts() []*Out {
 	if c.outs == nil {
 		c.outs = make([]*Out, c.p)
 		for i := range c.outs {
-			c.outs[i] = &Out{p: c.p, streams: map[string]*stream{}, spare: map[string]*stream{}}
+			c.outs[i] = &Out{p: c.p, streams: map[string]*stream{}}
 		}
 	}
 	return c.outs
@@ -592,7 +611,8 @@ func (c *Cluster) ScatterRoundRobin(rel *relation.Relation) {
 // ScatterByHash distributes rel's tuples by hashing the named attributes
 // with the given seed. Like all scatters, it is free (initial placement).
 func (c *Cluster) ScatterByHash(rel *relation.Relation, attrs []string, seed uint64) {
-	dsts, counts := hashPartition(rel, rel.MustCols(attrs), seed, c.p)
+	dsts, counts := make([]int32, rel.Len()), make([]int, c.p)
+	hashPartition(rel, rel.MustCols(attrs), seed, dsts, counts)
 	frags := c.putFragments(rel, counts)
 	for i, d := range dsts {
 		frags[d].AppendRow(rel.Row(i))

@@ -161,7 +161,12 @@ func (pl Policy) send(out *Out, to string, frag *relation.Relation) {
 	attrs := frag.Attrs()
 	switch {
 	case pl.kind == hashPolicy:
-		out.Open(to, attrs...).SendByHash(frag, frag.MustCols(pl.vars), pl.seed)
+		var buf [8]int // the columns stay on the stack: a warm hash send allocates nothing
+		cols := buf[:0]
+		for _, v := range pl.vars {
+			cols = append(cols, frag.MustCol(v))
+		}
+		out.Open(to, attrs...).SendByHash(frag, cols, pl.seed)
 	case pl.kind == broadcastPolicy:
 		out.Open(to, attrs...).BroadcastAll(frag)
 	case pl.kind == gridPolicy:
@@ -199,11 +204,8 @@ func (g *grid) base(row []relation.Value) int {
 // seen table with a number no earlier row used.
 func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uint64) {
 	out := st.out
-	n := frag.Len()
-	bases := slices.Grow(out.bases[:0], n)[:n]
+	bases, counts := out.scratch(frag.Len())
 	seen := out.seen()
-	counts := out.counts[:out.p]
-	clear(counts)
 	for i := range bases {
 		if bits != nil && bits[i] != want {
 			bases[i] = -1
@@ -235,5 +237,4 @@ func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uin
 			}
 		}
 	}
-	out.bases = bases
 }

@@ -35,9 +35,13 @@
 // key. Extend drops a duplicate candidate as it is produced, through a
 // row set over a candidate buffer reused every iteration; absorb
 // appends each new candidate to the accumulator through the
-// accumulator's row set, and the next delta is exactly the rows it
-// appended. The incremental view keeps row sets over its edge,
-// closure and over-delete fragments the same way.
+// accumulator's row set, and the next delta is the rows it appended:
+// a read-only view of the accumulator's storage, not a copy. The
+// accumulator is reserved once per iteration and at least doubles when
+// it grows, and the candidate receiver is emptied rather than deleted,
+// so each iteration lands into storage the last one grew. The
+// incremental view keeps row sets over its edge, closure and
+// over-delete fragments the same way.
 //
 // Determinism: every emission walks relations in scan order and a row
 // set only answers membership, so fragments hold their rows in
@@ -146,6 +150,7 @@ func (f *fixpoint) run() (int, error) {
 	f.cands = make([]*relation.Relation, c.P())
 	f.candSets = make([]rowSet, c.P())
 	candName, probeCols := f.label+":cand", []int{f.probeCol}
+	defer c.DeleteAll(candName)
 	// Defensive cap: each iteration either adds an output tuple or
 	// improves a label, both bounded far below this. Hitting the cap
 	// means a kernel bug, not a slow input.
@@ -192,7 +197,9 @@ func (f *fixpoint) run() (int, error) {
 		c.LocalStep(func(s *mpc.Server) {
 			cands := s.RelOrEmpty(candName, f.attrs...)
 			s.Put(f.absorb(s, cands))
-			s.Delete(candName)
+			// Emptied, not deleted: the next extend round lands its
+			// candidates into the storage this one grew.
+			cands.Reset()
 		})
 	}
 	trace.Annotatef(c, "%s converged after %d iterations", f.label, iters)

@@ -142,8 +142,14 @@ func (x indexed) at(s *mpc.Server, attrs []string) (*relation.Relation, *rowSet)
 
 // absorbNew appends to acc, indexed by set, every row of cands that keep
 // admits (nil admits all) and acc does not hold yet, and returns the
-// appended rows, copied at their exact size, as the relation deltaName.
+// appended rows as the relation deltaName: a read-only view of acc's
+// storage (relation.Tail), which later appends to acc leave alone. acc
+// is reserved once, for every candidate, and at least doubles when it
+// grows, so a fixpoint reallocates it a logarithmic number of times.
 func absorbNew(acc *relation.Relation, set *rowSet, cands *relation.Relation, keep func([]relation.Value) bool, deltaName string) *relation.Relation {
+	if need, room := cands.Words(), acc.Cap()-acc.Words(); need > room {
+		acc.Grow(max(need, acc.Cap()+room))
+	}
 	start := acc.Len()
 	for i := 0; i < cands.Len(); i++ {
 		row := cands.Row(i)
@@ -151,7 +157,5 @@ func absorbNew(acc *relation.Relation, set *rowSet, cands *relation.Relation, ke
 			set.add(acc, row)
 		}
 	}
-	next := relation.New(deltaName, acc.Attrs()...)
-	next.AppendFlat(acc.Flat()[start*acc.Arity():], acc.Len()-start)
-	return next
+	return acc.Tail(deltaName, start)
 }

@@ -41,7 +41,7 @@ func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr,
 
 	a := getArena()
 	defer putArena(a)
-	hashes := arenaU64(&a.hashes, n)
+	hashes := a.u64.take(n)
 	for i := 0; i < n; i++ {
 		hashes[i] = kernelRowHash(r.Row(i), gcols, kernelSeed)
 	}
@@ -50,10 +50,12 @@ func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr,
 	ordRows, ordHash, pcnt := partitionScatter(a, hashes, nparts, shift)
 
 	pOff, pMask, total := sizeRegions(a, pcnt)
-	slots := arenaGSlots(&a.gslots, total)
-	keys := a.keys[:0]
-	aggs := a.aggs[:0]
-	cnts := a.cnts[:0]
+	slots := a.gslots.takeZero(total)
+	// At most one group per row, so the group arrays never outgrow
+	// their slices.
+	keys := a.vals.take(n * k)[:0]
+	aggs := a.vals.take(n)[:0]
+	cnts := a.vals.take(n)[:0]
 
 	update := func(row []Value, h uint64) {
 		p := h >> shift
@@ -118,8 +120,6 @@ func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr,
 			update(r.Row(int(row)), ordHash[i])
 		}
 	}
-	a.keys, a.aggs, a.cnts = keys, aggs, cnts
-
 	// Bulk emit into exactly presized storage, then sort the rows by
 	// group key — numeric comparison, not encoded bytes — with the row
 	// sort. Keys are distinct, so the order is total.

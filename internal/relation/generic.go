@@ -72,7 +72,7 @@ func GenericJoin(name string, varOrder []string, rels ...*Relation) *Relation {
 
 	// vals holds every input's sorted columns back to back, then one
 	// row-major staging area the widest input fits in.
-	vals := arenaI64(&t.vals, words+widest)
+	vals := a.vals.take(words + widest)
 	stage := vals[words:]
 	for i, r := range rels {
 		n, k := r.Len(), r.Arity()
@@ -104,7 +104,7 @@ func GenericJoin(name string, varOrder []string, rels ...*Relation) *Relation {
 		out.nrows = 1 // every input is a true nullary atom: the empty binding
 		return out
 	}
-	t.binding = arenaI64(&t.binding, len(varOrder))
+	t.binding = a.vals.take(len(varOrder))
 	t.out = nil
 	t.bind(0)
 	out.data, t.out = t.out, nil
@@ -139,32 +139,35 @@ type runSlot struct {
 // trieScratch is GenericJoin's share of the kernelArena: the binding
 // order (order[d] is the varOrder position bound at depth d), the levels
 // in depth order — levels[depthAt[d]:probeAt[d]] are leapfrogged at
-// depth d and levels[probeAt[d]:depthAt[d+1]] probed — the probed
-// levels' indexes, the storage their columns point into, the current
+// depth d and levels[probeAt[d]:depthAt[d+1]] probed — the current
 // binding (in varOrder positions) and the output rows being collected.
+// All but the output are taken from a's backings, as are the probed
+// levels' indexes and the storage the columns point into.
 type trieScratch struct {
 	order   []int
 	levels  []trieLevel
 	depthAt []int
 	probeAt []int
-	tail    []int
-	slots   []runSlot
-	vals    []Value
 	binding []Value
 	out     []Value
+	a       *kernelArena
 }
 
 // plan picks the binding order and lays out the levels of every depth,
 // narrowed levels first, linking each relation's levels through next.
 // It reports false when some variable is in no input.
 func (t *trieScratch) plan(varOrder []string, rels []*Relation) bool {
-	t.order, t.levels = t.order[:0], t.levels[:0]
-	t.depthAt, t.probeAt = t.depthAt[:0], t.probeAt[:0]
-	tail := t.tail[:0] // each relation's deepest level so far, or -1
-	for range rels {
-		tail = append(tail, -1)
+	levels := 0
+	for _, r := range rels {
+		levels += r.Arity()
 	}
-	t.tail = tail
+	ints := &t.a.ints
+	t.order, t.levels = ints.take(len(varOrder))[:0], t.a.levels.take(levels)[:0]
+	t.depthAt, t.probeAt = ints.take(len(varOrder) + 1)[:0], ints.take(len(varOrder))[:0]
+	tail := ints.take(len(rels)) // each relation's deepest level so far, or -1
+	for i := range tail {
+		tail[i] = -1
+	}
 	for range varOrder {
 		best, bestNarrowed, bestIn := -1, -1, -1
 		for vi, v := range varOrder {
@@ -236,11 +239,7 @@ func (t *trieScratch) buildIndexes() {
 	if total == 0 {
 		return
 	}
-	if cap(t.slots) < total {
-		t.slots = make([]runSlot, total)
-	}
-	slots := t.slots[:total]
-	clear(slots)
+	slots := t.a.runs.takeZero(total)
 	for d := range t.order {
 		for li := t.probeAt[d]; li < t.depthAt[d+1]; li++ {
 			l := &t.levels[li]

@@ -40,8 +40,8 @@ func HashJoin(name string, r, s *Relation) *Relation {
 	// storage with no re-probing and no append growth.
 	n := probe.Len()
 	checkRowCount("HashJoin probe", n)
-	refs := arenaRefs(&a.refs, n)
-	phash := arenaU64(&a.hashes, n)
+	refs := a.refs.take(n)
+	phash := a.u64.take(n)
 	for i := 0; i < n; i++ {
 		phash[i] = kernelRowHash(probe.Row(i), probeCols, kernelSeed)
 	}

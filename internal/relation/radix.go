@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Radix-partitioned open-addressing hash kernels. Every local operator
@@ -108,86 +109,135 @@ func nextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// kernelArena holds the reusable scratch of one kernel invocation. One
-// arena is checked out of a pool per operator call and returned when
-// the operator's output has been emitted, so the backing arrays are
-// reused across rounds instead of reallocated. An Index returned to a
-// caller (BuildIndex) owns a private arena that is simply dropped with
-// the Index, never repooled.
+// kernelArena holds the scratch of one kernel invocation, in one
+// bump-allocated backing per element type: a call takes consecutive
+// slices off each backing and putArena rewinds them all, so the next
+// call reuses the same memory. A take that does not fit replaces the
+// backing with one at least twice its size and large enough for all the
+// call has taken; the slices already handed out stay valid. One arena
+// is checked out of a pool per operator call and returned when the
+// operator's output has been emitted. An Index returned to a caller
+// (BuildIndex) owns a private arena that is simply dropped with the
+// Index, never repooled.
+//
+// The pool drops arenas at garbage collection. A fresh pooled arena
+// sizes each backing to the largest total a recent call took of that
+// type (arenaHints), so refilling the pool costs one allocation per
+// typed backing, not one per buffer and growth step: allocation counts
+// then hardly depend on when the collector runs.
 type kernelArena struct {
-	hashes  []uint64 // per-row key hash
-	ordHash []uint64 // hashes in partition-scatter order
-	ordRows []int32  // row ids in partition-scatter order
-	next    []int32  // chain links: next row with the same key
-	pcnt    []int32  // rows per partition
-	pcur    []int32  // scatter/emit cursors per partition
-	refs    []groupRef
-	slots   []idxSlot
-	rows    []int32 // row ids grouped by key
-	gslots  []groupSlot
-	pOff    []int    // per-partition slot-region offsets
-	pMask   []uint64 // per-partition slot-index masks
-	keys    []Value  // flat group-key storage, arity per group
-	aggs    []Value  // per-group aggregate accumulator
-	cnts    []int64  // per-group row count
-	sortTmp []Value  // sortRows' second row buffer
+	u64    bump[uint64]    // key hashes, partition masks
+	i32    bump[int32]     // row ids, chain links, partition counters
+	vals   bump[Value]     // group keys and aggregates, sort buffers, trie columns
+	ints   bump[int]       // region offsets, the trie's plan
+	refs   bump[groupRef]  // HashJoin's probe matches
+	slots  bump[idxSlot]   // rowIndex tables
+	gslots bump[groupSlot] // GroupBy tables
+	runs   bump[runSlot]   // the trie's probed-level indexes
+	levels bump[trieLevel] // the trie's level table
 
-	trie trieScratch // GenericJoin's sorted columns, levels and binding
+	trie trieScratch // GenericJoin's plan and cursors, taken from the backings above
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(kernelArena) }}
+// arenaBackings is the number of typed backings of a kernelArena.
+const arenaBackings = 9
 
-func getArena() *kernelArena  { return arenaPool.Get().(*kernelArena) }
-func putArena(a *kernelArena) { arenaPool.Put(a) }
+// arenaHints holds, per typed backing, the largest total a pooled call
+// has taken, less an eighth for each fresh arena since: a fresh arena's
+// backings start at these sizes, and the decay lets a one-off large
+// call (a driver-side sort of a whole relation) stop sizing arenas
+// after a few refills. They are sizes, not memory: nothing is retained
+// across the pool's collection.
+var arenaHints [arenaBackings]atomic.Int64
 
-func arenaU64(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
+var arenaPool = sync.Pool{New: func() any {
+	a := new(kernelArena)
+	for i, b := range a.backings() {
+		h := &arenaHints[i]
+		size := h.Load()
+		h.CompareAndSwap(size, size-size/8)
+		b.setHint(h, int(size))
 	}
-	*buf = (*buf)[:n]
-	return *buf
+	a.trie.a = a
+	return a
+}}
+
+// backings lists the arena's typed backings, in arenaHints order.
+func (a *kernelArena) backings() [arenaBackings]backing {
+	return [arenaBackings]backing{&a.u64, &a.i32, &a.vals, &a.ints, &a.refs, &a.slots, &a.gslots, &a.runs, &a.levels}
 }
 
-func arenaI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
+func getArena() *kernelArena { return arenaPool.Get().(*kernelArena) }
+
+func putArena(a *kernelArena) {
+	for _, b := range a.backings() {
+		b.rewind()
 	}
-	*buf = (*buf)[:n]
-	return *buf
+	arenaPool.Put(a)
 }
 
-func arenaI64(buf *[]int64, n int) []int64 {
-	if cap(*buf) < n {
-		*buf = make([]int64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
+// backing is the type-independent side of a bump: what putArena and
+// the pool need.
+type backing interface {
+	setHint(h *atomic.Int64, first int)
+	rewind()
 }
 
-func arenaRefs(buf *[]groupRef, n int) []groupRef {
-	if cap(*buf) < n {
-		*buf = make([]groupRef, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
+// bump is one typed backing of an arena. take hands out consecutive
+// slices of buf; rewind makes all of it free again. used is what the
+// current call holds across every backing it took from, and peak its
+// maximum, which rewind reports to the hint.
+type bump[T any] struct {
+	buf        []T
+	off        int
+	used, peak int
+	first      int           // the hint when the arena was made: no backing is smaller
+	hint       *atomic.Int64 // nil for a private arena
 }
 
-func arenaSlots(buf *[]idxSlot, n int) []idxSlot {
-	if cap(*buf) < n {
-		*buf = make([]idxSlot, n)
+// take returns n elements of the backing, holding whatever an earlier
+// call left there; the capacity is n, so an append never runs into the
+// next slice. A private arena serves one call, so where n does not fit
+// it allocates exactly n; a pooled one grows to fit the whole call.
+func (b *bump[T]) take(n int) []T {
+	if b.off+n > len(b.buf) {
+		size := n
+		if b.hint != nil {
+			size = max(2*len(b.buf), b.used+n, b.first)
+		}
+		b.buf, b.off = make([]T, size), 0
 	}
-	*buf = (*buf)[:n]
-	clear(*buf)
-	return *buf
+	s := b.buf[b.off : b.off+n : b.off+n]
+	b.off += n
+	b.used += n
+	b.peak = max(b.peak, b.used)
+	return s
 }
 
-func arenaGSlots(buf *[]groupSlot, n int) []groupSlot {
-	if cap(*buf) < n {
-		*buf = make([]groupSlot, n)
+// takeZero is take with every element zeroed.
+func (b *bump[T]) takeZero(n int) []T {
+	s := b.take(n)
+	clear(s)
+	return s
+}
+
+// give returns s to the backing when it is the last slice take handed
+// out, so a temporary's room serves the next take of the same call.
+func (b *bump[T]) give(s []T) {
+	if n := len(s); n > 0 && b.off >= n && &b.buf[b.off-n] == &s[0] {
+		b.off -= n
+		b.used -= n
 	}
-	*buf = (*buf)[:n]
-	clear(*buf)
-	return *buf
+}
+
+func (b *bump[T]) setHint(h *atomic.Int64, first int) { b.hint, b.first = h, first }
+
+func (b *bump[T]) rewind() {
+	if b.hint != nil {
+		for h := b.hint.Load(); int64(b.peak) > h && !b.hint.CompareAndSwap(h, int64(b.peak)); h = b.hint.Load() {
+		}
+	}
+	b.off, b.used, b.peak = 0, 0, 0
 }
 
 // idxSlot is one open-addressing slot of a rowIndex. During the insert
@@ -227,8 +277,7 @@ type rowIndex struct {
 // the original relation order.
 func partitionScatter(a *kernelArena, hashes []uint64, nparts int, shift uint) (ordRows []int32, ordHash []uint64, pcnt []int32) {
 	n := len(hashes)
-	pcnt = arenaI32(&a.pcnt, nparts)
-	clear(pcnt)
+	pcnt = a.i32.takeZero(nparts)
 	if nparts == 1 {
 		pcnt[0] = int32(n)
 		return nil, hashes, pcnt
@@ -236,14 +285,14 @@ func partitionScatter(a *kernelArena, hashes []uint64, nparts int, shift uint) (
 	for _, h := range hashes {
 		pcnt[h>>shift]++
 	}
-	cur := arenaI32(&a.pcur, nparts)
+	cur := a.i32.take(nparts)
 	off := int32(0)
 	for p := 0; p < nparts; p++ {
 		cur[p] = off
 		off += pcnt[p]
 	}
-	ordRows = arenaI32(&a.ordRows, n)
-	ordHash = arenaU64(&a.ordHash, n)
+	ordRows = a.i32.take(n)
+	ordHash = a.u64.take(n)
 	for i, h := range hashes {
 		c := cur[h>>shift]
 		ordRows[c] = int32(i)
@@ -260,12 +309,8 @@ func partitionScatter(a *kernelArena, hashes []uint64, nparts int, shift uint) (
 // slot count.
 func sizeRegions(a *kernelArena, pcnt []int32) (pOff []int, pMask []uint64, total int) {
 	nparts := len(pcnt)
-	if cap(a.pOff) < nparts+1 {
-		a.pOff = make([]int, nparts+1)
-		a.pMask = make([]uint64, nparts)
-	}
-	pOff = a.pOff[:nparts+1]
-	pMask = a.pMask[:nparts]
+	pOff = a.ints.take(nparts + 1)
+	pMask = a.u64.take(nparts)
 	for p := 0; p < nparts; p++ {
 		sz := nextPow2(2 * int(pcnt[p]))
 		if sz < 4 {
@@ -287,15 +332,15 @@ func buildRowIndex(ix *rowIndex, rel *Relation, cols []int, a *kernelArena) {
 	nparts := radixParts(n)
 	*ix = rowIndex{rel: rel, cols: cols, shift: uint(64 - bits.TrailingZeros(uint(nparts)))}
 
-	hashes := arenaU64(&a.hashes, n)
+	hashes := a.u64.take(n)
 	for i := 0; i < n; i++ {
 		hashes[i] = kernelRowHash(rel.Row(i), cols, kernelSeed)
 	}
 	ordRows, ordHash, pcnt := partitionScatter(a, hashes, nparts, ix.shift)
 	var total int
 	ix.pOff, ix.pMask, total = sizeRegions(a, pcnt)
-	slots := arenaSlots(&a.slots, total)
-	next := arenaI32(&a.next, n)
+	slots := a.slots.takeZero(total)
+	next := a.i32.take(n)
 
 	insert := func(row int32, h uint64) {
 		p := h >> ix.shift
@@ -332,7 +377,7 @@ func buildRowIndex(ix *rowIndex, rel *Relation, cols []int, a *kernelArena) {
 	// Finalize: flatten the per-slot chains into one grouped row array.
 	// Chains link newest-first, so writing each group back-to-front
 	// restores ascending row order within the group.
-	rows := arenaI32(&a.rows, n)
+	rows := a.i32.take(n)
 	off := int32(0)
 	for si := range slots {
 		s := &slots[si]

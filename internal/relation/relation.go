@@ -12,6 +12,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -84,6 +85,20 @@ func (r *Relation) Rename(name string, attrs ...string) *Relation {
 			panic(fmt.Sprintf("relation %s: rename as %s with arity %d, want %d", r.name, name, len(attrs), len(r.attrs)))
 		}
 		out.attrs = schema(name, attrs)
+	}
+	return &out
+}
+
+// Tail returns r's rows from row from on, named name, as a read-only
+// view: like Rename it copies no tuple, and its capacity ends where its
+// rows do, so an append to either relation never lands in the other's
+// rows. An accumulator hands out what it just appended this way.
+func (r *Relation) Tail(name string, from int) *Relation {
+	out := *r
+	out.name = name
+	out.data = r.data[from*len(r.attrs) : len(r.data) : len(r.data)]
+	if len(r.attrs) == 0 {
+		out.nrows -= from
 	}
 	return &out
 }
@@ -216,7 +231,11 @@ func (r *Relation) MustCols(attrs []string) []int {
 // Clone returns a deep copy of r.
 func (r *Relation) Clone() *Relation {
 	out := *r
-	out.data = append([]Value(nil), r.data...)
+	out.data = nil
+	if len(r.data) > 0 {
+		out.data = make([]Value, len(r.data))
+		copy(out.data, r.data)
+	}
 	return &out
 }
 
@@ -249,7 +268,9 @@ func (r *Relation) Project(name string, attrs ...string) *Relation {
 	return out
 }
 
-// Select returns the tuples satisfying pred.
+// Select returns the tuples satisfying pred. It marks the matches in a
+// bitmap on one pass and copies them on a second, so the output is
+// allocated once, at its exact size: Cap() == Words().
 func (r *Relation) Select(name string, pred func(row []Value) bool) *Relation {
 	out := New(name, r.attrs...)
 	if len(r.attrs) == 0 {
@@ -260,11 +281,23 @@ func (r *Relation) Select(name string, pred func(row []Value) bool) *Relation {
 		}
 		return out
 	}
-	n := r.Len()
+	n, k := r.Len(), len(r.attrs)
+	hits := make([]uint64, (n+63)/64)
+	m := 0
 	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		if pred(row) {
-			out.data = append(out.data, row...)
+		if pred(r.Row(i)) {
+			hits[i/64] |= 1 << (i % 64)
+			m++
+		}
+	}
+	if m == 0 {
+		return out
+	}
+	out.data = make([]Value, 0, m*k)
+	for w, word := range hits {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			out.data = append(out.data, r.data[i*k:(i+1)*k]...)
 		}
 	}
 	return out

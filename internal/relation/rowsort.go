@@ -25,7 +25,11 @@ func sortRows(data []Value, k int, order []int, a *kernelArena) {
 		insertionSortRows(data, k, order)
 		return
 	}
-	src, dst := data, arenaI64(&a.sortTmp, len(data))
+	tmp := a.vals.take(len(data))
+	// Deferred, not called at the end: tmp kept live across the passes
+	// costs their loops a register, and SortBy 10 % of its time.
+	defer a.vals.give(tmp)
+	src, dst := data, tmp
 	var hist [8][256]int32
 	for oi := len(order) - 1; oi >= 0; oi-- {
 		c := order[oi]
