@@ -294,8 +294,8 @@ func indent(s string) string {
 
 // recursiveJob builds a -recursive tc|reach|cc run: a semi-naive
 // fixpoint over a generated random graph with n edges (heavy-tailed
-// degrees under -skew zipf/heavy), reachability starting from the
-// first edge's source.
+// degrees under -skew zipf/heavy) made a set, reachability starting
+// from the first edge's source.
 func recursiveJob(kind string, n int, skew string, seed int64) (*job, error) {
 	vertices := max(n/3, 2)
 	gen := workload.RandomGraph
@@ -304,7 +304,7 @@ func recursiveJob(kind string, n int, skew string, seed int64) (*job, error) {
 	} else if n > vertices*(vertices-1) {
 		return nil, fmt.Errorf("-n %d edges do not fit a simple graph on %d vertices", n, vertices)
 	}
-	edges := gen("E", "src", "dst", vertices, n, seed)
+	edges := gen("E", "src", "dst", vertices, n, seed).Distinct()
 	req := core.RecursiveRequest{Kind: core.RecursiveKind(kind), Edges: edges}
 	if req.Kind == core.RecReachable {
 		if edges.Len() == 0 {
@@ -322,8 +322,8 @@ func recursiveJob(kind string, n int, skew string, seed int64) (*job, error) {
 // queryJob resolves the -q / -query value to a rule set, builds one
 // input relation per EDB predicate (from <dataDir>/<name>.csv, or
 // generated under the skew profile with seed+i for the i-th predicate
-// in body order) and compiles against them — the same parser, checks
-// and compiler mpcserve uses.
+// in body order) made a set, and compiles against them — the same
+// parser, checks and compiler mpcserve uses.
 func queryJob(body, name string, alg core.Algorithm, dataDir string, n int, skew string, seed int64) (*job, error) {
 	prog, err := parseInput(body, name)
 	if err != nil {
@@ -337,13 +337,13 @@ func queryJob(body, name string, alg core.Algorithm, dataDir string, n int, skew
 			if !ok || rels[a.Name] != nil {
 				continue
 			}
+			var rel *relation.Relation
 			if dataDir == "" {
-				rels[a.Name] = generate(a.Name, arity, n, skew, seed+int64(len(rels)))
-				continue
-			}
-			if rels[a.Name], err = loadCSV(dataDir, a.Name, arity); err != nil {
+				rel = generate(a.Name, arity, n, skew, seed+int64(len(rels)))
+			} else if rel, err = loadCSV(dataDir, a.Name, arity); err != nil {
 				return nil, err
 			}
+			rels[a.Name] = rel.Distinct()
 		}
 	}
 	c, err := query.Compile(prog, query.CatalogOf(rels))

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -203,10 +204,7 @@ func TestEndToEndViaEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.Reference(j.compiled.Query, rels)
-	got := exec.Output.Clone()
-	got.Dedup()
-	want.Dedup()
-	if !got.EqualAsSets(want) {
+	if got := exec.Output; got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatal("engine output differs from reference")
 	}
 }
@@ -237,10 +235,7 @@ func TestChaosViaEngine(t *testing.T) {
 		t.Fatalf("chaos (L,r,C) = (%d,%d,%d), fault-free (%d,%d,%d)",
 			exec.MaxLoad, exec.Rounds, exec.TotalComm, cleanExec.MaxLoad, cleanExec.Rounds, cleanExec.TotalComm)
 	}
-	got, want := exec.Output.Clone(), cleanExec.Output.Clone()
-	got.Dedup()
-	want.Dedup()
-	if !got.EqualAsSets(want) {
+	if got, want := exec.Output, cleanExec.Output; got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatal("chaos engine output differs from fault-free engine")
 	}
 
@@ -263,10 +258,7 @@ func TestHLTriangleViaEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.Reference(j.compiled.Query, rels)
-	got := exec.Output.Clone()
-	got.Dedup()
-	want.Dedup()
-	if !got.EqualAsSets(want) {
+	if got := exec.Output; got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatal("HL triangle via engine differs from reference")
 	}
 	// HL on a non-triangle query must be rejected.
@@ -484,5 +476,55 @@ func TestRunRecursiveSizesThatFit(t *testing.T) {
 				t.Errorf("%v: exit %d, stderr %q; want exit 0", tc.args, code, stderr.String())
 			}
 		})
+	}
+}
+
+// outputTuples runs the CLI on args and returns the tuple count of its
+// "output" report line.
+func outputTuples(t *testing.T, args ...string) int {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit %d, stderr %q", args, code, stderr.String())
+	}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		var n int
+		if _, err := fmt.Sscanf(line, "output %d tuples", &n); err == nil {
+			return n
+		}
+	}
+	t.Fatalf("%v: no output line in\n%s", args, stdout.String())
+	return 0
+}
+
+// TestInputsEnterAsSets pins the CLI boundary: every CSV and generated
+// input is made a set before it runs, so the answer does not depend on
+// the algorithm. A three-row R.csv that repeats one row, joined with a
+// two-row S.csv, has 4 answers under every algorithm that applies (a
+// bag gave 6 under the binary joins and GYM, 4 under HyperCube,
+// gym-opt and bigjoin); and the generated -n 600 inputs, which repeat
+// rows, answer the same under hashjoin and hypercube.
+func TestInputsEnterAsSets(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{"R": "x,y\n1,2\n1,2\n3,2\n", "S": "y,z\n2,5\n2,6\n"} {
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := "R(x,y), S(y,z)"
+	algs := []string{string(core.AlgAuto)}
+	for _, d := range core.Registry() {
+		if d.Applies(hypergraph.TwoWayJoin()) == nil {
+			algs = append(algs, d.Alg)
+		}
+	}
+	for _, alg := range algs {
+		if n := outputTuples(t, "-data", dir, "-q", q, "-p", "4", "-alg", alg); n != 4 {
+			t.Errorf("-alg %s on the CSV bag: %d tuples, want 4", alg, n)
+		}
+	}
+	gen := []string{"-q", q, "-n", "600", "-p", "8", "-alg"}
+	if hj, hc := outputTuples(t, append(gen, "hashjoin")...), outputTuples(t, append(gen, "hypercube")...); hj != hc {
+		t.Errorf("generated inputs: %d tuples under hashjoin, %d under hypercube", hj, hc)
 	}
 }

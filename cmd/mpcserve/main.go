@@ -94,25 +94,19 @@ func main() {
 
 // buildService constructs the service and registers its data set from
 // -data, -demo, or both (CSV wins on name collision, registered last).
-// Every relation is deduplicated once here, at load: the engine assumes
-// set inputs, and on a bag the row count of an answer would depend on
-// which algorithm ran.
+// service.Service.Register makes each relation a set as it enters.
 func buildService(cfg service.Config, dataDir string, demo bool, n int, seed int64) (*service.Service, error) {
 	if dataDir == "" && !demo {
 		return nil, fmt.Errorf("no data: pass -data <dir> or -demo")
 	}
 	svc := service.New(cfg)
-	register := func(rel *relation.Relation) {
-		rel.Dedup()
-		svc.Register(rel)
-	}
 	if demo {
 		dom := n / 2
 		if dom < 2 {
 			dom = 2
 		}
 		for i, name := range []string{"R", "S", "T"} {
-			register(workload.Uniform(name, []string{"a", "b"}, n, dom, seed+int64(i)))
+			svc.Register(workload.Uniform(name, []string{"a", "b"}, n, dom, seed+int64(i)))
 		}
 		edges := workload.RandomGraph("E", "s", "d", n/2+2, n, seed+10)
 		// V: a handful of source vertices for reachability programs.
@@ -120,8 +114,8 @@ func buildService(cfg service.Config, dataDir string, demo bool, n int, seed int
 		for i := 0; i < 3 && i < edges.Len(); i++ {
 			v.AppendRow([]relation.Value{edges.Row(i)[0]})
 		}
-		register(edges)
-		register(v)
+		svc.Register(edges)
+		svc.Register(v)
 	}
 	if dataDir != "" {
 		paths, err := filepath.Glob(filepath.Join(dataDir, "*.csv"))
@@ -142,7 +136,7 @@ func buildService(cfg service.Config, dataDir string, demo bool, n int, seed int
 			if err != nil {
 				return nil, fmt.Errorf("load %s: %w", name, err)
 			}
-			register(rel)
+			svc.Register(rel)
 		}
 	}
 	return svc, nil

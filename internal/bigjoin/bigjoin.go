@@ -199,23 +199,15 @@ type Result struct {
 	MaxBindings int
 }
 
-// Run executes the plan. Relations are keyed by atom name, columns
-// matched positionally to atom variables. The result (schema VarOrder)
-// is left distributed under outName.
+// Run executes the plan. Relations are sets keyed by atom name, columns
+// matched positionally to atom variables, so each answer row is left
+// once. The result (schema VarOrder) is left distributed under outName.
 func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := pl.Query
 	// Relabel inputs to variable schemas and scatter (placement is free).
-	// Bindings routed on their own values put the copies of a repeated
-	// binding on one server, and a Cartesian extension (which keeps them
-	// in place) preserves that. A plan with no such round places its
-	// seed atom by hash instead, so that the final dedup finds every copy.
 	bound := cost.BindAtoms(q, rels)
-	for i, a := range q.Atoms {
-		if i == pl.SeedAtom && !pl.routesBindings() {
-			c.ScatterByHash(bound[a.Name], a.Vars, mpc.HashSeed(seed, a.Vars...))
-		} else {
-			c.ScatterRoundRobin(bound[a.Name])
-		}
+	for _, a := range q.Atoms {
+		c.ScatterRoundRobin(bound[a.Name])
 	}
 	trace.Annotatef(c, "bigjoin.Run %s var order %v", q.Name, pl.VarOrder)
 	start := c.Metrics().Rounds()
@@ -249,7 +241,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 	// Seed bindings: the seed atom's local fragments, projected to its
 	// variable set in VarOrder-consistent order.
 	boundVars := orderedSubset(pl.VarOrder, q.Atoms[pl.SeedAtom].Vars)
-	bindName := outName + ":bind"
+	bindName := outName // once every variable is bound, the bindings are the answer
 	seedAtom := q.Atoms[pl.SeedAtom]
 	bv := boundVars
 	c.LocalStep(func(srv *mpc.Server) {
@@ -333,33 +325,10 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 		}
 		boundVars = newBound
 	}
-	// Bag inputs repeat bindings; their copies share a server (see the
-	// scatter), so a local dedup leaves each answer once.
-	c.LocalStep(func(srv *mpc.Server) {
-		frag := srv.RelOrEmpty(bindName, pl.VarOrder...)
-		frag.Dedup()
-		srv.Put(frag.Rename(outName))
-		srv.Delete(bindName)
-	})
 	return &Result{
 		Rounds:      c.Metrics().Rounds() - start,
 		MaxBindings: maxBind,
 	}
-}
-
-// routesBindings reports whether some round ships the bindings hashed
-// on bound variables: a seed verifier, a verifier, or an extension that
-// shares a bound variable with its proposer.
-func (pl *Plan) routesBindings() bool {
-	if len(pl.SeedVerifiers) > 0 {
-		return true
-	}
-	for _, st := range pl.Steps {
-		if len(st.sharedBound) > 0 || len(st.verifiers) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // orderedSubset returns the members of set ordered as in order.

@@ -115,7 +115,6 @@ func TestAllAlgorithmsOnEdgeInputs(t *testing.T) {
 	algs := applicable(hypergraph.TwoWayJoin())
 	for name, req := range inputs {
 		want := Reference(req.Query, req.Relations)
-		want.Dedup()
 		for _, alg := range algs {
 			e := NewEngine(4, 1)
 			r := req
@@ -125,9 +124,7 @@ func TestAllAlgorithmsOnEdgeInputs(t *testing.T) {
 				t.Errorf("%s / %s: %v", name, alg, err)
 				continue
 			}
-			got := exec.Output.Clone()
-			got.Dedup()
-			if !got.EqualAsSets(want) {
+			if got := exec.Output; got.Len() != want.Len() || !got.EqualAsSets(want) {
 				t.Errorf("%s / %s: got %d tuples, want %d", name, alg, got.Len(), want.Len())
 			}
 		}

@@ -16,7 +16,7 @@ import (
 func setInstance(q hypergraph.Query, seed int64) map[string]*relation.Relation {
 	rels := testkit.GenInstance(q, testkit.SkewUniform, testkit.GenConfig{Tuples: 40}, seed)
 	for _, r := range rels {
-		r.Dedup()
+		r.Dedup() // an input: sorted and made a set
 	}
 	return rels
 }
@@ -35,7 +35,7 @@ func boundaryCases() []boundaryCase {
 	twoWay := hypergraph.TwoWayJoin()
 	smallS := setInstance(twoWay, 2)
 	smallS["S"] = testkit.GenRelation("S", []string{"y", "z"}, testkit.SkewUniform, testkit.GenConfig{Tuples: 10, Domain: 14}, 3)
-	smallS["S"].Dedup()
+	smallS["S"].Dedup() // an input, made a set as setInstance's are
 	swapped := hypergraph.NewQuery("swapped",
 		hypergraph.Atom{Name: "S", Vars: []string{"y", "z"}},
 		hypergraph.Atom{Name: "R", Vars: []string{"x", "y"}})
@@ -123,7 +123,7 @@ func TestExecuteLeavesInputsUntouched(t *testing.T) {
 	// Catalog-style inputs: attribute names unlike the atoms' variables,
 	// and one relation behind both atoms of a self-join.
 	edges := testkit.GenRelation("E", []string{"a", "b"}, testkit.SkewUniform, testkit.GenConfig{Tuples: 40}, 9)
-	edges.Dedup()
+	edges.Dedup() // an input, made a set as setInstance's are
 	cases := append(boundaryCases(), boundaryCase{"self-join", hypergraph.TwoWayJoin(),
 		map[string]*relation.Relation{"R": edges, "S": edges}})
 	variants := []struct {
@@ -173,4 +173,61 @@ func TestExecuteLeavesInputsUntouched(t *testing.T) {
 	}
 	wg.Wait()
 	requireUntouched("two concurrent requests", tri.rels, snap)
+}
+
+// TestBagInputsEnterAsSets is the wall for sets at the boundary. Every
+// registered algorithm that applies runs on a bag made a set by
+// relation.Relation.Distinct, the routine service.Service.Register and
+// mpcrun apply: each relation holds each of its rows twice, on top of
+// the repeats a small domain draws. Nothing deduplicates the output:
+// Execute must return exactly Reference's rows, each once, and
+// ExecuteAggregate (sum) exactly testkit.OracleGroupBy's sums over
+// them. The shapes cover a verify round (triangle), extensions only
+// (path, star), bigjoin's plans with no extension (a single atom; two
+// atoms over one variable set, filtered by a seed verifier) and a
+// Cartesian extension (product).
+func TestBagInputsEnterAsSets(t *testing.T) {
+	for _, q := range []hypergraph.Query{
+		hypergraph.Triangle(),
+		hypergraph.Path(3),
+		hypergraph.Star(3),
+		hypergraph.NewQuery("single", hypergraph.Atom{Name: "R", Vars: []string{"x", "y"}}),
+		hypergraph.NewQuery("twice",
+			hypergraph.Atom{Name: "R", Vars: []string{"x", "y"}},
+			hypergraph.Atom{Name: "S", Vars: []string{"y", "x"}}),
+		hypergraph.CartesianProduct(),
+	} {
+		vars := q.Vars()
+		spec := AggregateSpec{GroupBy: vars[:1], Fn: relation.Sum, AggVar: vars[len(vars)-1], OutAttr: "s"}
+		for _, p := range []int{2, 4, 8} {
+			for seed := int64(1); seed <= 5; seed++ {
+				bag, rels := map[string]*relation.Relation{}, map[string]*relation.Relation{}
+				for i, a := range q.Atoms {
+					r := testkit.GenRelation(a.Name, a.Vars, testkit.SkewUniform,
+						testkit.GenConfig{Tuples: 40, Domain: 6}, seed*10+int64(i))
+					r.AppendAll(r.Clone())
+					bag[a.Name], rels[a.Name] = r, r.Distinct()
+				}
+				want := Reference(q, bag)
+				wantSums := testkit.OracleGroupBy("s", want, spec.GroupBy, spec.Fn, spec.AggVar, spec.OutAttr)
+				for _, alg := range applicable(q) {
+					req := Request{Query: q, Relations: rels, Algorithm: alg}
+					exec, err := NewEngine(p, seed).Execute(req)
+					if err != nil {
+						t.Fatalf("%s on %s p=%d seed=%d: %v", alg, q.Name, p, seed, err)
+					}
+					if !testkit.BagEqual(exec.Output, want) {
+						t.Errorf("%s on %s p=%d seed=%d: %s", alg, q.Name, p, seed, testkit.DiffSample(exec.Output, want))
+					}
+					agg, err := NewEngine(p, seed).ExecuteAggregate(req, spec)
+					if err != nil {
+						t.Fatalf("%s aggregate on %s p=%d seed=%d: %v", alg, q.Name, p, seed, err)
+					}
+					if !testkit.BagEqual(agg.Output, wantSums) {
+						t.Errorf("%s aggregate on %s p=%d seed=%d: %s", alg, q.Name, p, seed, testkit.DiffSample(agg.Output, wantSums))
+					}
+				}
+			}
+		}
+	}
 }

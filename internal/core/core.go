@@ -42,14 +42,16 @@
 // reads its input where the previous one left it, and the answer
 // leaves the cluster once, in run's Gather.
 //
-// Semantics: inputs are sets, as everywhere in the MPC join theory, and
-// on sets every algorithm returns each output binding exactly once.
-// The engine does not deduplicate its inputs: a duplicate input tuple
-// may repeat bindings, and how often depends on the algorithm. Callers
-// holding bags deduplicate once before executing (cmd/mpcserve does at
-// load); workloads needing SQL bag semantics (e.g. SUM over a join with
-// duplicate rows) should carry a unique key column, as the analytics
-// example does.
+// Semantics: sets in, each binding out once. Inputs are sets, as
+// everywhere in the MPC join theory, and on sets every algorithm
+// returns each output binding exactly once. Relations become sets
+// where they enter the system, once: service.Service.Register and
+// mpcrun pass each through relation.Relation.Distinct, which keeps the
+// first occurrence of each row and returns a set untouched. The engine
+// itself scans no input for repeats, so a caller of Execute holding a
+// bag passes it through Distinct first. Workloads needing SQL bag
+// semantics (e.g. SUM over a join with duplicate rows) should carry a
+// unique key column, as the analytics example does.
 package core
 
 import (
@@ -169,8 +171,9 @@ type Request struct {
 type Execution struct {
 	// Output is the gathered answer: schema Query.Vars() for Execute,
 	// GroupBy + OutAttr for ExecuteAggregate, the fixpoint relation for
-	// ExecuteRecursive. Its rows are distinct when the inputs are sets;
-	// duplicate input tuples may repeat bindings.
+	// ExecuteRecursive. The inputs are sets (see the package doc), so
+	// its rows are distinct: each binding appears once, whichever
+	// algorithm ran.
 	Output *relation.Relation
 	// Algorithm is the planned (or forced) strategy; "fixpoint-<kind>"
 	// for recursive runs.

@@ -52,7 +52,7 @@ func TestExecuteRecursive(t *testing.T) {
 // chaotic traced run must produce the same output and metering as the
 // bare run, and the trace must reconcile with the recovery ledger.
 func TestExecuteRecursiveComposesHooks(t *testing.T) {
-	edges := workload.PowerLawGraph("E", "src", "dst", 25, 60, 5)
+	edges := workload.PowerLawGraph("E", "src", "dst", 25, 60, 5).Distinct() // repeats edges; inputs are sets
 	req := RecursiveRequest{Kind: RecTransitiveClosure, Edges: edges}
 
 	bare := NewEngine(4, 9)

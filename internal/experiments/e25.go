@@ -41,7 +41,8 @@ func E25RecursiveRounds() (*Table, error) {
 		{"chain n=120", chain(120)},
 		{"random n=60 m=240", workload.RandomGraph("E", "src", "dst", 60, 240, 5)},
 		{"random n=120 m=480", workload.RandomGraph("E", "src", "dst", 120, 480, 5)},
-		{"powerlaw n=120 m=480", workload.PowerLawGraph("E", "src", "dst", 120, 480, 5)},
+		// Preferential attachment repeats edges; inputs are sets.
+		{"powerlaw n=120 m=480", workload.PowerLawGraph("E", "src", "dst", 120, 480, 5).Distinct()},
 	}
 	for _, cse := range cases {
 		c := mpc.NewCluster(p, 1)

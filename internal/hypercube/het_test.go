@@ -70,7 +70,6 @@ func TestHetUniformCapsMatchesOracle(t *testing.T) {
 		t.Fatalf("rounds = %d, want 1", res.Rounds)
 	}
 	got := testkit.GatherResult(c, "out", q.Vars())
-	got.Dedup()
 	if !testkit.BagEqual(got, want) {
 		t.Fatalf("het with uniform caps differs from oracle: %s", testkit.DiffSample(got, want))
 	}
@@ -144,7 +143,6 @@ func TestHetBeatsUniformNormalizedMakespan(t *testing.T) {
 	het := ch.Metrics().NormalizedMakespan(caps)
 
 	got := testkit.GatherResult(ch, "out", q.Vars())
-	got.Dedup()
 	if !testkit.BagEqual(got, want) {
 		t.Fatalf("het result differs from oracle: %s", testkit.DiffSample(got, want))
 	}

@@ -77,7 +77,7 @@ func TestHeavyLightNoDuplicates(t *testing.T) {
 	}
 	got := c.Gather("out")
 	d := got.Clone()
-	d.Dedup()
+	d.Dedup() // the distinct rows the duplicate check counts against
 	if got.Len() != d.Len() {
 		t.Fatalf("duplicates: %d vs %d distinct", got.Len(), d.Len())
 	}

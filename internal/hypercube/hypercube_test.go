@@ -96,7 +96,7 @@ func TestHyperCubeNoDuplicates(t *testing.T) {
 	}
 	got := c.Gather("out")
 	dedup := got.Clone()
-	dedup.Dedup()
+	dedup.Dedup() // the distinct rows the duplicate check counts against
 	if got.Len() != dedup.Len() {
 		t.Fatalf("output has duplicates: %d vs %d distinct", got.Len(), dedup.Len())
 	}
@@ -231,22 +231,20 @@ func TestSkewHCNoDuplicatesAcrossPatterns(t *testing.T) {
 		s.Append(i%5, i%7)
 		u.Append(i%7, 0)
 	}
-	rels := map[string]*relation.Relation{"R": r, "S": s, "T": u}
+	// The loops repeat rows; inputs enter as sets.
+	rels := map[string]*relation.Relation{"R": r.Distinct(), "S": s.Distinct(), "T": u.Distinct()}
 	want := expectedTriangle(rels)
-	want.Dedup()
 	c := mpc.NewCluster(8, 1)
 	if _, err := RunSkewHC(c, hypergraph.Triangle(), rels, "out", 42, 4, LocalGeneric); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Gather("out")
 	gotD := got.Clone()
-	gotD.Dedup()
+	gotD.Dedup() // the distinct rows the duplicate check counts against
 	if got.Len() != gotD.Len() {
 		t.Fatalf("SkewHC produced duplicates: %d vs %d distinct", got.Len(), gotD.Len())
 	}
-	// R,S,T here are bags with duplicates? No — values repeat but tuples
-	// may repeat; compare sets.
-	if !gotD.EqualAsSets(want) {
+	if got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatal("SkewHC result set differs from reference")
 	}
 }

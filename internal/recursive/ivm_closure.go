@@ -74,19 +74,17 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 	}
 	start := c.Metrics().Rounds()
 
-	e := edges.Project(v.e.name, attrs...)
-	e.Dedup()
+	e := edges.Rename(v.e.name)
 	c.ScatterByHash(e, attrs[:1], v.layout)
 
-	t0 := edges.Project(outName, attrs...)
-	t0.Dedup()
+	t0 := e.Rename(outName)
 	c.ScatterByHash(t0, attrs[1:], v.layout)
 	c.ScatterByHash(t0.Project(outName+":delta", attrs...), attrs[1:], v.layout)
 
 	c.LocalStep(func(s *mpc.Server) {
 		for _, x := range []indexed{v.e, v.t} {
 			rel, set := x.at(s, attrs)
-			set.build(rel)
+			set.Build(rel)
 		}
 	})
 
@@ -102,17 +100,17 @@ func newClosure(c *mpc.Cluster, edges *relation.Relation, outName string, seed u
 // effect against the edge fragment e, indexed by eSet: the net
 // deletions and net insertions, each in first-touch batch order, as
 // relations of e's schema named delName and insName.
-func netFold(s *mpc.Server, opsName string, e *relation.Relation, eSet *rowSet, delName, insName string) (dels, inss *relation.Relation) {
+func netFold(s *mpc.Server, opsName string, e *relation.Relation, eSet *relation.RowSet, delName, insName string) (dels, inss *relation.Relation) {
 	o := s.RelOrEmpty(opsName, "o", "c0", "c1")
 	attrs := e.Attrs()
 	touched := relation.New(opsName, attrs...) // each tuple once, in first-touch order
-	var set rowSet
+	var set relation.RowSet
 	var init, final []bool // per touched tuple: in e before the batch, and after it
 	for i := 0; i < o.Len(); i++ {
 		row := o.Row(i)
-		j, added := set.add(touched, row[1:])
+		j, added := set.Add(touched, row[1:])
 		if added {
-			init = append(init, eSet.has(e, row[1:]))
+			init = append(init, eSet.Has(e, row[1:]))
 			final = append(final, false)
 		}
 		final[j] = row[0] == 1
@@ -248,7 +246,7 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	c.LocalStep(func(s *mpc.Server) {
 		t, tSet := v.t.at(s, attrs)
 		dr, dSet := d.at(s, attrs)
-		inT := func(row []relation.Value) bool { return tSet.has(t, row) }
+		inT := func(row []relation.Value) bool { return tSet.Has(t, row) }
 		s.Put(absorbNew(dr, dSet, s.RelOrEmpty(dseed, attrs...), inT, dDelta))
 		s.Put(dr)
 		s.Delete(dseed)
@@ -266,8 +264,8 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	// Each compaction rebuilds the row set over the compacted fragment.
 	c.LocalStep(func(s *mpc.Server) {
 		if dels := s.RelOrEmpty(delName, attrs...); dels.Len() > 0 {
-			var delSet rowSet
-			delSet.build(dels)
+			var delSet relation.RowSet
+			delSet.Build(dels)
 			compact(s, v.e, attrs, dels, &delSet)
 		}
 		if dr, dSet := d.at(s, attrs); dr.Len() > 0 {
@@ -287,15 +285,15 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 // compact removes from server s's fragment of x every row that drop,
 // indexed by dropSet, holds, and rebuilds x's row set over what is
 // left.
-func compact(s *mpc.Server, x indexed, attrs []string, drop *relation.Relation, dropSet *rowSet) {
+func compact(s *mpc.Server, x indexed, attrs []string, drop *relation.Relation, dropSet *relation.RowSet) {
 	rel, set := x.at(s, attrs)
 	kept := relation.New(x.name, attrs...)
 	for i := 0; i < rel.Len(); i++ {
-		if row := rel.Row(i); !dropSet.has(drop, row) {
+		if row := rel.Row(i); !dropSet.Has(drop, row) {
 			kept.AppendRow(row)
 		}
 	}
-	set.build(kept)
+	set.Build(kept)
 	s.Put(kept)
 }
 
@@ -317,9 +315,9 @@ func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 		stp := out.Open(dprobe, attrs...)
 		dr := s.RelOrEmpty(d.name, attrs...)
 		xs := relation.New(dxB, attrs[:1]...)
-		var xSet rowSet
+		var xSet relation.RowSet
 		for i := 0; i < dr.Len(); i++ {
-			xSet.add(xs, dr.Row(i)[:1])
+			xSet.Add(xs, dr.Row(i)[:1])
 		}
 		stx.BroadcastAll(xs)
 		stp.SendByHash(dr, []int{0}, v.layout)
@@ -330,20 +328,20 @@ func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 		e, eSet := v.e.at(s, attrs)
 		dp := s.RelOrEmpty(dprobe, attrs...)
 		for i := 0; i < dp.Len(); i++ {
-			if row := dp.Row(i); eSet.has(e, row) {
+			if row := dp.Row(i); eSet.Has(e, row) {
 				st.SendRow(v.owner(row), row)
 			}
 		}
 		s.Delete(dprobe)
 		dx := s.RelOrEmpty(dxB, attrs[:1]...)
-		var xSet rowSet
-		xSet.build(dx)
+		var xSet relation.RowSet
+		xSet.Build(dx)
 		s.Delete(dxB)
 		t := s.RelOrEmpty(v.name, attrs...)
 		var ix *relation.Index
 		for i := 0; i < t.Len(); i++ {
 			tr := t.Row(i)
-			if !xSet.has(dx, tr[:1]) {
+			if !xSet.Has(dx, tr[:1]) {
 				continue
 			}
 			if ix == nil {
@@ -362,7 +360,7 @@ func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 	c.LocalStep(func(s *mpc.Server) {
 		t, tSet := v.t.at(s, attrs)
 		dr, dSet := d.at(s, attrs)
-		inD := func(row []relation.Value) bool { return dSet.has(dr, row) }
+		inD := func(row []relation.Value) bool { return dSet.Has(dr, row) }
 		s.Put(absorbNew(t, tSet, s.RelOrEmpty(rseed, attrs...), inD, rDelta))
 		s.Put(t)
 		s.Delete(rseed)
@@ -391,7 +389,7 @@ func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 		}
 		e, eSet := v.e.at(s, attrs)
 		for i := 0; i < ins.Len(); i++ {
-			eSet.add(e, ins.Row(i))
+			eSet.Add(e, ins.Row(i))
 		}
 		s.Put(e)
 	})

@@ -9,6 +9,11 @@
 // equality against full recomputation pinned by the testkit
 // differential harness.
 //
+// The edge relation is a set, as every relation is where it enters the
+// system (relation.Relation.Distinct, applied by service.Register and
+// mpcrun); the kernel scatters it as given and deduplicates nothing of
+// it.
+//
 // Every iteration of the kernel costs exactly one metered round,
 // extend: join the local delta against the local edge fragment, reduce
 // the candidates locally (distinct, or per-key min), and ship each to
@@ -29,7 +34,7 @@
 // stops once the delta is globally empty. Iteration boundaries are
 // stamped into the trace as annotations.
 //
-// Set membership is one structure, the row set (rowset.go): an
+// Set membership is one structure, relation.RowSet: an
 // open-addressed table of row positions in the fragment it indexes,
 // so a row is stored once, in its fragment, and never copied into a
 // key. Extend drops a duplicate candidate as it is produced, through a
@@ -37,11 +42,11 @@
 // appends each new candidate to the accumulator through the
 // accumulator's row set, and the next delta is the rows it appended:
 // a read-only view of the accumulator's storage, not a copy. The
-// accumulator is reserved once per iteration and at least doubles when
-// it grows, and the candidate receiver is emptied rather than deleted,
-// so each iteration lands into storage the last one grew. The
-// incremental view keeps row sets over its edge, closure and
-// over-delete fragments the same way.
+// accumulator and its row set are reserved once per iteration and at
+// least double when they grow, and the candidate receiver is emptied
+// rather than deleted, so each iteration lands into storage the last
+// one grew. The incremental view keeps row sets over its edge, closure
+// and over-delete fragments the same way.
 //
 // Determinism: every emission walks relations in scan order and a row
 // set only answers membership, so fragments hold their rows in
@@ -123,7 +128,45 @@ type fixpoint struct {
 	// candidate buffer with its row set, both reused every iteration.
 	edgeIdx  []*relation.Index
 	cands    []*relation.Relation
-	candSets []rowSet
+	candSets []relation.RowSet
+}
+
+// indexed is a distributed fragment together with its per-server row
+// sets: sets[i] indexes the fragment named name on server i.
+type indexed struct {
+	name string
+	sets []relation.RowSet
+}
+
+func newIndexed(name string, p int) indexed {
+	return indexed{name: name, sets: make([]relation.RowSet, p)}
+}
+
+// at returns server s's fragment and the row set over it.
+func (x indexed) at(s *mpc.Server, attrs []string) (*relation.Relation, *relation.RowSet) {
+	return s.RelOrEmpty(x.name, attrs...), &x.sets[s.ID()]
+}
+
+// absorbNew appends to acc, indexed by set, every row of cands that keep
+// admits (nil admits all) and acc does not hold yet, and returns the
+// appended rows as the relation deltaName: a read-only view of acc's
+// storage (relation.Tail), which later appends to acc leave alone. acc
+// and its set are reserved once, for every candidate, and at least
+// double when they grow, so a fixpoint reallocates each a logarithmic
+// number of times.
+func absorbNew(acc *relation.Relation, set *relation.RowSet, cands *relation.Relation, keep func([]relation.Value) bool, deltaName string) *relation.Relation {
+	if need, room := cands.Words(), acc.Cap()-acc.Words(); need > room {
+		acc.Grow(max(need, acc.Cap()+room))
+	}
+	set.Reserve(acc, acc.Len()+cands.Len())
+	start := acc.Len()
+	for i := 0; i < cands.Len(); i++ {
+		row := cands.Row(i)
+		if keep == nil || keep(row) {
+			set.Add(acc, row)
+		}
+	}
+	return acc.Tail(deltaName, start)
 }
 
 // absorbSet is the set-semantics absorb: each candidate that within
@@ -135,7 +178,7 @@ func absorbSet(acc indexed, within *indexed, delta string, attrs []string) func(
 		var keep func([]relation.Value) bool
 		if within != nil {
 			w, ws := within.at(s, attrs)
-			keep = func(row []relation.Value) bool { return ws.has(w, row) }
+			keep = func(row []relation.Value) bool { return ws.Has(w, row) }
 		}
 		next := absorbNew(t, set, cands, keep, delta)
 		s.Put(t)
@@ -148,7 +191,7 @@ func (f *fixpoint) run() (int, error) {
 	c := f.c
 	f.edgeIdx = make([]*relation.Index, c.P())
 	f.cands = make([]*relation.Relation, c.P())
-	f.candSets = make([]rowSet, c.P())
+	f.candSets = make([]relation.RowSet, c.P())
 	candName, probeCols := f.label+":cand", []int{f.probeCol}
 	defer c.DeleteAll(candName)
 	// Defensive cap: each iteration either adds an output tuple or
@@ -176,14 +219,14 @@ func (f *fixpoint) run() (int, error) {
 			}
 			idx, cands, set := f.edgeIdx[sid], f.cands[sid], &f.candSets[sid]
 			cands.Reset()
-			set.reset()
+			set.Reset()
 			cand := make([]relation.Value, len(f.attrs))
 			for i := 0; i < delta.Len(); i++ {
 				pr := delta.Row(i)
 				for _, j := range idx.Lookup(pr, probeCols) {
 					f.extend(pr, edge.Row(int(j)), cand)
 					if f.combine == nil {
-						set.add(cands, cand)
+						set.Add(cands, cand)
 					} else {
 						cands.AppendRow(cand)
 					}

@@ -141,10 +141,13 @@ func TestReachableSources(t *testing.T) {
 	}
 }
 
+// TestDuplicateInputEdges runs an edge list that repeats an edge
+// through relation.Relation.Distinct, as service.Register and mpcrun
+// do: the fixpoint does not deduplicate its input itself.
 func TestDuplicateInputEdges(t *testing.T) {
 	edges := edgeRel(t, [2]relation.Value{1, 2}, [2]relation.Value{1, 2}, [2]relation.Value{2, 3})
 	c := mpc.NewCluster(2, 4)
-	if _, err := TransitiveClosure(c, edges, "tc", 21); err != nil {
+	if _, err := TransitiveClosure(c, edges.Distinct(), "tc", 21); err != nil {
 		t.Fatal(err)
 	}
 	want := testkit.OracleFixpoint("tc", edges)
@@ -335,8 +338,8 @@ func TestTransitiveClosureBytesPerTuple(t *testing.T) {
 func TestDeltaViewSurvivesAccumulatorAppends(t *testing.T) {
 	attrs := []string{"src", "dst"}
 	acc := relation.FromRows("T", attrs, [][]relation.Value{{1, 2}})
-	var set rowSet
-	set.build(acc)
+	var set relation.RowSet
+	set.Build(acc)
 	cands := func(rows ...[]relation.Value) *relation.Relation { return relation.FromRows("C", attrs, rows) }
 
 	delta := absorbNew(acc, &set, cands([]relation.Value{1, 2}, []relation.Value{2, 3}, []relation.Value{3, 4}), nil, "d")

@@ -29,9 +29,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	start := c.Metrics().Rounds()
 	edgeName, deltaName := outName+":edge", outName+":delta"
 
-	e := edges.Project(edgeName, attrs...)
-	e.Dedup()
-	c.ScatterByHash(e, attrs[:1], layout)
+	c.ScatterByHash(edges.Rename(edgeName), attrs[:1], layout)
 
 	t0 := relation.New(outName, vAttr)
 	for _, v := range sources {
@@ -45,7 +43,7 @@ func Reachable(c *mpc.Cluster, edges *relation.Relation, sources []relation.Valu
 	acc := newIndexed(outName, c.P())
 	c.LocalStep(func(s *mpc.Server) {
 		t, set := acc.at(s, []string{vAttr})
-		set.build(t)
+		set.Build(t)
 	})
 
 	f := &fixpoint{

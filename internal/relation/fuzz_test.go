@@ -235,3 +235,139 @@ func FuzzGenericJoin(f *testing.F) {
 		requireSameBindings(t, "GenericJoin vs nested-loop enumeration", got, want)
 	})
 }
+
+// FuzzRowSet drives the row set against a map oracle, and Distinct,
+// the boundary routine built on it, against first occurrences and
+// Dedup. The first byte picks the arity, 0, 1 or 2; then each byte
+// triple (op, a, b) is one step on the row (a, b), cut to the arity,
+// with the bytes spread over signed values far apart. op%5 is 0 or 1 to
+// add the row, 2 to ask whether the set has it, 3 to compact: drop
+// every row whose first value is b mod 3 (every row at arity 0 when
+// b%3 is 0) and rebuild the set over what is left, as the closure view
+// does after a delete, and 4 to reserve room for a more rows. A long
+// run of distinct adds grows the table through several doublings. At
+// the end the set must hold exactly the oracle's rows, once each, and
+// a set built over the fragment written twice must agree. Every row an
+// add step offered, repeats included, makes a bag: Distinct of it must
+// keep exactly the first occurrence of each row, in order, equal
+// Dedup's result as a set, and return its receiver, uncopied, when the
+// input is already a set.
+func FuzzRowSet(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 2, 0, 1, 2, 2, 1, 2, 2, 9, 9})
+	f.Add([]byte{1, 0, 5, 0, 1, 5, 7, 2, 5, 0, 3, 1, 0, 2, 5, 9})
+	f.Add([]byte{0, 0, 1, 2, 1, 3, 4, 2, 0, 0, 4, 9, 9, 3, 0, 0, 0, 1, 1})
+	for arity := byte(1); arity < 3; arity++ {
+		long := []byte{arity}
+		for i := 0; i < 300; i++ {
+			long = append(long, 0, byte(i), byte(i*7))
+			if i%50 == 49 {
+				long = append(long, 3, 0, byte(i))
+			}
+			if i%70 == 0 {
+				long = append(long, 4, byte(i), 0)
+			}
+		}
+		f.Add(long)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1200 {
+			t.Skip("empty or oversized op list")
+		}
+		arity := int(data[0] % 3)
+		attrs := []string{"a", "b"}[:arity]
+		val := func(x byte) Value { return Value(int8(x)) * 1_000_003_001 }
+		first := func(row []Value) int8 {
+			if len(row) == 0 {
+				return 0
+			}
+			return int8(row[0] / 1_000_003_001)
+		}
+		rel, bag := New("R", attrs...), New("B", attrs...)
+		var set RowSet
+		oracle := map[[2]int64]bool{}
+		key := func(row []Value) [2]int64 {
+			var k [2]int64
+			copy(k[:], row)
+			return k
+		}
+		for i := 1; i+2 < len(data); i += 3 {
+			op, a, b := data[i]%5, data[i+1], data[i+2]
+			row := []Value{val(a), val(b)}[:arity]
+			switch op {
+			case 0, 1:
+				bag.AppendRow(row)
+				pos, added := set.Add(rel, row)
+				if added == oracle[key(row)] {
+					t.Fatalf("step %d: Add(%v) added=%v with the row present=%v", i, row, added, oracle[key(row)])
+				}
+				if got := rel.Row(pos); key(got) != key(row) {
+					t.Fatalf("step %d: Add(%v) returned position %d holding %v", i, row, pos, got)
+				}
+				oracle[key(row)] = true
+			case 2:
+				if got := set.Has(rel, row); got != oracle[key(row)] {
+					t.Fatalf("step %d: Has(%v) = %v, want %v", i, row, got, oracle[key(row)])
+				}
+			case 3:
+				kept := New("R", attrs...)
+				for j := 0; j < rel.Len(); j++ {
+					r := rel.Row(j)
+					if first(r)%3 == int8(b%3) {
+						delete(oracle, key(r))
+						continue
+					}
+					kept.AppendRow(r)
+				}
+				rel = kept
+				set.Build(rel)
+			case 4:
+				set.Reserve(rel, rel.Len()+int(a))
+			}
+		}
+		if rel.Len() != len(oracle) || set.n != len(oracle) {
+			t.Fatalf("fragment holds %d rows and the set %d, want %d", rel.Len(), set.n, len(oracle))
+		}
+		twice := New("R", attrs...)
+		twice.AppendAll(rel)
+		twice.AppendAll(rel)
+		var dup RowSet
+		dup.Build(twice)
+		if dup.n != len(oracle) {
+			t.Fatalf("set over the doubled fragment holds %d rows, want %d", dup.n, len(oracle))
+		}
+		for j := 0; j < rel.Len(); j++ {
+			r := rel.Row(j)
+			if !oracle[key(r)] || !set.Has(rel, r) || !dup.Has(twice, r) {
+				t.Fatalf("row %v: oracle %v, set %v, doubled set %v", r, oracle[key(r)], set.Has(rel, r), dup.Has(twice, r))
+			}
+		}
+
+		// The boundary: Distinct of the bag of offered rows.
+		want := New("B", attrs...)
+		seen := map[[2]int64]bool{}
+		for j := 0; j < bag.Len(); j++ {
+			if r := bag.Row(j); !seen[key(r)] {
+				seen[key(r)] = true
+				want.AppendRow(r)
+			}
+		}
+		got := bag.Distinct()
+		if got.Name() != "B" || !slices.Equal(got.Attrs(), attrs) || got.Len() != want.Len() || !slices.Equal(got.Flat(), want.Flat()) {
+			t.Fatalf("Distinct of %d offered rows kept %v (%d rows), want the first occurrences %v (%d rows)", bag.Len(), got.Flat(), got.Len(), want.Flat(), want.Len())
+		}
+		if (got == bag) != (want.Len() == bag.Len()) {
+			t.Fatalf("Distinct returned its receiver: %v, with %d of %d rows distinct", got == bag, want.Len(), bag.Len())
+		}
+		sorted, deduped := got.Clone(), bag.Clone()
+		sorted.Sort()
+		deduped.Dedup()
+		if sorted.Len() != deduped.Len() || !slices.Equal(sorted.Flat(), deduped.Flat()) {
+			t.Fatalf("Distinct and Dedup differ as sets: %v vs %v", sorted.Flat(), deduped.Flat())
+		}
+		for _, s := range []*Relation{got, deduped, rel} {
+			if again := s.Distinct(); again != s {
+				t.Fatalf("Distinct copied %s, a set of %d rows", s.Name(), s.Len())
+			}
+		}
+	})
+}

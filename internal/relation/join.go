@@ -227,18 +227,18 @@ func Semijoin(name string, r, s *Relation) *Relation {
 	})
 }
 
-// Intersect returns the set intersection of relations with identical
-// schemas (used by the optimized GYM semijoin phase).
+// Intersect returns the intersection of relations with identical
+// schemas: the rows of the first that every other holds, in its order,
+// so the intersection of sets is a set (used by the optimized GYM
+// semijoin phase).
 func Intersect(name string, rels ...*Relation) *Relation {
 	if len(rels) == 0 {
 		panic("relation: Intersect of nothing")
 	}
-	out := rels[0].Clone()
-	out.name = name
+	out := rels[0].Rename(name)
 	for _, s := range rels[1:] {
 		out = Semijoin(name, out, s.Project("tmp", out.attrs...))
 	}
-	out.Dedup()
 	return out
 }
 

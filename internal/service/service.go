@@ -121,7 +121,11 @@ func New(cfg Config) *Service {
 
 // Register installs (or replaces) a relation under its own name, bumps
 // its version, and invalidates every cached plan that depended on it.
+// Relations become sets here, where they enter: one that repeats a row
+// is stored as the first occurrence of each row, in order, and one that
+// repeats none as it is (relation.Relation.Distinct).
 func (s *Service) Register(rel *relation.Relation) {
+	rel = rel.Distinct()
 	s.mu.Lock()
 	s.rels[rel.Name()] = rel
 	s.versions[rel.Name()]++
@@ -162,9 +166,8 @@ type Cost struct {
 
 // Response is the outcome of one admitted, executed query. Rows is the
 // answer's full row count, of which Output holds the first
-// MaxResultRows. Registered relations are taken to be sets: a duplicate
-// tuple in one may repeat bindings, and then Rows depends on which
-// algorithm ran.
+// MaxResultRows. Registered relations are sets (see Register), so Rows
+// does not depend on which algorithm ran.
 type Response struct {
 	Kind      string             `json:"kind"`
 	Algorithm string             `json:"algorithm"`

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mpcquery/internal/core"
+	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/workload"
 )
@@ -42,14 +45,42 @@ func TestDoJoinQuery(t *testing.T) {
 	}
 }
 
+// TestRegisterMakesSets pins where relations become sets: Register
+// stores a bag as the first occurrence of each row, in order, and a set
+// as the same object; Do then answers with exactly core.Reference's
+// rows. A three-row R that repeats one row, joined with a two-row S,
+// has 4 answers, where a bag gave 6 under the binary joins.
+func TestRegisterMakesSets(t *testing.T) {
+	s := New(Config{P: 4})
+	r := relation.FromRows("R", []string{"x", "y"}, [][]relation.Value{{1, 2}, {1, 2}, {3, 2}})
+	sRel := relation.FromRows("S", []string{"y", "z"}, [][]relation.Value{{2, 5}, {2, 6}})
+	s.Register(r)
+	s.Register(sRel)
+	if got := s.rels["R"]; !slices.Equal(got.Flat(), []relation.Value{1, 2, 3, 2}) || got.Name() != "R" {
+		t.Fatalf("registered bag stored as %s %v, want R [1 2 3 2]", got.Name(), got.Flat())
+	}
+	if s.rels["S"] != sRel {
+		t.Fatal("registered set was copied")
+	}
+	resp, err := s.Do(Request{Query: "q(x, y, z) :- R(x, y), S(y, z)."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Reference(hypergraph.TwoWayJoin(), map[string]*relation.Relation{"R": r, "S": sRel})
+	got := relation.FromRows("q", resp.Columns, resp.Output)
+	if resp.Rows != want.Len() || got.Len() != want.Len() || !got.EqualAsSets(want) {
+		t.Fatalf("Do answered %d rows %v, core.Reference has %d", resp.Rows, resp.Output, want.Len())
+	}
+}
+
 func TestDoResultCap(t *testing.T) {
 	s := testService(Config{P: 4, MaxResultRows: 5})
 	resp, err := s.Do(Request{Query: "q(x, y) :- R(x, y)."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Execution is set-semantics, so dedup may shave a few of the 120
-	// generated tuples; the cap and the full count are what matter.
+	// Register makes R a set, which may shave a few of the 120 generated
+	// tuples; the cap and the full count are what matter.
 	if resp.Rows <= 5 || len(resp.Output) != 5 || !resp.Truncated {
 		t.Fatalf("rows=%d len=%d truncated=%v", resp.Rows, len(resp.Output), resp.Truncated)
 	}

@@ -143,7 +143,6 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 				}
 
 				got := GatherResult(ca, "out", q.Vars())
-				got.Dedup()
 				if !BagEqual(got, want) {
 					t.Errorf("adaptive result mismatch vs oracle: %s", DiffSample(got, want))
 				}
@@ -174,7 +173,6 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 				}
 				AssertRounds(t, c, 2)
 				got := GatherResult(c, "out", q.Vars())
-				got.Dedup()
 				if !BagEqual(got, want) {
 					t.Errorf("adaptive result mismatch vs oracle: %s", DiffSample(got, want))
 				}
@@ -225,7 +223,6 @@ func RunAdaptiveChaos(t *testing.T, q hypergraph.Query, cfg Config, adaptive Ada
 					AssertSameLRC(t, clean, chaotic)
 					AssertSameFragments(t, clean, chaotic)
 					got := GatherResult(chaotic, "out", q.Vars())
-					got.Dedup()
 					if !BagEqual(got, want) {
 						t.Errorf("chaos adaptive result mismatch vs oracle: %s", DiffSample(got, want))
 					}

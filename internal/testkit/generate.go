@@ -142,6 +142,17 @@ func GenInstance(q hypergraph.Query, skew Skew, cfg GenConfig, seed int64) map[s
 	return rels
 }
 
+// Sets makes each relation of rels a set in place, as relations become
+// sets where they enter the system (relation.Relation.Distinct), and
+// returns rels. The generators draw repeated rows; on sets every
+// algorithm must return each binding once.
+func Sets(rels map[string]*relation.Relation) map[string]*relation.Relation {
+	for name, r := range rels {
+		rels[name] = r.Distinct()
+	}
+	return rels
+}
+
 // RandomQuery returns a random conjunctive query drawn from the four
 // structural families the tutorial's algorithms are parameterized by —
 // chains, stars, cycles, and the triangle — with 3–5 atoms,

@@ -400,12 +400,11 @@ func sameVars(a, b []string) bool {
 // children before, so r does not rise and neither do the parents'
 // tuples in C. For k ≥ 3 the sequential form would take k rounds, so
 // the copies stay; carrying the children there too would put every
-// child in the copies' round, and it raised L on Star(4). Two things
-// differ from the slides' form. A k ≤ 2 parent ends the level hashed on
-// its last child's shared variables, not on its full tuple, which sets
-// how many keys the local dedup of its later key projections leaves.
-// And no intersection collapses a repeated input row of a k ≤ 2 parent,
-// so on a bag input the row travels on into the later rounds.
+// child in the copies' round, and it raised L on Star(4). One thing
+// differs from the slides' form: a k ≤ 2 parent ends the level hashed
+// on its last child's shared variables, not on its full tuple, which
+// sets how many keys the local dedup of its later key projections
+// leaves.
 func semijoinLevel(c *mpc.Cluster, name string, q hypergraph.Query, jt *hypergraph.JoinTree, parents []int, seed uint64) int {
 	var first, second []keyedSemijoin
 	var wide []int        // the k ≥ 3 parents, in order

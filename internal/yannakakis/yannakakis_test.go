@@ -9,6 +9,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/testkit"
 	"mpcquery/internal/workload"
 )
 
@@ -23,9 +24,7 @@ func reference(q hypergraph.Query, rels map[string]*relation.Relation) *relation
 		}
 		inputs[i] = renamed
 	}
-	out := relation.GenericJoin("want", q.Vars(), inputs...)
-	out.Dedup()
-	return out
+	return relation.GenericJoin("want", q.Vars(), inputs...)
 }
 
 func joinTreeOf(t *testing.T, q hypergraph.Query) *hypergraph.JoinTree {
@@ -39,13 +38,11 @@ func joinTreeOf(t *testing.T, q hypergraph.Query) *hypergraph.JoinTree {
 
 func TestSerialSlideTree(t *testing.T) {
 	q := hypergraph.SlideTree()
-	rels := workload.SlideTreeInput(60, 5)
+	rels := testkit.Sets(workload.SlideTreeInput(60, 5))
 	out, st := Serial(joinTreeOf(t, q), rels)
 	want := reference(q, rels)
-	outD := out.Clone()
-	outD.Dedup()
-	if !outD.EqualAsSets(want) {
-		t.Fatalf("serial Yannakakis wrong: got %d, want %d", outD.Len(), want.Len())
+	if out.Len() != want.Len() || !out.EqualAsSets(want) {
+		t.Fatalf("serial Yannakakis wrong: got %d, want %d", out.Len(), want.Len())
 	}
 	// O(n) semijoins: 2 per edge = 8 for 5 atoms.
 	if st.Semijoins != 8 {
@@ -83,10 +80,10 @@ func TestSerialPathAndStar(t *testing.T) {
 				rels[a.Name] = workload.Uniform(a.Name, a.Vars, 50, 25, int64(i+1))
 			}
 		}
+		testkit.Sets(rels)
 		out, _ := Serial(joinTreeOf(t, q), rels)
-		out.Dedup()
 		want := reference(q, rels)
-		if !out.EqualAsSets(want) {
+		if out.Len() != want.Len() || !out.EqualAsSets(want) {
 			t.Errorf("%s: serial result differs (got %d want %d)", q.Name, out.Len(), want.Len())
 		}
 	}
@@ -94,13 +91,12 @@ func TestSerialPathAndStar(t *testing.T) {
 
 func TestGYMCorrect(t *testing.T) {
 	q := hypergraph.SlideTree()
-	rels := workload.SlideTreeInput(60, 7)
+	rels := testkit.Sets(workload.SlideTreeInput(60, 7))
 	want := reference(q, rels)
 	c := mpc.NewCluster(8, 1)
 	res := GYM(c, joinTreeOf(t, q), rels, "out", 42)
 	got := c.Gather("out")
-	got.Dedup()
-	if !got.EqualAsSets(want) {
+	if got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatalf("GYM wrong: got %d, want %d", got.Len(), want.Len())
 	}
 	// Vanilla rounds: one per semijoin (8) + one per join (4) = 12.
@@ -111,7 +107,7 @@ func TestGYMCorrect(t *testing.T) {
 
 func TestGYMOptimizedCorrectAndFewerRounds(t *testing.T) {
 	q := hypergraph.SlideTree()
-	rels := workload.SlideTreeInput(60, 9)
+	rels := testkit.Sets(workload.SlideTreeInput(60, 9))
 	want := reference(q, rels)
 
 	cv := mpc.NewCluster(8, 1)
@@ -121,8 +117,7 @@ func TestGYMOptimizedCorrectAndFewerRounds(t *testing.T) {
 	ro := GYMOptimized(co, joinTreeOf(t, q), rels, "out", 42)
 
 	got := co.Gather("out")
-	got.Dedup()
-	if !got.EqualAsSets(want) {
+	if got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatalf("optimized GYM wrong: got %d, want %d", got.Len(), want.Len())
 	}
 	if ro.Rounds >= rv.Rounds {
@@ -139,13 +134,13 @@ func TestGYMStarRoundCounts(t *testing.T) {
 	for i, a := range q.Atoms {
 		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1))
 	}
+	testkit.Sets(rels)
 	want := reference(q, rels)
 
 	cv := mpc.NewCluster(8, 1)
 	rv := GYM(cv, joinTreeOf(t, q), rels, "out", 42)
 	gv := cv.Gather("out")
-	gv.Dedup()
-	if !gv.EqualAsSets(want) {
+	if gv.Len() != want.Len() || !gv.EqualAsSets(want) {
 		t.Fatal("vanilla GYM wrong on star")
 	}
 	if rv.Rounds != 9 {
@@ -155,8 +150,7 @@ func TestGYMStarRoundCounts(t *testing.T) {
 	co := mpc.NewCluster(8, 1)
 	ro := GYMOptimized(co, joinTreeOf(t, q), rels, "out", 42)
 	g := co.Gather("out")
-	g.Dedup()
-	if !g.EqualAsSets(want) {
+	if g.Len() != want.Len() || !g.EqualAsSets(want) {
 		t.Fatal("optimized GYM wrong on star")
 	}
 	if ro.Rounds != 4 {
@@ -184,12 +178,12 @@ func runGYMOpt(t *testing.T, q hypergraph.Query) (*mpc.Cluster, *hypergraph.Join
 	for i, a := range q.Atoms {
 		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1))
 	}
+	testkit.Sets(rels)
 	jt := joinTreeOf(t, q)
 	c := mpc.NewCluster(8, 1)
 	GYMOptimized(c, jt, rels, "out", 42)
 	got := c.Gather("out")
-	got.Dedup()
-	if !got.EqualAsSets(reference(q, rels)) {
+	if want := reference(q, rels); got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatalf("%s: optimized GYM wrong", q.Name)
 	}
 	return c, jt, rels
@@ -315,9 +309,9 @@ func TestGYMOptimizedCarriedChildStays(t *testing.T) {
 }
 
 // upwardReduced returns each atom of jt as the upward semijoin pass
-// leaves it: reduced by each of its children in turn, and deduplicated
-// when there are three or more, as the intersection of their keyed
-// copies leaves it.
+// leaves it: reduced by each of its children in turn. On set inputs
+// the intersection of a k ≥ 3 parent's keyed copies leaves the same
+// rows.
 func upwardReduced(jt *hypergraph.JoinTree, rels map[string]*relation.Relation) []*relation.Relation {
 	q := jt.Query
 	bound := cost.BindAtoms(q, rels)
@@ -326,9 +320,6 @@ func upwardReduced(jt *hypergraph.JoinTree, rels map[string]*relation.Relation) 
 		cur[i] = bound[q.Atoms[i].Name]
 		for _, ch := range jt.Children[i] {
 			cur[i] = relation.Semijoin(q.Atoms[i].Name, cur[i], cur[ch])
-		}
-		if len(jt.Children[i]) >= 3 {
-			cur[i].Dedup()
 		}
 	}
 	return cur
@@ -355,9 +346,10 @@ func TestIterativeBinaryJoinCorrect(t *testing.T) {
 	}
 }
 
-// TestIterativeBinaryJoinBlowup reproduces slide 63: with multiplicity-d
-// inputs the intermediate T1 = R1 ⋈ R2 has d² tuples per chain — far
-// larger than IN or OUT would suggest per step.
+// TestIterativeBinaryJoinBlowup reproduces slide 63: with join keys of
+// degree d on both sides of R1 ⋈ R2 the intermediate T1 has d² tuples
+// per chain, of which R3 keeps d — far larger than IN or OUT would
+// suggest per step.
 func TestIterativeBinaryJoinBlowup(t *testing.T) {
 	q := hypergraph.Path(3)
 	const d = 12
@@ -372,17 +364,17 @@ func TestIterativeBinaryJoinBlowup(t *testing.T) {
 		}
 		return r
 	}
-	// Build R1(A0,A1), R2(A1,A2), R3(A2,A3) so that A1 and A2 have
-	// degree d on both sides.
+	// Build R1(A0,A1), R2(A1,A2), R3(A2,A3) so that A1 has degree d on
+	// both sides and R3 matches one A2 value of each chain.
 	r1 := relation.New("R1", "A0", "A1")
 	r2 := relation.New("R2", "A1", "A2")
 	r3 := relation.New("R3", "A2", "A3")
 	for k := relation.Value(0); k < 5; k++ {
 		for i := relation.Value(0); i < d; i++ {
 			r1.Append(k*1000+i, k)
-			r2.Append(k, k)
-			r3.Append(k, k*1000+i)
+			r2.Append(k, k*1000+i)
 		}
+		r3.Append(k*1000, k)
 	}
 	_ = mk
 	rels := map[string]*relation.Relation{"R1": r1, "R2": r2, "R3": r3}
@@ -394,8 +386,7 @@ func TestIterativeBinaryJoinBlowup(t *testing.T) {
 	}
 	want := reference(q, rels)
 	got := c.Gather("out")
-	got.Dedup()
-	if !got.EqualAsSets(want) {
+	if got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatal("blowup case still must be correct")
 	}
 }
@@ -407,6 +398,7 @@ func TestGHDRunPathDecompositions(t *testing.T) {
 	for i, a := range q.Atoms {
 		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 30, 10, int64(i+1))
 	}
+	testkit.Sets(rels)
 	want := reference(q, rels)
 	for name, g := range map[string]*hypergraph.GHD{
 		"chain":    hypergraph.PathChainGHD(n),
@@ -416,8 +408,7 @@ func TestGHDRunPathDecompositions(t *testing.T) {
 		c := mpc.NewCluster(8, 1)
 		GHDRun(c, g, rels, "out", 42)
 		got := c.Gather("out")
-		got.Dedup()
-		if !got.EqualAsSets(want) {
+		if got.Len() != want.Len() || !got.EqualAsSets(want) {
 			t.Errorf("%s GHD run wrong: got %d, want %d", name, got.Len(), want.Len())
 		}
 	}
