@@ -108,11 +108,11 @@ func main() {
 	}
 
 	if rec != nil {
-		if err := writeTrace(*traceFile, rec); err != nil {
+		if err := trace.WriteFile(*traceFile, rec.Events()); err != nil {
 			fmt.Fprintf(os.Stderr, "mpcbench: trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", rec.Len(), *traceFile)
+		fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", len(rec.Events()), *traceFile)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -127,22 +127,4 @@ func main() {
 		}
 		f.Close()
 	}
-}
-
-// writeTrace exports rec to path, choosing the format by extension:
-// .jsonl → JSON lines, anything else Chrome trace_event.
-func writeTrace(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = trace.WriteJSONL(f, rec.Events())
-	} else {
-		err = trace.WriteChrome(f, rec.Events())
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

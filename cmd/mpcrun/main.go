@@ -91,6 +91,7 @@ import (
 	"mpcquery/internal/core"
 	"mpcquery/internal/cost"
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
 	"mpcquery/internal/plan"
 	"mpcquery/internal/query"
 	"mpcquery/internal/relation"
@@ -217,10 +218,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		engine.Chaos = sched
 	}
-	if *traceFile != "" {
-		engine.Trace = trace.NewRecorder()
-	}
-
 	var exec *core.Execution
 	failure, err := chaos.Capture(func() error {
 		var execErr error
@@ -230,9 +227,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil && failure == nil {
 		return fail(err)
 	}
-	// The trace is most valuable exactly when the run failed: flush
-	// whatever was recorded before reporting an unrecovered fault.
-	if terr := writeTrace(stderr, *traceFile, engine.Trace); terr != nil {
+	// The trace is most valuable exactly when the run failed: a failed
+	// run's ledger ends at the round it lost.
+	var ledger *mpc.Metrics
+	if failure != nil {
+		ledger = failure.Metrics
+	} else {
+		ledger = exec.Metrics
+	}
+	if terr := writeTrace(stderr, *traceFile, ledger); terr != nil {
 		return fail(fmt.Errorf("trace: %w", terr))
 	}
 	if failure != nil {
@@ -293,18 +296,19 @@ func indent(s string) string {
 }
 
 // recursiveJob builds a -recursive tc|reach|cc run: a semi-naive
-// fixpoint over a generated random graph with n edges (heavy-tailed
-// degrees under -skew zipf/heavy) made a set, reachability starting
+// fixpoint over a generated random graph with n distinct edges
+// (heavy-tailed degrees under -skew zipf/heavy), reachability starting
 // from the first edge's source.
 func recursiveJob(kind string, n int, skew string, seed int64) (*job, error) {
 	vertices := max(n/3, 2)
+	if n > vertices*(vertices-1) {
+		return nil, fmt.Errorf("-n %d edges do not fit a simple graph on %d vertices", n, vertices)
+	}
 	gen := workload.RandomGraph
 	if skew == "zipf" || skew == "heavy" {
 		gen = workload.PowerLawGraph
-	} else if n > vertices*(vertices-1) {
-		return nil, fmt.Errorf("-n %d edges do not fit a simple graph on %d vertices", n, vertices)
 	}
-	edges := gen("E", "src", "dst", vertices, n, seed).Distinct()
+	edges := gen("E", "src", "dst", vertices, n, seed)
 	req := core.RecursiveRequest{Kind: core.RecursiveKind(kind), Edges: edges}
 	if req.Kind == core.RecReachable {
 		if edges.Len() == 0 {
@@ -500,28 +504,17 @@ func loadCSV(dir, name string, arity int) (*relation.Relation, error) {
 	return rel, nil
 }
 
-// writeTrace exports the recorded events to path — JSON lines when the
+// writeTrace draws the ledger's trace into path — JSON lines when the
 // file ends in .jsonl, Chrome trace_event (Perfetto-loadable) otherwise.
 // No-op when tracing was not requested.
-func writeTrace(stderr io.Writer, path string, rec *trace.Recorder) error {
-	if path == "" || rec == nil {
+func writeTrace(stderr io.Writer, path string, ledger *mpc.Metrics) error {
+	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	events := ledger.Events()
+	if err := trace.WriteFile(path, events); err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = trace.WriteJSONL(f, rec.Events())
-	} else {
-		err = trace.WriteChrome(f, rec.Events())
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "trace: %d events written to %s\n", rec.Len(), path)
+	fmt.Fprintf(stderr, "trace: %d events written to %s\n", len(events), path)
 	return nil
 }

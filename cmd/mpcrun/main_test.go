@@ -268,26 +268,24 @@ func TestHLTriangleViaEngine(t *testing.T) {
 	}
 }
 
-// TestTraceViaEngine exercises the -trace path main() drives: an engine
-// with a recorder attached records a consistent trace, and writeTrace
-// emits both formats — the Chrome file parseable as trace_event JSON,
-// the JSONL file round-tripping through the strict parser.
+// TestTraceViaEngine exercises the -trace path main() drives: an
+// execution's ledger draws a consistent trace, and writeTrace emits
+// both formats — the Chrome file parseable as trace_event JSON, the
+// JSONL file round-tripping through the strict parser.
 func TestTraceViaEngine(t *testing.T) {
 	j, _ := namedJob(t, "triangle", core.AlgAuto, 300, "none", 2)
-	engine := core.NewEngine(8, 1)
-	rec := trace.NewRecorder()
-	engine.Trace = rec
-	exec, err := j.execute(engine)
+	exec, err := j.execute(core.NewEngine(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("traced execution recorded no events")
+	events := exec.Metrics.Events()
+	if len(events) == 0 {
+		t.Fatal("the execution's ledger draws no events")
 	}
 	// The trace must carry the planner annotation and one frame pair per
 	// metered round.
 	starts, ends, annotates := 0, 0, 0
-	for _, ev := range rec.Events() {
+	for _, ev := range events {
 		switch ev.Kind {
 		case trace.KindRoundStart:
 			starts++
@@ -307,7 +305,7 @@ func TestTraceViaEngine(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"out.jsonl", "out.json"} {
 		path := filepath.Join(dir, name)
-		if err := writeTrace(io.Discard, path, rec); err != nil {
+		if err := writeTrace(io.Discard, path, exec.Metrics); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -315,12 +313,12 @@ func TestTraceViaEngine(t *testing.T) {
 			t.Fatalf("%s not written: %v", name, err)
 		}
 		if strings.HasSuffix(name, ".jsonl") {
-			events, err := trace.ReadJSONL(bytes.NewReader(data))
+			parsed, err := trace.ReadJSONL(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("JSONL trace does not parse back: %v", err)
 			}
-			if len(events) != rec.Len() {
-				t.Fatalf("JSONL trace has %d events, recorder %d", len(events), rec.Len())
+			if len(parsed) != len(events) {
+				t.Fatalf("JSONL trace has %d events, the ledger draws %d", len(parsed), len(events))
 			}
 		} else {
 			var doc struct {
@@ -334,11 +332,8 @@ func TestTraceViaEngine(t *testing.T) {
 			}
 		}
 	}
-	// writeTrace without a path or recorder is a no-op, not a crash.
-	if err := writeTrace(io.Discard, "", rec); err != nil {
-		t.Error(err)
-	}
-	if err := writeTrace(io.Discard, filepath.Join(dir, "x.jsonl"), nil); err != nil {
+	// writeTrace without a path is a no-op.
+	if err := writeTrace(io.Discard, "", exec.Metrics); err != nil {
 		t.Error(err)
 	}
 }
@@ -442,6 +437,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"tc 3 edges on 2 vertices", []string{"-recursive", "tc", "-n", "3"}},
 		{"cc 11 edges on 3 vertices", []string{"-recursive", "cc", "-n", "11"}},
 		{"tc 13 edges on 4 vertices", []string{"-recursive", "tc", "-n", "13"}},
+		{"zipf tc 3 edges on 2 vertices", []string{"-recursive", "tc", "-n", "3", "-skew", "zipf"}},
+		{"heavy cc 11 edges on 3 vertices", []string{"-recursive", "cc", "-n", "11", "-skew", "heavy"}},
+		{"zipf reach 13 edges on 4 vertices", []string{"-recursive", "reach", "-n", "13", "-skew", "zipf"}},
 		{"reach no edges", []string{"-recursive", "reach", "-n", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -454,8 +452,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 // TestRunRecursiveSizesThatFit pins the other side of the -recursive
-// size check: the largest -n each small vertex count holds, and skewed
-// graphs, which the check leaves alone, still run.
+// size check: the largest -n each small vertex count holds, under the
+// uniform and the power-law generator alike.
 func TestRunRecursiveSizesThatFit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -466,9 +464,9 @@ func TestRunRecursiveSizesThatFit(t *testing.T) {
 		{"reach 1 edge", []string{"-recursive", "reach", "-n", "1"}},
 		{"cc 12 edges on 4 vertices", []string{"-recursive", "cc", "-n", "12"}},
 		{"tc 15 edges on 5 vertices", []string{"-recursive", "tc", "-n", "15"}},
-		{"tc zipf 3 edges", []string{"-recursive", "tc", "-n", "3", "-skew", "zipf"}},
-		{"cc heavy 11 edges", []string{"-recursive", "cc", "-n", "11", "-skew", "heavy"}},
-		{"reach zipf 13 edges", []string{"-recursive", "reach", "-n", "13", "-skew", "zipf"}},
+		{"tc zipf 2 edges", []string{"-recursive", "tc", "-n", "2", "-skew", "zipf"}},
+		{"cc heavy 15 edges", []string{"-recursive", "cc", "-n", "15", "-skew", "heavy"}},
+		{"reach zipf 12 edges", []string{"-recursive", "reach", "-n", "12", "-skew", "zipf"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -16,7 +16,6 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // Spec describes one distributed aggregation.
@@ -68,7 +67,7 @@ func Run(c *mpc.Cluster, spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("aggregate: missing relation names")
 	}
 	outAttrs := append(append([]string(nil), spec.GroupBy...), spec.OutAttr)
-	trace.Annotatef(c, "aggregate.Run %s group-by %v", spec.Rel, spec.GroupBy)
+	c.Note("aggregate.Run %s group-by %v", spec.Rel, spec.GroupBy)
 	start := c.Metrics().Rounds()
 	gb := spec.GroupBy
 	partials := spec.OutRel + ":combined"

@@ -26,7 +26,6 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // step is one planned extension.
@@ -209,7 +208,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(bound[a.Name])
 	}
-	trace.Annotatef(c, "bigjoin.Run %s var order %v", q.Name, pl.VarOrder)
+	c.Note("bigjoin.Run %s var order %v", q.Name, pl.VarOrder)
 	start := c.Metrics().Rounds()
 
 	// Setup round: partition each proposer by its sharedBound key and

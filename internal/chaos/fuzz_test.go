@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"reflect"
 	"testing"
 
 	"mpcquery/internal/chaos"
@@ -134,7 +135,7 @@ func FuzzChaosDeliver(f *testing.F) {
 					t.Fatalf("round %d server %d metering differs from fault-free run", i, srv)
 				}
 			}
-			if s1[i].Chaos == nil || !s1[i].Chaos.Equal(s2[i].Chaos) {
+			if s1[i].Chaos == nil || !reflect.DeepEqual(s1[i].Chaos, s2[i].Chaos) {
 				t.Fatalf("round %d recovery ledger not reproduced on replay: %+v vs %+v", i, s1[i].Chaos, s2[i].Chaos)
 			}
 		}

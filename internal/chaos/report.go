@@ -40,11 +40,11 @@ func (s *Schedule) Report(m *mpc.Metrics, failure *mpc.RecoveryFailure) *Report 
 			continue
 		}
 		r.Replays += cs.Replays()
-		r.Crashes += cs.Crashes
+		r.Crashes += cs.Crashes()
 		r.Dropped += cs.Dropped
 		r.Duplicated += cs.Duplicated
 		r.Redelivered += cs.Redelivered
-		r.BackoffUnits += cs.BackoffUnits
+		r.BackoffUnits += cs.BackoffUnits()
 		if v := cs.MaxStraggle(); v > r.MaxStraggle {
 			r.MaxStraggle = v
 		}

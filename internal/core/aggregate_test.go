@@ -220,7 +220,7 @@ func assertSameAggregate(t *testing.T, label string, want, got *Execution) {
 // faulted reports whether the fault schedule hit any of ex's rounds.
 func faulted(ex *Execution) bool {
 	for _, st := range ex.Metrics.RoundStats() {
-		if cs := st.Chaos; cs != nil && (cs.Dropped+cs.Duplicated+cs.Redelivered > 0 || cs.Crashes > 0 || cs.MaxStraggle() > 0) {
+		if cs := st.Chaos; cs != nil && (cs.Dropped+cs.Duplicated+cs.Redelivered > 0 || cs.Crashes() > 0 || cs.MaxStraggle() > 0) {
 			return true
 		}
 	}

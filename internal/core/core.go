@@ -68,7 +68,6 @@ import (
 	"mpcquery/internal/join2"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 	"mpcquery/internal/yannakakis"
 )
 
@@ -127,11 +126,6 @@ type Engine struct {
 	// and (L, r, C) identical to the fault-free run, or panic with a
 	// *mpc.RecoveryFailure (recoverable via chaos.Capture).
 	Chaos mpc.FaultInjector
-	// Trace, when non-nil, attaches this event recorder to every cluster
-	// the engine builds. Executions append their per-round send/recv/skew
-	// events (and, under Chaos, the recovery events) to the recorder;
-	// export with trace.WriteJSONL or trace.WriteChrome.
-	Trace *trace.Recorder
 	// Transport, when non-nil, routes every cluster's round delivery
 	// through this backend (typically an *mpcnet.Transport dialed for P
 	// servers) instead of the default in-process one. Conforming
@@ -183,7 +177,8 @@ type Execution struct {
 	// Iterations is the semi-naive iteration count (recursive only).
 	Iterations int
 	// Rounds, MaxLoad and TotalComm are (r, L, C) read off Metrics, the
-	// one ledger of the one cluster the execution ran on.
+	// one ledger of the one cluster the execution ran on; its trace is
+	// Metrics.Events().
 	Rounds    int
 	MaxLoad   int64
 	TotalComm int64
@@ -260,14 +255,11 @@ func (e *Engine) oneRound(q hypergraph.Query, rels map[string]*relation.Relation
 }
 
 // newCluster builds the engine's simulated cluster, attaching the
-// fault schedule and trace recorder if configured.
+// fault schedule, transport and capacity profile if configured.
 func (e *Engine) newCluster() *mpc.Cluster {
 	c := mpc.NewCluster(e.P, e.Seed)
 	if e.Chaos != nil {
 		c.SetFaultInjector(e.Chaos)
-	}
-	if e.Trace != nil {
-		c.SetTracer(e.Trace)
 	}
 	c.SetTransport(e.Transport) // nil keeps the local default
 	if e.Capacities != nil {
@@ -327,7 +319,7 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 // up in the registry, ask its Applies, call its Run.
 func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (string, error) {
 	q, alg := req.Query, ex.Algorithm
-	trace.Annotatef(c, "plan %s: %s (%s)", q.Name, alg, ex.Reason)
+	c.Note("plan %s: %s (%s)", q.Name, alg, ex.Reason)
 	d := cost.Lookup(registry, string(alg))
 	if d == nil {
 		return "", fmt.Errorf("core: unknown algorithm %q (have %s)", alg, strings.Join(cost.Names(registry), ", "))
@@ -386,7 +378,7 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 		if err != nil {
 			return "", nil, err
 		}
-		trace.Annotatef(c, "aggregate group-by %v", spec.GroupBy)
+		c.Note("aggregate group-by %v", spec.GroupBy)
 		res, err := aggregate.Run(c, aggregate.Spec{
 			Rel:     joined,
 			GroupBy: spec.GroupBy,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mpcquery/internal/mpcnet"
-	"mpcquery/internal/trace"
 )
 
 // TestEngineTransportParity: an Engine with a TCP transport attached
@@ -20,8 +19,6 @@ func TestEngineTransportParity(t *testing.T) {
 		name, req := name, req
 		t.Run(name, func(t *testing.T) {
 			local := NewEngine(8, 5)
-			localRec := trace.NewRecorder()
-			local.Trace = localRec
 			want, err := local.Execute(req)
 			if err != nil {
 				t.Fatalf("local execute: %v", err)
@@ -33,8 +30,6 @@ func TestEngineTransportParity(t *testing.T) {
 			}
 			defer tr.Close()
 			tcp := NewEngine(8, 5)
-			tcpRec := trace.NewRecorder()
-			tcp.Trace = tcpRec
 			tcp.Transport = tr
 			got, err := tcp.Execute(req)
 			if err != nil {
@@ -58,7 +53,7 @@ func TestEngineTransportParity(t *testing.T) {
 					}
 				}
 			}
-			we, ge := localRec.Events(), tcpRec.Events()
+			we, ge := want.Metrics.Events(), got.Metrics.Events()
 			if len(we) != len(ge) {
 				t.Fatalf("trace: %d vs %d events", len(we), len(ge))
 			}

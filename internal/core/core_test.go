@@ -207,13 +207,12 @@ func TestSkewHCReasonIsDeterministic(t *testing.T) {
 		}
 	}
 	traced := func() string {
-		e := NewEngine(8, 1)
-		e.Trace = trace.NewRecorder()
-		if _, err := e.Execute(req); err != nil {
+		exec, err := NewEngine(8, 1).Execute(req)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := trace.WriteJSONL(&b, e.Trace.Events()); err != nil {
+		if err := trace.WriteJSONL(&b, exec.Metrics.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

@@ -14,16 +14,14 @@ import (
 // every entry point and every registered algorithm that applies, the
 // Execution's Rounds,
 // MaxLoad and TotalComm are exactly its Metrics' — one ledger, one
-// cluster — and a recorder on Engine.Trace saw exactly that ledger's
+// cluster — and the trace it draws frames exactly that ledger's
 // rounds, once each, under consecutive round indices. Before the run
 // spine, ExecuteAggregate stitched two clusters together: its Metrics
 // covered only the group-by round and a trace restarted at round 0.
 func TestOneLedger(t *testing.T) {
 	check := func(t *testing.T, run func(e *Engine) (*Execution, error)) {
 		t.Helper()
-		e := NewEngine(8, 3)
-		e.Trace = trace.NewRecorder()
-		exec, err := run(e)
+		exec, err := run(NewEngine(8, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +32,7 @@ func TestOneLedger(t *testing.T) {
 		}
 		rounds := m.RoundStats()
 		var starts, ends int
-		for _, ev := range e.Trace.Events() {
+		for _, ev := range m.Events() {
 			switch ev.Kind {
 			case trace.KindRoundStart:
 				if starts >= len(rounds) || ev.Round != starts || ev.Name != rounds[starts].Name {

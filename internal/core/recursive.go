@@ -28,7 +28,7 @@ type RecursiveRequest struct {
 }
 
 // ExecuteRecursive runs a semi-naive fixpoint workload on the engine's
-// cluster, composing with the Chaos, Trace, and Transport hooks exactly
+// cluster, composing with the Chaos and Transport hooks exactly
 // like Execute. Every iteration costs one metered round (extend); the
 // loop terminates when the delta relation is globally empty. The
 // Execution reports Algorithm "fixpoint-<kind>" and the iteration

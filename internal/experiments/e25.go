@@ -42,7 +42,7 @@ func E25RecursiveRounds() (*Table, error) {
 		{"random n=60 m=240", workload.RandomGraph("E", "src", "dst", 60, 240, 5)},
 		{"random n=120 m=480", workload.RandomGraph("E", "src", "dst", 120, 480, 5)},
 		// Preferential attachment repeats edges; inputs are sets.
-		{"powerlaw n=120 m=480", workload.PowerLawGraph("E", "src", "dst", 120, 480, 5).Distinct()},
+		{"powerlaw n=120 m=480", workload.PowerLawGraph("E", "src", "dst", 120, 480, 5)},
 	}
 	for _, cse := range cases {
 		c := mpc.NewCluster(p, 1)

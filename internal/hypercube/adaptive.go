@@ -10,7 +10,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/stats"
-	"mpcquery/internal/trace"
 )
 
 // The adaptive executor's constants.
@@ -133,7 +132,7 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 		return nil, err
 	}
 	scatter(c, q, rels)
-	trace.Annotatef(c, "hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, probeFraction*100, pl.Shares)
+	c.Note("hypercube.RunAdaptive %s probe %.0f%% shares %v", q.Name, probeFraction*100, pl.Shares)
 	start := c.Metrics().Rounds()
 
 	// Round 1: metered probe over each fragment's prefix. Every
@@ -184,10 +183,8 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 		// static SkewHC execution.
 		drop(outName + ":")
 		drop(rest)
-		if tr := c.Tracer(); tr != nil {
-			tr.Adapt(probeRound, res.Reason, signal.MaxRecv, signal.Gini)
-		}
-		trace.Annotatef(c, "adaptive: switching to SkewHC after probe round %d", probeRound)
+		c.Adapt(res.Reason, signal.MaxRecv, signal.Gini)
+		c.Note("adaptive: switching to SkewHC after probe round %d", probeRound)
 		sk, err := RunSkewHC(c, q, rels, outName, seed, threshold, LocalGeneric)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive switch: %w", err)

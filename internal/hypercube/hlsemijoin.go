@@ -9,7 +9,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/stats"
-	"mpcquery/internal/trace"
 )
 
 // HeavyLightTriangle implements the multi-round Heavy-Light + Semijoins
@@ -40,7 +39,7 @@ func HeavyLightTriangle(c *mpc.Cluster, rels map[string]*relation.Relation, outN
 	if threshold < 1 {
 		threshold = 1
 	}
-	trace.Annotatef(c, "hypercube.HeavyLightTriangle (z threshold %d)", threshold)
+	c.Note("hypercube.HeavyLightTriangle (z threshold %d)", threshold)
 	start := c.Metrics().Rounds()
 
 	// Rounds 1–2: the heavy z values, by their degree summed over S(y,z)

@@ -31,7 +31,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/stats"
-	"mpcquery/internal/trace"
 )
 
 // Plan is a HyperCube share assignment for one query.
@@ -187,7 +186,7 @@ func Run(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation,
 // the initial placement left it. The fragments stay in place.
 func RunWithPlan(c *mpc.Cluster, pl *Plan, outName string, alg LocalAlg) *Result {
 	q := pl.Query
-	trace.Annotatef(c, "hypercube.Run %s shares %v on %v", q.Name, pl.Shares, pl.Vars)
+	c.Note("hypercube.Run %s shares %v on %v", q.Name, pl.Shares, pl.Vars)
 	start := c.Metrics().Rounds()
 	shuffle(c, "hypercube:shuffle", q.Atoms, "", outName, pl.Route)
 	localJoin(c, q, outName, "", alg)
@@ -273,7 +272,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	if threshold <= 0 {
 		threshold = Threshold(q, bound, p)
 	}
-	trace.Annotatef(c, "hypercube.RunSkewHC %s (heavy threshold %d)", q.Name, threshold)
+	c.Note("hypercube.RunSkewHC %s (heavy threshold %d)", q.Name, threshold)
 	start := c.Metrics().Rounds()
 	vars := q.Vars()
 	groups := make([][]stats.Column, len(vars))
@@ -315,7 +314,7 @@ func varColumns(q hypergraph.Query, rels map[string]*relation.Relation, v string
 // rounds find, it routes exactly as RunSkewHC's third round.
 func RunSkewHCKnown(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, heavy [][]relation.Value, alg LocalAlg) (*Result, error) {
 	bound := scatter(c, q, rels)
-	trace.Annotatef(c, "hypercube.RunSkewHCKnown %s (known heavy hitters)", q.Name)
+	c.Note("hypercube.RunSkewHCKnown %s (known heavy hitters)", q.Name)
 	start := c.Metrics().Rounds()
 	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)
 	if err != nil {

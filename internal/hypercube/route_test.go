@@ -12,7 +12,6 @@ import (
 	"mpcquery/internal/mpcnet"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
-	"mpcquery/internal/trace"
 )
 
 // walkCells is the reference the compiled Route is checked against: the
@@ -184,10 +183,8 @@ func TestShuffleMatchesPerRowLoop(t *testing.T) {
 				for spanName, span := range spans {
 					for _, backend := range []string{"local", "tcp"} {
 						t.Run(fmt.Sprintf("%s/%s/p%d/%s/%s", q.Name, skew, p, spanName, backend), func(t *testing.T) {
-							run := func(bulk bool) (*mpc.Cluster, *trace.Recorder) {
+							run := func(bulk bool) *mpc.Cluster {
 								c := mpc.NewCluster(p, 5)
-								rec := trace.NewRecorder()
-								c.SetTracer(rec)
 								if backend == "tcp" {
 									tr, err := mpcnet.NewLoopback(p, mpcnet.Options{})
 									if err != nil {
@@ -217,13 +214,13 @@ func TestShuffleMatchesPerRowLoop(t *testing.T) {
 										loopShuffle(srv, out, pl, q.Atoms, from, "g")
 									})
 								}
-								return c, rec
+								return c
 							}
-							loop, loopRec := run(false)
-							bulk, bulkRec := run(true)
+							loop := run(false)
+							bulk := run(true)
 							testkit.AssertSameFragments(t, loop, bulk)
 							testkit.AssertSameLRC(t, loop, bulk)
-							testkit.AssertSameTrace(t, loopRec, bulkRec)
+							testkit.AssertSameTrace(t, loop, bulk)
 						})
 					}
 				}

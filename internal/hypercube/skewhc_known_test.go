@@ -10,7 +10,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
-	"mpcquery/internal/trace"
 )
 
 // plantHeavy generates n rows per atom of q over a sparse domain that
@@ -76,25 +75,23 @@ func TestSkewHCKnownRoutesAsInRound(t *testing.T) {
 				}
 				for _, backend := range []string{"local", "tcp"} {
 					t.Run(fmt.Sprintf("%s/%s/p%d/%s", q.Name, in.name, p, backend), func(t *testing.T) {
-						cluster := func() (*mpc.Cluster, *trace.Recorder) {
+						cluster := func() *mpc.Cluster {
 							c := mpc.NewCluster(p, 1)
 							if backend == "tcp" {
 								c = testkit.NewTCPCluster(t, p, 1)
 							}
-							rec := trace.NewRecorder()
-							c.SetTracer(rec)
-							return c, rec
+							return c
 						}
 						const seed = 99
-						c, rec := cluster()
+						c := cluster()
 						if _, err := RunSkewHC(c, q, in.rels, "out", seed, 0, LocalGeneric); err != nil {
 							t.Fatal(err)
 						}
-						one, oneRec := cluster()
+						one := cluster()
 						if err := algo("skewhc")(one, q, in.rels, "out", seed); err != nil {
 							t.Fatal(err)
 						}
-						testkit.AssertSameLastRound(t, c, one, rec, oneRec)
+						testkit.AssertSameLastRound(t, c, one)
 					})
 				}
 			}

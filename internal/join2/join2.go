@@ -36,7 +36,6 @@ import (
 	"mpcquery/internal/relation"
 	"mpcquery/internal/sortmpc"
 	"mpcquery/internal/stats"
-	"mpcquery/internal/trace"
 )
 
 // Result describes one parallel join execution.
@@ -72,7 +71,7 @@ func HashJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 	}
 	c.ScatterRoundRobin(r)
 	c.ScatterRoundRobin(s)
-	trace.Annotatef(c, "join2.HashJoin %s ⋈ %s on %v", r.Name(), s.Name(), shared)
+	c.Note("join2.HashJoin %s ⋈ %s on %v", r.Name(), s.Name(), shared)
 	start := c.Metrics().Rounds()
 	rName, sName := r.Name(), s.Name()
 	rAttrs, sAttrs := r.Attrs(), s.Attrs()
@@ -97,7 +96,7 @@ func BroadcastJoin(c *mpc.Cluster, r, s *relation.Relation, outName string) *Res
 	joinAttr(r, s) // validate schema compatibility
 	c.ScatterRoundRobin(r)
 	c.ScatterRoundRobin(s)
-	trace.Annotatef(c, "join2.BroadcastJoin small=%s (%d tuples)", r.Name(), r.Len())
+	c.Note("join2.BroadcastJoin small=%s (%d tuples)", r.Name(), r.Len())
 	start := c.Metrics().Rounds()
 	rName, sName := r.Name(), s.Name()
 	rAttrs, sAttrs := r.Attrs(), s.Attrs()
@@ -253,7 +252,7 @@ func SkewJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 	c.ScatterRoundRobin(s)
 	start := c.Metrics().Rounds()
 	threshold := heavyThreshold(r, s, c.P())
-	trace.Annotatef(c, "join2.SkewJoin %s ⋈ %s on %s (heavy threshold %d)", r.Name(), s.Name(), y, threshold)
+	c.Note("join2.SkewJoin %s ⋈ %s on %s (heavy threshold %d)", r.Name(), s.Name(), y, threshold)
 	cols := []stats.Column{{Rel: r, Col: r.MustCol(y)}, {Rel: s, Col: s.MustCol(y)}}
 	heavy := cost.DetectHeavy(c, "skewjoin", outName, seed, [][]stats.Column{cols}, threshold, stats.InAny)[0]
 	skewShuffle(c, r, s, y, plansOf(heavy), outName, seed)
@@ -274,7 +273,7 @@ func SkewJoinKnown(c *mpc.Cluster, r, s *relation.Relation, outName string, seed
 	c.ScatterRoundRobin(r)
 	c.ScatterRoundRobin(s)
 	start := c.Metrics().Rounds()
-	trace.Annotatef(c, "join2.SkewJoinKnown %s ⋈ %s on %s (%d heavy hitters)", r.Name(), s.Name(), y, len(heavy))
+	c.Note("join2.SkewJoinKnown %s ⋈ %s on %s (%d heavy hitters)", r.Name(), s.Name(), y, len(heavy))
 	skewShuffle(c, r, s, y, plansOf(heavy), outName, seed)
 	return &Result{Rounds: c.Metrics().Rounds() - start}
 }
@@ -372,7 +371,7 @@ func SortJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		uid++
 	}
 	c.ScatterRoundRobin(union)
-	trace.Annotatef(c, "join2.SortJoin %s ⋈ %s on %s (union %d tuples)", r.Name(), s.Name(), y, union.Len())
+	c.Note("join2.SortJoin %s ⋈ %s on %s (union %d tuples)", r.Name(), s.Name(), y, union.Len())
 	start := c.Metrics().Rounds()
 
 	// Phase 1: parallel sort by (y, tag, uid).

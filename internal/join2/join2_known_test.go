@@ -9,7 +9,6 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
-	"mpcquery/internal/trace"
 	"mpcquery/internal/workload"
 )
 
@@ -68,24 +67,22 @@ func TestSkewJoinKnownRoutesAsInRound(t *testing.T) {
 		for _, p := range []int{1, 4, 8, 27} {
 			for _, backend := range []string{"local", "tcp"} {
 				t.Run(fmt.Sprintf("%s/p%d/%s", tc.name, p, backend), func(t *testing.T) {
-					cluster := func() (*mpc.Cluster, *trace.Recorder) {
+					cluster := func() *mpc.Cluster {
 						c := mpc.NewCluster(p, 1)
 						if backend == "tcp" {
 							c = testkit.NewTCPCluster(t, p, 1)
 						}
-						rec := trace.NewRecorder()
-						c.SetTracer(rec)
-						return c, rec
+						return c
 					}
 					const seed = 99
-					in, inRec := cluster()
+					in := cluster()
 					bound := cost.BindAtoms(q, tc.rels)
 					SkewJoin(in, bound["R"], bound["S"], "out", seed)
-					one, oneRec := cluster()
+					one := cluster()
 					if err := algo("skewjoin")(one, q, tc.rels, "out", seed); err != nil {
 						t.Fatal(err)
 					}
-					testkit.AssertSameLastRound(t, in, one, inRec, oneRec)
+					testkit.AssertSameLastRound(t, in, one)
 				})
 			}
 		}

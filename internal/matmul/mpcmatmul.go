@@ -6,7 +6,6 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // scatterMatrix distributes a matrix's elements round-robin as tuples
@@ -74,7 +73,7 @@ func RectangleBlock(c *mpc.Cluster, a, b *Matrix) (*MatMulResult, error) {
 	t := n / k
 	scatterMatrix(c, "A", a)
 	scatterMatrix(c, "B", b)
-	trace.Annotatef(c, "matmul.RectangleBlock n=%d grid %dx%d", n, k, k)
+	c.Note("matmul.RectangleBlock n=%d grid %dx%d", n, k, k)
 	start := c.Metrics().Rounds()
 	c.Round("rectblock:distribute", func(srv *mpc.Server, out *mpc.Out) {
 		if frag := srv.Rel("A"); frag != nil {
@@ -157,7 +156,7 @@ func SquareBlock(c *mpc.Cluster, a, b *Matrix, h, g int) (*MatMulResult, error) 
 	bsz := n / h
 	scatterMatrix(c, "A", a)
 	scatterMatrix(c, "B", b)
-	trace.Annotatef(c, "matmul.SquareBlock n=%d H=%d g=%d", n, h, g)
+	c.Note("matmul.SquareBlock n=%d H=%d g=%d", n, h, g)
 	start := c.Metrics().Rounds()
 	rounds := h / g
 	// Server layout: server (gi, i, k) = gi·H² + i·H + k.
@@ -286,7 +285,7 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 	}
 	c.ScatterRoundRobin(aRel)
 	c.ScatterRoundRobin(bRel)
-	trace.Annotatef(c, "matmul.SQLJoinAggregate n=%d (nnz %d+%d)", n, aRel.Len(), bRel.Len())
+	c.Note("matmul.SQLJoinAggregate n=%d (nnz %d+%d)", n, aRel.Len(), bRel.Len())
 	start := c.Metrics().Rounds()
 	// Round 1: co-partition on j.
 	c.Shuffle("sqlmm:join", onJ(seed)...)

@@ -53,18 +53,20 @@ func BenchmarkRound(b *testing.B) {
 // round. "off" is a cluster with no recorder attached — the default
 // path every production run takes, which the benchcheck gate holds to
 // within 5% of the committed BenchmarkRound baseline. "on" attaches a
-// recorder (reset between iterations so event slices don't grow
-// without bound) and shows the price of full event capture.
+// live recorder (a fresh one each iteration, so event slices don't grow
+// without bound) and shows the price of drawing every round as it
+// commits.
 func BenchmarkRoundTraced(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		for _, p := range benchPs {
 			b.Run(fmt.Sprintf("%s/p%d", mode, p), func(b *testing.B) {
 				c := NewCluster(p, 1)
-				var rec *trace.Recorder
-				if mode == "on" {
-					rec = trace.NewRecorder()
-					c.SetTracer(rec)
+				attach := func() {
+					if mode == "on" {
+						c.SetTracer(trace.NewRecorder())
+					}
 				}
+				attach()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -72,9 +74,7 @@ func BenchmarkRoundTraced(b *testing.B) {
 					b.StopTimer()
 					c.DeleteAll("M")
 					c.ResetMetrics()
-					if rec != nil {
-						rec.Reset()
-					}
+					attach()
 					b.StartTimer()
 				}
 			})

@@ -2,9 +2,11 @@ package mpc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"mpcquery/internal/stats"
+	"mpcquery/internal/trace"
 )
 
 // RoundStat is one committed round's ledger: the communication each
@@ -49,23 +51,48 @@ type StreamLoad struct {
 // injection. Fragment counters are events, not tuples: one fragment is
 // everything one source sent to one destination on one stream.
 type ChaosStat struct {
-	// Attempts is the number of delivery attempts the round needed
-	// (1 = converged without replay).
-	Attempts int
 	// Dropped counts fragments lost in transit, Duplicated wire
 	// duplicates discarded by the exactly-once filter, and Redelivered
 	// landed fragments wiped by a crash and sent again.
 	Dropped, Duplicated, Redelivered int64
-	// Crashes counts (attempt, server) crash events.
-	Crashes int
 	// StraggleUnits is the simulated per-server delay injected this
-	// round; BackoffUnits the driver's cumulative replay backoff.
+	// round.
 	StraggleUnits []int64
-	BackoffUnits  int64
+	// Log holds one entry per delivery attempt, in order; the counts
+	// below are read from it.
+	Log []AttemptLog
 }
 
+// AttemptLog is one delivery attempt of a fault-injected round: the
+// backoff the driver metered before it (0 before the first) and the
+// servers down during it.
+type AttemptLog struct {
+	Backoff int64
+	Down    []int
+}
+
+// Attempts returns the number of delivery attempts the round needed
+// (1 = converged without replay).
+func (cs *ChaosStat) Attempts() int { return len(cs.Log) }
+
 // Replays returns the delivery attempts beyond the first.
-func (cs *ChaosStat) Replays() int { return cs.Attempts - 1 }
+func (cs *ChaosStat) Replays() int { return len(cs.Log) - 1 }
+
+// Crashes counts the (attempt, server) crash events.
+func (cs *ChaosStat) Crashes() (n int) {
+	for _, at := range cs.Log {
+		n += len(at.Down)
+	}
+	return n
+}
+
+// BackoffUnits returns the driver's cumulative replay backoff.
+func (cs *ChaosStat) BackoffUnits() (u int64) {
+	for _, at := range cs.Log {
+		u += at.Backoff
+	}
+	return u
+}
 
 // MaxStraggle returns the largest per-server injected delay.
 func (cs *ChaosStat) MaxStraggle() int64 {
@@ -76,25 +103,6 @@ func (cs *ChaosStat) MaxStraggle() int64 {
 		}
 	}
 	return m
-}
-
-// Equal reports whether two chaos ledgers are identical — the
-// determinism check for replaying a fault schedule.
-func (cs *ChaosStat) Equal(o *ChaosStat) bool {
-	if cs == nil || o == nil {
-		return cs == o
-	}
-	if cs.Attempts != o.Attempts || cs.Dropped != o.Dropped || cs.Duplicated != o.Duplicated ||
-		cs.Redelivered != o.Redelivered || cs.Crashes != o.Crashes || cs.BackoffUnits != o.BackoffUnits ||
-		len(cs.StraggleUnits) != len(o.StraggleUnits) {
-		return false
-	}
-	for i := range cs.StraggleUnits {
-		if cs.StraggleUnits[i] != o.StraggleUnits[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxRecv returns the maximum tuples received by any server this round.
@@ -152,12 +160,41 @@ func (r *RoundStat) Imbalance() float64 {
 	return float64(r.MaxRecv()) / mean
 }
 
-// Metrics accumulates per-round communication statistics for a cluster.
-// It realizes the tutorial's cost model: L = MaxLoad, r = Rounds,
+// Metrics is a cluster's ledger: per-round communication statistics
+// and the driver's notes, which its trace is a view of (Events). It
+// realizes the tutorial's cost model: L = MaxLoad, r = Rounds,
 // C = TotalComm (slide 12 and slide 107's C = p·r·L accounting).
 type Metrics struct {
 	p     int
 	stats []RoundStat
+	notes []note // in the order they were made
+	// failed is the round whose recovery exhausted its replay budget,
+	// Name and Chaos only; it ends the ledger of a poisoned cluster.
+	failed *RoundStat
+}
+
+// note is a phase marker (Cluster.Note) or the adaptive switch
+// (Cluster.Adapt, whose format is its reason, verbatim). rounds is the
+// number of rounds committed when it was made.
+type note struct {
+	rounds  int
+	format  string
+	args    []any
+	adapt   bool
+	maxRecv int64
+	gini    float64
+}
+
+// mark is a position in a ledger: the notes and rounds before it.
+type mark struct{ notes, rounds int }
+
+// end returns the mark after everything the ledger holds.
+func (m *Metrics) end() mark {
+	rounds := len(m.stats)
+	if m.failed != nil {
+		rounds++
+	}
+	return mark{len(m.notes), rounds}
 }
 
 // NewMetrics creates empty metrics for a p-server cluster.
@@ -202,6 +239,86 @@ func (m *Metrics) MaxLoadOfRound(name string) int64 {
 	return -1
 }
 
+// Events draws the ledger as its trace. Each round is framed by
+// round_start and round_end; between them come the crashes and backoffs
+// of each delivery attempt, the send and recv events of each stream,
+// the chaos summary and the skew summary. Each note goes before the
+// round_start of the round it precedes. A failed round draws only its
+// round_start and attempt log. Equal ledgers draw equal traces.
+func (m *Metrics) Events() []trace.Event {
+	evs, _ := m.draw(mark{})
+	return evs
+}
+
+// draw renders the ledger's events after from, and the mark after the
+// last. It is the trace's one renderer, for Events and live sinks.
+func (m *Metrics) draw(from mark) ([]trace.Event, mark) {
+	to := m.end()
+	var evs []trace.Event
+	notes := func(before int) {
+		for ; from.notes < to.notes && m.notes[from.notes].rounds <= before; from.notes++ {
+			nt := &m.notes[from.notes]
+			if nt.adapt {
+				evs = append(evs, trace.Event{Kind: trace.KindAdapt, Round: nt.rounds - 1, Server: trace.Driver, Name: nt.format,
+					MaxRecv: nt.maxRecv, Gini: nt.gini})
+			} else {
+				evs = append(evs, trace.Event{Kind: trace.KindAnnotate, Round: nt.rounds, Server: trace.Driver,
+					Name: fmt.Sprintf(nt.format, nt.args...)})
+			}
+		}
+	}
+	for round := from.rounds; round < to.rounds; round++ {
+		notes(round)
+		st := m.failed
+		if round < len(m.stats) {
+			st = &m.stats[round]
+		}
+		evs = append(evs, trace.Event{Kind: trace.KindRoundStart, Round: round, Server: trace.Driver, Name: st.Name})
+		if cs := st.Chaos; cs != nil {
+			for a, at := range cs.Log {
+				if a > 0 {
+					evs = append(evs, trace.Event{Kind: trace.KindBackoff, Round: round, Server: trace.Driver, Attempt: a, Units: at.Backoff})
+				}
+				for _, d := range at.Down {
+					evs = append(evs, trace.Event{Kind: trace.KindCrash, Round: round, Server: d, Attempt: a})
+				}
+			}
+		}
+		if st == m.failed {
+			break
+		}
+		for _, s := range st.StreamSends {
+			evs = append(evs, trace.Event{Kind: trace.KindSend, Round: round, Server: int(s.Server), Name: s.Stream,
+				Tuples: s.Tuples, Words: s.Words})
+		}
+		for _, r := range st.StreamRecvs {
+			evs = append(evs, trace.Event{Kind: trace.KindRecv, Round: round, Server: int(r.Server), Name: r.Stream,
+				Tuples: r.Tuples, Words: r.Words, Frags: int(r.Frags)})
+		}
+		if cs := st.Chaos; cs != nil {
+			evs = append(evs, trace.Event{Kind: trace.KindChaos, Round: round, Server: trace.Driver, Attempt: cs.Attempts(),
+				Dropped: cs.Dropped, Duplicated: cs.Duplicated, Redelivered: cs.Redelivered,
+				Crashes: cs.Crashes(), Units: cs.BackoffUnits()})
+		}
+		var words int64
+		busy := 0 // servers that received something
+		for dst, n := range st.Recv {
+			words += st.RecvWords[dst]
+			if n > 0 {
+				busy++
+			}
+		}
+		total, maxRecv := st.TotalRecv(), st.MaxRecv()
+		evs = append(evs,
+			trace.Event{Kind: trace.KindSkew, Round: round, Server: trace.Driver, Tuples: total, Words: words, Frags: busy,
+				MaxRecv: maxRecv, P99Recv: st.P99Recv(), Gini: st.GiniRecv()},
+			trace.Event{Kind: trace.KindRoundEnd, Round: round, Server: trace.Driver, Name: st.Name,
+				Tuples: total, Words: words, MaxRecv: maxRecv})
+	}
+	notes(math.MaxInt)
+	return evs, to
+}
+
 // String renders a compact per-round report including balance figures.
 func (m *Metrics) String() string {
 	var b strings.Builder
@@ -212,7 +329,7 @@ func (m *Metrics) String() string {
 			i+1, st.Name, st.MaxRecv(), st.Quantile(0.5), st.TotalRecv(), st.Imbalance())
 		if cs := st.Chaos; cs != nil {
 			fmt.Fprintf(&b, "           chaos: attempts=%d dropped=%d duplicated=%d redelivered=%d crashes=%d backoff=%d maxStraggle=%d\n",
-				cs.Attempts, cs.Dropped, cs.Duplicated, cs.Redelivered, cs.Crashes, cs.BackoffUnits, cs.MaxStraggle())
+				cs.Attempts(), cs.Dropped, cs.Duplicated, cs.Redelivered, cs.Crashes(), cs.BackoffUnits(), cs.MaxStraggle())
 		}
 	}
 	return b.String()

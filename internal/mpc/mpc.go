@@ -78,12 +78,11 @@ type Cluster struct {
 	// fragments, metering, traces — is identical across conforming
 	// transports.
 	transport Transport
-	// tracer, when non-nil, receives each committed round's events,
-	// rendered from its RoundStat (roundEvents), and the recovery
-	// driver's crash and backoff events. Every round keeps its ledger
-	// whether or not a recorder is attached; an untraced round skips
-	// only the rendering.
+	// tracer, when non-nil, is a live sink: after each note and each
+	// committed or failed round it receives what the ledger draws past
+	// drawn. An untraced cluster keeps the same ledger.
 	tracer *trace.Recorder
+	drawn  mark
 }
 
 // NewCluster creates a cluster of p servers. The seed drives all
@@ -128,10 +127,12 @@ func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 // Metrics returns the cluster's accumulated cost metrics.
 func (c *Cluster) Metrics() *Metrics { return c.metrics }
 
-// ResetMetrics clears accumulated metrics (e.g. to exclude setup).
-// Round indices restart at 0, so a trace spanning a reset should also
-// swap in a fresh recorder via SetTracer.
-func (c *Cluster) ResetMetrics() { c.metrics = NewMetrics(c.p) }
+// ResetMetrics clears the ledger, notes included (e.g. to exclude
+// setup); round indices restart at 0, in a live sink too.
+func (c *Cluster) ResetMetrics() {
+	c.metrics = NewMetrics(c.p)
+	c.drawn = mark{}
+}
 
 // defaultTracer, when set, is attached to every cluster NewCluster
 // creates. It exists for the CLIs (mpcbench -trace), which need to
@@ -143,26 +144,46 @@ var defaultTracer atomic.Pointer[trace.Recorder]
 // default recorder picked up by subsequently created clusters.
 func SetDefaultTracer(r *trace.Recorder) { defaultTracer.Store(r) }
 
-// SetTracer attaches a trace recorder to the cluster; nil disables
-// tracing. Attach before running rounds: a round committed while no
-// recorder was attached keeps its RoundStat but is absent from the
-// trace.
-func (c *Cluster) SetTracer(r *trace.Recorder) { c.tracer = r }
+// SetTracer attaches a live sink to the cluster; nil detaches it. As
+// the ledger grows, r receives what Metrics.Events draws of it from now
+// on.
+func (c *Cluster) SetTracer(r *trace.Recorder) {
+	c.tracer = r
+	c.drawn = c.metrics.end()
+}
 
-// Tracer returns the attached recorder, or nil when tracing is off.
-func (c *Cluster) Tracer() *trace.Recorder { return c.tracer }
-
-// TraceEnabled implements trace.Annotator.
-func (c *Cluster) TraceEnabled() bool { return c.tracer != nil }
-
-// TraceAnnotate implements trace.Annotator: it records a phase marker
-// stamped with the metric index the next round will get. Call it from
-// driver code between rounds (algorithms use trace.Annotatef), not from
-// compute functions.
-func (c *Cluster) TraceAnnotate(msg string) {
-	if c.tracer != nil {
-		c.tracer.Annotate(c.metrics.Rounds(), msg)
+// sink hands the live sink what the ledger draws since it last drew.
+func (c *Cluster) sink() {
+	if c.tracer == nil {
+		return
 	}
+	var evs []trace.Event
+	evs, c.drawn = c.metrics.draw(c.drawn)
+	c.tracer.Append(evs...)
+}
+
+// Note records a phase marker in the ledger, before the next round. It
+// keeps format and args, formatted only when a trace is drawn, so args
+// must not change afterwards. Call it between rounds, never from a
+// compute function: the ledger is not synchronized.
+func (c *Cluster) Note(format string, args ...any) {
+	c.note(note{format: format, args: args})
+}
+
+// Adapt records the adaptive driver's switch in the ledger: its reason
+// and the max load and Gini of the round it judged, the last one
+// committed. Call it as Note.
+func (c *Cluster) Adapt(reason string, maxRecv int64, gini float64) {
+	c.note(note{format: reason, adapt: true, maxRecv: maxRecv, gini: gini})
+}
+
+func (c *Cluster) note(n note) {
+	if c.failed != nil {
+		return // the ledger of a poisoned cluster ends at its failed round
+	}
+	n.rounds = c.metrics.Rounds()
+	c.metrics.notes = append(c.metrics.notes, n)
+	c.sink()
 }
 
 // Server is one node of the simulated cluster. A server owns a set of
@@ -480,10 +501,6 @@ func (c *Cluster) roundOuts() []*Out {
 // send order) so simulations are bit-for-bit reproducible.
 func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 	c.checkHealthy("Round")
-	round := c.metrics.Rounds()
-	if c.tracer != nil {
-		c.tracer.Append(trace.Event{Kind: trace.KindRoundStart, Round: round, Server: trace.Driver, Name: name})
-	}
 	outs := c.roundOuts()
 	var wg sync.WaitGroup
 	panics := make([]any, c.p)
@@ -513,44 +530,7 @@ func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 		}
 	}
 	c.deliver(name, outs)
-	if c.tracer != nil {
-		c.tracer.Append(roundEvents(round, &c.metrics.stats[round])...)
-	}
-}
-
-// roundEvents renders a committed round's send, recv, chaos, skew and
-// round_end events from its RoundStat alone: the ledger is the one
-// record of the round, and its trace is a view of it. round is the
-// round's zero-based metric index.
-func roundEvents(round int, st *RoundStat) []trace.Event {
-	evs := make([]trace.Event, 0, len(st.StreamSends)+len(st.StreamRecvs)+3)
-	for _, s := range st.StreamSends {
-		evs = append(evs, trace.Event{Kind: trace.KindSend, Round: round, Server: int(s.Server), Name: s.Stream,
-			Tuples: s.Tuples, Words: s.Words})
-	}
-	for _, r := range st.StreamRecvs {
-		evs = append(evs, trace.Event{Kind: trace.KindRecv, Round: round, Server: int(r.Server), Name: r.Stream,
-			Tuples: r.Tuples, Words: r.Words, Frags: int(r.Frags)})
-	}
-	if cs := st.Chaos; cs != nil {
-		evs = append(evs, trace.Event{Kind: trace.KindChaos, Round: round, Server: trace.Driver, Attempt: cs.Attempts,
-			Dropped: cs.Dropped, Duplicated: cs.Duplicated, Redelivered: cs.Redelivered,
-			Crashes: cs.Crashes, Units: cs.BackoffUnits})
-	}
-	var words int64
-	busy := 0 // servers that received something
-	for dst, n := range st.Recv {
-		words += st.RecvWords[dst]
-		if n > 0 {
-			busy++
-		}
-	}
-	total, maxRecv := st.TotalRecv(), st.MaxRecv()
-	return append(evs,
-		trace.Event{Kind: trace.KindSkew, Round: round, Server: trace.Driver, Tuples: total, Words: words, Frags: busy,
-			MaxRecv: maxRecv, P99Recv: st.P99Recv(), Gini: st.GiniRecv()},
-		trace.Event{Kind: trace.KindRoundEnd, Round: round, Server: trace.Driver, Name: st.Name,
-			Tuples: total, Words: words, MaxRecv: maxRecv})
+	c.sink()
 }
 
 // deliver dispatches a round's delivery: through the recovery driver

@@ -11,7 +11,6 @@ import (
 	"mpcquery/internal/mpcnet"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
-	"mpcquery/internal/trace"
 )
 
 // policyCase is one policy kind on a cluster of p servers, with the
@@ -161,10 +160,8 @@ func TestShuffleMatchesPerRowLoop(t *testing.T) {
 			for _, pc := range policyCases(p, arity) {
 				for _, backend := range []string{"local", "tcp"} {
 					t.Run(fmt.Sprintf("%s/arity%d/p%d/%s", pc.name, arity, p, backend), func(t *testing.T) {
-						run := func(bulk bool) (*mpc.Cluster, *trace.Recorder) {
+						run := func(bulk bool) *mpc.Cluster {
 							c := mpc.NewCluster(p, 5)
-							rec := trace.NewRecorder()
-							c.SetTracer(rec)
 							if backend == "tcp" {
 								tr, err := mpcnet.NewLoopback(p, mpcnet.Options{})
 								if err != nil {
@@ -179,7 +176,7 @@ func TestShuffleMatchesPerRowLoop(t *testing.T) {
 							if bulk {
 								c.Shuffle("route", mpc.Send{From: "R", To: "g", Policy: pc.policy},
 									mpc.Send{From: "S", To: "h", Policy: second.policy})
-								return c, rec
+								return c
 							}
 							c.Round("route", func(srv *mpc.Server, out *mpc.Out) {
 								if frag := srv.Rel("R"); frag != nil {
@@ -187,13 +184,13 @@ func TestShuffleMatchesPerRowLoop(t *testing.T) {
 								}
 								second.loop(out, "h", srv.Rel("S"))
 							})
-							return c, rec
+							return c
 						}
-						loop, loopRec := run(false)
-						bulk, bulkRec := run(true)
+						loop := run(false)
+						bulk := run(true)
 						testkit.AssertSameFragments(t, loop, bulk)
 						testkit.AssertSameLRC(t, loop, bulk)
-						testkit.AssertSameTrace(t, loopRec, bulkRec)
+						testkit.AssertSameTrace(t, loop, bulk)
 					})
 				}
 			}

@@ -94,13 +94,24 @@ type RecoveryFailure struct {
 	// replay budget), Lost the fragments still undelivered after them.
 	Attempts int
 	Lost     int
-	// Crashed lists the servers that were down during the final attempt.
-	Crashed []int
+	// Metrics is the poisoned cluster's ledger, the failed round's
+	// attempt log last: a failed run's trace is drawn from it.
+	Metrics *Metrics
+}
+
+// Crashed lists the servers that were down during the final attempt,
+// read from the failed round's attempt log; nil without a ledger.
+func (f *RecoveryFailure) Crashed() []int {
+	if f.Metrics == nil || f.Metrics.failed == nil {
+		return nil
+	}
+	log := f.Metrics.failed.Chaos.Log
+	return log[len(log)-1].Down
 }
 
 func (f *RecoveryFailure) Error() string {
 	return fmt.Sprintf("mpc: round %d %q: recovery failed after %d attempts: %d fragments undelivered (servers down: %v)",
-		f.Round, f.Name, f.Attempts, f.Lost, f.Crashed)
+		f.Round, f.Name, f.Attempts, f.Lost, f.Crashed())
 }
 
 // checkHealthy panics if a failed recovery has poisoned the cluster.
@@ -147,8 +158,8 @@ func (c *Cluster) deliverChaos(name string, outs []*Out) {
 	}
 	landed := make([]bool, len(frags))
 	remaining := len(frags)
+	var backoff int64 // metered before the attempt
 	for attempt := 0; ; attempt++ {
-		cs.Attempts = attempt + 1
 		// Crash detection at the attempt boundary.
 		var crashed []bool
 		var down []int
@@ -159,14 +170,9 @@ func (c *Cluster) deliverChaos(name string, outs []*Out) {
 				}
 				crashed[d] = true
 				down = append(down, d)
-				cs.Crashes++
 			}
 		}
-		if c.tracer != nil {
-			for _, d := range down {
-				c.tracer.Crash(round, attempt, d)
-			}
-		}
+		cs.Log = append(cs.Log, AttemptLog{Backoff: backoff, Down: down})
 		if len(down) > 0 {
 			// A crashed server loses its round inbox: everything that
 			// had landed on it must be delivered again.
@@ -204,15 +210,12 @@ func (c *Cluster) deliverChaos(name string, outs []*Out) {
 			break
 		}
 		if attempt+1 >= maxAttempts {
-			fail := &RecoveryFailure{Round: round, Name: name, Attempts: attempt + 1, Lost: remaining, Crashed: down}
-			c.failed = fail
-			panic(fail)
+			c.metrics.failed = &RoundStat{Name: name, Chaos: cs}
+			c.failed = &RecoveryFailure{Round: round, Name: name, Attempts: attempt + 1, Lost: remaining, Metrics: c.metrics}
+			c.sink()
+			panic(c.failed)
 		}
-		units := inj.BackoffUnits(attempt + 1)
-		cs.BackoffUnits += units
-		if c.tracer != nil {
-			c.tracer.Backoff(round, attempt+1, units)
-		}
+		backoff = inj.BackoffUnits(attempt + 1)
 	}
 	if err := c.deliverCommit(name, outs); err != nil {
 		panic(err.Error())

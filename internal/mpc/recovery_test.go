@@ -2,6 +2,7 @@ package mpc_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func assertSameRun(t *testing.T, a, b *mpc.Cluster, compareChaos bool) {
 					as[i].Recv[d], as[i].RecvWords[d], bs[i].Recv[d], bs[i].RecvWords[d])
 			}
 		}
-		if compareChaos && !as[i].Chaos.Equal(bs[i].Chaos) {
+		if compareChaos && !reflect.DeepEqual(as[i].Chaos, bs[i].Chaos) {
 			t.Fatalf("round %q: chaos ledgers differ: %+v vs %+v", as[i].Name, as[i].Chaos, bs[i].Chaos)
 		}
 	}
@@ -171,8 +172,8 @@ func TestDeterministicReplay(t *testing.T) {
 // ChaosStat the round commits with. Over the golden trace's schedule
 // (303:drop=0.1,dup=0.05,crash=0.1, one of testkit.DefaultChaosSpecs),
 // the rest of that sweep, and a fault-free run, every round's crash
-// events number ChaosStat.Crashes, its backoff events sum to
-// BackoffUnits and number Replays(), and its chaos summary is present
+// events number ChaosStat.Crashes(), its backoff events sum to
+// BackoffUnits() and number Replays(), and its chaos summary is present
 // exactly when Chaos is non-nil.
 func TestChaosEventsMatchLedger(t *testing.T) {
 	var crashes, backoffs int
@@ -215,12 +216,12 @@ func TestChaosEventsMatchLedger(t *testing.T) {
 					if summaries[r] != 1 {
 						t.Errorf("round %d: %d chaos summaries, want 1", r, summaries[r])
 					}
-					if roundCrashes[r] != cs.Crashes {
-						t.Errorf("round %d: %d crash events, ledger says %d", r, roundCrashes[r], cs.Crashes)
+					if roundCrashes[r] != cs.Crashes() {
+						t.Errorf("round %d: %d crash events, ledger says %d", r, roundCrashes[r], cs.Crashes())
 					}
-					if units[r] != cs.BackoffUnits || roundBackoffs[r] != cs.Replays() {
+					if units[r] != cs.BackoffUnits() || roundBackoffs[r] != cs.Replays() {
 						t.Errorf("round %d: %d backoff events summing to %d units, ledger shows %d replays and %d units",
-							r, roundBackoffs[r], units[r], cs.Replays(), cs.BackoffUnits)
+							r, roundBackoffs[r], units[r], cs.Replays(), cs.BackoffUnits())
 					}
 					crashes += roundCrashes[r]
 					backoffs += roundBackoffs[r]
@@ -294,7 +295,7 @@ func TestCrashRedelivery(t *testing.T) {
 		t.Fatalf("recovery failed: %v", c.Failed())
 	}
 	cs := c.Metrics().RoundStats()[0].Chaos
-	if cs.Attempts != 3 || cs.Dropped != 1 || cs.Crashes != 1 || cs.Redelivered != 3 {
+	if cs.Attempts() != 3 || cs.Dropped != 1 || cs.Crashes() != 1 || cs.Redelivered != 3 {
 		t.Fatalf("ledger %+v, want attempts=3 dropped=1 crashes=1 redelivered=3", cs)
 	}
 	if got := c.Gather("A").Len(); got != 9 {
@@ -312,7 +313,7 @@ func TestStragglerMetering(t *testing.T) {
 	})
 	allToAll(c)
 	cs := c.Metrics().RoundStats()[0].Chaos
-	if cs.Attempts != 1 || cs.Dropped != 0 || cs.Crashes != 0 {
+	if cs.Attempts() != 1 || cs.Dropped != 0 || cs.Crashes() != 0 {
 		t.Fatalf("straggler-only run shows delivery faults: %+v", cs)
 	}
 	if cs.MaxStraggle() != 15 {
@@ -391,7 +392,7 @@ func TestPermanentCrashFailure(t *testing.T) {
 		if !ok {
 			t.Fatal("permanently crashed server did not fail the round")
 		}
-		if fail.Lost != 3 || len(fail.Crashed) != 1 || fail.Crashed[0] != 1 {
+		if fail.Lost != 3 || len(fail.Crashed()) != 1 || fail.Crashed()[0] != 1 {
 			t.Fatalf("failure %+v, want lost=3 crashed=[1]", fail)
 		}
 	}()
@@ -410,7 +411,7 @@ func TestChaosZeroRateSchedulesAreTransparent(t *testing.T) {
 	assertSameRun(t, clean, c, false)
 	for i, st := range c.Metrics().RoundStats() {
 		cs := st.Chaos
-		if cs == nil || cs.Attempts != 1 || cs.Dropped != 0 || cs.Duplicated != 0 || cs.Crashes != 0 {
+		if cs == nil || cs.Attempts() != 1 || cs.Dropped != 0 || cs.Duplicated != 0 || cs.Crashes() != 0 {
 			t.Fatalf("round %d: zero-rate schedule left a non-trivial ledger: %+v", i, cs)
 		}
 	}

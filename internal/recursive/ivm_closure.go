@@ -5,7 +5,6 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // EdgeOp is one edge-level mutation of a standing closure view,
@@ -230,7 +229,7 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	trace.Annotatef(c, "%s batch %d: over-delete |dE|=%d", v.name, v.batches, c.TotalLen(delName))
+	c.Note("%s batch %d: over-delete |dE|=%d", v.name, v.batches, c.TotalLen(delName))
 
 	// Over-delete seed: the T ⋈ dE- one-step extensions and the
 	// deleted edges themselves (every deleted edge is a deleted
@@ -302,7 +301,7 @@ func compact(s *mpc.Server, x indexed, attrs []string, drop *relation.Relation, 
 func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	trace.Annotatef(c, "%s batch %d: rederive |D|=%d", v.name, v.batches, c.TotalLen(d.name))
+	c.Note("%s batch %d: rederive |D|=%d", v.name, v.batches, c.TotalLen(d.name))
 
 	// Seeds of the restricted fixpoint: (a) over-deleted tuples that
 	// are still edges, and (b) one-step extensions T'(x, y) * E1(y, z)
@@ -378,7 +377,7 @@ func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	trace.Annotatef(c, "%s batch %d: insert |dE|=%d", v.name, v.batches, c.TotalLen(insName))
+	c.Note("%s batch %d: insert |dE|=%d", v.name, v.batches, c.TotalLen(insName))
 
 	// Apply dE+ to the edge partitions first: propagation must run
 	// over the updated edges so chains among new edges close.

@@ -18,7 +18,7 @@ func TestClosureViewIVMDiff(t *testing.T) {
 	testkit.Sweep(t, testkit.Config{}, func(t *testing.T, p int, seed int64, skew testkit.Skew) {
 		var edges *relation.Relation
 		if skew.Skewed() {
-			edges = workload.PowerLawGraph("E", "src", "dst", 25, 50, seed).Distinct() // repeats edges; inputs are sets
+			edges = workload.PowerLawGraph("E", "src", "dst", 25, 50, seed)
 		} else {
 			edges = workload.RandomGraph("E", "src", "dst", 25, 50, seed)
 		}

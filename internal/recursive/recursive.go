@@ -62,7 +62,6 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // Result summarizes one fixpoint evaluation.
@@ -204,7 +203,7 @@ func (f *fixpoint) run() (int, error) {
 			return iters, fmt.Errorf("recursive: %s did not converge after %d iterations", f.label, iters)
 		}
 		iters++
-		trace.Annotatef(c, "%s iteration %d: |delta|=%d", f.label, iters, c.TotalLen(f.delta))
+		c.Note("%s iteration %d: |delta|=%d", f.label, iters, c.TotalLen(f.delta))
 		c.Round(f.label+":extend", func(s *mpc.Server, out *mpc.Out) {
 			st := out.Open(candName, f.attrs...)
 			delta := s.RelOrEmpty(f.delta, f.attrs...)
@@ -245,6 +244,6 @@ func (f *fixpoint) run() (int, error) {
 			cands.Reset()
 		})
 	}
-	trace.Annotatef(c, "%s converged after %d iterations", f.label, iters)
+	c.Note("%s converged after %d iterations", f.label, iters)
 	return iters, nil
 }

@@ -152,8 +152,9 @@ type Request struct {
 	Tenant string `json:"tenant"`
 	// Query is the Datalog program text.
 	Query string `json:"query"`
-	// Trace, when true, attaches a recorder and returns the per-round
-	// event stream as JSONL.
+	// Trace, when true, returns the execution's ledger drawn as its
+	// per-round event stream, in JSONL. The run itself is the untraced
+	// one.
 	Trace bool `json:"trace"`
 }
 
@@ -220,13 +221,6 @@ func (s *Service) do(req Request) (*Response, error) {
 		return nil, err
 	}
 
-	e := *s.engine
-	var rec *trace.Recorder
-	if req.Trace {
-		rec = trace.NewRecorder()
-		e.Trace = rec
-	}
-
 	alg := core.AlgAuto
 	var cached *planEntry
 	cacheable := c.Kind != query.KindRecursive
@@ -239,7 +233,7 @@ func (s *Service) do(req Request) (*Response, error) {
 		}
 	}
 
-	res, err := c.Run(&e, rels, alg)
+	res, err := c.Run(s.engine, rels, alg)
 	if err != nil {
 		return nil, err
 	}
@@ -278,9 +272,9 @@ func (s *Service) do(req Request) (*Response, error) {
 		Iterations: res.Iterations,
 		CacheHit:   cached != nil,
 	}
-	if rec != nil {
+	if req.Trace {
 		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, rec.Events()); err != nil {
+		if err := trace.WriteJSONL(&buf, res.Metrics.Events()); err != nil {
 			return nil, fmt.Errorf("service: encode trace: %w", err)
 		}
 		resp.Trace = buf.String()

@@ -20,7 +20,6 @@ import (
 
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // Result reports what a distributed sort did.
@@ -102,7 +101,7 @@ func psrs(c *mpc.Cluster, name string, keyAttrs []string, outName string, regula
 	if !regular {
 		variant = "random-sample"
 	}
-	trace.Annotatef(c, "sortmpc.PSRS %s by %v (%s)", name, keyAttrs, variant)
+	c.Note("sortmpc.PSRS %s by %v (%s)", name, keyAttrs, variant)
 	startRounds := c.Metrics().Rounds()
 	arity := len(keyAttrs)
 	sampleAttrs := make([]string, arity)
@@ -193,7 +192,7 @@ func FanLimitedSort(c *mpc.Cluster, name string, keyAttrs []string, outName stri
 		panic(fmt.Sprintf("sortmpc: fan = %d, need ≥ 2", fan))
 	}
 	p := c.P()
-	trace.Annotatef(c, "sortmpc.FanLimitedSort %s by %v (fan %d)", name, keyAttrs, fan)
+	c.Note("sortmpc.FanLimitedSort %s by %v (fan %d)", name, keyAttrs, fan)
 	startRounds := c.Metrics().Rounds()
 	cur := name
 	level := 0

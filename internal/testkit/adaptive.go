@@ -127,8 +127,6 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 				want := OracleJoin(q, rels)
 
 				ca := mpc.NewCluster(p, seed)
-				rec := trace.NewRecorder()
-				ca.SetTracer(rec)
 				switched, err := adaptive(ca, q, rels, "out", algSeed)
 				if err != nil {
 					t.Fatalf("adaptive run failed: %v", err)
@@ -150,7 +148,7 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 				AssertTailRoundStats(t, cs, ca, 1)
 				// The switch decision must be visible in the trace.
 				found := false
-				for _, ev := range rec.Events() {
+				for _, ev := range ca.Metrics().Events() {
 					if ev.Kind == trace.KindAdapt {
 						found = true
 						break

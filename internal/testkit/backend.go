@@ -8,7 +8,6 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/mpcnet"
-	"mpcquery/internal/trace"
 )
 
 // This file is the cross-backend differential harness: every algorithm
@@ -93,13 +92,13 @@ func AssertSameFragments(t *testing.T, want, got *mpc.Cluster) {
 	}
 }
 
-// AssertSameTrace asserts two recorders captured element-wise identical
-// event streams. trace.Event is scalar-only and comparable, so this is
-// float-exact — equal P99Recv, Gini, and every other derived skew
+// AssertSameTrace asserts two clusters' ledgers draw element-wise
+// identical traces. trace.Event is scalar-only and comparable, so this
+// is float-exact — equal P99Recv, Gini, and every other derived skew
 // summary fall out of it.
-func AssertSameTrace(t *testing.T, want, got *trace.Recorder) {
+func AssertSameTrace(t *testing.T, want, got *mpc.Cluster) {
 	t.Helper()
-	we, ge := want.Events(), got.Events()
+	we, ge := want.Metrics().Events(), got.Metrics().Events()
 	if len(we) != len(ge) {
 		t.Fatalf("trace: %d vs %d events", len(we), len(ge))
 	}
@@ -128,22 +127,18 @@ func RunBackendDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 					algSeed := uint64(seed)*0x9e3779b9 + uint64(p)
 
 					local := mpc.NewCluster(p, seed)
-					localRec := trace.NewRecorder()
-					local.SetTracer(localRec)
 					if err := alg(local, q, rels, "out", algSeed); err != nil {
 						t.Fatalf("local run failed: %v", err)
 					}
 
 					tcp := NewTCPCluster(t, p, seed)
-					tcpRec := trace.NewRecorder()
-					tcp.SetTracer(tcpRec)
 					if err := alg(tcp, q, rels, "out", algSeed); err != nil {
 						t.Fatalf("tcp run failed: %v", err)
 					}
 
 					AssertSameFragments(t, local, tcp)
 					AssertSameLRC(t, local, tcp)
-					AssertSameTrace(t, localRec, tcpRec)
+					AssertSameTrace(t, local, tcp)
 				})
 			}
 		}
@@ -165,18 +160,14 @@ func SweepBackends(t *testing.T, cfg Config, run func(t *testing.T, c *mpc.Clust
 				skew, p, seed := skew, p, seed
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", skew, p, seed), func(t *testing.T) {
 					local := mpc.NewCluster(p, seed)
-					localRec := trace.NewRecorder()
-					local.SetTracer(localRec)
 					run(t, local, p, seed, skew)
 
 					tcp := NewTCPCluster(t, p, seed)
-					tcpRec := trace.NewRecorder()
-					tcp.SetTracer(tcpRec)
 					run(t, tcp, p, seed, skew)
 
 					AssertSameFragments(t, local, tcp)
 					AssertSameLRC(t, local, tcp)
-					AssertSameTrace(t, localRec, tcpRec)
+					AssertSameTrace(t, local, tcp)
 				})
 			}
 		}

@@ -94,7 +94,7 @@ func AssertRecovered(t *testing.T, c *mpc.Cluster) {
 func AssertFaulted(t *testing.T, c *mpc.Cluster) {
 	t.Helper()
 	for _, st := range c.Metrics().RoundStats() {
-		if cs := st.Chaos; cs != nil && (cs.Dropped+cs.Duplicated+cs.Redelivered > 0 || cs.Crashes > 0 || cs.MaxStraggle() > 0) {
+		if cs := st.Chaos; cs != nil && (cs.Dropped+cs.Duplicated+cs.Redelivered > 0 || cs.Crashes() > 0 || cs.MaxStraggle() > 0) {
 			return
 		}
 	}

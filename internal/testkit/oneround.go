@@ -15,7 +15,7 @@ import (
 // (Recv, RecvWords), the same trace events (send, recv, skew and round
 // frames; the round index and annotations aside), and every server must
 // hold bit-identical fragments afterwards.
-func AssertSameLastRound(t *testing.T, inRound, oneRound *mpc.Cluster, inRec, oneRec *trace.Recorder) {
+func AssertSameLastRound(t *testing.T, inRound, oneRound *mpc.Cluster) {
 	t.Helper()
 	if n := oneRound.Metrics().Rounds(); n != 1 {
 		t.Fatalf("the one-round run metered %d rounds", n)
@@ -31,7 +31,7 @@ func AssertSameLastRound(t *testing.T, inRound, oneRound *mpc.Cluster, inRec, on
 				d, got.Recv[d], got.RecvWords[d], want.Recv[d], want.RecvWords[d])
 		}
 	}
-	we, ge := roundEvents(inRec, last), roundEvents(oneRec, 0)
+	we, ge := roundEvents(inRound, last), roundEvents(oneRound, 0)
 	if len(we) != len(ge) {
 		t.Fatalf("trace: %d events for the round, in-round run %d", len(ge), len(we))
 	}
@@ -43,11 +43,11 @@ func AssertSameLastRound(t *testing.T, inRound, oneRound *mpc.Cluster, inRec, on
 	AssertSameFragments(t, inRound, oneRound)
 }
 
-// roundEvents returns rec's events of the given round, annotations
+// roundEvents returns the events c's ledger draws for the given round,
 // excluded, renumbered to round 0.
-func roundEvents(rec *trace.Recorder, round int) []trace.Event {
+func roundEvents(c *mpc.Cluster, round int) []trace.Event {
 	var evs []trace.Event
-	for _, ev := range rec.Events() {
+	for _, ev := range c.Metrics().Events() {
 		if ev.Round == round && ev.Kind != trace.KindAnnotate {
 			ev.Round = 0
 			evs = append(evs, ev)

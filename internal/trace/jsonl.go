@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 )
 
 // The JSONL codec is the machine-readable export: one JSON object per
@@ -15,6 +17,24 @@ import (
 // events field-for-field (floats are emitted in Go's shortest
 // round-tripping form). FuzzTraceRoundTrip holds the codec to that
 // contract.
+
+// WriteFile writes events to path: JSON lines when it ends in .jsonl,
+// Chrome trace_event JSON (WriteChrome) otherwise.
+func WriteFile(path string, events []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	write := WriteChrome
+	if strings.HasSuffix(path, ".jsonl") {
+		write = WriteJSONL
+	}
+	err = write(f, events)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // WriteJSONL writes events as JSON lines.
 func WriteJSONL(w io.Writer, events []Event) error {

@@ -1,9 +1,9 @@
-// Package trace is the simulator's observability layer: a structured
-// event recorder that turns the MPC cost model into an inspectable
-// artifact. Every claim the tutorial makes is a statement about
-// (L, r, C) — load per server per round, rounds, total communication —
-// and the metric window (mpc.Metrics) exposes only the post-hoc
-// aggregates. The trace records *why* a round cost what it did:
+// Package trace is the simulator's observability layer: the event type
+// a run's trace is made of, and its exporters. Every claim the tutorial
+// makes is a statement about (L, r, C) — load per server per round,
+// rounds, total communication — and the metric window (mpc.Metrics)
+// exposes the aggregates. The trace shows *why* a round cost what it
+// did:
 //
 //   - round_start / round_end frame every communication round;
 //   - send / recv events carry per-stream, per-server tuple and word
@@ -11,33 +11,28 @@
 //   - skew events summarize each round's received-load distribution
 //     (max, nearest-rank p99, Gini) using internal/stats, so hash-route
 //     imbalance is visible without re-deriving it;
-//   - annotate events are phase markers emitted by algorithms through
-//     the Annotate hook ("skewjoin: heavy broadcast", ...);
+//   - annotate events are the phase markers algorithms note between
+//     rounds ("join2.SkewJoin R ⋈ S on y (heavy threshold 40)", ...),
+//     and an adapt event is the adaptive driver's switch;
 //   - crash / backoff / chaos events are the recovery driver's ledger
 //     under fault injection.
 //
-// Recording is deterministic — events carry logical time (round index
-// and append order), never wall-clock — so equal seeds produce
-// byte-identical exports. Two exporters ship with the package:
-// deterministic JSON lines (WriteJSONL/ReadJSONL, machine-diffable and
-// fuzz-checked to round-trip) and the Chrome trace_event format
-// (WriteChrome, loadable in Perfetto or chrome://tracing with rounds as
-// frames and servers as lanes, bar length proportional to tuples
-// received).
+// A trace is a view of a cluster's ledger: mpc.Metrics keeps every
+// round's RoundStat and the driver's notes whether or not anyone
+// traces, and Metrics.Events draws them as events after the run. A
+// Recorder attached with (*mpc.Cluster).SetTracer is a live sink: it
+// receives the same events as the ledger grows.
 //
-// A Recorder is attached to a cluster with (*mpc.Cluster).SetTracer.
-// The round events (send, recv, chaos, skew, round_end) are a view of
-// the round's ledger, mpc.RoundStat, which every round keeps whether
-// or not it is traced: the simulator renders them and hands them to
-// Recorder.Append. The recorder's own methods record only what the
-// ledger cannot know — annotations, adapt decisions, and the recovery
-// driver's individual crashes and backoffs.
+// Events carry logical time (round index and order), never
+// wall-clock, so equal seeds produce byte-identical exports. Two
+// exporters ship with the package: deterministic JSON lines
+// (WriteJSONL/ReadJSONL, machine-diffable and fuzz-checked to
+// round-trip) and the Chrome trace_event format (WriteChrome, loadable
+// in Perfetto or chrome://tracing with rounds as frames and servers as
+// lanes, bar length proportional to tuples received).
 package trace
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Event kinds. Kind is a string so JSONL traces are self-describing.
 const (
@@ -54,7 +49,7 @@ const (
 )
 
 // Event is one trace record. Server is -1 for driver-scoped events
-// (round frames, skew summaries, annotations, backoff). Fields are
+// (round frames, skew summaries, annotations, adapt, backoff). Fields are
 // scalar and comparable so events round-trip exactly through the JSONL
 // codec and can be compared with ==.
 type Event struct {
@@ -79,10 +74,10 @@ type Event struct {
 // Driver is the Server value of driver-scoped events.
 const Driver = -1
 
-// Recorder accumulates events in append order. It is safe for
-// concurrent use (the race lane runs traced rounds), though the
-// simulator records from the single-threaded driver so traces are
-// deterministic.
+// Recorder accumulates events in append order: a live sink a cluster
+// appends what its ledger draws to. It is safe for concurrent use
+// (several clusters may share one, as under mpc.SetDefaultTracer),
+// though each cluster appends from its single-threaded driver.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -91,9 +86,7 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Append records events in order. The simulator renders each
-// committed round's events from its ledger (mpc.RoundStat) and appends
-// them here; the methods below record what the ledger cannot know.
+// Append records events in order.
 func (r *Recorder) Append(evs ...Event) {
 	r.mu.Lock()
 	r.events = append(r.events, evs...)
@@ -106,66 +99,4 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.events
-}
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Reset discards all recorded events (capacity retained).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = r.events[:0]
-	r.mu.Unlock()
-}
-
-// Annotate records an algorithm phase marker. round is the metric index
-// the *next* round will get — the marker precedes the rounds it labels.
-func (r *Recorder) Annotate(round int, msg string) {
-	r.Append(Event{Kind: KindAnnotate, Round: round, Server: Driver, Name: msg})
-}
-
-// Adapt records a mid-query re-plan decision: after observing round's
-// receive vector, the adaptive executor switches the remaining rounds
-// to a different path. Name carries the human-readable reason and
-// MaxRecv/Gini the triggering skew signal, so a trace alone explains
-// why a run adapted.
-func (r *Recorder) Adapt(round int, reason string, maxRecv int64, gini float64) {
-	r.Append(Event{Kind: KindAdapt, Round: round, Server: Driver, Name: reason, MaxRecv: maxRecv, Gini: gini})
-}
-
-// Crash records that server was down during delivery attempt `attempt`
-// of the round's recovery.
-func (r *Recorder) Crash(round, attempt, server int) {
-	r.Append(Event{Kind: KindCrash, Round: round, Server: server, Attempt: attempt})
-}
-
-// Backoff records the simulated delay the recovery driver metered
-// before replay attempt `attempt`.
-func (r *Recorder) Backoff(round, attempt int, units int64) {
-	r.Append(Event{Kind: KindBackoff, Round: round, Server: Driver, Attempt: attempt, Units: units})
-}
-
-// Annotator is anything that accepts phase markers — notably
-// *mpc.Cluster, which forwards them to its attached Recorder (and drops
-// them when tracing is disabled). The two-method split lets Annotatef
-// skip formatting entirely on untraced runs.
-type Annotator interface {
-	// TraceEnabled reports whether markers are currently recorded.
-	TraceEnabled() bool
-	// TraceAnnotate records one phase marker.
-	TraceAnnotate(msg string)
-}
-
-// Annotatef emits a phase marker through a, tolerating nil annotators
-// and disabled tracing. Algorithms call this between rounds to label
-// their phases; the format is only evaluated when tracing is enabled,
-// so on an untraced cluster the cost is two interface calls.
-func Annotatef(a Annotator, format string, args ...any) {
-	if a != nil && a.TraceEnabled() {
-		a.TraceAnnotate(fmt.Sprintf(format, args...))
-	}
 }

@@ -9,11 +9,11 @@ import (
 
 func TestRecorderAppendOrder(t *testing.T) {
 	r := NewRecorder()
-	r.Annotate(0, "phase")
+	r.Append(Event{Kind: KindAnnotate, Round: 0, Server: Driver, Name: "phase"})
 	r.Append(Event{Kind: KindRoundStart, Round: 0, Server: Driver, Name: "shuffle"},
 		Event{Kind: KindSend, Round: 0, Server: 1, Name: "out:R", Tuples: 10, Words: 20})
-	r.Crash(0, 0, 2)
-	r.Backoff(0, 1, 2)
+	r.Append(Event{Kind: KindCrash, Round: 0, Server: 2},
+		Event{Kind: KindBackoff, Round: 0, Server: Driver, Attempt: 1, Units: 2})
 	r.Append(Event{Kind: KindRoundEnd, Round: 0, Server: Driver, Name: "shuffle", Tuples: 10, Words: 20, MaxRecv: 10})
 	evs := r.Events()
 	wantKinds := []string{KindAnnotate, KindRoundStart, KindSend, KindCrash, KindBackoff, KindRoundEnd}
@@ -24,13 +24,6 @@ func TestRecorderAppendOrder(t *testing.T) {
 		if evs[i].Kind != k {
 			t.Errorf("event %d kind %q, want %q", i, evs[i].Kind, k)
 		}
-	}
-	if r.Len() != len(wantKinds) {
-		t.Errorf("Len = %d, want %d", r.Len(), len(wantKinds))
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Errorf("Len after Reset = %d, want 0", r.Len())
 	}
 }
 
@@ -133,28 +126,5 @@ func TestWriteChromeDeterministicAndWellFormed(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("Chrome output missing %q; names:\n%s", want, joined)
 		}
-	}
-}
-
-type fakeAnnotator struct {
-	enabled bool
-	msgs    []string
-}
-
-func (f *fakeAnnotator) TraceEnabled() bool       { return f.enabled }
-func (f *fakeAnnotator) TraceAnnotate(msg string) { f.msgs = append(f.msgs, msg) }
-
-func TestAnnotateHelpers(t *testing.T) {
-	Annotatef(nil, "d%d", 1) // must not panic
-	off := &fakeAnnotator{}
-	Annotatef(off, "d%d", 2)
-	if len(off.msgs) != 0 {
-		t.Errorf("disabled annotator recorded %v", off.msgs)
-	}
-	on := &fakeAnnotator{enabled: true}
-	Annotatef(on, "one")
-	Annotatef(on, "two %d", 2)
-	if len(on.msgs) != 2 || on.msgs[0] != "one" || on.msgs[1] != "two 2" {
-		t.Errorf("enabled annotator recorded %v", on.msgs)
 	}
 }

@@ -140,12 +140,16 @@ func RandomGraph(name, fromAttr, toAttr string, n, m int, seed int64) *relation.
 	return r
 }
 
-// PowerLawGraph returns m edges over up to n vertices generated by
-// preferential attachment: each new edge's endpoint is, with
-// probability ~degree, an already-popular vertex. The resulting degree
+// PowerLawGraph returns m distinct directed edges (no self-loops) over
+// up to n vertices generated by preferential attachment: each new
+// edge's endpoint is, with probability ~degree, an already-popular
+// vertex, and a repeated edge is drawn again. The resulting degree
 // distribution is heavy-tailed — the realistic source of the skew the
 // tutorial's heavy-hitter machinery targets (slide 46).
 func PowerLawGraph(name, fromAttr, toAttr string, n, m int, seed int64) *relation.Relation {
+	if int64(m) > int64(n)*int64(n-1) {
+		panic(fmt.Sprintf("workload: PowerLawGraph m=%d too large for n=%d", m, n))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	r := relation.New(name, fromAttr, toAttr)
 	// endpoints holds one entry per edge endpoint so sampling uniformly
@@ -165,11 +169,13 @@ func PowerLawGraph(name, fromAttr, toAttr string, n, m int, seed int64) *relatio
 		}
 		return endpoints[rng.Intn(len(endpoints))]
 	}
+	seen := make(map[[2]int64]bool, m)
 	for len(endpoints)/2 < m {
 		a, b := pick(), pick()
-		if a == b {
+		if a == b || seen[[2]int64{a, b}] {
 			continue
 		}
+		seen[[2]int64{a, b}] = true
 		r.Append(a, b)
 		endpoints = append(endpoints, a, b)
 	}

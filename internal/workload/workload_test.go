@@ -212,15 +212,30 @@ func TestPowerLawGraph(t *testing.T) {
 	if hubs := stats.Heavy([]stats.Column{{Rel: g, Col: 0}, {Rel: g, Col: 1}}, 200, stats.Summed); len(hubs) == 0 {
 		t.Fatal("no vertex has degree 200; preferential attachment should produce hubs")
 	}
-	// No self loops.
+	// No self loops, and the edges are distinct: a set, as every input.
 	for i := 0; i < g.Len(); i++ {
 		if g.Row(i)[0] == g.Row(i)[1] {
 			t.Fatal("self loop")
 		}
+	}
+	if d := g.Distinct(); d.Len() != g.Len() {
+		t.Fatalf("%d of %d edges are repeats", g.Len()-d.Len(), g.Len())
+	}
+	// A graph with every possible edge still terminates.
+	if full := PowerLawGraph("E", "a", "b", 5, 20, 7); full.Distinct().Len() != 20 {
+		t.Fatalf("complete graph on 5 vertices has %d distinct edges, want 20", full.Distinct().Len())
 	}
 	// Deterministic.
 	g2 := PowerLawGraph("E", "a", "b", 2000, 20000, 7)
 	if !g.EqualAsSets(g2) {
 		t.Fatal("not deterministic")
 	}
+	t.Run("too many edges", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("m > n(n-1) did not panic")
+			}
+		}()
+		PowerLawGraph("E", "a", "b", 5, 21, 7)
+	})
 }

@@ -38,7 +38,6 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/trace"
 )
 
 // SerialStats reports the work done by a serial Yannakakis run.
@@ -158,7 +157,7 @@ func joinRound(c *mpc.Cluster, roundName, a, b, outRel string, aAttrs, bAttrs []
 func GYM(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	q := jt.Query
 	scatter(c, q, rels)
-	trace.Annotatef(c, "yannakakis.GYM %s (%d atoms)", q.Name, len(q.Atoms))
+	c.Note("yannakakis.GYM %s (%d atoms)", q.Name, len(q.Atoms))
 	start := c.Metrics().Rounds()
 	round := 0
 	// Upward semijoins: children before parents.
@@ -256,7 +255,7 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 // nothing when the parent lies on K(p, c) too (downwardPass).
 func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed uint64) *Result {
 	q := jt.Query
-	trace.Annotatef(c, "yannakakis.GYMOptimized %s (depth %d)", q.Name, len(jt.Levels())-1)
+	c.Note("yannakakis.GYMOptimized %s (depth %d)", q.Name, len(jt.Levels())-1)
 	start := c.Metrics().Rounds()
 	levels := jt.Levels()
 	round := 0
@@ -566,7 +565,7 @@ func keyedSemijoins(c *mpc.Cluster, name string, q hypergraph.Query, sjs []keyed
 // peak total intermediate size, the quantity that blows up on slide 63.
 func IterativeBinaryJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
 	scatter(c, q, rels)
-	trace.Annotatef(c, "yannakakis.IterativeBinaryJoin %s (%d atoms)", q.Name, len(q.Atoms))
+	c.Note("yannakakis.IterativeBinaryJoin %s (%d atoms)", q.Name, len(q.Atoms))
 	start := c.Metrics().Rounds()
 	accRel := q.Atoms[0].Name
 	accAttrs := q.Atoms[0].Vars
