@@ -2,6 +2,7 @@ package mpc_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mpcquery/internal/mpc"
@@ -13,11 +14,13 @@ import (
 // communication program — hash partition, RNG re-route, sampled
 // broadcast, and an arity-0 decision stream — over the testkit workload
 // generator's full skew matrix, once on the concurrent local transport
-// and once on the row-by-row reference transport, and asserts that the
+// (on four CPUs, whatever the machine) and once on the row-by-row
+// reference transport, and asserts that the
 // metered RoundStats are identical and the gathered relations are
 // bit-for-bit equal. This is the contract of the delivery overhaul:
 // (L, r, C) and every delivered fragment are unchanged observables.
 func TestMeteringEquivalenceOnGeneratedWorkloads(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, skew := range testkit.AllSkews {
 		for _, p := range []int{2, 7, 16} {
 			for _, seed := range []int64{1, 2, 3} {
@@ -57,7 +60,6 @@ func TestMeteringEquivalenceOnGeneratedWorkloads(t *testing.T) {
 					}
 
 					fast := mpc.NewCluster(p, seed)
-					fast.SetTransport(mpc.LocalTransportWorkers(4))
 					run(fast)
 					ref := mpc.NewCluster(p, seed)
 					ref.SetTransport(mpc.ReferenceTransport())

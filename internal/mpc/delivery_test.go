@@ -257,12 +257,14 @@ func TestHashSendOnWarmOutAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestConcurrentDeliveryMatchesReference drives the concurrent local
-// transport (workers forced > 1 so it exercises real concurrency even
-// on one CPU) against the row-by-row reference transport on a randomized
-// multi-round program, asserting identical metering and bit-for-bit
-// identical fragments. Under -race this is also the delivery race test.
+// TestConcurrentDeliveryMatchesReference drives the local transport
+// (each destination on its own goroutine, on eight CPUs whatever the
+// machine, so delivery runs genuinely in parallel) against the
+// row-by-row reference transport on a randomized multi-round program,
+// asserting identical metering and bit-for-bit identical fragments.
+// Under -race this is also the delivery race test.
 func TestConcurrentDeliveryMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	program := func(c *Cluster) {
 		for r := 0; r < 4; r++ {
 			c.Round(fmt.Sprintf("r%d", r), func(s *Server, out *Out) {
@@ -278,7 +280,6 @@ func TestConcurrentDeliveryMatchesReference(t *testing.T) {
 		}
 	}
 	fast := NewCluster(24, 99)
-	fast.SetTransport(LocalTransportWorkers(8))
 	program(fast)
 	ref := NewCluster(24, 99)
 	ref.SetTransport(ReferenceTransport())

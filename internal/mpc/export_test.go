@@ -5,11 +5,6 @@ import "mpcquery/internal/relation"
 // Test transports, exported for the external (package mpc_test)
 // equivalence suites.
 
-// LocalTransportWorkers is LocalTransport with the delivery worker
-// count pinned, so tests exercise genuinely concurrent delivery (n > 1)
-// or the sequential path (n = 1) whatever the machine's CPU count.
-func LocalTransportWorkers(n int) Transport { return localTransport{workers: n} }
-
 // PortableTransport is a delivery backend written purely against the
 // exported Transport contract — RoundView enumeration in canonical
 // per-destination order, chunked Land calls — with no access to mpc

@@ -2,23 +2,12 @@
 
 package mpc
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // localTransport moves a round's fragments between goroutines of one
 // process. Destinations are independent — server dst's inbox is the
 // concatenation of fragments addressed to dst, in canonical order — so
-// delivery fans out across worker goroutines, each owning a disjoint
-// set of destinations.
-type localTransport struct {
-	// workers is the delivery worker count; 0 means min(p, GOMAXPROCS).
-	// Only tests set it (export_test.go), to exercise concurrent
-	// delivery on a single-CPU machine.
-	workers int
-}
+// each destination's delivery runs on its own goroutine, on the same
+// fan-out as the servers' compute.
+type localTransport struct{}
 
 // LocalTransport returns the in-process transport every new cluster
 // starts with.
@@ -29,56 +18,14 @@ func (localTransport) Close() error { return nil }
 // Deliver lands the round into the receivers the commit planned. It
 // reads the round buffers directly instead of going through Land: one
 // bulk copy per fragment, no map lookup and no append growth.
-func (t localTransport) Deliver(v *RoundView) error {
-	p := v.c.p
-	workers := t.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p {
-		workers = p
-	}
-	if workers <= 1 {
-		// Source-major: cache-friendly slab walks, and per destination
-		// the same canonical order as the concurrent path.
+func (localTransport) Deliver(v *RoundView) error {
+	// Only dst's receivers are touched, so distinct dst never race.
+	if dst, r := v.c.fan.run(v.c.p, func(dst int) {
 		for i := range v.streams {
-			for dst := 0; dst < p; dst++ {
-				v.deliverTo(&v.streams[i], dst)
-			}
+			v.deliverTo(&v.streams[i], dst)
 		}
-		return nil
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	panics := make([]any, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = r
-				}
-			}()
-			for {
-				dst := int(next.Add(1))
-				if dst >= p {
-					return
-				}
-				// Only dst's receivers are touched, so workers on
-				// distinct dst never race.
-				for i := range v.streams {
-					v.deliverTo(&v.streams[i], dst)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
-		}
+	}); dst >= 0 {
+		panic(r)
 	}
 	return nil
 }

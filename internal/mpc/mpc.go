@@ -10,8 +10,8 @@
 //
 // plus the total communication C — because every claim in the tutorial
 // is a statement about (L, r, C). Each server's per-round computation
-// runs on its own goroutine, so the simulation is also genuinely
-// parallel.
+// runs on its own goroutine, reused across rounds (fanout.go), so the
+// simulation is also genuinely parallel and a warm round starts none.
 //
 // Tuples move one way. On the send side, a round that only routes
 // stored fragments is a Shuffle: each input names a fragment, a target
@@ -45,7 +45,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"mpcquery/internal/relation"
@@ -83,6 +82,8 @@ type Cluster struct {
 	// drawn. An untraced cluster keeps the same ledger.
 	tracer *trace.Recorder
 	drawn  mark
+	// fan runs every server's work (fanout.go); one call at a time.
+	fan fanout
 }
 
 // NewCluster creates a cluster of p servers. The seed drives all
@@ -289,8 +290,8 @@ func (o *Out) scratch(n int) (rows []int32, counts []int) {
 
 // reset parks every open stream for reuse, the last opened deepest, so
 // the next round's first stream takes this round's first stream's
-// slabs. Called by the cluster after delivery; the compute goroutine
-// that wrote the Out has exited.
+// slabs. Called by the cluster after delivery; the compute call that
+// wrote the Out has returned.
 func (o *Out) reset() {
 	for i := len(o.order) - 1; i >= 0; i-- {
 		st := o.streams[o.order[i]]
@@ -495,39 +496,24 @@ func (c *Cluster) roundOuts() []*Out {
 }
 
 // Round executes one MPC round: every server runs compute on its own
-// goroutine, then all emitted messages are delivered and metered. The
-// name labels the round in metric reports. Messages are delivered in a
+// goroutine (reused, so a warm round starts none) while the caller
+// waits, then all emitted messages are delivered and metered. The name
+// labels the round in metric reports. Messages are delivered in a
 // canonical order (by source server, then stream creation order, then
 // send order) so simulations are bit-for-bit reproducible.
 func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 	c.checkHealthy("Round")
 	outs := c.roundOuts()
-	var wg sync.WaitGroup
-	panics := make([]any, c.p)
-	for i := 0; i < c.p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[i] = r
-				}
-			}()
-			compute(c.servers[i], outs[i])
-		}(i)
-	}
-	wg.Wait()
-	// All compute goroutines have exited; recycle the round buffers on
-	// every exit path (including panics) so the pool is never dirty.
+	i, r := c.fan.run(c.p, func(i int) { compute(c.servers[i], outs[i]) })
+	// Every compute has returned; recycle the round buffers on every
+	// exit path (including panics) so the pool is never dirty.
 	defer func() {
 		for _, o := range outs {
 			o.reset()
 		}
 	}()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("mpc: round %q: server %d panicked: %v", name, i, p))
-		}
+	if i >= 0 {
+		panic(fmt.Sprintf("mpc: round %q: server %d panicked: %v", name, i, r))
 	}
 	c.deliver(name, outs)
 	c.sink()
@@ -547,29 +533,12 @@ func (c *Cluster) deliver(name string, outs []*Out) {
 	}
 }
 
-// LocalStep runs compute on every server (in parallel) without any
-// communication; it does not count as a round. Use it for purely local
-// phases such as final local joins.
+// LocalStep runs compute on every server, each on its own goroutine as
+// in Round, without any communication; it does not count as a round.
+// Use it for purely local phases such as final local joins.
 func (c *Cluster) LocalStep(compute func(s *Server)) {
-	var wg sync.WaitGroup
-	panics := make([]any, c.p)
-	for i := 0; i < c.p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[i] = r
-				}
-			}()
-			compute(c.servers[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("mpc: local step: server %d panicked: %v", i, p))
-		}
+	if i, r := c.fan.run(c.p, func(i int) { compute(c.servers[i]) }); i >= 0 {
+		panic(fmt.Sprintf("mpc: local step: server %d panicked: %v", i, r))
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -165,18 +166,33 @@ func TestSendOutOfRangePanics(t *testing.T) {
 	})
 }
 
+// TestComputePanicPropagates pins the panic texts of Round and
+// LocalStep: each names the lowest server that panicked, and the
+// workers the panics ran on go on serving later rounds.
 func TestComputePanicPropagates(t *testing.T) {
-	c := NewCluster(3, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected compute panic to propagate")
+	c := NewCluster(5, 1)
+	text := func(f func()) (s string) {
+		defer func() { s = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	boom := func(id int) {
+		if id%2 == 1 {
+			panic(fmt.Sprintf("bug %d", id))
 		}
-	}()
-	c.Round("boom", func(s *Server, out *Out) {
-		if s.ID() == 1 {
-			panic("bug")
+	}
+	for _, tc := range []struct{ got, want string }{
+		{text(func() { c.Round("boom", func(s *Server, _ *Out) { boom(s.ID()) }) }), `mpc: round "boom": server 1 panicked: bug 1`},
+		{text(func() { c.LocalStep(func(s *Server) { boom(s.ID()) }) }), "mpc: local step: server 1 panicked: bug 1"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("panic %q, want %q", tc.got, tc.want)
 		}
-	})
+	}
+	c.Round("ok", func(s *Server, out *Out) { out.Open("A", "x").Send(0, relation.Value(s.ID())) })
+	if got := c.TotalLen("A"); got != 5 {
+		t.Fatalf("the round after the panics delivered %d tuples, want 5", got)
+	}
 }
 
 func TestLocalStepParallelAndUnmetered(t *testing.T) {

@@ -3,6 +3,7 @@ package mpc_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,22 +121,23 @@ func TestChaosCommitMatchesFaultFree(t *testing.T) {
 }
 
 // TestChaosEngineEquivalence pins that the recovery driver composes
-// with every transport: under the same fault schedule, the concurrent
-// local transport, the single-worker local transport, and the
-// row-by-row reference transport commit identical fragments, metering,
-// and recovery ledgers.
+// with every transport: under the same fault schedule, the local
+// transport on four CPUs and on one, and the row-by-row reference
+// transport commit identical fragments, metering, and recovery ledgers.
 func TestChaosEngineEquivalence(t *testing.T) {
 	sched := chaos.MustParseSchedule("606:drop=0.2,dup=0.1,crash=0.2,straggle=0.3")
-	build := func(configure func(*mpc.Cluster)) *mpc.Cluster {
+	build := func(tr mpc.Transport) *mpc.Cluster {
 		c := mpc.NewCluster(6, 9)
-		configure(c)
+		c.SetTransport(tr)
 		c.SetFaultInjector(sched)
 		recoveryProgram(c, 300)
 		return c
 	}
-	fast := build(func(c *mpc.Cluster) { c.SetTransport(mpc.LocalTransportWorkers(4)) })
-	single := build(func(c *mpc.Cluster) { c.SetTransport(mpc.LocalTransportWorkers(1)) })
-	ref := build(func(c *mpc.Cluster) { c.SetTransport(mpc.ReferenceTransport()) })
+	onCPUs := func(n int) *mpc.Cluster {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		return build(nil)
+	}
+	fast, single, ref := onCPUs(4), onCPUs(1), build(mpc.ReferenceTransport())
 	assertSameRun(t, fast, single, true)
 	assertSameRun(t, fast, ref, true)
 }

@@ -2,6 +2,7 @@ package mpc_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -290,16 +291,20 @@ func TestReceiversPresized(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		tr     mpc.Transport
+		procs  int // GOMAXPROCS for the run; 0 leaves it
 		faults bool
 	}{
-		{"local", nil, false},
-		{"local-1-worker", mpc.LocalTransportWorkers(1), false},
-		{"portable-chunk3", mpc.PortableTransport{Chunk: 3}, false},
-		{"reference", mpc.ReferenceTransport(), false},
-		{"reference-chaos", mpc.ReferenceTransport(), true},
+		{"local", nil, 0, false},
+		{"local-1-cpu", nil, 1, false},
+		{"portable-chunk3", mpc.PortableTransport{Chunk: 3}, 0, false},
+		{"reference", mpc.ReferenceTransport(), 0, false},
+		{"reference-chaos", mpc.ReferenceTransport(), 0, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
 			c := mpc.NewCluster(5, 3)
 			c.SetTransport(tc.tr)
 			if tc.faults {

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"mpcquery/internal/mpc"
@@ -51,6 +52,9 @@ type Transport struct {
 	opts  Options
 	conns []*workerConn
 	seq   uint64
+	// workers, set by NewLoopback, counts its in-process workers still
+	// serving; Close waits for them.
+	workers *sync.WaitGroup
 }
 
 // workerConn is the driver's end of one worker connection. The worker
@@ -112,6 +116,7 @@ func NewLoopback(p int, opts Options) (*Transport, error) {
 	// listeners close on every path: on an error that ends the workers
 	// still waiting in Accept.
 	addrs := make([]string, n)
+	workers := new(sync.WaitGroup)
 	for i := range addrs {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -119,9 +124,17 @@ func NewLoopback(p int, opts Options) (*Transport, error) {
 		}
 		defer lis.Close()
 		addrs[i] = lis.Addr().String()
-		go ServeOne(lis) //nolint:errcheck // a worker error surfaces as a driver I/O error
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			ServeOne(lis) //nolint:errcheck // a worker error surfaces as a driver I/O error
+		}()
 	}
-	return Dial(p, addrs, opts)
+	t, err := Dial(p, addrs, opts)
+	if err == nil {
+		t.workers = workers
+	}
+	return t, err
 }
 
 // handshake announces the topology to one worker and verifies the
@@ -275,7 +288,7 @@ func (cn *workerConn) flush(opts Options) error {
 
 // Close sends BYE to every worker and closes the connections. Workers
 // exit cleanly on BYE; Close after a failed round just drops the
-// sockets.
+// sockets. A loopback transport's workers have exited when it returns.
 func (t *Transport) Close() error {
 	var firstErr error
 	for _, cn := range t.conns {
@@ -290,5 +303,8 @@ func (t *Transport) Close() error {
 		}
 	}
 	t.conns = nil
+	if t.workers != nil {
+		t.workers.Wait()
+	}
 	return firstErr
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -262,6 +263,24 @@ func TestLoopbackFailureLeaksNothing(t *testing.T) {
 	}
 	if got := settledGoroutines(); got > base {
 		t.Fatalf("%d goroutines after the failed call, %d before", got, base)
+	}
+}
+
+// TestLoopbackCloseLeavesNoWorker: a loopback transport's workers have
+// exited when Close returns, so nothing it started runs, or allocates,
+// after it.
+func TestLoopbackCloseLeavesNoWorker(t *testing.T) {
+	tr, err := mpcnet.NewLoopback(3, mpcnet.Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(3, tr, testkit.GenRelation("R", []string{"x", "y", "z"}, testkit.SkewUniform, testkit.GenConfig{Tuples: 90}, 1))
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "mpcnet.ServeOne") {
+		t.Fatalf("a loopback worker still runs once Close returned:\n%s", stacks)
 	}
 }
 
