@@ -94,7 +94,8 @@ func main() {
 	fmt.Printf("cost         L = %d, r = %d, C = %d\n", m.MaxLoad(), m.Rounds(), m.TotalComm())
 
 	// Verify against a single-machine evaluation.
-	joined := relation.MultiJoin("ref", orders, customers, regions)
+	joined := relation.GenericJoin("ref", []string{"oid", "cKey", "month", "price", "region", "active"},
+		orders, customers, regions)
 	want := relation.GroupBy("want", joined, []string{"cKey", "month"}, relation.Sum, "price", "total")
 	if result.EqualAsSets(want) {
 		fmt.Println("verified     distributed aggregate == single-machine reference")

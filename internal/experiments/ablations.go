@@ -67,7 +67,9 @@ func A01ShareRounding() (*Table, error) {
 }
 
 // A02LocalJoin compares the two local evaluation strategies under an
-// identical HyperCube shuffle: the slide-32 point that the local
+// identical HyperCube shuffle — the local join kernel as one multiway
+// generic join, and as a left-deep chain of two-input joins that
+// materializes every intermediate: the slide-32 point that the local
 // algorithm is orthogonal to the parallel one, quantified.
 func A02LocalJoin() (*Table, error) {
 	const nv, ne, p = 3000, 40000, 8
@@ -86,7 +88,7 @@ func A02LocalJoin() (*Table, error) {
 		name string
 		alg  hypercube.LocalAlg
 	}{
-		{"trie join (WCO)", hypercube.LocalGeneric},
+		{"generic join (WCO)", hypercube.LocalGeneric},
 		{"binary hash plans", hypercube.LocalBinary},
 	} {
 		c := mpc.NewCluster(p, 1)
@@ -105,7 +107,7 @@ func A02LocalJoin() (*Table, error) {
 			elapsed.Round(time.Millisecond).String(), fmtInt(c.Metrics().MaxLoad()))
 	}
 	t.Note("N = %d edges, p = %d; wall time includes the (identical) shuffle — differences are local evaluation", ne, p)
-	t.Note("binary plans materialize the R⋈S intermediate locally; the WCO trie join never does")
+	t.Note("binary plans materialize the R⋈S intermediate locally; the WCO generic join never does")
 	return t, nil
 }
 

@@ -129,20 +129,21 @@ type Result struct {
 	Patterns []PatternPlan
 }
 
-// LocalAlg selects the local join algorithm each server runs after the
-// shuffle (slide 32: the local algorithm is independent of the parallel
-// one).
+// LocalAlg selects how each server evaluates its local join after the
+// shuffle: the multiway kernel, or a chain of two-input hash joins
+// (slide 32: the local algorithm is independent of the parallel one).
 type LocalAlg int
 
 // Local join algorithm choices.
 const (
-	// LocalGeneric is the worst-case-optimal generic join
-	// (relation.GenericJoin) — the default; it never builds oversized
-	// intermediates on cyclic queries, and it picks its own binding
+	// LocalGeneric is the local join kernel, relation.GenericJoin —
+	// the default: a worst-case-optimal generic join that never builds
+	// an intermediate on cyclic queries; it picks its own binding
 	// order, so its output rows come in no promised order.
 	LocalGeneric LocalAlg = iota
-	// LocalBinary evaluates by iterative binary hash joins; exists as an
-	// ablation baseline (slide 63's intermediate blowup can resurface
+	// LocalBinary joins the atoms left to right with two-input
+	// relation.HashJoin, materializing every intermediate: ablation
+	// A02's baseline (slide 63's intermediate blowup can resurface
 	// locally with this choice).
 	LocalBinary
 )
@@ -208,7 +209,11 @@ func localJoin(c *mpc.Cluster, q hypergraph.Query, outName, suffix string, alg L
 		case LocalGeneric:
 			joined = relation.GenericJoin(outName, vars, inputs...)
 		case LocalBinary:
-			joined = relation.MultiJoin(outName, inputs...).Project(outName, vars...)
+			joined = inputs[0]
+			for _, in := range inputs[1:] {
+				joined = relation.HashJoin(outName, joined, in)
+			}
+			joined = joined.Project(outName, vars...)
 		default:
 			panic("hypercube: unknown local algorithm")
 		}

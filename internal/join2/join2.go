@@ -341,7 +341,8 @@ func skewShuffle(c *mpc.Cluster, r, s *relation.Relation, y string, heavy []heav
 //
 //  1. the tagged union of r and s is sorted by (y, tag, uid) with PSRS,
 //     so the partition is balanced even when one value dominates;
-//  2. values wholly inside one server are joined locally by merge join;
+//  2. values wholly inside one server are joined locally by the local
+//     join kernel (relation.HashJoin);
 //  3. values crossing server boundaries are fixed up with a grid
 //     Cartesian product over the servers that hold them.
 //
@@ -502,8 +503,8 @@ func SortJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 		srv.Put(kept.Rename(sorted))
 	})
 
-	// Local join: merge-join the non-crossing sorted runs plus hash-join
-	// the crossing grids.
+	// Local join: the kernel joins the non-crossing runs and the
+	// crossing grids.
 	rSchema := []string{rRest[0], y} // R(x, y)
 	sSchema := []string{y, sRest[0]} // S(y, z)
 	outSchema := []string{rRest[0], y, sRest[0]}
@@ -523,7 +524,7 @@ func SortJoin(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint
 				}
 			}
 		}
-		local := relation.SortMergeJoin(outName, rf, sf)
+		local := relation.HashJoin(outName, rf, sf)
 		if xr := srv.Rel(outName + ":xr"); xr != nil {
 			xs := srv.RelOrEmpty(outName+":xs", y, sRest[0])
 			xrR := relation.New(r.Name(), rSchema...)

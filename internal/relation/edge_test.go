@@ -89,7 +89,6 @@ func TestEmptyRelations(t *testing.T) {
 		{"clone", empty.Clone()},
 		{"hash join empty⋈R", HashJoin("j", empty, nonEmpty)},
 		{"hash join R⋈empty", HashJoin("j", nonEmpty, empty)},
-		{"sort-merge join", SortMergeJoin("j", empty, nonEmpty)},
 		{"nested-loop join", NestedLoopJoin("j", empty, nonEmpty)},
 		{"semijoin", Semijoin("sj", empty, nonEmpty)},
 		{"generic join", GenericJoin("g", []string{"x", "y", "z"}, empty, nonEmpty)},

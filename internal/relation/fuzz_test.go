@@ -106,7 +106,7 @@ func FuzzRadixIndex(f *testing.F) {
 	})
 }
 
-// FuzzGenericJoin fuzzes the trie join against the definition of a
+// FuzzGenericJoin fuzzes the join kernel against the definition of a
 // conjunctive query: bytes decode to a variable order over up to four
 // variables and one to four relations of arity 0-3 over them, duplicate
 // rows and nullary atoms included; the oracle enumerates every
@@ -114,6 +114,8 @@ func FuzzRadixIndex(f *testing.F) {
 // atom contains, and so lists the bindings once each. The kernel must
 // return the same bindings, each exactly once, columns in the variable
 // order; it promises no row order, so both sides are compared sorted.
+// With two relations, HashJoin must also equal a nested-loop
+// enumeration of the bag join, row for row in its documented order.
 func FuzzGenericJoin(f *testing.F) {
 	// A(x,y) = {(1,2)} and a false nullary atom: the case the retired
 	// hash-grouping kernel got wrong (it ignored the atom).
@@ -134,6 +136,17 @@ func FuzzGenericJoin(f *testing.F) {
 	// order x,y,z,w: the kernel binds x, w, y, z, so A's first level (w)
 	// meets B's narrowed one.
 	f.Add([]byte{0, 2, 0x19, 4, 2, 0, 2, 0, 4, 2, 4, 2, 0x0b, 3, 0, 6, 2, 6, 0, 6, 0x18, 3, 6, 0, 6, 0, 6, 4})
+	// Two relations A(x,y), B(y,z) under the order x,y,z, B the larger,
+	// a repeated row on each side and a key both repeat.
+	f.Add([]byte{0, 1, 0x09, 3, 0, 2, 2, 2, 0, 2, 0x0a, 4, 2, 4, 2, 4, 2, 6, 4, 0})
+	// ... A the larger: HashJoin probes with A's rows.
+	f.Add([]byte{0, 1, 0x09, 4, 0, 2, 2, 2, 0, 2, 4, 4, 0x0a, 2, 2, 4, 2, 4})
+	// Two relations with no variable in common: the Cartesian product.
+	f.Add([]byte{0, 1, 0x04, 2, 0, 2, 0x06, 3, 2, 4, 2})
+	// B(y) inside A(x,y), B a bag: each A row once per copy of its B row.
+	f.Add([]byte{0, 1, 0x09, 3, 0, 2, 2, 2, 4, 2, 0x06, 3, 2, 2, 4})
+	// Two true nullary atoms: the empty binding, once per pair of copies.
+	f.Add([]byte{0, 1, 0x00, 2, 0x00, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -187,6 +200,9 @@ func FuzzGenericJoin(f *testing.F) {
 			}
 		}
 
+		if len(rels) == 2 {
+			checkHashJoinOrder(t, rels[0], rels[1])
+		}
 		got := GenericJoin("J", varOrder, rels...)
 
 		var domain []Value
@@ -234,6 +250,52 @@ func FuzzGenericJoin(f *testing.F) {
 		enumerate(0)
 		requireSameBindings(t, "GenericJoin vs nested-loop enumeration", got, want)
 	})
+}
+
+// checkHashJoinOrder compares HashJoin(r, s) row for row with its
+// documented order, enumerated by nested loops: the bag join, the larger
+// input's rows in order (s's on a tie) each with its matches in the
+// other ascending; with no shared attribute, r's rows each with all of
+// s's.
+func checkHashJoinOrder(t *testing.T, r, s *Relation) {
+	t.Helper()
+	want := New("W", joinSchema(r, s)...)
+	emit := func(rrow, srow []Value) {
+		row := slices.Clone(rrow)
+		for c, a := range s.Attrs() {
+			if r.Col(a) < 0 {
+				row = append(row, srow[c])
+			}
+		}
+		want.AppendRow(row)
+	}
+	agree := func(rrow, srow []Value) bool {
+		for c, a := range s.Attrs() {
+			if rc := r.Col(a); rc >= 0 && rrow[rc] != srow[c] {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case len(SharedAttrs(r, s)) == 0 || r.Len() > s.Len():
+		for i := 0; i < r.Len(); i++ {
+			for j := 0; j < s.Len(); j++ {
+				if agree(r.Row(i), s.Row(j)) {
+					emit(r.Row(i), s.Row(j))
+				}
+			}
+		}
+	default:
+		for j := 0; j < s.Len(); j++ {
+			for i := 0; i < r.Len(); i++ {
+				if agree(r.Row(i), s.Row(j)) {
+					emit(r.Row(i), s.Row(j))
+				}
+			}
+		}
+	}
+	requireSameRows(t, "HashJoin vs its documented order", HashJoin("J", r, s), want)
 }
 
 // FuzzRowSet drives the row set against a map oracle, and Distinct,

@@ -2,40 +2,46 @@ package relation
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
-// GenericJoin is a worst-case-optimal multiway join — Leapfrog Triejoin
-// (Veldhuizen '14), the sorted-trie form of NPRR's generic join: it
-// binds one variable at a time, intersecting the candidate values of
-// every relation that contains the variable. On cyclic queries such as
-// the triangle it avoids the intermediate-result blowup of binary join
-// plans (slide 63), which is why the HyperCube local evaluation uses it
-// by default.
+// GenericJoin is the multiway local join kernel: NPRR's generic join
+// over hash levels. It binds the variables one step at a time. An
+// input's level at a step indexes the input on its variables bound
+// through that step — its rows grouped by key and copied in group
+// order, and a table from key to group — built on first use. A step
+// either
+//
+//   - intersects: it binds one variable, iterating the smallest
+//     candidate group one value at a time and probing the other inputs
+//     holding the variable; or
+//   - binds all of one input's remaining variables at once, when every
+//     variable it leaves unbound is held by one input only: it iterates
+//     the input's group, or its whole row set if nothing has narrowed
+//     it, as a hash join iterates its probe side or emits a build-side
+//     group, and probes the other inputs holding one of the variables.
+//
+// It never builds a pairwise intermediate and sorts no input; on
+// cyclic queries such as the triangle it avoids the intermediate-result
+// blowup of binary join plans (slide 63), which is why every HyperCube
+// server uses it by default.
 //
 // The binding order is the kernel's own, not varOrder: first the
 // variable in the most inputs, then repeatedly the variable that the
 // most inputs have already narrowed (an input is narrowed once one of
 // its variables is bound), ties going to the variable in more inputs
 // and then to the earlier varOrder position. Path R(x,y), S(y,z),
-// T(z,w) binds y, z, x, w; the triangle binds x, y, z.
-//
-// Each input is sorted once, by its columns in binding order, and
-// stored column by column; a relation's rows that agree with the
-// current binding prefix are then always one contiguous range of those
-// columns. A relation's first level spans its whole column, so where
-// it meets levels an earlier variable narrowed, it is hashed once per
-// call (value → run) and probed for each value of the narrowed levels'
-// intersection; a depth whose levels are all first levels, or all
-// narrowed, is a galloping leapfrog over ranges. Nothing is regrouped
-// or allocated per binding: the columns, level table and hash indexes
-// live in the pooled kernelArena, and only the output, grown by
-// doubling, is heap-allocated.
+// T(z,w) binds y, z, x, w — one step iterating S and probing R and T,
+// then R's and T's groups emitted; the triangle intersects on x, y and
+// z. Only the output is heap-allocated.
 //
 // varOrder must list every attribute appearing in the inputs exactly
 // once; the output schema is varOrder. The output holds one row per
-// binding (set semantics, whatever the inputs' multiplicities), in no
-// promised order.
+// binding (set semantics, whatever the inputs' multiplicities: rows a
+// step iterates skip a repeated row's later copies), in no promised
+// order. A nullary input is a boolean: false (no tuple) empties the
+// join, true changes nothing.
 func GenericJoin(name string, varOrder []string, rels ...*Relation) *Relation {
 	if len(rels) == 0 {
 		panic("relation: GenericJoin of nothing")
@@ -45,348 +51,482 @@ func GenericJoin(name string, varOrder []string, rels ...*Relation) *Relation {
 			panic("relation: GenericJoin duplicate variable " + v)
 		}
 	}
-	words, widest, empty := 0, 0, false
-	for _, r := range rels {
-		for _, a := range r.Attrs() {
-			if !slices.Contains(varOrder, a) {
-				panic("relation: GenericJoin variable order misses " + a)
-			}
-		}
-		checkRowCount("GenericJoin", r.Len())
-		words += r.Words()
-		widest = max(widest, r.Words())
-		empty = empty || r.Len() == 0
-	}
-	out := New(name, varOrder...)
-	// An empty input — a false nullary atom included — empties the join;
-	// a non-empty nullary one constrains nothing and builds no level.
-	if empty {
-		return out
-	}
 	a := getArena()
 	defer putArena(a)
-	t := &a.trie
-	if !t.plan(varOrder, rels) {
-		return out // a variable no input constrains has no finite binding
-	}
-
-	// vals holds every input's sorted columns back to back, then one
-	// row-major staging area the widest input fits in.
-	vals := a.vals.take(words + widest)
-	stage := vals[words:]
-	for i, r := range rels {
-		n, k := r.Len(), r.Arity()
-		if k == 0 {
-			continue
-		}
-		rows := stage[:n*k]
-		copy(rows, r.data)
-		order := make([]int, 0, 8)
-		for li := range t.levels {
-			if l := &t.levels[li]; l.rel == i {
-				l.col, vals = vals[:n:n], vals[n:]
-				l.hi = n
-				order = append(order, l.srcCol)
-			}
-		}
-		sortRows(rows, k, order, a)
-		for li := range t.levels {
-			if l := &t.levels[li]; l.rel == i {
-				for j := range l.col {
-					l.col[j] = rows[j*k+l.srcCol]
-				}
-			}
+	j := &a.join
+	empty := j.load(varOrder, rels)
+	out := New(name, varOrder...)
+	if !empty && j.plan(len(varOrder), rels) {
+		if len(varOrder) == 0 {
+			out.nrows = 1 // every input is a true nullary atom: the empty binding
+		} else {
+			j.binding = a.vals.take(len(varOrder))
+			j.run(0)
+			out.data = j.out
 		}
 	}
-	t.buildIndexes()
-
-	if len(varOrder) == 0 {
-		out.nrows = 1 // every input is a true nullary atom: the empty binding
-		return out
-	}
-	t.binding = a.vals.take(len(varOrder))
-	t.out = nil
-	t.bind(0)
-	out.data, t.out = t.out, nil
+	clear(j.levels)
+	j.out = nil // nothing pooled keeps the inputs or the output alive
 	return out
 }
 
-// trieLevel is one (relation, trie level) pair: the relation's column
-// for one variable, in the relation's sorted row order. [lo, hi) is the
-// range of rows agreeing with the variables bound so far — the whole
-// relation at its first level, afterwards the run its previous level
-// matched — and next is the relation's following level, or -1. A
-// probed first level also owns tab, its open-addressed run index
-// (mask = len(tab) − 1).
-type trieLevel struct {
-	col         []Value
-	lo, hi      int
-	cur, run    int
-	next        int
-	rel, srcCol int
-	tab         []runSlot
-	mask        uint64
+// joinLevel is one input's part in one step of the join. At an
+// intersection it is the input's index on cols, the columns of its
+// variables bound through the step, probed with the binding's values at
+// keys. At a step binding the input's remaining variables, cols are
+// their columns and keys their binding slots.
+type joinLevel struct {
+	in   *Relation // the input
+	prev int       // the input's level at its previous step, or -1: none narrowed it
+	cols []int     // see above
+	keys []int
+	col  int  // an intersection's variable's column in the input
+	k    int  // the input's arity
+	last bool // the input has no variable left after this step
+	sets bool // a step iterates the level's rows: the index skips a repeated row's copies
+
+	// The index, built on first use: the input's rows bucketed by the
+	// top bits of their key's hash (bucket b is rows [bucket[b],
+	// bucket[b+1])) and grouped by key within a bucket, copied row-major
+	// (vals), with their row ids (ids, ascending within a group) where
+	// needIDs. A group starting at row p holds rows [p, end[p]), and the
+	// bucket's next group starts at end[p]. d counts the groups.
+	vals    []Value
+	ids     []int32
+	needIDs bool
+	end     []int32
+	bucket  []int32
+	shift   uint
+	d       int
+	built   bool
+
+	lo, hi int // the group agreeing with the binding through this step
 }
 
-// runSlot is one slot of a probed level's index: the rows [lo, hi) of
-// the sorted column hold key. hi == 0 marks an empty slot, since every
-// run has a row.
-type runSlot struct {
-	key    Value
-	lo, hi int32
-}
-
-// trieScratch is GenericJoin's share of the kernelArena: the binding
-// order (order[d] is the varOrder position bound at depth d), the levels
-// in depth order — levels[depthAt[d]:probeAt[d]] are leapfrogged at
-// depth d and levels[probeAt[d]:depthAt[d+1]] probed — the current
-// binding (in varOrder positions) and the output rows being collected.
-// All but the output are taken from a's backings, as are the probed
-// levels' indexes and the storage the columns point into.
-type trieScratch struct {
+// joinScratch is GenericJoin's share of the kernelArena: the inputs'
+// variables as varOrder positions, the binding order (order[d] is the
+// varOrder position bound d-th), the steps — step s binds varOrder
+// position stepVar[s], or all of one input's remaining variables when
+// that is -1, and its levels are levels[stepAt[s]:stepAt[s+1]] — the
+// current binding (in varOrder positions) and the output rows being
+// collected. All but the output are taken from a's backings.
+type joinScratch struct {
+	vars    []int // input i's variables are vars[varAt[i]:varAt[i+1]]
+	varAt   []int
 	order   []int
-	levels  []trieLevel
-	depthAt []int
-	probeAt []int
+	stepVar []int
+	stepAt  []int
+	levels  []joinLevel
 	binding []Value
 	out     []Value
 	a       *kernelArena
 }
 
-// plan picks the binding order and lays out the levels of every depth,
-// narrowed levels first, linking each relation's levels through next.
-// It reports false when some variable is in no input.
-func (t *trieScratch) plan(varOrder []string, rels []*Relation) bool {
-	levels := 0
-	for _, r := range rels {
-		levels += r.Arity()
+// load records the inputs and each one's variables as varOrder
+// positions, and reports whether an input is empty: an empty input — a
+// false nullary atom included — empties the join, and a non-empty
+// nullary one constrains nothing.
+func (j *joinScratch) load(varOrder []string, rels []*Relation) (empty bool) {
+	j.varAt = j.a.ints.take(len(rels) + 1)
+	j.vars = j.a.ints.take(len(rels) * len(varOrder))[:0] // an input holds each variable at most once
+	for i, r := range rels {
+		j.varAt[i] = len(j.vars)
+		for _, at := range r.Attrs() {
+			p := slices.Index(varOrder, at)
+			if p < 0 {
+				panic("relation: GenericJoin variable order misses " + at)
+			}
+			j.vars = append(j.vars, p)
+		}
+		checkRowCount("GenericJoin", r.Len())
+		empty = empty || r.Len() == 0
 	}
-	ints := &t.a.ints
-	t.order, t.levels = ints.take(len(varOrder))[:0], t.a.levels.take(levels)[:0]
-	t.depthAt, t.probeAt = ints.take(len(varOrder) + 1)[:0], ints.take(len(varOrder))[:0]
-	tail := ints.take(len(rels)) // each relation's deepest level so far, or -1
+	j.varAt[len(rels)] = len(j.vars)
+	return empty
+}
+
+// varsOf returns input i's variables as varOrder positions, in column
+// order.
+func (j *joinScratch) varsOf(i int) []int { return j.vars[j.varAt[i]:j.varAt[i+1]] }
+
+// plan picks the binding order over nv variables and lays out the steps
+// and their levels. It reports false when some variable is in no input.
+func (j *joinScratch) plan(nv int, rels []*Relation) bool {
+	ints, nr := &j.a.ints, len(rels)
+	in := ints.takeZero(nv) // how many inputs hold each variable
+	for _, p := range j.vars {
+		in[p]++
+	}
+	j.order = ints.take(nv)[:0]
+	narrowed := ints.takeZero(nr)
+	for range nv {
+		best, bestNarrowed := -1, -1
+		for p := range nv {
+			if slices.Contains(j.order, p) {
+				continue
+			}
+			n := 0
+			for i := range nr {
+				if narrowed[i] != 0 && slices.Contains(j.varsOf(i), p) {
+					n++
+				}
+			}
+			if n > bestNarrowed || n == bestNarrowed && in[p] > in[best] {
+				best, bestNarrowed = p, n
+			}
+		}
+		if in[best] == 0 {
+			return false
+		}
+		j.order = append(j.order, best)
+		for i := range nr {
+			if slices.Contains(j.varsOf(i), best) {
+				narrowed[i] = 1
+			}
+		}
+	}
+
+	j.levels = j.a.levels.take(len(j.vars))[:0]
+	j.stepVar, j.stepAt = ints.take(nv)[:0], ints.take(nv + 1)[:0]
+	tail := narrowed // each input's latest level, or -1
 	for i := range tail {
 		tail[i] = -1
 	}
-	for range varOrder {
-		best, bestNarrowed, bestIn := -1, -1, -1
-		for vi, v := range varOrder {
-			if slices.Contains(t.order, vi) {
-				continue
+	bound := ints.takeZero(nv) // 1 once bound, 2 while the hash step being laid out binds it
+	for _, p := range j.order {
+		if bound[p] != 0 {
+			continue // a hash step bound it
+		}
+		j.stepAt = append(j.stepAt, len(j.levels))
+		cover, holders, first := -1, 0, true
+		for i := range nr {
+			if slices.Contains(j.varsOf(i), p) {
+				holders++
+				first = first && tail[i] < 0
 			}
-			in, narrowed := 0, 0
+		}
+		if first || holders == 1 {
 			for i, r := range rels {
-				if r.Col(v) >= 0 {
-					in++
-					if tail[i] >= 0 {
-						narrowed++
-					}
+				if slices.Contains(j.varsOf(i), p) && j.coversRest(i, bound, in, first) && (cover < 0 || r.Len() >= rels[cover].Len()) {
+					cover = i
 				}
 			}
-			if narrowed > bestNarrowed || narrowed == bestNarrowed && in > bestIn {
-				best, bestNarrowed, bestIn = vi, narrowed, in
-			}
 		}
-		if bestIn == 0 {
-			return false
-		}
-		t.order = append(t.order, best)
-		v, start := varOrder[best], len(t.levels)
-		t.depthAt = append(t.depthAt, start)
-		for _, narrowedPass := range []bool{true, false} {
-			if !narrowedPass {
-				t.probeAt = append(t.probeAt, len(t.levels))
-			}
-			for i, r := range rels {
-				c := r.Col(v)
-				if c < 0 || (tail[i] >= 0) != narrowedPass {
-					continue
+		if cover < 0 {
+			j.stepVar = append(j.stepVar, p)
+			bound[p] = 1
+			for i := range nr {
+				if col := slices.Index(j.varsOf(i), p); col >= 0 {
+					j.addLevel(rels[i], i, col, bound, tail, false)
 				}
-				if tail[i] >= 0 {
-					t.levels[tail[i]].next = len(t.levels)
-				}
-				tail[i] = len(t.levels)
-				t.levels = append(t.levels, trieLevel{rel: i, srcCol: c, next: -1})
+			}
+			continue
+		}
+		j.stepVar = append(j.stepVar, -1)
+		for _, q := range j.varsOf(cover) {
+			if bound[q] == 0 {
+				bound[q] = 2
 			}
 		}
-		// Probing needs both kinds: with none narrowed, or none first,
-		// the whole depth is leapfrogged.
-		if d := len(t.probeAt) - 1; t.probeAt[d] == start {
-			t.probeAt[d] = len(t.levels)
+		j.addLevel(rels[cover], cover, -1, bound, tail, true)
+		for i := range nr {
+			if i != cover && slices.ContainsFunc(j.varsOf(i), func(q int) bool { return bound[q] == 2 }) {
+				j.addLevel(rels[i], i, -1, bound, tail, false)
+			}
+		}
+		for q := range bound {
+			bound[q] = min(bound[q], 1)
 		}
 	}
-	t.depthAt = append(t.depthAt, len(t.levels))
+	j.stepAt = append(j.stepAt, len(j.levels))
 	return true
 }
 
-// buildIndexes indexes every probed level's sorted column by its runs,
-// at load factor at most 1/2, in one arena table.
-func (t *trieScratch) buildIndexes() {
-	total := 0
-	for d := range t.order {
-		for li := t.probeAt[d]; li < t.depthAt[d+1]; li++ {
-			l := &t.levels[li]
-			runs := 1
-			for j := 1; j < len(l.col); j++ {
-				if l.col[j] != l.col[j-1] {
-					runs++
-				}
-			}
-			l.mask = uint64(nextPow2(2*runs) - 1)
-			total += int(l.mask) + 1
+// coversRest reports whether input i can be a hash step's iterated
+// input: when the step's inputs are all unnarrowed (first), every
+// unbound variable outside i is in one input only; otherwise, when i is
+// the step's one input, every unbound variable of i is in i only. Then
+// binding all of i's variables at once leaves nothing to intersect but
+// variables each held by one input.
+func (j *joinScratch) coversRest(i int, bound, in []int, first bool) bool {
+	vars := j.varsOf(i)
+	for q := range bound {
+		if bound[q] == 0 && in[q] > 1 && slices.Contains(vars, q) != first {
+			return false
 		}
 	}
-	if total == 0 {
+	return true
+}
+
+// addLevel appends input i's level at the current step: for a hash
+// step's iterated input (cover), on the variables the step binds;
+// otherwise on its bound variables, col being the column of the
+// intersection's variable.
+func (j *joinScratch) addLevel(in *Relation, i, col int, bound, tail []int, cover bool) {
+	vars := j.varsOf(i)
+	lv := joinLevel{in: in, prev: tail[i], col: col, k: len(vars), last: true}
+	lv.cols, lv.keys = j.a.ints.take(len(vars))[:0], j.a.ints.take(len(vars))[:0]
+	for c, q := range vars {
+		if cover && bound[q] == 2 || !cover && bound[q] != 0 {
+			lv.cols, lv.keys = append(lv.cols, c), append(lv.keys, q)
+		} else if !cover && bound[q] == 0 {
+			lv.last = false
+		}
+	}
+	if !cover && col >= 0 && lv.prev >= 0 && !lv.last {
+		// The step may iterate the previous level's rows one value at a
+		// time, taking each at its group's first row.
+		lv.needIDs, j.levels[lv.prev].needIDs = true, true
+	}
+	if cover && lv.prev < 0 {
+		lv.sets = true // the step iterates the input's rows, each one a binding
+	} else if lv.prev >= 0 && (cover || lv.last && col >= 0) {
+		// The step may iterate the previous level's rows, each one a
+		// binding: on a bag, a repeated one would repeat a binding.
+		j.levels[lv.prev].sets = true
+	}
+	tail[i] = len(j.levels)
+	j.levels = append(j.levels, lv)
+}
+
+// index builds l's index on first use and returns its group count.
+// One pass hashes every row's key and counts the rows per bucket, a
+// second copies the rows bucket by bucket, and a third groups each
+// bucket's rows by key: buckets hold two rows on average, so a group
+// is found by a scan of its bucket. A level marked sets skips, in the
+// first pass, each row its input already held.
+func (j *joinScratch) index(l *joinLevel) int {
+	if l.built {
+		return l.d
+	}
+	l.built = true
+	a, rel, k := j.a, l.in, l.k
+	n, data := rel.Len(), rel.data
+	nb := nextPow2(max(n/2, 1))
+	l.shift = uint(64 - bits.TrailingZeros(uint(nb))) // 64 for one bucket: every h>>64 is 0
+	l.end = a.i32.take(n)
+	home := l.end // each row's bucket, or -1 for a repeat, until the groups are laid out
+	l.bucket = a.i32.takeZero(nb + 1)
+	var seen RowSet
+	if l.sets {
+		seen.slots = a.i32.takeZero(nextPow2(max(2*n, rowSetMinSlots)))
+		seen.shift = uint(64 - bits.TrailingZeros(uint(len(seen.slots))))
+	}
+	for i := range n {
+		if l.sets && !seen.insert(rel, i) {
+			home[i] = -1
+			continue
+		}
+		b := int32(kernelRowHash(data[i*k:i*k+k], l.cols, kernelSeed) >> l.shift)
+		home[i] = b
+		l.bucket[b+1]++
+	}
+	a.i32.give(seen.slots)
+	for b := range nb {
+		l.bucket[b+1] += l.bucket[b]
+	}
+	kept := int(l.bucket[nb])
+	l.vals = a.vals.take(kept * k)
+	if l.needIDs {
+		l.ids = a.i32.take(kept)
+	}
+	fill := a.i32.take(nb)
+	copy(fill, l.bucket)
+	for i, b := range home {
+		if b < 0 {
+			continue
+		}
+		p := fill[b]
+		fill[b]++
+		dst, src := l.vals[int(p)*k:int(p)*k+k], data[i*k:i*k+k]
+		for c := range dst { // a few words: cheaper than a memmove call
+			dst[c] = src[c]
+		}
+		if l.ids != nil {
+			l.ids[p] = int32(i)
+		}
+	}
+	a.i32.give(fill)
+	for b := range nb {
+		hi := int(l.bucket[b+1])
+		for p := int(l.bucket[b]); p < hi; l.d++ {
+			// Row p's group: the bucket's later rows with its key, moved
+			// up behind it.
+			e := p + 1
+			for q := p + 1; q < hi; q++ {
+				if l.sameKey(p, q) {
+					if q != e {
+						l.moveUp(q, e)
+					}
+					e++
+				}
+			}
+			l.end[p] = int32(e)
+			p = e
+		}
+	}
+	return l.d
+}
+
+// moveUp moves row q up to position e < q, the rows between moving
+// down one, so that rows keep their order and ids stay ascending within
+// every group.
+func (l *joinLevel) moveUp(q, e int) {
+	k := l.k
+	var keep [8]Value
+	row := append(keep[:0], l.vals[q*k:q*k+k]...)
+	copy(l.vals[(e+1)*k:(q+1)*k], l.vals[e*k:q*k])
+	copy(l.vals[e*k:e*k+k], row)
+	if l.ids != nil {
+		id := l.ids[q]
+		copy(l.ids[e+1:q+1], l.ids[e:q])
+		l.ids[e] = id
+	}
+}
+
+// sameKey reports whether l's rows p and q agree on l's key.
+func (l *joinLevel) sameKey(p, q int) bool {
+	for _, c := range l.cols {
+		if l.vals[p*l.k+c] != l.vals[q*l.k+c] {
+			return false
+		}
+	}
+	return true
+}
+
+// probe narrows l to the rows agreeing with the binding on its key and
+// reports whether there are any.
+func (j *joinScratch) probe(l *joinLevel) bool {
+	j.index(l)
+	h := kernelRowHash(j.binding, l.keys, kernelSeed)
+	b := h >> l.shift
+	for p := l.bucket[b]; p < l.bucket[b+1]; p = l.end[p] {
+		if l.keyAt(int(p), j.binding) {
+			l.lo, l.hi = int(p), int(l.end[p])
+			return true
+		}
+	}
+	return false
+}
+
+// scanRows is the group size up to which an intersection looks its
+// variable up in an input it binds last by scanning the input's
+// previous group instead of probing an index on the input's whole row:
+// a few compares cost less than a hash, and that index is never built.
+// Probing instead makes BenchmarkLocalJoin/triangle about 1.5 times
+// slower.
+const scanRows = 32
+
+// holds reports whether l's input holds the binding through l's step,
+// narrowing l where a later step needs it.
+func (j *joinScratch) holds(l *joinLevel, s int) bool {
+	if l.last && l.col >= 0 && l.prev >= 0 && j.levels[l.prev].hi-j.levels[l.prev].lo <= scanRows {
+		p, v := &j.levels[l.prev], j.binding[j.stepVar[s]]
+		for i := p.lo; i < p.hi; i++ {
+			if p.vals[i*l.k+l.col] == v {
+				return true
+			}
+		}
+		return false
+	}
+	return j.probe(l)
+}
+
+// keyAt reports whether l's row at position p agrees with binding on
+// l's key.
+func (l *joinLevel) keyAt(p int, binding []Value) bool {
+	row := l.vals[p*l.k : p*l.k+l.k]
+	for ki, c := range l.cols {
+		if row[c] != binding[l.keys[ki]] {
+			return false
+		}
+	}
+	return true
+}
+
+// run enumerates the bindings from step s on, the steps before it
+// having bound the variables they bind, and emits each.
+func (j *joinScratch) run(s int) {
+	if s == len(j.stepVar) {
+		j.emit()
 		return
 	}
-	slots := t.a.runs.takeZero(total)
-	for d := range t.order {
-		for li := t.probeAt[d]; li < t.depthAt[d+1]; li++ {
-			l := &t.levels[li]
-			l.tab, slots = slots[:l.mask+1], slots[l.mask+1:]
-			for lo := 0; lo < len(l.col); {
-				v, hi := l.col[lo], lo+1
-				for hi < len(l.col) && l.col[hi] == v {
-					hi++
-				}
-				h := kernelValHash(v, kernelSeed) & l.mask
-				for l.tab[h].hi != 0 {
-					h = (h + 1) & l.mask
-				}
-				l.tab[h] = runSlot{key: v, lo: int32(lo), hi: int32(hi)}
-				lo = hi
+	ls := j.levels[j.stepAt[s]:j.stepAt[s+1]]
+	if j.stepVar[s] < 0 {
+		// The rows iterated: the group of the input's previous level, or,
+		// where none narrowed it, the input's rows without repeats.
+		c, vals := &ls[0], []Value(nil)
+		if c.prev >= 0 {
+			p := &j.levels[c.prev]
+			vals = p.vals[p.lo*c.k : p.hi*c.k]
+		} else {
+			j.index(c)
+			vals = c.vals
+		}
+		for i := 0; i < len(vals); i += c.k {
+			for ki, col := range c.cols {
+				j.binding[c.keys[ki]] = vals[i+col]
 			}
+			j.probeRest(s, ls, 0)
+		}
+		return
+	}
+
+	// The narrowed level with the fewest candidates is iterated; with
+	// none narrowed, the one with the fewest values.
+	ci, best := -1, math.MaxInt
+	for li := range ls {
+		if l := &ls[li]; l.prev >= 0 && j.levels[l.prev].hi-j.levels[l.prev].lo < best {
+			ci, best = li, j.levels[l.prev].hi-j.levels[l.prev].lo
+		}
+	}
+	if ci < 0 {
+		for li := range ls {
+			if l := &ls[li]; j.index(l) < best {
+				ci, best = li, l.d
+			}
+		}
+	}
+	c := &ls[ci]
+	slot := &j.binding[j.stepVar[s]]
+	if c.prev < 0 {
+		// Each group of the index is one value.
+		for p := 0; p < len(c.vals)/c.k; p = int(c.end[p]) {
+			c.lo, c.hi = p, int(c.end[p])
+			*slot = c.vals[p*c.k+c.col]
+			j.probeRest(s, ls, ci)
+		}
+		return
+	}
+	p := &j.levels[c.prev]
+	for i := p.lo; i < p.hi; i++ {
+		*slot = p.vals[i*c.k+c.col]
+		// Where rows agreeing on the key can repeat the value, the value
+		// is taken at its group's first (least) row only.
+		if c.last || j.probe(c) && c.ids[c.lo] == p.ids[i] {
+			j.probeRest(s, ls, ci)
 		}
 	}
 }
 
-// probe returns the run of v in a probed level, or ok == false.
-func (l *trieLevel) probe(v Value) (lo, hi int, ok bool) {
-	for h := kernelValHash(v, kernelSeed) & l.mask; ; h = (h + 1) & l.mask {
-		s := &l.tab[h]
-		if s.hi == 0 {
-			return 0, 0, false
-		}
-		if s.key == v {
-			return int(s.lo), int(s.hi), true
+// probeRest probes every level of step s but the iterated one, ci, and
+// runs the next step when all hold the binding.
+func (j *joinScratch) probeRest(s int, ls []joinLevel, ci int) {
+	for li := range ls {
+		if l := &ls[li]; li != ci && !j.holds(l, s) {
+			return
 		}
 	}
-}
-
-// bind enumerates the values of the variable bound at depth d that are
-// consistent with the bound prefix — the leapfrog intersection of the
-// depth's leapfrogged levels over their current ranges, kept where
-// every probed level holds the value — and for each one narrows the
-// next level of every participating relation to the matching run and
-// recurses. Ranges are never empty on entry: every input is non-empty
-// and a run has a row.
-func (t *trieScratch) bind(d int) {
-	ps := t.levels[t.depthAt[d]:t.probeAt[d]]
-	probed := t.levels[t.probeAt[d]:t.depthAt[d+1]]
-	for i := range ps {
-		ps[i].cur = ps[i].lo
-	}
-	slot := &t.binding[t.order[d]]
-	last := d == len(t.order)-1
-	for {
-		// Leapfrog: raise every cursor to the largest head until all agree.
-		v := ps[0].col[ps[0].cur]
-		for agreed, i := 1, 0; agreed < len(ps); {
-			if i++; i == len(ps) {
-				i = 0
-			}
-			p := &ps[i]
-			p.cur = seekGE(p.col, p.cur, p.hi, v)
-			if p.cur == p.hi {
-				return
-			}
-			if w := p.col[p.cur]; w != v {
-				v, agreed = w, 1
-			} else {
-				agreed++
-			}
-		}
-		for i := range ps {
-			p := &ps[i]
-			p.run = seekGT(p.col, p.cur, p.hi, v)
-		}
-		if t.probeAll(probed, v) {
-			*slot = v
-			for i := range ps {
-				if p := &ps[i]; p.next >= 0 {
-					t.levels[p.next].lo, t.levels[p.next].hi = p.cur, p.run
-				}
-			}
-			if last {
-				t.emit()
-			} else {
-				t.bind(d + 1)
-			}
-		}
-		for i := range ps {
-			p := &ps[i]
-			if p.cur = p.run; p.cur == p.hi {
-				return
-			}
-		}
-	}
-}
-
-// probeAll looks v up in every probed level, narrowing each one's next
-// level to v's run, and reports whether all of them hold it.
-func (t *trieScratch) probeAll(probed []trieLevel, v Value) bool {
-	for i := range probed {
-		p := &probed[i]
-		lo, hi, ok := p.probe(v)
-		if !ok {
-			return false
-		}
-		if p.next >= 0 {
-			t.levels[p.next].lo, t.levels[p.next].hi = lo, hi
-		}
-	}
-	return true
+	j.run(s + 1)
 }
 
 // emit appends the current binding to the output, doubling its
 // capacity when full rather than taking append's gentler growth.
-func (t *trieScratch) emit() {
-	if n, k := len(t.out), len(t.binding); n+k > cap(t.out) {
-		grown := make([]Value, n, max(2*cap(t.out), 64*k))
-		copy(grown, t.out)
-		t.out = grown
+func (j *joinScratch) emit() {
+	if n, k := len(j.out), len(j.binding); n+k > cap(j.out) {
+		grown := make([]Value, n, max(2*cap(j.out), 64*k))
+		copy(grown, j.out)
+		j.out = grown
 	}
-	t.out = append(t.out, t.binding...)
-}
-
-// seekGE returns the first index in [lo, hi) whose value is at least v,
-// or hi: a gallop from lo (the answer is usually near) and then a
-// binary search inside the last stride. lo < hi.
-func seekGE(col []Value, lo, hi int, v Value) int {
-	if col[lo] >= v {
-		return lo
-	}
-	step := 1
-	for lo+step < hi && col[lo+step] < v {
-		lo += step
-		step <<= 1
-	}
-	hi = min(hi, lo+step)
-	for lo+1 < hi {
-		if mid := int(uint(lo+hi) >> 1); col[mid] < v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// seekGT is seekGE for the first value strictly above v: the end of
-// v's run when col[lo] == v.
-func seekGT(col []Value, lo, hi int, v Value) int {
-	if v == math.MaxInt64 {
-		return hi
-	}
-	return seekGE(col, lo, hi, v+1)
+	j.out = append(j.out, j.binding...)
 }

@@ -1,28 +1,25 @@
 package relation
 
-// Local (single-server) join algorithms. The tutorial stresses that the
-// choice of local join algorithm is independent of the parallel
-// algorithm (slide 32); every parallel operator in this repository takes
-// whatever arrives at a server and applies one of these.
+// Local (single-server) joins. The tutorial stresses that the choice of
+// local join algorithm is independent of the parallel algorithm (slide
+// 32); every parallel operator in this repository takes whatever
+// arrives at a server and joins it with GenericJoin, the multiway
+// kernel, or with HashJoin, the two-input radix hash join.
 
-// HashJoin computes the natural join of r and s using a radix hash
-// index on the smaller input. The output schema is r's attributes
+// HashJoin computes the natural join of r and s, as bags, using a radix
+// hash index on the smaller input. The output schema is r's attributes
 // followed by s's non-shared attributes. With no shared attributes it
-// degenerates to the Cartesian product.
+// is the Cartesian product, every row of r meeting all of s.
 //
-// Output order matches the historical map-based implementation exactly:
-// probe rows in relation order, each matched against its key group's
+// Output order is fixed: probe rows (the larger input, s on a tie, r in
+// a product) in relation order, each matched against its key group's
 // build rows in ascending row order — the bit-identity the differential
 // harnesses rely on.
 func HashJoin(name string, r, s *Relation) *Relation {
 	shared := SharedAttrs(r, s)
 	out := New(name, joinSchema(r, s)...)
-	if len(shared) == 0 {
-		return crossProduct(out, r, s)
-	}
-	// Build on the smaller side.
 	build, probe := r, s
-	if s.Len() < r.Len() {
+	if s.Len() < r.Len() || len(shared) == 0 {
 		build, probe = s, r
 	}
 	buildCols := build.MustCols(shared)
@@ -46,94 +43,44 @@ func HashJoin(name string, r, s *Relation) *Relation {
 		phash[i] = kernelRowHash(probe.Row(i), probeCols, kernelSeed)
 	}
 	total := 0
-	if nparts := len(ri.pMask); nparts == 1 {
-		for i := 0; i < n; i++ {
-			g := ri.lookupRefH(phash[i], probe.Row(i), probeCols)
-			refs[i] = g
-			total += int(g.count)
+	ordRows, ordHash, _ := partitionScatter(a, phash, len(ri.pMask), ri.shift)
+	for i, h := range ordHash {
+		row := i // the unpartitioned probe keeps row order
+		if ordRows != nil {
+			row = int(ordRows[i])
 		}
-	} else {
-		ordRows, ordHash, _ := partitionScatter(a, phash, nparts, ri.shift)
-		for i, row := range ordRows {
-			g := ri.lookupRefH(ordHash[i], probe.Row(int(row)), probeCols)
-			refs[row] = g
-			total += int(g.count)
-		}
+		refs[row] = ri.lookupRefH(h, probe.Row(row), probeCols)
+		total += int(refs[row].count)
 	}
 
 	// Pass 2: bulk emit. Each output row is the r-row followed by s's
-	// non-shared columns, exactly as makeEmitter appends them.
-	extra := make([]int, 0, s.Arity())
+	// non-shared columns.
+	extra := a.ints.take(s.Arity())[:0]
 	for i, at := range s.Attrs() {
 		if r.Col(at) < 0 {
 			extra = append(extra, i)
 		}
 	}
-	out.data = make([]Value, total*out.Arity())
-	data := out.data
+	data := make([]Value, total*out.Arity())
+	if out.Arity() == 0 {
+		out.nrows = total // copies of the empty tuple: nothing to emit
+	}
 	w := 0
-	if build == r {
-		for i := 0; i < n; i++ {
-			g := refs[i]
-			if g.count == 0 {
-				continue
+	for i := 0; i < n; i++ {
+		prow := probe.Row(i)
+		for _, bj := range ri.group(refs[i]) {
+			rrow, srow := prow, build.Row(int(bj))
+			if build == r {
+				rrow, srow = srow, rrow
 			}
-			srow := probe.Row(i)
-			for _, bj := range ri.group(g) {
-				w += copy(data[w:], build.Row(int(bj)))
-				for _, c := range extra {
-					data[w] = srow[c]
-					w++
-				}
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			g := refs[i]
-			if g.count == 0 {
-				continue
-			}
-			rrow := probe.Row(i)
-			for _, bj := range ri.group(g) {
-				srow := build.Row(int(bj))
-				w += copy(data[w:], rrow)
-				for _, c := range extra {
-					data[w] = srow[c]
-					w++
-				}
+			w += copy(data[w:], rrow)
+			for _, c := range extra {
+				data[w] = srow[c]
+				w++
 			}
 		}
 	}
-	return out
-}
-
-// makeEmitter returns a function appending the natural-join combination
-// of a row of r and a row of s to out.
-func makeEmitter(out, r, s *Relation) func(rrow, srow []Value) {
-	extra := make([]int, 0, s.Arity())
-	for i, a := range s.Attrs() {
-		if r.Col(a) < 0 {
-			extra = append(extra, i)
-		}
-	}
-	return func(rrow, srow []Value) {
-		out.data = append(out.data, rrow...)
-		for _, c := range extra {
-			out.data = append(out.data, srow[c])
-		}
-	}
-}
-
-func crossProduct(out, r, s *Relation) *Relation {
-	emit := makeEmitter(out, r, s)
-	nr, ns := r.Len(), s.Len()
-	out.Grow(nr * ns * out.Arity()) // exact output size: one reallocation at most
-	for i := 0; i < nr; i++ {
-		ri := r.Row(i)
-		for j := 0; j < ns; j++ {
-			emit(ri, s.Row(j))
-		}
-	}
+	out.data = data
 	return out
 }
 
@@ -143,64 +90,7 @@ func CrossProduct(name string, r, s *Relation) *Relation {
 	if len(SharedAttrs(r, s)) != 0 {
 		panic("relation: CrossProduct with shared attributes; use HashJoin")
 	}
-	return crossProduct(New(name, joinSchema(r, s)...), r, s)
-}
-
-// SortMergeJoin computes the natural join by sorting both inputs on the
-// shared attributes and merging. Semantics match HashJoin; it exists so
-// tests can cross-validate the two implementations and so the parallel
-// sort join has a local counterpart.
-func SortMergeJoin(name string, r, s *Relation) *Relation {
-	shared := SharedAttrs(r, s)
-	out := New(name, joinSchema(r, s)...)
-	if len(shared) == 0 {
-		return crossProduct(out, r, s)
-	}
-	rs, ss := r.Clone(), s.Clone()
-	rs.SortBy(shared...)
-	ss.SortBy(shared...)
-	rc := rs.MustCols(shared)
-	sc := ss.MustCols(shared)
-	cmp := func(a, b []Value) int {
-		for i := range shared {
-			if a[rc[i]] != b[sc[i]] {
-				if a[rc[i]] < b[sc[i]] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	emit := makeEmitter(out, r, s)
-	i, j := 0, 0
-	nr, ns := rs.Len(), ss.Len()
-	for i < nr && j < ns {
-		c := cmp(rs.Row(i), ss.Row(j))
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			// Find the run of equal keys on both sides.
-			i2 := i + 1
-			for i2 < nr && cmp(rs.Row(i2), ss.Row(j)) == 0 {
-				i2++
-			}
-			j2 := j + 1
-			for j2 < ns && cmp(rs.Row(i), ss.Row(j2)) == 0 {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					emit(rs.Row(a), ss.Row(b))
-				}
-			}
-			i, j = i2, j2
-		}
-	}
-	return out
+	return HashJoin(name, r, s)
 }
 
 // Semijoin returns the tuples of r that join with at least one tuple of
@@ -240,26 +130,4 @@ func Intersect(name string, rels ...*Relation) *Relation {
 		out = Semijoin(name, out, s.Project("tmp", out.attrs...))
 	}
 	return out
-}
-
-// MultiJoin naturally joins the given relations left to right with
-// binary hash joins. It is the baseline "iterative binary join" local
-// evaluator; see GenericJoin for the worst-case-optimal alternative.
-func MultiJoin(name string, rels ...*Relation) *Relation {
-	if len(rels) == 0 {
-		panic("relation: MultiJoin of nothing")
-	}
-	acc := rels[0]
-	for i, s := range rels[1:] {
-		nm := name
-		if i < len(rels)-2 {
-			nm = "tmp"
-		}
-		acc = HashJoin(nm, acc, s)
-	}
-	if acc == rels[0] {
-		acc = acc.Clone()
-		acc.name = name
-	}
-	return acc
 }

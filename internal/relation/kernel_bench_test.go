@@ -39,6 +39,53 @@ func BenchmarkHashJoin(b *testing.B) {
 	})
 }
 
+// BenchmarkLocalJoin is the local join kernel's table: each row times
+// one fixture through GenericJoin ("generic") and through two-input
+// HashJoin calls ("hash", a left-deep chain for three inputs), with
+// -benchmem. The binary rows join set inputs R(x,y) ⋈ S(y,z) of n rows
+// over d values (the 200k row is BenchmarkHashJoin/n200k's fixture);
+// path3 and triangle are one server's HyperCube fragments. Run it on
+// two commits to compare kernels:
+//
+//	go test -run XXX -bench LocalJoin -benchmem -count 5 ./internal/relation
+func BenchmarkLocalJoin(b *testing.B) {
+	binary := func(seed int64, n, d int) []*Relation {
+		return []*Relation{
+			benchRel(seed, "R", []string{"x", "y"}, n, d).Distinct(),
+			benchRel(seed+1, "S", []string{"y", "z"}, n, d).Distinct(),
+		}
+	}
+	tuple := func(r, s, u *Relation) []*Relation { return []*Relation{r, s, u} }
+	for _, row := range []struct {
+		name string
+		vars []string
+		rels []*Relation
+	}{
+		{"binary1500", []string{"x", "y", "z"}, binary(5, 1500, 1500)},
+		{"binary1500dom150", []string{"x", "y", "z"}, binary(7, 1500, 150)},
+		{"binary20k", []string{"x", "y", "z"}, binary(9, 20000, 20000)},
+		{"binary200k", []string{"x", "y", "z"}, binary(1, 200000, 50000)},
+		{"path3", []string{"x", "y", "z", "w"}, tuple(benchPath3(3000))},
+		{"triangle", []string{"x", "y", "z"}, tuple(benchTriangle(3000))},
+	} {
+		b.Run(row.name+"/generic", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GenericJoin("J", row.vars, row.rels...)
+			}
+		})
+		b.Run(row.name+"/hash", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc := row.rels[0]
+				for _, s := range row.rels[1:] {
+					acc = HashJoin("J", acc, s)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGroupBy(b *testing.B) {
 	r := benchRel(3, "R", []string{"g1", "g2", "v"}, 300000, 200)
 	b.Run("n300k", func(b *testing.B) {

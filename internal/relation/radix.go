@@ -28,28 +28,10 @@ import (
 // never correlates with how tuples were partitioned across servers.
 const kernelSeed uint64 = 0x8c5d1b6f0f3a9e21
 
-// kernelRowHash and kernelValHash are the hash hooks for the kernels.
-// Tests override them with deliberately weak functions to force full
-// 64-bit hash collisions and exercise the key-verification path.
-var (
-	kernelRowHash = fastRowHash
-	kernelValHash = fastValHash
-)
-
-// fastValHash is a splitmix64-style mixer: far cheaper than the
-// byte-at-a-time Hash64 used for routing, and only ever consumed by
-// the local kernels (table layout is internal, so it need not match
-// the routing hash). Both the high bits (partition selection) and the
-// low bits (slot index) come out well mixed.
-func fastValHash(v Value, seed uint64) uint64 {
-	x := uint64(v) ^ seed
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// kernelRowHash is the hash hook for the kernels. Tests override it
+// with a deliberately weak function to force full 64-bit hash
+// collisions and exercise the key-verification path.
+var kernelRowHash = fastRowHash
 
 // fastRowHash combines the selected columns with a multiply-fold per
 // value and a final splitmix64 finisher.
@@ -128,19 +110,18 @@ func nextPow2(n int) int {
 type kernelArena struct {
 	u64    bump[uint64]    // key hashes, partition masks
 	i32    bump[int32]     // row ids, chain links, partition counters
-	vals   bump[Value]     // group keys and aggregates, sort buffers, trie columns
-	ints   bump[int]       // region offsets, the trie's plan
+	vals   bump[Value]     // group keys and aggregates, sort buffers, the join's binding
+	ints   bump[int]       // region offsets, the join's plan
 	refs   bump[groupRef]  // HashJoin's probe matches
 	slots  bump[idxSlot]   // rowIndex tables
 	gslots bump[groupSlot] // GroupBy tables
-	runs   bump[runSlot]   // the trie's probed-level indexes
-	levels bump[trieLevel] // the trie's level table
+	levels bump[joinLevel] // the join's levels
 
-	trie trieScratch // GenericJoin's plan and cursors, taken from the backings above
+	join joinScratch // GenericJoin's plan and cursors, taken from the backings above
 }
 
 // arenaBackings is the number of typed backings of a kernelArena.
-const arenaBackings = 9
+const arenaBackings = 8
 
 // arenaHints holds, per typed backing, the largest total a pooled call
 // has taken, less an eighth for each fresh arena since: a fresh arena's
@@ -158,13 +139,13 @@ var arenaPool = sync.Pool{New: func() any {
 		h.CompareAndSwap(size, size-size/8)
 		b.setHint(h, int(size))
 	}
-	a.trie.a = a
+	a.join.a = a
 	return a
 }}
 
 // backings lists the arena's typed backings, in arenaHints order.
 func (a *kernelArena) backings() [arenaBackings]backing {
-	return [arenaBackings]backing{&a.u64, &a.i32, &a.vals, &a.ints, &a.refs, &a.slots, &a.gslots, &a.runs, &a.levels}
+	return [arenaBackings]backing{&a.u64, &a.i32, &a.vals, &a.ints, &a.refs, &a.slots, &a.gslots, &a.levels}
 }
 
 func getArena() *kernelArena { return arenaPool.Get().(*kernelArena) }

@@ -129,19 +129,16 @@ func TestIndexRadixPartitioned(t *testing.T) {
 	}
 }
 
-// TestIndexCollisionVerification swaps the kernel hashes for degenerate
-// functions so every key collides on the full 64-bit hash; the kernel
-// must still answer exactly via its stored-key verification. Not run in
-// parallel: it mutates the package-level hash hooks.
+// TestIndexCollisionVerification swaps the kernel hash for a degenerate
+// function so every key collides on the full 64-bit hash; the kernels
+// must still answer exactly via their stored-key verification. Not run
+// in parallel: it mutates the package-level hash hook.
 func TestIndexCollisionVerification(t *testing.T) {
-	defer func(rh func([]Value, []int, uint64) uint64, vh func(Value, uint64) uint64) {
-		kernelRowHash, kernelValHash = rh, vh
-	}(kernelRowHash, kernelValHash)
+	defer func(rh func([]Value, []int, uint64) uint64) { kernelRowHash = rh }(kernelRowHash)
 	// Two-valued hash: massive full-hash collisions across distinct keys.
 	kernelRowHash = func(row []Value, cols []int, seed uint64) uint64 {
 		return uint64(row[cols[0]]) & 1
 	}
-	kernelValHash = func(v Value, seed uint64) uint64 { return uint64(v) & 1 }
 
 	rng := rand.New(rand.NewSource(13))
 	r := fullRangeRel(rng, "R", []string{"a", "b"}, 300)
@@ -165,24 +162,23 @@ func TestIndexCollisionVerification(t *testing.T) {
 	if agg.Len() != len(mapIndexOracle(r, []int{0})) {
 		t.Fatalf("GroupBy under colliding hash: %d groups", agg.Len())
 	}
-	// So must the trie join's probed levels (the path probes T's z).
+	// So must the join kernel's levels (the path probes R's y and T's z).
 	pr, ps, pu := benchPath3(300)
 	vars := []string{"x", "y", "z", "w"}
 	requireSameBindings(t, "GenericJoin under colliding hash",
 		GenericJoin("J", vars, pr, ps, pu), binaryPlanOracle(vars, pr, ps, pu))
 }
 
-// checkJoinImplsAgree asserts HashJoin, SortMergeJoin and NestedLoopJoin
-// produce the same bag of tuples on r ⋈ s.
+// checkJoinImplsAgree asserts HashJoin and NestedLoopJoin produce the
+// same bag of tuples on r ⋈ s.
 func checkJoinImplsAgree(t *testing.T, r, s *Relation) {
 	t.Helper()
 	hj := HashJoin("J", r, s)
-	sm := SortMergeJoin("J", r, s)
 	nl := NestedLoopJoin("J", r, s)
 	for _, pair := range []struct {
 		name string
 		got  *Relation
-	}{{"SortMergeJoin", sm}, {"NestedLoopJoin", nl}} {
+	}{{"NestedLoopJoin", nl}} {
 		a, b := hj.Clone(), pair.got.Clone()
 		a.Sort()
 		b.Sort()
@@ -198,8 +194,8 @@ func checkJoinImplsAgree(t *testing.T, r, s *Relation) {
 	}
 }
 
-// TestPropJoinImplsAgreeFullRange cross-validates the three local join
-// implementations on full-range int64 domains, where any lexicographic
+// TestPropJoinImplsAgreeFullRange cross-validates HashJoin against
+// NestedLoopJoin on full-range int64 domains, where any lexicographic
 // or 32-bit shortcut in the radix kernel would diverge.
 func TestPropJoinImplsAgreeFullRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

@@ -1,9 +1,9 @@
 // Package relation implements the in-memory relational substrate used by
 // every MPC algorithm in this repository: flat row-major relations over
 // int64 attribute values, together with the local (single-server)
-// operators — selection, projection, sorting, deduplication, hash and
-// sort-merge joins, semijoins, grouping — that each simulated server runs
-// between communication rounds.
+// operators — selection, projection, sorting, deduplication, the local
+// join kernel (GenericJoin, HashJoin), semijoins, grouping — that each
+// simulated server runs between communication rounds.
 //
 // The representation is deliberately simple and allocation-friendly: a
 // relation of arity k stores its tuples in one []Value of length k·Len(),

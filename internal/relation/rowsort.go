@@ -17,8 +17,8 @@ const sortSmallRows = 32
 // and an arena buffer. Only the bytes a column's spread (max − min)
 // occupies are sorted on, so a column of values below 2¹⁶ costs two
 // passes, not eight, and a constant column none. This is the one row
-// sort of the package: SortBy (hence Sort, Dedup, SortMergeJoin),
-// GroupBy's output and GenericJoin's trie build all run on it.
+// sort of the package: SortBy (hence Sort, Dedup) and GroupBy's output
+// run on it.
 func sortRows(data []Value, k int, order []int, a *kernelArena) {
 	n := len(data) / k
 	if n <= sortSmallRows {

@@ -141,3 +141,48 @@ func TestBagEqual(t *testing.T) {
 		t.Fatal("two empty relations reported unequal")
 	}
 }
+
+// TestKernelMatchesOracleJoin is the local join kernel's oracle wall:
+// relation.GenericJoin — which core.Reference, and so every wall that
+// compares with Reference, calls — and its two-input form
+// relation.HashJoin are held to OracleJoin, which shares no code with
+// them. Binary, path3, triangle, star3, cycle4 and ternary instances,
+// uniform and Zipf, a few hundred rows each, are made sets as relations
+// are where they enter, and compared as sets.
+func TestKernelMatchesOracleJoin(t *testing.T) {
+	queries := []hypergraph.Query{
+		hypergraph.TwoWayJoin(), hypergraph.Path(3), hypergraph.Triangle(),
+		hypergraph.Star(3), hypergraph.Cycle(4),
+		// Two ternary atoms meet on x and y, so the input not iterated at
+		// y is narrowed there with a variable still to bind.
+		hypergraph.NewQuery("ternary",
+			hypergraph.Atom{Name: "R", Vars: []string{"x", "y", "z"}},
+			hypergraph.Atom{Name: "S", Vars: []string{"x", "y", "w"}},
+			hypergraph.Atom{Name: "T", Vars: []string{"z", "w"}}),
+	}
+	for _, q := range queries {
+		for _, skew := range []Skew{SkewUniform, SkewZipf} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rels := Sets(GenInstance(q, skew, GenConfig{Tuples: 300, Domain: 60}, seed))
+				want := OracleJoin(q, rels)
+				inputs := make([]*relation.Relation, len(q.Atoms))
+				for i, a := range q.Atoms {
+					inputs[i] = Renamed(a, rels[a.Name])
+				}
+				got := relation.GenericJoin(q.Name, q.Vars(), inputs...)
+				if got.Len() != want.Len() || !got.EqualAsSets(want) {
+					t.Fatalf("%s, %s, seed %d: GenericJoin has %d rows, OracleJoin %d: %s",
+						q.Name, skew, seed, got.Len(), want.Len(), DiffSample(got, want))
+				}
+				if len(inputs) != 2 {
+					continue
+				}
+				got = relation.HashJoin(q.Name, inputs[0], inputs[1]).Project(q.Name, q.Vars()...)
+				if got.Len() != want.Len() || !got.EqualAsSets(want) {
+					t.Fatalf("%s, %s, seed %d: HashJoin has %d rows, OracleJoin %d: %s",
+						q.Name, skew, seed, got.Len(), want.Len(), DiffSample(got, want))
+				}
+			}
+		}
+	}
+}

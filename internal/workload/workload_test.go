@@ -181,7 +181,10 @@ func TestPathInput(t *testing.T) {
 	if len(rels) != 4 {
 		t.Fatal("wrong count")
 	}
-	out := relation.MultiJoin("J", rels[0], rels[1], rels[2], rels[3])
+	out := rels[0]
+	for _, r := range rels[1:] {
+		out = relation.HashJoin("J", out, r)
+	}
 	if out.Len() != 10 {
 		t.Fatalf("path join out = %d, want 10 (matchings never grow)", out.Len())
 	}
