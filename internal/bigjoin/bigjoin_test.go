@@ -6,7 +6,6 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/testkit"
 	"mpcquery/internal/workload"
 )
 
@@ -136,9 +135,8 @@ func TestRunStarQuery(t *testing.T) {
 	q := hypergraph.Star(4)
 	rels := map[string]*relation.Relation{}
 	for i, a := range q.Atoms {
-		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 100, 40, int64(i+1))
+		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 100, 40, int64(i+1)).Distinct()
 	}
-	testkit.Sets(rels)
 	want := reference(q, rels)
 	pl, err := NewPlan(q, nil)
 	if err != nil {
@@ -155,11 +153,10 @@ func TestRunStarQuery(t *testing.T) {
 func TestRunRSTWithUnaryAtoms(t *testing.T) {
 	q := hypergraph.RST()
 	rels := map[string]*relation.Relation{
-		"R": workload.Uniform("R", []string{"x"}, 50, 30, 1),
-		"S": workload.Uniform("S", []string{"x", "y"}, 120, 30, 2),
-		"T": workload.Uniform("T", []string{"y"}, 50, 30, 3),
+		"R": workload.Uniform("R", []string{"x"}, 50, 30, 1).Distinct(),
+		"S": workload.Uniform("S", []string{"x", "y"}, 120, 30, 2).Distinct(),
+		"T": workload.Uniform("T", []string{"y"}, 50, 30, 3).Distinct(),
 	}
-	testkit.Sets(rels)
 	want := reference(q, rels)
 	pl, err := NewPlan(q, nil)
 	if err != nil {

@@ -180,7 +180,8 @@ func TestExecuteLeavesInputsUntouched(t *testing.T) {
 // relation.Relation.Distinct, the routine service.Service.Register and
 // mpcrun apply: each relation holds each of its rows twice, on top of
 // the repeats a small domain draws. Nothing deduplicates the output:
-// Execute must return exactly Reference's rows, each once, and
+// Execute must return exactly Reference's rows over the sets, each
+// once, and
 // ExecuteAggregate (sum) exactly testkit.OracleGroupBy's sums over
 // them. The shapes cover a verify round (triangle), extensions only
 // (path, star), bigjoin's plans with no extension (a single atom; two
@@ -201,14 +202,14 @@ func TestBagInputsEnterAsSets(t *testing.T) {
 		spec := AggregateSpec{GroupBy: vars[:1], Fn: relation.Sum, AggVar: vars[len(vars)-1], OutAttr: "s"}
 		for _, p := range []int{2, 4, 8} {
 			for seed := int64(1); seed <= 5; seed++ {
-				bag, rels := map[string]*relation.Relation{}, map[string]*relation.Relation{}
+				rels := map[string]*relation.Relation{}
 				for i, a := range q.Atoms {
 					r := testkit.GenRelation(a.Name, a.Vars, testkit.SkewUniform,
 						testkit.GenConfig{Tuples: 40, Domain: 6}, seed*10+int64(i))
 					r.AppendAll(r.Clone())
-					bag[a.Name], rels[a.Name] = r, r.Distinct()
+					rels[a.Name] = r.Distinct()
 				}
-				want := Reference(q, bag)
+				want := Reference(q, rels)
 				wantSums := testkit.OracleGroupBy("s", want, spec.GroupBy, spec.Fn, spec.AggVar, spec.OutAttr)
 				for _, alg := range applicable(q) {
 					req := Request{Query: q, Relations: rels, Algorithm: alg}

@@ -47,9 +47,11 @@
 // returns each output binding exactly once. Relations become sets
 // where they enter the system, once: service.Service.Register and
 // mpcrun pass each through relation.Relation.Distinct, which keeps the
-// first occurrence of each row and returns a set untouched. The engine
-// itself scans no input for repeats, so a caller of Execute holding a
-// bag passes it through Distinct first. Workloads needing SQL bag
+// first occurrence of each row and returns a set untouched. Nothing
+// after that scans for repeats — not the engine, not the local join
+// kernel every server runs (relation.GenericJoin), not Reference — so
+// a caller of Execute holding a bag passes it through Distinct first;
+// on a bag, answers may repeat. Workloads needing SQL bag
 // semantics (e.g. SUM over a join with duplicate rows) should carry a
 // unique key column, as the analytics example does.
 package core
@@ -417,7 +419,10 @@ func validate(req Request) error {
 
 // Reference evaluates the query on a single machine with the
 // worst-case-optimal generic join — the ground truth for tests and
-// examples.
+// examples. Its inputs are sets, as Execute's are: it does not call
+// Distinct itself, so that a caller holding sets, as every benchmark
+// oracle does, pays for no scan of them, and a caller holding a bag
+// passes it through Distinct first.
 func Reference(q hypergraph.Query, rels map[string]*relation.Relation) *relation.Relation {
 	inputs := make([]*relation.Relation, len(q.Atoms))
 	for i, a := range q.Atoms {

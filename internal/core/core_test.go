@@ -11,15 +11,15 @@ import (
 	"mpcquery/internal/workload"
 )
 
-// twoWayRequest and triangleRequest make their generated inputs sets,
-// as relations enter the system.
+// twoWayRequest makes its generated inputs sets, as relations enter
+// the system; triangleRequest's edge sets already are.
 func twoWayRequest(n int, seed int64) Request {
 	return Request{
 		Query: hypergraph.TwoWayJoin(),
-		Relations: testkit.Sets(map[string]*relation.Relation{
-			"R": workload.Uniform("R", []string{"x", "y"}, n, n/2, seed),
-			"S": workload.Uniform("S", []string{"y", "z"}, n, n/2, seed+1),
-		}),
+		Relations: map[string]*relation.Relation{
+			"R": workload.Uniform("R", []string{"x", "y"}, n, n/2, seed).Distinct(),
+			"S": workload.Uniform("S", []string{"y", "z"}, n, n/2, seed+1).Distinct(),
+		},
 	}
 }
 
@@ -27,7 +27,7 @@ func triangleRequest(nv, ne int, seed int64) Request {
 	r, s, t := workload.TriangleInput(nv, ne, seed)
 	return Request{
 		Query:     hypergraph.Triangle(),
-		Relations: testkit.Sets(map[string]*relation.Relation{"R": r, "S": s, "T": t}),
+		Relations: map[string]*relation.Relation{"R": r, "S": s, "T": t},
 	}
 }
 

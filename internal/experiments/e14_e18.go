@@ -53,7 +53,7 @@ func E14GYM() (*Table, error) {
 	// Star-4 (the slide 80–94 example).
 	starRels := map[string]*relation.Relation{}
 	for i, a := range hypergraph.Star(4).Atoms {
-		starRels[a.Name] = workload.Uniform(a.Name, a.Vars, 4000, 1200, int64(i+1))
+		starRels[a.Name] = workload.Uniform(a.Name, a.Vars, 4000, 1200, int64(i+1)).Distinct()
 	}
 	if err := run(hypergraph.Star(4), starRels); err != nil {
 		return nil, err

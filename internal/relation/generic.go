@@ -36,12 +36,14 @@ import (
 // then R's and T's groups emitted; the triangle intersects on x, y and
 // z. Only the output is heap-allocated.
 //
-// varOrder must list every attribute appearing in the inputs exactly
-// once; the output schema is varOrder. The output holds one row per
-// binding (set semantics, whatever the inputs' multiplicities: rows a
-// step iterates skip a repeated row's later copies), in no promised
-// order. A nullary input is a boolean: false (no tuple) empties the
-// join, true changes nothing.
+// The inputs are sets, as everywhere in the engine (relations become
+// sets where they enter, through Distinct); the kernel does not look
+// for repeated rows. varOrder must list every attribute appearing in
+// the inputs exactly once; the output schema is varOrder. The output
+// holds one row per binding, in no promised order: on sets, distinct
+// rows an iterating step walks are distinct bindings. A nullary input
+// is a boolean: false (no tuple) empties the join, true changes
+// nothing.
 func GenericJoin(name string, varOrder []string, rels ...*Relation) *Relation {
 	if len(rels) == 0 {
 		panic("relation: GenericJoin of nothing")
@@ -83,7 +85,6 @@ type joinLevel struct {
 	col  int  // an intersection's variable's column in the input
 	k    int  // the input's arity
 	last bool // the input has no variable left after this step
-	sets bool // a step iterates the level's rows: the index skips a repeated row's copies
 
 	// The index, built on first use: the input's rows bucketed by the
 	// top bits of their key's hash (bucket b is rows [bucket[b],
@@ -278,13 +279,6 @@ func (j *joinScratch) addLevel(in *Relation, i, col int, bound, tail []int, cove
 		// time, taking each at its group's first row.
 		lv.needIDs, j.levels[lv.prev].needIDs = true, true
 	}
-	if cover && lv.prev < 0 {
-		lv.sets = true // the step iterates the input's rows, each one a binding
-	} else if lv.prev >= 0 && (cover || lv.last && col >= 0) {
-		// The step may iterate the previous level's rows, each one a
-		// binding: on a bag, a repeated one would repeat a binding.
-		j.levels[lv.prev].sets = true
-	}
 	tail[i] = len(j.levels)
 	j.levels = append(j.levels, lv)
 }
@@ -293,8 +287,7 @@ func (j *joinScratch) addLevel(in *Relation, i, col int, bound, tail []int, cove
 // One pass hashes every row's key and counts the rows per bucket, a
 // second copies the rows bucket by bucket, and a third groups each
 // bucket's rows by key: buckets hold two rows on average, so a group
-// is found by a scan of its bucket. A level marked sets skips, in the
-// first pass, each row its input already held.
+// is found by a scan of its bucket.
 func (j *joinScratch) index(l *joinLevel) int {
 	if l.built {
 		return l.d
@@ -305,37 +298,23 @@ func (j *joinScratch) index(l *joinLevel) int {
 	nb := nextPow2(max(n/2, 1))
 	l.shift = uint(64 - bits.TrailingZeros(uint(nb))) // 64 for one bucket: every h>>64 is 0
 	l.end = a.i32.take(n)
-	home := l.end // each row's bucket, or -1 for a repeat, until the groups are laid out
+	home := l.end // each row's bucket, until the groups are laid out
 	l.bucket = a.i32.takeZero(nb + 1)
-	var seen RowSet
-	if l.sets {
-		seen.slots = a.i32.takeZero(nextPow2(max(2*n, rowSetMinSlots)))
-		seen.shift = uint(64 - bits.TrailingZeros(uint(len(seen.slots))))
-	}
 	for i := range n {
-		if l.sets && !seen.insert(rel, i) {
-			home[i] = -1
-			continue
-		}
 		b := int32(kernelRowHash(data[i*k:i*k+k], l.cols, kernelSeed) >> l.shift)
 		home[i] = b
 		l.bucket[b+1]++
 	}
-	a.i32.give(seen.slots)
 	for b := range nb {
 		l.bucket[b+1] += l.bucket[b]
 	}
-	kept := int(l.bucket[nb])
-	l.vals = a.vals.take(kept * k)
+	l.vals = a.vals.take(n * k)
 	if l.needIDs {
-		l.ids = a.i32.take(kept)
+		l.ids = a.i32.take(n)
 	}
 	fill := a.i32.take(nb)
 	copy(fill, l.bucket)
 	for i, b := range home {
-		if b < 0 {
-			continue
-		}
 		p := fill[b]
 		fill[b]++
 		dst, src := l.vals[int(p)*k:int(p)*k+k], data[i*k:i*k+k]
@@ -454,14 +433,12 @@ func (j *joinScratch) run(s int) {
 	ls := j.levels[j.stepAt[s]:j.stepAt[s+1]]
 	if j.stepVar[s] < 0 {
 		// The rows iterated: the group of the input's previous level, or,
-		// where none narrowed it, the input's rows without repeats.
-		c, vals := &ls[0], []Value(nil)
+		// where none narrowed it, the input's own rows, unindexed.
+		c := &ls[0]
+		vals := c.in.data
 		if c.prev >= 0 {
 			p := &j.levels[c.prev]
 			vals = p.vals[p.lo*c.k : p.hi*c.k]
-		} else {
-			j.index(c)
-			vals = c.vals
 		}
 		for i := 0; i < len(vals); i += c.k {
 			for ki, col := range c.cols {

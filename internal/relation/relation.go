@@ -366,18 +366,14 @@ func (r *Relation) EqualAsSets(s *Relation) bool {
 	if len(r.attrs) != len(s.attrs) {
 		return false
 	}
-	perm := make([]int, len(r.attrs))
-	for i, a := range r.attrs {
-		c := s.Col(a)
-		if c < 0 {
+	for _, a := range r.attrs {
+		if s.Col(a) < 0 {
 			return false
 		}
-		perm[i] = c
 	}
 	a := r.Clone()
 	a.Dedup()
 	b := s.Project("tmp", r.attrs...)
-	_ = perm
 	b.Dedup()
 	if a.Len() != b.Len() {
 		return false

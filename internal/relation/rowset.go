@@ -121,19 +121,11 @@ func (s *RowSet) Build(rel *Relation) {
 	s.Reset()
 	s.Reserve(rel, rel.Len())
 	for pos := range rel.Len() {
-		s.insert(rel, pos)
+		if slot, found := s.find(rel, rel.Row(pos)); !found {
+			s.slots[slot] = int32(pos + 1)
+			s.n++
+		}
 	}
-}
-
-// insert indexes row pos of rel unless the set holds an equal row, and
-// reports whether it did. The table must have room for one more row.
-func (s *RowSet) insert(rel *Relation, pos int) bool {
-	slot, found := s.find(rel, rel.Row(pos))
-	if !found {
-		s.slots[slot] = int32(pos + 1)
-		s.n++
-	}
-	return !found
 }
 
 // Distinct returns r as a set: r itself, untouched, when no row

@@ -48,8 +48,8 @@ func TestDoJoinQuery(t *testing.T) {
 // TestRegisterMakesSets pins where relations become sets: Register
 // stores a bag as the first occurrence of each row, in order, and a set
 // as the same object; Do then answers with exactly core.Reference's
-// rows. A three-row R that repeats one row, joined with a two-row S,
-// has 4 answers, where a bag gave 6 under the binary joins.
+// rows over the sets. A three-row R that repeats one row, joined with a
+// two-row S, has 4 answers, where a bag gave 6 under the binary joins.
 func TestRegisterMakesSets(t *testing.T) {
 	s := New(Config{P: 4})
 	r := relation.FromRows("R", []string{"x", "y"}, [][]relation.Value{{1, 2}, {1, 2}, {3, 2}})
@@ -66,7 +66,7 @@ func TestRegisterMakesSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Reference(hypergraph.TwoWayJoin(), map[string]*relation.Relation{"R": r, "S": sRel})
+	want := core.Reference(hypergraph.TwoWayJoin(), map[string]*relation.Relation{"R": r.Distinct(), "S": sRel})
 	got := relation.FromRows("q", resp.Columns, resp.Output)
 	if resp.Rows != want.Len() || got.Len() != want.Len() || !got.EqualAsSets(want) {
 		t.Fatalf("Do answered %d rows %v, core.Reference has %d", resp.Rows, resp.Output, want.Len())

@@ -3,6 +3,7 @@ package testkit
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/hypergraph"
@@ -42,30 +43,42 @@ var SwitchChaosSpecs = []string{
 // the "emerging heavy hitter" shape: a static planner with optimistic
 // stats picks the uniform plan, while an adaptive probe over a prefix
 // sees the skew developing at exactly the sample-scaled rate.
+//
+// Every relation is a set, so the degree planted is the degree the
+// engine sees: a row drawn twice is drawn again, and a heavy row draws
+// its uniform fill from [0, max(Domain, Tuples)), room for all of an
+// atom's heavy rows to differ. (A unary atom on the heavy variable
+// holds the heavy value once.)
 func GenMispredicted(q hypergraph.Query, cfg GenConfig, seed int64) map[string]*relation.Relation {
 	cfg = cfg.withDefaults()
-	every := int(1 / cfg.HeavyFrac)
-	if every < 1 {
-		every = 1
-	}
+	every := max(int(1/cfg.HeavyFrac), 1)
 	hv := q.Vars()[0]
 	rels := make(map[string]*relation.Relation, len(q.Atoms))
 	for ai, a := range q.Atoms {
 		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(ai)*7919))
 		r := relation.New(a.Name, a.Vars...)
+		var set relation.RowSet
 		row := make([]relation.Value, len(a.Vars))
 		for i := 0; i < cfg.Tuples; i++ {
-			for j, v := range a.Vars {
-				switch {
-				case v == hv && i%every == 0:
-					row[j] = 0
-				case j == 0:
-					row[j] = relation.Value(i + 1) // distinct, disjoint from heavy
-				default:
-					row[j] = relation.Value(rng.Intn(cfg.Domain))
+			heavy, dom := i%every == 0 && slices.Contains(a.Vars, hv), cfg.Domain
+			if heavy {
+				dom = max(cfg.Domain, cfg.Tuples)
+			}
+			for {
+				for j, v := range a.Vars {
+					switch {
+					case v == hv && heavy:
+						row[j] = 0
+					case j == 0:
+						row[j] = relation.Value(i + 1) // distinct, disjoint from heavy
+					default:
+						row[j] = relation.Value(rng.Intn(dom))
+					}
+				}
+				if _, added := set.Add(r, row); added || len(a.Vars) == 1 {
+					break
 				}
 			}
-			r.AppendRow(row)
 		}
 		rels[a.Name] = r
 	}

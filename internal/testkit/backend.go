@@ -195,7 +195,7 @@ func RunChaosDiffTCP(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 				for _, seed := range cfg.Seeds {
 					spec, skew, p, seed := spec, skew, p, seed
 					t.Run(fmt.Sprintf("%s/%s/%s/p%d/seed%d", spec, q.Name, skew, p, seed), func(t *testing.T) {
-						rels := Sets(GenInstance(q, skew, cfg.Gen, seed))
+						rels := GenInstance(q, skew, cfg.Gen, seed)
 						want := OracleJoin(q, rels)
 						algSeed := uint64(seed)*0x9e3779b9 + uint64(p)
 

@@ -100,7 +100,7 @@ func InputSize(q hypergraph.Query, rels map[string]*relation.Relation) int64 {
 
 // RunDiff executes the full differential sweep for one algorithm on one
 // query: for every (skew, p, seed) it generates an instance of sets
-// (Sets), runs the algorithm on a fresh cluster, and asserts
+// (GenInstance), runs the algorithm on a fresh cluster, and asserts
 //
 //  1. bag-equality of the undeduplicated gathered result against the
 //     sequential oracle (set semantics, the repository-wide convention);
@@ -115,7 +115,7 @@ func RunDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 			for _, seed := range cfg.Seeds {
 				skew, p, seed := skew, p, seed
 				t.Run(fmt.Sprintf("%s/%s/p%d/seed%d", q.Name, skew, p, seed), func(t *testing.T) {
-					rels := Sets(GenInstance(q, skew, cfg.Gen, seed))
+					rels := GenInstance(q, skew, cfg.Gen, seed)
 					want := OracleJoin(q, rels)
 					c := mpc.NewCluster(p, seed)
 					if err := alg(c, q, rels, "out", uint64(seed)*0x9e3779b9+uint64(p)); err != nil {

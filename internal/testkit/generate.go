@@ -134,21 +134,13 @@ func GenRelation(name string, attrs []string, skew Skew, cfg GenConfig, seed int
 // GenInstance generates one relation per atom of q, each with an
 // independent seed derived from the instance seed. Relations are keyed
 // by atom name with columns matched positionally to atom variables.
+// Each is a set, as relations are once they enter the system: the
+// GenRelation draw passed through relation.Relation.Distinct, so a
+// relation may hold fewer than cfg.Tuples rows.
 func GenInstance(q hypergraph.Query, skew Skew, cfg GenConfig, seed int64) map[string]*relation.Relation {
 	rels := make(map[string]*relation.Relation, len(q.Atoms))
 	for i, a := range q.Atoms {
-		rels[a.Name] = GenRelation(a.Name, a.Vars, skew, cfg, seed*1_000_003+int64(i)*7919)
-	}
-	return rels
-}
-
-// Sets makes each relation of rels a set in place, as relations become
-// sets where they enter the system (relation.Relation.Distinct), and
-// returns rels. The generators draw repeated rows; on sets every
-// algorithm must return each binding once.
-func Sets(rels map[string]*relation.Relation) map[string]*relation.Relation {
-	for name, r := range rels {
-		rels[name] = r.Distinct()
+		rels[a.Name] = GenRelation(a.Name, a.Vars, skew, cfg, seed*1_000_003+int64(i)*7919).Distinct()
 	}
 	return rels
 }

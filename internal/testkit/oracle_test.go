@@ -147,8 +147,8 @@ func TestBagEqual(t *testing.T) {
 // compares with Reference, calls — and its two-input form
 // relation.HashJoin are held to OracleJoin, which shares no code with
 // them. Binary, path3, triangle, star3, cycle4 and ternary instances,
-// uniform and Zipf, a few hundred rows each, are made sets as relations
-// are where they enter, and compared as sets.
+// uniform and Zipf, a few hundred rows each (GenInstance makes them
+// sets), are compared as sets.
 func TestKernelMatchesOracleJoin(t *testing.T) {
 	queries := []hypergraph.Query{
 		hypergraph.TwoWayJoin(), hypergraph.Path(3), hypergraph.Triangle(),
@@ -163,7 +163,7 @@ func TestKernelMatchesOracleJoin(t *testing.T) {
 	for _, q := range queries {
 		for _, skew := range []Skew{SkewUniform, SkewZipf} {
 			for seed := int64(1); seed <= 3; seed++ {
-				rels := Sets(GenInstance(q, skew, GenConfig{Tuples: 300, Domain: 60}, seed))
+				rels := GenInstance(q, skew, GenConfig{Tuples: 300, Domain: 60}, seed)
 				want := OracleJoin(q, rels)
 				inputs := make([]*relation.Relation, len(q.Atoms))
 				for i, a := range q.Atoms {

@@ -39,7 +39,7 @@ func RunPlannerDiff(t *testing.T, q hypergraph.Query, cfg testkit.Config) {
 	}
 	cfg = cfg.WithDefaults()
 	testkit.Sweep(t, cfg, func(t *testing.T, p int, seed int64, skew testkit.Skew) {
-		rels := testkit.Sets(testkit.GenInstance(q, skew, cfg.Gen, seed))
+		rels := testkit.GenInstance(q, skew, cfg.Gen, seed)
 		pl, err := plan.For(q, rels, p, plan.Options{})
 		if err != nil {
 			t.Fatalf("plan.For: %v", err)

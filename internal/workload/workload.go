@@ -232,15 +232,19 @@ func PathInput(n, size int) []*relation.Relation {
 
 // SlideTreeInput generates data for the 5-atom acyclic query of the
 // Yannakakis walkthrough (slides 64–77), sized so that semijoins
-// meaningfully reduce the inputs: each relation has size tuples with
-// keys drawn from overlapping but not identical ranges.
+// meaningfully reduce the inputs: each relation is a set of size
+// tuples (a tuple drawn twice is drawn again) with keys drawn from
+// overlapping but not identical ranges.
 func SlideTreeInput(size int, seed int64) map[string]*relation.Relation {
 	rng := rand.New(rand.NewSource(seed))
 	dom := size // key domain; ~63% coverage ensures partial matches
 	gen := func(name, a1, a2 string) *relation.Relation {
 		r := relation.New(name, a1, a2)
-		for i := 0; i < size; i++ {
-			r.Append(relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom)))
+		var set relation.RowSet
+		row := make([]relation.Value, 2)
+		for r.Len() < size {
+			row[0], row[1] = relation.Value(rng.Intn(dom)), relation.Value(rng.Intn(dom))
+			set.Add(r, row)
 		}
 		return r
 	}

@@ -151,7 +151,7 @@ func TestSerialVsOracle(t *testing.T) {
 	for _, q := range diffQueries() {
 		for _, skew := range testkit.AllSkews {
 			for _, seed := range []int64{1, 2, 3, 4, 5} {
-				rels := testkit.Sets(testkit.GenInstance(q, skew, diffGen(), seed))
+				rels := testkit.GenInstance(q, skew, diffGen(), seed)
 				got, _ := Serial(treeOf(q), rels)
 				got = got.Project("out", q.Vars()...)
 				want := testkit.OracleJoin(q, rels)

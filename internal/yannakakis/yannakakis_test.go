@@ -9,7 +9,6 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
-	"mpcquery/internal/testkit"
 	"mpcquery/internal/workload"
 )
 
@@ -38,7 +37,7 @@ func joinTreeOf(t *testing.T, q hypergraph.Query) *hypergraph.JoinTree {
 
 func TestSerialSlideTree(t *testing.T) {
 	q := hypergraph.SlideTree()
-	rels := testkit.Sets(workload.SlideTreeInput(60, 5))
+	rels := workload.SlideTreeInput(60, 5)
 	out, st := Serial(joinTreeOf(t, q), rels)
 	want := reference(q, rels)
 	if out.Len() != want.Len() || !out.EqualAsSets(want) {
@@ -72,15 +71,14 @@ func TestSerialPathAndStar(t *testing.T) {
 		rels := map[string]*relation.Relation{}
 		switch q.Name {
 		case "rst":
-			rels["R"] = workload.Uniform("R", []string{"x"}, 40, 30, 1)
-			rels["S"] = workload.Uniform("S", []string{"x", "y"}, 60, 30, 2)
-			rels["T"] = workload.Uniform("T", []string{"y"}, 40, 30, 3)
+			rels["R"] = workload.Uniform("R", []string{"x"}, 40, 30, 1).Distinct()
+			rels["S"] = workload.Uniform("S", []string{"x", "y"}, 60, 30, 2).Distinct()
+			rels["T"] = workload.Uniform("T", []string{"y"}, 40, 30, 3).Distinct()
 		default:
 			for i, a := range q.Atoms {
-				rels[a.Name] = workload.Uniform(a.Name, a.Vars, 50, 25, int64(i+1))
+				rels[a.Name] = workload.Uniform(a.Name, a.Vars, 50, 25, int64(i+1)).Distinct()
 			}
 		}
-		testkit.Sets(rels)
 		out, _ := Serial(joinTreeOf(t, q), rels)
 		want := reference(q, rels)
 		if out.Len() != want.Len() || !out.EqualAsSets(want) {
@@ -91,7 +89,7 @@ func TestSerialPathAndStar(t *testing.T) {
 
 func TestGYMCorrect(t *testing.T) {
 	q := hypergraph.SlideTree()
-	rels := testkit.Sets(workload.SlideTreeInput(60, 7))
+	rels := workload.SlideTreeInput(60, 7)
 	want := reference(q, rels)
 	c := mpc.NewCluster(8, 1)
 	res := GYM(c, joinTreeOf(t, q), rels, "out", 42)
@@ -107,7 +105,7 @@ func TestGYMCorrect(t *testing.T) {
 
 func TestGYMOptimizedCorrectAndFewerRounds(t *testing.T) {
 	q := hypergraph.SlideTree()
-	rels := testkit.Sets(workload.SlideTreeInput(60, 9))
+	rels := workload.SlideTreeInput(60, 9)
 	want := reference(q, rels)
 
 	cv := mpc.NewCluster(8, 1)
@@ -132,9 +130,8 @@ func TestGYMStarRoundCounts(t *testing.T) {
 	q := hypergraph.Star(4)
 	rels := map[string]*relation.Relation{}
 	for i, a := range q.Atoms {
-		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1))
+		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1)).Distinct()
 	}
-	testkit.Sets(rels)
 	want := reference(q, rels)
 
 	cv := mpc.NewCluster(8, 1)
@@ -176,9 +173,8 @@ func runGYMOpt(t *testing.T, q hypergraph.Query) (*mpc.Cluster, *hypergraph.Join
 	t.Helper()
 	rels := map[string]*relation.Relation{}
 	for i, a := range q.Atoms {
-		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1))
+		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 60, 20, int64(i+1)).Distinct()
 	}
-	testkit.Sets(rels)
 	jt := joinTreeOf(t, q)
 	c := mpc.NewCluster(8, 1)
 	GYMOptimized(c, jt, rels, "out", 42)
@@ -396,9 +392,8 @@ func TestGHDRunPathDecompositions(t *testing.T) {
 	q := hypergraph.Path(n)
 	rels := map[string]*relation.Relation{}
 	for i, a := range q.Atoms {
-		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 30, 10, int64(i+1))
+		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 30, 10, int64(i+1)).Distinct()
 	}
-	testkit.Sets(rels)
 	want := reference(q, rels)
 	for name, g := range map[string]*hypergraph.GHD{
 		"chain":    hypergraph.PathChainGHD(n),
