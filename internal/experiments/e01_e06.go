@@ -252,16 +252,16 @@ func E05SkewJoin() (*Table, error) {
 	}{
 		// Uniform baseline.
 		{"uniform",
-			workload.Uniform("R", []string{"x", "y"}, 20000, 10000, 1),
-			workload.Uniform("S", []string{"y", "z"}, 20000, 10000, 2)},
+			workload.Uniform("R", []string{"x", "y"}, 20000, 10000, 1).Distinct(),
+			workload.Uniform("S", []string{"y", "z"}, 20000, 10000, 2).Distinct()},
 		// Zipf skew.
 		{"zipf(1.4)",
-			workload.Zipf("R", []string{"y", "x"}, 20000, 5000, 1.4, 3).Project("R", "x", "y"),
-			workload.Zipf("S", []string{"y", "z"}, 20000, 5000, 1.4, 4)},
+			workload.Zipf("R", []string{"y", "x"}, 20000, 5000, 1.4, 3).Project("R", "x", "y").Distinct(),
+			workload.Zipf("S", []string{"y", "z"}, 20000, 5000, 1.4, 4).Distinct()},
 		// Extreme: one value holds 10% of each side.
 		{"planted heavy",
-			workload.PlantHeavy("R", "y", "x", 18000, 1<<20, []relation.Value{7}, []int{2000}).Project("R", "x", "y"),
-			workload.PlantHeavy("S", "y", "z", 18000, 1<<21, []relation.Value{7}, []int{2000})},
+			workload.PlantHeavy("R", "y", "x", 18000, 1<<20, []relation.Value{7}, []int{2000}).Project("R", "x", "y").Distinct(),
+			workload.PlantHeavy("S", "y", "z", 18000, 1<<21, []relation.Value{7}, []int{2000}).Distinct()},
 	}
 	for _, tc := range cases {
 		in := tc.r.Len() + tc.s.Len()
@@ -270,7 +270,7 @@ func E05SkewJoin() (*Table, error) {
 		bound := cost.SkewJoinLoad(float64(in), float64(outSize), p)
 		t.AddRow(tc.name, fmtInt(int64(outSize)), fmtInt(hashL), fmtInt(skewL), fmtF(bound))
 	}
-	t.Note("IN = 40000 per case, p = %d; skew join runs 3 rounds (degrees, heavy broadcast, shuffle)", p)
+	t.Note("IN = the distinct rows of two 20000-row draws (39997 on the uniform row, 40000 on the others), p = %d; skew join runs 3 rounds (degrees, heavy broadcast, shuffle)", p)
 	return t, nil
 }
 
@@ -289,11 +289,11 @@ func E06SortJoin() (*Table, error) {
 	}
 	cases := []tc{
 		{"uniform",
-			workload.Uniform("R", []string{"x", "y"}, 20000, 10000, 5),
-			workload.Uniform("S", []string{"y", "z"}, 20000, 10000, 6)},
+			workload.Uniform("R", []string{"x", "y"}, 20000, 10000, 5).Distinct(),
+			workload.Uniform("S", []string{"y", "z"}, 20000, 10000, 6).Distinct()},
 		{"planted heavy",
-			workload.PlantHeavy("R", "y", "x", 18000, 1<<20, []relation.Value{7}, []int{2000}).Project("R", "x", "y"),
-			workload.PlantHeavy("S", "y", "z", 18000, 1<<21, []relation.Value{7}, []int{2000})},
+			workload.PlantHeavy("R", "y", "x", 18000, 1<<20, []relation.Value{7}, []int{2000}).Project("R", "x", "y").Distinct(),
+			workload.PlantHeavy("S", "y", "z", 18000, 1<<21, []relation.Value{7}, []int{2000}).Distinct()},
 	}
 	for _, c0 := range cases {
 		in := c0.r.Len() + c0.s.Len()

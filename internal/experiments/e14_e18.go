@@ -62,7 +62,7 @@ func E14GYM() (*Table, error) {
 	if err := run(hypergraph.SlideTree(), workload.SlideTreeInput(4000, 3)); err != nil {
 		return nil, err
 	}
-	t.Note("p = %d; vanilla = one semijoin/join per round; optimized = per tree level one upward semijoin round (two when a parent has ≥ 2 children) and one downward round (none when every child there already lies with its parent), then a one-round HyperCube join phase", p)
+	t.Note("p = %d; vanilla = one semijoin/join per round; optimized = per tree level one upward semijoin round (two when a parent has ≥ 2 children) and one downward round (none when every child there already lies with its parent), then a join phase that is local when every atom ends on one key, else one round: shipping the other groups' local joins to an anchor group's key or HyperCube, whichever receives less", p)
 	return t, nil
 }
 

@@ -60,7 +60,8 @@ func TestGridMatchesWalk(t *testing.T) {
 // the compiled grid against the reference walk. It then hosts the grid
 // on a box layout drawn from the seed, and checks that Cluster.Shuffle
 // sends the row to exactly the servers whose box meets its slab, once
-// each.
+// each. Last, for every policy kind, Cluster.Loads must count per
+// server what Shuffle meters as RoundStat.Recv on the same sends.
 func FuzzRoute(f *testing.F) {
 	f.Add([]byte{1, 1, 1}, []byte{1, 2}, int64(5), int64(9), int64(1), uint64(7))
 	f.Add([]byte{0}, []byte{}, int64(0), int64(0), int64(0), uint64(0))
@@ -82,7 +83,53 @@ func FuzzRoute(f *testing.F) {
 		row := []relation.Value{x, y, z, x ^ y}
 		checkGrid(t, shares, seeds, cols, row)
 		checkBoxRoute(t, shares, seeds, cols, row, rand.New(rand.NewSource(int64(seed))))
+		checkLoads(t, shares, seeds, cols, row, seed)
 	})
+}
+
+// checkLoads scatters eight rows drawn from row over 1 to 5 servers
+// and checks, for each policy kind alone and for all of them in one
+// round, that Cluster.Loads counts exactly the RoundStat.Recv of a
+// Shuffle of the same sends: hash, broadcast, the grid with cell c on
+// server c mod p, and Patterns splitting the rows by whether column a
+// holds row[0] over that grid and a hash-like grid on every dimension.
+func checkLoads(t *testing.T, shares []int, seeds []uint64, cols []int, row []relation.Value, seed uint64) {
+	t.Helper()
+	c := NewCluster(1+int(seed%5), 1)
+	frag := relation.New("R", "a", "b", "c", "d")
+	for i := range relation.Value(8) {
+		frag.Append(row[0]+i%3, row[1]^i, row[2], row[3]+i%2)
+	}
+	c.ScatterRoundRobin(frag)
+	cells := 1
+	for _, s := range shares {
+		cells *= s
+	}
+	owner := make([]int, cells)
+	for cell := range owner {
+		owner[cell] = cell % c.P()
+	}
+	grid := Grid(shares, seeds, cols, owner)
+	allCols := make([]int, len(shares))
+	for d := range allCols {
+		allCols[d] = d % 4
+	}
+	heavy := [][]relation.Value{{row[0]}, nil, nil, nil}
+	kinds := [][]Send{
+		{{From: "R", To: "h", Policy: Hash(seed, "c", "a")}},
+		{{From: "R", To: "b", Policy: Broadcast()}},
+		{{From: "R", To: "g", Policy: grid}},
+		{{From: "R", To: "p", Policy: Patterns(heavy, []uint64{0, 1}, grid, Grid(shares, seeds, allCols, owner))}},
+	}
+	kinds = append(kinds, slices.Concat(kinds...))
+	for _, sends := range kinds {
+		loads := c.Loads(sends...)
+		c.Shuffle("loads", sends...)
+		stats := c.Metrics().RoundStats()
+		if recv := stats[len(stats)-1].Recv; !slices.Equal(loads, recv) {
+			t.Fatalf("shares %v cols %v p %d sends %v: Loads %v, Shuffle received %v", shares, cols, c.P(), sends, loads, recv)
+		}
+	}
 }
 
 // testBox is a box of a grid: coordinate d in [lo[d], hi[d]).

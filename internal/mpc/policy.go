@@ -156,6 +156,62 @@ func (c *Cluster) Shuffle(name string, sends ...Send) {
 	})
 }
 
+// Loads returns what a Shuffle of sends would deliver to each server,
+// its RoundStat.Recv, from the counting pass every send makes before it
+// presizes. Nothing is sent or metered: counting is local work.
+func (c *Cluster) Loads(sends ...Send) []int64 {
+	c.checkHealthy("Loads")
+	loads := make([]int64, c.p)
+	for i, srv := range c.servers {
+		for _, s := range sends {
+			if frag := srv.rels[s.From]; frag != nil {
+				s.Policy.count(c.roundOuts()[i], frag, loads)
+			}
+		}
+	}
+	return loads
+}
+
+// count adds to loads[d] the tuples pl sends server d from frag.
+func (pl Policy) count(o *Out, frag *relation.Relation, loads []int64) {
+	add := func(counts []int) {
+		for d, n := range counts {
+			loads[d] += int64(n)
+		}
+	}
+	switch pl.kind {
+	case hashPolicy:
+		dsts, counts := o.scratch(frag.Len())
+		hashPartition(frag, frag.MustCols(pl.vars), pl.seed, dsts, counts)
+		add(counts)
+	case broadcastPolicy:
+		for d := range loads {
+			loads[d] += int64(frag.Len())
+		}
+	case gridPolicy:
+		add(pl.grids[0].count(o, frag, nil, 0))
+	default:
+		bits := pl.heavyBits(frag)
+		for i := range pl.grids {
+			add(pl.grids[i].count(o, frag, bits, pl.want[i]))
+		}
+	}
+}
+
+// heavyBits returns, per row of frag, the Patterns bits of its heavy
+// columns: bit j set iff row[j] is heavy.
+func (pl Policy) heavyBits(frag *relation.Relation) []uint64 {
+	bits := make([]uint64, frag.Len())
+	for i := range bits {
+		for j, v := range frag.Row(i) {
+			if _, ok := slices.BinarySearch(pl.heavy[j], v); ok {
+				bits[i] |= 1 << j
+			}
+		}
+	}
+	return bits
+}
+
 // send is one server's side of the policy on frag.
 func (pl Policy) send(out *Out, to string, frag *relation.Relation) {
 	attrs := frag.Attrs()
@@ -172,14 +228,7 @@ func (pl Policy) send(out *Out, to string, frag *relation.Relation) {
 	case pl.kind == gridPolicy:
 		pl.grids[0].send(out.Open(to, attrs...), frag, nil, 0)
 	default:
-		bits := make([]uint64, frag.Len())
-		for i := range bits {
-			for j, v := range frag.Row(i) {
-				if _, ok := slices.BinarySearch(pl.heavy[j], v); ok {
-					bits[i] |= 1 << j
-				}
-			}
-		}
+		bits := pl.heavyBits(frag)
 		for i := range pl.grids {
 			pl.grids[i].send(out.Open(to+"@"+strconv.Itoa(i), attrs...), frag, bits, pl.want[i])
 		}
@@ -196,16 +245,14 @@ func (g *grid) base(row []relation.Value) int {
 	return b
 }
 
-// send is the grid loop: the rows of frag whose heavy bits equal want
-// (every row when bits is nil) go on st once to each server that hosts
-// a cell of their route. It counts every destination first and
-// presizes, so routing a fragment allocates the same whatever its
-// length. A row's servers are told apart by marking them in the Out's
-// seen table with a number no earlier row used.
-func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uint64) {
-	out := st.out
-	bases, counts := out.scratch(frag.Len())
-	seen := out.seen()
+// count is the grid loop's counting pass: it stores in o.bases each
+// row's base cell, -1 for a row whose heavy bits differ from want, and
+// returns how many rows go to each server. A row's servers are told
+// apart by marking them in the Out's seen table with a number no
+// earlier row used.
+func (g *grid) count(o *Out, frag *relation.Relation, bits []uint64, want uint64) []int {
+	bases, counts := o.scratch(frag.Len())
+	seen := o.seen()
 	for i := range bases {
 		if bits != nil && bits[i] != want {
 			bases[i] = -1
@@ -213,18 +260,29 @@ func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uin
 		}
 		b := g.base(frag.Row(i))
 		bases[i] = int32(b)
-		out.mark++
-		for _, o := range g.offsets {
-			if d := g.owner[b+o]; seen[d] != out.mark {
-				seen[d] = out.mark
+		o.mark++
+		for _, off := range g.offsets {
+			if d := g.owner[b+off]; seen[d] != o.mark {
+				seen[d] = o.mark
 				counts[d]++
 			}
 		}
 	}
-	for d, k := range counts {
+	return counts
+}
+
+// send is the grid loop: the rows of frag whose heavy bits equal want
+// (every row when bits is nil) go on st once to each server that hosts
+// a cell of their route. It counts every destination first and
+// presizes, so routing a fragment allocates the same whatever its
+// length.
+func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uint64) {
+	out := st.out
+	for d, k := range g.count(out, frag, bits, want) {
 		st.reserve(d, k)
 	}
-	for i, b := range bases {
+	seen := out.seen()
+	for i, b := range out.bases {
 		if b < 0 {
 			continue
 		}

@@ -55,7 +55,8 @@ func acyclicConnected(q hypergraph.Query) (*hypergraph.JoinTree, error) {
 //     level one upward semijoin round (two when a parent there has two
 //     or more children) and one downward round (none when every child
 //     there already lies on the key its parent lies on), then one
-//     HyperCube join round: at most 3(d−1)+1 rounds for tree depth d.
+//     join round, none when every atom ends on one key: at most
+//     3(d−1)+1 rounds for tree depth d.
 //   - binaryplan: the iterative left-deep hash-join baseline
 //     (slides 57/63) — n−1 rounds, but the load carries whatever
 //     intermediate the prefix joins produce, which is what the planner
@@ -100,7 +101,7 @@ func Plannables() []cost.Plannable {
 		},
 		{
 			Alg:     "gym-opt",
-			Doc:     "level-parallel GYM, per non-leaf level 1 round up (2 if a parent has 2+ children) and 1 down (0 if every child already lies with its parent), plus 1 join round (slide 75)",
+			Doc:     "level-parallel GYM, per non-leaf level 1 round up (2 if a parent has 2+ children) and 1 down (0 if every child already lies with its parent), plus 1 join round unless every atom ends on one key (slide 75)",
 			Applies: applies,
 			Run:     overTree(GYMOptimized),
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {

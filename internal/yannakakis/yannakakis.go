@@ -7,7 +7,9 @@
 //     hash-partitioned MPC round with load O((IN+OUT)/p). The vanilla
 //     variant runs one semijoin per round (r = O(n), slides 80–89); the
 //     optimized variant runs each tree level's semijoins in parallel
-//     and finishes with a one-round HyperCube join phase (r = O(d),
+//     and finishes with a join phase that starts from where the
+//     reducer left the atoms: local when they all lie on one key, else
+//     one round, shipping local joins to one key or HyperCube (r = O(d),
 //     slides 90–94). It keeps the slides' keyed copies plus
 //     intersection round for a parent with k ≥ 3 children; a parent
 //     with one child takes one keyed semijoin, and one with two is
@@ -237,8 +239,8 @@ func finalize(c *mpc.Cluster, q hypergraph.Query, accRel, outName string) {
 // (semijoinLevel) in one round, or in two when some parent there has
 // two or more children; the downward phase runs at most one round per
 // level, and none for a level whose semijoins are all local
-// (downwardPass); the join phase is a single HyperCube round over the
-// fully reduced relations, routed from where the reductions left them.
+// (downwardPass); the join phase is local when the reduced relations
+// all lie on one key, and one round otherwise (joinPhase).
 // r = O(depth(jt)), exactly gymOptRounds(jt). It places the inputs
 // round-robin and runs gymOptimized.
 func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result {
@@ -252,7 +254,8 @@ func GYMOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*rela
 // tree alone: the upward pass carries every child of a parent with k ≤ 2
 // children whole to their shared variables K(p, c) and leaves it there,
 // so the downward pass ships that child only its parent's keys, or
-// nothing when the parent lies on K(p, c) too (downwardPass).
+// nothing when the parent lies on K(p, c) too (downwardPass), and the
+// join phase plans from where the pass leaves every atom (joinPhase).
 func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed uint64) *Result {
 	q := jt.Query
 	c.Note("yannakakis.GYMOptimized %s (depth %d)", q.Name, len(jt.Levels())-1)
@@ -265,11 +268,31 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 		round += semijoinLevel(c, fmt.Sprintf("gymopt:up%d", round), q, jt, parentsOf(jt, levels[d]), seed)
 	}
 	// Downward, root level first: children semijoined by parents.
-	for _, sjs := range downwardPass(jt) {
+	pass, at := downwardPass(jt)
+	for _, sjs := range pass {
 		round += keyedSemijoins(c, fmt.Sprintf("gymopt:down%d", round), q, sjs, nil, seed)
 	}
-	// Join phase: one HyperCube round over the reduced relations, where
-	// they lie, with shares for their reduced sizes.
+	joinPhase(c, q, at, outName, seed)
+	return &Result{Rounds: c.Metrics().Rounds() - start}
+}
+
+// joinPhase joins the fully reduced atoms, atom i lying hashed on
+// at[i], into outName with schema q.Vars(). Atoms on one key form a
+// group whose join is local: every answer's rows lie with its key. One
+// group joins locally and runs no round. With several, an anchor group,
+// whose key lies within every other group's variables, can stay while
+// the others' local joins ship to its key (of several anchors, the one
+// leaving the fewest rows to ship); c.Loads prices that round and a
+// HyperCube round over the atoms before either ships, and the lower max
+// receive, then the lower C, wins, a tie keeping HyperCube. Without an
+// anchor HyperCube runs.
+func joinPhase(c *mpc.Cluster, q hypergraph.Query, at [][]string, outName string, seed uint64) {
+	groups := groupsOf(at)
+	if len(groups) == 1 {
+		c.Note("yannakakis join phase: local, every atom on %v", at[0])
+		c.LocalStep(func(srv *mpc.Server) { srv.Put(groupJoin(srv, q, groups[0], outName, q.Vars())) })
+		return
+	}
 	sizes := make(map[string]int64, len(q.Atoms))
 	for _, a := range q.Atoms {
 		sizes[a.Name] = max(int64(c.TotalLen(a.Name)), 1)
@@ -278,8 +301,110 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 	if err != nil {
 		panic(fmt.Sprintf("yannakakis: join-phase HyperCube: %v", err))
 	}
-	hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
-	return &Result{Rounds: c.Metrics().Rounds() - start}
+	vars, name := make([][]string, len(groups)), make([]string, len(groups))
+	for g, atoms := range groups {
+		name[g] = q.Atoms[atoms[0]].Name // a one-atom group's join is its atom
+		if len(atoms) > 1 {
+			name[g] = fmt.Sprintf("%s:g%d", outName, g)
+		}
+		for _, i := range atoms {
+			vars[g] = unionAttrs(vars[g], q.Atoms[i].Vars)
+		}
+	}
+	var anchors []int
+	for g, atoms := range groups {
+		key := at[atoms[0]]
+		if len(key) > 0 && !slices.ContainsFunc(vars, func(vs []string) bool { return len(sharedOf(key, vs)) < len(key) }) {
+			anchors = append(anchors, g)
+		}
+	}
+	if len(anchors) == 0 {
+		c.Note("yannakakis join phase: HyperCube, no group's key lies in every other group")
+		hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
+		return
+	}
+	c.LocalStep(func(srv *mpc.Server) {
+		for g, atoms := range groups {
+			if len(atoms) > 1 {
+				srv.Put(groupJoin(srv, q, atoms, name[g], vars[g]))
+			}
+		}
+	})
+	defer func() {
+		for g, atoms := range groups {
+			if len(atoms) > 1 {
+				c.DeleteAll(name[g])
+			}
+		}
+	}()
+	anchor := anchors[0] // of several, the largest ships the fewest rows
+	for _, g := range anchors[1:] {
+		if c.TotalLen(name[g]) > c.TotalLen(name[anchor]) {
+			anchor = g
+		}
+	}
+	key := at[groups[anchor][0]]
+	var ship, grid []mpc.Send
+	for g := range groups {
+		if g != anchor {
+			ship = append(ship, mpc.Send{From: name[g], To: outName + ":" + name[g], Policy: mpc.Hash(seed, key...)})
+		}
+	}
+	for _, a := range q.Atoms {
+		grid = append(grid, mpc.Send{From: a.Name, To: outName + ":" + a.Name, Policy: pl.Route(a)})
+	}
+	sl, sc := maxSum(c.Loads(ship...))
+	hl, hc := maxSum(c.Loads(grid...))
+	if sl > hl || sl == hl && sc >= hc {
+		c.Note("yannakakis join phase: HyperCube (L %d, C %d) over shipping to %v (L %d, C %d)", hl, hc, key, sl, sc)
+		hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
+		return
+	}
+	c.Note("yannakakis join phase: ship to %v (L %d, C %d) over HyperCube (L %d, C %d)", key, sl, sc, hl, hc)
+	c.Shuffle("gymopt:join", ship...)
+	c.LocalStep(func(srv *mpc.Server) {
+		inputs := make([]*relation.Relation, len(groups))
+		for g := range groups {
+			from := outName + ":" + name[g]
+			if g == anchor {
+				from = name[g]
+			}
+			inputs[g] = srv.RelOrEmpty(from, vars[g]...)
+			srv.Delete(outName + ":" + name[g])
+		}
+		srv.Put(relation.GenericJoin(outName, q.Vars(), inputs...))
+	})
+}
+
+// groupsOf lists the atoms by the ordered key they lie on, in order of
+// first appearance: atoms hashed on one key are co-partitioned.
+func groupsOf(at [][]string) [][]int {
+	var groups [][]int
+	for i, key := range at {
+		if g := slices.IndexFunc(groups, func(g []int) bool { return slices.Equal(at[g[0]], key) }); g >= 0 {
+			groups[g] = append(groups[g], i)
+		} else {
+			groups = append(groups, []int{i})
+		}
+	}
+	return groups
+}
+
+// groupJoin joins srv's fragments of the listed atoms into name.
+func groupJoin(srv *mpc.Server, q hypergraph.Query, atoms []int, name string, vars []string) *relation.Relation {
+	inputs := make([]*relation.Relation, len(atoms))
+	for j, i := range atoms {
+		inputs[j] = srv.RelOrEmpty(q.Atoms[i].Name, q.Atoms[i].Vars...)
+	}
+	return relation.GenericJoin(name, vars, inputs...)
+}
+
+// maxSum returns a round's L and C from its per-server loads.
+func maxSum(loads []int64) (l, sum int64) {
+	for _, n := range loads {
+		l, sum = max(l, n), sum+n
+	}
+	return l, sum
 }
 
 // parentsOf returns the nodes of level that have children.
@@ -296,10 +421,11 @@ func parentsOf(jt *hypergraph.JoinTree, level []int) []int {
 // gymOptRounds is gymOptimized's round count on jt: per non-leaf level
 // one upward round (two when a parent there has two or more children)
 // and one downward round unless all of the level's downward semijoins
-// are local, and the join round.
+// are local, and the join round unless every atom ends on one key.
 func gymOptRounds(jt *hypergraph.JoinTree) int {
 	levels := jt.Levels()
-	r := 1 // the join round
+	pass, at := downwardPass(jt)
+	r := min(len(groupsOf(at))-1, 1) // the join round
 	for _, level := range levels[:len(levels)-1] {
 		r++
 		for _, i := range level {
@@ -309,7 +435,7 @@ func gymOptRounds(jt *hypergraph.JoinTree) int {
 			}
 		}
 	}
-	for _, sjs := range downwardPass(jt) {
+	for _, sjs := range pass {
 		if slices.ContainsFunc(sjs, keyedSemijoin.ships) {
 			r++
 		}
@@ -333,8 +459,9 @@ func gymOptRounds(jt *hypergraph.JoinTree) int {
 // key too, nothing moves and the semijoin is local. Any other child is
 // re-keyed with p's keys on K(p, c) in its own variable order, and lies
 // there from then on, which its own children's semijoins at the next
-// level see.
-func downwardPass(jt *hypergraph.JoinTree) [][]keyedSemijoin {
+// level see. The second result is where each atom lies after the pass:
+// the variables it is hashed on, in order (nil: as scattered).
+func downwardPass(jt *hypergraph.JoinTree) ([][]keyedSemijoin, [][]string) {
 	q := jt.Query
 	at := make([][]string, len(q.Atoms)) // the variables each atom is hashed on; nil: as scattered
 	for i, chs := range jt.Children {
@@ -366,7 +493,7 @@ func downwardPass(jt *hypergraph.JoinTree) [][]keyedSemijoin {
 			}
 		}
 	}
-	return pass
+	return pass, at
 }
 
 // sameVars reports whether a and b hold the same variables, in any

@@ -60,8 +60,8 @@ func TestGYMDiff(t *testing.T) {
 // TestGYMOptimizedDiff: the depth-optimized variant. Every non-leaf
 // level contributes one upward round, or two when a parent there has two
 // or more children, and one downward round unless every child there
-// already lies co-located with its parent; the join phase is a single
-// HyperCube round.
+// already lies co-located with its parent; the join phase is one round,
+// or none when every atom ends on one key.
 func TestGYMOptimizedDiff(t *testing.T) {
 	cfg := testkit.DefaultConfig()
 	cfg.Gen = diffGen()
@@ -74,10 +74,10 @@ func TestGYMOptimizedDiff(t *testing.T) {
 // levelFormula is gym-opt's round count written out from the tree: Σ
 // over non-leaf levels of (1, or 2 if a parent there has ≥ 2 children),
 // plus one downward round per non-leaf level with a child not
-// co-located with its parent, plus 1 join round. It follows each
-// atom's placement as the set of variables it is hashed on ("" for the
-// scattered input), which is exact where shared keys are single
-// variables, as in diffQueries:
+// co-located with its parent, plus 1 join round unless every atom ends
+// on one key. It follows each atom's placement as the set of variables
+// it is hashed on ("" for the scattered input), which is exact where
+// shared keys are single variables, as in diffQueries:
 //
 //   - upward, a child of a parent with ≤ 2 children moves to its parent's
 //     shared variables; a parent with ≤ 2 children ends on its last
@@ -114,7 +114,7 @@ func levelFormula(jt *hypergraph.JoinTree) int {
 		}
 	}
 	levels := jt.Levels()
-	r := 1 // the join round
+	r := 0
 	for _, level := range levels[:len(levels)-1] {
 		up, down := 1, 0
 		for _, i := range level {
@@ -129,6 +129,11 @@ func levelFormula(jt *hypergraph.JoinTree) int {
 			}
 		}
 		r += up + down
+	}
+	for _, o := range on {
+		if o != on[0] {
+			return r + 1 // the join round
+		}
 	}
 	return r
 }

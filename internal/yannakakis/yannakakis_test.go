@@ -9,6 +9,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/testkit"
 	"mpcquery/internal/workload"
 )
 
@@ -301,6 +302,82 @@ func TestGYMOptimizedCarriedChildStays(t *testing.T) {
 				t.Errorf("%s: %s carried to %s in %d rounds, want 1", q.Name, cn, pn, carried)
 			}
 		}
+	}
+}
+
+// TestGYMOptimizedJoinPhase pins the join phase gymOptimized picks from
+// where the passes leave the atoms, and that r stays gymOptRounds:
+//
+//   - path3 on distinct uniform inputs, the shape of the benchmark's
+//     GYM op: R1 lies on A1, R2 and R3 on A2, so R1 anchors and the join
+//     round ships only the local R2 ⋈ R3, whose rows are the answer's
+//     distinct (A1, A2, A3), and receives less than HyperCube would;
+//   - path2 and star3: every atom ends on one key, so the join is local
+//     and runs no round;
+//   - path3 Zipf: shipping R2 ⋈ R3 would receive more than HyperCube, so
+//     HyperCube runs, at the (L, r, C) it measured before the choice.
+func TestGYMOptimizedJoinPhase(t *testing.T) {
+	joinRounds := func(c *mpc.Cluster) (ship, grid *mpc.RoundStat) {
+		stats := c.Metrics().RoundStats()
+		for i := range stats {
+			switch stats[i].Name {
+			case "gymopt:join":
+				ship = &stats[i]
+			case "hypercube:shuffle":
+				grid = &stats[i]
+			}
+		}
+		return ship, grid
+	}
+
+	q := hypergraph.Path(3)
+	jt := joinTreeOf(t, q)
+	rels := map[string]*relation.Relation{}
+	for i, a := range q.Atoms {
+		rels[a.Name] = workload.Uniform(a.Name, a.Vars, 2000, 2000, int64(i+1)).Distinct()
+	}
+	c := mpc.NewCluster(8, 1)
+	res := GYMOptimized(c, jt, rels, "out", 1)
+	want, _ := Serial(jt, rels)
+	if got := c.Gather("out"); got.Len() != want.Len() || !got.EqualAsSets(want) {
+		t.Fatalf("path3: optimized GYM wrong: %d rows, Serial has %d", got.Len(), want.Len())
+	}
+	ship, grid := joinRounds(c)
+	if ship == nil || grid != nil {
+		t.Fatalf("path3: join round shipped %v, HyperCube ran %v; want the shipped join alone", ship != nil, grid != nil)
+	}
+	st := int64(want.Project("st", "A1", "A2", "A3").Distinct().Len())
+	if ship.TotalRecv() != st {
+		t.Errorf("path3: join round C = %d, want the %d rows of the local R2 ⋈ R3", ship.TotalRecv(), st)
+	}
+	for _, s := range ship.StreamSends {
+		if strings.HasSuffix(s.Stream, ":R1") {
+			t.Errorf("path3: join round ships the anchor R1 on %s", s.Stream)
+		}
+	}
+	if r := gymOptRounds(jt); res.Rounds != r || r != 4 {
+		t.Errorf("path3: r = %d, gymOptRounds = %d, want 4", res.Rounds, r)
+	}
+
+	for _, q := range []hypergraph.Query{hypergraph.Path(2), hypergraph.Star(3)} {
+		c, jt, _ := runGYMOpt(t, q)
+		if ship, grid := joinRounds(c); ship != nil || grid != nil {
+			t.Errorf("%s: a join round ran; every atom ends on one key", q.Name)
+		}
+		if r := gymOptRounds(jt); c.Metrics().Rounds() != r {
+			t.Errorf("%s: r = %d, gymOptRounds = %d", q.Name, c.Metrics().Rounds(), r)
+		}
+	}
+
+	rels = testkit.GenInstance(q, testkit.SkewZipf, testkit.GenConfig{Tuples: 1000}, 1)
+	c = mpc.NewCluster(16, 1)
+	GYMOptimized(c, jt, rels, "out", 1)
+	if ship, grid := joinRounds(c); ship != nil || grid == nil {
+		t.Errorf("path3 Zipf: HyperCube did not run the join phase")
+	}
+	m := c.Metrics()
+	if got := [3]int64{m.MaxLoad(), int64(m.Rounds()), m.TotalComm()}; got != [3]int64{447, 4, 5610} {
+		t.Errorf("path3 Zipf: (L, r, C) = %v, want HyperCube's [447 4 5610]", got)
 	}
 }
 
