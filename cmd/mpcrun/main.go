@@ -218,13 +218,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		engine.Chaos = sched
 	}
-	var exec *core.Execution
-	failure, err := chaos.Capture(func() error {
-		var execErr error
-		exec, execErr = j.execute(engine)
-		return execErr
-	})
-	if err != nil && failure == nil {
+	exec, err := j.execute(engine)
+	var failure *mpc.RecoveryFailure
+	if err != nil && !errors.As(err, &failure) {
 		return fail(err)
 	}
 	// The trace is most valuable exactly when the run failed: a failed

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"mpcquery/internal/chaos"
 	"mpcquery/internal/core"
 	"mpcquery/internal/hypergraph"
+	"mpcquery/internal/mpc"
 	"mpcquery/internal/plan"
 	"mpcquery/internal/query"
 	"mpcquery/internal/relation"
@@ -212,7 +214,7 @@ func TestEndToEndViaEngine(t *testing.T) {
 // TestChaosViaEngine exercises the -chaos path main() drives: an
 // engine with a fault schedule attached must produce the same output
 // and (L, r, C) as the fault-free engine, and a schedule with a
-// permanent fault must surface a RecoveryFailure through chaos.Capture.
+// permanent fault must return a RecoveryFailure, with no Execution.
 func TestChaosViaEngine(t *testing.T) {
 	j, _ := namedJob(t, "triangle", core.AlgAuto, 300, "none", 2)
 	cleanExec, err := j.execute(core.NewEngine(8, 1))
@@ -222,14 +224,9 @@ func TestChaosViaEngine(t *testing.T) {
 
 	engine := core.NewEngine(8, 1)
 	engine.Chaos = chaos.MustParseSchedule("7:drop=0.1,dup=0.05,crash=0.1,straggle=0.2")
-	var exec *core.Execution
-	failure, err := chaos.Capture(func() error {
-		var execErr error
-		exec, execErr = j.execute(engine)
-		return execErr
-	})
-	if failure != nil || err != nil {
-		t.Fatalf("chaos execution failed: %v / %v", failure, err)
+	exec, err := j.execute(engine)
+	if err != nil {
+		t.Fatalf("chaos execution failed: %v", err)
 	}
 	if exec.MaxLoad != cleanExec.MaxLoad || exec.Rounds != cleanExec.Rounds || exec.TotalComm != cleanExec.TotalComm {
 		t.Fatalf("chaos (L,r,C) = (%d,%d,%d), fault-free (%d,%d,%d)",
@@ -241,12 +238,10 @@ func TestChaosViaEngine(t *testing.T) {
 
 	// Permanent faults (persist ≥ attempts) must fail loudly.
 	engine.Chaos = chaos.MustParseSchedule("7:drop=0.5,persist=4,attempts=3")
-	failure, err = chaos.Capture(func() error {
-		_, execErr := j.execute(engine)
-		return execErr
-	})
-	if failure == nil || err == nil {
-		t.Fatal("permanent-fault schedule did not surface a RecoveryFailure")
+	exec, err = j.execute(engine)
+	var failure *mpc.RecoveryFailure
+	if !errors.As(err, &failure) || exec != nil {
+		t.Fatalf("permanent-fault schedule returned %v and Execution %v, want a RecoveryFailure and none", err, exec)
 	}
 }
 

@@ -219,21 +219,3 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
-
-func TestCapture(t *testing.T) {
-	fail := &mpc.RecoveryFailure{Round: 0, Name: "r", Attempts: 1, Lost: 1}
-	failure, err := Capture(func() error { panic(fail) })
-	if failure != fail || err == nil {
-		t.Fatalf("Capture did not surface the recovery failure: %v, %v", failure, err)
-	}
-	failure, err = Capture(func() error { return nil })
-	if failure != nil || err != nil {
-		t.Fatalf("clean Capture returned %v, %v", failure, err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Capture swallowed a non-recovery panic")
-		}
-	}()
-	Capture(func() error { panic("unrelated") })
-}

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -46,15 +47,15 @@ func FuzzScheduleParse(f *testing.F) {
 }
 
 // fuzzRate maps a fuzz byte to a rate in [0, 0.5]: high enough to
-// exercise every fault path, low enough that the bounded persistence
-// guarantee (Attempts > Persist) always converges.
+// exercise every fault path, low enough that a bounded-persistence
+// schedule (Attempts > Persist) always converges.
 func fuzzRate(b byte) float64 { return float64(b%128) / 254 }
 
-// runFuzzProgram executes a small two-round shuffle on c and returns
-// the gathered output. The program routes every tuple through a
+// runFuzzProgram executes a small two-round shuffle on c, leaving its
+// output under "out". The program routes every tuple through a
 // partition round and a rebalance round, plus an arity-0 control
 // stream, so drops/dups/crashes hit multi-stream, multi-round traffic.
-func runFuzzProgram(c *mpc.Cluster, rows int) *relation.Relation {
+func runFuzzProgram(c *mpc.Cluster, rows int) {
 	r := relation.New("R", "a", "b")
 	for i := 0; i < rows; i++ {
 		r.Append(int64(i%13), int64(i))
@@ -78,18 +79,25 @@ func runFuzzProgram(c *mpc.Cluster, rows int) *relation.Relation {
 			st.SendRow(int(row[1])%s.P(), row)
 		}
 	})
-	return c.Gather("out")
 }
 
 // FuzzChaosDeliver drives the recovery protocol with fuzz-chosen rates
 // and asserts the central chaos guarantee: a recovered run commits
 // state and metering bit-for-bit identical to the fault-free run, and
 // replaying the same schedule reproduces the same recovery ledger.
+// budget 0 keeps the default bounded persistence, under which every
+// run recovers; any other budget sets Persist ≥ Attempts, and a run
+// that then fails must fail as its replay does: Err is a
+// *RecoveryFailure carrying the cluster's ledger, at the same round,
+// with the same attempt log.
 func FuzzChaosDeliver(f *testing.F) {
-	f.Add(uint64(1), byte(20), byte(10), byte(15), byte(30), uint16(64))
-	f.Add(uint64(99), byte(0), byte(0), byte(0), byte(0), uint16(7))
-	f.Add(uint64(3), byte(127), byte(127), byte(127), byte(127), uint16(200))
-	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, crash, straggle byte, size uint16) {
+	f.Add(uint64(1), byte(20), byte(10), byte(15), byte(30), uint16(64), byte(0))
+	f.Add(uint64(99), byte(0), byte(0), byte(0), byte(0), uint16(7), byte(0))
+	f.Add(uint64(3), byte(127), byte(127), byte(127), byte(127), uint16(200), byte(0))
+	f.Add(uint64(5), byte(60), byte(0), byte(0), byte(0), uint16(100), byte(1))
+	f.Add(uint64(8), byte(10), byte(5), byte(40), byte(20), uint16(300), byte(6))
+	f.Add(uint64(2), byte(3), byte(0), byte(3), byte(0), uint16(9), byte(13))
+	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, crash, straggle byte, size uint16, budget byte) {
 		rows := int(size%512) + 1
 		cfg := chaos.Config{
 			Seed:     seed,
@@ -98,6 +106,10 @@ func FuzzChaosDeliver(f *testing.F) {
 			Crash:    fuzzRate(crash),
 			Straggle: fuzzRate(straggle),
 		}
+		if budget != 0 {
+			cfg.Attempts = 1 + int(budget%4)
+			cfg.Persist = cfg.Attempts + int(budget/4%4)
+		}
 		sched, err := chaos.New(cfg)
 		if err != nil {
 			t.Fatalf("New(%+v): %v", cfg, err)
@@ -105,20 +117,35 @@ func FuzzChaosDeliver(f *testing.F) {
 
 		const p, clusterSeed = 4, 11
 		clean := mpc.NewCluster(p, clusterSeed)
-		want := runFuzzProgram(clean, rows)
+		runFuzzProgram(clean, rows)
+		want := clean.Gather("out")
 
-		run := func() (*relation.Relation, *mpc.Metrics) {
+		run := func() *mpc.Cluster {
 			c := mpc.NewCluster(p, clusterSeed)
 			c.SetFaultInjector(sched)
-			out := runFuzzProgram(c, rows)
-			if c.Failed() != nil {
-				t.Fatalf("bounded-persistence run failed recovery: %v", c.Failed())
-			}
-			return out, c.Metrics()
+			runFuzzProgram(c, rows)
+			return c
 		}
-		got1, m1 := run()
-		got2, m2 := run()
+		c1, c2 := run(), run()
+		m1, m2 := c1.Metrics(), c2.Metrics()
 
+		if err := c1.Err(); err != nil {
+			var f1, f2 *mpc.RecoveryFailure
+			if budget == 0 || !errors.As(err, &f1) || f1.Metrics != m1 {
+				t.Fatalf("run failed with %v (rates %+v)", err, cfg)
+			}
+			if !errors.As(c2.Err(), &f2) || f2.Round != f1.Round || f2.Name != f1.Name || f2.Attempts != f1.Attempts || f2.Lost != f1.Lost {
+				t.Fatalf("replay failed as %v, the run as %v", c2.Err(), f1)
+			}
+			if !reflect.DeepEqual(m1.Events(), m2.Events()) {
+				t.Fatalf("replay of failed round %d drew another ledger", f1.Round)
+			}
+			return
+		}
+		if c2.Err() != nil {
+			t.Fatalf("replay failed with %v, the run recovered", c2.Err())
+		}
+		got1, got2 := c1.Gather("out"), c2.Gather("out")
 		if !got1.EqualAsSets(want) {
 			t.Fatalf("chaos run output differs from fault-free run (rates %+v)", cfg)
 		}

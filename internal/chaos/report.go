@@ -63,19 +63,3 @@ func (r *Report) String() string {
 	return fmt.Sprintf("rounds=%d replays=%d dropped=%d duplicated=%d redelivered=%d crashes=%d backoff=%d maxStraggle=%d — %s (reproduce with -chaos %s)",
 		r.Rounds, r.Replays, r.Dropped, r.Duplicated, r.Redelivered, r.Crashes, r.BackoffUnits, r.MaxStraggle, status, r.Spec)
 }
-
-// Capture runs fn, converting a *mpc.RecoveryFailure panic — the loud
-// failure path of a round whose recovery exhausted its replay budget —
-// into an ordinary return value. Other panics propagate.
-func Capture(fn func() error) (failure *mpc.RecoveryFailure, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if f, ok := r.(*mpc.RecoveryFailure); ok {
-				failure, err = f, f
-				return
-			}
-			panic(r)
-		}
-	}()
-	return nil, fn()
-}

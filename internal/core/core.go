@@ -125,8 +125,8 @@ type Engine struct {
 	// Chaos, when non-nil, attaches this fault schedule to every cluster
 	// the engine builds (typically a *chaos.Schedule). Executions then
 	// run the mpc recovery protocol: they either complete with output
-	// and (L, r, C) identical to the fault-free run, or panic with a
-	// *mpc.RecoveryFailure (recoverable via chaos.Capture).
+	// and (L, r, C) identical to the fault-free run, or return an error
+	// wrapping the *mpc.RecoveryFailure, whose Metrics is the ledger.
 	Chaos mpc.FaultInjector
 	// Transport, when non-nil, routes every cluster's round delivery
 	// through this backend (typically an *mpcnet.Transport dialed for P
@@ -277,7 +277,8 @@ func (e *Engine) newCluster() *mpc.Cluster {
 // and the column order it wants, or nil; a projection runs only when
 // the columns came in another order (broadcast with the second atom
 // smaller, sortjoin with the join variable first in atom 0). body may
-// extend ex.Reason and set ex.Iterations.
+// extend ex.Reason and set ex.Iterations. A failed round's error, the
+// cluster's Err, is returned before the gather, in place of body's.
 func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex *Execution) (rel string, vars []string, err error)) (*Execution, error) {
 	if err := mpc.CheckCapacities(e.P, e.Capacities); err != nil {
 		return nil, err
@@ -285,6 +286,9 @@ func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex 
 	c := e.newCluster()
 	ex := &Execution{Algorithm: alg, Reason: reason}
 	rel, vars, err := body(c, ex)
+	if cerr := c.Err(); cerr != nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -137,13 +138,13 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 
 	t.Run("failed recovery", func(t *testing.T) {
 		c, rec := traced(t, 0, "5:drop=0.3,crash=0.3,attempts=2")
-		failure, _ := chaos.Capture(func() error {
-			_, err := e.join(c, &Execution{Algorithm: AlgGYM}, Request{Query: hypergraph.Path(3),
-				Relations: testkit.GenInstance(hypergraph.Path(3), testkit.SkewNone, testkit.GenConfig{Tuples: 150}, seed)})
-			return err
-		})
-		if failure == nil || failure.Metrics != c.Metrics() {
-			t.Fatalf("the schedule must exhaust its replay budget, got failure %v", failure)
+		if _, err := e.join(c, &Execution{Algorithm: AlgGYM}, Request{Query: hypergraph.Path(3),
+			Relations: testkit.GenInstance(hypergraph.Path(3), testkit.SkewNone, testkit.GenConfig{Tuples: 150}, seed)}); err != nil {
+			t.Fatal(err)
+		}
+		var failure *mpc.RecoveryFailure
+		if !errors.As(c.Err(), &failure) || failure.Metrics != c.Metrics() {
+			t.Fatalf("the schedule must exhaust its replay budget, got Err %v", c.Err())
 		}
 		evs := assertSinkDrawsLedger(t, c, rec)
 		down := 0

@@ -154,6 +154,9 @@ func RunAdaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.R
 		}
 	})
 	shuffle(c, "adaptive:probe", q.Atoms, probe, outName, pl.Route)
+	if err := c.Err(); err != nil {
+		return nil, err // the probe round was not metered: there is nothing to judge
+	}
 
 	// Decision: probe receive skew, confirmed by emerging heavy hitters.
 	probeRound := c.Metrics().Rounds() - 1

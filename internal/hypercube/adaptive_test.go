@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -239,5 +240,19 @@ func TestRunAdaptiveLeavesInputsUntouched(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAdaptiveProbeFailure: when the probe round is lost, RunAdaptive
+// returns the cluster's failure instead of judging a round that was
+// never metered.
+func TestAdaptiveProbeFailure(t *testing.T) {
+	q := hypergraph.Triangle()
+	rels := testkit.GenInstance(q, testkit.SkewHeavy, testkit.GenConfig{Tuples: 120, HeavyFrac: 0.5}, 1)
+	c := testkit.NewChaosCluster(8, 1, "1:drop=1,attempts=1")
+	res, err := RunAdaptive(c, q, rels, "out", 42)
+	var f *mpc.RecoveryFailure
+	if res != nil || !errors.As(err, &f) || f.Name != "adaptive:probe" || err != c.Err() {
+		t.Fatalf("RunAdaptive with a lost probe returned %+v, %v; the cluster failed with %v", res, err, c.Err())
 	}
 }

@@ -1,6 +1,8 @@
 package matmul
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"mpcquery/internal/mpc"
@@ -51,4 +53,34 @@ func TestSparseSQLMultiplyChaos(t *testing.T) {
 			t.Error("chaos sparse product differs from dense reference multiply")
 		}
 	})
+}
+
+// TestLostRoundIsAnError: every multiplication driver that loses round
+// k, for each k of its fault-free run, returns the cluster's
+// *mpc.RecoveryFailure and no product, never a matrix with the lost
+// elements read as zeros.
+func TestLostRoundIsAnError(t *testing.T) {
+	a, b := Random(8, 9, 1), Random(8, 9, 2)
+	ra, rb := RandomSparseRect(8, 8, 20, 9, 1), RandomSparseRect(8, 8, 20, 9, 2)
+	// Each driver reports whether it returned a product.
+	drivers := map[string]func(c *mpc.Cluster) (bool, error){
+		"RectangleBlock":    func(c *mpc.Cluster) (bool, error) { r, err := RectangleBlock(c, a, b); return r != nil, err },
+		"SquareBlock":       func(c *mpc.Cluster) (bool, error) { r, err := SquareBlock(c, a, b, 2, 2); return r != nil, err },
+		"SQLJoinAggregate":  func(c *mpc.Cluster) (bool, error) { r, err := SQLJoinAggregate(c, a, b, 1); return r != nil, err },
+		"SparseSQLMultiply": func(c *mpc.Cluster) (bool, error) { m, _, err := SparseSQLMultiply(c, ra, rb, 1); return m != nil, err },
+	}
+	for name, run := range drivers {
+		clean := mpc.NewCluster(16, 1)
+		if _, err := run(clean); err != nil || clean.Metrics().Rounds() == 0 {
+			t.Fatalf("%s fault-free: %d rounds, error %v", name, clean.Metrics().Rounds(), err)
+		}
+		for k := 0; k < clean.Metrics().Rounds(); k++ {
+			c := testkit.NewChaosCluster(16, 1, fmt.Sprintf("1:drop=1,attempts=1,after=%d", k))
+			product, err := run(c)
+			var f *mpc.RecoveryFailure
+			if !errors.As(err, &f) || f.Round != k || product {
+				t.Fatalf("%s losing round %d: product returned %v, error %v", name, k, product, err)
+			}
+		}
+	}
 }

@@ -30,9 +30,15 @@ func onJ(seed uint64) []mpc.Send {
 	}
 }
 
-// gatherMatrix reassembles an n×n matrix from element tuples (r, c, v)
-// distributed under name, summing duplicates (partial sums).
-func gatherMatrix(c *mpc.Cluster, name string, n int) *Matrix {
+// result reassembles the n×n product from element tuples (r, c, v)
+// distributed under name, summing duplicates (partial sums), and counts
+// the rounds run since start. On a cluster that failed a round it
+// returns the failure instead: an element that round never delivered
+// must not read as zero.
+func result(c *mpc.Cluster, name string, n, start int) (*MatMulResult, error) {
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
 	out := New(n)
 	for i := 0; i < c.P(); i++ {
 		frag := c.Server(i).Rel(name)
@@ -44,7 +50,7 @@ func gatherMatrix(c *mpc.Cluster, name string, n int) *Matrix {
 			out.data[row[0]*int64(n)+row[1]] += row[2]
 		}
 	}
-	return out
+	return &MatMulResult{C: out, Rounds: c.Metrics().Rounds() - start}, nil
 }
 
 // MatMulResult reports a distributed multiplication.
@@ -126,8 +132,7 @@ func RectangleBlock(c *mpc.Cluster, a, b *Matrix) (*MatMulResult, error) {
 		srv.Delete("Arows")
 		srv.Delete("Bcols")
 	})
-	res := &MatMulResult{C: gatherMatrix(c, "C", n), Rounds: c.Metrics().Rounds() - start}
-	return res, nil
+	return result(c, "C", n, start)
 }
 
 // SquareBlock runs the multi-round block algorithm of slides 111–121
@@ -247,9 +252,9 @@ func SquareBlock(c *mpc.Cluster, a, b *Matrix, h, g int) (*MatMulResult, error) 
 			srv.Delete("Psum")
 		})
 	}
-	res := &MatMulResult{C: gatherMatrix(c, "Psum", n), Rounds: c.Metrics().Rounds() - start}
+	res, err := result(c, "Psum", n, start)
 	c.DeleteAll("Psum")
-	return res, nil
+	return res, err
 }
 
 // SQLJoinAggregate multiplies matrices as the relational query of
@@ -314,7 +319,7 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 		srv.Put(relation.GroupBy("C", frag, []string{"i", "k"}, relation.Sum, "v", "v"))
 		srv.Delete("Cagg")
 	})
-	res := &MatMulResult{C: gatherMatrix(c, "C", n), Rounds: c.Metrics().Rounds() - start}
+	res, err := result(c, "C", n, start)
 	c.DeleteAll("C")
-	return res, nil
+	return res, err
 }

@@ -158,6 +158,9 @@ func SparseSQLMultiply(c *mpc.Cluster, a, b *Rect, seed uint64) (*Rect, int, err
 	})
 	c.Shuffle("sparsemm:aggregate", mpc.Send{From: "prod", To: "Cagg", Policy: mpc.Hash(seed, "i", "k")})
 	c.DeleteAll("prod")
+	if err := c.Err(); err != nil {
+		return nil, 0, err // an element a failed round never delivered must not read as zero
+	}
 	out := NewRect(a.Rows, b.Cols)
 	for i := 0; i < c.P(); i++ {
 		frag := c.Server(i).Rel("Cagg")

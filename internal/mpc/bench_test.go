@@ -83,7 +83,7 @@ func BenchmarkRoundTraced(b *testing.B) {
 }
 
 // BenchmarkDeliver isolates the delivery path: outs are built once and
-// reused (deliver only reads them), so the timed region is exactly
+// reused (the commit only reads them), so the timed region is exactly
 // "move every fragment into its destination server and meter it".
 func BenchmarkDeliver(b *testing.B) {
 	for _, p := range benchPs {
@@ -96,7 +96,7 @@ func BenchmarkDeliver(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.deliver("shuffle", outs)
+				c.deliverCommit("shuffle", outs)
 				b.StopTimer()
 				c.DeleteAll("M")
 				c.ResetMetrics()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"mpcquery/internal/relation"
@@ -76,15 +77,13 @@ func TestZeroArityMixedWithRegularStreams(t *testing.T) {
 // attribute names used to silently merge two schemas into one relation.
 func TestOpenReopenValidatesNames(t *testing.T) {
 	c := NewCluster(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on reopen with different attribute names")
-		}
-	}()
 	c.Round("bad", func(s *Server, out *Out) {
 		out.Open("A", "x", "y").Send(0, 1, 2)
 		out.Open("A", "x", "z").Send(0, 3, 4)
 	})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), `mpc: stream A reopened with attribute "z" at position 1, want "y"`) {
+		t.Fatalf("reopen with different attribute names: Err %v", err)
+	}
 }
 
 // TestOpenReopenSameSchemaAppends: a legitimate reopen with the
@@ -116,21 +115,19 @@ func TestGatherValidatesFragmentSchemas(t *testing.T) {
 }
 
 // TestDeliverValidatesAttrNames: delivering a stream into an existing
-// relation of the same arity but different attribute names panics
-// rather than merging schemas.
+// relation of the same arity but different attribute names fails the
+// round rather than merging schemas.
 func TestDeliverValidatesAttrNames(t *testing.T) {
 	c := NewCluster(2, 1)
 	c.Round("r1", func(s *Server, out *Out) {
 		out.Open("A", "x").Send(0, 1)
 	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on attr-name mismatch at delivery")
-		}
-	}()
 	c.Round("r2", func(s *Server, out *Out) {
 		out.Open("A", "y").Send(0, 2)
 	})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "delivers A with attrs [y] into existing attrs [x]") {
+		t.Fatalf("attr-name mismatch at delivery: Err %v", err)
+	}
 }
 
 // TestBufferPoolReuseAcrossRounds pins the pooling contract: a round's

@@ -287,33 +287,22 @@ func FuzzRoundEvents(f *testing.F) {
 		failedAt := -1
 		for r := range plan {
 			noted[r] = notes(r)
-			failure, _ := func() (failure *RecoveryFailure, ok bool) {
-				defer func() {
-					if v := recover(); v != nil {
-						failure, ok = v.(*RecoveryFailure)
-						if !ok {
-							panic(v)
+			c.Round(fmt.Sprintf("r%d", r), func(s *Server, out *Out) {
+				for _, sd := range plan[r][s.ID()] {
+					fs := fuzzStreams[sd.stream]
+					st := out.Open(fs.name, fs.attrs...)
+					row := make([]relation.Value, len(fs.attrs))
+					for i := 0; i < sd.n; i++ {
+						for j := range row {
+							row[j] = relation.Value(s.ID()*1000 + i*10 + j)
 						}
+						st.SendRow(sd.dst, row)
 					}
-				}()
-				c.Round(fmt.Sprintf("r%d", r), func(s *Server, out *Out) {
-					for _, sd := range plan[r][s.ID()] {
-						fs := fuzzStreams[sd.stream]
-						st := out.Open(fs.name, fs.attrs...)
-						row := make([]relation.Value, len(fs.attrs))
-						for i := 0; i < sd.n; i++ {
-							for j := range row {
-								row[j] = relation.Value(s.ID()*1000 + i*10 + j)
-							}
-							st.SendRow(sd.dst, row)
-						}
-					}
-				})
-				return nil, true
-			}()
-			if failure != nil {
-				if failure.Round != r || failure.Metrics != c.Metrics() {
-					t.Fatalf("round %d failed as %+v", r, failure)
+				}
+			})
+			if err := c.Err(); err != nil {
+				if failure, ok := err.(*RecoveryFailure); !ok || failure.Round != r || failure.Metrics != c.Metrics() {
+					t.Fatalf("round %d failed as %v", r, err)
 				}
 				failedAt = r
 				break
@@ -322,7 +311,7 @@ func FuzzRoundEvents(f *testing.F) {
 		if failedAt < 0 {
 			noted[rounds] = notes(rounds)
 		} else {
-			c.Note("after the failure") // a poisoned cluster's ledger ends at its failed round
+			c.Note("after the failure") // a failed cluster's ledger ends at its failed round
 		}
 
 		evs := rec.Events()
@@ -419,8 +408,8 @@ func FuzzRoundEvents(f *testing.F) {
 				t.Errorf("round %d: %d crash and %d backoff events (%d units), ledger %+v", r, crashes, backoffs, units, cs)
 			}
 			if failed {
-				if starts != 1 || last > 1 || cs == nil || cs.Attempts() != c.Failed().Attempts {
-					t.Fatalf("failed round %d: %d round_start events, last phase %d, attempt log %+v, failure %v", r, starts, last, cs, c.Failed())
+				if starts != 1 || last > 1 || cs == nil || cs.Attempts() != c.Err().(*RecoveryFailure).Attempts {
+					t.Fatalf("failed round %d: %d round_start events, last phase %d, attempt log %+v, failure %v", r, starts, last, cs, c.Err())
 				}
 				break
 			}

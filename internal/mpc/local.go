@@ -2,6 +2,8 @@
 
 package mpc
 
+import "fmt"
+
 // localTransport moves a round's fragments between goroutines of one
 // process. Destinations are independent — server dst's inbox is the
 // concatenation of fragments addressed to dst, in canonical order — so
@@ -25,7 +27,7 @@ func (localTransport) Deliver(v *RoundView) error {
 			v.deliverTo(&v.streams[i], dst)
 		}
 	}); dst >= 0 {
-		panic(r)
+		return fmt.Errorf("delivery to server %d panicked: %v", dst, r)
 	}
 	return nil
 }

@@ -169,7 +169,7 @@ type Metrics struct {
 	stats []RoundStat
 	notes []note // in the order they were made
 	// failed is the round whose recovery exhausted its replay budget,
-	// Name and Chaos only; it ends the ledger of a poisoned cluster.
+	// Name and Chaos only; it ends the ledger of a failed cluster.
 	failed *RoundStat
 }
 

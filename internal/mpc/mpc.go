@@ -68,10 +68,10 @@ type Cluster struct {
 	// what every server receives, not only how its load is judged.
 	caps []float64
 	// faults, when non-nil, routes every round through the recovery
-	// driver (recovery.go); failed poisons the cluster after a round
-	// whose recovery exhausted its replay budget.
+	// driver (recovery.go).
 	faults FaultInjector
-	failed *RecoveryFailure
+	// err is the first round failure; see Err.
+	err error
 	// transport commits every round (see transport.go). It is never
 	// nil: LocalTransport is the default. Everything observable —
 	// fragments, metering, traces — is identical across conforming
@@ -179,8 +179,8 @@ func (c *Cluster) Adapt(reason string, maxRecv int64, gini float64) {
 }
 
 func (c *Cluster) note(n note) {
-	if c.failed != nil {
-		return // the ledger of a poisoned cluster ends at its failed round
+	if c.err != nil {
+		return // the ledger of a failed cluster ends at its failed round
 	}
 	n.rounds = c.metrics.Rounds()
 	c.metrics.notes = append(c.metrics.notes, n)
@@ -500,45 +500,47 @@ func (c *Cluster) roundOuts() []*Out {
 // waits, then all emitted messages are delivered and metered. The name
 // labels the round in metric reports. Messages are delivered in a
 // canonical order (by source server, then stream creation order, then
-// send order) so simulations are bit-for-bit reproducible.
+// send order) so simulations are bit-for-bit reproducible. A round that
+// cannot commit sets Err; once it is set, Round runs nothing.
 func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
-	c.checkHealthy("Round")
-	outs := c.roundOuts()
-	i, r := c.fan.run(c.p, func(i int) { compute(c.servers[i], outs[i]) })
-	// Every compute has returned; recycle the round buffers on every
-	// exit path (including panics) so the pool is never dirty.
-	defer func() {
-		for _, o := range outs {
-			o.reset()
-		}
-	}()
-	if i >= 0 {
-		panic(fmt.Sprintf("mpc: round %q: server %d panicked: %v", name, i, r))
+	if c.err != nil {
+		return
 	}
-	c.deliver(name, outs)
+	outs := c.roundOuts()
+	if i, r := c.fan.run(c.p, func(i int) { compute(c.servers[i], outs[i]) }); i >= 0 {
+		c.err = fmt.Errorf("mpc: round %q: server %d panicked: %v", name, i, r)
+	} else if c.faults != nil { // the chaos hooks' whole cost on the fault-free path
+		c.err = c.deliverChaos(name, outs)
+	} else {
+		c.err = c.deliverCommit(name, outs)
+	}
+	// Every compute has returned: recycle the round buffers, so the
+	// pool is never dirty.
+	for _, o := range outs {
+		o.reset()
+	}
 	c.sink()
 }
 
-// deliver dispatches a round's delivery: through the recovery driver
-// when a fault injector is attached, straight to the commit otherwise.
-// The injector check is the entire cost of the chaos hooks on the
-// fault-free path.
-func (c *Cluster) deliver(name string, outs []*Out) {
-	if c.faults != nil {
-		c.deliverChaos(name, outs)
-		return
-	}
-	if err := c.deliverCommit(name, outs); err != nil {
-		panic(err.Error())
-	}
-}
+// Err returns the first round failure, or nil if every round so far
+// committed: a server's compute panic in Round or LocalStep, a delivery
+// error wrapping the transport's, or a *RecoveryFailure. It is sticky,
+// like a bufio.Writer's: after it Round, Shuffle and LocalStep run
+// nothing, the ledger ends, and Gather refuses; TotalLen, MaxFragLen and
+// Loads still count what is stored, so only a driver whose loop or
+// index depends on a round's result checks Err.
+func (c *Cluster) Err() error { return c.err }
 
 // LocalStep runs compute on every server, each on its own goroutine as
 // in Round, without any communication; it does not count as a round.
-// Use it for purely local phases such as final local joins.
+// Use it for purely local phases such as final local joins. Like Round,
+// it sets Err when a server panics and runs nothing once Err is set.
 func (c *Cluster) LocalStep(compute func(s *Server)) {
+	if c.err != nil {
+		return
+	}
 	if i, r := c.fan.run(c.p, func(i int) { compute(c.servers[i]) }); i >= 0 {
-		panic(fmt.Sprintf("mpc: local step: server %d panicked: %v", i, r))
+		c.err = fmt.Errorf("mpc: local step: server %d panicked: %v", i, r)
 	}
 }
 
@@ -586,11 +588,13 @@ func (c *Cluster) putFragments(rel *relation.Relation, counts []int) []*relation
 // not metered: it is how the driver reads an answer off the cluster.
 // Every fragment must carry the same schema; a mismatch means two
 // different relations were stored under one name, and concatenating
-// them would silently produce garbage. Gathering from a cluster
-// poisoned by a failed recovery panics: a fragment lost to an
-// unrecovered fault must not be read as empty.
+// them would silently produce garbage. Gathering from a cluster whose
+// Err is set panics: a fragment a failed round never delivered must not
+// be read as empty, so a caller checks Err before it reads the answer.
 func (c *Cluster) Gather(name string) *relation.Relation {
-	c.checkHealthy("Gather")
+	if c.err != nil {
+		panic(fmt.Sprintf("mpc: gather %q from a failed cluster: %v", name, c.err))
+	}
 	var first *relation.Relation
 	words := 0
 	for _, s := range c.servers {
@@ -627,11 +631,8 @@ func (c *Cluster) DeleteAll(name string) {
 }
 
 // TotalLen sums the sizes of the named relation fragment across servers
-// (0 if absent everywhere). Like Gather, it panics on a cluster
-// poisoned by a failed recovery instead of counting lost fragments as
-// empty.
+// (0 if absent everywhere).
 func (c *Cluster) TotalLen(name string) int {
-	c.checkHealthy("TotalLen")
 	total := 0
 	for _, s := range c.servers {
 		if f := s.rels[name]; f != nil {
@@ -641,10 +642,8 @@ func (c *Cluster) TotalLen(name string) int {
 	return total
 }
 
-// MaxFragLen returns the largest per-server fragment size of name. It
-// panics on a cluster poisoned by a failed recovery.
+// MaxFragLen returns the largest per-server fragment size of name.
 func (c *Cluster) MaxFragLen(name string) int {
-	c.checkHealthy("MaxFragLen")
 	m := 0
 	for _, s := range c.servers {
 		if f := s.rels[name]; f != nil && f.Len() > m {

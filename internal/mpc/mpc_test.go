@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -132,66 +133,67 @@ func TestRoundArityMismatchPanics(t *testing.T) {
 	c.Round("r1", func(s *Server, out *Out) {
 		out.Open("A", "x").Send(0, 1)
 	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on arity mismatch")
-		}
-	}()
 	c.Round("r2", func(s *Server, out *Out) {
 		out.Open("A", "x", "y").Send(0, 1, 2)
 	})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), `round "r2" delivers A with attrs [x y] into existing attrs [x]`) {
+		t.Fatalf("arity mismatch: Err %v", err)
+	}
+	if c.Metrics().Rounds() != 1 {
+		t.Fatalf("the rejected round was metered: %d rounds", c.Metrics().Rounds())
+	}
 }
 
 func TestSendArityPanics(t *testing.T) {
 	c := NewCluster(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
 	c.Round("bad", func(s *Server, out *Out) {
 		out.Open("A", "x").Send(0, 1, 2)
 	})
+	if err := c.Err(); err == nil || err.Error() != `mpc: round "bad": server 0 panicked: mpc: stream A send arity 2, want 1` {
+		t.Fatalf("send arity: Err %v", err)
+	}
 }
 
 func TestSendOutOfRangePanics(t *testing.T) {
 	c := NewCluster(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
 	c.Round("bad", func(s *Server, out *Out) {
 		out.Open("A", "x").Send(5, 1)
 	})
+	if err := c.Err(); err == nil || err.Error() != `mpc: round "bad": server 0 panicked: mpc: send to server 5 of 2` {
+		t.Fatalf("send out of range: Err %v", err)
+	}
 }
 
-// TestComputePanicPropagates pins the panic texts of Round and
-// LocalStep: each names the lowest server that panicked, and the
-// workers the panics ran on go on serving later rounds.
+// TestComputePanicPropagates pins the error texts of a panic in Round
+// and in LocalStep: each names the lowest server that panicked, and
+// neither meters a round. The workers the panics ran on go on serving
+// the rounds of a fresh cluster.
 func TestComputePanicPropagates(t *testing.T) {
-	c := NewCluster(5, 1)
-	text := func(f func()) (s string) {
-		defer func() { s = fmt.Sprint(recover()) }()
-		f()
-		return ""
-	}
 	boom := func(id int) {
 		if id%2 == 1 {
 			panic(fmt.Sprintf("bug %d", id))
 		}
 	}
-	for _, tc := range []struct{ got, want string }{
-		{text(func() { c.Round("boom", func(s *Server, _ *Out) { boom(s.ID()) }) }), `mpc: round "boom": server 1 panicked: bug 1`},
-		{text(func() { c.LocalStep(func(s *Server) { boom(s.ID()) }) }), "mpc: local step: server 1 panicked: bug 1"},
+	for _, tc := range []struct {
+		run  func(c *Cluster)
+		want string
+	}{
+		{func(c *Cluster) { c.Round("boom", func(s *Server, _ *Out) { boom(s.ID()) }) }, `mpc: round "boom": server 1 panicked: bug 1`},
+		{func(c *Cluster) { c.LocalStep(func(s *Server) { boom(s.ID()) }) }, "mpc: local step: server 1 panicked: bug 1"},
 	} {
-		if tc.got != tc.want {
-			t.Errorf("panic %q, want %q", tc.got, tc.want)
+		c := NewCluster(5, 1)
+		tc.run(c)
+		if err := c.Err(); err == nil || err.Error() != tc.want {
+			t.Errorf("Err %v, want %q", err, tc.want)
+		}
+		if c.Metrics().Rounds() != 0 {
+			t.Errorf("a panicked round was metered")
 		}
 	}
+	c := NewCluster(5, 1)
 	c.Round("ok", func(s *Server, out *Out) { out.Open("A", "x").Send(0, relation.Value(s.ID())) })
-	if got := c.TotalLen("A"); got != 5 {
-		t.Fatalf("the round after the panics delivered %d tuples, want 5", got)
+	if got := c.TotalLen("A"); got != 5 || c.Err() != nil {
+		t.Fatalf("the round after the panics delivered %d tuples, want 5 (Err %v)", got, c.Err())
 	}
 }
 

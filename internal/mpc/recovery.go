@@ -21,10 +21,10 @@
 // committed through the normal delivery engine, so the post-round
 // server state and the (L, r, C) metering are bit-for-bit those of the
 // fault-free run, with the recovery activity recorded separately in
-// RoundStat.Chaos — or it exhausts the replay budget and fails loudly:
-// Round panics with a *RecoveryFailure and the cluster is poisoned
-// (Gather, TotalLen, MaxFragLen and further rounds refuse to serve
-// possibly-partial state).
+// RoundStat.Chaos — or it exhausts the replay budget and fails: the
+// cluster's Err becomes a *RecoveryFailure, the ledger ends at the
+// failed round's attempt log, further rounds run nothing, and Gather
+// refuses to read possibly-partial state.
 
 package mpc
 
@@ -79,13 +79,9 @@ type FaultInjector interface {
 // delivery path is exactly the fault-free engine.
 func (c *Cluster) SetFaultInjector(f FaultInjector) { c.faults = f }
 
-// Failed returns the recovery failure that poisoned the cluster, or
-// nil if every round so far committed.
-func (c *Cluster) Failed() *RecoveryFailure { return c.failed }
-
 // RecoveryFailure reports a round whose fragments could not all be
-// delivered within the replay budget. It is the panic value of the
-// failing Round call and satisfies error.
+// delivered within the replay budget. It is the error the failed
+// cluster's Err returns; errors.As finds it through any wrapping.
 type RecoveryFailure struct {
 	// Round is the zero-based index of the failed round; Name its label.
 	Round int
@@ -94,7 +90,7 @@ type RecoveryFailure struct {
 	// replay budget), Lost the fragments still undelivered after them.
 	Attempts int
 	Lost     int
-	// Metrics is the poisoned cluster's ledger, the failed round's
+	// Metrics is the failed cluster's ledger, the failed round's
 	// attempt log last: a failed run's trace is drawn from it.
 	Metrics *Metrics
 }
@@ -114,23 +110,15 @@ func (f *RecoveryFailure) Error() string {
 		f.Round, f.Name, f.Attempts, f.Lost, f.Crashed())
 }
 
-// checkHealthy panics if a failed recovery has poisoned the cluster.
-// Serving reads (or running more rounds) after a round was lost would
-// silently treat the missing fragments as empty.
-func (c *Cluster) checkHealthy(op string) {
-	if c.failed != nil {
-		panic(fmt.Sprintf("mpc: %s on a cluster with an unrecovered fault: %v", op, c.failed))
-	}
-}
-
 // deliverChaos is the recovery driver: it replays the round's fragment
 // set against the fault schedule until every fragment has been accepted
 // exactly once, then commits the round through the fault-free engine.
 // Because commit happens only after the full fragment set has landed,
 // the committed state and metering are bit-for-bit the fault-free ones
 // regardless of the fault/replay interleaving, and delivery order never
-// depends on which attempt a fragment landed in.
-func (c *Cluster) deliverChaos(name string, outs []*Out) {
+// depends on which attempt a fragment landed in. A round that exhausts
+// the replay budget returns a *RecoveryFailure and is not committed.
+func (c *Cluster) deliverChaos(name string, outs []*Out) error {
 	inj := c.faults
 	round := c.metrics.Rounds()
 	// Enumerate the round's fragments in canonical order: source, then
@@ -211,14 +199,13 @@ func (c *Cluster) deliverChaos(name string, outs []*Out) {
 		}
 		if attempt+1 >= maxAttempts {
 			c.metrics.failed = &RoundStat{Name: name, Chaos: cs}
-			c.failed = &RecoveryFailure{Round: round, Name: name, Attempts: attempt + 1, Lost: remaining, Metrics: c.metrics}
-			c.sink()
-			panic(c.failed)
+			return &RecoveryFailure{Round: round, Name: name, Attempts: attempt + 1, Lost: remaining, Metrics: c.metrics}
 		}
 		backoff = inj.BackoffUnits(attempt + 1)
 	}
 	if err := c.deliverCommit(name, outs); err != nil {
-		panic(err.Error())
+		return err
 	}
 	c.metrics.stats[len(c.metrics.stats)-1].Chaos = cs
+	return nil
 }

@@ -1,6 +1,7 @@
 package mpc_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -107,8 +108,8 @@ func TestChaosCommitMatchesFaultFree(t *testing.T) {
 			chaosC := mpc.NewCluster(5, 7)
 			chaosC.SetFaultInjector(chaos.MustParseSchedule(spec))
 			recoveryProgram(chaosC, 300)
-			if chaosC.Failed() != nil {
-				t.Fatalf("bounded-persistence schedule failed recovery: %v", chaosC.Failed())
+			if err := chaosC.Err(); err != nil {
+				t.Fatalf("bounded-persistence schedule failed recovery: %v", err)
 			}
 			assertSameRun(t, clean, chaosC, false)
 			for i, st := range chaosC.Metrics().RoundStats() {
@@ -189,8 +190,8 @@ func TestChaosEventsMatchLedger(t *testing.T) {
 				rec := trace.NewRecorder()
 				c.SetTracer(rec)
 				recoveryProgram(c, 300)
-				if f := c.Failed(); f != nil {
-					t.Fatalf("schedule failed recovery: %v", f)
+				if err := c.Err(); err != nil {
+					t.Fatalf("schedule failed recovery: %v", err)
 				}
 				stats := c.Metrics().RoundStats()
 				roundCrashes, roundBackoffs, summaries := make([]int, len(stats)), make([]int, len(stats)), make([]int, len(stats))
@@ -293,8 +294,8 @@ func TestCrashRedelivery(t *testing.T) {
 		},
 	})
 	allToAll(c)
-	if c.Failed() != nil {
-		t.Fatalf("recovery failed: %v", c.Failed())
+	if err := c.Err(); err != nil {
+		t.Fatalf("recovery failed: %v", err)
 	}
 	cs := c.Metrics().RoundStats()[0].Chaos
 	if cs.Attempts() != 3 || cs.Dropped != 1 || cs.Crashes() != 1 || cs.Redelivered != 3 {
@@ -327,10 +328,10 @@ func TestStragglerMetering(t *testing.T) {
 }
 
 // TestRecoveryFailurePoisonsCluster drives recovery past its replay
-// budget and asserts the loud-failure contract: Round panics with a
-// *RecoveryFailure, and every subsequent read of possibly-partial state
-// panics too instead of treating lost fragments as empty (the silent
-// Gather/TotalLen bug this PR fixes).
+// budget and asserts the failed-cluster invariant: Err is the
+// *RecoveryFailure, the ledger ends at the failed round, Round and
+// LocalStep run no compute after it, and Gather refuses to read
+// possibly-partial state instead of treating lost fragments as empty.
 func TestRecoveryFailurePoisonsCluster(t *testing.T) {
 	c := mpc.NewCluster(3, 1)
 	c.SetFaultInjector(&scriptInjector{
@@ -339,45 +340,32 @@ func TestRecoveryFailurePoisonsCluster(t *testing.T) {
 			return src == 1 && dst == 2 // permanent: fires on every attempt
 		},
 	})
+	allToAll(c)
+	var fail *mpc.RecoveryFailure
+	if !errors.As(c.Err(), &fail) {
+		t.Fatalf("Err %v, want *RecoveryFailure", c.Err())
+	}
+	if fail.Round != 0 || fail.Name != "all" || fail.Attempts != 4 || fail.Lost != 1 || fail.Metrics != c.Metrics() {
+		t.Fatalf("failure %+v, want round=0 name=all attempts=4 lost=1 and the cluster's ledger", fail)
+	}
+	events := len(c.Metrics().Events())
+	ran := 0
+	c.Round("after", func(*mpc.Server, *mpc.Out) { ran++ })
+	c.Shuffle("after", mpc.Send{From: "A", To: "B", Policy: mpc.Broadcast()})
+	c.LocalStep(func(*mpc.Server) { ran++ })
+	c.Note("after the failure")
+	if ran != 0 || c.Err() != fail || c.Metrics().Rounds() != 0 || len(c.Metrics().Events()) != events {
+		t.Fatalf("after the failure: %d computes ran, Err %v, %d rounds, %d events (was %d)",
+			ran, c.Err(), c.Metrics().Rounds(), len(c.Metrics().Events()), events)
+	}
 	func() {
 		defer func() {
-			r := recover()
-			fail, ok := r.(*mpc.RecoveryFailure)
-			if !ok {
-				t.Fatalf("Round panicked with %v, want *RecoveryFailure", r)
-			}
-			if fail.Round != 0 || fail.Name != "all" || fail.Attempts != 4 || fail.Lost != 1 {
-				t.Fatalf("failure %+v, want round=0 name=all attempts=4 lost=1", fail)
+			if msg, ok := recover().(string); !ok || !strings.Contains(msg, "from a failed cluster") || !strings.Contains(msg, fail.Error()) {
+				t.Fatalf("Gather on a failed cluster: panic %q does not name the failure", msg)
 			}
 		}()
-		allToAll(c)
-		t.Fatal("Round with a permanent drop did not panic")
+		c.Gather("A")
 	}()
-	if c.Failed() == nil {
-		t.Fatal("Failed() nil after a failed recovery")
-	}
-	for _, op := range []struct {
-		name string
-		fn   func()
-	}{
-		{"Gather", func() { c.Gather("A") }},
-		{"TotalLen", func() { c.TotalLen("A") }},
-		{"MaxFragLen", func() { c.MaxFragLen("A") }},
-		{"Round", func() { allToAll(c) }},
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s on a poisoned cluster did not panic", op.name)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, "unrecovered fault") {
-					t.Fatalf("%s panic %v does not name the unrecovered fault", op.name, r)
-				}
-			}()
-			op.fn()
-		}()
-	}
 }
 
 // TestPermanentCrashFailure exercises the failure path through the
@@ -389,16 +377,14 @@ func TestPermanentCrashFailure(t *testing.T) {
 		attempts: 3,
 		crash:    func(round, attempt, server int) bool { return server == 1 },
 	})
-	defer func() {
-		fail, ok := recover().(*mpc.RecoveryFailure)
-		if !ok {
-			t.Fatal("permanently crashed server did not fail the round")
-		}
-		if fail.Lost != 3 || len(fail.Crashed()) != 1 || fail.Crashed()[0] != 1 {
-			t.Fatalf("failure %+v, want lost=3 crashed=[1]", fail)
-		}
-	}()
 	allToAll(c)
+	var fail *mpc.RecoveryFailure
+	if !errors.As(c.Err(), &fail) {
+		t.Fatal("permanently crashed server did not fail the round")
+	}
+	if fail.Lost != 3 || len(fail.Crashed()) != 1 || fail.Crashed()[0] != 1 {
+		t.Fatalf("failure %+v, want lost=3 crashed=[1]", fail)
+	}
 }
 
 // TestChaosZeroRateSchedulesAreTransparent pins that an attached

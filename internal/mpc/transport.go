@@ -61,9 +61,9 @@ import (
 type Transport interface {
 	// Deliver ships every fragment of the round described by v and
 	// lands each exactly once via v.Land. A non-nil error, or a round
-	// left short of its plan, aborts the round: the cluster panics,
-	// since partial delivery would leave server state inconsistent with
-	// the metering.
+	// left short of its plan, fails the round unmetered, as the
+	// cluster's Err: partial delivery leaves server state inconsistent
+	// with the metering.
 	Deliver(v *RoundView) error
 	// Close releases transport resources (connections, workers). The
 	// cluster never calls Close; the transport's creator owns it.
@@ -86,15 +86,15 @@ func (c *Cluster) SetTransport(t Transport) {
 // the cluster's transport, checks that the transport landed exactly the
 // plan, and records the metered load. The committed state is a pure
 // function of the outs, so transports are interchangeable without
-// observable effect. An error leaves the round uncommitted; the caller
-// panics with it.
+// observable effect. An error leaves the round uncommitted and becomes
+// the cluster's Err.
 func (c *Cluster) deliverCommit(name string, outs []*Out) error {
 	v, err := c.planRound(name, outs)
 	if err != nil {
 		return err
 	}
 	if err := c.transport.Deliver(v); err != nil {
-		return fmt.Errorf("mpc: round %q: transport delivery failed: %v", name, err)
+		return fmt.Errorf("mpc: round %q: transport delivery failed: %w", name, err)
 	}
 	if err := v.checkLanded(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package mpc_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -141,30 +142,34 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 }
 
+// errUnplugged is what failingTransport's Deliver returns.
+var errUnplugged = errors.New("wire unplugged")
+
 // failingTransport errors on every delivery.
 type failingTransport struct{}
 
-func (failingTransport) Deliver(*mpc.RoundView) error { return fmt.Errorf("wire unplugged") }
+func (failingTransport) Deliver(*mpc.RoundView) error { return errUnplugged }
 func (failingTransport) Close() error                 { return nil }
 
-// TestTransportFailurePanics: a transport error must abort the round
-// loudly — committing partial state would desynchronize servers and
-// metering.
+// TestTransportFailurePanics: a transport error must fail the round
+// and become the cluster's Err, wrapping the transport's error —
+// committing partial state would desynchronize servers and metering.
 func TestTransportFailurePanics(t *testing.T) {
 	c := mpc.NewCluster(2, 1)
 	c.SetTransport(failingTransport{})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("round with failing transport did not panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "wire unplugged") {
-			t.Fatalf("panic %v does not carry the transport error", r)
-		}
-	}()
 	c.Round("r", func(s *mpc.Server, out *mpc.Out) {
 		out.Open("X", "a").Send(0, 1)
 	})
+	err := c.Err()
+	if err == nil {
+		t.Fatal("round with failing transport did not fail")
+	}
+	if !errors.Is(err, errUnplugged) || err.Error() != `mpc: round "r": transport delivery failed: wire unplugged` {
+		t.Fatalf("Err %v does not wrap the transport error", err)
+	}
+	if c.Metrics().Rounds() != 0 {
+		t.Fatalf("failed round was metered: %v", c.Metrics())
+	}
 }
 
 // deliverCounter counts Deliver calls and delivers nothing.
@@ -175,7 +180,7 @@ func (deliverCounter) Close() error                   { return nil }
 
 // TestValidateStreamsConflict: the cluster, not the transport, rejects a
 // round whose sources disagree on a stream schema or whose stream would
-// land into an existing relation of another schema — with the same panic
+// land into an existing relation of another schema — with the same Err
 // whatever transport is attached, and before Deliver is called.
 func TestValidateStreamsConflict(t *testing.T) {
 	rounds := map[string]func(s *mpc.Server, out *mpc.Out){
@@ -199,10 +204,8 @@ func TestValidateStreamsConflict(t *testing.T) {
 				c := mpc.NewCluster(2, 1)
 				c.SetTransport(tr)
 				c.Server(0).Put(relation.New("E", "a"))
-				func() {
-					defer func() { texts = append(texts, fmt.Sprint(recover())) }()
-					c.Round("conflict", round)
-				}()
+				c.Round("conflict", round)
+				texts = append(texts, fmt.Sprint(c.Err()))
 				if c.Metrics().Rounds() != 0 {
 					t.Fatalf("malformed round was metered: %v", c.Metrics())
 				}
@@ -211,7 +214,7 @@ func TestValidateStreamsConflict(t *testing.T) {
 				t.Fatalf("Deliver was called %d times on a malformed round", delivers)
 			}
 			if !strings.HasPrefix(texts[0], `mpc: round "conflict"`) || texts[1] != texts[0] || texts[2] != texts[0] {
-				t.Fatalf("panic differs across transports: %q", texts)
+				t.Fatalf("Err differs across transports: %q", texts)
 			}
 		})
 	}
@@ -264,21 +267,19 @@ func TestLandValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := mpc.NewCluster(2, 1)
 			c.SetTransport(tc.tr)
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("invalid landing did not abort the round")
-				}
-				if !strings.Contains(fmt.Sprint(r), tc.want) {
-					t.Fatalf("panic %q does not say %q", r, tc.want)
-				}
-				if c.Metrics().Rounds() != 0 {
-					t.Fatalf("rejected round was metered: %v", c.Metrics())
-				}
-			}()
 			c.Round("r", func(s *mpc.Server, out *mpc.Out) {
 				out.Open("X", "a").Send(0, 1)
 			})
+			err := c.Err()
+			if err == nil {
+				t.Fatal("invalid landing did not fail the round")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Err %q does not say %q", err, tc.want)
+			}
+			if c.Metrics().Rounds() != 0 {
+				t.Fatalf("rejected round was metered: %v", c.Metrics())
+			}
 		})
 	}
 }

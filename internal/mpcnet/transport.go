@@ -166,6 +166,9 @@ func handshake(cn *workerConn, p, nworkers int) error {
 // plus the worker's arrival-order echo make the landing order per
 // destination exactly the local transport's.
 func (t *Transport) Deliver(v *mpc.RoundView) error {
+	if t.conns == nil {
+		return fmt.Errorf("mpcnet: deliver on a closed transport: %w", net.ErrClosed)
+	}
 	if v.P() != t.p {
 		return fmt.Errorf("mpcnet: cluster of %d servers on transport dialed for %d", v.P(), t.p)
 	}

@@ -327,14 +327,15 @@ func TestClusterSizeMismatch(t *testing.T) {
 	defer tr.Close()
 	c := mpc.NewCluster(5, 1)
 	c.SetTransport(tr)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size-mismatched round did not abort")
-		}
-	}()
 	c.Round("r", func(s *mpc.Server, out *mpc.Out) {
 		out.Open("X", "a").Send(0, 1)
 	})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "mpcnet: cluster of 5 servers on transport dialed for 4") {
+		t.Fatalf("size-mismatched round did not fail: Err %v", err)
+	}
+	if c.Metrics().Rounds() != 0 {
+		t.Fatalf("size-mismatched round was metered: %v", c.Metrics())
+	}
 }
 
 // countingTransport counts the rounds that reach the wrapped transport's
@@ -351,8 +352,8 @@ func (ct *countingTransport) Deliver(v *mpc.RoundView) error {
 
 // TestDuplicateAttributeSameOnEveryBackend: a stream schema that names
 // an attribute twice is rejected by Out.Open at the call site, so the
-// local transport and loopback TCP fail with the identical panic text
-// and the TCP backend never writes a frame for the round.
+// local transport and loopback TCP fail the round with the identical
+// error text and the TCP backend never writes a frame for the round.
 func TestDuplicateAttributeSameOnEveryBackend(t *testing.T) {
 	tcp, err := mpcnet.NewLoopback(2, mpcnet.Options{})
 	if err != nil {
@@ -364,18 +365,16 @@ func TestDuplicateAttributeSameOnEveryBackend(t *testing.T) {
 	for _, tr := range []mpc.Transport{nil, wire} {
 		c := mpc.NewCluster(2, 1)
 		c.SetTransport(tr)
-		func() {
-			defer func() { texts = append(texts, fmt.Sprint(recover())) }()
-			c.Round("dup", func(s *mpc.Server, out *mpc.Out) {
-				if s.ID() == 0 {
-					out.Open("x", "a", "a").Send(1, 1, 2)
-				}
-			})
-		}()
+		c.Round("dup", func(s *mpc.Server, out *mpc.Out) {
+			if s.ID() == 0 {
+				out.Open("x", "a", "a").Send(1, 1, 2)
+			}
+		})
+		texts = append(texts, fmt.Sprint(c.Err()))
 	}
 	want := `mpc: round "dup": server 0 panicked: mpc: stream x opened with duplicate attribute "a"`
 	if texts[0] != want || texts[1] != want {
-		t.Fatalf("panics %q, want both %q", texts, want)
+		t.Fatalf("errors %q, want both %q", texts, want)
 	}
 	if wire.delivers != 0 {
 		t.Fatalf("%d rounds reached the TCP transport", wire.delivers)

@@ -173,9 +173,13 @@ func (v *ClosureView) sendSeeds(s *mpc.Server, st *mpc.Stream, dName string) {
 // ApplyBatch applies a batch of edge mutations to the standing view,
 // recomputing only the affected deltas. The batch is folded to its net
 // effect first (delete-then-reinsert of the same edge is a no-op), so
-// an empty net batch costs zero metered rounds.
+// an empty net batch costs zero metered rounds. On a cluster that has
+// failed a round, or fails one in the batch, it returns the cluster's Err.
 func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 	c := v.c
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
 	v.batches++
 	attrs := v.attrs
 	start := c.Metrics().Rounds()
@@ -222,6 +226,9 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 	stats.Rounds = c.Metrics().Rounds() - start
 	stats.Deleted = sizeBefore - sizeMid
 	stats.Inserted = c.TotalLen(v.name) - sizeMid
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
 	return stats, nil
 }
 

@@ -1,8 +1,11 @@
 package recursive
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
+	"mpcquery/internal/chaos"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
@@ -120,4 +123,42 @@ func TestIVMDeltaCheaperThanRecompute(t *testing.T) {
 		t.Errorf("insert batch moved %d words, full recomputation %d — IVM should be cheaper", deltaComm, fullComm)
 	}
 
+}
+
+// TestFailedRoundEndsFixpointAndView: a lost round ends the fixpoint at
+// its loop head, leaving the failure to the cluster's Err rather than
+// iterating no-op rounds into a convergence error; and a view whose
+// cluster has failed refuses every later batch with that failure,
+// scattering nothing into it.
+func TestFailedRoundEndsFixpointAndView(t *testing.T) {
+	edges := workload.RandomGraph("E", "src", "dst", 15, 30, 2)
+	c := testkit.NewChaosCluster(3, 4, "1:drop=1,attempts=1,after=1")
+	res, err := TransitiveClosure(c, edges, "tc", 55)
+	var f *mpc.RecoveryFailure
+	if err != nil || !errors.As(c.Err(), &f) || f.Round != 1 || res.Iterations != 2 {
+		t.Fatalf("fixpoint losing round 1: error %v, %d iterations, cluster Err %v", err, res.Iterations, c.Err())
+	}
+
+	c = mpc.NewCluster(3, 4)
+	view, _, err := NewClosureView(c, edges, "tcv", 55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetFaultInjector(chaos.MustParseSchedule("1:drop=1,attempts=1"))
+	insert := []EdgeOp{{Insert: true, From: 100, To: edges.Row(0)[0]}}
+	if stats, err := view.ApplyBatch(insert); stats != nil || !errors.As(err, &f) || err != c.Err() {
+		t.Fatalf("batch losing a round: stats %+v, error %v", stats, err)
+	}
+	names := make([][]string, c.P())
+	for i := range names {
+		names[i] = c.Server(i).RelNames()
+	}
+	if stats, err := view.ApplyBatch(insert); stats != nil || err != c.Err() {
+		t.Fatalf("batch on a failed view: stats %+v, error %v", stats, err)
+	}
+	for i := range names {
+		if got := c.Server(i).RelNames(); !slices.Equal(got, names[i]) {
+			t.Fatalf("the refused batch changed server %d's fragments: %v, was %v", i, got, names[i])
+		}
+	}
 }

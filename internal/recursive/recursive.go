@@ -198,7 +198,8 @@ func (f *fixpoint) run() (int, error) {
 	// means a kernel bug, not a slow input.
 	maxIter := 2*(c.TotalLen(f.edge)+c.TotalLen(f.delta)+c.P()) + 4
 	iters := 0
-	for c.TotalLen(f.delta) > 0 {
+	// A failed round runs nothing, so the delta would never shrink.
+	for c.Err() == nil && c.TotalLen(f.delta) > 0 {
 		if iters >= maxIter {
 			return iters, fmt.Errorf("recursive: %s did not converge after %d iterations", f.label, iters)
 		}

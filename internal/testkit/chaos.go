@@ -73,12 +73,12 @@ func NewChaosCluster(p int, seed int64, spec string) *mpc.Cluster {
 }
 
 // AssertRecovered fails the test unless every round of the
-// fault-injected cluster committed: no poisoning failure, and a
+// fault-injected cluster committed: no round failure, and a
 // recovery ledger present on each round.
 func AssertRecovered(t *testing.T, c *mpc.Cluster) {
 	t.Helper()
-	if f := c.Failed(); f != nil {
-		t.Fatalf("cluster failed recovery: %v", f)
+	if err := c.Err(); err != nil {
+		t.Fatalf("cluster failed recovery: %v", err)
 	}
 	for i, st := range c.Metrics().RoundStats() {
 		if st.Chaos == nil {

@@ -57,8 +57,8 @@ func chaosHashJoinTrace(t *testing.T) *trace.Recorder {
 	rec := trace.NewRecorder()
 	c.SetTracer(rec)
 	join2.HashJoin(c, r, s, "out", 7)
-	if f := c.Failed(); f != nil {
-		t.Fatalf("chaos scenario must recover, got %v", f)
+	if err := c.Err(); err != nil {
+		t.Fatalf("chaos scenario must recover, got %v", err)
 	}
 	return rec
 }
