@@ -15,8 +15,8 @@ import (
 
 func main() {
 	const n = 128
-	a := matmul.Random(n, 9, 1)
-	b := matmul.Random(n, 9, 2)
+	a := matmul.Random(n, n, 9, 1)
+	b := matmul.Random(n, n, 9, 2)
 	want := matmul.Multiply(a, b)
 	fmt.Println("=== MPC matrix multiplication (slides 107–126) ===")
 	fmt.Printf("n = %d; C and L count matrix elements\n\n", n)

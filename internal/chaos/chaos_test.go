@@ -209,8 +209,8 @@ func TestBackoffUnits(t *testing.T) {
 func TestReportString(t *testing.T) {
 	s := MustParseSchedule("7:drop=0.1")
 	rep := s.Report(nil, &mpc.RecoveryFailure{Round: 2, Name: "shuffle", Attempts: 8, Lost: 3})
-	if !rep.Failed() {
-		t.Fatal("report with failure not Failed()")
+	if rep.Failure == nil {
+		t.Fatal("report lost its failure")
 	}
 	str := rep.String()
 	for _, want := range []string{"FAILED", "shuffle", "-chaos 7:drop=0.1"} {

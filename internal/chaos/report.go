@@ -52,9 +52,6 @@ func (s *Schedule) Report(m *mpc.Metrics, failure *mpc.RecoveryFailure) *Report 
 	return r
 }
 
-// Failed reports whether the run ended in an unrecovered fault.
-func (r *Report) Failed() bool { return r.Failure != nil }
-
 func (r *Report) String() string {
 	status := "recovered"
 	if r.Failure != nil {

@@ -2,13 +2,14 @@ package core
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	pathpkg "path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,23 +31,28 @@ var exportAllowlist = map[string]bool{
 // so an exported function or method that only its own package's tests
 // call has no consumer anywhere: it moves into a _test.go file or is
 // deleted. A declaration counts as called when a non-test file anywhere
-// in the module (bench/ included) or a file of another package uses it.
-// A function is resolved by package: its own package's non-test files
-// must name it bare, and another package must name it through an
-// import of its package, as pkg.Name. A method is matched by name
-// alone, since which type a selector reaches is not known without type
-// checking, so a dead method that shares its name with a live
-// identifier goes unseen. testkit is exempt: it exists for tests.
+// in the module (bench/ and examples/ included) or a file of another
+// package uses it. Uses are resolved by type checking, so a method is
+// told apart from a same-named method of another type. A method also
+// counts as called when its type implements an interface whose method
+// of that name is called (a call through mpc.Transport or
+// mpc.FaultInjector reaches the implementations), or error's Error or
+// fmt.Stringer's String, which the standard library calls. testkit is
+// exempt: it exists for tests.
 func TestEveryExportIsCalled(t *testing.T) {
 	const module = "mpcquery"
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
-	type file struct {
-		dir  string
-		test bool
-		ast  *ast.File
+	im := &treeImporter{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		dirs: map[string]*pkgFiles{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
 	}
-	var files []file
+	fileDir := map[string]string{} // file name -> import path of its directory
+	testFile := map[string]bool{}
+	declEnd := map[token.Pos]token.Pos{} // a function's name -> the end of its declaration
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -57,99 +63,127 @@ func TestEveryExportIsCalled(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		files = append(files, file{dir: filepath.Dir(path), test: strings.HasSuffix(path, "_test.go"), ast: f})
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkgPath := pathOf(module, rel)
+		pf := im.dirs[pkgPath]
+		if pf == nil {
+			pf = &pkgFiles{}
+			im.dirs[pkgPath] = pf
+		}
+		fileDir[path], testFile[path] = pkgPath, strings.HasSuffix(name, "_test.go")
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				declEnd[fn.Name.Pos()] = fn.End()
+			}
+		}
+		switch {
+		case !testFile[path]:
+			pf.src = append(pf.src, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			pf.xtest = append(pf.xtest, f)
+		default:
+			pf.test = append(pf.test, f)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	im.checkAll()
 
-	// decl is an exported function (recv "") or method under internal/.
-	type decl struct{ dir, recv, name string }
-	internal := filepath.Join(root, "internal")
+	// decl is an exported function (recv "") or method of an exported
+	// type in a package directly under internal/.
+	type decl struct {
+		path, recv, name string
+		fn               *types.Func
+	}
 	var decls []decl
-	for _, f := range files {
-		if f.test || filepath.Dir(f.dir) != internal || filepath.Base(f.dir) == "testkit" {
+	for path := range im.dirs {
+		rest, ok := strings.CutPrefix(path, module+"/internal/")
+		if !ok || strings.Contains(rest, "/") || rest == "testkit" {
 			continue
 		}
-		for _, d := range f.ast.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			recv := ""
-			if fn.Recv != nil {
-				recv = receiverType(fn.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
+		scope := im.pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					decls = append(decls, decl{path: path, name: name, fn: obj})
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || !obj.Exported() || obj.IsAlias() {
 					continue
 				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						decls = append(decls, decl{path: path, recv: name, name: m.Name(), fn: m})
+					}
+				}
 			}
-			decls = append(decls, decl{dir: f.dir, recv: recv, name: fn.Name.Name})
 		}
 	}
 
-	// use is what one file names, its declarations' own names aside:
-	// every identifier, the identifiers that are not a selector's
-	// member, and the dir.Name pairs it reaches as pkg.Name through an
-	// import of the package in dir.
-	type use struct{ names, bare, qualified map[string]bool }
-	uses := make([]use, len(files))
-	for i, f := range files {
-		imports := map[string]string{} // local name -> package dir
-		for _, imp := range f.ast.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			rest, ok := strings.CutPrefix(path, module+"/")
-			if !ok {
-				continue
-			}
-			name := pathpkg.Base(path)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = filepath.Join(root, filepath.FromSlash(rest))
+	// calledBy lists, per function key, the directories of the files
+	// that call it: a test file counts only outside its own directory,
+	// so its path is recorded with a "_test" mark. ifaceCalls lists the
+	// interface methods called, canonicalised to the module's own
+	// type-checked packages, with the same marks.
+	type ifaceCall struct {
+		iface *types.Interface
+		name  string
+		from  string
+	}
+	calledBy := map[string][]string{}
+	var ifaceCalls []ifaceCall
+	for id, obj := range im.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
 		}
-		u := use{names: map[string]bool{}, bare: map[string]bool{}, qualified: map[string]bool{}}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				if x.Recv != nil {
-					ast.Inspect(x.Recv, visit)
-				}
-				ast.Inspect(x.Type, visit)
-				if x.Body != nil {
-					ast.Inspect(x.Body, visit)
-				}
-				return false
-			case *ast.ImportSpec:
-				return false
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					u.qualified[imports[id.Name]+"."+x.Sel.Name] = true
-				}
-				u.names[x.Sel.Name] = true
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				u.names[x.Name] = true
-				u.bare[x.Name] = true
-			}
-			return true
+		file := fset.Position(id.Pos()).Filename
+		from := fileDir[file]
+		if testFile[file] {
+			from += "_test"
 		}
-		ast.Inspect(f.ast, visit)
-		uses[i] = u
+		if it := im.canonicalIface(fn); it != nil {
+			ifaceCalls = append(ifaceCalls, ifaceCall{it, fn.Name(), from})
+			continue
+		}
+		// A function that only calls itself has no caller.
+		if name := fn.Origin().Pos(); id.Pos() > name && id.Pos() < declEnd[name] {
+			continue
+		}
+		if k := funcKey(fn); k != "" {
+			calledBy[k] = append(calledBy[k], from)
+		}
+	}
+	fmtPkg, err := im.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range []types.Type{types.Universe.Lookup("error").Type(), fmtPkg.Scope().Lookup("Stringer").Type()} {
+		iface := it.Underlying().(*types.Interface)
+		ifaceCalls = append(ifaceCalls, ifaceCall{iface, iface.Method(0).Name(), ""})
 	}
 
 	var offenders []string
 	for _, d := range decls {
-		label := filepath.Base(d.dir) + "."
+		label := im.pkgs[d.path].Name() + "."
 		if d.recv != "" {
 			label += d.recv + "."
 		}
@@ -157,20 +191,17 @@ func TestEveryExportIsCalled(t *testing.T) {
 		if exportAllowlist[label] {
 			continue
 		}
+		counts := func(from string) bool { return from != d.path+"_test" }
 		called := false
-		for i, f := range files {
-			switch {
-			case f.dir == d.dir && f.test:
-				continue
-			case d.recv != "":
-				called = uses[i].names[d.name]
-			case f.dir == d.dir:
-				called = uses[i].bare[d.name]
-			default:
-				called = uses[i].qualified[d.dir+"."+d.name]
-			}
-			if called {
-				break
+		for _, from := range calledBy[funcKey(d.fn)] {
+			called = called || counts(from)
+		}
+		if recv := d.fn.Type().(*types.Signature).Recv(); recv != nil && !called {
+			for _, c := range ifaceCalls {
+				if c.name == d.name && counts(c.from) && implements(recv.Type(), c.iface) {
+					called = true
+					break
+				}
 			}
 		}
 		if !called {
@@ -183,17 +214,122 @@ func TestEveryExportIsCalled(t *testing.T) {
 	}
 }
 
-// receiverType names a method's receiver type: T for T, *T, T[P] or *T[P].
-func receiverType(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return receiverType(x.X)
-	case *ast.IndexExpr:
-		return receiverType(x.X)
-	case *ast.IndexListExpr:
-		return receiverType(x.X)
-	case *ast.Ident:
-		return x.Name
+// pathOf is the import path of the directory rel under the module root.
+func pathOf(module, rel string) string {
+	if rel == "." {
+		return module
 	}
-	return ""
+	return module + "/" + filepath.ToSlash(rel)
+}
+
+// pkgFiles are one directory's parsed files: the package's own, its
+// in-package tests and its external (_test package) tests.
+type pkgFiles struct{ src, test, xtest []*ast.File }
+
+// treeImporter type-checks the tree's packages from their parsed files,
+// each once, and the standard library from source. Type errors are
+// ignored: a package whose tests import a helper that the package's
+// non-test files lack still records every use it resolves.
+type treeImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	dirs map[string]*pkgFiles      // by import path
+	pkgs map[string]*types.Package // canonical: the non-test files only
+	info *types.Info               // uses from every check
+	over map[string]*types.Package // the package under test, for its _test package
+}
+
+func (im *treeImporter) Import(path string) (*types.Package, error) {
+	if p := im.over[path]; p != nil {
+		return p, nil
+	}
+	if p := im.pkgs[path]; p != nil {
+		return p, nil
+	}
+	pf := im.dirs[path]
+	if pf == nil {
+		return im.std.Import(path)
+	}
+	im.pkgs[path] = im.check(path, pf.src)
+	return im.pkgs[path], nil
+}
+
+func (im *treeImporter) check(path string, files []*ast.File) *types.Package {
+	conf := types.Config{Importer: im, Error: func(error) {}}
+	pkg, _ := conf.Check(path, im.fset, files, im.info)
+	return pkg
+}
+
+// checkAll checks every package, then each with its in-package tests,
+// then its external tests against the latter.
+func (im *treeImporter) checkAll() {
+	for path := range im.dirs {
+		im.Import(path)
+	}
+	for path, pf := range im.dirs {
+		under := im.pkgs[path]
+		if len(pf.test) > 0 {
+			under = im.check(path, append(append([]*ast.File{}, pf.src...), pf.test...))
+		}
+		if len(pf.xtest) > 0 {
+			im.over = map[string]*types.Package{path: under}
+			im.check(path+"_test", pf.xtest)
+			im.over = nil
+		}
+	}
+}
+
+// canonicalIface returns the interface declaring fn, looked up in the
+// canonical package of its named interface, or nil when fn is not an
+// interface method.
+func (im *treeImporter) canonicalIface(fn *types.Func) *types.Interface {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	it, ok := recv.Type().Underlying().(*types.Interface)
+	if !ok {
+		return nil
+	}
+	if named, ok := recv.Type().(*types.Named); ok && fn.Pkg() != nil {
+		if p := im.pkgs[fn.Pkg().Path()]; p != nil {
+			if obj := p.Scope().Lookup(named.Obj().Name()); obj != nil {
+				if ci, ok := obj.Type().Underlying().(*types.Interface); ok {
+					return ci
+				}
+			}
+		}
+	}
+	return it
+}
+
+// funcKey names a function or method by package path, receiver type
+// and name, the same for every type-checked copy of its package; "" for
+// methods of unnamed types and the universe's.
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
+	if fn.Pkg() == nil {
+		return ""
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Pkg().Path() + "." + fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return fn.Pkg().Path() + "." + named.Origin().Obj().Name() + "." + fn.Name()
+}
+
+// implements reports whether t or *t implements iface.
+func implements(t types.Type, iface *types.Interface) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }

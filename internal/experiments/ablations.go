@@ -154,7 +154,7 @@ func A03Splitters() (*Table, error) {
 // round and replicate partial sums.
 func A04MatMulGroups() (*Table, error) {
 	const n, h = 64, 8
-	a, b := matmul.Random(n, 8, 5), matmul.Random(n, 8, 6)
+	a, b := matmul.Random(n, n, 8, 5), matmul.Random(n, n, 8, 6)
 	want := matmul.Multiply(a, b)
 	t := &Table{
 		ID: "A04", Title: "Square-block matmul group count",

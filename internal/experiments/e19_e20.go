@@ -15,7 +15,7 @@ import (
 // and the products-per-processor comparison t²n vs (tn)^{3/2}.
 func E19MatMul() (*Table, error) {
 	const n = 64
-	a, b := matmul.Random(n, 8, 1), matmul.Random(n, 8, 2)
+	a, b := matmul.Random(n, n, 8, 1), matmul.Random(n, n, 8, 2)
 	want := matmul.Multiply(a, b)
 	t := &Table{
 		ID: "E19", Title: "MPC matrix multiplication costs",
@@ -72,7 +72,7 @@ func E19MatMul() (*Table, error) {
 // counts that each load level forces.
 func E20CommLoadTradeoff() (*Table, error) {
 	const n = 64
-	a, b := matmul.Random(n, 8, 3), matmul.Random(n, 8, 4)
+	a, b := matmul.Random(n, n, 8, 3), matmul.Random(n, n, 8, 4)
 	t := &Table{
 		ID: "E20", Title: "Communication vs load for matmul",
 		SlideRef: "slide 126",

@@ -19,27 +19,27 @@ func E21SparseMatMul() (*Table, error) {
 	}
 	type caseSpec struct {
 		name string
-		a, b *matmul.Rect
+		a, b *matmul.Matrix
 	}
 	cases := []caseSpec{
-		{"square dense 96×96", matmul.RandomRect(96, 96, 6, 1), matmul.RandomRect(96, 96, 6, 2)},
-		{"rect dense 64×128 · 128×32", matmul.RandomRect(64, 128, 6, 3), matmul.RandomRect(128, 32, 6, 4)},
-		{"square sparse 1% of 256²", matmul.RandomSparseRect(256, 256, 655, 9, 5), matmul.RandomSparseRect(256, 256, 655, 9, 6)},
-		{"square sparse 10% of 256²", matmul.RandomSparseRect(256, 256, 6553, 9, 7), matmul.RandomSparseRect(256, 256, 6553, 9, 8)},
+		{"square dense 96×96", matmul.Random(96, 96, 6, 1), matmul.Random(96, 96, 6, 2)},
+		{"rect dense 64×128 · 128×32", matmul.Random(64, 128, 6, 3), matmul.Random(128, 32, 6, 4)},
+		{"square sparse 1% of 256²", matmul.RandomSparse(256, 256, 655, 9, 5), matmul.RandomSparse(256, 256, 655, 9, 6)},
+		{"square sparse 10% of 256²", matmul.RandomSparse(256, 256, 6553, 9, 7), matmul.RandomSparse(256, 256, 6553, 9, 8)},
 	}
 	for _, cs := range cases {
-		want := matmul.MultiplyRect(cs.a, cs.b)
+		want := matmul.Multiply(cs.a, cs.b)
 		c := mpc.NewCluster(16, 1)
-		got, rounds, err := matmul.SparseSQLMultiply(c, cs.a, cs.b, 42)
+		res, err := matmul.SQLJoinAggregate(c, cs.a, cs.b, 42)
 		if err != nil {
 			return nil, err
 		}
 		dense := cs.a.Rows*cs.a.Cols + cs.b.Rows*cs.b.Cols
 		t.AddRow(cs.name,
 			fmtInt(int64(cs.a.NNZ()+cs.b.NNZ())),
-			fmtInt(int64(rounds)), fmtInt(c.Metrics().MaxLoad()),
+			fmtInt(int64(res.Rounds)), fmtInt(c.Metrics().MaxLoad()),
 			fmtInt(c.Metrics().TotalComm()), fmtInt(int64(dense)),
-			fmt.Sprintf("%v", got.EqualRect(want)))
+			fmt.Sprintf("%v", res.C.Equal(want)))
 	}
 	t.Note("p = 16; at 1%% density the join communicates ~1%% of what a dense layout would ship, plus output-sized partial sums")
 	return t, nil

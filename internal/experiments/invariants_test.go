@@ -69,7 +69,7 @@ func TestFanSortRoundsRespectLogBound(t *testing.T) {
 // up to the constant (slides 123–124).
 func TestMatMulCommRespectsLB(t *testing.T) {
 	const n = 32
-	a, b := matmul.Random(n, 8, 1), matmul.Random(n, 8, 2)
+	a, b := matmul.Random(n, n, 8, 1), matmul.Random(n, n, 8, 2)
 	for _, h := range []int{2, 4} {
 		c := mpc.NewCluster(h*h, 1)
 		if _, err := matmul.SquareBlock(c, a, b, h, 1); err != nil {

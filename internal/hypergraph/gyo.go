@@ -189,21 +189,6 @@ func rerootMinHeight(n int, parent []int, root int) (newRoot int, newParent []in
 	return best, newParent
 }
 
-// Depth returns the number of edges on the longest root-to-leaf path.
-func (jt *JoinTree) Depth() int {
-	var depth func(i int) int
-	depth = func(i int) int {
-		d := 0
-		for _, c := range jt.Children[i] {
-			if cd := depth(c) + 1; cd > d {
-				d = cd
-			}
-		}
-		return d
-	}
-	return depth(jt.Root)
-}
-
 // Levels returns atom indices grouped by depth, root first. Used by the
 // optimized GYM to run all semijoins of one level in a single round.
 func (jt *JoinTree) Levels() [][]int {

@@ -148,8 +148,8 @@ func TestJoinTreeStructure(t *testing.T) {
 	if total != 5 {
 		t.Fatalf("levels cover %d atoms", total)
 	}
-	if jt.Depth() < 1 || jt.Depth() > 3 {
-		t.Fatalf("slide tree depth = %d", jt.Depth())
+	if d := len(levels) - 1; d < 1 || d > 3 {
+		t.Fatalf("slide tree depth = %d", d)
 	}
 }
 

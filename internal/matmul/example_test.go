@@ -10,8 +10,8 @@ import (
 // ExampleSquareBlock multiplies two 8×8 matrices with the multi-round
 // block-rotation algorithm (slides 111–121) on a 2×2 processor grid.
 func ExampleSquareBlock() {
-	a := matmul.Random(8, 5, 1)
-	b := matmul.Random(8, 5, 2)
+	a := matmul.Random(8, 8, 5, 1)
+	b := matmul.Random(8, 8, 5, 2)
 	c := mpc.NewCluster(4, 1)
 	res, err := matmul.SquareBlock(c, a, b, 2, 1)
 	if err != nil {
@@ -24,18 +24,18 @@ func ExampleSquareBlock() {
 	// correct: true
 }
 
-// ExampleSparseSQLMultiply multiplies a rectangular sparse pair via the
+// ExampleSQLJoinAggregate multiplies a non-square sparse pair via the
 // SQL formulation of slide 108.
-func ExampleSparseSQLMultiply() {
-	a := matmul.RandomSparseRect(10, 20, 15, 9, 3)
-	b := matmul.RandomSparseRect(20, 5, 15, 9, 4)
+func ExampleSQLJoinAggregate() {
+	a := matmul.RandomSparse(10, 20, 15, 9, 3)
+	b := matmul.RandomSparse(20, 5, 15, 9, 4)
 	c := mpc.NewCluster(4, 1)
-	got, rounds, err := matmul.SparseSQLMultiply(c, a, b, 42)
+	res, err := matmul.SQLJoinAggregate(c, a, b, 42)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("rounds:", rounds)
-	fmt.Println("correct:", got.EqualRect(matmul.MultiplyRect(a, b)))
+	fmt.Println("rounds:", res.Rounds)
+	fmt.Println("correct:", res.C.Equal(matmul.Multiply(a, b)))
 	// Output:
 	// rounds: 2
 	// correct: true

@@ -17,8 +17,8 @@ import (
 func TestSQLJoinAggregateChaos(t *testing.T) {
 	const n = 10
 	testkit.SweepChaos(t, testkit.Config{}, func(t *testing.T, p int, seed int64, skew testkit.Skew, spec string) {
-		a, b := Random(n, 9, seed), Random(n, 9, seed+100)
-		want := productOracle(denseToRel("A", a, "i", "j"), denseToRel("B", b, "j", "k"))
+		a, b := Random(n, n, 9, seed), Random(n, n, 9, seed+100)
+		want := oracleProduct(a, b)
 
 		clean := mpc.NewCluster(p, seed)
 		if _, err := SQLJoinAggregate(clean, a, b, uint64(seed)); err != nil {
@@ -36,20 +36,20 @@ func TestSQLJoinAggregateChaos(t *testing.T) {
 	})
 }
 
-// TestSparseSQLMultiplyChaos sweeps the sparse variant, whose fragment
-// population tracks the non-zero structure of the inputs (skewed rows ⇒
-// skewed fragment sizes under fault injection).
-func TestSparseSQLMultiplyChaos(t *testing.T) {
+// TestSQLJoinAggregateSparseChaos sweeps sparse non-square inputs,
+// whose fragment population tracks the non-zero structure (skewed rows
+// ⇒ skewed fragment sizes under fault injection).
+func TestSQLJoinAggregateSparseChaos(t *testing.T) {
 	testkit.SweepChaos(t, testkit.Config{}, func(t *testing.T, p int, seed int64, skew testkit.Skew, spec string) {
-		a := genSparseRect(skew, 12, 9, 40, seed)
-		b := genSparseRect(skew, 9, 11, 40, seed+1000)
+		a := genSparse(skew, 12, 9, 40, seed)
+		b := genSparse(skew, 9, 11, 40, seed+1000)
 		c := testkit.NewChaosCluster(p, seed, spec)
-		got, _, err := SparseSQLMultiply(c, a, b, uint64(seed))
+		res, err := SQLJoinAggregate(c, a, b, uint64(seed))
 		if err != nil {
-			t.Fatalf("chaos SparseSQLMultiply: %v", err)
+			t.Fatalf("chaos SQLJoinAggregate: %v", err)
 		}
 		testkit.AssertRecovered(t, c)
-		if !got.EqualRect(MultiplyRect(a, b)) {
+		if !res.C.Equal(Multiply(a, b)) {
 			t.Error("chaos sparse product differs from dense reference multiply")
 		}
 	})
@@ -60,14 +60,14 @@ func TestSparseSQLMultiplyChaos(t *testing.T) {
 // *mpc.RecoveryFailure and no product, never a matrix with the lost
 // elements read as zeros.
 func TestLostRoundIsAnError(t *testing.T) {
-	a, b := Random(8, 9, 1), Random(8, 9, 2)
-	ra, rb := RandomSparseRect(8, 8, 20, 9, 1), RandomSparseRect(8, 8, 20, 9, 2)
+	a, b := Random(8, 8, 9, 1), Random(8, 8, 9, 2)
+	sa, sb := RandomSparse(6, 10, 20, 9, 1), RandomSparse(10, 4, 20, 9, 2)
 	// Each driver reports whether it returned a product.
 	drivers := map[string]func(c *mpc.Cluster) (bool, error){
-		"RectangleBlock":    func(c *mpc.Cluster) (bool, error) { r, err := RectangleBlock(c, a, b); return r != nil, err },
-		"SquareBlock":       func(c *mpc.Cluster) (bool, error) { r, err := SquareBlock(c, a, b, 2, 2); return r != nil, err },
-		"SQLJoinAggregate":  func(c *mpc.Cluster) (bool, error) { r, err := SQLJoinAggregate(c, a, b, 1); return r != nil, err },
-		"SparseSQLMultiply": func(c *mpc.Cluster) (bool, error) { m, _, err := SparseSQLMultiply(c, ra, rb, 1); return m != nil, err },
+		"RectangleBlock":          func(c *mpc.Cluster) (bool, error) { r, err := RectangleBlock(c, a, b); return r != nil, err },
+		"SquareBlock":             func(c *mpc.Cluster) (bool, error) { r, err := SquareBlock(c, a, b, 2, 2); return r != nil, err },
+		"SQLJoinAggregate":        func(c *mpc.Cluster) (bool, error) { r, err := SQLJoinAggregate(c, a, b, 1); return r != nil, err },
+		"SQLJoinAggregate/sparse": func(c *mpc.Cluster) (bool, error) { r, err := SQLJoinAggregate(c, sa, sb, 1); return r != nil, err },
 	}
 	for name, run := range drivers {
 		clean := mpc.NewCluster(16, 1)

@@ -31,16 +31,9 @@ func productOracle(aRel, bRel *relation.Relation) *relation.Relation {
 	return testkit.OracleGroupBy("C", prod, []string{"i", "k"}, relation.Sum, "v", "v")
 }
 
-func denseToRel(name string, m *Matrix, rAttr, cAttr string) *relation.Relation {
-	rel := relation.New(name, rAttr, cAttr, "v")
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			if v := m.At(i, j); v != 0 {
-				rel.Append(int64(i), int64(j), v)
-			}
-		}
-	}
-	return rel
+// oracleProduct is productOracle on the non-zeros of a and b.
+func oracleProduct(a, b *Matrix) *relation.Relation {
+	return productOracle(a.toRelation("A", "i", "j", false), b.toRelation("B", "j", "k", false))
 }
 
 // assertMatrixMatchesOracle checks every non-zero of the oracle product
@@ -52,8 +45,8 @@ func assertMatrixMatchesOracle(t *testing.T, c *Matrix, want *relation.Relation)
 		row := want.Row(i)
 		exp[[2]int64{row[0], row[1]}] = row[2]
 	}
-	for i := 0; i < c.N; i++ {
-		for j := 0; j < c.N; j++ {
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
 			if got, w := c.At(i, j), exp[[2]int64{int64(i), int64(j)}]; got != w {
 				t.Fatalf("C[%d,%d] = %d, want %d", i, j, got, w)
 			}
@@ -69,8 +62,8 @@ func TestRectangleBlockDiff(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3, 4, 5} {
 			p, seed := p, seed
 			t.Run(fmt.Sprintf("p%d/seed%d", p, seed), func(t *testing.T) {
-				a, b := Random(n, 9, seed), Random(n, 9, seed+100)
-				want := productOracle(denseToRel("A", a, "i", "j"), denseToRel("B", b, "j", "k"))
+				a, b := Random(n, n, 9, seed), Random(n, n, 9, seed+100)
+				want := oracleProduct(a, b)
 				c := mpc.NewCluster(p, seed)
 				res, err := RectangleBlock(c, a, b)
 				if err != nil {
@@ -99,8 +92,8 @@ func TestSquareBlockDiff(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3, 4, 5} {
 			cc, seed := cc, seed
 			t.Run(fmt.Sprintf("h%d_g%d_p%d/seed%d", cc.h, cc.g, cc.p, seed), func(t *testing.T) {
-				a, b := Random(n, 9, seed), Random(n, 9, seed+100)
-				want := productOracle(denseToRel("A", a, "i", "j"), denseToRel("B", b, "j", "k"))
+				a, b := Random(n, n, 9, seed), Random(n, n, 9, seed+100)
+				want := oracleProduct(a, b)
 				c := mpc.NewCluster(cc.p, seed)
 				res, err := SquareBlock(c, a, b, cc.h, cc.g)
 				if err != nil {
@@ -114,15 +107,15 @@ func TestSquareBlockDiff(t *testing.T) {
 }
 
 // TestSQLJoinAggregateDiff: the two-round relational formulation on
-// dense matrices.
+// dense square matrices.
 func TestSQLJoinAggregateDiff(t *testing.T) {
 	const n = 10
 	for _, p := range []int{2, 4, 8} {
 		for _, seed := range []int64{1, 2, 3, 4, 5} {
 			p, seed := p, seed
 			t.Run(fmt.Sprintf("p%d/seed%d", p, seed), func(t *testing.T) {
-				a, b := Random(n, 9, seed), Random(n, 9, seed+100)
-				want := productOracle(denseToRel("A", a, "i", "j"), denseToRel("B", b, "j", "k"))
+				a, b := Random(n, n, 9, seed), Random(n, n, 9, seed+100)
+				want := oracleProduct(a, b)
 				c := mpc.NewCluster(p, seed)
 				res, err := SQLJoinAggregate(c, a, b, uint64(seed))
 				if err != nil {
@@ -138,12 +131,12 @@ func TestSQLJoinAggregateDiff(t *testing.T) {
 	}
 }
 
-// genSparseRect builds a rows×cols sparse matrix whose non-zero
+// genSparse builds a rows×cols sparse matrix whose non-zero
 // positions follow the testkit skew on the row index — SkewHeavy plants
 // a heavy row, the sparse analogue of a heavy join key.
-func genSparseRect(skew testkit.Skew, rows, cols, nnz int, seed int64) *Rect {
+func genSparse(skew testkit.Skew, rows, cols, nnz int, seed int64) *Matrix {
 	pos := testkit.GenRelation("pos", []string{"r", "c"}, skew, testkit.GenConfig{Tuples: nnz, Domain: rows}, seed)
-	m := NewRect(rows, cols)
+	m := New(rows, cols)
 	for i := 0; i < pos.Len(); i++ {
 		row := pos.Row(i)
 		m.Set(int(row[0])%rows, int(row[1])%cols, int64(i%7)+1)
@@ -151,36 +144,25 @@ func genSparseRect(skew testkit.Skew, rows, cols, nnz int, seed int64) *Rect {
 	return m
 }
 
-// TestSparseSQLMultiplyDiff sweeps the sparse relational multiply over
-// cluster sizes, seeds, and non-zero-position skews.
-func TestSparseSQLMultiplyDiff(t *testing.T) {
+// TestSQLJoinAggregateSparseDiff sweeps the relational multiply on
+// sparse non-square matrices over cluster sizes, seeds, and
+// non-zero-position skews.
+func TestSQLJoinAggregateSparseDiff(t *testing.T) {
 	testkit.Sweep(t, testkit.DefaultConfig(), func(t *testing.T, p int, seed int64, skew testkit.Skew) {
-		a := genSparseRect(skew, 12, 9, 40, seed)
-		b := genSparseRect(skew, 9, 11, 40, seed+1000)
-		want := productOracle(a.toRelation("A", "i", "j"), b.toRelation("B", "j", "k"))
+		a := genSparse(skew, 12, 9, 40, seed)
+		b := genSparse(skew, 9, 11, 40, seed+1000)
 		c := mpc.NewCluster(p, seed)
-		got, rounds, err := SparseSQLMultiply(c, a, b, uint64(seed))
+		res, err := SQLJoinAggregate(c, a, b, uint64(seed))
 		if err != nil {
-			t.Fatalf("SparseSQLMultiply: %v", err)
+			t.Fatalf("SQLJoinAggregate: %v", err)
 		}
 		testkit.AssertRounds(t, c, 2)
-		if rounds != 2 {
-			t.Errorf("reported rounds = %d, want 2", rounds)
+		if res.Rounds != 2 {
+			t.Errorf("reported rounds = %d, want 2", res.Rounds)
 		}
-		if !got.EqualRect(MultiplyRect(a, b)) {
+		if !res.C.Equal(Multiply(a, b)) {
 			t.Error("sparse product differs from dense reference multiply")
 		}
-		exp := map[[2]int64]int64{}
-		for i := 0; i < want.Len(); i++ {
-			row := want.Row(i)
-			exp[[2]int64{row[0], row[1]}] = row[2]
-		}
-		for i := 0; i < got.Rows; i++ {
-			for j := 0; j < got.Cols; j++ {
-				if v, w := got.At(i, j), exp[[2]int64{int64(i), int64(j)}]; v != w {
-					t.Fatalf("C[%d,%d] = %d, want %d", i, j, v, w)
-				}
-			}
-		}
+		assertMatrixMatchesOracle(t, res.C, oracleProduct(a, b))
 	})
 }

@@ -17,7 +17,7 @@ func TestSQLJoinAggregateBackendDiff(t *testing.T) {
 	cfg := testkit.Config{Ps: []int{2, 4, 7}}
 	testkit.SweepBackends(t, cfg, func(t *testing.T, c *mpc.Cluster, p int, seed int64, skew testkit.Skew) {
 		const n = 10
-		a, b := Random(n, 7, seed), Random(n, 7, seed+100)
+		a, b := Random(n, n, 7, seed), Random(n, n, 7, seed+100)
 		if _, err := SQLJoinAggregate(c, a, b, uint64(seed)); err != nil {
 			t.Fatalf("SQLJoinAggregate: %v", err)
 		}
@@ -28,7 +28,7 @@ func TestRectangleBlockBackendDiff(t *testing.T) {
 	cfg := testkit.Config{Ps: []int{1, 4}, Seeds: []int64{1, 2}}
 	testkit.SweepBackends(t, cfg, func(t *testing.T, c *mpc.Cluster, p int, seed int64, skew testkit.Skew) {
 		const n = 12
-		a, b := Random(n, 9, seed), Random(n, 9, seed+100)
+		a, b := Random(n, n, 9, seed), Random(n, n, 9, seed+100)
 		if _, err := RectangleBlock(c, a, b); err != nil {
 			t.Fatalf("RectangleBlock: %v", err)
 		}

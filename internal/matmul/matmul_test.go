@@ -7,24 +7,24 @@ import (
 )
 
 func TestMatrixBasics(t *testing.T) {
-	m := New(3)
+	m := New(2, 3)
 	m.Set(1, 2, 7)
 	if m.At(1, 2) != 7 || m.At(0, 0) != 0 {
 		t.Fatal("At/Set broken")
 	}
-	o := New(3)
-	o.Set(1, 2, 3)
-	m.Add(o)
-	if m.At(1, 2) != 10 {
-		t.Fatal("Add broken")
+	if m.NNZ() != 1 {
+		t.Fatalf("nnz = %d", m.NNZ())
 	}
-	if m.Equal(New(3)) {
+	if m.Equal(New(2, 3)) {
 		t.Fatal("Equal false positive")
 	}
 	if !m.Equal(m) {
 		t.Fatal("Equal false negative")
 	}
-	mustPanic(t, "bad size", func() { New(0) })
+	if New(2, 3).Equal(New(3, 2)) {
+		t.Fatal("Equal ignores the shape")
+	}
+	mustPanic(t, "bad size", func() { New(0, 3) })
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -39,12 +39,12 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestMultiplyReference(t *testing.T) {
 	// 2×2 hand-checked case.
-	a := New(2)
+	a := New(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 3)
 	a.Set(1, 1, 4)
-	b := New(2)
+	b := New(2, 2)
 	b.Set(0, 0, 5)
 	b.Set(0, 1, 6)
 	b.Set(1, 0, 7)
@@ -60,10 +60,38 @@ func TestMultiplyReference(t *testing.T) {
 	}
 }
 
+func TestMultiplyNonSquare(t *testing.T) {
+	// (2×3)·(3×2).
+	a := New(2, 3)
+	vals := [][]int64{{1, 2, 3}, {4, 5, 6}}
+	for i := range vals {
+		for j, v := range vals[i] {
+			a.Set(i, j, v)
+		}
+	}
+	b := New(3, 2)
+	bv := [][]int64{{7, 8}, {9, 10}, {11, 12}}
+	for i := range bv {
+		for j, v := range bv[i] {
+			b.Set(i, j, v)
+		}
+	}
+	c := Multiply(a, b)
+	want := [][]int64{{58, 64}, {139, 154}}
+	for i := range want {
+		for j, v := range want[i] {
+			if c.At(i, j) != v {
+				t.Fatalf("C[%d][%d] = %d, want %d", i, j, c.At(i, j), v)
+			}
+		}
+	}
+	mustPanic(t, "dim mismatch", func() { Multiply(a, a) })
+}
+
 func TestMultiplyIdentity(t *testing.T) {
 	n := 8
-	a := Random(n, 10, 1)
-	id := New(n)
+	a := Random(n, n, 10, 1)
+	id := New(n, n)
 	for i := 0; i < n; i++ {
 		id.Set(i, i, 1)
 	}
@@ -74,7 +102,7 @@ func TestMultiplyIdentity(t *testing.T) {
 
 func TestRectangleBlockCorrect(t *testing.T) {
 	const n = 16
-	a, b := Random(n, 10, 3), Random(n, 10, 4)
+	a, b := Random(n, n, 10, 3), Random(n, n, 10, 4)
 	want := Multiply(a, b)
 	c := mpc.NewCluster(16, 1) // K = 4
 	res, err := RectangleBlock(c, a, b)
@@ -94,21 +122,24 @@ func TestRectangleBlockCorrect(t *testing.T) {
 }
 
 func TestRectangleBlockValidation(t *testing.T) {
-	a, b := Random(8, 10, 1), Random(8, 10, 2)
+	a, b := Random(8, 8, 10, 1), Random(8, 8, 10, 2)
 	if _, err := RectangleBlock(mpc.NewCluster(3, 1), a, b); err == nil {
 		t.Fatal("non-square p should error")
 	}
 	if _, err := RectangleBlock(mpc.NewCluster(9, 1), a, b); err == nil {
 		t.Fatal("K not dividing n should error")
 	}
-	if _, err := RectangleBlock(mpc.NewCluster(4, 1), a, Random(4, 10, 1)); err == nil {
+	if _, err := RectangleBlock(mpc.NewCluster(4, 1), a, Random(4, 4, 10, 1)); err == nil {
 		t.Fatal("size mismatch should error")
+	}
+	if _, err := RectangleBlock(mpc.NewCluster(4, 1), Random(8, 4, 10, 1), Random(4, 8, 10, 2)); err == nil {
+		t.Fatal("non-square inputs should error")
 	}
 }
 
 func TestSquareBlockCorrectG1(t *testing.T) {
 	const n, h = 16, 4
-	a, b := Random(n, 10, 5), Random(n, 10, 6)
+	a, b := Random(n, n, 10, 5), Random(n, n, 10, 6)
 	want := Multiply(a, b)
 	c := mpc.NewCluster(h*h, 1)
 	res, err := SquareBlock(c, a, b, h, 1)
@@ -133,7 +164,7 @@ func TestSquareBlockCorrectG2(t *testing.T) {
 	// Slide 119: p = 2H² halves the multiply rounds and adds one combine
 	// round.
 	const n, h, g = 16, 4, 2
-	a, b := Random(n, 10, 7), Random(n, 10, 8)
+	a, b := Random(n, n, 10, 7), Random(n, n, 10, 8)
 	want := Multiply(a, b)
 	c := mpc.NewCluster(g*h*h, 1)
 	res, err := SquareBlock(c, a, b, h, g)
@@ -152,7 +183,7 @@ func TestSquareBlockFullParallel(t *testing.T) {
 	// g = H: every group in one round, one combine round — the 2-round
 	// algorithm of slide 111.
 	const n, h = 8, 4
-	a, b := Random(n, 10, 9), Random(n, 10, 10)
+	a, b := Random(n, n, 10, 9), Random(n, n, 10, 10)
 	want := Multiply(a, b)
 	c := mpc.NewCluster(h*h*h, 1)
 	res, err := SquareBlock(c, a, b, h, h)
@@ -168,7 +199,7 @@ func TestSquareBlockFullParallel(t *testing.T) {
 }
 
 func TestSquareBlockValidation(t *testing.T) {
-	a, b := Random(8, 10, 1), Random(8, 10, 2)
+	a, b := Random(8, 8, 10, 1), Random(8, 8, 10, 2)
 	if _, err := SquareBlock(mpc.NewCluster(4, 1), a, b, 3, 1); err == nil {
 		t.Fatal("H not dividing n should error")
 	}
@@ -178,11 +209,14 @@ func TestSquareBlockValidation(t *testing.T) {
 	if _, err := SquareBlock(mpc.NewCluster(4, 1), a, b, 4, 1); err == nil {
 		t.Fatal("too few servers should error")
 	}
+	if _, err := SquareBlock(mpc.NewCluster(4, 1), Random(8, 4, 10, 1), Random(4, 8, 10, 2), 2, 1); err == nil {
+		t.Fatal("non-square inputs should error")
+	}
 }
 
 func TestSQLJoinAggregateCorrect(t *testing.T) {
 	const n = 12
-	a, b := Random(n, 5, 11), Random(n, 5, 12)
+	a, b := Random(n, n, 5, 11), Random(n, n, 5, 12)
 	want := Multiply(a, b)
 	c := mpc.NewCluster(8, 1)
 	res, err := SQLJoinAggregate(c, a, b, 42)
@@ -200,7 +234,7 @@ func TestSQLJoinAggregateCorrect(t *testing.T) {
 func TestSQLJoinAggregateSparse(t *testing.T) {
 	// Mostly-zero matrices exercise the sparse relational encoding.
 	n := 10
-	a, b := New(n), New(n)
+	a, b := New(n, n), New(n, n)
 	a.Set(0, 3, 2)
 	a.Set(5, 7, 4)
 	b.Set(3, 9, 5)
@@ -216,11 +250,78 @@ func TestSQLJoinAggregateSparse(t *testing.T) {
 	}
 }
 
+func TestSQLJoinAggregateRectangular(t *testing.T) {
+	a := Random(20, 35, 6, 1)
+	b := Random(35, 12, 6, 2)
+	want := Multiply(a, b)
+	c := mpc.NewCluster(8, 1)
+	res, err := SQLJoinAggregate(c, a, b, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", res.Rounds)
+	}
+	if !res.C.Equal(want) {
+		t.Fatal("rectangular product wrong")
+	}
+	if _, err := SQLJoinAggregate(mpc.NewCluster(2, 1), Random(5, 6, 3, 1), Random(5, 6, 3, 2), 1); err == nil {
+		t.Fatal("expected dimension error")
+	}
+}
+
+func TestSQLJoinAggregateRandomSparse(t *testing.T) {
+	a := RandomSparse(60, 60, 90, 9, 3)
+	b := RandomSparse(60, 60, 90, 9, 4)
+	c := mpc.NewCluster(8, 1)
+	res, err := SQLJoinAggregate(c, a, b, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.C.Equal(Multiply(a, b)) {
+		t.Fatal("sparse product wrong")
+	}
+}
+
+func TestSparseCommScalesWithNNZ(t *testing.T) {
+	// Communication proportional to non-zeros: a 10× denser matrix
+	// should communicate roughly 10× more (input side; partial products
+	// grow quadratically in density).
+	const n = 80
+	mkRun := func(nnz int) int64 {
+		a := RandomSparse(n, n, nnz, 9, 5)
+		b := RandomSparse(n, n, nnz, 9, 6)
+		c := mpc.NewCluster(8, 1)
+		if _, err := SQLJoinAggregate(c, a, b, 42); err != nil {
+			t.Fatal(err)
+		}
+		return c.Metrics().TotalComm()
+	}
+	sparse := mkRun(64)
+	dense := mkRun(640)
+	if dense < 5*sparse {
+		t.Fatalf("communication should grow with nnz: sparse %d, dense %d", sparse, dense)
+	}
+	// And both are far below the dense-matrix element count n² = 6400
+	// per matrix when nnz is small.
+	if sparse > 2*int64(64+64+64*64/10) {
+		t.Fatalf("sparse comm %d unexpectedly large", sparse)
+	}
+}
+
+func TestRandomSparseNNZ(t *testing.T) {
+	m := RandomSparse(10, 10, 17, 5, 7)
+	if m.NNZ() != 17 {
+		t.Fatalf("nnz = %d, want 17", m.NNZ())
+	}
+	mustPanic(t, "too many nnz", func() { RandomSparse(2, 2, 5, 3, 1) })
+}
+
 // TestAllMatMulAlgorithmsAgree cross-validates the three distributed
 // algorithms on one input.
 func TestAllMatMulAlgorithmsAgree(t *testing.T) {
 	const n = 16
-	a, b := Random(n, 8, 13), Random(n, 8, 14)
+	a, b := Random(n, n, 8, 13), Random(n, n, 8, 14)
 	want := Multiply(a, b)
 
 	c1 := mpc.NewCluster(16, 1)
@@ -254,7 +355,7 @@ func TestAllMatMulAlgorithmsAgree(t *testing.T) {
 // (L = 2b² = 512) on p = 4 servers.
 func TestCommunicationTradeoff(t *testing.T) {
 	const n = 32
-	a, b := Random(n, 8, 15), Random(n, 8, 16)
+	a, b := Random(n, n, 8, 15), Random(n, n, 8, 16)
 
 	cr := mpc.NewCluster(16, 1)
 	if _, err := RectangleBlock(cr, a, b); err != nil {

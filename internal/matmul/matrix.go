@@ -1,5 +1,5 @@
 // Package matmul implements conventional (all-n³-products) matrix
-// multiplication in the MPC model (slides 107–126):
+// multiplication in the MPC model (slides 107–127):
 //
 //   - RectangleBlock — the one-round algorithm (slide 109–110, McKellar
 //     & Coffman '69 / Afrati et al. '13): processor (i,j) of a K×K grid
@@ -13,7 +13,10 @@
 //     communication C = Θ(n³/√L).
 //   - SQLJoinAggregate — matrix multiplication as the SQL query of
 //     slide 108: join A(i,j,v) ⋈ B(j,k,v) on j, then GROUP BY (i,k)
-//     SUM — two MPC rounds on the relational machinery.
+//     SUM — two MPC rounds on the relational machinery. Non-square and
+//     sparse products (slide 127) are the same query over other index
+//     domains: only non-zeros travel, so its communication scales with
+//     the number of non-zeros instead of the dense dimensions.
 //
 // Matrices hold int64 entries so every distributed result can be
 // verified exactly against the local reference multiply; the
@@ -24,51 +27,74 @@ package matmul
 import (
 	"fmt"
 	"math/rand"
+
+	"mpcquery/internal/relation"
 )
 
-// Matrix is a dense square matrix of int64 values in row-major order.
+// Matrix is a dense rows×cols matrix of int64 values in row-major
+// order.
 type Matrix struct {
-	N    int
-	data []int64
+	Rows, Cols int
+	data       []int64
 }
 
-// New returns an n×n zero matrix.
-func New(n int) *Matrix {
-	if n < 1 {
-		panic(fmt.Sprintf("matmul: matrix size %d", n))
+// New returns a rows×cols zero matrix.
+func New(rows, cols int) *Matrix {
+	if rows < 1 || cols < 1 {
+		panic(fmt.Sprintf("matmul: matrix size %d×%d", rows, cols))
 	}
-	return &Matrix{N: n, data: make([]int64, n*n)}
+	return &Matrix{Rows: rows, Cols: cols, data: make([]int64, rows*cols)}
 }
 
-// Random returns an n×n matrix with entries uniform in [0, max).
-func Random(n int, max int64, seed int64) *Matrix {
+// Random returns a rows×cols matrix with entries uniform in [0, max),
+// drawn in row-major order.
+func Random(rows, cols int, max int64, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	m := New(n)
+	m := New(rows, cols)
 	for i := range m.data {
 		m.data[i] = rng.Int63n(max)
 	}
 	return m
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) int64 { return m.data[i*m.N+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v int64) { m.data[i*m.N+j] = v }
-
-// Add accumulates o into m.
-func (m *Matrix) Add(o *Matrix) {
-	if o.N != m.N {
-		panic("matmul: size mismatch in Add")
+// RandomSparse returns a rows×cols matrix with nnz non-zero entries in
+// [1, max) at distinct random positions.
+func RandomSparse(rows, cols, nnz int, max int64, seed int64) *Matrix {
+	if nnz > rows*cols {
+		panic("matmul: nnz exceeds capacity")
 	}
-	for i := range m.data {
-		m.data[i] += o.data[i]
+	rng := rand.New(rand.NewSource(seed))
+	m := New(rows, cols)
+	for filled := 0; filled < nnz; {
+		pos := rng.Intn(rows * cols)
+		if m.data[pos] == 0 {
+			m.data[pos] = 1 + rng.Int63n(max-1)
+			filled++
+		}
 	}
+	return m
 }
 
-// Equal reports exact element-wise equality.
+// At returns element (i, j).
+func (m *Matrix) At(i, j int) int64 { return m.data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m *Matrix) Set(i, j int, v int64) { m.data[i*m.Cols+j] = v }
+
+// NNZ counts the non-zero entries.
+func (m *Matrix) NNZ() int {
+	n := 0
+	for _, v := range m.data {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Equal reports equal shapes and exact element-wise equality.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if o.N != m.N {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
 	for i := range m.data {
@@ -79,27 +105,42 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// Multiply returns a×b with the conventional O(n³) algorithm (ikj loop
-// order for locality); the local reference all distributed algorithms
-// are verified against.
+// Multiply returns a×b with the conventional algorithm (ikj loop order
+// for locality); a.Cols must equal b.Rows. It is the local reference
+// all distributed algorithms are verified against.
 func Multiply(a, b *Matrix) *Matrix {
-	if a.N != b.N {
-		panic("matmul: size mismatch in Multiply")
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("matmul: inner dims %d vs %d", a.Cols, b.Rows))
 	}
-	n := a.N
-	c := New(n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			aik := a.data[i*n+k]
+	c := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			aik := a.data[i*a.Cols+k]
 			if aik == 0 {
 				continue
 			}
-			row := b.data[k*n:]
-			out := c.data[i*n:]
-			for j := 0; j < n; j++ {
-				out[j] += aik * row[j]
+			brow := b.data[k*b.Cols:]
+			crow := c.data[i*c.Cols:]
+			for j := 0; j < b.Cols; j++ {
+				crow[j] += aik * brow[j]
 			}
 		}
 	}
 	return c
+}
+
+// toRelation encodes the elements as tuples (rAttr, cAttr, v) in
+// row-major order. The block algorithms scatter every element, zeros
+// included, so their metered load is the dense one; the SQL query
+// keeps only the non-zeros, which contribute to the product.
+func (m *Matrix) toRelation(name, rAttr, cAttr string, zeros bool) *relation.Relation {
+	rel := relation.New(name, rAttr, cAttr, "v")
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			if v := m.At(i, j); v != 0 || zeros {
+				rel.Append(int64(i), int64(j), v)
+			}
+		}
+	}
+	return rel
 }

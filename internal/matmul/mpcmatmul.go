@@ -8,38 +8,16 @@ import (
 	"mpcquery/internal/relation"
 )
 
-// scatterMatrix distributes a matrix's elements round-robin as tuples
-// (r, c, v) under the given relation name (free initial placement).
-func scatterMatrix(c *mpc.Cluster, name string, m *Matrix) {
-	rel := relation.New(name, "r", "c", "v")
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			rel.Append(int64(i), int64(j), m.At(i, j))
-		}
-	}
-	c.ScatterRoundRobin(rel)
-}
-
-// onJ is the relational multiply's join round: A(i, j, v) and
-// B(j, k, v) both hash on j, so the two factors of every product meet on
-// one server.
-func onJ(seed uint64) []mpc.Send {
-	return []mpc.Send{
-		{From: "A", To: "Aj", Policy: mpc.Hash(seed, "j")},
-		{From: "B", To: "Bj", Policy: mpc.Hash(seed, "j")},
-	}
-}
-
-// result reassembles the n×n product from element tuples (r, c, v)
+// result reassembles the rows×cols product from element tuples (r, c, v)
 // distributed under name, summing duplicates (partial sums), and counts
 // the rounds run since start. On a cluster that failed a round it
 // returns the failure instead: an element that round never delivered
 // must not read as zero.
-func result(c *mpc.Cluster, name string, n, start int) (*MatMulResult, error) {
+func result(c *mpc.Cluster, name string, rows, cols, start int) (*MatMulResult, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	out := New(n)
+	out := New(rows, cols)
 	for i := 0; i < c.P(); i++ {
 		frag := c.Server(i).Rel(name)
 		if frag == nil {
@@ -47,10 +25,21 @@ func result(c *mpc.Cluster, name string, n, start int) (*MatMulResult, error) {
 		}
 		for j := 0; j < frag.Len(); j++ {
 			row := frag.Row(j)
-			out.data[row[0]*int64(n)+row[1]] += row[2]
+			out.data[row[0]*int64(cols)+row[1]] += row[2]
 		}
 	}
 	return &MatMulResult{C: out, Rounds: c.Metrics().Rounds() - start}, nil
+}
+
+// squareSize returns n when a and b are both n×n, the shape the block
+// algorithms tile.
+func squareSize(a, b *Matrix) (int, error) {
+	n := a.Rows
+	if a.Cols != n || b.Rows != n || b.Cols != n {
+		return 0, fmt.Errorf("matmul: size mismatch: the block algorithms need two n×n matrices, got %d×%d and %d×%d",
+			a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	return n, nil
 }
 
 // MatMulResult reports a distributed multiplication.
@@ -65,9 +54,9 @@ type MatMulResult struct {
 // of B (t = n/K), multiplies them into the t×t output block C_{ij}, and
 // keeps it local. Load L = 2tn elements, C = K²·L = Θ(n⁴/L).
 func RectangleBlock(c *mpc.Cluster, a, b *Matrix) (*MatMulResult, error) {
-	n := a.N
-	if b.N != n {
-		return nil, fmt.Errorf("matmul: size mismatch %d vs %d", n, b.N)
+	n, err := squareSize(a, b)
+	if err != nil {
+		return nil, err
 	}
 	k := int(math.Round(math.Sqrt(float64(c.P()))))
 	if k*k != c.P() {
@@ -77,8 +66,8 @@ func RectangleBlock(c *mpc.Cluster, a, b *Matrix) (*MatMulResult, error) {
 		return nil, fmt.Errorf("matmul: K=%d must divide n=%d", k, n)
 	}
 	t := n / k
-	scatterMatrix(c, "A", a)
-	scatterMatrix(c, "B", b)
+	c.ScatterRoundRobin(a.toRelation("A", "r", "c", true))
+	c.ScatterRoundRobin(b.toRelation("B", "r", "c", true))
 	c.Note("matmul.RectangleBlock n=%d grid %dx%d", n, k, k)
 	start := c.Metrics().Rounds()
 	c.Round("rectblock:distribute", func(srv *mpc.Server, out *mpc.Out) {
@@ -108,31 +97,28 @@ func RectangleBlock(c *mpc.Cluster, a, b *Matrix) (*MatMulResult, error) {
 		arows := srv.RelOrEmpty("Arows", "r", "c", "v")
 		bcols := srv.RelOrEmpty("Bcols", "r", "c", "v")
 		// Local dense block multiply: A[t×n] × B[n×t].
-		ablk := make([]int64, t*n)
+		ablk := New(t, n)
 		for i := 0; i < arows.Len(); i++ {
 			row := arows.Row(i)
-			ablk[(int(row[0])-ri*t)*n+int(row[1])] = row[2]
+			ablk.Set(int(row[0])-ri*t, int(row[1]), row[2])
 		}
-		bblk := make([]int64, n*t)
+		bblk := New(n, t)
 		for i := 0; i < bcols.Len(); i++ {
 			row := bcols.Row(i)
-			bblk[int(row[0])*t+(int(row[1])-ci*t)] = row[2]
+			bblk.Set(int(row[0]), int(row[1])-ci*t, row[2])
 		}
+		prod := Multiply(ablk, bblk)
 		cRel := relation.New("C", "r", "c", "v")
 		for i := 0; i < t; i++ {
 			for j := 0; j < t; j++ {
-				var sum int64
-				for x := 0; x < n; x++ {
-					sum += ablk[i*n+x] * bblk[x*t+j]
-				}
-				cRel.Append(int64(ri*t+i), int64(ci*t+j), sum)
+				cRel.Append(int64(ri*t+i), int64(ci*t+j), prod.At(i, j))
 			}
 		}
 		srv.Put(cRel)
 		srv.Delete("Arows")
 		srv.Delete("Bcols")
 	})
-	return result(c, "C", n, start)
+	return result(c, "C", n, n, start)
 }
 
 // SquareBlock runs the multi-round block algorithm of slides 111–121
@@ -145,9 +131,9 @@ func RectangleBlock(c *mpc.Cluster, a, b *Matrix) (*MatMulResult, error) {
 // combines the g partial sums per output block. Per-round load
 // L = 2·(n/H)² elements, total C = Θ(n³/√L).
 func SquareBlock(c *mpc.Cluster, a, b *Matrix, h, g int) (*MatMulResult, error) {
-	n := a.N
-	if b.N != n {
-		return nil, fmt.Errorf("matmul: size mismatch")
+	n, err := squareSize(a, b)
+	if err != nil {
+		return nil, err
 	}
 	if h < 1 || n%h != 0 {
 		return nil, fmt.Errorf("matmul: H=%d must divide n=%d", h, n)
@@ -159,8 +145,8 @@ func SquareBlock(c *mpc.Cluster, a, b *Matrix, h, g int) (*MatMulResult, error) 
 		return nil, fmt.Errorf("matmul: need p ≥ g·H² = %d, have %d", g*h*h, c.P())
 	}
 	bsz := n / h
-	scatterMatrix(c, "A", a)
-	scatterMatrix(c, "B", b)
+	c.ScatterRoundRobin(a.toRelation("A", "r", "c", true))
+	c.ScatterRoundRobin(b.toRelation("B", "r", "c", true))
 	c.Note("matmul.SquareBlock n=%d H=%d g=%d", n, h, g)
 	start := c.Metrics().Rounds()
 	rounds := h / g
@@ -206,12 +192,12 @@ func SquareBlock(c *mpc.Cluster, a, b *Matrix, h, g int) (*MatMulResult, error) 
 			i, k := (id/h)%h, id%h
 			af := srv.RelOrEmpty("Ablk", "r", "c", "v")
 			bf := srv.RelOrEmpty("Bblk", "r", "c", "v")
-			ablk := New(bsz)
+			ablk := New(bsz, bsz)
 			for t := 0; t < af.Len(); t++ {
 				row := af.Row(t)
 				ablk.Set(int(row[0])%bsz, int(row[1])%bsz, row[2])
 			}
-			bblk := New(bsz)
+			bblk := New(bsz, bsz)
 			for t := 0; t < bf.Len(); t++ {
 				row := bf.Row(t)
 				bblk.Set(int(row[0])%bsz, int(row[1])%bsz, row[2])
@@ -252,49 +238,38 @@ func SquareBlock(c *mpc.Cluster, a, b *Matrix, h, g int) (*MatMulResult, error) 
 			srv.Delete("Psum")
 		})
 	}
-	res, err := result(c, "Psum", n, start)
+	res, err := result(c, "Psum", n, n, start)
 	c.DeleteAll("Psum")
 	return res, err
 }
 
-// SQLJoinAggregate multiplies matrices as the relational query of
-// slide 108:
+// SQLJoinAggregate multiplies a (rows×inner) by b (inner×cols) as the
+// relational query of slide 108:
 //
 //	SELECT A.i, B.k, SUM(A.v * B.v)
 //	FROM A, B WHERE A.j = B.j GROUP BY A.i, B.k
 //
 // Round 1 hash-partitions A and B on j and forms local products; round
-// 2 hash-partitions the products on (i, k) and sums. Zero entries are
-// dropped (they contribute nothing), matching the sparse-relational
-// view of the matrix.
+// 2 hash-partitions the products on (i, k) and sums. Zero entries
+// contribute nothing and are dropped, so every communicated tuple is a
+// non-zero and the cost scales with nnz(A) + nnz(B) + nnz(partial
+// products) rather than the dense sizes — the sparse and non-square
+// extensions of slide 127.
 func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult, error) {
-	n := a.N
-	if b.N != n {
-		return nil, fmt.Errorf("matmul: size mismatch")
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("matmul: inner dims %d vs %d", a.Cols, b.Rows)
 	}
-	aRel := relation.New("A", "i", "j", "v")
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := a.At(i, j); v != 0 {
-				aRel.Append(int64(i), int64(j), v)
-			}
-		}
-	}
-	bRel := relation.New("B", "j", "k", "v")
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := b.At(i, j); v != 0 {
-				bRel.Append(int64(i), int64(j), v)
-			}
-		}
-	}
+	aRel := a.toRelation("A", "i", "j", false)
+	bRel := b.toRelation("B", "j", "k", false)
 	c.ScatterRoundRobin(aRel)
 	c.ScatterRoundRobin(bRel)
-	c.Note("matmul.SQLJoinAggregate n=%d (nnz %d+%d)", n, aRel.Len(), bRel.Len())
+	c.Note("matmul.SQLJoinAggregate %d×%d · %d×%d (nnz %d+%d)", a.Rows, a.Cols, b.Rows, b.Cols, aRel.Len(), bRel.Len())
 	start := c.Metrics().Rounds()
-	// Round 1: co-partition on j.
-	c.Shuffle("sqlmm:join", onJ(seed)...)
-	// Local join + multiply, then round 2: partition products on (i,k).
+	// Round 1: co-partition on j, so the two factors of every product
+	// meet on one server.
+	c.Shuffle("sqlmm:join",
+		mpc.Send{From: "A", To: "Aj", Policy: mpc.Hash(seed, "j")},
+		mpc.Send{From: "B", To: "Bj", Policy: mpc.Hash(seed, "j")})
 	c.LocalStep(func(srv *mpc.Server) {
 		af := srv.RelOrEmpty("Aj", "i", "j", "v")
 		bf := srv.RelOrEmpty("Bj", "j", "k", "v")
@@ -307,19 +282,15 @@ func SQLJoinAggregate(c *mpc.Cluster, a, b *Matrix, seed uint64) (*MatMulResult,
 				prod.Append(arow[0], brow[1], arow[2]*brow[2])
 			}
 		}
-		// Pre-aggregate locally (combiner) before shuffling.
+		// Combiner: collapse local partial sums before the shuffle.
 		srv.Put(relation.GroupBy("prod", prod, []string{"i", "k"}, relation.Sum, "v", "v"))
 		srv.Delete("Aj")
 		srv.Delete("Bj")
 	})
+	// Round 2: partition the partial sums on (i, k); result sums them.
 	c.Shuffle("sqlmm:aggregate", mpc.Send{From: "prod", To: "Cagg", Policy: mpc.Hash(seed, "i", "k")})
 	c.DeleteAll("prod")
-	c.LocalStep(func(srv *mpc.Server) {
-		frag := srv.RelOrEmpty("Cagg", "i", "k", "v")
-		srv.Put(relation.GroupBy("C", frag, []string{"i", "k"}, relation.Sum, "v", "v"))
-		srv.Delete("Cagg")
-	})
-	res, err := result(c, "C", n, start)
-	c.DeleteAll("C")
+	res, err := result(c, "Cagg", a.Rows, b.Cols, start)
+	c.DeleteAll("Cagg")
 	return res, err
 }

@@ -95,12 +95,7 @@ func NewCluster(p int, seed int64) *Cluster {
 	c := &Cluster{p: p, seed: seed, metrics: NewMetrics(p), transport: LocalTransport(), tracer: defaultTracer.Load()}
 	c.servers = make([]*Server, p)
 	for i := range c.servers {
-		c.servers[i] = &Server{
-			id:   i,
-			p:    p,
-			rels: map[string]*relation.Relation{},
-			rng:  rand.New(rand.NewSource(mixSeed(seed, i))),
-		}
+		c.servers[i] = &Server{id: i, p: p, seed: seed, rels: map[string]*relation.Relation{}}
 	}
 	return c
 }
@@ -193,8 +188,9 @@ func (c *Cluster) note(n note) {
 type Server struct {
 	id   int
 	p    int
+	seed int64 // the cluster's; Rng derives the server's source from it
 	rels map[string]*relation.Relation
-	rng  *rand.Rand
+	rng  *rand.Rand // nil until the first Rng call
 }
 
 // ID returns the server's index in [0, p).
@@ -203,9 +199,16 @@ func (s *Server) ID() int { return s.id }
 // P returns the cluster size.
 func (s *Server) P() int { return s.p }
 
-// Rng returns the server's deterministic random source. It must only be
-// used from within this server's compute function.
-func (s *Server) Rng() *rand.Rand { return s.rng }
+// Rng returns the server's deterministic random source, seeded from
+// the cluster seed and the server id. It is made on the first call,
+// since few algorithms draw from it. It must only be used from within
+// this server's compute function.
+func (s *Server) Rng() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(mixSeed(s.seed, s.id)))
+	}
+	return s.rng
+}
 
 // Rel returns the named local relation, or nil if the server holds none.
 func (s *Server) Rel(name string) *relation.Relation { return s.rels[name] }

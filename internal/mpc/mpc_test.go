@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,6 +26,32 @@ func TestClusterConstruction(t *testing.T) {
 		}
 	}()
 	NewCluster(0, 1)
+}
+
+// TestServerRngIsMadeOnFirstDraw: NewCluster allocates no random
+// source (at most two allocations per extra server: the Server and its
+// relation map), and each server's Rng yields the sequence of a source
+// seeded with mixSeed(seed, id).
+func TestServerRngIsMadeOnFirstDraw(t *testing.T) {
+	four := testing.AllocsPerRun(20, func() { NewCluster(4, 1) })
+	eight := testing.AllocsPerRun(20, func() { NewCluster(8, 1) })
+	if eight-four > 2*4 {
+		t.Fatalf("NewCluster allocates %.0f at p=4 and %.0f at p=8: more than 2 per extra server", four, eight)
+	}
+	const seed = 7
+	c := NewCluster(3, seed)
+	for i := 0; i < c.P(); i++ {
+		want := rand.New(rand.NewSource(mixSeed(seed, i)))
+		rng := c.Server(i).Rng()
+		for j := 0; j < 5; j++ {
+			if got, w := rng.Int63(), want.Int63(); got != w {
+				t.Fatalf("server %d draw %d: %d, want %d", i, j, got, w)
+			}
+		}
+		if c.Server(i).Rng() != rng {
+			t.Fatalf("server %d: a second Rng call made a new source", i)
+		}
+	}
 }
 
 func TestScatterRoundRobin(t *testing.T) {

@@ -276,9 +276,6 @@ func (v *RoundView) checkLanded() error {
 // P returns the cluster size; destinations and sources are in [0, P).
 func (v *RoundView) P() int { return v.c.p }
 
-// Name returns the round's label (metric/trace round name).
-func (v *RoundView) Name() string { return v.stat.Name }
-
 // Streams returns how many streams source src opened this round.
 func (v *RoundView) Streams(src int) int { return len(v.outs[src].order) }
 

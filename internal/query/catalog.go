@@ -1,10 +1,6 @@
 package query
 
-import (
-	"sort"
-
-	"mpcquery/internal/relation"
-)
+import "mpcquery/internal/relation"
 
 // Catalog is the schema the frontend compiles against: relation name →
 // arity. The compiler only needs arities; binding actual relation data
@@ -28,16 +24,6 @@ func (c *Catalog) Add(name string, arity int) {
 func (c *Catalog) Arity(name string) (int, bool) {
 	a, ok := c.arity[name]
 	return a, ok
-}
-
-// Names returns the registered relation names, sorted.
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.arity))
-	for n := range c.arity {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CatalogOf builds a catalog from a set of named relations.

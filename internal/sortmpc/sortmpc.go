@@ -311,8 +311,13 @@ func sortFanLevel(c *mpc.Cluster, name string, keyAttrs []string, outName string
 // VerifySorted checks that the distributed relation outName is globally
 // sorted by keyAttrs: each fragment is locally sorted and fragment key
 // ranges are non-overlapping in server order. It returns an error
-// describing the first violation.
+// describing the first violation. On a cluster that failed a round it
+// returns that failure, c.Err(), before it reads any fragment: a
+// partial output must not pass as sorted.
 func VerifySorted(c *mpc.Cluster, outName string, keyAttrs []string) error {
+	if err := c.Err(); err != nil {
+		return err
+	}
 	var prev []relation.Value
 	for i := 0; i < c.P(); i++ {
 		frag := c.Server(i).Rel(outName)

@@ -115,11 +115,17 @@ func Plannables() []cost.Plannable {
 				}
 				// Same spreading as gym, but the level-parallel join rounds
 				// are fewer (d−1), so each carries a larger output slice.
+				// When the downward pass leaves every atom on one key the
+				// join is local: no round ships the output.
+				out := st.OutEst
+				if _, at := downwardPass(jt); len(groupsOf(at)) == 1 {
+					out = 0
+				}
 				p := float64(st.P)
 				return cost.Estimate{
-					L:      (float64(st.IN) + st.OutEst/float64(d-1)) / p,
+					L:      (float64(st.IN) + out/float64(d-1)) / p,
 					R:      gymOptRounds(jt),
-					C:      float64(d-1)*float64(st.IN) + st.OutEst,
+					C:      float64(d-1)*float64(st.IN) + out,
 					Detail: fmt.Sprintf("tree depth %d", d),
 				}, nil
 			},
