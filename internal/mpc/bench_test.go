@@ -111,3 +111,51 @@ func BenchmarkDeliver(b *testing.B) {
 func benchOuts(c *Cluster) []*Out {
 	return c.roundOuts()
 }
+
+// BenchmarkTuplePath times the routing layer's bulk loops at p = 8 on
+// 40 000 binary rows (the size of the benchmark's batch_oneround
+// inputs): both scatters, a hash Shuffle, and a grid Shuffle over
+// shares (2, 2, 2) whose third dimension is free, so every row goes to
+// two of the eight servers. A shuffle's time includes its delivery and
+// metering; the scatters place, and meter nothing.
+func BenchmarkTuplePath(b *testing.B) {
+	const p, n = 8, 40000
+	rel := relation.New("R", "x", "y")
+	for i := 0; i < n; i++ {
+		rel.Append(relation.Value(i), relation.Value(i*7%1009))
+	}
+	grid := Grid([]int{2, 2, 2}, []uint64{11, 12, 13}, []int{0, 1, -1}, nil)
+	b.Run("ScatterRoundRobin", func(b *testing.B) {
+		c := NewCluster(p, 1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.ScatterRoundRobin(rel)
+		}
+	})
+	b.Run("ScatterByHash", func(b *testing.B) {
+		c := NewCluster(p, 1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.ScatterByHash(rel, []string{"y"}, 5)
+		}
+	})
+	for _, sh := range []struct {
+		name   string
+		policy Policy
+	}{{"HashShuffle", Hash(5, "y")}, {"GridShuffle", grid}} {
+		b.Run(sh.name, func(b *testing.B) {
+			c := NewCluster(p, 1)
+			c.ScatterRoundRobin(rel)
+			c.Shuffle("warm", Send{From: "R", To: "T", Policy: sh.policy})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Shuffle("route", Send{From: "R", To: "T", Policy: sh.policy})
+				b.StopTimer()
+				c.DeleteAll("T")
+				c.ResetMetrics()
+				b.StartTimer()
+			}
+		})
+	}
+}

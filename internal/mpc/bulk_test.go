@@ -2,6 +2,8 @@ package mpc_test
 
 import (
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"mpcquery/internal/mpc"
@@ -185,5 +187,77 @@ func TestScatterAndSendByHashAgree(t *testing.T) {
 	}
 	if mpc.HashSeed(99, "ab", "c") == mpc.HashSeed(99, "a", "bc") {
 		t.Error("HashSeed is not prefix-free over variable names")
+	}
+}
+
+// TestScattersPlaceRowByRow is the contract of the scatters' bulk
+// loops: for every arity (nullary relations, placed by count only,
+// included) ScatterRoundRobin gives server i rows i, i+p, i+2p, … and
+// ScatterByHash gives server i the rows whose Owner is i, each in input
+// order, in storage sized exactly for them.
+func TestScattersPlaceRowByRow(t *testing.T) {
+	allAttrs := []string{"x", "y", "z"}
+	for arity := 0; arity <= 3; arity++ {
+		input := relation.New("R", allAttrs[:arity]...)
+		row := make([]relation.Value, arity)
+		for i := 0; i < 300; i++ {
+			for j := range row {
+				row[j] = relation.Value(i * (j + 5) % 97)
+			}
+			input.AppendRow(row)
+		}
+		key := allAttrs[:min(arity, 1)]
+		cols := input.MustCols(key)
+		for _, p := range []int{1, 3, 8} {
+			rr, byHash := mpc.NewCluster(p, 1), mpc.NewCluster(p, 1)
+			rr.ScatterRoundRobin(input)
+			byHash.ScatterByHash(input, key, 7)
+			for i := 0; i < p; i++ {
+				wantRR, wantHash := input.Empty(), input.Empty()
+				for j := 0; j < input.Len(); j++ {
+					if j%p == i {
+						wantRR.AppendRow(input.Row(j))
+					}
+					if mpc.Owner(input.Row(j), cols, 7, p) == i {
+						wantHash.AppendRow(input.Row(j))
+					}
+				}
+				for _, tc := range []struct {
+					name      string
+					got, want *relation.Relation
+				}{{"round-robin", rr.Server(i).Rel("R"), wantRR}, {"by hash", byHash.Server(i).Rel("R"), wantHash}} {
+					if tc.got.Len() != tc.want.Len() || !slices.Equal(tc.got.Flat(), tc.want.Flat()) {
+						t.Fatalf("arity %d, p %d, server %d: %s scatter placed %v, want %v", arity, p, i, tc.name, tc.got, tc.want)
+					}
+					if tc.got.Cap() != tc.got.Words() {
+						t.Fatalf("arity %d, p %d, server %d: %s fragment holds %d words of storage for %d", arity, p, i, tc.name, tc.got.Cap(), tc.got.Words())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScatterAllocsIndependentOfLength is the scatters' allocation
+// wall: placing 10 000 rows allocates exactly as often as placing 100,
+// so neither scatter allocates per row.
+func TestScatterAllocsIndependentOfLength(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) (rr, byHash float64) {
+		rel := relation.New("R", "x", "y")
+		for i := 0; i < n; i++ {
+			rel.Append(relation.Value(i), relation.Value(i%89))
+		}
+		c := mpc.NewCluster(8, 1)
+		rr = testing.AllocsPerRun(10, func() { c.ScatterRoundRobin(rel) })
+		byHash = testing.AllocsPerRun(10, func() { c.ScatterByHash(rel, []string{"y"}, 5) })
+		return rr, byHash
+	}
+	rr100, hash100 := allocs(100)
+	rr10k, hash10k := allocs(10_000)
+	t.Logf("allocations: ScatterRoundRobin %v / %v, ScatterByHash %v / %v at 100 / 10 000 rows", rr100, rr10k, hash100, hash10k)
+	if rr100 != rr10k || hash100 != hash10k {
+		t.Fatalf("scatter allocations depend on the input size: ScatterRoundRobin %v / %v, ScatterByHash %v / %v at 100 / 10 000 rows",
+			rr100, rr10k, hash100, hash10k)
 	}
 }

@@ -48,6 +48,10 @@ type grid struct {
 	hashed  []hashedDim
 	offsets []int
 	owner   []int // owner[c] hosts cell c
+	// ident marks an identity owner table (every uniform cluster's):
+	// a row's cells then have distinct owners, and the grid loop needs
+	// no marks to tell them apart.
+	ident bool
 }
 
 // hashedDim is one dimension a fragment fixes: coordinate
@@ -86,7 +90,10 @@ func Grid(shares []int, seeds []uint64, cols []int, owner []int) Policy {
 			owner[c] = c
 		}
 	}
-	g := grid{offsets: []int{0}, owner: owner}
+	g := grid{offsets: []int{0}, owner: owner, ident: true}
+	for c, d := range owner {
+		g.ident = g.ident && c == d
+	}
 	stride := cells
 	for d, share := range shares {
 		stride /= share
@@ -252,19 +259,24 @@ func (g *grid) base(row []relation.Value) int {
 func (g *grid) count(o *Out, frag *relation.Relation, bits []uint64, want uint64) []int {
 	bases, counts := o.scratch(frag.Len())
 	seen := o.seen()
+	flat, k := frag.Flat(), frag.Arity()
 	for i := range bases {
 		if bits != nil && bits[i] != want {
 			bases[i] = -1
 			continue
 		}
-		b := g.base(frag.Row(i))
+		b := g.base(flat[i*k : i*k+k])
 		bases[i] = int32(b)
 		o.mark++
 		for _, off := range g.offsets {
-			if d := g.owner[b+off]; seen[d] != o.mark {
+			d := g.owner[b+off]
+			if !g.ident {
+				if seen[d] == o.mark {
+					continue
+				}
 				seen[d] = o.mark
-				counts[d]++
 			}
+			counts[d]++
 		}
 	}
 	return counts
@@ -277,21 +289,30 @@ func (g *grid) count(o *Out, frag *relation.Relation, bits []uint64, want uint64
 // length.
 func (g *grid) send(st *Stream, frag *relation.Relation, bits []uint64, want uint64) {
 	out := st.out
-	for d, k := range g.count(out, frag, bits, want) {
-		st.reserve(d, k)
-	}
-	seen := out.seen()
+	pos := g.count(out, frag, bits, want)
+	st.extend(pos)
+	seen, dst := out.seen(), st.st.perDst
+	flat, k := frag.Flat(), frag.Arity()
 	for i, b := range out.bases {
 		if b < 0 {
 			continue
 		}
-		row := frag.Row(i)
+		row := flat[i*k : i*k+k]
 		out.mark++
 		for _, o := range g.offsets {
-			if d := g.owner[int(b)+o]; seen[d] != out.mark {
+			d := g.owner[int(b)+o]
+			if !g.ident {
+				if seen[d] == out.mark {
+					continue
+				}
 				seen[d] = out.mark
-				st.st.perDst[d] = append(st.st.perDst[d], row...)
 			}
+			if w := pos[d]; k == 2 {
+				dst[d][w], dst[d][w+1] = row[0], row[1]
+			} else {
+				copy(dst[d][w:w+k], row)
+			}
+			pos[d] += k
 		}
 	}
 }

@@ -28,20 +28,27 @@ func EncodeKey(row []Value, cols []int) string {
 }
 
 // Hash64 mixes a single value with a seed using an FNV-1a style round
-// followed by a 64-bit finalizer (splitmix64). The finalizer matters:
-// plain FNV on small integers leaves low bits highly structured, which
-// skews modulo-p partitioning.
+// over the value's eight little-endian bytes, followed by a 64-bit
+// finalizer (splitmix64). The finalizer matters: plain FNV on small
+// integers leaves low bits highly structured, which skews modulo-p
+// partitioning.
+//
+// The FNV round stops at the value's last non-zero byte. A zero byte's
+// step, h ^= 0; h *= prime, is a plain multiply, so the 8 − k steps of
+// the high zero bytes of a value with k < 8 significant bytes are one
+// multiply by prime^(8−k): the hash is exactly the eight-step round's,
+// at about half its cost on values below 2¹⁶, the size keys usually
+// are. A value whose top byte is non-zero takes all eight steps.
 func Hash64(v Value, seed uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ seed
-	x := uint64(v)
-	for i := 0; i < 8; i++ {
+	h := uint64(offset64) ^ seed
+	k := 0
+	for x := uint64(v); x != 0; x >>= 8 {
 		h ^= x & 0xff
-		h *= prime
-		x >>= 8
+		h *= prime64
+		k++
+	}
+	if k < 8 { // skips the multiply by 1, and proves the index in range
+		h *= zeroBytes[k]
 	}
 	// splitmix64 finalizer.
 	h ^= h >> 30
@@ -51,6 +58,22 @@ func Hash64(v Value, seed uint64) uint64 {
 	h ^= h >> 31
 	return h
 }
+
+// The FNV-1a constants of Hash64.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+// zeroBytes[k] is prime64^(8−k) mod 2⁶⁴: the FNV steps of the 8 − k high
+// zero bytes of a value with k significant bytes.
+var zeroBytes = func() (t [9]uint64) {
+	t[8] = 1
+	for k := 7; k >= 0; k-- {
+		t[k] = t[k+1] * prime64
+	}
+	return t
+}()
 
 // HashRow hashes the selected columns of row under one seed.
 func HashRow(row []Value, cols []int, seed uint64) uint64 {

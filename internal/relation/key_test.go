@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +28,70 @@ func TestHash64Deterministic(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hash64ByteLoop is Hash64 as first written, the oracle of its
+// zero-byte shortcut: an FNV-1a step for each of the value's eight
+// little-endian bytes, zero or not, then the splitmix64 finalizer.
+func hash64ByteLoop(v Value, seed uint64) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset) ^ seed
+	x := uint64(v)
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xff
+		h *= prime
+		x >>= 8
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// TestHash64MatchesByteLoop pins Hash64 to the eight-step byte loop:
+// every owner, grid cell and HashSeed in the system is a function of
+// it. The values cover each byte length's edges and the signs; the
+// random ones draw their bit length uniformly, so short values, the
+// shortcut's case, are as common as long ones.
+func TestHash64MatchesByteLoop(t *testing.T) {
+	vals := []Value{0, 1, -1, 255, 256, 1 << 16, 1<<56 - 1, 1 << 56, math.MaxInt64, math.MinInt64}
+	for b := 1; b < 64; b++ {
+		vals = append(vals, 1<<b-1, 1<<b, -(1 << b))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1e6; i++ {
+		v := Value(rng.Uint64() >> rng.Intn(64))
+		if rng.Intn(4) == 0 {
+			v = -v
+		}
+		vals = append(vals, v)
+	}
+	for _, seed := range []uint64{0, 1, 0x9e3779b97f4a7c15, ^uint64(0), rng.Uint64()} {
+		for _, v := range vals {
+			if got, want := Hash64(v, seed), hash64ByteLoop(v, seed); got != want {
+				t.Fatalf("Hash64(%d, %#x) = %#x, byte loop %#x", v, seed, got, want)
+			}
+		}
+	}
+}
+
+// FuzzHash64MatchesByteLoop is TestHash64MatchesByteLoop on fuzzed
+// values and seeds.
+func FuzzHash64MatchesByteLoop(f *testing.F) {
+	f.Add(int64(0), uint64(0))
+	f.Add(int64(255), uint64(1))
+	f.Add(int64(1<<56), ^uint64(0))
+	f.Add(int64(math.MinInt64), uint64(0x9e3779b97f4a7c15))
+	f.Fuzz(func(t *testing.T, v int64, seed uint64) {
+		if got, want := Hash64(v, seed), hash64ByteLoop(v, seed); got != want {
+			t.Fatalf("Hash64(%d, %#x) = %#x, byte loop %#x", v, seed, got, want)
+		}
+	})
 }
 
 func TestHash64SeedIndependence(t *testing.T) {

@@ -192,6 +192,23 @@ func (r *Relation) AppendFlat(flat []Value, tuples int) {
 	r.data = append(r.data, flat...)
 }
 
+// Extend adds tuples rows to r and returns their storage, row-major,
+// for the caller to fill in place: the bulk form of Append for a writer
+// that knows where each value goes, such as a scatter's counting sort.
+// The caller must write every value before r is read. Storage grows at
+// most once, to exactly the words needed. For a nullary relation only
+// the count is added, and the storage is empty.
+func (r *Relation) Extend(tuples int) []Value {
+	if len(r.attrs) == 0 {
+		r.nrows += tuples
+		return nil
+	}
+	n := len(r.data)
+	r.Grow(tuples * len(r.attrs))
+	r.data = r.data[:n+tuples*len(r.attrs)]
+	return r.data[n:]
+}
+
 // Row returns tuple i as a view into the underlying storage. Callers must
 // not retain it across mutations of r.
 func (r *Relation) Row(i int) []Value {

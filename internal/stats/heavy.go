@@ -58,7 +58,9 @@ type Hitter struct {
 // every one of them, and one exact recount of the survivors drops the
 // rest: O(n) time and O(n/t) memory, with no per-value map. Under InAny
 // each column is summarised alone and the survivors are pooled; under
-// Summed the columns are one stream.
+// Summed the columns are one stream. The summary's own error bound
+// prunes survivors before the recount, and when none is left there is
+// no recount: on a column with no heavy value there usually is none.
 func Heavy(cols []Column, threshold int, rule Rule) []Hitter {
 	t := max(threshold, 1)
 	n := 0
@@ -70,10 +72,10 @@ func Heavy(cols []Column, threshold int, rule Rule) []Hitter {
 	}
 	var cands []relation.Value
 	if rule == Summed {
-		cands = survivors(cols, n/t, cands)
+		cands = survivors(cols, n/t, t, cands)
 	} else {
 		for i, c := range cols {
-			cands = survivors(cols[i:i+1], c.Rel.Len()/t, cands)
+			cands = survivors(cols[i:i+1], c.Rel.Len()/t, t, cands)
 		}
 	}
 	if len(cands) == 0 {
@@ -84,15 +86,23 @@ func Heavy(cols []Column, threshold int, rule Rule) []Hitter {
 }
 
 // survivors runs Misra–Gries' k-counter summary over the columns as one
-// stream and appends the values still holding a counter to out: a
-// superset of the values that occur more than n/(k+1) times.
-func survivors(cols []Column, k int, out []relation.Value) []relation.Value {
+// stream and appends to out the values that may occur t times in it.
+// A decrement step takes one occurrence from each of the k counters and
+// drops the value that found them taken, so a stream of n values that
+// leaves counters c saw d = (n − Σc)/(k+1) steps. A value's occurrences
+// each either raised its counter or went in a step, at most one per
+// step, so a value that holds counter c occurs at most c + d times, and
+// one that holds none at most d times: the values with c + d ≥ t are a
+// superset of those that occur t times, when t > n/(k+1).
+func survivors(cols []Column, k, t int, out []relation.Value) []relation.Value {
 	if k < 1 {
 		return out
 	}
 	sum := newSummary(k)
+	d := 0
 	for _, c := range cols {
 		flat, step := c.Rel.Flat(), c.Rel.Arity()
+		d += c.Rel.Len()
 		for j := c.Col; j < len(flat); j += step {
 			v := flat[j]
 			s := sum.find(v)
@@ -108,7 +118,16 @@ func survivors(cols []Column, k int, out []relation.Value) []relation.Value {
 			}
 		}
 	}
-	return append(out, sum.keys...)
+	for _, c := range sum.counts {
+		d -= c
+	}
+	d /= k + 1
+	for i, v := range sum.keys {
+		if sum.counts[i]+d >= t {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // recount counts the candidates' exact degrees in every column and keeps

@@ -158,6 +158,30 @@ func TestHeavyMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSurvivorsPrunedByErrorBound pins what lets Heavy skip its
+// recount: a summary keeps only the values that its error bound lets
+// reach the threshold. On a uniform stream, where no value comes near
+// it, every counter is pruned; a value planted at the threshold
+// survives, alone.
+func TestSurvivorsPrunedByErrorBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	vals := make([]relation.Value, 30000)
+	for i := range vals {
+		vals[i] = relation.Value(rng.Intn(4000))
+	}
+	const threshold = 30000 / 8
+	uniform := []Column{column("R", 2, 0, vals, 0)}
+	if got := survivors(uniform, len(vals)/threshold, threshold, nil); len(got) != 0 {
+		t.Fatalf("uniform stream: %d survivors %v, want none", len(got), got)
+	}
+	planted := append(repeat([]relation.Value{-5}, threshold), vals...)
+	rng.Shuffle(len(planted), func(i, j int) { planted[i], planted[j] = planted[j], planted[i] })
+	cols := []Column{column("R", 2, 0, planted, 0)}
+	if got := survivors(cols, len(planted)/threshold, threshold, nil); !slices.Equal(got, []relation.Value{-5}) {
+		t.Fatalf("planted stream: survivors %v, want [-5]", got)
+	}
+}
+
 func TestHeavyRejectsBadColumn(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -196,7 +220,9 @@ func FuzzHeavy(f *testing.F) {
 // BenchmarkHeavy times both sides of a two-way join's heavy-hitter count
 // at p = 8 on a Zipf(1.5) column against a permutation, 40 000 rows each
 // (the benchmark's zipf_join), next to the per-value map count of
-// heavyOracle.
+// heavyOracle; and, as summed-uniform, one variable of a triangle over
+// 15 000 uniform edges on 4 000 vertices at p = 8 (the benchmark's
+// hc_triangle), which has no heavy value.
 func BenchmarkHeavy(b *testing.B) {
 	const n = 40000
 	rng := rand.New(rand.NewSource(1))
@@ -217,6 +243,21 @@ func BenchmarkHeavy(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			heavyOracle(cols, 2*n/8, InAny)
+		}
+	})
+	const nodes, edges = 4000, 15000
+	er, et := relation.New("R", "x", "y"), relation.New("T", "z", "x")
+	for i := 0; i < edges; i++ {
+		er.Append(rng.Int63n(nodes), rng.Int63n(nodes))
+		et.Append(rng.Int63n(nodes), rng.Int63n(nodes))
+	}
+	x := []Column{{Rel: er, Col: 0}, {Rel: et, Col: 1}}
+	b.Run("summed-uniform", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if Heavy(x, edges/8, Summed) != nil {
+				b.Fatal("a uniform column has a heavy value")
+			}
 		}
 	})
 }
