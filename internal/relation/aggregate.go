@@ -28,7 +28,11 @@ const (
 // group columns, partitioned by the high hash bits, and accumulated in
 // per-partition open-addressing tables with full key verification on
 // every hash hit. Accumulators live in flat arena arrays recycled
-// across calls.
+// across calls. GroupBy keeps its own table rather than the join index's
+// insert: its collision check compares against a compact copy of the
+// group keys, where the index's compares against the relation's rows,
+// and it aggregates in the same pass (on the index's insert,
+// BenchmarkGroupBy measured 8.5 → 10.5 ms).
 func GroupBy(name string, r *Relation, groupAttrs []string, fn AggFunc, aggAttr, outAttr string) *Relation {
 	gcols := r.MustCols(groupAttrs)
 	acol := -1

@@ -86,3 +86,23 @@ func TestSelectAllocatesOutputOnce(t *testing.T) {
 			sel100, sel10k, semi100, semi10k)
 	}
 }
+
+// TestBuildIndexAllocations pins BuildIndex's allocations: the Index,
+// its private arena, the key columns, and one take per array the build
+// fills (hashes, partition counts, region offsets and masks, slots,
+// group starts, grouped rows). Below radixMinRows there is one
+// partition, so ten thousand rows cost what a hundred do.
+func TestBuildIndexAllocations(t *testing.T) {
+	const want = 10
+	for _, n := range []int{100, 10000} {
+		r := New("R", "x", "y")
+		for i := 0; i < n; i++ {
+			r.Append(Value(i), Value(i%97))
+		}
+		got := testing.AllocsPerRun(10, func() { BuildIndex(r, []string{"y"}) })
+		t.Logf("BuildIndex over %d rows: %v allocations", n, got)
+		if got > want {
+			t.Fatalf("BuildIndex over %d rows made %v allocations, want at most %d", n, got, want)
+		}
+	}
+}

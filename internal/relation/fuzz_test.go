@@ -62,7 +62,9 @@ func FuzzHashRowRouting(f *testing.F) {
 // oracle: for an arbitrary relation (decoded from raw bytes as int64
 // key/payload pairs) and an arbitrary probe key, insert and lookup must
 // agree exactly — same groups, same row ids, same order — including
-// when keys collide in the table's hash buckets.
+// when keys collide in the table's hash buckets. Semijoin, which
+// probes the key-only form of the index, must keep exactly the rows
+// the map says match, in order.
 func FuzzRadixIndex(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, int64(-1))
@@ -103,6 +105,37 @@ func FuzzRadixIndex(f *testing.F) {
 			check(k)
 		}
 		check(Value(probeKey))
+
+		// Semijoin probes the key-only index: over the probe relation
+		// P(k) of probeKey and every other row's key, each side keeps its
+		// rows whose key the other holds, in order.
+		p := New("P", "k")
+		p.Append(Value(probeKey))
+		for i := 1; i < r.Len(); i += 2 {
+			p.Append(r.Row(i)[0])
+		}
+		inP := map[Value]bool{}
+		for i := 0; i < p.Len(); i++ {
+			inP[p.Row(i)[0]] = true
+		}
+		semi := func(got, from *Relation, keep func(Value) bool) {
+			want := New("W", from.Attrs()...)
+			for i := 0; i < from.Len(); i++ {
+				if keep(from.Row(i)[0]) {
+					want.AppendRow(from.Row(i))
+				}
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("Semijoin of %s: %d rows, oracle %d", from.Name(), got.Len(), want.Len())
+			}
+			for i := 0; i < got.Len(); i++ {
+				if !rowsEqual(got.Row(i), want.Row(i)) {
+					t.Fatalf("Semijoin of %s: row %d = %v, oracle %v", from.Name(), i, got.Row(i), want.Row(i))
+				}
+			}
+		}
+		semi(Semijoin("S", r, p), r, func(k Value) bool { return inP[k] })
+		semi(Semijoin("S", p, r), p, func(k Value) bool { return oracle[k] != nil })
 	})
 }
 

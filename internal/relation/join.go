@@ -49,7 +49,7 @@ func HashJoin(name string, r, s *Relation) *Relation {
 		if ordRows != nil {
 			row = int(ordRows[i])
 		}
-		refs[row] = ri.lookupRefH(h, probe.Row(row), probeCols)
+		refs[row] = ri.ref(ri.lookup(h, probe.Row(row), probeCols))
 		total += int(refs[row].count)
 	}
 
@@ -94,8 +94,13 @@ func CrossProduct(name string, r, s *Relation) *Relation {
 }
 
 // Semijoin returns the tuples of r that join with at least one tuple of
-// s on their shared attributes (r ⋉ s). With no shared attributes it
-// returns all of r if s is non-empty, else none.
+// s on their shared attributes (r ⋉ s), in r's order. With no shared
+// attributes it returns all of r if s is non-empty, else none.
+//
+// It probes the key-only form of the radix hash index over s: one slot
+// per distinct key, holding the key's first row for the collision
+// check, and no row lists, since a probe asks only whether its key is
+// present.
 func Semijoin(name string, r, s *Relation) *Relation {
 	shared := SharedAttrs(r, s)
 	if len(shared) == 0 {
@@ -111,9 +116,9 @@ func Semijoin(name string, r, s *Relation) *Relation {
 	a := getArena()
 	defer putArena(a)
 	var ri rowIndex
-	buildRowIndex(&ri, s, scols, a)
+	buildKeyIndex(&ri, s, scols, a)
 	return r.Select(name, func(row []Value) bool {
-		return ri.lookupRef(row, cols).count > 0
+		return ri.lookup(kernelRowHash(row, cols, kernelSeed), row, cols) >= 0
 	})
 }
 

@@ -40,12 +40,15 @@ func BenchmarkHashJoin(b *testing.B) {
 }
 
 // BenchmarkLocalJoin is the local join kernel's table: each row times
-// one fixture through GenericJoin ("generic") and through two-input
-// HashJoin calls ("hash", a left-deep chain for three inputs), with
-// -benchmem. The binary rows join set inputs R(x,y) ⋈ S(y,z) of n rows
-// over d values (the 200k row is BenchmarkHashJoin/n200k's fixture);
-// path3 and triangle are one server's HyperCube fragments. Run it on
-// two commits to compare kernels:
+// one fixture through GenericJoin ("generic"), through two-input
+// HashJoin calls ("hash", a left-deep chain for three inputs) and
+// through Semijoin calls ("semi", the first input reduced by each
+// other in turn), with -benchmem. The binary rows join set inputs
+// R(x,y) ⋈ S(y,z) of n rows over d values (binary5k is one server's
+// fragment of the benchmark's hashjoin_sparse at p = 8; the 200k row is
+// BenchmarkHashJoin/n200k's fixture); path3 and triangle are one
+// server's HyperCube fragments. Run it on two commits to compare
+// kernels:
 //
 //	go test -run XXX -bench LocalJoin -benchmem -count 5 ./internal/relation
 func BenchmarkLocalJoin(b *testing.B) {
@@ -63,6 +66,7 @@ func BenchmarkLocalJoin(b *testing.B) {
 	}{
 		{"binary1500", []string{"x", "y", "z"}, binary(5, 1500, 1500)},
 		{"binary1500dom150", []string{"x", "y", "z"}, binary(7, 1500, 150)},
+		{"binary5k", []string{"x", "y", "z"}, binary(11, 5000, 40000)},
 		{"binary20k", []string{"x", "y", "z"}, binary(9, 20000, 20000)},
 		{"binary200k", []string{"x", "y", "z"}, binary(1, 200000, 50000)},
 		{"path3", []string{"x", "y", "z", "w"}, tuple(benchPath3(3000))},
@@ -80,6 +84,15 @@ func BenchmarkLocalJoin(b *testing.B) {
 				acc := row.rels[0]
 				for _, s := range row.rels[1:] {
 					acc = HashJoin("J", acc, s)
+				}
+			}
+		})
+		b.Run(row.name+"/semi", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc := row.rels[0]
+				for _, s := range row.rels[1:] {
+					acc = Semijoin("J", acc, s)
 				}
 			}
 		})

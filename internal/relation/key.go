@@ -115,11 +115,11 @@ func BuildIndex(rel *Relation, attrs []string) *Index {
 // Lookup returns the indices of rows whose key columns equal the key
 // columns of probe (interpreted under probeCols), in ascending order.
 func (ix *Index) Lookup(probe []Value, probeCols []int) []int32 {
-	g := ix.ri.lookupRef(probe, probeCols)
-	if g.count == 0 {
+	g := ix.ri.lookup(kernelRowHash(probe, probeCols, kernelSeed), probe, probeCols)
+	if g < 0 {
 		return nil
 	}
-	return ix.ri.group(g)
+	return ix.ri.group(ix.ri.ref(g))
 }
 
 // LookupKey returns rows matching an explicit key tuple.

@@ -8,18 +8,25 @@ import (
 	"sync/atomic"
 )
 
-// Radix-partitioned open-addressing hash kernels. Every local operator
-// that used to key a Go map on EncodeKey strings (BuildIndex/HashJoin,
-// GroupBy) now runs on these: rows are hashed once with
-// HashRow, partitioned by the high hash bits so each partition's table
-// region stays cache-resident, and inserted into an open-addressing
-// region addressed by the low hash bits. A slot matches only when both
-// the full 64-bit hash and the actual key columns compare equal, so
-// hash collisions are verified against the stored rows and never merge
-// distinct keys.
+// Radix-partitioned open-addressing hash kernels. The local operators
+// that match rows by key (BuildIndex/HashJoin, Semijoin, GroupBy) run
+// on these: rows are hashed once, by kernelRowHash, partitioned by the
+// high hash bits so each partition's table region stays cache-resident,
+// and inserted into an open-addressing region addressed by the low hash
+// bits. A slot matches only when both the full 64-bit hash and the
+// actual key columns compare equal, so hash collisions are verified
+// against the stored rows and never merge distinct keys.
 //
-// Build-side scratch (hash arrays, partition counters, chain links,
-// slot regions, grouped row ids) lives in a kernelArena recycled
+// The two-input index (rowIndex) numbers each new key's group as it is
+// inserted. Its key-only form (Semijoin) stops there: a slot holds its
+// key's first row for the collision check. Its grouped form (HashJoin,
+// BuildIndex) then lays every group's row ids out contiguous and
+// ascending with one prefix sum over the groups and one counting
+// scatter, so a build passes over the rows and the groups, never over
+// the empty slots.
+//
+// Build-side scratch (hash arrays, partition counters, slot regions,
+// group starts, grouped row ids) lives in a kernelArena recycled
 // through a sync.Pool, so steady-state rounds of an MPC run reuse the
 // same allocations instead of rebuilding map buckets every round.
 
@@ -109,7 +116,7 @@ func nextPow2(n int) int {
 // then hardly depend on when the collector runs.
 type kernelArena struct {
 	u64    bump[uint64]    // key hashes, partition masks
-	i32    bump[int32]     // row ids, chain links, partition counters
+	i32    bump[int32]     // row ids, group starts, partition counters
 	vals   bump[Value]     // group keys and aggregates, sort buffers, the join's binding
 	ints   bump[int]       // region offsets, the join's plan
 	refs   bump[groupRef]  // HashJoin's probe matches
@@ -221,14 +228,14 @@ func (b *bump[T]) rewind() {
 	b.off, b.used, b.peak = 0, 0, 0
 }
 
-// idxSlot is one open-addressing slot of a rowIndex. During the insert
-// pass start holds the chain-head row id; the finalize pass rewrites it
-// to the group's offset into the grouped rows array. count==0 marks an
-// empty slot (every occupied slot holds at least one row).
+// idxSlot is one open-addressing slot of a rowIndex: the key's hash,
+// its group number, and in row the first row inserted with the key,
+// plus one, so that zero marks an empty slot. The collision check
+// compares a probe against that row.
 type idxSlot struct {
 	hash  uint64
-	start int32
-	count int32
+	row   int32
+	group int32
 }
 
 // groupRef addresses one key group inside a rowIndex: rows[start :
@@ -240,6 +247,12 @@ type groupRef struct{ start, count int32 }
 // region is slots[pOff[p] : pOff[p+1]], addressed by hash & pMask[p]
 // (low bits) with linear probing. Regions are sized to 2 slots per
 // build row, so the load factor never exceeds 1/2 and probes terminate.
+//
+// Each new key takes the next group number, so groups are numbered
+// 0 … distinct−1 in insert order. The grouped form (buildRowIndex) lays
+// group g's row ids out at rows[start[g] : start[g+1]], ascending; the
+// key-only form (buildKeyIndex) has neither array and answers only
+// whether a key is present.
 type rowIndex struct {
 	rel      *Relation
 	cols     []int
@@ -247,6 +260,7 @@ type rowIndex struct {
 	pOff     []int
 	pMask    []uint64
 	slots    []idxSlot
+	start    []int32
 	rows     []int32
 	distinct int
 }
@@ -305,9 +319,14 @@ func sizeRegions(a *kernelArena, pcnt []int32) (pOff []int, pMask []uint64, tota
 	return pOff, pMask, total
 }
 
-// buildRowIndex builds ix over rel's cols using a's scratch. The slot
-// and row arrays stay referenced by ix, so the arena must outlive it.
-func buildRowIndex(ix *rowIndex, rel *Relation, cols []int, a *kernelArena) {
+// buildKeyIndex builds the key-only form of ix over rel's cols using
+// a's scratch: the slot table, with no row layout. It inserts the rows
+// in partition order, ascending within each partition, and returns
+// that order (nil when it is row order) together with the group number
+// of each row inserted, written over the row's hash, which nothing
+// reads after its insert. The slots stay referenced by ix, so the arena
+// must outlive it.
+func buildKeyIndex(ix *rowIndex, rel *Relation, cols []int, a *kernelArena) (ordRows []int32, groups []uint64) {
 	n := rel.Len()
 	checkRowCount("BuildIndex", n)
 	nparts := radixParts(n)
@@ -317,64 +336,80 @@ func buildRowIndex(ix *rowIndex, rel *Relation, cols []int, a *kernelArena) {
 	for i := 0; i < n; i++ {
 		hashes[i] = kernelRowHash(rel.Row(i), cols, kernelSeed)
 	}
-	ordRows, ordHash, pcnt := partitionScatter(a, hashes, nparts, ix.shift)
+	ordRows, groups, pcnt := partitionScatter(a, hashes, nparts, ix.shift)
 	var total int
 	ix.pOff, ix.pMask, total = sizeRegions(a, pcnt)
-	slots := a.slots.takeZero(total)
-	next := a.i32.take(n)
-
-	insert := func(row int32, h uint64) {
-		p := h >> ix.shift
-		base, mask := ix.pOff[p], ix.pMask[p]
-		j := h & mask
-		for {
-			s := &slots[base+int(j)]
-			if s.count == 0 {
-				s.hash, s.start, s.count = h, row, 1
-				next[row] = -1
-				ix.distinct++
-				return
-			}
-			if s.hash == h && rowKeysEqual(rel, cols, int(s.start), int(row)) {
-				next[row] = s.start
-				s.start = row
-				s.count++
-				return
-			}
-			j = (j + 1) & mask
-		}
-	}
+	ix.slots = a.slots.takeZero(total)
 	if ordRows == nil {
-		for i := 0; i < n; i++ {
-			insert(int32(i), hashes[i])
+		for i, h := range groups {
+			groups[i] = uint64(ix.insert(int32(i), h))
 		}
 	} else {
 		// Partition-ordered inserts keep each region cache-hot.
-		for i, row := range ordRows {
-			insert(row, ordHash[i])
+		for i, h := range groups {
+			groups[i] = uint64(ix.insert(ordRows[i], h))
 		}
 	}
+	return ordRows, groups
+}
 
-	// Finalize: flatten the per-slot chains into one grouped row array.
-	// Chains link newest-first, so writing each group back-to-front
-	// restores ascending row order within the group.
-	rows := a.i32.take(n)
-	off := int32(0)
-	for si := range slots {
-		s := &slots[si]
-		if s.count == 0 {
-			continue
+// insert adds row, of hash h, to the table and returns its key's group
+// number: the stored key's when a slot holds it, else the next one.
+func (ix *rowIndex) insert(row int32, h uint64) int32 {
+	p := h >> ix.shift
+	base, mask := ix.pOff[p], ix.pMask[p]
+	slots := ix.slots[base : base+int(mask)+1]
+	j := h & mask
+	for {
+		s := &slots[j]
+		if s.row == 0 {
+			g := int32(ix.distinct)
+			s.hash, s.row, s.group = h, row+1, g
+			ix.distinct++
+			return g
 		}
-		head := s.start
-		s.start = off
-		off += s.count
-		w := off
-		for r := head; r >= 0; r = next[r] {
-			w--
-			rows[w] = r
+		if s.hash == h && rowKeysEqual(ix.rel, ix.cols, int(s.row-1), int(row)) {
+			return s.group
+		}
+		j = (j + 1) & mask
+	}
+}
+
+// buildRowIndex builds the grouped form of ix over rel's cols using a's
+// scratch. After the inserts, one pass counts each group's rows, a
+// prefix sum over the groups turns the counts into group ends, and one
+// counting scatter, back to front over the insert order, writes each
+// row id at its group's end and moves the end down. A group's rows are
+// inserted in ascending order, so they come out ascending, and the
+// ends come out as the group starts. The slot, start and row arrays
+// stay referenced by ix, so the arena must outlive it.
+func buildRowIndex(ix *rowIndex, rel *Relation, cols []int, a *kernelArena) {
+	ordRows, groups := buildKeyIndex(ix, rel, cols, a)
+	ng := ix.distinct
+	start := a.i32.takeZero(ng + 1)
+	for _, g := range groups {
+		start[g]++
+	}
+	end := int32(0)
+	for g := range start {
+		end += start[g]
+		start[g] = end
+	}
+	rows := a.i32.take(len(groups))
+	if ordRows == nil {
+		for i := len(groups) - 1; i >= 0; i-- {
+			g := groups[i]
+			start[g]--
+			rows[start[g]] = int32(i)
+		}
+	} else {
+		for i := len(groups) - 1; i >= 0; i-- {
+			g := groups[i]
+			start[g]--
+			rows[start[g]] = ordRows[i]
 		}
 	}
-	ix.slots, ix.rows = slots, rows
+	ix.start, ix.rows = start, rows
 }
 
 // rowKeysEqual reports whether rows i and j of rel agree on cols.
@@ -388,26 +423,24 @@ func rowKeysEqual(rel *Relation, cols []int, i, j int) bool {
 	return true
 }
 
-// lookupRef returns the key group matching probe (under probeCols), or
-// a zero groupRef when the key is absent.
-func (ix *rowIndex) lookupRef(probe []Value, probeCols []int) groupRef {
-	return ix.lookupRefH(kernelRowHash(probe, probeCols, kernelSeed), probe, probeCols)
-}
-
-func (ix *rowIndex) lookupRefH(h uint64, probe []Value, probeCols []int) groupRef {
+// lookup returns the group number of probe's key (under probeCols),
+// whose hash is h, or −1 when the key is absent. Either form of the
+// index answers it.
+func (ix *rowIndex) lookup(h uint64, probe []Value, probeCols []int) int32 {
 	if ix.distinct == 0 {
-		return groupRef{}
+		return -1
 	}
 	p := h >> ix.shift
 	base, mask := ix.pOff[p], ix.pMask[p]
+	slots := ix.slots[base : base+int(mask)+1]
 	j := h & mask
 	for {
-		s := &ix.slots[base+int(j)]
-		if s.count == 0 {
-			return groupRef{}
+		s := &slots[j]
+		if s.row == 0 {
+			return -1
 		}
-		if s.hash == h && ix.keyMatches(int(ix.rows[s.start]), probe, probeCols) {
-			return groupRef{s.start, s.count}
+		if s.hash == h && ix.keyMatches(int(s.row-1), probe, probeCols) {
+			return s.group
 		}
 		j = (j + 1) & mask
 	}
@@ -426,9 +459,18 @@ func (ix *rowIndex) keyMatches(row int, probe []Value, probeCols []int) bool {
 	return true
 }
 
+// ref returns where group g's rows lie in the grouped index; a zero
+// groupRef for g = −1, an absent key.
+func (ix *rowIndex) ref(g int32) groupRef {
+	if g < 0 {
+		return groupRef{}
+	}
+	return groupRef{ix.start[g], ix.start[g+1] - ix.start[g]}
+}
+
 // group returns the row ids of one key group, ascending.
 func (ix *rowIndex) group(g groupRef) []int32 {
-	return ix.rows[g.start : g.start+int32(g.count) : g.start+int32(g.count)]
+	return ix.rows[g.start : g.start+g.count : g.start+g.count]
 }
 
 // groupSlot is one open-addressing slot of the grouping kernels

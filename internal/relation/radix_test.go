@@ -167,6 +167,39 @@ func TestIndexCollisionVerification(t *testing.T) {
 	vars := []string{"x", "y", "z", "w"}
 	requireSameBindings(t, "GenericJoin under colliding hash",
 		GenericJoin("J", vars, pr, ps, pu), binaryPlanOracle(vars, pr, ps, pu))
+	// Semijoin probes the key-only index, in both directions, and
+	// Intersect runs through it on every column: each must keep the rows
+	// a nested loop keeps, in r's order.
+	requireSameRows(t, "Semijoin(R, S) under colliding hash", Semijoin("J", r, s), nestedLoopSemijoin(r, s))
+	requireSameRows(t, "Semijoin(S, R) under colliding hash", Semijoin("J", s, r), nestedLoopSemijoin(s, r))
+	u := fullRangeRel(rng, "U", []string{"a", "b"}, 300)
+	for i := 0; i < r.Len(); i += 3 {
+		u.AppendRow(r.Row(i))
+	}
+	requireSameRows(t, "Intersect under colliding hash", Intersect("J", r, u), nestedLoopSemijoin(r, u))
+}
+
+// nestedLoopSemijoin is the reference r ⋉ s: every row of r, in r's
+// order, that agrees with some row of s on their shared attributes.
+func nestedLoopSemijoin(r, s *Relation) *Relation {
+	shared := SharedAttrs(r, s)
+	rc, sc := r.MustCols(shared), s.MustCols(shared)
+	out := New("J", r.Attrs()...)
+	for i := 0; i < r.Len(); i++ {
+		ri := r.Row(i)
+	probe:
+		for j := 0; j < s.Len(); j++ {
+			sj := s.Row(j)
+			for k := range shared {
+				if ri[rc[k]] != sj[sc[k]] {
+					continue probe
+				}
+			}
+			out.AppendRow(ri)
+			break
+		}
+	}
+	return out
 }
 
 // checkJoinImplsAgree asserts HashJoin and NestedLoopJoin produce the
