@@ -26,8 +26,8 @@
 // Algorithms: auto (default) or any name in core.Registry — `mpcrun -h`
 // lists them; one forced onto a query it does not apply to is refused
 // with the reason -explain gives for rejecting it. skewjoin and skewhc
-// take the heavy hitters from the input, as auto's planner does, and
-// route in one round (-verbose lists one shuffle round); auto runs
+// route by the heavy hitters of the input, auto's planner's count or,
+// forced, their own, in one round (-verbose lists one shuffle round); auto runs
 // skewhc on a multiway query exactly when a variable whose HyperCube
 // share is > 1 has heavy hitters.
 // Skew: none (default), zipf, heavy — honoured for every generated

@@ -7,6 +7,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // Plannables declares BiGJoin: what the planner (internal/plan) costs
@@ -25,7 +26,7 @@ func Plannables() []cost.Plannable {
 				_, err := NewPlan(q, nil)
 				return err
 			},
-			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 				pl, err := NewPlan(q, nil)
 				if err != nil {
 					return err

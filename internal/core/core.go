@@ -19,10 +19,12 @@
 // heavy hitters cost plain HyperCube nothing.
 //
 // The heavy hitters that choose skewjoin or skewhc are the ones those
-// algorithms route by: the planner and the descriptor's Run call the
-// same routine (join2.HeavyHitters, hypercube.HeavyValues) on the same
-// relations, so the servers know the heavy hitters, as the tutorial's
-// one-round skew algorithms assume, and both route in one round.
+// algorithms route by: the planner counts them once, with
+// join2.HeavyHitters or hypercube.HeavyValues, and hands that count to
+// the descriptor's Run, which counts for itself only when handed
+// nothing (a forced algorithm). So the servers know the heavy hitters,
+// as the tutorial's one-round skew algorithms assume, both route in one
+// round, and a request scans its join columns for them once.
 //
 // Planning picks a name; running it is a lookup. Every algorithm is
 // declared once, as a cost.Plannable descriptor in its own package;
@@ -70,6 +72,7 @@ import (
 	"mpcquery/internal/join2"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/yannakakis"
 )
 
@@ -192,11 +195,19 @@ type Execution struct {
 // variable with integer HyperCube share > 1 has heavy hitters (see
 // oneRound), and plain HyperCube otherwise.
 func (e *Engine) Plan(req Request) (Algorithm, string, error) {
+	alg, reason, _, err := e.plan(req)
+	return alg, reason, err
+}
+
+// plan is Plan's decision, also returning the heavy hitters it counted
+// when it chose skewjoin or skewhc (nil otherwise), for that
+// descriptor's Run to route by.
+func (e *Engine) plan(req Request) (Algorithm, string, *stats.Known, error) {
 	if err := validate(req); err != nil {
-		return "", "", err
+		return "", "", nil, err
 	}
 	if req.Algorithm != "" && req.Algorithm != AlgAuto {
-		return req.Algorithm, "forced by request", nil
+		return req.Algorithm, "forced by request", nil, nil
 	}
 	q := req.Query
 	in := 0
@@ -209,13 +220,13 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 		s := req.Relations[q.Atoms[1].Name]
 		small := min(r.Len(), s.Len())
 		if small*e.P <= in {
-			return AlgBroadcast, fmt.Sprintf("small side (%d tuples) ≤ IN/p = %d: broadcast it", small, in/e.P), nil
+			return AlgBroadcast, fmt.Sprintf("small side (%d tuples) ≤ IN/p = %d: broadcast it", small, in/e.P), nil, nil
 		}
 		hh, threshold := join2.HeavyHitters(r, slices.Index(q.Atoms[0].Vars, y), s, slices.Index(q.Atoms[1].Vars, y), e.P)
 		if len(hh) > 0 {
-			return AlgSkewJoin, fmt.Sprintf("%d heavy hitters on %s (threshold %d): skew-aware join", len(hh), y, threshold), nil
+			return AlgSkewJoin, fmt.Sprintf("%d heavy hitters on %s (threshold %d): skew-aware join", len(hh), y, threshold), &stats.Known{Join: hh}, nil
 		}
-		return AlgHashJoin, "no skew detected: parallel hash join", nil
+		return AlgHashJoin, "no skew detected: parallel hash join", nil, nil
 	}
 	acyclic, _ := hypergraph.IsAcyclic(q)
 	if acyclic {
@@ -223,15 +234,15 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 		// the (worst-case) output estimate.
 		agm, err := fractional.AGMBound(q, hypercube.Sizes(q, req.Relations))
 		if err != nil {
-			return "", "", err
+			return "", "", nil, err
 		}
 		ep, err := fractional.MaxEdgePacking(q)
 		if err != nil {
-			return "", "", err
+			return "", "", nil, err
 		}
 		crossover := cost.GYMCrossoverOut(float64(in), e.P, ep.Tau)
 		if agm < crossover {
-			return AlgGYMOptimized, fmt.Sprintf("acyclic, AGM bound %.0f < crossover %.0f: GYM", agm, crossover), nil
+			return AlgGYMOptimized, fmt.Sprintf("acyclic, AGM bound %.0f < crossover %.0f: GYM", agm, crossover), nil, nil
 		}
 		return e.oneRound(q, req.Relations, fmt.Sprintf("acyclic, AGM bound %.0f ≥ crossover %.0f", agm, crossover))
 	}
@@ -239,21 +250,37 @@ func (e *Engine) Plan(req Request) (Algorithm, string, error) {
 }
 
 // oneRound is Plan's skew rule for a multiway query. The shares are
-// the grid hypercube.Run routes on and the heavy hitters the ones the
-// skewhc descriptor routes by; the reason, opened by why, names the
-// first split heavy variable in q.Vars() order.
-func (e *Engine) oneRound(q hypergraph.Query, rels map[string]*relation.Relation, why string) (Algorithm, string, error) {
+// the grid hypercube.Run routes on; the reason, opened by why, names the
+// first split heavy variable in q.Vars() order. On choosing SkewHC it
+// returns every variable's heavy values, which the skewhc descriptor
+// routes by, each counted once: the split variables before the heavy
+// one were counted light, and the rest are counted then.
+func (e *Engine) oneRound(q hypergraph.Query, rels map[string]*relation.Relation, why string) (Algorithm, string, *stats.Known, error) {
 	sh, err := fractional.OptimalShares(q, hypercube.Sizes(q, rels), e.P)
 	if err != nil {
-		return "", "", err
+		return "", "", nil, err
 	}
 	threshold := hypercube.Threshold(q, rels, e.P)
 	for i, v := range sh.Vars {
-		if sh.Integer[i] > 1 && len(hypercube.HeavyValues(q, rels, v, threshold)) > 0 {
-			return AlgSkewHC, fmt.Sprintf("%s, heavy hitters on %s (share %d): SkewHC", why, v, sh.Integer[i]), nil
+		if sh.Integer[i] <= 1 {
+			continue
 		}
+		hv := hypercube.HeavyValues(q, rels, v, threshold)
+		if len(hv) == 0 {
+			continue
+		}
+		known := &stats.Known{Vars: make([][]relation.Value, len(sh.Vars))}
+		for j, u := range sh.Vars {
+			switch {
+			case j == i:
+				known.Vars[j] = hv
+			case j > i || sh.Integer[j] <= 1:
+				known.Vars[j] = hypercube.HeavyValues(q, rels, u, threshold)
+			}
+		}
+		return AlgSkewHC, fmt.Sprintf("%s, heavy hitters on %s (share %d): SkewHC", why, v, sh.Integer[i]), known, nil
 	}
-	return AlgHyperCube, why + ", no heavy hitters on a variable of share > 1: HyperCube", nil
+	return AlgHyperCube, why + ", no heavy hitters on a variable of share > 1: HyperCube", nil, nil
 }
 
 // newCluster builds the engine's simulated cluster, attaching the
@@ -305,12 +332,12 @@ func (e *Engine) run(alg Algorithm, reason string, body func(c *mpc.Cluster, ex 
 // Execute plans (unless forced) and runs the request, returning the
 // gathered output, named Query.Name, and metered costs.
 func (e *Engine) Execute(req Request) (*Execution, error) {
-	alg, reason, err := e.Plan(req)
+	alg, reason, known, err := e.plan(req)
 	if err != nil {
 		return nil, err
 	}
 	ex, err := e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (string, []string, error) {
-		rel, err := e.join(c, ex, req)
+		rel, err := e.join(c, ex, req, known)
 		return rel, req.Query.Vars(), err
 	})
 	if err != nil {
@@ -322,8 +349,9 @@ func (e *Engine) Execute(req Request) (*Execution, error) {
 
 // join runs ex.Algorithm for the request's query on c and returns the
 // name of the relation its answer is distributed under: look the name
-// up in the registry, ask its Applies, call its Run.
-func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (string, error) {
+// up in the registry, ask its Applies, call its Run with the heavy
+// hitters the plan counted (nil when it counted none).
+func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request, known *stats.Known) (string, error) {
 	q, alg := req.Query, ex.Algorithm
 	c.Note("plan %s: %s (%s)", q.Name, alg, ex.Reason)
 	d := cost.Lookup(registry, string(alg))
@@ -334,7 +362,7 @@ func (e *Engine) join(c *mpc.Cluster, ex *Execution, req Request) (string, error
 		return "", fmt.Errorf("core: %s: %w", alg, err)
 	}
 	const outName = "out"
-	if err := d.Run(c, q, req.Relations, outName, uint64(e.Seed)); err != nil {
+	if err := d.Run(c, q, req.Relations, outName, uint64(e.Seed), known); err != nil {
 		return "", err
 	}
 	if alg == AlgHyperCube && c.Capacities() != nil {
@@ -375,12 +403,12 @@ func (e *Engine) ExecuteAggregate(req Request, spec AggregateSpec) (*Execution, 
 	if spec.Fn != relation.Count && !vars[spec.AggVar] {
 		return nil, fmt.Errorf("core: aggregated variable %s not in query", spec.AggVar)
 	}
-	alg, reason, err := e.Plan(req)
+	alg, reason, known, err := e.plan(req)
 	if err != nil {
 		return nil, err
 	}
 	return e.run(alg, reason, func(c *mpc.Cluster, ex *Execution) (string, []string, error) {
-		joined, err := e.join(c, ex, req)
+		joined, err := e.join(c, ex, req, known)
 		if err != nil {
 			return "", nil, err
 		}

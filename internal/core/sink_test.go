@@ -73,7 +73,7 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", q.Name, alg, backends[b].name, spec), func(t *testing.T) {
 						c, rec := traced(t, b, spec)
 						ex := &Execution{Algorithm: alg, Reason: "forced by request"}
-						if _, err := e.join(c, ex, Request{Query: q, Relations: rels, Algorithm: alg}); err != nil {
+						if _, err := e.join(c, ex, Request{Query: q, Relations: rels, Algorithm: alg}, nil); err != nil {
 							t.Fatal(err)
 						}
 						for _, ev := range assertSinkDrawsLedger(t, c, rec) {
@@ -139,7 +139,7 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 	t.Run("failed recovery", func(t *testing.T) {
 		c, rec := traced(t, 0, "5:drop=0.3,crash=0.3,attempts=2")
 		if _, err := e.join(c, &Execution{Algorithm: AlgGYM}, Request{Query: hypergraph.Path(3),
-			Relations: testkit.GenInstance(hypergraph.Path(3), testkit.SkewNone, testkit.GenConfig{Tuples: 150}, seed)}); err != nil {
+			Relations: testkit.GenInstance(hypergraph.Path(3), testkit.SkewNone, testkit.GenConfig{Tuples: 150}, seed)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		var failure *mpc.RecoveryFailure

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // QueryStats carries everything the cost-based planner knows about one
@@ -133,11 +134,13 @@ type Plannable struct {
 // RunFunc runs a query on c and leaves the result (schema ⊇ q.Vars(),
 // any column order) distributed under outName; rels are keyed by atom
 // name, columns positional to the atom's variables (BindAtoms applies
-// that convention). internal/core gathers the result and projects it
-// only when its columns are not already q.Vars() in order. It is
-// testkit.Algo's signature, so a descriptor's Run goes into the
-// differential walls.
-type RunFunc = func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error
+// that convention). known is the heavy hitters the caller counted on
+// rels, or nil: the skewjoin and skewhc descriptors route by it and
+// count for themselves only when it is nil, and the others ignore it.
+// internal/core gathers the result and projects it only when its
+// columns are not already q.Vars() in order. It is testkit.Algo's
+// signature, so a descriptor's Run goes into the differential walls.
+type RunFunc = func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, known *stats.Known) error
 
 // BindAtoms applies RunFunc's input convention: for every atom of q it
 // returns rels[atom name] relabelled to the atom's name and variables.

@@ -9,6 +9,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/testkit"
 )
 
@@ -28,7 +29,7 @@ func adaptive(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rela
 
 // inRoundSkewHC is the skew path the adaptive driver switches to: SkewHC
 // finding its heavy hitters in two rounds, at the default threshold.
-func inRoundSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+func inRoundSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 	_, err := RunSkewHC(c, q, rels, outName, seed, 0, LocalGeneric)
 	return err
 }

@@ -7,6 +7,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/testkit"
 )
 
@@ -27,9 +28,9 @@ func hetCaps(p int) []float64 {
 // hetAlgo is the hypercube descriptor's Run on a cluster carrying the
 // unequal profile, which is what routes it to RunHet.
 func hetAlgo() testkit.Algo {
-	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+	return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, known *stats.Known) error {
 		c.SetCapacities(hetCaps(c.P()))
-		return algo("hypercube")(c, q, rels, outName, seed)
+		return algo("hypercube")(c, q, rels, outName, seed, known)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/testkit"
 )
 
@@ -43,7 +44,7 @@ func TestHyperCubeLocalAlgsDiff(t *testing.T) {
 	cfg.Rounds = func(q hypergraph.Query, p int) int { return 1 }
 	for _, alg := range []LocalAlg{LocalGeneric, LocalBinary} {
 		testkit.RunDiff(t, hypergraph.Triangle(), cfg,
-			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 				_, err := Run(c, q, rels, outName, seed, alg)
 				return err
 			})
@@ -80,7 +81,7 @@ func TestPredictedCommIsExact(t *testing.T) {
 				t.Fatalf("%s p=%d: %v", q.Name, p, err)
 			}
 			c := mpc.NewCluster(p, seed)
-			if err := hc.Run(c, q, rels, "out", uint64(seed)); err != nil {
+			if err := hc.Run(c, q, rels, "out", uint64(seed), nil); err != nil {
 				t.Fatalf("%s p=%d: %v", q.Name, p, err)
 			}
 			if got := c.Metrics().TotalComm(); float64(got) != est.C {

@@ -10,6 +10,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // Plannables declares the one-round HyperCube family: what the planner
@@ -24,9 +25,10 @@ import (
 //     box of the grid per server on a cluster carrying a capacity
 //     profile (an all-equal one is none, mpc.SetCapacities).
 //   - skewhc: the heavy/light residual-query variant whose load stays
-//     IN/p^{1/ψ*} for any skew (slides 47-51). Run takes each variable's
-//     heavy hitters from the inputs, as the planner does, and runs
-//     RunSkewHCKnown: one round, the pattern shuffle, then the local
+//     IN/p^{1/ψ*} for any skew (slides 47-51). Run runs RunSkewHCKnown
+//     on each variable's heavy hitters as it is handed them, the
+//     planner's count, and counts them from the inputs itself only when
+//     handed none: one round, the pattern shuffle, then the local
 //     joins.
 //   - hl-triangle: the multi-round Heavy-Light + Semijoins algorithm
 //     for the triangle query only (slides 58-60): L = O(IN/p^{2/3})
@@ -37,7 +39,7 @@ func Plannables() []cost.Plannable {
 			Alg:     "hypercube",
 			Doc:     "one-round HyperCube/Shares join with LP-optimal shares (slides 34-45)",
 			Applies: func(hypergraph.Query) error { return nil },
-			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 				_, err := RunHet(c, q, rels, outName, seed, LocalGeneric)
 				return err
 			},
@@ -62,14 +64,16 @@ func Plannables() []cost.Plannable {
 			Alg:     "skewhc",
 			Doc:     "skew-resilient HyperCube over heavy/light residual queries (slides 47-51)",
 			Applies: func(hypergraph.Query) error { return nil },
-			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
-				threshold := Threshold(q, rels, c.P())
-				vars := q.Vars()
-				heavy := make([][]relation.Value, len(vars))
-				for i, v := range vars {
-					heavy[i] = HeavyValues(q, rels, v, threshold)
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, known *stats.Known) error {
+				if known == nil {
+					threshold := Threshold(q, rels, c.P())
+					vars := q.Vars()
+					known = &stats.Known{Vars: make([][]relation.Value, len(vars))}
+					for i, v := range vars {
+						known.Vars[i] = HeavyValues(q, rels, v, threshold)
+					}
 				}
-				_, err := RunSkewHCKnown(c, q, rels, outName, seed, heavy, LocalGeneric)
+				_, err := RunSkewHCKnown(c, q, rels, outName, seed, known.Vars, LocalGeneric)
 				return err
 			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
@@ -120,7 +124,7 @@ func Plannables() []cost.Plannable {
 				}
 				return nil
 			},
-			Run: func(c *mpc.Cluster, _ hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			Run: func(c *mpc.Cluster, _ hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 				_, err := HeavyLightTriangle(c, rels, outName, seed)
 				return err
 			},

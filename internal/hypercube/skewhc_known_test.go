@@ -9,6 +9,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/testkit"
 )
 
@@ -88,7 +89,7 @@ func TestSkewHCKnownRoutesAsInRound(t *testing.T) {
 							t.Fatal(err)
 						}
 						one := cluster()
-						if err := algo("skewhc")(one, q, in.rels, "out", seed); err != nil {
+						if err := algo("skewhc")(one, q, in.rels, "out", seed, nil); err != nil {
 							t.Fatal(err)
 						}
 						testkit.AssertSameLastRound(t, c, one)
@@ -96,5 +97,31 @@ func TestSkewHCKnownRoutesAsInRound(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSkewHCRunRoutesByHandedHitters: handed each variable's heavy
+// hitters, the skewhc descriptor routes by them and makes no count of
+// its own. On a triangle with a heavy value on every variable at p = 8,
+// handed the count it would make it routes as RunSkewHCKnown on that
+// count, and handed none it routes as RunSkewHCKnown with none.
+func TestSkewHCRunRoutesByHandedHitters(t *testing.T) {
+	const p, seed = 8, 99
+	q := hypergraph.Triangle()
+	rels := plantHeavy(q, 120, func(_, i int, _ string) bool { return i%3 == 0 })
+	counted := make([][]relation.Value, len(q.Vars()))
+	for i, v := range q.Vars() {
+		counted[i] = HeavyValues(q, rels, v, Threshold(q, rels, p))
+	}
+	for _, handed := range [][][]relation.Value{counted, make([][]relation.Value, len(q.Vars()))} {
+		want := mpc.NewCluster(p, 1)
+		if _, err := RunSkewHCKnown(want, q, rels, "out", seed, handed, LocalGeneric); err != nil {
+			t.Fatal(err)
+		}
+		got := mpc.NewCluster(p, 1)
+		if err := algo("skewhc")(got, q, rels, "out", seed, &stats.Known{Vars: handed}); err != nil {
+			t.Fatal(err)
+		}
+		testkit.AssertSameLastRound(t, want, got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 	"mpcquery/internal/testkit"
 	"mpcquery/internal/workload"
 )
@@ -79,12 +80,37 @@ func TestSkewJoinKnownRoutesAsInRound(t *testing.T) {
 					bound := cost.BindAtoms(q, tc.rels)
 					SkewJoin(in, bound["R"], bound["S"], "out", seed)
 					one := cluster()
-					if err := algo("skewjoin")(one, q, tc.rels, "out", seed); err != nil {
+					if err := algo("skewjoin")(one, q, tc.rels, "out", seed, nil); err != nil {
 						t.Fatal(err)
 					}
 					testkit.AssertSameLastRound(t, in, one)
 				})
 			}
+		}
+	}
+}
+
+// TestSkewJoinRunRoutesByHandedHitters: handed heavy hitters, the
+// skewjoin descriptor routes by them and makes no count of its own. At
+// p = 8, handed the count it would make it routes as SkewJoinKnown on
+// that count, and handed none on a skewed input it routes as
+// SkewJoinKnown with none, hashing the heavy values too.
+func TestSkewJoinRunRoutesByHandedHitters(t *testing.T) {
+	q := hypergraph.TwoWayJoin()
+	for _, tc := range knownHeavyCases() {
+		bound := cost.BindAtoms(q, tc.rels)
+		hh, _ := HeavyHitters(bound["R"], 1, bound["S"], 0, 8)
+		for _, handed := range [][]stats.Hitter{hh, nil} {
+			t.Run(fmt.Sprintf("%s/%d handed", tc.name, len(handed)), func(t *testing.T) {
+				const seed = 99
+				want := mpc.NewCluster(8, 1)
+				SkewJoinKnown(want, bound["R"], bound["S"], "out", seed, handed)
+				got := mpc.NewCluster(8, 1)
+				if err := algo("skewjoin")(got, q, tc.rels, "out", seed, &stats.Known{Join: handed}); err != nil {
+					t.Fatal(err)
+				}
+				testkit.AssertSameLastRound(t, want, got)
+			})
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // Plannables declares the four two-way join strategies: what the
@@ -15,8 +16,9 @@ import (
 // runs. Applicability is the join2 contract — two binary atoms sharing
 // exactly one variable; Run relabels the two inputs to their atoms'
 // variables (cost.BindAtoms) and calls the strategy (broadcast
-// replicates the smaller side, skewjoin takes its heavy hitters from the
-// inputs, as the planner does, and runs SkewJoinKnown); and the
+// replicates the smaller side; skewjoin runs SkewJoinKnown on the heavy
+// hitters it is handed, the planner's count, and counts them from the
+// inputs itself only when handed none); and the
 // predictions are the tutorial's analytic loads instantiated with the
 // collected statistics:
 //
@@ -38,7 +40,7 @@ func Plannables() []cost.Plannable {
 		return nil
 	}
 	run := func(join func(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result) cost.RunFunc {
-		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 			bound := cost.BindAtoms(q, rels)
 			join(c, bound[q.Atoms[0].Name], bound[q.Atoms[1].Name], outName, seed)
 			return nil
@@ -91,11 +93,17 @@ func Plannables() []cost.Plannable {
 			Alg:     "skewjoin",
 			Doc:     "skew-resilient join: light hash + per-heavy-hitter grids (slides 29-30)",
 			Applies: applies,
-			Run: run(func(c *mpc.Cluster, r, s *relation.Relation, outName string, seed uint64) *Result {
-				y := joinAttr(r, s)
-				heavy, _ := HeavyHitters(r, r.MustCol(y), s, s.MustCol(y), c.P())
-				return SkewJoinKnown(c, r, s, outName, seed, heavy)
-			}),
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, known *stats.Known) error {
+				bound := cost.BindAtoms(q, rels)
+				r, s := bound[q.Atoms[0].Name], bound[q.Atoms[1].Name]
+				if known == nil {
+					y := joinAttr(r, s)
+					heavy, _ := HeavyHitters(r, r.MustCol(y), s, s.MustCol(y), c.P())
+					known = &stats.Known{Join: heavy}
+				}
+				SkewJoinKnown(c, r, s, outName, seed, known.Join)
+				return nil
+			},
 			Predict: func(st *cost.QueryStats) (cost.Estimate, error) {
 				p := float64(st.P)
 				return cost.Estimate{

@@ -6,9 +6,9 @@
 // thresholds: a value is heavy when its degree reaches IN/p in R or in
 // S (slide 29, two-way joins) or N/p summed over the atoms binding a
 // variable (slide 47, SkewHC). Heavy decides both rules, with the exact
-// per-column degrees, in one Misra–Gries pass plus one recount and no
-// per-value map, on a driver that holds the relations: the planner, the
-// one-round skew descriptors and the adaptive probe all call it. Its one
+// per-column degrees, by a hash-bucket prefilter plus an exact count of
+// the hot buckets, on a driver that holds the relations: the planner,
+// the adaptive probe and a skew descriptor handed no Known call it. Its one
 // counterpart on servers that hold only fragments is cost.DetectHeavy,
 // the tutorial's two detection rounds, which returns exactly what Heavy
 // returns on the union of the fragments; the in-round skew algorithms

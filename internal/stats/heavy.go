@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	mathbits "math/bits"
 	"slices"
 
 	"mpcquery/internal/relation"
@@ -49,163 +51,148 @@ type Hitter struct {
 	Deg   []int
 }
 
+// Known is the heavy hitters a caller counted on the relations it hands
+// a skew algorithm, which routes by them instead of counting its own: a
+// two-way join's (skewjoin, join2.HeavyHitters' output) or those of each
+// variable of q.Vars() (skewhc, hypercube.HeavyValues'). A nil *Known
+// hands nothing, and the algorithm counts for itself.
+type Known struct {
+	Join []Hitter
+	Vars [][]relation.Value
+}
+
 // Heavy returns the values whose degree reaches threshold under rule,
 // sorted by value, each with its exact degree in every column. A
 // threshold below 1 counts as 1.
 //
-// A stream of n values holds at most n/t values that occur t times, so
-// Misra–Gries' summary with ⌊n/t⌋ counters (Misra & Gries 1982) keeps
-// every one of them, and one exact recount of the survivors drops the
-// rest: O(n) time and O(n/t) memory, with no per-value map. Under InAny
-// each column is summarised alone and the survivors are pooled; under
-// Summed the columns are one stream. The summary's own error bound
-// prunes survivors before the recount, and when none is left there is
-// no recount: on a column with no heavy value there usually is none.
+// Pass 1 counts the values per hash bucket, in one array per column
+// under InAny and one shared array under Summed (bucketBits sizes them).
+// A value that occurs t times fills its bucket to t, so when no bucket
+// reaches t Heavy returns nil after that one scan. Otherwise pass 2
+// counts the exact per-column degrees of the values in hot buckets only.
+// Memory is O(n/t) buckets plus the values in hot buckets, at most n on
+// adversarial input.
 func Heavy(cols []Column, threshold int, rule Rule) []Hitter {
 	t := max(threshold, 1)
-	n := 0
+	n, longest := 0, 0
 	for _, c := range cols {
 		if c.Col < 0 || c.Col >= c.Rel.Arity() {
 			panic(fmt.Sprintf("stats: column %d of %s, which has arity %d", c.Col, c.Rel.Name(), c.Rel.Arity()))
 		}
 		n += c.Rel.Len()
+		longest = max(longest, c.Rel.Len())
 	}
-	var cands []relation.Value
-	if rule == Summed {
-		cands = survivors(cols, n/t, t, cands)
-	} else {
-		for i, c := range cols {
-			cands = survivors(cols[i:i+1], c.Rel.Len()/t, t, cands)
-		}
-	}
-	if len(cands) == 0 {
+	if n == 0 {
 		return nil
 	}
-	slices.Sort(cands)
-	return recount(cols, slices.Compact(cands), t, rule)
-}
-
-// survivors runs Misra–Gries' k-counter summary over the columns as one
-// stream and appends to out the values that may occur t times in it.
-// A decrement step takes one occurrence from each of the k counters and
-// drops the value that found them taken, so a stream of n values that
-// leaves counters c saw d = (n − Σc)/(k+1) steps. A value's occurrences
-// each either raised its counter or went in a step, at most one per
-// step, so a value that holds counter c occurs at most c + d times, and
-// one that holds none at most d times: the values with c + d ≥ t are a
-// superset of those that occur t times, when t > n/(k+1).
-func survivors(cols []Column, k, t int, out []relation.Value) []relation.Value {
-	if k < 1 {
-		return out
+	arrays, stream := len(cols), longest
+	if rule == Summed {
+		arrays, stream = 1, n
 	}
-	sum := newSummary(k)
-	d := 0
-	for _, c := range cols {
+	bits := bucketBits(stream, t)
+	b := 1 << bits
+	counts := make([]int, arrays*b)
+	for ci, c := range cols {
+		bucket := counts[:b]
+		if rule == InAny {
+			bucket = counts[ci*b : (ci+1)*b]
+		}
 		flat, step := c.Rel.Flat(), c.Rel.Arity()
-		d += c.Rel.Len()
 		for j := c.Col; j < len(flat); j += step {
-			v := flat[j]
-			s := sum.find(v)
-			switch i := sum.index[s]; {
-			case i > 0:
-				sum.counts[i-1]++
-			case len(sum.keys) < k:
-				sum.keys = append(sum.keys, v)
-				sum.counts = append(sum.counts, 1)
-				sum.index[s] = int32(len(sum.keys))
-			default:
-				sum.decrement()
-			}
+			bucket[hash(flat[j])>>(64-bits)]++
 		}
 	}
-	for _, c := range sum.counts {
-		d -= c
-	}
-	d /= k + 1
-	for i, v := range sum.keys {
-		if sum.counts[i]+d >= t {
-			out = append(out, v)
+	// Fold the arrays into counts[:b], 1 for a hot bucket and 0 for any
+	// other, summing the hot buckets' occurrences.
+	hot, occ := 0, 0
+	for i := 0; i < b; i++ {
+		sum, reach := 0, false
+		for a := i; a < len(counts); a += b {
+			sum += counts[a]
+			reach = reach || counts[a] >= t
+		}
+		counts[i] = 0
+		if reach {
+			counts[i], hot, occ = 1, hot+1, occ+sum
 		}
 	}
-	return out
-}
-
-// recount counts the candidates' exact degrees in every column and keeps
-// those that reach t under rule. cands is sorted and distinct.
-func recount(cols []Column, cands []relation.Value, t int, rule Rule) []Hitter {
-	idx := newSummary(len(cands))
-	for _, v := range cands {
-		idx.keys = append(idx.keys, v)
-		idx.index[idx.find(v)] = int32(len(idx.keys))
+	if hot == 0 {
+		return nil
 	}
-	// Row 1+i of deg counts cands[i]; row 0 counts every other value, so
-	// the loop needs no branch on whether a value is a candidate.
-	k := len(cols)
-	deg := make([]int, (1+len(cands))*k)
+	// A hot bucket holds about n/b values besides its heavy ones.
+	est, k := min(occ, hot*(n/b+2)), len(cols)
+	ex := &exact{k: k, skip: int(bits), keys: make([]relation.Value, 0, est), deg: make([]int, 0, est*k)}
+	ex.grow(est)
 	for ci, c := range cols {
 		flat, step := c.Rel.Flat(), c.Rel.Arity()
 		for j := c.Col; j < len(flat); j += step {
-			deg[int(idx.index[idx.find(flat[j])])*k+ci]++
+			if h := hash(flat[j]); counts[h>>(64-bits)] != 0 {
+				ex.add(flat[j], h, ci)
+			}
 		}
 	}
 	var out []Hitter
-	for i, v := range cands {
-		if d := deg[(1+i)*k : (2+i)*k : (2+i)*k]; rule.Reaches(d, t) {
+	for i, v := range ex.keys {
+		if d := ex.deg[i*k : (i+1)*k : (i+1)*k]; rule.Reaches(d, t) {
 			out = append(out, Hitter{Value: v, Deg: d})
 		}
 	}
+	slices.SortFunc(out, func(x, y Hitter) int { return cmp.Compare(x.Value, y.Value) })
 	return out
 }
 
-// summary holds at most a fixed number of values with a count each, in
-// dense arrays, and finds them through an open-addressed index of at
-// least eight slots per value, so that a probe almost always ends at its
-// first slot.
-type summary struct {
-	keys   []relation.Value
-	counts []int
-	index  []int32 // 1 + a position in keys; 0 marks a free slot
-	shift  uint
+// bucketBits is log₂ of the bucket count for m values at threshold t:
+// the power of two at or above min(64·⌊m/t⌋, m). A bucket then holds
+// about t/64 values, so light values alone rarely fill one to t.
+func bucketBits(m, t int) uint {
+	return uint(mathbits.Len(uint(max(min(64*(m/t), m), 1) - 1)))
 }
 
-func newSummary(n int) *summary {
-	bits := uint(1)
-	for 1<<bits < 8*n {
-		bits++
-	}
-	return &summary{
-		keys:   make([]relation.Value, 0, n),
-		counts: make([]int, 0, n),
-		index:  make([]int32, 1<<bits),
-		shift:  64 - bits,
+// hash is Fibonacci hashing: its top bits pick a value's bucket.
+func hash(v relation.Value) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
+
+// exact counts per-column degrees of distinct values in dense arrays,
+// keys[i]'s in deg[i*k : (i+1)*k], found through an open-addressed index
+// at most half full. Its values share their bucket's top hash bits, so
+// the index reads the skip bits below those.
+type exact struct {
+	k, skip int
+	keys    []relation.Value
+	deg     []int
+	index   []int32 // 1 + a position in keys; 0 marks a free slot
+	shift   uint
+}
+
+// grow rebuilds the index with room for n values at half load.
+func (e *exact) grow(n int) {
+	bits := mathbits.Len(uint(2*n - 1))
+	e.index, e.shift = make([]int32, 1<<bits), uint(64-bits)
+	for i, v := range e.keys {
+		e.index[e.find(v, hash(v))] = int32(i + 1)
 	}
 }
 
-// find returns the index slot that holds v, or the free slot where v
-// would go.
-func (s *summary) find(v relation.Value) int {
-	mask := len(s.index) - 1
-	i := int(uint64(v) * 0x9e3779b97f4a7c15 >> s.shift) // Fibonacci hashing
-	for s.index[i] != 0 && s.keys[s.index[i]-1] != v {
+// find returns the slot that holds v, whose hash is h, or v's free slot.
+func (e *exact) find(v relation.Value, h uint64) int {
+	mask := len(e.index) - 1
+	i := int(mathbits.RotateLeft64(h, e.skip) >> e.shift)
+	for e.index[i] != 0 && e.keys[e.index[i]-1] != v {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// decrement is Misra–Gries' step for a value that finds every counter
-// taken: each count drops by one, the values left at zero are dropped,
-// and the index is rebuilt over the rest.
-func (s *summary) decrement() {
-	n := 0
-	for i, c := range s.counts {
-		if c > 1 {
-			s.keys[n], s.counts[n] = s.keys[i], c-1
-			n++
+// add counts one occurrence of v, whose hash is h, in column ci.
+func (e *exact) add(v relation.Value, h uint64, ci int) {
+	s := e.find(v, h)
+	if e.index[s] == 0 {
+		if 2*(len(e.keys)+1) > len(e.index) {
+			e.grow(2 * len(e.keys))
+			s = e.find(v, h)
 		}
+		e.keys = append(e.keys, v)
+		e.deg = slices.Grow(e.deg, e.k)[:len(e.deg)+e.k] // zeroed past len
+		e.index[s] = int32(len(e.keys))
 	}
-	s.keys, s.counts = s.keys[:n], s.counts[:n]
-	clear(s.index)
-	for i, v := range s.keys {
-		s.index[s.find(v)] = int32(i + 1)
-	}
+	e.deg[int(e.index[s]-1)*e.k+ci]++
 }

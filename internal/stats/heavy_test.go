@@ -158,12 +158,67 @@ func TestHeavyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSurvivorsPrunedByErrorBound pins what lets Heavy skip its
-// recount: a summary keeps only the values that its error bound lets
-// reach the threshold. On a uniform stream, where no value comes near
-// it, every counter is pruned; a value planted at the threshold
-// survives, alone.
-func TestSurvivorsPrunedByErrorBound(t *testing.T) {
+// sameBucket returns count values other than v, and other than those in
+// skip, that hash to v's bucket out of 1<<bits.
+func sameBucket(v relation.Value, bits uint, count int, skip ...relation.Value) []relation.Value {
+	var out []relation.Value
+	for u := v + 1; len(out) < count; u++ {
+		if hash(u)>>(64-bits) == hash(v)>>(64-bits) && !slices.Contains(skip, u) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// TestHeavyExactUnderCollisions: pass 2 counts every value of a hot
+// bucket exactly, so light values that share a heavy value's bucket stay
+// out, one of them at t − 1; a bucket that reaches t through light
+// values alone yields nothing; and a value at exactly t is heavy.
+func TestHeavyExactUnderCollisions(t *testing.T) {
+	const th = 50
+	heavy := relation.Value(7)
+	// The stream's length fixes the bucket count: 50 + 49 + 3 + 2·30
+	// colliding occurrences plus 500 distinct fillers.
+	const m = th + (th - 1) + 3 + 2*30 + 500
+	bits := bucketBits(m, th)
+	near := sameBucket(heavy, bits, 2)           // t − 1 and 3 occurrences
+	lights := sameBucket(1000, bits, 2, near...) // 30 each in a bucket of their own
+	if hash(lights[0])>>(64-bits) == hash(heavy)>>(64-bits) {
+		t.Fatal("the light pair shares the heavy value's bucket")
+	}
+	vals := repeat([]relation.Value{heavy}, th)
+	vals = append(vals, repeat(near[:1], th-1)...)
+	vals = append(vals, repeat(near[1:], 3)...)
+	vals = append(vals, repeat(lights, 30)...)
+	for i := 0; i < 500; i++ {
+		vals = append(vals, relation.Value(1_000_000+i))
+	}
+	if len(vals) != m {
+		t.Fatalf("stream has %d values, want %d", len(vals), m)
+	}
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	one := []Column{column("R", 2, 1, vals, 0)}
+	for _, rule := range []Rule{InAny, Summed} {
+		if got, want := Heavy(one, th, rule), []Hitter{{heavy, []int{th}}}; !sameHitters(got, want) {
+			t.Errorf("rule %d: Heavy = %v, want %v", rule, got, want)
+		}
+	}
+	// Split in two columns, the value at t − 1 stays light summed too,
+	// and every threshold matches the oracle.
+	half := []Column{column("R", 2, 1, vals[:m/2], 0), column("S", 1, 0, vals[m/2:], 0)}
+	if got, want := Heavy(half, th, Summed), heavyOracle(half, th, Summed); !sameHitters(got, want) || len(got) != 1 {
+		t.Errorf("two columns, summed: Heavy = %v, want %v", got, want)
+	}
+	checkHeavy(t, "collisions", one)
+	checkHeavy(t, "collisions in two columns", half)
+}
+
+// TestHeavyNilAfterPassOne: on a skew-free stream no bucket reaches the
+// threshold, so Heavy returns nil having made one allocation, its bucket
+// array, and no exact count; a value planted at the threshold is found,
+// alone, with its degree.
+func TestHeavyNilAfterPassOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	vals := make([]relation.Value, 30000)
 	for i := range vals {
@@ -171,14 +226,26 @@ func TestSurvivorsPrunedByErrorBound(t *testing.T) {
 	}
 	const threshold = 30000 / 8
 	uniform := []Column{column("R", 2, 0, vals, 0)}
-	if got := survivors(uniform, len(vals)/threshold, threshold, nil); len(got) != 0 {
-		t.Fatalf("uniform stream: %d survivors %v, want none", len(got), got)
+	var got []Hitter
+	if allocs := testing.AllocsPerRun(10, func() { got = Heavy(uniform, threshold, InAny) }); got != nil || allocs != 1 {
+		t.Fatalf("uniform stream: Heavy = %v in %.0f allocations, want nil in 1", got, allocs)
 	}
 	planted := append(repeat([]relation.Value{-5}, threshold), vals...)
 	rng.Shuffle(len(planted), func(i, j int) { planted[i], planted[j] = planted[j], planted[i] })
 	cols := []Column{column("R", 2, 0, planted, 0)}
-	if got := survivors(cols, len(planted)/threshold, threshold, nil); !slices.Equal(got, []relation.Value{-5}) {
-		t.Fatalf("planted stream: survivors %v, want [-5]", got)
+	if got, want := Heavy(cols, threshold, InAny), heavyOracle(cols, threshold, InAny); !sameHitters(got, want) || len(got) != 1 || got[0].Value != -5 {
+		t.Fatalf("planted stream: Heavy = %v, want %v, only -5", got, want)
+	}
+}
+
+// TestHeavyAllocations holds each BenchmarkHeavy shape to the
+// allocations per call Heavy made before its bucket prefilter: the
+// bucket array and, when a bucket is hot, an exact count sized up front.
+func TestHeavyAllocations(t *testing.T) {
+	for _, sh := range heavyShapes() {
+		if allocs := testing.AllocsPerRun(20, func() { Heavy(sh.cols, sh.threshold, sh.rule) }); allocs > sh.maxAllocs {
+			t.Errorf("%s: %.0f allocations per call, want at most %.0f", sh.name, allocs, sh.maxAllocs)
+		}
 	}
 }
 
@@ -198,6 +265,14 @@ func TestHeavyRejectsBadColumn(t *testing.T) {
 func FuzzHeavy(f *testing.F) {
 	f.Add([]byte{0x03, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0x81, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	// Threshold 3 on one column: a heavy value at 3 and one that shares
+	// its bucket at 2.
+	seed := []byte{3}
+	near := sameBucket(-9, bucketBits(5, 3), 1)[0]
+	for _, v := range []relation.Value{-9, near, -9, near, -9} {
+		seed = binary.LittleEndian.AppendUint64(append(seed, 0), uint64(v))
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -217,13 +292,26 @@ func FuzzHeavy(f *testing.F) {
 	})
 }
 
-// BenchmarkHeavy times both sides of a two-way join's heavy-hitter count
-// at p = 8 on a Zipf(1.5) column against a permutation, 40 000 rows each
-// (the benchmark's zipf_join), next to the per-value map count of
-// heavyOracle; and, as summed-uniform, one variable of a triangle over
-// 15 000 uniform edges on 4 000 vertices at p = 8 (the benchmark's
-// hc_triangle), which has no heavy value.
-func BenchmarkHeavy(b *testing.B) {
+// heavyShape is one heavy-hitter count the engine makes per request.
+type heavyShape struct {
+	name      string
+	cols      []Column
+	threshold int
+	rule      Rule
+	maxAllocs float64 // Heavy's allocations per call before the bucket prefilter
+}
+
+// heavyShapes are BenchmarkHeavy's counts, at p = 8:
+//   - twoway-zipf: both sides of the benchmark's zipf_join, a Zipf(1.5)
+//     column against a permutation, 40 000 rows each, under the
+//     two-way rule (one heavy value);
+//   - summed-uniform: one variable of the benchmark's hc_triangle, over
+//     15 000 uniform edges on 4 000 vertices in each of two atoms;
+//   - inany-uniform: both sides of the benchmark's agg_join, two uniform
+//     40 000-row columns, under the two-way rule.
+//
+// The last two have no heavy value.
+func heavyShapes() []heavyShape {
 	const n = 40000
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.5, 1, n-1)
@@ -232,32 +320,41 @@ func BenchmarkHeavy(b *testing.B) {
 		r.Append(relation.Value(zipf.Uint64()), relation.Value(i))
 		s.Append(relation.Value(y), relation.Value(i))
 	}
-	cols := []Column{{Rel: r, Col: 0}, {Rel: s, Col: 0}}
-	b.Run("misra-gries", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Heavy(cols, 2*n/8, InAny)
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			heavyOracle(cols, 2*n/8, InAny)
-		}
-	})
 	const nodes, edges = 4000, 15000
 	er, et := relation.New("R", "x", "y"), relation.New("T", "z", "x")
 	for i := 0; i < edges; i++ {
 		er.Append(rng.Int63n(nodes), rng.Int63n(nodes))
 		et.Append(rng.Int63n(nodes), rng.Int63n(nodes))
 	}
-	x := []Column{{Rel: er, Col: 0}, {Rel: et, Col: 1}}
-	b.Run("summed-uniform", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if Heavy(x, edges/8, Summed) != nil {
-				b.Fatal("a uniform column has a heavy value")
+	ur, us := relation.New("R", "x", "y"), relation.New("S", "y", "z")
+	for i := 0; i < n; i++ {
+		ur.Append(relation.Value(i), rng.Int63n(n))
+		us.Append(rng.Int63n(n), relation.Value(i))
+	}
+	return []heavyShape{
+		{"twoway-zipf", []Column{{Rel: r, Col: 0}, {Rel: s, Col: 0}}, 2 * n / 8, InAny, 12},
+		{"summed-uniform", []Column{{Rel: er, Col: 0}, {Rel: et, Col: 1}}, edges / 8, Summed, 3},
+		{"inany-uniform", []Column{{Rel: ur, Col: 1}, {Rel: us, Col: 0}}, 2 * n / 8, InAny, 6},
+	}
+}
+
+// BenchmarkHeavy times heavyShapes, and next to twoway-zipf the
+// per-value map count of heavyOracle.
+func BenchmarkHeavy(b *testing.B) {
+	for _, sh := range heavyShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Heavy(sh.cols, sh.threshold, sh.rule)
 			}
+		})
+		if sh.name == "twoway-zipf" {
+			b.Run("map", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					heavyOracle(sh.cols, sh.threshold, sh.rule)
+				}
+			})
 		}
-	})
+	}
 }

@@ -149,7 +149,7 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 				}
 
 				cs := mpc.NewCluster(p, seed)
-				if err := static(cs, q, rels, "out", algSeed); err != nil {
+				if err := static(cs, q, rels, "out", algSeed, nil); err != nil {
 					t.Fatalf("static run failed: %v", err)
 				}
 

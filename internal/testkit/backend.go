@@ -127,12 +127,12 @@ func RunBackendDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 					algSeed := uint64(seed)*0x9e3779b9 + uint64(p)
 
 					local := mpc.NewCluster(p, seed)
-					if err := alg(local, q, rels, "out", algSeed); err != nil {
+					if err := alg(local, q, rels, "out", algSeed, nil); err != nil {
 						t.Fatalf("local run failed: %v", err)
 					}
 
 					tcp := NewTCPCluster(t, p, seed)
-					if err := alg(tcp, q, rels, "out", algSeed); err != nil {
+					if err := alg(tcp, q, rels, "out", algSeed, nil); err != nil {
 						t.Fatalf("tcp run failed: %v", err)
 					}
 
@@ -200,13 +200,13 @@ func RunChaosDiffTCP(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 						algSeed := uint64(seed)*0x9e3779b9 + uint64(p)
 
 						clean := mpc.NewCluster(p, seed)
-						if err := alg(clean, q, rels, "out", algSeed); err != nil {
+						if err := alg(clean, q, rels, "out", algSeed, nil); err != nil {
 							t.Fatalf("fault-free run failed: %v", err)
 						}
 
 						chaotic := NewTCPCluster(t, p, seed)
 						chaotic.SetFaultInjector(chaos.MustParseSchedule(spec))
-						if err := alg(chaotic, q, rels, "out", algSeed); err != nil {
+						if err := alg(chaotic, q, rels, "out", algSeed, nil); err != nil {
 							t.Fatalf("chaos-over-tcp run failed: %v", err)
 						}
 						AssertRecovered(t, chaotic)

@@ -154,11 +154,11 @@ func RunChaosDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 						algSeed := uint64(seed)*0x9e3779b9 + uint64(p)
 
 						clean := mpc.NewCluster(p, seed)
-						if err := alg(clean, q, rels, "out", algSeed); err != nil {
+						if err := alg(clean, q, rels, "out", algSeed, nil); err != nil {
 							t.Fatalf("fault-free run failed: %v", err)
 						}
 						chaotic := NewChaosCluster(p, seed, spec)
-						if err := alg(chaotic, q, rels, "out", algSeed); err != nil {
+						if err := alg(chaotic, q, rels, "out", algSeed, nil); err != nil {
 							t.Fatalf("chaos run failed: %v", err)
 						}
 						AssertRecovered(t, chaotic)

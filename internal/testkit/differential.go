@@ -7,14 +7,17 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // Algo adapts one parallel join algorithm to the differential runner:
 // execute the query on the cluster and leave the result (schema ⊇
 // q.Vars(), any column order) distributed under outName. Relations are
 // keyed by atom name, columns positional to atom variables — the same
-// contract as core.Request.
-type Algo func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error
+// contract as core.Request — and known is the heavy hitters the caller
+// counted, or nil (cost.RunFunc's argument). The walls pass nil, so a
+// skew algorithm counts for itself.
+type Algo func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, known *stats.Known) error
 
 // Config is one differential sweep specification. The zero value of
 // each field falls back to the DefaultConfig value.
@@ -118,7 +121,7 @@ func RunDiff(t *testing.T, q hypergraph.Query, cfg Config, alg Algo) {
 					rels := GenInstance(q, skew, cfg.Gen, seed)
 					want := OracleJoin(q, rels)
 					c := mpc.NewCluster(p, seed)
-					if err := alg(c, q, rels, "out", uint64(seed)*0x9e3779b9+uint64(p)); err != nil {
+					if err := alg(c, q, rels, "out", uint64(seed)*0x9e3779b9+uint64(p), nil); err != nil {
 						t.Fatalf("algorithm failed: %v", err)
 					}
 					got := GatherResult(c, "out", q.Vars())

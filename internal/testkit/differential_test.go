@@ -7,13 +7,14 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // gatherJoin is the simplest possible "parallel" algorithm: ship every
 // input tuple to server 0 in one round and join there with the generic
 // join. It is deliberately naive (L = IN) but exactly correct — the
 // plumbing probe for the differential runner.
-func gatherJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+func gatherJoin(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 	for _, a := range q.Atoms {
 		c.ScatterRoundRobin(Renamed(a, rels[a.Name]))
 	}

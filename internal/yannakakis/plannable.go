@@ -7,6 +7,7 @@ import (
 	"mpcquery/internal/hypergraph"
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
+	"mpcquery/internal/stats"
 )
 
 // joinTreeConnected reports whether every non-root node of the join
@@ -67,7 +68,7 @@ func Plannables() []cost.Plannable {
 		return err
 	}
 	overTree := func(gym func(c *mpc.Cluster, jt *hypergraph.JoinTree, rels map[string]*relation.Relation, outName string, seed uint64) *Result) cost.RunFunc {
-		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+		return func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 			jt, err := acyclicConnected(q)
 			if err != nil {
 				return err
@@ -159,7 +160,7 @@ func Plannables() []cost.Plannable {
 				}
 				return nil
 			},
-			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) error {
+			Run: func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, _ *stats.Known) error {
 				IterativeBinaryJoin(c, q, rels, outName, seed)
 				return nil
 			},
