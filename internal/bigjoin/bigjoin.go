@@ -306,9 +306,7 @@ func Run(c *mpc.Cluster, pl *Plan, rels map[string]*relation.Relation, outName s
 			srv.Delete(bindName + ":x")
 			srv.Delete(propName)
 		})
-		if n := c.TotalLen(bindName); n > maxBind {
-			maxBind = n
-		}
+		maxBind = max(maxBind, c.TotalLen(bindName))
 		// Verify rounds: filter the bindings through each newly-bound
 		// atom, one co-partitioned semijoin round per verifier.
 		for _, vi := range st.verifiers {

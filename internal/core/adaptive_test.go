@@ -13,10 +13,10 @@ import (
 )
 
 // TestPlannerCoversAdaptiveSwitch is the sweep that retired the
-// engine's adaptive mode: on the mispredicted-skew instances the probe
-// driver (hypercube.RunAdaptive) was built for, wherever it switches
-// to SkewHC mid-query, auto planning picks skewhc up front and reaches
-// the switched run's L in one round. On path4 the heavy endpoint A0
+// engine's adaptive mode: on the mispredicted-skew instances the
+// adaptive driver (hypercube.RunAdaptive) was built for, wherever it
+// switches to SkewHC mid-query, auto planning picks skewhc up front and
+// reaches the switched run's L in one round. On path4 the heavy endpoint A0
 // has share 1, so the driver never switches and the planner keeps
 // plain HyperCube.
 func TestPlannerCoversAdaptiveSwitch(t *testing.T) {

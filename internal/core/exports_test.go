@@ -40,70 +40,8 @@ var exportAllowlist = map[string]bool{
 // fmt.Stringer's String, which the standard library calls. testkit is
 // exempt: it exists for tests.
 func TestEveryExportIsCalled(t *testing.T) {
-	const module = "mpcquery"
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	im := &treeImporter{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		dirs: map[string]*pkgFiles{},
-		pkgs: map[string]*types.Package{},
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
-	}
-	fileDir := map[string]string{} // file name -> import path of its directory
-	testFile := map[string]bool{}
-	declEnd := map[token.Pos]token.Pos{} // a function's name -> the end of its declaration
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		dir, name := filepath.Split(path)
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkgPath := pathOf(module, rel)
-		pf := im.dirs[pkgPath]
-		if pf == nil {
-			pf = &pkgFiles{}
-			im.dirs[pkgPath] = pf
-		}
-		fileDir[path], testFile[path] = pkgPath, strings.HasSuffix(name, "_test.go")
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				declEnd[fn.Name.Pos()] = fn.End()
-			}
-		}
-		switch {
-		case !testFile[path]:
-			pf.src = append(pf.src, f)
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			pf.xtest = append(pf.xtest, f)
-		default:
-			pf.test = append(pf.test, f)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	im.checkAll()
+	tr := loadTree(t)
+	im, fset, fileDir, testFile, declEnd := tr.im, tr.im.fset, tr.fileDir, tr.testFile, tr.declEnd
 
 	// decl is an exported function (recv "") or method of an exported
 	// type in a package directly under internal/.
@@ -212,6 +150,89 @@ func TestEveryExportIsCalled(t *testing.T) {
 	for _, o := range offenders {
 		t.Errorf("%s is exported but only its own package's tests call it; give it a caller, move it into a _test.go file, or delete it", o)
 	}
+}
+
+// module is the module path of the tree.
+const module = "mpcquery"
+
+// tree is the module's files, parsed and type-checked by one
+// treeImporter.
+type tree struct {
+	im       *treeImporter
+	fileDir  map[string]string       // file name -> import path of its directory
+	testFile map[string]bool         // file name -> whether it is a _test.go file
+	declEnd  map[token.Pos]token.Pos // a function's name -> the end of its declaration
+}
+
+// loadTree parses every Go file of the module (bench/ and examples/
+// included, testdata and dot directories not) and type-checks each
+// package with its tests.
+func loadTree(t *testing.T) *tree {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	im := &treeImporter{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		dirs: map[string]*pkgFiles{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+	}
+	fileDir := map[string]string{}
+	testFile := map[string]bool{}
+	declEnd := map[token.Pos]token.Pos{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkgPath := pathOf(module, rel)
+		pf := im.dirs[pkgPath]
+		if pf == nil {
+			pf = &pkgFiles{}
+			im.dirs[pkgPath] = pf
+		}
+		fileDir[path], testFile[path] = pkgPath, strings.HasSuffix(name, "_test.go")
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				declEnd[fn.Name.Pos()] = fn.End()
+			}
+		}
+		switch {
+		case !testFile[path]:
+			pf.src = append(pf.src, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			pf.xtest = append(pf.xtest, f)
+		default:
+			pf.test = append(pf.test, f)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.checkAll()
+	return &tree{im: im, fileDir: fileDir, testFile: testFile, declEnd: declEnd}
 }
 
 // pathOf is the import path of the directory rel under the module root.

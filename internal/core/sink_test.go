@@ -41,8 +41,9 @@ func assertSinkDrawsLedger(t *testing.T, c *mpc.Cluster, rec *trace.Recorder) []
 // Metrics.Events draws from the cluster's ledger after the run. It
 // covers every registered algorithm (with the engine's plan note) on
 // the local and loopback-TCP backends, fault-free and under a chaos
-// schedule; the adaptive switch; the semi-naive fixpoint; and a round
-// whose recovery failed, whose crashes and backoffs are still drawn.
+// schedule, gym-opt's decision among them; the adaptive switch; the
+// semi-naive fixpoint's votes; and a round whose recovery failed, whose
+// crashes and backoffs are still drawn.
 func TestLiveSinkDrawsTheLedger(t *testing.T) {
 	const p, seed = 5, 3
 	backends := []struct {
@@ -65,6 +66,7 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 
 	e := NewEngine(p, seed)
 	var crashes, backoffs int // drawn by the chaos runs of the registry sweep
+	picks := 0                // decisions drawn by the sweep's gym-opt runs
 	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Path(3), hypergraph.TwoWayJoin()} {
 		rels := testkit.GenInstance(q, testkit.SkewHeavy, testkit.GenConfig{Tuples: 150}, seed)
 		for _, alg := range applicable(q) {
@@ -82,6 +84,8 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 								crashes++
 							case trace.KindBackoff:
 								backoffs++
+							case trace.KindChoose:
+								picks += ev.Frags
 							}
 						}
 					})
@@ -93,9 +97,12 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 	if crashes == 0 || backoffs == 0 {
 		t.Errorf("the chaos runs drew %d crashes and %d backoffs; the sweep must exercise both", crashes, backoffs)
 	}
+	if picks == 0 {
+		t.Error("the sweep drew no decision; gym-opt on path3 must choose its join phase")
+	}
 
 	t.Run("adaptive", func(t *testing.T) {
-		// A probe shows imbalance only on a cluster large against the
+		// The count shows imbalance only on a cluster large against the
 		// heavy value's slab (see hypercube's adaptiveCfg).
 		q := hypergraph.Triangle()
 		c, rec := mpc.NewCluster(16, 1), trace.NewRecorder()
@@ -105,14 +112,14 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adapts := 0
+		steps := 0
 		for _, ev := range assertSinkDrawsLedger(t, c, rec) {
-			if ev.Kind == trace.KindAdapt {
-				adapts++
+			if ev.Kind == trace.KindExchange {
+				steps += int(ev.Units)
 			}
 		}
-		if !res.Switched || adapts != 1 {
-			t.Fatalf("switched %v with %d adapt events; the instance must switch once", res.Switched, adapts)
+		if !res.Switched || steps != 1 {
+			t.Fatalf("switched %v after %d control steps; the instance must switch on its one count", res.Switched, steps)
 		}
 	})
 
@@ -124,14 +131,18 @@ func TestLiveSinkDrawsTheLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			notes := 0
+			notes, votes := 0, 0
 			for _, ev := range assertSinkDrawsLedger(t, c, rec) {
-				if ev.Kind == trace.KindAnnotate {
+				switch {
+				case ev.Kind == trace.KindAnnotate:
 					notes++
+				case ev.Kind == trace.KindExchange && ev.Units == 0:
+					votes++
 				}
 			}
-			if notes != res.Iterations+1 {
-				t.Fatalf("%d notes for %d iterations: want one per iteration and one at convergence", notes, res.Iterations)
+			if notes != 1 || votes != res.Iterations+1 || c.Metrics().ControlSteps() != 0 {
+				t.Fatalf("%d notes and %d votes for %d iterations: want a vote before each and one after the last, riding its barrier, and a note at convergence",
+					notes, votes, res.Iterations)
 			}
 		})
 	}

@@ -34,10 +34,9 @@ func inRoundSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation
 	return err
 }
 
-// adaptiveCfg shapes instances so the probe's evidence is decisive at
+// adaptiveCfg shapes instances so the count's evidence is decisive at
 // the default thresholds: every second row carries the planted heavy
-// value, so a 15% prefix of any fragment already shows the hitter at
-// several times the sample-scaled threshold. p must be large enough
+// value, far above the threshold N_max/p. p must be large enough
 // that the heavy slab (p/share_v servers) is a small fraction of the
 // cluster — max/mean is bounded by the slab ratio, so tiny clusters
 // cannot show imbalance 2 on a single heavy variable by construction.
@@ -115,9 +114,8 @@ func TestAdaptiveChaosDiff(t *testing.T) {
 
 // TestAdaptiveBeatsStaticUniformOnMispredictedSkew is the E28 claim at
 // test scale: on an input whose skew a static uniform plan would eat
-// in full, the adaptive run's max load — probe round included — is
-// strictly lower, because only the probeFraction prefix is routed
-// under the bad plan before the switch.
+// in full, the adaptive run's max load is strictly lower, because the
+// count that fires the switch routes no tuple under the bad plan.
 func TestAdaptiveBeatsStaticUniformOnMispredictedSkew(t *testing.T) {
 	q := hypergraph.Star(3)
 	const p, seed = 16, 3
@@ -143,11 +141,11 @@ func TestAdaptiveBeatsStaticUniformOnMispredictedSkew(t *testing.T) {
 	}
 }
 
-// TestAdaptiveNoSwitchMatchesUniformBag pins the no-switch contract
-// beyond the harness: the probe+remainder split must deliver exactly
-// the tuples the one-round uniform shuffle delivers (same total
-// communication), only spread over two rounds.
-func TestAdaptiveNoSwitchMatchesUniformBag(t *testing.T) {
+// TestAdaptiveNoSwitchIsUniformRun pins the no-switch contract beyond
+// the harness: a run whose count does not fire the trigger is the
+// one-round uniform run, round for round and fragment for fragment, plus
+// the count's one control step.
+func TestAdaptiveNoSwitchIsUniformRun(t *testing.T) {
 	q := hypergraph.Triangle()
 	const p, seed = 4, 1
 	rels := testkit.GenInstance(q, testkit.SkewNone, testkit.GenConfig{Tuples: 120}, seed)
@@ -161,40 +159,13 @@ func TestAdaptiveNoSwitchMatchesUniformBag(t *testing.T) {
 	if err != nil {
 		t.Fatalf("adaptive run failed: %v", err)
 	}
-	if res.Switched {
-		t.Fatalf("switched on skew-free input: %s", res.Reason)
+	if res.Switched || res.Rounds != 1 {
+		t.Fatalf("switched %v in %d rounds on skew-free input (%s), want the uniform plan's 1", res.Switched, res.Rounds, res.Reason)
 	}
-	if res.Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", res.Rounds)
-	}
-	if got, want := ca.Metrics().TotalComm(), cu.Metrics().TotalComm(); got != want {
-		t.Errorf("total communication %d, uniform one-round run %d", got, want)
-	}
-	got := testkit.GatherResult(ca, "out", q.Vars())
-	want := testkit.GatherResult(cu, "out", q.Vars())
-	if !testkit.BagEqual(got, want) {
-		t.Errorf("no-switch output differs from uniform run: %s", testkit.DiffSample(got, want))
-	}
-}
-
-// TestProbeCount pins the probe sizing at its edges.
-func TestProbeCount(t *testing.T) {
-	tests := []struct {
-		n    int
-		frac float64
-		want int
-	}{
-		{0, 0.15, 0},
-		{1, 0.15, 1},  // non-empty fragments always contribute
-		{10, 0.15, 2}, // ceil
-		{100, 0.15, 15},
-		{3, 0.9, 3},
-		{5, 1, 5},
-	}
-	for _, tc := range tests {
-		if got := probeCount(tc.n, tc.frac); got != tc.want {
-			t.Errorf("probeCount(%d, %g) = %d, want %d", tc.n, tc.frac, got, tc.want)
-		}
+	testkit.AssertSameLRC(t, cu, ca)
+	testkit.AssertSameFragments(t, cu, ca)
+	if got := ca.Metrics().ControlSteps(); got != 1 {
+		t.Errorf("%d control steps, want the count's 1", got)
 	}
 }
 
@@ -244,16 +215,18 @@ func TestRunAdaptiveLeavesInputsUntouched(t *testing.T) {
 	}
 }
 
-// TestAdaptiveProbeFailure: when the probe round is lost, RunAdaptive
-// returns the cluster's failure instead of judging a round that was
-// never metered.
-func TestAdaptiveProbeFailure(t *testing.T) {
+// TestAdaptiveLostRound: when a round is lost, RunAdaptive returns the
+// cluster's failure, and the ledger keeps the count it decided from.
+func TestAdaptiveLostRound(t *testing.T) {
 	q := hypergraph.Triangle()
 	rels := testkit.GenInstance(q, testkit.SkewHeavy, testkit.GenConfig{Tuples: 120, HeavyFrac: 0.5}, 1)
 	c := testkit.NewChaosCluster(8, 1, "1:drop=1,attempts=1")
 	res, err := RunAdaptive(c, q, rels, "out", 42)
 	var f *mpc.RecoveryFailure
-	if res != nil || !errors.As(err, &f) || f.Name != "adaptive:probe" || err != c.Err() {
-		t.Fatalf("RunAdaptive with a lost probe returned %+v, %v; the cluster failed with %v", res, err, c.Err())
+	if res != nil || !errors.As(err, &f) || f.Round != 0 || err != c.Err() {
+		t.Fatalf("RunAdaptive with its first round lost returned %+v, %v; the cluster failed with %v", res, err, c.Err())
+	}
+	if got := c.Metrics().ControlSteps(); got != 1 {
+		t.Errorf("the failed run's ledger holds %d control steps, want the count's 1", got)
 	}
 }

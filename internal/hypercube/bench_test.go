@@ -75,8 +75,9 @@ func BenchmarkHeavyLightTriangle(b *testing.B) {
 }
 
 // BenchmarkAdaptiveSwitch measures the full skew-reactive path on a
-// mispredicted-skew instance: probe round, decision, discarded probe
-// shuffle, and the SkewHC rounds it switches to.
+// mispredicted-skew instance: the count of the uniform plan, the
+// detection rounds that confirm its trigger, and the SkewHC routing
+// round it switches to.
 func BenchmarkAdaptiveSwitch(b *testing.B) {
 	q := hypergraph.Triangle()
 	rels := testkit.GenMispredicted(q, testkit.GenConfig{Tuples: 4096, HeavyFrac: 0.5}, 7)

@@ -114,11 +114,16 @@ func (pl *Plan) Route(a hypergraph.Atom) mpc.Policy {
 // shuffle is one round that routes every atom's fragment, stored under
 // from+atom, onto the stream outName:atom by the atom's policy.
 func shuffle(c *mpc.Cluster, name string, atoms []hypergraph.Atom, from, outName string, policy func(hypergraph.Atom) mpc.Policy) {
+	c.Shuffle(name, routes(atoms, from, outName, policy)...)
+}
+
+// routes lists shuffle's sends.
+func routes(atoms []hypergraph.Atom, from, outName string, policy func(hypergraph.Atom) mpc.Policy) []mpc.Send {
 	sends := make([]mpc.Send, len(atoms))
 	for i, a := range atoms {
 		sends[i] = mpc.Send{From: from + a.Name, To: outName + ":" + a.Name, Policy: policy(a)}
 	}
-	c.Shuffle(name, sends...)
+	return sends
 }
 
 // Result describes a HyperCube execution.
@@ -263,22 +268,32 @@ func values(hs []stats.Hitter) []relation.Value {
 // RunSkewHC executes the SkewHC algorithm of slides 47–51 on servers that
 // do not know the heavy hitters:
 //
-//	rounds 1–2: cost.DetectHeavy finds each variable's heavy hitters
-//	         (summed degree ≥ threshold; threshold = N_max/p if ≤ 0),
-//	         one group per variable, tagged by its index in q.Vars();
+//	rounds 1–2: detectHeavy finds each variable's heavy hitters
+//	         (summed degree ≥ threshold; threshold = N_max/p if ≤ 0);
 //	round 3: RunSkewHCKnown's routing round on the broadcast sets.
 //
 // The in-round detection is for callers without trusted statistics —
-// the adaptive driver — and is the differential oracle of the one-round
-// form.
+// the adaptive driver confirms its trigger with the same two rounds —
+// and is the differential oracle of the one-round form.
 func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64, threshold int, alg LocalAlg) (*Result, error) {
-	p := c.P()
 	bound := scatter(c, q, rels)
 	if threshold <= 0 {
-		threshold = Threshold(q, bound, p)
+		threshold = Threshold(q, bound, c.P())
 	}
 	c.Note("hypercube.RunSkewHC %s (heavy threshold %d)", q.Name, threshold)
 	start := c.Metrics().Rounds()
+	patterns, err := skewShuffle(c, q, bound, detectHeavy(c, q, bound, outName, seed, threshold), outName, seed, alg)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
+}
+
+// detectHeavy is SkewHC's two detection rounds (cost.DetectHeavy): it
+// returns, per variable of q.Vars(), the values whose summed degree over
+// the placed fragments of bound reaches threshold, sorted, one group
+// per variable tagged by its index.
+func detectHeavy(c *mpc.Cluster, q hypergraph.Query, bound map[string]*relation.Relation, outName string, seed uint64, threshold int) [][]relation.Value {
 	vars := q.Vars()
 	groups := make([][]stats.Column, len(vars))
 	for i, v := range vars {
@@ -288,11 +303,7 @@ func RunSkewHC(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Rel
 	for i, hs := range cost.DetectHeavy(c, "skewhc", outName, seed, groups, threshold, stats.Summed) {
 		heavy[i] = values(hs)
 	}
-	patterns, err := skewShuffle(c, q, bound, heavy, outName, seed, alg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rounds: c.Metrics().Rounds() - start, Patterns: patterns}, nil
+	return heavy
 }
 
 // varColumns lists the atom columns that bind variable v, in atom order.

@@ -161,16 +161,18 @@ func loopShuffle(srv *mpc.Server, out *mpc.Out, pl *Plan, atoms []hypergraph.Ato
 // TestShuffleMatchesPerRowLoop is the contract of a plan's grid shuffle:
 // fragments (bit for bit, row order included), RoundStats and trace
 // events of shuffle under the plan's Route are those of one Send per row
-// and reference-walk cell, for whole fragments and for the adaptive
-// probe's prefix and remainder split, with a missing fragment and with
-// heavy-hitter input, on the local transport and over loopback TCP.
+// and reference-walk cell, for whole fragments and for a prefix and
+// the remainder of each, shuffled from a copy under another name (shuffle's
+// from), with a missing fragment and with heavy-hitter input, on the
+// local transport and over loopback TCP.
 // mpc.TestShuffleMatchesPerRowLoop checks each policy kind on its own;
 // this checks the plans HyperCube and the adaptive driver route by.
 func TestShuffleMatchesPerRowLoop(t *testing.T) {
+	cut := func(n int) int { return min(n, max(1, (3*n+9)/10)) } // ⌈0.3n⌉, at least 1
 	spans := map[string]func(n int) (int, int){
 		"all":    func(n int) (int, int) { return 0, n },
-		"prefix": func(n int) (int, int) { return 0, probeCount(n, 0.3) },
-		"suffix": func(n int) (int, int) { return probeCount(n, 0.3), n },
+		"prefix": func(n int) (int, int) { return 0, cut(n) },
+		"suffix": func(n int) (int, int) { return cut(n), n },
 	}
 	for _, q := range []hypergraph.Query{hypergraph.Triangle(), hypergraph.Path(3), hypergraph.CartesianProduct()} {
 		for _, skew := range []testkit.Skew{testkit.SkewUniform, testkit.SkewHeavy} {
@@ -227,4 +229,12 @@ func TestShuffleMatchesPerRowLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rows copies rows [lo, hi) of frag into a relation named name.
+func rows(frag *relation.Relation, name string, lo, hi int) *relation.Relation {
+	r := relation.New(name, frag.Attrs()...)
+	k := frag.Arity()
+	r.AppendFlat(frag.Flat()[lo*k:hi*k], hi-lo)
+	return r
 }

@@ -102,8 +102,8 @@ func TestRoundEvents(t *testing.T) {
 }
 
 // TestNotesAndFailedRound pins where the renderer draws the driver's
-// notes — each before the round it precedes, an adapt decision naming
-// the round it judged, the notes after the last round at the end — and
+// notes — each before the round it precedes, an exchange and a
+// decision among them, the notes after the last round at the end — and
 // that a failed round draws its round_start and attempt log only.
 func TestNotesAndFailedRound(t *testing.T) {
 	idle := RoundStat{Recv: []int64{0}, RecvWords: []int64{0}}
@@ -111,9 +111,11 @@ func TestNotesAndFailedRound(t *testing.T) {
 	m.notes = []note{
 		{rounds: 0, format: "plan %s", args: []any{"q"}},
 		{rounds: 0, format: "100%% literal"},
-		{rounds: 1, format: "probe skewed (gini 0.5%)", adapt: true, maxRecv: 7, gini: 0.5},
+		{rounds: 1, kind: exchangeNote, format: "sizes", at: 0, k: 2},
+		{rounds: 1, kind: decisionNote, format: "grid or ship", at: 2, k: 4, pick: 1},
 		{rounds: 1, format: "switch after %d", args: []any{0}},
 	}
+	m.ctl = []int64{3, 4, 9, 20, 7, 25}
 	m.stats = []RoundStat{idle}
 	m.stats[0].Name = "r0"
 	m.failed = &RoundStat{Name: "r1", Chaos: &ChaosStat{
@@ -124,7 +126,9 @@ func TestNotesAndFailedRound(t *testing.T) {
 		{Kind: trace.KindRoundStart, Round: 0, Server: trace.Driver, Name: "r0"},
 		{Kind: trace.KindSkew, Round: 0, Server: trace.Driver},
 		{Kind: trace.KindRoundEnd, Round: 0, Server: trace.Driver, Name: "r0"},
-		{Kind: trace.KindAdapt, Round: 0, Server: trace.Driver, Name: "probe skewed (gini 0.5%)", MaxRecv: 7, Gini: 0.5},
+		{Kind: trace.KindExchange, Round: 1, Server: trace.Driver, Name: "sizes", Tuples: 7, Words: 2},
+		{Kind: trace.KindChoose, Round: 1, Server: trace.Driver, Name: "grid or ship", MaxRecv: 9, Tuples: 20},
+		{Kind: trace.KindChoose, Round: 1, Server: trace.Driver, Name: "grid or ship", Attempt: 1, MaxRecv: 7, Tuples: 25, Frags: 1},
 		{Kind: trace.KindAnnotate, Round: 1, Server: trace.Driver, Name: "switch after 0"},
 		{Kind: trace.KindRoundStart, Round: 1, Server: trace.Driver, Name: "r1"},
 		{Kind: trace.KindBackoff, Round: 1, Server: trace.Driver, Attempt: 1, Units: 3},
@@ -153,7 +157,7 @@ func TestNotesAndFailedRound(t *testing.T) {
 		if cut < len(m.notes) {
 			rounds = m.notes[cut].rounds
 		}
-		part := &Metrics{p: 1, stats: m.stats[:rounds], notes: m.notes[:cut]}
+		part := &Metrics{p: 1, stats: m.stats[:rounds], notes: m.notes[:cut], ctl: m.ctl}
 		evs, at := part.draw(mark{})
 		rest, _ := m.draw(at)
 		if joined := append(evs, rest...); fmt.Sprint(joined) != fmt.Sprint(whole) {
@@ -201,13 +205,14 @@ func (f *fuzzFaults) BackoffUnits(attempt int) int64 { return int64(3 * attempt)
 // FuzzRoundEvents runs a fuzzed multi-round program — p, the streams
 // each source opens and in what order, how many tuples each sends each
 // destination (empty streams and arity 0 included), the notes and
-// adapt decisions made between rounds (notesProg), and, when faults is
+// decisions made between rounds (notesProg), and, when faults is
 // non-empty, a fault schedule whose crashes and drops force replays
 // and may exhaust the replay budget — on a cluster with a live recorder. It
 // checks that the recorder got exactly what the renderer draws from
 // the ledger after the run, and the trace against the ledger and the
-// program: each note before the round it precedes, an adapt naming the
-// round before; per round one round_start, then the attempt log (each
+// program: each note before the round it precedes, a decision drawn
+// as its control step's exchange and then its two candidates, the pick
+// the lower (L, C), the first on a tie; per round one round_start, then the attempt log (each
 // attempt's backoff, then its crashes, as the ChaosStat logged them),
 // then send, recv, chaos, skew and round_end, named as its RoundStat;
 // recv events summing to Recv/RecvWords slot by slot, and to what the
@@ -276,7 +281,9 @@ func FuzzRoundEvents(f *testing.F) {
 			k := take(&notesProg) % 3
 			for j := 0; j < k; j++ {
 				if r > 0 && take(&notesProg)%3 == 0 {
-					c.Adapt(fmt.Sprintf("adapt %d.%d", r, j), int64(r), 0.25)
+					c.Choose(fmt.Sprintf("choose %d.%d", r, j),
+						[]Send{{From: "b", To: "x", Policy: Broadcast()}},
+						[]Send{{From: "c", To: "y", Policy: Hash(1, "a")}, {From: "u", To: "v", Policy: Hash(2, "a")}})
 				} else {
 					c.Note("note %d.%d %v", r, j, []int{r, j})
 				}
@@ -343,7 +350,19 @@ func FuzzRoundEvents(f *testing.F) {
 				}
 				switch ev := evs[at]; {
 				case ev.Kind == trace.KindAnnotate && ev.Round == r && ev.Name == fmt.Sprintf("note %d.%d [%d %d]", r, j, r, j):
-				case ev.Kind == trace.KindAdapt && ev.Round == r-1 && ev.Name == fmt.Sprintf("adapt %d.%d", r, j) && ev.MaxRecv == int64(r) && ev.Gini == 0.25:
+				case ev.Kind == trace.KindExchange && ev.Round == r && ev.Name == fmt.Sprintf("choose %d.%d", r, j) &&
+					ev.Words == int64(2*p) && ev.Units == 1 && at+2 < len(evs):
+					a, b := evs[at+1], evs[at+2]
+					for i, cand := range []trace.Event{a, b} {
+						if cand.Kind != trace.KindChoose || cand.Round != r || cand.Name != ev.Name || cand.Attempt != i {
+							t.Fatalf("before round %d: candidate %d of %+v is %+v", r, i, ev, cand)
+						}
+					}
+					bWins := b.MaxRecv < a.MaxRecv || b.MaxRecv == a.MaxRecv && b.Tuples < a.Tuples
+					if a.Tuples+b.Tuples != ev.Tuples || a.Frags+b.Frags != 1 || bWins != (b.Frags == 1) {
+						t.Fatalf("before round %d: exchange %+v chose between %+v and %+v", r, ev, a, b)
+					}
+					at += 2
 				default:
 					t.Fatalf("before round %d: event %+v is not note %d", r, ev, j)
 				}
@@ -365,7 +384,7 @@ func FuzzRoundEvents(f *testing.F) {
 			var units int64
 			var skew *trace.Event
 			last, attempt := -1, 0
-			for ; at < len(evs) && evs[at].Round == r && evs[at].Kind != trace.KindAnnotate && evs[at].Kind != trace.KindAdapt; at++ {
+			for ; at < len(evs) && evs[at].Round == r && evs[at].Kind != trace.KindAnnotate && evs[at].Kind != trace.KindExchange; at++ {
 				ev := evs[at]
 				ph, ok := phase[ev.Kind]
 				if !ok || ph < last || (ph == last && (ph == 0 || ph >= 4)) {

@@ -2,6 +2,10 @@ package mpc
 
 import "mpcquery/internal/relation"
 
+// FanOutWorkers returns how many fan-out workers have been started and
+// how many of them are idle.
+func FanOutWorkers() (started, idleNow int64) { return workers.Load(), idle.Load() }
+
 // Test transports, exported for the external (package mpc_test)
 // equivalence suites.
 

@@ -22,10 +22,12 @@ type task struct {
 // Workers are process-wide and never exit; between tasks each waits on
 // the unbuffered tasks channel. idle counts the workers that will take
 // another task: a worker counts itself before it signals done, so a call
-// that follows a call finds every worker it needs idle.
+// that follows a call finds every worker it needs idle. workers counts
+// the workers started, the only goroutines this package starts.
 var (
-	tasks = make(chan task)
-	idle  atomic.Int64
+	tasks   = make(chan task)
+	idle    atomic.Int64
+	workers atomic.Int64
 )
 
 // run calls f(0), …, f(n−1), each on its own goroutine, and reports the
@@ -43,6 +45,7 @@ func (fo *fanout) run(n int, f func(i int)) (int, any) {
 		if claimIdle() {
 			tasks <- task{fo, i}
 		} else {
+			workers.Add(1)
 			go work(task{fo, i})
 		}
 	}

@@ -2,7 +2,6 @@ package mpc_test
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -102,9 +101,12 @@ func TestFanOutConcurrentAndNested(t *testing.T) {
 }
 
 // TestWarmRoundsStartNoGoroutine pins that the fan-out's workers are
-// reused: after warm-up, rounds leave runtime.NumGoroutine() where they
-// found it, and a p = 256 round leaves enough idle workers that the
-// p = 8 rounds after it start none.
+// reused: after warm-up, rounds start no worker, and a p = 256 round
+// leaves enough idle workers that the p = 8 rounds after it start none.
+// Between calls every worker is idle. It counts the fan-out's workers,
+// not runtime.NumGoroutine(): that also counts goroutines the test does
+// not own (an earlier test's loopback readers exiting, the finalizer
+// goroutine while it runs), which come and go under load.
 func TestWarmRoundsStartNoGoroutine(t *testing.T) {
 	small := mpc.NewCluster(8, 1)
 	rounds := func(n int) {
@@ -112,20 +114,26 @@ func TestWarmRoundsStartNoGoroutine(t *testing.T) {
 			if err := ring(small); err != nil {
 				t.Fatal(err)
 			}
+			if started, idle := mpc.FanOutWorkers(); idle != started {
+				t.Fatalf("after a round: %d of %d workers idle", idle, started)
+			}
 		}
 	}
 	rounds(10)
-	before := runtime.NumGoroutine()
+	before, _ := mpc.FanOutWorkers()
 	rounds(100)
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("100 warm rounds at p = 8: %d goroutines before, %d after", before, after)
+	if after, _ := mpc.FanOutWorkers(); after != before {
+		t.Fatalf("100 warm rounds at p = 8: %d workers before, %d after", before, after)
 	}
 	if err := ring(mpc.NewCluster(256, 1)); err != nil {
 		t.Fatal(err)
 	}
-	before = runtime.NumGoroutine()
+	if started, _ := mpc.FanOutWorkers(); started < 256 {
+		t.Fatalf("after a p = 256 round: %d workers started; want at least 256", started)
+	}
+	before, _ = mpc.FanOutWorkers()
 	rounds(10)
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("p = 8 rounds after a p = 256 round: %d goroutines before, %d after", before, after)
+	if after, _ := mpc.FanOutWorkers(); after != before {
+		t.Fatalf("p = 8 rounds after a p = 256 round: %d workers before, %d after", before, after)
 	}
 }

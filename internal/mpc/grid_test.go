@@ -123,7 +123,7 @@ func checkLoads(t *testing.T, shares []int, seeds []uint64, cols []int, row []re
 	}
 	kinds = append(kinds, slices.Concat(kinds...))
 	for _, sends := range kinds {
-		loads := c.Loads(sends...)
+		loads := c.Loads("loads", sends...)
 		c.Shuffle("loads", sends...)
 		stats := c.Metrics().RoundStats()
 		if recv := stats[len(stats)-1].Recv; !slices.Equal(loads, recv) {

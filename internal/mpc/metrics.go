@@ -168,22 +168,37 @@ type Metrics struct {
 	p     int
 	stats []RoundStat
 	notes []note // in the order they were made
+	// ctl holds the exchanges' sums and the decisions' costs, which
+	// notes index.
+	ctl []int64
 	// failed is the round whose recovery exhausted its replay budget,
 	// Name and Chaos only; it ends the ledger of a failed cluster.
 	failed *RoundStat
 }
 
-// note is a phase marker (Cluster.Note) or the adaptive switch
-// (Cluster.Adapt, whose format is its reason, verbatim). rounds is the
-// number of rounds committed when it was made.
+// note is a driver record between rounds, in the order made: a phase
+// marker (Cluster.Note), a control exchange (Cluster.Exchange) or a
+// decision (Cluster.Choose). rounds is the number of rounds committed
+// when it was made. An exchange's k sums, and a decision's L and C per
+// candidate (2 words each), are ctl[at : at+k]; they are stored unboxed,
+// so a record costs an untraced run no allocation of its own.
 type note struct {
-	rounds  int
-	format  string
-	args    []any
-	adapt   bool
-	maxRecv int64
-	gini    float64
+	rounds int
+	kind   noteKind
+	format string // a marker's format; an exchange's or a decision's name
+	args   []any
+	at, k  int
+	step   bool // an exchange that needed a control step of its own
+	pick   int  // a decision's pick
 }
+
+type noteKind uint8
+
+const (
+	markerNote noteKind = iota
+	exchangeNote
+	decisionNote
+)
 
 // mark is a position in a ledger: the notes and rounds before it.
 type mark struct{ notes, rounds int }
@@ -258,12 +273,28 @@ func (m *Metrics) draw(from mark) ([]trace.Event, mark) {
 	notes := func(before int) {
 		for ; from.notes < to.notes && m.notes[from.notes].rounds <= before; from.notes++ {
 			nt := &m.notes[from.notes]
-			if nt.adapt {
-				evs = append(evs, trace.Event{Kind: trace.KindAdapt, Round: nt.rounds - 1, Server: trace.Driver, Name: nt.format,
-					MaxRecv: nt.maxRecv, Gini: nt.gini})
-			} else {
+			switch nt.kind {
+			case markerNote:
 				evs = append(evs, trace.Event{Kind: trace.KindAnnotate, Round: nt.rounds, Server: trace.Driver,
 					Name: fmt.Sprintf(nt.format, nt.args...)})
+			case exchangeNote:
+				ev := trace.Event{Kind: trace.KindExchange, Round: nt.rounds, Server: trace.Driver, Name: nt.format, Words: int64(nt.k)}
+				for _, v := range m.ctl[nt.at : nt.at+nt.k] {
+					ev.Tuples += v
+				}
+				if nt.step {
+					ev.Units = 1
+				}
+				evs = append(evs, ev)
+			case decisionNote:
+				for i := 0; i < nt.k/2; i++ {
+					ev := trace.Event{Kind: trace.KindChoose, Round: nt.rounds, Server: trace.Driver, Name: nt.format,
+						Attempt: i, MaxRecv: m.ctl[nt.at+2*i], Tuples: m.ctl[nt.at+2*i+1]}
+					if i == nt.pick {
+						ev.Frags = 1
+					}
+					evs = append(evs, ev)
+				}
 			}
 		}
 	}
@@ -323,6 +354,9 @@ func (m *Metrics) draw(from mark) ([]trace.Event, mark) {
 func (m *Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rounds=%d L=%d C=%d\n", m.Rounds(), m.MaxLoad(), m.TotalComm())
+	if w := m.ControlWords(); w > 0 {
+		fmt.Fprintf(&b, "  control: r_ctl=%d words/server=%d\n", m.ControlSteps(), w)
+	}
 	for i := range m.stats {
 		st := &m.stats[i]
 		fmt.Fprintf(&b, "  round %2d %-28s maxRecv=%-10d p50=%-10d total=%-10d imbalance=%.2f\n",

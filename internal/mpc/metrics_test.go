@@ -103,3 +103,27 @@ func TestGiniRecv(t *testing.T) {
 		t.Errorf("Gini not ordered: balanced %v, mild %v, extreme %v", lo, mid, hi)
 	}
 }
+
+// TestImbalance pins max/mean on the degenerate receive vectors the
+// adaptive driver's trigger can see: an empty or silent round, one
+// server, balanced delivery, and one-hot skew, where it reaches p.
+func TestImbalance(t *testing.T) {
+	hot := make([]int64, 64)
+	hot[17] = 1 << 20
+	for _, tc := range []struct {
+		name string
+		recv []int64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"all-zero", []int64{0, 0, 0, 0}, 0},
+		{"single", []int64{42}, 1},
+		{"all-equal", []int64{5, 5, 5, 5}, 1},
+		{"one hot of 4", []int64{0, 0, 0, 400}, 4},
+		{"one hot of 64", hot, 64},
+	} {
+		if got := (&RoundStat{Recv: tc.recv}).Imbalance(); got != tc.want {
+			t.Errorf("%s: Imbalance = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -181,13 +181,6 @@ func (c *Cluster) Note(format string, args ...any) {
 	c.note(note{format: format, args: args})
 }
 
-// Adapt records the adaptive driver's switch in the ledger: its reason
-// and the max load and Gini of the round it judged, the last one
-// committed. Call it as Note.
-func (c *Cluster) Adapt(reason string, maxRecv int64, gini float64) {
-	c.note(note{format: reason, adapt: true, maxRecv: maxRecv, gini: gini})
-}
-
 func (c *Cluster) note(n note) {
 	if c.err != nil {
 		return // the ledger of a failed cluster ends at its failed round
@@ -242,6 +235,15 @@ func (s *Server) Put(rel *relation.Relation) { s.rels[rel.Name()] = rel }
 
 // Delete removes the named local relation.
 func (s *Server) Delete(name string) { delete(s.rels, name) }
+
+// Len returns the size of the server's fragment of the named relation,
+// 0 if it holds none: what a server contributes to an Exchange of sizes.
+func (s *Server) Len(name string) int {
+	if f := s.rels[name]; f != nil {
+		return f.Len()
+	}
+	return 0
+}
 
 // RelNames returns the names of the server's local relations, sorted.
 func (s *Server) RelNames() []string {
@@ -564,9 +566,10 @@ func (c *Cluster) Round(name string, compute func(s *Server, out *Out)) {
 // committed: a server's compute panic in Round or LocalStep, a delivery
 // error wrapping the transport's, or a *RecoveryFailure. It is sticky,
 // like a bufio.Writer's: after it Round, Shuffle and LocalStep run
-// nothing, the ledger ends, and Gather refuses; TotalLen, MaxFragLen and
-// Loads still count what is stored, so only a driver whose loop or
-// index depends on a round's result checks Err.
+// nothing, the ledger ends, and Gather refuses; Exchange records
+// nothing and sums to zeros, so a vote on a failed cluster halts, and
+// TotalLen and MaxFragLen still count what is stored. Only a driver
+// whose loop or index depends on a round's result checks Err.
 func (c *Cluster) Err() error { return c.err }
 
 // LocalStep runs compute on every server, each on its own goroutine as
@@ -670,13 +673,13 @@ func (c *Cluster) DeleteAll(name string) {
 }
 
 // TotalLen sums the sizes of the named relation fragment across servers
-// (0 if absent everywhere).
+// (0 if absent everywhere). It reads the simulator's global view for
+// free, so it reports a run and decides nothing: a decision reads
+// sizes through Exchange.
 func (c *Cluster) TotalLen(name string) int {
 	total := 0
 	for _, s := range c.servers {
-		if f := s.rels[name]; f != nil {
-			total += f.Len()
-		}
+		total += s.Len(name)
 	}
 	return total
 }
@@ -685,9 +688,7 @@ func (c *Cluster) TotalLen(name string) int {
 func (c *Cluster) MaxFragLen(name string) int {
 	m := 0
 	for _, s := range c.servers {
-		if f := s.rels[name]; f != nil && f.Len() > m {
-			m = f.Len()
-		}
+		m = max(m, s.Len(name))
 	}
 	return m
 }

@@ -163,21 +163,6 @@ func (c *Cluster) Shuffle(name string, sends ...Send) {
 	})
 }
 
-// Loads returns what a Shuffle of sends would deliver to each server,
-// its RoundStat.Recv, from the counting pass every send makes before it
-// presizes. Nothing is sent or metered: counting is local work.
-func (c *Cluster) Loads(sends ...Send) []int64 {
-	loads := make([]int64, c.p)
-	for i, srv := range c.servers {
-		for _, s := range sends {
-			if frag := srv.rels[s.From]; frag != nil {
-				s.Policy.count(c.roundOuts()[i], frag, loads)
-			}
-		}
-	}
-	return loads
-}
-
 // count adds to loads[d] the tuples pl sends server d from frag.
 func (pl Policy) count(o *Out, frag *relation.Relation, loads []int64) {
 	add := func(counts []int) {

@@ -43,8 +43,6 @@ type ClosureView struct {
 	// exactly once, only delivery is replayed.
 	e indexed // edges, at partition servers
 	t indexed // closure tuples, at owner servers
-
-	batches int
 }
 
 // toCol selects a closure tuple's to-column: it owns the tuple and is
@@ -180,7 +178,6 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	v.batches++
 	attrs := v.attrs
 	start := c.Metrics().Rounds()
 	sizeBefore := c.TotalLen(v.name)
@@ -207,14 +204,20 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 		s.Delete(opsName)
 	})
 
+	// The net batch's sizes ride the last round's barrier: every server
+	// knows its own fold.
+	n := c.Exchange(opsName, 2, false, func(s *mpc.Server, w []int64) {
+		w[0] += int64(s.Len(delName))
+		w[1] += int64(s.Len(insName))
+	})
 	stats := &BatchStats{}
-	if c.TotalLen(delName) > 0 {
+	if n[0] > 0 {
 		if err := v.applyDeletes(delName, stats); err != nil {
 			return nil, err
 		}
 	}
 	sizeMid := c.TotalLen(v.name)
-	if c.TotalLen(insName) > 0 {
+	if n[1] > 0 {
 		if err := v.applyInserts(insName, stats); err != nil {
 			return nil, err
 		}
@@ -236,7 +239,6 @@ func (v *ClosureView) ApplyBatch(ops []EdgeOp) (*BatchStats, error) {
 func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	c.Note("%s batch %d: over-delete |dE|=%d", v.name, v.batches, c.TotalLen(delName))
 
 	// Over-delete seed: the T ⋈ dE- one-step extensions and the
 	// deleted edges themselves (every deleted edge is a deleted
@@ -279,7 +281,7 @@ func (v *ClosureView) applyDeletes(delName string, stats *BatchStats) error {
 		}
 	})
 
-	if c.TotalLen(d.name) > 0 {
+	if c.Exchange(d.name, 1, false, func(s *mpc.Server, w []int64) { w[0] += int64(s.Len(d.name)) })[0] > 0 {
 		if err := v.rederive(d, stats); err != nil {
 			return err
 		}
@@ -308,7 +310,6 @@ func compact(s *mpc.Server, x indexed, attrs []string, drop *relation.Relation, 
 func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	c.Note("%s batch %d: rederive |D|=%d", v.name, v.batches, c.TotalLen(d.name))
 
 	// Seeds of the restricted fixpoint: (a) over-deleted tuples that
 	// are still edges, and (b) one-step extensions T'(x, y) * E1(y, z)
@@ -384,7 +385,6 @@ func (v *ClosureView) rederive(d indexed, stats *BatchStats) error {
 func (v *ClosureView) applyInserts(insName string, stats *BatchStats) error {
 	c := v.c
 	attrs := v.attrs
-	c.Note("%s batch %d: insert |dE|=%d", v.name, v.batches, c.TotalLen(insName))
 
 	// Apply dE+ to the edge partitions first: propagation must run
 	// over the updated edges so chains among new edges close.

@@ -193,18 +193,27 @@ func (f *fixpoint) run() (int, error) {
 	f.candSets = make([]relation.RowSet, c.P())
 	candName, probeCols := f.label+":cand", []int{f.probeCol}
 	defer c.DeleteAll(candName)
-	// Defensive cap: each iteration either adds an output tuple or
-	// improves a label, both bounded far below this. Hitting the cap
-	// means a kernel bug, not a slow input.
-	maxIter := 2*(c.TotalLen(f.edge)+c.TotalLen(f.delta)+c.P()) + 4
+	// Each server's delta size is its vote to halt, summed by an
+	// exchange that rides the barrier of the round the delta came from;
+	// the first also sums the edges' sizes for a defensive cap: each
+	// iteration either adds an output tuple or improves a label, both
+	// bounded far below it. Hitting the cap means a kernel bug, not a
+	// slow input.
+	votes := func(s *mpc.Server, w []int64) {
+		w[0] += int64(s.Len(f.delta))
+		if len(w) > 1 {
+			w[1] += int64(s.Len(f.edge))
+		}
+	}
+	n := c.Exchange(f.delta, 2, false, votes)
+	maxIter := 2*(n[0]+n[1]+int64(c.P())) + 4
 	iters := 0
 	// A failed round runs nothing, so the delta would never shrink.
-	for c.Err() == nil && c.TotalLen(f.delta) > 0 {
-		if iters >= maxIter {
+	for delta := n[0]; c.Err() == nil && delta > 0; delta = c.Exchange(f.delta, 1, false, votes)[0] {
+		if int64(iters) >= maxIter {
 			return iters, fmt.Errorf("recursive: %s did not converge after %d iterations", f.label, iters)
 		}
 		iters++
-		c.Note("%s iteration %d: |delta|=%d", f.label, iters, c.TotalLen(f.delta))
 		c.Round(f.label+":extend", func(s *mpc.Server, out *mpc.Out) {
 			st := out.Open(candName, f.attrs...)
 			delta := s.RelOrEmpty(f.delta, f.attrs...)

@@ -1,6 +1,10 @@
 package stats
 
-import "testing"
+import (
+	"testing"
+
+	"mpcquery/internal/relation"
+)
 
 // TestQuantileInt64 pins the shared nearest-rank quantile on raw
 // slices — the primitive both RoundStat.Quantile and the trace skew
@@ -59,5 +63,49 @@ func TestGini(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestHeavyThresholdBoundary pins the inclusive >= threshold semantics
+// of the heavy-hitter rules: a value whose degree lands exactly on the
+// threshold is heavy.
+func TestHeavyThresholdBoundary(t *testing.T) {
+	col := []Column{column("R", 1, 0, []relation.Value{1, 1, 2, 2, 2, 3, 3, 3, 3}, 0)}
+	if got := Heavy(col, 3, InAny); len(got) != 2 || got[0].Value != 2 || got[1].Value != 3 {
+		t.Fatalf("Heavy(3) = %v, want 2 and 3 (inclusive threshold)", got)
+	}
+	if got := Heavy(col, 5, InAny); len(got) != 0 {
+		t.Fatalf("Heavy(5) = %v, want none", got)
+	}
+	// Threshold 1 declares everything heavy.
+	if got := Heavy(col, 1, InAny); len(got) != 3 {
+		t.Fatalf("Heavy(1) = %v, want all 3 values", got)
+	}
+}
+
+// TestGiniExtremeSkew extends the Gini pin to a large planted-heavy
+// degree vector: one value holding half the mass among many singletons
+// must push Gini well above the 0.4 adaptive trigger.
+func TestGiniExtremeSkew(t *testing.T) {
+	xs := make([]int64, 1000)
+	for i := range xs {
+		xs[i] = 1
+	}
+	xs[0] = 999 // one value with half the total mass
+	if g := Gini(xs); g < 0.45 || g >= 1 {
+		t.Errorf("Gini(planted heavy) = %v, want in [0.45, 1)", g)
+	}
+}
+
+// TestQuantileInt64ExtremeSkew pins nearest-rank quantiles on a
+// one-hot vector: every quantile below the top rank sees the zeros.
+func TestQuantileInt64ExtremeSkew(t *testing.T) {
+	xs := make([]int64, 100)
+	xs[99] = 12345
+	if got := QuantileInt64(xs, 0.98); got != 0 {
+		t.Errorf("q0.98 of one-hot = %d, want 0", got)
+	}
+	if got := QuantileInt64(xs, 1); got != 12345 {
+		t.Errorf("q1 of one-hot = %d, want 12345", got)
 	}
 }

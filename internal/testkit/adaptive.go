@@ -19,10 +19,13 @@ import (
 // adaptive drivers into it without an import cycle.
 type AdaptiveAlgo func(c *mpc.Cluster, q hypergraph.Query, rels map[string]*relation.Relation, outName string, seed uint64) (switched bool, err error)
 
-// SwitchChaosSpecs is the fault-schedule axis for adaptive runs: the
-// flat schedules land faults on the probe round itself, and the
-// after=N schedules land them on the post-switch rounds, so recovery
-// is exercised both before and during the mid-query re-plan.
+// SwitchChaosSpecs is the fault-schedule axis for adaptive runs. The
+// flat schedules land faults on every round, the two detection rounds
+// that confirm the trigger included; after=1 spares the degree round,
+// and after=2 lands faults only on the switched routing round. So
+// recovery is exercised both while the switch is decided and after it.
+// The count that fires the trigger is a control step, not a round, and
+// takes no faults.
 var SwitchChaosSpecs = []string{
 	"101:drop=0.15,dup=0.08",
 	"202:crash=0.2,straggle=0.3,delay=6",
@@ -38,11 +41,10 @@ var SwitchChaosSpecs = []string{
 // relation containing it to one slab of the HyperCube grid — the
 // uniform plan's worst case, and exactly the case SkewHC's share-1
 // residual plans fix. Where SkewHeavy front-loads its heavy rows, the
-// interleaving spreads them evenly through the file, so any prefix
-// fraction f of a fragment carries ≈ f of the heavy degree. This is
-// the "emerging heavy hitter" shape: a static planner with optimistic
-// stats picks the uniform plan, while an adaptive probe over a prefix
-// sees the skew developing at exactly the sample-scaled rate.
+// interleaving spreads them evenly through the file, so round-robin
+// placement gives every server its share of them. A static planner with
+// optimistic stats picks the uniform plan; the adaptive driver's count
+// of that plan's receive vector sees the skew before any tuple moves.
 //
 // Every relation is a set, so the degree planted is the degree the
 // engine sees: a row drawn twice is drawn again, and a heavy row draws
@@ -85,46 +87,20 @@ func GenMispredicted(q hypergraph.Query, cfg GenConfig, seed int64) map[string]*
 	return rels
 }
 
-// AssertTailRoundStats asserts that the adaptive cluster's metered
-// rounds from index skip onward are identical — name, per-server Recv
-// and RecvWords — to the static cluster's rounds from index 0. This is
-// the switched-run determinism contract: once the adaptive driver
-// discards its probe and re-plans, every remaining round must meter
-// exactly what a run that chose that path up front metered.
-func AssertTailRoundStats(t *testing.T, static, adaptive *mpc.Cluster, skip int) {
-	t.Helper()
-	ss, as := static.Metrics().RoundStats(), adaptive.Metrics().RoundStats()
-	if len(as)-skip != len(ss) {
-		t.Fatalf("adaptive has %d rounds after skipping %d, static has %d", len(as)-skip, skip, len(ss))
-	}
-	for i := range ss {
-		a, s := as[i+skip], ss[i]
-		if a.Name != s.Name {
-			t.Fatalf("round %d: adaptive %q vs static %q", i, a.Name, s.Name)
-		}
-		for d := range s.Recv {
-			if a.Recv[d] != s.Recv[d] || a.RecvWords[d] != s.RecvWords[d] {
-				t.Fatalf("round %q server %d: adaptive (%d,%d), static (%d,%d)",
-					s.Name, d, a.Recv[d], a.RecvWords[d], s.Recv[d], s.RecvWords[d])
-			}
-		}
-	}
-}
-
 // RunAdaptiveDiff pins the adaptive executor's two contracts on the
 // (p, seed) matrix of cfg:
 //
 // On mispredicted-skew instances (GenMispredicted) the run must
-// switch, match the sequential oracle, and — after its single probe
-// round — be *bit-identical* to the static skew-path run on an
-// identically seeded cluster: same fragments on every server, same
-// per-round (Recv, RecvWords) tail. AssertSameFragments compares every
-// relation on every server, so this also proves the probe leaves no
-// residue behind.
+// switch, match the sequential oracle, and be *bit-identical* to the
+// static skew-path run on an identically seeded cluster: same fragments
+// on every server, same ledger round for round (AssertSameLRC). Its
+// count is one control step, drawn in the trace. AssertSameFragments
+// compares every relation on every server, so this also proves the
+// count leaves no residue behind.
 //
 // On skew-free (SkewNone) instances the run must NOT switch, must
-// finish in exactly probe+remainder+local = 2 metered rounds, and must
-// still match the oracle.
+// finish in the uniform plan's 1 metered round after its one control
+// step, and must still match the oracle.
 //
 // static must execute the same skew path the adaptive driver switches
 // to (same seed and threshold discipline).
@@ -158,18 +134,8 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 					t.Errorf("adaptive result mismatch vs oracle: %s", DiffSample(got, want))
 				}
 				AssertSameFragments(t, cs, ca)
-				AssertTailRoundStats(t, cs, ca, 1)
-				// The switch decision must be visible in the trace.
-				found := false
-				for _, ev := range ca.Metrics().Events() {
-					if ev.Kind == trace.KindAdapt {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("switched run recorded no %q trace event", trace.KindAdapt)
-				}
+				AssertSameLRC(t, cs, ca)
+				assertOneCount(t, ca)
 			})
 			t.Run(fmt.Sprintf("%s/uniform/p%d/seed%d", q.Name, p, seed), func(t *testing.T) {
 				rels := GenInstance(q, SkewNone, cfg.Gen, seed)
@@ -182,7 +148,8 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 				if switched {
 					t.Fatalf("adaptive run switched on a skew-free instance")
 				}
-				AssertRounds(t, c, 2)
+				AssertRounds(t, c, 1)
+				assertOneCount(t, c)
 				got := GatherResult(c, "out", q.Vars())
 				if !BagEqual(got, want) {
 					t.Errorf("adaptive result mismatch vs oracle: %s", DiffSample(got, want))
@@ -192,9 +159,25 @@ func RunAdaptiveDiff(t *testing.T, q hypergraph.Query, cfg Config, adaptive Adap
 	}
 }
 
+// assertOneCount asserts that the decision's evidence is in the trace:
+// one exchange of p words per server, in a control step of its own.
+func assertOneCount(t *testing.T, c *mpc.Cluster) {
+	t.Helper()
+	var counts []trace.Event
+	for _, ev := range c.Metrics().Events() {
+		if ev.Kind == trace.KindExchange {
+			counts = append(counts, ev)
+		}
+	}
+	if len(counts) != 1 || counts[0].Units != 1 || counts[0].Words != int64(c.P()) || c.Metrics().ControlSteps() != 1 {
+		t.Errorf("the run drew exchanges %+v and %d control steps, want one count of p words in a step of its own",
+			counts, c.Metrics().ControlSteps())
+	}
+}
+
 // RunAdaptiveChaos exercises the switch under fault injection: for
-// every schedule in SwitchChaosSpecs (probe-round faults and
-// after-the-switch faults) it runs the adaptive algorithm on a
+// every schedule in SwitchChaosSpecs (faults while the switch is
+// decided and after it) it runs the adaptive algorithm on a
 // mispredicted-skew instance twice — fault-free and injected — and
 // asserts the injected run recovers, makes the same switch decision,
 // meters identical (L, r, C), holds bit-identical fragments, and still

@@ -19,6 +19,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add("round_end", 12, -1, "hypercube:shuffle", int64(4096), int64(8192), 0, 0, int64(0), int64(512), int64(0), 0.0, int64(0), int64(0), int64(0), 0)
 	f.Add("chaos", 3, -1, "", int64(0), int64(0), 0, 4, int64(9), int64(0), int64(0), 0.0, int64(5), int64(2), int64(1), 3)
 	f.Add("annotate", 0, -1, "phase: ünïcode & <html> \"quotes\"", int64(0), int64(0), 0, 0, int64(0), int64(0), int64(0), 0.0, int64(0), int64(0), int64(0), 0)
+	f.Add("exchange", 2, -1, "adaptive:loads", int64(1536), int64(16), 0, 0, int64(1), int64(0), int64(0), 0.0, int64(0), int64(0), int64(0), 0)
+	f.Add("choose", 4, -1, "yannakakis join phase: HyperCube or ship to the anchor", int64(9120), int64(0), 1, 1, int64(0), int64(1140), int64(0), 0.0, int64(0), int64(0), int64(0), 0)
 	f.Add("", -1, math.MinInt, "\x00\n\t", int64(math.MinInt64), int64(math.MaxInt64), math.MaxInt, -1, int64(-1), int64(-1), int64(-1), math.Inf(1), int64(-1), int64(-1), int64(-1), -1)
 	f.Fuzz(func(t *testing.T, kind string, round, server int, name string,
 		tuples, words int64, frags, attempt int, units, maxRecv, p99 int64, gini float64,
@@ -55,6 +57,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(`{"kind":"send","round":0,"server":1,"tuples":7}`))
 	f.Add([]byte("{\"kind\":\"round_start\",\"round\":0,\"server\":-1}\n\n{\"kind\":\"skew\",\"round\":0,\"server\":-1,\"gini\":0.5}"))
+	f.Add([]byte("{\"kind\":\"exchange\",\"round\":3,\"server\":-1,\"name\":\"out:delta\",\"tuples\":42,\"words\":1}\n{\"kind\":\"choose\",\"round\":3,\"server\":-1,\"name\":\"pick\",\"tuples\":20,\"attempt\":1,\"max_recv\":7,\"frags\":1}"))
 	f.Add([]byte(`{"kind":"send","round":0,"server":1,"bogus":3}`))
 	f.Add([]byte("not json at all"))
 	f.Add([]byte{0xff, 0xfe, 0x00})

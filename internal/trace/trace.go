@@ -12,8 +12,13 @@
 //     (max, nearest-rank p99, Gini) using internal/stats, so hash-route
 //     imbalance is visible without re-deriving it;
 //   - annotate events are the phase markers algorithms note between
-//     rounds ("join2.SkewJoin R ⋈ S on y (heavy threshold 40)", ...),
-//     and an adapt event is the adaptive driver's switch;
+//     rounds ("join2.SkewJoin R ⋈ S on y (heavy threshold 40)", ...);
+//   - exchange events are the control exchanges a driver decides from
+//     (mpc.Cluster.Exchange): the words each server sent, their sum,
+//     and whether the exchange rode the last round's barrier or took a
+//     control step of its own; choose events are a decision's
+//     candidates (mpc.Cluster.Choose), each with its counted load and
+//     communication, the pick marked;
 //   - crash / backoff / chaos events are the recovery driver's ledger
 //     under fault injection.
 //
@@ -45,11 +50,13 @@ const (
 	KindCrash      = "crash"       // Round, Attempt, Server — server down during the attempt
 	KindBackoff    = "backoff"     // Round, Attempt, Units — replay backoff (metered, never slept)
 	KindChaos      = "chaos"       // Round, Attempt=attempts, Dropped/Duplicated/Redelivered/Crashes, Units=backoff
-	KindAdapt      = "adapt"       // Round=probe round, Name=reason, MaxRecv/Gini=triggering signal
+	KindExchange   = "exchange"    // Round=next round index, Name=exchange, Words=control words per server, Tuples=their sum, Units=1 for a control step of its own
+	KindChoose     = "choose"      // one per candidate: Round=next round index, Name=decision, Attempt=candidate index, MaxRecv/Tuples=its counted L/C, Frags=1 on the pick
 )
 
 // Event is one trace record. Server is -1 for driver-scoped events
-// (round frames, skew summaries, annotations, adapt, backoff). Fields are
+// (round frames, skew summaries, annotations, exchanges, choices,
+// backoff). Fields are
 // scalar and comparable so events round-trip exactly through the JSONL
 // codec and can be compared with ==.
 type Event struct {

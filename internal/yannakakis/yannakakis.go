@@ -282,24 +282,18 @@ func gymOptimized(c *mpc.Cluster, jt *hypergraph.JoinTree, outName string, seed 
 // group joins locally and runs no round. With several, an anchor group,
 // whose key lies within every other group's variables, can stay while
 // the others' local joins ship to its key (of several anchors, the one
-// leaving the fewest rows to ship); c.Loads prices that round and a
-// HyperCube round over the atoms before either ships, and the lower max
-// receive, then the lower C, wins, a tie keeping HyperCube. Without an
-// anchor HyperCube runs.
+// leaving the fewest rows to ship); Cluster.Choose counts that round
+// and a HyperCube round over the atoms before either ships, and the
+// lower max receive, then the lower C, wins, a tie keeping HyperCube.
+// Without an anchor HyperCube runs. The atoms' sizes, which size the
+// HyperCube plan, and the groups' sizes, which pick the anchor, come
+// from one exchange that rides the last round's barrier.
 func joinPhase(c *mpc.Cluster, q hypergraph.Query, at [][]string, outName string, seed uint64) {
 	groups := groupsOf(at)
 	if len(groups) == 1 {
 		c.Note("yannakakis join phase: local, every atom on %v", at[0])
 		c.LocalStep(func(srv *mpc.Server) { srv.Put(groupJoin(srv, q, groups[0], outName, q.Vars())) })
 		return
-	}
-	sizes := make(map[string]int64, len(q.Atoms))
-	for _, a := range q.Atoms {
-		sizes[a.Name] = max(int64(c.TotalLen(a.Name)), 1)
-	}
-	pl, err := hypercube.NewPlan(q, sizes, c.P(), seed)
-	if err != nil {
-		panic(fmt.Sprintf("yannakakis: join-phase HyperCube: %v", err))
 	}
 	vars, name := make([][]string, len(groups)), make([]string, len(groups))
 	for g, atoms := range groups {
@@ -318,31 +312,51 @@ func joinPhase(c *mpc.Cluster, q hypergraph.Query, at [][]string, outName string
 			anchors = append(anchors, g)
 		}
 	}
+	if len(anchors) > 0 {
+		c.LocalStep(func(srv *mpc.Server) {
+			for g, atoms := range groups {
+				if len(atoms) > 1 {
+					srv.Put(groupJoin(srv, q, atoms, name[g], vars[g]))
+				}
+			}
+		})
+		defer func() {
+			for g, atoms := range groups {
+				if len(atoms) > 1 {
+					c.DeleteAll(name[g])
+				}
+			}
+		}()
+	}
+	// Word i sizes atom i, word len(q.Atoms)+j anchor j's group join.
+	n := c.Exchange("yannakakis join phase: sizes", len(q.Atoms)+len(anchors), false, func(s *mpc.Server, w []int64) {
+		for i, a := range q.Atoms {
+			w[i] += int64(s.Len(a.Name))
+		}
+		for j, g := range anchors {
+			w[len(q.Atoms)+j] += int64(s.Len(name[g]))
+		}
+	})
+	sizes := make(map[string]int64, len(q.Atoms))
+	for i, a := range q.Atoms {
+		sizes[a.Name] = max(n[i], 1)
+	}
+	pl, err := hypercube.NewPlan(q, sizes, c.P(), seed)
+	if err != nil {
+		panic(fmt.Sprintf("yannakakis: join-phase HyperCube: %v", err))
+	}
 	if len(anchors) == 0 {
 		c.Note("yannakakis join phase: HyperCube, no group's key lies in every other group")
 		hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
 		return
 	}
-	c.LocalStep(func(srv *mpc.Server) {
-		for g, atoms := range groups {
-			if len(atoms) > 1 {
-				srv.Put(groupJoin(srv, q, atoms, name[g], vars[g]))
-			}
-		}
-	})
-	defer func() {
-		for g, atoms := range groups {
-			if len(atoms) > 1 {
-				c.DeleteAll(name[g])
-			}
-		}
-	}()
-	anchor := anchors[0] // of several, the largest ships the fewest rows
-	for _, g := range anchors[1:] {
-		if c.TotalLen(name[g]) > c.TotalLen(name[anchor]) {
-			anchor = g
+	best, groupSize := 0, n[len(q.Atoms):] // of several anchors, the largest ships the fewest rows
+	for j := range anchors {
+		if groupSize[j] > groupSize[best] {
+			best = j
 		}
 	}
+	anchor := anchors[best]
 	key := at[groups[anchor][0]]
 	var ship, grid []mpc.Send
 	for g := range groups {
@@ -353,14 +367,10 @@ func joinPhase(c *mpc.Cluster, q hypergraph.Query, at [][]string, outName string
 	for _, a := range q.Atoms {
 		grid = append(grid, mpc.Send{From: a.Name, To: outName + ":" + a.Name, Policy: pl.Route(a)})
 	}
-	sl, sc := maxSum(c.Loads(ship...))
-	hl, hc := maxSum(c.Loads(grid...))
-	if sl > hl || sl == hl && sc >= hc {
-		c.Note("yannakakis join phase: HyperCube (L %d, C %d) over shipping to %v (L %d, C %d)", hl, hc, key, sl, sc)
+	if c.Choose("yannakakis join phase: HyperCube or ship to the anchor", grid, ship) == 0 {
 		hypercube.RunWithPlan(c, pl, outName, hypercube.LocalGeneric)
 		return
 	}
-	c.Note("yannakakis join phase: ship to %v (L %d, C %d) over HyperCube (L %d, C %d)", key, sl, sc, hl, hc)
 	c.Shuffle("gymopt:join", ship...)
 	c.LocalStep(func(srv *mpc.Server) {
 		inputs := make([]*relation.Relation, len(groups))
@@ -397,14 +407,6 @@ func groupJoin(srv *mpc.Server, q hypergraph.Query, atoms []int, name string, va
 		inputs[j] = srv.RelOrEmpty(q.Atoms[i].Name, q.Atoms[i].Vars...)
 	}
 	return relation.GenericJoin(name, vars, inputs...)
-}
-
-// maxSum returns a round's L and C from its per-server loads.
-func maxSum(loads []int64) (l, sum int64) {
-	for _, n := range loads {
-		l, sum = max(l, n), sum+n
-	}
-	return l, sum
 }
 
 // parentsOf returns the nodes of level that have children.

@@ -10,6 +10,7 @@ import (
 	"mpcquery/internal/mpc"
 	"mpcquery/internal/relation"
 	"mpcquery/internal/testkit"
+	"mpcquery/internal/trace"
 	"mpcquery/internal/workload"
 )
 
@@ -306,7 +307,10 @@ func TestGYMOptimizedCarriedChildStays(t *testing.T) {
 }
 
 // TestGYMOptimizedJoinPhase pins the join phase gymOptimized picks from
-// where the passes leave the atoms, and that r stays gymOptRounds:
+// where the passes leave the atoms, and that r stays gymOptRounds. A
+// choice between HyperCube and shipping is one Cluster.Choose, in r's
+// one control step, whose counted (L, C) for its pick is what the
+// round it runs meters:
 //
 //   - path3 on distinct uniform inputs, the shape of the benchmark's
 //     GYM op: R1 lies on A1, R2 and R3 on A2, so R1 anchors and the join
@@ -329,6 +333,21 @@ func TestGYMOptimizedJoinPhase(t *testing.T) {
 		}
 		return ship, grid
 	}
+	decided := func(c *mpc.Cluster, pick int, ran *mpc.RoundStat) {
+		t.Helper()
+		var cands []trace.Event
+		for _, ev := range c.Metrics().Events() {
+			if ev.Kind == trace.KindChoose {
+				cands = append(cands, ev)
+			}
+		}
+		if len(cands) != 2 || cands[pick].Frags != 1 || c.Metrics().ControlSteps() != 1 {
+			t.Fatalf("candidates %+v in %d control steps; want two, picking %d", cands, c.Metrics().ControlSteps(), pick)
+		}
+		if d := cands[pick]; d.MaxRecv != ran.MaxRecv() || d.Tuples != ran.TotalRecv() {
+			t.Errorf("the pick counted (L %d, C %d); its round metered (%d, %d)", d.MaxRecv, d.Tuples, ran.MaxRecv(), ran.TotalRecv())
+		}
+	}
 
 	q := hypergraph.Path(3)
 	jt := joinTreeOf(t, q)
@@ -346,6 +365,7 @@ func TestGYMOptimizedJoinPhase(t *testing.T) {
 	if ship == nil || grid != nil {
 		t.Fatalf("path3: join round shipped %v, HyperCube ran %v; want the shipped join alone", ship != nil, grid != nil)
 	}
+	decided(c, 1, ship)
 	st := int64(want.Project("st", "A1", "A2", "A3").Distinct().Len())
 	if ship.TotalRecv() != st {
 		t.Errorf("path3: join round C = %d, want the %d rows of the local R2 ⋈ R3", ship.TotalRecv(), st)
@@ -367,14 +387,19 @@ func TestGYMOptimizedJoinPhase(t *testing.T) {
 		if r := gymOptRounds(jt); c.Metrics().Rounds() != r {
 			t.Errorf("%s: r = %d, gymOptRounds = %d", q.Name, c.Metrics().Rounds(), r)
 		}
+		if c.Metrics().ControlWords() != 0 {
+			t.Errorf("%s: a local join phase exchanged %d control words", q.Name, c.Metrics().ControlWords())
+		}
 	}
 
 	rels = testkit.GenInstance(q, testkit.SkewZipf, testkit.GenConfig{Tuples: 1000}, 1)
 	c = mpc.NewCluster(16, 1)
 	GYMOptimized(c, jt, rels, "out", 1)
-	if ship, grid := joinRounds(c); ship != nil || grid == nil {
-		t.Errorf("path3 Zipf: HyperCube did not run the join phase")
+	ship, grid = joinRounds(c)
+	if ship != nil || grid == nil {
+		t.Fatalf("path3 Zipf: HyperCube did not run the join phase")
 	}
+	decided(c, 0, grid)
 	m := c.Metrics()
 	if got := [3]int64{m.MaxLoad(), int64(m.Rounds()), m.TotalComm()}; got != [3]int64{447, 4, 5610} {
 		t.Errorf("path3 Zipf: (L, r, C) = %v, want HyperCube's [447 4 5610]", got)
